@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt bench bench-smoke serve-smoke chaos doccheck profile ci
+.PHONY: all build test race vet fmt bench bench-smoke serve-smoke chaos doccheck hcbench-check loc profile ci
 
 all: build test
 
@@ -69,4 +69,14 @@ chaos:
 doccheck:
 	sh scripts/doccheck.sh
 
-ci: fmt vet build race bench-smoke serve-smoke doccheck
+# hcbench-check vets and tests the nested benchmarks/ module (the gate
+# binary behind BENCHMARK.json). No tier-1 command builds it, so an API
+# rename in pkg/hierclust would otherwise break it unnoticed.
+hcbench-check:
+	cd benchmarks && $(GO) vet ./... && $(GO) test ./...
+
+# loc prints the tracked size number: non-test Go lines outside benchmarks/.
+loc:
+	@git ls-files '*.go' | grep -v '^benchmarks/' | grep -v '_test\.go$$' | xargs cat | wc -l
+
+ci: fmt vet build race bench-smoke serve-smoke doccheck hcbench-check

@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"hierclust/internal/faultinject"
+	"hierclust/internal/lru"
 )
 
 const (
@@ -136,7 +137,7 @@ type Store struct {
 	readErrs     atomic.Int64
 	writeErrs    atomic.Int64
 	quarantined  atomic.Int64
-	mem          *memLRU
+	mem          *lru.Cache[[]byte]
 }
 
 type storeEntry struct {
@@ -175,7 +176,7 @@ func Open(o Options) (*Store, error) {
 	if memCap <= 0 {
 		memCap = DefaultMemFallback
 	}
-	s.mem = newMemLRU(memCap)
+	s.mem = lru.New[[]byte](memCap)
 	if p := o.FaultPrefix; p != "" {
 		s.faultRead, s.faultWrite, s.faultRename = p+".read", p+".write", p+".rename"
 	}
@@ -296,7 +297,7 @@ func (s *Store) shouldProbe() bool {
 // caller's to keep — it never aliases store-internal memory.
 func (s *Store) Get(stem string) ([]byte, bool) {
 	if s.degraded.Load() {
-		return s.mem.get(stem)
+		return s.memGet(stem)
 	}
 	s.mu.Lock()
 	el, ok := s.byStem[stem]
@@ -304,7 +305,7 @@ func (s *Store) Get(stem string) ([]byte, bool) {
 		s.mu.Unlock()
 		// Not on disk — but a Put during an earlier failure window may
 		// have landed the blob in the memory fallback.
-		return s.mem.get(stem)
+		return s.memGet(stem)
 	}
 	s.ll.MoveToFront(el)
 	s.mu.Unlock()
@@ -329,7 +330,7 @@ func (s *Store) Get(stem string) ([]byte, bool) {
 			// Framing says the bytes are corrupt: a content problem, not a
 			// disk-health problem.
 			s.Quarantine(stem)
-			return s.mem.get(stem)
+			return s.memGet(stem)
 		}
 		return payload, true
 	case os.IsNotExist(err):
@@ -340,7 +341,7 @@ func (s *Store) Get(stem string) ([]byte, bool) {
 		// Transient IO that survived every retry (already counted). Keep
 		// the index entry — the bytes are probably fine, the IO was not.
 	}
-	return s.mem.get(stem)
+	return s.memGet(stem)
 }
 
 // frame wraps data in the checksum header (or returns it as-is when the
@@ -383,7 +384,7 @@ func (s *Store) unframe(raw []byte) ([]byte, bool) {
 // present is left untouched.
 func (s *Store) Put(stem string, data []byte) {
 	if s.degraded.Load() && !s.shouldProbe() {
-		s.mem.put(stem, data)
+		s.memPut(stem, data)
 		return
 	}
 	s.mu.Lock()
@@ -398,7 +399,7 @@ func (s *Store) Put(stem string, data []byte) {
 		return s.writeAttempt(stem, blob)
 	})
 	if err != nil {
-		s.mem.put(stem, data)
+		s.memPut(stem, data)
 		return
 	}
 	s.noteSuccess()
@@ -495,59 +496,20 @@ func (s *Store) Stats() Stats {
 		WriteErrors: s.writeErrs.Load(),
 		Quarantined: s.quarantined.Load(),
 		Degraded:    s.degraded.Load(),
-		MemEntries:  s.mem.len(),
+		MemEntries:  s.mem.Len(),
 	}
 }
 
-// memLRU is the degraded-mode fallback: a bounded stem -> bytes LRU.
-// Both put and get copy, so fallback contents never alias caller memory.
-type memLRU struct {
-	mu  sync.Mutex
-	cap int
-	ll  *list.List
-	byK map[string]*list.Element
-}
-
-type memEntry struct {
-	stem string
-	data []byte
-}
-
-func newMemLRU(capacity int) *memLRU {
-	return &memLRU{cap: capacity, ll: list.New(), byK: map[string]*list.Element{}}
-}
-
-func (m *memLRU) get(stem string) ([]byte, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	el, ok := m.byK[stem]
+// memGet and memPut front the degraded-mode fallback LRU. Both copy, so
+// fallback contents never alias caller memory.
+func (s *Store) memGet(stem string) ([]byte, bool) {
+	data, ok := s.mem.Get(stem)
 	if !ok {
 		return nil, false
 	}
-	m.ll.MoveToFront(el)
-	return append([]byte(nil), el.Value.(*memEntry).data...), true
+	return append([]byte(nil), data...), true
 }
 
-func (m *memLRU) put(stem string, data []byte) {
-	if m.cap <= 0 {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if el, ok := m.byK[stem]; ok {
-		m.ll.MoveToFront(el)
-		return // deterministic per stem; keep the resident bytes
-	}
-	m.byK[stem] = m.ll.PushFront(&memEntry{stem: stem, data: append([]byte(nil), data...)})
-	for m.ll.Len() > m.cap {
-		oldest := m.ll.Back()
-		m.ll.Remove(oldest)
-		delete(m.byK, oldest.Value.(*memEntry).stem)
-	}
-}
-
-func (m *memLRU) len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.ll.Len()
+func (s *Store) memPut(stem string, data []byte) {
+	s.mem.Put(stem, append([]byte(nil), data...))
 }

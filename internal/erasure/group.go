@@ -1,10 +1,12 @@
 package erasure
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
+
+	"hierclust/internal/pool"
 )
 
 // AlphaSecPerGBMember is the calibrated encoding cost constant derived from
@@ -152,52 +154,33 @@ func (s *Stream) Encode(data [][]byte) (*GroupResult, error) {
 	return s.ge.EncodeInto(data, s.parity)
 }
 
+// encodeChunked splits one encode into chunkSize byte ranges across the
+// worker pool; each worker reuses its own pair of sub-slice headers.
 func (ge *GroupEncoder) encodeChunked(data, parity [][]byte, size int) error {
 	nchunks := (size + ge.chunkSize - 1) / ge.chunkSize
 	if nchunks <= 1 || ge.workers == 1 {
 		return ge.rs.Encode(data, parity)
 	}
-	type job struct{ lo, hi int }
-	jobs := make(chan job, nchunks)
-	for c := 0; c < nchunks; c++ {
-		lo := c * ge.chunkSize
-		hi := lo + ge.chunkSize
-		if hi > size {
-			hi = size
+	workers := min(ge.workers, nchunks)
+	type views struct{ data, parity [][]byte }
+	subs := make([]views, workers)
+	errs := make([]error, nchunks)
+	pool.Run(nchunks, workers, nil, func(c, w int) {
+		if subs[w].data == nil {
+			subs[w] = views{make([][]byte, len(data)), make([][]byte, len(parity))}
 		}
-		jobs <- job{lo, hi}
-	}
-	close(jobs)
-
-	workers := ge.workers
-	if workers > nchunks {
-		workers = nchunks
-	}
-	errc := make(chan error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			dsub := make([][]byte, len(data))
-			psub := make([][]byte, len(parity))
-			for j := range jobs {
-				for i, d := range data {
-					dsub[i] = d[j.lo:j.hi]
-				}
-				for i, p := range parity {
-					psub[i] = p[j.lo:j.hi]
-				}
-				if err := ge.rs.Encode(dsub, psub); err != nil {
-					errc <- err
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errc)
-	return <-errc // nil if empty
+		dsub, psub := subs[w].data, subs[w].parity
+		lo := c * ge.chunkSize
+		hi := min(lo+ge.chunkSize, size)
+		for i, d := range data {
+			dsub[i] = d[lo:hi]
+		}
+		for i, p := range parity {
+			psub[i] = p[lo:hi]
+		}
+		errs[c] = ge.rs.Encode(dsub, psub)
+	})
+	return errors.Join(errs...)
 }
 
 // Reconstruct rebuilds the group after erasures; see RS.Reconstruct for the

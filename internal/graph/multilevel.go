@@ -4,8 +4,9 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
+
+	"hierclust/internal/pool"
 )
 
 // The multilevel pipeline: heavy-edge-matching coarsening, greedy partition
@@ -865,57 +866,43 @@ func (p *pairSorter) Swap(i, j int) {
 // with parallelism.
 const mlChunk = 4096
 
-// effectiveWorkers resolves the worker count parallelVertexRanges will use
-// for an n-element range: 0 means GOMAXPROCS, an explicit count is capped at
-// GOMAXPROCS (the pools are CPU-bound, so more workers than P's only buys
-// scheduling overhead — notably, a Workers: 8 request on a single-core
-// container now runs the cheaper serial paths instead of time-slicing eight
-// goroutines), and a range under one chunk never splits. The cap never
-// affects results: every parallel phase is bit-identical at any worker
-// count by construction.
-func effectiveWorkers(n, workers int) int {
+// cappedWorkers resolves a requested worker count against the machine: 0
+// means GOMAXPROCS, and an explicit count is capped at GOMAXPROCS (the
+// pools are CPU-bound, so more workers than P's only buys scheduling
+// overhead — notably, a Workers: 8 request on a single-core container runs
+// the cheaper serial paths instead of time-slicing eight goroutines). The
+// cap never affects results: every parallel phase is bit-identical at any
+// worker count by construction.
+func cappedWorkers(workers int) int {
 	if maxp := runtime.GOMAXPROCS(0); workers <= 0 || workers > maxp {
-		workers = maxp
-	}
-	if nchunks := (n + mlChunk - 1) / mlChunk; workers > nchunks {
-		workers = nchunks
+		return maxp
 	}
 	return workers
 }
 
-// parallelVertexRanges runs fn over [0,n) in fixed chunks on a small worker
-// pool (workers 0 = GOMAXPROCS). Callers must write only to per-vertex
-// slots derived from read-only inputs, which makes the serial and parallel
-// executions indistinguishable.
+// effectiveWorkers resolves the worker count parallelVertexRanges will use
+// for an n-element range: cappedWorkers, and a range under one chunk never
+// splits.
+func effectiveWorkers(n, workers int) int {
+	return min(cappedWorkers(workers), (n+mlChunk-1)/mlChunk)
+}
+
+// parallelVertexRanges runs fn over [0,n) in fixed chunks on the worker
+// pool (workers 0 = GOMAXPROCS), or as the single range [0,n) on the
+// caller's goroutine when one worker suffices. Callers must write only to
+// per-vertex slots derived from read-only inputs, which makes the serial
+// and parallel executions indistinguishable.
 func parallelVertexRanges(n, workers int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	nchunks := (n + mlChunk - 1) / mlChunk
 	workers = effectiveWorkers(n, workers)
 	if workers <= 1 {
 		fn(0, n)
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				c := int(next.Add(1) - 1)
-				if c >= nchunks {
-					return
-				}
-				lo := c * mlChunk
-				hi := lo + mlChunk
-				if hi > n {
-					hi = n
-				}
-				fn(lo, hi)
-			}
-		}()
-	}
-	wg.Wait()
+	pool.Run((n+mlChunk-1)/mlChunk, workers, nil, func(c, _ int) {
+		lo := c * mlChunk
+		fn(lo, min(lo+mlChunk, n))
+	})
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"sync/atomic"
+
+	"hierclust/internal/pool"
 )
 
 // PartitionOptions bounds the clusters produced by Partition.
@@ -804,7 +806,7 @@ func (rs *refineState) regionCommit(nMovers int) (bool, bool) {
 	// comparisons, always between events of one region or across
 	// passes, order exactly as the serial walk's shared counter does.
 	var anyMoved atomic.Bool
-	parallelItems(plan.nr, rs.workers, func(r int) {
+	pool.Run(plan.nr, cappedWorkers(rs.workers), nil, func(r, _ int) {
 		if rs.regionWalk(plan.shadow(r), passStart+plan.starts[r], passStart) {
 			anyMoved.Store(true)
 		}

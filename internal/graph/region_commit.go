@@ -1,11 +1,5 @@
 package graph
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
-
 // The parallel region commit. The speculative refinement's serial commit
 // walk is the critical path once the scans run wide; when the decided moves
 // fall into mutually independent regions, the walks of those regions can run
@@ -179,42 +173,4 @@ func planRegions(g *Graph, part []int, k int, desire []int32, ar *partArena, max
 		}
 	}
 	return regionPlan{buf: buf, starts: starts, claimed: claimed, nr: int(nr), ok: true}
-}
-
-// parallelItems runs fn(0..n-1) on a small worker pool (workers 0 =
-// GOMAXPROCS; explicit counts are capped at GOMAXPROCS, matching
-// effectiveWorkers). Items must be mutually independent; with one worker
-// the calls run in index order on the calling goroutine.
-func parallelItems(n, workers int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if maxp := runtime.GOMAXPROCS(0); workers <= 0 || workers > maxp {
-		workers = maxp
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }

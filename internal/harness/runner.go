@@ -3,8 +3,9 @@ package harness
 import (
 	"encoding/json"
 	"runtime"
-	"sync"
 	"time"
+
+	"hierclust/internal/pool"
 )
 
 // RunResult is one experiment's outcome under the pooled runner.
@@ -17,40 +18,16 @@ type RunResult struct {
 
 // Run executes the experiments on a pool of workers and returns results in
 // input order, so output is byte-identical regardless of worker count or
-// completion order. workers <= 1 runs serially; workers == 0 and
-// DefaultWorkers() pick GOMAXPROCS. Every experiment is independent (the
+// completion order. workers == 1 runs serially on the caller's goroutine;
+// workers <= 0 picks DefaultWorkers(). Every experiment is independent (the
 // traced-rig cache is the only shared state and is mutex-guarded), which is
 // what makes the pool safe.
 func Run(cfg Config, exps []Experiment, workers int) []RunResult {
 	if workers <= 0 {
 		workers = DefaultWorkers()
 	}
-	if workers > len(exps) {
-		workers = len(exps)
-	}
 	results := make([]RunResult, len(exps))
-	if workers <= 1 {
-		for i, e := range exps {
-			results[i] = runOne(cfg, e)
-		}
-		return results
-	}
-	jobs := make(chan int, len(exps))
-	for i := range exps {
-		jobs <- i
-	}
-	close(jobs)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				results[i] = runOne(cfg, exps[i])
-			}
-		}()
-	}
-	wg.Wait()
+	pool.Run(len(exps), workers, nil, func(i, _ int) { results[i] = RunOne(cfg, exps[i]) })
 	return results
 }
 
@@ -60,9 +37,7 @@ func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 // RunOne executes and times a single experiment. Serial callers (hcrun
 // without -parallel) use it to stream each table as it completes and stop
 // at the first failure instead of batching through Run.
-func RunOne(cfg Config, e Experiment) RunResult { return runOne(cfg, e) }
-
-func runOne(cfg Config, e Experiment) RunResult {
+func RunOne(cfg Config, e Experiment) RunResult {
 	start := time.Now()
 	table, err := e.Run(cfg)
 	return RunResult{Experiment: e, Table: table, Err: err, Elapsed: time.Since(start)}

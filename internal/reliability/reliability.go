@@ -41,9 +41,9 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 
+	"hierclust/internal/pool"
 	"hierclust/internal/topology"
 )
 
@@ -544,59 +544,26 @@ scan:
 	return hit
 }
 
-// resolveWorkers returns the effective pool size parallelChunks will use:
-// workers (0 = GOMAXPROCS) capped by the chunk count, at least 1. Callers
-// size per-worker scratch state with it.
+// resolveWorkers returns the pool size the chunked loops run on: workers
+// (0 = GOMAXPROCS) capped by the chunk count, at least 1. Callers size
+// per-worker scratch state with it; the pool's worker ids are stable and
+// below it, so reusing scratch per worker never makes results depend on
+// scheduling (chunk functions write conclusions only to per-chunk state).
 func resolveWorkers(workers, nchunks int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > nchunks {
-		workers = nchunks
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
+	return max(min(workers, nchunks), 1)
 }
 
-// parallelChunks runs fn(chunk, worker) for every chunk in [0, nchunks) on
-// a pool of resolveWorkers(workers, nchunks) goroutines. Chunks are claimed
-// dynamically; worker is a stable id < the resolved pool size, so callers
-// can reuse per-worker scratch buffers without the results ever depending
-// on scheduling (fn must write conclusions only to per-chunk state).
-// A non-nil stop flag makes the pool abandon unclaimed chunks once set —
-// the caller is cancelling and will discard the partial result.
-func parallelChunks(nchunks, workers int, stop *atomic.Bool, fn func(chunk, worker int)) {
-	workers = resolveWorkers(workers, nchunks)
-	if workers <= 1 {
-		for i := 0; i < nchunks; i++ {
-			if stop != nil && stop.Load() {
-				return
-			}
-			fn(i, 0)
-		}
-		return
+// stopFunc adapts the cancel flag (nil when the context can never be
+// cancelled) to the pool's stop predicate: once set, unclaimed chunks are
+// abandoned — the caller is cancelling and will discard the partial result.
+func stopFunc(stop *atomic.Bool) func() bool {
+	if stop == nil {
+		return nil
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				if stop != nil && stop.Load() {
-					return
-				}
-				i := next.Add(1) - 1
-				if i >= int64(nchunks) {
-					return
-				}
-				fn(int(i), worker)
-			}
-		}(w)
-	}
-	wg.Wait()
+	return stop.Load
 }
 
 // exactConditional enumerates every f-subset of nodes and returns the
@@ -621,7 +588,7 @@ func exactConditional(fg *flatGroups, n, f, workers int, stop *atomic.Bool) floa
 		scratch []uint64
 	}
 	states := make([]*exactState, resolveWorkers(workers, nchunks))
-	parallelChunks(nchunks, workers, stop, func(v, worker int) {
+	pool.Run(nchunks, len(states), stopFunc(stop), func(v, worker int) {
 		st := states[worker]
 		if st == nil {
 			st = &exactState{idx: make([]int, f), scratch: fg.newScratch()}
@@ -789,7 +756,7 @@ func monteCarloConditional(fg *flatGroups, n, f, samples int, seed int64, worker
 		scratch []uint64
 	}
 	states := make([]*mcState, resolveWorkers(workers, nchunks))
-	parallelChunks(nchunks, workers, stop, func(c, worker int) {
+	pool.Run(nchunks, len(states), stopFunc(stop), func(c, worker int) {
 		st := states[worker]
 		if st == nil {
 			st = &mcState{perm: make([]int, n), failed: make([]int, f), scratch: fg.newScratch()}

@@ -7,9 +7,11 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 
 	"hierclust/internal/core"
 	"hierclust/internal/faultinject"
+	"hierclust/internal/pool"
 	"hierclust/internal/trace"
 	"hierclust/internal/tsunami"
 )
@@ -141,118 +143,147 @@ type StrategyResult struct {
 // builder bug) is recovered at the nearest isolation boundary and returned
 // as a *PanicError instead of crashing the process.
 func (pl *Pipeline) Run(ctx context.Context, sc *Scenario) (res *Result, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			res, err = nil, &PanicError{Value: v, Stack: debug.Stack()}
-		}
-	}()
+	// res is assigned only by evalCell returning, so a recovered panic
+	// leaves it nil.
+	defer recoverAsError(&err)
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
+	// A single evaluation is a one-cell plan with no shared nodes: its
+	// strategies fan out across the whole worker budget.
+	workers, evalWorkers := pl.splitBudget(0, len(sc.Strategies))
+	res, _, err = pl.evalCell(ctx, nil, &PlannedCell{Scenario: sc, TraceNode: -1, TraceBuilder: true}, workers, evalWorkers)
+	return res, err
+}
+
+// splitBudget resolves how n independent items (a scenario's strategies, a
+// sweep's cells) share the pipeline's worker budget: the pool width — want,
+// or the whole budget when want <= 0, capped at n — and each item's share
+// of the remainder, which goes to its reliability model (whose results are
+// worker-invariant), so a wide machine is not serialized on the slowest
+// item. The split never changes a bit of output.
+func (pl *Pipeline) splitBudget(want, n int) (workers, evalWorkers int) {
+	budget := pl.workers
+	if budget <= 0 {
+		budget = runtime.GOMAXPROCS(0)
+	}
+	workers = want
+	if workers <= 0 {
+		workers = budget
+	}
+	workers = max(min(workers, n), 1)
+	return workers, max(budget/workers, 1)
+}
+
+// evalCell is the one cell sequence — machine → placement → trace →
+// rank-count check → result shell → per-strategy build and score — behind
+// Run (a private cell, run == nil) and every sweep cell. Intermediates the
+// run shares (cell.TraceNode, cell.PartNodes) come from its node tables;
+// everything else is built privately under ctx. Strategies evaluate on up
+// to strategyWorkers goroutines, each scoring with evalWorkers; results
+// land in scenario order regardless of completion order. cache labels how
+// the trace was satisfied: "miss" (this cell performed the build) or
+// "trace-hit" (shared node or trace cache).
+func (pl *Pipeline) evalCell(ctx context.Context, run *sweepRun, cell *PlannedCell, strategyWorkers, evalWorkers int) (res *Result, cache string, err error) {
+	sc := cell.Scenario
 	mach, err := sc.machine()
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	placement, err := sc.placement(mach)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	comm, err := pl.resolveTrace(ctx, sc, placement)
+	var comm Comm
+	var outcome string // resolveTrace's
+	if run != nil && cell.TraceNode >= 0 {
+		node := &run.traces[cell.TraceNode]
+		comm, err = node.get(run, pl, sc, placement)
+		outcome = node.outcome
+	} else {
+		if run != nil {
+			run.traceBuilds.Add(1)
+		}
+		comm, outcome, err = pl.resolveTrace(ctx, sc, placement)
+		if info := traceInfoFrom(ctx); info != nil && err == nil {
+			info.Cache = outcome
+		}
+	}
 	if err != nil {
-		return nil, err
+		return nil, "", err
+	}
+	// Deterministic label: the plan-designated builder reports the
+	// underlying build outcome; every sharer reports "trace-hit",
+	// regardless of which worker actually reached the node first.
+	cache = "trace-hit"
+	if cell.TraceBuilder && outcome != "hit" {
+		cache = "miss"
 	}
 	if comm.Ranks() != placement.NumRanks() {
-		return nil, fmt.Errorf("hierclust: scenario %q: trace covers %d ranks, placement %d",
+		return nil, "", fmt.Errorf("hierclust: scenario %q: trace covers %d ranks, placement %d",
 			sc.Name, comm.Ranks(), placement.NumRanks())
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, "", err
 	}
 
 	mix := sc.Mix.Mix()
 	baseline := sc.Baseline.Baseline()
 	res = resultShell(sc, mach, placement, comm, baseline)
-
-	budget := pl.workers
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
-	}
-	workers := budget
-	if workers > len(sc.Strategies) {
-		workers = len(sc.Strategies)
-	}
-	// Every strategy evaluation is independent; the pool preserves input
-	// order in the results slice. The worker budget splits across the
-	// concurrent strategies, and the remainder of the budget goes to each
-	// evaluation's reliability model (whose results are worker-invariant),
-	// so a wide machine is not serialized on the slowest strategy.
-	evalWorkers := budget / workers
-	if evalWorkers < 1 {
-		evalWorkers = 1
-	}
-	jobs := make(chan int)
+	// Strategies are independent. The first failure stops further claims;
+	// the lowest-index error is reported, which — indices being claimed in
+	// ascending order — is the same error at any worker count.
 	errs := make([]error, len(sc.Strategies))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				errs[i] = pl.evalStrategyIsolated(ctx, sc.Strategies[i], comm, placement, mix, baseline, evalWorkers, &res.Evaluations[i])
+	var failed atomic.Bool
+	pool.Run(len(sc.Strategies), strategyWorkers,
+		func() bool { return failed.Load() || ctx.Err() != nil },
+		func(j, _ int) {
+			if errs[j] = pl.evalStrategy(ctx, run, cell, j, comm, placement, mix, baseline, evalWorkers, &res.Evaluations[j]); errs[j] != nil {
+				failed.Store(true)
 			}
-		}()
+		})
+	if err := ctx.Err(); err != nil {
+		return nil, "", err
 	}
-	cancelled := false
-	for i := range sc.Strategies {
-		if ctx.Err() != nil {
-			cancelled = true
-			break
-		}
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	if cancelled || ctx.Err() != nil {
-		return nil, ctx.Err()
-	}
-	for i, err := range errs {
+	for j, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("hierclust: scenario %q: strategy %q: %w", sc.Name, sc.Strategies[i].Kind, err)
+			return nil, "", fmt.Errorf("hierclust: scenario %q: strategy %q: %w", sc.Name, sc.Strategies[j].Kind, err)
 		}
 	}
-	return res, nil
+	return res, cache, nil
 }
 
-// evalStrategyIsolated is evalStrategy behind the per-worker panic
+// evalStrategy builds (or takes the run's shared build of) strategy j's
+// clustering and scores it into out. It is the per-strategy panic
 // boundary: a panicking strategy (or the "pipeline.worker" chaos point)
 // fails its own evaluation as a *PanicError without taking down the
 // sibling workers or the process.
-func (pl *Pipeline) evalStrategyIsolated(ctx context.Context, spec StrategySpec, comm Comm, placement *Placement, mix Mix, baseline Baseline, workers int, out *StrategyResult) (err error) {
+func (pl *Pipeline) evalStrategy(ctx context.Context, run *sweepRun, cell *PlannedCell, j int, comm Comm, placement *Placement, mix Mix, baseline Baseline, workers int, out *StrategyResult) (err error) {
 	defer recoverAsError(&err)
 	if err := faultinject.Hit("pipeline.worker"); err != nil {
 		return err
 	}
-	return pl.evalStrategy(ctx, spec, comm, placement, mix, baseline, workers, out)
-}
-
-// evalStrategy builds and scores one strategy into out.
-func (pl *Pipeline) evalStrategy(ctx context.Context, spec StrategySpec, comm Comm, placement *Placement, mix Mix, baseline Baseline, workers int, out *StrategyResult) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	c, err := buildClustering(ctx, spec, comm, placement)
+	spec := cell.Scenario.Strategies[j]
+	var c *Clustering
+	if run != nil && cell.PartNodes[j] >= 0 {
+		c, err = run.parts[cell.PartNodes[j]].get(run, spec, comm, placement)
+	} else {
+		if run != nil {
+			run.partBuilds.Add(1)
+		}
+		c, err = buildClustering(ctx, spec, comm, placement)
+	}
 	if err != nil {
 		return err
 	}
-	r, err := scoreClustering(ctx, c, spec.Kind, comm, placement, mix, baseline, workers)
-	if err != nil {
-		return err
-	}
-	*out = r
-	return nil
+	*out, err = scoreClustering(ctx, c, spec.Kind, comm, placement, mix, baseline, workers)
+	return err
 }
 
 // buildClustering instantiates a strategy spec and builds its clustering —
@@ -313,29 +344,27 @@ func resultShell(sc *Scenario, mach *Machine, placement *Placement, comm Comm, b
 		Nodes:       len(placement.UsedNodes()),
 		TotalBytes:  comm.TotalBytes(),
 		TotalMsgs:   comm.TotalMsgs(),
-		Baseline:    baselineSpec(baseline),
+		Baseline:    BaselineSpec(baseline), // same fields; the conversion keeps them in step
 		Evaluations: make([]StrategyResult, len(sc.Strategies)),
 	}
 }
 
 // resolveTrace returns the scenario's communication matrix, consulting
-// the trace cache (and the in-flight build table) before building. When
-// the context carries a TraceInfo (WithTraceInfo), the hit/miss outcome
-// is recorded there.
-func (pl *Pipeline) resolveTrace(ctx context.Context, sc *Scenario, placement *Placement) (Comm, error) {
-	info := traceInfoFrom(ctx)
+// the trace cache (and the in-flight build table) before building. outcome
+// reports how: "hit" (served from the trace cache, or joined an in-flight
+// build of the same trace), "miss" (this call built it), or "" (no trace
+// cache configured, or an uncacheable file source).
+func (pl *Pipeline) resolveTrace(ctx context.Context, sc *Scenario, placement *Placement) (comm Comm, outcome string, err error) {
 	key, cacheable := "", false
 	if pl.traceCache != nil {
 		key, cacheable = sc.TraceKey()
 	}
 	if !cacheable {
-		return pl.buildTrace(sc, placement)
+		comm, err = pl.buildTrace(sc, placement)
+		return comm, "", err
 	}
 	if c, ok := pl.traceCache.Get(key); ok {
-		if info != nil {
-			info.Cache = "hit"
-		}
-		return c, nil
+		return c, "hit", nil
 	}
 
 	pl.flightMu.Lock()
@@ -346,15 +375,9 @@ func (pl *Pipeline) resolveTrace(ctx context.Context, sc *Scenario, placement *P
 		select {
 		case <-f.done:
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return nil, "", ctx.Err()
 		}
-		if f.err != nil {
-			return nil, f.err
-		}
-		if info != nil {
-			info.Cache = "hit"
-		}
-		return f.comm, nil
+		return f.comm, "hit", f.err
 	}
 	f := &traceFlight{done: make(chan struct{})}
 	pl.flight[key] = f
@@ -380,72 +403,41 @@ func (pl *Pipeline) resolveTrace(ctx context.Context, sc *Scenario, placement *P
 			pl.traceCache.Put(key, f.comm)
 		}
 	}()
-
-	if f.err != nil {
-		return nil, f.err
-	}
-	if info != nil {
-		info.Cache = "miss"
-	}
-	return f.comm, nil
+	return f.comm, "miss", f.err
 }
 
 // buildTrace resolves the scenario's trace source into a communication
 // matrix: a real traced run, a generated stencil, or a serialized file.
 func (pl *Pipeline) buildTrace(sc *Scenario, placement *Placement) (Comm, error) {
-	ranks := placement.NumRanks()
-	switch sc.Trace.Source {
+	ranks, t := placement.NumRanks(), sc.resolvedTrace()
+	switch t.Source {
 	case "tsunami":
-		iters := sc.Trace.Iterations
-		if iters <= 0 {
-			iters = 20
-		}
 		rec := trace.NewRecorder(ranks)
 		if _, err := tsunami.RunTraced(tsunami.TracedOptions{
 			Params:     tsunami.TraceParams(ranks),
-			Iterations: iters,
+			Iterations: t.Iterations,
 			Tracer:     rec,
 		}); err != nil {
 			return nil, err
 		}
 		return rec.Matrix(), nil
 	case "synthetic":
-		opts := trace.SyntheticOptions{
-			Iterations:  sc.Trace.Iterations,
-			BytesPerMsg: sc.Trace.BytesPerMsg,
-			Width:       sc.Trace.Width,
-		}
-		if sc.Trace.Pattern == "stencil2d" {
+		opts := trace.SyntheticOptions{Iterations: t.Iterations, BytesPerMsg: t.BytesPerMsg, Width: t.Width}
+		if t.Pattern == "stencil2d" {
 			opts.Pattern = trace.Stencil2D
-			if opts.Width == 0 {
-				// Grid width = placement density, so horizontal ghost
-				// exchange stays intra-node under block placement.
-				opts.Width = sc.Placement.ProcsPerNode
-			}
 		}
 		return trace.Synthetic(ranks, opts)
 	case "file":
-		f, err := os.Open(sc.Trace.Path)
+		f, err := os.Open(t.Path)
 		if err != nil {
 			return nil, err
 		}
 		defer f.Close()
 		var ropts []trace.ReadOptions
-		if sc.Trace.MaxRanks > 0 {
-			ropts = append(ropts, trace.ReadOptions{MaxRanks: sc.Trace.MaxRanks})
+		if t.MaxRanks > 0 {
+			ropts = append(ropts, trace.ReadOptions{MaxRanks: t.MaxRanks})
 		}
 		return trace.ReadCSR(f, ropts...)
 	}
-	return nil, fmt.Errorf("hierclust: unknown trace source %q", sc.Trace.Source)
-}
-
-// baselineSpec converts the evaluator's Baseline back to its declarative
-// form for the result document.
-func baselineSpec(b Baseline) BaselineSpec {
-	return BaselineSpec{
-		MaxLoggedFraction:   b.MaxLoggedFraction,
-		MaxRecoveryFraction: b.MaxRecoveryFraction,
-		MaxEncodeSecPerGB:   b.MaxEncodeSecPerGB,
-		MaxCatastropheProb:  b.MaxCatastropheProb,
-	}
+	return nil, fmt.Errorf("hierclust: unknown trace source %q", t.Source)
 }

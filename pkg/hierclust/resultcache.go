@@ -1,11 +1,6 @@
 package hierclust
 
-import (
-	"fmt"
-	"sync/atomic"
-
-	"hierclust/internal/diskstore"
-)
+import "hierclust/internal/diskstore"
 
 // The result cache is the restart-survival layer above the trace cache:
 // rendered result documents are deterministic by canonical scenario key
@@ -16,24 +11,9 @@ import (
 // SweepOptions.ResultCache, which is what lets a journaled sweep resume
 // after kill -9 recomputing only the cells that never reached disk.
 
-// ResultCacheStats is DiskResultCache's observability surface, mirroring
-// TraceCacheStats for the serving layer's /healthz and /metrics.
-type ResultCacheStats struct {
-	// Hits and Misses count Get outcomes since construction.
-	Hits, Misses int64
-	// Entries and Bytes describe the on-disk index.
-	Entries int
-	Bytes   int64
-	// ReadErrors and WriteErrors count failed disk operation *attempts*
-	// (each retry of a transiently failing op counts).
-	ReadErrors, WriteErrors int64
-	// Quarantined counts corrupt files renamed to .bad.
-	Quarantined int64
-	// Degraded reports memory-only fallback mode.
-	Degraded bool
-	// MemEntries is the degraded-mode fallback's entry count.
-	MemEntries int
-}
+// ResultCacheStats is DiskResultCache's observability surface: the same
+// projection of the disk store's health as the trace cache's.
+type ResultCacheStats = TraceCacheStats
 
 // DiskResultCache is a size-bounded on-disk SweepResultCache: each result
 // document is one checksummed file named by the SHA-256 of its canonical
@@ -44,11 +24,7 @@ type ResultCacheStats struct {
 // read time), and consecutive-failure degradation to a bounded memory
 // fallback with probe-based recovery — under the fault points
 // resultcache.disk.{read,write,rename}.
-type DiskResultCache struct {
-	store  *diskstore.Store
-	hits   atomic.Int64
-	misses atomic.Int64
-}
+type DiskResultCache struct{ diskCache }
 
 // diskResultExt names result-cache files; the payload is the rendered
 // result document wrapped in the diskstore checksum frame.
@@ -62,58 +38,34 @@ func NewDiskResultCache(dir string, maxBytes int64, opts ...DiskCacheOption) (*D
 	if maxBytes <= 0 {
 		maxBytes = 512 << 20
 	}
-	var cfg diskCacheConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	st, err := diskstore.Open(diskstore.Options{
+	c := &DiskResultCache{}
+	err := c.open("result cache", diskstore.Options{
 		Dir:      dir,
 		Ext:      diskResultExt,
 		MaxBytes: maxBytes,
 		// Result documents are plain JSON with no self-validating frame,
 		// so the store's checksum header does the corruption detection.
-		Checksum:     true,
-		FaultPrefix:  "resultcache.disk",
-		DegradeAfter: cfg.degradeAfter,
-		ProbeEvery:   cfg.probeEvery,
-	})
+		Checksum:    true,
+		FaultPrefix: "resultcache.disk",
+	}, opts)
 	if err != nil {
-		return nil, fmt.Errorf("hierclust: result cache: %w", err)
+		return nil, err
 	}
-	return &DiskResultCache{store: st}, nil
+	return c, nil
 }
 
 // Get implements SweepResultCache. The returned slice never aliases
 // cache-internal memory; callers own it.
 func (c *DiskResultCache) Get(key string) ([]byte, bool) {
-	doc, ok := c.store.Get(hashStem(key))
-	if !ok {
-		c.misses.Add(1)
-		return nil, false
+	_, doc, ok := c.get(key)
+	if ok {
+		c.hits.Add(1)
 	}
-	c.hits.Add(1)
-	return doc, true
+	return doc, ok
 }
 
 // Put implements SweepResultCache. Documents are deterministic per key,
 // so an existing entry is left untouched.
 func (c *DiskResultCache) Put(key string, doc []byte) {
 	c.store.Put(hashStem(key), doc)
-}
-
-// Stats returns lifetime counters, the index size, and the disk-health
-// fields (error counts, quarantines, degraded mode).
-func (c *DiskResultCache) Stats() ResultCacheStats {
-	st := c.store.Stats()
-	return ResultCacheStats{
-		Hits:        c.hits.Load(),
-		Misses:      c.misses.Load(),
-		Entries:     st.Entries,
-		Bytes:       st.Bytes,
-		ReadErrors:  st.ReadErrors,
-		WriteErrors: st.WriteErrors,
-		Quarantined: st.Quarantined,
-		Degraded:    st.Degraded,
-		MemEntries:  st.MemEntries,
-	}
 }

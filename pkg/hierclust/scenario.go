@@ -141,12 +141,7 @@ func (s *BaselineSpec) Baseline() Baseline {
 	if s == nil {
 		return DefaultBaseline()
 	}
-	return Baseline{
-		MaxLoggedFraction:   s.MaxLoggedFraction,
-		MaxRecoveryFraction: s.MaxRecoveryFraction,
-		MaxEncodeSecPerGB:   s.MaxEncodeSecPerGB,
-		MaxCatastropheProb:  s.MaxCatastropheProb,
-	}
+	return Baseline(*s)
 }
 
 // Validate checks everything that can be checked without building the

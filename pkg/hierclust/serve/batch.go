@@ -4,9 +4,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime/debug"
+
+	"hierclust/internal/pool"
 )
 
 // POST /v1/evaluate-batch accepts a JSON array of scenario documents and
@@ -36,14 +37,8 @@ type BatchLine struct {
 }
 
 func (s *Server) handleEvaluateBatch(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBatchBody))
-	if err != nil {
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		s.writeError(w, status, fmt.Errorf("reading body: %w", err))
+	body, ok := s.readBody(w, r, s.maxBatchBody)
+	if !ok {
 		return
 	}
 	var raws []json.RawMessage
@@ -73,43 +68,14 @@ func (s *Server) handleEvaluateBatch(w http.ResponseWriter, r *http.Request) {
 	// request rather than owning the server.
 	lines := make([]BatchLine, len(raws))
 	done := make([]chan struct{}, len(raws))
-	idx := make(chan int, len(raws))
-	for i := range raws {
+	for i := range done {
 		done[i] = make(chan struct{})
-		idx <- i
 	}
-	close(idx)
-	workers := s.lim.capacity()
-	if workers > len(raws) {
-		workers = len(raws)
-	}
-	for wkr := 0; wkr < workers; wkr++ {
-		go func() {
-			for i := range idx {
-				lines[i] = s.evaluateElement(r, i, raws[i])
-				close(done[i])
-			}
-		}()
-	}
-
-	// Stream strictly in input order, flushing per line so clients see
-	// progress; a vanished client cancels r.Context(), which unblocks
-	// queued elements and stops the writes.
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	for i := range lines {
-		select {
-		case <-done[i]:
-		case <-r.Context().Done():
-			return
-		}
-		if err := enc.Encode(&lines[i]); err != nil {
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	go pool.Run(len(raws), s.lim.capacity(), nil, func(i, _ int) {
+		lines[i] = s.evaluateElement(r, i, raws[i])
+		close(done[i])
+	})
+	streamNDJSON(w, r, done, func(i int) any { return &lines[i] })
 }
 
 // evaluateElement runs one batch element through decode → cache →

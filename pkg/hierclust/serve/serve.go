@@ -71,6 +71,7 @@ import (
 	"time"
 
 	"hierclust/internal/faultinject"
+	"hierclust/internal/lru"
 	"hierclust/internal/metrics"
 	"hierclust/pkg/hierclust"
 )
@@ -152,11 +153,12 @@ type TraceCacheStatser interface {
 }
 
 // ResultCacheTier is the durable result-cache surface Options.ResultCache
-// needs: the sweep executor's Get/Put contract plus stats for /metrics and
-// /healthz. hierclust.DiskResultCache implements it.
+// needs: the sweep executor's Get/Put contract plus the same stats surface
+// as the trace cache for /metrics and /healthz. hierclust.DiskResultCache
+// implements it.
 type ResultCacheTier interface {
 	hierclust.SweepResultCache
-	Stats() hierclust.ResultCacheStats
+	TraceCacheStatser
 }
 
 // DefaultCacheSize is the scenario-result LRU capacity when Options leaves
@@ -188,7 +190,7 @@ const DefaultMaxSweepJobs = 64
 type Server struct {
 	mux          *http.ServeMux
 	pipeline     *hierclust.Pipeline
-	cache        *lruCache
+	cache        *lru.Cache[[]byte]
 	lim          *limiter
 	maxBody      int64
 	maxBatchBody int64
@@ -210,8 +212,9 @@ type Server struct {
 	sweepCancel   context.CancelFunc
 	sweepWG       sync.WaitGroup
 
-	hits   atomic.Int64
-	misses atomic.Int64
+	hits      atomic.Int64
+	misses    atomic.Int64
+	evictions atomic.Int64 // result-LRU entries pushed out by capacity
 
 	reg             *metrics.Registry
 	reqTotal        *metrics.CounterVec
@@ -293,7 +296,7 @@ func New(opts Options) *Server {
 	s := &Server{
 		mux:           http.NewServeMux(),
 		pipeline:      pl,
-		cache:         newLRU(size),
+		cache:         lru.New[[]byte](size),
 		lim:           newLimiter(maxConc, queue, opts.ClientSlotCap),
 		maxBody:       maxBody,
 		maxBatchBody:  maxBatchBody,
@@ -345,31 +348,9 @@ func New(opts Options) *Server {
 		func() float64 { return float64(s.misses.Load()) })
 	reg.CounterFunc("hcserve_result_cache_evictions_total",
 		"Entries evicted from the scenario-result LRU by capacity pressure.",
-		func() float64 { return float64(s.cache.Evictions()) })
-	if rc := s.resultTier; rc != nil {
-		reg.CounterFunc("hcserve_result_cache_disk_read_errors_total",
-			"Failed result-cache disk read attempts (each retry counts).",
-			func() float64 { return float64(rc.Stats().ReadErrors) })
-		reg.CounterFunc("hcserve_result_cache_disk_write_errors_total",
-			"Failed result-cache disk write attempts (each retry counts).",
-			func() float64 { return float64(rc.Stats().WriteErrors) })
-		reg.CounterFunc("hcserve_result_cache_quarantined_total",
-			"Corrupt result-cache files quarantined to .bad for post-mortem.",
-			func() float64 { return float64(rc.Stats().Quarantined) })
-		reg.GaugeFunc("hcserve_result_cache_degraded",
-			"1 while the disk result cache serves memory-only after repeated disk failures.",
-			func() float64 {
-				if rc.Stats().Degraded {
-					return 1
-				}
-				return 0
-			})
-		reg.GaugeFunc("hcserve_result_cache_disk_entries",
-			"Result documents resident in the disk result-cache tier.",
-			func() float64 { return float64(rc.Stats().Entries) })
-		reg.GaugeFunc("hcserve_result_cache_disk_bytes",
-			"Bytes stored by the disk result-cache tier.",
-			func() float64 { return float64(rc.Stats().Bytes) })
+		func() float64 { return float64(s.evictions.Load()) })
+	if s.resultTier != nil {
+		registerTierMetrics(reg, s.resultTier, resultTierMetrics)
 	}
 	s.panicsTotal = reg.Counter("hcserve_panics_total",
 		"Panics recovered at an isolation boundary (request handler, pipeline worker, batch element).")
@@ -392,27 +373,8 @@ func New(opts Options) *Server {
 		func() float64 { return float64(s.runningSweeps()) })
 	s.timeoutsTotal = reg.Counter("hcserve_eval_timeouts_total",
 		"Evaluations cut off by the server-side deadline and answered 504.")
-	if tc := s.traceCache; tc != nil {
-		reg.CounterFunc("hcserve_trace_cache_read_errors_total",
-			"Failed trace-cache disk read attempts (each retry counts).",
-			func() float64 { return float64(tc.Stats().ReadErrors) })
-		reg.CounterFunc("hcserve_trace_cache_write_errors_total",
-			"Failed trace-cache disk write attempts (each retry counts).",
-			func() float64 { return float64(tc.Stats().WriteErrors) })
-		reg.CounterFunc("hcserve_trace_cache_quarantined_total",
-			"Corrupt trace-cache files quarantined to .bad for post-mortem.",
-			func() float64 { return float64(tc.Stats().Quarantined) })
-		reg.GaugeFunc("hcserve_trace_cache_degraded",
-			"1 while the trace cache serves memory-only after repeated disk failures.",
-			func() float64 {
-				if tc.Stats().Degraded {
-					return 1
-				}
-				return 0
-			})
-		reg.GaugeFunc("hcserve_trace_cache_entries",
-			"Entries resident in the trace cache.",
-			func() float64 { return float64(tc.Stats().Entries) })
+	if s.traceCache != nil {
+		registerTierMetrics(reg, s.traceCache, traceTierMetrics)
 	}
 
 	s.mux.HandleFunc("POST /v1/evaluate", s.instrument("evaluate", s.handleEvaluate))
@@ -477,16 +439,87 @@ func (s *Server) cacheGet(key string) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	s.cache.Put(key, doc)
+	s.lruPut(key, doc)
 	return doc, true
 }
 
 // cachePut stores a rendered result document in the LRU and writes it
 // through to the durable tier (when mounted).
 func (s *Server) cachePut(key string, doc []byte) {
-	s.cache.Put(key, doc)
+	s.lruPut(key, doc)
 	if s.resultTier != nil {
 		s.resultTier.Put(key, doc)
+	}
+}
+
+// lruPut stores a copy of doc in the result LRU — the cache owns its bytes
+// outright, so a caller reusing or mutating its slice afterwards cannot
+// corrupt what later requests are served — and counts the evictions.
+func (s *Server) lruPut(key string, doc []byte) {
+	s.evictions.Add(int64(s.cache.Put(key, append([]byte(nil), doc...))))
+}
+
+// countCache records one cache lookup at level "result" or "trace" on the
+// by-level metric; result lookups also feed the lifetime counters behind
+// CacheStats and /healthz.
+func (s *Server) countCache(level string, hit bool) {
+	vec, total := s.cacheMisses, &s.misses
+	if hit {
+		vec, total = s.cacheHits, &s.hits
+	}
+	vec.With(level).Inc()
+	if level == "result" {
+		total.Add(1)
+	}
+}
+
+// tierMetric is one row of a disk-backed cache tier's /metrics surface.
+// Both tiers project the same stats type; the names and help strings are
+// per tier because dashboards pin them.
+type tierMetric struct {
+	name, help string
+	counter    bool // false = gauge
+	value      func(hierclust.TraceCacheStats) float64
+}
+
+func statReadErrors(st hierclust.TraceCacheStats) float64  { return float64(st.ReadErrors) }
+func statWriteErrors(st hierclust.TraceCacheStats) float64 { return float64(st.WriteErrors) }
+func statQuarantined(st hierclust.TraceCacheStats) float64 { return float64(st.Quarantined) }
+func statEntries(st hierclust.TraceCacheStats) float64     { return float64(st.Entries) }
+func statBytes(st hierclust.TraceCacheStats) float64       { return float64(st.Bytes) }
+func statDegraded(st hierclust.TraceCacheStats) float64 {
+	if st.Degraded {
+		return 1
+	}
+	return 0
+}
+
+var traceTierMetrics = []tierMetric{
+	{"hcserve_trace_cache_read_errors_total", "Failed trace-cache disk read attempts (each retry counts).", true, statReadErrors},
+	{"hcserve_trace_cache_write_errors_total", "Failed trace-cache disk write attempts (each retry counts).", true, statWriteErrors},
+	{"hcserve_trace_cache_quarantined_total", "Corrupt trace-cache files quarantined to .bad for post-mortem.", true, statQuarantined},
+	{"hcserve_trace_cache_degraded", "1 while the trace cache serves memory-only after repeated disk failures.", false, statDegraded},
+	{"hcserve_trace_cache_entries", "Entries resident in the trace cache.", false, statEntries},
+}
+
+var resultTierMetrics = []tierMetric{
+	{"hcserve_result_cache_disk_read_errors_total", "Failed result-cache disk read attempts (each retry counts).", true, statReadErrors},
+	{"hcserve_result_cache_disk_write_errors_total", "Failed result-cache disk write attempts (each retry counts).", true, statWriteErrors},
+	{"hcserve_result_cache_quarantined_total", "Corrupt result-cache files quarantined to .bad for post-mortem.", true, statQuarantined},
+	{"hcserve_result_cache_degraded", "1 while the disk result cache serves memory-only after repeated disk failures.", false, statDegraded},
+	{"hcserve_result_cache_disk_entries", "Result documents resident in the disk result-cache tier.", false, statEntries},
+	{"hcserve_result_cache_disk_bytes", "Bytes stored by the disk result-cache tier.", false, statBytes},
+}
+
+// registerTierMetrics exposes cache c's disk health as the given rows.
+func registerTierMetrics(reg *metrics.Registry, c TraceCacheStatser, rows []tierMetric) {
+	for _, m := range rows {
+		fn := func() float64 { return m.value(c.Stats()) }
+		if m.counter {
+			reg.CounterFunc(m.name, m.help, fn)
+		} else {
+			reg.GaugeFunc(m.name, m.help, fn)
+		}
 	}
 }
 
@@ -622,13 +655,11 @@ func (s *Server) evaluate(r *http.Request, sc *hierclust.Scenario) (doc []byte, 
 	if err != nil {
 		return nil, "", http.StatusBadRequest, err
 	}
-	if doc, ok := s.cacheGet(key); ok {
-		s.hits.Add(1)
-		s.cacheHits.With("result").Inc()
+	doc, ok := s.cacheGet(key)
+	s.countCache("result", ok)
+	if ok {
 		return doc, "hit", 0, nil
 	}
-	s.misses.Add(1)
-	s.cacheMisses.With("result").Inc()
 
 	adm, release := s.lim.acquire(r.Context(), clientKey(r), false)
 	switch adm {
@@ -648,20 +679,17 @@ func (s *Server) evaluate(r *http.Request, sc *hierclust.Scenario) (doc []byte, 
 	// The deadline starts here, after admission: time spent queued for a
 	// slot is the limiter's business, not the evaluation's.
 	runCtx := r.Context()
-	cancel := func() {}
 	if s.evalTimeout > 0 {
+		var cancel context.CancelFunc
 		runCtx, cancel = context.WithTimeout(runCtx, s.evalTimeout)
+		defer cancel()
 	}
-	defer cancel()
 
 	ctx, info := hierclust.WithTraceInfo(runCtx)
 	start := time.Now()
 	res, err := s.pipeline.Run(ctx, sc)
-	switch info.Cache {
-	case "hit":
-		s.cacheHits.With("trace").Inc()
-	case "miss":
-		s.cacheMisses.With("trace").Inc()
+	if info.Cache != "" {
+		s.countCache("trace", info.Cache == "hit")
 	}
 	if err != nil {
 		// Rank the failure: a recovered pipeline panic is a server bug
@@ -698,15 +726,47 @@ func (s *Server) evaluate(r *http.Request, sc *hierclust.Scenario) (doc []byte, 
 	return doc, cacheState, 0, nil
 }
 
-func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
+// readBody reads a request body of at most limit bytes. On failure it
+// answers the request itself — 413 over the limit, otherwise 400 (e.g. the
+// client disconnected mid-upload) — and reports false.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	if err != nil {
-		status := http.StatusBadRequest // e.g. client disconnected mid-upload
+		status := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			status = http.StatusRequestEntityTooLarge
 		}
 		s.writeError(w, status, fmt.Errorf("reading body: %w", err))
+		return nil, false
+	}
+	return body, true
+}
+
+// streamNDJSON writes line(i) for each i strictly in index order, waiting
+// for done[i] first and flushing per line so clients see progress. A
+// vanished client cancels r.Context(), which stops the writes.
+func streamNDJSON(w http.ResponseWriter, r *http.Request, done []chan struct{}, line func(i int) any) {
+	enc := json.NewEncoder(w)
+	flusher, _ := w.(http.Flusher)
+	for i := range done {
+		select {
+		case <-done[i]:
+		case <-r.Context().Done():
+			return
+		}
+		if err := enc.Encode(line(i)); err != nil {
+			return
+		}
+		if flusher != nil {
+			flusher.Flush()
+		}
+	}
+}
+
+func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
+	body, ok := s.readBody(w, r, s.maxBody)
+	if !ok {
 		return
 	}
 	sc, status, err := decodeScenario(body)
@@ -765,66 +825,54 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // are still correct and bit-identical, the disk needs attention), or
 // "draining" (shutdown in progress; stop routing here).
 type healthDoc struct {
-	Status       string           `json:"status"`
-	CacheEntries int              `json:"cache_entries"`
-	CacheHits    int64            `json:"cache_hits"`
-	CacheMisses  int64            `json:"cache_misses"`
-	TraceCache   *traceHealthDoc  `json:"trace_cache,omitempty"`
-	ResultCache  *resultHealthDoc `json:"result_cache,omitempty"`
+	Status       string          `json:"status"`
+	CacheEntries int             `json:"cache_entries"`
+	CacheHits    int64           `json:"cache_hits"`
+	CacheMisses  int64           `json:"cache_misses"`
+	TraceCache   *cacheHealthDoc `json:"trace_cache,omitempty"`
+	ResultCache  *cacheHealthDoc `json:"result_cache,omitempty"`
 }
 
-// resultHealthDoc mirrors traceHealthDoc for the durable result-cache
-// tier.
-type resultHealthDoc struct {
-	Degraded    bool  `json:"degraded"`
-	Entries     int   `json:"entries"`
-	Bytes       int64 `json:"bytes"`
-	MemEntries  int   `json:"mem_entries"`
-	ReadErrors  int64 `json:"read_errors"`
-	WriteErrors int64 `json:"write_errors"`
-	Quarantined int64 `json:"quarantined"`
+// cacheHealthDoc is the /healthz view of one disk-backed cache tier.
+type cacheHealthDoc struct {
+	Degraded    bool   `json:"degraded"`
+	Entries     int    `json:"entries"`
+	Bytes       *int64 `json:"bytes,omitempty"` // durable result tier only
+	MemEntries  int    `json:"mem_entries"`
+	ReadErrors  int64  `json:"read_errors"`
+	WriteErrors int64  `json:"write_errors"`
+	Quarantined int64  `json:"quarantined"`
 }
 
-type traceHealthDoc struct {
-	Degraded    bool  `json:"degraded"`
-	Entries     int   `json:"entries"`
-	MemEntries  int   `json:"mem_entries"`
-	ReadErrors  int64 `json:"read_errors"`
-	WriteErrors int64 `json:"write_errors"`
-	Quarantined int64 `json:"quarantined"`
+// tierHealth renders one tier's stats and downgrades the overall status
+// when the tier is serving memory-only.
+func tierHealth(c TraceCacheStatser, withBytes bool, status *string) *cacheHealthDoc {
+	st := c.Stats()
+	doc := &cacheHealthDoc{
+		Degraded:    st.Degraded,
+		Entries:     st.Entries,
+		MemEntries:  st.MemEntries,
+		ReadErrors:  st.ReadErrors,
+		WriteErrors: st.WriteErrors,
+		Quarantined: st.Quarantined,
+	}
+	if withBytes {
+		doc.Bytes = &st.Bytes
+	}
+	if st.Degraded {
+		*status = "degraded"
+	}
+	return doc
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	hits, misses, size := s.CacheStats()
 	doc := healthDoc{Status: "ok", CacheEntries: size, CacheHits: hits, CacheMisses: misses}
 	if tc := s.traceCache; tc != nil {
-		st := tc.Stats()
-		doc.TraceCache = &traceHealthDoc{
-			Degraded:    st.Degraded,
-			Entries:     st.Entries,
-			MemEntries:  st.MemEntries,
-			ReadErrors:  st.ReadErrors,
-			WriteErrors: st.WriteErrors,
-			Quarantined: st.Quarantined,
-		}
-		if st.Degraded {
-			doc.Status = "degraded"
-		}
+		doc.TraceCache = tierHealth(tc, false, &doc.Status)
 	}
 	if rc := s.resultTier; rc != nil {
-		st := rc.Stats()
-		doc.ResultCache = &resultHealthDoc{
-			Degraded:    st.Degraded,
-			Entries:     st.Entries,
-			Bytes:       st.Bytes,
-			MemEntries:  st.MemEntries,
-			ReadErrors:  st.ReadErrors,
-			WriteErrors: st.WriteErrors,
-			Quarantined: st.Quarantined,
-		}
-		if st.Degraded {
-			doc.Status = "degraded"
-		}
+		doc.ResultCache = tierHealth(rc, true, &doc.Status)
 	}
 	if s.draining.Load() {
 		doc.Status = "draining"

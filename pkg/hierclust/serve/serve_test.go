@@ -130,31 +130,3 @@ func TestScenariosAndHealthz(t *testing.T) {
 		t.Fatalf("healthz body: %v (%v)", h, err)
 	}
 }
-
-func TestLRUEviction(t *testing.T) {
-	c := newLRU(2)
-	c.Put("a", []byte("1"))
-	c.Put("b", []byte("2"))
-	if _, ok := c.Get("a"); !ok { // refresh a: b becomes LRU
-		t.Fatal("a missing")
-	}
-	c.Put("c", []byte("3")) // evicts b
-	if _, ok := c.Get("b"); ok {
-		t.Fatal("b survived eviction")
-	}
-	if _, ok := c.Get("a"); !ok {
-		t.Fatal("a evicted despite refresh")
-	}
-	if _, ok := c.Get("c"); !ok {
-		t.Fatal("c missing")
-	}
-	if c.Len() != 2 {
-		t.Fatalf("len = %d, want 2", c.Len())
-	}
-	// Capacity 0 disables caching entirely.
-	off := newLRU(0)
-	off.Put("a", []byte("1"))
-	if _, ok := off.Get("a"); ok {
-		t.Fatal("disabled cache returned a value")
-	}
-}

@@ -7,8 +7,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -116,6 +116,10 @@ func newSweepJob(id string, plan *hierclust.SweepPlan, client string, cancel con
 func (j *sweepJob) setLine(i int, line SweepCellLine) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.setLineLocked(i, line)
+}
+
+func (j *sweepJob) setLineLocked(i int, line SweepCellLine) {
 	if j.closed[i] {
 		return
 	}
@@ -139,19 +143,12 @@ func (j *sweepJob) finish(state string, fillStatus int, fillErr string) {
 	defer j.mu.Unlock()
 	j.state = state
 	for i := range j.lines {
-		if j.closed[i] {
-			continue
-		}
-		j.lines[i] = SweepCellLine{
+		j.setLineLocked(i, SweepCellLine{
 			Index:    i,
 			Scenario: j.plan.Cells[i].Scenario.Name,
 			Status:   fillStatus,
 			Error:    fillErr,
-		}
-		j.closed[i] = true
-		j.done++
-		j.failed++
-		close(j.lineDone[i])
+		})
 	}
 }
 
@@ -183,6 +180,10 @@ func (j *sweepJob) currentState() string {
 func (s *Server) runningSweeps() int {
 	s.sweepMu.Lock()
 	defer s.sweepMu.Unlock()
+	return s.runningSweepsLocked()
+}
+
+func (s *Server) runningSweepsLocked() int {
 	n := 0
 	for _, j := range s.sweepJobs {
 		if j.currentState() == "running" {
@@ -190,6 +191,12 @@ func (s *Server) runningSweeps() int {
 		}
 	}
 	return n
+}
+
+// forgetSweepJobLocked drops a job from the store.
+func (s *Server) forgetSweepJobLocked(id string) {
+	delete(s.sweepJobs, id)
+	s.sweepOrder = slices.DeleteFunc(s.sweepOrder, func(o string) bool { return o == id })
 }
 
 // storeSweepJob registers a job, evicting the oldest finished job when the
@@ -205,34 +212,22 @@ func (s *Server) storeSweepJob(j *sweepJob) error {
 	if s.draining.Load() {
 		return fmt.Errorf("%w; retry against another replica", errSweepDraining)
 	}
-	running := 0
-	for _, job := range s.sweepJobs {
-		if job.currentState() == "running" {
-			running++
-		}
-	}
-	if running >= s.maxSweeps {
+	if running := s.runningSweepsLocked(); running >= s.maxSweeps {
 		return fmt.Errorf("hierclust: %d sweep jobs already running (bound %d); retry after %ss",
 			running, s.maxSweeps, s.retryAfter)
 	}
 	for len(s.sweepJobs) >= s.maxSweepJobs {
-		evicted := false
-		for i, id := range s.sweepOrder {
-			if s.sweepJobs[id].currentState() != "running" {
-				delete(s.sweepJobs, id)
-				s.sweepOrder = append(s.sweepOrder[:i], s.sweepOrder[i+1:]...)
-				// Evicted jobs are gone from the store, so they must be
-				// closed out in the journal too or a restart would
-				// resurrect them. (journalDone never takes sweepMu.)
-				s.journalDone(id, "forgotten")
-				evicted = true
-				break
-			}
-		}
-		if !evicted {
+		i := slices.IndexFunc(s.sweepOrder, func(id string) bool { return s.sweepJobs[id].currentState() != "running" })
+		if i < 0 {
 			return fmt.Errorf("hierclust: sweep job store full (%d jobs, all running); retry after %ss",
 				len(s.sweepJobs), s.retryAfter)
 		}
+		// Evicted jobs are gone from the store, so they must be closed out
+		// in the journal too or a restart would resurrect them.
+		// (journalDone never takes sweepMu.)
+		id := s.sweepOrder[i]
+		s.forgetSweepJobLocked(id)
+		s.journalDone(id, "forgotten")
 	}
 	s.sweepJobs[j.id] = j
 	s.sweepOrder = append(s.sweepOrder, j.id)
@@ -261,14 +256,8 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 			errors.New("hierclust: server draining; retry against another replica"))
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBatchBody))
-	if err != nil {
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		s.writeError(w, status, fmt.Errorf("reading body: %w", err))
+	body, ok := s.readBody(w, r, s.maxBatchBody)
+	if !ok {
 		return
 	}
 	sw, err := hierclust.DecodeSweep(body)
@@ -322,13 +311,19 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	s.sweepBuilds.Add(uint64(plan.TraceBuilds + plan.PartitionBuilds))
 	s.sweepRefs.Add(uint64(plan.TraceRefs + plan.PartitionRefs))
 
+	// The 202 body is the job as accepted, snapshotted before it can run.
+	doc := job.statusDoc()
 	// storeSweepJob already did sweepWG.Add(1) for this goroutine.
 	go s.runSweepJob(jobCtx, job)
 
-	doc := job.statusDoc()
-	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Location", "/v1/sweeps/"+id)
-	w.WriteHeader(http.StatusAccepted)
+	writeSweepStatus(w, http.StatusAccepted, doc)
+}
+
+// writeSweepStatus answers with an indented job status document.
+func writeSweepStatus(w http.ResponseWriter, status int, doc *sweepStatusDoc) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(doc)
@@ -400,20 +395,12 @@ func (s *Server) renderSweepCell(ctx context.Context, res hierclust.SweepCellRes
 		line.Status = http.StatusOK
 		line.Cache = res.Cache
 		line.Result = res.Doc
+		s.countCache("result", res.Cache == "hit")
 		if res.Cache == "hit" {
-			s.hits.Add(1)
-			s.cacheHits.With("result").Inc()
 			s.sweepCellHits.Inc()
 		} else {
-			s.misses.Add(1)
-			s.cacheMisses.With("result").Inc()
 			s.sweepCellsDone.Inc()
-			switch res.Cache {
-			case "trace-hit":
-				s.cacheHits.With("trace").Inc()
-			case "miss":
-				s.cacheMisses.With("trace").Inc()
-			}
+			s.countCache("trace", res.Cache == "trace-hit")
 		}
 		return line
 	}
@@ -449,10 +436,7 @@ func (s *Server) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, errors.New("hierclust: unknown sweep job"))
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(job.statusDoc())
+	writeSweepStatus(w, http.StatusOK, job.statusDoc())
 }
 
 func (s *Server) handleSweepResults(w http.ResponseWriter, r *http.Request) {
@@ -468,24 +452,12 @@ func (s *Server) handleSweepResults(w http.ResponseWriter, r *http.Request) {
 
 	// Stream strictly in plan order as cells land; finish() guarantees
 	// every channel eventually closes, so the stream always terminates.
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	for i := range job.lineDone {
-		select {
-		case <-job.lineDone[i]:
-		case <-r.Context().Done():
-			return
-		}
+	streamNDJSON(w, r, job.lineDone, func(i int) any {
 		job.mu.Lock()
 		line := job.lines[i]
 		job.mu.Unlock()
-		if err := enc.Encode(&line); err != nil {
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+		return &line
+	})
 }
 
 func (s *Server) handleSweepDelete(w http.ResponseWriter, r *http.Request) {
@@ -499,21 +471,11 @@ func (s *Server) handleSweepDelete(w http.ResponseWriter, r *http.Request) {
 		// Cancel and report the (now terminating) job; the store keeps it
 		// so the client can still read partial results.
 		job.cancel()
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusAccepted)
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(job.statusDoc())
+		writeSweepStatus(w, http.StatusAccepted, job.statusDoc())
 		return
 	}
 	s.sweepMu.Lock()
-	delete(s.sweepJobs, id)
-	for i, oid := range s.sweepOrder {
-		if oid == id {
-			s.sweepOrder = append(s.sweepOrder[:i], s.sweepOrder[i+1:]...)
-			break
-		}
-	}
+	s.forgetSweepJobLocked(id)
 	s.sweepMu.Unlock()
 	s.journalDone(id, "forgotten")
 	w.WriteHeader(http.StatusNoContent)

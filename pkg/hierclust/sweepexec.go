@@ -4,12 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"hierclust/internal/faultinject"
+	"hierclust/internal/pool"
 )
 
 // The sweep executor runs a compiled SweepPlan on a bounded worker pool.
@@ -18,8 +18,8 @@ import (
 // shared intermediate is built exactly once per run regardless of worker
 // count or scheduling, and no worker ever blocks waiting for a slot it is
 // itself supposed to fill. Per-cell results are byte-identical to running
-// the expanded scenario through Pipeline.Run (the two paths share
-// resultShell, buildClustering, and scoreClustering), at any worker count.
+// the expanded scenario through Pipeline.Run — Run is the same evalCell on a
+// one-cell plan with no shared nodes — at any worker count.
 //
 // Resumability is the result cache: every completed cell is Put under its
 // Scenario.CacheKey before the executor moves on, so a killed or
@@ -111,23 +111,33 @@ type SweepReport struct {
 	CellsFailed    int
 }
 
+// sweepRun is the state one RunPlannedSweep call shares across its cells:
+// the shared-node tables and the build counters.
+type sweepRun struct {
+	// ctx is the sweep's context. Shared node builds run under it, not
+	// under the demanding cell's deadline, so one slow cell cannot poison
+	// an intermediate its siblings still need.
+	ctx                     context.Context
+	traces                  []sweepTraceNode
+	parts                   []sweepPartNode
+	traceBuilds, partBuilds atomic.Int64
+}
+
 // sweepTraceNode is one shared trace build.
 type sweepTraceNode struct {
-	once sync.Once
-	comm Comm
-	err  error
-	info TraceInfo
+	once    sync.Once
+	comm    Comm
+	outcome string // resolveTrace's
+	err     error
 }
 
 // get computes the node on first demand (concurrent callers block until
 // the computation finishes) and returns the shared trace.
-func (n *sweepTraceNode) get(ctx context.Context, pl *Pipeline, sc *Scenario, placement *Placement, builds *atomic.Int64) (Comm, error) {
+func (n *sweepTraceNode) get(run *sweepRun, pl *Pipeline, sc *Scenario, placement *Placement) (Comm, error) {
 	n.once.Do(func() {
 		defer recoverAsError(&n.err)
-		builds.Add(1)
-		ictx, info := WithTraceInfo(ctx)
-		n.comm, n.err = pl.resolveTrace(ictx, sc, placement)
-		n.info = *info
+		run.traceBuilds.Add(1)
+		n.comm, n.outcome, n.err = pl.resolveTrace(run.ctx, sc, placement)
 	})
 	return n.comm, n.err
 }
@@ -139,11 +149,11 @@ type sweepPartNode struct {
 	err  error
 }
 
-func (n *sweepPartNode) get(ctx context.Context, spec StrategySpec, comm Comm, placement *Placement, builds *atomic.Int64) (*Clustering, error) {
+func (n *sweepPartNode) get(run *sweepRun, spec StrategySpec, comm Comm, placement *Placement) (*Clustering, error) {
 	n.once.Do(func() {
 		defer recoverAsError(&n.err)
-		builds.Add(1)
-		n.c, n.err = buildClustering(ctx, spec, comm, placement)
+		run.partBuilds.Add(1)
+		n.c, n.err = buildClustering(run.ctx, spec, comm, placement)
 	})
 	return n.c, n.err
 }
@@ -169,103 +179,47 @@ func (pl *Pipeline) RunPlannedSweep(ctx context.Context, plan *SweepPlan, opts S
 
 	numTrace, numPart := 0, 0
 	for i := range plan.Cells {
-		if id := plan.Cells[i].TraceNode; id >= numTrace {
-			numTrace = id + 1
-		}
+		numTrace = max(numTrace, plan.Cells[i].TraceNode+1)
 		for _, id := range plan.Cells[i].PartNodes {
-			if id >= numPart {
-				numPart = id + 1
-			}
+			numPart = max(numPart, id+1)
 		}
 	}
-	traceNodes := make([]*sweepTraceNode, numTrace)
-	for i := range traceNodes {
-		traceNodes[i] = &sweepTraceNode{}
-	}
-	partNodes := make([]*sweepPartNode, numPart)
-	for i := range partNodes {
-		partNodes[i] = &sweepPartNode{}
-	}
+	run := &sweepRun{ctx: ctx, traces: make([]sweepTraceNode, numTrace), parts: make([]sweepPartNode, numPart)}
 
-	budget := pl.workers
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = budget
-	}
-	if workers > len(plan.Cells) {
-		workers = len(plan.Cells)
-	}
-	// Concurrent cells split the evaluation worker budget, like Run's
-	// concurrent strategies; the split never changes a bit of output.
-	evalWorkers := budget / workers
-	if evalWorkers < 1 {
-		evalWorkers = 1
-	}
-
-	var traceBuilds, partBuilds atomic.Int64
-	var completed, cached, failed atomic.Int64
-	dispatched := make([]bool, len(plan.Cells))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				res := pl.runSweepCell(ctx, &plan.Cells[i], traceNodes, partNodes, &opts, evalWorkers, &traceBuilds, &partBuilds)
-				report.Cells[i] = res
-				switch {
-				case res.Err != nil:
-					failed.Add(1)
-				case res.Cache == "hit":
-					cached.Add(1)
-				default:
-					completed.Add(1)
-				}
-				if opts.OnCell != nil {
-					opts.OnCell(res)
-				}
-			}
-		}()
-	}
-	for i := range plan.Cells {
-		if ctx.Err() != nil {
-			break
+	// Concurrent cells split the evaluation worker budget like Run's
+	// concurrent strategies; within a cell the strategies run serially.
+	workers, evalWorkers := pl.splitBudget(opts.Workers, len(plan.Cells))
+	claimed := pool.Run(len(plan.Cells), workers, func() bool { return ctx.Err() != nil }, func(i, _ int) {
+		report.Cells[i] = pl.runSweepCell(run, &plan.Cells[i], &opts, evalWorkers)
+		if opts.OnCell != nil {
+			opts.OnCell(report.Cells[i])
 		}
-		dispatched[i] = true
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	})
 
-	report.TraceBuilds = traceBuilds.Load()
-	report.PartitionBuilds = partBuilds.Load()
-	report.CellsCompleted = int(completed.Load())
-	report.CellsFromCache = int(cached.Load())
-	report.CellsFailed = int(failed.Load())
-
-	if err := ctx.Err(); err != nil {
-		for i := range plan.Cells {
-			if !dispatched[i] {
-				report.Cells[i] = SweepCellResult{
-					Index:    i,
-					Scenario: plan.Cells[i].Scenario.Name,
-					CacheKey: plan.Cells[i].CacheKey,
-					Err:      err,
-				}
-				report.CellsFailed++
-			}
+	report.TraceBuilds = run.traceBuilds.Load()
+	report.PartitionBuilds = run.partBuilds.Load()
+	err := ctx.Err()
+	for i := range report.Cells {
+		res := &report.Cells[i]
+		if i >= claimed { // never claimed: the sweep was cancelled first
+			*res = SweepCellResult{Index: i, Scenario: plan.Cells[i].Scenario.Name, CacheKey: plan.Cells[i].CacheKey, Err: err}
 		}
-		return report, err
+		switch {
+		case res.Err != nil:
+			report.CellsFailed++
+		case res.Cache == "hit":
+			report.CellsFromCache++
+		default:
+			report.CellsCompleted++
+		}
 	}
-	return report, nil
+	return report, err
 }
 
-// runSweepCell executes one cell behind its own panic boundary.
-func (pl *Pipeline) runSweepCell(ctx context.Context, cell *PlannedCell, traceNodes []*sweepTraceNode, partNodes []*sweepPartNode, opts *SweepOptions, evalWorkers int, traceBuilds, partBuilds *atomic.Int64) (res SweepCellResult) {
+// runSweepCell executes one cell behind its own panic boundary: result
+// cache → admission → fault point → cell deadline → the shared cell
+// sequence (evalCell) → render → cache fill.
+func (pl *Pipeline) runSweepCell(run *sweepRun, cell *PlannedCell, opts *SweepOptions, evalWorkers int) (res SweepCellResult) {
 	res = SweepCellResult{Index: cell.Index, Scenario: cell.Scenario.Name, CacheKey: cell.CacheKey}
 	defer recoverAsError(&res.Err)
 
@@ -275,12 +229,12 @@ func (pl *Pipeline) runSweepCell(ctx context.Context, cell *PlannedCell, traceNo
 			return res
 		}
 	}
-	if err := ctx.Err(); err != nil {
+	if err := run.ctx.Err(); err != nil {
 		res.Err = err
 		return res
 	}
 	if opts.Acquire != nil {
-		release, err := opts.Acquire(ctx)
+		release, err := opts.Acquire(run.ctx)
 		if err != nil {
 			res.Err = err
 			return res
@@ -292,89 +246,25 @@ func (pl *Pipeline) runSweepCell(ctx context.Context, cell *PlannedCell, traceNo
 		return res
 	}
 
-	// The per-cell deadline covers this cell's own evaluation work;
-	// shared node builds run under the sweep context so a cell's timeout
-	// cannot poison an intermediate its siblings still need.
-	cellCtx := ctx
-	cancel := func() {}
+	// The per-cell deadline covers this cell's own evaluation work only.
+	cellCtx := run.ctx
 	if opts.CellTimeout > 0 {
-		cellCtx, cancel = context.WithTimeout(ctx, opts.CellTimeout)
+		var cancel context.CancelFunc
+		cellCtx, cancel = context.WithTimeout(run.ctx, opts.CellTimeout)
+		defer cancel()
 	}
-	defer cancel()
 
-	sc := cell.Scenario
-	mach, err := sc.machine()
+	out, cache, err := pl.evalCell(cellCtx, run, cell, 1, evalWorkers)
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	placement, err := sc.placement(mach)
-	if err != nil {
-		res.Err = err
-		return res
-	}
-
-	var comm Comm
-	if cell.TraceNode >= 0 {
-		node := traceNodes[cell.TraceNode]
-		comm, err = node.get(ctx, pl, sc, placement, traceBuilds)
-		if err == nil {
-			// Deterministic label: the plan-designated builder reports the
-			// underlying build outcome; every sharer reports "trace-hit",
-			// regardless of which worker actually reached the node first.
-			if cell.TraceBuilder && node.info.Cache != "hit" {
-				res.Cache = "miss"
-			} else {
-				res.Cache = "trace-hit"
-			}
-		}
-	} else {
-		traceBuilds.Add(1)
-		ictx, info := WithTraceInfo(cellCtx)
-		comm, err = pl.resolveTrace(ictx, sc, placement)
-		if err == nil {
-			res.Cache = "miss"
-			if info.Cache == "hit" {
-				res.Cache = "trace-hit"
-			}
-		}
-	}
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	if comm.Ranks() != placement.NumRanks() {
-		res.Err = fmt.Errorf("hierclust: scenario %q: trace covers %d ranks, placement %d",
-			sc.Name, comm.Ranks(), placement.NumRanks())
-		return res
-	}
-
-	mix := sc.Mix.Mix()
-	baseline := sc.Baseline.Baseline()
-	out := resultShell(sc, mach, placement, comm, baseline)
-	for j, spec := range sc.Strategies {
-		var c *Clustering
-		if id := cell.PartNodes[j]; id >= 0 {
-			c, err = partNodes[id].get(ctx, spec, comm, placement, partBuilds)
-		} else {
-			partBuilds.Add(1)
-			c, err = buildClustering(cellCtx, spec, comm, placement)
-		}
-		if err == nil {
-			out.Evaluations[j], err = scoreClustering(cellCtx, c, spec.Kind, comm, placement, mix, baseline, evalWorkers)
-		}
-		if err != nil {
-			res.Err = fmt.Errorf("hierclust: scenario %q: strategy %q: %w", sc.Name, spec.Kind, err)
-			return res
-		}
-	}
-
 	doc, err := json.Marshal(out)
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	res.Doc = doc
+	res.Cache, res.Doc = cache, doc
 	if opts.ResultCache != nil {
 		opts.ResultCache.Put(cell.CacheKey, doc)
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 
@@ -238,6 +239,44 @@ func TestRunSweepCellPanicIsolated(t *testing.T) {
 		var pe *PanicError
 		if !errors.As(cell.Err, &pe) {
 			t.Fatalf("cell %d error %v, want a PanicError", i, cell.Err)
+		}
+	}
+}
+
+// TestRunSweepWorkerFaultFailsCellStrategies: sweep cells evaluate their
+// strategies through the same per-strategy step as Pipeline.Run, so the
+// "pipeline.worker" fault point guards them too — an injected panic there
+// fails each cell as a recovered *PanicError naming the strategy, and the
+// sweep itself still completes.
+func TestRunSweepWorkerFaultFailsCellStrategies(t *testing.T) {
+	faultinject.Arm("pipeline.worker", faultinject.Fault{Kind: faultinject.KindPanic, P: 1})
+	defer faultinject.DisarmAll()
+	report, err := NewPipeline().RunSweep(context.Background(), execSweep(), SweepOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.CellsFailed != 4 {
+		t.Fatalf("failed %d cells, want 4", report.CellsFailed)
+	}
+	for i, cell := range report.Cells {
+		var pe *PanicError
+		if !errors.As(cell.Err, &pe) || !strings.Contains(cell.Err.Error(), "strategy") {
+			t.Fatalf("cell %d error %v, want a strategy-scoped PanicError", i, cell.Err)
+		}
+	}
+}
+
+// TestRunPlannedSweepEmptyPlan: RunPlannedSweep accepts caller-built plans,
+// and a plan with no cells is an empty report, not a divide-by-zero in the
+// worker-budget split.
+func TestRunPlannedSweepEmptyPlan(t *testing.T) {
+	for _, workers := range []int{0, 1, 4} {
+		report, err := NewPipeline().RunPlannedSweep(context.Background(), &SweepPlan{}, SweepOptions{Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if report == nil || len(report.Cells) != 0 || report.CellsCompleted+report.CellsFailed+report.CellsFromCache != 0 {
+			t.Fatalf("workers=%d: report = %+v, want empty", workers, report)
 		}
 	}
 }

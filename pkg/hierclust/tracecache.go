@@ -2,17 +2,16 @@ package hierclust
 
 import (
 	"bytes"
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"io"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"hierclust/internal/diskstore"
+	"hierclust/internal/lru"
 	"hierclust/internal/trace"
 	"hierclust/internal/tsunami"
 )
@@ -38,39 +37,49 @@ import (
 // Source "file" is not cacheable (false): the bytes behind a path can
 // change, so a path is not a value.
 func (s *Scenario) TraceKey() (string, bool) {
-	ranks := s.Placement.Ranks
-	switch s.Trace.Source {
+	ranks, t := s.Placement.Ranks, s.resolvedTrace()
+	switch t.Source {
 	case "tsunami":
-		iters := s.Trace.Iterations
-		if iters <= 0 {
-			iters = 20
-		}
 		p := tsunami.TraceParams(ranks)
-		return fmt.Sprintf("tsunami|ranks=%d|iters=%d|nx=%d|ny=%d", ranks, iters, p.NX, p.NY), true
+		return fmt.Sprintf("tsunami|ranks=%d|iters=%d|nx=%d|ny=%d", ranks, t.Iterations, p.NX, p.NY), true
 	case "synthetic":
-		iters := s.Trace.Iterations
-		if iters <= 0 {
-			iters = 100
-		}
-		bpm := s.Trace.BytesPerMsg
-		if bpm <= 0 {
-			bpm = 1536
-		}
-		pattern := s.Trace.Pattern
-		if pattern == "" {
-			pattern = "stencil1d"
-		}
-		width := 0
-		if pattern == "stencil2d" {
-			width = s.Trace.Width
-			if width == 0 {
-				width = s.Placement.ProcsPerNode
-			}
-		}
 		return fmt.Sprintf("synthetic|ranks=%d|iters=%d|pattern=%s|width=%d|bpm=%d",
-			ranks, iters, pattern, width, bpm), true
+			ranks, t.Iterations, t.Pattern, t.Width, t.BytesPerMsg), true
 	}
 	return "", false
+}
+
+// resolvedTrace returns the scenario's trace spec with every source
+// default filled in: tsunami 20 iterations; synthetic 100 iterations of
+// 1536-byte messages on a 1-D stencil, or on a 2-D grid whose width is the
+// placement density (so horizontal ghost exchange stays intra-node under
+// block placement). This is the only place those defaults are written:
+// TraceKey and buildTrace both consume the resolved spec, so a cache key
+// cannot name a different trace than the one built under it.
+func (s *Scenario) resolvedTrace() TraceSpec {
+	t := s.Trace
+	switch t.Source {
+	case "tsunami":
+		if t.Iterations <= 0 {
+			t.Iterations = 20
+		}
+	case "synthetic":
+		if t.Iterations <= 0 {
+			t.Iterations = 100
+		}
+		if t.BytesPerMsg <= 0 {
+			t.BytesPerMsg = 1536
+		}
+		if t.Pattern == "" {
+			t.Pattern = "stencil1d"
+		}
+		if t.Pattern != "stencil2d" {
+			t.Width = 0 // meaningless off the 2-D grid; keep it out of the key
+		} else if t.Width == 0 {
+			t.Width = s.Placement.ProcsPerNode
+		}
+	}
+	return t
 }
 
 // TraceCache caches built communication traces by TraceKey, beneath the
@@ -88,8 +97,9 @@ type TraceCache interface {
 	Put(key string, c Comm)
 }
 
-// TraceCacheStats is the observability surface shared by the built-in
-// TraceCache implementations.
+// TraceCacheStats is the observability surface of every built-in cache —
+// MemoryTraceCache, DiskTraceCache and (as ResultCacheStats)
+// DiskResultCache — and what hcserve projects onto /metrics and /healthz.
 type TraceCacheStats struct {
 	// Hits and Misses count Get outcomes since construction.
 	Hits, Misses int64
@@ -99,7 +109,7 @@ type TraceCacheStats struct {
 	// 0 for the in-memory cache.
 	Bytes int64
 
-	// The remaining fields describe DiskTraceCache health; they stay zero
+	// The remaining fields describe disk-cache health; they stay zero
 	// for the in-memory cache.
 
 	// ReadErrors and WriteErrors count failed disk operation *attempts*
@@ -122,69 +132,35 @@ type TraceCacheStats struct {
 // lookup; capacity bounds entry count, not bytes — size it against the
 // O(ranks + distinct pairs) CSR footprint of the machines you serve.
 type MemoryTraceCache struct {
-	mu   sync.Mutex
-	cap  int
-	ll   *list.List // front = most recently used
-	byK  map[string]*list.Element
+	lru  *lru.Cache[Comm]
 	hits atomic.Int64
 	miss atomic.Int64
-}
-
-type memTraceEntry struct {
-	key string
-	c   Comm
 }
 
 // NewMemoryTraceCache returns an LRU trace cache holding up to capacity
 // traces; capacity <= 0 disables caching (every Get misses).
 func NewMemoryTraceCache(capacity int) *MemoryTraceCache {
-	return &MemoryTraceCache{cap: capacity, ll: list.New(), byK: map[string]*list.Element{}}
+	return &MemoryTraceCache{lru: lru.New[Comm](capacity)}
 }
 
 // Get implements TraceCache.
 func (c *MemoryTraceCache) Get(key string) (Comm, bool) {
-	if c.cap <= 0 {
-		c.miss.Add(1)
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byK[key]
+	comm, ok := c.lru.Get(key)
 	if !ok {
 		c.miss.Add(1)
 		return nil, false
 	}
-	c.ll.MoveToFront(el)
 	c.hits.Add(1)
-	return el.Value.(*memTraceEntry).c, true
+	return comm, true
 }
 
-// Put implements TraceCache.
-func (c *MemoryTraceCache) Put(key string, comm Comm) {
-	if c.cap <= 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byK[key]; ok {
-		// Traces are deterministic per key; keep the resident value.
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.byK[key] = c.ll.PushFront(&memTraceEntry{key: key, c: comm})
-	for c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.byK, oldest.Value.(*memTraceEntry).key)
-	}
-}
+// Put implements TraceCache. Traces are deterministic per key, so a key
+// already resident keeps its trace.
+func (c *MemoryTraceCache) Put(key string, comm Comm) { c.lru.Put(key, comm) }
 
 // Stats returns lifetime counters and the current entry count.
 func (c *MemoryTraceCache) Stats() TraceCacheStats {
-	c.mu.Lock()
-	n := c.ll.Len()
-	c.mu.Unlock()
-	return TraceCacheStats{Hits: c.hits.Load(), Misses: c.miss.Load(), Entries: n}
+	return TraceCacheStats{Hits: c.hits.Load(), Misses: c.miss.Load(), Entries: c.lru.Len()}
 }
 
 // DiskTraceCache is a size-bounded on-disk TraceCache: each trace is one
@@ -212,10 +188,55 @@ func (c *MemoryTraceCache) Stats() TraceCacheStats {
 //     the fallback holds the exact serialized bytes), and a probe write
 //     every probe interval retries the disk and clears the mode when it
 //     succeeds. Stats.Degraded surfaces the mode in /healthz.
-type DiskTraceCache struct {
-	store *diskstore.Store
-	hits  atomic.Int64
-	miss  atomic.Int64
+type DiskTraceCache struct{ diskCache }
+
+// diskCache is what DiskTraceCache and DiskResultCache share: a hardened
+// diskstore addressed by the SHA-256 of the cache key, hit/miss counters,
+// and the Stats projection.
+type diskCache struct {
+	store  *diskstore.Store
+	hits   atomic.Int64
+	misses atomic.Int64
+}
+
+// open opens (creating if needed) the store described by o, applying the
+// caller's tuning options; what names the cache in the error.
+func (c *diskCache) open(what string, o diskstore.Options, opts []DiskCacheOption) (err error) {
+	for _, opt := range opts {
+		opt(&o)
+	}
+	if c.store, err = diskstore.Open(o); err != nil {
+		return fmt.Errorf("hierclust: %s: %w", what, err)
+	}
+	return nil
+}
+
+// get returns the bytes stored under key and their filename stem, counting
+// the miss when there are none; the caller counts the hit once the bytes
+// prove usable.
+func (c *diskCache) get(key string) (stem string, data []byte, ok bool) {
+	stem = hashStem(key)
+	if data, ok = c.store.Get(stem); !ok {
+		c.misses.Add(1)
+	}
+	return stem, data, ok
+}
+
+// Stats returns lifetime counters, the entry count, the stored bytes, and
+// the disk-health fields (error counts, quarantines, degraded mode).
+func (c *diskCache) Stats() TraceCacheStats {
+	st := c.store.Stats()
+	return TraceCacheStats{
+		Hits:        c.hits.Load(),
+		Misses:      c.misses.Load(),
+		Entries:     st.Entries,
+		Bytes:       st.Bytes,
+		ReadErrors:  st.ReadErrors,
+		WriteErrors: st.WriteErrors,
+		Quarantined: st.Quarantined,
+		Degraded:    st.Degraded,
+		MemEntries:  st.MemEntries,
+	}
 }
 
 const (
@@ -227,12 +248,9 @@ const (
 	diskOpAttempts = diskstore.OpAttempts
 )
 
-// diskCacheConfig collects the tuning shared by the disk-backed caches
-// (trace cache here, result cache in resultcache.go).
-type diskCacheConfig struct {
-	degradeAfter int
-	probeEvery   time.Duration
-}
+// diskCacheConfig is what a DiskCacheOption tunes: the store options of the
+// disk-backed caches (trace cache here, result cache in resultcache.go).
+type diskCacheConfig = diskstore.Options
 
 // DiskCacheOption tunes a disk-backed cache (NewDiskTraceCache,
 // NewDiskResultCache).
@@ -248,7 +266,7 @@ type DiskTraceCacheOption = DiskCacheOption
 func WithDegradeAfter(n int) DiskCacheOption {
 	return func(c *diskCacheConfig) {
 		if n > 0 {
-			c.degradeAfter = n
+			c.DegradeAfter = n
 		}
 	}
 }
@@ -258,7 +276,7 @@ func WithDegradeAfter(n int) DiskCacheOption {
 func WithDegradedProbe(d time.Duration) DiskCacheOption {
 	return func(c *diskCacheConfig) {
 		if d > 0 {
-			c.probeEvery = d
+			c.ProbeEvery = d
 		}
 	}
 }
@@ -271,26 +289,21 @@ func NewDiskTraceCache(dir string, maxBytes int64, opts ...DiskTraceCacheOption)
 	if maxBytes <= 0 {
 		maxBytes = 256 << 20
 	}
-	var cfg diskCacheConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	st, err := diskstore.Open(diskstore.Options{
+	c := &DiskTraceCache{}
+	err := c.open("trace cache", diskstore.Options{
 		Dir:      dir,
 		Ext:      diskTraceExt,
 		MaxBytes: maxBytes,
 		// HCTR validates itself on decode; no checksum frame, so cache
 		// files stay byte-compatible with plain trace files (and with
 		// caches written before the diskstore extraction).
-		Checksum:     false,
-		FaultPrefix:  "tracecache.disk",
-		DegradeAfter: cfg.degradeAfter,
-		ProbeEvery:   cfg.probeEvery,
-	})
+		Checksum:    false,
+		FaultPrefix: "tracecache.disk",
+	}, opts)
 	if err != nil {
-		return nil, fmt.Errorf("hierclust: trace cache: %w", err)
+		return nil, err
 	}
-	return &DiskTraceCache{store: st}, nil
+	return c, nil
 }
 
 // hashStem maps a cache key to its filename stem.
@@ -305,10 +318,8 @@ func hashStem(key string) string {
 // (bytes preserved for post-mortem) and reported as a miss; in degraded
 // mode the disk is not touched at all.
 func (c *DiskTraceCache) Get(key string) (Comm, bool) {
-	stem := hashStem(key)
-	data, ok := c.store.Get(stem)
+	stem, data, ok := c.get(key)
 	if !ok {
-		c.miss.Add(1)
 		return nil, false
 	}
 	// The bound exists to reject hostile headers; our own cache files
@@ -318,7 +329,7 @@ func (c *DiskTraceCache) Get(key string) (Comm, bool) {
 		// The disk read succeeded but the bytes are wrong: a content
 		// problem, not a disk-health problem.
 		c.store.Quarantine(stem)
-		c.miss.Add(1)
+		c.misses.Add(1)
 		return nil, false
 	}
 	c.hits.Add(1)
@@ -340,23 +351,6 @@ func (c *DiskTraceCache) Put(key string, comm Comm) {
 		return
 	}
 	c.store.Put(hashStem(key), buf.Bytes())
-}
-
-// Stats returns lifetime counters, the entry count, the stored bytes, and
-// the disk-health fields (error counts, quarantines, degraded mode).
-func (c *DiskTraceCache) Stats() TraceCacheStats {
-	st := c.store.Stats()
-	return TraceCacheStats{
-		Hits:        c.hits.Load(),
-		Misses:      c.miss.Load(),
-		Entries:     st.Entries,
-		Bytes:       st.Bytes,
-		ReadErrors:  st.ReadErrors,
-		WriteErrors: st.WriteErrors,
-		Quarantined: st.Quarantined,
-		Degraded:    st.Degraded,
-		MemEntries:  st.MemEntries,
-	}
 }
 
 // TraceInfo reports, per Run, how the pipeline satisfied the scenario's

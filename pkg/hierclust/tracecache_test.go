@@ -362,3 +362,69 @@ func TestPipelineConcurrentSharedTrace(t *testing.T) {
 		t.Fatalf("cache entries = %d, want 1", st.Entries)
 	}
 }
+
+// TestTraceKeyMatchesResolvedSpec pins the single-source property of the
+// trace defaults: for every built-in scenario, across every combination of
+// omitted, explicit-default and non-default trace parameters, two variants
+// share a TraceKey exactly when their resolved trace specs — all buildTrace
+// consumes — are identical. A default that drifted between the key and the
+// build would make two different traces share a cache entry.
+func TestTraceKeyMatchesResolvedSpec(t *testing.T) {
+	for _, base := range BuiltinScenarios() {
+		ppn := base.Placement.ProcsPerNode
+		var variants []*Scenario
+		add := func(tr TraceSpec) {
+			sc := *base
+			sc.Trace = tr
+			if err := sc.Validate(); err != nil {
+				t.Fatalf("%s: variant %+v invalid: %v", base.Name, tr, err)
+			}
+			variants = append(variants, &sc)
+		}
+		switch base.Trace.Source {
+		case "tsunami":
+			for _, iters := range []int{0, 20, 7} { // omitted, the default spelled out, other
+				add(TraceSpec{Source: "tsunami", Iterations: iters})
+			}
+		case "synthetic":
+			shapes := []TraceSpec{
+				{}, {Pattern: "stencil1d"},
+				{Pattern: "stencil2d"}, {Pattern: "stencil2d", Width: ppn}, {Pattern: "stencil2d", Width: 2 * ppn},
+			}
+			for _, iters := range []int{0, 100, 7} {
+				for _, bpm := range []int64{0, 1536, 64} {
+					for _, shape := range shapes {
+						shape.Source, shape.Iterations, shape.BytesPerMsg = "synthetic", iters, bpm
+						add(shape)
+					}
+				}
+			}
+		default:
+			if _, ok := base.TraceKey(); ok {
+				t.Errorf("%s: source %q must not be cacheable", base.Name, base.Trace.Source)
+			}
+			continue
+		}
+		add(base.Trace)
+		distinct := map[string]bool{}
+		for _, a := range variants {
+			ka, ok := a.TraceKey()
+			if !ok {
+				t.Fatalf("%s: variant %+v not cacheable", base.Name, a.Trace)
+			}
+			distinct[ka] = true
+			for _, b := range variants {
+				kb, _ := b.TraceKey()
+				if sameKey, sameSpec := ka == kb, a.resolvedTrace() == b.resolvedTrace(); sameKey != sameSpec {
+					t.Errorf("%s: %+v vs %+v: same key = %v but same resolved spec = %v\n%s\n%s",
+						base.Name, a.Trace, b.Trace, sameKey, sameSpec, ka, kb)
+				}
+			}
+		}
+		// The omitted and spelled-out default forms must actually collapse.
+		if want := map[string]int{"tsunami": 2, "synthetic": 2 * 2 * 3}[base.Trace.Source]; len(distinct) > want+1 {
+			t.Errorf("%s: %d distinct keys over %d variants, want at most %d (+1 for the scenario's own spec)",
+				base.Name, len(distinct), len(variants), want)
+		}
+	}
+}
