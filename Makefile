@@ -32,9 +32,12 @@ bench:
 # including the million-node Partition1M/Scaling1M scale proofs — gate at a
 # noise-tolerant 300%; Fig* deltas print for inspection). Benchmarks present
 # on only one side of the comparison are informational, so snapshots
-# recorded before the 1M benchmarks existed still gate cleanly.
+# recorded before the 1M benchmarks existed still gate cleanly. The same
+# 300% bounds allocs/op, which repeats where ns/op does not: both sides run
+# on one P (-cpu 1, as scripts/bench.sh records), so the count does not
+# depend on the host's cores.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'RSEncode|Fig|Partition100k|Partition1M|Scaling256k|Scaling1M|MultilevelSerial' -benchmem -benchtime 1x . > smoke.txt
+	$(GO) test -run '^$$' -cpu 1 -bench 'RSEncode|Fig|Partition100k|Partition1M|Scaling256k|Scaling1M|MultilevelSerial' -benchmem -benchtime 1x . > smoke.txt
 	$(GO) run ./cmd/benchjson < smoke.txt > smoke.json
 	baseline=$$(ls BENCH_*.json | sort | tail -1); \
 		$(GO) run ./cmd/benchjson -compare -threshold 300 -filter 'RSEncode|Partition100k|Partition1M|Scaling256k|Scaling1M|MultilevelSerial' $$baseline smoke.json; \

@@ -9,14 +9,18 @@
 //	benchjson -compare BENCH_old.json BENCH_new.json
 //	benchjson -compare -threshold 50 -filter 'RSEncode|Fig' old.json new.json
 //
-// Compare mode prints a per-benchmark delta table (ns/op) for every name
-// present in both snapshots and exits nonzero when any benchmark matching
-// -filter (default: the RSEncode and Fig benchmarks, the repository's
-// guarded hot paths) slowed down by more than -threshold percent
-// (default 25). Benchmarks present in only one snapshot are reported as
-// "new" or "removed" and never fail the run on their own — adding a
-// benchmark must not break the CI gate — though losing every guarded
-// benchmark still does, since that would mean the gate compared nothing.
+// Compare mode prints a per-benchmark delta table (ns/op and allocs/op) for
+// every name present in both snapshots and exits nonzero when any benchmark
+// matching -filter (default: the RSEncode and Fig benchmarks, the
+// repository's guarded hot paths) slowed down, or allocates more objects
+// per op, by more than -threshold percent (default 25). The allocation
+// count repeats where wall time on a shared host does not, so it is the
+// half of the gate that can hold a tight floor; an increase of fewer than
+// allocNoiseFloor objects never fails. Benchmarks present in only one
+// snapshot are reported as "new" or "removed" and never fail the run on
+// their own — adding a benchmark must not break the CI gate — though losing
+// every guarded benchmark still does, since that would mean the gate
+// compared nothing.
 package main
 
 import (
@@ -58,7 +62,7 @@ func main() {
 	date := flag.String("date", "", "timestamp recorded in the snapshot")
 	note := flag.String("note", "", "free-form note recorded in the snapshot")
 	compare := flag.Bool("compare", false, "compare two snapshot files given as arguments instead of reading stdin")
-	threshold := flag.Float64("threshold", 25, "compare: max tolerated ns/op regression in percent for guarded benchmarks")
+	threshold := flag.Float64("threshold", 25, "compare: max tolerated ns/op or allocs/op regression in percent for guarded benchmarks")
 	filter := flag.String("filter", `RSEncode|Fig`, "compare: regexp of benchmark names whose regressions fail the run")
 	flag.Parse()
 
@@ -131,12 +135,21 @@ func loadSnapshot(path string) (Snapshot, error) {
 	return snap, nil
 }
 
-// compareSnapshots loads two snapshots, prints the ns/op delta for every
-// benchmark present in both — plus "new"/"removed" rows for names present
-// in only one — and returns the process exit code: 1 when a benchmark
-// matching the filter regressed past the threshold, 0 otherwise. Only
-// benchmarks present in both snapshots can fail the gate; new and removed
-// ones are informational, so growing the suite never breaks CI.
+// allocNoiseFloor is the allocs/op increase below which the allocation gate
+// stays quiet whatever the percentage: a -benchtime 1x smoke run charges
+// one-time set-up (lazily built tables, pool warm-up) to its single
+// iteration, which moves a 4-alloc benchmark by a few objects, while the
+// regressions the gate exists for — an allocation per node, rank or group —
+// add thousands.
+const allocNoiseFloor = 64
+
+// compareSnapshots loads two snapshots, prints the ns/op and allocs/op
+// deltas for every benchmark present in both — plus "new"/"removed" rows
+// for names present in only one — and returns the process exit code: 1 when
+// a benchmark matching the filter regressed past the threshold on either
+// metric, 0 otherwise. Only benchmarks present in both snapshots can fail
+// the gate; new and removed ones are informational, so growing the suite
+// never breaks CI.
 func compareSnapshots(oldPath, newPath string, thresholdPct float64, filter string) int {
 	re, err := regexp.Compile(filter)
 	if err != nil {
@@ -183,29 +196,45 @@ func compareSnapshots(oldPath, newPath string, thresholdPct float64, filter stri
 		fmt.Fprintln(os.Stderr, "benchjson: the snapshots share no benchmark names")
 		return 2
 	}
-	fmt.Printf("%-40s %15s %15s %9s %s\n", "benchmark", "old ns/op", "new ns/op", "delta", "guard")
+	fmt.Printf("%-40s %15s %15s %9s %12s %12s %9s %s\n",
+		"benchmark", "old ns/op", "new ns/op", "delta", "old allocs", "new allocs", "delta", "guard")
 	failed := false
 	guardedCompared := 0
 	for _, name := range names {
 		ob, nb := oldBy[name], newBy[name]
 		deltaPct := (nb.NsPerOp - ob.NsPerOp) / ob.NsPerOp * 100
+		// A snapshot recorded without -benchmem has no allocation count
+		// (zero); only a count present on the old side can be gated.
+		allocDelta := "-"
+		allocRegressed := false
+		if ob.AllocsPerOp > 0 {
+			allocPct := float64(nb.AllocsPerOp-ob.AllocsPerOp) / float64(ob.AllocsPerOp) * 100
+			allocDelta = fmt.Sprintf("%+.1f%%", allocPct)
+			allocRegressed = allocPct > thresholdPct && nb.AllocsPerOp-ob.AllocsPerOp >= allocNoiseFloor
+		}
 		guarded := re.MatchString(name)
 		verdict := ""
 		if guarded {
 			guardedCompared++
 			verdict = "ok"
-			if deltaPct > thresholdPct {
-				verdict = fmt.Sprintf("REGRESSION (> %g%%)", thresholdPct)
-				failed = true
+			switch slow := deltaPct > thresholdPct; {
+			case slow && allocRegressed:
+				verdict = fmt.Sprintf("REGRESSION (ns/op and allocs/op > %g%%)", thresholdPct)
+			case slow:
+				verdict = fmt.Sprintf("REGRESSION (ns/op > %g%%)", thresholdPct)
+			case allocRegressed:
+				verdict = fmt.Sprintf("REGRESSION (allocs/op > %g%%)", thresholdPct)
 			}
+			failed = failed || verdict != "ok"
 		}
-		fmt.Printf("%-40s %15.0f %15.0f %+8.1f%% %s\n", name, ob.NsPerOp, nb.NsPerOp, deltaPct, verdict)
+		fmt.Printf("%-40s %15.0f %15.0f %+8.1f%% %12d %12d %9s %s\n",
+			name, ob.NsPerOp, nb.NsPerOp, deltaPct, ob.AllocsPerOp, nb.AllocsPerOp, allocDelta, verdict)
 	}
 	for _, name := range added {
-		fmt.Printf("%-40s %15s %15.0f %9s new\n", name, "-", newBy[name].NsPerOp, "")
+		fmt.Printf("%-40s %15s %15.0f %9s %12s %12d %9s new\n", name, "-", newBy[name].NsPerOp, "", "-", newBy[name].AllocsPerOp, "")
 	}
 	for _, name := range removed {
-		fmt.Printf("%-40s %15.0f %15s %9s removed\n", name, oldBy[name].NsPerOp, "-", "")
+		fmt.Printf("%-40s %15.0f %15s %9s %12d %12s %9s removed\n", name, oldBy[name].NsPerOp, "-", "", oldBy[name].AllocsPerOp, "-", "")
 	}
 	// A gate that compared nothing is a disabled gate, not a passing one:
 	// losing every guarded benchmark (rename, -bench filter drift) must be

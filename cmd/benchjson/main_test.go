@@ -92,6 +92,35 @@ func TestCompareRegressionFails(t *testing.T) {
 	}
 }
 
+// The threshold gates allocs/op as well as ns/op: a guarded benchmark whose
+// time held but which allocates per element again fails; an unguarded one,
+// a count that moved by a handful of objects, and a baseline recorded
+// without -benchmem do not.
+func TestCompareAllocRegressionFails(t *testing.T) {
+	dir := t.TempDir()
+	old := writeSnap(t, dir, "old.json", []Benchmark{
+		{Name: "BenchmarkScaling256k", Iterations: 6, NsPerOp: 2e8, AllocsPerOp: 300},
+		{Name: "BenchmarkPartition100k/single-level", Iterations: 100, NsPerOp: 1e7, AllocsPerOp: 4},
+		{Name: "BenchmarkFig5a", Iterations: 15, NsPerOp: 7e7, AllocsPerOp: 1000},
+		{Name: "BenchmarkRSEncode/k=8", Iterations: 50, NsPerOp: 2e7},
+	})
+	same := []Benchmark{
+		{Name: "BenchmarkScaling256k", Iterations: 1, NsPerOp: 2e8, AllocsPerOp: 330},
+		{Name: "BenchmarkPartition100k/single-level", Iterations: 1, NsPerOp: 1e7, AllocsPerOp: 9},
+		{Name: "BenchmarkFig5a", Iterations: 1, NsPerOp: 7e7, AllocsPerOp: 900_000},
+		{Name: "BenchmarkRSEncode/k=8", Iterations: 1, NsPerOp: 2e7, AllocsPerOp: 10},
+	}
+	const filter = "RSEncode|Partition100k|Scaling256k"
+	if rc := compareSnapshots(old, writeSnap(t, dir, "same.json", same), 25, filter); rc != 0 {
+		t.Fatalf("compare exited %d, want 0 (+10%%, +5 objects, unguarded and ungateable rows only)", rc)
+	}
+	leak := append([]Benchmark(nil), same...)
+	leak[0].AllocsPerOp = 775_907 // a per-node allocation is back
+	if rc := compareSnapshots(old, writeSnap(t, dir, "leak.json", leak), 25, filter); rc != 1 {
+		t.Fatalf("compare exited %d, want 1 (allocs/op 300 -> 775907 on a guarded benchmark)", rc)
+	}
+}
+
 // Losing every guarded benchmark means the gate compared nothing: loud exit.
 func TestCompareAllGuardedGoneFails(t *testing.T) {
 	dir := t.TempDir()

@@ -22,7 +22,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"hierclust/internal/graph"
 	"hierclust/internal/topology"
@@ -50,7 +49,8 @@ func (c *Clustering) NumClusters() int { return graph.NumParts(c.L1) }
 // ClusterMembers returns the ranks of every L1 cluster.
 func (c *Clustering) ClusterMembers() [][]int { return graph.Members(c.L1) }
 
-// Validate checks structural invariants: dense non-negative L1 ids, and
+// Validate checks structural invariants: dense L1 ids (non-negative and
+// below nranks — every array sized by the largest id stays O(nranks)), and
 // encoding groups that are disjoint, within range, and — the coupling
 // requirement — each fully contained in a single L1 cluster.
 func (c *Clustering) Validate(nranks int) error {
@@ -61,8 +61,12 @@ func (c *Clustering) Validate(nranks int) error {
 		if id < 0 {
 			return fmt.Errorf("core: clustering %q: rank %d has negative cluster", c.Name, r)
 		}
+		if id >= nranks {
+			return fmt.Errorf("core: clustering %q: rank %d has cluster id %d; dense ids stay below %d ranks",
+				c.Name, r, id, nranks)
+		}
 	}
-	seen := make(map[topology.Rank]bool)
+	seen := make([]uint64, (nranks+63)/64) // bitset over ranks
 	for gi, g := range c.Groups {
 		if len(g) == 0 {
 			return fmt.Errorf("core: clustering %q: empty group %d", c.Name, gi)
@@ -72,10 +76,10 @@ func (c *Clustering) Validate(nranks int) error {
 			if int(r) < 0 || int(r) >= nranks {
 				return fmt.Errorf("core: clustering %q: group %d rank %d out of range", c.Name, gi, r)
 			}
-			if seen[r] {
+			if seen[r>>6]&(1<<(uint(r)&63)) != 0 {
 				return fmt.Errorf("core: clustering %q: rank %d in multiple groups", c.Name, r)
 			}
-			seen[r] = true
+			seen[r>>6] |= 1 << (uint(r) & 63)
 			if owner == -1 {
 				owner = c.L1[r]
 			} else if c.L1[r] != owner {
@@ -105,16 +109,21 @@ func consecutive(name string, nranks, size int) (*Clustering, error) {
 	if size <= 0 || size > nranks {
 		return nil, fmt.Errorf("core: %s cluster size %d out of range 1..%d", name, size, nranks)
 	}
-	c := &Clustering{Name: name, L1: make([]int, nranks)}
+	// The groups are windows into one identity slab, each capped at its own
+	// end so an append by a caller cannot reach the next group.
+	slab := make([]topology.Rank, nranks)
+	c := &Clustering{
+		Name:   name,
+		L1:     make([]int, nranks),
+		Groups: make([][]topology.Rank, 0, (nranks+size-1)/size),
+	}
 	for r := 0; r < nranks; r++ {
 		c.L1[r] = r / size
+		slab[r] = topology.Rank(r)
 	}
 	for base := 0; base < nranks; base += size {
-		var g []topology.Rank
-		for r := base; r < base+size && r < nranks; r++ {
-			g = append(g, topology.Rank(r))
-		}
-		c.Groups = append(c.Groups, g)
+		end := min(base+size, nranks)
+		c.Groups = append(c.Groups, slab[base:end:end])
 	}
 	return c, nil
 }
@@ -145,14 +154,22 @@ func Distributed(nranks, size int) (*Clustering, error) {
 	if k == 0 {
 		k = 1
 	}
-	c := &Clustering{Name: fmt.Sprintf("distributed-%d", size), L1: make([]int, nranks)}
-	groups := make([][]topology.Rank, k)
-	for r := 0; r < nranks; r++ {
-		id := r % k
-		c.L1[r] = id
-		groups[id] = append(groups[id], topology.Rank(r))
+	c := &Clustering{
+		Name:   fmt.Sprintf("distributed-%d", size),
+		L1:     make([]int, nranks),
+		Groups: make([][]topology.Rank, k),
 	}
-	c.Groups = groups
+	slab := make([]topology.Rank, nranks)
+	off := 0
+	for id := 0; id < k; id++ {
+		start := off
+		for r := id; r < nranks; r += k {
+			c.L1[r] = id
+			slab[off] = topology.Rank(r)
+			off++
+		}
+		c.Groups[id] = slab[start:off:off]
+	}
 	return c, nil
 }
 
@@ -243,51 +260,76 @@ func Hierarchical(m trace.Comm, p *topology.Placement, opts HierOptions) (*Clust
 	}
 
 	c := &Clustering{Name: "hierarchical", L1: make([]int, p.NumRanks())}
-	idx := map[topology.NodeID]int{}
 	for i, n := range used {
-		idx[n] = i
-	}
-	for r := 0; r < p.NumRanks(); r++ {
-		c.L1[r] = nodePart[idx[p.NodeOf(topology.Rank(r))]]
+		for _, r := range p.RanksOn(n) {
+			c.L1[r] = nodePart[i]
+		}
 	}
 
-	// L2: transversal groups inside each L1 cluster.
-	byCluster := map[int][]topology.NodeID{}
+	// L2: transversal groups inside each L1 cluster. A counting sort buckets
+	// the nodes by cluster; used ascends, so every bucket does too, and
+	// walking the buckets in id order visits the clusters ascending.
+	nparts := graph.NumParts(nodePart)
+	clusterPtr := make([]int32, nparts+1)
+	for _, id := range nodePart {
+		clusterPtr[id+1]++
+	}
+	for id := 0; id < nparts; id++ {
+		clusterPtr[id+1] += clusterPtr[id]
+	}
+	nodes := make([]topology.NodeID, len(used))
+	next := make([]int32, nparts)
 	for i, n := range used {
-		byCluster[nodePart[i]] = append(byCluster[nodePart[i]], n)
+		id := nodePart[i]
+		nodes[clusterPtr[id]+next[id]] = n
+		next[id]++
 	}
-	clusterIDs := make([]int, 0, len(byCluster))
-	for id := range byCluster {
-		clusterIDs = append(clusterIDs, id)
+	bounds := subgroupBounds(clusterPtr, opts.SubgroupNodes)
+
+	// A sub-group yields one group per local process index present on
+	// every one of its nodes; count them, then carve every group out of one
+	// slab. Each rank lands in exactly one group, so the slab is NumRanks.
+	width := func(sub []topology.NodeID) int {
+		w := 0
+		for _, n := range sub {
+			if cnt := p.CountOn(n); w == 0 || cnt < w {
+				w = cnt
+			}
+		}
+		return w
 	}
-	sort.Ints(clusterIDs)
-	for _, id := range clusterIDs {
-		nodes := byCluster[id]
-		sort.Slice(nodes, func(a, b int) bool { return nodes[a] < nodes[b] })
-		for _, sub := range splitSubgroups(nodes, opts.SubgroupNodes) {
-			// One group per local process index present on every node.
-			width := 0
+	ngroups := 0
+	for s := 0; s+1 < len(bounds); s++ {
+		ngroups += width(nodes[bounds[s]:bounds[s+1]])
+	}
+	c.Groups = make([][]topology.Rank, 0, ngroups)
+	slab := make([]topology.Rank, p.NumRanks())
+	off := 0
+	for s := 0; s+1 < len(bounds); s++ {
+		sub := nodes[bounds[s]:bounds[s+1]]
+		w := width(sub)
+		// Level i takes the i-th process of every node, plus — on nodes
+		// with more processes than the sub-group minimum — every leftover
+		// process j with j%w == i, which keeps the distribution property.
+		// Sizes are counted before filling and each header's capacity ends
+		// at its own size, so the leftover appends cannot reach a neighbour.
+		first := len(c.Groups)
+		for i := 0; i < w; i++ {
+			size := 0
 			for _, n := range sub {
-				if w := p.CountOn(n); width == 0 || w < width {
-					width = w
-				}
+				size += (p.CountOn(n) - i + w - 1) / w
 			}
-			for i := 0; i < width; i++ {
-				var g []topology.Rank
-				for _, n := range sub {
-					g = append(g, p.RanksOn(n)[i])
-				}
-				c.Groups = append(c.Groups, g)
-			}
-			// Leftover ranks on nodes with more processes than the
-			// sub-group minimum join a trailing group per node level.
+			c.Groups = append(c.Groups, slab[off:off:off+size])
+			off += size
+		}
+		for i := 0; i < w; i++ {
 			for _, n := range sub {
-				for i := width; i < p.CountOn(n); i++ {
-					// Attach to the group of level i%width to keep the
-					// distribution property.
-					gidx := len(c.Groups) - width + i%width
-					c.Groups[gidx] = append(c.Groups[gidx], p.RanksOn(n)[i])
-				}
+				c.Groups[first+i] = append(c.Groups[first+i], p.RanksOn(n)[i])
+			}
+		}
+		for _, n := range sub {
+			for i := w; i < p.CountOn(n); i++ {
+				c.Groups[first+i%w] = append(c.Groups[first+i%w], p.RanksOn(n)[i])
 			}
 		}
 	}
@@ -314,18 +356,14 @@ func partitionNodes(nodeGraph *graph.Graph, used []topology.NodeID, p *topology.
 		return graph.Partition(nodeGraph, partOpts(opts.MinNodesPerL1, opts.TargetNodesPerL1, opts.MaxNodesPerL1))
 	}
 	// Quotient the node graph by power pair (node/2) and partition pairs.
-	pairIDs := map[topology.NodeID]int{}
-	var pairCount int
+	// used ascends, so the two nodes of a pair are adjacent in it.
+	pairCount := 0
 	pairOfIdx := make([]int, len(used))
 	for i, n := range used {
-		key := n &^ 1
-		id, ok := pairIDs[key]
-		if !ok {
-			id = pairCount
-			pairIDs[key] = id
+		if i == 0 || n&^1 != used[i-1]&^1 {
 			pairCount++
 		}
-		pairOfIdx[i] = id
+		pairOfIdx[i] = pairCount - 1
 	}
 	pairGraph, err := nodeGraph.Quotient(pairOfIdx, pairCount)
 	if err != nil {
@@ -349,28 +387,34 @@ func partitionNodes(nodeGraph *graph.Graph, used []topology.NodeID, p *topology.
 	return nodePart, nil
 }
 
-// splitSubgroups partitions nodes into consecutive sub-groups of at least
-// `size` nodes each, as equal as possible ("groups of 4 nodes or more").
-func splitSubgroups(nodes []topology.NodeID, size int) [][]topology.NodeID {
-	n := len(nodes)
-	if n == 0 {
-		return nil
-	}
-	k := n / size
-	if k == 0 {
-		k = 1
-	}
-	base := n / k
-	extra := n % k
-	var out [][]topology.NodeID
-	pos := 0
-	for i := 0; i < k; i++ {
-		sz := base
-		if i < extra {
-			sz++
+// subgroupBounds splits every cluster's bucket of nodes (bucket id spans
+// clusterPtr[id]:clusterPtr[id+1]) into consecutive sub-groups of at least
+// `size` nodes each, as equal as possible ("groups of 4 nodes or more"; a
+// bucket smaller than size stays whole). It returns the boundaries as
+// offsets into the bucketed node array: sub-group s spans b[s]:b[s+1].
+func subgroupBounds(clusterPtr []int32, size int) []int32 {
+	count := 0
+	for id := 0; id+1 < len(clusterPtr); id++ {
+		if n := int(clusterPtr[id+1] - clusterPtr[id]); n > 0 {
+			count += max(n/size, 1)
 		}
-		out = append(out, nodes[pos:pos+sz])
-		pos += sz
 	}
-	return out
+	bounds := make([]int32, 1, count+1)
+	for id := 0; id+1 < len(clusterPtr); id++ {
+		n := int(clusterPtr[id+1] - clusterPtr[id])
+		if n == 0 {
+			continue
+		}
+		k := max(n/size, 1)
+		base, extra := n/k, n%k
+		pos := clusterPtr[id]
+		for i := 0; i < k; i++ {
+			pos += int32(base)
+			if i < extra {
+				pos++
+			}
+			bounds = append(bounds, pos)
+		}
+	}
+	return bounds
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -137,13 +138,6 @@ func TestHierarchicalValidation(t *testing.T) {
 }
 
 func TestSplitSubgroups(t *testing.T) {
-	nodes := func(n int) []topology.NodeID {
-		out := make([]topology.NodeID, n)
-		for i := range out {
-			out[i] = topology.NodeID(i)
-		}
-		return out
-	}
 	cases := []struct {
 		n    int
 		want []int
@@ -156,19 +150,25 @@ func TestSplitSubgroups(t *testing.T) {
 		{13, []int{5, 4, 4}},
 	}
 	for _, c := range cases {
-		subs := splitSubgroups(nodes(c.n), 4)
-		if len(subs) != len(c.want) {
-			t.Errorf("n=%d: %d subgroups, want %d", c.n, len(subs), len(c.want))
+		// One cluster of c.n nodes behind an empty one: empty buckets
+		// contribute no sub-group.
+		bounds := subgroupBounds([]int32{0, 0, int32(c.n)}, 4)
+		if len(bounds)-1 != len(c.want) {
+			t.Errorf("n=%d: %d subgroups, want %d", c.n, len(bounds)-1, len(c.want))
 			continue
 		}
-		for i, s := range subs {
-			if len(s) != c.want[i] {
-				t.Errorf("n=%d: subgroup %d size %d, want %d", c.n, i, len(s), c.want[i])
+		for i, want := range c.want {
+			if got := int(bounds[i+1] - bounds[i]); got != want {
+				t.Errorf("n=%d: subgroup %d size %d, want %d", c.n, i, got, want)
 			}
 		}
 	}
-	if got := splitSubgroups(nil, 4); got != nil {
+	if got := subgroupBounds([]int32{0, 0}, 4); len(got) != 1 {
 		t.Errorf("empty input → %v", got)
+	}
+	// Two clusters: boundaries continue across buckets.
+	if got := subgroupBounds([]int32{0, 9, 13}, 4); !reflect.DeepEqual(got, []int32{0, 5, 9, 13}) {
+		t.Errorf("two clusters → %v", got)
 	}
 }
 

@@ -88,17 +88,11 @@ func EvaluateOpts(c *Clustering, m trace.Comm, p *topology.Placement, mix reliab
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	rec, err := RecoveryFraction(c, p)
-	if err != nil {
-		return nil, err
-	}
+	rec := recoveryFraction(c, p) // c is validated above
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var groups []reliability.Group
-	for _, g := range c.Groups {
-		groups = append(groups, reliability.GroupFromRanks(p, g))
-	}
+	groups := reliability.GroupsFromRanks(p, c.Groups)
 	mdl := &reliability.Model{Nodes: len(p.UsedNodes()), Mix: mix, Workers: opts.Workers}
 	pcat, err := mdl.CatastropheProbCtx(ctx, groups)
 	if err != nil {
@@ -152,10 +146,17 @@ func RecoveryFraction(c *Clustering, p *topology.Placement) (float64, error) {
 	if err := c.Validate(p.NumRanks()); err != nil {
 		return 0, err
 	}
+	return recoveryFraction(c, p), nil
+}
+
+// recoveryFraction is RecoveryFraction for a clustering the caller has
+// already validated against p: EvaluateOpts validates once for all four
+// scores.
+func recoveryFraction(c *Clustering, p *topology.Placement) float64 {
 	sizes := clusterSizes(c)
 	used := p.UsedNodes()
 	if len(used) == 0 || p.NumRanks() == 0 {
-		return 0, nil
+		return 0
 	}
 	stamp := make([]int32, len(sizes))
 	epoch := int32(0)
@@ -171,7 +172,7 @@ func RecoveryFraction(c *Clustering, p *topology.Placement) (float64, error) {
 		}
 		total += float64(restarted) / float64(p.NumRanks())
 	}
-	return total / float64(len(used)), nil
+	return total / float64(len(used))
 }
 
 // RecoveryFractionPair computes the expected fraction of ranks restarted

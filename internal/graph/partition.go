@@ -981,8 +981,19 @@ func PartSizes(part []int) []int {
 }
 
 // Members returns, for each part id, the sorted vertices assigned to it.
+// The lists are carved from one slab sized by PartSizes (an empty part stays
+// nil), each with its capacity capped at its own size.
 func Members(part []int) [][]int {
-	out := make([][]int, NumParts(part))
+	sizes := PartSizes(part)
+	out := make([][]int, len(sizes))
+	slab := make([]int, len(part))
+	off := 0
+	for p, sz := range sizes {
+		if sz > 0 {
+			out[p] = slab[off : off : off+sz]
+			off += sz
+		}
+	}
 	for v, p := range part {
 		out[p] = append(out[p], v)
 	}

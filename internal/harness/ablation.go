@@ -104,10 +104,7 @@ func addAblationRow(t *Table, label string, c *core.Clustering, r *rig, mix reli
 	}
 	pcat := 0.0
 	if len(c.Groups) > 0 {
-		var groups []reliability.Group
-		for _, g := range c.Groups {
-			groups = append(groups, reliability.GroupFromRanks(r.placement, g))
-		}
+		groups := reliability.GroupsFromRanks(r.placement, c.Groups)
 		mdl := &reliability.Model{Nodes: len(r.placement.UsedNodes()), Mix: mix}
 		pcat, err = mdl.CatastropheProb(groups)
 		if err != nil {

@@ -25,12 +25,9 @@ func mcForcingFixture(samples int) (*Model, []Group) {
 
 	var groups []Group
 	for i := 0; i < 150; i++ {
-		groups = append(groups, Group{MembersOn: map[topology.NodeID]int{topology.NodeID(i): 2}, Tolerance: 1})
+		groups = append(groups, groupOf(map[topology.NodeID]int{topology.NodeID(i): 2}, 1))
 	}
-	groups = append(groups, Group{
-		MembersOn: map[topology.NodeID]int{150: 2, 151: 1},
-		Tolerance: 1,
-	})
+	groups = append(groups, groupOf(map[topology.NodeID]int{150: 2, 151: 1}, 1))
 	return mdl, groups
 }
 

@@ -17,15 +17,14 @@ func randomGroups(seed int64, n, k int) []Group {
 	groups := make([]Group, k)
 	for i := range groups {
 		span := rng.Intn(4) + 1
-		g := Group{MembersOn: map[topology.NodeID]int{}}
+		membersOn := map[topology.NodeID]int{}
 		members := 0
 		for j := 0; j < span; j++ {
 			c := rng.Intn(3) + 1
-			g.MembersOn[topology.NodeID(rng.Intn(n))] += c
+			membersOn[topology.NodeID(rng.Intn(n))] += c
 			members += c
 		}
-		g.Tolerance = rng.Intn(members)
-		groups[i] = g
+		groups[i] = groupOf(membersOn, rng.Intn(members))
 	}
 	return groups
 }
@@ -135,12 +134,11 @@ func disjointGroups(seed int64, n int) []Group {
 		perSpan := rng.Intn(2) + 1 // groups sharing this span
 		for g := 0; g < perSpan; g++ {
 			count := rng.Intn(2) + 1
-			gr := Group{MembersOn: map[topology.NodeID]int{}}
+			membersOn := map[topology.NodeID]int{}
 			for j := 0; j < span; j++ {
-				gr.MembersOn[topology.NodeID(node+j)] = count
+				membersOn[topology.NodeID(node+j)] = count
 			}
-			gr.Tolerance = rng.Intn(span*count + 1)
-			groups = append(groups, gr)
+			groups = append(groups, groupOf(membersOn, rng.Intn(span*count+1)))
 		}
 		node += span
 		node += rng.Intn(2) // occasionally leave unconstrained nodes
@@ -172,22 +170,22 @@ func TestDisjointConditionalMatchesExact(t *testing.T) {
 // overlap and non-uniform counts.
 func TestDisjointReductionRejectsIrregular(t *testing.T) {
 	overlap := []Group{
-		{MembersOn: map[topology.NodeID]int{0: 1, 1: 1, 2: 1}, Tolerance: 1},
-		{MembersOn: map[topology.NodeID]int{2: 1, 3: 1}, Tolerance: 0},
+		groupOf(map[topology.NodeID]int{0: 1, 1: 1, 2: 1}, 1),
+		groupOf(map[topology.NodeID]int{2: 1, 3: 1}, 0),
 	}
 	if flatten(overlap, 6).dpOK {
 		t.Error("partial span overlap accepted")
 	}
 	nonUniform := []Group{
-		{MembersOn: map[topology.NodeID]int{0: 2, 1: 1}, Tolerance: 1},
+		groupOf(map[topology.NodeID]int{0: 2, 1: 1}, 1),
 	}
 	if flatten(nonUniform, 4).dpOK {
 		t.Error("non-uniform counts accepted")
 	}
 	// Identical spans with uniform counts stay reducible.
 	identical := []Group{
-		{MembersOn: map[topology.NodeID]int{0: 1, 1: 1}, Tolerance: 1},
-		{MembersOn: map[topology.NodeID]int{0: 2, 1: 2}, Tolerance: 1},
+		groupOf(map[topology.NodeID]int{0: 1, 1: 1}, 1),
+		groupOf(map[topology.NodeID]int{0: 2, 1: 2}, 1),
 	}
 	fg := flatten(identical, 4)
 	if !fg.dpOK {

@@ -1,0 +1,354 @@
+package reliability
+
+import (
+	"cmp"
+	"context"
+	"math"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
+	"testing"
+
+	"hierclust/internal/topology"
+)
+
+// Reference implementations: the map-based group and the per-group-slice
+// flatten that Group spans and the slab-built flatGroups replaced, kept
+// here so the differential tests below pin the flat forms to them field for
+// field (the internal/graph/reference_test.go idiom).
+
+// mapGroup is the group representation before spans: a node→count map.
+type mapGroup struct {
+	MembersOn map[topology.NodeID]int
+	Tolerance int
+}
+
+// refGroupFromRanks is the map-based GroupFromRanks.
+func refGroupFromRanks(p *topology.Placement, members []topology.Rank) mapGroup {
+	g := mapGroup{MembersOn: map[topology.NodeID]int{}, Tolerance: len(members) / 2}
+	for _, r := range members {
+		g.MembersOn[p.NodeOf(r)]++
+	}
+	return g
+}
+
+// span converts the map to the sorted span form, zero-count entries kept.
+func (g mapGroup) span() Group {
+	out := Group{Tolerance: g.Tolerance}
+	for n, c := range g.MembersOn {
+		out.Span = append(out.Span, NodeCount{Node: n, Count: int32(c)})
+	}
+	slices.SortFunc(out.Span, func(a, b NodeCount) int { return cmp.Compare(a.Node, b.Node) })
+	return out
+}
+
+// groupOf builds a hand-written group from its node→count map.
+func groupOf(membersOn map[topology.NodeID]int, tolerance int) Group {
+	return mapGroup{MembersOn: membersOn, Tolerance: tolerance}.span()
+}
+
+// membersOn returns the number of group members hosted on node n.
+func (g *Group) membersOn(n topology.NodeID) int {
+	for _, e := range g.Span {
+		if e.Node == n {
+			return int(e.Count)
+		}
+	}
+	return 0
+}
+
+// destroyedBy reports whether losing exactly the nodes in failed destroys
+// the group — the per-group oracle the flat destroys is checked against.
+func (g *Group) destroyedBy(failed []topology.NodeID) bool {
+	lost := 0
+	for _, n := range failed {
+		lost += g.membersOn(n)
+	}
+	return lost > g.Tolerance
+}
+
+// refFlatGroups is flatGroups before the slabs: one slice per group and per
+// node.
+type refFlatGroups struct {
+	spanNodes  [][]int32
+	spanCounts [][]int32
+	tolerance  []int32
+	uniform    []int32
+	maskWords  [][]int32
+	maskBits   [][]uint64
+	critical   []bool
+	byNode     [][]int32
+	dpOK       bool
+	dpSpans    []dpSpan
+}
+
+// refFlatten is the map-based flatten, verbatim but for the receiver of
+// addDPSpan (the reduction's state is all it touches).
+func refFlatten(groups []mapGroup, n int) *refFlatGroups {
+	fg := &refFlatGroups{
+		spanNodes:  make([][]int32, len(groups)),
+		spanCounts: make([][]int32, len(groups)),
+		tolerance:  make([]int32, len(groups)),
+		uniform:    make([]int32, len(groups)),
+		maskWords:  make([][]int32, len(groups)),
+		maskBits:   make([][]uint64, len(groups)),
+		critical:   make([]bool, n),
+		byNode:     make([][]int32, n),
+	}
+	dp := &flatGroups{dpOK: true}
+	owner := make([]int32, n)
+	for i := range owner {
+		owner[i] = -1
+	}
+	for gi := range groups {
+		tol := int32(groups[gi].Tolerance)
+		fg.tolerance[gi] = tol
+		nodes := make([]int32, 0, len(groups[gi].MembersOn))
+		for node := range groups[gi].MembersOn {
+			if int(node) >= 0 && int(node) < n {
+				nodes = append(nodes, int32(node))
+			}
+		}
+		sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+		counts := make([]int32, len(nodes))
+		var worst int64
+		uniform := int32(-1)
+		for i, node := range nodes {
+			c := int32(groups[gi].MembersOn[topology.NodeID(node)])
+			counts[i] = c
+			worst += int64(c)
+			if uniform == -1 {
+				uniform = c
+			} else if uniform != c {
+				uniform = 0
+			}
+		}
+		fg.spanNodes[gi] = nodes
+		fg.spanCounts[gi] = counts
+		if uniform > 0 {
+			fg.uniform[gi] = uniform
+			var words []int32
+			var masks []uint64
+			for _, node := range nodes {
+				w := node >> 6
+				if len(words) == 0 || words[len(words)-1] != w {
+					words = append(words, w)
+					masks = append(masks, 0)
+				}
+				masks[len(masks)-1] |= 1 << (uint(node) & 63)
+			}
+			fg.maskWords[gi] = words
+			fg.maskBits[gi] = masks
+		}
+		if worst <= int64(tol) {
+			continue
+		}
+		dp.addDPSpan(nodes, uniform, tol, owner)
+		for i, node := range nodes {
+			if counts[i] > tol {
+				fg.critical[node] = true
+			} else {
+				fg.byNode[node] = append(fg.byNode[node], int32(gi))
+			}
+		}
+	}
+	fg.dpOK, fg.dpSpans = dp.dpOK, dp.dpSpans
+	return fg
+}
+
+// pack lays the reference's per-group slices out as the slab form, so one
+// reflect.DeepEqual compares every field of the two builds.
+func (r *refFlatGroups) pack(n int) *flatGroups {
+	fg := &flatGroups{
+		n:          n,
+		spanPtr:    []int32{0},
+		spanNodes:  []int32{},
+		spanCounts: []int32{},
+		tolerance:  r.tolerance,
+		uniform:    r.uniform,
+		maskPtr:    []int32{0},
+		maskWords:  []int32{},
+		maskBits:   []uint64{},
+		critical:   r.critical,
+		byNodePtr:  []int32{0},
+		byNode:     []int32{},
+		dpOK:       r.dpOK,
+		dpSpans:    r.dpSpans,
+	}
+	for gi := range r.spanNodes {
+		fg.spanNodes = append(fg.spanNodes, r.spanNodes[gi]...)
+		fg.spanCounts = append(fg.spanCounts, r.spanCounts[gi]...)
+		fg.spanPtr = append(fg.spanPtr, int32(len(fg.spanNodes)))
+		fg.maskWords = append(fg.maskWords, r.maskWords[gi]...)
+		fg.maskBits = append(fg.maskBits, r.maskBits[gi]...)
+		fg.maskPtr = append(fg.maskPtr, int32(len(fg.maskWords)))
+	}
+	for _, gs := range r.byNode {
+		fg.byNode = append(fg.byNode, gs...)
+		fg.byNodePtr = append(fg.byNodePtr, int32(len(fg.byNode)))
+	}
+	return fg
+}
+
+// checkAgainstReference asserts that the flat flatten of the groups' span
+// form equals the reference flatten of their map form in every field, and
+// that the model's probability over the two is bit-equal.
+func checkAgainstReference(t *testing.T, label string, mdl *Model, ref []mapGroup) {
+	t.Helper()
+	groups := make([]Group, len(ref))
+	for i, g := range ref {
+		groups[i] = g.span()
+	}
+	got := flatten(groups, mdl.Nodes)
+	want := refFlatten(ref, mdl.Nodes).pack(mdl.Nodes)
+	if len(got.dpSpans) == 0 && len(want.dpSpans) == 0 {
+		want.dpSpans = got.dpSpans // DeepEqual tells nil from empty
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: flat groups differ from reference\n got %+v\nwant %+v", label, got, want)
+	}
+	pGot, err := mdl.CatastropheProb(groups)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	pWant, err := mdl.catastropheProb(context.Background(), want, groups)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if math.Float64bits(pGot) != math.Float64bits(pWant) {
+		t.Errorf("%s: CatastropheProb %v (flat) != %v (reference)", label, pGot, pWant)
+	}
+}
+
+// Hand-built groups: overlapping spans, non-uniform and zero counts, nodes
+// outside [0, Nodes) on both sides, groups no failure can destroy.
+func TestFlattenMatchesReferenceRandom(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 8 + rng.Intn(150) // crosses the 64-node bitset word boundary
+		ref := make([]mapGroup, 1+rng.Intn(24))
+		for i := range ref {
+			g := mapGroup{MembersOn: map[topology.NodeID]int{}}
+			members := 0
+			uniform := rng.Intn(2) == 0
+			c := rng.Intn(3) + 1
+			for j := rng.Intn(6); j >= 0; j-- {
+				if !uniform {
+					c = rng.Intn(4) // zero-count entries stay in the span
+				}
+				g.MembersOn[topology.NodeID(rng.Intn(n+6)-3)] += c
+				members += c
+			}
+			g.Tolerance = rng.Intn(members + 2)
+			ref[i] = g
+		}
+		mdl := &Model{Nodes: n, Mix: DefaultMix(), ExactLimit: 2000, MonteCarloSamples: 20_000, Workers: 1}
+		checkAgainstReference(t, "random", mdl, ref)
+	}
+}
+
+// Groups built from ranks under block, round-robin and sparse explicit
+// placements: the layouts the disjoint-span reduction accepts, and with
+// uneven procs per node the ones it rejects.
+func TestFlattenMatchesReferencePlacements(t *testing.T) {
+	for seed := int64(1); seed <= 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		nodes := 4 + rng.Intn(80)
+		mach := &topology.Machine{Name: "t", Nodes: nodes}
+		ranks := nodes + rng.Intn(4*nodes)
+		var p *topology.Placement
+		var err error
+		switch seed % 3 {
+		case 0:
+			ppn := (ranks + nodes - 1) / nodes
+			p, err = topology.Block(mach, ranks, ppn)
+		case 1:
+			p, err = topology.RoundRobin(mach, ranks, 1+rng.Intn(nodes))
+		default: // sparse used-node set, uneven procs per node
+			nodeOf := make([]topology.NodeID, ranks)
+			for r := range nodeOf {
+				nodeOf[r] = topology.NodeID(rng.Intn(nodes) &^ 1)
+			}
+			p, err = topology.NewPlacement(mach, nodeOf)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Members in shuffled order, so spans need the sort.
+		perm := rng.Perm(ranks)
+		size := 2 + rng.Intn(7)
+		var members [][]topology.Rank
+		for base := 0; base < ranks; base += size {
+			var m []topology.Rank
+			for _, r := range perm[base:min(base+size, ranks)] {
+				m = append(m, topology.Rank(r))
+			}
+			members = append(members, m)
+		}
+		ref := make([]mapGroup, len(members))
+		for i, m := range members {
+			ref[i] = refGroupFromRanks(p, m)
+		}
+		batch := GroupsFromRanks(p, members)
+		for i, m := range members {
+			one := GroupFromRanks(p, m)
+			if want := ref[i].span(); !reflect.DeepEqual(one, want) || !reflect.DeepEqual(batch[i], want) {
+				t.Fatalf("seed %d group %d: one %+v batch %+v, reference %+v", seed, i, one, batch[i], want)
+			}
+		}
+		mdl := &Model{Nodes: len(p.UsedNodes()), Mix: DefaultMix(), ExactLimit: 2000, MonteCarloSamples: 20_000, Workers: 1}
+		checkAgainstReference(t, "placement", mdl, ref)
+	}
+}
+
+// An unsorted or duplicated span is rejected, not silently mis-flattened.
+func TestCatastropheProbRejectsUnsortedSpan(t *testing.T) {
+	mdl := &Model{Nodes: 8, Mix: DefaultMix()}
+	for _, span := range [][]NodeCount{
+		{{Node: 3, Count: 1}, {Node: 1, Count: 1}},
+		{{Node: 2, Count: 1}, {Node: 2, Count: 1}},
+	} {
+		if _, err := mdl.CatastropheProb([]Group{{Span: span, Tolerance: 0}}); err == nil {
+			t.Errorf("span %v accepted", span)
+		}
+	}
+}
+
+// flatten and GroupsFromRanks allocate a fixed number of objects, whatever
+// the group and node counts.
+func TestFlattenAllocsIndependentOfScale(t *testing.T) {
+	build := func(nodes int) (*topology.Placement, [][]topology.Rank) {
+		mach := &topology.Machine{Name: "t", Nodes: nodes}
+		p, err := topology.Block(mach, 4*nodes, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var members [][]topology.Rank
+		for base := 0; base < nodes; base += 4 {
+			for i := 0; i < 4; i++ {
+				var m []topology.Rank
+				for n := base; n < base+4; n++ {
+					m = append(m, topology.Rank(4*n+i))
+				}
+				members = append(members, m)
+			}
+		}
+		return p, members
+	}
+	measure := func(nodes int) (groupsAllocs, flattenAllocs float64) {
+		p, members := build(nodes)
+		groups := GroupsFromRanks(p, members)
+		groupsAllocs = testing.AllocsPerRun(5, func() { GroupsFromRanks(p, members) })
+		flattenAllocs = testing.AllocsPerRun(5, func() { flatten(groups, nodes) })
+		return
+	}
+	g1, f1 := measure(256)
+	g2, f2 := measure(1024)
+	if g1 != g2 || f1 != f2 {
+		t.Errorf("allocations grow with scale: GroupsFromRanks %v -> %v, flatten %v -> %v", g1, g2, f1, f2)
+	}
+	if g1 > 2 || f1 > 20 {
+		t.Errorf("GroupsFromRanks %v allocs (want <= 2), flatten %v (want <= 20)", g1, f1)
+	}
+}

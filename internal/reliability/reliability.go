@@ -34,12 +34,14 @@
 package reliability
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -115,11 +117,18 @@ func (m *Mix) Validate() error {
 	return nil
 }
 
+// NodeCount is one entry of a group's span: Count members on Node.
+type NodeCount struct {
+	Node  topology.NodeID
+	Count int32
+}
+
 // Group describes one erasure-encoding group: how many of its members live
 // on each node, and how many member losses the code tolerates.
 type Group struct {
-	// MembersOn[n] is the number of group members hosted on node n.
-	MembersOn map[topology.NodeID]int
+	// Span lists the nodes hosting members with the member count on each,
+	// strictly ascending by node. The model rejects an unsorted span.
+	Span []NodeCount
 	// Tolerance is the maximum number of simultaneously lost members the
 	// group survives (the parity count m of an RS(k,m) code).
 	Tolerance int
@@ -127,26 +136,82 @@ type Group struct {
 
 // GroupFromRanks builds a Group from member ranks under a placement, with
 // tolerance = len(members)/2, FTI's half-group Reed–Solomon provisioning.
+// Building every group of a clustering is GroupsFromRanks' job; this is the
+// one-group form.
 func GroupFromRanks(p *topology.Placement, members []topology.Rank) Group {
-	g := Group{MembersOn: map[topology.NodeID]int{}, Tolerance: len(members) / 2}
-	for _, r := range members {
-		g.MembersOn[p.NodeOf(r)]++
-	}
-	return g
+	span := appendSpan(make([]NodeCount, 0, len(members)), p, members)
+	return Group{Span: span, Tolerance: len(members) / 2}
 }
 
-// destroyedBy reports whether losing exactly the nodes in failed destroys
-// the group.
-func (g *Group) destroyedBy(failed []topology.NodeID) bool {
-	lost := 0
-	for _, n := range failed {
-		lost += g.MembersOn[n]
+// GroupsFromRanks builds the Group of every member list in one call, equal
+// element for element to GroupFromRanks on each. All spans are windows into
+// one slab sized for the worst case — every member on its own node, which
+// the hierarchical strategy's groups always hit — so the call makes two
+// allocations whatever the group count.
+func GroupsFromRanks(p *topology.Placement, members [][]topology.Rank) []Group {
+	total := 0
+	for _, m := range members {
+		total += len(m)
 	}
-	return lost > g.Tolerance
+	groups := make([]Group, len(members))
+	slab := make([]NodeCount, 0, total)
+	for gi, m := range members {
+		start := len(slab)
+		slab = appendSpan(slab, p, m)
+		groups[gi] = Group{Span: slab[start:len(slab):len(slab)], Tolerance: len(m) / 2}
+	}
+	return groups
+}
+
+// appendSpan appends the sorted (node, count) span of members to dst, which
+// must have room for len(members) more entries: one entry per member is
+// written, sorted by node when the members did not already arrive that way,
+// and runs of one node are merged in place.
+func appendSpan(dst []NodeCount, p *topology.Placement, members []topology.Rank) []NodeCount {
+	start := len(dst)
+	sorted := true
+	for _, r := range members {
+		n := p.NodeOf(r)
+		if len(dst) > start && n < dst[len(dst)-1].Node {
+			sorted = false
+		}
+		dst = append(dst, NodeCount{Node: n, Count: 1})
+	}
+	seg := dst[start:]
+	if len(seg) == 0 {
+		return dst
+	}
+	if !sorted {
+		slices.SortFunc(seg, func(a, b NodeCount) int { return cmp.Compare(a.Node, b.Node) })
+	}
+	k := 0
+	for i := 1; i < len(seg); i++ {
+		if seg[i].Node == seg[k].Node {
+			seg[k].Count++
+		} else {
+			k++
+			seg[k] = seg[i]
+		}
+	}
+	return dst[:start+k+1]
 }
 
 // NodeSpan returns the number of distinct nodes hosting group members.
-func (g *Group) NodeSpan() int { return len(g.MembersOn) }
+func (g *Group) NodeSpan() int { return len(g.Span) }
+
+// validateGroups rejects a group whose span is not strictly ascending by
+// node: flatten and the per-group bounds read spans in order and never sort.
+func validateGroups(groups []Group) error {
+	for gi := range groups {
+		span := groups[gi].Span
+		for i := 1; i < len(span); i++ {
+			if span[i].Node <= span[i-1].Node {
+				return fmt.Errorf("reliability: group %d span not strictly ascending at node %d", gi, span[i].Node)
+			}
+		}
+	}
+	return nil
+}
 
 // Model computes catastrophe probabilities for a set of groups on a
 // machine.
@@ -204,6 +269,17 @@ func (mdl *Model) CatastropheProbCtx(ctx context.Context, groups []Group) (float
 	if err := mdl.Mix.Validate(); err != nil {
 		return 0, err
 	}
+	if err := validateGroups(groups); err != nil {
+		return 0, err
+	}
+	// Flatten once per call: every failure-count branch (and the aligned-
+	// pair correction) shares the same sparse group representation.
+	return mdl.catastropheProb(ctx, flatten(groups, mdl.Nodes), groups)
+}
+
+// catastropheProb is CatastropheProbCtx on an already validated model and
+// the groups' flat form.
+func (mdl *Model) catastropheProb(ctx context.Context, fg *flatGroups, groups []Group) (float64, error) {
 	stop, watchDone := cancelWatch(ctx)
 	defer watchDone()
 	exactLimit := mdl.ExactLimit
@@ -215,9 +291,6 @@ func (mdl *Model) CatastropheProbCtx(ctx context.Context, groups []Group) (float
 		samples = 200_000
 	}
 	workers := mdl.Workers
-	// Flatten once per call: every failure-count branch (and the aligned-
-	// pair correction) shares the same sparse group representation.
-	fg := flatten(groups, mdl.Nodes)
 	var total float64
 	for i, pf := range mdl.Mix.NodeLoss {
 		f := i + 1
@@ -292,15 +365,24 @@ func alignedPairConditional(fg *flatGroups, n int) float64 {
 //     group's span against the failed bitset (masked popcounts when all
 //     span counts are equal, per-node count sums otherwise).
 type flatGroups struct {
-	n          int
-	spanNodes  [][]int32 // sorted node ids hosting members, per group
-	spanCounts [][]int32 // member counts parallel to spanNodes
+	n int
+	// Group gi's in-range span is spanNodes/spanCounts[spanPtr[gi]:
+	// spanPtr[gi+1]], nodes ascending; its span bitset (uniform groups
+	// only) is maskWords/maskBits[maskPtr[gi]:maskPtr[gi+1]], word indices
+	// ascending. One slab each, filled once by flatten, read-only after.
+	spanPtr    []int32
+	spanNodes  []int32
+	spanCounts []int32
 	tolerance  []int32
-	uniform    []int32   // >0: every span count equals this value
-	maskWords  [][]int32 // word indices of the group's span bitset
-	maskBits   [][]uint64
-	critical   []bool    // node alone destroys some group
-	byNode     [][]int32 // groups destroyable only with >=2 failed nodes
+	uniform    []int32 // >0: every span count equals this value
+	maskPtr    []int32
+	maskWords  []int32
+	maskBits   []uint64
+	critical   []bool // node alone destroys some group
+	// byNode[byNodePtr[node]:byNodePtr[node+1]] lists, ascending, the
+	// groups destroyable only with >=2 failed nodes that node hosts.
+	byNodePtr []int32
+	byNode    []int32
 
 	// Disjoint-span reduction. Erasure-code layouts in practice (FTI's and
 	// every strategy in this repository) place groups on node spans that
@@ -322,72 +404,128 @@ type dpSpan struct {
 	thresh int32
 }
 
+// span returns group gi's in-range (node, count) span.
+func (fg *flatGroups) span(gi int32) (nodes, counts []int32) {
+	lo, hi := fg.spanPtr[gi], fg.spanPtr[gi+1]
+	return fg.spanNodes[lo:hi], fg.spanCounts[lo:hi]
+}
+
+// mask returns group gi's span bitset (empty unless the group is uniform).
+func (fg *flatGroups) mask(gi int32) (words []int32, bits []uint64) {
+	lo, hi := fg.maskPtr[gi], fg.maskPtr[gi+1]
+	return fg.maskWords[lo:hi], fg.maskBits[lo:hi]
+}
+
+// groupsOn returns the groups node hosts that need at least one more failed
+// node to die.
+func (fg *flatGroups) groupsOn(node int) []int32 {
+	return fg.byNode[fg.byNodePtr[node]:fg.byNodePtr[node+1]]
+}
+
+// flatten builds the flat representation count-then-fill: the first pass
+// sizes every slab from the groups' spans, the second writes them in group
+// order — the order addDPSpan depends on — so the allocation count does not
+// depend on the number of groups or nodes. Span entries outside [0, n) drop.
 func flatten(groups []Group, n int) *flatGroups {
 	fg := &flatGroups{
-		n:          n,
-		spanNodes:  make([][]int32, len(groups)),
-		spanCounts: make([][]int32, len(groups)),
-		tolerance:  make([]int32, len(groups)),
-		uniform:    make([]int32, len(groups)),
-		maskWords:  make([][]int32, len(groups)),
-		maskBits:   make([][]uint64, len(groups)),
-		critical:   make([]bool, n),
-		byNode:     make([][]int32, n),
-		dpOK:       true,
+		n:         n,
+		spanPtr:   make([]int32, len(groups)+1),
+		tolerance: make([]int32, len(groups)),
+		uniform:   make([]int32, len(groups)),
+		maskPtr:   make([]int32, len(groups)+1),
+		critical:  make([]bool, n),
+		byNodePtr: make([]int32, n+1),
+		dpOK:      true,
 	}
+	inRange := func(node topology.NodeID) bool { return node >= 0 && int(node) < n }
+	destroyable := 0
+	for gi := range groups {
+		g := &groups[gi]
+		tol := int32(g.Tolerance)
+		fg.tolerance[gi] = tol
+		var entries, words int32
+		var worst int64
+		uniform, lastWord := int32(-1), int32(-1)
+		for _, e := range g.Span {
+			if !inRange(e.Node) {
+				continue
+			}
+			entries++
+			worst += int64(e.Count)
+			if uniform == -1 {
+				uniform = e.Count
+			} else if uniform != e.Count {
+				uniform = 0
+			}
+			if w := int32(e.Node) >> 6; w != lastWord { // span ascends, so words do
+				words++
+				lastWord = w
+			}
+		}
+		fg.spanPtr[gi+1] = fg.spanPtr[gi] + entries
+		fg.maskPtr[gi+1] = fg.maskPtr[gi]
+		if uniform > 0 { // only uniform groups keep a bitset
+			fg.uniform[gi] = uniform
+			fg.maskPtr[gi+1] += words
+		}
+		if worst <= int64(tol) {
+			continue // no failure of any size can destroy this group
+		}
+		destroyable++
+		for _, e := range g.Span {
+			if inRange(e.Node) && e.Count <= tol {
+				fg.byNodePtr[e.Node+1]++
+			}
+		}
+	}
+	for node := 0; node < n; node++ {
+		fg.byNodePtr[node+1] += fg.byNodePtr[node]
+	}
+	fg.spanNodes = make([]int32, fg.spanPtr[len(groups)])
+	fg.spanCounts = make([]int32, fg.spanPtr[len(groups)])
+	fg.maskWords = make([]int32, fg.maskPtr[len(groups)])
+	fg.maskBits = make([]uint64, fg.maskPtr[len(groups)])
+	fg.byNode = make([]int32, fg.byNodePtr[n])
+	// Every accepted dpSpan owns at least one node outright.
+	fg.dpSpans = make([]dpSpan, 0, min(destroyable, n))
+	next := make([]int32, n)  // fill cursor per node into byNode
 	owner := make([]int32, n) // node -> dpSpan index, -1 when unclaimed
 	for i := range owner {
 		owner[i] = -1
 	}
 	for gi := range groups {
-		tol := int32(groups[gi].Tolerance)
-		fg.tolerance[gi] = tol
-		nodes := make([]int32, 0, len(groups[gi].MembersOn))
-		for node := range groups[gi].MembersOn {
-			if int(node) >= 0 && int(node) < n {
-				nodes = append(nodes, int32(node))
-			}
-		}
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-		counts := make([]int32, len(nodes))
+		tol := fg.tolerance[gi]
+		nodes, counts := fg.span(int32(gi))
+		k := 0
 		var worst int64
-		uniform := int32(-1)
-		for i, node := range nodes {
-			c := int32(groups[gi].MembersOn[topology.NodeID(node)])
-			counts[i] = c
-			worst += int64(c)
-			if uniform == -1 {
-				uniform = c
-			} else if uniform != c {
-				uniform = 0
+		for _, e := range groups[gi].Span {
+			if inRange(e.Node) {
+				nodes[k], counts[k] = int32(e.Node), e.Count
+				worst += int64(e.Count)
+				k++
 			}
 		}
-		fg.spanNodes[gi] = nodes
-		fg.spanCounts[gi] = counts
-		if uniform > 0 {
-			fg.uniform[gi] = uniform
-			var words []int32
-			var masks []uint64
-			for _, node := range nodes { // nodes sorted, so words ascend
-				w := node >> 6
-				if len(words) == 0 || words[len(words)-1] != w {
-					words = append(words, w)
-					masks = append(masks, 0)
+		if fg.uniform[gi] > 0 {
+			words, masks := fg.mask(int32(gi))
+			w := -1
+			for _, node := range nodes {
+				if w < 0 || words[w] != node>>6 {
+					w++
+					words[w] = node >> 6
 				}
-				masks[len(masks)-1] |= 1 << (uint(node) & 63)
+				masks[w] |= 1 << (uint(node) & 63)
 			}
-			fg.maskWords[gi] = words
-			fg.maskBits[gi] = masks
 		}
 		if worst <= int64(tol) {
-			continue // no failure of any size can destroy this group
+			continue
 		}
-		fg.addDPSpan(nodes, uniform, tol, owner)
+		fg.addDPSpan(nodes, fg.uniform[gi], tol, owner)
 		for i, node := range nodes {
 			if counts[i] > tol {
 				fg.critical[node] = true
 			} else {
-				fg.byNode[node] = append(fg.byNode[node], int32(gi))
+				fg.byNode[fg.byNodePtr[node]+next[node]] = int32(gi)
+				next[node]++
 			}
 		}
 	}
@@ -499,15 +637,16 @@ func (fg *flatGroups) newScratch() []uint64 {
 // lost returns the members the group loses given the failed-node bitset.
 func (fg *flatGroups) lost(gi int32, failedBits []uint64) int32 {
 	if u := fg.uniform[gi]; u > 0 {
+		// Indexed through the slabs directly: slicing out the group's
+		// words and masks first costs more than the one-word loop itself.
 		var pc int32
-		words, masks := fg.maskWords[gi], fg.maskBits[gi]
-		for k, w := range words {
-			pc += int32(bits.OnesCount64(failedBits[w] & masks[k]))
+		for k, hi := fg.maskPtr[gi], fg.maskPtr[gi+1]; k < hi; k++ {
+			pc += int32(bits.OnesCount64(failedBits[fg.maskWords[k]] & fg.maskBits[k]))
 		}
 		return pc * u
 	}
 	var lost int32
-	nodes, counts := fg.spanNodes[gi], fg.spanCounts[gi]
+	nodes, counts := fg.span(gi)
 	for k, node := range nodes {
 		if failedBits[node>>6]&(1<<(uint(node)&63)) != 0 {
 			lost += counts[k]
@@ -531,7 +670,7 @@ func (fg *flatGroups) destroys(failed []int, failedBits []uint64) bool {
 	hit := false
 scan:
 	for _, node := range failed {
-		for _, gi := range fg.byNode[node] {
+		for _, gi := range fg.groupsOn(node) {
 			if fg.lost(gi, failedBits) > fg.tolerance[gi] {
 				hit = true
 				break scan
@@ -652,9 +791,9 @@ func unionBoundConditional(groups []Group, n, f, workers int, stop *atomic.Bool)
 // node failures) exactly, enumerating subsets of the group's node span when
 // small and sampling otherwise.
 func groupConditional(g *Group, n, f, workers int, stop *atomic.Bool) float64 {
-	counts := make([]int, 0, len(g.MembersOn))
-	for _, c := range g.MembersOn {
-		counts = append(counts, c)
+	counts := make([]int, len(g.Span))
+	for i, e := range g.Span {
+		counts[i] = int(e.Count)
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(counts)))
 	s := len(counts)

@@ -68,13 +68,13 @@ func TestGroupFromRanks(t *testing.T) {
 		t.Errorf("Tolerance = %d, want 2 (half group)", g.Tolerance)
 	}
 	g2 := GroupFromRanks(p, []topology.Rank{0, 1, 2, 3}) // all on node 0
-	if g2.NodeSpan() != 1 || g2.MembersOn[0] != 4 {
+	if g2.NodeSpan() != 1 || g2.membersOn(0) != 4 {
 		t.Errorf("co-located group: %+v", g2)
 	}
 }
 
 func TestDestroyedBy(t *testing.T) {
-	g := Group{MembersOn: map[topology.NodeID]int{0: 2, 1: 2}, Tolerance: 2}
+	g := groupOf(map[topology.NodeID]int{0: 2, 1: 2}, 2)
 	if g.destroyedBy([]topology.NodeID{0}) {
 		t.Error("losing 2 of 4 with tolerance 2 destroyed the group")
 	}
@@ -89,7 +89,7 @@ func TestDestroyedBy(t *testing.T) {
 func TestExactConditionalHandComputed(t *testing.T) {
 	// One group: 1 member on node 0, tolerance 0. With 1 failure among 4
 	// nodes, P = 1/4; with 2 failures, P = C(3,1)/C(4,2) = 3/6 = 1/2.
-	groups := []Group{{MembersOn: map[topology.NodeID]int{0: 1}, Tolerance: 0}}
+	groups := []Group{groupOf(map[topology.NodeID]int{0: 1}, 0)}
 	if got := exactConditional(flatten(groups, 4), 4, 1, 1, nil); math.Abs(got-0.25) > 1e-12 {
 		t.Errorf("f=1: %g, want 0.25", got)
 	}
@@ -100,7 +100,7 @@ func TestExactConditionalHandComputed(t *testing.T) {
 
 func TestGroupConditionalMatchesExact(t *testing.T) {
 	// The per-group closed form must agree with brute-force enumeration.
-	groups := []Group{{MembersOn: map[topology.NodeID]int{0: 2, 3: 1, 5: 1}, Tolerance: 2}}
+	groups := []Group{groupOf(map[topology.NodeID]int{0: 2, 3: 1, 5: 1}, 2)}
 	for f := 1; f <= 4; f++ {
 		exact := exactConditional(flatten(groups, 8), 8, f, 1, nil)
 		closed := groupConditional(&groups[0], 8, f, 1, nil)
@@ -112,7 +112,7 @@ func TestGroupConditionalMatchesExact(t *testing.T) {
 
 func TestUnionBoundOverlapsCap(t *testing.T) {
 	// Two identical always-destroyed groups: union bound caps at 1.
-	g := Group{MembersOn: map[topology.NodeID]int{0: 4}, Tolerance: 0}
+	g := groupOf(map[topology.NodeID]int{0: 4}, 0)
 	groups := []Group{g, g}
 	// Any failure including node 0 destroys both; with n=2,f=1: each group
 	// P=1/2, sum = 1.0 (capped).
@@ -123,8 +123,8 @@ func TestUnionBoundOverlapsCap(t *testing.T) {
 
 func TestMonteCarloAgreesWithExact(t *testing.T) {
 	groups := []Group{
-		{MembersOn: map[topology.NodeID]int{0: 1, 1: 1, 2: 1}, Tolerance: 1},
-		{MembersOn: map[topology.NodeID]int{3: 1, 4: 1, 5: 1}, Tolerance: 1},
+		groupOf(map[topology.NodeID]int{0: 1, 1: 1, 2: 1}, 1),
+		groupOf(map[topology.NodeID]int{3: 1, 4: 1, 5: 1}, 1),
 	}
 	exact := exactConditional(flatten(groups, 10), 10, 3, 1, nil)
 	mc := monteCarloConditional(flatten(groups, 10), 10, 3, 400_000, 1, 1, nil)

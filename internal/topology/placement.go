@@ -21,6 +21,7 @@ type Placement struct {
 	rankPtr  []int64  // node n's ranks occupy rankData[rankPtr[n]:rankPtr[n+1]]
 	rankData []Rank   // all ranks grouped by node, ascending within a node
 	used     []NodeID // nodes hosting at least one rank, ascending (cached)
+	usedIdx  []int32  // usedIdx[n] = position of node n in used, -1 when unused
 }
 
 // NewPlacement builds a placement from an explicit rank→node assignment.
@@ -56,13 +57,24 @@ func NewPlacement(m *Machine, nodeOf []NodeID) (*Placement, error) {
 	return p, nil
 }
 
-// refreshUsed recomputes the cached used-node list. Placements are immutable
-// after NewPlacement today; any future mutating method must call this so
-// UsedNodes stays O(1) per call instead of O(total nodes).
+// refreshUsed recomputes the cached used-node list and its inverse index,
+// count-then-fill. Placements are immutable after NewPlacement today; any
+// future mutating method must call this so UsedNodes and UsedIndex stay O(1)
+// per call instead of O(total nodes).
 func (p *Placement) refreshUsed() {
-	p.used = p.used[:0]
-	for n := 0; n+1 < len(p.rankPtr); n++ {
+	nodes := len(p.rankPtr) - 1
+	count := 0
+	for n := 0; n < nodes; n++ {
 		if p.rankPtr[n+1] > p.rankPtr[n] {
+			count++
+		}
+	}
+	p.used = make([]NodeID, 0, count)
+	p.usedIdx = make([]int32, nodes)
+	for n := 0; n < nodes; n++ {
+		p.usedIdx[n] = -1
+		if p.rankPtr[n+1] > p.rankPtr[n] {
+			p.usedIdx[n] = int32(len(p.used))
 			p.used = append(p.used, NodeID(n))
 		}
 	}
@@ -125,6 +137,12 @@ func (p *Placement) CountOn(n NodeID) int { return int(p.rankPtr[n+1] - p.rankPt
 // per evaluation, and a scan of all nodes per call is O(total nodes) at
 // exascale node counts. The caller must not modify the returned slice.
 func (p *Placement) UsedNodes() []NodeID { return p.used }
+
+// UsedIndex returns the position of node n in UsedNodes(), or -1 when n
+// hosts no rank — the dense node numbering the node-based graph, the L1
+// partition and the reliability model share. Computed once at construction
+// like UsedNodes, so the per-evaluation consumers need no node→index map.
+func (p *Placement) UsedIndex(n NodeID) int { return int(p.usedIdx[n]) }
 
 // MaxProcsPerNode returns the largest number of ranks on any node.
 func (p *Placement) MaxProcsPerNode() int {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -328,28 +329,77 @@ func (c *CSR) ToGraph() *graph.Graph {
 // NodeCSR aggregates the rank matrix into a node-based matrix under a
 // placement, in CSR form: entry (a,b) sums traffic from ranks on used node
 // a to ranks on used node b (indices follow p.UsedNodes() order, matching
-// the dense NodeMatrix).
+// the dense NodeMatrix). Cells without bytes drop, as in NodeMatrix.
+//
+// Node rows are folded one at a time through a dense accumulator indexed by
+// destination node: an epoch stamp marks the columns the current row has
+// touched, so nothing is cleared between rows and the build allocates a
+// fixed number of arrays whatever the node count. A first pass counts each
+// row's distinct columns to size the output exactly; the second writes a
+// row's touched columns straight into its output span, sorts that span and
+// reads the sums back out of the accumulator.
 func (c *CSR) NodeCSR(p *topology.Placement) (*CSR, error) {
 	if p.NumRanks() != c.n {
 		return nil, fmt.Errorf("trace: placement has %d ranks, matrix %d", p.NumRanks(), c.n)
 	}
 	used := p.UsedNodes()
-	idx := map[topology.NodeID]int{}
-	for i, n := range used {
-		idx[n] = i
+	out := &CSR{n: len(used), rowPtr: make([]int64, len(used)+1)}
+	stamp := make([]int32, len(used)) // stamp[b] == epoch: column b touched by this row
+	epoch := int32(0)
+	nodeOfCol := func(i int64) int32 {
+		return int32(p.UsedIndex(p.NodeOf(topology.Rank(c.col[i]))))
 	}
-	b := NewSparseBuilder(len(used))
-	for s := 0; s < c.n; s++ {
-		ns := idx[p.NodeOf(topology.Rank(s))]
-		for i := c.rowPtr[s]; i < c.rowPtr[s+1]; i++ {
-			if c.bytes[i] == 0 {
-				continue // match the dense NodeMatrix: byte-less cells drop
+	for a, node := range used {
+		epoch++
+		count := int64(0)
+		for _, r := range p.RanksOn(node) {
+			for i := c.rowPtr[r]; i < c.rowPtr[r+1]; i++ {
+				if c.bytes[i] == 0 {
+					continue
+				}
+				if b := nodeOfCol(i); stamp[b] != epoch {
+					stamp[b] = epoch
+					count++
+				}
 			}
-			nd := idx[p.NodeOf(topology.Rank(int(c.col[i])))]
-			b.addCell(ns, int(nd), c.bytes[i], c.msgs[i])
+		}
+		out.rowPtr[a+1] = out.rowPtr[a] + count
+	}
+	nnz := out.rowPtr[len(used)]
+	out.col = make([]int32, nnz)
+	out.bytes = make([]int64, nnz)
+	out.msgs = make([]int64, nnz)
+	accBytes := make([]int64, len(used))
+	accMsgs := make([]int64, len(used))
+	clear(stamp)
+	epoch = 0
+	for a, node := range used {
+		epoch++
+		row := out.col[out.rowPtr[a]:out.rowPtr[a]:out.rowPtr[a+1]]
+		for _, r := range p.RanksOn(node) {
+			for i := c.rowPtr[r]; i < c.rowPtr[r+1]; i++ {
+				if c.bytes[i] == 0 {
+					continue
+				}
+				b := nodeOfCol(i)
+				if stamp[b] != epoch {
+					stamp[b] = epoch
+					accBytes[b], accMsgs[b] = 0, 0
+					row = append(row, b)
+				}
+				accBytes[b] += c.bytes[i]
+				accMsgs[b] += c.msgs[i]
+			}
+		}
+		slices.Sort(row)
+		for k, b := range row {
+			i := out.rowPtr[a] + int64(k)
+			out.bytes[i], out.msgs[i] = accBytes[b], accMsgs[b]
+			out.totalBytes += accBytes[b]
+			out.totalMsgs += accMsgs[b]
 		}
 	}
-	return b.Freeze(), nil
+	return out, nil
 }
 
 // NodeGraph aggregates under the placement and converts to the undirected

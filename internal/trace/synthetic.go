@@ -75,46 +75,56 @@ func Synthetic(n int, opts SyntheticOptions) (*CSR, error) {
 	bytes := opts.BytesPerMsg * int64(opts.Iterations)
 	msgs := int64(opts.Iterations)
 
-	c := &CSR{n: n, rowPtr: make([]int64, n+1)}
-	neighbors := func(r int) []int {
-		switch opts.Pattern {
-		case Stencil2D:
-			w := opts.Width
-			out := make([]int, 0, 4)
-			if r-w >= 0 {
-				out = append(out, r-w)
-			}
-			if r%w != 0 {
-				out = append(out, r-1)
-			}
-			if r%w != w-1 && r+1 < n {
-				out = append(out, r+1)
-			}
-			if r+w < n {
-				out = append(out, r+w)
-			}
-			return out
-		default: // Stencil1D
-			out := make([]int, 0, 2)
-			if r > 0 {
-				out = append(out, r-1)
-			}
-			if r+1 < n {
-				out = append(out, r+1)
-			}
-			return out
-		}
+	// The stencil's pair count is known in closed form, so the three value
+	// arrays are sized once instead of grown by append.
+	var nnz int
+	w := opts.Width
+	switch opts.Pattern {
+	case Stencil2D:
+		// r±w exists for n-w ranks each; r-1 and r+1 exist wherever r (or
+		// r+1) is not the first column of a grid row.
+		nnz = 2*max(n-w, 0) + 2*(n-(n+w-1)/w)
+	default: // Stencil1D
+		nnz = 2 * (n - 1)
+	}
+	c := &CSR{
+		n:      n,
+		rowPtr: make([]int64, n+1),
+		col:    make([]int32, 0, nnz),
+		bytes:  make([]int64, 0, nnz),
+		msgs:   make([]int64, 0, nnz),
+	}
+	add := func(d int) {
+		c.col = append(c.col, int32(d))
+		c.bytes = append(c.bytes, bytes)
+		c.msgs = append(c.msgs, msgs)
 	}
 	for r := 0; r < n; r++ {
-		nb := neighbors(r) // ascending by construction
-		for _, d := range nb {
-			c.col = append(c.col, int32(d))
-			c.bytes = append(c.bytes, bytes)
-			c.msgs = append(c.msgs, msgs)
-			c.totalBytes += bytes
-			c.totalMsgs += msgs
+		// Neighbors are added in ascending column order.
+		if opts.Pattern == Stencil2D {
+			if r-w >= 0 {
+				add(r - w)
+			}
+			if r%w != 0 {
+				add(r - 1)
+			}
+			if r%w != w-1 && r+1 < n {
+				add(r + 1)
+			}
+			if r+w < n {
+				add(r + w)
+			}
+		} else {
+			if r > 0 {
+				add(r - 1)
+			}
+			if r+1 < n {
+				add(r + 1)
+			}
 		}
 		c.rowPtr[r+1] = int64(len(c.col))
 	}
+	c.totalBytes = bytes * int64(len(c.col))
+	c.totalMsgs = msgs * int64(len(c.col))
 	return c, nil
 }

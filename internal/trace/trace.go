@@ -177,18 +177,13 @@ func (m *Matrix) NodeMatrix(p *topology.Placement) (*Matrix, error) {
 	}
 	used := p.UsedNodes()
 	nm := NewMatrix(len(used))
-	idx := map[topology.NodeID]int{}
-	for i, n := range used {
-		idx[n] = i
-	}
 	for s := 0; s < m.N; s++ {
-		ns := idx[p.NodeOf(topology.Rank(s))]
+		ns := p.UsedIndex(p.NodeOf(topology.Rank(s)))
 		for d, b := range m.Bytes[s] {
 			if b == 0 {
 				continue
 			}
-			nd := idx[p.NodeOf(topology.Rank(d))]
-			nm.addCell(ns, nd, b, m.Msgs[s][d])
+			nm.addCell(ns, p.UsedIndex(p.NodeOf(topology.Rank(d))), b, m.Msgs[s][d])
 		}
 	}
 	return nm, nil

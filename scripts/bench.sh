@@ -27,7 +27,11 @@ trap 'rm -f "$raw" "$json"' EXIT
 
 # No pipeline: a failing benchmark run must abort the snapshot, and the
 # snapshot file is only replaced once benchjson has fully succeeded.
-go test -run '^$' -bench "${BENCH:-.}" -benchmem -benchtime "${BENCHTIME:-1s}" . > "$raw"
+# -cpu 1: one P on every host, like the earlier snapshots (recorded on one
+# core) and like hcbench. allocs/op is gated (benchjson -compare), and the
+# partitioner's worker pools allocate per P: 27 allocs/op at one P, ~420 at
+# two.
+go test -run '^$' -cpu 1 -bench "${BENCH:-.}" -benchmem -benchtime "${BENCHTIME:-1s}" . > "$raw"
 cat "$raw"
 go run ./cmd/benchjson -date "$(date -u +%Y-%m-%dT%H:%M:%SZ)" -note "${NOTE:-}" < "$raw" > "$json"
 chmod 644 "$json" # mktemp creates 0600; the snapshot is a shared artifact
