@@ -28,7 +28,8 @@ bench:
 
 # bench-smoke is the quick CI benchmark: one iteration of the guarded hot
 # paths, compared against the latest committed snapshot (the steady-state
-# RSEncode kernels and the large-scale partition/evaluation pipelines —
+# RSEncode kernels, the CkptCycle checkpoint/restore data plane and the
+# large-scale partition/evaluation pipelines —
 # including the million-node Partition1M/Scaling1M scale proofs — gate at a
 # noise-tolerant 300%; Fig* deltas print for inspection). Benchmarks present
 # on only one side of the comparison are informational, so snapshots
@@ -37,10 +38,10 @@ bench:
 # on one P (-cpu 1, as scripts/bench.sh records), so the count does not
 # depend on the host's cores.
 bench-smoke:
-	$(GO) test -run '^$$' -cpu 1 -bench 'RSEncode|Fig|Partition100k|Partition1M|Scaling256k|Scaling1M|MultilevelSerial' -benchmem -benchtime 1x . > smoke.txt
+	$(GO) test -run '^$$' -cpu 1 -bench 'RSEncode|CkptCycle|Fig|Partition100k|Partition1M|Scaling256k|Scaling1M|MultilevelSerial' -benchmem -benchtime 1x . > smoke.txt
 	$(GO) run ./cmd/benchjson < smoke.txt > smoke.json
 	baseline=$$(ls BENCH_*.json | sort | tail -1); \
-		$(GO) run ./cmd/benchjson -compare -threshold 300 -filter 'RSEncode|Partition100k|Partition1M|Scaling256k|Scaling1M|MultilevelSerial' $$baseline smoke.json; \
+		$(GO) run ./cmd/benchjson -compare -threshold 300 -filter 'RSEncode|CkptCycle|Partition100k|Partition1M|Scaling256k|Scaling1M|MultilevelSerial' $$baseline smoke.json; \
 		rc=$$?; rm -f smoke.txt smoke.json; exit $$rc
 
 # profile captures CPU + heap profiles of the scaling pipeline at 256k

@@ -10,6 +10,7 @@
 package hierclust
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"testing"
@@ -22,6 +23,7 @@ import (
 	"hierclust/internal/hybrid"
 	"hierclust/internal/reliability"
 	"hierclust/internal/simmpi"
+	"hierclust/internal/storage"
 	"hierclust/internal/topology"
 	"hierclust/internal/trace"
 	"hierclust/internal/tsunami"
@@ -90,35 +92,66 @@ func BenchmarkRSEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkRSEncodeStream measures the streaming encode path: identical
-// coding work to BenchmarkRSEncode but with parity buffers reused across
-// calls via GroupEncoder.NewStream, the zero-allocation hot path the
-// checkpoint manager runs.
-func BenchmarkRSEncodeStream(b *testing.B) {
-	const shard = 1 << 20
-	for _, k := range []int{4, 8, 16, 32} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			enc, err := erasure.NewGroupEncoder(k, k, 0, 0)
-			if err != nil {
-				b.Fatal(err)
+// BenchmarkCkptCycle measures one failure cycle through the checkpoint data
+// plane, the shape of hcbench's ckpt-cycle op: a fresh storage cluster and
+// manager, an L3 (Reed–Solomon) checkpoint of 32 nodes × 4 ranks × 128 KiB
+// in the hierarchical clustering's L2 encoding groups, the loss and repair
+// of one node, and the restore of its ranks. B/op shows the zero-copy
+// paths: L1 copies + stored parity + restored blobs, about twice the
+// payload (TestL3CycleAllocationBound in internal/checkpoint bounds it).
+func BenchmarkCkptCycle(b *testing.B) {
+	const nodes, ppn, groupNodes, blob = 32, 4, 16, 128 << 10
+	mach := *topology.Tsubame2()
+	mach.Nodes = nodes
+	placement, err := topology.Block(&mach, nodes*ppn, ppn)
+	if err != nil {
+		b.Fatal(err)
+	}
+	comm, err := trace.Synthetic(nodes*ppn, trace.SyntheticOptions{Pattern: trace.Stencil2D, Width: ppn})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cl, err := core.Hierarchical(comm, placement, core.HierOptions{MinNodesPerL1: groupNodes, SubgroupNodes: groupNodes})
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := make(map[topology.Rank][]byte, nodes*ppn)
+	for r := 0; r < nodes*ppn; r++ {
+		buf := make([]byte, blob)
+		for j := range buf {
+			buf[j] = byte(r*31 + j*7 + j>>8)
+		}
+		data[topology.Rank(r)] = buf
+	}
+	b.SetBytes(nodes * ppn * blob)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		node := topology.NodeID(i % nodes)
+		cluster := storage.NewCluster(&mach)
+		mgr, err := checkpoint.New(cluster, placement, cl.Groups)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := mgr.Checkpoint(i+1, checkpoint.L3Encoded, data); err != nil {
+			b.Fatal(err)
+		}
+		if err := cluster.FailNode(node); err != nil {
+			b.Fatal(err)
+		}
+		if err := cluster.RepairNode(node); err != nil {
+			b.Fatal(err)
+		}
+		lost := placement.RanksOn(node)
+		restored, err := mgr.Restore(i+1, lost)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j, re := range restored {
+			if re.Level != checkpoint.L3Encoded || !bytes.Equal(re.Data, data[lost[j]]) {
+				b.Fatalf("rank %d restored wrongly from %v", re.Rank, re.Level)
 			}
-			stream := enc.NewStream()
-			data := make([][]byte, k)
-			for i := range data {
-				data[i] = make([]byte, shard)
-				for j := range data[i] {
-					data[i][j] = byte(i + j)
-				}
-			}
-			b.SetBytes(int64(k * shard))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := stream.Encode(data); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		}
 	}
 }
 

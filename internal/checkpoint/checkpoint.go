@@ -10,10 +10,14 @@
 // plus k parity shards (parity shard i on member i's node). Any k of the 2k
 // shards reconstruct the group, so the group survives the loss of ⌊k/2⌋
 // nodes — the "half group" tolerance assumed by the reliability model.
+//
+// A shard is a member's blob zero-extended to its group's longest blob; the
+// blob's own length lives in Meta, not in the shard. Blobs as long as the
+// longest are encoded and decoded in place, so on the L3 paths the only
+// bytes allocated are bytes that end up stored or returned.
 package checkpoint
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -73,6 +77,23 @@ type Meta struct {
 	Checksum uint32
 }
 
+// parityMeta records one group's Reed–Solomon parity of one version: the
+// shard size (the group's longest blob) and a CRC32 per parity shard, so a
+// damaged parity shard counts as erased instead of poisoning the decode.
+type parityMeta struct {
+	size int
+	crc  []uint32
+}
+
+// versionMeta is everything the manager remembers about one version.
+type versionMeta struct {
+	ranks  map[topology.Rank]Meta
+	parity map[int]parityMeta // encoding group -> its RS parity record
+}
+
+// member locates a rank inside its encoding group.
+type member struct{ group, index int }
+
 // Result reports the simulated cost of one checkpoint operation at paper
 // scale plus, for encoded checkpoints, the measured encode wall time.
 type Result struct {
@@ -99,20 +120,23 @@ type Manager struct {
 	cluster   *storage.Cluster
 	placement *topology.Placement
 	groups    [][]topology.Rank
-	groupOf   map[topology.Rank]int
-	meta      map[int]map[topology.Rank]Meta // version -> rank -> meta
+	memberOf  map[topology.Rank]member
+	meta      map[int]*versionMeta
 
-	// Codec caches, keyed by group size: building an RS codec inverts a
-	// k×k matrix and compiles the coefficient tables, so it is paid once
-	// per group shape, not once per checkpoint round.
-	streams map[int]*erasure.Stream
-	codecs  map[int]*erasure.RS
-	// pad holds the reusable padded-shard scratch buffers for encoding.
-	pad [][]byte
+	// codecs caches the RS(k, k) and XOR codecs by group size: building an
+	// RS codec inverts a k×k matrix and compiles the coefficient tables, so
+	// it is paid once per group shape, not once per checkpoint round.
+	codecs map[int]*groupCodec
 	// decodeWall accumulates measured erasure reconstruction wall time
 	// (RS and XOR group decodes); hybrid recovery drains it per failure
 	// event.
 	decodeWall time.Duration
+}
+
+// groupCodec holds the codecs of one group size.
+type groupCodec struct {
+	rs  *erasure.GroupEncoder
+	xor *erasure.XOR
 }
 
 // New creates a manager. groups lists the encoding groups (the L2 clusters
@@ -123,24 +147,23 @@ func New(cluster *storage.Cluster, placement *topology.Placement, groups [][]top
 		cluster:   cluster,
 		placement: placement,
 		groups:    make([][]topology.Rank, len(groups)),
-		groupOf:   map[topology.Rank]int{},
-		meta:      map[int]map[topology.Rank]Meta{},
-		streams:   map[int]*erasure.Stream{},
-		codecs:    map[int]*erasure.RS{},
+		memberOf:  map[topology.Rank]member{},
+		meta:      map[int]*versionMeta{},
+		codecs:    map[int]*groupCodec{},
 	}
 	for gi, g := range groups {
 		if len(g) < 2 {
 			return nil, fmt.Errorf("checkpoint: encoding group %d has %d members; need at least 2", gi, len(g))
 		}
 		m.groups[gi] = append([]topology.Rank(nil), g...)
-		for _, r := range g {
+		for i, r := range g {
 			if int(r) < 0 || int(r) >= placement.NumRanks() {
 				return nil, fmt.Errorf("checkpoint: group %d member rank %d out of range", gi, r)
 			}
-			if prev, dup := m.groupOf[r]; dup {
-				return nil, fmt.Errorf("checkpoint: rank %d in groups %d and %d", r, prev, gi)
+			if prev, dup := m.memberOf[r]; dup {
+				return nil, fmt.Errorf("checkpoint: rank %d in groups %d and %d", r, prev.group, gi)
 			}
-			m.groupOf[r] = gi
+			m.memberOf[r] = member{gi, i}
 		}
 	}
 	return m, nil
@@ -157,91 +180,68 @@ func (m *Manager) Groups() [][]topology.Rank {
 
 // GroupOf returns the encoding-group index of rank r, or -1.
 func (m *Manager) GroupOf(r topology.Rank) int {
-	if gi, ok := m.groupOf[r]; ok {
-		return gi
+	if mb, ok := m.memberOf[r]; ok {
+		return mb.group
 	}
 	return -1
 }
 
-// streamFor returns the cached buffer-reusing encode stream for groups of k
-// members (RS(k, k), the FTI layout).
-func (m *Manager) streamFor(k int) (*erasure.Stream, error) {
-	if s, ok := m.streams[k]; ok {
-		return s, nil
+// codecFor returns the cached RS(k, k) (the FTI layout) and XOR codecs for
+// groups of k members; the RS codec both encodes and decodes.
+func (m *Manager) codecFor(k int) (*groupCodec, error) {
+	if c, ok := m.codecs[k]; ok {
+		return c, nil
 	}
-	enc, err := erasure.NewGroupEncoder(k, k, 0, 0)
+	rs, err := erasure.NewGroupEncoder(k, k, 0, 0)
 	if err != nil {
 		return nil, err
 	}
-	s := enc.NewStream()
-	m.streams[k] = s
-	return s, nil
-}
-
-// codecFor returns the cached RS(k, k) codec used by group reconstruction.
-func (m *Manager) codecFor(k int) (*erasure.RS, error) {
-	if rs, ok := m.codecs[k]; ok {
-		return rs, nil
-	}
-	rs, err := erasure.NewRS(k, k)
+	xor, err := erasure.NewXOR(k)
 	if err != nil {
 		return nil, err
 	}
-	m.codecs[k] = rs
-	return rs, nil
+	c := &groupCodec{rs: rs, xor: xor}
+	m.codecs[k] = c
+	return c, nil
 }
 
-// padGroup gathers one encoding group's blobs from a checkpoint round and
-// length-prefix-pads them to a common shard size in the manager's reusable
-// scratch buffers (valid until the next call). skip reports that no member
-// of the group checkpointed this round; a partially present group is an
-// error.
-func (m *Manager) padGroup(gi int, group []topology.Rank, version int, data map[topology.Rank][]byte) (padded [][]byte, skip bool, err error) {
-	any := false
+// asShard returns blob as a shard of exactly size bytes, read-only: the
+// blob's own prefix when it is long enough, a zero-extended copy otherwise.
+func asShard(blob []byte, size int) []byte {
+	if len(blob) >= size {
+		return blob[:size]
+	}
+	p := make([]byte, size)
+	copy(p, blob)
+	return p
+}
+
+// groupShards gathers one encoding group's blobs from a checkpoint round as
+// equal-size shards (see asShard; size is the longest blob). skip reports
+// that no member of the group checkpointed this round; a partially present
+// group is an error.
+func groupShards(gi int, group []topology.Rank, version int, data map[topology.Rank][]byte) (shards [][]byte, size int, skip bool, err error) {
+	shards = make([][]byte, 0, len(group))
+	missing := topology.Rank(-1)
 	for _, r := range group {
-		if _, ok := data[r]; ok {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return nil, true, nil
-	}
-	blobs := make([][]byte, len(group))
-	maxLen := 0
-	for i, r := range group {
 		blob, ok := data[r]
 		if !ok {
-			return nil, false, fmt.Errorf("checkpoint: group %d member %d missing from version %d data", gi, r, version)
+			missing = r
+			continue
 		}
-		blobs[i] = blob
-		if len(blob)+4 > maxLen {
-			maxLen = len(blob) + 4
-		}
+		shards = append(shards, blob)
+		size = max(size, len(blob))
 	}
-	return m.padShards(blobs, maxLen), false, nil
-}
-
-// padShards length-prefixes and pads the blobs to maxLen into the manager's
-// reusable scratch buffers; the result is valid until the next call.
-func (m *Manager) padShards(blobs [][]byte, maxLen int) [][]byte {
-	for len(m.pad) < len(blobs) {
-		m.pad = append(m.pad, nil)
+	if len(shards) == 0 {
+		return nil, 0, true, nil
 	}
-	out := make([][]byte, len(blobs))
-	for i, blob := range blobs {
-		if cap(m.pad[i]) < maxLen {
-			m.pad[i] = make([]byte, maxLen)
-		}
-		p := m.pad[i][:maxLen]
-		binary.LittleEndian.PutUint32(p[:4], uint32(len(blob)))
-		n := copy(p[4:], blob)
-		for j := 4 + n; j < maxLen; j++ {
-			p[j] = 0
-		}
-		out[i] = p
+	if missing >= 0 {
+		return nil, 0, false, fmt.Errorf("checkpoint: group %d member %d missing from version %d data", gi, missing, version)
 	}
-	return out
+	for i, blob := range shards {
+		shards[i] = asShard(blob, size)
+	}
+	return shards, size, false, nil
 }
 
 // DrainDecodeTime returns the erasure (RS or XOR) reconstruction wall time
@@ -260,20 +260,21 @@ func keyXOR(g, v int) string               { return fmt.Sprintf("l3x/%d/%d", g, 
 func keyPFS(r topology.Rank, v int) string { return fmt.Sprintf("l4/%d/%d", r, v) }
 
 // Checkpoint saves data (rank → blob) at the given version and level.
-// Lower levels are implied: L3 also writes L1; L2 also writes L1.
+// Lower levels are implied: L3 also writes L1; L2 also writes L1. The blobs
+// are only read and never kept: every level stores its own copy.
 func (m *Manager) Checkpoint(version int, level Level, data map[topology.Rank][]byte) (*Result, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("checkpoint: no data for version %d", version)
 	}
 	res := &Result{Level: level}
-	metas := m.meta[version]
-	if metas == nil {
-		metas = map[topology.Rank]Meta{}
-		m.meta[version] = metas
+	vm := m.meta[version]
+	if vm == nil {
+		vm = &versionMeta{ranks: map[topology.Rank]Meta{}, parity: map[int]parityMeta{}}
+		m.meta[version] = vm
 	}
 
 	if level != L4PFS {
-		if err := m.writeLocal(version, data, metas, level, res); err != nil {
+		if err := m.writeLocal(version, data, vm.ranks, level, res); err != nil {
 			return nil, err
 		}
 	}
@@ -285,7 +286,7 @@ func (m *Manager) Checkpoint(version int, level Level, data map[topology.Rank][]
 			return nil, err
 		}
 	case L3Encoded:
-		if err := m.encodeGroups(version, data, res); err != nil {
+		if err := m.encodeGroups(version, data, vm, res); err != nil {
 			return nil, err
 		}
 	case L3XOR:
@@ -293,7 +294,7 @@ func (m *Manager) Checkpoint(version int, level Level, data map[topology.Rank][]
 			return nil, err
 		}
 	case L4PFS:
-		if err := m.writePFS(version, data, metas, res); err != nil {
+		if err := m.writePFS(version, data, vm.ranks, res); err != nil {
 			return nil, err
 		}
 	default:
@@ -308,30 +309,28 @@ func (m *Manager) Checkpoint(version int, level Level, data map[topology.Rank][]
 // *other* node entirely).
 func (m *Manager) xorGroups(version int, data map[topology.Rank][]byte, res *Result) error {
 	for gi, group := range m.groups {
-		padded, skip, err := m.padGroup(gi, group, version, data)
+		shards, size, skip, err := groupShards(gi, group, version, data)
 		if err != nil {
 			return err
 		}
 		if skip {
 			continue
 		}
-		codec, err := erasure.NewXOR(len(group))
+		codec, err := m.codecFor(len(group))
 		if err != nil {
 			return err
 		}
-		parity := make([]byte, len(padded[0]))
+		parity := make([]byte, size) // handed to the store below
 		start := time.Now()
-		if err := codec.Encode(padded, parity); err != nil {
+		if err := codec.xor.Encode(shards, parity); err != nil {
 			return fmt.Errorf("checkpoint: group %d xor encode: %w", gi, err)
 		}
-		if el := time.Since(start); el > res.EncodeWallTime {
-			res.EncodeWallTime = el
-		}
+		res.EncodeWallTime = max(res.EncodeWallTime, time.Since(start))
 		st, err := m.cluster.Local(m.placement.NodeOf(group[0]))
 		if err != nil {
 			return err
 		}
-		if _, err := st.Put(keyXOR(gi, version), parity); err != nil {
+		if _, err := st.PutOwned(keyXOR(gi, version), parity); err != nil {
 			return fmt.Errorf("checkpoint: group %d xor parity: %w", gi, err)
 		}
 	}
@@ -360,20 +359,25 @@ func (m *Manager) writeLocal(version int, data map[topology.Rank][]byte, metas m
 	return nil
 }
 
-func (m *Manager) writePartner(version int, data map[topology.Rank][]byte, res *Result) error {
+// partnerOf returns the node holding the partner copies of home's ranks: the
+// next used node, cyclically. ok is false when there is no second node.
+func (m *Manager) partnerOf(home topology.NodeID) (partner topology.NodeID, ok bool) {
 	used := m.placement.UsedNodes()
-	if len(used) < 2 {
-		return fmt.Errorf("checkpoint: partner copies need at least 2 nodes, have %d", len(used))
+	pos := m.placement.UsedIndex(home)
+	if len(used) < 2 || pos < 0 {
+		return 0, false
 	}
-	pos := map[topology.NodeID]int{}
-	for i, n := range used {
-		pos[n] = i
+	return used[(pos+1)%len(used)], true
+}
+
+func (m *Manager) writePartner(version int, data map[topology.Rank][]byte, res *Result) error {
+	if n := len(m.placement.UsedNodes()); n < 2 {
+		return fmt.Errorf("checkpoint: partner copies need at least 2 nodes, have %d", n)
 	}
 	net := &storage.Device{Name: "net", ReadBps: m.placement.Machine().NetBps, WriteBps: m.placement.Machine().NetBps}
 	perNode := map[topology.NodeID]time.Duration{}
 	for r, blob := range data {
-		home := m.placement.NodeOf(r)
-		partner := used[(pos[home]+1)%len(used)]
+		partner, _ := m.partnerOf(m.placement.NodeOf(r))
 		st, err := m.cluster.Local(partner)
 		if err != nil {
 			return err
@@ -392,9 +396,12 @@ func (m *Manager) writePartner(version int, data map[topology.Rank][]byte, res *
 	return nil
 }
 
-func (m *Manager) encodeGroups(version int, data map[topology.Rank][]byte, res *Result) error {
+// encodeGroups writes each group's k parity shards: the blobs are encoded
+// in place into freshly allocated parity buffers, whose ownership then
+// passes to the members' node stores; each shard's CRC32 goes into vm.
+func (m *Manager) encodeGroups(version int, data map[topology.Rank][]byte, vm *versionMeta, res *Result) error {
 	for gi, group := range m.groups {
-		padded, skip, err := m.padGroup(gi, group, version, data)
+		shards, size, skip, err := groupShards(gi, group, version, data)
 		if err != nil {
 			return err
 		}
@@ -402,29 +409,32 @@ func (m *Manager) encodeGroups(version int, data map[topology.Rank][]byte, res *
 			continue
 		}
 		k := len(group)
-		stream, err := m.streamFor(k)
+		codec, err := m.codecFor(k)
 		if err != nil {
 			return fmt.Errorf("checkpoint: group %d encoder: %w", gi, err)
 		}
-		gres, err := stream.Encode(padded)
+		parity := make([][]byte, k)
+		for i := range parity {
+			parity[i] = make([]byte, size)
+		}
+		gres, err := codec.rs.EncodeInto(shards, parity)
 		if err != nil {
 			return fmt.Errorf("checkpoint: group %d encode: %w", gi, err)
 		}
-		if gres.Elapsed > res.EncodeWallTime {
-			res.EncodeWallTime = gres.Elapsed
-		}
-		if gres.ModelTime > res.EncodeModelTime {
-			res.EncodeModelTime = gres.ModelTime
-		}
+		res.EncodeWallTime = max(res.EncodeWallTime, gres.Elapsed)
+		res.EncodeModelTime = max(res.EncodeModelTime, gres.ModelTime)
+		pm := parityMeta{size: size, crc: make([]uint32, k)}
 		for i, r := range group {
 			st, err := m.cluster.Local(m.placement.NodeOf(r))
 			if err != nil {
 				return err
 			}
-			if _, err := st.Put(keyL3(gi, i, version), gres.Parity[i]); err != nil {
+			pm.crc[i] = crc32.ChecksumIEEE(parity[i])
+			if _, err := st.PutOwned(keyL3(gi, i, version), parity[i]); err != nil {
 				return fmt.Errorf("checkpoint: group %d parity %d: %w", gi, i, err)
 			}
 		}
+		vm.parity[gi] = pm
 	}
 	return nil
 }

@@ -1,7 +1,6 @@
 package checkpoint
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -21,39 +20,55 @@ type Restored struct {
 
 // Restore recovers the checkpoints of the given ranks at version, picking
 // per rank the cheapest level that survived: local SSD, partner copy,
-// Reed–Solomon group reconstruction, then PFS. It returns one Restored per
-// requested rank or ErrUnrecoverable (wrapped) if any rank cannot be
-// recovered.
+// Reed–Solomon group reconstruction, XOR reconstruction, then PFS. It
+// returns one Restored per requested rank, in request order, or
+// ErrUnrecoverable (wrapped) if any rank cannot be recovered. Every
+// Restored.Data is a fresh buffer the caller owns.
 func (m *Manager) Restore(version int, ranks []topology.Rank) ([]Restored, error) {
-	out := make([]Restored, 0, len(ranks))
-	// Group reconstructions are cached: rebuilding one member recovers all.
-	rebuilt := map[int][][]byte{}
-	for _, r := range ranks {
-		meta, ok := m.meta[version][r]
+	vm := m.meta[version]
+	if vm == nil {
+		vm = &versionMeta{} // unknown version: every lookup below misses
+	}
+	out := make([]Restored, len(ranks))
+	// Ranks that neither their SSD nor their partner can supply queue up by
+	// encoding group, so that each damaged group is decoded once, for
+	// exactly the members asked for.
+	var pending []int // indices into ranks
+	byGroup := map[int][]int{}
+	for i, r := range ranks {
+		meta, ok := vm.ranks[r]
 		if !ok {
 			return nil, fmt.Errorf("checkpoint: rank %d has no version-%d checkpoint: %w", r, version, ErrUnrecoverable)
 		}
-		if blob, ok := m.tryLocal(version, r, &meta); ok {
-			out = append(out, Restored{Rank: r, Level: L1Local, Data: blob})
-			continue
+		out[i].Rank = r
+		if blob, ok := m.viewLocal(version, r, &meta); ok {
+			out[i].Level, out[i].Data = L1Local, append([]byte(nil), blob...)
+		} else if blob, ok := m.tryPartner(version, r, &meta); ok {
+			out[i].Level, out[i].Data = L2Partner, blob
+		} else {
+			pending = append(pending, i)
+			if mb, ok := m.memberOf[r]; ok {
+				byGroup[mb.group] = append(byGroup[mb.group], i)
+			}
 		}
-		if blob, ok := m.tryPartner(version, r, &meta); ok {
-			out = append(out, Restored{Rank: r, Level: L2Partner, Data: blob})
-			continue
+	}
+	for _, i := range pending {
+		r := ranks[i]
+		meta := vm.ranks[r]
+		if mb, ok := m.memberOf[r]; ok && byGroup[mb.group] != nil {
+			m.decodeGroup(version, vm, mb.group, byGroup[mb.group], out)
+			delete(byGroup, mb.group)
 		}
-		if blob, ok := m.tryGroupDecode(version, r, &meta, rebuilt); ok {
-			out = append(out, Restored{Rank: r, Level: L3Encoded, Data: blob})
-			continue
+		if out[i].Level != 0 {
+			continue // the group decode supplied it
 		}
-		if blob, ok := m.tryXORDecode(version, r, &meta); ok {
-			out = append(out, Restored{Rank: r, Level: L3XOR, Data: blob})
-			continue
+		if blob, ok := m.tryXORDecode(version, vm, r, &meta); ok {
+			out[i].Level, out[i].Data = L3XOR, blob
+		} else if blob, ok := m.tryPFS(version, r, &meta); ok {
+			out[i].Level, out[i].Data = L4PFS, blob
+		} else {
+			return nil, fmt.Errorf("checkpoint: rank %d version %d lost at all levels: %w", r, version, ErrUnrecoverable)
 		}
-		if blob, ok := m.tryPFS(version, r, &meta); ok {
-			out = append(out, Restored{Rank: r, Level: L4PFS, Data: blob})
-			continue
-		}
-		return nil, fmt.Errorf("checkpoint: rank %d version %d lost at all levels: %w", r, version, ErrUnrecoverable)
 	}
 	return out, nil
 }
@@ -62,12 +77,16 @@ func (m *Manager) verify(meta *Meta, blob []byte) bool {
 	return int64(len(blob)) == meta.Size && crc32.ChecksumIEEE(blob) == meta.Checksum
 }
 
-func (m *Manager) tryLocal(version int, r topology.Rank, meta *Meta) ([]byte, bool) {
+// viewLocal returns a borrowed view (see storage.LocalStore.View) of r's L1
+// checkpoint if it survives and passes its integrity check. A blob that
+// fails the check is as lost as an erased one: feeding it to a decoder
+// would silently corrupt the group.
+func (m *Manager) viewLocal(version int, r topology.Rank, meta *Meta) ([]byte, bool) {
 	st, err := m.cluster.Local(m.placement.NodeOf(r))
 	if err != nil {
 		return nil, false
 	}
-	blob, _, err := st.Get(keyL1(r, version))
+	blob, _, err := st.View(keyL1(r, version))
 	if err != nil || !m.verify(meta, blob) {
 		return nil, false
 	}
@@ -75,22 +94,11 @@ func (m *Manager) tryLocal(version int, r topology.Rank, meta *Meta) ([]byte, bo
 }
 
 func (m *Manager) tryPartner(version int, r topology.Rank, meta *Meta) ([]byte, bool) {
-	used := m.placement.UsedNodes()
-	if len(used) < 2 {
+	partner, ok := m.partnerOf(m.placement.NodeOf(r))
+	if !ok {
 		return nil, false
 	}
-	pos := -1
-	home := m.placement.NodeOf(r)
-	for i, n := range used {
-		if n == home {
-			pos = i
-			break
-		}
-	}
-	if pos == -1 {
-		return nil, false
-	}
-	st, err := m.cluster.Local(used[(pos+1)%len(used)])
+	st, err := m.cluster.Local(partner)
 	if err != nil {
 		return nil, false
 	}
@@ -109,214 +117,149 @@ func (m *Manager) tryPFS(version int, r topology.Rank, meta *Meta) ([]byte, bool
 	return blob, true
 }
 
-// tryGroupDecode reconstructs r's checkpoint from its encoding group's
-// surviving data and parity shards.
-func (m *Manager) tryGroupDecode(version int, r topology.Rank, meta *Meta, cache map[int][][]byte) ([]byte, bool) {
-	gi, ok := m.groupOf[r]
+// decodeGroup rebuilds, with one Reed–Solomon decode, the checkpoints of the
+// members of group gi listed in idxs (indices into out) and fills in those
+// that pass their integrity check. The decode reads borrowed views of
+// exactly k verified survivors, data shards first, and writes only the
+// requested members' blobs, into fresh buffers.
+func (m *Manager) decodeGroup(version int, vm *versionMeta, gi int, idxs []int, out []Restored) {
+	pm, ok := vm.parity[gi]
 	if !ok {
-		return nil, false
+		return // this version holds no RS parity for the group
 	}
 	group := m.groups[gi]
-	idx := -1
-	for i, member := range group {
-		if member == r {
-			idx = i
+	k := len(group)
+	codec, err := m.codecFor(k)
+	if err != nil {
+		return
+	}
+	rows := make([]int, 0, k)
+	survivors := make([][]byte, 0, k)
+	for i, r := range group {
+		meta, ok := vm.ranks[r]
+		if !ok {
+			continue
+		}
+		if blob, ok := m.viewLocal(version, r, &meta); ok {
+			rows = append(rows, i)
+			survivors = append(survivors, asShard(blob, pm.size))
+		}
+	}
+	for i, r := range group {
+		if len(rows) == k {
 			break
 		}
-	}
-	if idx == -1 {
-		return nil, false
-	}
-	shards, ok := cache[gi]
-	if !ok {
-		shards = m.collectGroupShards(version, gi)
-		rs, err := m.codecFor(len(group))
+		st, err := m.cluster.Local(m.placement.NodeOf(r))
 		if err != nil {
-			return nil, false
+			continue
 		}
-		start := time.Now()
-		err = rs.Reconstruct(shards)
-		m.decodeWall += time.Since(start)
-		if err != nil {
-			cache[gi] = nil // remember the failure
-			return nil, false
+		// A parity shard that fails its CRC is erased, like a data shard.
+		p, _, err := st.View(keyL3(gi, i, version))
+		if err == nil && len(p) == pm.size && crc32.ChecksumIEEE(p) == pm.crc[i] {
+			rows = append(rows, k+i)
+			survivors = append(survivors, p)
 		}
-		cache[gi] = shards
 	}
-	if shards == nil {
-		return nil, false
+	if len(rows) < k {
+		return
 	}
-	blob, err := unpadShard(shards[idx])
-	if err != nil || !m.verify(meta, blob) {
-		return nil, false
+	want := make([]int, len(idxs))
+	bufs := make([][]byte, len(idxs))
+	for j, i := range idxs {
+		want[j] = m.memberOf[out[i].Rank].index
+		bufs[j] = make([]byte, vm.ranks[out[i].Rank].Size)
 	}
-	return blob, true
+	start := time.Now()
+	err = codec.rs.Decode(rows, survivors, want, bufs)
+	m.decodeWall += time.Since(start)
+	if err != nil {
+		return
+	}
+	for j, i := range idxs {
+		if meta := vm.ranks[out[i].Rank]; m.verify(&meta, bufs[j]) {
+			out[i].Level, out[i].Data = L3Encoded, bufs[j]
+		}
+	}
 }
 
 // tryXORDecode rebuilds r's checkpoint from the group's single XOR parity
 // shard, which requires every *other* member's local checkpoint to survive.
-func (m *Manager) tryXORDecode(version int, r topology.Rank, meta *Meta) ([]byte, bool) {
-	gi, ok := m.groupOf[r]
+// The missing shard is the XOR of those k survivors — exactly what
+// XOR.Encode computes — taken over borrowed views, r's length only.
+func (m *Manager) tryXORDecode(version int, vm *versionMeta, r topology.Rank, meta *Meta) ([]byte, bool) {
+	mb, ok := m.memberOf[r]
 	if !ok {
 		return nil, false
 	}
-	group := m.groups[gi]
-	k := len(group)
-	// Fetch the parity (lives on the first member's node).
+	group := m.groups[mb.group]
+	codec, err := m.codecFor(len(group))
+	if err != nil {
+		return nil, false
+	}
+	// The parity lives on the first member's node.
 	st, err := m.cluster.Local(m.placement.NodeOf(group[0]))
 	if err != nil {
 		return nil, false
 	}
-	parity, _, err := st.Get(keyXOR(gi, version))
-	if err != nil {
+	parity, _, err := st.View(keyXOR(mb.group, version))
+	if err != nil || int64(len(parity)) < meta.Size {
 		return nil, false
 	}
-	shards := make([][]byte, k+1)
-	shards[k] = parity
-	idx := -1
-	for i, member := range group {
-		if member == r {
-			idx = i
+	n := int(meta.Size)
+	survivors := append(make([][]byte, 0, len(group)), parity[:n])
+	for _, other := range group {
+		if other == r {
 			continue // the shard we are rebuilding
 		}
-		mst, err := m.cluster.Local(m.placement.NodeOf(member))
-		if err != nil {
+		ometa, ok := vm.ranks[other]
+		if !ok {
 			return nil, false
 		}
-		blob, _, err := mst.Get(keyL1(member, version))
-		if err != nil {
+		blob, ok := m.viewLocal(version, other, &ometa)
+		if !ok {
 			return nil, false
 		}
-		if mmeta, ok := m.meta[version][member]; ok && !m.verify(&mmeta, blob) {
-			return nil, false
-		}
-		p := make([]byte, len(parity))
-		binary.LittleEndian.PutUint32(p[:4], uint32(len(blob)))
-		copy(p[4:], blob)
-		shards[i] = p
+		survivors = append(survivors, asShard(blob, n))
 	}
-	if idx == -1 {
-		return nil, false
-	}
-	codec, err := erasure.NewXOR(k)
-	if err != nil {
-		return nil, false
-	}
+	blob := make([]byte, n)
 	start := time.Now()
-	err = codec.Reconstruct(shards)
+	err = codec.xor.Encode(survivors, blob)
 	m.decodeWall += time.Since(start)
-	if err != nil {
-		return nil, false
-	}
-	blob, err := unpadShard(shards[idx])
 	if err != nil || !m.verify(meta, blob) {
 		return nil, false
 	}
 	return blob, true
 }
 
-// collectGroupShards gathers the k padded data shards and k parity shards
-// of a group, nil where lost. Data shards are re-padded from surviving L1
-// checkpoints using the group's padded size (parity length).
-func (m *Manager) collectGroupShards(version, gi int) [][]byte {
-	group := m.groups[gi]
-	k := len(group)
-	shards := make([][]byte, 2*k)
-	paddedLen := 0
-	// Parity first: its length defines the padded shard size.
-	for i, r := range group {
-		st, err := m.cluster.Local(m.placement.NodeOf(r))
-		if err != nil {
-			continue
-		}
-		if p, _, err := st.Get(keyL3(gi, i, version)); err == nil {
-			shards[k+i] = p
-			if len(p) > paddedLen {
-				paddedLen = len(p)
-			}
-		}
-	}
-	for i, r := range group {
-		st, err := m.cluster.Local(m.placement.NodeOf(r))
-		if err != nil {
-			continue
-		}
-		blob, _, err := st.Get(keyL1(r, version))
-		if err != nil {
-			continue
-		}
-		// A shard that fails its integrity check is as lost as an erased
-		// one: feeding it to the decoder would silently corrupt the group.
-		if meta, ok := m.meta[version][r]; ok && !m.verify(&meta, blob) {
-			continue
-		}
-		if paddedLen < len(blob)+4 {
-			paddedLen = len(blob) + 4
-		}
-		p := make([]byte, paddedLen)
-		binary.LittleEndian.PutUint32(p[:4], uint32(len(blob)))
-		copy(p[4:], blob)
-		shards[i] = p
-	}
-	// Normalize: all non-nil shards must share paddedLen (possible mismatch
-	// when no parity survived but data shards differ — harmless, RS will
-	// reject; re-pad to the common maximum).
-	for i, s := range shards[:k] {
-		if s != nil && len(s) != paddedLen {
-			p := make([]byte, paddedLen)
-			copy(p, s)
-			shards[i] = p
-		}
-	}
-	return shards
-}
-
-func unpadShard(p []byte) ([]byte, error) {
-	if len(p) < 4 {
-		return nil, errors.New("checkpoint: padded shard too short")
-	}
-	n := binary.LittleEndian.Uint32(p[:4])
-	if int(n) > len(p)-4 {
-		return nil, fmt.Errorf("checkpoint: padded length %d exceeds shard size %d", n, len(p)-4)
-	}
-	return p[4 : 4+n], nil
-}
-
-// GC removes all checkpoint artifacts of versions strictly below keep.
+// GC removes all checkpoint artifacts of versions strictly below keep. The
+// manager knows where every key it may have written lives, so it deletes
+// them directly; deleting a key that was never written is a no-op.
 func (m *Manager) GC(keep int) {
-	for v := range m.meta {
+	for v, vm := range m.meta {
 		if v >= keep {
 			continue
 		}
-		for r := range m.meta[v] {
-			node := m.placement.NodeOf(r)
-			if st, err := m.cluster.Local(node); err == nil {
-				_ = st.Delete(keyL1(r, v))
+		for r := range vm.ranks {
+			home := m.placement.NodeOf(r)
+			m.deleteLocal(home, keyL1(r, v))
+			if partner, ok := m.partnerOf(home); ok {
+				m.deleteLocal(partner, keyL2(r, v))
 			}
 			m.cluster.PFS().Delete(keyPFS(r, v))
 		}
-		// partner copies and parity can live on any node: sweep all.
-		for _, n := range m.placement.UsedNodes() {
-			st, err := m.cluster.Local(n)
-			if err != nil || st.Failed() {
-				continue
-			}
-			for _, key := range st.Keys() {
-				var rr, vv, g, i int
-				if _, err := fmt.Sscanf(key, "l2p/%d/%d", &rr, &vv); err == nil && vv == v {
-					_ = st.Delete(key)
-					continue
-				}
-				if _, err := fmt.Sscanf(key, "l3p/%d/%d/%d", &g, &i, &vv); err == nil && vv == v {
-					_ = st.Delete(key)
-					continue
-				}
-				if _, err := fmt.Sscanf(key, "l3x/%d/%d", &g, &vv); err == nil && vv == v {
-					_ = st.Delete(key)
-				}
+		for gi, group := range m.groups {
+			m.deleteLocal(m.placement.NodeOf(group[0]), keyXOR(gi, v))
+			for i, r := range group {
+				m.deleteLocal(m.placement.NodeOf(r), keyL3(gi, i, v))
 			}
 		}
 		delete(m.meta, v)
+	}
+}
+
+func (m *Manager) deleteLocal(n topology.NodeID, key string) {
+	if st, err := m.cluster.Local(n); err == nil {
+		_ = st.Delete(key) // fails only on a failed store, which holds nothing
 	}
 }
 

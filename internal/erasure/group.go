@@ -60,8 +60,6 @@ func NewGroupEncoder(k, m, chunkSize, workers int) (*GroupEncoder, error) {
 
 // Encode produces parity for the group's data shards. All shards must have
 // equal length. The returned GroupResult owns freshly allocated parity.
-// Callers encoding repeatedly should prefer NewStream, which reuses parity
-// buffers across calls.
 func (ge *GroupEncoder) Encode(data [][]byte) (*GroupResult, error) {
 	size, err := ge.checkData(data)
 	if err != nil {
@@ -76,8 +74,7 @@ func (ge *GroupEncoder) Encode(data [][]byte) (*GroupResult, error) {
 
 // EncodeInto encodes into caller-provided parity buffers, allocating
 // nothing: each parity slice must match the data shard length and is
-// overwritten. Stream.Encode layers buffer ownership on top of this entry
-// point; callers managing their own buffers use it directly.
+// overwritten. The data shards are only read.
 func (ge *GroupEncoder) EncodeInto(data, parity [][]byte) (*GroupResult, error) {
 	size, err := ge.checkData(data)
 	if err != nil {
@@ -123,37 +120,6 @@ func (ge *GroupEncoder) encodeTimed(data, parity [][]byte, size int) (*GroupResu
 	}, nil
 }
 
-// Stream is a single-goroutine encoding session that owns its parity
-// buffers, growing them on demand and reusing them across Encode calls.
-// Results alias the internal buffers: they are valid until the next Encode.
-type Stream struct {
-	ge     *GroupEncoder
-	parity [][]byte
-}
-
-// NewStream starts a buffer-reusing encode session. Streams are not safe
-// for concurrent use; the encoder itself still chunks each encode across
-// its worker pool.
-func (ge *GroupEncoder) NewStream() *Stream {
-	return &Stream{ge: ge, parity: make([][]byte, ge.rs.m)}
-}
-
-// Encode encodes one group, reusing the stream's parity buffers. The
-// returned parity is overwritten by the next call.
-func (s *Stream) Encode(data [][]byte) (*GroupResult, error) {
-	size, err := s.ge.checkData(data)
-	if err != nil {
-		return nil, err
-	}
-	for i := range s.parity {
-		if cap(s.parity[i]) < size {
-			s.parity[i] = make([]byte, size)
-		}
-		s.parity[i] = s.parity[i][:size]
-	}
-	return s.ge.EncodeInto(data, s.parity)
-}
-
 // encodeChunked splits one encode into chunkSize byte ranges across the
 // worker pool; each worker reuses its own pair of sub-slice headers.
 func (ge *GroupEncoder) encodeChunked(data, parity [][]byte, size int) error {
@@ -187,6 +153,12 @@ func (ge *GroupEncoder) encodeChunked(data, parity [][]byte, size int) error {
 // shard layout (k data then m parity, nil = lost).
 func (ge *GroupEncoder) Reconstruct(shards [][]byte) error {
 	return ge.rs.Reconstruct(shards)
+}
+
+// Decode rebuilds only the wanted data shards from exactly k survivors; see
+// RS.Decode.
+func (ge *GroupEncoder) Decode(rows []int, survivors [][]byte, want []int, out [][]byte) error {
+	return ge.rs.Decode(rows, survivors, want, out)
 }
 
 // Tolerance returns the number of simultaneous shard losses the group

@@ -136,31 +136,25 @@ func (r *RS) Reconstruct(shards [][]byte) error {
 		return ErrTooManyErasures
 	}
 
-	// Choose k surviving rows, invert that submatrix: decode = sub^-1.
+	// Decode the missing data shards from the first k survivors.
 	rows := present[:r.k]
-	sub := r.enc.subMatrix(rows)
-	dec, err := sub.invert()
-	if err != nil {
-		return fmt.Errorf("erasure: decode matrix singular: %w", err)
-	}
-
-	// Rebuild missing data shards: data[d] = dec.row(d) · surviving shards.
-	var missingData []int
-	for d := 0; d < r.k; d++ {
-		if shards[d] == nil {
-			missingData = append(missingData, d)
-		}
-	}
-	survivors := make([][]byte, len(rows))
+	survivors := make([][]byte, r.k)
 	for j, src := range rows {
 		survivors[j] = shards[src]
 	}
-	for _, d := range missingData {
-		out := make([]byte, size)
-		// 8-bit plans: decode coefficients are data-dependent one-shots,
-		// not worth building (and permanently caching) 16-bit tables for.
-		encodeRow(makePlan8(dec.row(d)), survivors, out)
-		shards[d] = out
+	var want []int
+	var out [][]byte
+	for d := 0; d < r.k; d++ {
+		if shards[d] == nil {
+			want = append(want, d)
+			out = append(out, make([]byte, size))
+		}
+	}
+	if err := r.Decode(rows, survivors, want, out); err != nil {
+		return err
+	}
+	for i, d := range want {
+		shards[d] = out[i]
 	}
 	// Rebuild missing parity from (now complete) data.
 	for p := 0; p < r.m; p++ {
@@ -170,6 +164,62 @@ func (r *RS) Reconstruct(shards [][]byte) error {
 		out := make([]byte, size)
 		encodeRow(r.parityPlans[p], shards[:r.k], out)
 		shards[r.k+p] = out
+	}
+	return nil
+}
+
+// Decode rebuilds data shards from exactly k surviving shards — the one
+// decode path: Reconstruct runs on it, and callers that know which shards
+// they need call it directly. survivors[j] is shard rows[j] (0..k-1 data,
+// k..k+m-1 parity), all of one size and only read; out[i] is overwritten
+// with data shard want[i]. An out[i] shorter than the shards receives that
+// prefix of the shard and only that prefix is computed.
+func (r *RS) Decode(rows []int, survivors [][]byte, want []int, out [][]byte) error {
+	if len(rows) != r.k {
+		return fmt.Errorf("erasure: got %d survivor rows, want %d", len(rows), r.k)
+	}
+	if err := r.checkShards(survivors, r.k); err != nil {
+		return err
+	}
+	for _, row := range rows {
+		if row < 0 || row >= r.k+r.m {
+			return fmt.Errorf("erasure: survivor row %d out of range 0..%d", row, r.k+r.m-1)
+		}
+	}
+	if len(out) != len(want) {
+		return fmt.Errorf("erasure: got %d output buffers for %d wanted shards", len(out), len(want))
+	}
+	size := len(survivors[0])
+	for i, d := range want {
+		if d < 0 || d >= r.k {
+			return fmt.Errorf("erasure: wanted shard %d is not a data shard 0..%d", d, r.k-1)
+		}
+		if len(out[i]) > size {
+			return fmt.Errorf("erasure: output buffer %d size %d exceeds shard size %d", i, len(out[i]), size)
+		}
+	}
+	if len(want) == 0 {
+		return nil
+	}
+	// decode = (the survivors' rows of the encoding matrix)^-1, so
+	// data[d] = dec.row(d) · survivors.
+	dec, err := r.enc.subMatrix(rows).invert()
+	if err != nil {
+		return fmt.Errorf("erasure: decode matrix singular: %w", err)
+	}
+	var prefix [][]byte // survivors cut to a short output's length
+	for i, d := range want {
+		src := survivors
+		if n := len(out[i]); n < size {
+			prefix = append(prefix[:0], survivors...)
+			for j := range prefix {
+				prefix[j] = prefix[j][:n]
+			}
+			src = prefix
+		}
+		// 8-bit plans: decode coefficients are data-dependent one-shots,
+		// not worth building (and permanently caching) 16-bit tables for.
+		encodeRow(makePlan8(dec.row(d)), src, out[i])
 	}
 	return nil
 }

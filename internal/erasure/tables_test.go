@@ -265,47 +265,3 @@ func TestEncodeIntoValidation(t *testing.T) {
 		t.Error("EncodeInto accepted short parity buffer")
 	}
 }
-
-func TestStreamReusesBuffers(t *testing.T) {
-	rng := rand.New(rand.NewSource(18))
-	ge, err := NewGroupEncoder(3, 2, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream := ge.NewStream()
-	var prev *byte
-	for round := 0; round < 3; round++ {
-		data := randShards(rng, 3, 50_000)
-		res, err := stream.Encode(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Correctness vs the one-shot path.
-		want, err := ge.Encode(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want.Parity {
-			if !bytes.Equal(res.Parity[i], want.Parity[i]) {
-				t.Fatalf("round %d: stream parity %d differs", round, i)
-			}
-		}
-		if prev != nil && prev != &res.Parity[0][0] {
-			t.Error("stream did not reuse its parity buffer across calls")
-		}
-		prev = &res.Parity[0][0]
-	}
-	// Shrinking then growing within capacity keeps reusing; a larger shard
-	// forces reallocation but must stay correct.
-	big := randShards(rng, 3, 80_000)
-	res, err := stream.Encode(big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := ge.Encode(big)
-	for i := range want.Parity {
-		if !bytes.Equal(res.Parity[i], want.Parity[i]) {
-			t.Fatalf("grown stream parity %d differs", i)
-		}
-	}
-}

@@ -91,17 +91,36 @@ func (s *LocalStore) Node() topology.NodeID { return s.node }
 
 // Put stores a copy of val under key and returns the simulated write time.
 func (s *LocalStore) Put(key string, val []byte) (time.Duration, error) {
+	return s.PutOwned(key, append([]byte(nil), val...))
+}
+
+// PutOwned stores val itself under key, without copying: the caller hands
+// the buffer over and must neither write nor keep it afterwards.
+func (s *LocalStore) PutOwned(key string, val []byte) (time.Duration, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.failed {
 		return 0, &FailedError{s.node}
 	}
-	s.data[key] = append([]byte(nil), val...)
+	s.data[key] = val
 	return s.dev.WriteTime(int64(len(val)), 1), nil
 }
 
 // Get returns a copy of the blob under key and the simulated read time.
 func (s *LocalStore) Get(key string) ([]byte, time.Duration, error) {
+	v, d, err := s.View(key)
+	if err != nil {
+		return nil, 0, err
+	}
+	return append([]byte(nil), v...), d, nil
+}
+
+// View returns the stored blob itself, without copying, and the simulated
+// read time. The view is borrowed: the caller must never write it, keep it
+// past the operation that took it, or return it to its own callers. Stored
+// blobs are replaced, never modified in place, so a view stays intact even
+// if its key is overwritten or its node fails meanwhile.
+func (s *LocalStore) View(key string) ([]byte, time.Duration, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.failed {
@@ -111,7 +130,7 @@ func (s *LocalStore) Get(key string) ([]byte, time.Duration, error) {
 	if !ok {
 		return nil, 0, &NotFoundError{Store: fmt.Sprintf("node %d SSD", s.node), Key: key}
 	}
-	return append([]byte(nil), v...), s.dev.ReadTime(int64(len(v)), 1), nil
+	return v, s.dev.ReadTime(int64(len(v)), 1), nil
 }
 
 // Delete removes a key; deleting an absent key is a no-op.

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -75,6 +76,44 @@ func TestLocalStorePutCopies(t *testing.T) {
 	v, _, _ := s.Get("k")
 	if v[0] != 7 {
 		t.Error("Put aliased the caller's buffer")
+	}
+}
+
+// TestLocalStoreOwnedAndView pins the zero-copy pair: PutOwned keeps the
+// caller's buffer, View hands out the stored one, and a view outlives an
+// overwrite or a node failure because stored blobs are never written.
+func TestLocalStoreOwnedAndView(t *testing.T) {
+	s := NewLocalStore(3, &Device{Name: "ssd", ReadBps: 1e6, WriteBps: 1e6})
+	buf := []byte{1, 2, 3}
+	if d, err := s.PutOwned("k", buf); err != nil || d <= 0 {
+		t.Fatalf("PutOwned = %v, %v", d, err)
+	}
+	v, d, err := s.View("k")
+	if err != nil || d <= 0 {
+		t.Fatalf("View = %v, %v", d, err)
+	}
+	if &v[0] != &buf[0] {
+		t.Error("PutOwned or View copied the buffer")
+	}
+	if g, _, _ := s.Get("k"); &g[0] == &buf[0] {
+		t.Error("Get returned the stored buffer")
+	}
+	_, _ = s.Put("k", []byte{9, 9, 9})
+	s.Fail()
+	if !bytes.Equal(v, []byte{1, 2, 3}) {
+		t.Errorf("view changed under overwrite and failure: %v", v)
+	}
+	var fe *FailedError
+	if _, _, err := s.View("k"); !errors.As(err, &fe) {
+		t.Errorf("View on failed store err = %v", err)
+	}
+	if _, err := s.PutOwned("k", buf); !errors.As(err, &fe) {
+		t.Errorf("PutOwned on failed store err = %v", err)
+	}
+	s.Repair()
+	var nf *NotFoundError
+	if _, _, err := s.View("k"); !errors.As(err, &nf) {
+		t.Errorf("View(missing) err = %v, want NotFoundError", err)
 	}
 }
 
