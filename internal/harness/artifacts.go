@@ -77,7 +77,8 @@ func WriteArtifacts(dir string, table *Table, cfg Config, id string) error {
 // rows. fig5b keeps its meaning as the zoom on the first four nodes.
 func writeSyntheticHeatmap(dir string, cfg Config, id string) error {
 	cfg.normalize()
-	m, _, err := SyntheticRig(cfg.MaxRanks, cfg.ProcsPerNode)
+	// The rig's stencil (SyntheticRig), materialized: a heatmap needs cells.
+	m, err := trace.Synthetic(cfg.MaxRanks, trace.SyntheticOptions{Pattern: trace.Stencil2D, Width: cfg.ProcsPerNode})
 	if err != nil {
 		return err
 	}

@@ -92,13 +92,14 @@ func scalingRow(t *Table, b core.Baseline, m trace.Comm, placement *topology.Pla
 	return nil
 }
 
-// SyntheticRig builds the large-scale evaluation input: a synthetic 2-D
-// stencil trace in CSR form (grid width = procsPerNode, so horizontal ghost
-// exchange stays intra-node under block placement and vertical exchange
-// crosses node boundaries, mirroring a blocked 2-D domain decomposition)
-// plus a block placement on a TSUBAME2-like machine grown to the required
-// node count. Exported for reuse by the benchmark suite.
-func SyntheticRig(ranks, procsPerNode int) (*trace.CSR, *topology.Placement, error) {
+// SyntheticRig builds the large-scale evaluation input the way the pipeline
+// does for a synthetic scenario: an implicit 2-D stencil trace (grid width =
+// procsPerNode, so horizontal ghost exchange stays intra-node under block
+// placement and vertical exchange crosses node boundaries, mirroring a
+// blocked 2-D domain decomposition) plus a block placement on a
+// TSUBAME2-like machine grown to the required node count. Exported for
+// reuse by the benchmark suite.
+func SyntheticRig(ranks, procsPerNode int) (trace.Comm, *topology.Placement, error) {
 	nodes := (ranks + procsPerNode - 1) / procsPerNode
 	mach := topology.Tsubame2()
 	if nodes > mach.Nodes {
@@ -111,7 +112,7 @@ func SyntheticRig(ranks, procsPerNode int) (*trace.CSR, *topology.Placement, err
 	if err != nil {
 		return nil, nil, err
 	}
-	m, err := trace.Synthetic(ranks, trace.SyntheticOptions{
+	m, err := trace.NewStencil(ranks, trace.SyntheticOptions{
 		Pattern: trace.Stencil2D,
 		Width:   procsPerNode,
 	})

@@ -25,33 +25,36 @@ type Placement struct {
 }
 
 // NewPlacement builds a placement from an explicit rank→node assignment.
-// Every referenced node must exist in the machine.
+// Every referenced node must exist in the machine. The slice is copied; the
+// caller may reuse it.
 func NewPlacement(m *Machine, nodeOf []NodeID) (*Placement, error) {
+	return newPlacement(m, append([]NodeID(nil), nodeOf...))
+}
+
+// newPlacement is NewPlacement taking ownership of nodeOf, for the
+// in-package constructors that build the slice themselves.
+func newPlacement(m *Machine, nodeOf []NodeID) (*Placement, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	p := &Placement{
-		machine:  m,
-		node:     make([]NodeID, len(nodeOf)),
-		rankPtr:  make([]int64, m.Nodes+1),
-		rankData: make([]Rank, len(nodeOf)),
-	}
+	// Counts go in shifted by one so that ptr[n+1] is node n's fill cursor
+	// after the prefix sum and node n+1's start once the fill is done.
+	ptr := make([]int64, m.Nodes+2)
 	for r, n := range nodeOf {
 		if n < 0 || int(n) >= m.Nodes {
 			return nil, fmt.Errorf("topology: rank %d placed on node %d; machine has %d nodes", r, n, m.Nodes)
 		}
-		p.node[r] = n
-		p.rankPtr[n+1]++
+		ptr[n+2]++
 	}
 	for n := 0; n < m.Nodes; n++ {
-		p.rankPtr[n+1] += p.rankPtr[n]
+		ptr[n+2] += ptr[n+1]
 	}
 	// Stable counting-sort fill: ranks ascend, so each node's span comes
 	// out ascending with no per-node sort.
-	fill := make([]int64, m.Nodes)
+	p := &Placement{machine: m, node: nodeOf, rankPtr: ptr[:m.Nodes+1], rankData: make([]Rank, len(nodeOf))}
 	for r, n := range nodeOf {
-		p.rankData[p.rankPtr[n]+fill[n]] = Rank(r)
-		fill[n]++
+		p.rankData[ptr[n+1]] = Rank(r)
+		ptr[n+1]++
 	}
 	p.refreshUsed()
 	return p, nil
@@ -97,7 +100,7 @@ func Block(m *Machine, nranks, procsPerNode int) (*Placement, error) {
 	for r := range nodeOf {
 		nodeOf[r] = NodeID(r / procsPerNode)
 	}
-	return NewPlacement(m, nodeOf)
+	return newPlacement(m, nodeOf)
 }
 
 // RoundRobin places consecutive ranks on consecutive nodes, wrapping around:
@@ -111,7 +114,7 @@ func RoundRobin(m *Machine, nranks, usedNodes int) (*Placement, error) {
 	for r := range nodeOf {
 		nodeOf[r] = NodeID(r % usedNodes)
 	}
-	return NewPlacement(m, nodeOf)
+	return newPlacement(m, nodeOf)
 }
 
 // Machine returns the machine this placement maps onto.

@@ -158,6 +158,21 @@ func TestNewPlacementRejectsBadNode(t *testing.T) {
 	}
 }
 
+// NewPlacement copies the caller's slice; only the in-package constructors
+// hand theirs over.
+func TestNewPlacementCopiesAssignment(t *testing.T) {
+	nodeOf := []NodeID{0, 1, 1, 3}
+	p, err := NewPlacement(&Machine{Name: "t", Nodes: 4}, nodeOf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodeOf[0], nodeOf[3] = 2, 2
+	if p.NodeOf(0) != 0 || p.NodeOf(3) != 3 || len(p.RanksOn(2)) != 0 {
+		t.Errorf("placement follows the caller's slice: rank 0 on %d, rank 3 on %d, node 2 hosts %v",
+			p.NodeOf(0), p.NodeOf(3), p.RanksOn(2))
+	}
+}
+
 func TestUsedNodes(t *testing.T) {
 	m := &Machine{Name: "t", Nodes: 10}
 	p, err := NewPlacement(m, []NodeID{0, 0, 3, 7})

@@ -1,17 +1,23 @@
 package trace
 
 import (
+	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 
+	"hierclust/internal/graph"
 	"hierclust/internal/topology"
 )
 
-// refNodeCSR is the map-based NodeCSR the dense-accumulator fold replaced:
-// a node→index map and a SparseBuilder (hash row per node, sort.Slice per
-// row at Freeze). The differential test pins the flat build's CSR arrays to
-// it (the internal/graph/reference_test.go idiom).
+// refNodeCSR is the map-based node aggregation the dense-accumulator fold
+// replaced: a node→index map and a SparseBuilder (hash row per node,
+// sort.Slice per row at Freeze), messages included. With refToGraph it is
+// the retired NodeCSR → symmetrize → ToGraph composition the differential
+// tests pin nodeGraph to (the internal/graph/reference_test.go idiom).
 func refNodeCSR(c *CSR, p *topology.Placement) *CSR {
 	used := p.UsedNodes()
 	idx := map[topology.NodeID]int{}
@@ -30,6 +36,80 @@ func refNodeCSR(c *CSR, p *topology.Placement) *CSR {
 		}
 	}
 	return b.Freeze()
+}
+
+// refToGraph is the symmetrize-then-filter ToGraph that symGraph replaced:
+// the symmetrized copy (msgs and all, here through Symmetrize's hash rows),
+// then a second rowPtr and a float64 weight array keeping the positive sums.
+func refToGraph(t *testing.T, c *CSR) *graph.Graph {
+	t.Helper()
+	sym := c.Symmetrize()
+	rowPtr := make([]int64, c.n+1)
+	var col []int32
+	var w []float64
+	for u := 0; u < c.n; u++ {
+		for i := sym.rowPtr[u]; i < sym.rowPtr[u+1]; i++ {
+			if sym.bytes[i] > 0 {
+				col = append(col, sym.col[i])
+				w = append(w, float64(sym.bytes[i]))
+			}
+		}
+		rowPtr[u+1] = int64(len(col))
+	}
+	g, err := graph.FromCSR(c.n, rowPtr, col, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// refSynthetic is the append loop Synthetic ran before it walked a Stencil's
+// rows: the neighbour rule written a second time, as the oracle.
+func refSynthetic(n int, opts SyntheticOptions) *CSR {
+	_ = opts.normalize(n)
+	bytes, msgs := opts.BytesPerMsg*int64(opts.Iterations), int64(opts.Iterations)
+	c := &CSR{n: n, rowPtr: make([]int64, n+1), col: []int32{}, bytes: []int64{}, msgs: []int64{}}
+	add := func(d int) {
+		c.col = append(c.col, int32(d))
+		c.bytes = append(c.bytes, bytes)
+		c.msgs = append(c.msgs, msgs)
+		c.totalBytes += bytes
+		c.totalMsgs += msgs
+	}
+	for r, w := 0, opts.Width; r < n; r++ {
+		if opts.Pattern == Stencil2D {
+			if r-w >= 0 {
+				add(r - w)
+			}
+			if r%w != 0 {
+				add(r - 1)
+			}
+			if r%w != w-1 && r+1 < n {
+				add(r + 1)
+			}
+			if r+w < n {
+				add(r + w)
+			}
+		} else {
+			if r > 0 {
+				add(r - 1)
+			}
+			if r+1 < n {
+				add(r + 1)
+			}
+		}
+		c.rowPtr[r+1] = int64(len(c.col))
+	}
+	return c
+}
+
+// sameGraph compares two FromCSR-built graphs field by field: rowptr, col,
+// weights, strengths and totals.
+func sameGraph(t *testing.T, what string, got, want *graph.Graph) {
+	t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: graph differs from reference\n got %+v\nwant %+v", what, got, want)
+	}
 }
 
 // testPlacement draws a block, round-robin or explicit placement of n
@@ -57,14 +137,17 @@ func testPlacement(t *testing.T, rng *rand.Rand, n int) *topology.Placement {
 	return p
 }
 
-func TestNodeCSRMatchesReference(t *testing.T) {
+// The one-fold NodeGraph and the symGraph-based ToGraph against the retired
+// composition, on asymmetric traces: one-direction cells, self-sends,
+// zero-byte cells that carry messages, and node cells that sum to zero.
+func TestNodeFoldMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(120)
 		b := NewSparseBuilder(n)
 		for adds := rng.Intn(6 * n); adds > 0; adds-- {
-			// Asymmetric, self-sends included, one cell in six byte-less,
-			// and a few negative cells so a node cell can sum to zero.
+			// One cell in six byte-less, and a few negative cells so a node
+			// cell can sum to zero.
 			bytes := int64(rng.Intn(6)) * 512
 			if rng.Intn(20) == 0 {
 				bytes = -512
@@ -72,23 +155,139 @@ func TestNodeCSRMatchesReference(t *testing.T) {
 			_ = b.Add(rng.Intn(n), rng.Intn(n), bytes)
 		}
 		c := b.Freeze()
+		sameGraph(t, fmt.Sprintf("seed %d ToGraph", seed), c.ToGraph(), refToGraph(t, c))
 		p := testPlacement(t, rng, n)
-		got, err := c.NodeCSR(p)
+		got, err := c.NodeGraph(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := refNodeCSR(c, p)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: NodeCSR differs from reference\n got %+v\nwant %+v", seed, got, want)
-		}
-		dense, err := c.ToDense().NodeMatrix(p)
+		sameGraph(t, fmt.Sprintf("seed %d NodeGraph", seed), got, refToGraph(t, refNodeCSR(c, p)))
+		dense, err := c.ToDense().NodeGraph(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.TotalBytes() != dense.TotalBytes() || got.TotalMsgs() != dense.TotalMsgs() {
-			t.Fatalf("seed %d: node totals %d/%d, dense %d/%d", seed,
-				got.TotalBytes(), got.TotalMsgs(), dense.TotalBytes(), dense.TotalMsgs())
+		for u := 0; u < got.N(); u++ {
+			for v := 0; v < got.N(); v++ {
+				if got.Weight(u, v) != dense.Weight(u, v) {
+					t.Fatalf("seed %d: weight (%d,%d) = %g, dense %g", seed, u, v, got.Weight(u, v), dense.Weight(u, v))
+				}
+			}
 		}
+	}
+}
+
+// The implicit Stencil against the CSR Synthetic materializes from it, and
+// that CSR against the second writing of the neighbour rule: every Comm
+// method, NNZ and WriteTo, under block, round-robin and ragged placements.
+func TestStencilMatchesSynthetic(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for _, n := range []int{1, 2, 7, 64, 4099} {
+		for _, opts := range []SyntheticOptions{
+			{Pattern: Stencil1D, Iterations: 7},
+			{Pattern: Stencil2D, Width: 1},
+			{Pattern: Stencil2D, Width: 3, BytesPerMsg: 96},
+			{Pattern: Stencil2D, Width: 4},
+			{Pattern: Stencil2D, Width: n},
+		} {
+			if opts.Width > n {
+				continue
+			}
+			what := fmt.Sprintf("n=%d %+v", n, opts)
+			c, err := Synthetic(n, opts)
+			if err != nil {
+				t.Fatal(what, err)
+			}
+			if want := refSynthetic(n, opts); !reflect.DeepEqual(c, want) {
+				t.Fatalf("%s: Synthetic differs from the reference loop", what)
+			}
+			s, err := NewStencil(n, opts)
+			if err != nil {
+				t.Fatal(what, err)
+			}
+			if s.Ranks() != c.Ranks() || s.NNZ() != c.NNZ() ||
+				s.TotalBytes() != c.TotalBytes() || s.TotalMsgs() != c.TotalMsgs() {
+				t.Fatalf("%s: stencil %d/%d/%d/%d, CSR %d/%d/%d/%d", what,
+					s.Ranks(), s.NNZ(), s.TotalBytes(), s.TotalMsgs(),
+					c.Ranks(), c.NNZ(), c.TotalBytes(), c.TotalMsgs())
+			}
+			for _, parts := range []int{1, 3, n} {
+				part := randomPart(rng, n, parts)
+				got, err1 := s.LoggedFraction(part)
+				want, err2 := c.LoggedFraction(part)
+				if err1 != nil || err2 != nil || got != want {
+					t.Fatalf("%s: logged fraction %v (%v), CSR %v (%v)", what, got, err1, want, err2)
+				}
+			}
+			var sb, cb bytes.Buffer
+			sn, err1 := s.WriteTo(&sb)
+			cn, err2 := c.WriteTo(&cb)
+			if err1 != nil || err2 != nil || sn != cn || !bytes.Equal(sb.Bytes(), cb.Bytes()) {
+				t.Fatalf("%s: WriteTo %d bytes (%v), CSR %d (%v), or contents differ", what, sn, err1, cn, err2)
+			}
+			ppn := 1 + rng.Intn(5) // ragged last node whenever ppn does not divide n
+			mach := &topology.Machine{Name: "t", Nodes: n + 8}
+			block, err1 := topology.Block(mach, n, ppn)
+			rr, err2 := topology.RoundRobin(mach, n, 1+rng.Intn(n))
+			if err1 != nil || err2 != nil {
+				t.Fatal(what, err1, err2)
+			}
+			for _, p := range []*topology.Placement{block, rr} {
+				got, err1 := s.NodeGraph(p)
+				want, err2 := c.NodeGraph(p)
+				if err1 != nil || err2 != nil {
+					t.Fatal(what, err1, err2)
+				}
+				sameGraph(t, what, got, want)
+			}
+		}
+	}
+	if _, err := mustStencil(t, 8).NodeGraph(mustBlock(t, 4, 2)); err == nil {
+		t.Error("NodeGraph accepted a placement of another rank count")
+	}
+	if _, err := mustStencil(t, 8).LoggedFraction(make([]int, 4)); err == nil {
+		t.Error("LoggedFraction accepted an assignment of another rank count")
+	}
+}
+
+func mustStencil(t testing.TB, n int) *Stencil {
+	t.Helper()
+	s, err := NewStencil(n, SyntheticOptions{Pattern: Stencil2D, Width: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func mustBlock(t testing.TB, ranks, ppn int) *topology.Placement {
+	t.Helper()
+	p, err := topology.Block(&topology.Machine{Name: "t", Nodes: (ranks + ppn - 1) / ppn}, ranks, ppn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// A rank count past int32 is an error before anything is allocated, not a
+// trace with negative columns.
+func TestRanksPastInt32Rejected(t *testing.T) {
+	if math.MaxInt == math.MaxInt32 {
+		t.Skip("int is 32 bits")
+	}
+	n := math.MaxInt32
+	n++
+	const want = "trace: 2147483648 ranks exceed the int32 column range"
+	if _, err := NewStencil(n, SyntheticOptions{}); err == nil || err.Error() != want {
+		t.Errorf("NewStencil: %v", err)
+	}
+	if _, err := Synthetic(n, SyntheticOptions{Pattern: Stencil2D}); err == nil || err.Error() != want {
+		t.Errorf("Synthetic: %v", err)
+	}
+	b := &SparseBuilder{n: n} // not NewSparseBuilder: that sizes n row headers
+	if err := b.Add(0, n-1, 8); err == nil || err.Error() != want {
+		t.Errorf("SparseBuilder.Add: %v", err)
+	}
+	if s, err := NewStencil(math.MaxInt32, SyntheticOptions{}); err != nil || s.NNZ() != 2*(math.MaxInt32-1) {
+		t.Errorf("NewStencil at the int32 limit: %v", err)
 	}
 }
 
@@ -127,38 +326,87 @@ func TestSyntheticSizedExactly(t *testing.T) {
 	}
 }
 
+// nodeGraphAllocs is NodeGraph's allocation count from either source at any
+// size: five arrays for the directed node CSR and its scratch, three for the
+// transpose, three for the merged adjacency, the Graph and its strengths.
+const nodeGraphAllocs = 13
+
 // A reintroduced per-rank or per-node allocation adds at least 768 objects
 // between the two sizes and fails here.
 func TestTraceAllocsIndependentOfRanks(t *testing.T) {
-	measure := func(ranks int) (synth, nodeGraph float64) {
+	for _, ranks := range []int{1024, 4096} {
 		opts := SyntheticOptions{Pattern: Stencil2D, Width: 4}
 		c, err := Synthetic(ranks, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mach := &topology.Machine{Name: "t", Nodes: ranks / 4}
-		p, err := topology.Block(mach, ranks, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		synth = testing.AllocsPerRun(3, func() {
+		p := mustBlock(t, ranks, 4)
+		synth := testing.AllocsPerRun(3, func() {
 			if _, err := Synthetic(ranks, opts); err != nil {
 				t.Fatal(err)
 			}
 		})
-		nodeGraph = testing.AllocsPerRun(3, func() {
-			if _, err := c.NodeGraph(p); err != nil {
-				t.Fatal(err)
+		if synth > 10 {
+			t.Errorf("%d ranks: Synthetic %v allocs, want <= 10", ranks, synth)
+		}
+		for _, m := range []Comm{c, mustStencil(t, ranks)} {
+			got := testing.AllocsPerRun(3, func() {
+				if _, err := m.NodeGraph(p); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got != nodeGraphAllocs {
+				t.Errorf("%d ranks: %T.NodeGraph %v allocs, want %d", ranks, m, got, nodeGraphAllocs)
 			}
-		})
-		return
+		}
 	}
-	s1, g1 := measure(1024)
-	s4, g4 := measure(4096)
-	if s1 != s4 || g1 != g4 {
-		t.Errorf("allocations grow with ranks: Synthetic %v -> %v, NodeGraph %v -> %v", s1, s4, g1, g4)
+}
+
+// The implicit source costs one small object however many ranks it covers,
+// its logged fraction allocates nothing, and its node fold at the hcbench
+// eval-128k shape allocates the same objects as at 1,024 ranks and under
+// three times the arrays the returned graph keeps (the directed node CSR and
+// its transpose are each as large as the merged adjacency).
+func TestStencilAllocationBound(t *testing.T) {
+	if got := testing.AllocsPerRun(3, func() { mustStencil(t, 1<<20) }); got > 1 || unsafe.Sizeof(Stencil{}) >= 256 {
+		t.Errorf("NewStencil at 2^20 ranks: %v allocs of %d B; want <= 1, < 256", got, unsafe.Sizeof(Stencil{}))
 	}
-	if s1 > 10 || g1 > 40 {
-		t.Errorf("Synthetic %v allocs (want <= 10), NodeGraph %v (want <= 40)", s1, g1)
+
+	const ranks, ppn = 131072, 4
+	s, p := mustStencil(t, ranks), mustBlock(t, ranks, ppn)
+	part := make([]int, ranks)
+	for r := range part {
+		part[r] = r / 16
+	}
+	if got := testing.AllocsPerRun(3, func() {
+		if _, err := s.LoggedFraction(part); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("Stencil.LoggedFraction: %v allocs, want 0", got)
+	}
+
+	g, err := s.NodeGraph(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := int64(16*g.N() + 8) // rowptr and strengths
+	for u := 0; u < g.N(); u++ {
+		own += 12 * int64(len(g.Neighbors(u))) // an int32 column and a float64 weight
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := s.NodeGraph(p); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	ratio := float64(res.AllocedBytesPerOp()) / float64(own)
+	t.Logf("NodeGraph allocates %d B/op in %d objects for a graph of %d B (%.2f×)",
+		res.AllocedBytesPerOp(), res.AllocsPerOp(), own, ratio)
+	if res.AllocsPerOp() != nodeGraphAllocs || ratio > 3.0 {
+		t.Errorf("NodeGraph: %d allocs (want %d), %.2f× the graph's arrays (limit 3.0×)",
+			res.AllocsPerOp(), nodeGraphAllocs, ratio)
 	}
 }

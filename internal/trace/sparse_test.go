@@ -202,17 +202,17 @@ func TestZeroByteMessageEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dn, err := dense.NodeMatrix(p)
+	dn, err := dense.NodeGraph(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sn, err := csr.NodeCSR(p)
+	sn, err := csr.NodeGraph(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dn.TotalMsgs() != sn.TotalMsgs() || dn.TotalBytes() != sn.TotalBytes() {
-		t.Errorf("node aggregation diverges: %d/%d vs %d/%d",
-			dn.TotalBytes(), dn.TotalMsgs(), sn.TotalBytes(), sn.TotalMsgs())
+	if dn.EdgeCount() != sn.EdgeCount() || dn.TotalWeight() != sn.TotalWeight() {
+		t.Errorf("node aggregation diverges: %d edges/%g vs %d/%g",
+			dn.EdgeCount(), dn.TotalWeight(), sn.EdgeCount(), sn.TotalWeight())
 	}
 }
 

@@ -1,6 +1,13 @@
 package trace
 
-import "fmt"
+import (
+	"fmt"
+	"io"
+	"math"
+
+	"hierclust/internal/graph"
+	"hierclust/internal/topology"
+)
 
 // Synthetic communication-matrix generation. The paper's traces come from
 // instrumented tsunami runs, which caps the evaluable scale at whatever the
@@ -61,70 +68,133 @@ func (o *SyntheticOptions) normalize(n int) error {
 	return nil
 }
 
-// Synthetic generates a deterministic communication matrix for n ranks
-// directly in CSR form — O(n) memory and time, no message-passing run
-// required. Both directions of every exchange are recorded, mirroring what
-// a Recorder would capture from a real stencil run.
-func Synthetic(n int, opts SyntheticOptions) (*CSR, error) {
+// checkColumns rejects a rank count the int32 column arrays cannot index.
+func checkColumns(n int) error {
+	if n > math.MaxInt32 {
+		return fmt.Errorf("trace: %d ranks exceed the int32 column range", n)
+	}
+	return nil
+}
+
+// Stencil is a synthetic trace in closed form: the pattern's neighbour rule
+// plus one pair's volume, O(1) memory at any rank count — what the pipeline
+// evaluates for a "synthetic" scenario (Synthetic materializes the same rows
+// for callers that need arrays). Immutable, so one Stencil may back any
+// number of concurrent evaluations, like a frozen CSR.
+type Stencil struct {
+	n     int
+	width int // grid width; 0 selects the 1-D rule
+	nnz   int
+	// One pair's volume, repeated so a row's values are a window of it.
+	bytes, msgs [4]int64
+}
+
+var _ Comm = (*Stencil)(nil)
+
+// NewStencil validates opts like Synthetic and returns the implicit trace.
+func NewStencil(n int, opts SyntheticOptions) (*Stencil, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("trace: synthetic trace needs at least 1 rank, got %d", n)
+	}
+	if err := checkColumns(n); err != nil {
+		return nil, err
 	}
 	if err := opts.normalize(n); err != nil {
 		return nil, err
 	}
-	bytes := opts.BytesPerMsg * int64(opts.Iterations)
-	msgs := int64(opts.Iterations)
-
-	// The stencil's pair count is known in closed form, so the three value
-	// arrays are sized once instead of grown by append.
-	var nnz int
-	w := opts.Width
-	switch opts.Pattern {
-	case Stencil2D:
+	s := &Stencil{n: n, nnz: 2 * (n - 1)}
+	if opts.Pattern == Stencil2D {
 		// r±w exists for n-w ranks each; r-1 and r+1 exist wherever r (or
 		// r+1) is not the first column of a grid row.
-		nnz = 2*max(n-w, 0) + 2*(n-(n+w-1)/w)
-	default: // Stencil1D
-		nnz = 2 * (n - 1)
+		w := opts.Width
+		s.width, s.nnz = w, 2*max(n-w, 0)+2*(n-(n+w-1)/w)
+	}
+	for i := range s.bytes {
+		s.bytes[i] = opts.BytesPerMsg * int64(opts.Iterations)
+		s.msgs[i] = int64(opts.Iterations)
+	}
+	return s, nil
+}
+
+// Ranks returns the number of ranks the trace covers.
+func (s *Stencil) Ranks() int { return s.n }
+
+// NNZ returns the number of directed pairs, from the closed form.
+func (s *Stencil) NNZ() int { return s.nnz }
+
+// TotalBytes returns the total traffic volume.
+func (s *Stencil) TotalBytes() int64 { return s.bytes[0] * int64(s.nnz) }
+
+// TotalMsgs returns the total message count.
+func (s *Stencil) TotalMsgs() int64 { return s.msgs[0] * int64(s.nnz) }
+
+// row writes rank r's neighbours into buf in ascending order and returns how
+// many there are — the one place the neighbour rule is written.
+func (s *Stencil) row(r int, buf *[4]int32) int {
+	k := 0
+	add := func(ok bool, d int) {
+		if ok {
+			buf[k] = int32(d)
+			k++
+		}
+	}
+	if w := s.width; w > 0 {
+		c := int(uint32(r) % uint32(w)) // n fits int32; the 32-bit divide is the cheaper one
+		add(r-w >= 0, r-w)
+		add(c != 0, r-1)
+		add(c != w-1 && r+1 < s.n, r+1)
+		add(r+w < s.n, r+w)
+	} else {
+		add(r > 0, r-1)
+		add(r+1 < s.n, r+1)
+	}
+	return k
+}
+
+// LoggedFraction returns the cut share of the traffic under part.
+func (s *Stencil) LoggedFraction(part []int) (float64, error) {
+	return loggedFraction(s.view(new([4]int32)), s.TotalBytes(), part)
+}
+
+// NodeGraph folds the stencil under the placement into the undirected node
+// graph, without materializing a rank matrix.
+func (s *Stencil) NodeGraph(p *topology.Placement) (*graph.Graph, error) {
+	return nodeGraph(s.view(new([4]int32)), p)
+}
+
+// WriteTo streams the rows in the HCTR form, byte-identical to
+// Synthetic(...).WriteTo.
+func (s *Stencil) WriteTo(w io.Writer) (int64, error) {
+	return writeRows(w, s.view(new([4]int32)), s.nnz)
+}
+
+// Synthetic generates a deterministic communication matrix for n ranks
+// directly in CSR form — O(n) memory and time, no message-passing run
+// required. Both directions of every exchange are recorded, mirroring what
+// a Recorder would capture from a real stencil run. The arrays are sized
+// from the Stencil's pair count and filled by walking its rows.
+func Synthetic(n int, opts SyntheticOptions) (*CSR, error) {
+	s, err := NewStencil(n, opts)
+	if err != nil {
+		return nil, err
 	}
 	c := &CSR{
-		n:      n,
-		rowPtr: make([]int64, n+1),
-		col:    make([]int32, 0, nnz),
-		bytes:  make([]int64, 0, nnz),
-		msgs:   make([]int64, 0, nnz),
+		n:          n,
+		rowPtr:     make([]int64, n+1),
+		col:        make([]int32, 0, s.nnz),
+		bytes:      make([]int64, s.nnz),
+		msgs:       make([]int64, s.nnz),
+		totalBytes: s.TotalBytes(),
+		totalMsgs:  s.TotalMsgs(),
 	}
-	add := func(d int) {
-		c.col = append(c.col, int32(d))
-		c.bytes = append(c.bytes, bytes)
-		c.msgs = append(c.msgs, msgs)
+	for i := range c.bytes {
+		c.bytes[i], c.msgs[i] = s.bytes[0], s.msgs[0]
 	}
+	var buf [4]int32
 	for r := 0; r < n; r++ {
-		// Neighbors are added in ascending column order.
-		if opts.Pattern == Stencil2D {
-			if r-w >= 0 {
-				add(r - w)
-			}
-			if r%w != 0 {
-				add(r - 1)
-			}
-			if r%w != w-1 && r+1 < n {
-				add(r + 1)
-			}
-			if r+w < n {
-				add(r + w)
-			}
-		} else {
-			if r > 0 {
-				add(r - 1)
-			}
-			if r+1 < n {
-				add(r + 1)
-			}
-		}
+		k := s.row(r, &buf)
+		c.col = append(c.col, buf[:k]...)
 		c.rowPtr[r+1] = int64(len(c.col))
 	}
-	c.totalBytes = bytes * int64(len(c.col))
-	c.totalMsgs = msgs * int64(len(c.col))
 	return c, nil
 }

@@ -4,12 +4,13 @@
 // application (Figs. 5a/5b); here a Recorder plugs into simmpi's Tracer hook
 // and produces the same artifact.
 //
-// Two storage layouts implement the shared Comm read interface: the dense
-// Matrix (natural for heatmaps and submatrix zooms) and the sparse CSR
-// (O(n + nnz) memory, the layout that scales the pipeline to 100k+ ranks).
-// Both serialize to the same HCTR binary format via WriteTo, and ReadCSR
-// reads either. A frozen matrix — a CSR, or a Matrix once recording ends —
-// is immutable: every consumer (partitioning, evaluation, caching) only
+// Three sources implement the shared Comm read interface: the dense Matrix
+// (natural for heatmaps and submatrix zooms), the sparse CSR (O(n + nnz)
+// memory, the layout recorded and file traces use at 100k+ ranks) and the
+// implicit Stencil (a synthetic trace in closed form, O(1) memory). All
+// serialize to the same HCTR binary format via WriteTo, and ReadCSR reads
+// any of them. A frozen matrix — a CSR, a Stencil, or a Matrix once
+// recording ends — is immutable: every consumer (partitioning, evaluation, caching) only
 // reads, so one trace may back any number of concurrent evaluations. This
 // immutability is a pinned repository invariant; the trace cache in
 // pkg/hierclust depends on it.
@@ -26,11 +27,10 @@ import (
 )
 
 // Comm is the read-side view of a communication matrix shared by the dense
-// Matrix and the sparse CSR: everything the clustering pipeline needs
-// (totals, cut volumes, graph conversion) without committing callers to a
-// storage layout. Dense matrices stay the natural fit for heatmaps and
-// submatrix zooms; CSR scales the same pipeline to 100k+ ranks where an n×n
-// array would not fit in memory.
+// Matrix, the sparse CSR and the implicit Stencil: exactly what the
+// clustering pipeline reads through the interface (totals, the logged
+// fraction, the node-graph fold) without committing callers to a storage
+// layout. CutBytes and ToGraph stay methods of the concrete matrix types.
 type Comm interface {
 	// Ranks returns the number of ranks the matrix covers.
 	Ranks() int
@@ -38,13 +38,9 @@ type Comm interface {
 	TotalBytes() int64
 	// TotalMsgs returns the total message count.
 	TotalMsgs() int64
-	// CutBytes returns the bytes crossing cluster boundaries under part.
-	CutBytes(part []int) (int64, error)
-	// LoggedFraction returns CutBytes/TotalBytes (0 for an empty trace).
+	// LoggedFraction returns the share of TotalBytes crossing cluster
+	// boundaries under part (0 for an empty trace).
 	LoggedFraction(part []int) (float64, error)
-	// ToGraph converts to an undirected weighted graph (both directions
-	// summed), the partitioner's input.
-	ToGraph() *graph.Graph
 	// NodeGraph aggregates the rank matrix under a placement and returns
 	// the undirected node-based graph the L1 partitioner consumes.
 	NodeGraph(p *topology.Placement) (*graph.Graph, error)

@@ -46,8 +46,9 @@
 //     value is indistinguishable from a recomputation.
 //
 //   - Frozen-CSR immutability. Communication matrices handed to the
-//     pipeline (trace.CSR, and trace.Matrix after freeze) are never
-//     mutated downstream, so one trace may back any number of concurrent
+//     pipeline (trace.CSR, trace.Matrix after freeze, and the implicit
+//     trace.Stencil a synthetic source resolves to) are never mutated
+//     downstream, so one trace may back any number of concurrent
 //     evaluations — the property the trace cache and the singleflight
 //     build dedup depend on.
 //

@@ -426,7 +426,8 @@ func (pl *Pipeline) buildTrace(sc *Scenario, placement *Placement) (Comm, error)
 		if t.Pattern == "stencil2d" {
 			opts.Pattern = trace.Stencil2D
 		}
-		return trace.Synthetic(ranks, opts)
+		// The implicit row source: nothing rank-sized is materialized.
+		return trace.NewStencil(ranks, opts)
 	case "file":
 		f, err := os.Open(t.Path)
 		if err != nil {

@@ -103,8 +103,10 @@ func TestPipelineWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestPipelineFileSource: a serialized trace evaluates identically to the
-// in-memory matrix it was written from.
+// TestPipelineFileSource: the implicit stencil a synthetic scenario runs on
+// and the CSR read back from trace.Synthetic's serialization of the same
+// trace give the same Result, at any worker count, with the trace built
+// fresh or served by a trace cache (second Run of each pipeline).
 func TestPipelineFileSource(t *testing.T) {
 	m, err := trace.Synthetic(256, trace.SyntheticOptions{Pattern: trace.Stencil2D, Width: 8})
 	if err != nil {
@@ -124,19 +126,30 @@ func TestPipelineFileSource(t *testing.T) {
 
 	mem := syntheticScenario()
 	fromFile := syntheticScenario()
-	fromFile.Name = "test-file"
 	fromFile.Trace = TraceSpec{Source: "file", Path: path}
 
-	want, err := NewPipeline().Run(context.Background(), mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := NewPipeline().Run(context.Background(), fromFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Evaluations, want.Evaluations) {
-		t.Fatalf("file-sourced evaluations diverge from in-memory:\ngot  %+v\nwant %+v", got.Evaluations, want.Evaluations)
+	for _, workers := range []int{1, 4} {
+		for _, cached := range []bool{false, true} {
+			opts := []PipelineOption{WithWorkers(workers)}
+			if cached {
+				opts = append(opts, WithTraceCache(NewMemoryTraceCache(2)))
+			}
+			pl := NewPipeline(opts...)
+			want, err := pl.Run(context.Background(), fromFile)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for run := 0; run < 2; run++ {
+				got, err := pl.Run(context.Background(), mem)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("workers=%d cached=%v run %d: synthetic result diverges from the file-sourced one:\ngot  %+v\nwant %+v",
+						workers, cached, run, got, want)
+				}
+			}
+		}
 	}
 }
 

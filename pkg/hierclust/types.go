@@ -28,7 +28,8 @@ type (
 // The trace layer: who sent how many bytes to whom.
 type (
 	// Comm is the read-side view of a communication matrix, implemented
-	// by both the dense Matrix and the sparse CSR.
+	// by the dense Matrix, the sparse CSR and the implicit stencil a
+	// synthetic scenario evaluates.
 	Comm = trace.Comm
 	// Matrix is a dense communication matrix (natural for heatmaps and
 	// submatrix zooms at traced scales).
