@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"hierclust/internal/checkpoint"
@@ -408,14 +409,21 @@ func BenchmarkMultilevelSerial(b *testing.B) {
 }
 
 // BenchmarkMultilevel100kWorkers measures the multilevel partitioner's
-// worker scaling on the 131,072-node stencil. The assignment is bit-identical
+// worker scaling on the 131,072-node stencil. Each row sets GOMAXPROCS to its
+// worker count: the partitioner caps Workers at GOMAXPROCS, so under the
+// `-cpu 1` that scripts/bench.sh records with, the rows would otherwise be
+// four copies of the serial path. Rows above the host's CPU count are
+// skipped — they would time-slice, not scale. The assignment is bit-identical
 // at every worker count (pinned by the partition golden test); only the wall
-// clock may differ. On a single-core host the >1 rows only measure the
-// coordination overhead.
+// clock may differ.
 func BenchmarkMultilevel100kWorkers(b *testing.B) {
 	g := stencil131k()
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			if workers > runtime.NumCPU() {
+				b.Skipf("%d workers on %d CPUs", workers, runtime.NumCPU())
+			}
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 			opts := graph.PartitionOptions{MinSize: 4, TargetSize: 4, Multilevel: true, Workers: workers}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -447,12 +455,12 @@ func stencil1M() *graph.Graph {
 }
 
 // BenchmarkPartition1M measures the multilevel partitioner on the
-// million-node stencil — the scale proof for the cross-level gain-cache
-// projection and the parallel region commit. Target envelope: under one
-// second per partition. Skipped under -short (and therefore absent from
-// `make bench-smoke`-adjacent quick runs that pass it); the benchjson gate
-// tolerates one-sided benchmarks, so short baselines and full runs compare
-// cleanly.
+// million-node stencil: the same ladder as Partition100k at eight times the
+// vertex count, so a phase that stops scaling linearly shows here first.
+// Target envelope: under one second per partition. Skipped under -short (and
+// therefore absent from `make bench-smoke`-adjacent quick runs that pass
+// it); the benchjson gate tolerates one-sided benchmarks, so short baselines
+// and full runs compare cleanly.
 func BenchmarkPartition1M(b *testing.B) {
 	if testing.Short() {
 		b.Skip("million-node graph build: skipped under -short")

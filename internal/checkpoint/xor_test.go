@@ -3,8 +3,10 @@ package checkpoint
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
+	"hierclust/internal/storage"
 	"hierclust/internal/topology"
 )
 
@@ -80,21 +82,41 @@ func TestL3XORParityNodeLoss(t *testing.T) {
 }
 
 func TestL3XORFasterThanRS(t *testing.T) {
-	// The reason XOR exists: encoding must be much cheaper than RS(k,k)
-	// on the same data.
-	p, _, mgrXOR := rig(t, 4, 2, 4)
-	_, _, mgrRS := rig(t, 4, 2, 4)
+	// The reason XOR exists: its encode computes and stores one parity
+	// shard per group where RS(k,k) computes and stores k on the same data.
+	// Parity bytes are the deterministic form of that cost; the wall-clock
+	// ratio is the erasure benchmarks' to report.
+	const nodes, k = 4, 4
+	p, clXOR, mgrXOR := rig(t, nodes, 2, k)
+	_, clRS, mgrRS := rig(t, nodes, 2, k)
 	data := blobs(p, 23, 200_000)
-	rx, err := mgrXOR.Checkpoint(0, L3XOR, data)
-	if err != nil {
+	if _, err := mgrXOR.Checkpoint(0, L3XOR, data); err != nil {
 		t.Fatal(err)
 	}
-	rr, err := mgrRS.Checkpoint(0, L3Encoded, data)
-	if err != nil {
+	if _, err := mgrRS.Checkpoint(0, L3Encoded, data); err != nil {
 		t.Fatal(err)
 	}
-	if rx.EncodeWallTime >= rr.EncodeWallTime {
-		t.Errorf("XOR encode %v not faster than RS %v", rx.EncodeWallTime, rr.EncodeWallTime)
+	parityBytes := func(cl *storage.Cluster, prefix string) (n int) {
+		for node := 0; node < nodes; node++ {
+			st, err := cl.Local(topology.NodeID(node))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, key := range st.Keys() {
+				if strings.HasPrefix(key, prefix) {
+					val, _, err := st.View(key)
+					if err != nil {
+						t.Fatal(err)
+					}
+					n += len(val)
+				}
+			}
+		}
+		return n
+	}
+	xor, rs := parityBytes(clXOR, "l3x/"), parityBytes(clRS, "l3p/")
+	if xor == 0 || rs != k*xor {
+		t.Errorf("XOR stored %d parity bytes, RS %d; want RS = %d x XOR", xor, rs, k)
 	}
 }
 

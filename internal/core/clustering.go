@@ -203,11 +203,6 @@ type HierOptions struct {
 	// MatchingRounds bounds each coarsening level's heavy-edge matching
 	// rounds (0 = the partitioner default).
 	MatchingRounds int
-	// PartitionWorkers bounds the partitioner's worker pool — the
-	// multilevel matching/contraction phases and the refinement's
-	// speculative gain scans (0 = GOMAXPROCS). The clustering never
-	// depends on it.
-	PartitionWorkers int
 	// Cancel, when non-nil, is polled by the partitioner between
 	// coarsening levels and refinement passes; once it returns true,
 	// Hierarchical abandons the build and returns graph.ErrCancelled.
@@ -348,7 +343,6 @@ func partitionNodes(nodeGraph *graph.Graph, used []topology.NodeID, p *topology.
 			Multilevel:       opts.Multilevel,
 			CoarsenThreshold: opts.CoarsenThreshold,
 			MatchingRounds:   opts.MatchingRounds,
-			Workers:          opts.PartitionWorkers,
 			Cancel:           opts.Cancel,
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -296,6 +297,8 @@ func TestEvaluateRecoveryMatchesExported(t *testing.T) {
 // reintroduced per-node or per-group allocation adds at least one object
 // per extra node (768 between the two sizes) and fails here.
 func TestGlueAllocsIndependentOfRanks(t *testing.T) {
+	// One P: the partitioner's parallel phases allocate per worker.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	measure := func(ranks int) (hier, eval float64) {
 		mach := &topology.Machine{Name: "t", Nodes: ranks / 4}
 		p, err := topology.Block(mach, ranks, 4)
@@ -306,7 +309,7 @@ func TestGlueAllocsIndependentOfRanks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := HierOptions{Multilevel: true, PartitionWorkers: 1}
+		opts := HierOptions{Multilevel: true}
 		c, err := Hierarchical(m, p, opts)
 		if err != nil {
 			t.Fatal(err)

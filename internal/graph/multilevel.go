@@ -73,9 +73,7 @@ func multilevelPartition(g *Graph, opts PartitionOptions, ar *partArena) ([]int,
 	}
 
 	coarsest := levels[len(levels)-1]
-	// markBoundary when a finer level exists: the coarsest refinement's
-	// converged boundary flags seed the next level's gain-cache build.
-	part := singleLevel(coarsest.g, opts, coarsest.vw, ar, len(levels)-1, len(levels) > 1)
+	part := singleLevel(coarsest.g, opts, coarsest.vw, ar, len(levels)-1)
 
 	// Project back up, refining at every level: the coarse assignment seeds
 	// each finer level, and boundary moves that only make sense at finer
@@ -86,16 +84,6 @@ func multilevelPartition(g *Graph, opts PartitionOptions, ar *partArena) ([]int,
 	// The per-level assignment ping-pongs between two arena buffers: the
 	// read side is either singleLevel's freshly compacted slice or the
 	// other buffer, never the write side.
-	//
-	// Refinement state projects down with the assignment: the coarser
-	// level's converged boundary flags (in ar.state, written by the
-	// markBoundary pass) ride through cmap as a cacheSeed, so the finer
-	// cache build skips the cluster gathers and the first-pass evaluation
-	// for every vertex whose coarse image was interior — on well-clustered
-	// graphs, almost all of them. Each level's refinement then records its
-	// own flags for the level below (li > 0); the flags are read only
-	// during the first pass and rewritten only at convergence, so one
-	// buffer serves the whole ladder.
 	for li := len(levels) - 2; li >= 0; li-- {
 		if opts.cancelled() {
 			return nil, ErrCancelled
@@ -137,12 +125,8 @@ func multilevelPartition(g *Graph, opts PartitionOptions, ar *partArena) ([]int,
 		if li > 0 && lvlOpts.RefinePasses > 2 {
 			lvlOpts.RefinePasses = 2
 		}
-		seed := &cacheSeed{cmap: cmap, boundary: ar.state[:coarseN]}
-		if cacheProjectionOff {
-			seed = nil
-		}
 		setPhase("refine", li)
-		refineSeeded(l.g, part, sizes, lvlOpts, l.vw, ar, seed, li > 0)
+		refine(l.g, part, sizes, lvlOpts, l.vw, ar)
 		clearPhase()
 	}
 	if opts.cancelled() {
@@ -151,22 +135,18 @@ func multilevelPartition(g *Graph, opts PartitionOptions, ar *partArena) ([]int,
 	return compact(part), nil
 }
 
-// cacheProjectionOff disables the cross-level gain-cache projection, forcing
-// every level's full rebuild. Test-only: the bit-identity tests pin the
-// seeded path against this reference.
-var cacheProjectionOff bool
-
-// mergeSmallWeighted is mergeSmall for the weighted (multilevel) path:
-// same policy — fold every under-MinSize cluster into the neighbor it
-// communicates with most, respecting MaxSize when possible, MinSize being
-// the hard constraint — but indexed. Cluster members live in linked lists
-// and merged ids resolve through a union-find, so each merge touches only
-// the small cluster's own edges instead of rescanning the whole graph;
-// weighted growth can leave thousands of matching-leftover small clusters
-// where the unit path leaves at most one. Connection weights accumulate in
-// an epoch-stamped flat array (one slot per cluster id) instead of a
-// per-merge hash map; the winner is an order-independent maximum, so the
-// flat scan picks exactly the cluster the map iteration did.
+// mergeSmallWeighted folds every cluster below MinSize into the neighboring
+// cluster it communicates with most. If every candidate would exceed MaxSize
+// the bound is relaxed for that merge: the paper treats MinSize
+// (reliability) as the hard constraint and MaxSize (restart cost) as the
+// soft one. Sizes are in vertex-weight units, so the unit-weight single
+// level and the weighted coarse levels share it. Cluster members live in
+// linked lists and merged ids resolve through a union-find, so each merge
+// touches only the small cluster's own edges instead of rescanning the whole
+// graph; weighted growth can leave thousands of matching-leftover small
+// clusters where the unit path leaves at most one. Connection weights
+// accumulate in an epoch-stamped flat array (one slot per cluster id); the
+// winner is an order-independent maximum.
 func mergeSmallWeighted(g *Graph, part []int, sizes []int, opts PartitionOptions, ar *partArena) ([]int, []int) {
 	n := g.N()
 	k := len(sizes)

@@ -4,9 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
-
-	"hierclust/internal/pool"
 )
 
 // PartitionOptions bounds the clusters produced by Partition.
@@ -123,7 +120,7 @@ func Partition(g *Graph, opts PartitionOptions) ([]int, error) {
 	if opts.Multilevel && n > opts.CoarsenThreshold {
 		return multilevelPartition(g, opts, ar)
 	}
-	part := singleLevel(g, opts, nil, ar, 0, false)
+	part := singleLevel(g, opts, nil, ar, 0)
 	if opts.cancelled() {
 		return nil, ErrCancelled
 	}
@@ -134,22 +131,13 @@ func Partition(g *Graph, opts PartitionOptions) ([]int, error) {
 // cluster sizes measured in vertex weight (vw nil = unit weights, the
 // original single-level behavior; multilevel coarse graphs pass the number
 // of original vertices inside each coarse vertex). level tags the pprof
-// phase labels; markBoundary asks refine to record per-vertex boundary
-// flags for the cross-level gain-cache projection (multilevel coarsest
-// level only).
-func singleLevel(g *Graph, opts PartitionOptions, vw []int, ar *partArena, level int, markBoundary bool) []int {
+// phase labels.
+func singleLevel(g *Graph, opts PartitionOptions, vw []int, ar *partArena, level int) []int {
 	setPhase("grow", level)
 	part, sizes := grow(g, opts, vw, ar)
-	if vw == nil {
-		part, sizes = mergeSmall(g, part, sizes, opts)
-	} else {
-		// Weighted growth can leave many undersized clusters (matching
-		// leftovers); the indexed merge handles thousands of them without
-		// mergeSmall's per-merge full-graph scans.
-		part, sizes = mergeSmallWeighted(g, part, sizes, opts, ar)
-	}
+	part, sizes = mergeSmallWeighted(g, part, sizes, opts, ar)
 	setPhase("refine", level)
-	refineSeeded(g, part, sizes, opts, vw, ar, nil, markBoundary)
+	refine(g, part, sizes, opts, vw, ar)
 	clearPhase()
 	return compact(part)
 }
@@ -288,7 +276,7 @@ func grow(g *Graph, opts PartitionOptions, vw []int, ar *partArena) ([]int, []in
 					// Weighted (multilevel) growth: no unassigned neighbor
 					// is available or fits. Pulling a distant vertex here
 					// would fabricate a non-contiguous cluster; stopping
-					// leaves any undersized cluster to mergeSmall, which
+					// leaves any undersized cluster to the merge, which
 					// folds it into its most-connected — adjacent —
 					// neighbor instead.
 					break
@@ -317,150 +305,23 @@ func grow(g *Graph, opts PartitionOptions, vw []int, ar *partArena) ([]int, []in
 	return part, sizes
 }
 
-// mergeSmall folds every cluster below MinSize into the neighboring cluster
-// it communicates with most. If every candidate would exceed MaxSize the
-// bound is relaxed for that merge: the paper treats MinSize (reliability) as
-// the hard constraint and MaxSize (restart cost) as the soft one.
-func mergeSmall(g *Graph, part []int, sizes []int, opts PartitionOptions) ([]int, []int) {
-	for {
-		small := -1
-		for id, s := range sizes {
-			if s > 0 && s < opts.MinSize {
-				small = id
-				break
-			}
-		}
-		if small == -1 {
-			return part, sizes
-		}
-		if len(activeClusters(sizes)) == 1 {
-			return part, sizes // nothing to merge with
-		}
-		// Connection weight from the small cluster to each other cluster.
-		conn := map[int]float64{}
-		for v := range part {
-			if part[v] != small {
-				continue
-			}
-			cols, ws := g.row(v)
-			for i, c := range cols {
-				if part[c] != small {
-					conn[part[c]] += ws[i]
-				}
-			}
-		}
-		target := -1
-		bestW := -1.0
-		for id, w := range conn {
-			fits := opts.MaxSize == 0 || sizes[id]+sizes[small] <= opts.MaxSize
-			if fits && (w > bestW || (w == bestW && (target == -1 || id < target))) {
-				target, bestW = id, w
-			}
-		}
-		if target == -1 { // no fitting neighbor: relax MaxSize, then fall
-			for id, w := range conn { // back to smallest cluster overall
-				if w > bestW || (w == bestW && (target == -1 || id < target)) {
-					target, bestW = id, w
-				}
-			}
-		}
-		if target == -1 {
-			for id, s := range sizes {
-				if id != small && s > 0 && (target == -1 || s < sizes[target]) {
-					target = id
-				}
-			}
-		}
-		if target == -1 {
-			return part, sizes
-		}
-		for v := range part {
-			if part[v] == small {
-				part[v] = target
-			}
-		}
-		sizes[target] += sizes[small]
-		sizes[small] = 0
-	}
-}
-
-func activeClusters(sizes []int) []int {
-	var out []int
-	for id, s := range sizes {
-		if s > 0 {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // refineParallelMin is the vertex count below which refine always runs its
 // plain serial sweep: the speculative scan's fork/join overhead only pays
 // off on graphs with tens of thousands of vertices.
 const refineParallelMin = 4096
 
-// cacheSeed carries the cross-level gain-cache projection into refine: cmap
-// maps each vertex of this level to its image in the next-coarser graph, and
-// boundary holds the coarser level's per-vertex boundary flags, extracted
-// from its converged gain cache (see markBoundary below). A vertex whose
-// image was interior — every coarse neighbor inside its own cluster — has,
-// after projection, every fine neighbor inside its own cluster too, so its
-// gain span is a single own-cluster entry summed in neighbor order without
-// reading one part[] slot, and its first-pass decision is "no move" without
-// evaluation. Boundary-image vertices rebuild exactly as the unseeded path
-// does, so the seeded cache is bit-identical to the full rebuild.
-type cacheSeed struct {
-	cmap     []int32
-	boundary []uint8
-}
-
-// refine performs boundary-move passes with a full (unseeded) cache build
-// and no boundary extraction — the historical entry point.
-func refine(g *Graph, part []int, sizes []int, opts PartitionOptions, vw []int, ar *partArena) {
-	refineSeeded(g, part, sizes, opts, vw, ar, nil, false)
-}
-
-// refineSeeded performs boundary-move passes: each vertex may move to the
-// neighboring cluster it communicates with most if the move strictly lowers
-// the cut and keeps both clusters within the size bounds.
-//
-// The per-vertex connection weights (vertex → adjacent cluster → weight) are
-// built once in O(E) and then maintained incrementally: moving v from
-// cluster a to cluster b only touches the cached entries of v's neighbors.
-// The cache lives in flat arrays spanned by the CSR row pointers — a vertex
-// touches at most deg(v) distinct clusters, so its row span always has room
-// — because one map per vertex (the previous layout) cost more to build
-// than the moves it served on 100k-vertex graphs, and the multilevel path
-// rebuilds the cache at every level. The arrays come from the arena, so
-// those per-level rebuilds reuse one finest-level allocation. A non-nil
-// seed shortcuts the build for vertices whose coarse image was interior
-// (see cacheSeed); markBoundary records this level's own boundary flags
-// into ar.state at convergence, seeding the next-finer level.
-//
-// Sizes are in weight units: moving v shifts vweight(vw, v), and the size
-// bounds hold in the same units (unit weights reproduce the historical
-// vertex-count behavior exactly).
-//
-// Every pass decides moves against pass-start state (the first pass fused
-// into the cache build itself) and then commits them: either through the
-// serial walk, or — when the decided moves split into independent regions —
-// through the parallel region commit (region_commit.go). Both commit forms
-// produce exactly the serial sweep's moves in the serial sweep's order, so
-// the assignment never depends on the worker count.
 // refineState is the refinement's working state, embedded in the arena so
 // the pass bodies can be methods instead of closures. The closure layout
 // heap-allocated every helper plus a cell for each variable the escaping
 // scan closures shared — about ten allocations per level, re-paid at every
 // level of the multilevel ladder; a method value on the arena-resident state
-// costs one. refineSeeded clears the struct on return so a pooled arena
-// never pins a finished graph.
+// costs one. refine clears the struct on return so a pooled arena never pins
+// a finished graph.
 type refineState struct {
 	g     *Graph
 	part  []int
 	sizes []int
 	vw    []int
-	ar    *partArena
-	seed  *cacheSeed
 
 	// connID/connW/connCnt[rowptr[v]:rowptr[v]+connLen[v]] = (cluster,
 	// weight, contributing neighbors) entries of v, unordered; lookups scan
@@ -487,14 +348,11 @@ type refineState struct {
 	clusterTouch []int32
 	lastEval     []int32
 
-	n            int
-	minSize      int
-	maxSize      int
-	workers      int
-	speculative  bool
-	regionFailed bool
-	moveCount    int32
-	movers       int32 // accessed atomically: per-pass decided-mover count
+	n           int
+	minSize     int
+	maxSize     int
+	speculative bool
+	moveCount   int32
 }
 
 func (rs *refineState) find(v, id int) int {
@@ -595,18 +453,16 @@ func (rs *refineState) stillNoMove(v int, since int32) bool {
 
 // commit applies the move v → to and maintains the incremental caches:
 // every neighbor of v sees v's weight shift from cluster `from` to
-// `to`; the stamps record what the move invalidated. The counter is a
-// pointer so the parallel region commit can stamp each region from its
-// own disjoint counter range.
-func (rs *refineState) commit(v, to int, mc *int32) {
+// `to`; the stamps record what the move invalidated.
+func (rs *refineState) commit(v, to int) {
 	from := rs.part[v]
 	wv := vweight(rs.vw, v)
 	rs.part[v] = to
 	rs.sizes[from] -= wv
 	rs.sizes[to] += wv
-	*mc++
-	rs.clusterTouch[from] = *mc
-	rs.clusterTouch[to] = *mc
+	rs.moveCount++
+	rs.clusterTouch[from] = rs.moveCount
+	rs.clusterTouch[to] = rs.moveCount
 	cols, ws := rs.g.row(v)
 	for i, c := range cols {
 		u := int(c)
@@ -615,7 +471,7 @@ func (rs *refineState) commit(v, to int, mc *int32) {
 		}
 		rs.sub(u, from, ws[i])
 		rs.add(u, to, ws[i])
-		rs.nbrTouch[u] = *mc
+		rs.nbrTouch[u] = rs.moveCount
 	}
 }
 
@@ -630,38 +486,12 @@ func (rs *refineState) commit(v, to int, mc *int32) {
 // earlier commits visible, so pass-start decisions would be wasted.)
 // The build body is the add() path hand-inlined over int offsets: this
 // loop is the hottest in the multilevel profile (it reruns at every
-// level of the ladder). A seeded (interior-image) vertex skips both
-// the part[] gathers and the decision.
+// level of the ladder).
 func (rs *refineState) buildDecide(lo, hi int) {
-	seed := rs.seed
 	connID, connW, connCnt, connLen := rs.connID, rs.connW, rs.connCnt, rs.connLen
-	nm := int32(0)
 	for v := lo; v < hi; v++ {
 		base := int(rs.rowptr[v])
 		cols, ws := rs.g.row(v)
-		if seed != nil && seed.boundary[seed.cmap[v]] == 0 {
-			// Interior coarse image: every neighbor shares v's cluster.
-			// The single-entry sum runs in the same ascending neighbor
-			// order as the full build, so the bits match exactly; the
-			// decision is "no move" by construction (no foreign entry).
-			var s float64
-			cnt := int32(0)
-			for i, c := range cols {
-				if int(c) == v {
-					continue
-				}
-				s += ws[i]
-				cnt++
-			}
-			if cnt > 0 {
-				connID[base], connW[base], connCnt[base] = int32(rs.part[v]), s, cnt
-				connLen[v] = 1
-			} else {
-				connLen[v] = 0
-			}
-			rs.desire[v] = -1
-			continue
-		}
 		ln := 0
 		for i, c := range cols {
 			if int(c) == v {
@@ -685,18 +515,9 @@ func (rs *refineState) buildDecide(lo, hi int) {
 			}
 		}
 		connLen[v] = int32(ln)
-		if !rs.speculative {
-			continue
+		if rs.speculative {
+			rs.desire[v] = int32(rs.decide(v))
 		}
-		if d := int32(rs.decide(v)); d >= 0 {
-			rs.desire[v] = d
-			nm++
-		} else {
-			rs.desire[v] = -1
-		}
-	}
-	if nm != 0 {
-		atomic.AddInt32(&rs.movers, nm)
 	}
 }
 
@@ -704,21 +525,12 @@ func (rs *refineState) buildDecide(lo, hi int) {
 // every vertex's move is precomputed against the pass-start state
 // (per-vertex slot writes only).
 func (rs *refineState) scan(lo, hi int) {
-	nm := int32(0)
 	for v := lo; v < hi; v++ {
 		if rs.stillNoMove(v, rs.lastEval[v]) {
 			rs.desire[v] = -1 // unchanged inputs re-derive "no move"
 			continue
 		}
-		if d := int32(rs.decide(v)); d >= 0 {
-			rs.desire[v] = d
-			nm++
-		} else {
-			rs.desire[v] = -1
-		}
-	}
-	if nm != 0 {
-		atomic.AddInt32(&rs.movers, nm)
+		rs.desire[v] = int32(rs.decide(v))
 	}
 }
 
@@ -740,7 +552,7 @@ func (rs *refineState) serialWalk() bool {
 			to = rs.decide(v) // inputs changed after the scan
 		}
 		if to >= 0 {
-			rs.commit(v, to, &rs.moveCount)
+			rs.commit(v, to)
 			rs.lastEval[v] = -1
 			moved = true
 		} else {
@@ -750,90 +562,36 @@ func (rs *refineState) serialWalk() bool {
 	return moved
 }
 
-// regionWalk commits one region's shadow exactly as serialWalk commits
-// the whole vertex range, stamping from the region's disjoint counter
-// window. Every input a shadow vertex can read — its gain span, its
-// own cluster's size, any cluster it is adjacent to — is owned by its
-// region (the planner's closure invariant), so concurrent regions
-// never observe each other and the committed moves are the serial
-// walk's, region by region.
-func (rs *refineState) regionWalk(shadow []int32, base, passStart int32) bool {
-	mc := base
-	moved := false
-	for _, v32 := range shadow {
-		v := int(v32)
-		to := int(rs.desire[v])
-		if mc != base && !rs.stillNoMove(v, passStart) {
-			to = rs.decide(v)
-		}
-		if to >= 0 {
-			rs.commit(v, to, &mc)
-			rs.lastEval[v] = -1
-			moved = true
-		} else {
-			rs.lastEval[v] = mc
-		}
-	}
-	return moved
-}
-
-// regionCommit plans and, when the decided moves split into at least
-// two mutually independent regions, commits them concurrently. It
-// reports whether it committed; false falls back to the serial walk.
-// One failed plan latches the fallback for the rest of this refinement
-// — the closure only grows as moves churn the same neighborhoods, so
-// retrying every pass would pay the O(n) planning sweep for nothing.
-func (rs *refineState) regionCommit(nMovers int) (bool, bool) {
-	if rs.regionFailed || !regionsEligible(nMovers, rs.n, rs.maxSize, rs.speculative) {
-		return false, false
-	}
-	plan := planRegions(rs.g, rs.part, len(rs.sizes), rs.desire, rs.ar, rs.n/4+16)
-	minRegions := 2
-	if regionCommitMode == regionForce {
-		minRegions = 1
-	}
-	if !plan.ok || plan.nr < minRegions {
-		rs.regionFailed = true
-		return false, false
-	}
-	if regionPlanHook != nil {
-		regionPlanHook(plan.nr, len(plan.buf))
-	}
-	passStart := rs.moveCount
-	// Each region stamps from a disjoint window sized by its shadow (a
-	// vertex commits at most once per pass) and laid out in region
-	// order — the plan's starts array is exactly that prefix — so stamp
-	// comparisons, always between events of one region or across
-	// passes, order exactly as the serial walk's shared counter does.
-	var anyMoved atomic.Bool
-	pool.Run(plan.nr, cappedWorkers(rs.workers), nil, func(r, _ int) {
-		if rs.regionWalk(plan.shadow(r), passStart+plan.starts[r], passStart) {
-			anyMoved.Store(true)
-		}
-	})
-	rs.moveCount = passStart + plan.starts[plan.nr]
-	// A vertex no region claimed saw none of its inputs change this
-	// pass; its standing "no move" is re-dated to the end of the pass,
-	// exactly as the serial walk would have left it order-wise.
-	claimed := plan.claimed
-	endCount := rs.moveCount
-	lastEval := rs.lastEval
-	parallelVertexRanges(rs.n, rs.workers, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			if claimed[v] == -1 {
-				lastEval[v] = endCount
-			}
-		}
-	})
-	return true, anyMoved.Load()
-}
-
-func refineSeeded(g *Graph, part []int, sizes []int, opts PartitionOptions, vw []int, ar *partArena, seed *cacheSeed, markBoundary bool) {
+// refine performs boundary-move passes: each vertex may move to the
+// neighboring cluster it communicates with most if the move strictly lowers
+// the cut and keeps both clusters within the size bounds.
+//
+// The per-vertex connection weights (vertex → adjacent cluster → weight) are
+// built once in O(E) and then maintained incrementally: moving v from
+// cluster a to cluster b only touches the cached entries of v's neighbors.
+// The cache lives in flat arrays spanned by the CSR row pointers — a vertex
+// touches at most deg(v) distinct clusters, so its row span always has room
+// — because one map per vertex (the previous layout) cost more to build
+// than the moves it served on 100k-vertex graphs, and the multilevel path
+// rebuilds the cache at every level. The arrays come from the arena, so
+// those per-level rebuilds reuse one finest-level allocation.
+//
+// Sizes are in weight units: moving v shifts vweight(vw, v), and the size
+// bounds hold in the same units (unit weights reproduce the historical
+// vertex-count behavior exactly).
+//
+// There are two commit forms, chosen by worker count and size. Small or
+// single-worker graphs run the plain serial sweep. Otherwise every pass
+// decides moves in parallel against pass-start state (the first pass fused
+// into the cache build itself) and serialWalk commits them, producing
+// exactly the serial sweep's moves in the serial sweep's order, so the
+// assignment never depends on the worker count.
+func refine(g *Graph, part []int, sizes []int, opts PartitionOptions, vw []int, ar *partArena) {
 	n := g.N()
 	nnz := g.rowptr[n]
 	rs := &ar.ref
 	*rs = refineState{
-		g: g, part: part, sizes: sizes, vw: vw, ar: ar, seed: seed,
+		g: g, part: part, sizes: sizes, vw: vw,
 		rowptr:  g.rowptr,
 		connID:  ar.connID[:nnz],
 		connW:   ar.connW[:nnz],
@@ -848,7 +606,6 @@ func refineSeeded(g *Graph, part []int, sizes []int, opts PartitionOptions, vw [
 		n:           n,
 		minSize:     opts.MinSize,
 		maxSize:     opts.MaxSize,
-		workers:     opts.Workers,
 		speculative: effectiveWorkers(n, opts.Workers) > 1 && n >= refineParallelMin,
 	}
 	clear(rs.nbrTouch)
@@ -861,7 +618,6 @@ func refineSeeded(g *Graph, part []int, sizes []int, opts PartitionOptions, vw [
 	// goroutines), so hoisting caps the refinement at two such allocations.
 	buildFn, scanFn := rs.buildDecide, rs.scan
 
-passes:
 	for pass := 0; pass < opts.RefinePasses; pass++ {
 		if opts.cancelled() {
 			// Abandon mid-refinement: the caller observes Cancel itself and
@@ -869,66 +625,37 @@ passes:
 			*rs = refineState{}
 			return
 		}
-		moved := false
 		switch {
-		case !rs.speculative:
-			// Small or single-worker graphs: build the cache once, then
-			// plain serial sweeps deciding each vertex at its turn, with
-			// earlier commits immediately visible — no walk overhead.
-			if pass == 0 {
-				parallelVertexRanges(n, opts.Workers, buildFn)
-			}
+		case pass == 0:
+			parallelVertexRanges(n, opts.Workers, buildFn)
+		case rs.speculative:
+			parallelVertexRanges(n, opts.Workers, scanFn)
+		}
+		moved := false
+		if rs.speculative {
+			moved = rs.serialWalk()
+		} else {
+			// Small or single-worker graphs: plain serial sweeps deciding
+			// each vertex at its turn, with earlier commits immediately
+			// visible — no walk overhead.
 			for v := 0; v < n; v++ {
 				if rs.stillNoMove(v, rs.lastEval[v]) {
 					continue
 				}
 				if to := rs.decide(v); to >= 0 {
-					rs.commit(v, to, &rs.moveCount)
+					rs.commit(v, to)
 					rs.lastEval[v] = -1
 					moved = true
 				} else {
 					rs.lastEval[v] = rs.moveCount
 				}
 			}
-			if !moved {
-				break passes
-			}
-			continue
-		case pass == 0:
-			atomic.StoreInt32(&rs.movers, 0)
-			parallelVertexRanges(n, opts.Workers, buildFn)
-		default:
-			atomic.StoreInt32(&rs.movers, 0)
-			parallelVertexRanges(n, opts.Workers, scanFn)
-		}
-		committed, regionMoved := rs.regionCommit(int(atomic.LoadInt32(&rs.movers)))
-		if committed {
-			moved = regionMoved
-		} else {
-			moved = rs.serialWalk()
 		}
 		if !moved {
-			break passes
+			break
 		}
 	}
 
-	if markBoundary {
-		// Record which vertices still touch a foreign cluster in the
-		// converged cache: a vertex whose span is empty, or a single entry
-		// for its own cluster, has every neighbor at home. The flags are
-		// cluster-id-agnostic (only the own/foreign distinction survives),
-		// so the caller may compact ids afterwards. ar.state is free here —
-		// all matching finished before the first refinement.
-		bnd := ar.state[:n]
-		for v := 0; v < n; v++ {
-			ln := int(rs.connLen[v])
-			if ln == 0 || (ln == 1 && int(rs.connID[rs.rowptr[v]]) == part[v]) {
-				bnd[v] = 0
-			} else {
-				bnd[v] = 1
-			}
-		}
-	}
 	// Drop every reference so the pooled arena does not pin this graph (or
 	// its partition) beyond the refinement that used them.
 	*rs = refineState{}

@@ -8,11 +8,11 @@ import (
 
 // This file retains the pre-optimization reference implementations of the
 // partitioner's hot phases — hash-map frontier growth, two-pass contraction,
-// map-based small-cluster merging — exactly as they ran before the arena /
-// flat-frontier rewrite. The property tests below pin the optimized paths
-// bit-identical to them: the partitioner sits inside evaluations whose
-// outputs are compared byte-for-byte, so "faster" is only acceptable when
-// it is also "identical".
+// map-based small-cluster merging (weighted and unit-weight) — exactly as
+// they ran before the arena / flat-frontier rewrite. The property tests
+// below pin the optimized paths bit-identical to them: the partitioner sits
+// inside evaluations whose outputs are compared byte-for-byte, so "faster"
+// is only acceptable when it is also "identical".
 
 // growReference is the historical grow: a fresh hash-map frontier per seed,
 // scanned linearly for the heaviest (then lowest-index) candidate.
@@ -295,6 +295,83 @@ func mergeSmallWeightedReference(g *Graph, part []int, sizes []int, opts Partiti
 	return part, sizes
 }
 
+// mergeSmall is the historical unit-weight merge the single-level path ran
+// before it shared mergeSmallWeighted: a full-graph scan and a fresh map per
+// merge. Same policy — fold every cluster below MinSize into the neighbor it
+// communicates with most, relaxing MaxSize when nothing fits.
+func mergeSmall(g *Graph, part []int, sizes []int, opts PartitionOptions) ([]int, []int) {
+	for {
+		small := -1
+		for id, s := range sizes {
+			if s > 0 && s < opts.MinSize {
+				small = id
+				break
+			}
+		}
+		if small == -1 {
+			return part, sizes
+		}
+		if len(activeClusters(sizes)) == 1 {
+			return part, sizes // nothing to merge with
+		}
+		// Connection weight from the small cluster to each other cluster.
+		conn := map[int]float64{}
+		for v := range part {
+			if part[v] != small {
+				continue
+			}
+			cols, ws := g.row(v)
+			for i, c := range cols {
+				if part[c] != small {
+					conn[part[c]] += ws[i]
+				}
+			}
+		}
+		target := -1
+		bestW := -1.0
+		for id, w := range conn {
+			fits := opts.MaxSize == 0 || sizes[id]+sizes[small] <= opts.MaxSize
+			if fits && (w > bestW || (w == bestW && (target == -1 || id < target))) {
+				target, bestW = id, w
+			}
+		}
+		if target == -1 { // no fitting neighbor: relax MaxSize, then fall
+			for id, w := range conn { // back to smallest cluster overall
+				if w > bestW || (w == bestW && (target == -1 || id < target)) {
+					target, bestW = id, w
+				}
+			}
+		}
+		if target == -1 {
+			for id, s := range sizes {
+				if id != small && s > 0 && (target == -1 || s < sizes[target]) {
+					target = id
+				}
+			}
+		}
+		if target == -1 {
+			return part, sizes
+		}
+		for v := range part {
+			if part[v] == small {
+				part[v] = target
+			}
+		}
+		sizes[target] += sizes[small]
+		sizes[small] = 0
+	}
+}
+
+func activeClusters(sizes []int) []int {
+	var out []int
+	for id, s := range sizes {
+		if s > 0 {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
 // randomWeightedGraph builds a connected graph with float weights whose
 // binary expansions do not terminate — any reordering of additions, or any
 // divergence in selection order, shows up as a changed bit.
@@ -449,4 +526,60 @@ func TestMergeSmallWeightedMatchesReference(t *testing.T) {
 		}
 		ar.release()
 	}
+}
+
+// Property: on unit-weight growths — the only input the single-level path
+// ever handed mergeSmall — the indexed merge and the retained full-scan merge
+// choose the same target. The graphs are sparse enough to be disconnected,
+// so the fallback-grown last cluster exercises all three target rules
+// (fitting neighbor, MaxSize relaxed, smallest cluster overall).
+func TestMergeSmallWeightedMatchesUnitMerge(t *testing.T) {
+	const cases = 3200
+	needMerge := 0
+	for seed := int64(0); seed < cases; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 8 + rng.Intn(201)
+		g := New(n)
+		for e := rng.Intn(2 * n); e > 0; e-- {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if u == v {
+				continue
+			}
+			w := float64(1 + rng.Intn(40))
+			if seed%2 == 1 {
+				w = 0.1 + rng.Float64()*49
+			}
+			_ = g.AddEdge(u, v, w)
+		}
+		g.ensure()
+		opts := PartitionOptions{MinSize: 1 + rng.Intn(6)}
+		opts.TargetSize = opts.MinSize + rng.Intn(3)
+		if rng.Intn(2) == 0 {
+			opts.MaxSize = opts.TargetSize + rng.Intn(3)
+		}
+		if err := opts.normalize(n); err != nil {
+			t.Fatal(err)
+		}
+		ar := newPartArena(g)
+		part, sizes := grow(g, opts, nil, ar)
+		for _, s := range sizes {
+			if s < opts.MinSize {
+				needMerge++
+				break
+			}
+		}
+		wantPart, _ := mergeSmall(g, append([]int(nil), part...), append([]int(nil), sizes...), opts)
+		gotPart, _ := mergeSmallWeighted(g, part, sizes, opts, ar)
+		want, got := compact(wantPart), compact(gotPart)
+		for v := range want {
+			if got[v] != want[v] {
+				t.Fatalf("seed %d opts %+v: vertex %d in cluster %d, unit merge %d", seed, opts, v, got[v], want[v])
+			}
+		}
+		ar.release()
+	}
+	if needMerge < cases/4 {
+		t.Fatalf("only %d of %d growths left a cluster to merge; the test proves little", needMerge, cases)
+	}
+	t.Logf("%d of %d growths left a cluster to merge", needMerge, cases)
 }
