@@ -75,36 +75,64 @@ func EvaluateOpts(c *Clustering, m trace.Comm, p *topology.Placement, mix reliab
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := c.Validate(p.NumRanks()); err != nil {
+	var pr Profile
+	if err := pr.Init(ctx, c, m, p); err != nil {
 		return nil, err
 	}
+	e, err := pr.Evaluate(ctx, mix, opts.Workers)
+	if err != nil {
+		return nil, err
+	}
+	return &e, nil
+}
+
+// Profile is everything about a clustering's four scores that does not read
+// the failure mix: three are functions of the clustering, the trace and the
+// placement alone, and P(catastrophe) reads the mix only as weights over
+// conditionals the reliability profile remembers — so a sweep scores each
+// clustering once and weighs it per mix. The zero value needs Init; after
+// Init it is safe for concurrent use and must not be copied.
+type Profile struct {
+	scores Evaluation // CatastropheProb unset
+	rel    reliability.Profile
+}
+
+// Init scores c's mix-independent dimensions and flattens its encoding
+// groups. It retains the groups' node spans, not c, m or p.
+func (pr *Profile) Init(ctx context.Context, c *Clustering, m trace.Comm, p *topology.Placement) error {
+	if err := c.Validate(p.NumRanks()); err != nil {
+		return err
+	}
 	if m.Ranks() != p.NumRanks() {
-		return nil, fmt.Errorf("core: matrix covers %d ranks, placement %d", m.Ranks(), p.NumRanks())
+		return fmt.Errorf("core: matrix covers %d ranks, placement %d", m.Ranks(), p.NumRanks())
 	}
 	logged, err := m.LoggedFraction(c.L1)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	rec := recoveryFraction(c, p) // c is validated above
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	groups := reliability.GroupsFromRanks(p, c.Groups)
-	mdl := &reliability.Model{Nodes: len(p.UsedNodes()), Mix: mix, Workers: opts.Workers}
-	pcat, err := mdl.CatastropheProbCtx(ctx, groups)
+	pr.scores = Evaluation{Name: c.Name, LoggedFraction: logged, RecoveryFraction: rec,
+		EncodeSecondsPerGB: erasure.ModelEncodeSeconds(c.MaxGroupSize(), 1e9)}
+	return pr.rel.Init(reliability.GroupsFromRanks(p, c.Groups), len(p.UsedNodes()), 0, 0)
+}
+
+// Evaluate weighs the profile with a failure mix, the reliability model's
+// loops observing ctx on up to workers goroutines (0 = GOMAXPROCS); scores
+// are bit-identical at any worker count and in any order of mixes.
+func (pr *Profile) Evaluate(ctx context.Context, mix reliability.Mix, workers int) (Evaluation, error) {
+	pcat, err := pr.rel.CatastropheProb(ctx, mix, workers)
 	if err != nil {
-		return nil, err
+		return Evaluation{}, err
 	}
-	return &Evaluation{
-		Name:               c.Name,
-		LoggedFraction:     logged,
-		RecoveryFraction:   rec,
-		EncodeSecondsPerGB: erasure.ModelEncodeSeconds(c.MaxGroupSize(), 1e9),
-		CatastropheProb:    pcat,
-	}, nil
+	e := pr.scores
+	e.CatastropheProb = pcat
+	return e, nil
 }
 
 // RecoveryFractionProcess computes the expected fraction of ranks that
@@ -150,7 +178,7 @@ func RecoveryFraction(c *Clustering, p *topology.Placement) (float64, error) {
 }
 
 // recoveryFraction is RecoveryFraction for a clustering the caller has
-// already validated against p: EvaluateOpts validates once for all four
+// already validated against p: Profile.Init validates once for all four
 // scores.
 func recoveryFraction(c *Clustering, p *topology.Placement) float64 {
 	sizes := clusterSizes(c)

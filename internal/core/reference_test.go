@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -289,6 +290,49 @@ func TestEvaluateRecoveryMatchesExported(t *testing.T) {
 		}
 		if e.RecoveryFraction != rec {
 			t.Errorf("seed %d: Evaluate recovery %v, RecoveryFraction %v", seed, e.RecoveryFraction, rec)
+		}
+	}
+}
+
+// One profile weighed with several mixes, in either order, returns for each
+// the Evaluation a fresh EvaluateOpts returns; a warm profile allocates
+// nothing a cold one does not.
+func TestProfileEvaluateMatchesEvaluateOpts(t *testing.T) {
+	mixes := []reliability.Mix{
+		reliability.DefaultMix(),
+		{Transient: 0.3, NodeLoss: []float64{0.5, 0.1, 0, 0.1}, PairCorrelation: 0.4},
+		{NodeLoss: []float64{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}},
+	}
+	for i := range mixes {
+		mixes[i].Normalize()
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := randomPlacement(t, rng)
+		m := randomTrace(rng, p.NumRanks())
+		c, err := Hierarchical(m, p, HierOptions{MinNodesPerL1: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pr Profile
+		if err := pr.Init(context.Background(), c, m, p); err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range []int{2, 0, 1, 0} {
+			want, err := EvaluateOpts(c, m, p, mixes[i], EvalOptions{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := pr.Evaluate(context.Background(), mixes[i], 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != *want {
+				t.Errorf("seed %d mix %d: profile %+v, EvaluateOpts %+v", seed, i, got, *want)
+			}
+		}
+		if warm := testing.AllocsPerRun(3, func() { pr.Evaluate(context.Background(), mixes[0], 1) }); warm != 0 {
+			t.Errorf("seed %d: weighing a warm profile allocates %v objects", seed, warm)
 		}
 	}
 }

@@ -93,32 +93,21 @@ func Ablation(cfg Config) (*Table, error) {
 	return t, nil
 }
 
+// addAblationRow scores c; a variant whose groups were dropped shows "-" for
+// P(cat), not the zero of an empty model.
 func addAblationRow(t *Table, label string, c *core.Clustering, r *rig, mix reliability.Mix, note string) error {
-	logged, err := r.matrix.LoggedFraction(c.L1)
+	e, err := core.Evaluate(c, r.matrix, r.placement, mix)
 	if err != nil {
 		return err
 	}
-	rec, err := core.RecoveryFraction(c, r.placement)
-	if err != nil {
-		return err
-	}
-	pcat := 0.0
-	if len(c.Groups) > 0 {
-		groups := reliability.GroupsFromRanks(r.placement, c.Groups)
-		mdl := &reliability.Model{Nodes: len(r.placement.UsedNodes()), Mix: mix}
-		pcat, err = mdl.CatastropheProb(groups)
-		if err != nil {
-			return err
-		}
-	}
-	pcatCell := fmt.Sprintf("%.2g", pcat)
+	pcatCell := fmt.Sprintf("%.2g", e.CatastropheProb)
 	if len(c.Groups) == 0 {
 		pcatCell = "-"
 	}
 	t.Rows = append(t.Rows, []string{
 		label,
-		fmt.Sprintf("%.2f", logged*100),
-		fmt.Sprintf("%.2f", rec*100),
+		fmt.Sprintf("%.2f", e.LoggedFraction*100),
+		fmt.Sprintf("%.2f", e.RecoveryFraction*100),
 		pcatCell,
 		note,
 	})

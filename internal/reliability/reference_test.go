@@ -212,7 +212,13 @@ func checkAgainstReference(t *testing.T, label string, mdl *Model, ref []mapGrou
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	pWant, err := mdl.catastropheProb(context.Background(), want, groups)
+	// The same weighing over the reference's flat form.
+	var refProfile Profile
+	if err := refProfile.Init(groups, mdl.Nodes, mdl.ExactLimit, mdl.MonteCarloSamples); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	refProfile.fg = want
+	pWant, err := refProfile.CatastropheProb(context.Background(), mdl.Mix, mdl.Workers)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}

@@ -23,10 +23,12 @@
 // for the tail, falling back to seeded Monte Carlo when the union bound is
 // too loose to be meaningful.
 //
-// The hot paths are engineered for large machines: groups are flattened
-// once per CatastropheProb call into sparse (node, count) spans — O(members)
-// memory instead of the dense group×node rows that made 100k-node models
-// impossible — single-node-fatal groups collapse into a per-node critical
+// Only the weights P(f) read the failure mix, so the work is split there: a
+// Profile flattens the groups once into sparse (node, count) spans —
+// O(members) memory instead of dense group×node rows — and remembers each
+// conditional it computes; weighing it with a mix is the sum above, and
+// Model.CatastropheProb is a profile built for one weighing. On the hot
+// paths single-node-fatal groups collapse into a per-node critical
 // bitmap, per-group node bitsets answer "how many members failed" with
 // masked popcounts, and both exact enumeration and Monte Carlo sampling
 // shard across a worker pool in fixed chunks whose integer hit counts sum
@@ -43,6 +45,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"hierclust/internal/pool"
@@ -240,21 +243,14 @@ func (mdl *Model) CatastropheProb(groups []Group) (float64, error) {
 // cancelWatch converts a context into a flag the enumeration and sampling
 // inner loops can poll for a few nanoseconds instead of a channel select
 // per iteration. The returned stop is nil when the context can never be
-// cancelled (no polling overhead at all); done releases the watcher.
-func cancelWatch(ctx context.Context) (stop *atomic.Bool, done func()) {
+// cancelled (no polling overhead at all); the returned func releases the
+// watcher.
+func cancelWatch(ctx context.Context) (*atomic.Bool, func() bool) {
 	if ctx == nil || ctx.Done() == nil {
-		return nil, func() {}
+		return nil, func() bool { return false }
 	}
-	stop = &atomic.Bool{}
-	quit := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			stop.Store(true)
-		case <-quit:
-		}
-	}()
-	return stop, func() { close(quit) }
+	stop := &atomic.Bool{}
+	return stop, context.AfterFunc(ctx, func() { stop.Store(true) })
 }
 
 // CatastropheProbCtx is CatastropheProb with cancellation: a cancelled
@@ -263,70 +259,146 @@ func cancelWatch(ctx context.Context) (stop *atomic.Bool, done func()) {
 // ctx.Err(). An uncancelled call is bit-identical to CatastropheProb —
 // the stop flag is polled, never consulted for results.
 func (mdl *Model) CatastropheProbCtx(ctx context.Context, groups []Group) (float64, error) {
-	if mdl.Nodes <= 0 {
-		return 0, fmt.Errorf("reliability: model has %d nodes", mdl.Nodes)
-	}
-	if err := mdl.Mix.Validate(); err != nil {
+	var p Profile
+	if err := p.Init(groups, mdl.Nodes, mdl.ExactLimit, mdl.MonteCarloSamples); err != nil {
 		return 0, err
 	}
-	if err := validateGroups(groups); err != nil {
-		return 0, err
-	}
-	// Flatten once per call: every failure-count branch (and the aligned-
-	// pair correction) shares the same sparse group representation.
-	return mdl.catastropheProb(ctx, flatten(groups, mdl.Nodes), groups)
+	return p.CatastropheProb(ctx, mdl.Mix, mdl.Workers)
 }
 
-// catastropheProb is CatastropheProbCtx on an already validated model and
-// the groups' flat form.
-func (mdl *Model) catastropheProb(ctx context.Context, fg *flatGroups, groups []Group) (float64, error) {
-	stop, watchDone := cancelWatch(ctx)
-	defer watchDone()
-	exactLimit := mdl.ExactLimit
+// memoF is the largest failure count whose conditional a Profile keeps; the
+// tail of a longer mix (DefaultMix has nine entries) is recomputed.
+const memoF = 16
+
+// Profile is the mix-independent side of the model: the conditionals — all
+// of the enumeration, closed-form and sampling work — read only the groups,
+// the node count and the two budgets. It holds the groups' flat form and the
+// conditionals computed so far, so weighing it with a second mix costs a
+// multiply-add per failure count. The zero value needs Init; after Init it
+// is safe for concurrent use and must not be copied.
+type Profile struct {
+	nodes, exactLimit, samples int
+	groups                     []Group // the union bound reads spans as given
+	fg                         *flatGroups
+
+	// cond[f-1] is the conditional for f failed nodes, cond[memoF] the
+	// aligned-pair term; bit i of have marks cond[i] valid. Entries fill on
+	// first use. Two callers that miss one entry both compute it, to the
+	// same bits: neither waits on work that runs under the other's context.
+	mu   sync.Mutex
+	have uint32
+	cond [memoF + 1]float64
+}
+
+// Init flattens the groups (retained, not copied) for a machine of nodes
+// nodes; exactLimit and samples default like Model's fields of those names.
+func (p *Profile) Init(groups []Group, nodes, exactLimit, samples int) error {
+	if nodes <= 0 {
+		return fmt.Errorf("reliability: model has %d nodes", nodes)
+	}
+	if err := validateGroups(groups); err != nil {
+		return err
+	}
 	if exactLimit == 0 {
 		exactLimit = 100_000
 	}
-	samples := mdl.MonteCarloSamples
 	if samples == 0 {
 		samples = 200_000
 	}
-	workers := mdl.Workers
+	p.nodes, p.exactLimit, p.samples = nodes, exactLimit, samples
+	p.groups, p.fg = groups, flatten(groups, nodes)
+	return nil
+}
+
+// memo returns the remembered cond[i], if any.
+func (p *Profile) memo(i int) (float64, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.cond[i], p.have&(1<<i) != 0
+}
+
+// remember stores a completed cond[i].
+func (p *Profile) remember(i int, v float64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.cond[i], p.have = v, p.have|1<<i
+}
+
+// conditional returns P(some group destroyed | f uniform random distinct
+// nodes fail); ok is false when cancellation cut it short, and the partial
+// sum is not remembered.
+func (p *Profile) conditional(ctx context.Context, f, workers int, stop *atomic.Bool) (pcat float64, ok bool) {
+	if f <= memoF {
+		if v, hit := p.memo(f - 1); hit {
+			return v, true
+		}
+	}
+	if ctx.Err() != nil {
+		return 0, false
+	}
+	switch {
+	case combinations(p.nodes, f) <= float64(p.exactLimit):
+		pcat = exactConditional(p.fg, p.nodes, f, workers, stop)
+	case p.fg.dpOK:
+		// Disjoint uniform spans: exact closed form, no sampling.
+		pcat = p.fg.disjointConditional(p.nodes, f)
+	default:
+		ub := unionBoundConditional(p.groups, p.nodes, f, workers, stop)
+		if ub <= 0.1 {
+			pcat = ub
+		} else {
+			pcat = monteCarloConditional(p.fg, p.nodes, f, p.samples, int64(f)*7919, workers, stop)
+		}
+	}
+	// The watcher sets stop only after ctx.Err() turns non-nil, so a nil
+	// error here means no loop above was cut short.
+	if ctx.Err() != nil {
+		return 0, false
+	}
+	if f <= memoF {
+		p.remember(f-1, pcat)
+	}
+	return pcat, true
+}
+
+// CatastropheProb weighs the profile with a failure mix: P(catastrophic | a
+// failure occurs). Missing conditionals are computed under ctx on up to
+// workers goroutines (0 = GOMAXPROCS). Every result is bit-identical to a
+// fresh Model.CatastropheProbCtx, in whatever order mixes come.
+func (p *Profile) CatastropheProb(ctx context.Context, mix Mix, workers int) (float64, error) {
+	if err := mix.Validate(); err != nil {
+		return 0, err
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	stop, watchDone := cancelWatch(ctx)
+	defer watchDone()
 	var total float64
-	for i, pf := range mdl.Mix.NodeLoss {
+	for i, pf := range mix.NodeLoss {
 		f := i + 1
-		if pf == 0 || f > mdl.Nodes {
+		if pf == 0 || f > p.nodes {
 			continue
 		}
-		if stop != nil && stop.Load() {
-			break // partial sums are discarded below
+		pcat, ok := p.conditional(ctx, f, workers, stop)
+		if !ok {
+			break // the partial sum is discarded below
 		}
-		var pcat float64
-		switch {
-		case combinations(mdl.Nodes, f) <= float64(exactLimit):
-			pcat = exactConditional(fg, mdl.Nodes, f, workers, stop)
-		case fg.dpOK:
-			// Disjoint uniform spans: exact closed form, no sampling.
-			pcat = fg.disjointConditional(mdl.Nodes, f)
-		default:
-			ub := unionBoundConditional(groups, mdl.Nodes, f, workers, stop)
-			if ub <= 0.1 {
-				pcat = ub
-			} else {
-				pcat = monteCarloConditional(fg, mdl.Nodes, f, samples, int64(f)*7919, workers, stop)
-			}
-		}
-		if f == 2 && mdl.Mix.PairCorrelation > 0 {
+		if f == 2 && mix.PairCorrelation > 0 {
 			// A share of double failures hits a power-supply pair rather
-			// than two uniform nodes.
-			aligned := alignedPairConditional(fg, mdl.Nodes)
-			pcat = mdl.Mix.PairCorrelation*aligned + (1-mdl.Mix.PairCorrelation)*pcat
+			// than two uniform nodes. The pair scan polls nothing, so it
+			// always completes.
+			aligned, hit := p.memo(memoF)
+			if !hit {
+				aligned = alignedPairConditional(p.fg, p.nodes)
+				p.remember(memoF, aligned)
+			}
+			pcat = mix.PairCorrelation*aligned + (1-mix.PairCorrelation)*pcat
 		}
 		total += pf * pcat
 	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
+	if err := ctx.Err(); err != nil {
+		return 0, err
 	}
 	return total, nil
 }

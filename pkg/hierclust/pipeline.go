@@ -152,7 +152,7 @@ func (pl *Pipeline) Run(ctx context.Context, sc *Scenario) (res *Result, err err
 	// A single evaluation is a one-cell plan with no shared nodes: its
 	// strategies fan out across the whole worker budget.
 	workers, evalWorkers := pl.splitBudget(0, len(sc.Strategies))
-	res, _, err = pl.evalCell(ctx, nil, &PlannedCell{Scenario: sc, TraceNode: -1, TraceBuilder: true}, workers, evalWorkers)
+	res, _, err = pl.evalCell(ctx, nil, &PlannedCell{Scenario: sc, PlacementNode: -1, TraceNode: -1, TraceBuilder: true}, workers, evalWorkers)
 	return res, err
 }
 
@@ -178,43 +178,46 @@ func (pl *Pipeline) splitBudget(want, n int) (workers, evalWorkers int) {
 // evalCell is the one cell sequence — machine → placement → trace →
 // rank-count check → result shell → per-strategy build and score — behind
 // Run (a private cell, run == nil) and every sweep cell. Intermediates the
-// run shares (cell.TraceNode, cell.PartNodes) come from its node tables;
-// everything else is built privately under ctx. Strategies evaluate on up
-// to strategyWorkers goroutines, each scoring with evalWorkers; results
-// land in scenario order regardless of completion order. cache labels how
-// the trace was satisfied: "miss" (this cell performed the build) or
-// "trace-hit" (shared node or trace cache).
+// run shares (cell.PlacementNode, cell.TraceNode, cell.PartNodes) come from
+// its node tables; everything else is built privately under ctx. Strategies
+// evaluate on up to strategyWorkers goroutines, each scoring with
+// evalWorkers; results land in scenario order regardless of completion
+// order. cache labels how the trace was satisfied: "miss" (this cell
+// performed the build) or "trace-hit" (shared node or trace cache).
 func (pl *Pipeline) evalCell(ctx context.Context, run *sweepRun, cell *PlannedCell, strategyWorkers, evalWorkers int) (res *Result, cache string, err error) {
 	sc := cell.Scenario
-	mach, err := sc.machine()
+	var at placed
+	if run != nil && cell.PlacementNode >= 0 {
+		at, err = run.places[cell.PlacementNode].get(&run.placeBuilds, sc.resolvePlacement)
+	} else {
+		at, err = sc.resolvePlacement()
+	}
 	if err != nil {
 		return nil, "", err
 	}
-	placement, err := sc.placement(mach)
-	if err != nil {
-		return nil, "", err
-	}
+	mach, placement := at.mach, at.placement
 	if err := ctx.Err(); err != nil {
 		return nil, "", err
 	}
-	var comm Comm
-	var outcome string // resolveTrace's
+	var tr traced
 	if run != nil && cell.TraceNode >= 0 {
-		node := &run.traces[cell.TraceNode]
-		comm, err = node.get(run, pl, sc, placement)
-		outcome = node.outcome
+		tr, err = run.traces[cell.TraceNode].get(&run.traceBuilds, func() (tr traced, err error) {
+			tr.comm, tr.outcome, err = pl.resolveTrace(run.ctx, sc, placement)
+			return tr, err
+		})
 	} else {
 		if run != nil {
 			run.traceBuilds.Add(1)
 		}
-		comm, outcome, err = pl.resolveTrace(ctx, sc, placement)
+		tr.comm, tr.outcome, err = pl.resolveTrace(ctx, sc, placement)
 		if info := traceInfoFrom(ctx); info != nil && err == nil {
-			info.Cache = outcome
+			info.Cache = tr.outcome
 		}
 	}
 	if err != nil {
 		return nil, "", err
 	}
+	comm, outcome := tr.comm, tr.outcome
 	// Deterministic label: the plan-designated builder reports the
 	// underlying build outcome; every sharer reports "trace-hit",
 	// regardless of which worker actually reached the node first.
@@ -256,11 +259,13 @@ func (pl *Pipeline) evalCell(ctx context.Context, run *sweepRun, cell *PlannedCe
 	return res, cache, nil
 }
 
-// evalStrategy builds (or takes the run's shared build of) strategy j's
-// clustering and scores it into out. It is the per-strategy panic
-// boundary: a panicking strategy (or the "pipeline.worker" chaos point)
-// fails its own evaluation as a *PanicError without taking down the
-// sibling workers or the process.
+// evalStrategy takes strategy j's clustering and score profile — the run's
+// shared node, or a build of its own under ctx — and does the per-cell part:
+// weigh the profile with the cell's mix, judge it against the baseline and
+// render the row into out. It is the per-strategy panic boundary: a
+// panicking strategy (or the "pipeline.worker" chaos point) fails its own
+// evaluation as a *PanicError without taking down the sibling workers or
+// the process.
 func (pl *Pipeline) evalStrategy(ctx context.Context, run *sweepRun, cell *PlannedCell, j int, comm Comm, placement *Placement, mix Mix, baseline Baseline, workers int, out *StrategyResult) (err error) {
 	defer recoverAsError(&err)
 	if err := faultinject.Hit("pipeline.worker"); err != nil {
@@ -270,20 +275,50 @@ func (pl *Pipeline) evalStrategy(ctx context.Context, run *sweepRun, cell *Plann
 		return err
 	}
 	spec := cell.Scenario.Strategies[j]
-	var c *Clustering
+	var sd scored
 	if run != nil && cell.PartNodes[j] >= 0 {
-		c, err = run.parts[cell.PartNodes[j]].get(run, spec, comm, placement)
+		sd, err = run.parts[cell.PartNodes[j]].get(&run.partBuilds, func() (scored, error) {
+			return buildScored(run.ctx, spec, comm, placement, new(core.Profile))
+		})
 	} else {
 		if run != nil {
 			run.partBuilds.Add(1)
 		}
-		c, err = buildClustering(ctx, spec, comm, placement)
+		var own core.Profile // a private profile never leaves this frame
+		sd, err = buildScored(ctx, spec, comm, placement, &own)
 	}
 	if err != nil {
 		return err
 	}
-	*out, err = scoreClustering(ctx, c, spec.Kind, comm, placement, mix, baseline, workers)
-	return err
+	c, prof := sd.c, sd.prof
+	e, err := prof.Evaluate(ctx, mix, workers)
+	if err != nil {
+		return err
+	}
+	ok, violations := e.Meets(baseline)
+	*out = StrategyResult{
+		Strategy:           c.Name,
+		Kind:               spec.Kind,
+		L1Clusters:         c.NumClusters(),
+		Groups:             len(c.Groups),
+		MaxGroupSize:       c.MaxGroupSize(),
+		LoggedFraction:     e.LoggedFraction,
+		RecoveryFraction:   e.RecoveryFraction,
+		EncodeSecondsPerGB: e.EncodeSecondsPerGB,
+		CatastropheProb:    e.CatastropheProb,
+		WithinBaseline:     ok,
+		Violations:         violations,
+	}
+	return nil
+}
+
+// buildScored builds spec's clustering and fills prof with its scores.
+func buildScored(ctx context.Context, spec StrategySpec, comm Comm, placement *Placement, prof *core.Profile) (scored, error) {
+	c, err := buildClustering(ctx, spec, comm, placement)
+	if err == nil {
+		err = prof.Init(ctx, c, comm, placement)
+	}
+	return scored{c, prof}, err
 }
 
 // buildClustering instantiates a strategy spec and builds its clustering —
@@ -308,30 +343,6 @@ func buildClustering(ctx context.Context, spec StrategySpec, comm Comm, placemen
 		return nil, err
 	}
 	return c, nil
-}
-
-// scoreClustering evaluates a built clustering on the four dimensions and
-// renders the result row. Run and RunSweep share it, which is what makes a
-// sweep cell's evaluation rows byte-identical to the single-scenario path.
-func scoreClustering(ctx context.Context, c *Clustering, kind string, comm Comm, placement *Placement, mix Mix, baseline Baseline, workers int) (StrategyResult, error) {
-	e, err := core.EvaluateOpts(c, comm, placement, mix, core.EvalOptions{Workers: workers, Ctx: ctx})
-	if err != nil {
-		return StrategyResult{}, err
-	}
-	ok, violations := e.Meets(baseline)
-	return StrategyResult{
-		Strategy:           c.Name,
-		Kind:               kind,
-		L1Clusters:         c.NumClusters(),
-		Groups:             len(c.Groups),
-		MaxGroupSize:       c.MaxGroupSize(),
-		LoggedFraction:     e.LoggedFraction,
-		RecoveryFraction:   e.RecoveryFraction,
-		EncodeSecondsPerGB: e.EncodeSecondsPerGB,
-		CatastropheProb:    e.CatastropheProb,
-		WithinBaseline:     ok,
-		Violations:         violations,
-	}, nil
 }
 
 // resultShell assembles the shared header of a Result; Run and RunSweep

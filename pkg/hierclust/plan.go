@@ -7,9 +7,10 @@ import (
 
 // PlanSweep compiles a sweep into its deduplicated evaluation DAG. The
 // plan is pure data — which cells exist, in what order, and which of their
-// expensive intermediates (trace builds, clustering/partition builds) are
-// shared — so callers can inspect the dedup ratio, bound job admission,
-// and report progress before any work runs. Pipeline.RunSweep executes it.
+// intermediates (placements, trace builds, clustering/partition builds with
+// their score profiles) are shared — so callers can inspect the dedup ratio,
+// bound job admission, and report progress before any work runs.
+// Pipeline.RunSweep executes it.
 
 // SweepPlan is the compiled form of a sweep: the expanded cells in
 // deterministic order plus the shared-node tables.
@@ -42,6 +43,10 @@ type PlannedCell struct {
 	// result is cached and resumed under, shared byte-for-byte with a
 	// hand-written scenario of the same content.
 	CacheKey string
+	// PlacementNode is the shared machine-and-placement node id this cell
+	// consumes, or -1 for a private one. Placements are cheap next to traces
+	// and partitions: the plan's builds, refs and DedupRatio leave them out.
+	PlacementNode int
 	// TraceNode is the shared trace-node id this cell consumes, or -1
 	// when the cell's trace is uncacheable and built privately.
 	TraceNode int
@@ -56,54 +61,63 @@ type PlannedCell struct {
 }
 
 // partitionKey returns the canonical key identifying the clustering a
-// strategy spec builds for a scenario, and whether it is shareable. Two
-// (scenario, spec) pairs with equal keys build bit-identical clusterings:
-// the key folds in the machine, the placement, the trace identity (a
-// clustering may read the communication matrix), and the full strategy
-// spec. Scenarios differing only in mix, baseline, name, or sibling
-// strategies share a partition. An uncacheable trace ("file" source)
-// makes the partition unshareable too: the bytes behind a path are not a
-// value.
-func partitionKey(sc *Scenario, spec StrategySpec) (string, bool) {
-	traceKey, ok := sc.TraceKey()
-	if !ok {
-		return "", false
-	}
-	specJSON, err := json.Marshal(spec)
-	if err != nil {
-		return "", false
-	}
+// strategy spec builds for a scenario. Two (scenario, spec) pairs with equal
+// keys build bit-identical clusterings: the key folds in the machine, the
+// placement, the trace identity (a clustering may read the communication
+// matrix), and the full strategy spec. Scenarios differing only in mix,
+// baseline, name, or sibling strategies share a partition. The planner
+// passes in sc.TraceKey() and the spec's compact JSON, each fixed across
+// many cells. An uncacheable trace ("file" source) has no TraceKey and makes
+// the partition unshareable too: the bytes behind a path are not a value.
+func partitionKey(sc *Scenario, traceKey, specJSON string) string {
 	return fmt.Sprintf("part|model=%s|nodes=%d|policy=%s|ranks=%d|ppn=%d|%s|%s",
 		sc.Machine.Model, sc.Machine.Nodes,
 		sc.Placement.Policy, sc.Placement.Ranks, sc.Placement.ProcsPerNode,
-		traceKey, specJSON), true
+		traceKey, specJSON)
+}
+
+// placementKey identifies a machine and the placement built on it.
+type placementKey struct {
+	MachineSpec
+	PlacementSpec
+}
+
+// nodeID returns key's shared-node id, dense in first-reference order.
+func nodeID[K comparable](ids map[K]int, key K) (id int, seen bool) {
+	if id, seen = ids[key]; !seen {
+		id = len(ids)
+		ids[key] = id
+	}
+	return id, seen
 }
 
 // PlanSweep validates and compiles a sweep. The returned plan's cells are
 // in expansion order; shared-node ids are dense indices assigned in first-
 // reference order.
 func PlanSweep(sw *Sweep) (*SweepPlan, error) {
-	cells, err := sw.Cells()
+	cells, err := sw.Cells() // every cell validated
 	if err != nil {
 		return nil, err
 	}
 	plan := &SweepPlan{Sweep: sw, Cells: make([]PlannedCell, len(cells))}
+	placeIDs := map[placementKey]int{}
 	traceIDs := map[string]int{}
 	partIDs := map[string]int{}
+	// A strategies-axis value reaches every cell that uses it as the same
+	// spec values (Hier pointers included), so one marshal serves them all.
+	specJSON := map[StrategySpec]string{}
 	for i, sc := range cells {
-		key, err := sc.CacheKey()
+		key, err := sc.cacheKey()
 		if err != nil {
 			return nil, fmt.Errorf("hierclust: sweep %q: cell %q: %w", sw.Name, sc.Name, err)
 		}
 		cell := PlannedCell{Index: i, Scenario: sc, CacheKey: key, TraceNode: -1, TraceBuilder: true}
+		cell.PlacementNode, _ = nodeID(placeIDs, placementKey{sc.Machine, sc.Placement})
 		plan.TraceRefs++
-		if tk, ok := sc.TraceKey(); ok {
-			id, seen := traceIDs[tk]
-			if !seen {
-				id = len(traceIDs)
-				traceIDs[tk] = id
-			}
-			cell.TraceNode = id
+		traceKey, shareable := sc.TraceKey()
+		if shareable {
+			var seen bool
+			cell.TraceNode, seen = nodeID(traceIDs, traceKey)
 			cell.TraceBuilder = !seen
 		} else {
 			plan.TraceBuilds++ // private build
@@ -111,17 +125,21 @@ func PlanSweep(sw *Sweep) (*SweepPlan, error) {
 		cell.PartNodes = make([]int, len(sc.Strategies))
 		for j, spec := range sc.Strategies {
 			plan.PartitionRefs++
-			cell.PartNodes[j] = -1
-			if pk, ok := partitionKey(sc, spec); ok {
-				id, seen := partIDs[pk]
-				if !seen {
-					id = len(partIDs)
-					partIDs[pk] = id
-				}
-				cell.PartNodes[j] = id
-			} else {
+			if !shareable {
+				cell.PartNodes[j] = -1
 				plan.PartitionBuilds++ // private build
+				continue
 			}
+			js, ok := specJSON[spec]
+			if !ok {
+				b, err := json.Marshal(spec)
+				if err != nil {
+					return nil, fmt.Errorf("hierclust: sweep %q: cell %q: %w", sw.Name, sc.Name, err)
+				}
+				js = string(b)
+				specJSON[spec] = js
+			}
+			cell.PartNodes[j], _ = nodeID(partIDs, partitionKey(sc, traceKey, js))
 		}
 		plan.Cells[i] = cell
 	}

@@ -239,33 +239,33 @@ func (s *Scenario) rejectTraceFields(source string, pairs ...interface{}) error 
 	return nil
 }
 
-// machine builds the machine model: the named base, subset or grown to the
-// requested allocation.
-func (s *Scenario) machine() (*Machine, error) {
+// resolvePlacement builds the machine model — the named base, subset or
+// grown to the requested allocation — and the rank→node mapping on it.
+func (s *Scenario) resolvePlacement() (placed, error) {
 	mach := topology.Tsubame2()
-	nodes := s.Machine.Nodes
-	if nodes == 0 || nodes == mach.Nodes {
-		return mach, nil
+	if nodes := s.Machine.Nodes; nodes > mach.Nodes {
+		grown := *mach
+		grown.Nodes = nodes
+		grown.Name = fmt.Sprintf("%s-scaled[%d]", mach.Name, nodes)
+		mach = &grown
+	} else if nodes != 0 && nodes < mach.Nodes {
+		var err error
+		if mach, err = mach.Subset(nodes); err != nil {
+			return placed{}, err
+		}
 	}
-	if nodes < mach.Nodes {
-		return mach.Subset(nodes)
-	}
-	grown := *mach
-	grown.Nodes = nodes
-	grown.Name = fmt.Sprintf("%s-scaled[%d]", mach.Name, nodes)
-	return &grown, nil
-}
-
-// placement builds the rank→node mapping.
-func (s *Scenario) placement(mach *Machine) (*Placement, error) {
+	var placement *Placement
+	var err error
 	switch s.Placement.Policy {
 	case "", "block":
-		return topology.Block(mach, s.Placement.Ranks, s.Placement.ProcsPerNode)
+		placement, err = topology.Block(mach, s.Placement.Ranks, s.Placement.ProcsPerNode)
 	case "round-robin":
 		used := (s.Placement.Ranks + s.Placement.ProcsPerNode - 1) / s.Placement.ProcsPerNode
-		return topology.RoundRobin(mach, s.Placement.Ranks, used)
+		placement, err = topology.RoundRobin(mach, s.Placement.Ranks, used)
+	default:
+		err = fmt.Errorf("hierclust: unknown placement policy %q", s.Placement.Policy)
 	}
-	return nil, fmt.Errorf("hierclust: unknown placement policy %q", s.Placement.Policy)
+	return placed{mach, placement}, err
 }
 
 // EncodeScenario renders the scenario as indented JSON with a stable field
@@ -317,6 +317,11 @@ func (s *Scenario) CacheKey() (string, error) {
 	if err := s.Validate(); err != nil {
 		return "", err
 	}
+	return s.cacheKey()
+}
+
+// cacheKey is CacheKey for a scenario the caller has already validated.
+func (s *Scenario) cacheKey() (string, error) {
 	versioned := *s
 	versioned.Version = ScenarioVersion
 	b, err := json.Marshal(&versioned)

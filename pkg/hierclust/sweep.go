@@ -112,41 +112,8 @@ func (sw *Sweep) CellCount() int {
 // expansion bound, and — by expanding — every cell. A sweep is valid
 // exactly when every cell it expands to is a valid Scenario.
 func (sw *Sweep) Validate() error {
-	if sw == nil {
-		return fmt.Errorf("hierclust: nil sweep")
-	}
-	if sw.Version < 0 || sw.Version > SweepVersion {
-		return &SchemaVersionError{Version: sw.Version, Supported: SweepVersion}
-	}
-	if sw.Name == "" {
-		return fmt.Errorf("hierclust: sweep needs a name")
-	}
-	if sw.Base.Name == "" {
-		return fmt.Errorf("hierclust: sweep %q: base scenario needs a name", sw.Name)
-	}
-	for i, m := range sw.Axes.Machines {
-		if m.Nodes <= 0 {
-			return fmt.Errorf("hierclust: sweep %q: machines[%d]: nodes must be positive", sw.Name, i)
-		}
-		if m.Ranks < 0 || m.ProcsPerNode < 0 {
-			return fmt.Errorf("hierclust: sweep %q: machines[%d]: negative ranks or procs_per_node", sw.Name, i)
-		}
-	}
-	for i, set := range sw.Axes.Strategies {
-		if len(set) == 0 {
-			return fmt.Errorf("hierclust: sweep %q: strategies[%d]: empty strategy set", sw.Name, i)
-		}
-	}
-	if sw.CellCount() > SweepMaxCells {
-		return fmt.Errorf("hierclust: sweep %q: axes multiply out past the %d-cell bound", sw.Name, SweepMaxCells)
-	}
-	// Every cell must be a valid scenario. When the strategies axis is
-	// set the base may omit its own strategy list (the axis replaces it
-	// in every cell), so the base is validated only through its cells.
-	if _, err := sw.cells(true); err != nil {
-		return err
-	}
-	return nil
+	_, err := sw.Cells()
+	return err
 }
 
 // Cells expands the sweep into its scenarios, in deterministic row-major
@@ -157,16 +124,42 @@ func (sw *Sweep) Validate() error {
 // scenario (and therefore its CacheKey) can be written by hand: a sweep
 // cell and the byte-identical hand-written scenario share one result-cache
 // entry.
+//
+// The sweep is validated on the way: its header first, then every cell as
+// the one expansion produces it, with the cell's name on its error. When the
+// strategies axis is set the base may omit its own strategy list (the axis
+// replaces it in every cell), so the base is validated only through its
+// cells.
 func (sw *Sweep) Cells() ([]*Scenario, error) {
-	if err := sw.Validate(); err != nil {
-		return nil, err
+	if sw == nil {
+		return nil, fmt.Errorf("hierclust: nil sweep")
 	}
-	return sw.cells(false)
-}
+	if sw.Version < 0 || sw.Version > SweepVersion {
+		return nil, &SchemaVersionError{Version: sw.Version, Supported: SweepVersion}
+	}
+	if sw.Name == "" {
+		return nil, fmt.Errorf("hierclust: sweep needs a name")
+	}
+	if sw.Base.Name == "" {
+		return nil, fmt.Errorf("hierclust: sweep %q: base scenario needs a name", sw.Name)
+	}
+	for i, m := range sw.Axes.Machines {
+		if m.Nodes <= 0 {
+			return nil, fmt.Errorf("hierclust: sweep %q: machines[%d]: nodes must be positive", sw.Name, i)
+		}
+		if m.Ranks < 0 || m.ProcsPerNode < 0 {
+			return nil, fmt.Errorf("hierclust: sweep %q: machines[%d]: negative ranks or procs_per_node", sw.Name, i)
+		}
+	}
+	for i, set := range sw.Axes.Strategies {
+		if len(set) == 0 {
+			return nil, fmt.Errorf("hierclust: sweep %q: strategies[%d]: empty strategy set", sw.Name, i)
+		}
+	}
+	if sw.CellCount() > SweepMaxCells {
+		return nil, fmt.Errorf("hierclust: sweep %q: axes multiply out past the %d-cell bound", sw.Name, SweepMaxCells)
+	}
 
-// cells performs the expansion; with validate set, every cell is checked
-// and errors carry the cell name.
-func (sw *Sweep) cells(validate bool) ([]*Scenario, error) {
 	// An empty axis contributes the single value "inherit the base".
 	machines := sw.Axes.Machines
 	if len(machines) == 0 {
@@ -236,10 +229,8 @@ func (sw *Sweep) cells(validate bool) ([]*Scenario, error) {
 						if tp.BytesPerMsg > 0 {
 							sc.Trace.BytesPerMsg = tp.BytesPerMsg
 						}
-						if validate {
-							if err := sc.Validate(); err != nil {
-								return nil, fmt.Errorf("hierclust: sweep %q: cell %q: %w", sw.Name, sc.Name, err)
-							}
+						if err := sc.Validate(); err != nil {
+							return nil, fmt.Errorf("hierclust: sweep %q: cell %q: %w", sw.Name, sc.Name, err)
 						}
 						out = append(out, &sc)
 					}

@@ -8,18 +8,21 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hierclust/internal/core"
 	"hierclust/internal/faultinject"
 	"hierclust/internal/pool"
 )
 
 // The sweep executor runs a compiled SweepPlan on a bounded worker pool.
-// Shared DAG nodes (trace builds, clustering builds) are computed inline
-// by whichever cell demands them first — a sync.Once per node — so every
-// shared intermediate is built exactly once per run regardless of worker
-// count or scheduling, and no worker ever blocks waiting for a slot it is
-// itself supposed to fill. Per-cell results are byte-identical to running
-// the expanded scenario through Pipeline.Run — Run is the same evalCell on a
-// one-cell plan with no shared nodes — at any worker count.
+// Shared DAG nodes (placements, trace builds, clustering builds with their
+// score profiles) are computed inline by whichever cell demands them first
+// — a sync.Once per node — so every shared intermediate is built exactly
+// once per run regardless of worker count or scheduling, and no worker ever
+// blocks waiting for a slot it is itself supposed to fill. A node's values
+// are dropped when its last consuming cell finishes. Per-cell results are
+// byte-identical to running the expanded scenario through Pipeline.Run — Run
+// is the same evalCell on a one-cell plan with no shared nodes — at any
+// worker count.
 //
 // Resumability is the result cache: every completed cell is Put under its
 // Scenario.CacheKey before the executor moves on, so a killed or
@@ -117,45 +120,99 @@ type sweepRun struct {
 	// ctx is the sweep's context. Shared node builds run under it, not
 	// under the demanding cell's deadline, so one slow cell cannot poison
 	// an intermediate its siblings still need.
-	ctx                     context.Context
-	traces                  []sweepTraceNode
-	parts                   []sweepPartNode
-	traceBuilds, partBuilds atomic.Int64
+	ctx    context.Context
+	places []sweepNode[placed]
+	traces []sweepNode[traced]
+	parts  []sweepNode[scored]
+	// placeBuilds is for tests: the plan's accounting leaves placements out.
+	placeBuilds, traceBuilds, partBuilds atomic.Int64
 }
 
-// sweepTraceNode is one shared trace build.
-type sweepTraceNode struct {
-	once    sync.Once
-	comm    Comm
-	outcome string // resolveTrace's
-	err     error
+// The three shared intermediates. A clustering carries its score profile,
+// so the cells sharing the node differ only in the weighing.
+type (
+	placed struct {
+		mach      *Machine
+		placement *Placement
+	}
+	traced struct {
+		comm    Comm
+		outcome string // resolveTrace's
+	}
+	scored struct {
+		c    *Clustering
+		prof *core.Profile
+	}
+)
+
+// sweepNode is one shared intermediate: built on first demand behind a
+// panic boundary, dropped when its last consumer finishes.
+type sweepNode[T any] struct {
+	once      sync.Once
+	consumers atomic.Int32 // referencing cells (partition node: strategies) still to finish
+	val       T
+	err       error
 }
 
-// get computes the node on first demand (concurrent callers block until
-// the computation finishes) and returns the shared trace.
-func (n *sweepTraceNode) get(run *sweepRun, pl *Pipeline, sc *Scenario, placement *Placement) (Comm, error) {
+// get computes the node on first demand (concurrent callers block until the
+// computation finishes) and returns the shared value.
+func (n *sweepNode[T]) get(builds *atomic.Int64, build func() (T, error)) (T, error) {
 	n.once.Do(func() {
 		defer recoverAsError(&n.err)
-		run.traceBuilds.Add(1)
-		n.comm, n.outcome, n.err = pl.resolveTrace(run.ctx, sc, placement)
+		builds.Add(1)
+		n.val, n.err = build()
 	})
-	return n.comm, n.err
+	return n.val, n.err
 }
 
-// sweepPartNode is one shared clustering build.
-type sweepPartNode struct {
-	once sync.Once
-	c    *Clustering
-	err  error
+// consume adjusts the consumer count and drops the value with the last
+// consumer, whose decrement follows every other's: no reader is left to race.
+func (n *sweepNode[T]) consume(delta int32) {
+	if n.consumers.Add(delta) == 0 {
+		var zero T
+		n.val = zero
+	}
 }
 
-func (n *sweepPartNode) get(run *sweepRun, spec StrategySpec, comm Comm, placement *Placement) (*Clustering, error) {
-	n.once.Do(func() {
-		defer recoverAsError(&n.err)
-		run.partBuilds.Add(1)
-		n.c, n.err = buildClustering(run.ctx, spec, comm, placement)
-	})
-	return n.c, n.err
+// newSweepRun sizes the node tables and counts every node's consumers.
+func newSweepRun(ctx context.Context, plan *SweepPlan) *sweepRun {
+	numPlace, numTrace, numPart := 0, 0, 0
+	for i := range plan.Cells {
+		numPlace = max(numPlace, plan.Cells[i].PlacementNode+1)
+		numTrace = max(numTrace, plan.Cells[i].TraceNode+1)
+		for _, id := range plan.Cells[i].PartNodes {
+			numPart = max(numPart, id+1)
+		}
+	}
+	run := &sweepRun{
+		ctx:    ctx,
+		places: make([]sweepNode[placed], numPlace),
+		traces: make([]sweepNode[traced], numTrace),
+		parts:  make([]sweepNode[scored], numPart),
+	}
+	for i := range plan.Cells {
+		run.consume(&plan.Cells[i], 1)
+	}
+	return run
+}
+
+// consume adds delta to the consumer count of every shared node cell
+// references: +1 at set-up, -1 when the cell is finished — computed, served
+// from the result cache, failed or never claimed. Expansion order keeps a
+// node's consumers close together, so a many-machine sweep holds a few live
+// nodes, not every trace, clustering and profile until it returns.
+func (run *sweepRun) consume(cell *PlannedCell, delta int32) {
+	if id := cell.PlacementNode; id >= 0 {
+		run.places[id].consume(delta)
+	}
+	if id := cell.TraceNode; id >= 0 {
+		run.traces[id].consume(delta)
+	}
+	for _, id := range cell.PartNodes {
+		if id >= 0 {
+			run.parts[id].consume(delta)
+		}
+	}
 }
 
 // RunSweep compiles and executes a sweep. Per-cell failures (a bad cell, a
@@ -175,16 +232,13 @@ func (pl *Pipeline) RunSweep(ctx context.Context, sw *Sweep, opts SweepOptions) 
 // RunPlannedSweep executes an already compiled plan (hcserve plans at
 // submission time to bound cell counts before accepting the job).
 func (pl *Pipeline) RunPlannedSweep(ctx context.Context, plan *SweepPlan, opts SweepOptions) (*SweepReport, error) {
-	report := &SweepReport{Plan: plan, Cells: make([]SweepCellResult, len(plan.Cells))}
+	return pl.runSweep(newSweepRun(ctx, plan), plan, opts)
+}
 
-	numTrace, numPart := 0, 0
-	for i := range plan.Cells {
-		numTrace = max(numTrace, plan.Cells[i].TraceNode+1)
-		for _, id := range plan.Cells[i].PartNodes {
-			numPart = max(numPart, id+1)
-		}
-	}
-	run := &sweepRun{ctx: ctx, traces: make([]sweepTraceNode, numTrace), parts: make([]sweepPartNode, numPart)}
+// runSweep executes plan over run's node tables.
+func (pl *Pipeline) runSweep(run *sweepRun, plan *SweepPlan, opts SweepOptions) (*SweepReport, error) {
+	ctx := run.ctx
+	report := &SweepReport{Plan: plan, Cells: make([]SweepCellResult, len(plan.Cells))}
 
 	// Concurrent cells split the evaluation worker budget like Run's
 	// concurrent strategies; within a cell the strategies run serially.
@@ -202,6 +256,7 @@ func (pl *Pipeline) RunPlannedSweep(ctx context.Context, plan *SweepPlan, opts S
 	for i := range report.Cells {
 		res := &report.Cells[i]
 		if i >= claimed { // never claimed: the sweep was cancelled first
+			run.consume(&plan.Cells[i], -1)
 			*res = SweepCellResult{Index: i, Scenario: plan.Cells[i].Scenario.Name, CacheKey: plan.Cells[i].CacheKey, Err: err}
 		}
 		switch {
@@ -221,6 +276,7 @@ func (pl *Pipeline) RunPlannedSweep(ctx context.Context, plan *SweepPlan, opts S
 // sequence (evalCell) → render → cache fill.
 func (pl *Pipeline) runSweepCell(run *sweepRun, cell *PlannedCell, opts *SweepOptions, evalWorkers int) (res SweepCellResult) {
 	res = SweepCellResult{Index: cell.Index, Scenario: cell.Scenario.Name, CacheKey: cell.CacheKey}
+	defer run.consume(cell, -1)
 	defer recoverAsError(&res.Err)
 
 	if opts.ResultCache != nil {
