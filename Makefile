@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt bench bench-smoke serve-smoke chaos doccheck hcbench-check hcbench-pair loc loc-check profile ci
+.PHONY: all build test race fuzz vet fmt bench bench-smoke serve-smoke chaos doccheck hcbench-check hcbench-pair loc loc-check profile ci
 
 all: build test
 
@@ -12,6 +12,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# fuzz gives each parser of outside bytes ten seconds of coverage-guided
+# input: the two hcserve request decoders and the one trace-file reader
+# (go test -fuzz takes one target and one package per run).
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeScenario$$' -fuzztime 10s ./pkg/hierclust/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSweep$$' -fuzztime 10s ./pkg/hierclust/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCSR$$' -fuzztime 10s ./internal/trace/
 
 vet:
 	$(GO) vet ./...
@@ -96,7 +104,7 @@ loc:
 # loc-check fails when `make loc` exceeds LOC_CEILING, so ROADMAP aim 2's
 # tracked number only goes up when a PR raises the ceiling on purpose; a PR
 # that shrinks the tree lowers it to its own result.
-LOC_CEILING = 20077
+LOC_CEILING = 19810
 loc-check:
 	@n=$$($(MAKE) -s loc); if [ "$$n" -gt $(LOC_CEILING) ]; then \
 		echo "loc $$n exceeds LOC_CEILING $(LOC_CEILING)"; exit 1; fi; \

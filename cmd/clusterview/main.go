@@ -49,11 +49,11 @@ func main() {
 	}); err != nil {
 		fail(err)
 	}
-	m := rec.Matrix()
+	m := rec.Freeze()
 	fmt.Printf("traced %d ranks on %d nodes: %d messages, %d bytes\n",
 		*ranks, nodes, m.TotalMsgs(), m.TotalBytes())
 	if *heatmap {
-		fmt.Println(m.ASCIIHeatmap(64))
+		fmt.Println(m.ToDense().ASCIIHeatmap(64))
 	}
 
 	var evals []*hierclust.Evaluation

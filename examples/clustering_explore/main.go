@@ -31,7 +31,7 @@ func main() {
 	}); err != nil {
 		log.Fatal(err)
 	}
-	m := rec.Matrix()
+	m := rec.Freeze()
 
 	// The Fig. 3a/3b sweep: cluster size versus the three flat-clustering
 	// costs. Watch logging fall, restart rise, and encoding explode.

@@ -45,7 +45,7 @@ func main() {
 	}); err != nil {
 		log.Fatal(err)
 	}
-	clustering, err := hierclust.Hierarchical(rec.Matrix(), placement, hierclust.HierOptions{})
+	clustering, err := hierclust.Hierarchical(rec.Freeze(), placement, hierclust.HierOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,8 +13,8 @@ import (
 // full-resolution communication matrix as PGM and CSV — the inputs for
 // external plotting of the paper's Figures 5a/5b. With cfg.MaxRanks set it
 // additionally renders the synthetic-scale heatmap through the sparse
-// downsampler (<id>_synthetic.pgm plus a triplet CSV) — no dense recorder
-// and no simulated MPI run at any rank count.
+// downsampler (<id>_synthetic.pgm plus a triplet CSV) — no simulated MPI
+// run at any rank count.
 func WriteArtifacts(dir string, table *Table, cfg Config, id string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -54,21 +54,19 @@ func WriteArtifacts(dir string, table *Table, cfg Config, id string) error {
 	}); err != nil {
 		return err
 	}
-	m := rec.Matrix()
+	m := rec.Freeze()
 	if id == "fig5b" {
-		zoomN := 4 * (cfgFull.ProcsPerNode + 1)
-		if zoomN > m.N {
-			zoomN = m.N
-		}
+		zoomN := min(4*(cfgFull.ProcsPerNode+1), m.Ranks())
 		var err error
 		if m, err = m.Submatrix(0, zoomN); err != nil {
 			return err
 		}
 	}
-	if err := os.WriteFile(filepath.Join(dir, id+"_matrix.csv"), []byte(m.CSV()), 0o644); err != nil {
+	// The dense-grid CSV is the plotting input: ranks² cells, written once.
+	if err := os.WriteFile(filepath.Join(dir, id+"_matrix.csv"), []byte(m.ToDense().CSV()), 0o644); err != nil {
 		return err
 	}
-	return os.WriteFile(filepath.Join(dir, id+".pgm"), []byte(m.PGM()), 0o644)
+	return os.WriteFile(filepath.Join(dir, id+".pgm"), []byte(m.PGM(m.Ranks())), 0o644)
 }
 
 // writeSyntheticHeatmap renders the synthetic-axis (cfg.MaxRanks) stencil

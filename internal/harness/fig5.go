@@ -11,29 +11,30 @@ import (
 
 // encodedRig traces the full FTI-style execution of Figures 5a/5b: one
 // encoder process per node (world ranks ≡ 0 mod ppn+1), checkpoint rounds,
-// and the application stencil.
-func encodedRig(cfg Config) (*trace.Matrix, int, error) {
+// and the application stencil. Both figures read the one cached run.
+func encodedRig(cfg Config) (*trace.CSR, error) {
 	cfg.normalize()
-	nodes := cfg.Ranks / cfg.ProcsPerNode
-	world := cfg.Ranks + nodes
-	rec := trace.NewRecorder(world)
 	ckptBytes := 64 << 10
 	if cfg.Quick {
 		ckptBytes = 4 << 10
 	}
-	_, err := tsunami.RunTraced(tsunami.TracedOptions{
-		Params:          tsunamiParams(cfg.Ranks),
-		Iterations:      cfg.Iterations,
-		ProcsPerNode:    cfg.ProcsPerNode,
-		EncoderRanks:    true,
-		CheckpointEvery: cfg.Iterations / 4,
-		CheckpointBytes: ckptBytes,
-		Tracer:          rec,
+	r, err := cachedRig(rigKey{cfg.Ranks, cfg.ProcsPerNode, cfg.Iterations, ckptBytes}, func() (*rig, error) {
+		rec := trace.NewRecorder(cfg.Ranks + cfg.Ranks/cfg.ProcsPerNode)
+		_, err := tsunami.RunTraced(tsunami.TracedOptions{
+			Params:          tsunamiParams(cfg.Ranks),
+			Iterations:      cfg.Iterations,
+			ProcsPerNode:    cfg.ProcsPerNode,
+			EncoderRanks:    true,
+			CheckpointEvery: cfg.Iterations / 4,
+			CheckpointBytes: ckptBytes,
+			Tracer:          rec,
+		})
+		return &rig{matrix: rec.Freeze()}, err
 	})
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return rec.Matrix(), world, nil
+	return r.matrix, nil
 }
 
 // Fig5a reproduces Figure 5a: the communication matrix of the full traced
@@ -42,10 +43,12 @@ func encodedRig(cfg Config) (*trace.Matrix, int, error) {
 // to write the full-resolution PGM/CSV for plotting.
 func Fig5a(cfg Config) (*Table, error) {
 	cfg.normalize()
-	m, world, err := encodedRig(cfg)
+	c, err := encodedRig(cfg)
 	if err != nil {
 		return nil, err
 	}
+	m := c.ToDense() // the figure reads cells: world² of them
+	world := m.N
 	t := &Table{
 		ID:      "fig5a",
 		Title:   fmt.Sprintf("communication heatmap, %d world ranks (%d app + %d encoders)", world, cfg.Ranks, world-cfg.Ranks),
@@ -71,7 +74,7 @@ func Fig5a(cfg Config) (*Table, error) {
 	t.AddRow("double-diagonal bytes (ghost exchange)", diag)
 	t.AddRow("encoder-related bytes", encoder)
 	t.AddRow("diagonal share %", 100*float64(diag)/float64(m.TotalBytes()))
-	for _, p := range m.TopPairs(3) {
+	for _, p := range c.TopPairs(3) {
 		t.AddRow(fmt.Sprintf("top pair %d->%d", p.Src, p.Dst), p.Bytes)
 	}
 	t.Notes = append(t.Notes, "heatmap (log scale, downsampled):\n"+m.ASCIIHeatmap(64))
@@ -85,19 +88,17 @@ func Fig5a(cfg Config) (*Table, error) {
 // allgather diagonals from FTI's MPI_Allgather initialization.
 func Fig5b(cfg Config) (*Table, error) {
 	cfg.normalize()
-	m, _, err := encodedRig(cfg)
+	c, err := encodedRig(cfg)
 	if err != nil {
 		return nil, err
 	}
 	stride := cfg.ProcsPerNode + 1
-	zoomN := 4 * stride
-	if zoomN > m.N {
-		zoomN = m.N
-	}
-	zoom, err := m.Submatrix(0, zoomN)
+	zoomN := min(4*stride, c.Ranks())
+	sub, err := c.Submatrix(0, zoomN)
 	if err != nil {
 		return nil, err
 	}
+	zoom := sub.ToDense() // the feature checks read cells: zoomN² of them
 	t := &Table{
 		ID:      "fig5b",
 		Title:   fmt.Sprintf("zoom on first %d world ranks (4 nodes)", zoomN),

@@ -180,6 +180,29 @@ func TestFig5bFeaturesPresent(t *testing.T) {
 	}
 }
 
+// fig5a and fig5b read one encoder-rank run: the second call is the cached
+// trace, and Quick (a different checkpoint size) keys its own.
+func TestEncodedRigBuiltOnce(t *testing.T) {
+	a, err := encodedRig(quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := encodedRig(quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b {
+		t.Error("two encodedRig calls with one config traced twice")
+	}
+	full, err := encodedRig(Config{Ranks: 256, ProcsPerNode: 8, Iterations: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full == a || full.TotalBytes() == a.TotalBytes() {
+		t.Error("quick and full checkpoint sizes share one cached trace")
+	}
+}
+
 func TestFig5cOnlyHierarchicalPasses(t *testing.T) {
 	table := runExp(t, "fig5c")
 	passes := map[string]string{}

@@ -72,57 +72,7 @@ func (m *Matrix) ASCIIHeatmap(maxDim int) string {
 	return sb.String()
 }
 
-// PGM renders the full matrix as a binary-ascii PGM (portable graymap)
-// image, one pixel per (sender, receiver) cell with log-scaled intensity —
-// directly viewable or convertible, for regenerating Fig. 5a/5b plots.
-func (m *Matrix) PGM() string {
-	var peak int64
-	for _, row := range m.Bytes {
-		for _, b := range row {
-			if b > peak {
-				peak = b
-			}
-		}
-	}
-	if peak == 0 {
-		peak = 1
-	}
-	logPeak := math.Log1p(float64(peak))
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "P2\n%d %d\n255\n", m.N, m.N)
-	for r := 0; r < m.N; r++ { // row = receiver
-		for c := 0; c < m.N; c++ { // col = sender
-			b := m.Bytes[c][r]
-			v := 0
-			if b > 0 {
-				v = int(math.Log1p(float64(b)) / logPeak * 255)
-				if v == 0 {
-					v = 1
-				}
-			}
-			if c > 0 {
-				sb.WriteByte(' ')
-			}
-			fmt.Fprintf(&sb, "%d", v)
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
-
-// Submatrix returns the traffic among ranks [lo, hi), re-indexed from 0 —
-// the zoom operation of Figure 5b (first 68 ranks).
-func (m *Matrix) Submatrix(lo, hi int) (*Matrix, error) {
-	if lo < 0 || hi > m.N || lo >= hi {
-		return nil, fmt.Errorf("trace: submatrix [%d,%d) of %d ranks", lo, hi, m.N)
-	}
-	out := NewMatrix(hi - lo)
-	for s := lo; s < hi; s++ {
-		for d := lo; d < hi; d++ {
-			if m.Bytes[s][d] != 0 || m.Msgs[s][d] != 0 {
-				out.setCell(s-lo, d-lo, m.Bytes[s][d], m.Msgs[s][d])
-			}
-		}
-	}
-	return out, nil
-}
+// PGM renders the full matrix as an ASCII PGM (portable graymap) image, one
+// pixel per (sender, receiver) cell with log-scaled intensity — directly
+// viewable or convertible, for regenerating Fig. 5a/5b plots.
+func (m *Matrix) PGM() string { return m.ToCSR().PGM(m.N) }

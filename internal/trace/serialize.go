@@ -19,8 +19,8 @@ import (
 //
 // Writers emit the v2 header only when the pair count overflows uint32
 // (~4.3B distinct pairs — megarank machines), so every trace a v1-only
-// reader could represent stays byte-identical to what it always was; both
-// readers accept both versions.
+// reader could represent stays byte-identical to what it always was; the
+// reader accepts both versions.
 
 const (
 	traceMagic    = "HCTR"
@@ -94,9 +94,9 @@ func readTraceHeader(r io.Reader, opts []ReadOptions) (n int, nnz int64, err err
 	return n, nnz, nil
 }
 
-// DefaultMaxRanks is the rank-count plausibility bound applied by ReadMatrix
-// and ReadCSR when the caller passes no ReadOptions. A corrupt or hostile
-// header claiming more ranks than this is rejected before any allocation.
+// DefaultMaxRanks is the rank-count plausibility bound applied by ReadCSR
+// when the caller passes no ReadOptions. A corrupt or hostile header
+// claiming more ranks than this is rejected before any allocation.
 const DefaultMaxRanks = 1 << 22
 
 // ReadOptions tunes trace deserialization. The zero value reproduces the
@@ -104,8 +104,8 @@ const DefaultMaxRanks = 1 << 22
 type ReadOptions struct {
 	// MaxRanks bounds the rank count a trace header may claim; 0 means
 	// DefaultMaxRanks. Raise it to read traces from machines beyond 2^22
-	// ranks; the reader allocates O(MaxRanks) for CSR and O(MaxRanks²)
-	// for dense matrices, so the bound is the caller's allocation budget.
+	// ranks; the reader allocates O(MaxRanks), so the bound is the
+	// caller's allocation budget.
 	MaxRanks int
 }
 
@@ -131,7 +131,7 @@ func (e *RankCountError) Error() string {
 }
 
 // checkRanks applies the plausibility bound from opts (first entry wins;
-// both readers accept at most one).
+// the reader accepts at most one).
 func checkRanks(n int, opts []ReadOptions) error {
 	max := DefaultMaxRanks
 	if len(opts) > 0 {
@@ -143,72 +143,13 @@ func checkRanks(n int, opts []ReadOptions) error {
 	return nil
 }
 
-// WriteTo serializes the matrix in sparse binary form.
+// WriteTo serializes the matrix's cells that carry bytes or messages,
+// through the CSR writer.
 func (m *Matrix) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var written int64
-	nnz := int64(0)
-	for s := 0; s < m.N; s++ {
-		for _, b := range m.Bytes[s] {
-			if b != 0 {
-				nnz++
-			}
-		}
-	}
-	n, err := writeTraceHeader(bw, m.N, nnz)
-	written += n
-	if err != nil {
-		return written, err
-	}
-	rec := make([]byte, 4+4+8+8)
-	for s := 0; s < m.N; s++ {
-		for d, b := range m.Bytes[s] {
-			if b == 0 {
-				continue
-			}
-			binary.LittleEndian.PutUint32(rec[0:], uint32(s))
-			binary.LittleEndian.PutUint32(rec[4:], uint32(d))
-			binary.LittleEndian.PutUint64(rec[8:], uint64(b))
-			binary.LittleEndian.PutUint64(rec[16:], uint64(m.Msgs[s][d]))
-			n, err := bw.Write(rec)
-			written += int64(n)
-			if err != nil {
-				return written, err
-			}
-		}
-	}
-	return written, bw.Flush()
+	return m.ToCSR().WriteTo(w)
 }
 
-// ReadMatrix deserializes a matrix written by WriteTo (either header
-// version). An optional ReadOptions raises the rank-count plausibility
-// bound for large machines.
-func ReadMatrix(r io.Reader, opts ...ReadOptions) (*Matrix, error) {
-	br := bufio.NewReader(r)
-	n, nnz, err := readTraceHeader(br, opts)
-	if err != nil {
-		return nil, err
-	}
-	m := NewMatrix(n)
-	rec := make([]byte, 24)
-	for i := int64(0); i < nnz; i++ {
-		if _, err := io.ReadFull(br, rec); err != nil {
-			return nil, fmt.Errorf("trace: reading record %d/%d: %w", i, nnz, err)
-		}
-		s := int(binary.LittleEndian.Uint32(rec[0:]))
-		d := int(binary.LittleEndian.Uint32(rec[4:]))
-		if s < 0 || s >= n || d < 0 || d >= n {
-			return nil, fmt.Errorf("trace: record %d has pair (%d,%d) outside %d ranks", i, s, d, n)
-		}
-		m.setCell(s, d,
-			int64(binary.LittleEndian.Uint64(rec[8:])),
-			int64(binary.LittleEndian.Uint64(rec[16:])))
-	}
-	return m, nil
-}
-
-// WriteTo serializes the CSR matrix in the same sparse binary form as the
-// dense WriteTo; the two are interchangeable on disk.
+// WriteTo serializes the CSR matrix in sparse binary form.
 func (c *CSR) WriteTo(w io.Writer) (int64, error) {
 	return writeRows(w, c.view(), c.NNZ())
 }
@@ -238,10 +179,9 @@ func writeRows(w io.Writer, v rows, nnz int) (int64, error) {
 	return written, bw.Flush()
 }
 
-// ReadCSR deserializes a matrix written by either WriteTo (either header
-// version) into sparse form, never materializing the dense n×n array — the
-// right reader for large-machine traces. An optional ReadOptions raises the
-// rank-count bound.
+// ReadCSR deserializes a matrix written by WriteTo (either header version).
+// Memory follows the rank count and the records actually present, never the
+// header's pair count. An optional ReadOptions raises the rank-count bound.
 func ReadCSR(r io.Reader, opts ...ReadOptions) (*CSR, error) {
 	br := bufio.NewReader(r)
 	n, nnz, err := readTraceHeader(br, opts)

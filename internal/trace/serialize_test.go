@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -18,19 +19,35 @@ func TestSerializeRoundTrip(t *testing.T) {
 	if _, err := m.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadMatrix(&buf)
+	got, err := ReadCSR(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.N != m.N {
-		t.Fatalf("N = %d, want %d", got.N, m.N)
+	if !reflect.DeepEqual(got.ToDense(), m) {
+		t.Fatal("cells or totals changed across the round trip")
 	}
-	for s := 0; s < m.N; s++ {
-		for d := 0; d < m.N; d++ {
-			if got.Bytes[s][d] != m.Bytes[s][d] || got.Msgs[s][d] != m.Msgs[s][d] {
-				t.Fatalf("cell (%d,%d) mismatch", s, d)
-			}
-		}
+}
+
+// A cell with messages but no bytes survives a write/read: a hand-built
+// matrix keeps its TotalMsgs (the dense writer used to skip such cells).
+func TestSerializeKeepsZeroByteCells(t *testing.T) {
+	m := NewMatrix(4)
+	_ = m.Add(1, 2, 0)
+	_ = m.Add(1, 2, 0)
+	_ = m.Add(3, 0, 9)
+	var buf bytes.Buffer
+	if _, err := m.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadCSR(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.TotalMsgs() != 3 || got.TotalBytes() != 9 {
+		t.Errorf("read back %d msgs / %d bytes, want 3 / 9", got.TotalMsgs(), got.TotalBytes())
+	}
+	if b, ms := got.At(1, 2); b != 0 || ms != 2 {
+		t.Errorf("zero-byte cell (1,2) = %d/%d, want 0/2", b, ms)
 	}
 }
 
@@ -43,22 +60,22 @@ func TestSerializeEmpty(t *testing.T) {
 	if buf.Len() != 16 { // header only
 		t.Errorf("empty matrix serialized to %d bytes, want 16", buf.Len())
 	}
-	got, err := ReadMatrix(&buf)
-	if err != nil || got.N != 4 || got.TotalBytes() != 0 {
+	got, err := ReadCSR(&buf)
+	if err != nil || got.Ranks() != 4 || got.TotalBytes() != 0 {
 		t.Errorf("empty round trip: %v, %v", got, err)
 	}
 }
 
-func TestReadMatrixRejectsGarbage(t *testing.T) {
-	if _, err := ReadMatrix(strings.NewReader("not a trace file at all")); err == nil {
+func TestReadCSRRejectsGarbage(t *testing.T) {
+	if _, err := ReadCSR(strings.NewReader("not a trace file at all")); err == nil {
 		t.Error("accepted garbage")
 	}
-	if _, err := ReadMatrix(strings.NewReader("HC")); err == nil {
+	if _, err := ReadCSR(strings.NewReader("HC")); err == nil {
 		t.Error("accepted truncated header")
 	}
 	// right magic, wrong version
 	bad := []byte("HCTR\x09\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00")
-	if _, err := ReadMatrix(bytes.NewReader(bad)); err == nil {
+	if _, err := ReadCSR(bytes.NewReader(bad)); err == nil {
 		t.Error("accepted unknown version")
 	}
 	// truncated records
@@ -66,7 +83,7 @@ func TestReadMatrixRejectsGarbage(t *testing.T) {
 	var buf bytes.Buffer
 	_, _ = m.WriteTo(&buf)
 	cut := buf.Bytes()[:buf.Len()-5]
-	if _, err := ReadMatrix(bytes.NewReader(cut)); err == nil {
+	if _, err := ReadCSR(bytes.NewReader(cut)); err == nil {
 		t.Error("accepted truncated body")
 	}
 	// out-of-range pair
@@ -74,7 +91,7 @@ func TestReadMatrixRejectsGarbage(t *testing.T) {
 		"\x07\x00\x00\x00\x00\x00\x00\x00" + // src 7 of 2 ranks
 		"\x01\x00\x00\x00\x00\x00\x00\x00" +
 		"\x01\x00\x00\x00\x00\x00\x00\x00")
-	if _, err := ReadMatrix(bytes.NewReader(evil)); err == nil {
+	if _, err := ReadCSR(bytes.NewReader(evil)); err == nil {
 		t.Error("accepted out-of-range pair")
 	}
 }
@@ -106,18 +123,8 @@ func TestSerializeRoundTripProperty(t *testing.T) {
 		if _, err := m.WriteTo(&buf); err != nil {
 			return false
 		}
-		got, err := ReadMatrix(&buf)
-		if err != nil || got.N != n {
-			return false
-		}
-		for s := 0; s < n; s++ {
-			for d := 0; d < n; d++ {
-				if got.Bytes[s][d] != m.Bytes[s][d] || got.Msgs[s][d] != m.Msgs[s][d] {
-					return false
-				}
-			}
-		}
-		return true
+		got, err := ReadCSR(&buf)
+		return err == nil && reflect.DeepEqual(got.ToDense(), m)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -136,38 +143,31 @@ func TestReadOptionsMaxRanks(t *testing.T) {
 	}
 
 	over := uint32(DefaultMaxRanks + 1)
-	for name, read := range map[string]func([]byte, ...ReadOptions) error{
-		"ReadMatrix": func(b []byte, opts ...ReadOptions) error {
-			_, err := ReadMatrix(bytes.NewReader(b), opts...)
-			return err
-		},
-		"ReadCSR": func(b []byte, opts ...ReadOptions) error {
-			_, err := ReadCSR(bytes.NewReader(b), opts...)
-			return err
-		},
-	} {
-		t.Run(name, func(t *testing.T) {
-			err := read(header(over))
-			if err == nil {
-				t.Fatal("default bound admitted 2^22+1 ranks")
-			}
-			var rce *RankCountError
-			if !errors.As(err, &rce) {
-				t.Fatalf("error is %T, want *RankCountError: %v", err, err)
-			}
-			if rce.Ranks != int(over) || rce.Max != DefaultMaxRanks {
-				t.Fatalf("RankCountError = %+v, want Ranks=%d Max=%d", rce, over, DefaultMaxRanks)
-			}
-			// The same bound, explicitly configured lower.
-			err = read(header(1024), ReadOptions{MaxRanks: 512})
-			if !errors.As(err, &rce) || rce.Max != 512 {
-				t.Fatalf("custom bound not applied: %v", err)
-			}
-		})
+	read := func(b []byte, opts ...ReadOptions) error {
+		_, err := ReadCSR(bytes.NewReader(b), opts...)
+		return err
 	}
+	t.Run("ReadCSR", func(t *testing.T) {
+		err := read(header(over))
+		if err == nil {
+			t.Fatal("default bound admitted 2^22+1 ranks")
+		}
+		var rce *RankCountError
+		if !errors.As(err, &rce) {
+			t.Fatalf("error is %T, want *RankCountError: %v", err, err)
+		}
+		if rce.Ranks != int(over) || rce.Max != DefaultMaxRanks {
+			t.Fatalf("RankCountError = %+v, want Ranks=%d Max=%d", rce, over, DefaultMaxRanks)
+		}
+		// The same bound, explicitly configured lower.
+		err = read(header(1024), ReadOptions{MaxRanks: 512})
+		if !errors.As(err, &rce) || rce.Max != 512 {
+			t.Fatalf("custom bound not applied: %v", err)
+		}
+	})
 
 	// ReadCSR allocates O(n), so a raised bound is actually usable at
-	// 2^22+1 ranks (dense ReadMatrix would need ~140 TB for this header).
+	// 2^22+1 ranks.
 	got, err := ReadCSR(bytes.NewReader(header(over)), ReadOptions{MaxRanks: 1 << 23})
 	if err != nil {
 		t.Fatalf("raised bound still rejected: %v", err)
@@ -220,7 +220,7 @@ func TestWriteToStaysV1(t *testing.T) {
 }
 
 // writeV2 emits a hand-rolled v2 document with the given records — the
-// shape a megarank writer will produce — so both readers' v2 paths are
+// shape a megarank writer will produce — so the reader's v2 path is
 // exercised without materializing 4B pairs.
 func writeV2(n int, recs [][4]int64) []byte {
 	var buf bytes.Buffer
@@ -241,7 +241,7 @@ func writeV2(n int, recs [][4]int64) []byte {
 	return buf.Bytes()
 }
 
-// TestReadV2Trace: both readers must accept a v2 header and reproduce the
+// TestReadV2Trace: the reader must accept a v2 header and reproduce the
 // cells exactly.
 func TestReadV2Trace(t *testing.T) {
 	doc := writeV2(6, [][4]int64{
@@ -249,19 +249,11 @@ func TestReadV2Trace(t *testing.T) {
 		{4, 5, 42, 1},
 		{5, 0, 7, 7},
 	})
-	m, err := ReadMatrix(bytes.NewReader(doc))
-	if err != nil {
-		t.Fatalf("ReadMatrix rejected v2: %v", err)
-	}
 	c, err := ReadCSR(bytes.NewReader(doc))
 	if err != nil {
 		t.Fatalf("ReadCSR rejected v2: %v", err)
 	}
 	for _, want := range [][4]int64{{0, 1, 1000, 3}, {4, 5, 42, 1}, {5, 0, 7, 7}} {
-		if m.Bytes[want[0]][want[1]] != want[2] || m.Msgs[want[0]][want[1]] != want[3] {
-			t.Errorf("dense cell (%d,%d) = %d/%d, want %d/%d",
-				want[0], want[1], m.Bytes[want[0]][want[1]], m.Msgs[want[0]][want[1]], want[2], want[3])
-		}
 		b, ms := c.At(int(want[0]), int(want[1]))
 		if b != want[2] || ms != want[3] {
 			t.Errorf("CSR cell (%d,%d) = %d/%d, want %d/%d", want[0], want[1], b, ms, want[2], want[3])

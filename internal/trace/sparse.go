@@ -9,14 +9,14 @@ import (
 	"hierclust/internal/topology"
 )
 
-// The sparse path of the trace package. Real communication matrices are
-// extremely sparse — a stencil application on n ranks touches O(n) pairs,
-// not O(n²) — so the dense Matrix's n×n arrays are the scaling wall of the
-// whole pipeline (100k ranks ≈ 160 GB). A SparseBuilder accumulates per-rank
-// hash rows while recording and freezes into an immutable CSR whose memory
-// is O(ranks + distinct pairs). Every downstream consumer the clustering
-// pipeline needs (totals, cut volume, node aggregation, graph conversion)
-// operates directly on the frozen CSR.
+// The stored form of a trace. Real communication matrices are extremely
+// sparse — a stencil application on n ranks touches O(n) pairs, not O(n²) —
+// so a dense n×n array would be the scaling wall of the whole pipeline (100k
+// ranks ≈ 160 GB). A SparseBuilder accumulates per-rank hash rows while
+// recording and freezes into an immutable CSR whose memory is O(ranks +
+// distinct pairs). Every downstream consumer the clustering pipeline needs
+// (totals, cut volume, node aggregation, graph conversion) operates directly
+// on the frozen CSR.
 
 // sparseCell is one accumulating (bytes, msgs) pair.
 type sparseCell struct {
@@ -25,7 +25,7 @@ type sparseCell struct {
 }
 
 // SparseBuilder accumulates a communication matrix into per-rank hash rows.
-// It is not concurrency-safe; wrap it in a SparseRecorder for tracing.
+// It is not concurrency-safe; wrap it in a Recorder for tracing.
 type SparseBuilder struct {
 	n          int
 	rows       []map[int32]sparseCell
@@ -57,8 +57,8 @@ func (b *SparseBuilder) Add(src, dst int, bytes int64) error {
 }
 
 // addCell accumulates into one cell, keeping the running totals consistent
-// — the single place the accumulation invariant lives (mirrors
-// Matrix.addCell). Bounds are the caller's responsibility.
+// — the single place the accumulation invariant lives. Bounds are the
+// caller's responsibility.
 func (b *SparseBuilder) addCell(src, dst int, bytes, msgs int64) {
 	if b.rows[src] == nil {
 		b.rows[src] = make(map[int32]sparseCell)
@@ -116,22 +116,21 @@ func (b *SparseBuilder) Freeze() *CSR {
 	return c
 }
 
-// SparseRecorder is a concurrency-safe simmpi.Tracer accumulating into a
-// SparseBuilder — the sparse counterpart of Recorder for machines where a
-// dense matrix would not fit.
-type SparseRecorder struct {
+// Recorder is a concurrency-safe simmpi.Tracer accumulating into a
+// SparseBuilder: memory follows the distinct pairs seen, not ranks².
+type Recorder struct {
 	mu sync.Mutex
 	b  *SparseBuilder
 }
 
-// NewSparseRecorder returns a sparse recorder for n ranks.
-func NewSparseRecorder(n int) *SparseRecorder {
-	return &SparseRecorder{b: NewSparseBuilder(n)}
+// NewRecorder returns a recorder for n ranks.
+func NewRecorder(n int) *Recorder {
+	return &Recorder{b: NewSparseBuilder(n)}
 }
 
-// Record implements simmpi.Tracer. Out-of-range ranks are ignored, matching
-// Recorder's behavior.
-func (r *SparseRecorder) Record(src, dst, bytes int) {
+// Record implements simmpi.Tracer. Out-of-range ranks are ignored rather
+// than failing mid-run; the matrix dimension is fixed at creation.
+func (r *Recorder) Record(src, dst, bytes int) {
 	r.mu.Lock()
 	_ = r.b.Add(src, dst, int64(bytes))
 	r.mu.Unlock()
@@ -139,7 +138,7 @@ func (r *SparseRecorder) Record(src, dst, bytes int) {
 
 // Freeze returns the accumulated matrix in CSR form. Callers must not race
 // this with an active run.
-func (r *SparseRecorder) Freeze() *CSR {
+func (r *Recorder) Freeze() *CSR {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.b.Freeze()
@@ -189,8 +188,9 @@ func (c *CSR) At(src, dst int) (int64, int64) {
 	return 0, 0
 }
 
-// CutBytes returns the bytes crossing cluster boundaries under part, in
-// O(nnz) — the dense equivalent scans n² cells.
+// CutBytes returns the bytes crossing cluster boundaries under part
+// (part[r] = cluster of rank r), in O(nnz) — exactly the volume a hybrid
+// protocol with those clusters must log.
 func (c *CSR) CutBytes(part []int) (int64, error) {
 	return cutBytes(c.view(), part)
 }
@@ -201,43 +201,27 @@ func (c *CSR) LoggedFraction(part []int) (float64, error) {
 	return loggedFraction(c.view(), c.totalBytes, part)
 }
 
-// Symmetrize returns the undirected view: entry (u,v) holds the summed
-// traffic, bytes and messages, of both directions (diagonal kept once). The
-// result is a symmetric CSR whose totals — like every Comm implementation's
-// — sum all stored cells, so off-diagonal traffic is counted once per stored
-// direction and CutBytes/TotalBytes stays a fraction in [0,1]; halve
-// TotalBytes (excluding the diagonal) to recover the undirected volume. It
-// goes through a SparseBuilder; the graph conversions, which need bytes
-// only, merge arrays instead (symGraph).
-func (c *CSR) Symmetrize() *CSR {
-	b := NewSparseBuilder(c.n)
-	for s := 0; s < c.n; s++ {
-		for i := c.rowPtr[s]; i < c.rowPtr[s+1]; i++ {
-			d := int(c.col[i])
-			b.addCell(s, d, c.bytes[i], c.msgs[i])
-			if d != s {
-				b.addCell(d, s, c.bytes[i], c.msgs[i])
-			}
-		}
-	}
-	return b.Freeze()
-}
-
 // ToGraph converts the matrix to an undirected weighted graph (summing both
-// directions) without materializing a dense intermediate. Cells with
-// messages but zero bytes are dropped, matching the dense Matrix.ToGraph
-// (which only adds positive-weight edges).
+// directions), the input of the partitioner. Only positive-weight edges
+// are kept, so cells with messages but zero bytes are dropped.
 func (c *CSR) ToGraph() *graph.Graph { return symGraph(c.n, c.rowPtr, c.col, c.bytes) }
 
 // NodeGraph aggregates under the placement and converts to the undirected
 // node graph in one sparse fold (Comm interface; vertex indices follow
-// p.UsedNodes() order, matching the dense NodeMatrix).
+// p.UsedNodes() order).
 func (c *CSR) NodeGraph(p *topology.Placement) (*graph.Graph, error) {
 	return nodeGraph(c.view(), p)
 }
 
-// TopPairs returns up to k heaviest sender→receiver pairs, matching the
-// dense Matrix.TopPairs ordering.
+// Pair is one directed rank pair and its byte volume.
+type Pair struct {
+	Src, Dst int
+	Bytes    int64
+}
+
+// TopPairs returns up to k heaviest sender→receiver pairs, descending by
+// bytes (ties by src, then dst); useful when inspecting a trace's dominant
+// pattern.
 func (c *CSR) TopPairs(k int) []Pair {
 	var pairs []Pair
 	for s := 0; s < c.n; s++ {
@@ -262,15 +246,16 @@ func (c *CSR) TopPairs(k int) []Pair {
 	return pairs
 }
 
-// ToDense expands to a dense Matrix — for tests and small matrices only;
-// this is exactly the O(n²) allocation the CSR path exists to avoid.
+// ToDense expands to a dense Matrix — for figures, tests and small matrices
+// only; this is exactly the O(n²) allocation the CSR path exists to avoid.
 func (c *CSR) ToDense() *Matrix {
 	m := NewMatrix(c.n)
 	for s := 0; s < c.n; s++ {
 		for i := c.rowPtr[s]; i < c.rowPtr[s+1]; i++ {
-			m.setCell(s, int(c.col[i]), c.bytes[i], c.msgs[i])
+			m.Bytes[s][c.col[i]], m.Msgs[s][c.col[i]] = c.bytes[i], c.msgs[i]
 		}
 	}
+	m.totalBytes, m.totalMsgs = c.totalBytes, c.totalMsgs
 	return m
 }
 

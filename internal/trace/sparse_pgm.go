@@ -6,18 +6,16 @@ import (
 	"strings"
 )
 
-// Figure-artifact rendering on the sparse path. The dense Matrix renderers
-// (PGM, Submatrix, CSV) materialize O(n²) cells — fine for traced runs,
-// impossible for the synthetic 100k+-rank scales. These CSR equivalents
-// walk only the stored pairs, downsampling into a bounded pixel grid, so
-// hcrun can dump fig5a/fig5b-style heatmaps at any rank count the sparse
-// pipeline evaluates.
+// Figure-artifact rendering. These renderers walk only the stored pairs,
+// downsampling into a bounded pixel grid, so hcrun can dump fig5a/fig5b-style
+// heatmaps at any rank count the sparse pipeline evaluates; the dense grid
+// views (Matrix.CSV, Matrix.ASCIIHeatmap) are for traced scales.
 
 // PGM renders the matrix as an ASCII portable graymap of at most
 // maxDim×maxDim pixels (0 = 1024). When the matrix is larger than the pixel
 // grid, each pixel covers a factor×factor rank block and takes the block's
-// maximum byte count — the same max-pooling and log intensity scale as the
-// dense renderers, and the same axes (column = sender, row = receiver).
+// maximum byte count — the same max-pooling and log intensity scale as
+// Matrix.ASCIIHeatmap, and the same axes (column = sender, row = receiver).
 // Memory and time are O(pixels + nnz) regardless of rank count.
 func (c *CSR) PGM(maxDim int) string {
 	if maxDim <= 0 {

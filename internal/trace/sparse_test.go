@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -10,7 +12,7 @@ import (
 )
 
 // randomMatrices builds the same random traffic into a dense Matrix and a
-// SparseBuilder, returning both views.
+// SparseBuilder, returning the cells and the frozen CSR.
 func randomMatrices(t *testing.T, seed int64, n, adds int) (*Matrix, *CSR) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -37,9 +39,9 @@ func randomPart(rng *rand.Rand, n, parts int) []int {
 	return part
 }
 
-// Property: the dense and CSR paths agree on every metric the clustering
-// pipeline consumes — totals, cut bytes, logged fraction — and on the
-// derived graphs (cut weight, modularity, total weight).
+// Property: the CSR folds agree with the definitions read off the dense
+// cells — totals, cut bytes, logged fraction, and the undirected graph's
+// weights (both directions summed, the diagonal once).
 func TestCSRDenseEquivalenceProperty(t *testing.T) {
 	f := func(seed int64, nRaw, addsRaw uint8) bool {
 		n := int(nRaw%30) + 2
@@ -51,38 +53,36 @@ func TestCSRDenseEquivalenceProperty(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
 		part := randomPart(rng, n, 3)
-		dc, err1 := dense.CutBytes(part)
-		sc, err2 := csr.CutBytes(part)
-		if err1 != nil || err2 != nil || dc != sc {
-			t.Logf("cut: dense %d (%v), csr %d (%v)", dc, err1, sc, err2)
+		var dc int64
+		for s := 0; s < n; s++ {
+			for d, b := range dense.Bytes[s] {
+				if part[s] != part[d] {
+					dc += b
+				}
+			}
+		}
+		sc, err := csr.CutBytes(part)
+		if err != nil || dc != sc {
+			t.Logf("cut: cells %d, csr %d (%v)", dc, sc, err)
 			return false
 		}
-		dl, _ := dense.LoggedFraction(part)
 		sl, _ := csr.LoggedFraction(part)
-		if dl != sl {
-			t.Logf("logged: dense %g csr %g", dl, sl)
+		if dl := float64(dc) / float64(dense.TotalBytes()); dl != sl {
+			t.Logf("logged: cells %g csr %g", dl, sl)
 			return false
 		}
-		dg, sg := dense.ToGraph(), csr.ToGraph()
-		if dg.TotalWeight() != sg.TotalWeight() || dg.EdgeCount() != sg.EdgeCount() {
-			t.Logf("graphs: weight %g/%g edges %d/%d", dg.TotalWeight(), sg.TotalWeight(), dg.EdgeCount(), sg.EdgeCount())
-			return false
-		}
-		dcw, _ := dg.CutWeight(part)
-		scw, _ := sg.CutWeight(part)
-		if dcw != scw {
-			t.Logf("graph cut: %g vs %g", dcw, scw)
-			return false
-		}
-		dm, _ := dg.Modularity(part)
-		sm, _ := sg.Modularity(part)
-		diff := dm - sm
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff > 1e-9 {
-			t.Logf("modularity: %g vs %g", dm, sm)
-			return false
+		sg := csr.ToGraph()
+		for u := 0; u < n; u++ {
+			for v := u; v < n; v++ {
+				w := float64(dense.Bytes[u][v])
+				if v != u {
+					w += float64(dense.Bytes[v][u])
+				}
+				if sg.Weight(u, v) != w {
+					t.Logf("graph weight (%d,%d): cells %g csr %g", u, v, w, sg.Weight(u, v))
+					return false
+				}
+			}
 		}
 		return true
 	}
@@ -112,40 +112,97 @@ func TestCSRConversionRoundTrip(t *testing.T) {
 	}
 }
 
+// A hand-built Matrix is a Comm by conversion: its answers and its WriteTo
+// bytes are its ToCSR()'s, and ToCSR().ToDense() gives back every cell and
+// both totals — zero-byte messages included.
+func TestMatrixIsCommByConversion(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(40)
+		m := NewMatrix(n)
+		for adds := rng.Intn(5 * n); adds > 0; adds-- {
+			_ = m.Add(rng.Intn(n), rng.Intn(n), int64(rng.Intn(4))*int64(rng.Intn(10_000)))
+		}
+		c := m.ToCSR()
+		if m.Ranks() != c.Ranks() || m.TotalBytes() != c.TotalBytes() || m.TotalMsgs() != c.TotalMsgs() {
+			t.Fatalf("seed %d: ranks/totals %d/%d/%d, ToCSR %d/%d/%d", seed,
+				m.Ranks(), m.TotalBytes(), m.TotalMsgs(), c.Ranks(), c.TotalBytes(), c.TotalMsgs())
+		}
+		part := randomPart(rng, n, 4)
+		ml, err1 := m.LoggedFraction(part)
+		cl, err2 := c.LoggedFraction(part)
+		if err1 != nil || err2 != nil || ml != cl {
+			t.Fatalf("seed %d: LoggedFraction %g (%v), ToCSR %g (%v)", seed, ml, err1, cl, err2)
+		}
+		p := testPlacement(t, rng, n)
+		mg, err1 := m.NodeGraph(p)
+		cg, err2 := c.NodeGraph(p)
+		if err1 != nil || err2 != nil {
+			t.Fatal(err1, err2)
+		}
+		sameGraph(t, fmt.Sprintf("seed %d NodeGraph", seed), mg, cg)
+		var mb, cb bytes.Buffer
+		if _, err := m.WriteTo(&mb); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.WriteTo(&cb); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(mb.Bytes(), cb.Bytes()) {
+			t.Fatalf("seed %d: WriteTo bytes differ from ToCSR().WriteTo", seed)
+		}
+		back := c.ToDense()
+		if !reflect.DeepEqual(back, m) {
+			t.Fatalf("seed %d: ToCSR().ToDense() is not the identity on cells and totals", seed)
+		}
+	}
+}
+
+// NodeGraph against node sums read off the dense cells: edge {a,b} carries
+// both directions between the two nodes' ranks, a self-loop the intra-node
+// bytes.
 func TestCSRNodeGraphMatchesDense(t *testing.T) {
-	mach := &topology.Machine{Name: "t", Nodes: 8}
-	p, err := topology.Block(mach, 32, 4)
+	const ranks, ppn = 32, 4
+	mach := &topology.Machine{Name: "t", Nodes: ranks / ppn}
+	p, err := topology.Block(mach, ranks, ppn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense, csr := randomMatrices(t, 7, 32, 400)
-	dg, err := dense.NodeGraph(p)
-	if err != nil {
-		t.Fatal(err)
+	dense, csr := randomMatrices(t, 7, ranks, 400)
+	var sums [ranks / ppn][ranks / ppn]int64
+	for s := 0; s < ranks; s++ {
+		for d, b := range dense.Bytes[s] {
+			sums[s/ppn][d/ppn] += b
+		}
 	}
 	sg, err := csr.NodeGraph(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dg.N() != sg.N() {
-		t.Fatalf("node graphs differ in size: %d vs %d", dg.N(), sg.N())
+	if sg.N() != len(sums) {
+		t.Fatalf("node graph has %d vertices, want %d", sg.N(), len(sums))
 	}
-	for u := 0; u < dg.N(); u++ {
-		for v := 0; v < dg.N(); v++ {
-			if dg.Weight(u, v) != sg.Weight(u, v) {
-				t.Fatalf("node weight (%d,%d): dense %g csr %g", u, v, dg.Weight(u, v), sg.Weight(u, v))
+	for u := range sums {
+		for v := range sums {
+			want := float64(sums[u][v])
+			if v != u {
+				want += float64(sums[v][u])
+			}
+			if sg.Weight(u, v) != want {
+				t.Fatalf("node weight (%d,%d): cells %g csr %g", u, v, want, sg.Weight(u, v))
 			}
 		}
 	}
 }
 
+// Hand values for the oracle the graph differentials lean on (refToGraph).
 func TestCSRSymmetrize(t *testing.T) {
 	b := NewSparseBuilder(4)
 	_ = b.Add(0, 1, 10)
 	_ = b.Add(1, 0, 5)
 	_ = b.Add(2, 3, 7)
 	_ = b.Add(1, 1, 3) // self-loop
-	sym := b.Freeze().Symmetrize()
+	sym := refSymmetrize(b.Freeze())
 	check := func(s, d int, want int64) {
 		t.Helper()
 		got, _ := sym.At(s, d)
@@ -172,74 +229,47 @@ func TestCSRSymmetrize(t *testing.T) {
 	}
 }
 
-// Zero-byte messages (empty-payload syncs) must behave identically on both
-// paths: the cell records the message, and graph/node conversions drop it
-// exactly like the dense implementations do.
+// Zero-byte messages (empty-payload syncs): a hand-built Matrix and a
+// recording keep the cell and its message count, and the graph and node
+// conversions drop it (only positive-weight edges exist).
 func TestZeroByteMessageEquivalence(t *testing.T) {
 	dense := NewMatrix(6)
-	sparse := NewSparseBuilder(6)
+	rec := NewRecorder(6)
 	for _, m := range [][2]int{{0, 1}, {2, 3}, {2, 3}} {
 		if err := dense.Add(m[0], m[1], 0); err != nil {
 			t.Fatal(err)
 		}
-		if err := sparse.Add(m[0], m[1], 0); err != nil {
-			t.Fatal(err)
-		}
+		rec.Record(m[0], m[1], 0)
 	}
 	_ = dense.Add(4, 5, 100)
-	_ = sparse.Add(4, 5, 100)
-	csr := sparse.Freeze()
-	if dense.TotalMsgs() != csr.TotalMsgs() || dense.TotalBytes() != csr.TotalBytes() {
-		t.Fatalf("totals: %d/%d vs %d/%d", dense.TotalBytes(), dense.TotalMsgs(), csr.TotalBytes(), csr.TotalMsgs())
-	}
-	dg, sg := dense.ToGraph(), csr.ToGraph()
-	if dg.EdgeCount() != sg.EdgeCount() || len(dg.Components()) != len(sg.Components()) {
-		t.Errorf("graphs diverge on zero-byte cells: edges %d/%d components %d/%d",
-			dg.EdgeCount(), sg.EdgeCount(), len(dg.Components()), len(sg.Components()))
-	}
+	rec.Record(4, 5, 100)
 	mach := &topology.Machine{Name: "t", Nodes: 3}
 	p, err := topology.Block(mach, 6, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dn, err := dense.NodeGraph(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sn, err := csr.NodeGraph(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dn.EdgeCount() != sn.EdgeCount() || dn.TotalWeight() != sn.TotalWeight() {
-		t.Errorf("node aggregation diverges: %d edges/%g vs %d/%g",
-			dn.EdgeCount(), dn.TotalWeight(), sn.EdgeCount(), sn.TotalWeight())
-	}
-}
-
-func TestSparseRecorderMatchesRecorder(t *testing.T) {
-	dense := NewRecorder(8)
-	sparse := NewSparseRecorder(8)
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 200; i++ {
-		s, d, b := rng.Intn(8), rng.Intn(8), rng.Intn(1000)+1
-		dense.Record(s, d, b)
-		sparse.Record(s, d, b)
-	}
-	dense.Record(9, 0, 10) // out of range: both must ignore
-	sparse.Record(9, 0, 10)
-	m, c := dense.Matrix(), sparse.Freeze()
-	if m.TotalBytes() != c.TotalBytes() || m.TotalMsgs() != c.TotalMsgs() {
-		t.Fatalf("recorder totals differ: %d/%d vs %d/%d", m.TotalBytes(), m.TotalMsgs(), c.TotalBytes(), c.TotalMsgs())
-	}
-	for s := 0; s < 8; s++ {
-		for d := 0; d < 8; d++ {
-			if cb, cm := c.At(s, d); cb != m.Bytes[s][d] || cm != m.Msgs[s][d] {
-				t.Fatalf("cell (%d,%d): %d/%d vs %d/%d", s, d, cb, cm, m.Bytes[s][d], m.Msgs[s][d])
-			}
+	for name, csr := range map[string]*CSR{"ToCSR": dense.ToCSR(), "Recorder": rec.Freeze()} {
+		if csr.NNZ() != 3 || csr.TotalMsgs() != 4 || csr.TotalBytes() != 100 {
+			t.Errorf("%s: nnz %d, %d msgs, %d bytes; want 3, 4, 100", name, csr.NNZ(), csr.TotalMsgs(), csr.TotalBytes())
+		}
+		if _, ms := csr.At(2, 3); ms != 2 {
+			t.Errorf("%s: zero-byte cell (2,3) has %d msgs, want 2", name, ms)
+		}
+		if g := csr.ToGraph(); g.EdgeCount() != 1 || g.Weight(4, 5) != 100 {
+			t.Errorf("%s: graph has %d edges, weight(4,5) = %g; want the one 100-byte edge", name, g.EdgeCount(), g.Weight(4, 5))
+		}
+		ng, err := csr.NodeGraph(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ng.EdgeCount() != 1 || ng.Weight(2, 2) != 100 {
+			t.Errorf("%s: node graph has %d edges, weight(2,2) = %g; want the one intra-node loop", name, ng.EdgeCount(), ng.Weight(2, 2))
 		}
 	}
 }
 
+// A Matrix and the CSR recorded from the same traffic write the same bytes,
+// and ReadCSR reproduces every cell.
 func TestCSRSerializeRoundTrip(t *testing.T) {
 	dense, csr := randomMatrices(t, 11, 13, 150)
 	var denseBuf, csrBuf bytes.Buffer
@@ -249,26 +279,21 @@ func TestCSRSerializeRoundTrip(t *testing.T) {
 	if _, err := csr.WriteTo(&csrBuf); err != nil {
 		t.Fatal(err)
 	}
-	// CSR written bytes must be readable by both readers.
-	fromCSRBytes, err := ReadMatrix(bytes.NewReader(csrBuf.Bytes()))
+	if !bytes.Equal(denseBuf.Bytes(), csrBuf.Bytes()) {
+		t.Fatal("Matrix.WriteTo and CSR.WriteTo bytes differ for the same traffic")
+	}
+	back, err := ReadCSR(&csrBuf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sparseFromDense, err := ReadCSR(bytes.NewReader(denseBuf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fromCSRBytes.TotalBytes() != dense.TotalBytes() || sparseFromDense.TotalBytes() != dense.TotalBytes() {
-		t.Fatalf("serialized totals differ: %d / %d / %d",
-			fromCSRBytes.TotalBytes(), sparseFromDense.TotalBytes(), dense.TotalBytes())
+	if back.TotalBytes() != dense.TotalBytes() || back.TotalMsgs() != dense.TotalMsgs() || back.NNZ() != csr.NNZ() {
+		t.Fatalf("read back %d bytes / %d msgs / %d pairs, want %d / %d / %d",
+			back.TotalBytes(), back.TotalMsgs(), back.NNZ(), dense.TotalBytes(), dense.TotalMsgs(), csr.NNZ())
 	}
 	for s := 0; s < dense.N; s++ {
 		for d := 0; d < dense.N; d++ {
-			if fromCSRBytes.Bytes[s][d] != dense.Bytes[s][d] {
-				t.Fatalf("dense reader cell (%d,%d) mismatch", s, d)
-			}
-			if b, m := sparseFromDense.At(s, d); b != dense.Bytes[s][d] || m != dense.Msgs[s][d] {
-				t.Fatalf("sparse reader cell (%d,%d) mismatch", s, d)
+			if b, m := back.At(s, d); b != dense.Bytes[s][d] || m != dense.Msgs[s][d] {
+				t.Fatalf("cell (%d,%d) mismatch after round trip", s, d)
 			}
 		}
 	}
@@ -366,28 +391,20 @@ func TestRunningTotalsConsistency(t *testing.T) {
 		}
 	}
 	check("add", dense)
-	sub, err := dense.Submatrix(2, 9)
+	csr := dense.ToCSR()
+	check("todense", csr.ToDense())
+	sub, err := csr.Submatrix(2, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("submatrix", sub)
-	mach := &topology.Machine{Name: "t", Nodes: 5}
-	p, err := topology.Block(mach, 10, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nm, err := dense.NodeMatrix(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("nodematrix", nm)
+	check("submatrix", sub.ToDense())
 	var buf bytes.Buffer
 	if _, err := dense.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadMatrix(&buf)
+	back, err := ReadCSR(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("serialize", back)
+	check("serialize", back.ToDense())
 }

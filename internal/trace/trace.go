@@ -2,35 +2,36 @@
 // many bytes to whom — the raw material of every clustering decision in the
 // paper. The paper instruments MPICH2 to collect this matrix for the tsunami
 // application (Figs. 5a/5b); here a Recorder plugs into simmpi's Tracer hook
-// and produces the same artifact.
+// and freezes into the same artifact.
 //
-// Three sources implement the shared Comm read interface: the dense Matrix
-// (natural for heatmaps and submatrix zooms), the sparse CSR (O(n + nnz)
-// memory, the layout recorded and file traces use at 100k+ ranks) and the
-// implicit Stencil (a synthetic trace in closed form, O(1) memory). All
-// serialize to the same HCTR binary format via WriteTo, and ReadCSR reads
-// any of them. A frozen matrix — a CSR, a Stencil, or a Matrix once
-// recording ends — is immutable: every consumer (partitioning, evaluation, caching) only
-// reads, so one trace may back any number of concurrent evaluations. This
-// immutability is a pinned repository invariant; the trace cache in
+// Two forms are what the pipeline stores and folds: the sparse CSR (O(n +
+// nnz) memory — every recorded, cached and file trace) and the implicit
+// Stencil (a synthetic trace in closed form, O(1) memory). Both serialize to
+// the HCTR binary format via WriteTo, and ReadCSR is its one reader. Both
+// are immutable by type: every consumer (partitioning, evaluation, caching)
+// only reads, so one trace may back any number of concurrent evaluations.
+// This immutability is a pinned repository invariant; the trace cache in
 // pkg/hierclust depends on it.
+//
+// Matrix is the dense n×n cell grid for figures (heatmaps, the grid CSV)
+// and hand-built input. It answers the Comm questions by converting
+// (ToCSR), so there is one fold per question, not one per layout.
 package trace
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
 	"hierclust/internal/graph"
 	"hierclust/internal/topology"
 )
 
-// Comm is the read-side view of a communication matrix shared by the dense
-// Matrix, the sparse CSR and the implicit Stencil: exactly what the
-// clustering pipeline reads through the interface (totals, the logged
-// fraction, the node-graph fold) without committing callers to a storage
-// layout. CutBytes and ToGraph stay methods of the concrete matrix types.
+// Comm is the read-side view of a communication matrix: exactly what the
+// clustering pipeline reads (totals, the logged fraction, the node-graph
+// fold) without committing callers to a storage layout. The sparse CSR and
+// the implicit Stencil implement it over one set of folds (rows.go); the
+// dense Matrix is a Comm by conversion to CSR. CutBytes and ToGraph stay
+// methods of CSR.
 type Comm interface {
 	// Ranks returns the number of ranks the matrix covers.
 	Ranks() int
@@ -48,11 +49,11 @@ type Comm interface {
 
 // Matrix is a dense communication matrix: Bytes[s][d] counts payload bytes
 // sent from rank s to rank d, Msgs[s][d] counts messages. Matrices are
-// directed; use Symmetrize or ToGraph for undirected views.
+// directed; ToCSR().ToGraph() is the undirected view.
 //
-// Mutate cells through Add (or the in-package helpers), not by writing the
-// exported slices directly: TotalBytes/TotalMsgs are maintained as running
-// totals rather than rescanning the n×n array per call.
+// Mutate cells through Add, not by writing the exported slices directly:
+// TotalBytes/TotalMsgs are maintained as running totals rather than
+// rescanning the n×n array per call.
 type Matrix struct {
 	N     int
 	Bytes [][]int64
@@ -89,135 +90,23 @@ func (m *Matrix) Add(src, dst int, bytes int64) error {
 	return nil
 }
 
-// setCell overwrites one cell, keeping the running totals consistent. All
-// in-package writers that bypass Add (deserialization, submatrix extraction,
-// node aggregation) must go through it.
-func (m *Matrix) setCell(src, dst int, bytes, msgs int64) {
-	m.totalBytes += bytes - m.Bytes[src][dst]
-	m.totalMsgs += msgs - m.Msgs[src][dst]
-	m.Bytes[src][dst] = bytes
-	m.Msgs[src][dst] = msgs
-}
-
-// addCell accumulates into one cell, keeping the running totals consistent.
-func (m *Matrix) addCell(src, dst int, bytes, msgs int64) {
-	m.Bytes[src][dst] += bytes
-	m.Msgs[src][dst] += msgs
-	m.totalBytes += bytes
-	m.totalMsgs += msgs
-}
-
 // TotalBytes returns the total traffic volume.
 func (m *Matrix) TotalBytes() int64 { return m.totalBytes }
 
 // TotalMsgs returns the total message count.
 func (m *Matrix) TotalMsgs() int64 { return m.totalMsgs }
 
-// CutBytes returns the bytes crossing cluster boundaries under part
-// (part[r] = cluster of rank r) — exactly the volume a hybrid protocol
-// with those clusters must log.
-func (m *Matrix) CutBytes(part []int) (int64, error) {
-	if len(part) != m.N {
-		return 0, fmt.Errorf("trace: assignment has %d entries for %d ranks", len(part), m.N)
-	}
-	var cut int64
-	for s := 0; s < m.N; s++ {
-		for d, b := range m.Bytes[s] {
-			if b != 0 && part[s] != part[d] {
-				cut += b
-			}
-		}
-	}
-	return cut, nil
-}
-
-// LoggedFraction returns CutBytes/TotalBytes, the paper's "message logging
-// overhead" metric. A matrix with no traffic logs nothing (0).
+// LoggedFraction returns the share of TotalBytes crossing cluster boundaries
+// under part, through the CSR fold.
 func (m *Matrix) LoggedFraction(part []int) (float64, error) {
-	total := m.TotalBytes()
-	if total == 0 {
-		return 0, nil
-	}
-	cut, err := m.CutBytes(part)
-	if err != nil {
-		return 0, err
-	}
-	return float64(cut) / float64(total), nil
-}
-
-// ToGraph converts the matrix to an undirected weighted graph (summing both
-// directions), the input of the partitioner.
-func (m *Matrix) ToGraph() *graph.Graph {
-	g := graph.New(m.N)
-	for s := 0; s < m.N; s++ {
-		for d := s; d < m.N; d++ {
-			w := float64(m.Bytes[s][d])
-			if d != s {
-				w += float64(m.Bytes[d][s])
-			}
-			if w > 0 {
-				_ = g.AddEdge(s, d, w)
-			}
-		}
-	}
-	return g
-}
-
-// NodeMatrix aggregates the rank matrix into a node-based matrix under a
-// placement: entry (a,b) sums traffic from ranks on node a to ranks on node
-// b. The paper's L1 partitioning runs on this aggregated view so that all
-// processes of a node land in one cluster.
-func (m *Matrix) NodeMatrix(p *topology.Placement) (*Matrix, error) {
-	if p.NumRanks() != m.N {
-		return nil, fmt.Errorf("trace: placement has %d ranks, matrix %d", p.NumRanks(), m.N)
-	}
-	used := p.UsedNodes()
-	nm := NewMatrix(len(used))
-	for s := 0; s < m.N; s++ {
-		ns := p.UsedIndex(p.NodeOf(topology.Rank(s)))
-		for d, b := range m.Bytes[s] {
-			if b == 0 {
-				continue
-			}
-			nm.addCell(ns, p.UsedIndex(p.NodeOf(topology.Rank(d))), b, m.Msgs[s][d])
-		}
-	}
-	return nm, nil
+	return m.ToCSR().LoggedFraction(part)
 }
 
 // NodeGraph aggregates the rank matrix under the placement and returns the
-// undirected node graph (Comm interface; see CSR.NodeGraph for the sparse
-// equivalent).
+// undirected node graph, through the CSR fold.
 func (m *Matrix) NodeGraph(p *topology.Placement) (*graph.Graph, error) {
-	nm, err := m.NodeMatrix(p)
-	if err != nil {
-		return nil, err
-	}
-	return nm.ToGraph(), nil
+	return m.ToCSR().NodeGraph(p)
 }
-
-// Recorder is a concurrency-safe simmpi.Tracer accumulating into a Matrix.
-type Recorder struct {
-	mu sync.Mutex
-	m  *Matrix
-}
-
-// NewRecorder returns a recorder for n ranks.
-func NewRecorder(n int) *Recorder {
-	return &Recorder{m: NewMatrix(n)}
-}
-
-// Record implements simmpi.Tracer. Out-of-range ranks are ignored rather
-// than failing mid-run; the matrix dimension is fixed at creation.
-func (r *Recorder) Record(src, dst, bytes int) {
-	r.mu.Lock()
-	_ = r.m.Add(src, dst, int64(bytes))
-	r.mu.Unlock()
-}
-
-// Matrix returns the accumulated matrix. Callers must not race this with
-// an active run.
-func (r *Recorder) Matrix() *Matrix { return r.m }
 
 // CSV renders the byte matrix as comma-separated values (one row per
 // sender), suitable for external plotting of Figs. 5a/5b.
@@ -233,36 +122,4 @@ func (m *Matrix) CSV() string {
 		sb.WriteByte('\n')
 	}
 	return sb.String()
-}
-
-// TopPairs returns the k heaviest directed rank pairs, descending by bytes;
-// useful when inspecting a trace's dominant pattern.
-type Pair struct {
-	Src, Dst int
-	Bytes    int64
-}
-
-// TopPairs returns up to k heaviest sender→receiver pairs.
-func (m *Matrix) TopPairs(k int) []Pair {
-	var pairs []Pair
-	for s := 0; s < m.N; s++ {
-		for d, b := range m.Bytes[s] {
-			if b > 0 {
-				pairs = append(pairs, Pair{s, d, b})
-			}
-		}
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].Bytes != pairs[j].Bytes {
-			return pairs[i].Bytes > pairs[j].Bytes
-		}
-		if pairs[i].Src != pairs[j].Src {
-			return pairs[i].Src < pairs[j].Src
-		}
-		return pairs[i].Dst < pairs[j].Dst
-	})
-	if len(pairs) > k {
-		pairs = pairs[:k]
-	}
-	return pairs
 }

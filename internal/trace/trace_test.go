@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -52,7 +53,7 @@ func TestCutBytesAndLoggedFraction(t *testing.T) {
 	// 8-rank stencil, clusters of 4: one crossing pair (3<->4) of 7 total.
 	m := stencilMatrix(8, 100)
 	part := []int{0, 0, 0, 0, 1, 1, 1, 1}
-	cut, err := m.CutBytes(part)
+	cut, err := m.ToCSR().CutBytes(part)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestCutBytesAndLoggedFraction(t *testing.T) {
 	if math.Abs(frac-want) > 1e-12 {
 		t.Errorf("logged fraction = %g, want %g", frac, want)
 	}
-	if _, err := m.CutBytes([]int{0}); err == nil {
+	if _, err := m.ToCSR().CutBytes([]int{0}); err == nil {
 		t.Error("CutBytes accepted short assignment")
 	}
 }
@@ -103,7 +104,7 @@ func TestToGraphSymmetric(t *testing.T) {
 	_ = m.Add(0, 1, 10)
 	_ = m.Add(1, 0, 4)
 	_ = m.Add(2, 2, 5) // self traffic
-	g := m.ToGraph()
+	g := m.ToCSR().ToGraph()
 	if g.Weight(0, 1) != 14 {
 		t.Errorf("graph weight(0,1) = %g, want 14", g.Weight(0, 1))
 	}
@@ -112,29 +113,29 @@ func TestToGraphSymmetric(t *testing.T) {
 	}
 }
 
-func TestNodeMatrix(t *testing.T) {
+func TestNodeGraph(t *testing.T) {
 	mach := &topology.Machine{Name: "t", Nodes: 2}
 	p, err := topology.Block(mach, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := stencilMatrix(4, 10) // ranks 0,1 on node 0; 2,3 on node 1
-	nm, err := m.NodeMatrix(p)
+	g, err := m.NodeGraph(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nm.N != 2 {
-		t.Fatalf("node matrix size = %d, want 2", nm.N)
+	if g.N() != 2 {
+		t.Fatalf("node graph size = %d, want 2", g.N())
 	}
-	if nm.Bytes[0][0] != 20 { // 0<->1 both directions
-		t.Errorf("intra-node 0 = %d, want 20", nm.Bytes[0][0])
+	if g.Weight(0, 0) != 20 { // 0<->1 both directions
+		t.Errorf("intra-node 0 = %g, want 20", g.Weight(0, 0))
 	}
-	if nm.Bytes[0][1] != 10 || nm.Bytes[1][0] != 10 { // 1->2 and 2->1
-		t.Errorf("inter-node = %d/%d, want 10/10", nm.Bytes[0][1], nm.Bytes[1][0])
+	if g.Weight(0, 1) != 20 || g.Weight(1, 0) != 20 { // 1->2 plus 2->1
+		t.Errorf("inter-node = %g/%g, want 20/20", g.Weight(0, 1), g.Weight(1, 0))
 	}
 	bad, _ := topology.Block(mach, 2, 1)
-	if _, err := m.NodeMatrix(bad); err == nil {
-		t.Error("NodeMatrix accepted mismatched placement")
+	if _, err := m.NodeGraph(bad); err == nil {
+		t.Error("NodeGraph accepted mismatched placement")
 	}
 }
 
@@ -151,17 +152,46 @@ func TestRecorderWithSimmpi(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := rec.Matrix()
-	if m.TotalMsgs() != 4 {
-		t.Errorf("TotalMsgs = %d, want 4", m.TotalMsgs())
+	c := rec.Freeze()
+	if c.TotalMsgs() != 4 {
+		t.Errorf("TotalMsgs = %d, want 4", c.TotalMsgs())
 	}
-	if m.Bytes[0][1] != 64 {
-		t.Errorf("0->1 bytes = %d, want 64", m.Bytes[0][1])
+	if b, _ := c.At(0, 1); b != 64 {
+		t.Errorf("0->1 bytes = %d, want 64", b)
 	}
 	// ignores out-of-range gracefully
 	rec.Record(99, 0, 1)
-	if m.TotalMsgs() != 4 {
+	if rec.Freeze().TotalMsgs() != 4 {
 		t.Error("out-of-range record was accumulated")
+	}
+}
+
+// allocated returns the bytes f allocates (runtime.MemStats.TotalAlloc
+// delta; nothing else runs while a test does).
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// A recorder's memory follows the pairs it has seen: at 8,192 ranks the
+// dense cell grid it replaced was 1 GB before the first message.
+func TestRecorderAllocationFollowsPairs(t *testing.T) {
+	var c *CSR
+	got := allocated(func() {
+		rec := NewRecorder(8192)
+		for i := 0; i < 10_000; i++ {
+			rec.Record(i%8192, (i*7+1)%8192, 1024)
+		}
+		c = rec.Freeze()
+	})
+	if c.TotalMsgs() != 10_000 {
+		t.Fatalf("recorded %d messages, want 10000", c.TotalMsgs())
+	}
+	if got > 8<<20 {
+		t.Errorf("NewRecorder(8192) + 10,000 Records allocated %d bytes, want under 8 MB", got)
 	}
 }
 
@@ -180,11 +210,12 @@ func TestTopPairs(t *testing.T) {
 	_ = m.Add(0, 1, 100)
 	_ = m.Add(2, 3, 300)
 	_ = m.Add(1, 0, 200)
-	top := m.TopPairs(2)
+	c := m.ToCSR()
+	top := c.TopPairs(2)
 	if len(top) != 2 || top[0].Bytes != 300 || top[1].Bytes != 200 {
 		t.Errorf("TopPairs = %+v", top)
 	}
-	all := m.TopPairs(100)
+	all := c.TopPairs(100)
 	if len(all) != 3 {
 		t.Errorf("TopPairs(100) returned %d entries", len(all))
 	}
@@ -235,24 +266,24 @@ func TestPGM(t *testing.T) {
 }
 
 func TestSubmatrix(t *testing.T) {
-	m := stencilMatrix(10, 5)
-	sub, err := m.Submatrix(2, 6)
+	c := stencilMatrix(10, 5).ToCSR()
+	sub, err := c.Submatrix(2, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sub.N != 4 {
-		t.Fatalf("sub.N = %d, want 4", sub.N)
+	if sub.Ranks() != 4 {
+		t.Fatalf("sub.Ranks() = %d, want 4", sub.Ranks())
 	}
-	if sub.Bytes[0][1] != 5 { // was (2,3)
-		t.Errorf("sub(0,1) = %d, want 5", sub.Bytes[0][1])
+	if b, _ := sub.At(0, 1); b != 5 { // was (2,3)
+		t.Errorf("sub(0,1) = %d, want 5", b)
 	}
-	if _, err := m.Submatrix(5, 5); err == nil {
+	if _, err := c.Submatrix(5, 5); err == nil {
 		t.Error("Submatrix accepted empty range")
 	}
-	if _, err := m.Submatrix(-1, 3); err == nil {
+	if _, err := c.Submatrix(-1, 3); err == nil {
 		t.Error("Submatrix accepted negative lo")
 	}
-	if _, err := m.Submatrix(0, 99); err == nil {
+	if _, err := c.Submatrix(0, 99); err == nil {
 		t.Error("Submatrix accepted hi > N")
 	}
 }

@@ -259,7 +259,7 @@ func TestRunTracedProducesDoubleDiagonal(t *testing.T) {
 	if len(masses) != 8 {
 		t.Fatalf("masses = %v", masses)
 	}
-	m := rec.Matrix()
+	m := rec.Freeze().ToDense()
 	// Ghost traffic dominates: for every adjacent pair both directions
 	// must carry the boundary rows; beyond ±1 only the Allgather init.
 	ghostBytes := int64(3 * p.NX * 8 * 10)
@@ -318,7 +318,7 @@ func TestRunTracedWithEncoders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := rec.Matrix()
+	m := rec.Freeze().ToDense()
 	// Encoder world ranks are 0, 3, 6, 9 (stride ProcsPerNode+1).
 	// Application ranks must have sent checkpoints to their encoder.
 	if m.Bytes[1][0] < 2*4096 { // app world-rank 1 -> encoder 0, 2 rounds

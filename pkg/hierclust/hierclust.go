@@ -45,12 +45,11 @@
 //     This is what makes the result and trace caches sound: a cached
 //     value is indistinguishable from a recomputation.
 //
-//   - Frozen-CSR immutability. Communication matrices handed to the
-//     pipeline (trace.CSR, trace.Matrix after freeze, and the implicit
-//     trace.Stencil a synthetic source resolves to) are never mutated
-//     downstream, so one trace may back any number of concurrent
-//     evaluations — the property the trace cache and the singleflight
-//     build dedup depend on.
+//   - Frozen-CSR immutability. The communication matrices the pipeline
+//     builds and caches (trace.CSR and the implicit trace.Stencil a
+//     synthetic source resolves to) have no mutating method, so one
+//     trace may back any number of concurrent evaluations — the property
+//     the trace cache and the singleflight build dedup depend on.
 //
 //   - Scenario schema versioning. ScenarioVersion is the schema this
 //     package writes; DecodeScenario accepts documents up to that version

@@ -431,7 +431,7 @@ func (pl *Pipeline) buildTrace(sc *Scenario, placement *Placement) (Comm, error)
 		}); err != nil {
 			return nil, err
 		}
-		return rec.Matrix(), nil
+		return rec.Freeze(), nil
 	case "synthetic":
 		opts := trace.SyntheticOptions{Iterations: t.Iterations, BytesPerMsg: t.BytesPerMsg, Width: t.Width}
 		if t.Pattern == "stencil2d" {

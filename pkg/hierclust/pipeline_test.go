@@ -177,8 +177,8 @@ func TestPipelineTsunamiMatchesTracedRun(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if rec.Matrix().TotalBytes() != res.TotalBytes {
-		t.Fatalf("pipeline traced %d bytes, direct run %d", res.TotalBytes, rec.Matrix().TotalBytes())
+	if rec.Freeze().TotalBytes() != res.TotalBytes {
+		t.Fatalf("pipeline traced %d bytes, direct run %d", res.TotalBytes, rec.Freeze().TotalBytes())
 	}
 }
 

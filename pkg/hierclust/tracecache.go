@@ -85,10 +85,9 @@ func (s *Scenario) resolvedTrace() TraceSpec {
 // TraceCache caches built communication traces by TraceKey, beneath the
 // scenario-result cache. Implementations must be safe for concurrent use
 // and must treat stored traces as immutable — the pipeline hands out the
-// same Comm to concurrent evaluations, which is sound because frozen CSR
-// matrices and recorded dense matrices are never mutated after
-// construction (the frozen-CSR immutability invariant the trace and graph
-// packages pin).
+// same Comm to concurrent evaluations, which is sound because a frozen CSR
+// and a Stencil have no mutating method (the frozen-CSR immutability
+// invariant the trace and graph packages pin).
 type TraceCache interface {
 	// Get returns the cached trace for key, if present.
 	Get(key string) (Comm, bool)

@@ -3,6 +3,7 @@ package hierclust
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"sync"
@@ -255,6 +256,50 @@ func TestPipelineTraceCacheHit(t *testing.T) {
 	}
 	if res1.TotalBytes != res2.TotalBytes {
 		t.Fatal("shared trace reports different totals")
+	}
+}
+
+// A recorded trace is one Go type and one fold wherever it comes from: the
+// tsunami scenario's Comm is a *trace.CSR when built, when the memory cache
+// hands it back and when the disk cache decodes it, and the rendered result
+// is byte-identical on all three.
+func TestTsunamiTraceIsCSROnMissAndHits(t *testing.T) {
+	sc := traceScenario("tsunami", "hierarchical")
+	key, _ := sc.TraceKey()
+	dir := t.TempDir()
+	run := func(cache TraceCache, want string) []byte {
+		t.Helper()
+		ctx, info := WithTraceInfo(context.Background())
+		res, err := NewPipeline(WithWorkers(1), WithTraceCache(cache)).Run(ctx, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Cache != want {
+			t.Fatalf("trace cache outcome %q, want %q", info.Cache, want)
+		}
+		comm, ok := cache.Get(key)
+		if _, isCSR := comm.(*trace.CSR); !ok || !isCSR {
+			t.Fatalf("after a %s the cache holds %T (present %v), want *trace.CSR", want, comm, ok)
+		}
+		doc, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return doc
+	}
+	mem := NewMemoryTraceCache(2)
+	miss := run(mem, "miss") // mem now holds the very value the miss evaluated
+	if hit := run(mem, "hit"); !bytes.Equal(hit, miss) {
+		t.Errorf("memory hit renders differently from the miss:\n%s\n%s", hit, miss)
+	}
+	for _, want := range []string{"miss", "hit"} {
+		disk, err := NewDiskTraceCache(dir, 1<<20) // a fresh instance: the hit decodes the file
+		if err != nil {
+			t.Fatal(err)
+		}
+		if doc := run(disk, want); !bytes.Equal(doc, miss) {
+			t.Errorf("disk %s renders differently from the memory miss:\n%s\n%s", want, doc, miss)
+		}
 	}
 }
 

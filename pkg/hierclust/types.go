@@ -28,16 +28,18 @@ type (
 // The trace layer: who sent how many bytes to whom.
 type (
 	// Comm is the read-side view of a communication matrix, implemented
-	// by the dense Matrix, the sparse CSR and the implicit stencil a
-	// synthetic scenario evaluates.
+	// by the sparse CSR and the implicit stencil a synthetic scenario
+	// evaluates, and by the dense Matrix through its conversion to CSR.
 	Comm = trace.Comm
-	// Matrix is a dense communication matrix (natural for heatmaps and
-	// submatrix zooms at traced scales).
+	// Matrix is a dense grid of communication cells: hand-built input
+	// (NewMatrix, Add) and the heatmap/grid-CSV view of a small trace
+	// (CSR.ToDense).
 	Matrix = trace.Matrix
-	// CSR is a frozen sparse communication matrix (the representation
-	// that scales the pipeline to 100k+ ranks).
+	// CSR is a frozen sparse communication matrix — the form every
+	// recorded, cached and file trace is stored and folded in.
 	CSR = trace.CSR
-	// TraceRecorder accumulates a Matrix from a message-passing run.
+	// TraceRecorder accumulates a message-passing run's traffic; Freeze
+	// returns it as a CSR.
 	TraceRecorder = trace.Recorder
 	// SyntheticOptions tunes generated stencil traces.
 	SyntheticOptions = trace.SyntheticOptions
@@ -101,7 +103,8 @@ func RoundRobin(m *Machine, nranks, usedNodes int) (*Placement, error) {
 func NewMatrix(n int) *Matrix { return trace.NewMatrix(n) }
 
 // NewTraceRecorder returns a concurrency-safe recorder for n ranks,
-// pluggable as the Tracer of a traced application run.
+// pluggable as the Tracer of a traced application run; its memory follows
+// the distinct pairs recorded, not n².
 func NewTraceRecorder(n int) *TraceRecorder { return trace.NewRecorder(n) }
 
 // SyntheticTrace generates a deterministic stencil communication matrix for
@@ -110,18 +113,12 @@ func SyntheticTrace(n int, opts SyntheticOptions) (*CSR, error) {
 	return trace.Synthetic(n, opts)
 }
 
-// ReadTrace deserializes a trace written by Matrix.WriteTo or CSR.WriteTo
-// into sparse form without materializing a dense matrix. An optional
-// TraceReadOptions raises the rank-count plausibility bound beyond the
-// 2^22 default.
+// ReadTrace deserializes a trace written by WriteTo (CSR's, or Matrix's,
+// which converts). An optional TraceReadOptions raises the rank-count
+// plausibility bound beyond the 2^22 default; call ToDense on the result
+// for heatmaps and cell access at traced scales.
 func ReadTrace(r io.Reader, opts ...TraceReadOptions) (*CSR, error) {
 	return trace.ReadCSR(r, opts...)
-}
-
-// ReadTraceMatrix deserializes a trace into dense form (for heatmaps and
-// zooms at traced scales).
-func ReadTraceMatrix(r io.Reader, opts ...TraceReadOptions) (*Matrix, error) {
-	return trace.ReadMatrix(r, opts...)
 }
 
 // Naive builds the paper's naive clustering: consecutive-rank clusters at
