@@ -566,21 +566,21 @@ func BenchmarkSimMPIStencil(b *testing.B) {
 		err := simmpi.Run(n, simmpi.Options{}, func(p *simmpi.Proc) error {
 			c := p.Comm()
 			payload := make([]byte, 1024)
-			if c.Rank() > 0 {
-				if err := c.Send(c.Rank()-1, 1, payload); err != nil {
+			if p.Rank() > 0 {
+				if err := c.Send(p.Rank()-1, 1, payload); err != nil {
 					return err
 				}
 			}
-			if c.Rank() < n-1 {
-				if err := c.Send(c.Rank()+1, 1, payload); err != nil {
+			if p.Rank() < n-1 {
+				if err := c.Send(p.Rank()+1, 1, payload); err != nil {
 					return err
 				}
-				if _, err := c.Recv(c.Rank()+1, 1); err != nil {
+				if _, err := c.Recv(p.Rank()+1, 1); err != nil {
 					return err
 				}
 			}
-			if c.Rank() > 0 {
-				if _, err := c.Recv(c.Rank()-1, 1); err != nil {
+			if p.Rank() > 0 {
+				if _, err := c.Recv(p.Rank()-1, 1); err != nil {
 					return err
 				}
 			}

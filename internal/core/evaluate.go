@@ -154,13 +154,6 @@ func RecoveryFractionProcess(c *Clustering) (float64, error) {
 	return total / (n * n), nil
 }
 
-// clusterSizes returns the rank count of each L1 cluster without
-// materializing the member lists — the recovery metrics only need sizes,
-// and ClusterMembers is O(ranks) slice churn at 262k ranks.
-func clusterSizes(c *Clustering) []int {
-	return graph.PartSizes(c.L1)
-}
-
 // RecoveryFraction computes the expected fraction of ranks that restart
 // after a uniformly random single-node failure: all ranks of every L1
 // cluster touched by the failed node roll back. Node failures are the
@@ -181,7 +174,7 @@ func RecoveryFraction(c *Clustering, p *topology.Placement) (float64, error) {
 // already validated against p: Profile.Init validates once for all four
 // scores.
 func recoveryFraction(c *Clustering, p *topology.Placement) float64 {
-	sizes := clusterSizes(c)
+	sizes := graph.PartSizes(c.L1)
 	used := p.UsedNodes()
 	if len(used) == 0 || p.NumRanks() == 0 {
 		return 0
@@ -212,7 +205,7 @@ func RecoveryFractionPair(c *Clustering, p *topology.Placement) (float64, error)
 	if err := c.Validate(p.NumRanks()); err != nil {
 		return 0, err
 	}
-	sizes := clusterSizes(c)
+	sizes := graph.PartSizes(c.L1)
 	used := p.UsedNodes()
 	if len(used) == 0 || p.NumRanks() == 0 {
 		return 0, nil

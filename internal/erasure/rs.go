@@ -52,12 +52,6 @@ func NewRS(k, m int) (*RS, error) {
 	return &RS{k: k, m: m, enc: enc, parityPlans: plans}, nil
 }
 
-// K returns the number of data shards.
-func (r *RS) K() int { return r.k }
-
-// M returns the number of parity shards.
-func (r *RS) M() int { return r.m }
-
 // Encode computes the m parity shards for k equally sized data shards.
 // data must hold exactly k slices of identical length; parity must hold m
 // slices of that same length (they are overwritten).

@@ -1,9 +1,6 @@
 package erasure
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // XOR is the single-parity bit-wise XOR code the paper cites as the cheap
 // alternative to Reed–Solomon: one parity shard, tolerating exactly one
@@ -21,9 +18,6 @@ func NewXOR(k int) (*XOR, error) {
 	return &XOR{k: k}, nil
 }
 
-// K returns the number of data shards.
-func (x *XOR) K() int { return x.k }
-
 // Encode writes the XOR of all data shards into parity.
 func (x *XOR) Encode(data [][]byte, parity []byte) error {
 	if len(data) != x.k {
@@ -38,43 +32,5 @@ func (x *XOR) Encode(data [][]byte, parity []byte) error {
 		}
 		xorSlice(d, parity)
 	}
-	return nil
-}
-
-// Reconstruct rebuilds at most one missing shard. shards has k+1 entries
-// (k data then parity); exactly the nil entries are missing.
-func (x *XOR) Reconstruct(shards [][]byte) error {
-	if len(shards) != x.k+1 {
-		return fmt.Errorf("erasure: got %d shards, want %d", len(shards), x.k+1)
-	}
-	missing := -1
-	size := -1
-	for i, s := range shards {
-		if s == nil {
-			if missing != -1 {
-				return ErrTooManyErasures
-			}
-			missing = i
-			continue
-		}
-		if size == -1 {
-			size = len(s)
-		} else if len(s) != size {
-			return fmt.Errorf("erasure: shard %d size %d != %d", i, len(s), size)
-		}
-	}
-	if missing == -1 {
-		return nil
-	}
-	if size == -1 {
-		return errors.New("erasure: no surviving shards")
-	}
-	out := make([]byte, size)
-	for i, s := range shards {
-		if i != missing {
-			xorSlice(s, out)
-		}
-	}
-	shards[missing] = out
 	return nil
 }

@@ -264,16 +264,6 @@ func mergeSmallWeighted(g *Graph, part []int, sizes []int, opts PartitionOptions
 	return part, sizes
 }
 
-// weightedSizesInto sums vertex weights per part id into buf.
-func weightedSizesInto(buf []int, part []int, vw []int) []int {
-	sizes := buf[:NumParts(part)]
-	clear(sizes)
-	for v, p := range part {
-		sizes[p] += vweight(vw, v)
-	}
-	return sizes
-}
-
 // matchCoin deterministically splits vertices into proposers (true) and
 // acceptors (false) per round, by a splitmix-style hash. A naive symmetric
 // handshake ("everyone proposes to their heaviest neighbor") deadlocks on

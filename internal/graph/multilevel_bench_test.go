@@ -56,7 +56,7 @@ func BenchmarkPhaseRefineFinest(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sizes := weightedSizesInto(ar.sizesBuf, part, nil)
+	sizes := PartSizes(part)
 	buf := make([]int, len(part))
 	szbuf := make([]int, len(sizes))
 	b.ReportAllocs()

@@ -53,7 +53,7 @@ func TestRefineParallelWorkerInvariance(t *testing.T) {
 		for v := range part {
 			part[v] = v / 4
 		}
-		sizes := weightedSizesInto(make([]int, g.N()), part, nil)
+		sizes := PartSizes(part)
 		ref := refineWithWorkers(g, part, sizes, opts, nil, 1)
 		for _, workers := range []int{2, 8} {
 			got := refineWithWorkers(g, part, sizes, opts, nil, workers)

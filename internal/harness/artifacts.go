@@ -5,16 +5,15 @@ import (
 	"path/filepath"
 
 	"hierclust/internal/trace"
-	"hierclust/internal/tsunami"
 )
 
 // WriteArtifacts stores the table CSV in dir and, for the heatmap
-// experiments (fig5a/fig5b), re-traces at the configured scale to dump the
-// full-resolution communication matrix as PGM and CSV — the inputs for
-// external plotting of the paper's Figures 5a/5b. With cfg.MaxRanks set it
-// additionally renders the synthetic-scale heatmap through the sparse
-// downsampler (<id>_synthetic.pgm plus a triplet CSV) — no simulated MPI
-// run at any rank count.
+// experiments (fig5a/fig5b), dumps the full-resolution communication matrix
+// of the traced run their tables summarize (encodedRig) as PGM and CSV —
+// the inputs for external plotting of the paper's Figures 5a/5b. With
+// cfg.MaxRanks set it additionally renders the synthetic-scale heatmap
+// through the sparse downsampler (<id>_synthetic.pgm plus a triplet CSV) —
+// no simulated MPI run at any rank count.
 func WriteArtifacts(dir string, table *Table, cfg Config, id string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -30,34 +29,14 @@ func WriteArtifacts(dir string, table *Table, cfg Config, id string) error {
 			return err
 		}
 	}
-	// Re-trace at the configured scale to dump the raw matrix.
-	cfgFull := cfg
-	if cfgFull.Ranks == 0 {
-		if cfgFull.Quick {
-			cfgFull.Ranks, cfgFull.ProcsPerNode, cfgFull.Iterations = 256, 8, 20
-		} else {
-			cfgFull.Ranks, cfgFull.ProcsPerNode, cfgFull.Iterations = 1024, 16, 100
-		}
-	}
-	nodes := cfgFull.Ranks / cfgFull.ProcsPerNode
-	rec := trace.NewRecorder(cfgFull.Ranks + nodes)
-	p := tsunami.DefaultParams(cfgFull.Ranks)
-	p.NX, p.NY = 64, 2*cfgFull.Ranks
-	if _, err := tsunami.RunTraced(tsunami.TracedOptions{
-		Params:          p,
-		Iterations:      cfgFull.Iterations,
-		ProcsPerNode:    cfgFull.ProcsPerNode,
-		EncoderRanks:    true,
-		CheckpointEvery: cfgFull.Iterations / 4,
-		CheckpointBytes: 64 << 10,
-		Tracer:          rec,
-	}); err != nil {
+	// The run the fig5a/fig5b tables describe, at full resolution.
+	cfg.normalize()
+	m, err := encodedRig(cfg)
+	if err != nil {
 		return err
 	}
-	m := rec.Freeze()
 	if id == "fig5b" {
-		zoomN := min(4*(cfgFull.ProcsPerNode+1), m.Ranks())
-		var err error
+		zoomN := min(4*(cfg.ProcsPerNode+1), m.Ranks())
 		if m, err = m.Submatrix(0, zoomN); err != nil {
 			return err
 		}

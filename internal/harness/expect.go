@@ -22,21 +22,3 @@ var PaperTable2 = map[string]PaperRow{
 	"distributed-16": {Logged: 1.00, Recovery: 0.25, EncodeSec: 102, PCat: 1e-15},
 	"hierarchical":   {Logged: 0.019, Recovery: 0.0625, EncodeSec: 25, PCat: 1e-6},
 }
-
-// PaperBaseline repeats the paper's §III requirements: log ≤20% of
-// messages, encode 1 GB in ≤1 minute, at most ~1/1000 failures
-// unrecoverable, restart ≤20% of processes.
-var PaperBaseline = struct {
-	MaxLogged, MaxEncodeSec, MaxPCat, MaxRecovery float64
-}{0.20, 60, 1e-3, 0.20}
-
-// PaperFig3aSweetSpot is the cluster size the paper identifies as the
-// logging/recovery sweet spot for the 1024-rank tsunami run.
-const PaperFig3aSweetSpot = 32
-
-// PaperFig4c records the paper's headline Fig. 4c point: at cluster size
-// 32, restart cost is ~3% without distribution and ~50% with it.
-var PaperFig4c = struct {
-	Size                        int
-	NonDistributed, Distributed float64
-}{32, 0.03, 0.50}

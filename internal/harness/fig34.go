@@ -280,10 +280,3 @@ func Fig4c(cfg Config) (*Table, error) {
 	t.Notes = append(t.Notes, "paper: at size 32, 3% non-distributed vs 50% distributed")
 	return t, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

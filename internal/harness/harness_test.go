@@ -3,6 +3,7 @@ package harness
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -367,5 +368,62 @@ func TestSyntheticHeatmapArtifacts(t *testing.T) {
 	}
 	if !strings.HasPrefix(string(zoom), "P2\n32 32\n255\n") { // 4 nodes × 8 ranks (quick)
 		t.Fatalf("fig5b synthetic PGM header = %q", string(zoom[:16]))
+	}
+}
+
+// TestHeatmapArtifactsAreTheTablesRun: the fig5 -out matrix is the run the
+// fig5a table summarizes — its cells sum to the table's "total bytes" —
+// and fig5b's is the 4·(ppn+1)-rank corner of that same matrix.
+func TestHeatmapArtifactsAreTheTablesRun(t *testing.T) {
+	cfg := Config{Quick: true}
+	table, err := Fig5a(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, id := range []string{"fig5a", "fig5b"} {
+		if err := WriteArtifacts(dir, table, cfg, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grid := func(id string) [][]string {
+		raw, err := os.ReadFile(filepath.Join(dir, id+"_matrix.csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows [][]string
+		for _, line := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n") {
+			rows = append(rows, strings.Split(line, ","))
+		}
+		return rows
+	}
+	full, zoom := grid("fig5a"), grid("fig5b")
+	var sum int64
+	for _, row := range full {
+		for _, cell := range row {
+			b, err := strconv.ParseInt(cell, 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum += b
+		}
+	}
+	total := ""
+	for _, row := range table.Rows {
+		if row[0] == "total bytes" {
+			total = row[1]
+		}
+	}
+	if total != strconv.FormatInt(sum, 10) {
+		t.Errorf("fig5a_matrix.csv cells sum to %d; the fig5a table says total bytes = %q", sum, total)
+	}
+	cfg.normalize()
+	if want := 4 * (cfg.ProcsPerNode + 1); len(zoom) != want {
+		t.Fatalf("fig5b_matrix.csv has %d rows, want %d", len(zoom), want)
+	}
+	for s, row := range zoom {
+		if !slices.Equal(row, full[s][:len(zoom)]) {
+			t.Fatalf("fig5b_matrix.csv row %d is not the corner of fig5a_matrix.csv", s)
+		}
 	}
 }

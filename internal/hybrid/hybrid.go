@@ -157,7 +157,7 @@ func NewRunner(cfg Config, app App) (*Runner, error) {
 		dedupSnap: make([]map[int]uint64, n),
 	}
 	for r := 0; r < n; r++ {
-		run.logs[r] = msglog.NewLog(r)
+		run.logs[r] = msglog.NewLog()
 		run.dedup[r] = msglog.NewDedup()
 	}
 	return run, nil

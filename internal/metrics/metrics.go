@@ -1,18 +1,19 @@
 // Package metrics is a small, dependency-free instrumentation registry
-// for the hcserve evaluation service: counters, gauges, and fixed-bucket
-// histograms, with optional label dimensions, exposed in the Prometheus
-// text format (version 0.0.4) by Registry.WritePrometheus.
+// for the hcserve evaluation service: the five metric kinds it registers —
+// Counter, CounterVec, HistogramVec (fixed buckets), and the GaugeFunc and
+// CounterFunc bridges to values tracked elsewhere — exposed in the
+// Prometheus text format (version 0.0.4) by Registry.WritePrometheus.
 //
 // The package deliberately implements the minimal subset of the Prometheus
 // data model the repository needs — no client library dependency, no
 // push/pull machinery, no dynamic label cardinality protection beyond what
-// the caller wires. All metric operations (Inc, Add, Set, Observe, With)
+// the caller wires. All metric operations (Inc, Add, Observe, With)
 // are safe for concurrent use, lock-free on the hot path (atomics), and
 // may race freely with WritePrometheus; the exposition is a point-in-time
 // snapshot with no cross-metric consistency guarantee, exactly like a real
 // Prometheus scrape. A concurrency test pins this under the race detector.
 //
-// Registration (Counter, Gauge, Histogram, *Vec, GaugeFunc) is intended
+// Registration (Counter, *Vec, GaugeFunc, CounterFunc) is intended
 // for startup: registering the same name twice, or an invalid name or
 // label, panics — a mis-wired metric is a programmer error that should
 // fail loudly in the first test that touches it, not ship a silent gap in
@@ -122,14 +123,6 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 	return &CounterVec{f: r.register(&family{name: name, help: help, typ: "counter", labels: labels})}
 }
 
-// Gauge registers and returns an unlabeled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.register(&family{name: name, help: help, typ: "gauge"})
-	g := &Gauge{}
-	f.series[""] = g
-	return g
-}
-
 // GaugeFunc registers a gauge whose value is read from fn at exposition
 // time — the bridge for values already tracked elsewhere (cache entry
 // counts, queue lengths). fn must be safe for concurrent use.
@@ -145,22 +138,11 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	r.register(&family{name: name, help: help, typ: "counter", fn: fn})
 }
 
-// Histogram registers and returns an unlabeled histogram with the given
-// ascending upper bounds (DefBuckets when empty). A +Inf bucket is always
-// appended.
-func (r *Registry) Histogram(name, help string, buckets ...float64) *Histogram {
-	b := checkBuckets(name, buckets)
-	f := r.register(&family{name: name, help: help, typ: "histogram", buckets: b})
-	h := newHistogram(b)
-	f.series[""] = h
-	return h
-}
-
 // HistogramVec registers a histogram family with label dimensions; series
 // materialize on first With. buckets nil means DefBuckets.
 func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
 	if len(labels) == 0 {
-		panic(fmt.Sprintf("metrics: HistogramVec %q needs at least one label (use Histogram)", name))
+		panic(fmt.Sprintf("metrics: HistogramVec %q needs at least one label", name))
 	}
 	b := checkBuckets(name, buckets)
 	return &HistogramVec{f: r.register(&family{name: name, help: help, typ: "histogram", labels: labels, buckets: b})}
@@ -192,30 +174,6 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 
 func (c *Counter) write(w io.Writer, name, labelBlock string) error {
 	_, err := fmt.Fprintf(w, "%s%s %d\n", name, labelBlock, c.v.Load())
-	return err
-}
-
-// Gauge is an integer value that can go up and down (in-flight requests,
-// queue occupancy, cache entries).
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adds n (negative to subtract).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Inc adds one.
-func (g *Gauge) Inc() { g.v.Add(1) }
-
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.v.Add(-1) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-func (g *Gauge) write(w io.Writer, name, labelBlock string) error {
-	_, err := fmt.Fprintf(w, "%s%s %d\n", name, labelBlock, g.v.Load())
 	return err
 }
 

@@ -9,7 +9,7 @@
 //
 // The memory footprint of these logs is the paper's fourth optimization
 // dimension: clusterings that log more than ~20% of traffic exhaust log
-// memory between checkpoints (see internal/models.LogMemory).
+// memory between checkpoints.
 package msglog
 
 import (
@@ -35,31 +35,15 @@ type Entry struct {
 
 // Log is one sender's message log. It is safe for concurrent use.
 type Log struct {
-	sender int
-
 	mu      sync.Mutex
 	byDest  map[int][]Entry
 	nextSeq map[int]uint64
 	bytes   int64
-	count   int64
 }
 
-// NewLog creates the log for a sender rank.
-func NewLog(sender int) *Log {
-	return &Log{sender: sender, byDest: map[int][]Entry{}, nextSeq: map[int]uint64{}}
-}
-
-// Sender returns the owning rank.
-func (l *Log) Sender() int { return l.sender }
-
-// NextSeq returns the sequence number the next message to dest will carry,
-// without logging anything. Senders stamp *every* message on a channel with
-// consecutive sequence numbers (logged or not) so receivers can detect
-// replay duplicates; only inter-cluster payloads are retained.
-func (l *Log) NextSeq(dest int) uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.nextSeq[dest]
+// NewLog creates one sender rank's log.
+func NewLog() *Log {
+	return &Log{byDest: map[int][]Entry{}, nextSeq: map[int]uint64{}}
 }
 
 // Advance consumes the next sequence number for dest without retaining a
@@ -93,7 +77,6 @@ func (l *Log) Append(dest int, tag int64, epoch int, payload []byte) Entry {
 	e := Entry{Dest: dest, Tag: tag, Seq: s, Epoch: epoch, Payload: append([]byte(nil), payload...)}
 	l.byDest[dest] = append(l.byDest[dest], e)
 	l.bytes += int64(len(payload))
-	l.count++
 	return e
 }
 
@@ -102,13 +85,6 @@ func (l *Log) Bytes() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.bytes
-}
-
-// Count returns the number of retained entries.
-func (l *Log) Count() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.count
 }
 
 // Trim discards entries whose epoch is strictly below minEpoch: once every
@@ -126,7 +102,6 @@ func (l *Log) Trim(minEpoch int) int64 {
 				kept = append(kept, e)
 			} else {
 				freed += int64(len(e.Payload))
-				l.count--
 			}
 		}
 		if len(kept) == 0 {
@@ -164,15 +139,6 @@ func (l *Log) Dests() []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// ResetSeq rewinds the outgoing sequence counter for dest to seq. A sender
-// that itself rolls back re-sends from its checkpointed counters so
-// receivers see a consistent sequence stream.
-func (l *Log) ResetSeq(dest int, seq uint64) {
-	l.mu.Lock()
-	l.nextSeq[dest] = seq
-	l.mu.Unlock()
 }
 
 // SeqSnapshot returns a copy of all outgoing sequence counters, for

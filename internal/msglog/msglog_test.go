@@ -6,11 +6,21 @@ import (
 	"testing/quick"
 )
 
-func TestAppendAssignsSequentialSeqs(t *testing.T) {
-	l := NewLog(3)
-	if l.Sender() != 3 {
-		t.Errorf("Sender = %d", l.Sender())
+// nextSeq is the sequence number the next message to dest will carry, read
+// off the snapshot a sender's checkpoint would take.
+func nextSeq(l *Log, dest int) uint64 { return l.SeqSnapshot()[dest] }
+
+// retained counts the entries the log holds, through Replay.
+func retained(l *Log) int {
+	n := 0
+	for _, d := range l.Dests() {
+		n += len(l.Replay(d, 0))
 	}
+	return n
+}
+
+func TestAppendAssignsSequentialSeqs(t *testing.T) {
+	l := NewLog()
 	e0 := l.Append(7, 1, 0, []byte("a"))
 	e1 := l.Append(7, 1, 0, []byte("bb"))
 	e2 := l.Append(9, 1, 0, []byte("c"))
@@ -23,14 +33,14 @@ func TestAppendAssignsSequentialSeqs(t *testing.T) {
 	if l.Bytes() != 4 {
 		t.Errorf("Bytes = %d, want 4", l.Bytes())
 	}
-	if l.Count() != 3 {
-		t.Errorf("Count = %d, want 3", l.Count())
+	if retained(l) != 3 {
+		t.Errorf("retained = %d, want 3", retained(l))
 	}
 }
 
 func TestAdvanceInterleavesWithAppend(t *testing.T) {
 	// Intra-cluster messages advance the channel seq without logging.
-	l := NewLog(0)
+	l := NewLog()
 	if s := l.Advance(5); s != 0 {
 		t.Errorf("Advance = %d, want 0", s)
 	}
@@ -38,16 +48,16 @@ func TestAdvanceInterleavesWithAppend(t *testing.T) {
 	if e.Seq != 1 {
 		t.Errorf("Append after Advance seq = %d, want 1", e.Seq)
 	}
-	if l.NextSeq(5) != 2 {
-		t.Errorf("NextSeq = %d, want 2", l.NextSeq(5))
+	if nextSeq(l, 5) != 2 {
+		t.Errorf("next seq = %d, want 2", nextSeq(l, 5))
 	}
-	if l.Count() != 1 {
-		t.Errorf("Count = %d, want 1 (Advance must not log)", l.Count())
+	if retained(l) != 1 {
+		t.Errorf("retained = %d, want 1 (Advance must not log)", retained(l))
 	}
 }
 
 func TestAppendCopiesPayload(t *testing.T) {
-	l := NewLog(0)
+	l := NewLog()
 	buf := []byte{1, 2}
 	l.Append(1, 0, 0, buf)
 	buf[0] = 99
@@ -58,7 +68,7 @@ func TestAppendCopiesPayload(t *testing.T) {
 }
 
 func TestReplayFromSeq(t *testing.T) {
-	l := NewLog(0)
+	l := NewLog()
 	for i := 0; i < 5; i++ {
 		l.Append(2, 0, 0, []byte{byte(i)})
 	}
@@ -72,7 +82,7 @@ func TestReplayFromSeq(t *testing.T) {
 }
 
 func TestTrimByEpoch(t *testing.T) {
-	l := NewLog(0)
+	l := NewLog()
 	l.Append(1, 0, 0, make([]byte, 10)) // epoch 0
 	l.Append(1, 0, 1, make([]byte, 20)) // epoch 1
 	l.Append(2, 0, 0, make([]byte, 30)) // epoch 0
@@ -80,36 +90,32 @@ func TestTrimByEpoch(t *testing.T) {
 	if freed != 40 {
 		t.Errorf("Trim freed %d, want 40", freed)
 	}
-	if l.Bytes() != 20 || l.Count() != 1 {
-		t.Errorf("after trim: %d bytes, %d entries", l.Bytes(), l.Count())
+	if l.Bytes() != 20 || retained(l) != 1 {
+		t.Errorf("after trim: %d bytes, %d entries", l.Bytes(), retained(l))
 	}
 	if d := l.Dests(); len(d) != 1 || d[0] != 1 {
 		t.Errorf("Dests after trim = %v", d)
 	}
 	// Trimming must not disturb sequence counters.
-	if l.NextSeq(1) != 2 || l.NextSeq(2) != 1 {
-		t.Errorf("seq counters after trim: %d, %d", l.NextSeq(1), l.NextSeq(2))
+	if nextSeq(l, 1) != 2 || nextSeq(l, 2) != 1 {
+		t.Errorf("seq counters after trim: %d, %d", nextSeq(l, 1), nextSeq(l, 2))
 	}
 }
 
 func TestSeqSnapshotRestore(t *testing.T) {
-	l := NewLog(0)
+	l := NewLog()
 	l.Append(1, 0, 0, []byte("a"))
 	l.Append(1, 0, 0, []byte("b"))
 	l.Append(2, 0, 0, []byte("c"))
 	snap := l.SeqSnapshot()
 	l.Append(1, 0, 0, []byte("d"))
 	l.RestoreSeq(snap)
-	if l.NextSeq(1) != 2 || l.NextSeq(2) != 1 {
-		t.Errorf("restored seqs = %d, %d", l.NextSeq(1), l.NextSeq(2))
-	}
-	l.ResetSeq(1, 0)
-	if l.NextSeq(1) != 0 {
-		t.Errorf("ResetSeq failed: %d", l.NextSeq(1))
+	if nextSeq(l, 1) != 2 || nextSeq(l, 2) != 1 {
+		t.Errorf("restored seqs = %d, %d", nextSeq(l, 1), nextSeq(l, 2))
 	}
 	// snapshot is a copy, not a view
 	snap[9] = 42
-	if l.NextSeq(9) == 42 {
+	if nextSeq(l, 9) == 42 {
 		t.Error("SeqSnapshot returned aliased map")
 	}
 }
@@ -164,7 +170,7 @@ func TestRecoveryHandshake(t *testing.T) {
 	// End-to-end recovery semantics: receiver checkpoints its cursors,
 	// keeps receiving, fails, restores, and replay from the sender's log
 	// regenerates exactly the lost messages.
-	sender := NewLog(0)
+	sender := NewLog()
 	recv := NewDedup()
 
 	deliver := func(e Entry) bool {
@@ -214,7 +220,7 @@ func TestRecoveryHandshake(t *testing.T) {
 }
 
 func TestConcurrentAppend(t *testing.T) {
-	l := NewLog(0)
+	l := NewLog()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -226,12 +232,12 @@ func TestConcurrentAppend(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if l.Count() != 800 || l.Bytes() != 800 {
-		t.Errorf("after concurrent appends: %d entries, %d bytes", l.Count(), l.Bytes())
+	if retained(l) != 800 || l.Bytes() != 800 {
+		t.Errorf("after concurrent appends: %d entries, %d bytes", retained(l), l.Bytes())
 	}
 	for d := 0; d < 8; d++ {
-		if l.NextSeq(d) != 100 {
-			t.Errorf("dest %d seq = %d, want 100", d, l.NextSeq(d))
+		if nextSeq(l, d) != 100 {
+			t.Errorf("dest %d seq = %d, want 100", d, nextSeq(l, d))
 		}
 	}
 }
@@ -241,12 +247,12 @@ func TestConcurrentAppend(t *testing.T) {
 // requested cursor.
 func TestReplayOrderProperty(t *testing.T) {
 	f := func(destsRaw []uint8, from uint8) bool {
-		l := NewLog(0)
+		l := NewLog()
 		for _, d := range destsRaw {
 			l.Append(int(d%4), 0, 0, []byte{d})
 		}
 		for d := 0; d < 4; d++ {
-			cursor := uint64(from) % (l.NextSeq(d) + 1)
+			cursor := uint64(from) % (nextSeq(l, d) + 1)
 			entries := l.Replay(d, cursor)
 			want := cursor
 			for _, e := range entries {
@@ -255,7 +261,7 @@ func TestReplayOrderProperty(t *testing.T) {
 				}
 				want++
 			}
-			if want != l.NextSeq(d) {
+			if want != nextSeq(l, d) {
 				return false
 			}
 		}

@@ -39,9 +39,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"math"
 	"math/bits"
-	"math/rand"
 	"runtime"
 	"slices"
 	"sort"
@@ -198,9 +196,6 @@ func appendSpan(dst []NodeCount, p *topology.Placement, members []topology.Rank)
 	}
 	return dst[:start+k+1]
 }
-
-// NodeSpan returns the number of distinct nodes hosting group members.
-func (g *Group) NodeSpan() int { return len(g.Span) }
 
 // validateGroups rejects a group whose span is not strictly ascending by
 // node: flatten and the per-group bounds read spans in order and never sort.
@@ -1057,29 +1052,4 @@ func combinations(n, k int) float64 {
 		c = c * float64(n-i) / float64(i+1)
 	}
 	return c
-}
-
-// SystemMTBF returns the system mean time between failures given a per-node
-// MTBF and the node count, under independent exponential failures.
-func SystemMTBF(nodeMTBF float64, nodes int) float64 {
-	if nodes <= 0 || nodeMTBF <= 0 {
-		return math.Inf(1)
-	}
-	return nodeMTBF / float64(nodes)
-}
-
-// Schedule draws failure times over [0, horizon) for a system with the
-// given MTBF, using a seeded exponential process.
-func Schedule(mtbf, horizon float64, seed int64) []float64 {
-	if mtbf <= 0 || horizon <= 0 {
-		return nil
-	}
-	rng := rand.New(rand.NewSource(seed))
-	var times []float64
-	t := rng.ExpFloat64() * mtbf
-	for t < horizon {
-		times = append(times, t)
-		t += rng.ExpFloat64() * mtbf
-	}
-	return times
 }

@@ -61,14 +61,14 @@ func TestMixValidateNormalize(t *testing.T) {
 func TestGroupFromRanks(t *testing.T) {
 	_, p := machine(4, 4)
 	g := GroupFromRanks(p, []topology.Rank{0, 4, 8, 12}) // one per node
-	if g.NodeSpan() != 4 {
-		t.Errorf("NodeSpan = %d, want 4", g.NodeSpan())
+	if len(g.Span) != 4 {
+		t.Errorf("node span = %d, want 4", len(g.Span))
 	}
 	if g.Tolerance != 2 {
 		t.Errorf("Tolerance = %d, want 2 (half group)", g.Tolerance)
 	}
 	g2 := GroupFromRanks(p, []topology.Rank{0, 1, 2, 3}) // all on node 0
-	if g2.NodeSpan() != 1 || g2.membersOn(0) != 4 {
+	if len(g2.Span) != 1 || g2.membersOn(0) != 4 {
 		t.Errorf("co-located group: %+v", g2)
 	}
 }
@@ -304,47 +304,5 @@ func TestFig4aDistributionGap(t *testing.T) {
 		if pd*100 > pn {
 			t.Errorf("size %d: distributed %g not ≫ better than non-distributed %g", size, pd, pn)
 		}
-	}
-}
-
-func TestSystemMTBF(t *testing.T) {
-	if got := SystemMTBF(1000, 100); got != 10 {
-		t.Errorf("SystemMTBF = %g, want 10", got)
-	}
-	if got := SystemMTBF(0, 10); !math.IsInf(got, 1) {
-		t.Errorf("SystemMTBF(0, 10) = %g, want +Inf", got)
-	}
-	if got := SystemMTBF(10, 0); !math.IsInf(got, 1) {
-		t.Errorf("SystemMTBF(10, 0) = %g, want +Inf", got)
-	}
-}
-
-func TestSchedule(t *testing.T) {
-	times := Schedule(10, 1000, 42)
-	if len(times) == 0 {
-		t.Fatal("no failures scheduled over 100 MTBFs")
-	}
-	// Expect ~100 events; allow wide tolerance.
-	if len(times) < 50 || len(times) > 200 {
-		t.Errorf("scheduled %d failures over 100 MTBFs", len(times))
-	}
-	for i, ft := range times {
-		if ft < 0 || ft >= 1000 {
-			t.Fatalf("failure %d at %g outside horizon", i, ft)
-		}
-		if i > 0 && ft <= times[i-1] {
-			t.Fatalf("times not increasing at %d", i)
-		}
-	}
-	// deterministic
-	again := Schedule(10, 1000, 42)
-	if len(again) != len(times) {
-		t.Error("Schedule not deterministic for equal seeds")
-	}
-	if got := Schedule(0, 10, 1); got != nil {
-		t.Errorf("Schedule with mtbf=0 = %v", got)
-	}
-	if got := Schedule(10, 0, 1); got != nil {
-		t.Errorf("Schedule with horizon=0 = %v", got)
 	}
 }

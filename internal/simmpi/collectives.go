@@ -3,80 +3,7 @@ package simmpi
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 )
-
-// ReduceOp combines two payloads into one; it must be associative and
-// commutative, and must not retain or modify its inputs beyond the returned
-// slice (which may alias a).
-type ReduceOp func(a, b []byte) ([]byte, error)
-
-// OpSumFloat64 adds payloads interpreted as little-endian []float64.
-func OpSumFloat64(a, b []byte) ([]byte, error) {
-	if len(a) != len(b) || len(a)%8 != 0 {
-		return nil, fmt.Errorf("simmpi: float64 sum over %d and %d bytes", len(a), len(b))
-	}
-	out := make([]byte, len(a))
-	for i := 0; i < len(a); i += 8 {
-		x := math.Float64frombits(binary.LittleEndian.Uint64(a[i:]))
-		y := math.Float64frombits(binary.LittleEndian.Uint64(b[i:]))
-		binary.LittleEndian.PutUint64(out[i:], math.Float64bits(x+y))
-	}
-	return out, nil
-}
-
-// OpMaxFloat64 takes the element-wise maximum of []float64 payloads.
-func OpMaxFloat64(a, b []byte) ([]byte, error) {
-	if len(a) != len(b) || len(a)%8 != 0 {
-		return nil, fmt.Errorf("simmpi: float64 max over %d and %d bytes", len(a), len(b))
-	}
-	out := make([]byte, len(a))
-	for i := 0; i < len(a); i += 8 {
-		x := math.Float64frombits(binary.LittleEndian.Uint64(a[i:]))
-		y := math.Float64frombits(binary.LittleEndian.Uint64(b[i:]))
-		binary.LittleEndian.PutUint64(out[i:], math.Float64bits(math.Max(x, y)))
-	}
-	return out, nil
-}
-
-// OpSumInt64 adds payloads interpreted as little-endian []int64.
-func OpSumInt64(a, b []byte) ([]byte, error) {
-	if len(a) != len(b) || len(a)%8 != 0 {
-		return nil, fmt.Errorf("simmpi: int64 sum over %d and %d bytes", len(a), len(b))
-	}
-	out := make([]byte, len(a))
-	for i := 0; i < len(a); i += 8 {
-		x := int64(binary.LittleEndian.Uint64(a[i:]))
-		y := int64(binary.LittleEndian.Uint64(b[i:]))
-		binary.LittleEndian.PutUint64(out[i:], uint64(x+y))
-	}
-	return out, nil
-}
-
-// Barrier blocks until every rank of the communicator has entered it.
-// It uses the dissemination algorithm: ceil(log2 n) rounds of pairwise
-// notifications.
-func (c *Comm) Barrier() error {
-	seq := c.seq
-	c.seq++
-	n := len(c.group)
-	if n == 1 {
-		return nil
-	}
-	for round, dist := 0, 1; dist < n; round, dist = round+1, dist*2 {
-		to := (c.rank + dist) % n
-		from := (c.rank - dist + n) % n
-		wto := c.group[to]
-		wfrom := c.group[from]
-		if err := c.proc.send(wto, c.itag(seq, round), nil); err != nil {
-			return err
-		}
-		if _, err := c.proc.recv(wfrom, c.itag(seq, round)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // Bcast distributes root's payload to every rank using a binomial tree and
 // returns each rank's copy.
@@ -122,51 +49,6 @@ func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 		}
 	}
 	return buf, nil
-}
-
-// Reduce combines all payloads with op, delivering the result to root
-// (nil elsewhere). Binomial-tree reduction in rotated rank space.
-func (c *Comm) Reduce(root int, data []byte, op ReduceOp) ([]byte, error) {
-	seq := c.seq
-	c.seq++
-	n := len(c.group)
-	if root < 0 || root >= n {
-		return nil, fmt.Errorf("simmpi: reduce root %d out of range 0..%d", root, n-1)
-	}
-	vrank := (c.rank - root + n) % n
-	acc := append([]byte(nil), data...)
-	for mask := 1; mask < n; mask <<= 1 {
-		if vrank&mask != 0 {
-			parent := ((vrank &^ mask) + root) % n
-			if err := c.proc.send(c.group[parent], c.itag(seq, mask), acc); err != nil {
-				return nil, err
-			}
-			return nil, nil // contribution forwarded; done
-		}
-		child := vrank | mask
-		if child < n {
-			b, err := c.proc.recv(c.group[(child+root)%n], c.itag(seq, mask))
-			if err != nil {
-				return nil, err
-			}
-			acc, err = op(acc, b)
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	return acc, nil
-}
-
-// Allreduce combines all payloads with op and delivers the result to every
-// rank. Implemented as Reduce to rank 0 followed by Bcast, the layout MPICH2
-// uses for medium payloads.
-func (c *Comm) Allreduce(data []byte, op ReduceOp) ([]byte, error) {
-	red, err := c.Reduce(0, data, op)
-	if err != nil {
-		return nil, err
-	}
-	return c.Bcast(0, red)
 }
 
 // Gather collects every rank's payload at root; result[i] is rank i's
@@ -259,58 +141,6 @@ func (c *Comm) allgatherFallback(data []byte) ([][]byte, error) {
 	out := make([][]byte, len(c.group))
 	for r, blk := range blocks {
 		out[r] = blk
-	}
-	return out, nil
-}
-
-// Scatter distributes parts[i] from root to rank i and returns each rank's
-// part. parts is only read at root.
-func (c *Comm) Scatter(root int, parts [][]byte) ([]byte, error) {
-	seq := c.seq
-	c.seq++
-	n := len(c.group)
-	if root < 0 || root >= n {
-		return nil, fmt.Errorf("simmpi: scatter root %d out of range 0..%d", root, n-1)
-	}
-	if c.rank == root {
-		if len(parts) != n {
-			return nil, fmt.Errorf("simmpi: scatter got %d parts for %d ranks", len(parts), n)
-		}
-		for r := 0; r < n; r++ {
-			if r == root {
-				continue
-			}
-			if err := c.proc.send(c.group[r], c.itag(seq, r), parts[r]); err != nil {
-				return nil, err
-			}
-		}
-		return append([]byte(nil), parts[root]...), nil
-	}
-	return c.proc.recv(c.group[root], c.itag(seq, c.rank))
-}
-
-// Alltoall sends parts[i] to rank i and returns the payloads received from
-// every rank (result[i] from rank i). Pairwise-exchange algorithm.
-func (c *Comm) Alltoall(parts [][]byte) ([][]byte, error) {
-	seq := c.seq
-	c.seq++
-	n := len(c.group)
-	if len(parts) != n {
-		return nil, fmt.Errorf("simmpi: alltoall got %d parts for %d ranks", len(parts), n)
-	}
-	out := make([][]byte, n)
-	out[c.rank] = append([]byte(nil), parts[c.rank]...)
-	for step := 1; step < n; step++ {
-		dst := (c.rank + step) % n
-		src := (c.rank - step + n) % n
-		if err := c.proc.send(c.group[dst], c.itag(seq, step), parts[dst]); err != nil {
-			return nil, err
-		}
-		b, err := c.proc.recv(c.group[src], c.itag(seq, step))
-		if err != nil {
-			return nil, err
-		}
-		out[src] = b
 	}
 	return out, nil
 }

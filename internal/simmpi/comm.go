@@ -1,16 +1,10 @@
 package simmpi
 
-import (
-	"encoding/binary"
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Comm is a communicator: an ordered group of world ranks with its own rank
-// numbering and an isolated tag space. The zero communicator of a Proc
-// spans the world. Split carves sub-communicators, which is how the
-// checkpoint library separates application ranks from encoder ranks
-// (FTI's communicator replacement described in §V of the paper).
+// numbering and an isolated tag space. Every Proc has one, spanning the
+// world.
 type Comm struct {
 	proc  *Proc
 	ctx   int64 // context id isolating this communicator's internal tags
@@ -19,23 +13,12 @@ type Comm struct {
 	seq   int64 // per-proc collective sequence number (same at all ranks)
 }
 
-// Rank returns the calling process's rank within the communicator.
-func (c *Comm) Rank() int { return c.rank }
-
-// Size returns the number of ranks in the communicator.
-func (c *Comm) Size() int { return len(c.group) }
-
 // WorldRank translates a communicator rank to a world rank.
 func (c *Comm) WorldRank(r int) (int, error) {
 	if r < 0 || r >= len(c.group) {
 		return 0, fmt.Errorf("simmpi: rank %d out of communicator range 0..%d", r, len(c.group)-1)
 	}
 	return c.group[r], nil
-}
-
-// Group returns a copy of the communicator's world-rank membership.
-func (c *Comm) Group() []int {
-	return append([]int(nil), c.group...)
 }
 
 // userTag embeds the communicator context into a user tag so identical tags
@@ -82,15 +65,6 @@ func (c *Comm) Recv(src int, tag Tag) ([]byte, error) {
 	return c.proc.recv(wsrc, t)
 }
 
-// SendRecv sends to dst and receives from src, either order; safe from
-// deadlock under the eager send model.
-func (c *Comm) SendRecv(dst int, sendTag Tag, data []byte, src int, recvTag Tag) ([]byte, error) {
-	if err := c.Send(dst, sendTag, data); err != nil {
-		return nil, err
-	}
-	return c.Recv(src, recvTag)
-}
-
 // Request represents a pending nonblocking operation.
 type Request struct {
 	done chan struct{}
@@ -105,15 +79,6 @@ func (r *Request) Wait() ([]byte, error) {
 	return r.data, r.err
 }
 
-// Isend starts a nonblocking send. Under the eager model the send completes
-// immediately; the request exists for API symmetry with MPI code.
-func (c *Comm) Isend(dst int, tag Tag, data []byte) *Request {
-	req := &Request{done: make(chan struct{})}
-	req.err = c.Send(dst, tag, data)
-	close(req.done)
-	return req
-}
-
 // Irecv starts a nonblocking receive completed by Wait.
 func (c *Comm) Irecv(src int, tag Tag) *Request {
 	req := &Request{done: make(chan struct{})}
@@ -122,67 +87,4 @@ func (c *Comm) Irecv(src int, tag Tag) *Request {
 		close(req.done)
 	}()
 	return req
-}
-
-// WaitAll waits on every request and returns the first error.
-func WaitAll(reqs ...*Request) error {
-	var first error
-	for _, r := range reqs {
-		if _, err := r.Wait(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// Split partitions the communicator by color: ranks passing equal colors
-// land in the same new communicator, ordered by (key, old rank). Every rank
-// of c must call Split (it is collective). A negative color returns a nil
-// communicator for that rank, as MPI_UNDEFINED does.
-func (c *Comm) Split(color, key int) (*Comm, error) {
-	// Exchange (color, key) with everyone via allgather.
-	var buf [16]byte
-	binary.LittleEndian.PutUint64(buf[0:8], uint64(int64(color)))
-	binary.LittleEndian.PutUint64(buf[8:16], uint64(int64(key)))
-	all, err := c.Allgather(buf[:])
-	if err != nil {
-		return nil, err
-	}
-	type entry struct{ color, key, rank int }
-	entries := make([]entry, len(all))
-	for i, b := range all {
-		entries[i] = entry{
-			color: int(int64(binary.LittleEndian.Uint64(b[0:8]))),
-			key:   int(int64(binary.LittleEndian.Uint64(b[8:16]))),
-			rank:  i,
-		}
-	}
-	if color < 0 {
-		return nil, nil
-	}
-	var mine []entry
-	for _, e := range entries {
-		if e.color == color {
-			mine = append(mine, e)
-		}
-	}
-	sort.Slice(mine, func(i, j int) bool {
-		if mine[i].key != mine[j].key {
-			return mine[i].key < mine[j].key
-		}
-		return mine[i].rank < mine[j].rank
-	})
-	group := make([]int, len(mine))
-	newRank := -1
-	for i, e := range mine {
-		group[i] = c.group[e.rank]
-		if e.rank == c.rank {
-			newRank = i
-		}
-	}
-	// Context id: derived deterministically from parent ctx, the split
-	// sequence number, and the color, so every member computes the same id
-	// and different colors get disjoint tag spaces.
-	ctx := c.ctx*1009 + c.seq*31 + int64(color) + 1
-	return &Comm{proc: c.proc, ctx: ctx, group: group, rank: newRank}, nil
 }

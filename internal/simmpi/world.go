@@ -5,13 +5,12 @@
 // blocks — which is the communication model the paper's protocols assume
 // (sender-based logging requires the sender to retain payloads anyway).
 //
-// Collective operations are implemented on top of point-to-point messages
-// using the textbook algorithms MPICH2 uses at these scales: binomial-tree
-// broadcast and reduce, recursive-doubling allgather/allreduce, dissemination
-// barrier, and pairwise all-to-all. Because collectives decompose into
-// point-to-point traffic, a Tracer observing sends reproduces exactly the
-// patterns of the paper's Figure 5b, including the power-of-two allgather
-// diagonals.
+// The collectives are the ones the traced application runs: a
+// recursive-doubling allgather (the algorithm MPICH2 uses at these scales)
+// and the linear gather and binomial-tree broadcast it falls back to when
+// the size is not a power of two. They decompose into point-to-point
+// traffic, so a Tracer observing sends reproduces exactly the patterns of
+// the paper's Figure 5b, including the power-of-two allgather diagonals.
 package simmpi
 
 import (
@@ -49,7 +48,6 @@ type World struct {
 	tracer  Tracer
 	boxes   []*mailbox
 	aborted atomic.Bool
-	ctxSeq  atomic.Int64 // allocator for communicator context ids
 }
 
 type message struct {
@@ -121,9 +119,6 @@ func NewWorld(size int, opts Options) (*World, error) {
 	return w, nil
 }
 
-// Size returns the number of ranks in the world.
-func (w *World) Size() int { return w.size }
-
 // Abort marks the world failed and unblocks every pending receive with
 // ErrAborted.
 func (w *World) Abort() {
@@ -133,9 +128,6 @@ func (w *World) Abort() {
 		}
 	}
 }
-
-// Aborted reports whether the world has been torn down.
-func (w *World) Aborted() bool { return w.aborted.Load() }
 
 // Proc returns the handle rank uses for communication. Each rank must be
 // driven from a single goroutine.
@@ -200,9 +192,6 @@ type Proc struct {
 
 // Rank returns the world rank.
 func (p *Proc) Rank() int { return p.rank }
-
-// Size returns the world size.
-func (p *Proc) Size() int { return p.world.size }
 
 // World returns the communicator spanning all ranks.
 func (p *Proc) Comm() *Comm { return p.comm }

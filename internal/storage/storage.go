@@ -223,18 +223,6 @@ func (p *PFS) Delete(key string) {
 	p.mu.Unlock()
 }
 
-// Keys returns stored keys sorted.
-func (p *PFS) Keys() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]string, 0, len(p.data))
-	for k := range p.data {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Cluster bundles the per-node local stores and the shared PFS for a
 // machine, with failure injection by node.
 type Cluster struct {

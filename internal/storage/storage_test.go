@@ -176,11 +176,6 @@ func TestPFS(t *testing.T) {
 	if _, _, err := p.Get("k", 1); err == nil {
 		t.Error("Get after Delete succeeded")
 	}
-	_, _ = p.Put("z", nil, 1)
-	_, _ = p.Put("a", nil, 1)
-	if k := p.Keys(); len(k) != 2 || k[0] != "a" {
-		t.Errorf("Keys = %v", k)
-	}
 }
 
 func TestCluster(t *testing.T) {

@@ -143,10 +143,11 @@ func TestRecorderWithSimmpi(t *testing.T) {
 	rec := NewRecorder(4)
 	err := simmpi.Run(4, simmpi.Options{Tracer: rec}, func(p *simmpi.Proc) error {
 		c := p.Comm()
-		n := c.Size()
-		right := (c.Rank() + 1) % n
-		left := (c.Rank() - 1 + n) % n
-		_, err := c.SendRecv(right, 1, make([]byte, 64), left, 1)
+		const n = 4
+		if err := c.Send((p.Rank()+1)%n, 1, make([]byte, 64)); err != nil {
+			return err
+		}
+		_, err := c.Recv((p.Rank()-1+n)%n, 1)
 		return err
 	})
 	if err != nil {

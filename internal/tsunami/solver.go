@@ -158,9 +158,6 @@ func NewSolver(p Params, rank int) (*Solver, error) {
 // ghost rows are j=-1 and j=rows.
 func (s *Solver) idx(j, i int) int { return (j+1)*s.p.NX + i }
 
-// Rank returns the owning rank.
-func (s *Solver) Rank() int { return s.rank }
-
 // Rows returns the interior row count.
 func (s *Solver) Rows() int { return s.rows }
 

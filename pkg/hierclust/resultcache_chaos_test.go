@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"hierclust/internal/diskstore"
 	"hierclust/internal/faultinject"
 )
 
@@ -60,8 +61,8 @@ func TestDiskResultCacheDegradesOnWriteFaults(t *testing.T) {
 	doc := []byte(`{"results":"expensive to recompute"}`)
 	c.Put("key-a", doc)
 	st := c.Stats()
-	if st.WriteErrors != diskOpAttempts {
-		t.Fatalf("WriteErrors = %d; want %d (every attempt charged)", st.WriteErrors, diskOpAttempts)
+	if st.WriteErrors != diskstore.OpAttempts {
+		t.Fatalf("WriteErrors = %d; want %d (every attempt charged)", st.WriteErrors, diskstore.OpAttempts)
 	}
 	if !st.Degraded {
 		t.Fatal("cache not degraded after a retried-out write")
@@ -122,7 +123,7 @@ func TestDiskResultCacheQuarantinesCorruptFile(t *testing.T) {
 	if st.Degraded || st.ReadErrors != 0 {
 		t.Fatalf("Stats = %+v; corruption is not an IO failure", st)
 	}
-	bad, err := os.ReadFile(files[0] + quarantineExt)
+	bad, err := os.ReadFile(files[0] + diskstore.QuarantineExt)
 	if err != nil {
 		t.Fatalf("quarantine file: %v", err)
 	}
@@ -153,8 +154,8 @@ func TestDiskResultCacheReadFaultFallsBackWithoutIndexLoss(t *testing.T) {
 		t.Fatal("Get served a hit through an injected read fault")
 	}
 	st := c.Stats()
-	if st.ReadErrors != diskOpAttempts || st.Entries != 1 || st.Degraded {
-		t.Fatalf("Stats = %+v; want %d read errors, index kept, not degraded", st, diskOpAttempts)
+	if st.ReadErrors != diskstore.OpAttempts || st.Entries != 1 || st.Degraded {
+		t.Fatalf("Stats = %+v; want %d read errors, index kept, not degraded", st, diskstore.OpAttempts)
 	}
 	faultinject.DisarmAll()
 	if got, ok := c.Get("key-a"); !ok || !bytes.Equal(got, doc) {

@@ -238,14 +238,7 @@ func (c *diskCache) Stats() TraceCacheStats {
 	}
 }
 
-const (
-	diskTraceExt  = ".hctr"
-	quarantineExt = diskstore.QuarantineExt // appended to the cache filename, so .hctr.bad
-
-	// diskOpAttempts is the store's transient-IO retry budget per
-	// operation (chaos tests pin the exact error accounting to it).
-	diskOpAttempts = diskstore.OpAttempts
-)
+const diskTraceExt = ".hctr"
 
 // diskCacheConfig is what a DiskCacheOption tunes: the store options of the
 // disk-backed caches (trace cache here, result cache in resultcache.go).

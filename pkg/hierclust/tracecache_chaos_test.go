@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"hierclust/internal/diskstore"
 	"hierclust/internal/faultinject"
 	"hierclust/internal/trace"
 )
@@ -52,8 +53,8 @@ func TestDiskTraceCacheDegradesOnWriteFaults(t *testing.T) {
 	c.Put("a", orig)
 
 	st := c.Stats()
-	if st.WriteErrors != diskOpAttempts {
-		t.Fatalf("WriteErrors = %d, want %d (every attempt charged)", st.WriteErrors, diskOpAttempts)
+	if st.WriteErrors != diskstore.OpAttempts {
+		t.Fatalf("WriteErrors = %d, want %d (every attempt charged)", st.WriteErrors, diskstore.OpAttempts)
 	}
 	if !st.Degraded {
 		t.Fatal("cache not degraded after a fully retried-out write")
@@ -140,8 +141,8 @@ func TestDiskTraceCacheRenameFailureCleansTemp(t *testing.T) {
 	c.Put("a", orig)
 
 	st := c.Stats()
-	if st.WriteErrors != diskOpAttempts {
-		t.Fatalf("WriteErrors = %d, want %d (rename failures recorded)", st.WriteErrors, diskOpAttempts)
+	if st.WriteErrors != diskstore.OpAttempts {
+		t.Fatalf("WriteErrors = %d, want %d (rename failures recorded)", st.WriteErrors, diskstore.OpAttempts)
 	}
 	if st.Entries != 0 {
 		t.Fatalf("Entries = %d after failed renames, want 0", st.Entries)
@@ -176,8 +177,8 @@ func TestDiskTraceCacheReadFaultKeepsIndex(t *testing.T) {
 		t.Fatal("Get succeeded with every read attempt failing")
 	}
 	st := c.Stats()
-	if st.ReadErrors != diskOpAttempts {
-		t.Fatalf("ReadErrors = %d, want %d", st.ReadErrors, diskOpAttempts)
+	if st.ReadErrors != diskstore.OpAttempts {
+		t.Fatalf("ReadErrors = %d, want %d", st.ReadErrors, diskstore.OpAttempts)
 	}
 	if st.Entries != 1 {
 		t.Fatalf("transient read failure dropped the index entry: %+v", st)
@@ -229,7 +230,7 @@ func TestDiskTraceCacheQuarantinesCorruptFile(t *testing.T) {
 	if st.Degraded {
 		t.Fatal("corruption flipped degraded mode")
 	}
-	bad := listDir(t, dir, "*"+diskTraceExt+quarantineExt)
+	bad := listDir(t, dir, "*"+diskTraceExt+diskstore.QuarantineExt)
 	if len(bad) != 1 {
 		t.Fatalf("%d quarantine files, want 1", len(bad))
 	}

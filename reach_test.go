@@ -1,0 +1,390 @@
+//go:build reach
+
+package hierclust
+
+import (
+	"fmt"
+	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// reachAllow lists the declarations in internal/ that no binary, example,
+// benchmark or public API call reaches and that stay anyway, because a test
+// of reachable code uses them to build an input or read a result. Each
+// entry names that test. An entry that becomes reachable, or whose
+// declaration is gone, fails the check, so the list cannot outlive its use.
+var reachAllow = map[string]string{
+	"faultinject.Seed":           "pkg/hierclust TestRunSweepChaosFaultResume: a repeatable fault schedule",
+	"faultinject.Disarm":         "internal/faultinject TestConcurrentArmAndHit: disarms under a live Hit",
+	"faultinject.DisarmAll":      "internal/diskstore TestStoreReadFaultKeepsIndex and every chaos suite: cleanup between drills",
+	"faultinject.Triggered":      "internal/faultinject TestProbability: how often the live Hit fired",
+	"leakcheck.Main":             "TestMain of pkg/hierclust and pkg/hierclust/serve: no goroutine outlives the suite",
+	"racedetect.Enabled":         "internal/reliability TestCatastropheProbCtxCancelMidMonteCarlo: widens its latency bound under -race",
+	"erasure.gfDiv":              "internal/erasure TestGFDivMulRoundTrip: division inverts the live gfMul",
+	"erasure.RS.Verify":          "internal/erasure TestRSEncodeDecodeAllErasurePatterns: re-checks the parity the live encoder wrote",
+	"storage.LocalStore.Keys":    "internal/checkpoint TestGC: what GC left on the node stores",
+	"core.RecoveryFractionPair":  "internal/core TestRecoveryFractionPairAlignment: observes AlignPowerPairs",
+	"metrics.Counter.Value":      "internal/metrics TestConcurrentUse: the count after concurrent Incs",
+	"metrics.Histogram.Count":    "internal/metrics TestHistogramBuckets",
+	"metrics.Histogram.Sum":      "internal/metrics TestHistogramBuckets",
+	"trace.Stencil.NNZ":          "internal/trace TestStencilMatchesSynthetic: the closed form against the built CSR",
+	"serve.Server.waitForSweeps": "pkg/hierclust/serve TestJournalDrainRestartResume: every sweep goroutine joined before leakcheck",
+}
+
+// reachIfaceNames are the method names through which the standard library
+// calls a value it is handed (fmt, errors, sort, io, net/http,
+// encoding/json): a method of a reached type with one of these names, or
+// with the name of any method of an interface declared in this repository,
+// counts as reached.
+var reachIfaceNames = strings.Fields("String Error Unwrap Len Less Swap Read Write Close WriteTo ServeHTTP Flush WriteHeader MarshalJSON UnmarshalJSON")
+
+// reachLoader type-checks the repository's packages from source, one
+// *types.Package per import path, with every package's uses and
+// definitions in one types.Info; anything outside the module goes to the
+// standard library's source importer.
+type reachLoader struct {
+	root  string
+	fset  *token.FileSet
+	std   types.ImporterFrom
+	info  *types.Info
+	pkgs  map[string]*types.Package
+	files map[string][]*ast.File
+}
+
+func (l *reachLoader) Import(path string) (*types.Package, error) {
+	return l.ImportFrom(path, "", 0)
+}
+
+func (l *reachLoader) ImportFrom(path, _ string, _ types.ImportMode) (*types.Package, error) {
+	if path == "hierclust" || strings.HasPrefix(path, "hierclust/") {
+		return l.load(path, false)
+	}
+	return l.std.ImportFrom(path, l.root, 0)
+}
+
+// load type-checks the package at an import path of this module (the
+// nested benchmarks module maps onto its directory the same way). With
+// tests set, the package's in-package test files are checked with it, under
+// a key of their own so importers still see the plain package.
+func (l *reachLoader) load(path string, tests bool) (*types.Package, error) {
+	key := path
+	if tests {
+		key += " [tests]"
+	}
+	if p, ok := l.pkgs[key]; ok {
+		return p, nil
+	}
+	dir := filepath.Join(l.root, filepath.FromSlash(strings.TrimPrefix(strings.TrimPrefix(path, "hierclust"), "/")))
+	bp, err := build.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	names := append([]string(nil), bp.GoFiles...)
+	if tests {
+		names = append(names, bp.TestGoFiles...)
+	}
+	var files []*ast.File
+	for _, name := range names {
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	p, err := (&types.Config{Importer: l}).Check(path, l.fset, files, l.info)
+	if err != nil {
+		return nil, err
+	}
+	l.pkgs[key], l.files[key] = p, files
+	return p, nil
+}
+
+// reachDecl is one package-level declaration or method: where it is
+// (file relative to the repository root), how many lines it spans with its
+// doc comment, and the objects its text uses.
+type reachDecl struct {
+	file  string
+	line  int
+	lines int
+	uses  []types.Object
+}
+
+// TestInternalReachable fails for every declaration under internal/ that
+// nothing a user can run reaches. Roots: the main packages under cmd/ and
+// examples/, the benchmarks module with its tests, the exported names of
+// pkg/hierclust and pkg/hierclust/serve (with the exported methods of the
+// types they export or alias), and every init. A declaration is reached
+// when a reached declaration's text uses it; a method is also reached when
+// its receiver type is and its name is in reachIfaceNames or in an
+// interface the repository declares. What only a package's own tests (or
+// nothing) reach is deleted or, for a test instrument, named in reachAllow.
+func TestInternalReachable(t *testing.T) {
+	root, err := filepath.Abs(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	l := &reachLoader{
+		root: root,
+		fset: fset,
+		std:  importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		info: &types.Info{
+			Defs: map[*ast.Ident]types.Object{},
+			Uses: map[*ast.Ident]types.Object{},
+		},
+		pkgs:  map[string]*types.Package{},
+		files: map[string][]*ast.File{},
+	}
+
+	// Load every package directory of the repository; roots with tests are
+	// loaded with them.
+	var mains, public, benches []string
+	err = filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); dir != root && (name[0] == '.' || name == "testdata") {
+			return filepath.SkipDir
+		}
+		bp, err := build.ImportDir(dir, 0)
+		if err != nil {
+			if _, none := err.(*build.NoGoError); none {
+				return nil
+			}
+			return err
+		}
+		rel, _ := filepath.Rel(root, dir)
+		rel = filepath.ToSlash(rel)
+		path := "hierclust"
+		if rel != "." {
+			path += "/" + rel
+		}
+		switch {
+		case strings.HasPrefix(rel, "benchmarks/"):
+			benches = append(benches, path+" [tests]")
+			_, err = l.load(path, true)
+			return err
+		case bp.Name == "main":
+			mains = append(mains, path)
+		case rel == "pkg/hierclust" || rel == "pkg/hierclust/serve":
+			public = append(public, path)
+		}
+		_, err = l.load(path, false)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// One node per package-level object and method.
+	decls := map[types.Object]*reachDecl{}
+	ifaceNames := map[string]bool{}
+	for _, name := range reachIfaceNames {
+		ifaceNames[name] = true
+	}
+	methods := map[*types.TypeName][]*types.Func{}
+	var roots []types.Object
+	add := func(id *ast.Ident, node ast.Node, doc *ast.CommentGroup, text ast.Node) {
+		obj := l.info.Defs[id]
+		if obj == nil {
+			return
+		}
+		start := node.Pos()
+		if doc != nil {
+			start = doc.Pos()
+		}
+		pos := fset.Position(id.Pos())
+		rel, _ := filepath.Rel(root, pos.Filename)
+		d := &reachDecl{file: filepath.ToSlash(rel), line: pos.Line, lines: fset.Position(node.End()).Line - fset.Position(start).Line + 1}
+		ast.Inspect(text, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				if o := l.info.Uses[n]; o != nil {
+					d.uses = append(d.uses, o)
+				}
+			case *ast.InterfaceType:
+				for _, m := range n.Methods.List {
+					for _, name := range m.Names {
+						ifaceNames[name.Name] = true
+					}
+				}
+			}
+			return true
+		})
+		decls[obj] = d
+		if id.Name == "_" || id.Name == "init" {
+			roots = append(roots, obj)
+		}
+	}
+	for _, files := range l.files {
+		for _, f := range files {
+			for _, decl := range f.Decls {
+				switch decl := decl.(type) {
+				case *ast.FuncDecl:
+					add(decl.Name, decl, decl.Doc, decl)
+					if fn, ok := l.info.Defs[decl.Name].(*types.Func); ok && decl.Recv != nil {
+						if named := reachNamed(fn.Type().(*types.Signature).Recv().Type()); named != nil {
+							methods[named.Obj()] = append(methods[named.Obj()], fn)
+						}
+					}
+				case *ast.GenDecl:
+					for _, spec := range decl.Specs {
+						node, doc := ast.Node(spec), decl.Doc
+						if len(decl.Specs) == 1 && !decl.Lparen.IsValid() {
+							node = decl
+						}
+						switch spec := spec.(type) {
+						case *ast.TypeSpec:
+							if spec.Doc != nil {
+								doc = spec.Doc
+							}
+							add(spec.Name, node, doc, spec)
+						case *ast.ValueSpec:
+							if spec.Doc != nil || decl.Lparen.IsValid() {
+								doc = spec.Doc
+							}
+							for _, name := range spec.Names {
+								add(name, node, doc, spec)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	// Roots.
+	for _, path := range append(mains, benches...) {
+		scope := l.pkgs[path].Scope()
+		for _, name := range scope.Names() {
+			roots = append(roots, scope.Lookup(name))
+		}
+	}
+	for _, path := range public {
+		scope := l.pkgs[path].Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			if !obj.Exported() {
+				continue
+			}
+			roots = append(roots, obj)
+			tn, ok := obj.(*types.TypeName)
+			if !ok {
+				continue
+			}
+			ms := types.NewMethodSet(types.NewPointer(tn.Type()))
+			for i := 0; i < ms.Len(); i++ {
+				if m := ms.At(i).Obj(); m.Exported() {
+					roots = append(roots, m)
+				}
+			}
+		}
+	}
+
+	// Mark.
+	reached := map[types.Object]bool{}
+	var work []types.Object
+	mark := func(obj types.Object) {
+		switch o := obj.(type) {
+		case *types.Func:
+			obj = o.Origin()
+		case *types.Var:
+			obj = o.Origin()
+		}
+		if decls[obj] != nil && !reached[obj] {
+			reached[obj] = true
+			work = append(work, obj)
+		}
+	}
+	drain := func() {
+		for len(work) > 0 {
+			obj := work[len(work)-1]
+			work = work[:len(work)-1]
+			for _, u := range decls[obj].uses {
+				mark(u)
+			}
+			if tn, ok := obj.(*types.TypeName); ok {
+				for _, m := range methods[tn] {
+					if ifaceNames[m.Name()] {
+						mark(m)
+					}
+				}
+			}
+		}
+	}
+	for _, obj := range roots {
+		mark(obj)
+	}
+	drain()
+
+	// An allowed instrument must be unreached by the roots alone (checked
+	// for every entry before any is marked, since one may use another);
+	// what it uses is then kept with it.
+	byName := map[string]types.Object{}
+	for obj, d := range decls {
+		if (strings.HasPrefix(d.file, "internal/") || strings.HasPrefix(d.file, "pkg/")) && !strings.HasSuffix(d.file, "_test.go") && obj.Name() != "_" {
+			byName[reachName(obj)] = obj
+		}
+	}
+	for name := range reachAllow {
+		switch obj := byName[name]; {
+		case obj == nil:
+			t.Errorf("reachAllow[%q]: no such declaration; drop the entry", name)
+		case reached[obj]:
+			t.Errorf("reachAllow[%q]: the declaration is reachable; drop the entry", name)
+		}
+	}
+	for name := range reachAllow {
+		if obj := byName[name]; obj != nil {
+			mark(obj)
+		}
+	}
+	drain()
+
+	// Report what internal/ (and the unexported half of pkg/) holds unreached.
+	var dead []string
+	total := 0
+	for name, obj := range byName {
+		if !reached[obj] {
+			d := decls[obj]
+			dead = append(dead, fmt.Sprintf("%s:%d %s (%d)", d.file, d.line, name, d.lines))
+			total += d.lines
+		}
+	}
+	if len(dead) > 0 {
+		sort.Strings(dead)
+		t.Errorf("%d declarations (%d lines) that no binary, example, benchmark or public API call reaches — delete each, or name the test that needs it in reachAllow:\n%s",
+			len(dead), total, strings.Join(dead, "\n"))
+	}
+}
+
+// reachNamed is the named type behind a receiver type.
+func reachNamed(t types.Type) *types.Named {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, _ := t.(*types.Named)
+	return named
+}
+
+// reachName is "pkg.Name" or "pkg.Type.Method".
+func reachName(obj types.Object) string {
+	name := obj.Name()
+	if fn, ok := obj.(*types.Func); ok {
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+			if named := reachNamed(recv.Type()); named != nil {
+				name = named.Obj().Name() + "." + name
+			}
+		}
+	}
+	return obj.Pkg().Name() + "." + name
+}
