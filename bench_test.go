@@ -539,6 +539,42 @@ func BenchmarkCatastropheModel(b *testing.B) {
 	}
 }
 
+// BenchmarkProfileInit16k measures the mix-independent scoring of one
+// clustering — what a sweep's partition node does once and then retains — at
+// 16,384 ranks, four per node: logged and recovery fractions plus the
+// reliability model's flat form, laid out from the member lists. B/op is the
+// tracked number; one-member-per-node groups (hierarchical) fill the span
+// slabs, one-node groups (naive) use a quarter of them.
+func BenchmarkProfileInit16k(b *testing.B) {
+	const ranks, ppn = 16384, 4
+	m, placement, err := harness.SyntheticRig(ranks, ppn)
+	if err != nil {
+		b.Fatal(err)
+	}
+	hier, err := core.Hierarchical(m, placement, core.HierOptions{Multilevel: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	naive, err := core.Naive(ranks, ppn)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, row := range []struct {
+		name string
+		c    *core.Clustering
+	}{{"hierarchical", hier}, {"naive", naive}} {
+		b.Run(row.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var pr core.Profile
+				if err := pr.Init(context.Background(), row.c, m, placement); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSimMPIAllgather measures the runtime's recursive-doubling
 // allgather at growing world sizes.
 func BenchmarkSimMPIAllgather(b *testing.B) {

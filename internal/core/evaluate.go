@@ -97,8 +97,9 @@ type Profile struct {
 	rel    reliability.Profile
 }
 
-// Init scores c's mix-independent dimensions and flattens its encoding
-// groups. It retains the groups' node spans, not c, m or p.
+// Init scores c's mix-independent dimensions and writes its encoding groups'
+// member lists straight into the reliability model's flat form. It retains
+// that form (8 bytes per member plus per-node indexes), not c, m or p.
 func (pr *Profile) Init(ctx context.Context, c *Clustering, m trace.Comm, p *topology.Placement) error {
 	if err := c.Validate(p.NumRanks()); err != nil {
 		return err
@@ -119,7 +120,7 @@ func (pr *Profile) Init(ctx context.Context, c *Clustering, m trace.Comm, p *top
 	}
 	pr.scores = Evaluation{Name: c.Name, LoggedFraction: logged, RecoveryFraction: rec,
 		EncodeSecondsPerGB: erasure.ModelEncodeSeconds(c.MaxGroupSize(), 1e9)}
-	return pr.rel.Init(reliability.GroupsFromRanks(p, c.Groups), len(p.UsedNodes()), 0, 0)
+	return pr.rel.InitRanks(p, c.Groups, 0, 0)
 }
 
 // Evaluate weighs the profile with a failure mix, the reliability model's

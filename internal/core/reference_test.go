@@ -382,3 +382,87 @@ func TestGlueAllocsIndependentOfRanks(t *testing.T) {
 		t.Errorf("EvaluateOpts allocations grow with ranks: %v at 1024, %v at 4096", e1, e4)
 	}
 }
+
+// A placement that leaves nodes unused between the used ones scores like the
+// same layout on adjacent nodes: encoding-group spans are numbered by
+// Placement.UsedIndex, the numbering the model's node count comes from. With
+// raw node ids the upper half of every span fell outside the model and the
+// gapped layout scored P(catastrophe) = 0. PairCorrelation stays 0: the
+// aligned-pair term pairs nodes in the dense numbering.
+func TestGappedPlacementScoresLikeDense(t *testing.T) {
+	mach := &topology.Machine{Name: "t", Nodes: 16}
+	place := func(stride int) *topology.Placement {
+		nodeOf := make([]topology.NodeID, 32)
+		for r := range nodeOf {
+			nodeOf[r] = topology.NodeID(r / 4 * stride)
+		}
+		p, err := topology.NewPlacement(mach, nodeOf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	c, err := Distributed(32, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := randomTrace(rand.New(rand.NewSource(1)), 32)
+	dense, err := Evaluate(c, m, place(1), reliability.DefaultMix())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gapped, err := Evaluate(c, m, place(2), reliability.DefaultMix())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dense.CatastropheProb <= 0 || *gapped != *dense {
+		t.Errorf("nodes {0,2,..,14} score %+v, nodes {0..7} score %+v", *gapped, *dense)
+	}
+}
+
+// Profile.Init allocates a fixed number of objects whatever the rank and
+// group counts: the reliability model's flat form is slabs, filled from the
+// member lists with no per-group value in between (the []Group and its
+// NodeCount slab were two more). One-node groups (naive) index no
+// multi-node group by node, so that slab is empty and they make one fewer
+// than one-member-per-node groups (hierarchical).
+func TestProfileInitAllocsFixed(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	measure := func(ranks int) (hier, naive float64) {
+		mach := &topology.Machine{Name: "t", Nodes: ranks / 4}
+		p, err := topology.Block(mach, ranks, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := trace.NewStencil(ranks, trace.SyntheticOptions{Pattern: trace.Stencil2D, Width: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := Hierarchical(m, p, HierOptions{Multilevel: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := Naive(ranks, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		initAllocs := func(c *Clustering) float64 {
+			return testing.AllocsPerRun(3, func() {
+				var pr Profile
+				if err := pr.Init(context.Background(), c, m, p); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		return initAllocs(h), initAllocs(n)
+	}
+	h1, n1 := measure(4096)
+	h2, n2 := measure(16384)
+	t.Logf("Profile.Init allocs: hierarchical %v -> %v, naive %v -> %v", h1, h2, n1, n2)
+	if h1 != h2 || n1 != n2 {
+		t.Errorf("Profile.Init allocations depend on scale: hierarchical %v -> %v, naive %v -> %v", h1, h2, n1, n2)
+	}
+	if h1 > 18 || n1 > 17 {
+		t.Errorf("Profile.Init allocates %v (hierarchical) and %v (naive) objects, want <= 18 and <= 17", h1, n1)
+	}
+}

@@ -64,13 +64,29 @@ func profileGroups(seed int64, n int) []Group {
 	return groups
 }
 
+// conditionalBranch names the way Profile.conditional computes f failed nodes,
+// as an index into branchNames.
+func conditionalBranch(p *Profile, f int) int {
+	switch {
+	case combinations(p.nodes, f) <= float64(p.exactLimit):
+		return 0
+	case p.fg.dpOK:
+		return 1
+	case unionBoundConditional(p.fg, p.nodes, f, 1, nil) <= 0.1:
+		return 2
+	}
+	return 3
+}
+
+var branchNames = [4]string{"exact", "closed form", "union bound", "Monte Carlo"}
+
 // TestProfileMemoOrderIndependent: weighing one profile with a shuffled
 // sequence of mixes, each twice, returns for every mix the bits a fresh model
 // returns — whatever the memo held when the mix arrived. The seeds must
 // reach all four conditional branches.
 func TestProfileMemoOrderIndependent(t *testing.T) {
 	const exactLimit, samples = 300, 1000
-	var branches [4]int // exact, closed form, union bound, Monte Carlo
+	var branches [4]int
 	for seed := int64(1); seed <= 200; seed++ {
 		rng := rand.New(rand.NewSource(seed * 7919))
 		n := 8 + rng.Intn(28)
@@ -103,19 +119,10 @@ func TestProfileMemoOrderIndependent(t *testing.T) {
 		}
 
 		for f := 1; f <= n; f++ {
-			switch {
-			case combinations(n, f) <= exactLimit:
-				branches[0]++
-			case p.fg.dpOK:
-				branches[1]++
-			case unionBoundConditional(groups, n, f, 1, nil) <= 0.1:
-				branches[2]++
-			default:
-				branches[3]++
-			}
+			branches[conditionalBranch(&p, f)]++
 		}
 	}
-	for i, name := range []string{"exact", "closed form", "union bound", "Monte Carlo"} {
+	for i, name := range branchNames {
 		if branches[i] == 0 {
 			t.Errorf("no seed reached the %s branch", name)
 		}

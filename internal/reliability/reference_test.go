@@ -24,11 +24,12 @@ type mapGroup struct {
 	Tolerance int
 }
 
-// refGroupFromRanks is the map-based GroupFromRanks.
+// refGroupFromRanks is the map-based GroupFromRanks, nodes in the
+// placement's dense numbering.
 func refGroupFromRanks(p *topology.Placement, members []topology.Rank) mapGroup {
 	g := mapGroup{MembersOn: map[topology.NodeID]int{}, Tolerance: len(members) / 2}
 	for _, r := range members {
-		g.MembersOn[p.NodeOf(r)]++
+		g.MembersOn[topology.NodeID(p.UsedIndex(p.NodeOf(r)))]++
 	}
 	return g
 }
@@ -256,8 +257,12 @@ func TestFlattenMatchesReferenceRandom(t *testing.T) {
 
 // Groups built from ranks under block, round-robin and sparse explicit
 // placements: the layouts the disjoint-span reduction accepts, and with
-// uneven procs per node the ones it rejects.
+// uneven procs per node the ones it rejects. The two span stages are one
+// function: flattenRanks equals flatten of the per-group GroupFromRanks
+// values slab for slab, and a profile built either way weighs to the same
+// bits through every conditional branch.
 func TestFlattenMatchesReferencePlacements(t *testing.T) {
+	var branches [4]int
 	for seed := int64(1); seed <= 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		nodes := 4 + rng.Intn(80)
@@ -285,26 +290,77 @@ func TestFlattenMatchesReferencePlacements(t *testing.T) {
 		perm := rng.Perm(ranks)
 		size := 2 + rng.Intn(7)
 		var members [][]topology.Rank
-		for base := 0; base < ranks; base += size {
-			var m []topology.Rank
-			for _, r := range perm[base:min(base+size, ranks)] {
-				m = append(m, topology.Rank(r))
+		if used := p.UsedNodes(); seed%2 == 0 && len(used) >= size {
+			// The hierarchical shape: every block of size used nodes hosts
+			// groups of one rank per node, so spans are disjoint or equal.
+			for base := 0; base+size <= len(used); base += size {
+				block := used[base : base+size]
+				depth := p.CountOn(block[0])
+				for _, n := range block {
+					depth = min(depth, p.CountOn(n))
+				}
+				for i := 0; i < depth; i++ {
+					var m []topology.Rank
+					for _, k := range rng.Perm(size) {
+						m = append(m, p.RanksOn(block[k])[i])
+					}
+					members = append(members, m)
+				}
 			}
-			members = append(members, m)
+		} else {
+			for base := 0; base < ranks; base += size {
+				var m []topology.Rank
+				for _, r := range perm[base:min(base+size, ranks)] {
+					m = append(m, topology.Rank(r))
+				}
+				members = append(members, m)
+			}
 		}
 		ref := make([]mapGroup, len(members))
 		for i, m := range members {
 			ref[i] = refGroupFromRanks(p, m)
 		}
-		batch := GroupsFromRanks(p, members)
+		groups := make([]Group, len(members))
 		for i, m := range members {
-			one := GroupFromRanks(p, m)
-			if want := ref[i].span(); !reflect.DeepEqual(one, want) || !reflect.DeepEqual(batch[i], want) {
-				t.Fatalf("seed %d group %d: one %+v batch %+v, reference %+v", seed, i, one, batch[i], want)
+			groups[i] = GroupFromRanks(p, m)
+			if want := ref[i].span(); !reflect.DeepEqual(groups[i], want) {
+				t.Fatalf("seed %d group %d: %+v, reference %+v", seed, i, groups[i], want)
 			}
 		}
 		mdl := &Model{Nodes: len(p.UsedNodes()), Mix: DefaultMix(), ExactLimit: 2000, MonteCarloSamples: 20_000, Workers: 1}
 		checkAgainstReference(t, "placement", mdl, ref)
+
+		// reflect.DeepEqual compares lengths, not capacities: the slabs
+		// flattenRanks sizes for one entry per member equal the exact ones.
+		if got, want := flattenRanks(p, members), flatten(groups, mdl.Nodes); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: flat form from ranks differs from flatten of the groups\n got %+v\nwant %+v", seed, got, want)
+		}
+		// The exact budget is small enough that the tail goes through the
+		// closed form, the union bound or Monte Carlo, as the layout selects.
+		var fromRanks Profile
+		if err := fromRanks.InitRanks(p, members, mdl.ExactLimit, mdl.MonteCarloSamples); err != nil {
+			t.Fatal(err)
+		}
+		got, err := fromRanks.CatastropheProb(context.Background(), mdl.Mix, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := mdl.CatastropheProb(groups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("seed %d: CatastropheProb %v from ranks != %v from groups", seed, got, want)
+		}
+		for f := 1; f <= min(len(mdl.Mix.NodeLoss), mdl.Nodes); f++ {
+			branches[conditionalBranch(&fromRanks, f)]++
+		}
+	}
+	t.Logf("conditionals by branch %v: %v", branchNames, branches)
+	for i, name := range branchNames {
+		if branches[i] == 0 {
+			t.Errorf("no seed reached the %s branch", name)
+		}
 	}
 }
 
@@ -321,8 +377,8 @@ func TestCatastropheProbRejectsUnsortedSpan(t *testing.T) {
 	}
 }
 
-// flatten and GroupsFromRanks allocate a fixed number of objects, whatever
-// the group and node counts.
+// Both span stages allocate a fixed number of objects, whatever the group
+// and node counts.
 func TestFlattenAllocsIndependentOfScale(t *testing.T) {
 	build := func(nodes int) (*topology.Placement, [][]topology.Rank) {
 		mach := &topology.Machine{Name: "t", Nodes: nodes}
@@ -342,19 +398,22 @@ func TestFlattenAllocsIndependentOfScale(t *testing.T) {
 		}
 		return p, members
 	}
-	measure := func(nodes int) (groupsAllocs, flattenAllocs float64) {
+	measure := func(nodes int) (ranksAllocs, flattenAllocs float64) {
 		p, members := build(nodes)
-		groups := GroupsFromRanks(p, members)
-		groupsAllocs = testing.AllocsPerRun(5, func() { GroupsFromRanks(p, members) })
+		groups := make([]Group, len(members))
+		for i, m := range members {
+			groups[i] = GroupFromRanks(p, m)
+		}
+		ranksAllocs = testing.AllocsPerRun(5, func() { flattenRanks(p, members) })
 		flattenAllocs = testing.AllocsPerRun(5, func() { flatten(groups, nodes) })
 		return
 	}
-	g1, f1 := measure(256)
-	g2, f2 := measure(1024)
-	if g1 != g2 || f1 != f2 {
-		t.Errorf("allocations grow with scale: GroupsFromRanks %v -> %v, flatten %v -> %v", g1, g2, f1, f2)
+	r1, f1 := measure(256)
+	r2, f2 := measure(1024)
+	if r1 != r2 || f1 != f2 || r1 != f1 {
+		t.Errorf("allocations differ: flattenRanks %v -> %v, flatten %v -> %v", r1, r2, f1, f2)
 	}
-	if g1 > 2 || f1 > 20 {
-		t.Errorf("GroupsFromRanks %v allocs (want <= 2), flatten %v (want <= 20)", g1, f1)
+	if f1 > 20 {
+		t.Errorf("flatten %v allocs (want <= 20)", f1)
 	}
 }

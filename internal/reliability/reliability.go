@@ -137,68 +137,36 @@ type Group struct {
 
 // GroupFromRanks builds a Group from member ranks under a placement, with
 // tolerance = len(members)/2, FTI's half-group Reed–Solomon provisioning.
-// Building every group of a clustering is GroupsFromRanks' job; this is the
-// one-group form.
+// Span nodes are numbered by p.UsedIndex, the dense numbering a Model of
+// len(p.UsedNodes()) nodes draws failures from and the aligned-pair term
+// pairs (2i, 2i+1) in: unused nodes between used ones do not change a score.
 func GroupFromRanks(p *topology.Placement, members []topology.Rank) Group {
-	span := appendSpan(make([]NodeCount, 0, len(members)), p, members)
-	return Group{Span: span, Tolerance: len(members) / 2}
-}
-
-// GroupsFromRanks builds the Group of every member list in one call, equal
-// element for element to GroupFromRanks on each. All spans are windows into
-// one slab sized for the worst case — every member on its own node, which
-// the hierarchical strategy's groups always hit — so the call makes two
-// allocations whatever the group count.
-func GroupsFromRanks(p *topology.Placement, members [][]topology.Rank) []Group {
-	total := 0
-	for _, m := range members {
-		total += len(m)
-	}
-	groups := make([]Group, len(members))
-	slab := make([]NodeCount, 0, total)
-	for gi, m := range members {
-		start := len(slab)
-		slab = appendSpan(slab, p, m)
-		groups[gi] = Group{Span: slab[start:len(slab):len(slab)], Tolerance: len(m) / 2}
-	}
-	return groups
-}
-
-// appendSpan appends the sorted (node, count) span of members to dst, which
-// must have room for len(members) more entries: one entry per member is
-// written, sorted by node when the members did not already arrive that way,
-// and runs of one node are merged in place.
-func appendSpan(dst []NodeCount, p *topology.Placement, members []topology.Rank) []NodeCount {
-	start := len(dst)
+	span := make([]NodeCount, 0, len(members))
 	sorted := true
 	for _, r := range members {
-		n := p.NodeOf(r)
-		if len(dst) > start && n < dst[len(dst)-1].Node {
+		n := topology.NodeID(p.UsedIndex(p.NodeOf(r)))
+		if len(span) > 0 && n < span[len(span)-1].Node {
 			sorted = false
 		}
-		dst = append(dst, NodeCount{Node: n, Count: 1})
-	}
-	seg := dst[start:]
-	if len(seg) == 0 {
-		return dst
+		span = append(span, NodeCount{Node: n, Count: 1})
 	}
 	if !sorted {
-		slices.SortFunc(seg, func(a, b NodeCount) int { return cmp.Compare(a.Node, b.Node) })
+		slices.SortFunc(span, func(a, b NodeCount) int { return cmp.Compare(a.Node, b.Node) })
 	}
-	k := 0
-	for i := 1; i < len(seg); i++ {
-		if seg[i].Node == seg[k].Node {
-			seg[k].Count++
-		} else {
-			k++
-			seg[k] = seg[i]
+	w := 0
+	for i, e := range span { // merge runs of one node in place
+		if i > 0 && e.Node == span[w-1].Node {
+			span[w-1].Count++
+			continue
 		}
+		span[w] = e
+		w++
 	}
-	return dst[:start+k+1]
+	return Group{Span: span[:w], Tolerance: len(members) / 2}
 }
 
-// validateGroups rejects a group whose span is not strictly ascending by
-// node: flatten and the per-group bounds read spans in order and never sort.
+// validateGroups rejects a caller-built group whose span is not strictly
+// ascending by node: flatten and index read spans in order and never sort.
 func validateGroups(groups []Group) error {
 	for gi := range groups {
 		span := groups[gi].Span
@@ -269,11 +237,10 @@ const memoF = 16
 // of the enumeration, closed-form and sampling work — read only the groups,
 // the node count and the two budgets. It holds the groups' flat form and the
 // conditionals computed so far, so weighing it with a second mix costs a
-// multiply-add per failure count. The zero value needs Init; after Init it
-// is safe for concurrent use and must not be copied.
+// multiply-add per failure count. The zero value needs Init or InitRanks;
+// after that it is safe for concurrent use and must not be copied.
 type Profile struct {
 	nodes, exactLimit, samples int
-	groups                     []Group // the union bound reads spans as given
 	fg                         *flatGroups
 
 	// cond[f-1] is the conditional for f failed nodes, cond[memoF] the
@@ -285,8 +252,8 @@ type Profile struct {
 	cond [memoF + 1]float64
 }
 
-// Init flattens the groups (retained, not copied) for a machine of nodes
-// nodes; exactLimit and samples default like Model's fields of those names.
+// Init flattens caller-built groups (copied) for a machine of nodes nodes;
+// exactLimit and samples default like Model's fields of those names.
 func (p *Profile) Init(groups []Group, nodes, exactLimit, samples int) error {
 	if nodes <= 0 {
 		return fmt.Errorf("reliability: model has %d nodes", nodes)
@@ -294,15 +261,23 @@ func (p *Profile) Init(groups []Group, nodes, exactLimit, samples int) error {
 	if err := validateGroups(groups); err != nil {
 		return err
 	}
-	if exactLimit == 0 {
-		exactLimit = 100_000
-	}
-	if samples == 0 {
-		samples = 200_000
-	}
-	p.nodes, p.exactLimit, p.samples = nodes, exactLimit, samples
-	p.groups, p.fg = groups, flatten(groups, nodes)
+	p.init(flatten(groups, nodes), exactLimit, samples)
 	return nil
+}
+
+// InitRanks is Init of GroupFromRanks of every member list on the placement's
+// used nodes, without the Group values in between.
+func (p *Profile) InitRanks(pl *topology.Placement, members [][]topology.Rank, exactLimit, samples int) error {
+	if nodes := len(pl.UsedNodes()); nodes <= 0 {
+		return fmt.Errorf("reliability: model has %d nodes", nodes)
+	}
+	p.init(flattenRanks(pl, members), exactLimit, samples)
+	return nil
+}
+
+func (p *Profile) init(fg *flatGroups, exactLimit, samples int) {
+	p.fg, p.nodes = fg, fg.n
+	p.exactLimit, p.samples = cmp.Or(exactLimit, 100_000), cmp.Or(samples, 200_000)
 }
 
 // memo returns the remembered cond[i], if any.
@@ -338,7 +313,7 @@ func (p *Profile) conditional(ctx context.Context, f, workers int, stop *atomic.
 		// Disjoint uniform spans: exact closed form, no sampling.
 		pcat = p.fg.disjointConditional(p.nodes, f)
 	default:
-		ub := unionBoundConditional(p.groups, p.nodes, f, workers, stop)
+		ub := unionBoundConditional(p.fg, p.nodes, f, workers, stop)
 		if ub <= 0.1 {
 			pcat = ub
 		} else {
@@ -436,7 +411,7 @@ type flatGroups struct {
 	// Group gi's in-range span is spanNodes/spanCounts[spanPtr[gi]:
 	// spanPtr[gi+1]], nodes ascending; its span bitset (uniform groups
 	// only) is maskWords/maskBits[maskPtr[gi]:maskPtr[gi+1]], word indices
-	// ascending. One slab each, filled once by flatten, read-only after.
+	// ascending. A span stage fills these four, index the rest; read-only after.
 	spanPtr    []int32
 	spanNodes  []int32
 	spanCounts []int32
@@ -489,47 +464,111 @@ func (fg *flatGroups) groupsOn(node int) []int32 {
 	return fg.byNode[fg.byNodePtr[node]:fg.byNodePtr[node+1]]
 }
 
-// flatten builds the flat representation count-then-fill: the first pass
-// sizes every slab from the groups' spans, the second writes them in group
-// order — the order addDPSpan depends on — so the allocation count does not
-// depend on the number of groups or nodes. Span entries outside [0, n) drop.
+// flatten is the span stage for caller-built groups: spans are copied into
+// the slabs in group order, entries outside [0, n) dropped.
 func flatten(groups []Group, n int) *flatGroups {
-	fg := &flatGroups{
-		n:         n,
-		spanPtr:   make([]int32, len(groups)+1),
-		tolerance: make([]int32, len(groups)),
-		uniform:   make([]int32, len(groups)),
-		maskPtr:   make([]int32, len(groups)+1),
-		critical:  make([]bool, n),
-		byNodePtr: make([]int32, n+1),
-		dpOK:      true,
-	}
-	inRange := func(node topology.NodeID) bool { return node >= 0 && int(node) < n }
-	destroyable := 0
+	total := 0
 	for gi := range groups {
-		g := &groups[gi]
-		tol := int32(g.Tolerance)
-		fg.tolerance[gi] = tol
-		var entries, words int32
-		var worst int64
-		uniform, lastWord := int32(-1), int32(-1)
-		for _, e := range g.Span {
-			if !inRange(e.Node) {
+		total += len(groups[gi].Span)
+	}
+	fg := &flatGroups{
+		n:          n,
+		spanPtr:    make([]int32, len(groups)+1),
+		spanNodes:  make([]int32, total),
+		spanCounts: make([]int32, total),
+		tolerance:  make([]int32, len(groups)),
+	}
+	k := 0
+	for gi := range groups {
+		fg.tolerance[gi] = int32(groups[gi].Tolerance)
+		for _, e := range groups[gi].Span {
+			if e.Node >= 0 && int(e.Node) < n {
+				fg.spanNodes[k], fg.spanCounts[k] = int32(e.Node), e.Count
+				k++
+			}
+		}
+		fg.spanPtr[gi+1] = int32(k)
+	}
+	fg.spanNodes, fg.spanCounts = fg.spanNodes[:k], fg.spanCounts[:k]
+	return fg.index()
+}
+
+// flattenRanks is the span stage for member rank lists under a placement,
+// equal slab for slab to flatten of GroupFromRanks of each list. A group's
+// dense node ids go straight into the node slab, are sorted only if they
+// arrived unsorted, and runs of one node merge in place into (node, count),
+// so spans ascend strictly by construction. The slabs are sized for one entry
+// per member, which the hierarchical strategy's groups always reach.
+func flattenRanks(p *topology.Placement, members [][]topology.Rank) *flatGroups {
+	total := 0
+	for _, m := range members {
+		total += len(m)
+	}
+	fg := &flatGroups{
+		n:          len(p.UsedNodes()),
+		spanPtr:    make([]int32, len(members)+1),
+		spanNodes:  make([]int32, total),
+		spanCounts: make([]int32, total),
+		tolerance:  make([]int32, len(members)),
+	}
+	w := 0 // entries written, never ahead of the members read
+	for gi, m := range members {
+		fg.tolerance[gi] = int32(len(m) / 2)
+		seg := fg.spanNodes[w : w+len(m)]
+		sorted := true
+		for i, r := range m {
+			seg[i] = int32(p.UsedIndex(p.NodeOf(r)))
+			if i > 0 && seg[i] < seg[i-1] {
+				sorted = false
+			}
+		}
+		if !sorted {
+			slices.Sort(seg)
+		}
+		for i, node := range seg {
+			if i > 0 && node == fg.spanNodes[w-1] {
+				fg.spanCounts[w-1]++
 				continue
 			}
-			entries++
-			worst += int64(e.Count)
+			fg.spanNodes[w], fg.spanCounts[w] = node, 1
+			w++
+		}
+		fg.spanPtr[gi+1] = int32(w)
+	}
+	fg.spanNodes, fg.spanCounts = fg.spanNodes[:w], fg.spanCounts[:w]
+	return fg.index()
+}
+
+// index is the stage both span stages end in. It reads only the span slabs
+// and tolerance, count-then-fill: the first pass sizes the mask and byNode
+// slabs, the second writes them in group order — the order addDPSpan depends
+// on — so the allocation count does not depend on the group or node count.
+func (fg *flatGroups) index() *flatGroups {
+	groups, n := len(fg.tolerance), fg.n
+	fg.uniform = make([]int32, groups)
+	fg.maskPtr = make([]int32, groups+1)
+	fg.critical = make([]bool, n)
+	fg.byNodePtr = make([]int32, n+1)
+	fg.dpOK = true
+	destroyable := 0
+	for gi := 0; gi < groups; gi++ {
+		tol := fg.tolerance[gi]
+		nodes, counts := fg.span(int32(gi))
+		var words int32
+		var worst int64
+		uniform, lastWord := int32(-1), int32(-1)
+		for k, node := range nodes {
+			worst += int64(counts[k])
 			if uniform == -1 {
-				uniform = e.Count
-			} else if uniform != e.Count {
+				uniform = counts[k]
+			} else if uniform != counts[k] {
 				uniform = 0
 			}
-			if w := int32(e.Node) >> 6; w != lastWord { // span ascends, so words do
+			if w := node >> 6; w != lastWord { // span ascends, so words do
 				words++
 				lastWord = w
 			}
 		}
-		fg.spanPtr[gi+1] = fg.spanPtr[gi] + entries
 		fg.maskPtr[gi+1] = fg.maskPtr[gi]
 		if uniform > 0 { // only uniform groups keep a bitset
 			fg.uniform[gi] = uniform
@@ -539,19 +578,17 @@ func flatten(groups []Group, n int) *flatGroups {
 			continue // no failure of any size can destroy this group
 		}
 		destroyable++
-		for _, e := range g.Span {
-			if inRange(e.Node) && e.Count <= tol {
-				fg.byNodePtr[e.Node+1]++
+		for k, node := range nodes {
+			if counts[k] <= tol {
+				fg.byNodePtr[node+1]++
 			}
 		}
 	}
 	for node := 0; node < n; node++ {
 		fg.byNodePtr[node+1] += fg.byNodePtr[node]
 	}
-	fg.spanNodes = make([]int32, fg.spanPtr[len(groups)])
-	fg.spanCounts = make([]int32, fg.spanPtr[len(groups)])
-	fg.maskWords = make([]int32, fg.maskPtr[len(groups)])
-	fg.maskBits = make([]uint64, fg.maskPtr[len(groups)])
+	fg.maskWords = make([]int32, fg.maskPtr[groups])
+	fg.maskBits = make([]uint64, fg.maskPtr[groups])
 	fg.byNode = make([]int32, fg.byNodePtr[n])
 	// Every accepted dpSpan owns at least one node outright.
 	fg.dpSpans = make([]dpSpan, 0, min(destroyable, n))
@@ -560,17 +597,12 @@ func flatten(groups []Group, n int) *flatGroups {
 	for i := range owner {
 		owner[i] = -1
 	}
-	for gi := range groups {
+	for gi := 0; gi < groups; gi++ {
 		tol := fg.tolerance[gi]
 		nodes, counts := fg.span(int32(gi))
-		k := 0
 		var worst int64
-		for _, e := range groups[gi].Span {
-			if inRange(e.Node) {
-				nodes[k], counts[k] = int32(e.Node), e.Count
-				worst += int64(e.Count)
-				k++
-			}
+		for _, c := range counts {
+			worst += int64(c)
 		}
 		if fg.uniform[gi] > 0 {
 			words, masks := fg.mask(int32(gi))
@@ -840,13 +872,13 @@ func exactConditional(fg *flatGroups, n, f, workers int, stop *atomic.Bool) floa
 
 // unionBoundConditional sums the exact per-group destruction probability
 // over groups (an upper bound on the union, tight when events are rare).
-func unionBoundConditional(groups []Group, n, f, workers int, stop *atomic.Bool) float64 {
+func unionBoundConditional(fg *flatGroups, n, f, workers int, stop *atomic.Bool) float64 {
 	var sum float64
-	for gi := range groups {
+	for gi := range fg.tolerance {
 		if stop != nil && stop.Load() {
 			break
 		}
-		sum += groupConditional(&groups[gi], n, f, workers, stop)
+		sum += fg.groupConditional(int32(gi), n, f, workers, stop)
 	}
 	if sum > 1 {
 		sum = 1
@@ -854,13 +886,15 @@ func unionBoundConditional(groups []Group, n, f, workers int, stop *atomic.Bool)
 	return sum
 }
 
-// groupConditional computes P(group destroyed | f uniform random distinct
+// groupConditional computes P(group gi destroyed | f uniform random distinct
 // node failures) exactly, enumerating subsets of the group's node span when
 // small and sampling otherwise.
-func groupConditional(g *Group, n, f, workers int, stop *atomic.Bool) float64 {
-	counts := make([]int, len(g.Span))
-	for i, e := range g.Span {
-		counts[i] = int(e.Count)
+func (fg *flatGroups) groupConditional(gi int32, n, f, workers int, stop *atomic.Bool) float64 {
+	nodes, spanCounts := fg.span(gi)
+	tolerance := int(fg.tolerance[gi])
+	counts := make([]int, len(spanCounts))
+	for i, c := range spanCounts {
+		counts[i] = int(c)
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(counts)))
 	s := len(counts)
@@ -870,7 +904,7 @@ func groupConditional(g *Group, n, f, workers int, stop *atomic.Bool) float64 {
 	for i := 0; i < f && i < s; i++ {
 		worst += counts[i]
 	}
-	if worst <= g.Tolerance {
+	if worst <= tolerance {
 		return 0
 	}
 	denom := combinations(n, f)
@@ -891,7 +925,8 @@ func groupConditional(g *Group, n, f, workers int, stop *atomic.Bool) float64 {
 		work += combinations(s, j)
 	}
 	if work > 2e6 {
-		return monteCarloConditional(flatten([]Group{*g}, n), n, f, 100_000, int64(n)*31+int64(f), workers, stop)
+		one := &flatGroups{n: n, spanPtr: []int32{0, int32(len(nodes))}, spanNodes: nodes, spanCounts: spanCounts, tolerance: []int32{fg.tolerance[gi]}}
+		return monteCarloConditional(one.index(), n, f, 100_000, int64(n)*31+int64(f), workers, stop)
 	}
 	idx := make([]int, maxJ)
 	var steps int64
@@ -913,7 +948,7 @@ func groupConditional(g *Group, n, f, workers int, stop *atomic.Bool) float64 {
 			for _, b := range sub {
 				lost += counts[b]
 			}
-			if lost > g.Tolerance {
+			if lost > tolerance {
 				hit += outside
 			}
 			i := j - 1

@@ -102,8 +102,9 @@ func TestGroupConditionalMatchesExact(t *testing.T) {
 	// The per-group closed form must agree with brute-force enumeration.
 	groups := []Group{groupOf(map[topology.NodeID]int{0: 2, 3: 1, 5: 1}, 2)}
 	for f := 1; f <= 4; f++ {
-		exact := exactConditional(flatten(groups, 8), 8, f, 1, nil)
-		closed := groupConditional(&groups[0], 8, f, 1, nil)
+		fg := flatten(groups, 8)
+		exact := exactConditional(fg, 8, f, 1, nil)
+		closed := fg.groupConditional(0, 8, f, 1, nil)
 		if math.Abs(exact-closed) > 1e-12 {
 			t.Errorf("f=%d: exact %g != closed-form %g", f, exact, closed)
 		}
@@ -116,7 +117,7 @@ func TestUnionBoundOverlapsCap(t *testing.T) {
 	groups := []Group{g, g}
 	// Any failure including node 0 destroys both; with n=2,f=1: each group
 	// P=1/2, sum = 1.0 (capped).
-	if got := unionBoundConditional(groups, 2, 1, 1, nil); got != 1 {
+	if got := unionBoundConditional(flatten(groups, 2), 2, 1, 1, nil); got != 1 {
 		t.Errorf("union bound = %g, want capped 1", got)
 	}
 }
