@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race fuzz vet fmt bench bench-smoke serve-smoke chaos doccheck hcbench-check hcbench-pair loc loc-check reach-check profile ci
+.PHONY: all build test race test-purego build-arm64 fuzz vet fmt bench bench-smoke serve-smoke chaos doccheck hcbench-check hcbench-pair loc loc-check reach-check profile ci
 
 all: build test
 
@@ -12,6 +12,18 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# test-purego runs the packages that execute internal/erasure's coding paths
+# with the assembly kernel compiled out (-tags purego: the table kernel, what
+# a host without GFNI runs), under the race detector like `race` beside it,
+# so the race suites of erasure and checkpoint see both kernels.
+test-purego:
+	$(GO) test -race -tags purego ./internal/erasure/ ./internal/checkpoint/ ./internal/hybrid/ ./internal/harness/
+
+# build-arm64 cross-compiles the tree and vets internal/erasure for an
+# architecture without the assembly kernel, so gfni_generic.go cannot rot.
+build-arm64:
+	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/erasure/
 
 # fuzz gives each parser of outside bytes ten seconds of coverage-guided
 # input: the two hcserve request decoders and the one trace-file reader
@@ -35,11 +47,13 @@ bench:
 	sh scripts/bench.sh
 
 # bench-smoke is the quick CI benchmark: one iteration of the guarded hot
-# paths, compared against the latest committed snapshot (the steady-state
-# RSEncode kernels, the CkptCycle checkpoint/restore data plane and the
-# large-scale partition/evaluation pipelines —
-# including the million-node Partition1M/Scaling1M scale proofs — gate at a
-# noise-tolerant 300%; Fig* deltas print for inspection). Benchmarks present
+# paths, compared against the latest committed snapshot (the large-scale
+# partition/evaluation pipelines — including the million-node
+# Partition1M/Scaling1M scale proofs — gate at a noise-tolerant 300%; Fig*,
+# RSEncode and CkptCycle deltas print for inspection: the last two run the
+# GFNI kernel or the table kernel depending on the host's CPU, 4–13x apart
+# on identical code, so no threshold on their time means anything across
+# hosts — TestL3CycleAllocationBound keeps CkptCycle's bytes). Benchmarks present
 # on only one side of the comparison are informational, so snapshots
 # recorded before the 1M benchmarks existed still gate cleanly. The same
 # 300% bounds allocs/op, which repeats where ns/op does not: both sides run
@@ -49,7 +63,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -cpu 1 -bench 'RSEncode|CkptCycle|Fig|Partition100k|Partition1M|Scaling256k|Scaling1M|MultilevelSerial' -benchmem -benchtime 1x . > smoke.txt
 	$(GO) run ./cmd/benchjson < smoke.txt > smoke.json
 	baseline=$$(ls BENCH_*.json | sort | tail -1); \
-		$(GO) run ./cmd/benchjson -compare -threshold 300 -filter 'RSEncode|CkptCycle|Partition100k|Partition1M|Scaling256k|Scaling1M|MultilevelSerial' $$baseline smoke.json; \
+		$(GO) run ./cmd/benchjson -compare -threshold 300 -filter 'Partition100k|Partition1M|Scaling256k|Scaling1M|MultilevelSerial' $$baseline smoke.json; \
 		rc=$$?; rm -f smoke.txt smoke.json; exit $$rc
 
 # profile captures CPU + heap profiles of the scaling pipeline at 256k
@@ -97,14 +111,15 @@ hcbench-pair:
 	@test -n "$(BASE)" || { echo "usage: make hcbench-pair BASE=<rev> [N=10] [ARGS='hcbench flags']"; exit 2; }
 	sh scripts/hcbench_pair.sh $(BASE) $(N) $(ARGS)
 
-# loc prints the tracked size number: non-test Go lines outside benchmarks/.
+# loc prints the tracked size number: non-test Go and assembly lines outside
+# benchmarks/.
 loc:
-	@git ls-files '*.go' | grep -v '^benchmarks/' | grep -v '_test\.go$$' | xargs cat | wc -l
+	@git ls-files '*.go' '*.s' | grep -v '^benchmarks/' | grep -v '_test\.go$$' | xargs cat | wc -l
 
 # loc-check fails when `make loc` exceeds LOC_CEILING, so ROADMAP aim 2's
 # tracked number only goes up when a PR raises the ceiling on purpose; a PR
 # that shrinks the tree lowers it to its own result.
-LOC_CEILING = 19160
+LOC_CEILING = 19431
 loc-check:
 	@n=$$($(MAKE) -s loc); if [ "$$n" -gt $(LOC_CEILING) ]; then \
 		echo "loc $$n exceeds LOC_CEILING $(LOC_CEILING)"; exit 1; fi; \
@@ -118,4 +133,4 @@ loc-check:
 reach-check:
 	$(GO) test -tags reach -run TestInternalReachable .
 
-ci: fmt vet build race bench-smoke serve-smoke doccheck hcbench-check loc-check reach-check
+ci: fmt vet build build-arm64 race test-purego bench-smoke serve-smoke doccheck hcbench-check loc-check reach-check

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"strconv"
 	"time"
 
 	"hierclust/internal/erasure"
@@ -253,11 +254,22 @@ func (m *Manager) DrainDecodeTime() time.Duration {
 	return d
 }
 
-func keyL1(r topology.Rank, v int) string  { return fmt.Sprintf("l1/%d/%d", r, v) }
-func keyL2(r topology.Rank, v int) string  { return fmt.Sprintf("l2p/%d/%d", r, v) }
-func keyL3(g, i, v int) string             { return fmt.Sprintf("l3p/%d/%d/%d", g, i, v) }
-func keyXOR(g, v int) string               { return fmt.Sprintf("l3x/%d/%d", g, v) }
-func keyPFS(r topology.Rank, v int) string { return fmt.Sprintf("l4/%d/%d", r, v) }
+// key renders prefix/a/b[/c] with one allocation, the string. fmt.Sprintf
+// boxes each operand, and boxing an int above 255 allocates, so a cycle's
+// allocation count used to depend on its version number.
+func key(prefix string, ids ...int) string {
+	b := append(make([]byte, 0, 32), prefix...)
+	for _, id := range ids {
+		b = strconv.AppendInt(append(b, '/'), int64(id), 10)
+	}
+	return string(b)
+}
+
+func keyL1(r topology.Rank, v int) string  { return key("l1", int(r), v) }
+func keyL2(r topology.Rank, v int) string  { return key("l2p", int(r), v) }
+func keyL3(g, i, v int) string             { return key("l3p", g, i, v) }
+func keyXOR(g, v int) string               { return key("l3x", g, v) }
+func keyPFS(r topology.Rank, v int) string { return key("l4", int(r), v) }
 
 // Checkpoint saves data (rank → blob) at the given version and level.
 // Lower levels are implied: L3 also writes L1; L2 also writes L1. The blobs

@@ -187,3 +187,24 @@ func TestL3CycleAllocationBound(t *testing.T) {
 		t.Errorf("cycle allocates %.2f× its payload, limit 2.2×", ratio)
 	}
 }
+
+// TestKeysAllocateOnceAtAnyVersion pins what keeps a cycle's allocation
+// count independent of its version number: a store key costs one
+// allocation — its string — whether its numbers are small or past the 255
+// above which boxing an int for fmt allocates, and it still reads as the
+// fmt rendering did.
+func TestKeysAllocateOnceAtAnyVersion(t *testing.T) {
+	var sink string
+	for _, v := range []int{1, 255, 256, 70_000} {
+		if got, want := keyL3(7, 300, v), fmt.Sprintf("l3p/%d/%d/%d", 7, 300, v); got != want {
+			t.Errorf("keyL3(7, 300, %d) = %q, want %q", v, got, want)
+		}
+		if got, want := keyL1(300, v), fmt.Sprintf("l1/%d/%d", 300, v); got != want {
+			t.Errorf("keyL1(300, %d) = %q, want %q", v, got, want)
+		}
+		if n := testing.AllocsPerRun(100, func() { sink = keyL3(7, 300, v) }); n != 1 {
+			t.Errorf("keyL3 at version %d: %v allocations, want 1", v, n)
+		}
+	}
+	_ = sink
+}

@@ -5,9 +5,16 @@
 //
 // The Reed–Solomon code is systematic: an encoding group of k checkpoint
 // blocks produces m parity blocks such that any k of the k+m blocks
-// reconstruct the originals. Encoding cost grows linearly with k, which is
-// the empirical law behind the paper's Figure 3b and Table II encode times
-// (51 s, 102 s, 204 s per GB at k = 8, 16, 32).
+// reconstruct the originals. Encoding cost per member grows linearly with k
+// (k² per RS(k,k) group), which is the empirical law behind the paper's
+// Figure 3b and Table II encode times (51 s, 102 s, 204 s per GB at
+// k = 8, 16, 32).
+//
+// The field is GF(2^8) modulo x^8+x^4+x^3+x+1, the polynomial the GFNI
+// instructions hard-wire, so one multiply kernel has two tiers that agree
+// byte for byte: hand-written GFNI + AVX2 assembly (gfni_amd64.s) where the
+// CPU has it, and the table kernel of tables.go everywhere else and under
+// `-tags purego`. See the header of tables.go for which runs when.
 package erasure
 
 import "fmt"
@@ -96,8 +103,8 @@ func mulSlice(c byte, src, dst []byte) {
 		xorWords(src, dst)
 	default:
 		// Byte-wise via the 8-bit table: mulSlice serves the small-row
-		// matrix algebra; the bulk coding paths go through encodeRow,
-		// whose plans carry the 16-bit double tables.
+		// matrix algebra; the bulk coding paths go through encodeVec
+		// and encodeRow.
 		tbl := mulRow(c)
 		for i, s := range src {
 			dst[i] ^= tbl[s]

@@ -65,6 +65,9 @@ func (r *RS) Encode(data, parity [][]byte) error {
 	if r.m > 0 && len(data) > 0 && len(parity[0]) != len(data[0]) {
 		return fmt.Errorf("erasure: parity shard size %d != data shard size %d", len(parity[0]), len(data[0]))
 	}
+	if r.encodeVec(data, parity) {
+		return nil
+	}
 	for p := 0; p < r.m; p++ {
 		encodeRow(r.parityPlans[p], data, parity[p])
 	}

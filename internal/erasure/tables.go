@@ -5,6 +5,30 @@ import (
 	"sync"
 )
 
+// The multiply kernels, in two tiers.
+//
+// The table kernel in this file is the portable path and the differential
+// oracle: 8-bit tables (gfMulTable, always resident) for one-shot decode
+// plans, tails and the small-row matrix algebra; 16-bit double tables
+// (mul16, built lazily per coefficient) for the long-lived parity plans.
+//
+// On amd64 with GFNI and AVX2 (checked once at init, gfni_amd64.go) the
+// whole 32-byte blocks of every multiply go to VGF2P8MULB instead: vecMul
+// and RS.encodeVec report what they handled and the loops here finish the
+// rest — tails under 32 bytes — from the 8-bit tables, so no 16-bit table
+// is ever built. Without GFNI, on any other architecture, or under the
+// purego build tag (the only way to force it), those helpers handle nothing
+// and this file is the whole kernel. Both tiers produce identical bytes.
+
+// Kernel names the tier this process multiplies with: "gfni-avx2" or
+// "table". For ledger rows and timing notes that must say what they measured.
+func Kernel() string {
+	if useVec {
+		return "gfni-avx2"
+	}
+	return "table"
+}
+
 // gfMulTable[c][x] = c·x over GF(2^8). 64 KiB total: each row is a 256-byte
 // lookup table that turns the log/exp multiply of the inner coding loop into
 // a single L1-resident load per byte. Populated from gfExp/gfLog by
@@ -70,13 +94,15 @@ type rowPlan struct {
 // the 16-bit double tables — for long-lived plans (the parity rows compiled
 // once in NewRS), where the one-time 128 KiB build amortizes over every
 // encode. Coefficients 0 and 1 need no tables (skip and XOR fast paths).
+// Where the vector kernel runs nothing would read the 16-bit tables (the
+// table loops see tails under 32 bytes only), so none are built.
 func makePlan(coeffs []byte) []rowPlan {
-	plan := make([]rowPlan, len(coeffs))
-	for i, c := range coeffs {
-		plan[i].c = c
-		if c > 1 {
-			plan[i].tbl = mulRow(c)
-			plan[i].tbl16 = mulRow16(c)
+	plan := makePlan8(coeffs)
+	if !useVec {
+		for i, c := range coeffs {
+			if c > 1 {
+				plan[i].tbl16 = mulRow16(c)
+			}
 		}
 	}
 	return plan
@@ -153,10 +179,12 @@ func mulTab8(t *[256]byte, s uint64) uint64 {
 		uint64(t[byte(s>>56)])<<56
 }
 
-// mulTabAssign computes dst[i] = c·src[i], 16 bytes per iteration.
+// mulTabAssign computes dst[i] = c·src[i]: whole 32-byte blocks on the
+// vector kernel where there is one (vecMul handles nothing on the portable
+// build), the rest on the tables, 16 bytes per iteration.
 func mulTabAssign(p *rowPlan, src, dst []byte) {
 	dst = dst[:len(src)]
-	i := 0
+	i := vecMul(p.c, src, dst, false)
 	if t16 := p.tbl16; t16 != nil {
 		for ; i+16 <= len(src); i += 16 {
 			v0 := mulTab16(t16, binary.LittleEndian.Uint64(src[i:]))
@@ -174,10 +202,10 @@ func mulTabAssign(p *rowPlan, src, dst []byte) {
 	}
 }
 
-// mulTabXor computes dst[i] ^= c·src[i], 16 bytes per iteration.
+// mulTabXor computes dst[i] ^= c·src[i], split like mulTabAssign.
 func mulTabXor(p *rowPlan, src, dst []byte) {
 	dst = dst[:len(src)]
-	i := 0
+	i := vecMul(p.c, src, dst, true)
 	if t16 := p.tbl16; t16 != nil {
 		for ; i+16 <= len(src); i += 16 {
 			v0 := mulTab16(t16, binary.LittleEndian.Uint64(src[i:]))
@@ -197,9 +225,11 @@ func mulTabXor(p *rowPlan, src, dst []byte) {
 }
 
 // xorWords computes dst ^= src 8 bytes at a time, with a byte-wise tail for
-// non-word-aligned lengths. len(src) must not exceed len(dst).
+// non-word-aligned lengths. len(src) must not exceed len(dst). The vector
+// kernel takes the whole 32-byte blocks as a multiply by 1, so XOR parity
+// is never slower per byte than the Reed–Solomon multiply.
 func xorWords(src, dst []byte) {
-	i := 0
+	i := vecMul(1, src, dst, true)
 	for ; i+8 <= len(src); i += 8 {
 		v := binary.LittleEndian.Uint64(src[i:]) ^ binary.LittleEndian.Uint64(dst[i:])
 		binary.LittleEndian.PutUint64(dst[i:], v)

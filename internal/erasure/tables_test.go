@@ -78,7 +78,18 @@ func TestMulSliceMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestMulTabKernelsMatchNaive(t *testing.T) {
+// eachKernel runs f on the kernel this build selects and, where that is the
+// vector kernel, on the table kernel as well.
+func eachKernel(t *testing.T, f func(t *testing.T)) {
+	t.Run(Kernel(), f)
+	if useVec {
+		t.Run("table", func(t *testing.T) { withTableKernel(func() { f(t) }) })
+	}
+}
+
+func TestMulTabKernelsMatchNaive(t *testing.T) { eachKernel(t, testMulTabKernelsMatchNaive) }
+
+func testMulTabKernelsMatchNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, size := range kernelSizes {
 		for trial := 0; trial < 8; trial++ {
@@ -118,7 +129,9 @@ func TestMulTabKernelsMatchNaive(t *testing.T) {
 	}
 }
 
-func TestXorWordsOddSizes(t *testing.T) {
+func TestXorWordsOddSizes(t *testing.T) { eachKernel(t, testXorWordsOddSizes) }
+
+func testXorWordsOddSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for _, size := range kernelSizes {
 		src := make([]byte, size)
@@ -138,7 +151,9 @@ func TestXorWordsOddSizes(t *testing.T) {
 
 // TestEncodeRowMatchesNaive exercises the full row kernel — zero, one, and
 // table coefficients mixed — against a byte-wise reference.
-func TestEncodeRowMatchesNaive(t *testing.T) {
+func TestEncodeRowMatchesNaive(t *testing.T) { eachKernel(t, testEncodeRowMatchesNaive) }
+
+func testEncodeRowMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for _, size := range kernelSizes {
 		for trial := 0; trial < 8; trial++ {

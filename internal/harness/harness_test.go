@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"hierclust/internal/erasure"
 )
 
 var quick = Config{Quick: true}
@@ -112,6 +114,17 @@ func TestFig3bEncodeLinear(t *testing.T) {
 	first, last := cell(t, table, 0, 3), cell(t, table, len(table.Rows)-1, 3)
 	if last <= first {
 		t.Errorf("measured encode not growing: first %gms last %gms", first, last)
+	}
+	// a filled column is fractional ms (k=4 takes far under 1 ms), names the
+	// shard size it encoded and the kernel that did it
+	if first <= 0 {
+		t.Errorf("measured encode at the smallest group = %g ms, want > 0 (truncated?)", first)
+	}
+	if got := table.Columns[3]; !strings.Contains(got, "64KiB shards") {
+		t.Errorf("measured column header %q does not name the -quick shard size", got)
+	}
+	if notes := strings.Join(table.Notes, "\n"); !strings.Contains(notes, erasure.Kernel()+" multiply kernel") {
+		t.Errorf("notes do not name the %s kernel:\n%s", erasure.Kernel(), notes)
 	}
 	// without Timings the measured column is deterministic
 	plain := runExp(t, "fig3b")
