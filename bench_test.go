@@ -511,31 +511,43 @@ func BenchmarkScaling1M(b *testing.B) {
 	}
 }
 
-// BenchmarkCatastropheModel measures the reliability model on the paper's
-// hierarchical layout (64 nodes, 256 groups of 4).
+// BenchmarkCatastropheModel measures the reliability model at 64 nodes:
+// product-form is the paper's hierarchical layout (256 groups of 4 on
+// disjoint 4-node spans — the closed form, nothing enumerated); irregular
+// slides a 4-node span two nodes at a time (62 groups on partially
+// overlapping spans), so f = 1..3 enumerate, f = 4, 5 take the union bound
+// and f = 6..9 sample.
 func BenchmarkCatastropheModel(b *testing.B) {
 	mach := &topology.Machine{Name: "b", Nodes: 64}
 	p, err := topology.Block(mach, 1024, 16)
 	if err != nil {
 		b.Fatal(err)
 	}
-	var groups []reliability.Group
-	for l1 := 0; l1 < 16; l1++ {
-		for i := 0; i < 16; i++ {
-			var mem []topology.Rank
-			for nd := l1 * 4; nd < l1*4+4; nd++ {
-				mem = append(mem, topology.Rank(nd*16+i))
+	layout := func(step, rows int) (groups []reliability.Group) {
+		for base := 0; base+4 <= 64; base += step {
+			for i := 0; i < rows; i++ {
+				var mem []topology.Rank
+				for nd := base; nd < base+4; nd++ {
+					mem = append(mem, topology.Rank(nd*16+i))
+				}
+				groups = append(groups, reliability.GroupFromRanks(p, mem))
 			}
-			groups = append(groups, reliability.GroupFromRanks(p, mem))
 		}
+		return groups
 	}
-	mdl := &reliability.Model{Nodes: 64, Mix: reliability.DefaultMix()}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mdl.CatastropheProb(groups); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name   string
+		groups []reliability.Group
+	}{{"product-form", layout(4, 16)}, {"irregular", layout(2, 2)}} {
+		b.Run(bc.name, func(b *testing.B) {
+			mdl := &reliability.Model{Nodes: 64, Mix: reliability.DefaultMix()}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := mdl.CatastropheProb(bc.groups); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -374,16 +374,16 @@ func (m *Manager) writeLocal(version int, data map[topology.Rank][]byte, metas m
 // partnerOf returns the node holding the partner copies of home's ranks: the
 // next used node, cyclically. ok is false when there is no second node.
 func (m *Manager) partnerOf(home topology.NodeID) (partner topology.NodeID, ok bool) {
-	used := m.placement.UsedNodes()
+	nused := m.placement.NumUsed()
 	pos := m.placement.UsedIndex(home)
-	if len(used) < 2 || pos < 0 {
+	if nused < 2 || pos < 0 {
 		return 0, false
 	}
-	return used[(pos+1)%len(used)], true
+	return m.placement.UsedNode((pos + 1) % nused), true
 }
 
 func (m *Manager) writePartner(version int, data map[topology.Rank][]byte, res *Result) error {
-	if n := len(m.placement.UsedNodes()); n < 2 {
+	if n := m.placement.NumUsed(); n < 2 {
 		return fmt.Errorf("checkpoint: partner copies need at least 2 nodes, have %d", n)
 	}
 	net := &storage.Device{Name: "net", ReadBps: m.placement.Machine().NetBps, WriteBps: m.placement.Machine().NetBps}
@@ -452,7 +452,7 @@ func (m *Manager) encodeGroups(version int, data map[topology.Rank][]byte, vm *v
 }
 
 func (m *Manager) writePFS(version int, data map[topology.Rank][]byte, metas map[topology.Rank]Meta, res *Result) error {
-	sharing := len(m.placement.UsedNodes())
+	sharing := m.placement.NumUsed()
 	for r, blob := range data {
 		d, err := m.cluster.PFS().Put(keyPFS(r, version), blob, sharing)
 		if err != nil {

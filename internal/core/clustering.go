@@ -245,24 +245,24 @@ func Hierarchical(m trace.Comm, p *topology.Placement, opts HierOptions) (*Clust
 	if err != nil {
 		return nil, err
 	}
-	used := p.UsedNodes()
-	if len(used) < opts.MinNodesPerL1 {
-		return nil, fmt.Errorf("core: %d used nodes < MinNodesPerL1 %d", len(used), opts.MinNodesPerL1)
+	nused := p.NumUsed()
+	if nused < opts.MinNodesPerL1 {
+		return nil, fmt.Errorf("core: %d used nodes < MinNodesPerL1 %d", nused, opts.MinNodesPerL1)
 	}
-	nodePart, err := partitionNodes(nodeGraph, used, p, opts)
+	nodePart, err := partitionNodes(nodeGraph, p, opts)
 	if err != nil {
 		return nil, err
 	}
 
 	c := &Clustering{Name: "hierarchical", L1: make([]int, p.NumRanks())}
-	for i, n := range used {
-		for _, r := range p.RanksOn(n) {
-			c.L1[r] = nodePart[i]
+	for i, part := range nodePart {
+		for pos, end := p.Span(p.UsedNode(i)); pos < end; pos++ {
+			c.L1[p.RankAt(pos)] = part
 		}
 	}
 
 	// L2: transversal groups inside each L1 cluster. A counting sort buckets
-	// the nodes by cluster; used ascends, so every bucket does too, and
+	// the nodes by cluster; used nodes ascend, so every bucket does too, and
 	// walking the buckets in id order visits the clusters ascending.
 	nparts := graph.NumParts(nodePart)
 	clusterPtr := make([]int32, nparts+1)
@@ -272,11 +272,10 @@ func Hierarchical(m trace.Comm, p *topology.Placement, opts HierOptions) (*Clust
 	for id := 0; id < nparts; id++ {
 		clusterPtr[id+1] += clusterPtr[id]
 	}
-	nodes := make([]topology.NodeID, len(used))
+	nodes := make([]topology.NodeID, nused)
 	next := make([]int32, nparts)
-	for i, n := range used {
-		id := nodePart[i]
-		nodes[clusterPtr[id]+next[id]] = n
+	for i, id := range nodePart {
+		nodes[clusterPtr[id]+next[id]] = p.UsedNode(i)
 		next[id]++
 	}
 	bounds := subgroupBounds(clusterPtr, opts.SubgroupNodes)
@@ -319,12 +318,14 @@ func Hierarchical(m trace.Comm, p *topology.Placement, opts HierOptions) (*Clust
 		}
 		for i := 0; i < w; i++ {
 			for _, n := range sub {
-				c.Groups[first+i] = append(c.Groups[first+i], p.RanksOn(n)[i])
+				lo, _ := p.Span(n)
+				c.Groups[first+i] = append(c.Groups[first+i], p.RankAt(lo+i))
 			}
 		}
 		for _, n := range sub {
-			for i := w; i < p.CountOn(n); i++ {
-				c.Groups[first+i%w] = append(c.Groups[first+i%w], p.RanksOn(n)[i])
+			lo, hi := p.Span(n)
+			for i := w; i < hi-lo; i++ {
+				c.Groups[first+i%w] = append(c.Groups[first+i%w], p.RankAt(lo+i))
 			}
 		}
 	}
@@ -334,7 +335,7 @@ func Hierarchical(m trace.Comm, p *topology.Placement, opts HierOptions) (*Clust
 // partitionNodes runs the size-constrained partitioner over the node graph,
 // or — with AlignPowerPairs — over its power-pair quotient, so that both
 // nodes of each pair always share an L1 cluster.
-func partitionNodes(nodeGraph *graph.Graph, used []topology.NodeID, p *topology.Placement, opts HierOptions) ([]int, error) {
+func partitionNodes(nodeGraph *graph.Graph, p *topology.Placement, opts HierOptions) ([]int, error) {
 	partOpts := func(minSize, targetSize, maxSize int) graph.PartitionOptions {
 		return graph.PartitionOptions{
 			MinSize:          minSize,
@@ -350,11 +351,11 @@ func partitionNodes(nodeGraph *graph.Graph, used []topology.NodeID, p *topology.
 		return graph.Partition(nodeGraph, partOpts(opts.MinNodesPerL1, opts.TargetNodesPerL1, opts.MaxNodesPerL1))
 	}
 	// Quotient the node graph by power pair (node/2) and partition pairs.
-	// used ascends, so the two nodes of a pair are adjacent in it.
+	// Used nodes ascend, so the two nodes of a pair are adjacent.
 	pairCount := 0
-	pairOfIdx := make([]int, len(used))
-	for i, n := range used {
-		if i == 0 || n&^1 != used[i-1]&^1 {
+	pairOfIdx := make([]int, p.NumUsed())
+	for i := range pairOfIdx {
+		if i == 0 || p.UsedNode(i)&^1 != p.UsedNode(i-1)&^1 {
 			pairCount++
 		}
 		pairOfIdx[i] = pairCount - 1
@@ -374,9 +375,9 @@ func partitionNodes(nodeGraph *graph.Graph, used []topology.NodeID, p *topology.
 	if err != nil {
 		return nil, err
 	}
-	nodePart := make([]int, len(used))
-	for i := range used {
-		nodePart[i] = pairPart[pairOfIdx[i]]
+	nodePart := make([]int, len(pairOfIdx))
+	for i, pair := range pairOfIdx {
+		nodePart[i] = pairPart[pair]
 	}
 	return nodePart, nil
 }

@@ -176,25 +176,25 @@ func RecoveryFraction(c *Clustering, p *topology.Placement) (float64, error) {
 // scores.
 func recoveryFraction(c *Clustering, p *topology.Placement) float64 {
 	sizes := graph.PartSizes(c.L1)
-	used := p.UsedNodes()
-	if len(used) == 0 || p.NumRanks() == 0 {
+	nused := p.NumUsed()
+	if nused == 0 || p.NumRanks() == 0 {
 		return 0
 	}
 	stamp := make([]int32, len(sizes))
 	epoch := int32(0)
 	var total float64
-	for _, n := range used {
+	for i := 0; i < nused; i++ {
 		epoch++
 		restarted := 0
-		for _, r := range p.RanksOn(n) {
-			if id := c.L1[r]; stamp[id] != epoch {
+		for pos, end := p.Span(p.UsedNode(i)); pos < end; pos++ {
+			if id := c.L1[p.RankAt(pos)]; stamp[id] != epoch {
 				stamp[id] = epoch
 				restarted += sizes[id]
 			}
 		}
 		total += float64(restarted) / float64(p.NumRanks())
 	}
-	return total / float64(len(used))
+	return total / float64(nused)
 }
 
 // RecoveryFractionPair computes the expected fraction of ranks restarted
@@ -207,25 +207,21 @@ func RecoveryFractionPair(c *Clustering, p *topology.Placement) (float64, error)
 		return 0, err
 	}
 	sizes := graph.PartSizes(c.L1)
-	used := p.UsedNodes()
-	if len(used) == 0 || p.NumRanks() == 0 {
+	nused := p.NumUsed()
+	if nused == 0 || p.NumRanks() == 0 {
 		return 0, nil
 	}
 	stamp := make([]int32, len(sizes))
 	epoch := int32(0)
 	var total float64
 	var count int
-	for i := 0; i < len(used); {
-		base := used[i] &^ 1
-		j := i
-		for j < len(used) && used[j]&^1 == base { // used ascends; pairs are adjacent
-			j++
-		}
+	for i := 0; i < nused; {
+		base := p.UsedNode(i) &^ 1
 		epoch++
 		restarted := 0
-		for _, n := range used[i:j] {
-			for _, r := range p.RanksOn(n) {
-				if id := c.L1[r]; stamp[id] != epoch {
+		for ; i < nused && p.UsedNode(i)&^1 == base; i++ { // used nodes ascend; pairs are adjacent
+			for pos, end := p.Span(p.UsedNode(i)); pos < end; pos++ {
+				if id := c.L1[p.RankAt(pos)]; stamp[id] != epoch {
 					stamp[id] = epoch
 					restarted += sizes[id]
 				}
@@ -233,7 +229,6 @@ func RecoveryFractionPair(c *Clustering, p *topology.Placement) (float64, error)
 		}
 		total += float64(restarted) / float64(p.NumRanks())
 		count++
-		i = j
 	}
 	return total / float64(count), nil
 }

@@ -184,10 +184,10 @@ func Fig4a(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	mdl := &reliability.Model{Nodes: len(p.UsedNodes()), Mix: reliability.DefaultMix()}
+	mdl := &reliability.Model{Nodes: p.NumUsed(), Mix: reliability.DefaultMix()}
 	t := &Table{
 		ID:      "fig4a",
-		Title:   fmt.Sprintf("reliability, %d nodes x %d procs", len(p.UsedNodes()), p.MaxProcsPerNode()),
+		Title:   fmt.Sprintf("reliability, %d nodes x %d procs", p.NumUsed(), p.MaxProcsPerNode()),
 		Columns: []string{"group size", "P(cat) non-distributed", "P(cat) distributed", "improvement (x)"},
 	}
 	for _, size := range []int{4, 8, 16} {

@@ -243,7 +243,7 @@ func Table2(cfg Config) (*Table, error) {
 	}
 	t := &Table{
 		ID:    "table2",
-		Title: fmt.Sprintf("clustering comparison, %d ranks on %d nodes", cfg.Ranks, len(r.placement.UsedNodes())),
+		Title: fmt.Sprintf("clustering comparison, %d ranks on %d nodes", cfg.Ranks, r.placement.NumUsed()),
 		Columns: []string{"clustering", "logged %", "recovery %", "encode s/GB", "P(cat)",
 			"paper logged %", "paper recovery %", "paper encode s", "paper P(cat)"},
 	}

@@ -85,9 +85,9 @@ func scalingRow(t *Table, b core.Baseline, m trace.Comm, placement *topology.Pla
 	ok, _ := e.Meets(b)
 	verdict := "yes"
 	if !ok {
-		verdict = fmt.Sprintf("NO (scale too small for 4-node L1: %d nodes)", len(placement.UsedNodes()))
+		verdict = fmt.Sprintf("NO (scale too small for 4-node L1: %d nodes)", placement.NumUsed())
 	}
-	t.AddRow(m.Ranks(), len(placement.UsedNodes()), hier.NumClusters(),
+	t.AddRow(m.Ranks(), placement.NumUsed(), hier.NumClusters(),
 		e.LoggedFraction*100, e.RecoveryFraction*100, e.EncodeSecondsPerGB, e.CatastropheProb, verdict)
 	return nil
 }

@@ -1,6 +1,7 @@
 package reliability
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"runtime"
@@ -90,7 +91,7 @@ func TestDestroysMatchesNaive(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		n := 20
 		groups := randomGroups(seed, n, 8)
-		fg := flatten(groups, n)
+		fg := flatten(groups, n).indexed()
 		scratch := fg.newScratch()
 		rng := rand.New(rand.NewSource(seed * 101))
 		for trial := 0; trial < 200; trial++ {
@@ -146,8 +147,8 @@ func disjointGroups(seed int64, n int) []Group {
 	return groups
 }
 
-// The disjoint-span closed form must agree exactly (to float tolerance)
-// with brute-force enumeration wherever it applies.
+// The disjoint-span closed form must return the enumeration's bits wherever
+// the enumeration is within budget: both are integer counts over C(n,f).
 func TestDisjointConditionalMatchesExact(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		n := 14
@@ -158,8 +159,8 @@ func TestDisjointConditionalMatchesExact(t *testing.T) {
 		}
 		for f := 1; f <= 6; f++ {
 			exact := exactConditional(fg, n, f, 1, nil)
-			closed := fg.disjointConditional(n, f)
-			if math.Abs(exact-closed) > 1e-12 {
+			closed := fg.disjointConditional(n, f, 100_000)
+			if exact != closed {
 				t.Errorf("seed %d f %d: exact %v, closed form %v", seed, f, exact, closed)
 			}
 		}
@@ -201,23 +202,39 @@ func TestDisjointReductionRejectsIrregular(t *testing.T) {
 	}
 }
 
-// A model whose groups pass the reduction must produce identical
-// probabilities whether the tail uses the closed form or brute force —
-// checked by comparing against a model with an enormous ExactLimit that
-// forces enumeration everywhere feasible.
+// A model whose groups pass the reduction never enumerates, whatever
+// ExactLimit says, and still returns the enumeration's answer: bit for bit
+// the hand-weighed sum of exactConditional and the bitset pair scan while
+// C(n,f) is within the budget, and within rounding of it when the budget is
+// 1 and every f takes the 1 - safe/total form.
 func TestModelClosedFormAgreesWithEnumeration(t *testing.T) {
-	groups := disjointGroups(4, 12)
-	closed := &Model{Nodes: 12, Mix: DefaultMix(), ExactLimit: 1} // force closed form
-	brute := &Model{Nodes: 12, Mix: DefaultMix(), ExactLimit: 10_000_000}
-	pc, err := closed.CatastropheProb(groups)
-	if err != nil {
-		t.Fatal(err)
+	const n = 12
+	groups := disjointGroups(4, n)
+	mix := Mix{Transient: 0.05, NodeLoss: []float64{0.6, 0.2, 0.1, 0.05}, PairCorrelation: 0.3}
+	mix.Normalize()
+	scan := enumOnly(flatten(groups, n))
+	var brute float64
+	for i, pf := range mix.NodeLoss {
+		pcat := exactConditional(scan, n, i+1, 1, nil)
+		if i+1 == 2 {
+			pcat = mix.PairCorrelation*alignedPairConditional(scan, n) + (1-mix.PairCorrelation)*pcat
+		}
+		brute += pf * pcat
 	}
-	pb, err := brute.CatastropheProb(groups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(pc-pb) > 1e-12 {
-		t.Errorf("closed form %v vs enumeration %v", pc, pb)
+	for _, limit := range []int{0, 1} {
+		var p Profile
+		if err := p.Init(groups, n, limit, 0); err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.CatastropheProb(context.Background(), mix, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if limit == 0 && got != brute || math.Abs(got-brute) > 1e-12 {
+			t.Errorf("ExactLimit %d: closed form %v vs enumeration %v", limit, got, brute)
+		}
+		if p.fg.uniform != nil {
+			t.Errorf("ExactLimit %d: a product-form layout built the enumeration index", limit)
+		}
 	}
 }

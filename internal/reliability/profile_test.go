@@ -68,10 +68,10 @@ func profileGroups(seed int64, n int) []Group {
 // as an index into branchNames.
 func conditionalBranch(p *Profile, f int) int {
 	switch {
-	case combinations(p.nodes, f) <= float64(p.exactLimit):
-		return 0
 	case p.fg.dpOK:
 		return 1
+	case combinations(p.nodes, f) <= float64(p.exactLimit):
+		return 0
 	case unionBoundConditional(p.fg, p.nodes, f, 1, nil) <= 0.1:
 		return 2
 	}

@@ -82,10 +82,12 @@ type refFlatGroups struct {
 	byNode     [][]int32
 	dpOK       bool
 	dpSpans    []dpSpan
+	owner      []int32
 }
 
 // refFlatten is the map-based flatten, verbatim but for the receiver of
-// addDPSpan (the reduction's state is all it touches).
+// addDPSpan (the reduction's state is all it touches): one pass builds the
+// reduction and the enumeration index that the flat form builds apart.
 func refFlatten(groups []mapGroup, n int) *refFlatGroups {
 	fg := &refFlatGroups{
 		spanNodes:  make([][]int32, len(groups)),
@@ -97,10 +99,9 @@ func refFlatten(groups []mapGroup, n int) *refFlatGroups {
 		critical:   make([]bool, n),
 		byNode:     make([][]int32, n),
 	}
-	dp := &flatGroups{dpOK: true}
-	owner := make([]int32, n)
-	for i := range owner {
-		owner[i] = -1
+	dp := &flatGroups{dpOK: true, owner: make([]int32, n)}
+	for i := range dp.owner {
+		dp.owner[i] = -1
 	}
 	for gi := range groups {
 		tol := int32(groups[gi].Tolerance)
@@ -145,7 +146,9 @@ func refFlatten(groups []mapGroup, n int) *refFlatGroups {
 		if worst <= int64(tol) {
 			continue
 		}
-		dp.addDPSpan(nodes, uniform, tol, owner)
+		if dp.dpOK {
+			dp.addDPSpan(nodes, uniform, tol)
+		}
 		for i, node := range nodes {
 			if counts[i] > tol {
 				fg.critical[node] = true
@@ -154,12 +157,15 @@ func refFlatten(groups []mapGroup, n int) *refFlatGroups {
 			}
 		}
 	}
-	fg.dpOK, fg.dpSpans = dp.dpOK, dp.dpSpans
+	if fg.dpOK = dp.dpOK; fg.dpOK { // a rejected reduction keeps nothing
+		fg.dpSpans, fg.owner = dp.dpSpans, dp.owner
+	}
 	return fg
 }
 
-// pack lays the reference's per-group slices out as the slab form, so one
-// reflect.DeepEqual compares every field of the two builds.
+// pack lays the reference's per-group slices out as the slab form with its
+// enumeration index marked built, so one reflect.DeepEqual compares every
+// field of the two builds.
 func (r *refFlatGroups) pack(n int) *flatGroups {
 	fg := &flatGroups{
 		n:          n,
@@ -176,7 +182,9 @@ func (r *refFlatGroups) pack(n int) *flatGroups {
 		byNode:     []int32{},
 		dpOK:       r.dpOK,
 		dpSpans:    r.dpSpans,
+		owner:      r.owner,
 	}
+	fg.indexOnce.Do(func() {})
 	for gi := range r.spanNodes {
 		fg.spanNodes = append(fg.spanNodes, r.spanNodes[gi]...)
 		fg.spanCounts = append(fg.spanCounts, r.spanCounts[gi]...)
@@ -201,7 +209,7 @@ func checkAgainstReference(t *testing.T, label string, mdl *Model, ref []mapGrou
 	for i, g := range ref {
 		groups[i] = g.span()
 	}
-	got := flatten(groups, mdl.Nodes)
+	got := flatten(groups, mdl.Nodes).indexed()
 	want := refFlatten(ref, mdl.Nodes).pack(mdl.Nodes)
 	if len(got.dpSpans) == 0 && len(want.dpSpans) == 0 {
 		want.dpSpans = got.dpSpans // DeepEqual tells nil from empty
@@ -327,12 +335,12 @@ func TestFlattenMatchesReferencePlacements(t *testing.T) {
 				t.Fatalf("seed %d group %d: %+v, reference %+v", seed, i, groups[i], want)
 			}
 		}
-		mdl := &Model{Nodes: len(p.UsedNodes()), Mix: DefaultMix(), ExactLimit: 2000, MonteCarloSamples: 20_000, Workers: 1}
+		mdl := &Model{Nodes: p.NumUsed(), Mix: DefaultMix(), ExactLimit: 2000, MonteCarloSamples: 20_000, Workers: 1}
 		checkAgainstReference(t, "placement", mdl, ref)
 
 		// reflect.DeepEqual compares lengths, not capacities: the slabs
 		// flattenRanks sizes for one entry per member equal the exact ones.
-		if got, want := flattenRanks(p, members), flatten(groups, mdl.Nodes); !reflect.DeepEqual(got, want) {
+		if got, want := flattenRanks(p, members).indexed(), flatten(groups, mdl.Nodes).indexed(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: flat form from ranks differs from flatten of the groups\n got %+v\nwant %+v", seed, got, want)
 		}
 		// The exact budget is small enough that the tail goes through the
@@ -413,7 +421,7 @@ func TestFlattenAllocsIndependentOfScale(t *testing.T) {
 	if r1 != r2 || f1 != f2 || r1 != f1 {
 		t.Errorf("allocations differ: flattenRanks %v -> %v, flatten %v -> %v", r1, r2, f1, f2)
 	}
-	if f1 > 20 {
-		t.Errorf("flatten %v allocs (want <= 20)", f1)
+	if f1 > 7 { // the struct, four span slabs, owner, dpSpans
+		t.Errorf("flatten %v allocs (want <= 7)", f1)
 	}
 }

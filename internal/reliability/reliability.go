@@ -18,17 +18,19 @@
 //     when at least one group is destroyed.
 //
 // P(catastrophic) = Σ_f P(f) · P(some group destroyed | f random nodes fail).
-// The conditional term is computed exactly by enumeration for small f and
-// bounded by a per-group hypergeometric union bound (tight for rare events)
-// for the tail, falling back to seeded Monte Carlo when the union bound is
-// too loose to be meaningful.
+// The conditional term has an exact closed form when the groups sit on
+// pairwise-disjoint or identical uniform node spans — FTI's layouts and every
+// strategy here — and that form is tried first. Other layouts are enumerated
+// exactly for small f and bounded by a per-group hypergeometric union bound
+// (tight for rare events) for the tail, falling back to seeded Monte Carlo
+// when the union bound is too loose to be meaningful.
 //
 // Only the weights P(f) read the failure mix, so the work is split there: a
 // Profile flattens the groups once into sparse (node, count) spans —
 // O(members) memory instead of dense group×node rows — and remembers each
 // conditional it computes; weighing it with a mix is the sum above, and
-// Model.CatastropheProb is a profile built for one weighing. On the hot
-// paths single-node-fatal groups collapse into a per-node critical
+// Model.CatastropheProb is a profile built for one weighing. Where failure
+// sets are tested, single-node-fatal groups collapse into a per-node critical
 // bitmap, per-group node bitsets answer "how many members failed" with
 // masked popcounts, and both exact enumeration and Monte Carlo sampling
 // shard across a worker pool in fixed chunks whose integer hit counts sum
@@ -138,7 +140,7 @@ type Group struct {
 // GroupFromRanks builds a Group from member ranks under a placement, with
 // tolerance = len(members)/2, FTI's half-group Reed–Solomon provisioning.
 // Span nodes are numbered by p.UsedIndex, the dense numbering a Model of
-// len(p.UsedNodes()) nodes draws failures from and the aligned-pair term
+// p.NumUsed() nodes draws failures from and the aligned-pair term
 // pairs (2i, 2i+1) in: unused nodes between used ones do not change a score.
 func GroupFromRanks(p *topology.Placement, members []topology.Rank) Group {
 	span := make([]NodeCount, 0, len(members))
@@ -187,7 +189,8 @@ type Model struct {
 	// Mix is the failure-type distribution.
 	Mix Mix
 	// ExactLimit caps the number of failure-set enumerations per f before
-	// switching to bounds/sampling; 0 means 100,000.
+	// switching to bounds/sampling; 0 means 100,000. It governs only layouts
+	// outside the product form (overlapping or non-uniform spans).
 	ExactLimit int
 	// MonteCarloSamples is used when neither enumeration nor the union
 	// bound is adequate; 0 means 200,000. Sampling is seeded, sharded in
@@ -234,11 +237,13 @@ func (mdl *Model) CatastropheProbCtx(ctx context.Context, groups []Group) (float
 const memoF = 16
 
 // Profile is the mix-independent side of the model: the conditionals — all
-// of the enumeration, closed-form and sampling work — read only the groups,
-// the node count and the two budgets. It holds the groups' flat form and the
-// conditionals computed so far, so weighing it with a second mix costs a
-// multiply-add per failure count. The zero value needs Init or InitRanks;
-// after that it is safe for concurrent use and must not be copied.
+// of the closed-form, enumeration and sampling work — read only the groups,
+// the node count and the two budgets. It holds the groups' flat form (the
+// span slabs and the product-form reduction; the enumeration index only once
+// an irregular layout has needed it) and the conditionals computed so far, so
+// weighing it with a second mix costs a multiply-add per failure count. The
+// zero value needs Init or InitRanks; after that it is safe for concurrent
+// use and must not be copied.
 type Profile struct {
 	nodes, exactLimit, samples int
 	fg                         *flatGroups
@@ -268,7 +273,7 @@ func (p *Profile) Init(groups []Group, nodes, exactLimit, samples int) error {
 // InitRanks is Init of GroupFromRanks of every member list on the placement's
 // used nodes, without the Group values in between.
 func (p *Profile) InitRanks(pl *topology.Placement, members [][]topology.Rank, exactLimit, samples int) error {
-	if nodes := len(pl.UsedNodes()); nodes <= 0 {
+	if nodes := pl.NumUsed(); nodes <= 0 {
 		return fmt.Errorf("reliability: model has %d nodes", nodes)
 	}
 	p.init(flattenRanks(pl, members), exactLimit, samples)
@@ -307,11 +312,11 @@ func (p *Profile) conditional(ctx context.Context, f, workers int, stop *atomic.
 		return 0, false
 	}
 	switch {
+	case p.fg.dpOK:
+		// Disjoint uniform spans: exact closed form, nothing enumerated.
+		pcat = p.fg.disjointConditional(p.nodes, f, p.exactLimit)
 	case combinations(p.nodes, f) <= float64(p.exactLimit):
 		pcat = exactConditional(p.fg, p.nodes, f, workers, stop)
-	case p.fg.dpOK:
-		// Disjoint uniform spans: exact closed form, no sampling.
-		pcat = p.fg.disjointConditional(p.nodes, f)
 	default:
 		ub := unionBoundConditional(p.fg, p.nodes, f, workers, stop)
 		if ub <= 0.1 {
@@ -374,30 +379,46 @@ func (p *Profile) CatastropheProb(ctx context.Context, mix Mix, workers int) (fl
 }
 
 // alignedPairConditional returns P(some group destroyed | a uniformly random
-// power-supply pair (2i, 2i+1) fails).
+// power-supply pair (2i, 2i+1) fails). Under the product form a pair destroys
+// a group iff either node's span dies of one failure or both sit in one span
+// that dies of two; other layouts test each pair on the enumeration index.
 func alignedPairConditional(fg *flatGroups, n int) float64 {
-	pairs := 0
-	hits := 0
-	bits := fg.newScratch()
-	failed := make([]int, 2)
-	for base := 0; base+1 < n; base += 2 {
-		pairs++
-		failed[0], failed[1] = base, base+1
-		if fg.destroys(failed, bits) {
-			hits++
-		}
-	}
-	if pairs == 0 {
+	if n < 2 {
 		return 0
 	}
-	return float64(hits) / float64(pairs)
+	hits := 0
+	if fg.dpOK {
+		need := func(node int) int32 { // failed span nodes that destroy node's span
+			if s := fg.owner[node]; s >= 0 {
+				return fg.dpSpans[s].thresh
+			}
+			return 3 // unconstrained: no pair is enough
+		}
+		for a := 0; a+1 < n; a += 2 {
+			if need(a) <= 1 || need(a+1) <= 1 || fg.owner[a] == fg.owner[a+1] && need(a) <= 2 {
+				hits++
+			}
+		}
+	} else {
+		bits := fg.indexed().newScratch()
+		failed := make([]int, 2)
+		for base := 0; base+1 < n; base += 2 {
+			failed[0], failed[1] = base, base+1
+			if fg.destroys(failed, bits) {
+				hits++
+			}
+		}
+	}
+	return float64(hits) / float64(n/2)
 }
 
-// flatGroups is the cache-friendly representation behind every hot
-// enumeration and sampling loop. Instead of a dense [group][node] member
-// table — O(groups·nodes) memory, the scaling wall of the old layout — each
-// group keeps its sparse (node, count) span plus a bitset over its span
-// words, and the failure set under test is a node bitset:
+// flatGroups is the groups' flat form, in three layers. A span stage fills
+// the span slabs (spanPtr, spanNodes, spanCounts, tolerance): each group keeps
+// its sparse (node, count) span instead of a dense [group][node] row. reduce
+// always computes the product-form reduction (dpOK, dpSpans, owner) from them,
+// all the closed forms read. The enumeration index (uniform, the mask slabs,
+// critical, byNode) is what the enumeration and sampling loops test a failure
+// set against; index builds it on first need — under the product form, never:
 //
 //   - critical[node] is set when some group loses more members than its
 //     tolerance from that node alone, so any failure containing such a
@@ -411,16 +432,18 @@ type flatGroups struct {
 	// Group gi's in-range span is spanNodes/spanCounts[spanPtr[gi]:
 	// spanPtr[gi+1]], nodes ascending; its span bitset (uniform groups
 	// only) is maskWords/maskBits[maskPtr[gi]:maskPtr[gi+1]], word indices
-	// ascending. A span stage fills these four, index the rest; read-only after.
+	// ascending. All read-only once built.
 	spanPtr    []int32
 	spanNodes  []int32
 	spanCounts []int32
 	tolerance  []int32
-	uniform    []int32 // >0: every span count equals this value
-	maskPtr    []int32
-	maskWords  []int32
-	maskBits   []uint64
-	critical   []bool // node alone destroys some group
+
+	indexOnce sync.Once
+	uniform   []int32 // >0: every span count equals this value
+	maskPtr   []int32
+	maskWords []int32
+	maskBits  []uint64
+	critical  []bool // node alone destroys some group
 	// byNode[byNodePtr[node]:byNodePtr[node+1]] lists, ascending, the
 	// groups destroyable only with >=2 failed nodes that node hosts.
 	byNodePtr []int32
@@ -432,24 +455,43 @@ type flatGroups struct {
 	// count on every span node. Destruction then depends only on *how
 	// many* nodes of each span fail, so the conditional catastrophe
 	// probability has an exact product-form count (disjointConditional)
-	// and the Monte Carlo fallback is never needed. dpOK reports whether
+	// and neither enumeration nor Monte Carlo is needed. dpOK reports whether
 	// the reduction applies; dpSpans holds one (size, threshold) constraint
-	// per distinct span, threshold = failed span nodes that destroy it.
+	// per distinct span in the order groups claimed them, threshold = failed
+	// span nodes that destroy it; owner[node] is the node's dpSpans index, -1
+	// for a node no destroyable group touches (nil unless dpOK).
 	dpOK    bool
 	dpSpans []dpSpan
+	owner   []int32
 }
 
 // dpSpan is one disjoint-span constraint: a span of `size` nodes whose
 // groups are destroyed once `thresh` of them fail.
 type dpSpan struct {
-	size   int
-	thresh int32
+	size, thresh int32
 }
 
 // span returns group gi's in-range (node, count) span.
 func (fg *flatGroups) span(gi int32) (nodes, counts []int32) {
 	lo, hi := fg.spanPtr[gi], fg.spanPtr[gi+1]
 	return fg.spanNodes[lo:hi], fg.spanCounts[lo:hi]
+}
+
+// shape returns the count every node of group gi's span carries (0 when they
+// differ, -1 for an empty span) and whether any failure can destroy the group.
+func (fg *flatGroups) shape(gi int32) (uniform int32, destroyable bool) {
+	_, counts := fg.span(gi)
+	var worst int64
+	uniform = -1
+	for _, c := range counts {
+		worst += int64(c)
+		if uniform == -1 {
+			uniform = c
+		} else if uniform != c {
+			uniform = 0
+		}
+	}
+	return uniform, worst > int64(fg.tolerance[gi])
 }
 
 // mask returns group gi's span bitset (empty unless the group is uniform).
@@ -490,7 +532,7 @@ func flatten(groups []Group, n int) *flatGroups {
 		fg.spanPtr[gi+1] = int32(k)
 	}
 	fg.spanNodes, fg.spanCounts = fg.spanNodes[:k], fg.spanCounts[:k]
-	return fg.index()
+	return fg.reduce()
 }
 
 // flattenRanks is the span stage for member rank lists under a placement,
@@ -505,7 +547,7 @@ func flattenRanks(p *topology.Placement, members [][]topology.Rank) *flatGroups 
 		total += len(m)
 	}
 	fg := &flatGroups{
-		n:          len(p.UsedNodes()),
+		n:          p.NumUsed(),
 		spanPtr:    make([]int32, len(members)+1),
 		spanNodes:  make([]int32, total),
 		spanCounts: make([]int32, total),
@@ -536,48 +578,75 @@ func flattenRanks(p *topology.Placement, members [][]topology.Rank) *flatGroups 
 		fg.spanPtr[gi+1] = int32(w)
 	}
 	fg.spanNodes, fg.spanCounts = fg.spanNodes[:w], fg.spanCounts[:w]
-	return fg.index()
+	return fg.reduce()
 }
 
-// index is the stage both span stages end in. It reads only the span slabs
-// and tolerance, count-then-fill: the first pass sizes the mask and byNode
-// slabs, the second writes them in group order — the order addDPSpan depends
-// on — so the allocation count does not depend on the group or node count.
-func (fg *flatGroups) index() *flatGroups {
+// reduce is the stage both span stages end in: the disjoint-span reduction,
+// in group order. A first pass counts the distinct spans (under the reduction,
+// the distinct first nodes of destroyable groups), so dpSpans holds what is
+// claimed and nothing here allocates in proportion to the group count.
+func (fg *flatGroups) reduce() *flatGroups {
+	fg.dpOK = true
+	fg.owner = make([]int32, fg.n)
+	spans := 0
+	for gi := range fg.tolerance {
+		nodes, _ := fg.span(int32(gi))
+		if _, destroyable := fg.shape(int32(gi)); destroyable && len(nodes) > 0 && fg.owner[nodes[0]] == 0 {
+			fg.owner[nodes[0]] = 1
+			spans++
+		}
+	}
+	for i := range fg.owner {
+		fg.owner[i] = -1
+	}
+	fg.dpSpans = make([]dpSpan, 0, spans)
+	for gi := 0; gi < len(fg.tolerance) && fg.dpOK; gi++ {
+		if uniform, destroyable := fg.shape(int32(gi)); destroyable {
+			nodes, _ := fg.span(int32(gi))
+			fg.addDPSpan(nodes, uniform, fg.tolerance[gi])
+		}
+	}
+	if !fg.dpOK {
+		fg.dpSpans, fg.owner = nil, nil
+	}
+	return fg
+}
+
+// indexed returns fg with its enumeration index built, by the first caller.
+func (fg *flatGroups) indexed() *flatGroups {
+	fg.indexOnce.Do(fg.index)
+	return fg
+}
+
+// index builds the enumeration index, count-then-fill: the first pass sizes
+// the mask and byNode slabs, the second writes them in group order, so the
+// allocation count does not depend on the group or node count.
+func (fg *flatGroups) index() {
 	groups, n := len(fg.tolerance), fg.n
 	fg.uniform = make([]int32, groups)
 	fg.maskPtr = make([]int32, groups+1)
 	fg.critical = make([]bool, n)
 	fg.byNodePtr = make([]int32, n+1)
-	fg.dpOK = true
-	destroyable := 0
 	for gi := 0; gi < groups; gi++ {
 		tol := fg.tolerance[gi]
 		nodes, counts := fg.span(int32(gi))
 		var words int32
-		var worst int64
-		uniform, lastWord := int32(-1), int32(-1)
-		for k, node := range nodes {
-			worst += int64(counts[k])
-			if uniform == -1 {
-				uniform = counts[k]
-			} else if uniform != counts[k] {
-				uniform = 0
-			}
+		lastWord := int32(-1)
+		for _, node := range nodes {
 			if w := node >> 6; w != lastWord { // span ascends, so words do
 				words++
 				lastWord = w
 			}
 		}
 		fg.maskPtr[gi+1] = fg.maskPtr[gi]
+		uniform, destroyable := fg.shape(int32(gi))
 		if uniform > 0 { // only uniform groups keep a bitset
 			fg.uniform[gi] = uniform
 			fg.maskPtr[gi+1] += words
 		}
-		if worst <= int64(tol) {
+		if !destroyable {
 			continue // no failure of any size can destroy this group
 		}
-		destroyable++
 		for k, node := range nodes {
 			if counts[k] <= tol {
 				fg.byNodePtr[node+1]++
@@ -590,20 +659,10 @@ func (fg *flatGroups) index() *flatGroups {
 	fg.maskWords = make([]int32, fg.maskPtr[groups])
 	fg.maskBits = make([]uint64, fg.maskPtr[groups])
 	fg.byNode = make([]int32, fg.byNodePtr[n])
-	// Every accepted dpSpan owns at least one node outright.
-	fg.dpSpans = make([]dpSpan, 0, min(destroyable, n))
-	next := make([]int32, n)  // fill cursor per node into byNode
-	owner := make([]int32, n) // node -> dpSpan index, -1 when unclaimed
-	for i := range owner {
-		owner[i] = -1
-	}
+	next := make([]int32, n) // fill cursor per node into byNode
 	for gi := 0; gi < groups; gi++ {
 		tol := fg.tolerance[gi]
 		nodes, counts := fg.span(int32(gi))
-		var worst int64
-		for _, c := range counts {
-			worst += int64(c)
-		}
 		if fg.uniform[gi] > 0 {
 			words, masks := fg.mask(int32(gi))
 			w := -1
@@ -615,10 +674,9 @@ func (fg *flatGroups) index() *flatGroups {
 				masks[w] |= 1 << (uint(node) & 63)
 			}
 		}
-		if worst <= int64(tol) {
+		if _, destroyable := fg.shape(int32(gi)); !destroyable {
 			continue
 		}
-		fg.addDPSpan(nodes, fg.uniform[gi], tol, owner)
 		for i, node := range nodes {
 			if counts[i] > tol {
 				fg.critical[node] = true
@@ -628,16 +686,12 @@ func (fg *flatGroups) index() *flatGroups {
 			}
 		}
 	}
-	return fg
 }
 
 // addDPSpan folds one destroyable group into the disjoint-span reduction,
 // or invalidates it when the group's span overlaps another span partially
 // or its per-node counts are not uniform.
-func (fg *flatGroups) addDPSpan(nodes []int32, uniform, tol int32, owner []int32) {
-	if !fg.dpOK {
-		return
-	}
+func (fg *flatGroups) addDPSpan(nodes []int32, uniform, tol int32) {
 	if uniform <= 0 || len(nodes) == 0 {
 		fg.dpOK = false
 		return
@@ -645,27 +699,27 @@ func (fg *flatGroups) addDPSpan(nodes []int32, uniform, tol int32, owner []int32
 	// Destroyed once j·uniform > tol, i.e. j >= tol/uniform + 1 failed
 	// span nodes.
 	thresh := tol/uniform + 1
-	s := owner[nodes[0]]
+	s := fg.owner[nodes[0]]
 	if s == -1 {
 		for _, nd := range nodes {
-			if owner[nd] != -1 {
+			if fg.owner[nd] != -1 {
 				fg.dpOK = false // partial overlap with an existing span
 				return
 			}
 		}
 		idx := int32(len(fg.dpSpans))
 		for _, nd := range nodes {
-			owner[nd] = idx
+			fg.owner[nd] = idx
 		}
-		fg.dpSpans = append(fg.dpSpans, dpSpan{size: len(nodes), thresh: thresh})
+		fg.dpSpans = append(fg.dpSpans, dpSpan{size: int32(len(nodes)), thresh: thresh})
 		return
 	}
-	if fg.dpSpans[s].size != len(nodes) {
+	if int(fg.dpSpans[s].size) != len(nodes) {
 		fg.dpOK = false
 		return
 	}
 	for _, nd := range nodes {
-		if owner[nd] != s {
+		if fg.owner[nd] != s {
 			fg.dpOK = false
 			return
 		}
@@ -683,26 +737,23 @@ func (fg *flatGroups) addDPSpan(nodes []int32, uniform, tol int32, owner []int32
 // n-Σs unconstrained nodes contribute binomially at the end, and the
 // coefficient sum at degree f over C(n,f) is the survival probability. Runs
 // in O(spans·f·min(span,f)) — microseconds where enumeration needs hours
-// and Monte Carlo needs megasamples.
-func (fg *flatGroups) disjointConditional(n, f int) float64 {
+// and Monte Carlo needs megasamples. Where C(n,f) <= exactLimit every count is
+// an integer far below 2^53, and the result is (total-safe)/total: the
+// hits/sets exactConditional would return, to the bit.
+func (fg *flatGroups) disjointConditional(n, f, exactLimit int) float64 {
 	poly := make([]float64, f+1)
 	next := make([]float64, f+1)
 	poly[0] = 1
 	constrained := 0
 	for _, sp := range fg.dpSpans {
-		constrained += sp.size
-		maxJ := int(sp.thresh) - 1
-		if maxJ > sp.size {
-			maxJ = sp.size
-		}
-		if maxJ > f {
-			maxJ = f
-		}
+		size := int(sp.size)
+		constrained += size
+		maxJ := min(int(sp.thresh)-1, size, f)
 		for d := range next {
 			next[d] = 0
 		}
 		for j := 0; j <= maxJ; j++ {
-			ways := combinations(sp.size, j)
+			ways := combinations(size, j)
 			for d := j; d <= f; d++ {
 				next[d] += poly[d-j] * ways
 			}
@@ -717,6 +768,9 @@ func (fg *flatGroups) disjointConditional(n, f int) float64 {
 	total := combinations(n, f)
 	if total == 0 {
 		return 0
+	}
+	if total <= float64(exactLimit) {
+		return (total - safe) / total
 	}
 	p := 1 - safe/total
 	if p < 0 {
@@ -816,6 +870,7 @@ func exactConditional(fg *flatGroups, n, f, workers int, stop *atomic.Bool) floa
 	if f <= 0 || f > n {
 		return 0
 	}
+	fg.indexed()
 	nchunks := n - f + 1
 	hits := make([]int64, nchunks)
 	sets := make([]int64, nchunks)
@@ -926,7 +981,7 @@ func (fg *flatGroups) groupConditional(gi int32, n, f, workers int, stop *atomic
 	}
 	if work > 2e6 {
 		one := &flatGroups{n: n, spanPtr: []int32{0, int32(len(nodes))}, spanNodes: nodes, spanCounts: spanCounts, tolerance: []int32{fg.tolerance[gi]}}
-		return monteCarloConditional(one.index(), n, f, 100_000, int64(n)*31+int64(f), workers, stop)
+		return monteCarloConditional(one, n, f, 100_000, int64(n)*31+int64(f), workers, stop)
 	}
 	idx := make([]int, maxJ)
 	var steps int64
@@ -986,6 +1041,7 @@ func monteCarloConditional(fg *flatGroups, n, f, samples int, seed int64, worker
 	if samples <= 0 {
 		return 0
 	}
+	fg.indexed()
 	nchunks := (samples + mcChunkSamples - 1) / mcChunkSamples
 	hits := make([]int64, nchunks)
 	// Per-worker buffers, reused across chunks. perm must restart at the

@@ -3,6 +3,7 @@ package topology
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Placement maps application ranks to compute nodes. It is the bridge
@@ -10,17 +11,29 @@ import (
 // (nodes): clustering strategies need it to know which processes die
 // together and which communications stay inside a node.
 //
-// Per-node rank lists live in one flat backing array with per-node offset
-// spans (CSR-style): 8 bytes of offset per node instead of a 24-byte slice
-// header plus its own allocation. At exascale node counts the old [][]Rank
-// layout was the last dense per-node structure in the pipeline; the spans
-// also build by counting sort in O(ranks + nodes) with no per-node sorting.
+// It has two forms. The explicit form (NewPlacement, RoundRobin) stores the
+// assignment: per-node rank lists in one flat backing array with per-node
+// offset spans (CSR-style, built by counting sort in O(ranks + nodes)), the
+// used-node list and its inverse. The block form (Block) stores three
+// integers — rank r is on node r/ppn, the used nodes are 0..nused-1 and node
+// order is rank order — and every accessor but RanksOn and UsedNodes is
+// arithmetic; the first call of either of those two materialises rankPtr,
+// rankData and used, once. A Placement is immutable, safe for concurrent use
+// and must not be copied.
 type Placement struct {
-	machine  *Machine
+	machine *Machine
+	ranks   int
+	// ppn > 0 marks the block form. Indexing rankIn and nodeIn, zero-byte slices
+	// of ranks and machine.Nodes elements, is its bounds check: the same panic.
+	ppn, nused int
+	rankIn     []struct{}
+	nodeIn     []struct{}
+	once       sync.Once
+
 	node     []NodeID // node[r] = node hosting rank r
 	rankPtr  []int64  // node n's ranks occupy rankData[rankPtr[n]:rankPtr[n+1]]
 	rankData []Rank   // all ranks grouped by node, ascending within a node
-	used     []NodeID // nodes hosting at least one rank, ascending (cached)
+	used     []NodeID // nodes hosting at least one rank, ascending
 	usedIdx  []int32  // usedIdx[n] = position of node n in used, -1 when unused
 }
 
@@ -51,56 +64,59 @@ func newPlacement(m *Machine, nodeOf []NodeID) (*Placement, error) {
 	}
 	// Stable counting-sort fill: ranks ascend, so each node's span comes
 	// out ascending with no per-node sort.
-	p := &Placement{machine: m, node: nodeOf, rankPtr: ptr[:m.Nodes+1], rankData: make([]Rank, len(nodeOf))}
+	p := &Placement{machine: m, ranks: len(nodeOf), node: nodeOf, rankPtr: ptr[:m.Nodes+1], rankData: make([]Rank, len(nodeOf))}
 	for r, n := range nodeOf {
 		p.rankData[ptr[n+1]] = Rank(r)
 		ptr[n+1]++
 	}
-	p.refreshUsed()
-	return p, nil
-}
-
-// refreshUsed recomputes the cached used-node list and its inverse index,
-// count-then-fill. Placements are immutable after NewPlacement today; any
-// future mutating method must call this so UsedNodes and UsedIndex stay O(1)
-// per call instead of O(total nodes).
-func (p *Placement) refreshUsed() {
-	nodes := len(p.rankPtr) - 1
-	count := 0
-	for n := 0; n < nodes; n++ {
+	// The used-node list and its inverse, count-then-fill.
+	for n := 0; n < m.Nodes; n++ {
 		if p.rankPtr[n+1] > p.rankPtr[n] {
-			count++
+			p.nused++
 		}
 	}
-	p.used = make([]NodeID, 0, count)
-	p.usedIdx = make([]int32, nodes)
-	for n := 0; n < nodes; n++ {
+	p.used = make([]NodeID, 0, p.nused)
+	p.usedIdx = make([]int32, m.Nodes)
+	for n := 0; n < m.Nodes; n++ {
 		p.usedIdx[n] = -1
 		if p.rankPtr[n+1] > p.rankPtr[n] {
 			p.usedIdx[n] = int32(len(p.used))
 			p.used = append(p.used, NodeID(n))
 		}
 	}
+	return p, nil
 }
 
 // Block places ranks in consecutive blocks of procsPerNode per node:
 // ranks 0..procsPerNode-1 on node 0, and so on. This is the topology-aware
 // positioning the paper's tsunami runs use (consecutive MPI ranks share a
-// node to maximize intra-node communication).
+// node to maximize intra-node communication). The block form: O(1) bytes.
 func Block(m *Machine, nranks, procsPerNode int) (*Placement, error) {
 	if procsPerNode <= 0 {
 		return nil, fmt.Errorf("topology: procsPerNode must be positive, got %d", procsPerNode)
 	}
-	need := (nranks + procsPerNode - 1) / procsPerNode
+	ppn := min(procsPerNode, max(nranks, 1)) // the same placement; no product below overflows
+	need := (nranks + ppn - 1) / ppn
 	if need > m.Nodes {
 		return nil, fmt.Errorf("topology: %d ranks at %d per node need %d nodes; machine has %d",
 			nranks, procsPerNode, need, m.Nodes)
 	}
-	nodeOf := make([]NodeID, nranks)
-	for r := range nodeOf {
-		nodeOf[r] = NodeID(r / procsPerNode)
+	if err := m.Validate(); err != nil {
+		return nil, err
 	}
-	return newPlacement(m, nodeOf)
+	return &Placement{machine: m, ranks: nranks, ppn: ppn, nused: need,
+		rankIn: make([]struct{}, nranks), nodeIn: make([]struct{}, m.Nodes)}, nil
+}
+
+// materialize gives the block form the explicit form's rankPtr, rankData and
+// used, for RanksOn and UsedNodes.
+func (p *Placement) materialize() {
+	nodeOf := make([]NodeID, p.ranks)
+	for r := range nodeOf {
+		nodeOf[r] = NodeID(r / p.ppn)
+	}
+	e, _ := newPlacement(p.machine, nodeOf) // Block checked the machine and the node range
+	p.rankPtr, p.rankData, p.used = e.rankPtr, e.rankData, e.used
 }
 
 // RoundRobin places consecutive ranks on consecutive nodes, wrapping around:
@@ -121,55 +137,114 @@ func RoundRobin(m *Machine, nranks, usedNodes int) (*Placement, error) {
 func (p *Placement) Machine() *Machine { return p.machine }
 
 // NumRanks returns the number of placed ranks.
-func (p *Placement) NumRanks() int { return len(p.node) }
+func (p *Placement) NumRanks() int { return p.ranks }
 
 // NodeOf returns the node hosting rank r.
-func (p *Placement) NodeOf(r Rank) NodeID { return p.node[r] }
+func (p *Placement) NodeOf(r Rank) NodeID {
+	if p.ppn > 0 {
+		_ = p.rankIn[r]
+		return NodeID(int(r) / p.ppn)
+	}
+	return p.node[r]
+}
+
+// NumUsed returns the number of nodes hosting at least one rank.
+func (p *Placement) NumUsed() int { return p.nused }
+
+// UsedNode returns the i-th used node, ascending: UsedNodes()[i] without
+// the list.
+func (p *Placement) UsedNode(i int) NodeID {
+	if p.ppn > 0 {
+		_ = p.nodeIn[:p.nused][i]
+		return NodeID(i)
+	}
+	return p.used[i]
+}
+
+// UsedIndex returns the position of node n among the used nodes, or -1 when
+// n hosts no rank — the dense node numbering the node-based graph, the L1
+// partition and the reliability model share.
+func (p *Placement) UsedIndex(n NodeID) int {
+	if p.ppn > 0 {
+		if _ = p.nodeIn[n]; int(n) >= p.nused {
+			return -1
+		}
+		return int(n)
+	}
+	return int(p.usedIdx[n])
+}
+
+// Span returns node n's window [lo, hi) of the node-grouped rank order:
+// RankAt(lo..hi-1) are the ranks n hosts, ascending, with no slice built.
+func (p *Placement) Span(n NodeID) (lo, hi int) {
+	if p.ppn > 0 {
+		if _ = p.nodeIn[n]; int(n) >= p.nused {
+			return p.ranks, p.ranks
+		}
+		return int(n) * p.ppn, min((int(n)+1)*p.ppn, p.ranks)
+	}
+	return int(p.rankPtr[n]), int(p.rankPtr[n+1])
+}
+
+// RankAt returns the rank at position pos of the node-grouped rank order.
+func (p *Placement) RankAt(pos int) Rank {
+	if p.ppn > 0 {
+		_ = p.rankIn[pos]
+		return Rank(pos)
+	}
+	return p.rankData[pos]
+}
 
 // RanksOn returns the ranks hosted on node n in ascending order — a view
-// into the flat backing array, allocation-free. The caller must not modify
-// the returned slice.
-func (p *Placement) RanksOn(n NodeID) []Rank { return p.rankData[p.rankPtr[n]:p.rankPtr[n+1]] }
+// into the flat backing array, which the block form builds on the first call
+// of RanksOn or UsedNodes. The caller must not modify the returned slice.
+func (p *Placement) RanksOn(n NodeID) []Rank {
+	if p.ppn > 0 {
+		p.once.Do(p.materialize)
+	}
+	return p.rankData[p.rankPtr[n]:p.rankPtr[n+1]]
+}
 
-// CountOn returns the number of ranks hosted on node n in O(1), without
-// materializing the span.
-func (p *Placement) CountOn(n NodeID) int { return int(p.rankPtr[n+1] - p.rankPtr[n]) }
+// CountOn returns the number of ranks hosted on node n in O(1).
+func (p *Placement) CountOn(n NodeID) int {
+	lo, hi := p.Span(n)
+	return hi - lo
+}
 
-// UsedNodes returns the nodes that host at least one rank, ascending. The
-// list is computed once at construction — reliability-model setup calls this
-// per evaluation, and a scan of all nodes per call is O(total nodes) at
-// exascale node counts. The caller must not modify the returned slice.
-func (p *Placement) UsedNodes() []NodeID { return p.used }
-
-// UsedIndex returns the position of node n in UsedNodes(), or -1 when n
-// hosts no rank — the dense node numbering the node-based graph, the L1
-// partition and the reliability model share. Computed once at construction
-// like UsedNodes, so the per-evaluation consumers need no node→index map.
-func (p *Placement) UsedIndex(n NodeID) int { return int(p.usedIdx[n]) }
+// UsedNodes returns the nodes that host at least one rank, ascending (see
+// RanksOn for when the list is built; NumUsed and UsedNode never build it).
+// The caller must not modify the returned slice.
+func (p *Placement) UsedNodes() []NodeID {
+	if p.ppn > 0 {
+		p.once.Do(p.materialize)
+	}
+	return p.used
+}
 
 // MaxProcsPerNode returns the largest number of ranks on any node.
 func (p *Placement) MaxProcsPerNode() int {
-	max := 0
-	for n := 0; n+1 < len(p.rankPtr); n++ {
-		if c := int(p.rankPtr[n+1] - p.rankPtr[n]); c > max {
-			max = c
-		}
+	if p.ppn > 0 {
+		return min(p.ppn, p.ranks)
 	}
-	return max
+	most := 0
+	for n := 0; n+1 < len(p.rankPtr); n++ {
+		most = max(most, int(p.rankPtr[n+1]-p.rankPtr[n]))
+	}
+	return most
 }
 
 // SameNode reports whether two ranks are hosted on the same node.
-func (p *Placement) SameNode(a, b Rank) bool { return p.node[a] == p.node[b] }
+func (p *Placement) SameNode(a, b Rank) bool { return p.NodeOf(a) == p.NodeOf(b) }
 
 // LocalIndex returns the position of rank r among the ranks of its node
 // (0-based). With block placement and k procs per node this is r mod k.
 // The hierarchical L2 clustering groups the i-th process of each node.
 // Spans are ascending, so the lookup is a binary search.
 func (p *Placement) LocalIndex(r Rank) int {
-	rs := p.RanksOn(p.node[r])
-	i := sort.Search(len(rs), func(i int) bool { return rs[i] >= r })
-	if i < len(rs) && rs[i] == r {
-		return i
+	lo, hi := p.Span(p.NodeOf(r))
+	i := lo + sort.Search(hi-lo, func(i int) bool { return p.RankAt(lo+i) >= r })
+	if i < hi && p.RankAt(i) == r {
+		return i - lo
 	}
 	return -1 // unreachable for ranks built through NewPlacement
 }

@@ -72,7 +72,7 @@ func loggedFraction(v rows, total int64, part []int) (float64, error) {
 }
 
 // nodeGraph aggregates the rank rows under a placement into the undirected
-// node graph the L1 partitioner consumes: vertex a is p.UsedNodes()[a], edge
+// node graph the L1 partitioner consumes: vertex a is p.UsedNode(a), edge
 // {a,b} carries the bytes of both directions between the two nodes' ranks, a
 // self-loop the intra-node bytes. Cells without bytes are skipped.
 //
@@ -86,16 +86,16 @@ func nodeGraph(v rows, p *topology.Placement) (*graph.Graph, error) {
 	if p.NumRanks() != v.n {
 		return nil, fmt.Errorf("trace: placement has %d ranks, matrix %d", p.NumRanks(), v.n)
 	}
-	used := p.UsedNodes()
-	ptr := make([]int64, len(used)+1)
-	stamp := make([]int32, len(used)) // stamp[b] == epoch: column b touched by this row
+	nused := p.NumUsed()
+	ptr := make([]int64, nused+1)
+	stamp := make([]int32, nused) // stamp[b] == epoch: column b touched by this row
 	epoch := int32(0)
 	nodeOf := func(d int32) int32 { return int32(p.UsedIndex(p.NodeOf(topology.Rank(d)))) }
-	for a, node := range used {
+	for a := 0; a < nused; a++ {
 		epoch++
 		count := int64(0)
-		for _, r := range p.RanksOn(node) {
-			for i, hi := v.span(int(r)); i < hi; i++ {
+		for pos, end := p.Span(p.UsedNode(a)); pos < end; pos++ {
+			for i, hi := v.span(int(p.RankAt(pos))); i < hi; i++ {
 				if v.bytes[i] == 0 {
 					continue
 				}
@@ -107,16 +107,16 @@ func nodeGraph(v rows, p *topology.Placement) (*graph.Graph, error) {
 		}
 		ptr[a+1] = ptr[a] + count
 	}
-	col := make([]int32, ptr[len(used)])
-	val := make([]int64, ptr[len(used)])
-	acc := make([]int64, len(used))
+	col := make([]int32, ptr[nused])
+	val := make([]int64, ptr[nused])
+	acc := make([]int64, nused)
 	clear(stamp)
 	epoch = 0
-	for a, node := range used {
+	for a := 0; a < nused; a++ {
 		epoch++
 		row := col[ptr[a]:ptr[a]:ptr[a+1]]
-		for _, r := range p.RanksOn(node) {
-			for i, hi := v.span(int(r)); i < hi; i++ {
+		for pos, end := p.Span(p.UsedNode(a)); pos < end; pos++ {
+			for i, hi := v.span(int(p.RankAt(pos))); i < hi; i++ {
 				if v.bytes[i] == 0 {
 					continue
 				}
@@ -134,7 +134,7 @@ func nodeGraph(v rows, p *topology.Placement) (*graph.Graph, error) {
 			val[ptr[a]+int64(k)] = acc[b]
 		}
 	}
-	return symGraph(len(used), ptr, col, val), nil
+	return symGraph(nused, ptr, col, val), nil
 }
 
 // symGraph converts a directed CSR (row u = col/val[ptr[u]:ptr[u+1]],

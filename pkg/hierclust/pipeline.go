@@ -352,7 +352,7 @@ func resultShell(sc *Scenario, mach *Machine, placement *Placement, comm Comm, b
 		Scenario:    sc.Name,
 		Machine:     mach.Name,
 		Ranks:       placement.NumRanks(),
-		Nodes:       len(placement.UsedNodes()),
+		Nodes:       placement.NumUsed(),
 		TotalBytes:  comm.TotalBytes(),
 		TotalMsgs:   comm.TotalMsgs(),
 		Baseline:    BaselineSpec(baseline), // same fields; the conversion keeps them in step
