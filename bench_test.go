@@ -267,6 +267,42 @@ func BenchmarkScaling256k(b *testing.B) {
 	}
 }
 
+// BenchmarkNodeGraph128k measures step 1 of the hierarchical clustering, the
+// fold of the rank rows into the node graph, at the hcbench eval-128k shape
+// (131,072 ranks, 4 per node, 2-D stencil of width 4) from both sources:
+// "stencil" reads the sums back as the graph's weights (the symmetric path),
+// "csr" folds the materialized rows of the same trace through the directed
+// node CSR, its transpose and the merge (the general path).
+func BenchmarkNodeGraph128k(b *testing.B) {
+	const ranks, ppn = 131072, 4
+	opts := trace.SyntheticOptions{Pattern: trace.Stencil2D, Width: ppn}
+	placement, err := topology.Block(&topology.Machine{Name: "bench", Nodes: ranks / ppn}, ranks, ppn)
+	if err != nil {
+		b.Fatal(err)
+	}
+	stencil, err := trace.NewStencil(ranks, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	csr, err := trace.Synthetic(ranks, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, src := range []struct {
+		name string
+		m    trace.Comm
+	}{{"stencil", stencil}, {"csr", csr}} {
+		b.Run(src.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := src.m.NodeGraph(placement); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkRSReconstruct measures decode after losing half the group.
 func BenchmarkRSReconstruct(b *testing.B) {
 	const shard = 1 << 20

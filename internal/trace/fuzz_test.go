@@ -78,3 +78,36 @@ func TestReadCSRAllocationFollowsInput(t *testing.T) {
 		}
 	}
 }
+
+// The symmetric fold against the general one, on whatever stencil, volume
+// and placement the fuzzer draws: a block placement of ppn ranks a node and a
+// strided one (stridedPlacement) over the same node count. Width 0 is the 1-D
+// rule; options NewStencil rejects (a width past n, a volume past int64) are
+// skipped, so the volumes that reach the fold run right up to the bound.
+func FuzzStencilFoldMatchesCSR(f *testing.F) {
+	f.Add(uint16(64), uint16(4), uint8(4), uint8(3), int64(100), int64(1536))
+	f.Add(uint16(1), uint16(0), uint8(9), uint8(1), int64(1), int64(1))
+	f.Add(uint16(7), uint16(7), uint8(1), uint8(5), int64(1<<20), int64(1<<38))
+	f.Add(uint16(300), uint16(13), uint8(2), uint8(7), int64(1<<31), int64(1<<32))
+	f.Fuzz(func(t *testing.T, n, width uint16, ppn, stride uint8, iterations, bytesPerMsg int64) {
+		ranks := 1 + int(n)%512
+		opts := SyntheticOptions{Width: int(width), Iterations: int(iterations), BytesPerMsg: bytesPerMsg}
+		if width > 0 {
+			opts.Pattern = Stencil2D
+		}
+		s, err := NewStencil(ranks, opts)
+		if err != nil {
+			return
+		}
+		if s.bytes[0] <= 0 || (s.nnz > 0 && s.TotalBytes()/int64(s.nnz) != s.bytes[0]) {
+			t.Fatalf("accepted volume wraps: pair %d, total %d", s.bytes[0], s.TotalBytes())
+		}
+		c, err := Synthetic(ranks, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		per := 1 + int(ppn)
+		foldsAlike(t, "block", s, c, mustBlock(t, ranks, per))
+		foldsAlike(t, "strided", s, c, stridedPlacement(t, ranks, (ranks+per-1)/per, 1+int(stride), 2))
+	})
+}

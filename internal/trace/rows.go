@@ -22,6 +22,10 @@ type rows struct {
 	col         []int32
 	bytes, msgs []int64
 	st          *Stencil
+	// sym: cell (r,s) is present with bytes b iff (s,r) is, with the same b > 0,
+	// and the cells sum within int64. Set only where the source has that by
+	// construction ((*Stencil).view, never a *CSR); read only by nodeGraph.
+	sym bool
 }
 
 func (c *CSR) view() rows {
@@ -29,7 +33,7 @@ func (c *CSR) view() rows {
 }
 
 func (s *Stencil) view(buf *[4]int32) rows {
-	return rows{n: s.n, st: s, col: buf[:], bytes: s.bytes[:], msgs: s.msgs[:]}
+	return rows{n: s.n, st: s, col: buf[:], bytes: s.bytes[:], msgs: s.msgs[:], sym: true}
 }
 
 // span returns rank r's window; a stencil's is valid until the next call.
@@ -81,7 +85,11 @@ func loggedFraction(v rows, total int64, part []int) (float64, error) {
 // touched, so nothing is cleared between rows and the allocation count is
 // fixed. A first pass counts each row's distinct columns to size the
 // directed node CSR exactly; the second writes a row's touched columns into
-// its span, sorts the span and reads the sums back. symGraph does the rest.
+// its span, sorts the span and reads the sums back: as that CSR's values for
+// symGraph to transpose and merge or, from a v.sym source — whose node CSR
+// under any placement equals its transpose, every sum positive — as weights
+// beside the ptr and col the graph then adopts, doubled off the diagonal (the
+// int64 mergeRow forms from a row and its equal transpose row, ≤ the total).
 func nodeGraph(v rows, p *topology.Placement) (*graph.Graph, error) {
 	if p.NumRanks() != v.n {
 		return nil, fmt.Errorf("trace: placement has %d ranks, matrix %d", p.NumRanks(), v.n)
@@ -108,7 +116,13 @@ func nodeGraph(v rows, p *topology.Placement) (*graph.Graph, error) {
 		ptr[a+1] = ptr[a] + count
 	}
 	col := make([]int32, ptr[nused])
-	val := make([]int64, ptr[nused])
+	var val []int64
+	var w []float64
+	if v.sym {
+		w = make([]float64, ptr[nused])
+	} else {
+		val = make([]int64, ptr[nused])
+	}
 	acc := make([]int64, nused)
 	clear(stamp)
 	epoch = 0
@@ -131,8 +145,17 @@ func nodeGraph(v rows, p *topology.Placement) (*graph.Graph, error) {
 		}
 		slices.Sort(row)
 		for k, b := range row {
-			val[ptr[a]+int64(k)] = acc[b]
+			if i := ptr[a] + int64(k); !v.sym {
+				val[i] = acc[b]
+			} else if int(b) == a {
+				w[i] = float64(acc[b])
+			} else {
+				w[i] = float64(acc[b] + acc[b])
+			}
 		}
+	}
+	if v.sym {
+		return graph.FromCSR(nused, ptr, col, w)
 	}
 	return symGraph(nused, ptr, col, val), nil
 }
@@ -140,7 +163,8 @@ func nodeGraph(v rows, p *topology.Placement) (*graph.Graph, error) {
 // symGraph converts a directed CSR (row u = col/val[ptr[u]:ptr[u+1]],
 // columns ascending; only read) into the undirected graph in O(n + nnz): a
 // counting-sort transpose, then each row merged with its transpose row
-// straight into the rowptr/col/w arrays graph.FromCSR adopts and owns.
+// straight into the rowptr/col/w arrays graph.FromCSR adopts and owns. The
+// path of every *CSR, and the oracle for nodeGraph's symmetric read-back.
 func symGraph(n int, ptr []int64, col []int32, val []int64) *graph.Graph {
 	// tPtr is shifted by one so that tPtr[d+1] serves as row d's fill
 	// cursor and ends up as row d+1's start.

@@ -80,7 +80,9 @@ func checkColumns(n int) error {
 // plus one pair's volume, O(1) memory at any rank count — what the pipeline
 // evaluates for a "synthetic" scenario (Synthetic materializes the same rows
 // for callers that need arrays). Immutable, so one Stencil may back any
-// number of concurrent evaluations, like a frozen CSR.
+// number of concurrent evaluations, like a frozen CSR. Symmetric by
+// construction — row holds s for r iff r for s, all cells the one positive
+// pair volume, totals bounded to int64 by NewStencil: what view's sym promises.
 type Stencil struct {
 	n     int
 	width int // grid width; 0 selects the 1-D rule
@@ -109,9 +111,13 @@ func NewStencil(n int, opts SyntheticOptions) (*Stencil, error) {
 		w := opts.Width
 		s.width, s.nnz = w, 2*max(n-w, 0)+2*(n-(n+w-1)/w)
 	}
+	iters, pairs := int64(opts.Iterations), int64(max(s.nnz, 1))
+	if iters > math.MaxInt64/pairs || opts.BytesPerMsg > math.MaxInt64/(iters*pairs) {
+		return nil, fmt.Errorf("trace: synthetic volume %d B × %d iterations × %d pairs overflows int64", opts.BytesPerMsg, iters, s.nnz)
+	}
 	for i := range s.bytes {
-		s.bytes[i] = opts.BytesPerMsg * int64(opts.Iterations)
-		s.msgs[i] = int64(opts.Iterations)
+		s.bytes[i] = opts.BytesPerMsg * iters
+		s.msgs[i] = iters
 	}
 	return s, nil
 }

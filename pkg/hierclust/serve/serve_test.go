@@ -79,6 +79,9 @@ func TestEvaluateRejectsBadInput(t *testing.T) {
 		{"file source over HTTP", `{"name":"x","machine":{"nodes":4},"placement":{"ranks":16,"procs_per_node":4},"trace":{"source":"file","path":"/etc/passwd"},"strategies":[{"kind":"hierarchical"}]}`, http.StatusBadRequest},
 		// Validates but cannot build: 1024 ranks at 4/node exceed 4 nodes.
 		{"unbuildable placement", `{"name":"x","machine":{"model":"tsubame2"},"placement":{"ranks":99999,"procs_per_node":4},"trace":{"source":"synthetic"},"strategies":[{"kind":"hierarchical"}]}`, http.StatusUnprocessableEntity},
+		// Validates but cannot build: the pair volume alone is 2^63, and a
+		// wrapped total would score a logged fraction of 0.
+		{"synthetic volume past int64", `{"name":"x","machine":{"nodes":256},"placement":{"ranks":1024,"procs_per_node":4},"trace":{"source":"synthetic","pattern":"stencil2d","iterations":2147483648,"bytes_per_msg":4294967296},"strategies":[{"kind":"hierarchical"}]}`, http.StatusUnprocessableEntity},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
