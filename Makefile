@@ -26,15 +26,17 @@ build-arm64:
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/erasure/
 
 # fuzz gives each parser of outside bytes ten seconds of coverage-guided
-# input: the two hcserve request decoders and the one trace-file reader
-# (go test -fuzz takes one target and one package per run) — and the same to
-# two closed forms against their oracles: the stencil's symmetric node fold
-# against the general fold of its CSR, the reliability product form against
-# the enumeration.
+# input: the two hcserve request decoders, the one trace-file reader, and
+# diskstore's journal replay and checksum frames (go test -fuzz takes one
+# target and one package per run) — and the same to two closed forms against
+# their oracles: the stencil's symmetric node fold against the general fold
+# of its CSR, the reliability product form against the enumeration.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeScenario$$' -fuzztime 10s ./pkg/hierclust/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSweep$$' -fuzztime 10s ./pkg/hierclust/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSR$$' -fuzztime 10s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 10s ./internal/diskstore/
+	$(GO) test -run '^$$' -fuzz '^FuzzUnframe$$' -fuzztime 10s ./internal/diskstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzStencilFoldMatchesCSR$$' -fuzztime 10s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzProductFormMatchesEnumeration$$' -fuzztime 10s ./internal/reliability/
 
@@ -124,7 +126,7 @@ loc:
 # loc-check fails when `make loc` exceeds LOC_CEILING, so ROADMAP aim 2's
 # tracked number only goes up when a PR raises the ceiling on purpose; a PR
 # that shrinks the tree lowers it to its own result.
-LOC_CEILING = 19588
+LOC_CEILING = 19478
 loc-check:
 	@n=$$($(MAKE) -s loc); if [ "$$n" -gt $(LOC_CEILING) ]; then \
 		echo "loc $$n exceeds LOC_CEILING $(LOC_CEILING)"; exit 1; fi; \

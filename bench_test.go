@@ -350,13 +350,9 @@ func BenchmarkRSReconstruct(b *testing.B) {
 func BenchmarkPartition(b *testing.B) {
 	for _, n := range []int{64, 256, 1024} {
 		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
-			g := graph.New(n)
-			for i := 0; i+1 < n; i++ {
-				_ = g.AddEdge(i, i+1, 1000)
-			}
-			for i := 0; i+16 < n; i += 4 {
-				_ = g.AddEdge(i, i+16, 10)
-			}
+			g := stencilGraph(n, 16, 1000, 10,
+				func(i int) bool { return i+1 < n },
+				func(i int) bool { return i%4 == 0 && i+16 < n })
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -368,28 +364,53 @@ func BenchmarkPartition(b *testing.B) {
 	}
 }
 
+// stencilGraph builds an n-node graph in which vertex i links to i+1 with
+// weight hw when right(i) holds and to i+down (down > 1) with weight dw when
+// below(i) holds, writing each row in ascending column order — i-down, i-1,
+// i+1, i+down — straight into the arrays graph.FromCSR adopts.
+func stencilGraph(n, down int, hw, dw float64, right, below func(i int) bool) *graph.Graph {
+	rowptr := make([]int64, 1, n+1)
+	col := make([]int32, 0, 4*n)
+	w := make([]float64, 0, 4*n)
+	link := func(v int, wt float64) {
+		col, w = append(col, int32(v)), append(w, wt)
+	}
+	for i := 0; i < n; i++ {
+		if i >= down && below(i-down) {
+			link(i-down, dw)
+		}
+		if i >= 1 && right(i-1) {
+			link(i-1, hw)
+		}
+		if right(i) {
+			link(i+1, hw)
+		}
+		if below(i) {
+			link(i+down, dw)
+		}
+		rowptr = append(rowptr, int64(len(col)))
+	}
+	g, err := graph.FromCSR(n, rowptr, col, w)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
+// grid2D is the width-wide 2-D stencil of the large partition benchmarks: heavy
+// horizontal edges inside each grid row, lighter vertical ones.
+func grid2D(n, width int) *graph.Graph {
+	return stencilGraph(n, width, 1000, 800,
+		func(i int) bool { return i+1 < n && (i+1)%width != 0 },
+		func(i int) bool { return i+width < n })
+}
+
 // stencil131k builds the 131,072-node 2-D stencil node graph shared by the
 // Partition100k / MultilevelSerial / Multilevel100kWorkers benchmarks — the
 // node-graph shape of a 2M-rank machine at 16 ranks per node. One builder,
 // so the serial-gap numbers always measure the same graph the standing
 // partition benchmark does.
-func stencil131k() *graph.Graph {
-	const n, width = 131072, 256
-	g := graph.New(n)
-	for i := 0; i < n; i++ {
-		if i+1 < n && (i+1)%width != 0 {
-			_ = g.AddEdge(i, i+1, 1000)
-		}
-		if i+width < n {
-			_ = g.AddEdge(i, i+width, 800)
-		}
-	}
-	// Freeze here: building the CSR rows is one-time graph state, not
-	// partitioner work, and a -benchtime 1x smoke run would charge all of
-	// it (262k allocations) to the first benchmark's single iteration.
-	_ = g.EdgeCount()
-	return g
-}
+func stencil131k() *graph.Graph { return grid2D(131072, 256) }
 
 // BenchmarkPartition100k measures the multilevel partitioner on a
 // 131,072-node 2-D stencil graph — the node-graph shape of a 2M-rank
@@ -476,19 +497,7 @@ func BenchmarkMultilevel100kWorkers(b *testing.B) {
 // of a 4M-rank machine at 4 ranks per node, the scale the paper's title
 // promises. Same shape and edge weights as stencil131k, eight times the
 // vertex count.
-func stencil1M() *graph.Graph {
-	const n, width = 1 << 20, 1024
-	g := graph.New(n)
-	for i := 0; i < n; i++ {
-		if i+1 < n && (i+1)%width != 0 {
-			_ = g.AddEdge(i, i+1, 1000)
-		}
-		if i+width < n {
-			_ = g.AddEdge(i, i+width, 800)
-		}
-	}
-	return g
-}
+func stencil1M() *graph.Graph { return grid2D(1<<20, 1024) }
 
 // BenchmarkPartition1M measures the multilevel partitioner on the
 // million-node stencil: the same ladder as Partition100k at eight times the
@@ -503,8 +512,9 @@ func BenchmarkPartition1M(b *testing.B) {
 	}
 	g := stencil1M()
 	opts := graph.PartitionOptions{MinSize: 4, TargetSize: 4, Multilevel: true}
-	// One warm partition outside the timer: freezing the million-row CSR
-	// (a per-row stable sort) is one-time graph state, not partitioner work.
+	// One warm partition outside the timer primes the arena pool: without it
+	// a -benchtime 1x run charges the million-node arena (42 allocs, 0.46 GB
+	// instead of 25 and 0.08 GB) to its single iteration.
 	if _, err := graph.Partition(g, opts); err != nil {
 		b.Fatal(err)
 	}

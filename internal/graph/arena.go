@@ -131,8 +131,8 @@ func (s *slab[T]) take(k int) []T {
 
 var arenaPool sync.Pool
 
-// newPartArena returns an arena big enough for g (which must be frozen),
-// reusing a pooled one when it fits. Callers hand it back with release.
+// newPartArena returns an arena big enough for g, reusing a pooled one when
+// it fits. Callers hand it back with release.
 func newPartArena(g *Graph) *partArena {
 	n := g.N()
 	nnz := g.rowptr[n]

@@ -10,68 +10,51 @@
 // the "functional segregation" and "degree distribution" markers of brain
 // networks.
 //
-// Storage is two-phase: AddEdge stages edges in coordinate (COO) form, and
-// the first query freezes them into compressed-sparse-row (CSR) adjacency —
-// sorted neighbor arrays with O(deg) iteration, O(log deg) weight lookup,
-// and per-vertex strengths cached at freeze time. CSR keeps the partitioner
-// and the network measures cache-friendly on graphs with 10⁴–10⁵ vertices,
-// where the previous map-per-vertex layout thrashed. Adding an edge after a
-// freeze thaws the graph back to COO transparently.
+// A Graph is built once, as compressed-sparse-row (CSR) adjacency — sorted
+// neighbor arrays with O(deg) iteration, O(log deg) weight lookup, and
+// per-vertex strengths cached at construction — and never changes after.
+// CSR keeps the partitioner and the network measures cache-friendly on
+// graphs with 10⁴–10⁵ vertices, where the previous map-per-vertex layout
+// thrashed.
 package graph
 
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // Graph is a weighted undirected graph on vertices 0..N-1. Self-loops are
 // permitted (they count toward vertex strength but can never be cut). Edge
 // weights are float64 so they can carry byte counts of arbitrary magnitude.
 //
-// Concurrent reads of a Graph are safe (the lazy freeze is mutex-guarded);
-// AddEdge must not race with readers or other AddEdge calls.
+// A Graph is immutable: it is built once (FromCSR, Quotient, the
+// multilevel contraction) and no method changes it, so concurrent reads
+// are safe.
 type Graph struct {
 	n int
 
-	mu     sync.Mutex
-	frozen atomic.Bool
-
-	// Staged edges (COO), in AddEdge call order.
-	eu, ev []int32
-	ew     []float64
-
-	// Frozen CSR adjacency: row u is col/w[rowptr[u]:rowptr[u+1]], columns
-	// strictly ascending (duplicates coalesced at freeze time).
+	// CSR adjacency: row u is col/w[rowptr[u]:rowptr[u+1]], columns
+	// strictly ascending (duplicates coalesced at construction).
 	rowptr   []int64
 	col      []int32
 	w        []float64
 	strength []float64
 	total    float64
 	nedges   int
-	// agg records whether finishFreeze has computed the cached aggregates.
-	// Graphs built by newFrozenCSR defer it: intermediate multilevel
-	// coarse graphs never ask for strengths or totals, and the coarsest
-	// one asks exactly once (via ensureAggregates, single-goroutine use
-	// only — see newFrozenCSR).
+	// agg records whether fillAggregates has computed the cached
+	// aggregates. Graphs built by newFrozenCSR defer it: intermediate
+	// multilevel coarse graphs never ask for strengths or totals, and the
+	// coarsest one asks exactly once (via ensureAggregates, single-goroutine
+	// use only — see newFrozenCSR).
 	agg bool
 }
 
-// New returns an empty graph on n vertices.
-func New(n int) *Graph {
-	if n < 0 {
-		n = 0
-	}
-	return &Graph{n: n}
-}
-
-// FromCSR builds an already-frozen graph directly from CSR adjacency,
-// skipping the staging phase — the zero-copy entry point for callers (like
-// the trace package) that produce adjacency in bulk. The rows must describe
-// a symmetric adjacency with strictly ascending, in-range columns; rowptr
-// must have n+1 monotonically non-decreasing entries starting at 0. Symmetry
-// itself is trusted, not verified.
+// FromCSR builds a graph directly from CSR adjacency — the zero-copy entry
+// point for callers (like the trace package) that produce adjacency in
+// bulk. The rows must describe a symmetric adjacency with strictly
+// ascending, in-range columns; rowptr must have n+1 monotonically
+// non-decreasing entries starting at 0. Symmetry itself is trusted, not
+// verified.
 func FromCSR(n int, rowptr []int64, col []int32, w []float64) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count %d", n)
@@ -94,9 +77,54 @@ func FromCSR(n int, rowptr []int64, col []int32, w []float64) (*Graph, error) {
 		}
 	}
 	g := &Graph{n: n, rowptr: rowptr, col: col, w: w}
-	g.finishFreeze()
-	g.frozen.Store(true)
+	g.fillAggregates()
 	return g, nil
+}
+
+// fromEdges builds a graph from an undirected edge list {eu[i], ev[i]} of
+// weight ew[i] (in range, as Quotient guarantees): a counting sort places
+// both orientations of each edge (a self-loop once) in its rows in list
+// order, then coalesceRow merges each row's duplicate columns — stable, so
+// repeated edges sum in list order.
+func fromEdges(n int, eu, ev []int32, ew []float64) *Graph {
+	rowptr := make([]int64, n+1)
+	for i := range eu {
+		rowptr[eu[i]+1]++
+		if eu[i] != ev[i] {
+			rowptr[ev[i]+1]++
+		}
+	}
+	for u := 0; u < n; u++ {
+		rowptr[u+1] += rowptr[u]
+	}
+	col := make([]int32, rowptr[n])
+	w := make([]float64, rowptr[n])
+	fill := append([]int64(nil), rowptr[:n]...)
+	for i := range eu {
+		u, v := eu[i], ev[i]
+		col[fill[u]], w[fill[u]] = v, ew[i]
+		fill[u]++
+		if u != v {
+			col[fill[v]], w[fill[v]] = u, ew[i]
+			fill[v]++
+		}
+	}
+	// Coalesce each row in place, then slide it down over the entries the
+	// rows before it merged away; rowptr[u+1] is still the old bound when
+	// row u+1 is read.
+	write := int64(0)
+	for u := 0; u < n; u++ {
+		lo, hi := rowptr[u], rowptr[u+1]
+		k := coalesceRow(col[lo:hi], w[lo:hi])
+		copy(col[write:], col[lo:lo+k])
+		copy(w[write:], w[lo:lo+k])
+		rowptr[u] = write
+		write += k
+	}
+	rowptr[n] = write
+	g := &Graph{n: n, rowptr: rowptr, col: col[:write], w: w[:write]}
+	g.fillAggregates()
+	return g
 }
 
 // newFrozenCSR is FromCSR for rows that are sorted, in-range, and symmetric
@@ -109,9 +137,7 @@ func FromCSR(n int, rowptr []int64, col []int32, w []float64) (*Graph, error) {
 // must not share the graph across goroutines before the first aggregate
 // read (the lazy fill is unsynchronized).
 func newFrozenCSR(n int, rowptr []int64, col []int32, w []float64, strength []float64) *Graph {
-	g := &Graph{n: n, rowptr: rowptr, col: col, w: w, strength: strength[:n]}
-	g.frozen.Store(true)
-	return g
+	return &Graph{n: n, rowptr: rowptr, col: col, w: w, strength: strength[:n]}
 }
 
 // adoptAggregates installs caller-computed aggregates (total weight, edge
@@ -119,158 +145,22 @@ func newFrozenCSR(n int, rowptr []int64, col []int32, w []float64, strength []fl
 // already filled, marking the aggregate pass done so ensureAggregates never
 // rescans. The multilevel contraction emits these for each coarse graph
 // while its rows are still cache-hot, with the exact summation order of
-// finishFreeze, so the values are bit-identical to the deferred pass.
+// fillAggregates, so the values are bit-identical to the deferred pass.
 func (g *Graph) adoptAggregates(total float64, nedges int) {
 	g.total, g.nedges = total, nedges
 	g.agg = true
 }
 
-// ensureAggregates freezes the graph and fills the cached aggregates if a
-// newFrozenCSR constructor deferred them.
+// ensureAggregates runs the aggregate pass a newFrozenCSR graph deferred.
 func (g *Graph) ensureAggregates() {
-	g.ensure()
 	if !g.agg {
-		g.finishFreeze()
+		g.fillAggregates()
 	}
 }
 
-// N returns the number of vertices.
-func (g *Graph) N() int { return g.n }
-
-// AddEdge adds w to the weight of the undirected edge {u,v}. Adding a
-// negative total weight is the caller's responsibility to avoid; weights
-// represent communication volumes and are expected non-negative.
-func (g *Graph) AddEdge(u, v int, w float64) error {
-	if u < 0 || u >= g.n || v < 0 || v >= g.n {
-		return fmt.Errorf("graph: edge {%d,%d} out of range 0..%d", u, v, g.n-1)
-	}
-	if w == 0 {
-		return nil
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.frozen.Load() {
-		g.thawLocked()
-	}
-	g.eu = append(g.eu, int32(u))
-	g.ev = append(g.ev, int32(v))
-	g.ew = append(g.ew, w)
-	return nil
-}
-
-// thawLocked converts the frozen CSR back into staged COO edges so AddEdge
-// can accumulate again. Caller holds g.mu.
-func (g *Graph) thawLocked() {
-	for u := 0; u < g.n; u++ {
-		for i := g.rowptr[u]; i < g.rowptr[u+1]; i++ {
-			if int(g.col[i]) >= u { // each undirected edge once
-				g.eu = append(g.eu, int32(u))
-				g.ev = append(g.ev, g.col[i])
-				g.ew = append(g.ew, g.w[i])
-			}
-		}
-	}
-	g.rowptr, g.col, g.w, g.strength = nil, nil, nil, nil
-	g.total, g.nedges = 0, 0
-	g.agg = false
-	g.frozen.Store(false)
-}
-
-// ensure freezes the staged edges into CSR form if needed. All read paths
-// call it; the atomic fast path makes it free once frozen.
-func (g *Graph) ensure() {
-	if g.frozen.Load() {
-		return
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.frozen.Load() {
-		return
-	}
-	g.freezeLocked()
-	g.frozen.Store(true)
-}
-
-// freezeLocked builds the CSR adjacency from the staged edges with a
-// counting sort, then sorts each row stably by column and coalesces
-// duplicates — stable order keeps weight accumulation in AddEdge call
-// order, so repeated AddEdge calls sum exactly as they always did.
-func (g *Graph) freezeLocked() {
-	deg := make([]int64, g.n+1)
-	for i := range g.eu {
-		deg[g.eu[i]+1]++
-		if g.eu[i] != g.ev[i] {
-			deg[g.ev[i]+1]++
-		}
-	}
-	rowptr := make([]int64, g.n+1)
-	for u := 0; u < g.n; u++ {
-		rowptr[u+1] = rowptr[u] + deg[u+1]
-	}
-	nnz := rowptr[g.n]
-	col := make([]int32, nnz)
-	w := make([]float64, nnz)
-	fill := make([]int64, g.n)
-	put := func(u, v int32, wt float64) {
-		pos := rowptr[u] + fill[u]
-		col[pos], w[pos] = v, wt
-		fill[u]++
-	}
-	for i := range g.eu {
-		put(g.eu[i], g.ev[i], g.ew[i])
-		if g.eu[i] != g.ev[i] {
-			put(g.ev[i], g.eu[i], g.ew[i])
-		}
-	}
-	// Sort each row stably by column (stable keeps same-column entries in
-	// AddEdge call order, so the coalescing sums accumulate exactly as the
-	// old map layout did), then coalesce duplicates in place.
-	newPtr := make([]int64, g.n+1)
-	write := int64(0)
-	var order []int
-	var tmpC []int32
-	var tmpW []float64
-	for u := 0; u < g.n; u++ {
-		lo, hi := rowptr[u], rowptr[u+1]
-		m := int(hi - lo)
-		if cap(order) < m {
-			order = make([]int, m)
-			tmpC = make([]int32, m)
-			tmpW = make([]float64, m)
-		}
-		order = order[:m]
-		for i := range order {
-			order[i] = i
-		}
-		row := col[lo:hi]
-		rowW := w[lo:hi]
-		sort.SliceStable(order, func(i, j int) bool { return row[order[i]] < row[order[j]] })
-		tmpC = tmpC[:m]
-		tmpW = tmpW[:m]
-		for i, o := range order {
-			tmpC[i], tmpW[i] = row[o], rowW[o]
-		}
-		start := write
-		for i := 0; i < m; i++ {
-			if write > start && col[write-1] == tmpC[i] {
-				w[write-1] += tmpW[i]
-			} else {
-				col[write], w[write] = tmpC[i], tmpW[i]
-				write++
-			}
-		}
-		newPtr[u+1] = write
-	}
-	g.rowptr = newPtr
-	g.col = col[:write]
-	g.w = w[:write]
-	g.eu, g.ev, g.ew = nil, nil, nil
-	g.finishFreeze()
-}
-
-// finishFreeze computes the cached aggregates (strength, total weight,
-// edge count) from the frozen CSR arrays.
-func (g *Graph) finishFreeze() {
+// fillAggregates computes the cached aggregates (strength, total weight,
+// edge count) from the CSR arrays.
+func (g *Graph) fillAggregates() {
 	g.agg = true
 	if g.strength == nil {
 		g.strength = make([]float64, g.n)
@@ -290,20 +180,20 @@ func (g *Graph) finishFreeze() {
 	}
 }
 
-// row returns vertex u's frozen adjacency (columns ascending). Callers must
-// have called ensure().
+// N returns the number of vertices.
+func (g *Graph) N() int { return g.n }
+
+// row returns vertex u's adjacency (columns ascending).
 func (g *Graph) row(u int) ([]int32, []float64) {
 	lo, hi := g.rowptr[u], g.rowptr[u+1]
 	return g.col[lo:hi], g.w[lo:hi]
 }
 
-// Weight returns the weight of edge {u,v}, 0 if absent — O(log deg) on the
-// frozen adjacency.
+// Weight returns the weight of edge {u,v}, 0 if absent — O(log deg).
 func (g *Graph) Weight(u, v int) float64 {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		return 0
 	}
-	g.ensure()
 	cols, ws := g.row(u)
 	i := sort.Search(len(cols), func(i int) bool { return cols[i] >= int32(v) })
 	if i < len(cols) && cols[i] == int32(v) {
@@ -318,7 +208,6 @@ func (g *Graph) Neighbors(u int) []int {
 	if u < 0 || u >= g.n {
 		return nil
 	}
-	g.ensure()
 	cols, _ := g.row(u)
 	out := make([]int, len(cols))
 	for i, c := range cols {
@@ -333,7 +222,6 @@ func (g *Graph) Degree(u int) int {
 	if u < 0 || u >= g.n {
 		return 0
 	}
-	g.ensure()
 	cols, _ := g.row(u)
 	d := len(cols)
 	i := sort.Search(len(cols), func(i int) bool { return cols[i] >= int32(u) })
@@ -375,8 +263,11 @@ func (g *Graph) Quotient(part []int, parts int) (*Graph, error) {
 	if len(part) != g.n {
 		return nil, fmt.Errorf("graph: quotient map has %d entries for %d vertices", len(part), g.n)
 	}
-	g.ensure()
-	q := New(parts)
+	if parts < 0 {
+		return nil, fmt.Errorf("graph: negative part count %d", parts)
+	}
+	var eu, ev []int32
+	var ew []float64
 	for u := 0; u < g.n; u++ {
 		pu := part[u]
 		if pu < 0 || pu >= parts {
@@ -392,18 +283,17 @@ func (g *Graph) Quotient(part []int, parts int) (*Graph, error) {
 			if pv < 0 || pv >= parts {
 				return nil, fmt.Errorf("graph: vertex %d mapped to part %d out of range 0..%d", v, pv, parts-1)
 			}
-			if err := q.AddEdge(pu, pv, ws[i]); err != nil {
-				return nil, err
+			if ws[i] != 0 {
+				eu, ev, ew = append(eu, int32(pu)), append(ev, int32(pv)), append(ew, ws[i])
 			}
 		}
 	}
-	return q, nil
+	return fromEdges(parts, eu, ev, ew), nil
 }
 
 // Components returns the connected components as sorted vertex lists,
 // ordered by smallest contained vertex.
 func (g *Graph) Components() [][]int {
-	g.ensure()
 	seen := make([]bool, g.n)
 	var comps [][]int
 	for s := 0; s < g.n; s++ {
@@ -439,7 +329,6 @@ func (g *Graph) CutWeight(part []int) (float64, error) {
 	if len(part) != g.n {
 		return 0, fmt.Errorf("graph: assignment has %d entries for %d vertices", len(part), g.n)
 	}
-	g.ensure()
 	var cut float64
 	for u := 0; u < g.n; u++ {
 		cols, ws := g.row(u)
@@ -460,7 +349,6 @@ func (g *Graph) Modularity(part []int) (float64, error) {
 	if len(part) != g.n {
 		return 0, fmt.Errorf("graph: assignment has %d entries for %d vertices", len(part), g.n)
 	}
-	g.ensure()
 	m2 := 0.0 // total degree = 2m (self-loops count twice here, per Newman)
 	for u := 0; u < g.n; u++ {
 		cols, ws := g.row(u)
@@ -514,7 +402,6 @@ func (g *Graph) DegreeDistribution() DegreeStats {
 	if g.n == 0 {
 		return st
 	}
-	g.ensure()
 	st.Min = g.n // sentinel above any possible degree
 	total := 0
 	degs := make([]int, g.n)

@@ -3,36 +3,78 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
 
-func ring(n int, w float64) *Graph {
-	g := New(n)
-	for i := 0; i < n; i++ {
-		_ = g.AddEdge(i, (i+1)%n, w)
+// edges is the undirected edge list every test graph is built from: add
+// appends {u,v} (zero weights skipped, as Quotient skips them) and graph
+// hands the list to fromEdges, which sums repeated edges in list order.
+type edges struct {
+	n      int
+	eu, ev []int32
+	ew     []float64
+}
+
+func newEdges(n int) *edges { return &edges{n: n} }
+
+func (e *edges) add(u, v int, w float64) {
+	if w != 0 {
+		e.eu, e.ev, e.ew = append(e.eu, int32(u)), append(e.ev, int32(v)), append(e.ew, w)
 	}
-	return g
+}
+
+func (e *edges) graph() *Graph { return fromEdges(e.n, e.eu, e.ev, e.ew) }
+
+func ring(n int, w float64) *Graph {
+	e := newEdges(n)
+	for i := 0; i < n; i++ {
+		e.add(i, (i+1)%n, w)
+	}
+	return e.graph()
 }
 
 // path returns a path graph 0-1-2-...-n-1, the topology of the tsunami
 // application's slab-decomposed communication.
 func path(n int, w float64) *Graph {
-	g := New(n)
+	e := newEdges(n)
 	for i := 0; i+1 < n; i++ {
-		_ = g.AddEdge(i, i+1, w)
+		e.add(i, i+1, w)
 	}
-	return g
+	return e.graph()
 }
 
-func TestAddEdgeAndWeight(t *testing.T) {
-	g := New(4)
-	if err := g.AddEdge(0, 1, 2.5); err != nil {
-		t.Fatal(err)
+// communityGraph is groups dense k-vertex communities (each pair linked
+// with probability 0.8, float weights) joined by sparse light noise.
+func communityGraph(k, groups int) *Graph {
+	rng := rand.New(rand.NewSource(7))
+	e := newEdges(k * groups)
+	for grp := 0; grp < groups; grp++ {
+		base := grp * k
+		for a := 0; a < k; a++ {
+			for b := a + 1; b < k; b++ {
+				if rng.Float64() < 0.8 {
+					e.add(base+a, base+b, 1+rng.Float64())
+				}
+			}
+		}
 	}
-	if err := g.AddEdge(1, 0, 1.5); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 40; i++ {
+		u, v := rng.Intn(k*groups), rng.Intn(k*groups)
+		if u/k != v/k {
+			e.add(u, v, 0.2)
+		}
 	}
+	return e.graph()
+}
+
+func TestFromEdgesCoalesceAndWeight(t *testing.T) {
+	e := newEdges(4)
+	e.add(0, 1, 2.5)
+	e.add(1, 0, 1.5)
+	e.add(2, 3, 0) // zero-weight edges are skipped
+	g := e.graph()
 	if got := g.Weight(0, 1); got != 4 {
 		t.Errorf("Weight(0,1) = %g, want 4", got)
 	}
@@ -42,24 +84,51 @@ func TestAddEdgeAndWeight(t *testing.T) {
 	if got := g.Weight(2, 3); got != 0 {
 		t.Errorf("Weight(2,3) = %g, want 0", got)
 	}
-	if err := g.AddEdge(0, 9, 1); err == nil {
-		t.Error("AddEdge accepted out-of-range vertex")
-	}
-	if err := g.AddEdge(-1, 0, 1); err == nil {
-		t.Error("AddEdge accepted negative vertex")
-	}
-	// zero-weight edges are ignored
-	if err := g.AddEdge(2, 3, 0); err != nil {
-		t.Fatal(err)
-	}
 	if g.Degree(2) != 0 {
-		t.Error("zero-weight AddEdge created an edge")
+		t.Error("zero-weight edge created an edge")
 	}
 }
 
+// A built Graph has no lock and nothing lazy left to fill, so readers on
+// several goroutines at once — a quotient, its cached aggregates and a
+// partition of it — race on nothing and agree with a serial run (-race).
+func TestConcurrentReads(t *testing.T) {
+	g := communityGraph(8, 6)
+	pairs := make([]int, g.N())
+	for v := range pairs {
+		pairs[v] = v / 2
+	}
+	opts := PartitionOptions{MinSize: 4, TargetSize: 4}
+	read := func() (float64, string, error) {
+		q, err := g.Quotient(pairs, g.N()/2)
+		if err != nil {
+			return 0, "", err
+		}
+		part, err := Partition(q, opts)
+		return q.TotalWeight() + g.Strength(3), hashAssignment(part), err
+	}
+	wantW, wantPart, err := read()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w, part, err := read()
+			if err != nil || w != wantW || part != wantPart {
+				t.Errorf("concurrent read: %v, %s, %v; serial %v, %s", w, part, err, wantW, wantPart)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 func TestSelfLoop(t *testing.T) {
-	g := New(2)
-	_ = g.AddEdge(0, 0, 3)
+	e := newEdges(2)
+	e.add(0, 0, 3)
+	g := e.graph()
 	if got := g.Weight(0, 0); got != 3 {
 		t.Errorf("self-loop weight = %g, want 3", got)
 	}
@@ -98,10 +167,11 @@ func TestDegreeStrengthTotals(t *testing.T) {
 
 func TestQuotient(t *testing.T) {
 	// Process graph: 4 procs, 2 per node; heavy intra-node, light inter.
-	g := New(4)
-	_ = g.AddEdge(0, 1, 10) // node 0 internal
-	_ = g.AddEdge(2, 3, 10) // node 1 internal
-	_ = g.AddEdge(1, 2, 1)  // crossing
+	e := newEdges(4)
+	e.add(0, 1, 10) // node 0 internal
+	e.add(2, 3, 10) // node 1 internal
+	e.add(1, 2, 1)  // crossing
+	g := e.graph()
 	q, err := g.Quotient([]int{0, 0, 1, 1}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -121,10 +191,11 @@ func TestQuotient(t *testing.T) {
 }
 
 func TestComponents(t *testing.T) {
-	g := New(6)
-	_ = g.AddEdge(0, 1, 1)
-	_ = g.AddEdge(1, 2, 1)
-	_ = g.AddEdge(4, 5, 1)
+	e := newEdges(6)
+	e.add(0, 1, 1)
+	e.add(1, 2, 1)
+	e.add(4, 5, 1)
+	g := e.graph()
 	comps := g.Components()
 	if len(comps) != 3 {
 		t.Fatalf("Components = %v, want 3 components", comps)
@@ -157,14 +228,15 @@ func TestCutWeight(t *testing.T) {
 
 func TestModularityTwoCliques(t *testing.T) {
 	// Two 4-cliques joined by one edge: the canonical high-modularity graph.
-	g := New(8)
+	e := newEdges(8)
 	for a := 0; a < 4; a++ {
 		for b := a + 1; b < 4; b++ {
-			_ = g.AddEdge(a, b, 1)
-			_ = g.AddEdge(a+4, b+4, 1)
+			e.add(a, b, 1)
+			e.add(a+4, b+4, 1)
 		}
 	}
-	_ = g.AddEdge(3, 4, 1)
+	e.add(3, 4, 1)
+	g := e.graph()
 	good, err := g.Modularity([]int{0, 0, 0, 0, 1, 1, 1, 1})
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +258,7 @@ func TestModularityTwoCliques(t *testing.T) {
 }
 
 func TestModularityEmptyGraph(t *testing.T) {
-	g := New(3)
+	g := newEdges(3).graph()
 	q, err := g.Modularity([]int{0, 1, 2})
 	if err != nil || q != 0 {
 		t.Errorf("edgeless modularity = %g, %v; want 0, nil", q, err)
@@ -208,7 +280,7 @@ func TestDegreeDistribution(t *testing.T) {
 	if st.Hist[1] != 2 || st.Hist[2] != 3 {
 		t.Errorf("hist = %v, want [_ 2 3]", st.Hist)
 	}
-	empty := New(0)
+	empty := newEdges(0).graph()
 	if st := empty.DegreeDistribution(); st.Max != 0 || st.Mean != 0 {
 		t.Errorf("empty graph stats = %+v", st)
 	}
@@ -270,13 +342,14 @@ func TestPartitionSingleCluster(t *testing.T) {
 
 func TestPartitionDisconnected(t *testing.T) {
 	// Two disconnected 4-cliques with MinSize 4: each clique becomes a part.
-	g := New(8)
+	e := newEdges(8)
 	for a := 0; a < 4; a++ {
 		for b := a + 1; b < 4; b++ {
-			_ = g.AddEdge(a, b, 1)
-			_ = g.AddEdge(a+4, b+4, 1)
+			e.add(a, b, 1)
+			e.add(a+4, b+4, 1)
 		}
 	}
+	g := e.graph()
 	part, err := Partition(g, PartitionOptions{MinSize: 4, TargetSize: 4, MaxSize: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -301,7 +374,7 @@ func TestPartitionErrors(t *testing.T) {
 	if _, err := Partition(g, PartitionOptions{MinSize: 2, TargetSize: 2, MaxSize: 1}); err == nil {
 		t.Error("Partition accepted MaxSize < TargetSize")
 	}
-	empty := New(0)
+	empty := newEdges(0).graph()
 	part, err := Partition(empty, PartitionOptions{})
 	if err != nil || len(part) != 0 {
 		t.Errorf("empty partition = %v, %v", part, err)
@@ -311,25 +384,8 @@ func TestPartitionErrors(t *testing.T) {
 func TestPartitionImprovesOverRandom(t *testing.T) {
 	// On a community-structured graph the partitioner must beat a random
 	// assignment of equal part sizes.
-	rng := rand.New(rand.NewSource(7))
 	const k, groups = 8, 6
-	g := New(k * groups)
-	for grp := 0; grp < groups; grp++ {
-		base := grp * k
-		for a := 0; a < k; a++ {
-			for b := a + 1; b < k; b++ {
-				if rng.Float64() < 0.8 {
-					_ = g.AddEdge(base+a, base+b, 1+rng.Float64())
-				}
-			}
-		}
-	}
-	for i := 0; i < 40; i++ { // sparse random inter-group noise
-		u, v := rng.Intn(k*groups), rng.Intn(k*groups)
-		if u/k != v/k {
-			_ = g.AddEdge(u, v, 0.2)
-		}
-	}
+	g := communityGraph(k, groups)
 	part, err := Partition(g, PartitionOptions{MinSize: k, TargetSize: k, MaxSize: k})
 	if err != nil {
 		t.Fatal(err)
@@ -352,13 +408,14 @@ func TestPartitionInvariantsProperty(t *testing.T) {
 		n := int(nRaw%40) + 8
 		min := int(minRaw%4) + 1
 		rng := rand.New(rand.NewSource(seed))
-		g := New(n)
+		e := newEdges(n)
 		for i := 0; i < 3*n; i++ {
 			u, v := rng.Intn(n), rng.Intn(n)
 			if u != v {
-				_ = g.AddEdge(u, v, rng.Float64()*10)
+				e.add(u, v, rng.Float64()*10)
 			}
 		}
+		g := e.graph()
 		part, err := Partition(g, PartitionOptions{MinSize: min, TargetSize: min})
 		if err != nil {
 			return false
@@ -388,10 +445,11 @@ func TestQuotientWeightProperty(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw%20) + 4
 		rng := rand.New(rand.NewSource(seed))
-		g := New(n)
+		e := newEdges(n)
 		for i := 0; i < 2*n; i++ {
-			_ = g.AddEdge(rng.Intn(n), rng.Intn(n), float64(rng.Intn(100)))
+			e.add(rng.Intn(n), rng.Intn(n), float64(rng.Intn(100)))
 		}
+		g := e.graph()
 		parts := 3
 		pmap := make([]int, n)
 		for i := range pmap {

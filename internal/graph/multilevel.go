@@ -38,8 +38,7 @@ type mlLevel struct {
 }
 
 // multilevelPartition runs the coarsen/partition/uncoarsen pipeline. The
-// caller has normalized opts, ensured g is frozen, and checked
-// n > CoarsenThreshold.
+// caller has normalized opts and checked n > CoarsenThreshold.
 func multilevelPartition(g *Graph, opts PartitionOptions, ar *partArena) ([]int, error) {
 	levels := make([]*mlLevel, 1, 24)
 	levels[0] = &mlLevel{g: g}
@@ -664,7 +663,7 @@ func serialMatchingRounds(g *Graph, vw []int, opts PartitionOptions, ar *partAre
 // ladder's final level and the only one whose aggregates (strengths for the
 // greedy growth's seed order, total/edge count) are ever read; contraction
 // then emits them directly, fused into the compaction pass while the rows
-// are cache-hot, instead of leaving the deferred finishFreeze to re-traverse
+// are cache-hot, instead of leaving the deferred fillAggregates to re-traverse
 // the whole CSR cold. Intermediate levels keep the deferred (never-taken)
 // path — emitting per level would add a full serial pass per level for
 // values nothing reads.
@@ -739,21 +738,7 @@ func contract(g *Graph, vw []int, match []int32, matched int, opts PartitionOpti
 			if mem2[c] != -1 {
 				gather(mem2[c])
 			}
-			span := col[base : base+k]
-			spanW := w[base : base+k]
-			sortPairsStable(span, spanW)
-			// Coalesce duplicates in place; stable sort keeps gather order
-			// within a column, so weight sums are deterministic.
-			write := int64(0)
-			for i := int64(0); i < k; i++ {
-				if write > 0 && span[write-1] == span[i] {
-					spanW[write-1] += spanW[i]
-				} else {
-					span[write], spanW[write] = span[i], spanW[i]
-					write++
-				}
-			}
-			cnt[c] = int32(write)
+			cnt[c] = int32(coalesceRow(col[base:base+k], w[base:base+k]))
 		}
 	})
 	rowptr := ar.i64s.take(nc + 1)
@@ -770,7 +755,7 @@ func contract(g *Graph, vw []int, match []int32, matched int, opts PartitionOpti
 		// Final level: fuse the aggregate pass into the compaction while
 		// the rows are hot. The loop shape — per-row ascending strength
 		// sums, one global running total over col >= row entries in
-		// (row, index) order — is exactly finishFreeze's, so every emitted
+		// (row, index) order — is exactly fillAggregates', so every emitted
 		// float is bit-identical to the deferred pass it replaces.
 		var total float64
 		nedges := 0
@@ -796,6 +781,24 @@ func contract(g *Graph, vw []int, match []int32, matched int, opts PartitionOpti
 		copy(fw[rowptr[c]:rowptr[c+1]], w[capPtr[c]:capPtr[c]+int64(cnt[c])])
 	}
 	return newFrozenCSR(nc, rowptr, fcol, fw, strength), cmap, cvw, nil
+}
+
+// coalesceRow stably sorts one row's (col, w) pairs by column and sums the
+// weights of equal columns in place, returning the coalesced length. Stable
+// order keeps same-column weights summing in fill order, so the sums are
+// deterministic. Both row builders (contract, fromEdges) coalesce here.
+func coalesceRow(col []int32, w []float64) int64 {
+	sortPairsStable(col, w)
+	write := int64(0)
+	for i := range col {
+		if write > 0 && col[write-1] == col[i] {
+			w[write-1] += w[i]
+		} else {
+			col[write], w[write] = col[i], w[i]
+			write++
+		}
+	}
+	return write
 }
 
 // sortPairsStable stably sorts the parallel (col, w) arrays by column:

@@ -10,11 +10,7 @@ import (
 // without reconstructing pprof sessions; the package-external benchmarks in
 // the repository root remain the gated numbers.
 
-func benchGraph() *Graph {
-	g := stencil2D(131072, 256)
-	g.ensure()
-	return g
-}
+func benchGraph() *Graph { return stencil2D(131072, 256) }
 
 func benchOpts() PartitionOptions {
 	opts := PartitionOptions{MinSize: 4, TargetSize: 4, Multilevel: true, Workers: 1}

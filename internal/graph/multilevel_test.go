@@ -9,17 +9,20 @@ import (
 
 // stencil2D builds a w-wide 2-D grid with heavy horizontal and lighter
 // vertical edges — the node-graph shape of the synthetic scaling rigs.
-func stencil2D(n, w int) *Graph {
-	g := New(n)
+func stencil2D(n, w int) *Graph { return stencilEdges(n, w).graph() }
+
+// stencilEdges is stencil2D's edge list, for tests that add to it.
+func stencilEdges(n, w int) *edges {
+	e := newEdges(n)
 	for i := 0; i < n; i++ {
 		if i+1 < n && (i+1)%w != 0 {
-			_ = g.AddEdge(i, i+1, 1000)
+			e.add(i, i+1, 1000)
 		}
 		if i+w < n {
-			_ = g.AddEdge(i, i+w, 800)
+			e.add(i, i+w, 800)
 		}
 	}
-	return g
+	return e
 }
 
 // checkAssignment verifies the Partition contract: dense coverage and the
@@ -74,25 +77,8 @@ func TestMultilevelCutNoWorseThanSingleLevel(t *testing.T) {
 		{"stencil16384-t16", stencil2D(16384, 128), PartitionOptions{MinSize: 4, TargetSize: 16}},
 	}
 	// The community graph of TestPartitionImprovesOverRandom.
-	rng := rand.New(rand.NewSource(7))
 	const k, groups = 8, 6
-	comm := New(k * groups)
-	for grp := 0; grp < groups; grp++ {
-		base := grp * k
-		for a := 0; a < k; a++ {
-			for b := a + 1; b < k; b++ {
-				if rng.Float64() < 0.8 {
-					_ = comm.AddEdge(base+a, base+b, 1+rng.Float64())
-				}
-			}
-		}
-	}
-	for i := 0; i < 40; i++ {
-		u, v := rng.Intn(k*groups), rng.Intn(k*groups)
-		if u/k != v/k {
-			_ = comm.AddEdge(u, v, 0.2)
-		}
-	}
+	comm := communityGraph(k, groups)
 	cases = append(cases, struct {
 		name string
 		g    *Graph
@@ -191,7 +177,6 @@ func TestMultilevelWorkerInvariance(t *testing.T) {
 // cap (coarse vertices are embryonic clusters and must stay mergeable).
 func TestHeavyEdgeMatchingInvariants(t *testing.T) {
 	g := randomIntGraph(11, 600)
-	g.ensure()
 	opts := PartitionOptions{MinSize: 4, TargetSize: 4}
 	if err := opts.normalize(g.N()); err != nil {
 		t.Fatal(err)
@@ -256,7 +241,6 @@ func TestHeavyEdgeMatchingIneligibleStaleCand(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	n := 3 * mlChunk // wide enough for effectiveWorkers(n, 2) == 2
 	g := stencil2D(n, 128)
-	g.ensure()
 	opts := PartitionOptions{MinSize: 4, TargetSize: 4}
 	if err := opts.normalize(n); err != nil {
 		t.Fatal(err)
@@ -312,7 +296,6 @@ func TestHeavyEdgeMatchingIneligibleStaleCand(t *testing.T) {
 // levels.
 func TestContractPreservesTotalWeight(t *testing.T) {
 	g := randomIntGraph(5, 500)
-	g.ensure()
 	opts := PartitionOptions{MinSize: 4, TargetSize: 4}
 	if err := opts.normalize(g.N()); err != nil {
 		t.Fatal(err)
@@ -335,13 +318,14 @@ func TestMultilevelInvariantsProperty(t *testing.T) {
 		n := int(nRaw%60) + 16
 		min := int(minRaw%4) + 1
 		rng := rand.New(rand.NewSource(seed))
-		g := New(n)
+		e := newEdges(n)
 		for i := 0; i < 3*n; i++ {
 			u, v := rng.Intn(n), rng.Intn(n)
 			if u != v {
-				_ = g.AddEdge(u, v, float64(rng.Intn(100)+1))
+				e.add(u, v, float64(rng.Intn(100)+1))
 			}
 		}
+		g := e.graph()
 		part, err := Partition(g, PartitionOptions{
 			MinSize: min, TargetSize: min, Multilevel: true, CoarsenThreshold: 8,
 		})

@@ -114,7 +114,6 @@ func Partition(g *Graph, opts PartitionOptions) ([]int, error) {
 	if n == 0 {
 		return []int{}, nil
 	}
-	g.ensure()
 	ar := newPartArena(g)
 	defer ar.release()
 	if opts.Multilevel && n > opts.CoarsenThreshold {

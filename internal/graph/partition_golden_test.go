@@ -41,25 +41,8 @@ func goldenGraphs() []struct {
 		{"stencil8192", stencil2D(8192, 128), PartitionOptions{MinSize: 4, TargetSize: 4}},
 	}
 	// The community graph of TestPartitionImprovesOverRandom.
-	rng := rand.New(rand.NewSource(7))
 	const k, groups = 8, 6
-	comm := New(k * groups)
-	for grp := 0; grp < groups; grp++ {
-		base := grp * k
-		for a := 0; a < k; a++ {
-			for b := a + 1; b < k; b++ {
-				if rng.Float64() < 0.8 {
-					_ = comm.AddEdge(base+a, base+b, 1+rng.Float64())
-				}
-			}
-		}
-	}
-	for i := 0; i < 40; i++ {
-		u, v := rng.Intn(k*groups), rng.Intn(k*groups)
-		if u/k != v/k {
-			_ = comm.AddEdge(u, v, 0.2)
-		}
-	}
+	comm := communityGraph(k, groups)
 	cases = append(cases, struct {
 		name string
 		g    *Graph
@@ -77,16 +60,17 @@ func goldenGraphs() []struct {
 	for seed := int64(10); seed <= 12; seed++ {
 		frng := rand.New(rand.NewSource(seed))
 		n := 1500
-		fg := New(n)
+		e := newEdges(n)
 		for i := 0; i+1 < n; i++ {
-			_ = fg.AddEdge(i, i+1, 0.1+frng.Float64()*99)
+			e.add(i, i+1, 0.1+frng.Float64()*99)
 		}
 		for i := 0; i < 3*n; i++ {
 			u, v := frng.Intn(n), frng.Intn(n)
 			if u != v {
-				_ = fg.AddEdge(u, v, 0.1+frng.Float64()*49)
+				e.add(u, v, 0.1+frng.Float64()*49)
 			}
 		}
+		fg := e.graph()
 		cases = append(cases, struct {
 			name string
 			g    *Graph

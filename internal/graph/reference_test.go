@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -377,17 +378,17 @@ func activeClusters(sizes []int) []int {
 // divergence in selection order, shows up as a changed bit.
 func randomWeightedGraph(seed int64, n int) *Graph {
 	rng := rand.New(rand.NewSource(seed))
-	g := New(n)
+	e := newEdges(n)
 	for i := 0; i+1 < n; i++ {
-		_ = g.AddEdge(i, i+1, 0.1+rng.Float64()*99)
+		e.add(i, i+1, 0.1+rng.Float64()*99)
 	}
 	for i := 0; i < 3*n; i++ {
 		u, v := rng.Intn(n), rng.Intn(n)
 		if u != v {
-			_ = g.AddEdge(u, v, 0.1+rng.Float64()*49)
+			e.add(u, v, 0.1+rng.Float64()*49)
 		}
 	}
-	return g
+	return e.graph()
 }
 
 // Property: flat-frontier growth (epoch-stamped weights + frontier list)
@@ -398,7 +399,6 @@ func TestGrowMatchesHashMapReference(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		n := 200 + int(seed)*97
 		g := randomWeightedGraph(seed, n)
-		g.ensure()
 		var vw []int
 		if seed%2 == 0 { // alternate: weighted path with capped weights
 			rng := rand.New(rand.NewSource(seed * 13))
@@ -446,7 +446,6 @@ func TestContractFusedMatchesTwoPass(t *testing.T) {
 		if err := opts.normalize(g.N()); err != nil {
 			t.Fatal(err)
 		}
-		g.ensure()
 		ar := newPartArena(g)
 		var vw []int
 		for level := 0; level < 3; level++ {
@@ -498,7 +497,6 @@ func TestMergeSmallWeightedMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		n := 300 + int(seed)*61
 		g := randomWeightedGraph(seed, n)
-		g.ensure()
 		rng := rand.New(rand.NewSource(seed * 7))
 		vw := make([]int, n)
 		for i := range vw {
@@ -539,8 +537,8 @@ func TestMergeSmallWeightedMatchesUnitMerge(t *testing.T) {
 	for seed := int64(0); seed < cases; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 8 + rng.Intn(201)
-		g := New(n)
-		for e := rng.Intn(2 * n); e > 0; e-- {
+		e := newEdges(n)
+		for m := rng.Intn(2 * n); m > 0; m-- {
 			u, v := rng.Intn(n), rng.Intn(n)
 			if u == v {
 				continue
@@ -549,9 +547,9 @@ func TestMergeSmallWeightedMatchesUnitMerge(t *testing.T) {
 			if seed%2 == 1 {
 				w = 0.1 + rng.Float64()*49
 			}
-			_ = g.AddEdge(u, v, w)
+			e.add(u, v, w)
 		}
-		g.ensure()
+		g := e.graph()
 		opts := PartitionOptions{MinSize: 1 + rng.Intn(6)}
 		opts.TargetSize = opts.MinSize + rng.Intn(3)
 		if rng.Intn(2) == 0 {
@@ -582,4 +580,188 @@ func TestMergeSmallWeightedMatchesUnitMerge(t *testing.T) {
 		t.Fatalf("only %d of %d growths left a cluster to merge; the test proves little", needMerge, cases)
 	}
 	t.Logf("%d of %d growths left a cluster to merge", needMerge, cases)
+}
+
+// fromEdgesReference is the historical freeze of staged edges, exactly as it
+// ran before graphs were built once: the same counting sort into rows, then
+// per row an index-order sort.SliceStable by column and a coalesce through
+// scratch copies.
+func fromEdgesReference(n int, eu, ev []int32, ew []float64) *Graph {
+	deg := make([]int64, n+1)
+	for i := range eu {
+		deg[eu[i]+1]++
+		if eu[i] != ev[i] {
+			deg[ev[i]+1]++
+		}
+	}
+	rowptr := make([]int64, n+1)
+	for u := 0; u < n; u++ {
+		rowptr[u+1] = rowptr[u] + deg[u+1]
+	}
+	nnz := rowptr[n]
+	col := make([]int32, nnz)
+	w := make([]float64, nnz)
+	fill := make([]int64, n)
+	put := func(u, v int32, wt float64) {
+		pos := rowptr[u] + fill[u]
+		col[pos], w[pos] = v, wt
+		fill[u]++
+	}
+	for i := range eu {
+		put(eu[i], ev[i], ew[i])
+		if eu[i] != ev[i] {
+			put(ev[i], eu[i], ew[i])
+		}
+	}
+	newPtr := make([]int64, n+1)
+	write := int64(0)
+	for u := 0; u < n; u++ {
+		lo, hi := rowptr[u], rowptr[u+1]
+		m := int(hi - lo)
+		order := make([]int, m)
+		for i := range order {
+			order[i] = i
+		}
+		row, rowW := col[lo:hi], w[lo:hi]
+		sort.SliceStable(order, func(i, j int) bool { return row[order[i]] < row[order[j]] })
+		tmpC := make([]int32, m)
+		tmpW := make([]float64, m)
+		for i, o := range order {
+			tmpC[i], tmpW[i] = row[o], rowW[o]
+		}
+		start := write
+		for i := 0; i < m; i++ {
+			if write > start && col[write-1] == tmpC[i] {
+				w[write-1] += tmpW[i]
+			} else {
+				col[write], w[write] = tmpC[i], tmpW[i]
+				write++
+			}
+		}
+		newPtr[u+1] = write
+	}
+	g := &Graph{n: n, rowptr: newPtr, col: col[:write], w: w[:write]}
+	g.fillAggregates()
+	return g
+}
+
+// quotientReference is the historical Quotient: the same edge walk staged
+// edge by edge (zero weights dropped, as AddEdge dropped them), then frozen
+// by fromEdgesReference.
+func quotientReference(g *Graph, part []int, parts int) *Graph {
+	var eu, ev []int32
+	var ew []float64
+	for u := 0; u < g.n; u++ {
+		cols, ws := g.row(u)
+		for i, c := range cols {
+			if int(c) >= u && ws[i] != 0 {
+				eu = append(eu, int32(part[u]))
+				ev = append(ev, int32(part[c]))
+				ew = append(ew, ws[i])
+			}
+		}
+	}
+	return fromEdgesReference(parts, eu, ev, ew)
+}
+
+// randomEdgeList draws an undirected edge list on n vertices with every
+// shape fromEdges must coalesce exactly: non-integer, integer and zero
+// weights, self-loops, and repeated edges in both orientations — about a
+// third of the endpoints land on vertex 0, so its row outgrows
+// sortPairsStable's insertion-sort cutoff.
+func randomEdgeList(rng *rand.Rand, n int) (eu, ev []int32, ew []float64) {
+	if n == 0 {
+		return nil, nil, nil
+	}
+	vertex := func() int32 {
+		if rng.Intn(3) == 0 {
+			return 0
+		}
+		return int32(rng.Intn(n))
+	}
+	for m := rng.Intn(8*n + 1); m > 0; m-- {
+		u, v := vertex(), vertex()
+		var w float64
+		switch rng.Intn(4) {
+		case 0:
+			w = float64(rng.Intn(50))
+		case 1:
+			w = 0
+		default:
+			w = 0.1 + rng.Float64()*49
+		}
+		eu, ev, ew = append(eu, u), append(ev, v), append(ew, w)
+		if rng.Intn(4) == 0 { // a repeat, either orientation
+			if rng.Intn(2) == 0 {
+				u, v = v, u
+			}
+			eu, ev, ew = append(eu, u), append(ev, v), append(ew, 0.1+rng.Float64()*9)
+		}
+	}
+	return eu, ev, ew
+}
+
+// sameGraph fails unless got and want agree on every CSR array and cached
+// aggregate with ==.
+func sameGraph(t *testing.T, name string, got, want *Graph) {
+	t.Helper()
+	if got.n != want.n || len(got.rowptr) != len(want.rowptr) || len(got.col) != len(want.col) ||
+		len(got.w) != len(want.w) || len(got.strength) != len(want.strength) {
+		t.Fatalf("%s: shape n=%d rowptr=%d col=%d w=%d strength=%d, reference %d/%d/%d/%d/%d", name,
+			got.n, len(got.rowptr), len(got.col), len(got.w), len(got.strength),
+			want.n, len(want.rowptr), len(want.col), len(want.w), len(want.strength))
+	}
+	for i := range want.rowptr {
+		if got.rowptr[i] != want.rowptr[i] {
+			t.Fatalf("%s: rowptr[%d] = %d, reference %d", name, i, got.rowptr[i], want.rowptr[i])
+		}
+	}
+	for i := range want.col {
+		if got.col[i] != want.col[i] || got.w[i] != want.w[i] {
+			t.Fatalf("%s: entry %d = (%d, %v), reference (%d, %v)", name, i, got.col[i], got.w[i], want.col[i], want.w[i])
+		}
+	}
+	for u := range want.strength {
+		if got.strength[u] != want.strength[u] {
+			t.Fatalf("%s: strength[%d] = %v, reference %v", name, u, got.strength[u], want.strength[u])
+		}
+	}
+	if got.total != want.total || got.nedges != want.nedges {
+		t.Fatalf("%s: total %v, %d edges; reference %v, %d", name, got.total, got.nedges, want.total, want.nedges)
+	}
+}
+
+// Property: fromEdges (coalesceRow per row) builds the same graph, to the
+// bit, as the historical freeze on random edge lists.
+func TestFromEdgesMatchesReference(t *testing.T) {
+	for seed := int64(0); seed < 400; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := rng.Intn(60)
+		eu, ev, ew := randomEdgeList(rng, n)
+		want := fromEdgesReference(n, eu, ev, ew)
+		got := fromEdges(n, eu, ev, ew)
+		sameGraph(t, fmt.Sprintf("seed %d (n=%d, %d edges)", seed, n, len(eu)), got, want)
+	}
+}
+
+// Property: Quotient matches the historical stage-then-freeze quotient to
+// the bit, with parts that receive no vertex and source graphs carrying
+// zero-weight entries (which the quotient drops).
+func TestQuotientMatchesReference(t *testing.T) {
+	for seed := int64(0); seed < 400; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := rng.Intn(60)
+		eu, ev, ew := randomEdgeList(rng, n)
+		g := fromEdges(n, eu, ev, ew)
+		parts := (n+1)/2 + rng.Intn(4) // 0 only when n is
+		part := make([]int, n)
+		for v := range part {
+			part[v] = rng.Intn(parts)
+		}
+		q, err := g.Quotient(part, parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameGraph(t, fmt.Sprintf("seed %d (n=%d, %d parts)", seed, n, parts), q, quotientReference(g, part, parts))
+	}
 }

@@ -38,7 +38,6 @@ func TestRefineParallelWorkerInvariance(t *testing.T) {
 	}
 	for _, tc := range graphs {
 		g := tc.g
-		g.ensure()
 		if g.N() < refineParallelMin {
 			t.Fatalf("%s: graph below refineParallelMin, test would not exercise speculation", tc.name)
 		}
@@ -88,13 +87,14 @@ func TestRefineParallelWorkerInvariance(t *testing.T) {
 // interleave on (at most) two P's sharing one core.
 func TestMultilevelWorkerInvarianceSingleCore(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	g := stencil2D(16384, 128)
+	e := stencilEdges(16384, 128)
 	rng := rand.New(rand.NewSource(4))
 	// Perturb some weights so refinement has real decisions to make.
 	for i := 0; i < 2000; i++ {
 		u := rng.Intn(16384 - 1)
-		_ = g.AddEdge(u, u+1, float64(rng.Intn(500)))
+		e.add(u, u+1, float64(rng.Intn(500)))
 	}
+	g := e.graph()
 	var ref []int
 	for _, workers := range []int{1, 2, 8} {
 		part, err := Partition(g, PartitionOptions{

@@ -11,17 +11,17 @@ import (
 // tolerance.
 func randomIntGraph(seed int64, n int) *Graph {
 	rng := rand.New(rand.NewSource(seed))
-	g := New(n)
+	e := newEdges(n)
 	for i := 0; i+1 < n; i++ { // spanning path keeps it connected
-		_ = g.AddEdge(i, i+1, float64(rng.Intn(100)+1))
+		e.add(i, i+1, float64(rng.Intn(100)+1))
 	}
 	for i := 0; i < 3*n; i++ {
 		u, v := rng.Intn(n), rng.Intn(n)
 		if u != v {
-			_ = g.AddEdge(u, v, float64(rng.Intn(50)+1))
+			e.add(u, v, float64(rng.Intn(50)+1))
 		}
 	}
-	return g
+	return e.graph()
 }
 
 // The refinement invariant: every additional refinement pass can only keep
@@ -80,29 +80,6 @@ func TestRefineReachesFixedPoint(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// AddEdge after a query (freeze) must transparently thaw and refreeze with
-// the new edge incorporated.
-func TestAddEdgeAfterFreeze(t *testing.T) {
-	g := New(4)
-	_ = g.AddEdge(0, 1, 2)
-	if got := g.Weight(0, 1); got != 2 { // freezes
-		t.Fatalf("Weight = %g, want 2", got)
-	}
-	if err := g.AddEdge(0, 1, 3); err != nil { // thaw + restage
-		t.Fatal(err)
-	}
-	_ = g.AddEdge(2, 3, 7)
-	if got := g.Weight(0, 1); got != 5 {
-		t.Errorf("Weight(0,1) after refreeze = %g, want 5", got)
-	}
-	if got := g.Weight(2, 3); got != 7 {
-		t.Errorf("Weight(2,3) after refreeze = %g, want 7", got)
-	}
-	if got := g.TotalWeight(); got != 12 {
-		t.Errorf("TotalWeight = %g, want 12", got)
 	}
 }
 

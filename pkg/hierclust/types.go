@@ -49,7 +49,8 @@ type (
 	TraceReadOptions = trace.ReadOptions
 	// Graph is the undirected weighted communication graph consumed by
 	// the partitioner and the brain-network measures (modularity, degree
-	// distribution).
+	// distribution). A trace's NodeGraph or ToGraph builds it once; it is
+	// immutable after, so concurrent reads are safe.
 	Graph = graph.Graph
 )
 
