@@ -600,9 +600,11 @@ func BenchmarkCatastropheModel(b *testing.B) {
 // BenchmarkProfileInit16k measures the mix-independent scoring of one
 // clustering — what a sweep's partition node does once and then retains — at
 // 16,384 ranks, four per node: logged and recovery fractions plus the
-// reliability model's flat form, laid out from the member lists. B/op is the
-// tracked number; one-member-per-node groups (hierarchical) fill the span
-// slabs, one-node groups (naive) use a quarter of them.
+// reliability model's flat form, read from the member lists. B/op is the
+// tracked number. Hierarchical (one member per node) and naive (one node per
+// group) pass the product-form reduction, which keeps O(nodes); irregular
+// (three consecutive ranks, so some groups hold two members on one node and
+// one on the next) is rejected and falls back to the span slabs, O(members).
 func BenchmarkProfileInit16k(b *testing.B) {
 	const ranks, ppn = 16384, 4
 	m, placement, err := harness.SyntheticRig(ranks, ppn)
@@ -617,10 +619,14 @@ func BenchmarkProfileInit16k(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	irregular, err := core.Naive(ranks, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, row := range []struct {
 		name string
 		c    *core.Clustering
-	}{{"hierarchical", hier}, {"naive", naive}} {
+	}{{"hierarchical", hier}, {"naive", naive}, {"irregular", irregular}} {
 		b.Run(row.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

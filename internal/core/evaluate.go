@@ -97,9 +97,11 @@ type Profile struct {
 	rel    reliability.Profile
 }
 
-// Init scores c's mix-independent dimensions and writes its encoding groups'
+// Init scores c's mix-independent dimensions and reads its encoding groups'
 // member lists straight into the reliability model's flat form. It retains
-// that form (8 bytes per member plus per-node indexes), not c, m or p.
+// that form, not c, m or p: under the product form (every strategy here) one
+// owner per node and one constraint per distinct span; for a layout the
+// reduction rejects, 8 bytes per member plus per-node indexes.
 func (pr *Profile) Init(ctx context.Context, c *Clustering, m trace.Comm, p *topology.Placement) error {
 	if err := c.Validate(p.NumRanks()); err != nil {
 		return err

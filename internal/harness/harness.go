@@ -201,6 +201,6 @@ func Table1(cfg Config) (*Table, error) {
 	t.AddRow("Lustre write (GB/s)", m.PFSWriteBps/1e9)
 	t.AddRow("network (GB/s, dual-rail QDR)", m.NetBps/1e9)
 	t.AddRow("memory/node (GB)", float64(m.MemPerNode)/1e9)
-	t.Notes = append(t.Notes, "constants from paper Table I; consumed by internal/storage and internal/models")
+	t.Notes = append(t.Notes, "constants from paper Table I; consumed by internal/storage and internal/checkpoint")
 	return t, nil
 }

@@ -14,7 +14,7 @@ import (
 // Carlo path for every f >= 2 on a 2048-node machine: 150 single-node
 // tolerance-1 groups push the union bound past 0.1, and one group with
 // non-uniform per-node member counts invalidates the disjoint-span closed
-// form (see flatten). Enumeration is out for C(2048, f>=2) > ExactLimit.
+// form (see addDPSpan). Enumeration is out for C(2048, f>=2) > ExactLimit.
 func mcForcingFixture(samples int) (*Model, []Group) {
 	loss := make([]float64, 48)
 	for i := range loss {

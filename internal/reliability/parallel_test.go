@@ -36,7 +36,7 @@ func randomGroups(seed int64, n, k int) []Group {
 func TestExactConditionalWorkerInvariance(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		groups := randomGroups(seed, 12, 6)
-		fg := flatten(groups, 12)
+		fg := flatten(groupSpans{groups, 12})
 		for f := 1; f <= 5; f++ {
 			serial := exactConditional(fg, 12, f, 1, nil)
 			for _, workers := range []int{2, 3, 8} {
@@ -53,7 +53,7 @@ func TestExactConditionalWorkerInvariance(t *testing.T) {
 // hit count, so the summed estimate is scheduling-independent.
 func TestMonteCarloWorkerInvariance(t *testing.T) {
 	groups := randomGroups(3, 40, 10)
-	fg := flatten(groups, 40)
+	fg := flatten(groupSpans{groups, 40})
 	serial := monteCarloConditional(fg, 40, 4, 50_000, 17, 1, nil)
 	for _, workers := range []int{2, 5, 16} {
 		if got := monteCarloConditional(fg, 40, 4, 50_000, 17, workers, nil); got != serial {
@@ -91,7 +91,7 @@ func TestDestroysMatchesNaive(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		n := 20
 		groups := randomGroups(seed, n, 8)
-		fg := flatten(groups, n).indexed()
+		fg := flatten(groupSpans{groups, n}).indexed()
 		scratch := fg.newScratch()
 		rng := rand.New(rand.NewSource(seed * 101))
 		for trial := 0; trial < 200; trial++ {
@@ -153,12 +153,12 @@ func TestDisjointConditionalMatchesExact(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		n := 14
 		groups := disjointGroups(seed, n)
-		fg := flatten(groups, n)
+		fg, scan := reduceOrFlatten(groupSpans{groups, n}), flatten(groupSpans{groups, n})
 		if !fg.dpOK {
 			t.Fatalf("seed %d: disjoint layout rejected by reduction", seed)
 		}
 		for f := 1; f <= 6; f++ {
-			exact := exactConditional(fg, n, f, 1, nil)
+			exact := exactConditional(scan, n, f, 1, nil)
 			closed := fg.disjointConditional(n, f, 100_000)
 			if exact != closed {
 				t.Errorf("seed %d f %d: exact %v, closed form %v", seed, f, exact, closed)
@@ -174,13 +174,13 @@ func TestDisjointReductionRejectsIrregular(t *testing.T) {
 		groupOf(map[topology.NodeID]int{0: 1, 1: 1, 2: 1}, 1),
 		groupOf(map[topology.NodeID]int{2: 1, 3: 1}, 0),
 	}
-	if flatten(overlap, 6).dpOK {
+	if reduceOrFlatten(groupSpans{overlap, 6}).dpOK {
 		t.Error("partial span overlap accepted")
 	}
 	nonUniform := []Group{
 		groupOf(map[topology.NodeID]int{0: 2, 1: 1}, 1),
 	}
-	if flatten(nonUniform, 4).dpOK {
+	if reduceOrFlatten(groupSpans{nonUniform, 4}).dpOK {
 		t.Error("non-uniform counts accepted")
 	}
 	// Identical spans with uniform counts stay reducible.
@@ -188,7 +188,7 @@ func TestDisjointReductionRejectsIrregular(t *testing.T) {
 		groupOf(map[topology.NodeID]int{0: 1, 1: 1}, 1),
 		groupOf(map[topology.NodeID]int{0: 2, 1: 2}, 1),
 	}
-	fg := flatten(identical, 4)
+	fg := reduceOrFlatten(groupSpans{identical, 4})
 	if !fg.dpOK {
 		t.Error("identical spans rejected")
 	}
@@ -212,7 +212,7 @@ func TestModelClosedFormAgreesWithEnumeration(t *testing.T) {
 	groups := disjointGroups(4, n)
 	mix := Mix{Transient: 0.05, NodeLoss: []float64{0.6, 0.2, 0.1, 0.05}, PairCorrelation: 0.3}
 	mix.Normalize()
-	scan := enumOnly(flatten(groups, n))
+	scan := flatten(groupSpans{groups, n})
 	var brute float64
 	for i, pf := range mix.NodeLoss {
 		pcat := exactConditional(scan, n, i+1, 1, nil)

@@ -9,13 +9,6 @@ import (
 	"hierclust/internal/topology"
 )
 
-// enumOnly returns the flat form's span slabs without the reduction, so the
-// aligned-pair term (and anything else that asks dpOK) goes through the
-// enumeration index: the oracle the closed forms are checked against.
-func enumOnly(fg *flatGroups) *flatGroups {
-	return &flatGroups{n: fg.n, spanPtr: fg.spanPtr, spanNodes: fg.spanNodes, spanCounts: fg.spanCounts, tolerance: fg.tolerance}
-}
-
 // productLayout decodes a layout inside the product form from bytes, at most
 // 16 nodes so that every f enumerates: per span a gap of 0-2 free nodes, a
 // width of 1-5 nodes and 1-3 groups repeating the span; per group a member
@@ -53,20 +46,29 @@ func productLayout(data []byte) (groups []Group, n int) {
 // checkProductForm asserts, for a layout the reduction accepts, that the
 // closed form equals the enumeration with == at every f (C(n,f) <= 12,870
 // here, inside any budget) and the closed-form aligned pair the bitset scan.
-// It returns the number of (layout, f) pairs compared.
+// The enumeration runs on the layout's span stage, which has no reduction, so
+// anything that asks dpOK there goes through the enumeration index: the
+// oracle the closed forms are checked against. The reduction itself must be
+// the reference slab pass's. It returns the number of (layout, f) pairs
+// compared.
 func checkProductForm(t *testing.T, groups []Group, n int) int {
 	t.Helper()
-	fg := flatten(groups, n)
+	var p Profile
+	if err := p.Init(groups, n, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	checkReduction(t, "product layout", &p, func() *flatGroups { return flatten(groupSpans{groups, n}) })
+	fg, slabs := p.fg, flatten(groupSpans{groups, n})
 	if !fg.dpOK {
 		t.Fatalf("layout rejected by the reduction: %+v on %d nodes", groups, n)
 	}
 	for f := 1; f <= n; f++ {
-		exact := exactConditional(fg, n, f, 1, nil)
+		exact := exactConditional(slabs, n, f, 1, nil)
 		if closed := fg.disjointConditional(n, f, 100_000); closed != exact {
 			t.Errorf("f=%d of %d nodes: closed form %v, enumeration %v (%+v)", f, n, closed, exact, groups)
 		}
 	}
-	if closed, scan := alignedPairConditional(fg, n), alignedPairConditional(enumOnly(fg), n); closed != scan {
+	if closed, scan := alignedPairConditional(fg, n), alignedPairConditional(slabs, n); closed != scan {
 		t.Errorf("aligned pair on %d nodes: closed form %v, bitset scan %v (%+v)", n, closed, scan, groups)
 	}
 	return n

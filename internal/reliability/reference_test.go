@@ -3,6 +3,7 @@ package reliability
 import (
 	"cmp"
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -200,16 +201,19 @@ func (r *refFlatGroups) pack(n int) *flatGroups {
 	return fg
 }
 
-// checkAgainstReference asserts that the flat flatten of the groups' span
-// form equals the reference flatten of their map form in every field, and
-// that the model's probability over the two is bit-equal.
+// checkAgainstReference asserts that the span stage of the groups' span form,
+// indexed, with the reducer's reduction of them equals the reference flatten
+// of their map form in every field, and that the model's probability over the
+// two is bit-equal.
 func checkAgainstReference(t *testing.T, label string, mdl *Model, ref []mapGroup) {
 	t.Helper()
 	groups := make([]Group, len(ref))
 	for i, g := range ref {
 		groups[i] = g.span()
 	}
-	got := flatten(groups, mdl.Nodes).indexed()
+	got := flatten(groupSpans{groups, mdl.Nodes}).indexed()
+	red := reduceOrFlatten(groupSpans{groups, mdl.Nodes})
+	got.dpOK, got.dpSpans, got.owner = red.dpOK, red.dpSpans, red.owner
 	want := refFlatten(ref, mdl.Nodes).pack(mdl.Nodes)
 	if len(got.dpSpans) == 0 && len(want.dpSpans) == 0 {
 		want.dpSpans = got.dpSpans // DeepEqual tells nil from empty
@@ -236,8 +240,8 @@ func checkAgainstReference(t *testing.T, label string, mdl *Model, ref []mapGrou
 	}
 }
 
-// Hand-built groups: overlapping spans, non-uniform and zero counts, nodes
-// outside [0, Nodes) on both sides, groups no failure can destroy.
+// Hand-built groups: overlapping spans, non-uniform counts, nodes outside
+// [0, Nodes) on both sides, groups no failure can destroy.
 func TestFlattenMatchesReferenceRandom(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -250,7 +254,7 @@ func TestFlattenMatchesReferenceRandom(t *testing.T) {
 			c := rng.Intn(3) + 1
 			for j := rng.Intn(6); j >= 0; j-- {
 				if !uniform {
-					c = rng.Intn(4) // zero-count entries stay in the span
+					c = 1 + rng.Intn(4)
 				}
 				g.MembersOn[topology.NodeID(rng.Intn(n+6)-3)] += c
 				members += c
@@ -263,74 +267,92 @@ func TestFlattenMatchesReferenceRandom(t *testing.T) {
 	}
 }
 
-// Groups built from ranks under block, round-robin and sparse explicit
-// placements: the layouts the disjoint-span reduction accepts, and with
-// uneven procs per node the ones it rejects. The two span stages are one
-// function: flattenRanks equals flatten of the per-group GroupFromRanks
-// values slab for slab, and a profile built either way weighs to the same
-// bits through every conditional branch.
-func TestFlattenMatchesReferencePlacements(t *testing.T) {
-	var branches [4]int
-	for seed := int64(1); seed <= 30; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		nodes := 4 + rng.Intn(80)
-		mach := &topology.Machine{Name: "t", Nodes: nodes}
-		ranks := nodes + rng.Intn(4*nodes)
-		var p *topology.Placement
-		var err error
-		switch seed % 3 {
-		case 0:
-			ppn := (ranks + nodes - 1) / nodes
-			p, err = topology.Block(mach, ranks, ppn)
-		case 1:
-			p, err = topology.RoundRobin(mach, ranks, 1+rng.Intn(nodes))
-		default: // sparse used-node set, uneven procs per node
-			nodeOf := make([]topology.NodeID, ranks)
-			for r := range nodeOf {
-				nodeOf[r] = topology.NodeID(rng.Intn(nodes) &^ 1)
-			}
-			p, err = topology.NewPlacement(mach, nodeOf)
+// referencePlacement draws seed's layout from ranks: a block, round-robin or
+// sparse explicit placement (uneven procs per node) and member lists in
+// shuffled order, so spans need the sort. Even seeds take the hierarchical
+// shape, which the disjoint-span reduction accepts; odd seeds chunk a
+// permutation of the ranks, which uneven procs per node make it reject.
+func referencePlacement(t *testing.T, seed int64) (*topology.Placement, [][]topology.Rank) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	nodes := 4 + rng.Intn(80)
+	mach := &topology.Machine{Name: "t", Nodes: nodes}
+	ranks := nodes + rng.Intn(4*nodes)
+	var p *topology.Placement
+	var err error
+	switch seed % 3 {
+	case 0:
+		ppn := (ranks + nodes - 1) / nodes
+		p, err = topology.Block(mach, ranks, ppn)
+	case 1:
+		p, err = topology.RoundRobin(mach, ranks, 1+rng.Intn(nodes))
+	default: // sparse used-node set, uneven procs per node
+		nodeOf := make([]topology.NodeID, ranks)
+		for r := range nodeOf {
+			nodeOf[r] = topology.NodeID(rng.Intn(nodes) &^ 1)
 		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Members in shuffled order, so spans need the sort.
-		perm := rng.Perm(ranks)
-		size := 2 + rng.Intn(7)
-		var members [][]topology.Rank
-		if used := p.UsedNodes(); seed%2 == 0 && len(used) >= size {
-			// The hierarchical shape: every block of size used nodes hosts
-			// groups of one rank per node, so spans are disjoint or equal.
-			for base := 0; base+size <= len(used); base += size {
-				block := used[base : base+size]
-				depth := p.CountOn(block[0])
-				for _, n := range block {
-					depth = min(depth, p.CountOn(n))
-				}
-				for i := 0; i < depth; i++ {
-					var m []topology.Rank
-					for _, k := range rng.Perm(size) {
-						m = append(m, p.RanksOn(block[k])[i])
-					}
-					members = append(members, m)
-				}
+		p, err = topology.NewPlacement(mach, nodeOf)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	perm := rng.Perm(ranks)
+	size := 2 + rng.Intn(7)
+	var members [][]topology.Rank
+	if used := p.UsedNodes(); seed%2 == 0 && len(used) >= size {
+		// The hierarchical shape: every block of size used nodes hosts
+		// groups of one rank per node, so spans are disjoint or equal.
+		for base := 0; base+size <= len(used); base += size {
+			block := used[base : base+size]
+			depth := p.CountOn(block[0])
+			for _, n := range block {
+				depth = min(depth, p.CountOn(n))
 			}
-		} else {
-			for base := 0; base < ranks; base += size {
+			for i := 0; i < depth; i++ {
 				var m []topology.Rank
-				for _, r := range perm[base:min(base+size, ranks)] {
-					m = append(m, topology.Rank(r))
+				for _, k := range rng.Perm(size) {
+					m = append(m, p.RanksOn(block[k])[i])
 				}
 				members = append(members, m)
 			}
 		}
+	} else {
+		for base := 0; base < ranks; base += size {
+			var m []topology.Rank
+			for _, r := range perm[base:min(base+size, ranks)] {
+				m = append(m, topology.Rank(r))
+			}
+			members = append(members, m)
+		}
+	}
+	return p, members
+}
+
+// groupsFromRanks is GroupFromRanks of every member list.
+func groupsFromRanks(p *topology.Placement, members [][]topology.Rank) []Group {
+	groups := make([]Group, len(members))
+	for i, m := range members {
+		groups[i] = GroupFromRanks(p, m)
+	}
+	return groups
+}
+
+// Groups built from ranks under block, round-robin and sparse explicit
+// placements: the layouts the disjoint-span reduction accepts, and with
+// uneven procs per node the ones it rejects. The two span stages are one
+// function: flatten of the member lists equals flatten of the per-group
+// GroupFromRanks values slab for slab, and a profile built either way weighs
+// to the same bits through every conditional branch.
+func TestFlattenMatchesReferencePlacements(t *testing.T) {
+	var branches [4]int
+	for seed := int64(1); seed <= 30; seed++ {
+		p, members := referencePlacement(t, seed)
 		ref := make([]mapGroup, len(members))
 		for i, m := range members {
 			ref[i] = refGroupFromRanks(p, m)
 		}
-		groups := make([]Group, len(members))
-		for i, m := range members {
-			groups[i] = GroupFromRanks(p, m)
+		groups := groupsFromRanks(p, members)
+		for i := range groups {
 			if want := ref[i].span(); !reflect.DeepEqual(groups[i], want) {
 				t.Fatalf("seed %d group %d: %+v, reference %+v", seed, i, groups[i], want)
 			}
@@ -339,8 +361,8 @@ func TestFlattenMatchesReferencePlacements(t *testing.T) {
 		checkAgainstReference(t, "placement", mdl, ref)
 
 		// reflect.DeepEqual compares lengths, not capacities: the slabs
-		// flattenRanks sizes for one entry per member equal the exact ones.
-		if got, want := flattenRanks(p, members).indexed(), flatten(groups, mdl.Nodes).indexed(); !reflect.DeepEqual(got, want) {
+		// flatten sizes for one entry per member equal the exact ones.
+		if got, want := flatten(rankSpans{p, members}).indexed(), flatten(groupSpans{groups, mdl.Nodes}).indexed(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: flat form from ranks differs from flatten of the groups\n got %+v\nwant %+v", seed, got, want)
 		}
 		// The exact budget is small enough that the tail goes through the
@@ -372,21 +394,195 @@ func TestFlattenMatchesReferencePlacements(t *testing.T) {
 	}
 }
 
-// An unsorted or duplicated span is rejected, not silently mis-flattened.
-func TestCatastropheProbRejectsUnsortedSpan(t *testing.T) {
-	mdl := &Model{Nodes: 8, Mix: DefaultMix()}
-	for _, span := range [][]NodeCount{
-		{{Node: 3, Count: 1}, {Node: 1, Count: 1}},
-		{{Node: 2, Count: 1}, {Node: 2, Count: 1}},
-	} {
-		if _, err := mdl.CatastropheProb([]Group{{Span: span, Tolerance: 0}}); err == nil {
-			t.Errorf("span %v accepted", span)
+// reduceReference is the slab pass the streaming reducer replaced, verbatim:
+// the disjoint-span reduction computed, in group order, from a span stage's
+// slabs, which it keeps.
+func (fg *flatGroups) reduceReference() *flatGroups {
+	fg.dpOK = true
+	fg.owner = make([]int32, fg.n)
+	spans := 0
+	for gi := range fg.tolerance {
+		nodes, _ := fg.span(int32(gi))
+		if _, destroyable := fg.shape(int32(gi)); destroyable && len(nodes) > 0 && fg.owner[nodes[0]] == 0 {
+			fg.owner[nodes[0]] = 1
+			spans++
+		}
+	}
+	for i := range fg.owner {
+		fg.owner[i] = -1
+	}
+	fg.dpSpans = make([]dpSpan, 0, spans)
+	for gi := 0; gi < len(fg.tolerance) && fg.dpOK; gi++ {
+		if uniform, destroyable := fg.shape(int32(gi)); destroyable {
+			nodes, _ := fg.span(int32(gi))
+			fg.addDPSpan(nodes, uniform, fg.tolerance[gi])
+		}
+	}
+	if !fg.dpOK {
+		fg.dpSpans, fg.owner = nil, nil
+	}
+	return fg
+}
+
+// checkReduction asserts that the profile an entry point built holds what the
+// reference slab pass computes over the layout's span stage (stage builds it
+// afresh): the same reduction, no span slabs when the reduction holds and
+// exactly the span stage's when it does not, and CatastropheProb's bits with
+// and without pair correlation.
+func checkReduction(t *testing.T, label string, p *Profile, stage func() *flatGroups) {
+	t.Helper()
+	got, want := p.fg, stage().reduceReference()
+	if got.dpOK != want.dpOK || !reflect.DeepEqual(got.dpSpans, want.dpSpans) || !reflect.DeepEqual(got.owner, want.owner) {
+		t.Fatalf("%s: reduction dpOK %v spans %v owner %v, reference dpOK %v spans %v owner %v",
+			label, got.dpOK, got.dpSpans, got.owner, want.dpOK, want.dpSpans, want.owner)
+	}
+	if got.dpOK {
+		if got.spanPtr != nil || got.spanNodes != nil || got.spanCounts != nil || got.tolerance != nil {
+			t.Fatalf("%s: a product-form profile holds span slabs", label)
+		}
+	} else if !reflect.DeepEqual(got, want) { // want is the stage's slabs, dpOK false
+		t.Fatalf("%s: rejected layout's slabs differ from the span stage\n got %+v\nwant %+v", label, got, want)
+	}
+	var ref Profile
+	ref.init(want, p.exactLimit, p.samples)
+	for _, mix := range []Mix{DefaultMix(), {Transient: 0.05, NodeLoss: []float64{0.6, 0.25, 0.1}, PairCorrelation: 0.5}} {
+		pg, err := p.CatastropheProb(context.Background(), mix, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pw, err := ref.CatastropheProb(context.Background(), mix, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(pg) != math.Float64bits(pw) {
+			t.Errorf("%s: CatastropheProb %v, reference %v (pair correlation %v)", label, pg, pw, mix.PairCorrelation)
 		}
 	}
 }
 
-// Both span stages allocate a fixed number of objects, whatever the group
-// and node counts.
+// checkEntryPoints runs checkReduction through InitRanks on the member lists
+// and through Init on their GroupFromRanks values. It returns whether the
+// reduction held.
+func checkEntryPoints(t *testing.T, label string, p *topology.Placement, members [][]topology.Rank) bool {
+	t.Helper()
+	const exactLimit, samples = 2000, 5000
+	var fromRanks, fromGroups Profile
+	if err := fromRanks.InitRanks(p, members, exactLimit, samples); err != nil {
+		t.Fatal(err)
+	}
+	checkReduction(t, label+" InitRanks", &fromRanks, func() *flatGroups { return flatten(rankSpans{p, members}) })
+	groups := groupsFromRanks(p, members)
+	if err := fromGroups.Init(groups, p.NumUsed(), exactLimit, samples); err != nil {
+		t.Fatal(err)
+	}
+	checkReduction(t, label+" Init", &fromGroups, func() *flatGroups { return flatten(groupSpans{groups, p.NumUsed()}) })
+	return fromRanks.fg.dpOK
+}
+
+// The streaming reducer equals the slab pass it replaced on the placements
+// above, accepting and rejecting, through both entry points.
+func TestReductionMatchesReference(t *testing.T) {
+	accepted := 0
+	for seed := int64(1); seed <= 30; seed++ {
+		p, members := referencePlacement(t, seed)
+		if checkEntryPoints(t, fmt.Sprintf("seed %d", seed), p, members) {
+			accepted++
+		}
+	}
+	if accepted == 0 || accepted == 30 {
+		t.Errorf("%d of 30 layouts accepted: both outcomes must be reached", accepted)
+	}
+}
+
+// reductionLayout decodes a placement and member lists from bytes: 1-16
+// machine nodes and 1-48 ranks, each rank on a byte-chosen node (procs per
+// node uneven, some nodes unused). A mode byte then picks the groups. Even
+// takes the hierarchical shape — blocks of 1-4 used nodes, group i holding
+// the i-th rank of every block node, rotated so members arrive unsorted —
+// which the reduction accepts. Odd takes 0-12 groups of 0-6 byte-chosen ranks:
+// empty groups, unsorted members, partially overlapping spans, non-uniform
+// counts. Missing bytes read as zero.
+func reductionLayout(t *testing.T, data []byte) (*topology.Placement, [][]topology.Rank) {
+	next := func(mod int) int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := int(data[0]) % mod
+		data = data[1:]
+		return b
+	}
+	nodes, ranks := 1+next(16), 1+next(48)
+	nodeOf := make([]topology.NodeID, ranks)
+	for r := range nodeOf {
+		nodeOf[r] = topology.NodeID(next(nodes))
+	}
+	p, err := topology.NewPlacement(&topology.Machine{Name: "t", Nodes: nodes}, nodeOf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var members [][]topology.Rank
+	if next(2) == 0 {
+		used := p.UsedNodes()
+		width := min(1+next(4), len(used))
+		for base := 0; base+width <= len(used); base += width {
+			block := used[base : base+width]
+			depth := p.CountOn(block[0])
+			for _, n := range block {
+				depth = min(depth, p.CountOn(n))
+			}
+			for i := 0; i < depth; i++ {
+				rot := next(width)
+				var m []topology.Rank
+				for k := range block {
+					m = append(m, p.RanksOn(block[(k+rot)%width])[i])
+				}
+				members = append(members, m)
+			}
+		}
+		return p, members
+	}
+	for g := next(13); g > 0; g-- {
+		m := []topology.Rank{}
+		for k := next(7); k > 0; k-- {
+			m = append(m, topology.Rank(next(ranks)))
+		}
+		members = append(members, m)
+	}
+	return p, members
+}
+
+func FuzzReductionMatchesReference(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{7, 15, 0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3, 4, 5, 6, 7, 0, 3, 1, 2, 0})    // hierarchical, rotated
+	f.Add([]byte{5, 11, 0, 0, 1, 1, 1, 2, 3, 3, 4, 4, 4, 1, 1, 3, 3, 0, 1, 2, 2, 2, 5, 0}) // non-uniform, empty
+	f.Add([]byte{3, 7, 0, 1, 2, 3, 0, 1, 2, 3, 1, 2, 2, 0, 1, 2, 1, 2})                    // partial overlap
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, members := reductionLayout(t, data)
+		checkEntryPoints(t, "fuzz", p, members)
+	})
+}
+
+// An unsorted or duplicated span, a node listed with no member and a negative
+// tolerance are rejected, not silently mis-read: at f = 1 on 4 nodes the
+// closed form scores {0:1, 1:1} at tolerance -1 as 1, the enumeration as 0.5.
+func TestCatastropheProbRejectsUnsortedSpan(t *testing.T) {
+	mdl := &Model{Nodes: 8, Mix: DefaultMix()}
+	for _, g := range []Group{
+		{Span: []NodeCount{{Node: 3, Count: 1}, {Node: 1, Count: 1}}},
+		{Span: []NodeCount{{Node: 2, Count: 1}, {Node: 2, Count: 1}}},
+		{Span: []NodeCount{{Node: 0, Count: 1}, {Node: 1, Count: 1}}, Tolerance: -1},
+		{Span: []NodeCount{{Node: 0, Count: 1}, {Node: 1, Count: 0}}},
+		{Span: []NodeCount{{Node: 0, Count: -2}, {Node: 1, Count: 1}}, Tolerance: 1},
+	} {
+		if _, err := mdl.CatastropheProb([]Group{g}); err == nil {
+			t.Errorf("group %+v accepted", g)
+		}
+	}
+}
+
+// The reducer allocates a fixed number of objects (the struct, owner, dpSpans
+// and its scratch buffer), and so do the span stages, whatever the group and
+// node counts.
 func TestFlattenAllocsIndependentOfScale(t *testing.T) {
 	build := func(nodes int) (*topology.Placement, [][]topology.Rank) {
 		mach := &topology.Machine{Name: "t", Nodes: nodes}
@@ -406,22 +602,27 @@ func TestFlattenAllocsIndependentOfScale(t *testing.T) {
 		}
 		return p, members
 	}
-	measure := func(nodes int) (ranksAllocs, flattenAllocs float64) {
+	type allocs struct{ reduceRanks, reduceGroups, flattenRanks, flattenGroups float64 }
+	measure := func(nodes int) (a allocs) {
 		p, members := build(nodes)
-		groups := make([]Group, len(members))
-		for i, m := range members {
-			groups[i] = GroupFromRanks(p, m)
+		groups := groupsFromRanks(p, members)
+		if !reduceOrFlatten(rankSpans{p, members}).dpOK {
+			t.Fatal("hierarchical layout rejected by the reduction")
 		}
-		ranksAllocs = testing.AllocsPerRun(5, func() { flattenRanks(p, members) })
-		flattenAllocs = testing.AllocsPerRun(5, func() { flatten(groups, nodes) })
+		a.reduceRanks = testing.AllocsPerRun(5, func() { reduceOrFlatten(rankSpans{p, members}) })
+		a.reduceGroups = testing.AllocsPerRun(5, func() { reduceOrFlatten(groupSpans{groups, nodes}) })
+		a.flattenRanks = testing.AllocsPerRun(5, func() { flatten(rankSpans{p, members}) })
+		a.flattenGroups = testing.AllocsPerRun(5, func() { flatten(groupSpans{groups, nodes}) })
 		return
 	}
-	r1, f1 := measure(256)
-	r2, f2 := measure(1024)
-	if r1 != r2 || f1 != f2 || r1 != f1 {
-		t.Errorf("allocations differ: flattenRanks %v -> %v, flatten %v -> %v", r1, r2, f1, f2)
+	small, large := measure(256), measure(1024)
+	if small != large {
+		t.Errorf("allocations grow with scale: %+v at 256 nodes, %+v at 1024", small, large)
 	}
-	if f1 > 7 { // the struct, four span slabs, owner, dpSpans
-		t.Errorf("flatten %v allocs (want <= 7)", f1)
+	if small.reduceRanks > 4 || small.reduceGroups > 4 {
+		t.Errorf("reducer allocs %+v (want <= 4: the struct, owner, dpSpans, the buffer)", small)
+	}
+	if small.flattenRanks > 5 || small.flattenGroups > 5 {
+		t.Errorf("span stage allocs %+v (want <= 5: the struct and four slabs)", small)
 	}
 }

@@ -26,14 +26,17 @@
 // when the union bound is too loose to be meaningful.
 //
 // Only the weights P(f) read the failure mix, so the work is split there: a
-// Profile flattens the groups once into sparse (node, count) spans —
-// O(members) memory instead of dense group×node rows — and remembers each
-// conditional it computes; weighing it with a mix is the sum above, and
-// Model.CatastropheProb is a profile built for one weighing. Where failure
-// sets are tested, single-node-fatal groups collapse into a per-node critical
-// bitmap, per-group node bitsets answer "how many members failed" with
-// masked popcounts, and both exact enumeration and Monte Carlo sampling
-// shard across a worker pool in fixed chunks whose integer hit counts sum
+// Profile reads the groups once and remembers each conditional it computes;
+// weighing it with a mix is the sum above, and Model.CatastropheProb is a
+// profile built for one weighing. The read streams each group's span through
+// one scratch buffer into the product form's reduction — one (size,
+// threshold) constraint per distinct span and one owner per node, O(nodes)
+// memory — and only a layout the reduction rejects is copied into sparse
+// (node, count) span slabs, O(members). Where failure sets are tested,
+// single-node-fatal groups collapse into a per-node critical bitmap,
+// per-group node bitsets answer "how many members failed" with masked
+// popcounts, and both exact enumeration and Monte Carlo sampling shard
+// across a worker pool in fixed chunks whose integer hit counts sum
 // identically in any order, so parallel results are bit-identical to serial.
 package reliability
 
@@ -168,13 +171,22 @@ func GroupFromRanks(p *topology.Placement, members []topology.Rank) Group {
 }
 
 // validateGroups rejects a caller-built group whose span is not strictly
-// ascending by node: flatten and index read spans in order and never sort.
+// ascending by node (the reduction, flatten and index read spans in order and
+// never sort), whose span lists a node hosting no member, or whose tolerance
+// is negative: the closed form and the enumeration would score those
+// differently.
 func validateGroups(groups []Group) error {
 	for gi := range groups {
-		span := groups[gi].Span
-		for i := 1; i < len(span); i++ {
-			if span[i].Node <= span[i-1].Node {
-				return fmt.Errorf("reliability: group %d span not strictly ascending at node %d", gi, span[i].Node)
+		g := &groups[gi]
+		if g.Tolerance < 0 {
+			return fmt.Errorf("reliability: group %d has negative tolerance %d", gi, g.Tolerance)
+		}
+		for i, e := range g.Span {
+			if e.Count < 1 {
+				return fmt.Errorf("reliability: group %d span lists %d members on node %d", gi, e.Count, e.Node)
+			}
+			if i > 0 && e.Node <= g.Span[i-1].Node {
+				return fmt.Errorf("reliability: group %d span not strictly ascending at node %d", gi, e.Node)
 			}
 		}
 	}
@@ -239,11 +251,11 @@ const memoF = 16
 // Profile is the mix-independent side of the model: the conditionals — all
 // of the closed-form, enumeration and sampling work — read only the groups,
 // the node count and the two budgets. It holds the groups' flat form (the
-// span slabs and the product-form reduction; the enumeration index only once
-// an irregular layout has needed it) and the conditionals computed so far, so
-// weighing it with a second mix costs a multiply-add per failure count. The
-// zero value needs Init or InitRanks; after that it is safe for concurrent
-// use and must not be copied.
+// product-form reduction, O(nodes); for a layout the reduction rejects, the
+// span slabs instead, and the enumeration index once the layout has needed
+// it) and the conditionals computed so far, so weighing it with a second mix
+// costs a multiply-add per failure count. The zero value needs Init or
+// InitRanks; after that it is safe for concurrent use and must not be copied.
 type Profile struct {
 	nodes, exactLimit, samples int
 	fg                         *flatGroups
@@ -257,7 +269,7 @@ type Profile struct {
 	cond [memoF + 1]float64
 }
 
-// Init flattens caller-built groups (copied) for a machine of nodes nodes;
+// Init reads caller-built groups (not retained) for a machine of nodes nodes;
 // exactLimit and samples default like Model's fields of those names.
 func (p *Profile) Init(groups []Group, nodes, exactLimit, samples int) error {
 	if nodes <= 0 {
@@ -266,7 +278,7 @@ func (p *Profile) Init(groups []Group, nodes, exactLimit, samples int) error {
 	if err := validateGroups(groups); err != nil {
 		return err
 	}
-	p.init(flatten(groups, nodes), exactLimit, samples)
+	p.init(reduceOrFlatten(groupSpans{groups, nodes}), exactLimit, samples)
 	return nil
 }
 
@@ -276,7 +288,7 @@ func (p *Profile) InitRanks(pl *topology.Placement, members [][]topology.Rank, e
 	if nodes := pl.NumUsed(); nodes <= 0 {
 		return fmt.Errorf("reliability: model has %d nodes", nodes)
 	}
-	p.init(flattenRanks(pl, members), exactLimit, samples)
+	p.init(reduceOrFlatten(rankSpans{pl, members}), exactLimit, samples)
 	return nil
 }
 
@@ -412,13 +424,15 @@ func alignedPairConditional(fg *flatGroups, n int) float64 {
 	return float64(hits) / float64(n/2)
 }
 
-// flatGroups is the groups' flat form, in three layers. A span stage fills
-// the span slabs (spanPtr, spanNodes, spanCounts, tolerance): each group keeps
-// its sparse (node, count) span instead of a dense [group][node] row. reduce
-// always computes the product-form reduction (dpOK, dpSpans, owner) from them,
-// all the closed forms read. The enumeration index (uniform, the mask slabs,
-// critical, byNode) is what the enumeration and sampling loops test a failure
-// set against; index builds it on first need — under the product form, never:
+// flatGroups is the groups' flat form, one of two. reduceOrFlatten streams
+// the groups into the product-form reduction (dpOK, dpSpans, owner), all the
+// closed forms read, and keeps nothing else. A layout it rejects goes to a
+// span stage instead, which fills the span slabs (spanPtr, spanNodes,
+// spanCounts, tolerance), dpOK false: each group keeps its sparse (node,
+// count) span instead of a dense [group][node] row. The enumeration index
+// (uniform, the mask slabs, critical, byNode) is what the enumeration and
+// sampling loops test a failure set against; index builds it from the slabs
+// on first need:
 //
 //   - critical[node] is set when some group loses more members than its
 //     tolerance from that node alone, so any failure containing such a
@@ -459,7 +473,8 @@ type flatGroups struct {
 	// the reduction applies; dpSpans holds one (size, threshold) constraint
 	// per distinct span in the order groups claimed them, threshold = failed
 	// span nodes that destroy it; owner[node] is the node's dpSpans index, -1
-	// for a node no destroyable group touches (nil unless dpOK).
+	// for a node no destroyable group touches (both nil unless dpOK, and
+	// the span slabs nil when it is).
 	dpOK    bool
 	dpSpans []dpSpan
 	owner   []int32
@@ -481,6 +496,11 @@ func (fg *flatGroups) span(gi int32) (nodes, counts []int32) {
 // differ, -1 for an empty span) and whether any failure can destroy the group.
 func (fg *flatGroups) shape(gi int32) (uniform int32, destroyable bool) {
 	_, counts := fg.span(gi)
+	return spanShape(counts, fg.tolerance[gi])
+}
+
+// spanShape is shape of a span's counts under tolerance tol.
+func spanShape(counts []int32, tol int32) (uniform int32, destroyable bool) {
 	var worst int64
 	uniform = -1
 	for _, c := range counts {
@@ -491,7 +511,7 @@ func (fg *flatGroups) shape(gi int32) (uniform int32, destroyable bool) {
 			uniform = 0
 		}
 	}
-	return uniform, worst > int64(fg.tolerance[gi])
+	return uniform, worst > int64(tol)
 }
 
 // mask returns group gi's span bitset (empty unless the group is uniform).
@@ -506,93 +526,34 @@ func (fg *flatGroups) groupsOn(node int) []int32 {
 	return fg.byNode[fg.byNodePtr[node]:fg.byNodePtr[node+1]]
 }
 
-// flatten is the span stage for caller-built groups: spans are copied into
-// the slabs in group order, entries outside [0, n) dropped.
-func flatten(groups []Group, n int) *flatGroups {
-	total := 0
-	for gi := range groups {
-		total += len(groups[gi].Span)
-	}
-	fg := &flatGroups{
-		n:          n,
-		spanPtr:    make([]int32, len(groups)+1),
-		spanNodes:  make([]int32, total),
-		spanCounts: make([]int32, total),
-		tolerance:  make([]int32, len(groups)),
-	}
-	k := 0
-	for gi := range groups {
-		fg.tolerance[gi] = int32(groups[gi].Tolerance)
-		for _, e := range groups[gi].Span {
-			if e.Node >= 0 && int(e.Node) < n {
-				fg.spanNodes[k], fg.spanCounts[k] = int32(e.Node), e.Count
-				k++
-			}
-		}
-		fg.spanPtr[gi+1] = int32(k)
-	}
-	fg.spanNodes, fg.spanCounts = fg.spanNodes[:k], fg.spanCounts[:k]
-	return fg.reduce()
+// spanSource is what a flat form is read from, one group at a time: the
+// caller-built groups of Profile.Init or the member lists of InitRanks.
+type spanSource interface {
+	// dims returns the model's node count, the group count and the room
+	// read needs, over all groups and for the largest.
+	dims() (nodes, groups, total, longest int)
+	// least returns group gi's least in-range node, or -1 when no failure
+	// can destroy the group.
+	least(gi int) int32
+	// read writes group gi's in-range span into nodes and counts, strictly
+	// ascending by node, and returns its length and the group's tolerance.
+	read(gi int, nodes, counts []int32) (k int, tol int32)
 }
 
-// flattenRanks is the span stage for member rank lists under a placement,
-// equal slab for slab to flatten of GroupFromRanks of each list. A group's
-// dense node ids go straight into the node slab, are sorted only if they
-// arrived unsorted, and runs of one node merge in place into (node, count),
-// so spans ascend strictly by construction. The slabs are sized for one entry
-// per member, which the hierarchical strategy's groups always reach.
-func flattenRanks(p *topology.Placement, members [][]topology.Rank) *flatGroups {
-	total := 0
-	for _, m := range members {
-		total += len(m)
-	}
-	fg := &flatGroups{
-		n:          p.NumUsed(),
-		spanPtr:    make([]int32, len(members)+1),
-		spanNodes:  make([]int32, total),
-		spanCounts: make([]int32, total),
-		tolerance:  make([]int32, len(members)),
-	}
-	w := 0 // entries written, never ahead of the members read
-	for gi, m := range members {
-		fg.tolerance[gi] = int32(len(m) / 2)
-		seg := fg.spanNodes[w : w+len(m)]
-		sorted := true
-		for i, r := range m {
-			seg[i] = int32(p.UsedIndex(p.NodeOf(r)))
-			if i > 0 && seg[i] < seg[i-1] {
-				sorted = false
-			}
-		}
-		if !sorted {
-			slices.Sort(seg)
-		}
-		for i, node := range seg {
-			if i > 0 && node == fg.spanNodes[w-1] {
-				fg.spanCounts[w-1]++
-				continue
-			}
-			fg.spanNodes[w], fg.spanCounts[w] = node, 1
-			w++
-		}
-		fg.spanPtr[gi+1] = int32(w)
-	}
-	fg.spanNodes, fg.spanCounts = fg.spanNodes[:w], fg.spanCounts[:w]
-	return fg.reduce()
-}
-
-// reduce is the stage both span stages end in: the disjoint-span reduction,
-// in group order. A first pass counts the distinct spans (under the reduction,
-// the distinct first nodes of destroyable groups), so dpSpans holds what is
-// claimed and nothing here allocates in proportion to the group count.
-func (fg *flatGroups) reduce() *flatGroups {
-	fg.dpOK = true
-	fg.owner = make([]int32, fg.n)
+// reduceOrFlatten reads the groups into the disjoint-span reduction, in
+// group order, through one scratch buffer. A first pass counts the distinct
+// spans (under the reduction, the distinct least nodes of destroyable
+// groups), so the reduction allocates the struct, owner, an exact dpSpans
+// and the buffer, whatever the group and node counts, and keeps nothing
+// else. At the first group addDPSpan rejects, the groups are flattened
+// instead.
+func reduceOrFlatten[S spanSource](s S) *flatGroups {
+	n, groups, _, longest := s.dims()
+	fg := &flatGroups{n: n, dpOK: true, owner: make([]int32, n)}
 	spans := 0
-	for gi := range fg.tolerance {
-		nodes, _ := fg.span(int32(gi))
-		if _, destroyable := fg.shape(int32(gi)); destroyable && len(nodes) > 0 && fg.owner[nodes[0]] == 0 {
-			fg.owner[nodes[0]] = 1
+	for gi := range groups {
+		if node := s.least(gi); node >= 0 && fg.owner[node] == 0 {
+			fg.owner[node] = 1
 			spans++
 		}
 	}
@@ -600,16 +561,132 @@ func (fg *flatGroups) reduce() *flatGroups {
 		fg.owner[i] = -1
 	}
 	fg.dpSpans = make([]dpSpan, 0, spans)
-	for gi := 0; gi < len(fg.tolerance) && fg.dpOK; gi++ {
-		if uniform, destroyable := fg.shape(int32(gi)); destroyable {
-			nodes, _ := fg.span(int32(gi))
-			fg.addDPSpan(nodes, uniform, fg.tolerance[gi])
+	buf := make([]int32, 2*longest)
+	nodes, counts := buf[:longest], buf[longest:]
+	for gi := range groups {
+		k, tol := s.read(gi, nodes, counts)
+		if uniform, destroyable := spanShape(counts[:k], tol); destroyable {
+			if fg.addDPSpan(nodes[:k], uniform, tol); !fg.dpOK {
+				return flatten(s)
+			}
 		}
 	}
-	if !fg.dpOK {
-		fg.dpSpans, fg.owner = nil, nil
-	}
 	return fg
+}
+
+// flatten is the span stage: every group's in-range span copied into the
+// slabs in group order, with no reduction (dpOK false).
+func flatten[S spanSource](s S) *flatGroups {
+	n, groups, total, _ := s.dims()
+	fg := &flatGroups{
+		n:          n,
+		spanPtr:    make([]int32, groups+1),
+		spanNodes:  make([]int32, total),
+		spanCounts: make([]int32, total),
+		tolerance:  make([]int32, groups),
+	}
+	k := 0 // entries written, never ahead of the entries read
+	for gi := range groups {
+		w, tol := s.read(gi, fg.spanNodes[k:], fg.spanCounts[k:])
+		k += w
+		fg.spanPtr[gi+1], fg.tolerance[gi] = int32(k), tol
+	}
+	fg.spanNodes, fg.spanCounts = fg.spanNodes[:k], fg.spanCounts[:k]
+	return fg
+}
+
+// groupSpans reads caller-built (validated) groups on n nodes: a span's
+// entries inside [0, n), which ascend strictly already.
+type groupSpans struct {
+	groups []Group
+	n      int
+}
+
+func (s groupSpans) dims() (nodes, groups, total, longest int) {
+	for gi := range s.groups {
+		total += len(s.groups[gi].Span)
+		longest = max(longest, len(s.groups[gi].Span))
+	}
+	return s.n, len(s.groups), total, longest
+}
+
+func (s groupSpans) least(gi int) int32 {
+	g := &s.groups[gi]
+	lo, worst := int32(-1), int64(0)
+	for _, e := range g.Span {
+		if e.Node >= 0 && int(e.Node) < s.n {
+			if lo < 0 {
+				lo = int32(e.Node)
+			}
+			worst += int64(e.Count)
+		}
+	}
+	if worst <= int64(g.Tolerance) {
+		return -1
+	}
+	return lo
+}
+
+func (s groupSpans) read(gi int, nodes, counts []int32) (k int, tol int32) {
+	for _, e := range s.groups[gi].Span {
+		if e.Node >= 0 && int(e.Node) < s.n {
+			nodes[k], counts[k] = int32(e.Node), e.Count
+			k++
+		}
+	}
+	return k, int32(s.groups[gi].Tolerance)
+}
+
+// rankSpans reads member rank lists under a placement as GroupFromRanks
+// would: nodes numbered by UsedIndex, tolerance half the group.
+type rankSpans struct {
+	p       *topology.Placement
+	members [][]topology.Rank
+}
+
+func (s rankSpans) dims() (nodes, groups, total, longest int) {
+	for _, m := range s.members {
+		total += len(m)
+		longest = max(longest, len(m))
+	}
+	return s.p.NumUsed(), len(s.members), total, longest
+}
+
+func (s rankSpans) least(gi int) int32 {
+	lo := int32(-1)
+	for _, r := range s.members[gi] {
+		if node := int32(s.p.UsedIndex(s.p.NodeOf(r))); lo < 0 || node < lo {
+			lo = node
+		}
+	}
+	return lo
+}
+
+// read needs room for one entry per member: the members' node ids go into
+// nodes, are sorted only if they arrived unsorted, and runs of one node merge
+// in place into (node, count).
+func (s rankSpans) read(gi int, nodes, counts []int32) (k int, tol int32) {
+	m := s.members[gi]
+	seg := nodes[:len(m)]
+	sorted := true
+	for i, r := range m {
+		seg[i] = int32(s.p.UsedIndex(s.p.NodeOf(r)))
+		if i > 0 && seg[i] < seg[i-1] {
+			sorted = false
+		}
+	}
+	if !sorted {
+		slices.Sort(seg)
+	}
+	for i, node := range seg {
+		if i > 0 && node == nodes[k-1] {
+			counts[k-1]++
+			continue
+		}
+		nodes[k], counts[k] = node, 1
+		k++
+	}
+	return k, int32(len(m) / 2)
 }
 
 // indexed returns fg with its enumeration index built, by the first caller.

@@ -10,7 +10,7 @@ import (
 func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 	seq := c.seq
 	c.seq++
-	n := len(c.group)
+	n := c.size()
 	if root < 0 || root >= n {
 		return nil, fmt.Errorf("simmpi: bcast root %d out of range 0..%d", root, n-1)
 	}
@@ -29,7 +29,7 @@ func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 		for mask < n {
 			if vrank&mask != 0 {
 				parent := ((vrank &^ mask) + root) % n
-				b, err := c.proc.recv(c.group[parent], c.itag(seq, 0))
+				b, err := c.proc.recv(parent, c.itag(seq, 0))
 				if err != nil {
 					return nil, err
 				}
@@ -43,7 +43,7 @@ func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 		child := vrank | mask
 		if child != vrank && child < n {
 			dst := (child + root) % n
-			if err := c.proc.send(c.group[dst], c.itag(seq, 0), buf); err != nil {
+			if err := c.proc.send(dst, c.itag(seq, 0), buf); err != nil {
 				return nil, err
 			}
 		}
@@ -56,12 +56,12 @@ func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
 	seq := c.seq
 	c.seq++
-	n := len(c.group)
+	n := c.size()
 	if root < 0 || root >= n {
 		return nil, fmt.Errorf("simmpi: gather root %d out of range 0..%d", root, n-1)
 	}
 	if c.rank != root {
-		if err := c.proc.send(c.group[root], c.itag(seq, c.rank), data); err != nil {
+		if err := c.proc.send(root, c.itag(seq, c.rank), data); err != nil {
 			return nil, err
 		}
 		return nil, nil
@@ -72,7 +72,7 @@ func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
 		if r == root {
 			continue
 		}
-		b, err := c.proc.recv(c.group[r], c.itag(seq, r))
+		b, err := c.proc.recv(r, c.itag(seq, r))
 		if err != nil {
 			return nil, err
 		}
@@ -87,7 +87,7 @@ func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
 // partner pattern is visible as diagonals in the paper's Figure 5b.
 // For non-power-of-two sizes it falls back to gather+bcast.
 func (c *Comm) Allgather(data []byte) ([][]byte, error) {
-	n := len(c.group)
+	n := c.size()
 	if n&(n-1) != 0 {
 		return c.allgatherFallback(data)
 	}
@@ -100,10 +100,10 @@ func (c *Comm) Allgather(data []byte) ([][]byte, error) {
 	for round, dist := 0, 1; dist < n; round, dist = round+1, dist*2 {
 		partner := c.rank ^ dist
 		payload := packBlocks(blocks, have)
-		if err := c.proc.send(c.group[partner], c.itag(seq, round), payload); err != nil {
+		if err := c.proc.send(partner, c.itag(seq, round), payload); err != nil {
 			return nil, err
 		}
-		b, err := c.proc.recv(c.group[partner], c.itag(seq, round))
+		b, err := c.proc.recv(partner, c.itag(seq, round))
 		if err != nil {
 			return nil, err
 		}
@@ -138,7 +138,7 @@ func (c *Comm) allgatherFallback(data []byte) ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]byte, len(c.group))
+	out := make([][]byte, c.size())
 	for r, blk := range blocks {
 		out[r] = blk
 	}

@@ -2,39 +2,39 @@ package simmpi
 
 import "fmt"
 
-// Comm is a communicator: an ordered group of world ranks with its own rank
-// numbering and an isolated tag space. Every Proc has one, spanning the
-// world.
+// Comm is a communicator: the world's ranks in world order, with a tag space
+// of its own for collectives. Every Proc has one, spanning the world.
 type Comm struct {
-	proc  *Proc
-	ctx   int64 // context id isolating this communicator's internal tags
-	group []int // group[i] = world rank of communicator rank i
-	rank  int   // this proc's rank within the communicator
-	seq   int64 // per-proc collective sequence number (same at all ranks)
+	proc *Proc
+	rank int   // this proc's rank within the communicator
+	seq  int64 // per-proc collective sequence number (same at all ranks)
 }
 
-// WorldRank translates a communicator rank to a world rank.
+// size returns the number of ranks the communicator spans.
+func (c *Comm) size() int { return c.proc.world.size }
+
+// WorldRank translates a communicator rank to a world rank: the communicator
+// spans the world in order, so this is a range check.
 func (c *Comm) WorldRank(r int) (int, error) {
-	if r < 0 || r >= len(c.group) {
-		return 0, fmt.Errorf("simmpi: rank %d out of communicator range 0..%d", r, len(c.group)-1)
+	if n := c.size(); r < 0 || r >= n {
+		return 0, fmt.Errorf("simmpi: rank %d out of communicator range 0..%d", r, n-1)
 	}
-	return c.group[r], nil
+	return r, nil
 }
 
-// userTag embeds the communicator context into a user tag so identical tags
-// on different communicators cannot match each other.
+// userTag checks a user tag and keeps its low 32 bits.
 func (c *Comm) userTag(tag Tag) (Tag, error) {
 	if tag < 0 {
 		return 0, fmt.Errorf("simmpi: user tag %d must be non-negative", tag)
 	}
-	return Tag(c.ctx<<32) | (tag & 0xffffffff), nil
+	return tag & 0xffffffff, nil
 }
 
-// itag builds an internal collective tag unique to (communicator, collective
-// instance, round). All ranks of a communicator execute collectives in the
-// same order, so seq agrees across ranks.
+// itag builds an internal collective tag unique to (collective instance,
+// round). All ranks execute collectives in the same order, so seq agrees
+// across ranks.
 func (c *Comm) itag(seq int64, round int) Tag {
-	return -(1 + Tag(c.ctx)<<40 + Tag(seq)<<12 + Tag(round))
+	return -(1 + Tag(seq)<<12 + Tag(round))
 }
 
 // Send delivers data to communicator rank dst with a non-negative tag.

@@ -136,11 +136,7 @@ func (w *World) Proc(rank int) (*Proc, error) {
 		return nil, fmt.Errorf("simmpi: rank %d out of range 0..%d", rank, w.size-1)
 	}
 	p := &Proc{world: w, rank: rank}
-	group := make([]int, w.size)
-	for i := range group {
-		group[i] = i
-	}
-	p.comm = &Comm{proc: p, ctx: 0, group: group, rank: rank}
+	p.comm = &Comm{proc: p, rank: rank}
 	return p, nil
 }
 

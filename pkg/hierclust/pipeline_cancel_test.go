@@ -112,19 +112,20 @@ func TestPipelineRunCancelMidMonteCarlo(t *testing.T) {
 }
 
 // TestPipelineRunCancelMidMultilevelPartition pins the same contract on
-// the other long-running stage: the multilevel partitioner on a 64k-rank
-// machine (tens of ms of coarsening/refinement). Cancelling 10ms in lands
-// mid-partition; the partitioner polls between levels and refinement
-// passes, so the return must stay within the latency bound rather than
-// running the partition to completion.
+// the other long-running stage: the multilevel partitioner on a 131,072-node
+// machine (tens of ms of coarsening/refinement, several times the stages
+// before it, so a fast host cannot finish the whole Run first). Cancelling
+// 10ms in lands mid-partition; the partitioner polls between levels and
+// refinement passes, so the return must stay within the latency bound rather
+// than running the partition to completion.
 func TestPipelineRunCancelMidMultilevelPartition(t *testing.T) {
 	if testing.Short() {
-		t.Skip("64k-rank partition in -short mode")
+		t.Skip("256k-rank partition in -short mode")
 	}
 	sc := &Scenario{
 		Name:      "cancel-ml",
-		Machine:   MachineSpec{Nodes: 32768},
-		Placement: PlacementSpec{Policy: "block", Ranks: 65536, ProcsPerNode: 2},
+		Machine:   MachineSpec{Nodes: 131072},
+		Placement: PlacementSpec{Policy: "block", Ranks: 262144, ProcsPerNode: 2},
 		Trace:     TraceSpec{Source: "synthetic", Iterations: 2},
 		Strategies: []StrategySpec{
 			{Kind: "hierarchical", Hier: &HierSpec{Multilevel: true}},
