@@ -53,8 +53,7 @@ func main() {
 		len(plan.Cells), plan.TraceBuilds, plan.TraceRefs,
 		plan.PartitionBuilds, plan.PartitionRefs, 100*plan.DedupRatio())
 
-	pl := hierclust.NewPipeline(hierclust.WithTraceCache(hierclust.NewMemoryTraceCache(8)))
-	report, err := pl.RunPlannedSweep(context.Background(), plan, hierclust.SweepOptions{Workers: 4})
+	report, err := hierclust.NewPipeline().RunPlannedSweep(context.Background(), plan, hierclust.SweepOptions{Workers: 4})
 	if err != nil {
 		log.Fatal(err)
 	}

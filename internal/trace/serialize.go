@@ -149,26 +149,21 @@ func (m *Matrix) WriteTo(w io.Writer) (int64, error) {
 	return m.ToCSR().WriteTo(w)
 }
 
-// WriteTo serializes the CSR matrix in sparse binary form.
+// WriteTo serializes the CSR matrix in sparse binary form: the header, then
+// every row's cells.
 func (c *CSR) WriteTo(w io.Writer) (int64, error) {
-	return writeRows(w, c.view(), c.NNZ())
-}
-
-// writeRows is the record writer behind (*CSR).WriteTo and
-// (*Stencil).WriteTo: the header for nnz pairs, then every row's cells.
-func writeRows(w io.Writer, v rows, nnz int) (int64, error) {
 	bw := bufio.NewWriter(w)
-	written, err := writeTraceHeader(bw, v.n, int64(nnz))
+	written, err := writeTraceHeader(bw, c.n, int64(c.NNZ()))
 	if err != nil {
 		return written, err
 	}
 	rec := make([]byte, 4+4+8+8)
-	for s := 0; s < v.n; s++ {
-		for i, hi := v.span(s); i < hi; i++ {
+	for s := 0; s < c.n; s++ {
+		for i := c.rowPtr[s]; i < c.rowPtr[s+1]; i++ {
 			binary.LittleEndian.PutUint32(rec[0:], uint32(s))
-			binary.LittleEndian.PutUint32(rec[4:], uint32(v.col[i]))
-			binary.LittleEndian.PutUint64(rec[8:], uint64(v.bytes[i]))
-			binary.LittleEndian.PutUint64(rec[16:], uint64(v.msgs[i]))
+			binary.LittleEndian.PutUint32(rec[4:], uint32(c.col[i]))
+			binary.LittleEndian.PutUint64(rec[8:], uint64(c.bytes[i]))
+			binary.LittleEndian.PutUint64(rec[16:], uint64(c.msgs[i]))
 			n, err := bw.Write(rec)
 			written += int64(n)
 			if err != nil {

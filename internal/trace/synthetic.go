@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"io"
 	"math"
 
 	"hierclust/internal/graph"
@@ -166,12 +165,6 @@ func (s *Stencil) LoggedFraction(part []int) (float64, error) {
 // graph, without materializing a rank matrix.
 func (s *Stencil) NodeGraph(p *topology.Placement) (*graph.Graph, error) {
 	return nodeGraph(s.view(new([4]int32)), p)
-}
-
-// WriteTo streams the rows in the HCTR form, byte-identical to
-// Synthetic(...).WriteTo.
-func (s *Stencil) WriteTo(w io.Writer) (int64, error) {
-	return writeRows(w, s.view(new([4]int32)), s.nnz)
 }
 
 // Synthetic generates a deterministic communication matrix for n ranks

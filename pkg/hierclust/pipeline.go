@@ -73,11 +73,12 @@ func WithWorkers(n int) PipelineOption {
 	return func(p *Pipeline) { p.workers = n }
 }
 
-// WithTraceCache caches built communication traces by Scenario.TraceKey,
-// so scenarios that share a trace — same source, ranks, iterations, and
-// generation parameters, any strategies/mix/baseline — never re-run the
-// traced application or regenerate the stencil. Concurrent misses on the
-// same key coalesce into one build. nil (the default) disables caching.
+// WithTraceCache caches traced application runs ("tsunami" sources) by
+// Scenario.TraceKey, so scenarios that share a trace — same ranks and
+// iterations, any strategies/mix/baseline — never re-run the traced
+// application. Concurrent misses on the same key coalesce into one build.
+// Synthetic and file sources are built inline and never enter the cache.
+// nil (the default) disables caching.
 func WithTraceCache(tc TraceCache) PipelineOption {
 	return func(p *Pipeline) { p.traceCache = tc }
 }
@@ -141,7 +142,9 @@ type StrategyResult struct {
 // bound, and results are returned in scenario order regardless of
 // completion order. A panic anywhere in the run (a strategy bug, a trace
 // builder bug) is recovered at the nearest isolation boundary and returned
-// as a *PanicError instead of crashing the process.
+// as a *PanicError instead of crashing the process. Run returns the Result
+// itself; RunCell is the same evaluation behind a result cache, admission
+// and a deadline, rendered to its JSON document.
 func (pl *Pipeline) Run(ctx context.Context, sc *Scenario) (res *Result, err error) {
 	// res is assigned only by evalCell returning, so a recovered panic
 	// leaves it nil.
@@ -177,13 +180,14 @@ func (pl *Pipeline) splitBudget(want, n int) (workers, evalWorkers int) {
 
 // evalCell is the one cell sequence — machine → placement → trace →
 // rank-count check → result shell → per-strategy build and score — behind
-// Run (a private cell, run == nil) and every sweep cell. Intermediates the
-// run shares (cell.PlacementNode, cell.TraceNode, cell.PartNodes) come from
-// its node tables; everything else is built privately under ctx. Strategies
-// evaluate on up to strategyWorkers goroutines, each scoring with
-// evalWorkers; results land in scenario order regardless of completion
-// order. cache labels how the trace was satisfied: "miss" (this cell
-// performed the build) or "trace-hit" (shared node or trace cache).
+// Run and runSweepCell, for a private cell (run == nil) or a sweep's.
+// Intermediates the run shares (cell.PlacementNode, cell.TraceNode,
+// cell.PartNodes) come from its node tables; everything else is built
+// privately under ctx. Strategies evaluate on up to strategyWorkers
+// goroutines, each scoring with evalWorkers; results land in scenario order
+// regardless of completion order. cache labels how the trace was satisfied:
+// "miss" (this cell performed the build) or "trace-hit" (shared node or
+// trace cache).
 func (pl *Pipeline) evalCell(ctx context.Context, run *sweepRun, cell *PlannedCell, strategyWorkers, evalWorkers int) (res *Result, cache string, err error) {
 	sc := cell.Scenario
 	var at placed
@@ -210,9 +214,6 @@ func (pl *Pipeline) evalCell(ctx context.Context, run *sweepRun, cell *PlannedCe
 			run.traceBuilds.Add(1)
 		}
 		tr.comm, tr.outcome, err = pl.resolveTrace(ctx, sc, placement)
-		if info := traceInfoFrom(ctx); info != nil && err == nil {
-			info.Cache = tr.outcome
-		}
 	}
 	if err != nil {
 		return nil, "", err
@@ -234,17 +235,24 @@ func (pl *Pipeline) evalCell(ctx context.Context, run *sweepRun, cell *PlannedCe
 	}
 
 	mix := sc.Mix.Mix()
-	baseline := sc.Baseline.Baseline()
-	res = resultShell(sc, mach, placement, comm, baseline)
+	res = resultShell(sc, mach, placement, comm, sc.Baseline.Baseline())
 	// Strategies are independent. The first failure stops further claims;
 	// the lowest-index error is reported, which — indices being claimed in
 	// ascending order — is the same error at any worker count.
 	errs := make([]error, len(sc.Strategies))
 	var failed atomic.Bool
+	// The workers capture the node slice, not the cell, so RunCell's cell
+	// stays on its stack; they re-derive the baseline from sc rather than
+	// capture it, which keeps the closure in the size class it had.
+	parts := cell.PartNodes
 	pool.Run(len(sc.Strategies), strategyWorkers,
 		func() bool { return failed.Load() || ctx.Err() != nil },
 		func(j, _ int) {
-			if errs[j] = pl.evalStrategy(ctx, run, cell, j, comm, placement, mix, baseline, evalWorkers, &res.Evaluations[j]); errs[j] != nil {
+			node := -1
+			if run != nil {
+				node = parts[j]
+			}
+			if errs[j] = pl.evalStrategy(ctx, run, sc.Strategies[j], node, comm, placement, mix, sc.Baseline.Baseline(), evalWorkers, &res.Evaluations[j]); errs[j] != nil {
 				failed.Store(true)
 			}
 		})
@@ -259,14 +267,14 @@ func (pl *Pipeline) evalCell(ctx context.Context, run *sweepRun, cell *PlannedCe
 	return res, cache, nil
 }
 
-// evalStrategy takes strategy j's clustering and score profile — the run's
-// shared node, or a build of its own under ctx — and does the per-cell part:
-// weigh the profile with the cell's mix, judge it against the baseline and
-// render the row into out. It is the per-strategy panic boundary: a
-// panicking strategy (or the "pipeline.worker" chaos point) fails its own
-// evaluation as a *PanicError without taking down the sibling workers or
-// the process.
-func (pl *Pipeline) evalStrategy(ctx context.Context, run *sweepRun, cell *PlannedCell, j int, comm Comm, placement *Placement, mix Mix, baseline Baseline, workers int, out *StrategyResult) (err error) {
+// evalStrategy takes spec's clustering and score profile — the run's shared
+// partition node (node >= 0), or a build of its own under ctx — and does
+// the per-cell part: weigh the profile with the cell's mix, judge it
+// against the baseline and render the row into out. It is the per-strategy
+// panic boundary: a panicking strategy (or the "pipeline.worker" chaos
+// point) fails its own evaluation as a *PanicError without taking down the
+// sibling workers or the process.
+func (pl *Pipeline) evalStrategy(ctx context.Context, run *sweepRun, spec StrategySpec, node int, comm Comm, placement *Placement, mix Mix, baseline Baseline, workers int, out *StrategyResult) (err error) {
 	defer recoverAsError(&err)
 	if err := faultinject.Hit("pipeline.worker"); err != nil {
 		return err
@@ -274,10 +282,9 @@ func (pl *Pipeline) evalStrategy(ctx context.Context, run *sweepRun, cell *Plann
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	spec := cell.Scenario.Strategies[j]
 	var sd scored
-	if run != nil && cell.PartNodes[j] >= 0 {
-		sd, err = run.parts[cell.PartNodes[j]].get(&run.partBuilds, func() (scored, error) {
+	if node >= 0 {
+		sd, err = run.parts[node].get(&run.partBuilds, func() (scored, error) {
 			return buildScored(run.ctx, spec, comm, placement, new(core.Profile))
 		})
 	} else {
@@ -360,20 +367,18 @@ func resultShell(sc *Scenario, mach *Machine, placement *Placement, comm Comm, b
 	}
 }
 
-// resolveTrace returns the scenario's communication matrix, consulting
-// the trace cache (and the in-flight build table) before building. outcome
-// reports how: "hit" (served from the trace cache, or joined an in-flight
-// build of the same trace), "miss" (this call built it), or "" (no trace
-// cache configured, or an uncacheable file source).
+// resolveTrace returns the scenario's communication matrix. Only a traced
+// application run ("tsunami") is worth keeping, so only it consults the
+// trace cache (and the in-flight build table) before building; a stencil is
+// an O(1) build and a file is read where it lies. outcome reports how: "hit"
+// (served from the trace cache, or joined an in-flight build of the same
+// trace), "miss" (this call built it into the cache), or "" (built inline).
 func (pl *Pipeline) resolveTrace(ctx context.Context, sc *Scenario, placement *Placement) (comm Comm, outcome string, err error) {
-	key, cacheable := "", false
-	if pl.traceCache != nil {
-		key, cacheable = sc.TraceKey()
-	}
-	if !cacheable {
+	if pl.traceCache == nil || sc.Trace.Source != "tsunami" {
 		comm, err = pl.buildTrace(sc, placement)
 		return comm, "", err
 	}
+	key, _ := sc.TraceKey()
 	if c, ok := pl.traceCache.Get(key); ok {
 		return c, "hit", nil
 	}

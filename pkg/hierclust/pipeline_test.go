@@ -105,8 +105,8 @@ func TestPipelineWorkerInvariance(t *testing.T) {
 
 // TestPipelineFileSource: the implicit stencil a synthetic scenario runs on
 // and the CSR read back from trace.Synthetic's serialization of the same
-// trace give the same Result, at any worker count, with the trace built
-// fresh or served by a trace cache (second Run of each pipeline).
+// trace give the same Result, at any worker count. Neither source enters a
+// trace cache, so a pipeline with one builds both fresh every time.
 func TestPipelineFileSource(t *testing.T) {
 	m, err := trace.Synthetic(256, trace.SyntheticOptions{Pattern: trace.Stencil2D, Width: 8})
 	if err != nil {
@@ -129,26 +129,21 @@ func TestPipelineFileSource(t *testing.T) {
 	fromFile.Trace = TraceSpec{Source: "file", Path: path}
 
 	for _, workers := range []int{1, 4} {
-		for _, cached := range []bool{false, true} {
-			opts := []PipelineOption{WithWorkers(workers)}
-			if cached {
-				opts = append(opts, WithTraceCache(NewMemoryTraceCache(2)))
-			}
-			pl := NewPipeline(opts...)
-			want, err := pl.Run(context.Background(), fromFile)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for run := 0; run < 2; run++ {
-				got, err := pl.Run(context.Background(), mem)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("workers=%d cached=%v run %d: synthetic result diverges from the file-sourced one:\ngot  %+v\nwant %+v",
-						workers, cached, run, got, want)
-				}
-			}
+		tc := NewMemoryTraceCache(2)
+		pl := NewPipeline(WithWorkers(workers), WithTraceCache(tc))
+		want, err := pl.Run(context.Background(), fromFile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := pl.Run(context.Background(), mem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: synthetic result diverges from the file-sourced one:\ngot  %+v\nwant %+v", workers, got, want)
+		}
+		if st := tc.Stats(); st.Hits+st.Misses+int64(st.Entries) != 0 {
+			t.Fatalf("workers=%d: the trace cache saw a file or synthetic trace: %+v", workers, st)
 		}
 	}
 }

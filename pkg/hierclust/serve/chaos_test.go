@@ -16,9 +16,8 @@ import (
 	"hierclust/pkg/hierclust"
 )
 
-// chaosScenario is small, synthetic (so the trace cache engages), and
-// parameterized by name so two documents can share a trace key while
-// missing the result cache.
+// chaosScenario is small, synthetic, and parameterized by name so two
+// documents can share every input but miss the result cache.
 func chaosScenario(name string) string {
 	return fmt.Sprintf(`{
 		"name": %q,
@@ -72,8 +71,8 @@ func getMetrics(t *testing.T, url string) string {
 // TestServeDegradedTraceCacheBitIdentical is the acceptance drill of the
 // issue: with every trace-cache disk write failing, hcserve must keep
 // serving — results bit-identical to a server with no trace cache at all —
-// fall back to memory-only degraded mode (second scenario sharing the
-// trace key is a trace-hit from the fallback), and surface the mode on
+// fall back to memory-only degraded mode (a second tsunami scenario sharing
+// the trace key is a trace-hit from the fallback), and surface the mode on
 // /healthz and /metrics.
 func TestServeDegradedTraceCacheBitIdentical(t *testing.T) {
 	defer faultinject.DisarmAll()
@@ -96,18 +95,18 @@ func TestServeDegradedTraceCacheBitIdentical(t *testing.T) {
 
 	faultinject.Arm("tracecache.disk.write", faultinject.Fault{Kind: faultinject.KindError})
 
-	resp, body := postEvaluate(t, ts.URL, chaosScenario("chaos-a"))
+	resp, body := postEvaluate(t, ts.URL, tsunamiScenario("chaos-a", "hierarchical"))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status under write faults = %d, want 200 (body %s)", resp.StatusCode, body)
 	}
-	_, refBody := postEvaluate(t, refTS.URL, chaosScenario("chaos-a"))
+	_, refBody := postEvaluate(t, refTS.URL, tsunamiScenario("chaos-a", "hierarchical"))
 	if !bytes.Equal(body, refBody) {
 		t.Fatalf("degraded-mode result differs from trace-cache-free server:\n%s\nvs\n%s", body, refBody)
 	}
 
 	// Same trace key, different document: the trace survives in the memory
 	// fallback, so this is a trace-hit — no second application run.
-	resp2, _ := postEvaluate(t, ts.URL, chaosScenario("chaos-b"))
+	resp2, _ := postEvaluate(t, ts.URL, tsunamiScenario("chaos-b", "hierarchical"))
 	if got := resp2.Header.Get("X-Hierclust-Cache"); got != "trace-hit" {
 		t.Fatalf("second scenario cache header = %q, want trace-hit from the memory fallback", got)
 	}

@@ -10,18 +10,30 @@
 //	GET  /metrics            Prometheus text exposition of the registry
 //	GET  /healthz            liveness probe
 //
+// # One cell sequence
+//
+// A POST /v1/evaluate, each batch element and each sweep cell are the same
+// evaluation: hierclust's cell sequence (result cache → admission →
+// deadline → pipeline → render → cache fill), run by Pipeline.RunCell for
+// the first two and by the sweep executor for the third, with the same
+// result cache, deadline and admission limiter wired in (interactive tier
+// for requests, background tier for sweeps). One status mapping turns how
+// a cell ended into its HTTP status, so the three endpoints answer a given
+// failure alike.
+//
 // # Caching
 //
 // Two cache levels sit in front of the pipeline. Successful evaluations
 // are cached in a result LRU keyed by the scenario's canonical encoding,
 // so hot scenarios (dashboards, CI gates re-POSTing the same document)
 // cost one pipeline run. Beneath it, when the pipeline is built with
-// hierclust.WithTraceCache, communication traces are cached by
-// Scenario.TraceKey, so scenarios that differ only in strategies, mix, or
-// baseline share one traced-application run. The X-Hierclust-Cache
-// response header reports which level served the request: "hit" (result
-// LRU, no pipeline run), "trace-hit" (pipeline ran, trace from cache —
-// no application run), or "miss" (full build).
+// hierclust.WithTraceCache, traced application runs ("tsunami" sources)
+// are cached by Scenario.TraceKey, so scenarios that differ only in
+// strategies, mix, or baseline share one run; synthetic stencils are
+// cheaper to rebuild than to look up and never enter it. The
+// X-Hierclust-Cache response header reports which level served the
+// request: "hit" (result LRU, no pipeline run), "trace-hit" (pipeline ran,
+// built no trace), or "miss" (pipeline ran and built the trace).
 //
 // # Admission control
 //
@@ -35,7 +47,7 @@
 //
 // Evaluations run under an optional server-side deadline
 // (Options.EvalTimeout): a scenario that exceeds it is cancelled through
-// the pipeline and answered 504 — in a batch, per element. Panics
+// the pipeline and answered 504 — in a batch or a sweep, per line. Panics
 // anywhere in request handling are recovered at isolation boundaries
 // (handler, pipeline worker, batch element), answered 500 with a random
 // incident id whose stack trace is logged server-side, and counted on
@@ -209,17 +221,13 @@ type Server struct {
 	sweepJobs     map[string]*sweepJob
 	sweepOrder    []string // insertion order, for bounded-store eviction
 	sweepCtx      context.Context
-	sweepCancel   context.CancelFunc
+	sweepCancel   context.CancelCauseFunc // Drain's cause is errDraining
 	sweepWG       sync.WaitGroup
 
-	hits      atomic.Int64
-	misses    atomic.Int64
 	evictions atomic.Int64 // result-LRU entries pushed out by capacity
 
 	reg             *metrics.Registry
 	reqTotal        *metrics.CounterVec
-	cacheHits       *metrics.CounterVec
-	cacheMisses     *metrics.CounterVec
 	evalSeconds     *metrics.HistogramVec
 	shedTotal       *metrics.Counter
 	batchTotal      *metrics.Counter
@@ -232,6 +240,10 @@ type Server struct {
 	sweepCellsFail  *metrics.Counter
 	sweepBuilds     *metrics.Counter
 	sweepRefs       *metrics.Counter
+
+	// hcserve_cache_{hits,misses}_total by level (levelResult, levelTrace),
+	// resolved once: the hit path renders no label key.
+	cacheHits, cacheMisses [2]*metrics.Counter
 }
 
 // New builds the service.
@@ -292,7 +304,7 @@ func New(opts Options) *Server {
 		reg = metrics.NewRegistry()
 	}
 
-	sweepCtx, sweepCancel := context.WithCancel(context.Background())
+	sweepCtx, sweepCancel := context.WithCancelCause(context.Background())
 	s := &Server{
 		mux:           http.NewServeMux(),
 		pipeline:      pl,
@@ -315,10 +327,13 @@ func New(opts Options) *Server {
 	}
 	s.reqTotal = reg.CounterVec("hcserve_requests_total",
 		"HTTP requests served, by endpoint and status code.", "endpoint", "status")
-	s.cacheHits = reg.CounterVec("hcserve_cache_hits_total",
-		"Cache hits by level: result (LRU, no pipeline run) or trace (no application run).", "cache")
-	s.cacheMisses = reg.CounterVec("hcserve_cache_misses_total",
-		"Cache misses by level: result or trace.", "cache")
+	hits := reg.CounterVec("hcserve_cache_hits_total",
+		"Cache hits by level: result (a lookup answered, no evaluation) or trace (an evaluation that built no trace).", "cache")
+	misses := reg.CounterVec("hcserve_cache_misses_total",
+		"Cache misses by level: result (a lookup unanswered) or trace (an evaluation that built its trace).", "cache")
+	for level, name := range [...]string{levelResult: "result", levelTrace: "trace"} {
+		s.cacheHits[level], s.cacheMisses[level] = hits.With(name), misses.With(name)
+	}
 	s.evalSeconds = reg.HistogramVec("hcserve_evaluate_seconds",
 		"Pipeline evaluation latency by trace source (cache hits excluded).", nil, "source")
 	s.shedTotal = reg.Counter("hcserve_shed_total",
@@ -342,10 +357,10 @@ func New(opts Options) *Server {
 		func() float64 { return float64(s.cache.Len()) })
 	reg.CounterFunc("hcserve_result_cache_hits_total",
 		"Result-cache hits across every path (evaluate, batch, sweep cells; LRU and disk tier).",
-		func() float64 { return float64(s.hits.Load()) })
+		func() float64 { return float64(s.cacheHits[levelResult].Value()) })
 	reg.CounterFunc("hcserve_result_cache_misses_total",
 		"Result-cache misses across every path (evaluate, batch, sweep cells).",
-		func() float64 { return float64(s.misses.Load()) })
+		func() float64 { return float64(s.cacheMisses[levelResult].Value()) })
 	reg.CounterFunc("hcserve_result_cache_evictions_total",
 		"Entries evicted from the scenario-result LRU by capacity pressure.",
 		func() float64 { return float64(s.evictions.Load()) })
@@ -414,41 +429,43 @@ func (s *Server) Drain() {
 	s.draining.Store(true)
 	s.sweepMu.Unlock()
 	s.lim.drain()
-	s.sweepCancel()
+	s.sweepCancel(errDraining)
 	s.sweepWG.Wait()
 }
 
 // CacheStats returns the lifetime result-cache hit/miss counters and
 // current size.
 func (s *Server) CacheStats() (hits, misses int64, size int) {
-	return s.hits.Load(), s.misses.Load(), s.cache.Len()
+	return int64(s.cacheHits[levelResult].Value()), int64(s.cacheMisses[levelResult].Value()), s.cache.Len()
 }
 
-// cacheGet consults the result LRU, then the durable tier (when mounted),
-// promoting tier hits back into the LRU. Either source is a cache hit —
-// results are deterministic by key, so a disk document is bit-identical
-// to a resident one.
-func (s *Server) cacheGet(key string) ([]byte, bool) {
-	if doc, ok := s.cache.Get(key); ok {
-		return doc, true
+// serverResultCache is the server's tiered result cache — the LRU over the
+// optional durable tier — as the SweepResultCache every endpoint's cells
+// read and fill.
+type serverResultCache struct{ s *Server }
+
+// Get consults the result LRU, then the durable tier (when mounted),
+// promoting tier hits back into the LRU, and counts the lookup. Either
+// source is a cache hit — results are deterministic by key, so a disk
+// document is bit-identical to a resident one.
+func (c serverResultCache) Get(key string) ([]byte, bool) {
+	s := c.s
+	doc, ok := s.cache.Get(key)
+	if !ok && s.resultTier != nil {
+		if doc, ok = s.resultTier.Get(key); ok {
+			s.lruPut(key, doc)
+		}
 	}
-	if s.resultTier == nil {
-		return nil, false
-	}
-	doc, ok := s.resultTier.Get(key)
-	if !ok {
-		return nil, false
-	}
-	s.lruPut(key, doc)
-	return doc, true
+	s.countCache(levelResult, ok)
+	return doc, ok
 }
 
-// cachePut stores a rendered result document in the LRU and writes it
-// through to the durable tier (when mounted).
-func (s *Server) cachePut(key string, doc []byte) {
-	s.lruPut(key, doc)
-	if s.resultTier != nil {
-		s.resultTier.Put(key, doc)
+// Put stores a rendered result document in the LRU and writes it through
+// to the durable tier (when mounted).
+func (c serverResultCache) Put(key string, doc []byte) {
+	c.s.lruPut(key, doc)
+	if c.s.resultTier != nil {
+		c.s.resultTier.Put(key, doc)
 	}
 }
 
@@ -459,17 +476,21 @@ func (s *Server) lruPut(key string, doc []byte) {
 	s.evictions.Add(int64(s.cache.Put(key, append([]byte(nil), doc...))))
 }
 
-// countCache records one cache lookup at level "result" or "trace" on the
-// by-level metric; result lookups also feed the lifetime counters behind
-// CacheStats and /healthz.
-func (s *Server) countCache(level string, hit bool) {
-	vec, total := s.cacheMisses, &s.misses
+// The levels of hcserve_cache_{hits,misses}_total. A result outcome is one
+// lookup (serverResultCache.Get, for every endpoint; also the lifetime
+// counters behind CacheStats and /healthz); a trace outcome is one computed
+// cell (a hit built no trace, a miss built one).
+const (
+	levelResult = iota
+	levelTrace
+)
+
+// countCache records one outcome at a level.
+func (s *Server) countCache(level int, hit bool) {
 	if hit {
-		vec, total = s.cacheHits, &s.hits
-	}
-	vec.With(level).Inc()
-	if level == "result" {
-		total.Add(1)
+		s.cacheHits[level].Inc()
+	} else {
+		s.cacheMisses[level].Inc()
 	}
 }
 
@@ -634,96 +655,108 @@ func decodeScenario(body []byte) (*hierclust.Scenario, int, error) {
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	// Trace files are a local-filesystem feature; accepting paths over
-	// HTTP would let any client read arbitrary server files.
-	if sc.Trace.Source == "file" {
-		return nil, http.StatusBadRequest,
-			fmt.Errorf("hierclust: trace source \"file\" is not accepted over HTTP; inline a synthetic or tsunami source")
+	if err := checkHTTPSource(sc.Trace); err != nil {
+		return nil, http.StatusBadRequest, err
 	}
 	return sc, 0, nil
 }
 
-// evaluate runs one decoded scenario through result cache → admission →
-// pipeline. It returns the compact rendered result document and the cache
-// level that answered ("hit", "trace-hit", or "miss"), or a non-zero HTTP
-// status with the error.
+// checkHTTPSource rejects a trace source HTTP clients may not name, for
+// scenarios and sweeps alike: trace files are a local-filesystem feature,
+// and accepting paths over HTTP would let any client read arbitrary server
+// files.
+func checkHTTPSource(t hierclust.TraceSpec) error {
+	if t.Source == "file" {
+		return errors.New("hierclust: trace source \"file\" is not accepted over HTTP; inline a synthetic or tsunami source")
+	}
+	return nil
+}
+
+// evaluate runs one decoded scenario through the pipeline's cell sequence
+// in the interactive tier. It returns the compact rendered result document
+// and the cache level that answered ("hit", "trace-hit", or "miss"), or
+// the HTTP status and error cellStatus ranks the failure with.
 func (s *Server) evaluate(r *http.Request, sc *hierclust.Scenario) (doc []byte, cacheState string, status int, err error) {
 	if err := faultinject.Hit("serve.evaluate"); err != nil {
 		return nil, "", http.StatusInternalServerError, err
 	}
-	key, err := sc.CacheKey()
-	if err != nil {
-		return nil, "", http.StatusBadRequest, err
+	var admittedAt time.Time
+	res := s.pipeline.RunCell(r.Context(), sc, hierclust.SweepOptions{
+		ResultCache: serverResultCache{s},
+		CellTimeout: s.evalTimeout,
+		Acquire: func(ctx context.Context) (func(), error) {
+			release, err := s.admit(ctx, clientKey(r), false)
+			admittedAt = time.Now()
+			return release, err
+		},
+	})
+	if status, err = s.cellStatus(r.Context(), res); err != nil {
+		return nil, "", status, err
 	}
-	doc, ok := s.cacheGet(key)
-	s.countCache("result", ok)
-	if ok {
-		return doc, "hit", 0, nil
+	if res.Cache != "hit" {
+		s.evalSeconds.With(sc.Trace.Source).Observe(time.Since(admittedAt).Seconds())
 	}
+	return res.Doc, res.Cache, status, nil
+}
 
-	adm, release := s.lim.acquire(r.Context(), clientKey(r), false)
+var (
+	errDraining = errors.New("hierclust: server draining")
+	errShed     = errors.New("hierclust: evaluation queue full")
+	// The messages a drained or cancelled cell is answered with.
+	errDrainingRetry = fmt.Errorf("%w; retry against another replica", errDraining)
+	errCancelled     = errors.New("hierclust: evaluation cancelled by the client")
+)
+
+// admit is the SweepOptions.Acquire of every endpoint: an evaluation slot
+// for client in the interactive or the background (sweep-cell) tier, or
+// the error cellStatus ranks the refusal with.
+func (s *Server) admit(ctx context.Context, client string, background bool) (func(), error) {
+	adm, release := s.lim.acquire(ctx, client, background)
 	switch adm {
 	case admissionShed:
-		s.shedTotal.Inc()
-		return nil, "", http.StatusTooManyRequests,
-			fmt.Errorf("hierclust: evaluation queue full (%d running, %d queued); retry after %ss",
-				s.lim.running(), s.lim.queued(), s.retryAfter)
+		return nil, fmt.Errorf("%w (%d running, %d queued); retry after %ss",
+			errShed, s.lim.running(), s.lim.queued(), s.retryAfter)
 	case admissionDraining:
-		return nil, "", http.StatusServiceUnavailable,
-			errors.New("hierclust: server draining; retry against another replica")
+		return nil, errDraining
 	case admissionCancelled:
-		return nil, "", statusClientClosed, r.Context().Err()
+		return nil, ctx.Err()
 	}
-	defer release()
+	return release, nil
+}
 
-	// The deadline starts here, after admission: time spent queued for a
-	// slot is the limiter's business, not the evaluation's.
-	runCtx := r.Context()
-	if s.evalTimeout > 0 {
-		var cancel context.CancelFunc
-		runCtx, cancel = context.WithTimeout(runCtx, s.evalTimeout)
-		defer cancel()
-	}
-
-	ctx, info := hierclust.WithTraceInfo(runCtx)
-	start := time.Now()
-	res, err := s.pipeline.Run(ctx, sc)
-	if info.Cache != "" {
-		s.countCache("trace", info.Cache == "hit")
-	}
-	if err != nil {
-		// Rank the failure: a recovered pipeline panic is a server bug
-		// (500 + incident id); a cancelled client is not a server error
-		// (499); a deadline the *server* imposed is a timeout (504);
-		// everything else from the pipeline is a scenario problem (the
-		// inputs were already validated, so machine-building failures are
-		// bad parameters — 422).
-		var pe *hierclust.PanicError
-		switch {
-		case errors.As(err, &pe):
-			id := s.reportPanic(pe.Value, pe.Stack)
-			return nil, "", http.StatusInternalServerError, incidentErr(id)
-		case r.Context().Err() != nil:
-			return nil, "", statusClientClosed, r.Context().Err()
-		case runCtx.Err() != nil:
-			s.timeoutsTotal.Inc()
-			return nil, "", http.StatusGatewayTimeout,
-				fmt.Errorf("hierclust: evaluation exceeded the server's %s deadline", s.evalTimeout)
+// cellStatus is the one status mapping of /v1/evaluate, batch elements and
+// sweep lines: it ranks how a cell run under ctx (the request's, or the
+// sweep job's) ended and counts what the status stands for. Success is 200,
+// and a computed cell counts its trace level. A recovered panic is a server
+// bug (500 + incident id); a full queue sheds (429); a draining server
+// answers 503; a client that went away — a closed connection, a DELETEd
+// sweep — is not a server error (499); a deadline the server imposed is a
+// timeout (504); anything else is a scenario problem (422: the inputs were
+// already validated, so a machine that cannot be built has bad parameters).
+func (s *Server) cellStatus(ctx context.Context, res hierclust.SweepCellResult) (int, error) {
+	err := res.Err
+	if err == nil {
+		if res.Cache != "hit" {
+			s.countCache(levelTrace, res.Cache == "trace-hit")
 		}
-		return nil, "", http.StatusUnprocessableEntity, err
+		return http.StatusOK, nil
 	}
-	s.evalSeconds.With(sc.Trace.Source).Observe(time.Since(start).Seconds())
-
-	doc, err = json.Marshal(res)
-	if err != nil {
-		return nil, "", http.StatusInternalServerError, err
+	var pe *hierclust.PanicError
+	switch {
+	case errors.As(err, &pe):
+		return http.StatusInternalServerError, incidentErr(s.reportPanic(pe.Value, pe.Stack))
+	case errors.Is(err, errShed):
+		s.shedTotal.Inc()
+		return http.StatusTooManyRequests, err
+	case errors.Is(err, errDraining), errors.Is(context.Cause(ctx), errDraining):
+		return http.StatusServiceUnavailable, errDrainingRetry
+	case ctx.Err() != nil:
+		return statusClientClosed, errCancelled
+	case errors.Is(err, context.DeadlineExceeded):
+		s.timeoutsTotal.Inc()
+		return http.StatusGatewayTimeout, fmt.Errorf("hierclust: evaluation exceeded the server's %s deadline", s.evalTimeout)
 	}
-	s.cachePut(key, doc)
-	cacheState = "miss"
-	if info.Cache == "hit" {
-		cacheState = "trace-hit"
-	}
-	return doc, cacheState, 0, nil
+	return http.StatusUnprocessableEntity, err
 }
 
 // readBody reads a request body of at most limit bytes. On failure it

@@ -210,7 +210,7 @@ func (s *Server) storeSweepJob(j *sweepJob) error {
 	s.sweepMu.Lock()
 	defer s.sweepMu.Unlock()
 	if s.draining.Load() {
-		return fmt.Errorf("%w; retry against another replica", errSweepDraining)
+		return errDrainingRetry
 	}
 	if running := s.runningSweepsLocked(); running >= s.maxSweeps {
 		return fmt.Errorf("hierclust: %d sweep jobs already running (bound %d); retry after %ss",
@@ -252,8 +252,7 @@ func sweepJobID() (string, error) {
 func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		w.Header().Set("Retry-After", s.retryAfter)
-		s.writeError(w, http.StatusServiceUnavailable,
-			errors.New("hierclust: server draining; retry against another replica"))
+		s.writeError(w, http.StatusServiceUnavailable, errDrainingRetry)
 		return
 	}
 	body, ok := s.readBody(w, r, s.maxBatchBody)
@@ -261,14 +260,11 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sw, err := hierclust.DecodeSweep(body)
+	if err == nil {
+		err = checkHTTPSource(sw.Base.Trace) // axes never override the source
+	}
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	// Same policy as decodeScenario: no server-side file paths over HTTP.
-	if sw.Base.Trace.Source == "file" {
-		s.writeError(w, http.StatusBadRequest,
-			fmt.Errorf("hierclust: trace source \"file\" is not accepted over HTTP; inline a synthetic or tsunami source"))
 		return
 	}
 	if n := sw.CellCount(); n > s.maxSweepCells {
@@ -295,7 +291,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		jobCancel()
 		w.Header().Set("Retry-After", s.retryAfter)
 		status := http.StatusTooManyRequests
-		if errors.Is(err, errSweepDraining) {
+		if errors.Is(err, errDraining) {
 			status = http.StatusServiceUnavailable
 		}
 		s.writeError(w, status, err)
@@ -338,20 +334,24 @@ func (s *Server) runSweepJob(ctx context.Context, job *sweepJob) {
 		ResultCache: serverResultCache{s},
 		CellTimeout: s.evalTimeout,
 		Acquire: func(ctx context.Context) (func(), error) {
-			adm, release := s.lim.acquire(ctx, job.client, true)
-			switch adm {
-			case admitted:
-				return release, nil
-			case admissionDraining:
-				return nil, errSweepDraining
-			case admissionCancelled:
-				return nil, ctx.Err()
-			}
-			// Background acquires are exempt from shedding; unreachable.
-			return nil, errSweepShed
+			return s.admit(ctx, job.client, true)
 		},
 		OnCell: func(res hierclust.SweepCellResult) {
-			job.setLine(res.Index, s.renderSweepCell(ctx, res))
+			status, err := s.cellStatus(ctx, res)
+			line := SweepCellLine{Index: res.Index, Scenario: res.Scenario, Status: status}
+			switch {
+			case err != nil:
+				s.sweepCellsFail.Inc()
+				line.Error = err.Error()
+			case res.Cache == "hit":
+				s.sweepCellHits.Inc()
+			default:
+				s.sweepCellsDone.Inc()
+			}
+			if err == nil {
+				line.Cache, line.Result = res.Cache, res.Doc
+			}
+			job.setLine(res.Index, line)
 		},
 	}
 
@@ -360,74 +360,18 @@ func (s *Server) runSweepJob(ctx context.Context, job *sweepJob) {
 	case err == nil:
 		job.finish("completed", 0, "") // no unfilled lines remain
 		s.journalDone(job.id, "completed")
-	case errors.Is(ctx.Err(), context.Canceled) && s.draining.Load():
-		job.finish("cancelled", http.StatusServiceUnavailable,
-			"hierclust: server draining; resubmit to resume from cache")
+	case errors.Is(context.Cause(ctx), errDraining):
+		job.finish("cancelled", http.StatusServiceUnavailable, errDrainingRetry.Error())
 		// Deliberately NOT journaled as done: a drain is a restart from
 		// the journal's point of view, so the next process resumes this
 		// job where the result cache left off.
 	case errors.Is(ctx.Err(), context.Canceled):
-		job.finish("cancelled", statusClientClosed, "hierclust: sweep cancelled")
+		job.finish("cancelled", statusClientClosed, errCancelled.Error())
 		s.journalDone(job.id, "cancelled")
 	default:
 		job.finish("failed", http.StatusInternalServerError, err.Error())
 		s.journalDone(job.id, "failed")
 	}
-}
-
-// serverResultCache adapts the server\'s tiered result cache (LRU over the
-// optional durable tier) to the sweep executor\'s SweepResultCache.
-type serverResultCache struct{ s *Server }
-
-func (c serverResultCache) Get(key string) ([]byte, bool) { return c.s.cacheGet(key) }
-func (c serverResultCache) Put(key string, doc []byte)    { c.s.cachePut(key, doc) }
-
-var (
-	errSweepDraining = errors.New("hierclust: server draining")
-	errSweepShed     = errors.New("hierclust: admission shed")
-)
-
-// renderSweepCell maps one executor cell result onto its NDJSON line,
-// ranking failures exactly like the single-evaluate endpoint.
-func (s *Server) renderSweepCell(ctx context.Context, res hierclust.SweepCellResult) SweepCellLine {
-	line := SweepCellLine{Index: res.Index, Scenario: res.Scenario}
-	if res.Err == nil {
-		line.Status = http.StatusOK
-		line.Cache = res.Cache
-		line.Result = res.Doc
-		s.countCache("result", res.Cache == "hit")
-		if res.Cache == "hit" {
-			s.sweepCellHits.Inc()
-		} else {
-			s.sweepCellsDone.Inc()
-			s.countCache("trace", res.Cache == "trace-hit")
-		}
-		return line
-	}
-
-	s.sweepCellsFail.Inc()
-	var pe *hierclust.PanicError
-	switch {
-	case errors.As(res.Err, &pe):
-		id := s.reportPanic(pe.Value, pe.Stack)
-		line.Status = http.StatusInternalServerError
-		line.Error = incidentErr(id).Error()
-	case errors.Is(res.Err, errSweepDraining),
-		ctx.Err() != nil && s.draining.Load():
-		line.Status = http.StatusServiceUnavailable
-		line.Error = "hierclust: server draining; resubmit to resume from cache"
-	case ctx.Err() != nil:
-		line.Status = statusClientClosed
-		line.Error = "hierclust: sweep cancelled"
-	case errors.Is(res.Err, context.DeadlineExceeded):
-		s.timeoutsTotal.Inc()
-		line.Status = http.StatusGatewayTimeout
-		line.Error = fmt.Sprintf("hierclust: cell exceeded the server's %s deadline", s.evalTimeout)
-	default:
-		line.Status = http.StatusUnprocessableEntity
-		line.Error = res.Err.Error()
-	}
-	return line
 }
 
 func (s *Server) handleSweepStatus(w http.ResponseWriter, r *http.Request) {

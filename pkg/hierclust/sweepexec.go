@@ -22,7 +22,8 @@ import (
 // are dropped when its last consuming cell finishes. Per-cell results are
 // byte-identical to running the expanded scenario through Pipeline.Run — Run
 // is the same evalCell on a one-cell plan with no shared nodes — at any
-// worker count.
+// worker count. RunCell runs one scenario through the same cell sequence
+// with no plan at all: it is how hcserve answers every lone evaluation.
 //
 // Resumability is the result cache: every completed cell is Put under its
 // Scenario.CacheKey before the executor moves on, so a killed or
@@ -31,7 +32,8 @@ import (
 // touching the DAG.
 //
 // Fault point (chaos drills): "sweep.cell" fires at the top of every
-// computed cell (cache hits bypass it), failing that cell alone.
+// computed sweep cell (cache hits and RunCell's lone cells bypass it),
+// failing that cell alone.
 
 // SweepResultCache caches rendered per-cell result documents by scenario
 // cache key. hcserve's result LRU implements it, which is what makes
@@ -44,9 +46,10 @@ type SweepResultCache interface {
 	Put(key string, doc []byte)
 }
 
-// SweepOptions tunes one RunSweep call.
+// SweepOptions tunes one RunSweep or RunCell call.
 type SweepOptions struct {
-	// Workers bounds concurrently executing cells; 0 means the pipeline's
+	// Workers bounds concurrently executing cells (RunCell: the lone
+	// cell's concurrently evaluating strategies); 0 means the pipeline's
 	// worker budget (GOMAXPROCS when that is unset too). Results are
 	// byte-identical at any worker count.
 	Workers int
@@ -80,8 +83,8 @@ type SweepCellResult struct {
 	// CacheKey is the cell's canonical result-cache key.
 	CacheKey string
 	// Cache reports how the cell was satisfied: "hit" (result cache, no
-	// evaluation), "trace-hit" (evaluated; trace shared or cached), or
-	// "miss" (evaluated; this cell's node performed the trace build).
+	// evaluation), "trace-hit" (evaluated; built no trace — shared or
+	// cached), or "miss" (evaluated; this cell performed the trace build).
 	// The label is deterministic: the plan designates the builder cell,
 	// not the scheduler.
 	Cache string
@@ -244,7 +247,7 @@ func (pl *Pipeline) runSweep(run *sweepRun, plan *SweepPlan, opts SweepOptions) 
 	// concurrent strategies; within a cell the strategies run serially.
 	workers, evalWorkers := pl.splitBudget(opts.Workers, len(plan.Cells))
 	claimed := pool.Run(len(plan.Cells), workers, func() bool { return ctx.Err() != nil }, func(i, _ int) {
-		report.Cells[i] = pl.runSweepCell(run, &plan.Cells[i], &opts, evalWorkers)
+		report.Cells[i] = pl.runSweepCell(ctx, run, &plan.Cells[i], &opts, 1, evalWorkers)
 		if opts.OnCell != nil {
 			opts.OnCell(report.Cells[i])
 		}
@@ -271,12 +274,35 @@ func (pl *Pipeline) runSweep(run *sweepRun, plan *SweepPlan, opts SweepOptions) 
 	return report, err
 }
 
-// runSweepCell executes one cell behind its own panic boundary: result
-// cache → admission → fault point → cell deadline → the shared cell
-// sequence (evalCell) → render → cache fill.
-func (pl *Pipeline) runSweepCell(run *sweepRun, cell *PlannedCell, opts *SweepOptions, evalWorkers int) (res SweepCellResult) {
+// RunCell evaluates one scenario as a lone cell: the sequence every sweep
+// cell runs (result cache → admission → cell deadline → evaluation → render
+// → cache fill), with no shared nodes. ctx is the caller's; the cell's
+// strategies fan out across the pipeline's worker budget like Run's, capped
+// at opts.Workers when that is positive. opts.ResultCache, Acquire and
+// CellTimeout apply as they do to a sweep cell; OnCell is not called, and
+// the "sweep.cell" fault point does not fire. hcserve answers POST
+// /v1/evaluate and every batch element through it. The returned Doc is
+// byte-identical to marshalling Run's Result for the same scenario.
+func (pl *Pipeline) RunCell(ctx context.Context, sc *Scenario, opts SweepOptions) SweepCellResult {
+	key, err := sc.CacheKey()
+	if err != nil {
+		return SweepCellResult{Err: err}
+	}
+	cell := PlannedCell{Scenario: sc, CacheKey: key, PlacementNode: -1, TraceNode: -1, TraceBuilder: true}
+	workers, evalWorkers := pl.splitBudget(opts.Workers, len(sc.Strategies))
+	return pl.runSweepCell(ctx, nil, &cell, &opts, workers, evalWorkers)
+}
+
+// runSweepCell executes one cell under ctx behind its own panic boundary:
+// result cache → admission → fault point → cell deadline → the shared cell
+// sequence (evalCell) → render → cache fill. run is the sweep's, whose nodes
+// the cell releases when it finishes, or nil for RunCell's lone cell, which
+// skips the sweep-only "sweep.cell" fault point.
+func (pl *Pipeline) runSweepCell(ctx context.Context, run *sweepRun, cell *PlannedCell, opts *SweepOptions, strategyWorkers, evalWorkers int) (res SweepCellResult) {
 	res = SweepCellResult{Index: cell.Index, Scenario: cell.Scenario.Name, CacheKey: cell.CacheKey}
-	defer run.consume(cell, -1)
+	if run != nil {
+		defer run.consume(cell, -1)
+	}
 	defer recoverAsError(&res.Err)
 
 	if opts.ResultCache != nil {
@@ -285,32 +311,34 @@ func (pl *Pipeline) runSweepCell(run *sweepRun, cell *PlannedCell, opts *SweepOp
 			return res
 		}
 	}
-	if err := run.ctx.Err(); err != nil {
+	if err := ctx.Err(); err != nil {
 		res.Err = err
 		return res
 	}
 	if opts.Acquire != nil {
-		release, err := opts.Acquire(run.ctx)
+		release, err := opts.Acquire(ctx)
 		if err != nil {
 			res.Err = err
 			return res
 		}
 		defer release()
 	}
-	if err := faultinject.Hit("sweep.cell"); err != nil {
-		res.Err = fmt.Errorf("hierclust: sweep cell %q: %w", cell.Scenario.Name, err)
-		return res
+	if run != nil {
+		if err := faultinject.Hit("sweep.cell"); err != nil {
+			res.Err = fmt.Errorf("hierclust: sweep cell %q: %w", cell.Scenario.Name, err)
+			return res
+		}
 	}
 
 	// The per-cell deadline covers this cell's own evaluation work only.
-	cellCtx := run.ctx
+	cellCtx := ctx
 	if opts.CellTimeout > 0 {
 		var cancel context.CancelFunc
-		cellCtx, cancel = context.WithTimeout(run.ctx, opts.CellTimeout)
+		cellCtx, cancel = context.WithTimeout(ctx, opts.CellTimeout)
 		defer cancel()
 	}
 
-	out, cache, err := pl.evalCell(cellCtx, run, cell, 1, evalWorkers)
+	out, cache, err := pl.evalCell(cellCtx, run, cell, strategyWorkers, evalWorkers)
 	if err != nil {
 		res.Err = err
 		return res

@@ -35,36 +35,27 @@ func (c spyComm) LoggedFraction(part []int) (float64, error) {
 	return c.Comm.LoggedFraction(part)
 }
 
-// spyTraceCache serves pre-built traces wrapped in spyComm, so a sweep's
-// shared trace nodes hand the spy to every clustering and profile build.
-type spyTraceCache struct {
-	m      map[string]Comm
-	logged atomic.Int64
-}
-
-func (tc *spyTraceCache) Get(key string) (Comm, bool) { c, ok := tc.m[key]; return c, ok }
-func (tc *spyTraceCache) Put(string, Comm)            {}
-
-// newSpyTraceCache builds every distinct trace of the sweep's cells.
-func newSpyTraceCache(t *testing.T, cells []*Scenario, panics bool) *spyTraceCache {
+// spyOnTraces builds every shared trace node of run ahead of the sweep,
+// wrapped in spyComm, so the sweep hands the spy to every clustering and
+// profile build. It returns the spies' LoggedFraction counter.
+func spyOnTraces(t *testing.T, plan *SweepPlan, run *sweepRun, panics bool) *atomic.Int64 {
 	t.Helper()
-	tc := &spyTraceCache{m: map[string]Comm{}}
-	for _, sc := range cells {
-		key, ok := sc.TraceKey()
-		if _, have := tc.m[key]; !ok || have {
-			continue
-		}
-		at, err := sc.resolvePlacement()
-		if err != nil {
-			t.Fatal(err)
-		}
-		comm, err := NewPipeline().buildTrace(sc, at.placement)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tc.m[key] = spyComm{Comm: comm, logged: &tc.logged, panics: panics}
+	logged := new(atomic.Int64)
+	for i := range plan.Cells {
+		sc, node := plan.Cells[i].Scenario, &run.traces[plan.Cells[i].TraceNode]
+		node.once.Do(func() {
+			at, err := sc.resolvePlacement()
+			if err != nil {
+				t.Fatal(err)
+			}
+			comm, err := NewPipeline().buildTrace(sc, at.placement)
+			if err != nil {
+				t.Fatal(err)
+			}
+			node.val.comm = spyComm{Comm: comm, logged: logged, panics: panics}
+		})
 	}
-	return tc
+	return logged
 }
 
 // sharedSweep is 4 strategy kinds × 5 mixes × 2 trace points on 24 nodes.
@@ -130,10 +121,9 @@ func TestRunSweepSharedProfilesByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 8} {
-		tc := newSpyTraceCache(t, cells, false)
-		pl := NewPipeline(WithTraceCache(tc), WithWorkers(workers))
 		run := newSweepRun(context.Background(), plan)
-		report, err := pl.runSweep(run, plan, SweepOptions{Workers: workers})
+		logged := spyOnTraces(t, plan, run, false)
+		report, err := NewPipeline(WithWorkers(workers)).runSweep(run, plan, SweepOptions{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -146,7 +136,7 @@ func TestRunSweepSharedProfilesByteIdentical(t *testing.T) {
 					workers, i, cell.Scenario, cell.Doc, want[i])
 			}
 		}
-		if got := tc.logged.Load(); got != int64(plan.PartitionBuilds) || report.PartitionBuilds != int64(plan.PartitionBuilds) {
+		if got := logged.Load(); got != int64(plan.PartitionBuilds) || report.PartitionBuilds != int64(plan.PartitionBuilds) {
 			t.Errorf("workers=%d: %d profiles built over %d partition builds, plan has %d partition nodes",
 				workers, got, report.PartitionBuilds, plan.PartitionBuilds)
 		}
@@ -297,15 +287,17 @@ func TestRunSweepProfileBuildPanicReachesEverySharer(t *testing.T) {
 			{Transient: 0.5, NodeLoss: []float64{0.5}},
 		}},
 	}
-	cells, err := sw.Cells()
+	plan, err := PlanSweep(sw)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cells := plan.Cells
 	for _, workers := range []int{1, 3} {
-		tc := newSpyTraceCache(t, cells, true)
+		run := newSweepRun(context.Background(), plan)
+		logged := spyOnTraces(t, plan, run, true)
 		done := make(chan *SweepReport, 1)
 		go func() {
-			report, err := NewPipeline(WithTraceCache(tc)).RunSweep(context.Background(), sw, SweepOptions{Workers: workers})
+			report, err := NewPipeline().runSweep(run, plan, SweepOptions{Workers: workers})
 			if err != nil {
 				t.Errorf("workers=%d: %v", workers, err)
 			}
@@ -326,7 +318,7 @@ func TestRunSweepProfileBuildPanicReachesEverySharer(t *testing.T) {
 				t.Errorf("workers=%d: cell %d error %v, want a *PanicError", workers, i, cell.Err)
 			}
 		}
-		if got := tc.logged.Load(); got != 1 {
+		if got := logged.Load(); got != 1 {
 			t.Errorf("workers=%d: the panicking profile build ran %d times, want 1", workers, got)
 		}
 	}

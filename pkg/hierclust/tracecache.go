@@ -2,7 +2,6 @@ package hierclust
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -26,15 +25,17 @@ import (
 // determine the trace, so any scenario family sharing a trace pays for one
 // application run.
 
-// TraceKey returns the canonical cache key identifying the communication
-// trace this scenario resolves to, and whether the trace is cacheable.
-// Two scenarios with equal keys build bit-identical traces: the key folds
-// in the source kind, the rank count, the iteration count (with source
-// defaults resolved), and every generation parameter — the tsunami grid
-// dimensions derived from the rank count, or the synthetic pattern, grid
-// width (with the placement-derived default resolved), and message size.
+// TraceKey returns the canonical key identifying the communication trace
+// this scenario resolves to, and whether the trace is a value that can be
+// shared. Two scenarios with equal keys build bit-identical traces: the key
+// folds in the source kind, the rank count, the iteration count (with
+// source defaults resolved), and every generation parameter — the tsunami
+// grid dimensions derived from the rank count, or the synthetic pattern,
+// grid width (with the placement-derived default resolved), and message
+// size. The trace cache stores tsunami traces under it; the sweep planner
+// shares trace and partition nodes by it for both sources.
 //
-// Source "file" is not cacheable (false): the bytes behind a path can
+// Source "file" is not shareable (false): the bytes behind a path can
 // change, so a path is not a value.
 func (s *Scenario) TraceKey() (string, bool) {
 	ranks, t := s.Placement.Ranks, s.resolvedTrace()
@@ -82,12 +83,12 @@ func (s *Scenario) resolvedTrace() TraceSpec {
 	return t
 }
 
-// TraceCache caches built communication traces by TraceKey, beneath the
-// scenario-result cache. Implementations must be safe for concurrent use
-// and must treat stored traces as immutable — the pipeline hands out the
-// same Comm to concurrent evaluations, which is sound because a frozen CSR
-// and a Stencil have no mutating method (the frozen-CSR immutability
-// invariant the trace and graph packages pin).
+// TraceCache caches traced application runs ("tsunami" sources) by
+// TraceKey, beneath the scenario-result cache. Implementations must be safe
+// for concurrent use and must treat stored traces as immutable — the
+// pipeline hands out the same Comm to concurrent evaluations, which is
+// sound because a frozen CSR has no mutating method (the frozen-CSR
+// immutability invariant the trace and graph packages pin).
 type TraceCache interface {
 	// Get returns the cached trace for key, if present.
 	Get(key string) (Comm, bool)
@@ -343,30 +344,4 @@ func (c *DiskTraceCache) Put(key string, comm Comm) {
 		return
 	}
 	c.store.Put(hashStem(key), buf.Bytes())
-}
-
-// TraceInfo reports, per Run, how the pipeline satisfied the scenario's
-// trace. Attach one to the context with WithTraceInfo before Run and read
-// it after — hcserve uses this to label the X-Hierclust-Cache header and
-// its trace-cache metrics without changing Run's signature.
-type TraceInfo struct {
-	// Cache is "hit" (served from the trace cache, or joined an
-	// in-flight build of the same trace — either way no new application
-	// run started), "miss" (this Run built the trace), or "" (no trace
-	// cache configured, or an uncacheable file source).
-	Cache string
-}
-
-type traceInfoKey struct{}
-
-// WithTraceInfo derives a context carrying a fresh TraceInfo that
-// Pipeline.Run fills in.
-func WithTraceInfo(ctx context.Context) (context.Context, *TraceInfo) {
-	info := &TraceInfo{}
-	return context.WithValue(ctx, traceInfoKey{}, info), info
-}
-
-func traceInfoFrom(ctx context.Context) *TraceInfo {
-	info, _ := ctx.Value(traceInfoKey{}).(*TraceInfo)
-	return info
 }

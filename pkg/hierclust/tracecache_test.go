@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -212,50 +213,40 @@ func TestDiskTraceCacheCorruptFileIsMiss(t *testing.T) {
 }
 
 // TestPipelineTraceCacheHit runs two scenarios sharing one tsunami trace:
-// the second must be served from the cache (TraceInfo reports the hit) and
-// produce the same result it would have uncached — determinism is pinned
-// elsewhere; here we check the cached path returns the identical matrix.
+// the second must be served from the cache (its cell label is trace-hit)
+// and render the bytes an uncached evaluation renders.
 func TestPipelineTraceCacheHit(t *testing.T) {
 	cache := NewMemoryTraceCache(4)
 	pl := NewPipeline(WithWorkers(1), WithTraceCache(cache))
-	plain := NewPipeline(WithWorkers(1))
 
-	ctx1, info1 := WithTraceInfo(context.Background())
-	res1, err := pl.Run(ctx1, traceScenario("first", "hierarchical"))
-	if err != nil {
-		t.Fatal(err)
+	first := pl.RunCell(context.Background(), traceScenario("first", "hierarchical"), SweepOptions{})
+	if first.Err != nil {
+		t.Fatal(first.Err)
 	}
-	if info1.Cache != "miss" {
-		t.Fatalf("first run trace cache = %q, want miss", info1.Cache)
+	if first.Cache != "miss" {
+		t.Fatalf("first cell label = %q, want miss", first.Cache)
 	}
 
-	ctx2, info2 := WithTraceInfo(context.Background())
 	sc2 := traceScenario("second", "naive")
 	sc2.Strategies[0].Size = 8
-	res2, err := pl.Run(ctx2, sc2)
-	if err != nil {
-		t.Fatal(err)
+	second := pl.RunCell(context.Background(), sc2, SweepOptions{})
+	if second.Err != nil {
+		t.Fatal(second.Err)
 	}
-	if info2.Cache != "hit" {
-		t.Fatalf("second run trace cache = %q, want hit", info2.Cache)
+	if second.Cache != "trace-hit" {
+		t.Fatalf("second cell label = %q, want trace-hit", second.Cache)
 	}
 	if st := cache.Stats(); st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("cache stats = %+v, want 1 hit / 1 miss", st)
 	}
 
 	// The cached-trace result matches an uncached evaluation exactly.
-	ref, err := plain.Run(context.Background(), sc2)
+	ref, err := NewPipeline(WithWorkers(1)).Run(context.Background(), sc2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.TotalBytes != ref.TotalBytes || res2.TotalMsgs != ref.TotalMsgs {
-		t.Fatalf("cached trace totals differ: %+v vs %+v", res2, ref)
-	}
-	if res2.Evaluations[0].LoggedFraction != ref.Evaluations[0].LoggedFraction {
-		t.Fatalf("cached evaluation differs: %+v vs %+v", res2.Evaluations[0], ref.Evaluations[0])
-	}
-	if res1.TotalBytes != res2.TotalBytes {
-		t.Fatal("shared trace reports different totals")
+	if want, _ := json.Marshal(ref); !bytes.Equal(second.Doc, want) {
+		t.Fatalf("cached-trace document differs from an uncached run:\n%s\nvs\n%s", second.Doc, want)
 	}
 }
 
@@ -269,30 +260,25 @@ func TestTsunamiTraceIsCSROnMissAndHits(t *testing.T) {
 	dir := t.TempDir()
 	run := func(cache TraceCache, want string) []byte {
 		t.Helper()
-		ctx, info := WithTraceInfo(context.Background())
-		res, err := NewPipeline(WithWorkers(1), WithTraceCache(cache)).Run(ctx, sc)
-		if err != nil {
-			t.Fatal(err)
+		res := NewPipeline(WithWorkers(1), WithTraceCache(cache)).RunCell(context.Background(), sc, SweepOptions{})
+		if res.Err != nil {
+			t.Fatal(res.Err)
 		}
-		if info.Cache != want {
-			t.Fatalf("trace cache outcome %q, want %q", info.Cache, want)
+		if res.Cache != want {
+			t.Fatalf("cell label %q, want %q", res.Cache, want)
 		}
 		comm, ok := cache.Get(key)
 		if _, isCSR := comm.(*trace.CSR); !ok || !isCSR {
 			t.Fatalf("after a %s the cache holds %T (present %v), want *trace.CSR", want, comm, ok)
 		}
-		doc, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return doc
+		return res.Doc
 	}
 	mem := NewMemoryTraceCache(2)
 	miss := run(mem, "miss") // mem now holds the very value the miss evaluated
-	if hit := run(mem, "hit"); !bytes.Equal(hit, miss) {
+	if hit := run(mem, "trace-hit"); !bytes.Equal(hit, miss) {
 		t.Errorf("memory hit renders differently from the miss:\n%s\n%s", hit, miss)
 	}
-	for _, want := range []string{"miss", "hit"} {
+	for _, want := range []string{"miss", "trace-hit"} {
 		disk, err := NewDiskTraceCache(dir, 1<<20) // a fresh instance: the hit decodes the file
 		if err != nil {
 			t.Fatal(err)
@@ -300,6 +286,47 @@ func TestTsunamiTraceIsCSROnMissAndHits(t *testing.T) {
 		if doc := run(disk, want); !bytes.Equal(doc, miss) {
 			t.Errorf("disk %s renders differently from the memory miss:\n%s\n%s", want, doc, miss)
 		}
+	}
+}
+
+// Only a traced application run enters the trace cache: 64 distinct
+// synthetic scenarios through a 64-entry memory cache neither look it up nor
+// evict the tsunami trace built before them, so the next tsunami request is
+// a trace-hit; and a synthetic scenario writes nothing to a disk cache.
+func TestSyntheticTracesBypassTraceCache(t *testing.T) {
+	ctx := context.Background()
+	mem := NewMemoryTraceCache(64)
+	pl := NewPipeline(WithWorkers(1), WithTraceCache(mem))
+	synthetic := func(i int) *Scenario {
+		sc := traceScenario(fmt.Sprintf("synthetic/%d", i), "hierarchical")
+		sc.Trace = TraceSpec{Source: "synthetic", Iterations: 1 + i}
+		return sc
+	}
+	cell := func(sc *Scenario, want string) {
+		t.Helper()
+		if res := pl.RunCell(ctx, sc, SweepOptions{}); res.Err != nil || res.Cache != want {
+			t.Fatalf("%s: label %q (%v), want %q", sc.Name, res.Cache, res.Err, want)
+		}
+	}
+	cell(traceScenario("tsunami/0", "hierarchical"), "miss")
+	for i := 0; i < 64; i++ {
+		cell(synthetic(i), "miss")
+	}
+	cell(traceScenario("tsunami/1", "hierarchical"), "trace-hit")
+	if st := mem.Stats(); st.Entries != 1 || st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("memory cache = %+v, want the tsunami trace alone, 1 hit / 1 miss", st)
+	}
+
+	dir := t.TempDir()
+	disk, err := NewDiskTraceCache(dir, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := NewPipeline(WithWorkers(1), WithTraceCache(disk)).RunCell(ctx, synthetic(0), SweepOptions{}); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if files, err := os.ReadDir(dir); err != nil || len(files) != 0 {
+		t.Fatalf("a synthetic scenario left %d files in the disk trace cache (%v), want none", len(files), err)
 	}
 }
 
@@ -325,21 +352,12 @@ func TestPipelineJoinsInflightBuild(t *testing.T) {
 	pl.flight[key] = f
 	pl.flightMu.Unlock()
 
-	type outcome struct {
-		res  *Result
-		info *TraceInfo
-		err  error
-	}
-	got := make(chan outcome, 1)
-	go func() {
-		ctx, info := WithTraceInfo(context.Background())
-		res, err := pl.Run(ctx, sc)
-		got <- outcome{res, info, err}
-	}()
+	got := make(chan SweepCellResult, 1)
+	go func() { got <- pl.RunCell(context.Background(), sc, SweepOptions{}) }()
 
 	select {
 	case o := <-got:
-		t.Fatalf("Run completed without waiting for the in-flight build: %+v", o)
+		t.Fatalf("RunCell completed without waiting for the in-flight build: %+v", o)
 	case <-time.After(50 * time.Millisecond):
 	}
 
@@ -350,14 +368,15 @@ func TestPipelineJoinsInflightBuild(t *testing.T) {
 	close(f.done)
 
 	o := <-got
-	if o.err != nil {
-		t.Fatal(o.err)
+	if o.Err != nil {
+		t.Fatal(o.Err)
 	}
-	if o.info.Cache != "hit" {
-		t.Fatalf("joined run trace cache = %q, want hit", o.info.Cache)
+	if o.Cache != "trace-hit" {
+		t.Fatalf("joined cell label = %q, want trace-hit", o.Cache)
 	}
-	if o.res.TotalBytes != comm.TotalBytes() {
-		t.Fatal("joined run did not use the in-flight build's trace")
+	var res Result
+	if err := json.Unmarshal(o.Doc, &res); err != nil || res.TotalBytes != comm.TotalBytes() {
+		t.Fatalf("joined cell did not use the in-flight build's trace (%v)", err)
 	}
 
 	// Cancellation releases a waiter blocked on an in-flight build.

@@ -33,7 +33,6 @@ var reachAllow = map[string]string{
 	"erasure.RS.Verify":          "internal/erasure TestRSEncodeDecodeAllErasurePatterns: re-checks the parity the live encoder wrote",
 	"storage.LocalStore.Keys":    "internal/checkpoint TestGC: what GC left on the node stores",
 	"core.RecoveryFractionPair":  "internal/core TestRecoveryFractionPairAlignment: observes AlignPowerPairs",
-	"metrics.Counter.Value":      "internal/metrics TestConcurrentUse: the count after concurrent Incs",
 	"metrics.Histogram.Count":    "internal/metrics TestHistogramBuckets",
 	"metrics.Histogram.Sum":      "internal/metrics TestHistogramBuckets",
 	"trace.Stencil.NNZ":          "internal/trace TestStencilMatchesSynthetic: the closed form against the built CSR",
