@@ -599,8 +599,9 @@ func BenchmarkCatastropheModel(b *testing.B) {
 
 // BenchmarkProfileInit16k measures the mix-independent scoring of one
 // clustering — what a sweep's partition node does once and then retains — at
-// 16,384 ranks, four per node: logged and recovery fractions plus the
-// reliability model's flat form, read from the member lists. B/op is the
+// 16,384 ranks, four per node: the recovery fraction plus the reliability
+// model's flat form, read from the member lists (the logged fraction reads
+// the trace and is taken per trace, outside the profile). B/op is the
 // tracked number. Hierarchical (one member per node) and naive (one node per
 // group) pass the product-form reduction, which keeps O(nodes); irregular
 // (three consecutive ranks, so some groups hold two members on one node and
@@ -631,7 +632,7 @@ func BenchmarkProfileInit16k(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				var pr core.Profile
-				if err := pr.Init(context.Background(), row.c, m, placement); err != nil {
+				if err := pr.Init(context.Background(), row.c, placement); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"strings"
@@ -71,63 +72,57 @@ func Evaluate(c *Clustering, m trace.Comm, p *topology.Placement, mix reliabilit
 
 // EvaluateOpts is Evaluate with execution options.
 func EvaluateOpts(c *Clustering, m trace.Comm, p *topology.Placement, mix reliability.Mix, opts EvalOptions) (*Evaluation, error) {
-	ctx := opts.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
+	ctx := cmp.Or(opts.Ctx, context.Background())
 	var pr Profile
-	if err := pr.Init(ctx, c, m, p); err != nil {
+	if err := pr.Init(ctx, c, p); err != nil {
 		return nil, err
+	}
+	if m.Ranks() != p.NumRanks() {
+		return nil, fmt.Errorf("core: matrix covers %d ranks, placement %d", m.Ranks(), p.NumRanks())
 	}
 	e, err := pr.Evaluate(ctx, mix, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
+	if e.LoggedFraction, err = m.LoggedFraction(c.L1); err != nil { // c is validated by Init
+		return nil, err
+	}
 	return &e, nil
 }
 
-// Profile is everything about a clustering's four scores that does not read
-// the failure mix: three are functions of the clustering, the trace and the
-// placement alone, and P(catastrophe) reads the mix only as weights over
-// conditionals the reliability profile remembers — so a sweep scores each
-// clustering once and weighs it per mix. The zero value needs Init; after
-// Init it is safe for concurrent use and must not be copied.
+// Profile is a clustering's scores but the logged fraction, the one that
+// reads the trace (m.LoggedFraction(c.L1), the caller's): recovery and
+// encode cost read the placement alone, and P(catastrophe) reads the mix
+// only as weights over conditionals the reliability profile remembers — so
+// a sweep scores each clustering once and weighs it per mix. The zero value
+// needs Init; after Init it is safe for concurrent use and must not be copied.
 type Profile struct {
-	scores Evaluation // CatastropheProb unset
+	scores Evaluation // LoggedFraction and CatastropheProb unset
 	rel    reliability.Profile
 }
 
-// Init scores c's mix-independent dimensions and reads its encoding groups'
+// Init validates c against p, scores it and reads its encoding groups'
 // member lists straight into the reliability model's flat form. It retains
-// that form, not c, m or p: under the product form (every strategy here) one
+// that form, not c or p: under the product form (every strategy here) one
 // owner per node and one constraint per distinct span; for a layout the
 // reduction rejects, 8 bytes per member plus per-node indexes.
-func (pr *Profile) Init(ctx context.Context, c *Clustering, m trace.Comm, p *topology.Placement) error {
+func (pr *Profile) Init(ctx context.Context, c *Clustering, p *topology.Placement) error {
 	if err := c.Validate(p.NumRanks()); err != nil {
-		return err
-	}
-	if m.Ranks() != p.NumRanks() {
-		return fmt.Errorf("core: matrix covers %d ranks, placement %d", m.Ranks(), p.NumRanks())
-	}
-	logged, err := m.LoggedFraction(c.L1)
-	if err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
 		return err
 	}
 	rec := recoveryFraction(c, p) // c is validated above
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	pr.scores = Evaluation{Name: c.Name, LoggedFraction: logged, RecoveryFraction: rec,
+	pr.scores = Evaluation{Name: c.Name, RecoveryFraction: rec,
 		EncodeSecondsPerGB: erasure.ModelEncodeSeconds(c.MaxGroupSize(), 1e9)}
 	return pr.rel.InitRanks(p, c.Groups, 0, 0)
 }
 
 // Evaluate weighs the profile with a failure mix, the reliability model's
 // loops observing ctx on up to workers goroutines (0 = GOMAXPROCS); scores
-// are bit-identical at any worker count and in any order of mixes.
+// are bit-identical at any worker count and in any order of mixes. The
+// caller fills in LoggedFraction.
 func (pr *Profile) Evaluate(ctx context.Context, mix reliability.Mix, workers int) (Evaluation, error) {
 	pcat, err := pr.rel.CatastropheProb(ctx, mix, workers)
 	if err != nil {

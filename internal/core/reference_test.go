@@ -315,7 +315,11 @@ func TestProfileEvaluateMatchesEvaluateOpts(t *testing.T) {
 			t.Fatal(err)
 		}
 		var pr Profile
-		if err := pr.Init(context.Background(), c, m, p); err != nil {
+		if err := pr.Init(context.Background(), c, p); err != nil {
+			t.Fatal(err)
+		}
+		logged, err := m.LoggedFraction(c.L1)
+		if err != nil {
 			t.Fatal(err)
 		}
 		for _, i := range []int{2, 0, 1, 0} {
@@ -327,6 +331,7 @@ func TestProfileEvaluateMatchesEvaluateOpts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			got.LoggedFraction = logged
 			if got != *want {
 				t.Errorf("seed %d mix %d: profile %+v, EvaluateOpts %+v", seed, i, got, *want)
 			}
@@ -448,7 +453,7 @@ func TestProfileInitAllocsFixed(t *testing.T) {
 		initAllocs := func(c *Clustering) float64 {
 			return testing.AllocsPerRun(3, func() {
 				var pr Profile
-				if err := pr.Init(context.Background(), c, m, p); err != nil {
+				if err := pr.Init(context.Background(), c, p); err != nil {
 					t.Fatal(err)
 				}
 			})

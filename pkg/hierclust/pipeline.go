@@ -1,6 +1,7 @@
 package hierclust
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"os"
@@ -181,9 +182,9 @@ func (pl *Pipeline) splitBudget(want, n int) (workers, evalWorkers int) {
 // evalCell is the one cell sequence — machine → placement → trace →
 // rank-count check → result shell → per-strategy build and score — behind
 // Run and runSweepCell, for a private cell (run == nil) or a sweep's.
-// Intermediates the run shares (cell.PlacementNode, cell.TraceNode,
-// cell.PartNodes) come from its node tables; everything else is built
-// privately under ctx. Strategies evaluate on up to strategyWorkers
+// Intermediates the run shares (the cell's placement, trace, partition
+// and logged-fraction nodes) come from its node tables; everything else is
+// built privately under ctx. Strategies evaluate on up to strategyWorkers
 // goroutines, each scoring with evalWorkers; results land in scenario order
 // regardless of completion order. cache labels how the trace was satisfied:
 // "miss" (this cell performed the build) or "trace-hit" (shared node or
@@ -235,24 +236,32 @@ func (pl *Pipeline) evalCell(ctx context.Context, run *sweepRun, cell *PlannedCe
 	}
 
 	mix := sc.Mix.Mix()
-	res = resultShell(sc, mach, placement, comm, sc.Baseline.Baseline())
+	res = &Result{
+		Scenario:    sc.Name,
+		Machine:     mach.Name,
+		Ranks:       placement.NumRanks(),
+		Nodes:       placement.NumUsed(),
+		TotalBytes:  comm.TotalBytes(),
+		TotalMsgs:   comm.TotalMsgs(),
+		Baseline:    BaselineSpec(sc.Baseline.Baseline()), // same fields; the conversion keeps them in step
+		Evaluations: make([]StrategyResult, len(sc.Strategies)),
+	}
 	// Strategies are independent. The first failure stops further claims;
 	// the lowest-index error is reported, which — indices being claimed in
 	// ascending order — is the same error at any worker count.
 	errs := make([]error, len(sc.Strategies))
 	var failed atomic.Bool
-	// The workers capture the node slice, not the cell, so RunCell's cell
-	// stays on its stack; they re-derive the baseline from sc rather than
-	// capture it, which keeps the closure in the size class it had.
-	parts := cell.PartNodes
+	// The workers capture the node slices, not the cell, so RunCell's cell
+	// stays on its stack, and re-derive the baseline from sc.
+	parts, logged := cell.PartNodes, cell.loggedNodes
 	pool.Run(len(sc.Strategies), strategyWorkers,
 		func() bool { return failed.Load() || ctx.Err() != nil },
 		func(j, _ int) {
-			node := -1
+			node, loggedNode := -1, -1
 			if run != nil {
-				node = parts[j]
+				node, loggedNode = parts[j], logged[j]
 			}
-			if errs[j] = pl.evalStrategy(ctx, run, sc.Strategies[j], node, comm, placement, mix, sc.Baseline.Baseline(), evalWorkers, &res.Evaluations[j]); errs[j] != nil {
+			if errs[j] = pl.evalStrategy(ctx, run, sc.Strategies[j], node, loggedNode, comm, placement, mix, sc.Baseline.Baseline(), evalWorkers, &res.Evaluations[j]); errs[j] != nil {
 				failed.Store(true)
 			}
 		})
@@ -267,14 +276,14 @@ func (pl *Pipeline) evalCell(ctx context.Context, run *sweepRun, cell *PlannedCe
 	return res, cache, nil
 }
 
-// evalStrategy takes spec's clustering and score profile — the run's shared
-// partition node (node >= 0), or a build of its own under ctx — and does
-// the per-cell part: weigh the profile with the cell's mix, judge it
-// against the baseline and render the row into out. It is the per-strategy
-// panic boundary: a panicking strategy (or the "pipeline.worker" chaos
-// point) fails its own evaluation as a *PanicError without taking down the
-// sibling workers or the process.
-func (pl *Pipeline) evalStrategy(ctx context.Context, run *sweepRun, spec StrategySpec, node int, comm Comm, placement *Placement, mix Mix, baseline Baseline, workers int, out *StrategyResult) (err error) {
+// evalStrategy takes spec's clustering and score profile, and their logged
+// fraction over comm — each the run's shared node (node, loggedNode >= 0)
+// or its own, built under ctx — and does the per-cell part: weigh the
+// profile with the cell's mix, judge it against the baseline and render the
+// row into out. It is the per-strategy panic boundary: a panicking strategy
+// (or the "pipeline.worker" chaos point) fails its own evaluation as a
+// *PanicError without taking down the sibling workers or the process.
+func (pl *Pipeline) evalStrategy(ctx context.Context, run *sweepRun, spec StrategySpec, node, loggedNode int, comm Comm, placement *Placement, mix Mix, baseline Baseline, workers int, out *StrategyResult) (err error) {
 	defer recoverAsError(&err)
 	if err := faultinject.Hit("pipeline.worker"); err != nil {
 		return err
@@ -297,8 +306,18 @@ func (pl *Pipeline) evalStrategy(ctx context.Context, run *sweepRun, spec Strate
 	if err != nil {
 		return err
 	}
-	c, prof := sd.c, sd.prof
-	e, err := prof.Evaluate(ctx, mix, workers)
+	c := sd.c
+	e, err := sd.prof.Evaluate(ctx, mix, workers)
+	if err != nil {
+		return err
+	}
+	if loggedNode >= 0 {
+		e.LoggedFraction, err = run.logged[loggedNode].get(&run.loggedBuilds, func() (float64, error) {
+			return comm.LoggedFraction(c.L1)
+		})
+	} else {
+		e.LoggedFraction, err = comm.LoggedFraction(c.L1)
+	}
 	if err != nil {
 		return err
 	}
@@ -319,52 +338,25 @@ func (pl *Pipeline) evalStrategy(ctx context.Context, run *sweepRun, spec Strate
 	return nil
 }
 
-// buildScored builds spec's clustering and fills prof with its scores.
-func buildScored(ctx context.Context, spec StrategySpec, comm Comm, placement *Placement, prof *core.Profile) (scored, error) {
-	c, err := buildClustering(ctx, spec, comm, placement)
-	if err == nil {
-		err = prof.Init(ctx, c, comm, placement)
-	}
-	return scored{c, prof}, err
-}
-
-// buildClustering instantiates a strategy spec and builds its clustering —
-// the partition-level unit the sweep executor shares across cells via
-// partitionKey. The built clustering is immutable downstream (scoring only
+// buildScored instantiates spec, builds its clustering and fills prof with
+// the clustering's scores — the unit the sweep executor shares across cells
+// by partitionKey. The clustering is immutable downstream (scoring only
 // reads it), so one build may be scored concurrently by many cells.
-func buildClustering(ctx context.Context, spec StrategySpec, comm Comm, placement *Placement) (*Clustering, error) {
+func buildScored(ctx context.Context, spec StrategySpec, comm Comm, placement *Placement, prof *core.Profile) (sd scored, err error) {
 	st, err := NewStrategy(spec)
 	if err != nil {
-		return nil, err
+		return sd, err
 	}
-	var c *Clustering
 	if cs, ok := st.(CtxStrategy); ok {
-		c, err = cs.BuildCtx(ctx, comm, placement)
+		sd.c, err = cs.BuildCtx(ctx, comm, placement)
 	} else {
-		c, err = st.Build(comm, placement)
+		sd.c, err = st.Build(comm, placement)
 	}
 	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		return nil, err
+		return sd, cmp.Or(ctx.Err(), err)
 	}
-	return c, nil
-}
-
-// resultShell assembles the shared header of a Result; Run and RunSweep
-// both fill Evaluations afterwards, so the two paths cannot drift.
-func resultShell(sc *Scenario, mach *Machine, placement *Placement, comm Comm, baseline Baseline) *Result {
-	return &Result{
-		Scenario:    sc.Name,
-		Machine:     mach.Name,
-		Ranks:       placement.NumRanks(),
-		Nodes:       placement.NumUsed(),
-		TotalBytes:  comm.TotalBytes(),
-		TotalMsgs:   comm.TotalMsgs(),
-		Baseline:    BaselineSpec(baseline), // same fields; the conversion keeps them in step
-		Evaluations: make([]StrategyResult, len(sc.Strategies)),
-	}
+	sd.prof = prof
+	return sd, prof.Init(ctx, sd.c, placement)
 }
 
 // resolveTrace returns the scenario's communication matrix. Only a traced

@@ -28,9 +28,12 @@ type SweepPlan struct {
 	// TraceRefs is the total per-cell trace demand (= len(Cells)).
 	TraceRefs int
 	// PartitionBuilds / PartitionRefs are the same accounting for
-	// strategy clustering builds (one ref per strategy per cell).
+	// clustering builds (one ref per strategy per cell). A built-in flat
+	// strategy's clustering is shared across traces, even "file" ones.
 	PartitionBuilds int
 	PartitionRefs   int
+	// nodes sizes the executor's placement, trace, partition and logged tables.
+	nodes [4]int
 }
 
 // PlannedCell is one cell of the compiled DAG.
@@ -58,22 +61,24 @@ type PlannedCell struct {
 	// PartNodes holds, per strategy (in scenario order), the shared
 	// partition-node id, or -1 for a privately built clustering.
 	PartNodes []int
+	// loggedNodes holds, per strategy, the shared node of the clustering's
+	// logged fraction over the cell's trace, or -1 for a private one.
+	loggedNodes []int
 }
 
-// partitionKey returns the canonical key identifying the clustering a
-// strategy spec builds for a scenario. Two (scenario, spec) pairs with equal
-// keys build bit-identical clusterings: the key folds in the machine, the
-// placement, the trace identity (a clustering may read the communication
-// matrix), and the full strategy spec. Scenarios differing only in mix,
-// baseline, name, or sibling strategies share a partition. The planner
-// passes in sc.TraceKey() and the spec's compact JSON, each fixed across
-// many cells. An uncacheable trace ("file" source) has no TraceKey and makes
-// the partition unshareable too: the bytes behind a path are not a value.
-func partitionKey(sc *Scenario, traceKey, specJSON string) string {
-	return fmt.Sprintf("part|model=%s|nodes=%d|policy=%s|ranks=%d|ppn=%d|%s|%s",
-		sc.Machine.Model, sc.Machine.Nodes,
-		sc.Placement.Policy, sc.Placement.Ranks, sc.Placement.ProcsPerNode,
-		traceKey, specJSON)
+// traceKey identifies a shareable trace by what Scenario.TraceKey renders.
+type traceKey struct {
+	ranks int
+	TraceSpec
+}
+
+// partitionKey identifies the clustering a strategy spec (as compact JSON)
+// builds in a cell: equal keys build bit-identical clusterings. trace is
+// the cell's trace node, as a clustering may read the matrix, or -1 for a
+// built-in flat kind, which cannot (RegisterStrategy cannot shadow one).
+type partitionKey struct {
+	place, trace int
+	spec         string
 }
 
 // placementKey identifies a machine and the placement built on it.
@@ -99,10 +104,16 @@ func PlanSweep(sw *Sweep) (*SweepPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan := &SweepPlan{Sweep: sw, Cells: make([]PlannedCell, len(cells))}
+	plan := &SweepPlan{Sweep: sw, Cells: make([]PlannedCell, len(cells)), TraceRefs: len(cells)}
+	for _, sc := range cells {
+		plan.PartitionRefs += len(sc.Strategies)
+	}
+	// Every cell's partition and logged-fraction node ids, in one slab.
+	ids := make([]int, 2*plan.PartitionRefs)
 	placeIDs := map[placementKey]int{}
-	traceIDs := map[string]int{}
-	partIDs := map[string]int{}
+	traceIDs := map[traceKey]int{}
+	partIDs := map[partitionKey]int{}
+	loggedIDs := map[[2]int]int{} // (partition node, trace node)
 	// A strategies-axis value reaches every cell that uses it as the same
 	// spec values (Hier pointers included), so one marshal serves them all.
 	specJSON := map[StrategySpec]string{}
@@ -113,36 +124,42 @@ func PlanSweep(sw *Sweep) (*SweepPlan, error) {
 		}
 		cell := PlannedCell{Index: i, Scenario: sc, CacheKey: key, TraceNode: -1, TraceBuilder: true}
 		cell.PlacementNode, _ = nodeID(placeIDs, placementKey{sc.Machine, sc.Placement})
-		plan.TraceRefs++
-		traceKey, shareable := sc.TraceKey()
-		if shareable {
-			var seen bool
-			cell.TraceNode, seen = nodeID(traceIDs, traceKey)
-			cell.TraceBuilder = !seen
-		} else {
+		// A "file" trace is not a value (see TraceKey): each cell reads its own.
+		if sc.Trace.Source == "file" {
 			plan.TraceBuilds++ // private build
+		} else {
+			var seen bool
+			cell.TraceNode, seen = nodeID(traceIDs, traceKey{sc.Placement.Ranks, sc.resolvedTrace()})
+			cell.TraceBuilder = !seen
 		}
-		cell.PartNodes = make([]int, len(sc.Strategies))
+		n := len(sc.Strategies)
+		cell.PartNodes, cell.loggedNodes, ids = ids[:n:n], ids[n:2*n:2*n], ids[2*n:]
 		for j, spec := range sc.Strategies {
-			plan.PartitionRefs++
-			if !shareable {
-				cell.PartNodes[j] = -1
-				plan.PartitionBuilds++ // private build
+			cell.PartNodes[j], cell.loggedNodes[j] = -1, -1
+			pk := partitionKey{place: cell.PlacementNode, trace: cell.TraceNode}
+			if flatKinds[spec.Kind] {
+				pk.trace = -1
+			} else if pk.trace < 0 {
+				plan.PartitionBuilds++ // private build over a private trace
 				continue
 			}
-			js, ok := specJSON[spec]
-			if !ok {
+			var ok bool
+			if pk.spec, ok = specJSON[spec]; !ok {
 				b, err := json.Marshal(spec)
 				if err != nil {
 					return nil, fmt.Errorf("hierclust: sweep %q: cell %q: %w", sw.Name, sc.Name, err)
 				}
-				js = string(b)
-				specJSON[spec] = js
+				pk.spec = string(b)
+				specJSON[spec] = pk.spec
 			}
-			cell.PartNodes[j], _ = nodeID(partIDs, partitionKey(sc, traceKey, js))
+			cell.PartNodes[j], _ = nodeID(partIDs, pk)
+			if cell.TraceNode >= 0 {
+				cell.loggedNodes[j], _ = nodeID(loggedIDs, [2]int{cell.PartNodes[j], cell.TraceNode})
+			}
 		}
 		plan.Cells[i] = cell
 	}
+	plan.nodes = [4]int{len(placeIDs), len(traceIDs), len(partIDs), len(loggedIDs)}
 	plan.TraceBuilds += len(traceIDs)
 	plan.PartitionBuilds += len(partIDs)
 	return plan, nil

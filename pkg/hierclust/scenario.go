@@ -322,9 +322,12 @@ func (s *Scenario) CacheKey() (string, error) {
 
 // cacheKey is CacheKey for a scenario the caller has already validated.
 func (s *Scenario) cacheKey() (string, error) {
-	versioned := *s
-	versioned.Version = ScenarioVersion
-	b, err := json.Marshal(&versioned)
+	if s.Version != ScenarioVersion { // an expanded sweep cell already is
+		v := *s
+		v.Version = ScenarioVersion
+		s = &v
+	}
+	b, err := json.Marshal(s)
 	if err != nil {
 		return "", err
 	}

@@ -234,10 +234,6 @@ func (s *Server) OpenSweepJournal(path string) (resumed int, err error) {
 			log.Printf("hcserve: sweep journal: job %s not resumed: %v", id, serr)
 			continue
 		}
-		s.sweepJobsTotal.Inc()
-		s.sweepCellsTotal.Add(uint64(len(plan.Cells)))
-		s.sweepBuilds.Add(uint64(plan.TraceBuilds + plan.PartitionBuilds))
-		s.sweepRefs.Add(uint64(plan.TraceRefs + plan.PartitionRefs))
 		go s.runSweepJob(jobCtx, job)
 		resumed++
 	}

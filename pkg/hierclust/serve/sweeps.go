@@ -201,8 +201,8 @@ func (s *Server) forgetSweepJobLocked(id string) {
 
 // storeSweepJob registers a job, evicting the oldest finished job when the
 // store is full. It fails when every retained job is still running, or when
-// the server is draining. On success the job is accounted in sweepWG; the
-// caller must spawn runSweepJob (which calls sweepWG.Done). Re-checking
+// the server is draining. On success the job is accounted in sweepWG and
+// the sweep counters; the caller must spawn runSweepJob (which calls sweepWG.Done). Re-checking
 // draining and calling Add under sweepMu — the same lock Drain holds while
 // flipping the flag — guarantees no Add can race sweepWG.Wait, so no job
 // goroutine outlives Drain.
@@ -232,6 +232,10 @@ func (s *Server) storeSweepJob(j *sweepJob) error {
 	s.sweepJobs[j.id] = j
 	s.sweepOrder = append(s.sweepOrder, j.id)
 	s.sweepWG.Add(1)
+	s.sweepJobsTotal.Inc()
+	s.sweepCellsTotal.Add(uint64(len(j.plan.Cells)))
+	s.sweepBuilds.Add(uint64(j.plan.TraceBuilds + j.plan.PartitionBuilds))
+	s.sweepRefs.Add(uint64(j.plan.TraceRefs + j.plan.PartitionRefs))
 	return nil
 }
 
@@ -301,11 +305,6 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	// Journal the accepted sweep before the 202 leaves the server: once
 	// the client sees the job id, the job survives kill -9.
 	s.journalSubmitted(id, job.client, body)
-
-	s.sweepJobsTotal.Inc()
-	s.sweepCellsTotal.Add(uint64(len(plan.Cells)))
-	s.sweepBuilds.Add(uint64(plan.TraceBuilds + plan.PartitionBuilds))
-	s.sweepRefs.Add(uint64(plan.TraceRefs + plan.PartitionRefs))
 
 	// The 202 body is the job as accepted, snapshotted before it can run.
 	doc := job.statusDoc()

@@ -151,6 +151,9 @@ func (s *flatStrategy) Build(m Comm, p *Placement) (*Clustering, error) {
 	return s.build(p.NumRanks(), s.size)
 }
 
+// flatKinds are the built-ins whose clustering reads the rank count alone.
+var flatKinds = map[string]bool{"naive": true, "size-guided": true, "distributed": true}
+
 type hierStrategy struct {
 	name string
 	opts HierOptions

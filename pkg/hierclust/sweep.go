@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strconv"
+	"strings"
 )
 
 // The paper's core result is a comparison — four clustering strategies
@@ -93,10 +95,7 @@ type TracePoint struct {
 // slip under every bound check).
 func (sw *Sweep) CellCount() int {
 	n := 1
-	for _, axis := range []int{
-		len(sw.Axes.Machines), len(sw.Axes.Placements),
-		len(sw.Axes.Strategies), len(sw.Axes.Mixes), len(sw.Axes.Traces),
-	} {
+	for _, axis := range sw.axisLens() {
 		if axis <= 0 {
 			continue
 		}
@@ -160,30 +159,12 @@ func (sw *Sweep) Cells() ([]*Scenario, error) {
 		return nil, fmt.Errorf("hierclust: sweep %q: axes multiply out past the %d-cell bound", sw.Name, SweepMaxCells)
 	}
 
-	// An empty axis contributes the single value "inherit the base".
-	machines := sw.Axes.Machines
-	if len(machines) == 0 {
-		machines = []MachinePoint{{}}
-	}
-	placements := sw.Axes.Placements
-	if len(placements) == 0 {
-		placements = []string{""}
-	}
-	strategies := sw.Axes.Strategies
-	if len(strategies) == 0 {
-		strategies = [][]StrategySpec{nil}
-	}
-	mixes := sw.Axes.Mixes
-	hasMixes := len(mixes) > 0
-	if !hasMixes {
-		mixes = []MixSpec{{}}
-	}
-	traces := sw.Axes.Traces
-	if len(traces) == 0 {
-		traces = []TracePoint{{}}
-	}
+	machines, placements, strategies := orInherit(sw.Axes.Machines), orInherit(sw.Axes.Placements), orInherit(sw.Axes.Strategies)
+	mixes, traces, lens := orInherit(sw.Axes.Mixes), orInherit(sw.Axes.Traces), sw.axisLens()
 
-	out := make([]*Scenario, 0, sw.CellCount())
+	// Each cell owns disjoint windows of these slabs, shared with no one.
+	out, scs := make([]*Scenario, 0, sw.CellCount()), make([]Scenario, 0, sw.CellCount())
+	specs, mixSpecs, losses := []StrategySpec(nil), []MixSpec(nil), []float64(nil)
 	for mi, m := range machines {
 		for pi, pol := range placements {
 			for si, set := range strategies {
@@ -191,12 +172,7 @@ func (sw *Sweep) Cells() ([]*Scenario, error) {
 					for ti, tp := range traces {
 						sc := sw.Base // value copy; slices replaced below, never mutated
 						sc.Version = ScenarioVersion
-						sc.Name = cellName(sw.Base.Name,
-							axisSeg("m", mi, len(sw.Axes.Machines)),
-							axisSeg("p", pi, len(sw.Axes.Placements)),
-							axisSeg("s", si, len(sw.Axes.Strategies)),
-							axisSeg("x", xi, len(sw.Axes.Mixes)),
-							axisSeg("t", ti, len(sw.Axes.Traces)))
+						sc.Name = cellName(sw.Base.Name, lens, [5]int{mi, pi, si, xi, ti})
 						if m.Nodes > 0 {
 							sc.Machine.Nodes = m.Nodes
 							if m.Ranks > 0 {
@@ -210,12 +186,12 @@ func (sw *Sweep) Cells() ([]*Scenario, error) {
 							sc.Placement.Policy = pol
 						}
 						if set != nil {
-							sc.Strategies = append([]StrategySpec(nil), set...)
+							sc.Strategies = window(&specs, set...)
 						}
-						if hasMixes {
-							mixCopy := mix
-							mixCopy.NodeLoss = append([]float64(nil), mix.NodeLoss...)
-							sc.Mix = &mixCopy
+						if lens[3] > 0 {
+							own := mix
+							own.NodeLoss = window(&losses, mix.NodeLoss...)
+							sc.Mix = &window(&mixSpecs, own)[0]
 						}
 						if tp.Iterations > 0 {
 							sc.Trace.Iterations = tp.Iterations
@@ -232,7 +208,7 @@ func (sw *Sweep) Cells() ([]*Scenario, error) {
 						if err := sc.Validate(); err != nil {
 							return nil, fmt.Errorf("hierclust: sweep %q: cell %q: %w", sw.Name, sc.Name, err)
 						}
-						out = append(out, &sc)
+						out = append(out, &window(&scs, sc)[0])
 					}
 				}
 			}
@@ -241,21 +217,42 @@ func (sw *Sweep) Cells() ([]*Scenario, error) {
 	return out, nil
 }
 
-// axisSeg renders one cell-name segment, or "" for an inactive axis.
-func axisSeg(tag string, idx, axisLen int) string {
-	if axisLen == 0 {
-		return ""
-	}
-	return fmt.Sprintf("/%s%d", tag, idx)
+// window appends vs to *slab and returns them, capacity-capped: appending
+// to the window reallocates rather than overwrite the next one.
+func window[T any](slab *[]T, vs ...T) []T {
+	*slab = append(*slab, vs...)
+	return (*slab)[len(*slab)-len(vs) : len(*slab) : len(*slab)]
 }
 
-// cellName joins the base name with the active axis segments.
-func cellName(base string, segs ...string) string {
-	name := base
-	for _, s := range segs {
-		name += s
+// orInherit returns axis, or for an empty one the zero value: "inherit".
+func orInherit[T any](axis []T) []T {
+	if len(axis) == 0 {
+		return make([]T, 1)
 	}
-	return name
+	return axis
+}
+
+// axisLens returns the axis lengths in expansion order (m, p, s, x, t).
+func (sw *Sweep) axisLens() [5]int {
+	return [5]int{len(sw.Axes.Machines), len(sw.Axes.Placements),
+		len(sw.Axes.Strategies), len(sw.Axes.Mixes), len(sw.Axes.Traces)}
+}
+
+// cellName renders a cell's name in one allocation: base, then a
+// "/<tag><index>" segment per non-empty axis (lens, idx in axisLens order).
+func cellName(base string, lens, idx [5]int) string {
+	var b strings.Builder
+	b.Grow(len(base) + len(lens)*len("/m65535")) // an index is below SweepMaxCells
+	b.WriteString(base)
+	for k, n := range lens {
+		if n > 0 {
+			var digits [8]byte
+			b.WriteByte('/')
+			b.WriteByte("mpsxt"[k])
+			b.Write(strconv.AppendInt(digits[:0], int64(idx[k]), 10))
+		}
+	}
+	return b.String()
 }
 
 // EncodeSweep renders the sweep as indented JSON with a stable field order

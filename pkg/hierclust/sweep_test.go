@@ -341,7 +341,9 @@ func TestPlanSweepTraceDedup(t *testing.T) {
 }
 
 // TestPlanSweepFileTracePrivate: an uncacheable ("file") trace plans as a
-// private build per cell — no sharing, no cross-cell poisoning.
+// private build per cell, and so does every clustering that may read it
+// and every logged fraction over it — no cross-cell poisoning. A flat
+// strategy's clustering reads no trace, so its cells still share one.
 func TestPlanSweepFileTracePrivate(t *testing.T) {
 	base := sweepBase()
 	base.Trace = TraceSpec{Source: "file", Path: "/tmp/nonexistent.hctr"}
@@ -350,26 +352,38 @@ func TestPlanSweepFileTracePrivate(t *testing.T) {
 		Base: base,
 		Axes: SweepAxes{
 			Strategies: [][]StrategySpec{{{Kind: "naive", Size: 8}}, {{Kind: "hierarchical"}}},
+			Mixes: []MixSpec{
+				{Transient: 0.05, NodeLoss: []float64{0.9}},
+				{Transient: 0.5, NodeLoss: []float64{0.5}},
+			},
 		},
 	}
 	plan, err := PlanSweep(sw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.TraceBuilds != 2 || plan.TraceRefs != 2 {
-		t.Fatalf("trace builds/refs = %d/%d, want 2/2 (private)", plan.TraceBuilds, plan.TraceRefs)
+	if plan.TraceBuilds != 4 || plan.TraceRefs != 4 {
+		t.Fatalf("trace builds/refs = %d/%d, want 4/4 (private)", plan.TraceBuilds, plan.TraceRefs)
+	}
+	if plan.PartitionBuilds != 1+2 || plan.PartitionRefs != 4 {
+		t.Fatalf("partition builds/refs = %d/%d, want 3/4 (naive shared, hierarchical private)", plan.PartitionBuilds, plan.PartitionRefs)
 	}
 	for _, c := range plan.Cells {
 		if c.TraceNode != -1 || !c.TraceBuilder {
 			t.Fatalf("cell %d: TraceNode=%d TraceBuilder=%v, want private builder", c.Index, c.TraceNode, c.TraceBuilder)
 		}
-		for _, pn := range c.PartNodes {
-			if pn != -1 {
-				t.Fatalf("cell %d: partition shared despite uncacheable trace", c.Index)
-			}
+		want := -1 // hierarchical: private
+		if c.Scenario.Strategies[0].Kind == "naive" {
+			want = 0
+		}
+		if c.PartNodes[0] != want {
+			t.Fatalf("cell %d (%s): partition node %d, want %d", c.Index, c.Scenario.Strategies[0].Kind, c.PartNodes[0], want)
+		}
+		if c.loggedNodes[0] != -1 {
+			t.Fatalf("cell %d: logged fraction shared over an uncacheable trace", c.Index)
 		}
 	}
-	if r := plan.DedupRatio(); r != 0 {
-		t.Fatalf("dedup ratio = %g, want 0", r)
+	if r := plan.DedupRatio(); r != 1-7.0/8 {
+		t.Fatalf("dedup ratio = %g, want 1/8", r)
 	}
 }

@@ -15,11 +15,12 @@ import (
 
 // The sweep executor runs a compiled SweepPlan on a bounded worker pool.
 // Shared DAG nodes (placements, trace builds, clustering builds with their
-// score profiles) are computed inline by whichever cell demands them first
-// — a sync.Once per node — so every shared intermediate is built exactly
-// once per run regardless of worker count or scheduling, and no worker ever
-// blocks waiting for a slot it is itself supposed to fill. A node's values
-// are dropped when its last consuming cell finishes. Per-cell results are
+// score profiles, their logged fractions over each trace) are computed
+// inline by whichever cell demands them first — a sync.Once per node — so
+// every shared intermediate is built exactly once per run regardless of
+// worker count or scheduling, and no worker ever blocks waiting for a slot
+// it is itself supposed to fill. A node's values are dropped when its last
+// consuming cell finishes. Per-cell results are
 // byte-identical to running the expanded scenario through Pipeline.Run — Run
 // is the same evalCell on a one-cell plan with no shared nodes — at any
 // worker count. RunCell runs one scenario through the same cell sequence
@@ -127,12 +128,13 @@ type sweepRun struct {
 	places []sweepNode[placed]
 	traces []sweepNode[traced]
 	parts  []sweepNode[scored]
-	// placeBuilds is for tests: the plan's accounting leaves placements out.
-	placeBuilds, traceBuilds, partBuilds atomic.Int64
+	logged []sweepNode[float64]
+	// placeBuilds and loggedBuilds are for tests: the plan counts neither.
+	placeBuilds, traceBuilds, partBuilds, loggedBuilds atomic.Int64
 }
 
-// The three shared intermediates. A clustering carries its score profile,
-// so the cells sharing the node differ only in the weighing.
+// The shared intermediates but the logged fraction. A clustering carries
+// its score profile: the cells sharing it differ in trace and weighing.
 type (
 	placed struct {
 		mach      *Machine
@@ -179,19 +181,12 @@ func (n *sweepNode[T]) consume(delta int32) {
 
 // newSweepRun sizes the node tables and counts every node's consumers.
 func newSweepRun(ctx context.Context, plan *SweepPlan) *sweepRun {
-	numPlace, numTrace, numPart := 0, 0, 0
-	for i := range plan.Cells {
-		numPlace = max(numPlace, plan.Cells[i].PlacementNode+1)
-		numTrace = max(numTrace, plan.Cells[i].TraceNode+1)
-		for _, id := range plan.Cells[i].PartNodes {
-			numPart = max(numPart, id+1)
-		}
-	}
 	run := &sweepRun{
 		ctx:    ctx,
-		places: make([]sweepNode[placed], numPlace),
-		traces: make([]sweepNode[traced], numTrace),
-		parts:  make([]sweepNode[scored], numPart),
+		places: make([]sweepNode[placed], plan.nodes[0]),
+		traces: make([]sweepNode[traced], plan.nodes[1]),
+		parts:  make([]sweepNode[scored], plan.nodes[2]),
+		logged: make([]sweepNode[float64], plan.nodes[3]),
 	}
 	for i := range plan.Cells {
 		run.consume(&plan.Cells[i], 1)
@@ -211,9 +206,12 @@ func (run *sweepRun) consume(cell *PlannedCell, delta int32) {
 	if id := cell.TraceNode; id >= 0 {
 		run.traces[id].consume(delta)
 	}
-	for _, id := range cell.PartNodes {
+	for j, id := range cell.PartNodes {
 		if id >= 0 {
 			run.parts[id].consume(delta)
+		}
+		if id := cell.loggedNodes[j]; id >= 0 {
+			run.logged[id].consume(delta)
 		}
 	}
 }

@@ -7,11 +7,16 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"hierclust/internal/racedetect"
+	"hierclust/internal/trace"
 )
 
 // What a sweep shares: placements, traces, and clusterings with their score
@@ -19,8 +24,8 @@ import (
 // thing once, lets go of it when its last consumer finishes, and keeps one
 // cell's timeout or one build's panic from reaching further than it should.
 
-// spyComm counts LoggedFraction calls (every profile build makes exactly
-// one, and nothing else calls it) and can be told to panic there.
+// spyComm counts LoggedFraction calls (every logged-fraction node makes
+// exactly one, and nothing else calls it) and can be told to panic there.
 type spyComm struct {
 	Comm
 	logged *atomic.Int64
@@ -36,8 +41,8 @@ func (c spyComm) LoggedFraction(part []int) (float64, error) {
 }
 
 // spyOnTraces builds every shared trace node of run ahead of the sweep,
-// wrapped in spyComm, so the sweep hands the spy to every clustering and
-// profile build. It returns the spies' LoggedFraction counter.
+// wrapped in spyComm, so the sweep hands the spy to every clustering build
+// and logged fraction. It returns the spies' LoggedFraction counter.
 func spyOnTraces(t *testing.T, plan *SweepPlan, run *sweepRun, panics bool) *atomic.Int64 {
 	t.Helper()
 	logged := new(atomic.Int64)
@@ -96,10 +101,12 @@ func sharedSweep() *Sweep {
 	}
 }
 
-// TestRunSweepSharedProfilesByteIdentical: with placements, clusterings and
-// profiles shared, every cell's document is still Pipeline.Run of that cell
-// alone, at 1, 2 and 8 workers; every partition node built one profile and
-// every placement node one placement.
+// TestRunSweepSharedProfilesByteIdentical: with placements, clusterings,
+// profiles and logged fractions shared, every cell's document is still
+// Pipeline.Run of that cell alone, at 1, 2 and 8 workers. The three flat
+// kinds build one clustering for both trace points and hierarchical one per
+// trace point; the logged fraction is taken once per distinct (clustering,
+// trace) pair; every placement node builds one placement.
 func TestRunSweepSharedProfilesByteIdentical(t *testing.T) {
 	sw := sharedSweep()
 	cells, err := sw.Cells()
@@ -120,6 +127,15 @@ func TestRunSweepSharedProfilesByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pairs := map[[2]int]bool{}
+	for _, cell := range plan.Cells {
+		for _, part := range cell.PartNodes {
+			pairs[[2]int{part, cell.TraceNode}] = true
+		}
+	}
+	if plan.PartitionBuilds != 3+2 || len(pairs) != 4*2 {
+		t.Fatalf("plan has %d partition nodes and %d (clustering, trace) pairs, want 5 and 8", plan.PartitionBuilds, len(pairs))
+	}
 	for _, workers := range []int{1, 2, 8} {
 		run := newSweepRun(context.Background(), plan)
 		logged := spyOnTraces(t, plan, run, false)
@@ -136,9 +152,13 @@ func TestRunSweepSharedProfilesByteIdentical(t *testing.T) {
 					workers, i, cell.Scenario, cell.Doc, want[i])
 			}
 		}
-		if got := logged.Load(); got != int64(plan.PartitionBuilds) || report.PartitionBuilds != int64(plan.PartitionBuilds) {
-			t.Errorf("workers=%d: %d profiles built over %d partition builds, plan has %d partition nodes",
-				workers, got, report.PartitionBuilds, plan.PartitionBuilds)
+		if got := logged.Load(); got != int64(len(pairs)) || run.loggedBuilds.Load() != got {
+			t.Errorf("workers=%d: %d LoggedFraction calls over %d logged-node builds, want %d",
+				workers, got, run.loggedBuilds.Load(), len(pairs))
+		}
+		if report.PartitionBuilds != int64(plan.PartitionBuilds) {
+			t.Errorf("workers=%d: %d partition builds, plan has %d partition nodes",
+				workers, report.PartitionBuilds, plan.PartitionBuilds)
 		}
 		if got := run.placeBuilds.Load(); got != int64(len(run.places)) || len(run.places) != 1 {
 			t.Errorf("workers=%d: %d placements built for %d placement nodes, want 1 for 1", workers, got, len(run.places))
@@ -324,10 +344,12 @@ func TestRunSweepProfileBuildPanicReachesEverySharer(t *testing.T) {
 	}
 }
 
-// TestPlanSweepKeysMatchPerCellDerivation: the planner takes TraceKey once
-// per cell and marshals a strategy spec once per axis value; the keys — and
-// so the node ids — are those of deriving everything per cell × strategy
-// from the public methods, as it used to.
+// TestPlanSweepKeysMatchPerCellDerivation: the planner keys nodes by value
+// and marshals a strategy spec once per axis value; the node ids are those
+// of deriving rendered keys per cell × strategy from the public methods.
+// A built-in flat strategy's key leaves the trace out (its clustering reads
+// only the rank count); every other kind's keeps it. A logged fraction is
+// keyed by its (clustering, trace) pair.
 func TestPlanSweepKeysMatchPerCellDerivation(t *testing.T) {
 	sw := allAxesSweep()
 	sw.Axes.Strategies = append(sw.Axes.Strategies, []StrategySpec{
@@ -337,13 +359,14 @@ func TestPlanSweepKeysMatchPerCellDerivation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	placeIDs, traceIDs, partIDs := map[string]int{}, map[string]int{}, map[string]int{}
+	placeIDs, traceIDs, partIDs, loggedIDs := map[string]int{}, map[string]int{}, map[string]int{}, map[string]int{}
 	id := func(ids map[string]int, key string) int {
 		if _, ok := ids[key]; !ok {
 			ids[key] = len(ids)
 		}
 		return ids[key]
 	}
+	flat := 0
 	for i := range plan.Cells {
 		cell := &plan.Cells[i]
 		sc := cell.Scenario
@@ -366,20 +389,223 @@ func TestPlanSweepKeysMatchPerCellDerivation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			old := fmt.Sprintf("part|model=%s|nodes=%d|policy=%s|ranks=%d|ppn=%d|%s|%s",
-				sc.Machine.Model, sc.Machine.Nodes,
-				sc.Placement.Policy, sc.Placement.Ranks, sc.Placement.ProcsPerNode,
-				traceKey, specJSON)
-			if got := partitionKey(sc, traceKey, string(specJSON)); got != old {
-				t.Fatalf("cell %d strategy %d: partition key\n%s\nwant\n%s", i, j, got, old)
+			partTrace := traceKey
+			if spec.Kind == "naive" || spec.Kind == "size-guided" || spec.Kind == "distributed" {
+				partTrace = "flat"
+				flat++
 			}
-			if want := id(partIDs, old); cell.PartNodes[j] != want {
+			part := fmt.Sprintf("part|%s|%s|%s", placeKey, partTrace, specJSON)
+			if want := id(partIDs, part); cell.PartNodes[j] != want {
 				t.Errorf("cell %d strategy %d: partition node %d, want %d", i, j, cell.PartNodes[j], want)
 			}
+			if want := id(loggedIDs, part+"|"+traceKey); cell.loggedNodes[j] != want {
+				t.Errorf("cell %d strategy %d: logged node %d, want %d", i, j, cell.loggedNodes[j], want)
+			}
 		}
+	}
+	if flat == 0 || len(traceIDs) < 2 {
+		t.Fatalf("sweep exercises %d flat strategies over %d traces; the rule needs both", flat, len(traceIDs))
 	}
 	if plan.TraceBuilds != len(traceIDs) || plan.PartitionBuilds != len(partIDs) {
 		t.Errorf("plan counts %d trace / %d partition builds, per-cell derivation %d / %d",
 			plan.TraceBuilds, plan.PartitionBuilds, len(traceIDs), len(partIDs))
+	}
+}
+
+// gridSweep is the shape of hcbench's sweep-grid: 4 one-strategy sets × 3
+// mixes × 2 trace points.
+func gridSweep() *Sweep {
+	loss := []float64{0.9429, 6.3e-3, 6.6e-4, 6.6e-5, 6.6e-6, 6.6e-7}
+	return &Sweep{
+		Name: "grid",
+		Base: Scenario{
+			Name:      "grid",
+			Machine:   MachineSpec{Model: "tsubame2", Nodes: 128},
+			Placement: PlacementSpec{Policy: "block", Ranks: 512, ProcsPerNode: 4},
+			Trace:     TraceSpec{Source: "synthetic", Pattern: "stencil2d"},
+		},
+		Axes: SweepAxes{
+			Strategies: [][]StrategySpec{
+				{{Kind: "naive", Size: 32}},
+				{{Kind: "size-guided", Size: 8}},
+				{{Kind: "distributed", Size: 16}},
+				{{Kind: "hierarchical", Hier: &HierSpec{Multilevel: true}}},
+			},
+			Mixes: []MixSpec{
+				{Transient: 0.05, NodeLoss: loss},
+				{Transient: 0.20, NodeLoss: loss},
+				{Transient: 0.05, NodeLoss: loss, PairCorrelation: 0.5},
+			},
+			Traces: []TracePoint{{Iterations: 60, BytesPerMsg: 2048}, {Iterations: 90, BytesPerMsg: 3000}},
+		},
+	}
+}
+
+// TestPlanSweepAllocsBounded: planning allocates a fixed number of objects
+// per cell (its scenario and name, validation, cache key) plus a few per
+// distinct node and spec — no key is rendered per cell × strategy.
+func TestPlanSweepAllocsBounded(t *testing.T) {
+	if racedetect.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	sw := gridSweep()
+	plan, err := PlanSweep(sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Cells) != 24 || plan.TraceBuilds != 2 || plan.PartitionBuilds != 5 {
+		t.Fatalf("plan has %d cells, %d trace and %d partition builds, want 24, 2 and 5",
+			len(plan.Cells), plan.TraceBuilds, plan.PartitionBuilds)
+	}
+	got := testing.AllocsPerRun(20, func() {
+		if _, err := PlanSweep(sw); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Per cell: its name, cache key (bytes and string) and validation
+	// (strategy instances, the normalized mix), with room. Per distinct
+	// node: map growth, and a spec's JSON for a partition node.
+	const perCell, perNode = 6, 4
+	nodes := plan.nodes[0] + plan.nodes[1] + plan.nodes[2] + plan.nodes[3]
+	bound := float64(perCell*len(plan.Cells) + perNode*nodes)
+	t.Logf("PlanSweep allocates %v objects for %d cells and %d nodes (bound %v)", got, len(plan.Cells), nodes, bound)
+	if got > bound {
+		t.Errorf("PlanSweep allocates %v objects, over %d per cell and %d per node (%v): is a key rendered per cell again?",
+			got, perCell, perNode, bound)
+	}
+}
+
+// traceSized is a third-party strategy whose clustering reads the matrix:
+// its cluster size follows the magnitude of the trace's message count.
+type traceSized struct{}
+
+func (traceSized) Name() string { return "trace-sized" }
+
+func (traceSized) Build(m Comm, p *Placement) (*Clustering, error) {
+	return Naive(p.NumRanks(), 2<<(bits.Len64(uint64(m.TotalMsgs()))%3))
+}
+
+// TestRunSweepThirdPartyStrategyPerTrace: only the built-in flat kinds drop
+// the trace from their partition key. A registered strategy that reads the
+// matrix gets one partition node per trace point while naive shares one
+// across both, and every cell's document is Pipeline.Run's byte for byte.
+func TestRunSweepThirdPartyStrategyPerTrace(t *testing.T) {
+	if err := RegisterStrategy("trace-sized", func(StrategySpec) (Strategy, error) { return traceSized{}, nil }); err != nil &&
+		!strings.Contains(err.Error(), "already registered") { // -count > 1
+		t.Fatal(err)
+	}
+	base := sweepBase()
+	base.Strategies = []StrategySpec{{Kind: "trace-sized"}, {Kind: "naive", Size: 8}}
+	sw := &Sweep{Name: "third-party", Base: base, Axes: SweepAxes{
+		Mixes: []MixSpec{
+			{Transient: 0.05, NodeLoss: []float64{0.9, 0.05}},
+			{Transient: 0.5, NodeLoss: []float64{0.5}},
+		},
+		Traces: []TracePoint{{Iterations: 10}, {Iterations: 20}},
+	}}
+	plan, err := PlanSweep(sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perTrace := map[int]int{} // trace node → trace-sized partition node
+	for _, cell := range plan.Cells {
+		if id, ok := perTrace[cell.TraceNode]; ok && id != cell.PartNodes[0] {
+			t.Errorf("cell %d: trace-sized partition node %d, its trace point's is %d", cell.Index, cell.PartNodes[0], id)
+		}
+		perTrace[cell.TraceNode] = cell.PartNodes[0]
+		if cell.PartNodes[1] != plan.Cells[0].PartNodes[1] {
+			t.Errorf("cell %d: naive partition node %d, want the one shared node %d", cell.Index, cell.PartNodes[1], plan.Cells[0].PartNodes[1])
+		}
+	}
+	if len(perTrace) != 2 || perTrace[0] == perTrace[1] {
+		t.Errorf("trace-sized partition nodes by trace node %v, want one per trace point", perTrace)
+	}
+	report, err := NewPipeline(WithWorkers(2)).RunPlannedSweep(context.Background(), plan, SweepOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.PartitionBuilds != 3 {
+		t.Errorf("%d partition builds, want 3", report.PartitionBuilds)
+	}
+	clusters := map[int]bool{}
+	for i, cell := range report.Cells {
+		res, err := NewPipeline(WithWorkers(1)).Run(context.Background(), plan.Cells[i].Scenario)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cell.Err != nil || !bytes.Equal(cell.Doc, want) {
+			t.Errorf("cell %d (%s) diverges from Pipeline.Run (%v):\n%s\nvs\n%s", i, cell.Scenario, cell.Err, cell.Doc, want)
+		}
+		clusters[res.Evaluations[0].L1Clusters] = true
+	}
+	if len(clusters) != 2 {
+		t.Fatalf("trace-sized built %d distinct clusterings over two trace points, want 2: the test cannot tell a wrong share", len(clusters))
+	}
+}
+
+// TestRunSweepFileTraceSharesFlatClusterings: over a "file" trace, which
+// every cell reads for itself, the flat strategies still share one
+// clustering across cells while hierarchical and every logged fraction stay
+// private — and every cell's document is Pipeline.Run's, at 1 and 2 workers.
+func TestRunSweepFileTraceSharesFlatClusterings(t *testing.T) {
+	m, err := trace.Synthetic(64, trace.SyntheticOptions{Pattern: trace.Stencil2D, Width: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "trace.hctr")
+	var buf bytes.Buffer
+	if _, err := m.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	base := sweepBase()
+	base.Trace = TraceSpec{Source: "file", Path: path}
+	sw := &Sweep{Name: "file", Base: base, Axes: SweepAxes{
+		Strategies: [][]StrategySpec{
+			{{Kind: "naive", Size: 8}, {Kind: "distributed", Size: 8}},
+			{{Kind: "hierarchical"}},
+		},
+		Mixes: []MixSpec{
+			{Transient: 0.05, NodeLoss: []float64{0.9, 0.05}},
+			{Transient: 0.5, NodeLoss: []float64{0.5}},
+		},
+	}}
+	plan, err := PlanSweep(sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.TraceBuilds != 4 || plan.PartitionBuilds != 2+2 {
+		t.Fatalf("plan has %d trace and %d partition builds, want 4 and 4", plan.TraceBuilds, plan.PartitionBuilds)
+	}
+	for _, workers := range []int{1, 2} {
+		run := newSweepRun(context.Background(), plan)
+		report, err := NewPipeline(WithWorkers(workers)).runSweep(run, plan, SweepOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, cell := range report.Cells {
+			res, err := NewPipeline(WithWorkers(1)).Run(context.Background(), plan.Cells[i].Scenario)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cell.Err != nil || !bytes.Equal(cell.Doc, want) {
+				t.Errorf("workers=%d: cell %d (%s) diverges from Pipeline.Run (%v):\n%s\nvs\n%s",
+					workers, i, cell.Scenario, cell.Err, cell.Doc, want)
+			}
+		}
+		if report.PartitionBuilds != 4 || report.TraceBuilds != 4 || len(run.parts) != 2 || run.loggedBuilds.Load() != 0 {
+			t.Errorf("workers=%d: %d partition builds over %d shared nodes, %d trace builds, %d shared logged fractions; want 4 over 2, 4, 0",
+				workers, report.PartitionBuilds, len(run.parts), report.TraceBuilds, run.loggedBuilds.Load())
+		}
 	}
 }

@@ -33,7 +33,7 @@ import (
 // grid dimensions derived from the rank count, or the synthetic pattern,
 // grid width (with the placement-derived default resolved), and message
 // size. The trace cache stores tsunami traces under it; the sweep planner
-// shares trace and partition nodes by it for both sources.
+// shares a trace node among cells whose keys would be equal.
 //
 // Source "file" is not shareable (false): the bytes behind a path can
 // change, so a path is not a value.
