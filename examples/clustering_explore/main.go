@@ -67,7 +67,7 @@ func main() {
 	// Project the rank-level L1 onto nodes for the modularity measure.
 	nodePart := make([]int, len(placement.UsedNodes()))
 	for i, n := range placement.UsedNodes() {
-		nodePart[i] = hier.L1[placement.RanksOn(n)[0]]
+		nodePart[i] = int(hier.L1[placement.RanksOn(n)[0]])
 	}
 	q, err := g.Modularity(nodePart)
 	if err != nil {

@@ -22,6 +22,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"hierclust/internal/graph"
 	"hierclust/internal/topology"
@@ -38,16 +39,28 @@ type Clustering struct {
 	// Name labels the strategy in reports.
 	Name string
 	// L1 maps each rank to its failure-containment cluster id (dense).
-	L1 []int
+	L1 []int32
 	// Groups are the erasure-encoding groups, each a set of ranks.
 	Groups [][]topology.Rank
 }
 
 // NumClusters returns the number of distinct L1 clusters.
-func (c *Clustering) NumClusters() int { return graph.NumParts(c.L1) }
+func (c *Clustering) NumClusters() int {
+	if len(c.L1) == 0 {
+		return 0
+	}
+	return int(slices.Max(c.L1)) + 1
+}
 
-// ClusterMembers returns the ranks of every L1 cluster.
-func (c *Clustering) ClusterMembers() [][]int { return graph.Members(c.L1) }
+// clusterSizes returns the size of every L1 cluster (one rank count fits
+// the id width).
+func (c *Clustering) clusterSizes() []int32 {
+	sizes := make([]int32, c.NumClusters())
+	for _, id := range c.L1 {
+		sizes[id]++
+	}
+	return sizes
+}
 
 // Validate checks structural invariants: dense L1 ids (non-negative and
 // below nranks — every array sized by the largest id stays O(nranks)), and
@@ -61,7 +74,7 @@ func (c *Clustering) Validate(nranks int) error {
 		if id < 0 {
 			return fmt.Errorf("core: clustering %q: rank %d has negative cluster", c.Name, r)
 		}
-		if id >= nranks {
+		if int(id) >= nranks {
 			return fmt.Errorf("core: clustering %q: rank %d has cluster id %d; dense ids stay below %d ranks",
 				c.Name, r, id, nranks)
 		}
@@ -71,7 +84,7 @@ func (c *Clustering) Validate(nranks int) error {
 		if len(g) == 0 {
 			return fmt.Errorf("core: clustering %q: empty group %d", c.Name, gi)
 		}
-		owner := -1
+		owner := int32(-1)
 		for _, r := range g {
 			if int(r) < 0 || int(r) >= nranks {
 				return fmt.Errorf("core: clustering %q: group %d rank %d out of range", c.Name, gi, r)
@@ -114,11 +127,11 @@ func consecutive(name string, nranks, size int) (*Clustering, error) {
 	slab := make([]topology.Rank, nranks)
 	c := &Clustering{
 		Name:   name,
-		L1:     make([]int, nranks),
+		L1:     make([]int32, nranks),
 		Groups: make([][]topology.Rank, 0, (nranks+size-1)/size),
 	}
 	for r := 0; r < nranks; r++ {
-		c.L1[r] = r / size
+		c.L1[r] = int32(r / size)
 		slab[r] = topology.Rank(r)
 	}
 	for base := 0; base < nranks; base += size {
@@ -156,7 +169,7 @@ func Distributed(nranks, size int) (*Clustering, error) {
 	}
 	c := &Clustering{
 		Name:   fmt.Sprintf("distributed-%d", size),
-		L1:     make([]int, nranks),
+		L1:     make([]int32, nranks),
 		Groups: make([][]topology.Rank, k),
 	}
 	slab := make([]topology.Rank, nranks)
@@ -164,7 +177,7 @@ func Distributed(nranks, size int) (*Clustering, error) {
 	for id := 0; id < k; id++ {
 		start := off
 		for r := id; r < nranks; r += k {
-			c.L1[r] = id
+			c.L1[r] = int32(id)
 			slab[off] = topology.Rank(r)
 			off++
 		}
@@ -254,17 +267,19 @@ func Hierarchical(m trace.Comm, p *topology.Placement, opts HierOptions) (*Clust
 		return nil, err
 	}
 
-	c := &Clustering{Name: "hierarchical", L1: make([]int, p.NumRanks())}
+	// The partitioner's ids are dense below the node count, so they narrow.
+	c := &Clustering{Name: "hierarchical", L1: make([]int32, p.NumRanks())}
+	nparts := 0
 	for i, part := range nodePart {
+		nparts = max(nparts, part+1)
 		for pos, end := p.Span(p.UsedNode(i)); pos < end; pos++ {
-			c.L1[p.RankAt(pos)] = part
+			c.L1[p.RankAt(pos)] = int32(part)
 		}
 	}
 
 	// L2: transversal groups inside each L1 cluster. A counting sort buckets
 	// the nodes by cluster; used nodes ascend, so every bucket does too, and
 	// walking the buckets in id order visits the clusters ascending.
-	nparts := graph.NumParts(nodePart)
 	clusterPtr := make([]int32, nparts+1)
 	for _, id := range nodePart {
 		clusterPtr[id+1]++

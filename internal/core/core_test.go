@@ -96,9 +96,9 @@ func TestHierarchicalConstruction(t *testing.T) {
 	if c.NumClusters() != 16 {
 		t.Errorf("NumClusters = %d, want 16", c.NumClusters())
 	}
-	for _, members := range c.ClusterMembers() {
-		if len(members) != 64 {
-			t.Fatalf("L1 cluster size %d, want 64", len(members))
+	for _, size := range c.clusterSizes() {
+		if size != 64 {
+			t.Fatalf("L1 cluster size %d, want 64", size)
 		}
 	}
 	// L2 groups: 4 ranks each, one per node, inside one L1 cluster.
@@ -175,7 +175,7 @@ func TestSplitSubgroups(t *testing.T) {
 func TestValidateRejectsCrossClusterGroups(t *testing.T) {
 	c := &Clustering{
 		Name:   "bad",
-		L1:     []int{0, 0, 1, 1},
+		L1:     []int32{0, 0, 1, 1},
 		Groups: [][]topology.Rank{{1, 2}}, // spans clusters 0 and 1
 	}
 	if err := c.Validate(4); err == nil {
@@ -183,13 +183,13 @@ func TestValidateRejectsCrossClusterGroups(t *testing.T) {
 	}
 	dup := &Clustering{
 		Name:   "dup",
-		L1:     []int{0, 0},
+		L1:     []int32{0, 0},
 		Groups: [][]topology.Rank{{0, 1}, {1}},
 	}
 	if err := dup.Validate(2); err == nil {
 		t.Error("accepted duplicated group membership")
 	}
-	empty := &Clustering{Name: "e", L1: []int{0}, Groups: [][]topology.Rank{{}}}
+	empty := &Clustering{Name: "e", L1: []int32{0}, Groups: [][]topology.Rank{{}}}
 	if err := empty.Validate(1); err == nil {
 		t.Error("accepted empty group")
 	}

@@ -149,9 +149,9 @@ func TestRecoveryFractionPairAlignment(t *testing.T) {
 	}
 	// An offset clustering that deliberately straddles pairs: clusters of
 	// 4 nodes starting at node 1 (ranks shifted by one node width).
-	straddle := &Clustering{Name: "straddle", L1: make([]int, 256)}
+	straddle := &Clustering{Name: "straddle", L1: make([]int32, 256)}
 	for r := 0; r < 256; r++ {
-		straddle.L1[r] = ((r / 8) + 1) / 4 // node+1 grouped by 4
+		straddle.L1[r] = int32((r/8 + 1) / 4) // node+1 grouped by 4
 	}
 	rs, err := RecoveryFractionPair(straddle, p)
 	if err != nil {

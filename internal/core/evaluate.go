@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"hierclust/internal/erasure"
-	"hierclust/internal/graph"
 	"hierclust/internal/reliability"
 	"hierclust/internal/topology"
 	"hierclust/internal/trace"
@@ -110,7 +109,7 @@ func (pr *Profile) Init(ctx context.Context, c *Clustering, p *topology.Placemen
 	if err := c.Validate(p.NumRanks()); err != nil {
 		return err
 	}
-	rec := recoveryFraction(c, p) // c is validated above
+	rec := recoveryFraction(c, p, nodeUnit) // c is validated above
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -142,7 +141,7 @@ func RecoveryFractionProcess(c *Clustering) (float64, error) {
 	if len(c.L1) == 0 {
 		return 0, nil
 	}
-	sizes := graph.PartSizes(c.L1)
+	sizes := c.clusterSizes()
 	var total float64
 	for _, s := range sizes {
 		// a failure of any of the s members restarts s ranks
@@ -165,14 +164,20 @@ func RecoveryFraction(c *Clustering, p *topology.Placement) (float64, error) {
 	if err := c.Validate(p.NumRanks()); err != nil {
 		return 0, err
 	}
-	return recoveryFraction(c, p), nil
+	return recoveryFraction(c, p, nodeUnit), nil
 }
 
+// The failure units recoveryFraction averages over, as node-id masks: one
+// node, or both nodes 2i and 2i+1 of a power-supply pair.
+const nodeUnit, pairUnit = ^topology.NodeID(0), ^topology.NodeID(1)
+
 // recoveryFraction is RecoveryFraction for a clustering the caller has
-// already validated against p: Profile.Init validates once for all four
-// scores.
-func recoveryFraction(c *Clustering, p *topology.Placement) float64 {
-	sizes := graph.PartSizes(c.L1)
+// already validated against p (Profile.Init validates once for all four
+// scores), over failure units of the given mask. Used nodes ascend, so a
+// unit's nodes are adjacent and units are visited in ascending order: the
+// accumulated expectation is deterministic.
+func recoveryFraction(c *Clustering, p *topology.Placement, unit topology.NodeID) float64 {
+	sizes := c.clusterSizes()
 	nused := p.NumUsed()
 	if nused == 0 || p.NumRanks() == 0 {
 		return 0
@@ -180,54 +185,33 @@ func recoveryFraction(c *Clustering, p *topology.Placement) float64 {
 	stamp := make([]int32, len(sizes))
 	epoch := int32(0)
 	var total float64
-	for i := 0; i < nused; i++ {
+	units := 0
+	for i := 0; i < nused; units++ {
+		base := p.UsedNode(i) & unit
 		epoch++
 		restarted := 0
-		for pos, end := p.Span(p.UsedNode(i)); pos < end; pos++ {
-			if id := c.L1[p.RankAt(pos)]; stamp[id] != epoch {
-				stamp[id] = epoch
-				restarted += sizes[id]
+		for ; i < nused && p.UsedNode(i)&unit == base; i++ {
+			for pos, end := p.Span(p.UsedNode(i)); pos < end; pos++ {
+				if id := c.L1[p.RankAt(pos)]; stamp[id] != epoch {
+					stamp[id] = epoch
+					restarted += int(sizes[id])
+				}
 			}
 		}
 		total += float64(restarted) / float64(p.NumRanks())
 	}
-	return total / float64(nused)
+	return total / float64(units)
 }
 
 // RecoveryFractionPair computes the expected fraction of ranks restarted
 // after a power-supply-pair failure (both nodes 2i and 2i+1 die). Pair-
 // aligned L1 clusters contain such failures in one cluster; straddling
-// clusterings pay for two. Pairs are visited in ascending node order, so
-// the accumulated expectation is deterministic.
+// clusterings pay for two.
 func RecoveryFractionPair(c *Clustering, p *topology.Placement) (float64, error) {
 	if err := c.Validate(p.NumRanks()); err != nil {
 		return 0, err
 	}
-	sizes := graph.PartSizes(c.L1)
-	nused := p.NumUsed()
-	if nused == 0 || p.NumRanks() == 0 {
-		return 0, nil
-	}
-	stamp := make([]int32, len(sizes))
-	epoch := int32(0)
-	var total float64
-	var count int
-	for i := 0; i < nused; {
-		base := p.UsedNode(i) &^ 1
-		epoch++
-		restarted := 0
-		for ; i < nused && p.UsedNode(i)&^1 == base; i++ { // used nodes ascend; pairs are adjacent
-			for pos, end := p.Span(p.UsedNode(i)); pos < end; pos++ {
-				if id := c.L1[p.RankAt(pos)]; stamp[id] != epoch {
-					stamp[id] = epoch
-					restarted += sizes[id]
-				}
-			}
-		}
-		total += float64(restarted) / float64(p.NumRanks())
-		count++
-	}
-	return total / float64(count), nil
+	return recoveryFraction(c, p, pairUnit), nil
 }
 
 // Meets reports whether the evaluation satisfies every baseline bound, and

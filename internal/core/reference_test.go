@@ -47,17 +47,17 @@ func refSplitSubgroups(nodes []topology.NodeID, size int) [][]topology.NodeID {
 // refHierGroups rebuilds Hierarchical's L2 groups from its L1 assignment
 // the way the map-based version did: nodes bucketed in a map by cluster,
 // cluster ids and buckets sorted, groups grown by append.
-func refHierGroups(l1 []int, p *topology.Placement, subgroupNodes int) [][]topology.Rank {
-	byCluster := map[int][]topology.NodeID{}
+func refHierGroups(l1 []int32, p *topology.Placement, subgroupNodes int) [][]topology.Rank {
+	byCluster := map[int32][]topology.NodeID{}
 	for _, n := range p.UsedNodes() {
 		id := l1[p.RanksOn(n)[0]] // all ranks of a node share its cluster
 		byCluster[id] = append(byCluster[id], n)
 	}
-	clusterIDs := make([]int, 0, len(byCluster))
+	clusterIDs := make([]int32, 0, len(byCluster))
 	for id := range byCluster {
 		clusterIDs = append(clusterIDs, id)
 	}
-	sort.Ints(clusterIDs)
+	sort.Slice(clusterIDs, func(a, b int) bool { return clusterIDs[a] < clusterIDs[b] })
 	var groups [][]topology.Rank
 	for _, id := range clusterIDs {
 		nodes := byCluster[id]
@@ -232,7 +232,7 @@ func TestFlatStrategyGroupsMatchReference(t *testing.T) {
 			}
 			checkCarved(t, "distributed", d.Groups, refDistributedGroups(nranks, size))
 			for r, id := range d.L1 {
-				if id != r%len(d.Groups) {
+				if int(id) != r%len(d.Groups) {
 					t.Fatalf("distributed L1[%d] = %d", r, id)
 				}
 			}
@@ -241,11 +241,11 @@ func TestFlatStrategyGroupsMatchReference(t *testing.T) {
 }
 
 // A third-party strategy's sparse cluster id must fail validation instead
-// of sizing graph.PartSizes (and every stamp array) by the id.
+// of sizing the cluster-size array (and every stamp array) by the id.
 func TestValidateRejectsSparseClusterID(t *testing.T) {
-	c := &Clustering{Name: "sparse", L1: []int{0, 1 << 40, 0, 0}, Groups: [][]topology.Rank{{0, 2, 3}}}
+	c := &Clustering{Name: "sparse", L1: []int32{0, 1 << 30, 0, 0}, Groups: [][]topology.Rank{{0, 2, 3}}}
 	if err := c.Validate(4); err == nil {
-		t.Fatal("accepted L1 id 1<<40 for 4 ranks")
+		t.Fatal("accepted L1 id 1<<30 for 4 ranks")
 	}
 	c.L1[1] = 4 // ids are dense: the largest legal one is nranks-1
 	if err := c.Validate(4); err == nil {
@@ -260,12 +260,12 @@ func TestValidateRejectsSparseClusterID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.L1[1] = 1 << 40
+	c.L1[1] = 1 << 30
 	if _, err := RecoveryFraction(c, p); err == nil {
-		t.Fatal("RecoveryFraction accepted L1 id 1<<40")
+		t.Fatal("RecoveryFraction accepted L1 id 1<<30")
 	}
 	if _, err := Evaluate(c, trace.NewMatrix(4), p, reliability.DefaultMix()); err == nil {
-		t.Fatal("Evaluate accepted L1 id 1<<40")
+		t.Fatal("Evaluate accepted L1 id 1<<30")
 	}
 }
 

@@ -47,10 +47,12 @@ func Ablation(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	procHier := &core.Clustering{Name: "L1-on-process-graph", L1: procPart, Groups: base.Groups}
-	// Groups may now cross L1 clusters; drop the coupled groups and keep
+	// Groups would now cross L1 clusters; the variant keeps none and shows
 	// the L1 effect only (the point is the restart metric).
-	procHier.Groups = nil
+	procHier := &core.Clustering{Name: "L1-on-process-graph", L1: make([]int32, len(procPart))}
+	for r, id := range procPart {
+		procHier.L1[r] = int32(id)
+	}
 	if err := addAblationRow(t, "L1 on process graph", procHier, r, mix,
 		"a node failure can straddle clusters"); err != nil {
 		return nil, err
@@ -71,17 +73,14 @@ func Ablation(cfg Config) (*Table, error) {
 
 	// Ablation 3: co-located L2 groups (consecutive ranks inside L1).
 	colocated := &core.Clustering{Name: "co-located L2", L1: base.L1}
-	for _, members := range base.ClusterMembers() {
-		for lo := 0; lo < len(members); lo += 4 {
-			hi := lo + 4
-			if hi > len(members) {
-				hi = len(members)
-			}
-			var g []topology.Rank
-			for _, rk := range members[lo:hi] {
-				g = append(g, topology.Rank(rk))
-			}
-			colocated.Groups = append(colocated.Groups, g)
+	members := make([][]topology.Rank, base.NumClusters())
+	for r, id := range base.L1 {
+		members[id] = append(members[id], topology.Rank(r))
+	}
+	for _, m := range members {
+		for lo := 0; lo < len(m); lo += 4 {
+			hi := min(lo+4, len(m))
+			colocated.Groups = append(colocated.Groups, m[lo:hi:hi])
 		}
 	}
 	if err := addAblationRow(t, "co-located L2 groups", colocated, r, mix,

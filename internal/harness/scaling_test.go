@@ -124,7 +124,7 @@ func TestSynthetic256kWorkerInvariance(t *testing.T) {
 		t.Fatalf("rig uses %d nodes, want 16384", got)
 	}
 	type result struct {
-		l1 []int
+		l1 []int32
 		e  *core.Evaluation
 	}
 	// The partitioner sizes its pool from GOMAXPROCS, so that is what varies.

@@ -55,7 +55,7 @@ type Config struct {
 	// Placement maps ranks to nodes (and exposes the machine).
 	Placement *topology.Placement
 	// Clusters assigns each rank its L1 cluster id (dense from 0).
-	Clusters []int
+	Clusters []int32
 	// Groups are the encoding groups (L2 clusters) handed to the
 	// checkpoint manager; may be nil when Level < L3.
 	Groups [][]topology.Rank

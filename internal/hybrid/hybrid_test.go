@@ -114,9 +114,9 @@ func testConfig(t *testing.T, level checkpoint.Level) (Config, *toyApp) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clusters := make([]int, 16)
+	clusters := make([]int32, 16)
 	for r := range clusters {
-		clusters[r] = r / 4
+		clusters[r] = int32(r / 4)
 	}
 	var groups [][]topology.Rank
 	for i := 0; i < 4; i++ {
@@ -332,7 +332,7 @@ func TestDistributedClusteringAmplifiesRestart(t *testing.T) {
 	// node failure drags every cluster down — here all 16 ranks.
 	cfg, app := testConfig(t, checkpoint.L3Encoded)
 	for r := 0; r < 16; r++ {
-		cfg.Clusters[r] = r % 4 // stripe clusters across nodes
+		cfg.Clusters[r] = int32(r % 4) // stripe clusters across nodes
 	}
 	run, err := NewRunner(cfg, app)
 	if err != nil {
@@ -381,7 +381,7 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("accepted nil placement")
 	}
 	bad = cfg
-	bad.Clusters = []int{0}
+	bad.Clusters = []int32{0}
 	if _, err := NewRunner(bad, app); err == nil {
 		t.Error("accepted short cluster list")
 	}
@@ -391,7 +391,7 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("accepted CheckpointEvery=0")
 	}
 	bad = cfg
-	bad.Clusters = append([]int(nil), cfg.Clusters...)
+	bad.Clusters = append([]int32(nil), cfg.Clusters...)
 	bad.Clusters[3] = -1
 	if _, err := NewRunner(bad, app); err == nil {
 		t.Error("accepted negative cluster id")

@@ -2,6 +2,8 @@ package hybrid
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"hierclust/internal/checkpoint"
@@ -70,7 +72,7 @@ func (ru *Runner) handleFailure(it int, nodes []topology.NodeID) error {
 	}
 
 	// Failure containment: restart exactly the clusters touched.
-	failedClusters := map[int]bool{}
+	failedClusters := map[int32]bool{}
 	for _, n := range nodes {
 		for _, r := range ru.cfg.Placement.RanksOn(n) {
 			if int(r) < len(ru.cfg.Clusters) {
@@ -93,7 +95,7 @@ func (ru *Runner) handleFailure(it int, nodes []topology.NodeID) error {
 	ru.mgr.DrainDecodeTime() // reset so the event sees only this failure
 	restored, err := ru.mgr.Restore(ru.epoch, restart)
 	if err != nil {
-		return fmt.Errorf("hybrid: recovering clusters %v at iter %d: %w", keys(failedClusters), it, err)
+		return fmt.Errorf("hybrid: recovering clusters %v at iter %d: %w", slices.Sorted(maps.Keys(failedClusters)), it, err)
 	}
 	ev.DecodeWallTime = ru.mgr.DrainDecodeTime()
 	for _, re := range restored {
@@ -199,13 +201,4 @@ func (ru *Runner) handleFailure(it int, nodes []topology.NodeID) error {
 
 	ru.rep.Failures = append(ru.rep.Failures, ev)
 	return nil
-}
-
-func keys(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }

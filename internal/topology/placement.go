@@ -1,7 +1,10 @@
 package topology
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -47,7 +50,7 @@ func NewPlacement(m *Machine, nodeOf []NodeID) (*Placement, error) {
 // newPlacement is NewPlacement taking ownership of nodeOf, for the
 // in-package constructors that build the slice themselves.
 func newPlacement(m *Machine, nodeOf []NodeID) (*Placement, error) {
-	if err := m.Validate(); err != nil {
+	if err := cmp.Or(m.Validate(), CheckCount("ranks", len(nodeOf))); err != nil {
 		return nil, err
 	}
 	// Counts go in shifted by one so that ptr[n+1] is node n's fill cursor
@@ -57,7 +60,7 @@ func newPlacement(m *Machine, nodeOf []NodeID) (*Placement, error) {
 		if n < 0 || int(n) >= m.Nodes {
 			return nil, fmt.Errorf("topology: rank %d placed on node %d; machine has %d nodes", r, n, m.Nodes)
 		}
-		ptr[n+2]++
+		ptr[int(n)+2]++
 	}
 	for n := 0; n < m.Nodes; n++ {
 		ptr[n+2] += ptr[n+1]
@@ -95,6 +98,9 @@ func Block(m *Machine, nranks, procsPerNode int) (*Placement, error) {
 	if procsPerNode <= 0 {
 		return nil, fmt.Errorf("topology: procsPerNode must be positive, got %d", procsPerNode)
 	}
+	if err := CheckCount("ranks", nranks); err != nil {
+		return nil, err
+	}
 	ppn := min(procsPerNode, max(nranks, 1)) // the same placement; no product below overflows
 	need := (nranks + ppn - 1) / ppn
 	if need > m.Nodes {
@@ -125,6 +131,9 @@ func (p *Placement) materialize() {
 func RoundRobin(m *Machine, nranks, usedNodes int) (*Placement, error) {
 	if usedNodes <= 0 || usedNodes > m.Nodes {
 		return nil, fmt.Errorf("topology: RoundRobin over %d nodes; machine has %d", usedNodes, m.Nodes)
+	}
+	if err := CheckCount("ranks", nranks); err != nil {
+		return nil, err
 	}
 	nodeOf := make([]NodeID, nranks)
 	for r := range nodeOf {
@@ -262,10 +271,5 @@ func (p *Placement) CorrelatedNodes(n NodeID, includeRack bool) []NodeID {
 			set[g] = true
 		}
 	}
-	out := make([]NodeID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.Sorted(maps.Keys(set))
 }

@@ -11,13 +11,29 @@ package topology
 
 import (
 	"fmt"
+	"math"
 )
 
-// NodeID identifies a compute node within a Machine.
-type NodeID int
+// NodeID identifies a compute node within a Machine. Ids are 32-bit: every
+// per-rank and per-node array a clustering or placement owns stores them at
+// 4 bytes each.
+type NodeID int32
 
 // Rank identifies a process in the parallel application (MPI-style rank).
-type Rank int
+type Rank int32
+
+// MaxIDs is the largest rank or node count: ids run 0..n-1 as int32, and a
+// per-cluster member count stored beside them fits the same width.
+const MaxIDs = math.MaxInt32
+
+// CheckCount returns an error when n ids of kind what ("ranks", "nodes") do
+// not fit the int32 id types; callers check before allocating n of anything.
+func CheckCount(what string, n int) error {
+	if n > MaxIDs {
+		return fmt.Errorf("topology: %d %s exceed the int32 id range", n, what)
+	}
+	return nil
+}
 
 // Machine describes the fault-relevant physical structure of a cluster.
 //
@@ -60,7 +76,7 @@ func (m *Machine) Validate() error {
 	if m.NodesPerRack < 0 {
 		return fmt.Errorf("topology: machine %q has negative NodesPerRack", m.Name)
 	}
-	return nil
+	return CheckCount("nodes", m.Nodes)
 }
 
 // PowerGroup returns the set of nodes sharing node n's power supply,

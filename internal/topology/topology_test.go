@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -123,6 +124,34 @@ func TestBlockPlacementErrors(t *testing.T) {
 	}
 	if _, err := Block(m, 4, 0); err == nil {
 		t.Error("Block accepted procsPerNode=0")
+	}
+}
+
+// Counts past the int32 id range are errors, not ids that wrap negative, and
+// each is rejected before an array of that size is allocated.
+func TestCountsPastInt32Rejected(t *testing.T) {
+	if math.MaxInt == math.MaxInt32 {
+		t.Skip("int is 32 bits")
+	}
+	n := math.MaxInt32
+	n++
+	const nodes, ranks = "topology: 2147483648 nodes exceed the int32 id range", "topology: 2147483648 ranks exceed the int32 id range"
+	big := &Machine{Name: "big", Nodes: n}
+	if _, err := Block(big, 4, 1); err == nil || err.Error() != nodes {
+		t.Errorf("Block on 2^31 nodes: %v", err)
+	}
+	if _, err := NewPlacement(big, []NodeID{0}); err == nil || err.Error() != nodes {
+		t.Errorf("NewPlacement on 2^31 nodes: %v", err)
+	}
+	m := &Machine{Name: "t", Nodes: 2}
+	if _, err := Block(m, n, 1<<30); err == nil || err.Error() != ranks {
+		t.Errorf("Block of 2^31 ranks: %v", err)
+	}
+	if _, err := RoundRobin(m, n, 2); err == nil || err.Error() != ranks {
+		t.Errorf("RoundRobin of 2^31 ranks: %v", err)
+	}
+	if _, err := Block(m, math.MaxInt32, 1<<30); err != nil {
+		t.Errorf("Block at the int32 limit: %v", err)
 	}
 }
 

@@ -241,7 +241,7 @@ func TestStencilMatchesSynthetic(t *testing.T) {
 	if _, err := mustStencil(t, 8).NodeGraph(mustBlock(t, 4, 2)); err == nil {
 		t.Error("NodeGraph accepted a placement of another rank count")
 	}
-	if _, err := mustStencil(t, 8).LoggedFraction(make([]int, 4)); err == nil {
+	if _, err := mustStencil(t, 8).LoggedFraction(make([]int32, 4)); err == nil {
 		t.Error("LoggedFraction accepted an assignment of another rank count")
 	}
 }
@@ -436,7 +436,7 @@ func TestRanksPastInt32Rejected(t *testing.T) {
 	}
 	n := math.MaxInt32
 	n++
-	const want = "trace: 2147483648 ranks exceed the int32 column range"
+	const want = "topology: 2147483648 ranks exceed the int32 id range"
 	if _, err := NewStencil(n, SyntheticOptions{}); err == nil || err.Error() != want {
 		t.Errorf("NewStencil: %v", err)
 	}
@@ -541,9 +541,9 @@ func TestStencilAllocationBound(t *testing.T) {
 
 	const ranks, ppn = 131072, 4
 	s, p := mustStencil(t, ranks), mustBlock(t, ranks, ppn)
-	part := make([]int, ranks)
+	part := make([]int32, ranks)
 	for r := range part {
-		part[r] = r / 16
+		part[r] = int32(r / 16)
 	}
 	if got := testing.AllocsPerRun(3, func() {
 		if _, err := s.LoggedFraction(part); err != nil {

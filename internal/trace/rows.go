@@ -46,7 +46,7 @@ func (v *rows) span(r int) (lo, hi int64) {
 
 // cutBytes returns the bytes crossing cluster boundaries under part
 // (part[r] = cluster of rank r), in O(nnz).
-func cutBytes(v rows, part []int) (int64, error) {
+func cutBytes(v rows, part []int32) (int64, error) {
 	if len(part) != v.n {
 		return 0, fmt.Errorf("trace: assignment has %d entries for %d ranks", len(part), v.n)
 	}
@@ -64,7 +64,7 @@ func cutBytes(v rows, part []int) (int64, error) {
 
 // loggedFraction returns cutBytes/total, the paper's message-logging
 // overhead metric. An empty trace logs nothing (0).
-func loggedFraction(v rows, total int64, part []int) (float64, error) {
+func loggedFraction(v rows, total int64, part []int32) (float64, error) {
 	if total == 0 {
 		return 0, nil
 	}

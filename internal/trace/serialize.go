@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"hierclust/internal/topology"
 )
 
 // The on-disk format is a compact sparse binary encoding:
@@ -181,7 +183,7 @@ func ReadCSR(r io.Reader, opts ...ReadOptions) (*CSR, error) {
 	br := bufio.NewReader(r)
 	n, nnz, err := readTraceHeader(br, opts)
 	if err == nil {
-		err = checkColumns(n)
+		err = topology.CheckCount("ranks", n)
 	}
 	if err != nil {
 		return nil, err

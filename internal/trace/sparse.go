@@ -49,7 +49,7 @@ func (b *SparseBuilder) Add(src, dst int, bytes int64) error {
 	if src < 0 || src >= b.n || dst < 0 || dst >= b.n {
 		return fmt.Errorf("trace: message %d->%d outside %d-rank matrix", src, dst, b.n)
 	}
-	if err := checkColumns(b.n); err != nil {
+	if err := topology.CheckCount("ranks", b.n); err != nil {
 		return err
 	}
 	b.addCell(src, dst, bytes, 1)
@@ -191,13 +191,13 @@ func (c *CSR) At(src, dst int) (int64, int64) {
 // CutBytes returns the bytes crossing cluster boundaries under part
 // (part[r] = cluster of rank r), in O(nnz) — exactly the volume a hybrid
 // protocol with those clusters must log.
-func (c *CSR) CutBytes(part []int) (int64, error) {
+func (c *CSR) CutBytes(part []int32) (int64, error) {
 	return cutBytes(c.view(), part)
 }
 
 // LoggedFraction returns CutBytes/TotalBytes, the paper's message-logging
 // overhead metric. An empty trace logs nothing (0).
-func (c *CSR) LoggedFraction(part []int) (float64, error) {
+func (c *CSR) LoggedFraction(part []int32) (float64, error) {
 	return loggedFraction(c.view(), c.totalBytes, part)
 }
 

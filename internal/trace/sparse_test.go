@@ -31,10 +31,10 @@ func randomMatrices(t *testing.T, seed int64, n, adds int) (*Matrix, *CSR) {
 	return dense, sparse.Freeze()
 }
 
-func randomPart(rng *rand.Rand, n, parts int) []int {
-	part := make([]int, n)
+func randomPart(rng *rand.Rand, n, parts int) []int32 {
+	part := make([]int32, n)
 	for i := range part {
-		part[i] = rng.Intn(parts)
+		part[i] = rng.Int31n(int32(parts))
 	}
 	return part
 }
@@ -220,7 +220,7 @@ func TestCSRSymmetrize(t *testing.T) {
 	if sym.TotalBytes() != 15+15+7+7+3 {
 		t.Errorf("sym total = %d, want 47", sym.TotalBytes())
 	}
-	lf, err := sym.LoggedFraction([]int{0, 1, 1, 1})
+	lf, err := sym.LoggedFraction([]int32{0, 1, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,14 +67,6 @@ func (o *SyntheticOptions) normalize(n int) error {
 	return nil
 }
 
-// checkColumns rejects a rank count the int32 column arrays cannot index.
-func checkColumns(n int) error {
-	if n > math.MaxInt32 {
-		return fmt.Errorf("trace: %d ranks exceed the int32 column range", n)
-	}
-	return nil
-}
-
 // Stencil is a synthetic trace in closed form: the pattern's neighbour rule
 // plus one pair's volume, O(1) memory at any rank count — what the pipeline
 // evaluates for a "synthetic" scenario (Synthetic materializes the same rows
@@ -97,7 +89,7 @@ func NewStencil(n int, opts SyntheticOptions) (*Stencil, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("trace: synthetic trace needs at least 1 rank, got %d", n)
 	}
-	if err := checkColumns(n); err != nil {
+	if err := topology.CheckCount("ranks", n); err != nil { // the int32 columns
 		return nil, err
 	}
 	if err := opts.normalize(n); err != nil {
@@ -157,7 +149,7 @@ func (s *Stencil) row(r int, buf *[4]int32) int {
 }
 
 // LoggedFraction returns the cut share of the traffic under part.
-func (s *Stencil) LoggedFraction(part []int) (float64, error) {
+func (s *Stencil) LoggedFraction(part []int32) (float64, error) {
 	return loggedFraction(s.view(new([4]int32)), s.TotalBytes(), part)
 }
 

@@ -41,7 +41,7 @@ type Comm interface {
 	TotalMsgs() int64
 	// LoggedFraction returns the share of TotalBytes crossing cluster
 	// boundaries under part (0 for an empty trace).
-	LoggedFraction(part []int) (float64, error)
+	LoggedFraction(part []int32) (float64, error)
 	// NodeGraph aggregates the rank matrix under a placement and returns
 	// the undirected node-based graph the L1 partitioner consumes.
 	NodeGraph(p *topology.Placement) (*graph.Graph, error)
@@ -98,7 +98,7 @@ func (m *Matrix) TotalMsgs() int64 { return m.totalMsgs }
 
 // LoggedFraction returns the share of TotalBytes crossing cluster boundaries
 // under part, through the CSR fold.
-func (m *Matrix) LoggedFraction(part []int) (float64, error) {
+func (m *Matrix) LoggedFraction(part []int32) (float64, error) {
 	return m.ToCSR().LoggedFraction(part)
 }
 

@@ -52,7 +52,7 @@ func TestAddAndTotals(t *testing.T) {
 func TestCutBytesAndLoggedFraction(t *testing.T) {
 	// 8-rank stencil, clusters of 4: one crossing pair (3<->4) of 7 total.
 	m := stencilMatrix(8, 100)
-	part := []int{0, 0, 0, 0, 1, 1, 1, 1}
+	part := []int32{0, 0, 0, 0, 1, 1, 1, 1}
 	cut, err := m.ToCSR().CutBytes(part)
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +68,7 @@ func TestCutBytesAndLoggedFraction(t *testing.T) {
 	if math.Abs(frac-want) > 1e-12 {
 		t.Errorf("logged fraction = %g, want %g", frac, want)
 	}
-	if _, err := m.ToCSR().CutBytes([]int{0}); err == nil {
+	if _, err := m.ToCSR().CutBytes([]int32{0}); err == nil {
 		t.Error("CutBytes accepted short assignment")
 	}
 }
@@ -77,9 +77,9 @@ func TestLoggedFractionMatchesPaperSweetSpot(t *testing.T) {
 	// The paper's Fig. 3a sweet spot: 1024 ranks, clusters of 32
 	// => 31 crossing pairs of 1023 ≈ 3.0% of stencil traffic logged.
 	m := stencilMatrix(1024, 1000)
-	part := make([]int, 1024)
+	part := make([]int32, 1024)
 	for r := range part {
-		part[r] = r / 32
+		part[r] = int32(r / 32)
 	}
 	frac, err := m.LoggedFraction(part)
 	if err != nil {
@@ -93,7 +93,7 @@ func TestLoggedFractionMatchesPaperSweetSpot(t *testing.T) {
 
 func TestEmptyMatrixLoggedFraction(t *testing.T) {
 	m := NewMatrix(4)
-	frac, err := m.LoggedFraction([]int{0, 1, 2, 3})
+	frac, err := m.LoggedFraction([]int32{0, 1, 2, 3})
 	if err != nil || frac != 0 {
 		t.Errorf("empty matrix logged = %g, %v; want 0, nil", frac, err)
 	}
@@ -309,15 +309,15 @@ func TestLoggedFractionMergeProperty(t *testing.T) {
 			d := int(next()) % n
 			_ = m.Add(s, d, next()%1000+1)
 		}
-		part := make([]int, n)
+		part := make([]int32, n)
 		for i := range part {
-			part[i] = int(next()) % 4
+			part[i] = int32(next() % 4)
 		}
 		f1, err := m.LoggedFraction(part)
 		if err != nil || f1 < 0 || f1 > 1 {
 			return false
 		}
-		merged := make([]int, n)
+		merged := make([]int32, n)
 		for i, p := range part {
 			if p == 3 {
 				p = 2 // merge clusters 2 and 3

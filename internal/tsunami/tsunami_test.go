@@ -201,9 +201,9 @@ func TestFTAppUnderHybridProtocolWithFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clusters := make([]int, 8)
+	clusters := make([]int32, 8)
 	for r := range clusters {
-		clusters[r] = r / 4 // 2 clusters of 4 ranks (2 nodes each)
+		clusters[r] = int32(r / 4) // 2 clusters of 4 ranks (2 nodes each)
 	}
 	groups := [][]topology.Rank{
 		{0, 2}, {1, 3}, // cluster 0: transversal over nodes 0,1

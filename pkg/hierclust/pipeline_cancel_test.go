@@ -40,7 +40,7 @@ func (chaosMCStrategy) Name() string { return "chaos-mc" }
 
 func (chaosMCStrategy) Build(m Comm, p *Placement) (*Clustering, error) {
 	n := p.NumRanks()
-	c := &Clustering{Name: "chaos-mc", L1: make([]int, n)}
+	c := &Clustering{Name: "chaos-mc", L1: make([]int32, n)}
 	for i := 0; i < 150; i++ {
 		c.Groups = append(c.Groups, []Rank{Rank(2 * i), Rank(2*i + 1)})
 	}

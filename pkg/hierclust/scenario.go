@@ -2,11 +2,13 @@ package hierclust
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 
 	"hierclust/internal/reliability"
 	"hierclust/internal/topology"
+	"hierclust/internal/trace"
 )
 
 // ScenarioVersion is the schema version this package writes and the newest
@@ -29,6 +31,20 @@ type SchemaVersionError struct {
 func (e *SchemaVersionError) Error() string {
 	return fmt.Sprintf("hierclust: scenario schema version %d not supported (this package understands versions up to %d)",
 		e.Version, e.Supported)
+}
+
+// SizeError reports a scenario whose rank or node count exceeds what the
+// pipeline will allocate: the trace rank bound (trace.DefaultMaxRanks, or a
+// file source's max_ranks) capped at the int32 id range. Validate returns it
+// before anything of that size is built; hcserve answers it 422.
+type SizeError struct {
+	Scenario   string
+	Field      string // "placement.ranks" or "machine.nodes"
+	Count, Max int
+}
+
+func (e *SizeError) Error() string {
+	return fmt.Sprintf("hierclust: scenario %q: %s %d exceeds the bound %d", e.Scenario, e.Field, e.Count, e.Max)
 }
 
 // Scenario declaratively describes one evaluation: a machine, a placement
@@ -204,6 +220,15 @@ func (s *Scenario) Validate() error {
 		}
 	default:
 		return fmt.Errorf("hierclust: scenario %q: unknown trace source %q (want tsunami, synthetic, or file)", s.Name, s.Trace.Source)
+	}
+	// The trace reader's bound (a file source's own, or the default), capped
+	// at the id range; ranks and nodes are allocated per id before any build.
+	bound := min(cmp.Or(max(s.Trace.MaxRanks, 0), trace.DefaultMaxRanks), topology.MaxIDs)
+	if s.Placement.Ranks > bound {
+		return &SizeError{s.Name, "placement.ranks", s.Placement.Ranks, bound}
+	}
+	if s.Machine.Nodes > bound {
+		return &SizeError{s.Name, "machine.nodes", s.Machine.Nodes, bound}
 	}
 	switch s.Trace.Pattern {
 	case "", "stencil1d", "stencil2d":

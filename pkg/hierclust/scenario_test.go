@@ -2,7 +2,10 @@ package hierclust
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -140,6 +143,60 @@ func TestScenarioValidate(t *testing.T) {
 				t.Fatalf("scenario with %s validated", tc.name)
 			}
 		})
+	}
+}
+
+// TestScenarioSizeBound: a rank or node count past the trace rank bound (or
+// a file source's own max_ranks, capped at the int32 id range) is a
+// *SizeError from every library entry point, before anything is allocated.
+func TestScenarioSizeBound(t *testing.T) {
+	base := func() *Scenario {
+		return &Scenario{
+			Name:       "big",
+			Machine:    MachineSpec{Nodes: 1 << 20},
+			Placement:  PlacementSpec{Ranks: 1 << 22, ProcsPerNode: 4},
+			Trace:      TraceSpec{Source: "synthetic"},
+			Strategies: []StrategySpec{{Kind: "naive"}},
+		}
+	}
+	if err := base().Validate(); err != nil {
+		t.Fatalf("ranks at the bound rejected: %v", err)
+	}
+	huge := base()
+	huge.Placement.Ranks = 1 << 30
+	var se *SizeError
+	if err := huge.Validate(); !errors.As(err, &se) || se.Field != "placement.ranks" || se.Max != 1<<22 {
+		t.Fatalf("Validate(2^30 ranks) = %v, want a *SizeError on placement.ranks at 2^22", err)
+	}
+	if _, err := NewPipeline().Run(context.Background(), huge); !errors.As(err, &se) {
+		t.Fatalf("Pipeline.Run(2^30 ranks) = %v, want a *SizeError", err)
+	}
+	doc, err := json.Marshal(huge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeScenario(doc); !errors.As(err, &se) {
+		t.Fatalf("DecodeScenario(2^30 ranks) = %v, want a *SizeError", err)
+	}
+	sw := &Sweep{Name: "sw", Base: *base(), Axes: SweepAxes{Machines: []MachinePoint{{Nodes: 16, Ranks: 1 << 30}}}}
+	if err := sw.Validate(); !errors.As(err, &se) {
+		t.Fatalf("sweep with a 2^30-rank machine point: %v, want a *SizeError", err)
+	}
+
+	nodes := base()
+	nodes.Machine.Nodes = 1<<22 + 1
+	if err := nodes.Validate(); !errors.As(err, &se) || se.Field != "machine.nodes" {
+		t.Fatalf("Validate(2^22+1 nodes) = %v, want a *SizeError on machine.nodes", err)
+	}
+	file := base()
+	file.Placement.Ranks = 1 << 23
+	file.Trace = TraceSpec{Source: "file", Path: "t.hctr", MaxRanks: 1 << 23}
+	if err := file.Validate(); err != nil {
+		t.Fatalf("file source within its own max_ranks rejected: %v", err)
+	}
+	file.Trace.MaxRanks, file.Placement.Ranks = 1<<40, 1<<31
+	if err := file.Validate(); !errors.As(err, &se) || se.Max != math.MaxInt32 {
+		t.Fatalf("Validate(2^31 ranks, max_ranks 2^40) = %v, want a *SizeError at the int32 bound", err)
 	}
 }
 

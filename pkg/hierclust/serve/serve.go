@@ -653,12 +653,21 @@ func clientKey(r *http.Request) string {
 func decodeScenario(body []byte) (*hierclust.Scenario, int, error) {
 	sc, err := hierclust.DecodeScenario(body)
 	if err != nil {
-		return nil, http.StatusBadRequest, err
+		return nil, invalidStatus(err), err
 	}
 	if err := checkHTTPSource(sc.Trace); err != nil {
 		return nil, http.StatusBadRequest, err
 	}
 	return sc, 0, nil
+}
+
+// invalidStatus maps a validation failure: 422 for a size past the bound.
+func invalidStatus(err error) int {
+	var tooBig *hierclust.SizeError
+	if errors.As(err, &tooBig) {
+		return http.StatusUnprocessableEntity
+	}
+	return http.StatusBadRequest
 }
 
 // checkHTTPSource rejects a trace source HTTP clients may not name, for

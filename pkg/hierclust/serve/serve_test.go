@@ -103,6 +103,55 @@ func TestEvaluateRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestOversizedScenario422 is the live repro of a rank count the pipeline
+// cannot allocate: 2^30 ranks once passed validation, and the 8 GiB L1 array
+// it asked for was a runtime fatal no recover boundary catches. Evaluate, a
+// batch element and a sweep with such a machines axis answer 422 before
+// anything is built, and the same server then answers a normal request.
+func TestOversizedScenario422(t *testing.T) {
+	_, ts := newTestServer(t)
+	huge := `{"name":"huge","machine":{"nodes":268435456},"placement":{"ranks":1073741824,"procs_per_node":4},
+		"trace":{"source":"synthetic"},"strategies":[{"kind":"naive"}]}`
+	sweep := `{"name":"huge-sweep","base":{"name":"b","machine":{"nodes":16},
+		"placement":{"ranks":64,"procs_per_node":4},"trace":{"source":"synthetic"},
+		"strategies":[{"kind":"naive","size":8}]},
+		"axes":{"machines":[{"nodes":16},{"nodes":16,"ranks":1073741824}]}}`
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/evaluate", huge},
+		{"/v1/sweeps", sweep},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct {
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnprocessableEntity || err != nil || !strings.Contains(e.Error, "exceeds the bound 4194304") {
+			t.Fatalf("%s: status %d, error %q (%v); want 422 naming the rank bound", tc.path, resp.StatusCode, e.Error, err)
+		}
+	}
+	resp, err := http.Post(ts.URL+"/v1/evaluate-batch", "application/json", strings.NewReader("["+huge+"]"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var line BatchLine
+	err = json.NewDecoder(resp.Body).Decode(&line)
+	resp.Body.Close()
+	if err != nil || line.Status != http.StatusUnprocessableEntity {
+		t.Fatalf("batch element: %+v (%v); want status 422", line, err)
+	}
+	if resp, err = http.Post(ts.URL+"/v1/evaluate", "application/json", strings.NewReader(testScenario)); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("normal request after the rejections: status %d, want 200", resp.StatusCode)
+	}
+}
+
 func TestScenariosAndHealthz(t *testing.T) {
 	_, ts := newTestServer(t)
 	resp, err := http.Get(ts.URL + "/v1/scenarios")

@@ -268,7 +268,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		err = checkHTTPSource(sw.Base.Trace) // axes never override the source
 	}
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		s.writeError(w, invalidStatus(err), err)
 		return
 	}
 	if n := sw.CellCount(); n > s.maxSweepCells {

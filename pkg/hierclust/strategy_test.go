@@ -73,9 +73,9 @@ func (everyOther) Name() string { return "every-other" }
 
 func (everyOther) Build(m Comm, p *Placement) (*Clustering, error) {
 	n := p.NumRanks()
-	c := &Clustering{Name: "every-other", L1: make([]int, n)}
+	c := &Clustering{Name: "every-other", L1: make([]int32, n)}
 	for r := 0; r < n; r++ {
-		c.L1[r] = r % 2
+		c.L1[r] = int32(r % 2)
 	}
 	for base := 0; base+3 < n; base += 4 {
 		c.Groups = append(c.Groups,

@@ -32,7 +32,7 @@ type spyComm struct {
 	panics bool
 }
 
-func (c spyComm) LoggedFraction(part []int) (float64, error) {
+func (c spyComm) LoggedFraction(part []int32) (float64, error) {
 	c.logged.Add(1)
 	if c.panics {
 		panic("spyComm: LoggedFraction")
