@@ -70,10 +70,10 @@ bench:
 # on one P (-cpu 1, as scripts/bench.sh records), so the count does not
 # depend on the host's cores.
 bench-smoke:
-	$(GO) test -run '^$$' -cpu 1 -bench 'RSEncode|CkptCycle|Fig|Partition100k|Partition1M|Scaling256k|Scaling1M|MultilevelSerial' -benchmem -benchtime 1x . > smoke.txt
+	$(GO) test -run '^$$' -cpu 1 -bench 'RSEncode|CkptCycle|Fig|Partition100k|Partition1M|Scaling256k|Scaling1M' -benchmem -benchtime 1x . > smoke.txt
 	$(GO) run ./cmd/benchjson < smoke.txt > smoke.json
 	baseline=$$(ls BENCH_*.json | sort | tail -1); \
-		$(GO) run ./cmd/benchjson -compare -threshold 300 -filter 'Partition100k|Partition1M|Scaling256k|Scaling1M|MultilevelSerial' $$baseline smoke.json; \
+		$(GO) run ./cmd/benchjson -compare -threshold 300 -filter 'Partition100k|Partition1M|Scaling256k|Scaling1M' $$baseline smoke.json; \
 		rc=$$?; rm -f smoke.txt smoke.json; exit $$rc
 
 # profile captures CPU + heap profiles of the scaling pipeline at 256k
@@ -129,7 +129,7 @@ loc:
 # loc-check fails when `make loc` exceeds LOC_CEILING, so ROADMAP aim 2's
 # tracked number only goes up when a PR raises the ceiling on purpose; a PR
 # that shrinks the tree lowers it to its own result.
-LOC_CEILING = 19524
+LOC_CEILING = 19190
 loc-check:
 	@n=$$($(MAKE) -s loc); if [ "$$n" -gt $(LOC_CEILING) ]; then \
 		echo "loc $$n exceeds LOC_CEILING $(LOC_CEILING)"; exit 1; fi; \

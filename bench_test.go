@@ -13,7 +13,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"runtime"
 	"testing"
 
 	"hierclust/internal/checkpoint"
@@ -405,19 +404,12 @@ func grid2D(n, width int) *graph.Graph {
 		func(i int) bool { return i+width < n })
 }
 
-// stencil131k builds the 131,072-node 2-D stencil node graph shared by the
-// Partition100k / MultilevelSerial / Multilevel100kWorkers benchmarks — the
-// node-graph shape of a 2M-rank machine at 16 ranks per node. One builder,
-// so the serial-gap numbers always measure the same graph the standing
-// partition benchmark does.
-func stencil131k() *graph.Graph { return grid2D(131072, 256) }
-
 // BenchmarkPartition100k measures the multilevel partitioner on a
 // 131,072-node 2-D stencil graph — the node-graph shape of a 2M-rank
 // machine at 16 ranks per node — against the single-level greedy growth on
 // the same graph. MinSize/TargetSize 4 is the paper's L1 configuration.
 func BenchmarkPartition100k(b *testing.B) {
-	g := stencil131k()
+	g := grid2D(131072, 256)
 	for _, tc := range []struct {
 		name string
 		opts graph.PartitionOptions
@@ -437,65 +429,9 @@ func BenchmarkPartition100k(b *testing.B) {
 	}
 }
 
-// BenchmarkMultilevelSerial pins the multilevel partitioner's single-core
-// wall clock against the single-level growth on the same 131,072-node
-// stencil (Workers=1 forces every phase — matching, contraction, refinement
-// scans — onto one core regardless of GOMAXPROCS). This is the "serial gap"
-// benchmark: PR 4 shipped multilevel at ~3.5× single-level on one core; the
-// fused coarsening, level arena, flat frontiers, and sweep-skip stamps
-// exist to close that gap without changing an output bit.
-func BenchmarkMultilevelSerial(b *testing.B) {
-	g := stencil131k()
-	for _, tc := range []struct {
-		name string
-		opts graph.PartitionOptions
-	}{
-		{"multilevel", graph.PartitionOptions{MinSize: 4, TargetSize: 4, Multilevel: true, Workers: 1}},
-		{"single-level", graph.PartitionOptions{MinSize: 4, TargetSize: 4, Workers: 1}},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := graph.Partition(g, tc.opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkMultilevel100kWorkers measures the multilevel partitioner's
-// worker scaling on the 131,072-node stencil. Each row sets GOMAXPROCS to its
-// worker count: the partitioner caps Workers at GOMAXPROCS, so under the
-// `-cpu 1` that scripts/bench.sh records with, the rows would otherwise be
-// four copies of the serial path. Rows above the host's CPU count are
-// skipped — they would time-slice, not scale. The assignment is bit-identical
-// at every worker count (pinned by the partition golden test); only the wall
-// clock may differ.
-func BenchmarkMultilevel100kWorkers(b *testing.B) {
-	g := stencil131k()
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			if workers > runtime.NumCPU() {
-				b.Skipf("%d workers on %d CPUs", workers, runtime.NumCPU())
-			}
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
-			opts := graph.PartitionOptions{MinSize: 4, TargetSize: 4, Multilevel: true, Workers: workers}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := graph.Partition(g, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // stencil1M builds a 1,048,576-node 2-D stencil node graph — the node graph
 // of a 4M-rank machine at 4 ranks per node, the scale the paper's title
-// promises. Same shape and edge weights as stencil131k, eight times the
+// promises. Same shape and edge weights as Partition100k's, eight times the
 // vertex count.
 func stencil1M() *graph.Graph { return grid2D(1<<20, 1024) }
 

@@ -30,9 +30,9 @@ func TestCompareNewBenchmarkDoesNotFail(t *testing.T) {
 	})
 	new := writeSnap(t, dir, "new.json", []Benchmark{
 		{Name: "BenchmarkRSEncode/k=8-4", Iterations: 10, NsPerOp: 101},
-		{Name: "BenchmarkMultilevelSerial/multilevel-4", Iterations: 5, NsPerOp: 500},
+		{Name: "BenchmarkPartition1M-4", Iterations: 5, NsPerOp: 500},
 	})
-	if rc := compareSnapshots(old, new, 25, "RSEncode|MultilevelSerial"); rc != 0 {
+	if rc := compareSnapshots(old, new, 25, "RSEncode|Partition1M"); rc != 0 {
 		t.Fatalf("compare exited %d, want 0 (new guarded benchmark must not fail the gate)", rc)
 	}
 }
@@ -60,7 +60,7 @@ func TestCompareRemovedBenchmark(t *testing.T) {
 // against a pre-1M baseline, and a -short run (1M benchmarks skipped)
 // gates cleanly against a post-1M baseline.
 func TestCompareOneSided1MBenchmarks(t *testing.T) {
-	const filter = "RSEncode|Partition100k|Partition1M|Scaling256k|Scaling1M|MultilevelSerial"
+	const filter = "RSEncode|Partition100k|Partition1M|Scaling256k|Scaling1M"
 	dir := t.TempDir()
 	pre := writeSnap(t, dir, "pre.json", []Benchmark{
 		{Name: "BenchmarkPartition100k/multilevel-4", Iterations: 20, NsPerOp: 6e7},

@@ -32,15 +32,15 @@ type partArena struct {
 	// (0 acceptor, 1 proposer, 2 matched, 3 never-matchable) and, on
 	// weighted levels with a six-bit-sized cap, its weight above them.
 	state []uint8
-	work  []int32 // unmatched-vertex worklist (ping)
-	work2 []int32 // unmatched-vertex worklist (pong)
-	// workP/workA are the serial rounds' segregated proposer/acceptor
-	// lists (ping; work/work2 serve as their pong buffers there).
+	// workP/workA are the rounds' unmatched proposer/acceptor lists (ping);
+	// work2/work are their pong buffers.
 	workP []int32
 	workA []int32
+	work  []int32
+	work2 []int32
 	// acceptRound stamps accept[v] entries with the round that wrote them,
-	// so the fused serial rounds never pay a reset pass. The counter never
-	// rewinds within an arena lifetime (see reset).
+	// so the rounds never pay a reset pass. The counter never rewinds
+	// within an arena lifetime (see reset).
 	acceptRound []int32
 	matchRound  int32
 
@@ -77,7 +77,6 @@ type partArena struct {
 	connW   []float64 // aliases cooW: contraction staging weights
 	connCnt []int32
 	connLen []int32
-	desire  []int32 // speculative per-vertex move targets
 	// nbrTouch/clusterTouch are move stamps recording when a vertex's gain
 	// span or a cluster's size last changed; lastEval records when a vertex
 	// last evaluated to "no move". Together they let converged sweeps skip
@@ -85,11 +84,6 @@ type partArena struct {
 	nbrTouch     []int32
 	clusterTouch []int32
 	lastEval     []int32
-
-	// ref is the refinement's method receiver (see refineState): keeping it
-	// inside the arena means the per-level refinements share one heap object
-	// instead of allocating a closure environment per level.
-	ref refineState
 
 	// --- projection ---
 	projA, projB []int // ping-pong assignment buffers
@@ -179,7 +173,7 @@ func (ar *partArena) reset() {
 func buildArena(n int, nnz int64) *partArena {
 	ar := &partArena{n0: n, nnz0: nnz}
 
-	i32 := make([]int32, 26*n)
+	i32 := make([]int32, 25*n)
 	grab32 := func() []int32 { s := i32[:n:n]; i32 = i32[n:]; return s }
 	ar.match = grab32()
 	ar.cand = grab32()
@@ -199,7 +193,6 @@ func buildArena(n int, nnz int64) *partArena {
 	ar.mergeStamp = grab32()
 	ar.touched = grab32()[:0]
 	ar.connLen = grab32()
-	ar.desire = grab32()
 	ar.nbrTouch = grab32()
 	ar.clusterTouch = grab32()
 	ar.lastEval = grab32()

@@ -2,11 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync/atomic"
-
-	"hierclust/internal/pool"
 )
 
 // The multilevel pipeline: heavy-edge-matching coarsening, greedy partition
@@ -19,9 +15,9 @@ import (
 // clusters; the coarsest greedy growth then works on a graph a few hundred
 // vertices wide regardless of the input size.
 //
-// Everything is deterministic by construction: matching proposals are pure
-// functions of the frozen CSR and the previous round's state, written to
-// per-vertex slots, so the assignment is bit-identical at any worker count.
+// Every phase runs on the caller's goroutine and is deterministic: matching
+// proposals are pure functions of the frozen CSR and the previous round's
+// state, so the assignment depends on nothing but the graph and the options.
 // All scratch state lives in a per-Partition arena (arena.go) sized once at
 // the finest level; a level allocates only the four arrays that must outlive
 // it for projection (cmap, vertex weights, and the coarse CSR itself).
@@ -269,7 +265,7 @@ func mergeSmallWeighted(g *Graph, part []int, sizes []int, opts PartitionOptions
 // uniform-weight graphs — every stencil vertex proposes to the same-side
 // neighbor and almost nothing is mutual — while the coin breaks the
 // symmetry with no randomness at run time: the role of (vertex, round) is a
-// pure function, identical on every machine and worker count.
+// pure function, identical on every machine.
 func matchCoin(v int, round int) bool {
 	x := uint64(v)*0x9e3779b97f4a7c15 + uint64(round+1)*0xbf58476d1ce4e5b9
 	x ^= x >> 33
@@ -282,26 +278,23 @@ func matchCoin(v int, round int) bool {
 // deterministic proposer/acceptor rounds: each round the coin splits the
 // unmatched vertices, proposers pick their heaviest unmatched acceptor
 // neighbor within the TargetSize weight cap, acceptors take their heaviest
-// incoming proposal, and agreeing pairs bind. Every phase writes only
-// per-vertex slots from read-only state, so the matching — and hence the
-// partition — never depends on the worker count. match[v] is the partner
+// incoming proposal, and agreeing pairs bind. match[v] is the partner
 // vertex, or -1 when v stays single; matched counts the non-single vertices
 // so the caller can detect a stall before contracting.
 //
-// Per round the phases walk a worklist of the still-unmatched vertices
-// (descending fast on structured graphs), with each vertex's role for the
-// round folded into one byte — 0 unmatched acceptor, 1 unmatched proposer,
-// 2 matched — so the hot neighbor-eligibility test is a single load instead
-// of a coin re-hash plus a match lookup. cand[x] is kept -1 for every
-// matched x, which lets later rounds skip the full reset the original
-// implementation paid. Acceptance scatters forward from the proposers: each
-// proposer challenges its chosen acceptor's slot as it proposes, so no pass
-// ever rescans an acceptor's adjacency. In parallel the challenge is a CAS
-// loop — the slot converges to the maximum by (proposal weight, then lowest
-// proposer index), a total order, so the winner is independent of arrival
-// order and identical to the serial scatter's. A challenger reads a rival's
-// candW only after loading the rival's index from the accept slot the rival
-// published with its CAS, which orders the read after the write.
+// Each round keeps the still-unmatched vertices in two ascending lists —
+// this round's proposers and acceptors — so no pass pays an unpredictable
+// per-vertex role branch, and each vertex's role is folded into one state
+// byte, so the hot neighbor-eligibility test is a single load instead of a
+// coin re-hash plus a match lookup. Pass one walks the proposers, picks each
+// one's heaviest eligible acceptor, and immediately challenges that
+// acceptor's current-best slot, so no pass ever rescans an acceptor's
+// adjacency (proposer order is ascending and the challenge is strict >, so
+// the lowest-index proposer wins weight ties). Pass two binds each list's
+// agreeing pairs in place; a final merge of the two survivor lists flips the
+// next round's coins while restoring the global ascending order the
+// challenge tie-break depends on. accept slots are validated by a
+// monotonically increasing round stamp instead of being reset.
 func heavyEdgeMatching(g *Graph, vw []int, opts PartitionOptions, ar *partArena) (match []int32, matched int) {
 	n := g.N()
 	match = ar.match[:n]
@@ -310,220 +303,45 @@ func heavyEdgeMatching(g *Graph, vw []int, opts PartitionOptions, ar *partArena)
 	}
 	cand := ar.cand[:n]
 	accept := ar.accept[:n]
-	candW := ar.candW[:n]
-	state := ar.state[:n]
-	work := ar.work[:n]
-	nextWork := ar.work2[:n]
-	maxW := opts.TargetSize
-	// A vertex too heavy to pair with even the lightest possible partner
-	// (weight 1) can never match: take it out of the worklist for the whole
-	// level and mark it ineligible, so neither the round passes nor the
-	// neighbor scans ever revisit it. At the near-saturated coarse levels
-	// this removes the majority of the graph — including the whole stall
-	// round that otherwise computes a matching just to discard it. When the
-	// weight cap fits in six bits (every practical TargetSize) each
-	// eligible vertex's weight is packed into the high bits of its state
-	// byte, making the proposer scan's eligibility test a single load:
-	// role in the low two bits (0 acceptor, 1 proposer, 2 matched,
-	// 3 ineligible), weight above.
-	packed := vw != nil && maxW <= 63
-	nwork := 0
-	for u := 0; u < n; u++ {
-		w := vweight(vw, u)
-		if w+1 > maxW {
-			state[u] = 3
-			// The parallel acceptor phase scans neighbors' cand slots, and
-			// an ineligible vertex never passes through the phase-1 reset:
-			// clear it here or a stale id (arena reuse, earlier level)
-			// could read as a live proposal and bind a false match.
-			cand[u] = -1
-			continue
-		}
-		if packed {
-			state[u] = uint8(w << 2)
-		} else {
-			state[u] = 0
-		}
-		work[nwork] = int32(u)
-		nwork++
-	}
-	// With unit vertex weights any pair weighs 2: the TargetSize cap either
-	// never binds or always does, so the eligibility test drops out of the
-	// inner loop entirely.
-	unitFits := vw == nil && maxW >= 2
-	if effectiveWorkers(n, opts.Workers) <= 1 {
-		matched = serialMatchingRounds(g, vw, opts, ar, match, work[:nwork], unitFits, packed)
-		return match, matched
-	}
-	for round := 0; round < opts.MatchingRounds && nwork > 0; round++ {
-		parallelVertexRanges(nwork, opts.Workers, func(lo, hi int) {
-			for wi := lo; wi < hi; wi++ {
-				u := work[wi]
-				accept[u] = -1
-				if matchCoin(int(u), round) {
-					state[u] = state[u]&^3 | 1
-				} else {
-					state[u] &^= 3
-				}
-			}
-		})
-		// Proposal phase: proposers pick their heaviest eligible acceptor
-		// and immediately challenge that acceptor's slot. Ascending columns
-		// make the first strictly heavier neighbor the smallest-indexed
-		// one, so ties break low without an explicit comparison. (A
-		// self-loop's state is 1 or 2 here — u is in the worklist as a
-		// proposer — so the state test also rejects v == u.) The challenge
-		// CAS-maximizes accept[best] by (weight, then lowest index): a
-		// rival's weight is its candW slot, written before the rival's CAS
-		// published its index, so the acquire on the slot load makes the
-		// read safe. The converged winner is the same
-		// heaviest-proposal-lowest-index one the retired acceptor-side
-		// adjacency rescan computed, one full parallel pass cheaper.
-		parallelVertexRanges(nwork, opts.Workers, func(lo, hi int) {
-			for wi := lo; wi < hi; wi++ {
-				u := int(work[wi])
-				cand[u] = -1
-				if state[u]&3 != 1 {
-					continue
-				}
-				cols, ws := g.row(u)
-				best, bestW := int32(-1), -1.0
-				switch {
-				case unitFits:
-					for i, c := range cols {
-						if state[c] == 0 && ws[i] > bestW {
-							best, bestW = c, ws[i]
-						}
-					}
-				case packed:
-					wu := vweight(vw, u)
-					for i, c := range cols {
-						s := state[c]
-						if s&3 != 0 || wu+int(s>>2) > maxW {
-							continue
-						}
-						if ws[i] > bestW {
-							best, bestW = c, ws[i]
-						}
-					}
-				default:
-					wu := vweight(vw, u)
-					for i, c := range cols {
-						if state[c]&3 != 0 {
-							continue
-						}
-						if wu+vweight(vw, int(c)) > maxW {
-							continue
-						}
-						if ws[i] > bestW {
-							best, bestW = c, ws[i]
-						}
-					}
-				}
-				cand[u] = best
-				candW[u] = bestW
-				if best < 0 {
-					continue
-				}
-				slot := &accept[best]
-				for {
-					cur := atomic.LoadInt32(slot)
-					if cur >= 0 {
-						curW := candW[cur]
-						if curW > bestW || (curW == bestW && cur < int32(u)) {
-							break // standing rival wins
-						}
-					}
-					if atomic.CompareAndSwapInt32(slot, cur, int32(u)) {
-						break
-					}
-				}
-			}
-		})
-		// Phase 3: bind agreeing pairs; each vertex writes only its own
-		// match/cand/state slots. An accepted proposer always binds
-		// symmetrically: accept[v] = u implies cand[u] = v. Newly matched
-		// vertices zero their cand slot to uphold the worklist invariant.
-		var progressed atomic.Bool
-		parallelVertexRanges(nwork, opts.Workers, func(lo, hi int) {
-			any := false
-			for wi := lo; wi < hi; wi++ {
-				u := work[wi]
-				if state[u]&3 == 1 {
-					if v := cand[u]; v >= 0 && accept[v] == u {
-						match[u] = v
-						cand[u] = -1
-						state[u] = state[u]&^3 | 2
-						any = true
-					}
-				} else if p := accept[u]; p >= 0 {
-					match[u] = p
-					cand[u] = -1
-					state[u] = state[u]&^3 | 2
-					any = true
-				}
-			}
-			if any {
-				progressed.Store(true)
-			}
-		})
-		if !progressed.Load() {
-			break
-		}
-		// Rebuild the worklist (ascending, deterministic) for the next
-		// round; matched vertices leave it forever.
-		nw := 0
-		for wi := 0; wi < nwork; wi++ {
-			if u := work[wi]; match[u] == -1 {
-				nextWork[nw] = u
-				nw++
-			}
-		}
-		work, nextWork = nextWork, work
-		nwork = nw
-	}
-	for _, m := range match {
-		if m != -1 {
-			matched++
-		}
-	}
-	return match, matched
-}
-
-// serialMatchingRounds is heavyEdgeMatching's single-worker form: the same
-// rounds, proposals, and bindings, but with the phases fused and the
-// worklist segregated by role. Each round keeps the still-unmatched
-// vertices in two ascending lists — this round's proposers and acceptors —
-// so no pass pays the unpredictable per-vertex role branch. Pass one walks
-// the proposers, picks each one's heaviest eligible acceptor, and
-// immediately challenges that acceptor's current-best slot (proposer order
-// is ascending and the challenge is strict >, so the lowest-index proposer
-// wins weight ties: exactly the winner the parallel form's
-// ascending-column acceptor scan finds). Pass two binds each segment's
-// agreeing pairs in place; a final merge of the two survivor streams flips
-// the next round's coins while restoring the global ascending order the
-// challenge tie-break depends on. accept slots are validated by a
-// monotonically increasing round stamp instead of being reset. The
-// computed matching is identical to the parallel form's.
-func serialMatchingRounds(g *Graph, vw []int, opts PartitionOptions, ar *partArena, match []int32, eligible []int32, unitFits, packed bool) (matched int) {
-	n := g.N()
-	cand := ar.cand[:n]
-	accept := ar.accept[:n]
 	acceptRound := ar.acceptRound[:n]
 	candW := ar.candW[:n]
 	state := ar.state[:n]
 	maxW := opts.TargetSize
+	// A vertex too heavy to pair with even the lightest possible partner
+	// (weight 1) can never match: mark it ineligible and leave it out of both
+	// lists for the whole level, so neither the rounds nor the neighbor scans
+	// ever revisit it. At the near-saturated coarse levels this removes the
+	// majority of the graph — including the whole stall round that otherwise
+	// computes a matching just to discard it. When the weight cap fits in six
+	// bits (every practical TargetSize) each eligible vertex's weight is
+	// packed into the high bits of its state byte, making the proposer scan's
+	// eligibility test a single load: role in the low two bits (0 acceptor,
+	// 1 proposer, 2 matched, 3 ineligible), weight above.
+	packed := vw != nil && maxW <= 63
+	// With unit vertex weights any pair weighs 2: the TargetSize cap either
+	// never binds or always does, so the eligibility test drops out of the
+	// inner loop entirely.
+	unitFits := vw == nil && maxW >= 2
 	props, accs := ar.workP[:n], ar.workA[:n]
 	propsB, accsB := ar.work2[:n], ar.work[:n]
 	np, na := 0, 0
-	for _, u := range eligible {
-		if matchCoin(int(u), 0) {
-			state[u] = state[u]&^3 | 1
-			props[np] = u
+	for u := 0; u < n; u++ {
+		w := vweight(vw, u)
+		if w+1 > maxW {
+			state[u] = 3
+			continue
+		}
+		s := uint8(0)
+		if packed {
+			s = uint8(w << 2)
+		}
+		if matchCoin(u, 0) {
+			state[u] = s | 1
+			props[np] = int32(u)
 			np++
 		} else {
-			state[u] &^= 3
-			accs[na] = u
+			state[u] = s
+			accs[na] = int32(u)
 			na++
 		}
 	}
@@ -578,8 +396,8 @@ func serialMatchingRounds(g *Graph, vw []int, opts PartitionOptions, ar *partAre
 				}
 			}
 		}
-		// Pass 2: bind each segment in place; survivors compact to the
-		// segment prefix, preserving ascending order.
+		// Pass 2: bind each list in place; survivors compact to the list
+		// prefix, preserving ascending order.
 		progressed := false
 		nw := 0
 		for pi := 0; pi < np; pi++ {
@@ -587,7 +405,6 @@ func serialMatchingRounds(g *Graph, vw []int, opts PartitionOptions, ar *partAre
 			if v := cand[u]; v >= 0 && acceptRound[v] == stamp && accept[v] == u {
 				match[u] = v
 				state[u] = state[u]&^3 | 2
-				cand[u] = -1
 				progressed = true
 				continue
 			}
@@ -602,7 +419,6 @@ func serialMatchingRounds(g *Graph, vw []int, opts PartitionOptions, ar *partAre
 				if p := accept[v]; p >= 0 {
 					match[v] = p
 					state[v] = state[v]&^3 | 2
-					cand[v] = -1
 					progressed = true
 					continue
 				}
@@ -614,7 +430,7 @@ func serialMatchingRounds(g *Graph, vw []int, opts PartitionOptions, ar *partAre
 		if !progressed {
 			break
 		}
-		// Merge the two ascending survivor streams, flipping next-round
+		// Merge the two ascending survivor lists, flipping next-round
 		// coins on the way; the merged order is the global ascending order
 		// the next challenge pass ties-breaks by.
 		pi, ai, np2, na2 := 0, 0, 0, 0
@@ -646,7 +462,7 @@ func serialMatchingRounds(g *Graph, vw []int, opts PartitionOptions, ar *partAre
 			matched++
 		}
 	}
-	return matched
+	return match, matched
 }
 
 // contract collapses matched pairs into single vertices, returning the
@@ -654,8 +470,8 @@ func serialMatchingRounds(g *Graph, vw []int, opts PartitionOptions, ar *partAre
 // (original-vertex counts). Intra-pair edges become self-loops — they can
 // never be cut, but they keep coarse strengths comparable for seed ordering,
 // mirroring Quotient. The coarse rows are written directly from the match
-// slots in one traversal of the fine adjacency (capacity rows filled in
-// parallel, coalesced in place, then compacted into an exact-size CSR); the
+// slots in one traversal of the fine adjacency (capacity rows filled,
+// coalesced in place, then compacted into an exact-size CSR); the
 // staging rows live in the arena and the resulting graph skips FromCSR's
 // validation scan, which is redundant for rows sorted by construction.
 //
@@ -716,31 +532,28 @@ func contract(g *Graph, vw []int, match []int32, matched int, opts PartitionOpti
 	col := ar.cooCol(capPtr[nc])
 	w := ar.cooW(capPtr[nc])
 	cnt := ar.cnt[:nc]
-	parallelVertexRanges(nc, opts.Workers, func(lo, hi int) {
-		for c := lo; c < hi; c++ {
-			base := capPtr[c]
-			k := int64(0)
-			gather := func(u int32) {
-				cols, ws := g.row(int(u))
-				for i, cc := range cols {
-					tc := cmap[cc]
-					// Intra-coarse fine edges appear in both constituent
-					// rows; keep the smaller endpoint's copy so the coarse
-					// self-loop counts each undirected edge once.
-					if int(tc) == c && cc < u {
-						continue
-					}
-					col[base+k], w[base+k] = tc, ws[i]
-					k++
+	for c := 0; c < nc; c++ {
+		base := capPtr[c]
+		k := int64(0)
+		for _, u := range [2]int32{mem1[c], mem2[c]} {
+			if u == -1 {
+				break // a single: mem2 is -1
+			}
+			cols, ws := g.row(int(u))
+			for i, cc := range cols {
+				tc := cmap[cc]
+				// Intra-coarse fine edges appear in both constituent rows;
+				// keep the smaller endpoint's copy so the coarse self-loop
+				// counts each undirected edge once.
+				if int(tc) == c && cc < u {
+					continue
 				}
+				col[base+k], w[base+k] = tc, ws[i]
+				k++
 			}
-			gather(mem1[c])
-			if mem2[c] != -1 {
-				gather(mem2[c])
-			}
-			cnt[c] = int32(coalesceRow(col[base:base+k], w[base:base+k]))
 		}
-	})
+		cnt[c] = int32(coalesceRow(col[base:base+k], w[base:base+k]))
+	}
 	rowptr := ar.i64s.take(nc + 1)
 	rowptr[0] = 0
 	for c := 0; c < nc; c++ {
@@ -831,51 +644,4 @@ func (p *pairSorter) Less(i, j int) bool { return p.col[i] < p.col[j] }
 func (p *pairSorter) Swap(i, j int) {
 	p.col[i], p.col[j] = p.col[j], p.col[i]
 	p.w[i], p.w[j] = p.w[j], p.w[i]
-}
-
-// mlChunk is the fixed vertex-range chunk size of parallelVertexRanges.
-// Fixed — not derived from the worker count — so chunk boundaries, and
-// anything a caller could accidentally make depend on them, never change
-// with parallelism.
-const mlChunk = 4096
-
-// cappedWorkers resolves a requested worker count against the machine: 0
-// means GOMAXPROCS, and an explicit count is capped at GOMAXPROCS (the
-// pools are CPU-bound, so more workers than P's only buys scheduling
-// overhead — notably, a Workers: 8 request on a single-core container runs
-// the cheaper serial paths instead of time-slicing eight goroutines). The
-// cap never affects results: every parallel phase is bit-identical at any
-// worker count by construction.
-func cappedWorkers(workers int) int {
-	if maxp := runtime.GOMAXPROCS(0); workers <= 0 || workers > maxp {
-		return maxp
-	}
-	return workers
-}
-
-// effectiveWorkers resolves the worker count parallelVertexRanges will use
-// for an n-element range: cappedWorkers, and a range under one chunk never
-// splits.
-func effectiveWorkers(n, workers int) int {
-	return min(cappedWorkers(workers), (n+mlChunk-1)/mlChunk)
-}
-
-// parallelVertexRanges runs fn over [0,n) in fixed chunks on the worker
-// pool (workers 0 = GOMAXPROCS), or as the single range [0,n) on the
-// caller's goroutine when one worker suffices. Callers must write only to
-// per-vertex slots derived from read-only inputs, which makes the serial
-// and parallel executions indistinguishable.
-func parallelVertexRanges(n, workers int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	workers = effectiveWorkers(n, workers)
-	if workers <= 1 {
-		fn(0, n)
-		return
-	}
-	pool.Run((n+mlChunk-1)/mlChunk, workers, nil, func(c, _ int) {
-		lo := c * mlChunk
-		fn(lo, min(lo+mlChunk, n))
-	})
 }

@@ -4,7 +4,7 @@ import (
 	"testing"
 )
 
-// Phase benchmarks for the multilevel serial pipeline on the 131,072-node
+// Phase benchmarks for the multilevel pipeline on the 131,072-node
 // stencil of BenchmarkPartition100k (the node-graph shape of a 2M-rank
 // machine). They exist so serial-gap work can see where a millisecond goes
 // without reconstructing pprof sessions; the package-external benchmarks in
@@ -13,7 +13,7 @@ import (
 func benchGraph() *Graph { return stencil2D(131072, 256) }
 
 func benchOpts() PartitionOptions {
-	opts := PartitionOptions{MinSize: 4, TargetSize: 4, Multilevel: true, Workers: 1}
+	opts := PartitionOptions{MinSize: 4, TargetSize: 4, Multilevel: true}
 	_ = opts.normalize(131072)
 	return opts
 }
@@ -48,7 +48,7 @@ func BenchmarkPhaseRefineFinest(b *testing.B) {
 	g := benchGraph()
 	opts := benchOpts()
 	ar := newPartArena(g)
-	part, err := Partition(g, PartitionOptions{MinSize: 4, TargetSize: 4, Multilevel: true, Workers: 1})
+	part, err := Partition(g, PartitionOptions{MinSize: 4, TargetSize: 4, Multilevel: true})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
+
+	"hierclust/internal/racedetect"
 )
 
 // stencil2D builds a w-wide 2-D grid with heavy horizontal and lighter
@@ -134,42 +136,67 @@ func TestMultilevelIdenticalBelowThreshold(t *testing.T) {
 	}
 }
 
-// The multilevel assignment must be bit-identical at any worker count and
-// across repeated runs — the partitioner sits inside evaluations whose
-// outputs are compared byte-for-byte.
+// The multilevel assignment is a pure function of the graph and options: a
+// repeat run on the first run's recycled arena, every scratch buffer still
+// holding that run's state, reproduces it exactly — the partitioner sits
+// inside evaluations whose outputs are compared byte-for-byte.
 func TestMultilevelWorkerInvariance(t *testing.T) {
-	// Raise GOMAXPROCS so the capped worker counts stay distinct and the
-	// parallel phases actually engage on single-core hosts.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	g := stencil2D(8192, 128)
-	var ref []int
-	for _, workers := range []int{1, 2, 3, 8} {
-		part, err := Partition(g, PartitionOptions{
-			MinSize: 4, TargetSize: 4, Multilevel: true, Workers: workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			ref = part
-			continue
-		}
-		for v := range ref {
-			if ref[v] != part[v] {
-				t.Fatalf("workers=%d: vertex %d assigned %d, want %d", workers, v, part[v], ref[v])
-			}
-		}
+	opts := PartitionOptions{MinSize: 4, TargetSize: 4, Multilevel: true}
+	if err := opts.normalize(g.N()); err != nil {
+		t.Fatal(err)
 	}
-	again, err := Partition(g, PartitionOptions{
-		MinSize: 4, TargetSize: 4, Multilevel: true, Workers: 5,
-	})
+	ar := newPartArena(g)
+	defer ar.release()
+	ref, err := multilevelPartition(g, opts, ar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ar.reset()
+	again, err := multilevelPartition(g, opts, ar)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for v := range ref {
 		if ref[v] != again[v] {
-			t.Fatalf("repeat run diverged at vertex %d", v)
+			t.Fatalf("repeat run diverged at vertex %d: %d, first run %d", v, again[v], ref[v])
 		}
+	}
+}
+
+// Partition runs on its caller's goroutine: with two P's available it
+// starts no goroutine and builds no escaping closure, so a multilevel
+// partition on a warm arena allocates the returned assignment, the coarse
+// levels and little else — a constant, not a count that grows with the
+// P's or the graph's chunks. testing.AllocsPerRun cannot measure this: it
+// pins GOMAXPROCS to 1 while it counts.
+func TestPartitionAllocsBounded(t *testing.T) {
+	if racedetect.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	g := stencil2D(16384, 128)
+	opts := PartitionOptions{MinSize: 4, TargetSize: 4, Multilevel: true}
+	partition := func() {
+		if _, err := Partition(g, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	partition() // warm the arena pool
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		partition()
+	}
+	runtime.ReadMemStats(&after)
+	got := float64(after.Mallocs-before.Mallocs) / runs
+	// 11 on a warm arena; the slack covers a pooled arena missed when the
+	// goroutine changes P (one fresh arena is 13 objects).
+	const bound = 16
+	t.Logf("multilevel Partition at GOMAXPROCS 2: %.2f allocs/op (bound %d)", got, bound)
+	if got > bound {
+		t.Errorf("multilevel Partition allocates %.2f objects per call at GOMAXPROCS 2, over %d: did a phase fork onto goroutines?", got, bound)
 	}
 }
 
@@ -229,17 +256,14 @@ func TestHeavyEdgeMatchingInvariants(t *testing.T) {
 	}
 }
 
-// An ineligible (never-matchable) vertex skips the worklist, so nothing
-// resets its cand slot — but the parallel acceptor phase scans neighbors'
-// cand slots. A recycled arena can hand matching a cand array full of
-// plausible vertex ids; if ineligible slots are not cleared, a stale id
-// reads as a live proposal and binds an asymmetric, cap-violating match.
-// This pins the fix on the parallel path (weighted level wide enough that
-// Workers>1 engages it) against the serial path's result.
+// A recycled arena hands matching its proposal slots (cand, accept, candW,
+// acceptRound) full of plausible vertex ids, weights and round stamps from
+// an earlier level or call. None may leak into a binding: on a weighted
+// level where half the vertices are too heavy to match, the matching from a
+// poisoned arena is symmetric, never pairs an ineligible vertex, respects
+// the TargetSize cap, and equals the matching from a fresh arena.
 func TestHeavyEdgeMatchingIneligibleStaleCand(t *testing.T) {
-	// Two P's so effectiveWorkers(n, 2) == 2 even on a one-core host.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	n := 3 * mlChunk // wide enough for effectiveWorkers(n, 2) == 2
+	const n = 12288
 	g := stencil2D(n, 128)
 	opts := PartitionOptions{MinSize: 4, TargetSize: 4}
 	if err := opts.normalize(n); err != nil {
@@ -253,41 +277,45 @@ func TestHeavyEdgeMatchingIneligibleStaleCand(t *testing.T) {
 			vw[i] = 1
 		}
 	}
-	run := func(workers int) []int32 {
-		o := opts
-		o.Workers = workers
-		ar := newPartArena(g)
-		defer ar.release()
-		// Poison cand as a recycled arena would: every slot names a
-		// plausible neighbor.
-		for i := range ar.cand[:n] {
-			ar.cand[i] = int32((i + 1) % n)
+	run := func(poison bool) []int32 {
+		ar := buildArena(n, g.rowptr[n])
+		if poison {
+			ar.matchRound = 5
+			for i := 0; i < n; i++ {
+				ar.cand[i] = int32((i + 1) % n)
+				ar.accept[i] = int32((i + 2) % n)
+				ar.candW[i] = 1e9
+				ar.acceptRound[i] = int32(i % 6) // stamps of rounds already run
+			}
 		}
-		match, _ := heavyEdgeMatching(g, vw, o, ar)
-		out := make([]int32, n)
-		copy(out, match)
-		return out
+		match, _ := heavyEdgeMatching(g, vw, opts, ar)
+		return append([]int32(nil), match...)
 	}
-	serial := run(1)
-	parallel := run(2)
+	fresh := run(false)
+	poisoned := run(true)
+	matched := 0
 	for u := 0; u < n; u++ {
-		if parallel[u] != serial[u] {
-			t.Fatalf("vertex %d: parallel match %d, serial %d (stale cand leaked into a binding)",
-				u, parallel[u], serial[u])
+		if poisoned[u] != fresh[u] {
+			t.Fatalf("vertex %d: poisoned-arena match %d, fresh %d (stale slot leaked into a binding)",
+				u, poisoned[u], fresh[u])
 		}
-		m := parallel[u]
+		m := poisoned[u]
 		if m == -1 {
 			continue
 		}
 		if vw[u]+1 > opts.TargetSize {
 			t.Fatalf("ineligible vertex %d got matched to %d", u, m)
 		}
-		if parallel[m] != int32(u) {
-			t.Fatalf("asymmetric match: match[%d]=%d but match[%d]=%d", u, m, m, parallel[m])
+		if poisoned[m] != int32(u) {
+			t.Fatalf("asymmetric match: match[%d]=%d but match[%d]=%d", u, m, m, poisoned[m])
 		}
 		if vw[u]+vw[m] > opts.TargetSize {
 			t.Fatalf("pair {%d,%d} weight %d bursts cap %d", u, m, vw[u]+vw[m], opts.TargetSize)
 		}
+		matched++
+	}
+	if matched == 0 {
+		t.Fatal("nothing matched: the eligible vertices' vertical edges should pair")
 	}
 }
 

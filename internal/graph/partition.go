@@ -29,10 +29,9 @@ type PartitionOptions struct {
 	// heavy-edge matching collapses the graph level by level until it has
 	// at most CoarsenThreshold vertices, the coarsest graph is partitioned
 	// with the greedy growth, and the assignment is projected back up with
-	// the incremental-gain refinement run at every level. The matching
-	// rounds parallelize over the frozen CSR; results are identical at any
-	// worker count. Off, or on a graph with at most CoarsenThreshold
-	// vertices, Partition produces exactly the single-level result.
+	// the incremental-gain refinement run at every level. Off, or on a
+	// graph with at most CoarsenThreshold vertices, Partition produces
+	// exactly the single-level result.
 	Multilevel bool
 	// CoarsenThreshold stops coarsening once the graph has at most this
 	// many vertices; 0 means 128.
@@ -40,9 +39,11 @@ type PartitionOptions struct {
 	// MatchingRounds bounds the handshake rounds of each heavy-edge
 	// matching; 0 means 4.
 	MatchingRounds int
-	// Workers bounds the worker pool of the parallel phases (matching,
-	// contraction, refinement scans); 0 = GOMAXPROCS. The assignment
-	// never depends on it.
+	// Workers is ignored: Partition runs every phase on the caller's
+	// goroutine and starts none of its own, so a caller bounds partition
+	// compute by how many partitions it runs at once.
+	//
+	// Deprecated: the field has no effect and will be removed.
 	Workers int
 	// Cancel, when non-nil, is polled between coarsening levels and
 	// refinement passes; once it returns true, Partition abandons the work
@@ -104,8 +105,8 @@ func vweight(vw []int, v int) int {
 // bounds. With Multilevel set (and a graph above CoarsenThreshold) the
 // growth runs on a heavy-edge-coarsened graph instead and the refinement
 // repeats at every level on the way back up — the same contract, better
-// cuts, and parallel matching on large graphs. It returns part[v] = cluster
-// id, with ids dense in 0..K-1.
+// cuts on large graphs. Partition runs on the caller's goroutine. It returns
+// part[v] = cluster id, with ids dense in 0..K-1.
 func Partition(g *Graph, opts PartitionOptions) ([]int, error) {
 	n := g.N()
 	if err := opts.normalize(n); err != nil {
@@ -304,18 +305,9 @@ func grow(g *Graph, opts PartitionOptions, vw []int, ar *partArena) ([]int, []in
 	return part, sizes
 }
 
-// refineParallelMin is the vertex count below which refine always runs its
-// plain serial sweep: the speculative scan's fork/join overhead only pays
-// off on graphs with tens of thousands of vertices.
-const refineParallelMin = 4096
-
-// refineState is the refinement's working state, embedded in the arena so
-// the pass bodies can be methods instead of closures. The closure layout
-// heap-allocated every helper plus a cell for each variable the escaping
-// scan closures shared — about ten allocations per level, re-paid at every
-// level of the multilevel ladder; a method value on the arena-resident state
-// costs one. refine clears the struct on return so a pooled arena never pins
-// a finished graph.
+// refineState is the refinement's working state: the gain cache and move
+// stamps carved from the arena, and the size bounds. refine keeps it on its
+// own stack, so a pooled arena never pins a finished graph.
 type refineState struct {
 	g     *Graph
 	part  []int
@@ -342,16 +334,13 @@ type refineState struct {
 	// stamps are all at or before its lastEval would re-derive the same
 	// "no move" from identical inputs, so converged sweeps skip it after a
 	// cheap integer scan — the bulk of every pass after the first.
-	desire       []int32
 	nbrTouch     []int32
 	clusterTouch []int32
 	lastEval     []int32
 
-	n           int
-	minSize     int
-	maxSize     int
-	speculative bool
-	moveCount   int32
+	minSize   int
+	maxSize   int
+	moveCount int32
 }
 
 func (rs *refineState) find(v, id int) int {
@@ -392,14 +381,13 @@ func (rs *refineState) sub(v, id int, w float64) {
 	}
 }
 
-// decide returns the cluster the serial sweep would move v to right
-// now, or -1: the heaviest adjacent cluster that fits MaxSize, if its
-// weight strictly beats v's connection to its own cluster and leaving
-// keeps the source above MinSize. One span pass finds both the own
-// weight and the best candidate; the candidate maximum is ordered by
-// (weight desc, id asc), which reproduces the historical two-pass
-// scan's pick exactly — candidates at or below the own weight lose the
-// final strict comparison either way.
+// decide returns the cluster the sweep moves v to right now, or -1: the
+// heaviest adjacent cluster that fits MaxSize, if its weight strictly beats
+// v's connection to its own cluster and leaving keeps the source above
+// MinSize. One span pass finds both the own weight and the best candidate;
+// the candidate maximum is ordered by (weight desc, id asc), which
+// reproduces the historical two-pass scan's pick exactly — candidates at or
+// below the own weight lose the final strict comparison either way.
 func (rs *refineState) decide(v int) int {
 	from := rs.part[v]
 	wv := vweight(rs.vw, v)
@@ -474,21 +462,13 @@ func (rs *refineState) commit(v, to int) {
 	}
 }
 
-// buildDecide builds the gain cache and, on speculative refinements,
-// fuses the first pass's move decisions into the build: it writes
-// vertex v's span from read-only state (part and v's row) and
-// immediately decides v's pass-1 move while the span is still hot —
-// one pass where the build and the first speculative scan used to be
-// two. It writes only per-vertex slots, so it parallelizes chunk-wise
-// with no effect on the result. (Serial refinements skip the fused
-// decisions: their first sweep decides each vertex at its turn, with
-// earlier commits visible, so pass-start decisions would be wasted.)
-// The build body is the add() path hand-inlined over int offsets: this
-// loop is the hottest in the multilevel profile (it reruns at every
-// level of the ladder).
-func (rs *refineState) buildDecide(lo, hi int) {
+// build fills the gain cache from the current assignment: vertex v's span
+// gets one entry per cluster among its neighbors. The body is the add()
+// path hand-inlined over int offsets: this loop is the hottest in the
+// multilevel profile (it reruns at every level of the ladder).
+func (rs *refineState) build() {
 	connID, connW, connCnt, connLen := rs.connID, rs.connW, rs.connCnt, rs.connLen
-	for v := lo; v < hi; v++ {
+	for v := range connLen {
 		base := int(rs.rowptr[v])
 		cols, ws := rs.g.row(v)
 		ln := 0
@@ -514,56 +494,14 @@ func (rs *refineState) buildDecide(lo, hi int) {
 			}
 		}
 		connLen[v] = int32(ln)
-		if rs.speculative {
-			rs.desire[v] = int32(rs.decide(v))
-		}
 	}
-}
-
-// scan is the speculative per-pass scan for passes after the first:
-// every vertex's move is precomputed against the pass-start state
-// (per-vertex slot writes only).
-func (rs *refineState) scan(lo, hi int) {
-	for v := lo; v < hi; v++ {
-		if rs.stillNoMove(v, rs.lastEval[v]) {
-			rs.desire[v] = -1 // unchanged inputs re-derive "no move"
-			continue
-		}
-		rs.desire[v] = int32(rs.decide(v))
-	}
-}
-
-// serialWalk commits a scanned pass: it walks vertices in the sweep
-// order and trusts a precomputed decision exactly when none of its
-// inputs — v's gain span, the size of v's cluster, or the size of any
-// adjacent cluster — changed since the scan, which the move stamps
-// witness. A stale vertex is re-decided serially. Every committed move
-// is therefore the move the serial sweep would have made at that
-// vertex, in the same order: the result is bit-identical at any worker
-// count, while the float-heavy gain evaluation runs parallel (and,
-// after the first converging passes, almost no vertex is ever stale).
-func (rs *refineState) serialWalk() bool {
-	moved := false
-	passStart := rs.moveCount
-	for v := 0; v < rs.n; v++ {
-		to := int(rs.desire[v])
-		if rs.moveCount != passStart && !rs.stillNoMove(v, passStart) {
-			to = rs.decide(v) // inputs changed after the scan
-		}
-		if to >= 0 {
-			rs.commit(v, to)
-			rs.lastEval[v] = -1
-			moved = true
-		} else {
-			rs.lastEval[v] = rs.moveCount
-		}
-	}
-	return moved
 }
 
 // refine performs boundary-move passes: each vertex may move to the
 // neighboring cluster it communicates with most if the move strictly lowers
-// the cut and keeps both clusters within the size bounds.
+// the cut and keeps both clusters within the size bounds. A pass sweeps the
+// vertices in index order and decides each at its turn, with earlier
+// commits immediately visible.
 //
 // The per-vertex connection weights (vertex → adjacent cluster → weight) are
 // built once in O(E) and then maintained incrementally: moving v from
@@ -578,18 +516,10 @@ func (rs *refineState) serialWalk() bool {
 // Sizes are in weight units: moving v shifts vweight(vw, v), and the size
 // bounds hold in the same units (unit weights reproduce the historical
 // vertex-count behavior exactly).
-//
-// There are two commit forms, chosen by worker count and size. Small or
-// single-worker graphs run the plain serial sweep. Otherwise every pass
-// decides moves in parallel against pass-start state (the first pass fused
-// into the cache build itself) and serialWalk commits them, producing
-// exactly the serial sweep's moves in the serial sweep's order, so the
-// assignment never depends on the worker count.
 func refine(g *Graph, part []int, sizes []int, opts PartitionOptions, vw []int, ar *partArena) {
 	n := g.N()
 	nnz := g.rowptr[n]
-	rs := &ar.ref
-	*rs = refineState{
+	rs := refineState{
 		g: g, part: part, sizes: sizes, vw: vw,
 		rowptr:  g.rowptr,
 		connID:  ar.connID[:nnz],
@@ -597,67 +527,42 @@ func refine(g *Graph, part []int, sizes []int, opts PartitionOptions, vw []int, 
 		connCnt: ar.connCnt[:nnz],
 		connLen: ar.connLen[:n],
 
-		desire:       ar.desire[:n],
 		nbrTouch:     ar.nbrTouch[:n],
 		clusterTouch: ar.clusterTouch[:len(sizes)],
 		lastEval:     ar.lastEval[:n],
 
-		n:           n,
-		minSize:     opts.MinSize,
-		maxSize:     opts.MaxSize,
-		speculative: effectiveWorkers(n, opts.Workers) > 1 && n >= refineParallelMin,
+		minSize: opts.MinSize,
+		maxSize: opts.MaxSize,
 	}
 	clear(rs.nbrTouch)
 	clear(rs.clusterTouch)
 	for i := range rs.lastEval {
 		rs.lastEval[i] = -1
 	}
-	// The method values are hoisted out of the pass loop: each evaluation
-	// allocates one funcval (the bound receiver escapes into the worker
-	// goroutines), so hoisting caps the refinement at two such allocations.
-	buildFn, scanFn := rs.buildDecide, rs.scan
-
+	rs.build()
 	for pass := 0; pass < opts.RefinePasses; pass++ {
 		if opts.cancelled() {
 			// Abandon mid-refinement: the caller observes Cancel itself and
 			// discards the partition, so the half-refined state never leaks.
-			*rs = refineState{}
 			return
 		}
-		switch {
-		case pass == 0:
-			parallelVertexRanges(n, opts.Workers, buildFn)
-		case rs.speculative:
-			parallelVertexRanges(n, opts.Workers, scanFn)
-		}
 		moved := false
-		if rs.speculative {
-			moved = rs.serialWalk()
-		} else {
-			// Small or single-worker graphs: plain serial sweeps deciding
-			// each vertex at its turn, with earlier commits immediately
-			// visible — no walk overhead.
-			for v := 0; v < n; v++ {
-				if rs.stillNoMove(v, rs.lastEval[v]) {
-					continue
-				}
-				if to := rs.decide(v); to >= 0 {
-					rs.commit(v, to)
-					rs.lastEval[v] = -1
-					moved = true
-				} else {
-					rs.lastEval[v] = rs.moveCount
-				}
+		for v := 0; v < n; v++ {
+			if rs.stillNoMove(v, rs.lastEval[v]) {
+				continue
+			}
+			if to := rs.decide(v); to >= 0 {
+				rs.commit(v, to)
+				rs.lastEval[v] = -1
+				moved = true
+			} else {
+				rs.lastEval[v] = rs.moveCount
 			}
 		}
 		if !moved {
 			break
 		}
 	}
-
-	// Drop every reference so the pooled arena does not pin this graph (or
-	// its partition) beyond the refinement that used them.
-	*rs = refineState{}
 }
 
 // compact renumbers cluster ids densely in order of first appearance. Raw

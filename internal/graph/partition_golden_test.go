@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"testing"
 )
@@ -101,14 +100,13 @@ func hashAssignment(part []int) string {
 }
 
 // TestPartitionGolden pins the exact assignment of both partitioner paths on
-// every test graph, at several worker counts. Any change to a recorded hash
-// means an output bit changed — which this repository treats as a breaking
-// change for the partitioner, since evaluations are compared byte-for-byte.
+// every test graph. Any change to a recorded hash means an output bit
+// changed — which this repository treats as a breaking change for the
+// partitioner, since evaluations are compared byte-for-byte. The golden file
+// still carries one multilevel entry per former worker count (w1, w2, w8);
+// the one multilevel assignment must match all three.
 // Regenerate deliberately with: go test ./internal/graph -run Golden -update
 func TestPartitionGolden(t *testing.T) {
-	// Raise GOMAXPROCS so the worker counts stay distinct under the
-	// effectiveWorkers cap and the parallel phases run on one-core hosts.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	goldenPath := filepath.Join("testdata", "partition_golden.json")
 	got := map[string]string{}
 	for _, tc := range goldenGraphs() {
@@ -117,25 +115,15 @@ func TestPartitionGolden(t *testing.T) {
 			t.Fatalf("%s: single-level: %v", tc.name, err)
 		}
 		got[tc.name+"/single"] = hashAssignment(single)
-		for _, workers := range []int{1, 2, 8} {
-			mlOpts := tc.opts
-			mlOpts.Multilevel = true
-			mlOpts.Workers = workers
-			multi, err := Partition(tc.g, mlOpts)
-			if err != nil {
-				t.Fatalf("%s: multilevel workers=%d: %v", tc.name, workers, err)
-			}
-			got[fmt.Sprintf("%s/multilevel/w%d", tc.name, workers)] = hashAssignment(multi)
+		mlOpts := tc.opts
+		mlOpts.Multilevel = true
+		multi, err := Partition(tc.g, mlOpts)
+		if err != nil {
+			t.Fatalf("%s: multilevel: %v", tc.name, err)
 		}
-	}
-	// All worker counts must agree before we even consult the golden file.
-	for _, tc := range goldenGraphs() {
-		ref := got[tc.name+"/multilevel/w1"]
-		for _, workers := range []int{2, 8} {
-			key := fmt.Sprintf("%s/multilevel/w%d", tc.name, workers)
-			if got[key] != ref {
-				t.Errorf("%s: workers=%d hash %s != workers=1 hash %s", tc.name, workers, got[key], ref)
-			}
+		h := hashAssignment(multi)
+		for _, w := range []string{"w1", "w2", "w8"} {
+			got[tc.name+"/multilevel/"+w] = h
 		}
 	}
 	if *updateGolden {

@@ -4,29 +4,29 @@ import (
 	"context"
 	"runtime/pprof"
 	"strconv"
-	"sync/atomic"
 )
 
 // Phase labels attribute partition CPU time to pipeline phases
 // (match/contract/grow/refine, tagged with the multilevel level) in pprof
 // profiles, so a -cpuprofile run answers "which phase, which level" without
-// guessing from symbols. Labels are applied as goroutine labels — worker
-// goroutines spawned inside a phase inherit them — and every call allocates,
-// so they are off by default and toggled only by profiling entry points
-// (hcrun -cpuprofile); the hot path pays one atomic load per phase
-// transition and zero allocations.
+// guessing from symbols. Labels are applied as goroutine labels on the
+// partitioning goroutine, and every call allocates, so they are off by
+// default and switched on only by profiling entry points (hcrun
+// -cpuprofile) before any partition runs; the hot path pays one load per
+// phase transition and zero allocations.
 
-var phaseLabelsOn atomic.Bool
+var phaseLabelsOn bool
 
 // SetPhaseLabels toggles runtime/pprof phase labels on the partition
-// pipeline. Enable it together with CPU profiling; leave it off otherwise —
-// each phase transition allocates while labels are on.
-func SetPhaseLabels(on bool) { phaseLabelsOn.Store(on) }
+// pipeline. Enable it together with CPU profiling, before any partition
+// starts: the flag is read without synchronization. Leave it off otherwise
+// — each phase transition allocates while labels are on.
+func SetPhaseLabels(on bool) { phaseLabelsOn = on }
 
-// setPhase labels the calling goroutine (and workers it spawns) with
-// phase=name level=<level> until the next setPhase or clearPhase.
+// setPhase labels the calling goroutine with phase=name level=<level>
+// until the next setPhase or clearPhase.
 func setPhase(name string, level int) {
-	if !phaseLabelsOn.Load() {
+	if !phaseLabelsOn {
 		return
 	}
 	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
@@ -35,7 +35,7 @@ func setPhase(name string, level int) {
 
 // clearPhase removes the phase labels from the calling goroutine.
 func clearPhase() {
-	if !phaseLabelsOn.Load() {
+	if !phaseLabelsOn {
 		return
 	}
 	pprof.SetGoroutineLabels(context.Background())

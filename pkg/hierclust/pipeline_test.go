@@ -5,9 +5,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"hierclust/internal/core"
+	"hierclust/internal/racedetect"
 	"hierclust/internal/reliability"
 	"hierclust/internal/topology"
 	"hierclust/internal/trace"
@@ -100,6 +102,50 @@ func TestPipelineWorkerInvariance(t *testing.T) {
 		if !reflect.DeepEqual(base, res) {
 			t.Fatalf("results differ between 1 and %d workers", w)
 		}
+	}
+}
+
+// TestPipelineOneWorkerIsTheBudget: WithWorkers(1) bounds all of a Run's
+// compute, the partitioner included, so a Run allocates the same objects at
+// GOMAXPROCS 2 as at 1 — a stage that forked onto idle P's would add its
+// goroutines and closures at 2. The multilevel partition runs on 16,384
+// nodes, well past any chunk a parallel phase could split. Two collections
+// before each Run empty the partitioner's arena pool, so every Run builds a
+// fresh arena whichever P it lands on and the count repeats.
+// testing.AllocsPerRun cannot measure this: it pins GOMAXPROCS to 1.
+func TestPipelineOneWorkerIsTheBudget(t *testing.T) {
+	if racedetect.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	sc := &Scenario{
+		Name:       "one-worker",
+		Machine:    MachineSpec{Nodes: 16384},
+		Placement:  PlacementSpec{Ranks: 32768, ProcsPerNode: 2},
+		Trace:      TraceSpec{Source: "synthetic", Pattern: "stencil2d"},
+		Strategies: []StrategySpec{{Kind: "hierarchical", Hier: &HierSpec{Multilevel: true}}},
+	}
+	pl := NewPipeline(WithWorkers(1))
+	allocsAt := func(procs int) uint64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		const runs = 3
+		var total uint64
+		for i := 0; i < runs; i++ {
+			runtime.GC()
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := pl.Run(context.Background(), sc); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			total += after.Mallocs - before.Mallocs
+		}
+		return total / runs
+	}
+	one, two := allocsAt(1), allocsAt(2)
+	t.Logf("Run under WithWorkers(1): %d allocs at GOMAXPROCS 1, %d at GOMAXPROCS 2", one, two)
+	if one != two {
+		t.Errorf("Run under WithWorkers(1) allocates %d objects at GOMAXPROCS 2 and %d at 1: something runs outside the worker budget", two, one)
 	}
 }
 

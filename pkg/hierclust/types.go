@@ -180,7 +180,9 @@ func DimensionNames() [4]string { return core.DimensionNames() }
 // SetPartitionPhaseLabels toggles runtime/pprof goroutine labels on the
 // multilevel partitioner's pipeline phases (match, contract, grow, refine,
 // tagged with the coarsening level), so a CPU profile attributes time to
-// phases instead of bare symbols. Enable it together with CPU profiling
-// and leave it off otherwise: each phase transition allocates while labels
-// are on, and the partitioner's hot path is allocation-free without them.
+// phases instead of bare symbols. Enable it together with CPU profiling,
+// before any evaluation starts (the setting is read without
+// synchronization), and leave it off otherwise: each phase transition
+// allocates while labels are on, and the partitioner's hot path is
+// allocation-free without them.
 func SetPartitionPhaseLabels(on bool) { graph.SetPhaseLabels(on) }
