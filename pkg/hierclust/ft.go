@@ -2,7 +2,6 @@ package hierclust
 
 import (
 	"hierclust/internal/checkpoint"
-	"hierclust/internal/erasure"
 	"hierclust/internal/hybrid"
 	"hierclust/internal/storage"
 	"hierclust/internal/tsunami"
@@ -40,8 +39,6 @@ type (
 	HybridReport = hybrid.Report
 	// FailureEvent describes one handled failure.
 	FailureEvent = hybrid.FailureEvent
-	// GroupEncoder erasure-codes one encoding group's shards.
-	GroupEncoder = erasure.GroupEncoder
 	// TsunamiParams configures the shallow-water stencil application.
 	TsunamiParams = tsunami.Params
 	// TsunamiSource is the initial Gaussian displacement.
@@ -80,11 +77,6 @@ func CheckpointUnrecoverable(err error) bool { return checkpoint.Unrecoverable(e
 // NewHybridRunner validates the configuration and builds a protocol runner.
 func NewHybridRunner(cfg HybridConfig, app HybridApp) (*HybridRunner, error) {
 	return hybrid.NewRunner(cfg, app)
-}
-
-// NewGroupEncoder builds a Reed–Solomon RS(k,m) group codec.
-func NewGroupEncoder(k, m, chunkSize, workers int) (*GroupEncoder, error) {
-	return erasure.NewGroupEncoder(k, m, chunkSize, workers)
 }
 
 // DefaultTsunamiParams returns a stable mid-size simulation configuration.

@@ -207,7 +207,9 @@ func (pl *Pipeline) evalCell(ctx context.Context, run *sweepRun, cell *PlannedCe
 	var tr traced
 	if run != nil && cell.TraceNode >= 0 {
 		tr, err = run.traces[cell.TraceNode].get(&run.traceBuilds, func() (tr traced, err error) {
-			tr.comm, tr.outcome, err = pl.resolveTrace(run.ctx, sc, placement)
+			ctx, cancel := run.buildCtx()
+			defer cancel()
+			tr.comm, tr.outcome, err = pl.resolveTrace(ctx, sc, placement)
 			return tr, err
 		})
 	} else {
@@ -294,7 +296,9 @@ func (pl *Pipeline) evalStrategy(ctx context.Context, run *sweepRun, spec Strate
 	var sd scored
 	if node >= 0 {
 		sd, err = run.parts[node].get(&run.partBuilds, func() (scored, error) {
-			return buildScored(run.ctx, spec, comm, placement, new(core.Profile))
+			ctx, cancel := run.buildCtx()
+			defer cancel()
+			return buildScored(ctx, spec, comm, placement, new(core.Profile))
 		})
 	} else {
 		if run != nil {

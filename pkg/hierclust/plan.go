@@ -15,7 +15,7 @@ import (
 // SweepPlan is the compiled form of a sweep: the expanded cells in
 // deterministic order plus the shared-node tables.
 type SweepPlan struct {
-	// Sweep is the declaration the plan was compiled from.
+	// Sweep is the declaration the plan was compiled from; nil from PlanScenarios.
 	Sweep *Sweep
 	// Cells lists the expanded cells in expansion (result) order.
 	Cells []PlannedCell
@@ -104,7 +104,19 @@ func PlanSweep(sw *Sweep) (*SweepPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan := &SweepPlan{Sweep: sw, Cells: make([]PlannedCell, len(cells)), TraceRefs: len(cells)}
+	plan, err := PlanScenarios(cells)
+	if plan != nil {
+		plan.Sweep = sw
+	}
+	return plan, err
+}
+
+// PlanScenarios compiles scenarios — a sweep without axes — into a plan whose
+// cell i evaluates cells[i], sharing nodes exactly as sweep cells do. Each
+// scenario must already be valid (DecodeScenario and Sweep.Cells return
+// valid ones).
+func PlanScenarios(cells []*Scenario) (*SweepPlan, error) {
+	plan := &SweepPlan{Cells: make([]PlannedCell, len(cells)), TraceRefs: len(cells)}
 	for _, sc := range cells {
 		plan.PartitionRefs += len(sc.Strategies)
 	}
@@ -120,7 +132,7 @@ func PlanSweep(sw *Sweep) (*SweepPlan, error) {
 	for i, sc := range cells {
 		key, err := sc.cacheKey()
 		if err != nil {
-			return nil, fmt.Errorf("hierclust: sweep %q: cell %q: %w", sw.Name, sc.Name, err)
+			return nil, fmt.Errorf("hierclust: scenario %q: %w", sc.Name, err)
 		}
 		cell := PlannedCell{Index: i, Scenario: sc, CacheKey: key, TraceNode: -1, TraceBuilder: true}
 		cell.PlacementNode, _ = nodeID(placeIDs, placementKey{sc.Machine, sc.Placement})
@@ -147,7 +159,7 @@ func PlanSweep(sw *Sweep) (*SweepPlan, error) {
 			if pk.spec, ok = specJSON[spec]; !ok {
 				b, err := json.Marshal(spec)
 				if err != nil {
-					return nil, fmt.Errorf("hierclust: sweep %q: cell %q: %w", sw.Name, sc.Name, err)
+					return nil, fmt.Errorf("hierclust: scenario %q: %w", sc.Name, err)
 				}
 				pk.spec = string(b)
 				specJSON[spec] = pk.spec

@@ -11,10 +11,6 @@ import "hierclust/internal/diskstore"
 // SweepOptions.ResultCache, which is what lets a journaled sweep resume
 // after kill -9 recomputing only the cells that never reached disk.
 
-// ResultCacheStats is DiskResultCache's observability surface: the same
-// projection of the disk store's health as the trace cache's.
-type ResultCacheStats = TraceCacheStats
-
 // DiskResultCache is a size-bounded on-disk SweepResultCache: each result
 // document is one checksummed file named by the SHA-256 of its canonical
 // scenario key, evicted least-recently-used past the byte budget. It

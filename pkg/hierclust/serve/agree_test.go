@@ -47,13 +47,14 @@ var endpoints = []endpoint{
 		}
 		return rec.Code, rec.Header().Get("X-Hierclust-Cache"), compact.Bytes()
 	}},
-	// A batch element is evaluated the way the batch handler does it; the
-	// handler itself stops streaming once its client has gone, so the line
-	// is read where it is made.
+	// A one-element batch through the handler's batch path; the handler
+	// itself stops streaming once its client has gone, so the line is read
+	// where it is made.
 	{name: "batch element", run: func(t *testing.T, s *Server, ctx context.Context, doc string) (int, string, []byte) {
 		r := httptest.NewRequest(http.MethodPost, "/v1/evaluate-batch", nil).WithContext(ctx)
-		line := s.evaluateElement(r, 0, json.RawMessage(doc))
-		return line.Status, line.Cache, line.Result
+		lines, done := s.runBatch(r, []json.RawMessage{json.RawMessage(doc)})
+		<-done[0]
+		return lines[0].Status, lines[0].Cache, lines[0].Result
 	}},
 	// A sweep's client going away is a DELETE of the job.
 	{name: "one-cell sweep", background: true, run: func(t *testing.T, s *Server, ctx context.Context, doc string) (int, string, []byte) {
@@ -151,11 +152,14 @@ func TestFaultEndpointsAgree(t *testing.T) {
 			small,
 		}
 		wantLabels := []string{"miss", "hit", "trace-hit", "miss"}
+		newServer := func() *Server {
+			tc := hierclust.NewMemoryTraceCache(4)
+			return New(Options{Pipeline: hierclust.NewPipeline(hierclust.WithTraceCache(tc)), TraceCache: tc})
+		}
 		var wantDocs [][]byte
 		var wantCounters map[string]string
 		for _, ep := range endpoints {
-			tc := hierclust.NewMemoryTraceCache(4)
-			s := New(Options{Pipeline: hierclust.NewPipeline(hierclust.WithTraceCache(tc)), TraceCache: tc})
+			s := newServer()
 			var gotDocs [][]byte
 			for i, doc := range docs {
 				status, label, result := ep.run(t, s, context.Background(), doc)
@@ -177,6 +181,34 @@ func TestFaultEndpointsAgree(t *testing.T) {
 			if fmt.Sprint(counters) != fmt.Sprint(wantCounters) {
 				t.Errorf("%s: cache counters %v, /v1/evaluate's %v", ep.name, counters, wantCounters)
 			}
+		}
+
+		// The distinct documents as one batch answer as /v1/evaluate does
+		// one by one: the tsunami trace built by the first, shared by the
+		// second, and the synthetic one built by the third.
+		distinct := []int{0, 2, 3}
+		one := newServer()
+		for _, i := range distinct {
+			endpoints[0].run(t, one, context.Background(), docs[i])
+		}
+		batch := newServer()
+		rec := serveRecorded(batch, context.Background(), http.MethodPost, "/v1/evaluate-batch",
+			"["+docs[0]+","+docs[2]+","+docs[3]+"]")
+		dec := json.NewDecoder(rec.Body)
+		for k, i := range distinct {
+			var line BatchLine
+			if err := dec.Decode(&line); err != nil {
+				t.Fatalf("batch line %d: %v (%s)", k, err, rec.Body)
+			}
+			if line.Index != k || line.Status != http.StatusOK || line.Cache != wantLabels[i] {
+				t.Errorf("batch line %d: index %d status %d label %q, want %d 200 %q", k, line.Index, line.Status, line.Cache, k, wantLabels[i])
+			}
+			if !bytes.Equal(line.Result, wantDocs[i]) {
+				t.Errorf("batch line %d document differs from /v1/evaluate's:\n%s\nvs\n%s", k, line.Result, wantDocs[i])
+			}
+		}
+		if got, want := cacheCounters(t, batch), cacheCounters(t, one); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("one batch: cache counters %v, /v1/evaluate's one by one %v", got, want)
 		}
 	})
 }

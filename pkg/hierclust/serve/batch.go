@@ -1,23 +1,25 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime/debug"
 
-	"hierclust/internal/pool"
+	"hierclust/internal/faultinject"
+	"hierclust/pkg/hierclust"
 )
 
 // POST /v1/evaluate-batch accepts a JSON array of scenario documents and
 // streams one NDJSON line per element, in input order, as each completes —
 // line i is written the moment elements 0..i are all done, so a client
 // reading the stream sees results appear while later elements are still
-// evaluating. Elements are independent: a malformed or failing element
-// produces an error line (with the status the single endpoint would have
-// answered) and the rest of the batch proceeds — partial failure is a
-// per-line fact, not a request-level one.
+// evaluating. A batch is a sweep without axes (hierclust.PlanScenarios), so
+// elements that agree on a placement, trace or clustering build it once,
+// and cache labels follow the plan. A malformed or failing element produces
+// an error line (with the status the single endpoint would have answered)
+// and the rest of the batch proceeds.
 
 // BatchLine is one NDJSON line of a /v1/evaluate-batch response.
 type BatchLine struct {
@@ -37,6 +39,10 @@ type BatchLine struct {
 }
 
 func (s *Server) handleEvaluateBatch(w http.ResponseWriter, r *http.Request) {
+	if err := faultinject.Hit("serve.evaluate"); err != nil {
+		s.writeError(w, http.StatusInternalServerError, err)
+		return
+	}
 	body, ok := s.readBody(w, r, s.maxBatchBody)
 	if !ok {
 		return
@@ -61,42 +67,68 @@ func (s *Server) handleEvaluateBatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Hierclust-Batch-Count", fmt.Sprint(len(raws)))
 	w.WriteHeader(http.StatusOK)
-
-	// Elements evaluate concurrently on a bounded pool; per-element
-	// admission (result cache, limiter, 429 lines) happens inside
-	// evaluateElement, so one batch competes for slots with every other
-	// request rather than owning the server.
-	lines := make([]BatchLine, len(raws))
-	done := make([]chan struct{}, len(raws))
-	for i := range done {
-		done[i] = make(chan struct{})
-	}
-	go pool.Run(len(raws), s.lim.capacity(), nil, func(i, _ int) {
-		lines[i] = s.evaluateElement(r, i, raws[i])
-		close(done[i])
-	})
+	lines, done := s.runBatch(r, raws)
 	streamNDJSON(w, r, done, func(i int) any { return &lines[i] })
 }
 
-// evaluateElement runs one batch element through decode → cache →
-// admission → pipeline and renders its line. It is a panic isolation
-// boundary: a panicking element becomes its own 500 line and the rest of
-// the batch proceeds (the worker goroutine must survive to drain the
-// remaining indices).
-func (s *Server) evaluateElement(r *http.Request, i int, raw json.RawMessage) (line BatchLine) {
-	defer func() {
-		if v := recover(); v != nil {
-			id := s.reportPanic(v, debug.Stack())
-			line = BatchLine{Index: i, Status: http.StatusInternalServerError, Error: incidentErr(id).Error()}
+// runBatch decodes every element, plans the valid ones and runs the plan in
+// the background; line i is final once done[i] is closed, and every channel
+// closes. Cells take interactive-tier slots one by one, so a batch competes
+// with every other request rather than owning the server.
+func (s *Server) runBatch(r *http.Request, raws []json.RawMessage) ([]BatchLine, []chan struct{}) {
+	lines := make([]BatchLine, len(raws))
+	done := make([]chan struct{}, len(raws))
+	var scs []*hierclust.Scenario
+	var elems []int // plan cell → element index
+	for i, raw := range raws {
+		done[i] = make(chan struct{})
+		sc, status, err := decodeScenario(raw)
+		if err != nil {
+			lines[i] = BatchLine{Index: i, Status: status, Error: err.Error()}
+			close(done[i])
+			continue
+		}
+		scs, elems = append(scs, sc), append(elems, i)
+	}
+
+	ctx, client := r.Context(), clientKey(r)
+	setLine := func(res hierclust.SweepCellResult) {
+		i := elems[res.Index]
+		line := BatchLine{Index: i}
+		var err error
+		if line.Status, err = s.cellStatus(ctx, res); err != nil {
+			line.Error = err.Error()
+		} else {
+			line.Cache, line.Result = res.Cache, res.Doc
+			if res.Cache != "hit" {
+				s.evalSeconds.With(scs[res.Index].Trace.Source).Observe(res.Elapsed.Seconds())
+			}
+		}
+		lines[i] = line
+		close(done[i])
+	}
+	go func() {
+		plan, err := hierclust.PlanScenarios(scs)
+		if err == nil {
+			_, err = s.pipeline.RunPlannedSweep(ctx, plan, hierclust.SweepOptions{
+				Workers:     s.lim.capacity(),
+				ResultCache: serverResultCache{s},
+				CellTimeout: s.evalTimeout,
+				Acquire: func(ctx context.Context) (func(), error) {
+					return s.admit(ctx, client, false)
+				},
+				OnCell: setLine,
+			})
+		}
+		// Every OnCell call has returned, so an open channel is a cell that
+		// never ran: the plan failed, or the client went first.
+		for k, i := range elems {
+			select {
+			case <-done[i]:
+			default:
+				setLine(hierclust.SweepCellResult{Index: k, Err: err})
+			}
 		}
 	}()
-	sc, status, err := decodeScenario(raw)
-	if err != nil {
-		return BatchLine{Index: i, Status: status, Error: err.Error()}
-	}
-	doc, cacheState, status, err := s.evaluate(r, sc)
-	if err != nil {
-		return BatchLine{Index: i, Status: status, Error: err.Error()}
-	}
-	return BatchLine{Index: i, Status: http.StatusOK, Cache: cacheState, Result: doc}
+	return lines, done
 }

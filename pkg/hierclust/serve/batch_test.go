@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -139,6 +141,85 @@ func TestBatchSharesResultCache(t *testing.T) {
 	if got := resp2.Header.Get("X-Hierclust-Cache"); got != "hit" {
 		t.Fatalf("single POST after batch = %q, want hit", got)
 	}
+}
+
+// countingStrategy is naive-8 that counts its builds.
+type countingStrategy struct{ builds *atomic.Int64 }
+
+var countingBuilds atomic.Int64
+
+func init() {
+	hierclust.MustRegisterStrategy("serve-counting", func(hierclust.StrategySpec) (hierclust.Strategy, error) {
+		return countingStrategy{&countingBuilds}, nil
+	})
+}
+
+func (countingStrategy) Name() string { return "serve-counting" }
+
+func (c countingStrategy) Build(_ hierclust.Comm, p *hierclust.Placement) (*hierclust.Clustering, error) {
+	c.builds.Add(1)
+	return hierclust.Naive(p.NumRanks(), 8)
+}
+
+// TestBatchSharesBuilds: a batch is planned like a sweep, so eight
+// scenarios that differ only in failure mix build their clustering once.
+// Each line is byte-identical to /v1/evaluate of its document, and the
+// labels follow the plan: the first element built the trace.
+func TestBatchSharesBuilds(t *testing.T) {
+	docs := make([]string, 8)
+	for k := range docs {
+		docs[k] = fmt.Sprintf(`{"name": "mix", "machine": {"nodes": 16},
+			"placement": {"ranks": 64, "procs_per_node": 4},
+			"trace": {"source": "synthetic", "iterations": 10},
+			"strategies": [{"kind": "serve-counting"}],
+			"mix": {"transient": %g, "node_loss": [0.9, 0.05]}}`, 0.05*float64(k+1))
+	}
+	_, ts := newTestServer(t)
+	before := countingBuilds.Load()
+	_, lines := postBatch(t, ts.URL, "["+strings.Join(docs, ",")+"]")
+	if builds := countingBuilds.Load() - before; builds != 1 {
+		t.Errorf("a batch of %d mixes built the clustering %d times, want 1", len(docs), builds)
+	}
+	if len(lines) != len(docs) {
+		t.Fatalf("%d lines for %d elements", len(lines), len(docs))
+	}
+	for k, l := range lines {
+		want := "trace-hit"
+		if k == 0 {
+			want = "miss"
+		}
+		if l.Index != k || l.Status != http.StatusOK || l.Cache != want {
+			t.Errorf("line %d: index %d status %d label %q (%s), want %d 200 %q", k, l.Index, l.Status, l.Cache, l.Error, k, want)
+		}
+		_, fresh := newTestServer(t)
+		resp, body := postEvaluate(t, fresh.URL, docs[k])
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, body); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("/v1/evaluate of element %d: %d %s (%v)", k, resp.StatusCode, body, err)
+		}
+		if !bytes.Equal(l.Result, compact.Bytes()) {
+			t.Errorf("line %d differs from /v1/evaluate of its document:\n%s\nvs\n%s", k, l.Result, compact.Bytes())
+		}
+	}
+}
+
+// TestBatchObservesEvaluateSeconds: every computed batch element lands in
+// hcserve_evaluate_seconds, as a /v1/evaluate would; a result-cache hit and
+// a malformed element do not.
+func TestBatchObservesEvaluateSeconds(t *testing.T) {
+	_, ts := newTestServer(t)
+	cached := batchScenario("observed-0", "naive", 8)
+	if resp, body := postEvaluate(t, ts.URL, cached); resp.StatusCode != http.StatusOK {
+		t.Fatalf("/v1/evaluate: %d %s", resp.StatusCode, body)
+	}
+	metricLine(t, scrapeMetrics(t, ts.URL), `hcserve_evaluate_seconds_count{source="synthetic"} 1`)
+	_, lines := postBatch(t, ts.URL, "["+strings.Join([]string{
+		cached, `{"nope": true}`, batchScenario("observed-1", "naive", 8), batchScenario("observed-2", "hierarchical", 0),
+	}, ",")+"]")
+	if got := fmt.Sprintf("%s %d %d %d", lines[0].Cache, lines[1].Status, lines[2].Status, lines[3].Status); got != "hit 400 200 200" {
+		t.Fatalf("batch lines %+v", lines)
+	}
+	metricLine(t, scrapeMetrics(t, ts.URL), `hcserve_evaluate_seconds_count{source="synthetic"} 3`)
 }
 
 func TestBatchRejectsBadBodies(t *testing.T) {

@@ -345,3 +345,16 @@ func TestChaosRestartSweepSurvivesKill(t *testing.T) {
 	_, lines := sweepResults(t, url, job.ID)
 	assertResumedMatchesReference(t, lines, cleanSweepReference(t, doc))
 }
+
+// waitForSweeps blocks until no job is running (leakcheck requires every
+// job goroutine to join).
+func (s *Server) waitForSweeps(timeout time.Duration) bool {
+	deadline := time.Now().Add(timeout)
+	for s.runningSweeps() > 0 {
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	return true
+}

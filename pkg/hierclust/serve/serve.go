@@ -15,11 +15,11 @@
 // A POST /v1/evaluate, each batch element and each sweep cell are the same
 // evaluation: hierclust's cell sequence (result cache → admission →
 // deadline → pipeline → render → cache fill), run by Pipeline.RunCell for
-// the first two and by the sweep executor for the third, with the same
-// result cache, deadline and admission limiter wired in (interactive tier
-// for requests, background tier for sweeps). One status mapping turns how
-// a cell ended into its HTTP status, so the three endpoints answer a given
-// failure alike.
+// the first and by the sweep executor for the others (a batch is a sweep
+// without axes), with the same result cache, deadline and admission limiter
+// wired in (interactive tier for requests, background tier for sweeps).
+// One status mapping turns how a cell ended into its HTTP status, so the
+// three endpoints answer a given failure alike.
 //
 // # Caching
 //
@@ -49,7 +49,7 @@
 // (Options.EvalTimeout): a scenario that exceeds it is cancelled through
 // the pipeline and answered 504 — in a batch or a sweep, per line. Panics
 // anywhere in request handling are recovered at isolation boundaries
-// (handler, pipeline worker, batch element), answered 500 with a random
+// (handler, pipeline worker, evaluation cell), answered 500 with a random
 // incident id whose stack trace is logged server-side, and counted on
 // hcserve_panics_total; the server keeps serving. When Options.TraceCache
 // is wired, disk-cache health (IO error counters, quarantined corrupt
@@ -136,10 +136,10 @@ type Options struct {
 	// Metrics receives the server's instrumentation; nil builds a fresh
 	// registry (exposed either way on GET /metrics).
 	Metrics *metrics.Registry
-	// EvalTimeout bounds one evaluation's pipeline run (per batch element
-	// on /v1/evaluate-batch), measured after admission — queue wait does
-	// not count against it. An evaluation that exceeds the deadline is
-	// cancelled and answered 504. 0 disables the deadline.
+	// EvalTimeout bounds one evaluation (a batch element, a sweep cell),
+	// measured after admission — queue wait does not count — and each build
+	// cells share, from its start. An evaluation that exceeds the deadline
+	// is cancelled and answered 504. 0 disables the deadline.
 	EvalTimeout time.Duration
 	// TraceCache, when non-nil, is polled for disk-cache health: its error
 	// counters, quarantine count, and degraded flag are exposed on
@@ -368,7 +368,7 @@ func New(opts Options) *Server {
 		registerTierMetrics(reg, s.resultTier, resultTierMetrics)
 	}
 	s.panicsTotal = reg.Counter("hcserve_panics_total",
-		"Panics recovered at an isolation boundary (request handler, pipeline worker, batch element).")
+		"Panics recovered at an isolation boundary (request handler, pipeline worker, evaluation cell).")
 	s.sweepJobsTotal = reg.Counter("hcserve_sweep_jobs_total",
 		"Sweep jobs accepted by POST /v1/sweeps.")
 	s.sweepCellsTotal = reg.Counter("hcserve_sweep_cells_total",
@@ -406,10 +406,6 @@ func New(opts Options) *Server {
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-// Registry returns the metrics registry (the one passed in Options, or the
-// server's own), for callers embedding hcserve metrics alongside their own.
-func (s *Server) Registry() *metrics.Registry { return s.reg }
 
 // Drain puts the server into shutdown mode: queued evaluations are
 // released with 503, new expensive work is rejected with 503 + Retry-After,
@@ -681,33 +677,6 @@ func checkHTTPSource(t hierclust.TraceSpec) error {
 	return nil
 }
 
-// evaluate runs one decoded scenario through the pipeline's cell sequence
-// in the interactive tier. It returns the compact rendered result document
-// and the cache level that answered ("hit", "trace-hit", or "miss"), or
-// the HTTP status and error cellStatus ranks the failure with.
-func (s *Server) evaluate(r *http.Request, sc *hierclust.Scenario) (doc []byte, cacheState string, status int, err error) {
-	if err := faultinject.Hit("serve.evaluate"); err != nil {
-		return nil, "", http.StatusInternalServerError, err
-	}
-	var admittedAt time.Time
-	res := s.pipeline.RunCell(r.Context(), sc, hierclust.SweepOptions{
-		ResultCache: serverResultCache{s},
-		CellTimeout: s.evalTimeout,
-		Acquire: func(ctx context.Context) (func(), error) {
-			release, err := s.admit(ctx, clientKey(r), false)
-			admittedAt = time.Now()
-			return release, err
-		},
-	})
-	if status, err = s.cellStatus(r.Context(), res); err != nil {
-		return nil, "", status, err
-	}
-	if res.Cache != "hit" {
-		s.evalSeconds.With(sc.Trace.Source).Observe(time.Since(admittedAt).Seconds())
-	}
-	return res.Doc, res.Cache, status, nil
-}
-
 var (
 	errDraining = errors.New("hierclust: server draining")
 	errShed     = errors.New("hierclust: evaluation queue full")
@@ -733,7 +702,7 @@ func (s *Server) admit(ctx context.Context, client string, background bool) (fun
 	return release, nil
 }
 
-// cellStatus is the one status mapping of /v1/evaluate, batch elements and
+// cellStatus is the one status mapping of /v1/evaluate, batch lines and
 // sweep lines: it ranks how a cell run under ctx (the request's, or the
 // sweep job's) ended and counts what the status stands for. Success is 200,
 // and a computed cell counts its trace level. A recovered panic is a server
@@ -806,7 +775,12 @@ func streamNDJSON(w http.ResponseWriter, r *http.Request, done []chan struct{}, 
 	}
 }
 
+// handleEvaluate runs a lone cell (RunCell): a result-cache hit plans nothing.
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
+	if err := faultinject.Hit("serve.evaluate"); err != nil {
+		s.writeError(w, http.StatusInternalServerError, err)
+		return
+	}
 	body, ok := s.readBody(w, r, s.maxBody)
 	if !ok {
 		return
@@ -816,20 +790,29 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, status, err)
 		return
 	}
-	doc, cacheState, status, err := s.evaluate(r, sc)
-	if err != nil {
+	res := s.pipeline.RunCell(r.Context(), sc, hierclust.SweepOptions{
+		ResultCache: serverResultCache{s},
+		CellTimeout: s.evalTimeout,
+		Acquire: func(ctx context.Context) (func(), error) {
+			return s.admit(ctx, clientKey(r), false)
+		},
+	})
+	if status, err = s.cellStatus(r.Context(), res); err != nil {
 		if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
 			w.Header().Set("Retry-After", s.retryAfter)
 		}
 		s.writeError(w, status, err)
 		return
 	}
+	if res.Cache != "hit" {
+		s.evalSeconds.With(sc.Trace.Source).Observe(res.Elapsed.Seconds())
+	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Hierclust-Cache", cacheState)
+	w.Header().Set("X-Hierclust-Cache", res.Cache)
 	// Responses stay human-readable (the documented curl workflow); the
 	// cache stores the compact form shared with the batch endpoint.
 	var pretty []byte
-	if pretty, err = prettyJSON(doc); err != nil {
+	if pretty, err = prettyJSON(res.Doc); err != nil {
 		s.writeError(w, http.StatusInternalServerError, err)
 		return
 	}

@@ -11,7 +11,6 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"time"
 
 	"hierclust/pkg/hierclust"
 )
@@ -422,17 +421,4 @@ func (s *Server) handleSweepDelete(w http.ResponseWriter, r *http.Request) {
 	s.sweepMu.Unlock()
 	s.journalDone(id, "forgotten")
 	w.WriteHeader(http.StatusNoContent)
-}
-
-// waitForSweeps blocks until no job is running — a test hook kept close
-// to the job machinery (leakcheck requires every job goroutine to join).
-func (s *Server) waitForSweeps(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for s.runningSweeps() > 0 {
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	return true
 }

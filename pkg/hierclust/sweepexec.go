@@ -33,8 +33,8 @@ import (
 // touching the DAG.
 //
 // Fault point (chaos drills): "sweep.cell" fires at the top of every
-// computed sweep cell (cache hits and RunCell's lone cells bypass it),
-// failing that cell alone.
+// computed cell of a plan — a sweep's or a batch's (cache hits and RunCell's
+// lone cells bypass it), failing that cell alone.
 
 // SweepResultCache caches rendered per-cell result documents by scenario
 // cache key. hcserve's result LRU implements it, which is what makes
@@ -65,9 +65,9 @@ type SweepOptions struct {
 	// fails the cell.
 	Acquire func(ctx context.Context) (release func(), err error)
 	// CellTimeout bounds one cell's evaluation, measured after admission;
-	// 0 means no per-cell deadline. Shared node builds run under the
-	// sweep's context, not the cell's, so one slow cell cannot poison a
-	// shared trace for its siblings.
+	// 0 means no per-cell deadline. A shared node build gets the same bound
+	// from its own start, under the sweep's context rather than the cell's,
+	// so one slow cell cannot poison a shared trace for its siblings.
 	CellTimeout time.Duration
 	// OnCell, when non-nil, is called once per executed cell as it
 	// finishes (any order; cells are identified by Index). It must be
@@ -95,6 +95,9 @@ type SweepCellResult struct {
 	Doc []byte
 	// Err is the cell's failure, if any.
 	Err error
+	// Elapsed runs from the cell's admission to the end of its evaluation;
+	// 0 when no evaluation ran (a result-cache hit, a refused admission).
+	Elapsed time.Duration
 }
 
 // SweepReport is the outcome of a RunSweep call.
@@ -121,14 +124,15 @@ type SweepReport struct {
 // sweepRun is the state one RunPlannedSweep call shares across its cells:
 // the shared-node tables and the build counters.
 type sweepRun struct {
-	// ctx is the sweep's context. Shared node builds run under it, not
-	// under the demanding cell's deadline, so one slow cell cannot poison
-	// an intermediate its siblings still need.
-	ctx    context.Context
-	places []sweepNode[placed]
-	traces []sweepNode[traced]
-	parts  []sweepNode[scored]
-	logged []sweepNode[float64]
+	// ctx is the sweep's context. Shared node builds run under it (bounded by
+	// timeout from their start), not under the demanding cell's deadline, so
+	// one slow cell cannot poison an intermediate its siblings still need.
+	ctx     context.Context
+	timeout time.Duration // SweepOptions.CellTimeout
+	places  []sweepNode[placed]
+	traces  []sweepNode[traced]
+	parts   []sweepNode[scored]
+	logged  []sweepNode[float64]
 	// placeBuilds and loggedBuilds are for tests: the plan counts neither.
 	placeBuilds, traceBuilds, partBuilds, loggedBuilds atomic.Int64
 }
@@ -177,6 +181,15 @@ func (n *sweepNode[T]) consume(delta int32) {
 		var zero T
 		n.val = zero
 	}
+}
+
+// buildCtx is the context of a trace or clustering node build: the sweep's,
+// bounded by the cell timeout from now.
+func (run *sweepRun) buildCtx() (context.Context, context.CancelFunc) {
+	if run.timeout > 0 {
+		return context.WithTimeout(run.ctx, run.timeout)
+	}
+	return run.ctx, func() {}
 }
 
 // newSweepRun sizes the node tables and counts every node's consumers.
@@ -239,6 +252,7 @@ func (pl *Pipeline) RunPlannedSweep(ctx context.Context, plan *SweepPlan, opts S
 // runSweep executes plan over run's node tables.
 func (pl *Pipeline) runSweep(run *sweepRun, plan *SweepPlan, opts SweepOptions) (*SweepReport, error) {
 	ctx := run.ctx
+	run.timeout = opts.CellTimeout
 	report := &SweepReport{Plan: plan, Cells: make([]SweepCellResult, len(plan.Cells))}
 
 	// Concurrent cells split the evaluation worker budget like Run's
@@ -279,8 +293,8 @@ func (pl *Pipeline) runSweep(run *sweepRun, plan *SweepPlan, opts SweepOptions) 
 // at opts.Workers when that is positive. opts.ResultCache, Acquire and
 // CellTimeout apply as they do to a sweep cell; OnCell is not called, and
 // the "sweep.cell" fault point does not fire. hcserve answers POST
-// /v1/evaluate and every batch element through it. The returned Doc is
-// byte-identical to marshalling Run's Result for the same scenario.
+// /v1/evaluate through it. The returned Doc is byte-identical to
+// marshalling Run's Result for the same scenario.
 func (pl *Pipeline) RunCell(ctx context.Context, sc *Scenario, opts SweepOptions) SweepCellResult {
 	key, err := sc.CacheKey()
 	if err != nil {
@@ -321,6 +335,7 @@ func (pl *Pipeline) runSweepCell(ctx context.Context, run *sweepRun, cell *Plann
 		}
 		defer release()
 	}
+	admitted := time.Now()
 	if run != nil {
 		if err := faultinject.Hit("sweep.cell"); err != nil {
 			res.Err = fmt.Errorf("hierclust: sweep cell %q: %w", cell.Scenario.Name, err)
@@ -337,6 +352,7 @@ func (pl *Pipeline) runSweepCell(ctx context.Context, run *sweepRun, cell *Plann
 	}
 
 	out, cache, err := pl.evalCell(cellCtx, run, cell, strategyWorkers, evalWorkers)
+	res.Elapsed = time.Since(admitted)
 	if err != nil {
 		res.Err = err
 		return res

@@ -293,6 +293,60 @@ func TestRunSweepCellTimeoutSparesSharedProfile(t *testing.T) {
 	}
 }
 
+// blockingStrategy's build waits for its context to end, giving up on its
+// own only after blockingGiveUp: a partition that would run to completion.
+type blockingStrategy struct{}
+
+const blockingGiveUp = 3 * time.Second
+
+func (blockingStrategy) Name() string { return "blocking" }
+
+func (blockingStrategy) Build(m Comm, p *Placement) (*Clustering, error) {
+	return blockingStrategy{}.BuildCtx(context.Background(), m, p)
+}
+
+func (blockingStrategy) BuildCtx(ctx context.Context, _ Comm, _ *Placement) (*Clustering, error) {
+	select {
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	case <-time.After(blockingGiveUp):
+		return nil, errors.New("blocking: gave up")
+	}
+}
+
+// TestSweepSharedBuildTimeout: a shared partition build is bounded by the
+// cell timeout like a private one, so a sweep cell — alone, or sharing the
+// build with a sibling — fails with context.DeadlineExceeded soon after the
+// deadline instead of waiting for the build to finish by itself.
+func TestSweepSharedBuildTimeout(t *testing.T) {
+	if err := RegisterStrategy("blocking", func(StrategySpec) (Strategy, error) { return blockingStrategy{}, nil }); err != nil &&
+		!strings.Contains(err.Error(), "already registered") { // -count > 1
+		t.Fatal(err)
+	}
+	base := sweepBase()
+	base.Strategies = []StrategySpec{{Kind: "blocking"}}
+	for _, mixes := range [][]MixSpec{
+		nil, // one cell
+		{{Transient: 0.05, NodeLoss: []float64{0.9}}, {Transient: 0.5, NodeLoss: []float64{0.5}}},
+	} {
+		sw := &Sweep{Name: "build-timeout", Base: base, Axes: SweepAxes{Mixes: mixes}}
+		start := time.Now()
+		report, err := NewPipeline(WithWorkers(2)).RunSweep(context.Background(), sw,
+			SweepOptions{Workers: 2, CellTimeout: 50 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if took := time.Since(start); took > time.Second {
+			t.Errorf("%d-cell sweep took %v, want well under 1s", len(report.Cells), took)
+		}
+		for i, cell := range report.Cells {
+			if !errors.Is(cell.Err, context.DeadlineExceeded) {
+				t.Errorf("%d-cell sweep: cell %d returned %v, want context.DeadlineExceeded", len(report.Cells), i, cell.Err)
+			}
+		}
+	}
+}
+
 // TestRunSweepProfileBuildPanicReachesEverySharer: a panic while a shared
 // node builds its profile is recovered at the node, so every cell sharing
 // the node gets it as a *PanicError, none blocks on the build, and the build

@@ -98,8 +98,8 @@ type TraceCache interface {
 }
 
 // TraceCacheStats is the observability surface of every built-in cache —
-// MemoryTraceCache, DiskTraceCache and (as ResultCacheStats)
-// DiskResultCache — and what hcserve projects onto /metrics and /healthz.
+// MemoryTraceCache, DiskTraceCache and DiskResultCache — and what hcserve
+// projects onto /metrics and /healthz.
 type TraceCacheStats struct {
 	// Hits and Misses count Get outcomes since construction.
 	Hits, Misses int64

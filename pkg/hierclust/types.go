@@ -1,8 +1,6 @@
 package hierclust
 
 import (
-	"io"
-
 	"hierclust/internal/core"
 	"hierclust/internal/erasure"
 	"hierclust/internal/graph"
@@ -31,9 +29,8 @@ type (
 	// by the sparse CSR and the implicit stencil a synthetic scenario
 	// evaluates, and by the dense Matrix through its conversion to CSR.
 	Comm = trace.Comm
-	// Matrix is a dense grid of communication cells: hand-built input
-	// (NewMatrix, Add) and the heatmap/grid-CSV view of a small trace
-	// (CSR.ToDense).
+	// Matrix is a dense grid of communication cells: the heatmap/grid-CSV
+	// view of a small trace (CSR.ToDense).
 	Matrix = trace.Matrix
 	// CSR is a frozen sparse communication matrix — the form every
 	// recorded, cached and file trace is stored and folded in.
@@ -45,8 +42,6 @@ type (
 	SyntheticOptions = trace.SyntheticOptions
 	// SyntheticPattern selects the generated communication structure.
 	SyntheticPattern = trace.SyntheticPattern
-	// TraceReadOptions tunes trace deserialization (rank-count bound).
-	TraceReadOptions = trace.ReadOptions
 	// Graph is the undirected weighted communication graph consumed by
 	// the partitioner and the brain-network measures (modularity, degree
 	// distribution). A trace's NodeGraph or ToGraph builds it once; it is
@@ -99,10 +94,6 @@ func RoundRobin(m *Machine, nranks, usedNodes int) (*Placement, error) {
 	return topology.RoundRobin(m, nranks, usedNodes)
 }
 
-// NewMatrix returns an all-zero dense n×n communication matrix; fill it
-// with Matrix.Add to describe a custom application's traffic.
-func NewMatrix(n int) *Matrix { return trace.NewMatrix(n) }
-
 // NewTraceRecorder returns a concurrency-safe recorder for n ranks,
 // pluggable as the Tracer of a traced application run; its memory follows
 // the distinct pairs recorded, not n².
@@ -112,14 +103,6 @@ func NewTraceRecorder(n int) *TraceRecorder { return trace.NewRecorder(n) }
 // n ranks directly in sparse form — O(n) memory, no message-passing run.
 func SyntheticTrace(n int, opts SyntheticOptions) (*CSR, error) {
 	return trace.Synthetic(n, opts)
-}
-
-// ReadTrace deserializes a trace written by WriteTo (CSR's, or Matrix's,
-// which converts). An optional TraceReadOptions raises the rank-count
-// plausibility bound beyond the 2^22 default; call ToDense on the result
-// for heatmaps and cell access at traced scales.
-func ReadTrace(r io.Reader, opts ...TraceReadOptions) (*CSR, error) {
-	return trace.ReadCSR(r, opts...)
 }
 
 // Naive builds the paper's naive clustering: consecutive-rank clusters at

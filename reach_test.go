@@ -23,20 +23,19 @@ import (
 // entry names that test. An entry that becomes reachable, or whose
 // declaration is gone, fails the check, so the list cannot outlive its use.
 var reachAllow = map[string]string{
-	"faultinject.Seed":           "pkg/hierclust TestRunSweepChaosFaultResume: a repeatable fault schedule",
-	"faultinject.Disarm":         "internal/faultinject TestConcurrentArmAndHit: disarms under a live Hit",
-	"faultinject.DisarmAll":      "internal/diskstore TestStoreReadFaultKeepsIndex and every chaos suite: cleanup between drills",
-	"faultinject.Triggered":      "internal/faultinject TestProbability: how often the live Hit fired",
-	"leakcheck.Main":             "TestMain of pkg/hierclust and pkg/hierclust/serve: no goroutine outlives the suite",
-	"racedetect.Enabled":         "internal/reliability TestCatastropheProbCtxCancelMidMonteCarlo: widens its latency bound under -race",
-	"erasure.gfDiv":              "internal/erasure TestGFDivMulRoundTrip: division inverts the live gfMul",
-	"erasure.RS.Verify":          "internal/erasure TestRSEncodeDecodeAllErasurePatterns: re-checks the parity the live encoder wrote",
-	"storage.LocalStore.Keys":    "internal/checkpoint TestGC: what GC left on the node stores",
-	"core.RecoveryFractionPair":  "internal/core TestRecoveryFractionPairAlignment: observes AlignPowerPairs",
-	"metrics.Histogram.Count":    "internal/metrics TestHistogramBuckets",
-	"metrics.Histogram.Sum":      "internal/metrics TestHistogramBuckets",
-	"trace.Stencil.NNZ":          "internal/trace TestStencilMatchesSynthetic: the closed form against the built CSR",
-	"serve.Server.waitForSweeps": "pkg/hierclust/serve TestJournalDrainRestartResume: every sweep goroutine joined before leakcheck",
+	"faultinject.Seed":          "pkg/hierclust TestRunSweepChaosFaultResume: a repeatable fault schedule",
+	"faultinject.Disarm":        "internal/faultinject TestConcurrentArmAndHit: disarms under a live Hit",
+	"faultinject.DisarmAll":     "internal/diskstore TestStoreReadFaultKeepsIndex and every chaos suite: cleanup between drills",
+	"faultinject.Triggered":     "internal/faultinject TestProbability: how often the live Hit fired",
+	"leakcheck.Main":            "TestMain of pkg/hierclust and pkg/hierclust/serve: no goroutine outlives the suite",
+	"racedetect.Enabled":        "internal/reliability TestCatastropheProbCtxCancelMidMonteCarlo: widens its latency bound under -race",
+	"erasure.gfDiv":             "internal/erasure TestGFDivMulRoundTrip: division inverts the live gfMul",
+	"erasure.RS.Verify":         "internal/erasure TestRSEncodeDecodeAllErasurePatterns: re-checks the parity the live encoder wrote",
+	"storage.LocalStore.Keys":   "internal/checkpoint TestGC: what GC left on the node stores",
+	"core.RecoveryFractionPair": "internal/core TestRecoveryFractionPairAlignment: observes AlignPowerPairs",
+	"metrics.Histogram.Count":   "internal/metrics TestHistogramBuckets",
+	"metrics.Histogram.Sum":     "internal/metrics TestHistogramBuckets",
+	"trace.Stencil.NNZ":         "internal/trace TestStencilMatchesSynthetic: the closed form against the built CSR",
 }
 
 // reachIfaceNames are the method names through which the standard library

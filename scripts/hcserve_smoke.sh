@@ -1,8 +1,8 @@
 #!/bin/sh
 # hcserve_smoke.sh — build hcserve, start it, POST the quickstart scenario,
 # and assert a 200 response carrying non-empty evaluations; then exercise
-# POST /v1/evaluate-batch (NDJSON lines in input order, trace-level cache
-# hit for a scenario sharing the quickstart trace) and the GET /metrics
+# POST /v1/evaluate-batch (NDJSON lines in input order, trace-hits for two
+# scenarios sharing the quickstart trace) and the GET /metrics
 # scrape. Finally, a chaos drill: restart the server with every trace-cache
 # disk write failing (-fault tracecache.disk.write=error:1.0) and assert it
 # degrades to memory-only — bit-identical evaluations, trace-hit from the
@@ -54,31 +54,32 @@ echo "hcserve_smoke: ok ($COUNT evaluations)"
 jq -r '.evaluations[] | "  \(.strategy): within_baseline=\(.within_baseline)"' /tmp/hcserve_smoke_response.json
 
 # Batch: the quickstart scenario again (result-cache hit after the POST
-# above) plus a renamed copy — different result key, same trace key, so the
-# second element must evaluate without re-running the traced application
-# ("trace-hit").
-BATCH="$(printf '%s' "$SCENARIO" | jq -c '[., . * {"name": "quickstart-batch"}]')"
+# above), a renamed copy — different result key, same trace key, so it must
+# evaluate without re-running the traced application ("trace-hit") — and a
+# copy of that with another failure mix, which shares its clustering too.
+BATCH="$(printf '%s' "$SCENARIO" | jq -c '[., . * {"name": "quickstart-batch"},
+    . * {"name": "quickstart-mix", "mix": {"transient": 0.2, "node_loss": [0.9, 0.01]}}]')"
 printf '%s' "$BATCH" | curl -sf -X POST -d @- \
     "http://$ADDR/v1/evaluate-batch" > /tmp/hcserve_smoke_batch.ndjson
 LINES="$(wc -l < /tmp/hcserve_smoke_batch.ndjson)"
-if [ "$LINES" -ne 2 ]; then
-    echo "hcserve_smoke: batch returned $LINES NDJSON lines, want 2" >&2
+if [ "$LINES" -ne 3 ]; then
+    echo "hcserve_smoke: batch returned $LINES NDJSON lines, want 3" >&2
     cat /tmp/hcserve_smoke_batch.ndjson >&2
     exit 1
 fi
 ORDER="$(jq -s -c 'map({index, status, cache})' /tmp/hcserve_smoke_batch.ndjson)"
-WANT='[{"index":0,"status":200,"cache":"hit"},{"index":1,"status":200,"cache":"trace-hit"}]'
+WANT='[{"index":0,"status":200,"cache":"hit"},{"index":1,"status":200,"cache":"trace-hit"},{"index":2,"status":200,"cache":"trace-hit"}]'
 if [ "$ORDER" != "$WANT" ]; then
     echo "hcserve_smoke: batch lines $ORDER, want $WANT" >&2
     exit 1
 fi
-echo "hcserve_smoke: batch ok (result hit + trace-hit, in order)"
+echo "hcserve_smoke: batch ok (result hit + 2 trace-hits, in order)"
 
-# Metrics: the scrape must expose the trace-cache hit the batch just made.
+# Metrics: the scrape must expose the trace hits the batch just made.
 curl -sf "http://$ADDR/metrics" > /tmp/hcserve_smoke_metrics.txt
 for want in \
-    'hcserve_cache_hits_total{cache="trace"} 1' \
-    'hcserve_batch_scenarios_total 2' \
+    'hcserve_cache_hits_total{cache="trace"} 2' \
+    'hcserve_batch_scenarios_total 3' \
     'hcserve_shed_total 0'; do
     if ! grep -qxF "$want" /tmp/hcserve_smoke_metrics.txt; then
         echo "hcserve_smoke: /metrics missing line: $want" >&2
