@@ -302,6 +302,34 @@ func BenchmarkNodeGraph128k(b *testing.B) {
 	}
 }
 
+// BenchmarkHierarchical128k measures one hierarchical build at the hcbench
+// eval-128k shape (131,072 ranks, 4 per node, 2-D stencil of width 4,
+// multilevel partitioner): the node-graph fold, the partition and the L2
+// groups. One build outside the timer warms the arena pool, so B/op is what
+// a build keeps: the clustering it returns.
+func BenchmarkHierarchical128k(b *testing.B) {
+	const ranks, ppn = 131072, 4
+	placement, err := topology.Block(&topology.Machine{Name: "bench", Nodes: ranks / ppn}, ranks, ppn)
+	if err != nil {
+		b.Fatal(err)
+	}
+	stencil, err := trace.NewStencil(ranks, trace.SyntheticOptions{Pattern: trace.Stencil2D, Width: ppn})
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := core.HierOptions{Multilevel: true}
+	if _, err := core.Hierarchical(stencil, placement, opts); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Hierarchical(stencil, placement, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRSReconstruct measures decode after losing half the group.
 func BenchmarkRSReconstruct(b *testing.B) {
 	const shard = 1 << 20
@@ -366,7 +394,7 @@ func BenchmarkPartition(b *testing.B) {
 // stencilGraph builds an n-node graph in which vertex i links to i+1 with
 // weight hw when right(i) holds and to i+down (down > 1) with weight dw when
 // below(i) holds, writing each row in ascending column order — i-down, i-1,
-// i+1, i+down — straight into the arrays graph.FromCSR adopts.
+// i+1, i+down — straight into the arrays FromCSR adopts.
 func stencilGraph(n, down int, hw, dw float64, right, below func(i int) bool) *graph.Graph {
 	rowptr := make([]int64, 1, n+1)
 	col := make([]int32, 0, 4*n)
@@ -389,7 +417,7 @@ func stencilGraph(n, down int, hw, dw float64, right, below func(i int) bool) *g
 		}
 		rowptr = append(rowptr, int64(len(col)))
 	}
-	g, err := graph.FromCSR(n, rowptr, col, w)
+	g, err := (*graph.Arena)(nil).FromCSR(n, rowptr, col, w)
 	if err != nil {
 		panic(err)
 	}

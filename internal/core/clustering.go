@@ -238,8 +238,8 @@ func (o *HierOptions) normalize() {
 }
 
 // Hierarchical builds the paper's two-level clustering from a traced
-// communication matrix (dense *trace.Matrix or sparse *trace.CSR — any
-// trace.Comm):
+// communication matrix (sparse *trace.CSR, implicit *trace.Stencil or dense
+// *trace.Matrix — any trace.Comm):
 //
 //  1. Aggregate the rank matrix into a node-based graph (so all processes
 //     of a node share a cluster and one node failure touches one cluster).
@@ -249,59 +249,67 @@ func (o *HierOptions) normalize() {
 //     SubgroupNodes (or more, never fewer) and build one L2 encoding group
 //     per local process index: the i-th process of every node in the
 //     sub-group.
+//
+// The node graph, its partition and the node bucketing are scratch: they
+// live in one pooled graph.Arena for the whole call, so a build allocates
+// the clustering it returns and, once the pool has served the shape, little
+// else. Nothing returned aliases the arena.
 func Hierarchical(m trace.Comm, p *topology.Placement, opts HierOptions) (*Clustering, error) {
 	opts.normalize()
 	if m.Ranks() != p.NumRanks() {
 		return nil, fmt.Errorf("core: matrix covers %d ranks, placement %d", m.Ranks(), p.NumRanks())
 	}
-	nodeGraph, err := m.NodeGraph(p)
-	if err != nil {
-		return nil, err
-	}
 	nused := p.NumUsed()
 	if nused < opts.MinNodesPerL1 {
 		return nil, fmt.Errorf("core: %d used nodes < MinNodesPerL1 %d", nused, opts.MinNodesPerL1)
 	}
-	nodePart, err := partitionNodes(nodeGraph, p, opts)
+	ar := graph.GetArena(nused)
+	defer ar.Release()
+	nodeGraph, err := trace.NodeGraphInto(m, p, ar)
+	if err != nil {
+		return nil, err
+	}
+	nodePart, err := partitionNodes(nodeGraph, p, opts, ar)
 	if err != nil {
 		return nil, err
 	}
 
-	// The partitioner's ids are dense below the node count, so they narrow.
 	c := &Clustering{Name: "hierarchical", L1: make([]int32, p.NumRanks())}
 	nparts := 0
 	for i, part := range nodePart {
-		nparts = max(nparts, part+1)
+		nparts = max(nparts, int(part)+1)
 		for pos, end := p.Span(p.UsedNode(i)); pos < end; pos++ {
-			c.L1[p.RankAt(pos)] = int32(part)
+			c.L1[p.RankAt(pos)] = part
 		}
 	}
 
 	// L2: transversal groups inside each L1 cluster. A counting sort buckets
 	// the nodes by cluster; used nodes ascend, so every bucket does too, and
 	// walking the buckets in id order visits the clusters ascending.
-	clusterPtr := make([]int32, nparts+1)
+	clusterPtr := ar.Int32s(nparts + 1)
+	clear(clusterPtr)
 	for _, id := range nodePart {
 		clusterPtr[id+1]++
 	}
 	for id := 0; id < nparts; id++ {
 		clusterPtr[id+1] += clusterPtr[id]
 	}
-	nodes := make([]topology.NodeID, nused)
-	next := make([]int32, nparts)
+	nodes := ar.Int32s(nused) // node ids, bucketed
+	next := ar.Int32s(nparts)
+	clear(next)
 	for i, id := range nodePart {
-		nodes[clusterPtr[id]+next[id]] = p.UsedNode(i)
+		nodes[clusterPtr[id]+next[id]] = int32(p.UsedNode(i))
 		next[id]++
 	}
-	bounds := subgroupBounds(clusterPtr, opts.SubgroupNodes)
+	bounds := subgroupBounds(clusterPtr, opts.SubgroupNodes, ar)
 
 	// A sub-group yields one group per local process index present on
 	// every one of its nodes; count them, then carve every group out of one
 	// slab. Each rank lands in exactly one group, so the slab is NumRanks.
-	width := func(sub []topology.NodeID) int {
+	width := func(sub []int32) int {
 		w := 0
 		for _, n := range sub {
-			if cnt := p.CountOn(n); w == 0 || cnt < w {
+			if cnt := p.CountOn(topology.NodeID(n)); w == 0 || cnt < w {
 				w = cnt
 			}
 		}
@@ -326,19 +334,19 @@ func Hierarchical(m trace.Comm, p *topology.Placement, opts HierOptions) (*Clust
 		for i := 0; i < w; i++ {
 			size := 0
 			for _, n := range sub {
-				size += (p.CountOn(n) - i + w - 1) / w
+				size += (p.CountOn(topology.NodeID(n)) - i + w - 1) / w
 			}
 			c.Groups = append(c.Groups, slab[off:off:off+size])
 			off += size
 		}
 		for i := 0; i < w; i++ {
 			for _, n := range sub {
-				lo, _ := p.Span(n)
+				lo, _ := p.Span(topology.NodeID(n))
 				c.Groups[first+i] = append(c.Groups[first+i], p.RankAt(lo+i))
 			}
 		}
 		for _, n := range sub {
-			lo, hi := p.Span(n)
+			lo, hi := p.Span(topology.NodeID(n))
 			for i := w; i < hi-lo; i++ {
 				c.Groups[first+i%w] = append(c.Groups[first+i%w], p.RankAt(lo+i))
 			}
@@ -349,8 +357,8 @@ func Hierarchical(m trace.Comm, p *topology.Placement, opts HierOptions) (*Clust
 
 // partitionNodes runs the size-constrained partitioner over the node graph,
 // or — with AlignPowerPairs — over its power-pair quotient, so that both
-// nodes of each pair always share an L1 cluster.
-func partitionNodes(nodeGraph *graph.Graph, p *topology.Placement, opts HierOptions) ([]int, error) {
+// nodes of each pair always share an L1 cluster. The assignment lives in ar.
+func partitionNodes(nodeGraph *graph.Graph, p *topology.Placement, opts HierOptions, ar *graph.Arena) ([]int32, error) {
 	partOpts := func(minSize, targetSize, maxSize int) graph.PartitionOptions {
 		return graph.PartitionOptions{
 			MinSize:          minSize,
@@ -363,7 +371,7 @@ func partitionNodes(nodeGraph *graph.Graph, p *topology.Placement, opts HierOpti
 		}
 	}
 	if !opts.AlignPowerPairs || !p.Machine().PowerPairs {
-		return graph.Partition(nodeGraph, partOpts(opts.MinNodesPerL1, opts.TargetNodesPerL1, opts.MaxNodesPerL1))
+		return ar.Partition(nodeGraph, partOpts(opts.MinNodesPerL1, opts.TargetNodesPerL1, opts.MaxNodesPerL1))
 	}
 	// Quotient the node graph by power pair (node/2) and partition pairs.
 	// Used nodes ascend, so the two nodes of a pair are adjacent.
@@ -385,12 +393,12 @@ func partitionNodes(nodeGraph *graph.Graph, p *topology.Placement, opts HierOpti
 		}
 		return (v + 1) / 2
 	}
-	pairPart, err := graph.Partition(pairGraph, partOpts(
+	pairPart, err := ar.Partition(pairGraph, partOpts(
 		halve(opts.MinNodesPerL1), halve(opts.TargetNodesPerL1), opts.MaxNodesPerL1/2))
 	if err != nil {
 		return nil, err
 	}
-	nodePart := make([]int, len(pairOfIdx))
+	nodePart := ar.Int32s(len(pairOfIdx))
 	for i, pair := range pairOfIdx {
 		nodePart[i] = pairPart[pair]
 	}
@@ -401,15 +409,17 @@ func partitionNodes(nodeGraph *graph.Graph, p *topology.Placement, opts HierOpti
 // clusterPtr[id]:clusterPtr[id+1]) into consecutive sub-groups of at least
 // `size` nodes each, as equal as possible ("groups of 4 nodes or more"; a
 // bucket smaller than size stays whole). It returns the boundaries as
-// offsets into the bucketed node array: sub-group s spans b[s]:b[s+1].
-func subgroupBounds(clusterPtr []int32, size int) []int32 {
+// offsets into the bucketed node array: sub-group s spans b[s]:b[s+1],
+// carved from ar.
+func subgroupBounds(clusterPtr []int32, size int, ar *graph.Arena) []int32 {
 	count := 0
 	for id := 0; id+1 < len(clusterPtr); id++ {
 		if n := int(clusterPtr[id+1] - clusterPtr[id]); n > 0 {
 			count += max(n/size, 1)
 		}
 	}
-	bounds := make([]int32, 1, count+1)
+	bounds := ar.Int32s(count + 1)[:1]
+	bounds[0] = 0
 	for id := 0; id+1 < len(clusterPtr); id++ {
 		n := int(clusterPtr[id+1] - clusterPtr[id])
 		if n == 0 {

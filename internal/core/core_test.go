@@ -152,7 +152,7 @@ func TestSplitSubgroups(t *testing.T) {
 	for _, c := range cases {
 		// One cluster of c.n nodes behind an empty one: empty buckets
 		// contribute no sub-group.
-		bounds := subgroupBounds([]int32{0, 0, int32(c.n)}, 4)
+		bounds := subgroupBounds([]int32{0, 0, int32(c.n)}, 4, nil)
 		if len(bounds)-1 != len(c.want) {
 			t.Errorf("n=%d: %d subgroups, want %d", c.n, len(bounds)-1, len(c.want))
 			continue
@@ -163,11 +163,11 @@ func TestSplitSubgroups(t *testing.T) {
 			}
 		}
 	}
-	if got := subgroupBounds([]int32{0, 0}, 4); len(got) != 1 {
+	if got := subgroupBounds([]int32{0, 0}, 4, nil); len(got) != 1 {
 		t.Errorf("empty input → %v", got)
 	}
 	// Two clusters: boundaries continue across buckets.
-	if got := subgroupBounds([]int32{0, 9, 13}, 4); !reflect.DeepEqual(got, []int32{0, 5, 9, 13}) {
+	if got := subgroupBounds([]int32{0, 9, 13}, 4, nil); !reflect.DeepEqual(got, []int32{0, 5, 9, 13}) {
 		t.Errorf("two clusters → %v", got)
 	}
 }

@@ -6,17 +6,18 @@ import (
 	"testing"
 
 	"hierclust/internal/graph"
+	"hierclust/internal/racedetect"
 	"hierclust/internal/topology"
 	"hierclust/internal/trace"
 )
 
 // bytesPerOp is what one call of build allocates, read the way the
-// benchmarks read it. The partitioner recycles its arena through a
-// sync.Pool, which a collection empties in two steps; with coldPool, two
-// collections outside the timer before every call make each call pay for a
-// fresh arena, so the count repeats. The caller fixes the call count
-// (-test.benchtime), which keeps the collections from stretching the
-// default one-second run.
+// benchmarks read it. The build arena is recycled through a sync.Pool,
+// which a collection empties in two steps; with coldPool, two collections
+// outside the timer before every call make each call pay for a fresh arena,
+// so the count repeats. Without it, the benchmark's own first call warms
+// the pool. The caller fixes the call count (-test.benchtime), which keeps
+// the collections from stretching the default one-second run.
 func bytesPerOp(coldPool bool, build func()) int64 {
 	return testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
@@ -32,18 +33,35 @@ func bytesPerOp(coldPool bool, build func()) int64 {
 	}).AllocedBytesPerOp()
 }
 
+// stencilRig is a 2-D stencil trace, ppn ranks a node, on a block placement.
+func stencilRig(t testing.TB, ranks, ppn int) (*trace.Stencil, *topology.Placement) {
+	s, err := trace.NewStencil(ranks, trace.SyntheticOptions{Pattern: trace.Stencil2D, Width: ppn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := topology.Block(&topology.Machine{Name: "m", Nodes: (ranks + ppn - 1) / ppn}, ranks, ppn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, p
+}
+
 // TestClusteringFootprint holds every strategy to the bytes of what it
 // returns: 4 per rank for L1 and 4 for the group slab, 24 per group header,
-// and under 1 KiB for the struct and its name. Hierarchical also pays for the
-// trace's node graph and the partitioner, measured here on the same input,
-// and 8 per node of its own: the bucketed node ids (4), the cluster offsets
-// and cursors, and the sub-group bounds. A rank- or node-indexed []int in any
-// build breaks its bound.
+// and under 1 KiB for the struct and its name. Hierarchical meets the same
+// bound once the arena pool has served its shape: the node graph, the
+// partition and the node bucketing live in the pooled arena. A pool miss
+// costs a fresh arena, and that build stays within what the caller-owned
+// node graph and partition cost plus 8 per rank, 8 per node and the group
+// headers. A rank- or node-indexed []int in any build breaks its bound.
 func TestClusteringFootprint(t *testing.T) {
 	const ranks, ppn, nodes = 16384, 4, 16384 / 4
 	benchtime := flag.Lookup("test.benchtime").Value // 64 calls per reading
 	defer benchtime.Set(benchtime.String())
 	benchtime.Set("64x")
+	// One P: the pool keeps an arena per P, and a build that changed P
+	// would miss the warm one.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, build := range []func(int, int) (*Clustering, error){Naive, SizeGuided, Distributed} {
 		var c *Clustering
 		got := bytesPerOp(false, func() { c, _ = build(ranks, 8) })
@@ -54,14 +72,7 @@ func TestClusteringFootprint(t *testing.T) {
 		}
 	}
 
-	s, err := trace.NewStencil(ranks, trace.SyntheticOptions{Pattern: trace.Stencil2D, Width: ppn})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := topology.Block(&topology.Machine{Name: "m", Nodes: nodes}, ranks, ppn)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, p := stencilRig(t, ranks, ppn)
 	g, err := s.NodeGraph(p)
 	if err != nil {
 		t.Fatal(err)
@@ -70,11 +81,39 @@ func TestClusteringFootprint(t *testing.T) {
 	// core.Hierarchical's defaults: a 4-node minimum and target.
 	part := bytesPerOp(true, func() { graph.Partition(g, graph.PartitionOptions{MinSize: 4, TargetSize: 4}) })
 	var c *Clustering
-	got := bytesPerOp(true, func() { c, _ = Hierarchical(s, p, HierOptions{}) })
+	cold := bytesPerOp(true, func() { c, _ = Hierarchical(s, p, HierOptions{}) })
 	limit := fold + part + int64(8*ranks+8*nodes+24*len(c.Groups)+1024)
-	t.Logf("hierarchical: %d B/op, limit %d (node graph %d + partition %d + 8/rank + 8/node + 24/group + 1 KiB)",
-		got, limit, fold, part)
-	if got > limit {
-		t.Errorf("hierarchical: %d B/op over its limit %d", got, limit)
+	t.Logf("hierarchical, cold pool: %d B/op, limit %d (node graph %d + partition %d + 8/rank + 8/node + 24/group + 1 KiB)",
+		cold, limit, fold, part)
+	if cold > limit {
+		t.Errorf("hierarchical, cold pool: %d B/op over its limit %d", cold, limit)
+	}
+
+	if racedetect.Enabled {
+		t.Log("race detector: sync.Pool drops arenas at random, warm bound not checked")
+		return
+	}
+	warm := bytesPerOp(false, func() { c, _ = Hierarchical(s, p, HierOptions{}) })
+	limit = int64(8*ranks + 24*len(c.Groups) + 1024)
+	t.Logf("hierarchical, warm pool: %d B/op, limit %d (8/rank + 24/group + 1 KiB)", warm, limit)
+	if warm > limit {
+		t.Errorf("hierarchical, warm pool: %d B/op over its limit %d", warm, limit)
+	}
+}
+
+// An unbuildable machine is turned away before the fold: the rejection
+// costs its error value and message, not a node graph.
+func TestHierarchicalRejectsBeforeFold(t *testing.T) {
+	if racedetect.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	s, p := stencilRig(t, 1<<16, 1<<14) // 4 nodes
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := Hierarchical(s, p, HierOptions{MinNodesPerL1: 8}); err == nil {
+			t.Fatal("accepted 4 nodes for an 8-node minimum")
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("rejecting 4 nodes for an 8-node minimum allocates %v objects, want <= 2", allocs)
 	}
 }

@@ -1,0 +1,213 @@
+package core
+
+import (
+	"errors"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"sync"
+	"testing"
+
+	"hierclust/internal/graph"
+	"hierclust/internal/racedetect"
+	"hierclust/internal/topology"
+	"hierclust/internal/trace"
+)
+
+// cloneClustering copies a clustering into fresh memory.
+func cloneClustering(c *Clustering) *Clustering {
+	out := &Clustering{Name: c.Name, L1: append([]int32(nil), c.L1...)}
+	for _, g := range c.Groups {
+		out.Groups = append(out.Groups, append([]topology.Rank(nil), g...))
+	}
+	return out
+}
+
+// A clustering owns its memory: the builds after it reuse the pooled arena
+// its own build carved the node graph and the partition from — on its own
+// shape with other options, so every carving lands where its own did with
+// other contents, and on shapes smaller and larger, from both trace forms
+// and both partitioner paths — and leave its L1 and groups as they were.
+func TestClusteringOutlivesArena(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P, one pooled arena
+	s, p := stencilRig(t, 16384, 4)
+	c, err := Hierarchical(s, p, HierOptions{Multilevel: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := cloneClustering(c)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20; i++ {
+		if i%4 == 0 {
+			if _, err := Hierarchical(s, p, HierOptions{Multilevel: true, MinNodesPerL1: 8}); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		ppn := 2 + 2*rng.Intn(3)
+		s, p := stencilRig(t, ppn*(256<<rng.Intn(6)), ppn)
+		var m trace.Comm = s
+		if i%3 == 0 {
+			if m, err = trace.Synthetic(s.Ranks(), trace.SyntheticOptions{Pattern: trace.Stencil2D, Width: ppn}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := Hierarchical(m, p, HierOptions{Multilevel: i%2 == 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(c, want) {
+		t.Fatal("a clustering changed after later builds reused the arena")
+	}
+}
+
+// graphSnapshot is everything a graph answers, in fresh memory.
+type graphSnapshot struct {
+	nbrs     [][]int
+	weights  [][]float64
+	strength []float64
+}
+
+func snapshot(g *graph.Graph) graphSnapshot {
+	var s graphSnapshot
+	for u := 0; u < g.N(); u++ {
+		nb := g.Neighbors(u)
+		ws := make([]float64, len(nb))
+		for i, v := range nb {
+			ws[i] = g.Weight(u, v)
+		}
+		s.nbrs = append(s.nbrs, nb)
+		s.weights = append(s.weights, ws)
+		s.strength = append(s.strength, g.Strength(u))
+	}
+	return s
+}
+
+// NodeGraph and graph.Partition hand back memory the caller owns, not the
+// arena a later Hierarchical borrows: their results read the same after
+// builds of the same shape and of a larger one.
+func TestCallerOwnedGraphAndPartition(t *testing.T) {
+	s, p := stencilRig(t, 16384, 4)
+	csr, err := trace.Synthetic(16384, trace.SyntheticOptions{Pattern: trace.Stencil2D, Width: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := graph.PartitionOptions{MinSize: 4, TargetSize: 4, Multilevel: true}
+	var graphs []*graph.Graph
+	var parts [][]int
+	for _, m := range []trace.Comm{s, csr} {
+		g, err := m.NodeGraph(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		part, err := graph.Partition(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs, parts = append(graphs, g), append(parts, part)
+	}
+	wantGraphs := []graphSnapshot{snapshot(graphs[0]), snapshot(graphs[1])}
+	wantParts := [][]int{append([]int(nil), parts[0]...), append([]int(nil), parts[1]...)}
+	big, bigP := stencilRig(t, 65536, 4)
+	for _, rig := range []struct {
+		m trace.Comm
+		p *topology.Placement
+	}{{s, p}, {csr, p}, {big, bigP}} {
+		for _, ml := range []bool{false, true} {
+			if _, err := Hierarchical(rig.m, rig.p, HierOptions{Multilevel: ml}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := range graphs {
+		if !reflect.DeepEqual(snapshot(graphs[i]), wantGraphs[i]) {
+			t.Errorf("%T.NodeGraph's graph changed after later builds", []trace.Comm{s, csr}[i])
+		}
+		if !reflect.DeepEqual(parts[i], wantParts[i]) {
+			t.Errorf("graph.Partition's assignment changed after later builds")
+		}
+	}
+}
+
+// Builds running at once each borrow their own arena: four goroutines
+// building two shapes (4,096 and 16,384 nodes) in turn produce exactly the
+// serial clusterings. Run it under -race.
+func TestConcurrentBuildsMatchSerial(t *testing.T) {
+	type rig struct {
+		s *trace.Stencil
+		p *topology.Placement
+	}
+	var rigs []rig
+	var want []*Clustering
+	for _, ranks := range []int{16384, 65536} {
+		s, p := stencilRig(t, ranks, 4)
+		c, err := Hierarchical(s, p, HierOptions{Multilevel: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rigs, want = append(rigs, rig{s, p}), append(want, c)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				k := (w + i) % len(rigs)
+				c, err := Hierarchical(rigs[k].s, rigs[k].p, HierOptions{Multilevel: true})
+				if err == nil && !reflect.DeepEqual(c, want[k]) {
+					err = errors.New("a concurrent build differs from the serial one")
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// A build cancelled mid-partition returns graph.ErrCancelled and hands its
+// arena back: the next build of the shape finds it warm in the pool and
+// allocates the clustering alone, where a lost arena would cost a fresh one.
+func TestCancelledBuildReleasesArena(t *testing.T) {
+	s, p := stencilRig(t, 65536, 4)
+	polls := 0
+	cancel := HierOptions{Multilevel: true, Cancel: func() bool { polls++; return polls > 2 }}
+	if _, err := Hierarchical(s, p, cancel); !errors.Is(err, graph.ErrCancelled) {
+		t.Fatalf("cancelled build: %v, want graph.ErrCancelled", err)
+	}
+	if racedetect.Enabled {
+		t.Skip("race detector: sync.Pool drops arenas at random")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P, one pooled arena
+	opts := HierOptions{Multilevel: true}
+	for i := 0; i < 2; i++ { // size the arena, then settle its slabs
+		if _, err := Hierarchical(s, p, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	polls = 0
+	if _, err := Hierarchical(s, p, cancel); !errors.Is(err, graph.ErrCancelled) {
+		t.Fatalf("cancelled build: %v, want graph.ErrCancelled", err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c, err := Hierarchical(s, p, opts)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	limit := uint64(8*p.NumRanks() + 24*len(c.Groups) + 16<<10)
+	t.Logf("build after a cancelled one: %d B, limit %d (8/rank + 24/group + 16 KiB)", got, limit)
+	if got > limit {
+		t.Errorf("build after a cancelled one allocates %d B, over %d: the cancelled build kept its arena", got, limit)
+	}
+}

@@ -2,30 +2,29 @@ package graph
 
 import "sync"
 
-// The partition arena: every scratch buffer the partitioning pipeline needs,
-// sized once from the finest-level graph and resliced for each coarser level.
-// Before the arena, the multilevel path re-allocated its matching slots,
-// contraction staging rows, refinement gain caches, and per-seed frontier
-// maps at every level of the ladder — the dominant allocation sites of the
-// partition profile. Arenas are recycled through a sync.Pool across
-// Partition calls (the scaling pipeline partitions node graphs of one shape
-// over and over), so steady state allocates nothing but the returned
-// assignment and the per-level coarse CSR carvings; the public API stays
-// stateless.
-//
-// Buffers are carved from a handful of typed slabs (one allocation each)
-// rather than allocated individually. A few pairs share backing memory
-// across phases that can never overlap in time; those aliases are spelled
-// out at the field definitions.
+// The build arena: every buffer one hierarchical build needs between the
+// trace and the clustering it returns — the finest-level node graph a trace
+// fold carves into it, the partitioner's scratch, the coarse levels of the
+// multilevel ladder, and the compacted assignment — none of them fresh
+// arrays per build or per level. Arenas are recycled through a sync.Pool
+// (the pipeline builds node graphs of one shape over and over), so a build
+// of a shape the pooled arena has served allocates nothing here; what the
+// caller keeps it copies out. Scratch buffers are carved from a handful of
+// typed allocations; a few share backing memory across phases that never
+// overlap in time, spelled out at the field definitions.
 
-// partArena holds the scratch state of one Partition call.
-type partArena struct {
-	n0   int   // per-vertex buffer capacity (finest level of the sizing graph)
-	nnz0 int64 // per-edge buffer capacity
+// Arena holds the memory of one build, for one goroutine at a time: GetArena
+// lends one from the pool and Release hands it back, after which nothing
+// carved from it may be read. A nil *Arena is the heap: its methods allocate
+// memory the caller owns, so one fold and one partitioner serve both the
+// pooled build and the caller-owned wrappers (Comm.NodeGraph, Partition).
+type Arena struct {
+	n0   int   // per-vertex scratch capacity
+	nnz0 int64 // per-edge scratch capacity
 
 	// --- matching (per level; reused, the level is never wider than n0) ---
 	match  []int32 // matched partner per vertex, -1 when single
-	cand   []int32 // proposer → chosen acceptor
+	cand   []int32 // proposer → chosen acceptor; compact's remap after the last level
 	accept []int32 // acceptor → chosen proposer
 	candW  []float64
 	// state holds each vertex's per-round role in the low two bits
@@ -89,72 +88,80 @@ type partArena struct {
 	projA, projB []int // ping-pong assignment buffers
 	sizesBuf     []int // per-level cluster weights
 
-	// --- per-level persistent carving ---
+	// --- carving: arrays that stay live past the phase that wrote them —
+	// the finest-level graph, every coarse level (all live through
+	// projection), the assignment, and what the caller carves ---
 	ints slab[int]     // coarse vertex weights
-	i64s slab[int64]   // coarse rowptr
-	i32s slab[int32]   // cmap + coarse columns
-	f64s slab[float64] // coarse weights + strengths
+	i64s slab[int64]   // rowptrs
+	i32s slab[int32]   // columns, cmap, the assignment
+	f64s slab[float64] // weights + strengths
 }
 
-// slab carves exact-size slices from a chunked backing buffer, so the
-// hierarchy's persistent per-level arrays (which must all stay live through
-// projection and therefore cannot share one reusable buffer) still cost
-// O(1) allocations instead of O(levels × arrays). Resetting rewinds the
-// offset: the previous Partition call's carvings are dead by then.
+// slab carves exact-size slices from a few backing buffers, so the arrays
+// of one build that must all stay live at once cost O(1) allocations
+// instead of O(levels × arrays). It keeps every buffer it has allocated and
+// resetting rewinds to the first (the previous build's carvings are dead by
+// then), so a build that carves what an earlier one carved, in the same
+// order, fits the same buffers and allocates nothing.
 type slab[T any] struct {
-	full  []T
-	off   int
-	chunk int
+	bufs [][]T
+	cur  int // buffer being carved
+	off  int // carved prefix of bufs[cur]
+	used int // elements carved since the last reset
+	want int // elements one build is expected to carve (see reserve)
 }
 
 func (s *slab[T]) take(k int) []T {
-	if s.off+k > len(s.full) {
-		n := s.chunk
-		if n < k {
-			n = k
-		}
-		// Carvings from the replaced buffer stay alive through their own
-		// references; only future takes use the new one.
-		s.full = make([]T, n)
-		s.off = 0
+	for s.cur < len(s.bufs) && s.off+k > len(s.bufs[s.cur]) {
+		s.cur, s.off = s.cur+1, 0
 	}
-	out := s.full[s.off : s.off+k : s.off+k]
+	if s.cur == len(s.bufs) {
+		s.bufs = append(s.bufs, make([]T, max(k, s.want-s.used)))
+	}
+	s.used += k
+	out := s.bufs[s.cur][s.off : s.off+k : s.off+k]
 	s.off += k
 	return out
 }
 
-var arenaPool sync.Pool
+// reserve announces that this build will carve about k more elements, so a
+// miss allocates room for them at once rather than take by take.
+func (s *slab[T]) reserve(k int) { s.want = max(s.want, s.used+k) }
 
-// newPartArena returns an arena big enough for g, reusing a pooled one when
-// it fits. Callers hand it back with release.
-func newPartArena(g *Graph) *partArena {
-	n := g.N()
-	nnz := g.rowptr[n]
-	if v := arenaPool.Get(); v != nil {
-		ar := v.(*partArena)
-		if ar.n0 >= n && int64(ar.nnz0) >= nnz {
-			ar.reset()
-			return ar
-		}
-		// Too small for this graph; drop it and size a fresh one.
-	}
-	return buildArena(n, nnz)
+func (s *slab[T]) reset() {
+	s.want = max(s.want, s.used)
+	s.cur, s.off, s.used = 0, 0, 0
 }
 
-// release recycles the arena. Nothing returned by Partition aliases arena
-// memory (assignments are compacted into fresh slices), so the next call
-// may reuse everything.
-func (ar *partArena) release() { arenaPool.Put(ar) }
+var arenaPool sync.Pool
 
-// reset prepares a pooled arena for its next Partition call. Epoch-stamped
-// buffers need no clearing — epochs increase monotonically across calls, so
-// stale stamps can never collide — until an epoch counter nears overflow,
-// when the stamps are wiped and the counter rewinds.
-func (ar *partArena) reset() {
-	ar.ints.off = 0
-	ar.i64s.off = 0
-	ar.i32s.off = 0
-	ar.f64s.off = 0
+// GetArena lends an arena with per-vertex room for n vertices, from the pool
+// when it holds one. Hand it back with Release.
+func GetArena(n int) *Arena {
+	ar, _ := arenaPool.Get().(*Arena)
+	if ar == nil {
+		ar = new(Arena)
+	}
+	ar.fit(n, 0)
+	return ar
+}
+
+// Release rewinds the arena and returns it to the pool. Every graph,
+// assignment and slice carved from it is dead from here on.
+func (ar *Arena) Release() {
+	ar.reset()
+	arenaPool.Put(ar)
+}
+
+// reset prepares the arena for its next build. Epoch-stamped buffers need no
+// clearing — epochs increase monotonically across builds, so stale stamps
+// can never collide — until an epoch counter nears overflow, when the
+// stamps are wiped and the counter rewinds.
+func (ar *Arena) reset() {
+	ar.ints.reset()
+	ar.i64s.reset()
+	ar.i32s.reset()
+	ar.f64s.reset()
 	const epochLimit = 1 << 30
 	if ar.growEpoch > epochLimit {
 		clear(ar.growStamp)
@@ -170,9 +177,21 @@ func (ar *partArena) reset() {
 	}
 }
 
-func buildArena(n int, nnz int64) *partArena {
-	ar := &partArena{n0: n, nnz0: nnz}
-
+// fit grows the scratch to serve a graph of n vertices and nnz entries.
+// Growth only ever widens, so a pooled arena converges on the largest shape
+// it serves. Scratch is dead between phases, so a regrown buffer starts
+// empty; fresh stamp arrays are zero, below every epoch already issued.
+func (ar *Arena) fit(n int, nnz int64) {
+	if nnz > ar.nnz0 {
+		ar.nnz0 = nnz
+		nnzI32 := make([]int32, 2*nnz)
+		ar.connID, ar.connCnt = nnzI32[:nnz:nnz], nnzI32[nnz:]
+		ar.connW = make([]float64, nnz)
+	}
+	if n <= ar.n0 {
+		return
+	}
+	ar.n0 = n
 	i32 := make([]int32, 25*n)
 	grab32 := func() []int32 { s := i32[:n:n]; i32 = i32[n:]; return s }
 	ar.match = grab32()
@@ -213,25 +232,39 @@ func buildArena(n int, nnz int64) *partArena {
 	keys := make([]uint64, 2*n)
 	ar.keysA, ar.keysB = keys[:n:n], keys[n:]
 
-	nnzI32 := make([]int32, 2*nnz)
-	ar.connID, ar.connCnt = nnzI32[:nnz:nnz], nnzI32[nnz:]
-	ar.connW = make([]float64, nnz)
 	ar.state = make([]uint8, n)
 	ar.capPtr = make([]int64, n+1)
+}
 
-	// Persistent per-level arrays shrink by at least 10% per level (the
-	// coarsening stall bound), so chunks sized from the finest level
-	// amortize the whole ladder into a few allocations.
-	ar.ints.chunk = 2 * n
-	ar.i64s.chunk = n + 1
-	ar.i32s.chunk = int(nnz) + 2*n
-	ar.f64s.chunk = int(nnz) + n
-	return ar
+// Int64s, Int32s and Float64s carve a k-entry slice, capped at its own
+// length so an append cannot reach the next carving. The contents are
+// undefined (zero from a nil arena): the caller writes before it reads.
+func (ar *Arena) Int64s(k int) []int64 {
+	if ar == nil {
+		return make([]int64, k)
+	}
+	return ar.i64s.take(k)
+}
+
+// Int32s carves k int32s; see Int64s.
+func (ar *Arena) Int32s(k int) []int32 {
+	if ar == nil {
+		return make([]int32, k)
+	}
+	return ar.i32s.take(k)
+}
+
+// Float64s carves k float64s; see Int64s.
+func (ar *Arena) Float64s(k int) []float64 {
+	if ar == nil {
+		return make([]float64, k)
+	}
+	return ar.f64s.take(k)
 }
 
 // cooCol/cooW are the contraction staging buffers. They share memory with
 // the refinement gain cache: every contraction of the ladder completes
 // before the first refinement runs, and the single-level path never
 // contracts at all.
-func (ar *partArena) cooCol(n int64) []int32 { return ar.connID[:n] }
-func (ar *partArena) cooW(n int64) []float64 { return ar.connW[:n] }
+func (ar *Arena) cooCol(n int64) []int32 { return ar.connID[:n] }
+func (ar *Arena) cooW(n int64) []float64 { return ar.connW[:n] }

@@ -29,7 +29,7 @@ import (
 //
 // A Graph is immutable: it is built once (FromCSR, Quotient, the
 // multilevel contraction) and no method changes it, so concurrent reads
-// are safe.
+// are safe. A graph built in an Arena lives until that arena's Release.
 type Graph struct {
 	n int
 
@@ -51,11 +51,13 @@ type Graph struct {
 
 // FromCSR builds a graph directly from CSR adjacency — the zero-copy entry
 // point for callers (like the trace package) that produce adjacency in
-// bulk. The rows must describe a symmetric adjacency with strictly
-// ascending, in-range columns; rowptr must have n+1 monotonically
+// bulk — with the strengths carved from ar, so a graph built on arrays
+// carved from the same arena lives entirely in it; through a nil arena the
+// graph owns the arrays. The rows must describe a symmetric adjacency with
+// strictly ascending, in-range columns; rowptr must have n+1 monotonically
 // non-decreasing entries starting at 0. Symmetry itself is trusted, not
 // verified.
-func FromCSR(n int, rowptr []int64, col []int32, w []float64) (*Graph, error) {
+func (ar *Arena) FromCSR(n int, rowptr []int64, col []int32, w []float64) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count %d", n)
 	}
@@ -76,7 +78,7 @@ func FromCSR(n int, rowptr []int64, col []int32, w []float64) (*Graph, error) {
 			}
 		}
 	}
-	g := &Graph{n: n, rowptr: rowptr, col: col, w: w}
+	g := &Graph{n: n, rowptr: rowptr, col: col, w: w, strength: ar.Float64s(n)}
 	g.fillAggregates()
 	return g, nil
 }

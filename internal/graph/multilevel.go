@@ -18,9 +18,10 @@ import (
 // Every phase runs on the caller's goroutine and is deterministic: matching
 // proposals are pure functions of the frozen CSR and the previous round's
 // state, so the assignment depends on nothing but the graph and the options.
-// All scratch state lives in a per-Partition arena (arena.go) sized once at
-// the finest level; a level allocates only the four arrays that must outlive
-// it for projection (cmap, vertex weights, and the coarse CSR itself).
+// All scratch state lives in the build's arena (arena.go) sized once at the
+// finest level; a level carves from its slabs only the four arrays that must
+// outlive it for projection (cmap, vertex weights, and the coarse CSR
+// itself), beside the finest level's.
 
 // mlLevel is one rung of the coarsening ladder.
 type mlLevel struct {
@@ -33,9 +34,11 @@ type mlLevel struct {
 	cmap []int32
 }
 
-// multilevelPartition runs the coarsen/partition/uncoarsen pipeline. The
-// caller has normalized opts and checked n > CoarsenThreshold.
-func multilevelPartition(g *Graph, opts PartitionOptions, ar *partArena) ([]int, error) {
+// multilevelPartition runs the coarsen/partition/uncoarsen pipeline and
+// returns the finest level's assignment in an arena buffer, ids not yet
+// compacted. The caller has normalized opts, fitted the arena to g and
+// checked n > CoarsenThreshold.
+func multilevelPartition(g *Graph, opts PartitionOptions, ar *Arena) ([]int, error) {
 	levels := make([]*mlLevel, 1, 24)
 	levels[0] = &mlLevel{g: g}
 	for {
@@ -67,8 +70,18 @@ func multilevelPartition(g *Graph, opts PartitionOptions, ar *partArena) ([]int,
 		levels = append(levels, &mlLevel{g: coarse, vw: cvw})
 	}
 
-	coarsest := levels[len(levels)-1]
-	part := singleLevel(coarsest.g, opts, coarsest.vw, ar, len(levels)-1)
+	// The per-level assignment ping-pongs between two arena buffers, level
+	// li's in projA when li is even and projB when it is odd, so a level
+	// reads the one its coarser neighbour wrote and never its own.
+	proj := func(li int) []int {
+		if li%2 == 1 {
+			return ar.projB[:levels[li].g.N()]
+		}
+		return ar.projA[:levels[li].g.N()]
+	}
+	top := len(levels) - 1
+	coarsest := levels[top]
+	part := compact(singleLevel(coarsest.g, opts, coarsest.vw, ar, top), ar.cand, proj(top))
 
 	// Project back up, refining at every level: the coarse assignment seeds
 	// each finer level, and boundary moves that only make sense at finer
@@ -76,19 +89,13 @@ func multilevelPartition(g *Graph, opts PartitionOptions, ar *partArena) ([]int,
 	// single-level path runs. Intermediate levels get a trimmed pass budget
 	// — their mistakes are still correctable below, and the finest level
 	// keeps the caller's full budget for the moves that actually count.
-	// The per-level assignment ping-pongs between two arena buffers: the
-	// read side is either singleLevel's freshly compacted slice or the
-	// other buffer, never the write side.
-	for li := len(levels) - 2; li >= 0; li-- {
+	for li := top - 1; li >= 0; li-- {
 		if opts.cancelled() {
 			return nil, ErrCancelled
 		}
 		l := levels[li]
 		coarseN := levels[li+1].g.N()
-		fine := ar.projA[:l.g.N()]
-		if li%2 == 1 {
-			fine = ar.projB[:l.g.N()]
-		}
+		fine := proj(li)
 		// One fused loop projects the assignment and accumulates the
 		// per-cluster weights; the cluster count comes from the coarse
 		// assignment (every coarse id has a fine preimage), keeping the
@@ -124,10 +131,7 @@ func multilevelPartition(g *Graph, opts PartitionOptions, ar *partArena) ([]int,
 		refine(l.g, part, sizes, lvlOpts, l.vw, ar)
 		clearPhase()
 	}
-	if opts.cancelled() {
-		return nil, ErrCancelled
-	}
-	return compact(part), nil
+	return part, nil
 }
 
 // mergeSmallWeighted folds every cluster below MinSize into the neighboring
@@ -142,7 +146,7 @@ func multilevelPartition(g *Graph, opts PartitionOptions, ar *partArena) ([]int,
 // clusters where the unit path leaves at most one. Connection weights
 // accumulate in an epoch-stamped flat array (one slot per cluster id); the
 // winner is an order-independent maximum.
-func mergeSmallWeighted(g *Graph, part []int, sizes []int, opts PartitionOptions, ar *partArena) ([]int, []int) {
+func mergeSmallWeighted(g *Graph, part []int, sizes []int, opts PartitionOptions, ar *Arena) ([]int, []int) {
 	n := g.N()
 	k := len(sizes)
 	head := ar.head[:k]
@@ -295,7 +299,7 @@ func matchCoin(v int, round int) bool {
 // next round's coins while restoring the global ascending order the
 // challenge tie-break depends on. accept slots are validated by a
 // monotonically increasing round stamp instead of being reset.
-func heavyEdgeMatching(g *Graph, vw []int, opts PartitionOptions, ar *partArena) (match []int32, matched int) {
+func heavyEdgeMatching(g *Graph, vw []int, opts PartitionOptions, ar *Arena) (match []int32, matched int) {
 	n := g.N()
 	match = ar.match[:n]
 	for i := range match {
@@ -483,7 +487,7 @@ func heavyEdgeMatching(g *Graph, vw []int, opts PartitionOptions, ar *partArena)
 // the whole CSR cold. Intermediate levels keep the deferred (never-taken)
 // path — emitting per level would add a full serial pass per level for
 // values nothing reads.
-func contract(g *Graph, vw []int, match []int32, matched int, opts PartitionOptions, ar *partArena) (*Graph, []int32, []int, error) {
+func contract(g *Graph, vw []int, match []int32, matched int, opts PartitionOptions, ar *Arena) (*Graph, []int32, []int, error) {
 	n := g.N()
 	nc := n - matched/2
 	cmap := ar.i32s.take(n)

@@ -105,41 +105,70 @@ func vweight(vw []int, v int) int {
 // bounds. With Multilevel set (and a graph above CoarsenThreshold) the
 // growth runs on a heavy-edge-coarsened graph instead and the refinement
 // repeats at every level on the way back up — the same contract, better
-// cuts on large graphs. Partition runs on the caller's goroutine. It returns
-// part[v] = cluster id, with ids dense in 0..K-1.
+// cuts on large graphs. Partition runs on the caller's goroutine, in a
+// pooled arena. It returns part[v] = cluster id, with ids dense in 0..K-1,
+// in a slice the caller owns.
 func Partition(g *Graph, opts PartitionOptions) ([]int, error) {
+	ar := GetArena(g.N())
+	defer ar.Release()
+	part, err := ar.Partition(g, opts)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]int, len(part))
+	for v, id := range part {
+		out[v] = int(id)
+	}
+	return out, nil
+}
+
+// Partition is graph.Partition with the assignment left in the arena, valid
+// until Release. g may itself live in the arena: the partitioner only
+// carves after the graph, never over it.
+func (ar *Arena) Partition(g *Graph, opts PartitionOptions) ([]int32, error) {
 	n := g.N()
 	if err := opts.normalize(n); err != nil {
 		return nil, err
 	}
-	if n == 0 {
-		return []int{}, nil
-	}
-	ar := newPartArena(g)
-	defer ar.release()
+	nnz := g.rowptr[n]
+	ar.fit(n, nnz)
+	var part []int
 	if opts.Multilevel && n > opts.CoarsenThreshold {
-		return multilevelPartition(g, opts, ar)
+		// The coarse levels below a stencil carve ≈0.9 of the finest
+		// level's vertex arrays and ≈1.2 of its columns and weights in all;
+		// budgets a little above that let a fresh arena carve the whole
+		// ladder and the assignment from one buffer per slab.
+		ar.ints.reserve(2 * n)
+		ar.i64s.reserve(2 * n)
+		ar.i32s.reserve(3*n + 3*int(nnz)/2)
+		ar.f64s.reserve(3 * (int(nnz) + n) / 2)
+		var err error
+		if part, err = multilevelPartition(g, opts, ar); err != nil {
+			return nil, err
+		}
+	} else {
+		part = singleLevel(g, opts, nil, ar, 0)
 	}
-	part := singleLevel(g, opts, nil, ar, 0)
 	if opts.cancelled() {
 		return nil, ErrCancelled
 	}
-	return part, nil
+	return compact(part, ar.cand, ar.i32s.take(n)), nil
 }
 
 // singleLevel is the growth → merge → refine pipeline on one graph, with
 // cluster sizes measured in vertex weight (vw nil = unit weights, the
 // original single-level behavior; multilevel coarse graphs pass the number
 // of original vertices inside each coarse vertex). level tags the pprof
-// phase labels.
-func singleLevel(g *Graph, opts PartitionOptions, vw []int, ar *partArena, level int) []int {
+// phase labels. It returns the raw assignment in ar.growPart, ids not yet
+// compacted.
+func singleLevel(g *Graph, opts PartitionOptions, vw []int, ar *Arena, level int) []int {
 	setPhase("grow", level)
 	part, sizes := grow(g, opts, vw, ar)
 	part, sizes = mergeSmallWeighted(g, part, sizes, opts, ar)
 	setPhase("refine", level)
 	refine(g, part, sizes, opts, vw, ar)
 	clearPhase()
-	return compact(part)
+	return part
 }
 
 // sortSeedsByStrength orders all vertices by strength descending, index
@@ -200,7 +229,7 @@ func sortSeedsByStrength(strength []float64, order, orderB []int, keys, keysB []
 // identical; only the hashing, per-seed allocation, and tombstone deletes
 // are gone. Assigned members are skipped in place, exactly like the map's
 // deleted keys.
-func grow(g *Graph, opts PartitionOptions, vw []int, ar *partArena) ([]int, []int) {
+func grow(g *Graph, opts PartitionOptions, vw []int, ar *Arena) ([]int, []int) {
 	g.ensureAggregates() // seed ordering reads strengths
 	n := g.N()
 	part := ar.growPart[:n]
@@ -516,7 +545,7 @@ func (rs *refineState) build() {
 // Sizes are in weight units: moving v shifts vweight(vw, v), and the size
 // bounds hold in the same units (unit weights reproduce the historical
 // vertex-count behavior exactly).
-func refine(g *Graph, part []int, sizes []int, opts PartitionOptions, vw []int, ar *partArena) {
+func refine(g *Graph, part []int, sizes []int, opts PartitionOptions, vw []int, ar *Arena) {
 	n := g.N()
 	nnz := g.rowptr[n]
 	rs := refineState{
@@ -565,28 +594,26 @@ func refine(g *Graph, part []int, sizes []int, opts PartitionOptions, vw []int, 
 	}
 }
 
-// compact renumbers cluster ids densely in order of first appearance. Raw
-// ids are bounded by the grown-cluster count (≤ the vertex count), so the
-// remap is a flat table rather than a hash map.
-func compact(part []int) []int {
-	max := -1
+// compact renumbers cluster ids densely in order of first appearance, into
+// out. Raw ids are bounded by the grown-cluster count (≤ the vertex count),
+// so the remap is a flat table — the caller's scratch, one entry per raw
+// id — rather than a hash map.
+func compact[T int | int32](part []int, remap []int32, out []T) []T {
+	k := 0
 	for _, p := range part {
-		if p > max {
-			max = p
-		}
+		k = max(k, p+1)
 	}
-	remap := make([]int, max+1)
+	remap = remap[:k]
 	for i := range remap {
 		remap[i] = -1
 	}
-	out := make([]int, len(part))
-	next := 0
+	next := int32(0)
 	for i, p := range part {
 		if remap[p] == -1 {
 			remap[p] = next
 			next++
 		}
-		out[i] = remap[p]
+		out[i] = T(remap[p])
 	}
-	return out
+	return out[:len(part)]
 }

@@ -182,7 +182,7 @@ func contractReference(g *Graph, vw []int, match []int32) (*Graph, []int32, []in
 		copy(fcol[rowptr[c]:rowptr[c+1]], col[capPtr[c]:capPtr[c]+int64(cnt[c])])
 		copy(fw[rowptr[c]:rowptr[c+1]], w[capPtr[c]:capPtr[c]+int64(cnt[c])])
 	}
-	coarse, err := FromCSR(nc, rowptr, fcol, fw)
+	coarse, err := (*Arena)(nil).FromCSR(nc, rowptr, fcol, fw)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -431,7 +431,7 @@ func TestGrowMatchesHashMapReference(t *testing.T) {
 					t.Fatalf("seed %d: cluster %d size %d, reference %d", seed, id, gotSizes[id], wantSizes[id])
 				}
 			}
-			ar.release()
+			ar.Release()
 		}
 	}
 }
@@ -487,7 +487,7 @@ func TestContractFusedMatchesTwoPass(t *testing.T) {
 			}
 			g, vw = ref, refCvw // descend on the reference graph
 		}
-		ar.release()
+		ar.Release()
 	}
 }
 
@@ -522,7 +522,7 @@ func TestMergeSmallWeightedMatchesReference(t *testing.T) {
 				t.Fatalf("seed %d: cluster %d size %d, reference %d", seed, id, gotSizes[id], wantSizes[id])
 			}
 		}
-		ar.release()
+		ar.Release()
 	}
 }
 
@@ -568,13 +568,14 @@ func TestMergeSmallWeightedMatchesUnitMerge(t *testing.T) {
 		}
 		wantPart, _ := mergeSmall(g, append([]int(nil), part...), append([]int(nil), sizes...), opts)
 		gotPart, _ := mergeSmallWeighted(g, part, sizes, opts, ar)
-		want, got := compact(wantPart), compact(gotPart)
+		want := compact(wantPart, make([]int32, n), make([]int, n))
+		got := compact(gotPart, make([]int32, n), make([]int, n))
 		for v := range want {
 			if got[v] != want[v] {
 				t.Fatalf("seed %d opts %+v: vertex %d in cluster %d, unit merge %d", seed, opts, v, got[v], want[v])
 			}
 		}
-		ar.release()
+		ar.Release()
 	}
 	if needMerge < cases/4 {
 		t.Fatalf("only %d of %d growths left a cluster to merge; the test proves little", needMerge, cases)

@@ -85,23 +85,23 @@ func TestRefineReachesFixedPoint(t *testing.T) {
 
 func TestFromCSRValidation(t *testing.T) {
 	// Valid 2-vertex graph with one edge of weight 3.
-	g, err := FromCSR(2, []int64{0, 1, 2}, []int32{1, 0}, []float64{3, 3})
+	g, err := (*Arena)(nil).FromCSR(2, []int64{0, 1, 2}, []int32{1, 0}, []float64{3, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.Weight(0, 1) != 3 || g.Strength(0) != 3 || g.TotalWeight() != 3 {
 		t.Errorf("FromCSR graph: weight %g strength %g total %g", g.Weight(0, 1), g.Strength(0), g.TotalWeight())
 	}
-	if _, err := FromCSR(2, []int64{0, 1}, []int32{1}, []float64{1}); err == nil {
+	if _, err := (*Arena)(nil).FromCSR(2, []int64{0, 1}, []int32{1}, []float64{1}); err == nil {
 		t.Error("accepted short rowptr")
 	}
-	if _, err := FromCSR(2, []int64{0, 1, 2}, []int32{5, 0}, []float64{1, 1}); err == nil {
+	if _, err := (*Arena)(nil).FromCSR(2, []int64{0, 1, 2}, []int32{5, 0}, []float64{1, 1}); err == nil {
 		t.Error("accepted out-of-range column")
 	}
-	if _, err := FromCSR(2, []int64{0, 2, 2}, []int32{1, 1}, []float64{1, 1}); err == nil {
+	if _, err := (*Arena)(nil).FromCSR(2, []int64{0, 2, 2}, []int32{1, 1}, []float64{1, 1}); err == nil {
 		t.Error("accepted duplicate columns")
 	}
-	if _, err := FromCSR(2, []int64{0, 2, 1}, []int32{0, 1}, []float64{1, 1}); err == nil {
+	if _, err := (*Arena)(nil).FromCSR(2, []int64{0, 2, 1}, []int32{0, 1}, []float64{1, 1}); err == nil {
 		t.Error("accepted decreasing rowptr")
 	}
 }

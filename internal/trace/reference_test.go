@@ -75,7 +75,7 @@ func refToGraph(t *testing.T, c *CSR) *graph.Graph {
 		}
 		rowPtr[u+1] = int64(len(col))
 	}
-	g, err := graph.FromCSR(c.n, rowPtr, col, w)
+	g, err := (*graph.Arena)(nil).FromCSR(c.n, rowPtr, col, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func mustBlock(t testing.TB, ranks, ppn int) *topology.Placement {
 
 // foldsAlike holds the stencil's symmetric read-back against the general
 // path (val, transpose, merge) folding the CSR of the same rows: every array
-// of the two graphs equal, weights with ==. graph.FromCSR validates order and
+// of the two graphs equal, weights with ==. FromCSR validates order and
 // range, not symmetry, so the result is also checked edge by edge.
 func foldsAlike(t testing.TB, what string, s *Stencil, c *CSR, p *topology.Placement) {
 	t.Helper()

@@ -90,13 +90,19 @@ func loggedFraction(v rows, total int64, part []int32) (float64, error) {
 // under any placement equals its transpose, every sum positive — as weights
 // beside the ptr and col the graph then adopts, doubled off the diagonal (the
 // int64 mergeRow forms from a row and its equal transpose row, ≤ the total).
-func nodeGraph(v rows, p *topology.Placement) (*graph.Graph, error) {
+//
+// Every array, scratch included, is carved from ar; a nil arena allocates
+// them, and the graph is then the caller's.
+func nodeGraph(v rows, p *topology.Placement, ar *graph.Arena) (*graph.Graph, error) {
 	if p.NumRanks() != v.n {
 		return nil, fmt.Errorf("trace: placement has %d ranks, matrix %d", p.NumRanks(), v.n)
 	}
 	nused := p.NumUsed()
-	ptr := make([]int64, nused+1)
-	stamp := make([]int32, nused) // stamp[b] == epoch: column b touched by this row
+	ptr := ar.Int64s(nused + 1)
+	ptr[0] = 0
+	stamp := ar.Int32s(nused) // stamp[b] == epoch: column b touched by this row
+	clear(stamp)
+	acc := ar.Int64s(nused)
 	epoch := int32(0)
 	nodeOf := func(d int32) int32 { return int32(p.UsedIndex(p.NodeOf(topology.Rank(d)))) }
 	for a := 0; a < nused; a++ {
@@ -115,15 +121,15 @@ func nodeGraph(v rows, p *topology.Placement) (*graph.Graph, error) {
 		}
 		ptr[a+1] = ptr[a] + count
 	}
-	col := make([]int32, ptr[nused])
+	nnz := int(ptr[nused])
+	col := ar.Int32s(nnz)
 	var val []int64
 	var w []float64
 	if v.sym {
-		w = make([]float64, ptr[nused])
+		w = ar.Float64s(nnz)
 	} else {
-		val = make([]int64, ptr[nused])
+		val = ar.Int64s(nnz)
 	}
-	acc := make([]int64, nused)
 	clear(stamp)
 	epoch = 0
 	for a := 0; a < nused; a++ {
@@ -155,28 +161,30 @@ func nodeGraph(v rows, p *topology.Placement) (*graph.Graph, error) {
 		}
 	}
 	if v.sym {
-		return graph.FromCSR(nused, ptr, col, w)
+		return ar.FromCSR(nused, ptr, col, w)
 	}
-	return symGraph(nused, ptr, col, val), nil
+	return symGraph(nused, ptr, col, val, ar), nil
 }
 
 // symGraph converts a directed CSR (row u = col/val[ptr[u]:ptr[u+1]],
 // columns ascending; only read) into the undirected graph in O(n + nnz): a
 // counting-sort transpose, then each row merged with its transpose row
-// straight into the rowptr/col/w arrays graph.FromCSR adopts and owns. The
-// path of every *CSR, and the oracle for nodeGraph's symmetric read-back.
-func symGraph(n int, ptr []int64, col []int32, val []int64) *graph.Graph {
+// straight into the rowptr/col/w arrays the graph adopts, all carved from ar
+// (allocated when it is nil, and then the caller's). The path of every *CSR,
+// and the oracle for nodeGraph's symmetric read-back.
+func symGraph(n int, ptr []int64, col []int32, val []int64, ar *graph.Arena) *graph.Graph {
 	// tPtr is shifted by one so that tPtr[d+1] serves as row d's fill
 	// cursor and ends up as row d+1's start.
-	tPtr := make([]int64, n+2)
+	tPtr := ar.Int64s(n + 2)
+	clear(tPtr)
 	for _, d := range col {
 		tPtr[int(d)+2]++
 	}
 	for d := 0; d < n; d++ {
 		tPtr[d+2] += tPtr[d+1]
 	}
-	tCol := make([]int32, len(col))
-	tVal := make([]int64, len(col))
+	tCol := ar.Int32s(len(col))
+	tVal := ar.Int64s(len(col))
 	for u := 0; u < n; u++ {
 		for i := ptr[u]; i < ptr[u+1]; i++ {
 			d := int(col[i])
@@ -189,16 +197,17 @@ func symGraph(n int, ptr []int64, col []int32, val []int64) *graph.Graph {
 		return mergeRow(int32(u), col[ptr[u]:ptr[u+1]], val[ptr[u]:ptr[u+1]],
 			tCol[tPtr[u]:tPtr[u+1]], tVal[tPtr[u]:tPtr[u+1]], outCol, w)
 	}
-	rowptr := make([]int64, n+1)
+	rowptr := ar.Int64s(n + 1)
+	rowptr[0] = 0
 	for u := 0; u < n; u++ {
 		rowptr[u+1] = rowptr[u] + int64(merge(u, nil, nil))
 	}
-	outCol := make([]int32, rowptr[n])
-	w := make([]float64, rowptr[n])
+	outCol := ar.Int32s(int(rowptr[n]))
+	w := ar.Float64s(int(rowptr[n]))
 	for u := 0; u < n; u++ {
 		merge(u, outCol[rowptr[u]:rowptr[u+1]], w[rowptr[u]:rowptr[u+1]])
 	}
-	g, err := graph.FromCSR(n, rowptr, outCol, w)
+	g, err := ar.FromCSR(n, rowptr, outCol, w)
 	if err != nil {
 		// The merge yields sorted, in-range, symmetric rows; an error here
 		// is a bug in this package, not a runtime condition.

@@ -204,13 +204,13 @@ func (c *CSR) LoggedFraction(part []int32) (float64, error) {
 // ToGraph converts the matrix to an undirected weighted graph (summing both
 // directions), the input of the partitioner. Only positive-weight edges
 // are kept, so cells with messages but zero bytes are dropped.
-func (c *CSR) ToGraph() *graph.Graph { return symGraph(c.n, c.rowPtr, c.col, c.bytes) }
+func (c *CSR) ToGraph() *graph.Graph { return symGraph(c.n, c.rowPtr, c.col, c.bytes, nil) }
 
 // NodeGraph aggregates under the placement and converts to the undirected
 // node graph in one sparse fold (Comm interface; vertex indices follow
 // p.UsedNodes() order).
 func (c *CSR) NodeGraph(p *topology.Placement) (*graph.Graph, error) {
-	return nodeGraph(c.view(), p)
+	return nodeGraph(c.view(), p, nil)
 }
 
 // Pair is one directed rank pair and its byte volume.

@@ -47,6 +47,22 @@ type Comm interface {
 	NodeGraph(p *topology.Placement) (*graph.Graph, error)
 }
 
+// NodeGraphInto is m.NodeGraph with the graph and the fold's scratch carved
+// from ar, so the graph lives until ar's Release and the fold allocates
+// nothing of its own (a Matrix still converts to CSR on the heap). A Comm
+// from outside this package builds its graph with its own NodeGraph.
+func NodeGraphInto(m Comm, p *topology.Placement, ar *graph.Arena) (*graph.Graph, error) {
+	switch m := m.(type) {
+	case *CSR:
+		return nodeGraph(m.view(), p, ar)
+	case *Stencil:
+		return nodeGraph(m.view(new([4]int32)), p, ar)
+	case *Matrix:
+		return nodeGraph(m.ToCSR().view(), p, ar)
+	}
+	return m.NodeGraph(p)
+}
+
 // Matrix is a dense communication matrix: Bytes[s][d] counts payload bytes
 // sent from rank s to rank d, Msgs[s][d] counts messages. Matrices are
 // directed; ToCSR().ToGraph() is the undirected view.
