@@ -105,8 +105,9 @@ type Result struct {
 	LocalWriteTime time.Duration
 	// PartnerTime is the simulated network+write time of partner copies.
 	PartnerTime time.Duration
-	// EncodeWallTime is the measured wall-clock time of the real RS
-	// encodes (groups run in parallel; this is the slowest group).
+	// EncodeWallTime is the measured wall-clock time of the slowest real
+	// group encode (RS for L3Encoded, XOR for L3XOR). Groups are encoded
+	// one after another; this is the longest of them, not their sum.
 	EncodeWallTime time.Duration
 	// EncodeModelTime is the modeled paper-scale encode time for the same
 	// group size, per erasure.ModelEncodeSeconds.

@@ -23,6 +23,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"hierclust/internal/graph"
 	"hierclust/internal/topology"
@@ -116,43 +117,116 @@ func (c *Clustering) MaxGroupSize() int {
 	return max
 }
 
-// consecutive builds clusters of `size` consecutive ranks and mirrors them
-// as encoding groups.
-func consecutive(name string, nranks, size int) (*Clustering, error) {
+// ClusteringBuf is the memory of one clustering: the struct, its L1 array,
+// the slab its encoding groups are windows into and the group headers. A
+// builder method carves them at the shape it builds and regrows only what
+// the shape outgrows, so a buffer that has served a shape builds it again
+// without allocating. What a method returns lives in the buffer until its
+// next build or its Release. A nil *ClusteringBuf allocates: the package's
+// builder functions are its methods on nil, and their clusterings are the
+// caller's.
+type ClusteringBuf struct {
+	c      Clustering
+	l1     []int32
+	slab   []topology.Rank
+	groups [][]topology.Rank
+}
+
+var bufPool sync.Pool
+
+// GetClusteringBuf lends a buffer from the pool. Hand it back with Release
+// once nothing reads the clustering built in it.
+func GetClusteringBuf() *ClusteringBuf {
+	if b, ok := bufPool.Get().(*ClusteringBuf); ok {
+		return b
+	}
+	return new(ClusteringBuf)
+}
+
+// Release returns b to the pool; the clustering built in it is dead from
+// here on. Releasing a nil buffer does nothing.
+func (b *ClusteringBuf) Release() {
+	if b != nil {
+		bufPool.Put(b)
+	}
+}
+
+// ranks carves the L1 array and the group slab of an nranks clustering.
+// The contents are undefined: every builder writes every entry of both.
+func (b *ClusteringBuf) ranks(nranks int) ([]int32, []topology.Rank) {
+	if b == nil {
+		return make([]int32, nranks), make([]topology.Rank, nranks)
+	}
+	if cap(b.l1) < nranks {
+		// The old headers point into the old slab: drop them with it.
+		b.l1, b.slab, b.groups = make([]int32, nranks), make([]topology.Rank, nranks), nil
+	}
+	return b.l1[:nranks:nranks], b.slab[:nranks:nranks]
+}
+
+// headers carves room for k group headers, at length 0.
+func (b *ClusteringBuf) headers(k int) [][]topology.Rank {
+	if b == nil {
+		return make([][]topology.Rank, 0, k)
+	}
+	if cap(b.groups) < k {
+		b.groups = make([][]topology.Rank, k)
+	}
+	return b.groups[:0:k]
+}
+
+// clustering returns the struct that carries the build's arrays.
+func (b *ClusteringBuf) clustering(name string, l1 []int32, groups [][]topology.Rank) *Clustering {
+	if b == nil {
+		return &Clustering{Name: name, L1: l1, Groups: groups}
+	}
+	b.c = Clustering{Name: name, L1: l1, Groups: groups}
+	return &b.c
+}
+
+// consecutive builds clusters of `size` consecutive ranks in b and mirrors
+// them as encoding groups.
+func (b *ClusteringBuf) consecutive(name string, nranks, size int) (*Clustering, error) {
 	if size <= 0 || size > nranks {
 		return nil, fmt.Errorf("core: %s cluster size %d out of range 1..%d", name, size, nranks)
 	}
 	// The groups are windows into one identity slab, each capped at its own
 	// end so an append by a caller cannot reach the next group.
-	slab := make([]topology.Rank, nranks)
-	c := &Clustering{
-		Name:   name,
-		L1:     make([]int32, nranks),
-		Groups: make([][]topology.Rank, 0, (nranks+size-1)/size),
-	}
+	l1, slab := b.ranks(nranks)
+	groups := b.headers((nranks + size - 1) / size)
 	for r := 0; r < nranks; r++ {
-		c.L1[r] = int32(r / size)
+		l1[r] = int32(r / size)
 		slab[r] = topology.Rank(r)
 	}
 	for base := 0; base < nranks; base += size {
 		end := min(base+size, nranks)
-		c.Groups = append(c.Groups, slab[base:end:end])
+		groups = append(groups, slab[base:end:end])
 	}
-	return c, nil
+	return b.clustering(name, l1, groups), nil
 }
 
 // Naive builds the paper's naive clustering: consecutive-rank clusters at
 // the message-logging/recovery sweet spot (32 in the paper's study),
 // reused as encoding groups.
 func Naive(nranks, size int) (*Clustering, error) {
-	return consecutive(fmt.Sprintf("naive-%d", size), nranks, size)
+	return (*ClusteringBuf)(nil).Naive(nranks, size)
+}
+
+// Naive is the package's Naive, built in b.
+func (b *ClusteringBuf) Naive(nranks, size int) (*Clustering, error) {
+	return b.consecutive(fmt.Sprintf("naive-%d", size), nranks, size)
 }
 
 // SizeGuided builds the size-guided clustering: the same consecutive-rank
 // construction, sized instead for the encoding/logging trade-off (8 in the
 // paper).
 func SizeGuided(nranks, size int) (*Clustering, error) {
-	return consecutive(fmt.Sprintf("size-guided-%d", size), nranks, size)
+	return (*ClusteringBuf)(nil).SizeGuided(nranks, size)
+}
+
+// SizeGuided is the package's SizeGuided, built in b.
+func (b *ClusteringBuf) SizeGuided(nranks, size int) (*Clustering, error) {
+	return b.consecutive(fmt.Sprintf("size-guided-%d", size), nranks, size)
 }
 
 // Distributed builds the distributed clustering: cluster ids striped over
@@ -160,6 +234,11 @@ func SizeGuided(nranks, size int) (*Clustering, error) {
 // member of a cluster lives on a different node. Encoding groups mirror
 // the clusters.
 func Distributed(nranks, size int) (*Clustering, error) {
+	return (*ClusteringBuf)(nil).Distributed(nranks, size)
+}
+
+// Distributed is the package's Distributed, built in b.
+func (b *ClusteringBuf) Distributed(nranks, size int) (*Clustering, error) {
 	if size <= 0 || size > nranks {
 		return nil, fmt.Errorf("core: distributed cluster size %d out of range 1..%d", size, nranks)
 	}
@@ -167,23 +246,19 @@ func Distributed(nranks, size int) (*Clustering, error) {
 	if k == 0 {
 		k = 1
 	}
-	c := &Clustering{
-		Name:   fmt.Sprintf("distributed-%d", size),
-		L1:     make([]int32, nranks),
-		Groups: make([][]topology.Rank, k),
-	}
-	slab := make([]topology.Rank, nranks)
+	l1, slab := b.ranks(nranks)
+	groups := b.headers(k)
 	off := 0
 	for id := 0; id < k; id++ {
 		start := off
 		for r := id; r < nranks; r += k {
-			c.L1[r] = int32(id)
+			l1[r] = int32(id)
 			slab[off] = topology.Rank(r)
 			off++
 		}
-		c.Groups[id] = slab[start:off:off]
+		groups = append(groups, slab[start:off:off])
 	}
-	return c, nil
+	return b.clustering(fmt.Sprintf("distributed-%d", size), l1, groups), nil
 }
 
 // HierOptions tunes the hierarchical construction.
@@ -255,6 +330,12 @@ func (o *HierOptions) normalize() {
 // the clustering it returns and, once the pool has served the shape, little
 // else. Nothing returned aliases the arena.
 func Hierarchical(m trace.Comm, p *topology.Placement, opts HierOptions) (*Clustering, error) {
+	return (*ClusteringBuf)(nil).Hierarchical(m, p, opts)
+}
+
+// Hierarchical is the package's Hierarchical, built in b: a buffer that has
+// served the shape makes the build allocate next to nothing.
+func (b *ClusteringBuf) Hierarchical(m trace.Comm, p *topology.Placement, opts HierOptions) (*Clustering, error) {
 	opts.normalize()
 	if m.Ranks() != p.NumRanks() {
 		return nil, fmt.Errorf("core: matrix covers %d ranks, placement %d", m.Ranks(), p.NumRanks())
@@ -274,12 +355,12 @@ func Hierarchical(m trace.Comm, p *topology.Placement, opts HierOptions) (*Clust
 		return nil, err
 	}
 
-	c := &Clustering{Name: "hierarchical", L1: make([]int32, p.NumRanks())}
+	l1, slab := b.ranks(p.NumRanks())
 	nparts := 0
 	for i, part := range nodePart {
 		nparts = max(nparts, int(part)+1)
 		for pos, end := p.Span(p.UsedNode(i)); pos < end; pos++ {
-			c.L1[p.RankAt(pos)] = part
+			l1[p.RankAt(pos)] = part
 		}
 	}
 
@@ -319,8 +400,7 @@ func Hierarchical(m trace.Comm, p *topology.Placement, opts HierOptions) (*Clust
 	for s := 0; s+1 < len(bounds); s++ {
 		ngroups += width(nodes[bounds[s]:bounds[s+1]])
 	}
-	c.Groups = make([][]topology.Rank, 0, ngroups)
-	slab := make([]topology.Rank, p.NumRanks())
+	groups := b.headers(ngroups)
 	off := 0
 	for s := 0; s+1 < len(bounds); s++ {
 		sub := nodes[bounds[s]:bounds[s+1]]
@@ -330,29 +410,29 @@ func Hierarchical(m trace.Comm, p *topology.Placement, opts HierOptions) (*Clust
 		// process j with j%w == i, which keeps the distribution property.
 		// Sizes are counted before filling and each header's capacity ends
 		// at its own size, so the leftover appends cannot reach a neighbour.
-		first := len(c.Groups)
+		first := len(groups)
 		for i := 0; i < w; i++ {
 			size := 0
 			for _, n := range sub {
 				size += (p.CountOn(topology.NodeID(n)) - i + w - 1) / w
 			}
-			c.Groups = append(c.Groups, slab[off:off:off+size])
+			groups = append(groups, slab[off:off:off+size])
 			off += size
 		}
 		for i := 0; i < w; i++ {
 			for _, n := range sub {
 				lo, _ := p.Span(topology.NodeID(n))
-				c.Groups[first+i] = append(c.Groups[first+i], p.RankAt(lo+i))
+				groups[first+i] = append(groups[first+i], p.RankAt(lo+i))
 			}
 		}
 		for _, n := range sub {
 			lo, hi := p.Span(topology.NodeID(n))
 			for i := w; i < hi-lo; i++ {
-				c.Groups[first+i%w] = append(c.Groups[first+i%w], p.RankAt(lo+i))
+				groups[first+i%w] = append(groups[first+i%w], p.RankAt(lo+i))
 			}
 		}
 	}
-	return c, nil
+	return b.clustering("hierarchical", l1, groups), nil
 }
 
 // partitionNodes runs the size-constrained partitioner over the node graph,

@@ -9,11 +9,10 @@ import (
 )
 
 // codecRun is everything the coding paths compute for one input: the
-// parity of RS.Encode and of GroupEncoder.EncodeInto at one and two workers,
-// the outputs of a Decode with short buffers, and all shards after a
-// Reconstruct.
+// parity of RS.Encode and of GroupEncoder.EncodeInto, the outputs of a
+// Decode with short buffers, and all shards after a Reconstruct.
 type codecRun struct {
-	encode, into1, into2, decoded, rebuilt [][]byte
+	encode, into, decoded, rebuilt [][]byte
 }
 
 // unaligned returns n slices of the given size, each starting 1..31 bytes
@@ -54,20 +53,14 @@ func runCodec(t *testing.T, seed int64, k, m, size int) codecRun {
 	if err := rs.Encode(data, run.encode); err != nil {
 		t.Fatal(err)
 	}
-	into := func(workers int) [][]byte {
-		// 1000-byte chunks: every chunk but the first starts off a
-		// 32-byte boundary and ends in a tail.
-		ge, err := NewGroupEncoder(k, m, 1000, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parity := unaligned(rng, m, size, false)
-		if _, err := ge.EncodeInto(data, parity); err != nil {
-			t.Fatal(err)
-		}
-		return parity
+	ge, err := NewGroupEncoder(k, m, 0, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	run.into1, run.into2 = into(1), into(2)
+	run.into = unaligned(rng, m, size, false)
+	if _, err := ge.EncodeInto(data, run.into); err != nil {
+		t.Fatal(err)
+	}
 
 	// Lose up to m shards, data first so that Decode has work.
 	all := append(append([][]byte{}, data...), run.encode...)
@@ -132,8 +125,7 @@ func TestKernelsByteIdentical(t *testing.T) {
 					got, want [][]byte
 				}{
 					{"Encode", got.encode, want.encode},
-					{"EncodeInto workers=1", got.into1, want.into1},
-					{"EncodeInto workers=2", got.into2, want.into2},
+					{"EncodeInto", got.into, want.into},
 					{"Decode", got.decoded, want.decoded},
 					{"Reconstruct", got.rebuilt, want.rebuilt},
 				} {

@@ -397,7 +397,7 @@ func TestXORValidation(t *testing.T) {
 func TestGroupEncoderMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const k, m, size = 4, 2, 200_000
-	ge, err := NewGroupEncoder(k, m, 16<<10, 4)
+	ge, err := NewGroupEncoder(k, m, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +411,7 @@ func TestGroupEncoderMatchesSerial(t *testing.T) {
 	_ = rs.Encode(data, want)
 	for i := range want {
 		if !bytes.Equal(res.Parity[i], want[i]) {
-			t.Fatalf("parallel parity %d != serial parity", i)
+			t.Fatalf("group encoder parity %d != RS parity", i)
 		}
 	}
 }

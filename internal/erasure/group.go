@@ -1,12 +1,8 @@
 package erasure
 
 import (
-	"errors"
 	"fmt"
-	"runtime"
 	"time"
-
-	"hierclust/internal/pool"
 )
 
 // AlphaSecPerGBMember is the calibrated encoding cost constant derived from
@@ -33,29 +29,21 @@ type GroupResult struct {
 }
 
 // GroupEncoder erasure-codes the checkpoint blocks of one encoding group
-// (an L2 cluster) using Reed–Solomon, chunking the shards and encoding
-// chunks concurrently the way FTI's per-node encoder processes do.
+// (an L2 cluster) using Reed–Solomon, on its caller's goroutine.
 type GroupEncoder struct {
-	rs        *RS
-	chunkSize int
-	workers   int
+	rs *RS
 }
 
 // NewGroupEncoder builds an encoder for groups of k data shards and m
-// parity shards. chunkSize 0 defaults to 64 KiB; workers 0 defaults to
-// GOMAXPROCS.
+// parity shards. chunkSize and workers are deprecated and ignored: an
+// encode runs whole on its caller's goroutine, so a caller bounds encode
+// compute by how many groups it encodes at once. They will be removed.
 func NewGroupEncoder(k, m, chunkSize, workers int) (*GroupEncoder, error) {
 	rs, err := NewRS(k, m)
 	if err != nil {
 		return nil, err
 	}
-	if chunkSize <= 0 {
-		chunkSize = 64 << 10
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &GroupEncoder{rs: rs, chunkSize: chunkSize, workers: workers}, nil
+	return &GroupEncoder{rs: rs}, nil
 }
 
 // Encode produces parity for the group's data shards. All shards must have
@@ -109,7 +97,7 @@ func (ge *GroupEncoder) checkData(data [][]byte) (int, error) {
 
 func (ge *GroupEncoder) encodeTimed(data, parity [][]byte, size int) (*GroupResult, error) {
 	start := time.Now()
-	if err := ge.encodeChunked(data, parity, size); err != nil {
+	if err := ge.rs.Encode(data, parity); err != nil {
 		return nil, err
 	}
 	elapsed := time.Since(start)
@@ -118,35 +106,6 @@ func (ge *GroupEncoder) encodeTimed(data, parity [][]byte, size int) (*GroupResu
 		Elapsed:   elapsed,
 		ModelTime: time.Duration(ModelEncodeSeconds(ge.rs.k, int64(size)) * float64(time.Second)),
 	}, nil
-}
-
-// encodeChunked splits one encode into chunkSize byte ranges across the
-// worker pool; each worker reuses its own pair of sub-slice headers.
-func (ge *GroupEncoder) encodeChunked(data, parity [][]byte, size int) error {
-	nchunks := (size + ge.chunkSize - 1) / ge.chunkSize
-	if nchunks <= 1 || ge.workers == 1 {
-		return ge.rs.Encode(data, parity)
-	}
-	workers := min(ge.workers, nchunks)
-	type views struct{ data, parity [][]byte }
-	subs := make([]views, workers)
-	errs := make([]error, nchunks)
-	pool.Run(nchunks, workers, nil, func(c, w int) {
-		if subs[w].data == nil {
-			subs[w] = views{make([][]byte, len(data)), make([][]byte, len(parity))}
-		}
-		dsub, psub := subs[w].data, subs[w].parity
-		lo := c * ge.chunkSize
-		hi := min(lo+ge.chunkSize, size)
-		for i, d := range data {
-			dsub[i] = d[lo:hi]
-		}
-		for i, p := range parity {
-			psub[i] = p[lo:hi]
-		}
-		errs[c] = ge.rs.Encode(dsub, psub)
-	})
-	return errors.Join(errs...)
 }
 
 // Decode rebuilds only the wanted data shards from exactly k survivors; see

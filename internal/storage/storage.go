@@ -52,7 +52,8 @@ func (d *Device) ReadTime(n int64, sharing int) time.Duration {
 	return d.Latency + time.Duration(sec*float64(time.Second))
 }
 
-// ErrFailed is wrapped by operations on stores whose node has failed.
+// FailedError is returned by operations on a store whose node has failed;
+// match it with errors.As.
 type FailedError struct {
 	Node topology.NodeID
 }

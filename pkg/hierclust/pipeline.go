@@ -306,6 +306,9 @@ func (pl *Pipeline) evalStrategy(ctx context.Context, run *sweepRun, spec Strate
 		}
 		var own core.Profile // a private profile never leaves this frame
 		sd, err = buildScored(ctx, spec, comm, placement, &own)
+		// Nor does a private clustering: once the row below is rendered,
+		// its memory goes back to the pool.
+		defer sd.buf.Release()
 	}
 	if err != nil {
 		return err
@@ -345,22 +348,33 @@ func (pl *Pipeline) evalStrategy(ctx context.Context, run *sweepRun, spec Strate
 // buildScored instantiates spec, builds its clustering and fills prof with
 // the clustering's scores — the unit the sweep executor shares across cells
 // by partitionKey. The clustering is immutable downstream (scoring only
-// reads it), so one build may be scored concurrently by many cells.
+// reads it), so one build may be scored concurrently by many cells. A
+// built-in strategy builds into a pooled buffer, sd.buf, which the caller
+// releases once nothing reads sd.c; on error there is nothing to release.
 func buildScored(ctx context.Context, spec StrategySpec, comm Comm, placement *Placement, prof *core.Profile) (sd scored, err error) {
 	st, err := NewStrategy(spec)
 	if err != nil {
 		return sd, err
 	}
-	if cs, ok := st.(CtxStrategy); ok {
-		sd.c, err = cs.BuildCtx(ctx, comm, placement)
-	} else {
+	switch st := st.(type) {
+	case builtinStrategy:
+		sd.buf = core.GetClusteringBuf()
+		sd.c, err = st.buildIn(ctx, comm, placement, sd.buf)
+	case CtxStrategy:
+		sd.c, err = st.BuildCtx(ctx, comm, placement)
+	default:
 		sd.c, err = st.Build(comm, placement)
 	}
 	if err != nil {
-		return sd, cmp.Or(ctx.Err(), err)
+		sd.buf.Release()
+		return scored{}, cmp.Or(ctx.Err(), err)
 	}
 	sd.prof = prof
-	return sd, prof.Init(ctx, sd.c, placement)
+	if err := prof.Init(ctx, sd.c, placement); err != nil {
+		sd.buf.Release()
+		return scored{}, err
+	}
+	return sd, nil
 }
 
 // resolveTrace returns the scenario's communication matrix. Only a traced

@@ -1,0 +1,273 @@
+package hierclust
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"reflect"
+	"runtime"
+	"runtime/debug"
+	"sync"
+	"testing"
+
+	"hierclust/internal/core"
+	"hierclust/internal/racedetect"
+	"hierclust/internal/topology"
+	"hierclust/internal/trace"
+)
+
+// A built-in strategy's clustering is scratch inside the pipeline: its
+// memory goes back to a pool once the row that scores it is rendered (a
+// private cell) or once its last consumer finishes (a sweep's shared node).
+// These tests pin that the recycling changes no byte, never reaches a
+// clustering a third-party strategy keeps, and keeps a warm Run from
+// allocating a clustering.
+
+// cachedStrategy is a third-party strategy that keeps what it returns: one
+// clustering, built once, handed out by every Build.
+type cachedStrategy struct{ c *Clustering }
+
+func (s cachedStrategy) Name() string                                { return s.c.Name }
+func (s cachedStrategy) Build(Comm, *Placement) (*Clustering, error) { return s.c, nil }
+
+var cached struct {
+	once sync.Once
+	c    *Clustering
+}
+
+// registerCached registers the "cached-hierarchical" kind: the hierarchical
+// clustering of syntheticScenario's rig, the same object on every call.
+func registerCached(t *testing.T) *Clustering {
+	t.Helper()
+	cached.once.Do(func() {
+		mach, err := topology.Tsubame2().Subset(32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		placement, err := topology.Block(mach, 256, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := trace.NewStencil(256, trace.SyntheticOptions{Pattern: trace.Stencil2D, Width: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cached.c, err = core.Hierarchical(m, placement, core.HierOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		cached.c.Name = "cached-hierarchical"
+		MustRegisterStrategy("cached-hierarchical", func(StrategySpec) (Strategy, error) {
+			return cachedStrategy{cached.c}, nil
+		})
+	})
+	return cached.c
+}
+
+// cloneClustering copies a clustering into fresh memory.
+func cloneClustering(c *Clustering) *Clustering {
+	out := &Clustering{Name: c.Name, L1: append([]int32(nil), c.L1...)}
+	for _, g := range c.Groups {
+		out.Groups = append(out.Groups, append([]Rank(nil), g...))
+	}
+	return out
+}
+
+// runDoc is Run's document for sc on a fresh pipeline.
+func runDoc(t *testing.T, sc *Scenario, workers int) []byte {
+	t.Helper()
+	res, err := NewPipeline(WithWorkers(workers)).Run(context.Background(), sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return doc
+}
+
+// TestThirdPartyClusteringNeverRecycled: a registered strategy that returns
+// one cached clustering on every call runs next to the built-ins, which
+// rebuild at its rank count right after it, through Run, RunCell and a
+// 4-cell sweep. Its clustering keeps its L1 and groups, and every document
+// equals a run before any of it. Recycling its memory would hand it to the
+// next built-in build, so after every route the test builds in every
+// buffer the pool holds.
+func TestThirdPartyClusteringNeverRecycled(t *testing.T) {
+	c := registerCached(t)
+	orig := cloneClustering(c)
+	sc := syntheticScenario()
+	sc.Strategies = append([]StrategySpec{{Kind: "cached-hierarchical"}}, sc.Strategies...)
+	sw := &Sweep{Name: "cached", Base: *sc, Axes: SweepAxes{
+		Mixes:  []MixSpec{{Transient: 0.05, NodeLoss: []float64{0.9}}, {Transient: 0.5, NodeLoss: []float64{0.5}}},
+		Traces: []TracePoint{{Iterations: 10}, {Iterations: 20}},
+	}}
+	cells, err := sw.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRun := [][]byte{runDoc(t, sc, 1)}
+	wantCells := make([][]byte, len(cells))
+	for i, cell := range cells {
+		wantCells[i] = runDoc(t, cell, 1)
+	}
+
+	check := func(route string, got, want [][]byte) {
+		t.Helper()
+		// Draw every buffer the pool holds and build in it at the cached
+		// clustering's rank count: any of its memory in there is overwritten.
+		bufs := make([]*core.ClusteringBuf, 16)
+		for i := range bufs {
+			bufs[i] = core.GetClusteringBuf()
+			if _, err := bufs[i].Naive(len(c.L1), 4); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, b := range bufs {
+			b.Release()
+		}
+		if !reflect.DeepEqual(c, orig) {
+			t.Fatalf("%s: the third-party clustering changed: the pipeline recycled it", route)
+		}
+		for i := range got {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("%s: document %d diverges from a run before it:\n%s\nvs\n%s", route, i, got[i], want[i])
+			}
+		}
+	}
+	for round := 0; round < 3; round++ {
+		for _, workers := range []int{1, 4} {
+			pl := NewPipeline(WithWorkers(workers))
+			check(fmt.Sprintf("Run, workers=%d", workers), [][]byte{runDoc(t, sc, workers)}, wantRun)
+			cell := pl.RunCell(context.Background(), sc, SweepOptions{})
+			if cell.Err != nil {
+				t.Fatal(cell.Err)
+			}
+			check(fmt.Sprintf("RunCell, workers=%d", workers), [][]byte{cell.Doc}, wantRun)
+			report, err := pl.RunSweep(context.Background(), sw, SweepOptions{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			docs := make([][]byte, len(report.Cells))
+			for i, cell := range report.Cells {
+				if cell.Err != nil {
+					t.Fatal(cell.Err)
+				}
+				docs[i] = cell.Doc
+			}
+			check(fmt.Sprintf("sweep, workers=%d", workers), docs, wantCells)
+		}
+	}
+}
+
+// coldDoc is runDoc on a cold pool: two collections first empty it, so the
+// run builds every clustering in fresh memory.
+func coldDoc(t *testing.T, sc *Scenario) []byte {
+	t.Helper()
+	runtime.GC()
+	runtime.GC()
+	return runDoc(t, sc, 1)
+}
+
+// TestClusteringReuseInvisible: at one P, where every build after the first
+// reuses a buffer an earlier build of another shape or kind filled, Runs
+// interleaved over three shapes (the last with a short node) and all four
+// built-in kinds give the documents of runs on a cold pool. So does a mixed
+// flat and hierarchical sweep over those shapes at 1, 2 and 8 workers.
+// Run it under -race.
+func TestClusteringReuseInvisible(t *testing.T) {
+	shapes := []MachinePoint{{Nodes: 24, Ranks: 96, ProcsPerNode: 4}, {Nodes: 64, Ranks: 512, ProcsPerNode: 8}, {Nodes: 32, Ranks: 250, ProcsPerNode: 8}}
+	kinds := []StrategySpec{{Kind: "naive", Size: 16}, {Kind: "size-guided", Size: 8}, {Kind: "distributed", Size: 8}, {Kind: "hierarchical"}}
+	scenarios := make([]*Scenario, len(shapes))
+	want := make([][]byte, len(shapes))
+	for i, sh := range shapes {
+		sc := syntheticScenario()
+		sc.Machine.Nodes, sc.Placement = sh.Nodes, PlacementSpec{Ranks: sh.Ranks, ProcsPerNode: sh.ProcsPerNode}
+		// A short loss tail: the short node makes the layout irregular, and
+		// the default tail would sample it by Monte Carlo.
+		sc.Strategies, sc.Mix = kinds, &MixSpec{Transient: 0.05, NodeLoss: []float64{0.5, 0.1}}
+		scenarios[i], want[i] = sc, coldDoc(t, sc)
+	}
+	func() {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P, one pool shard
+		for round := 0; round < 3; round++ {
+			for k := range scenarios {
+				i := (k + round) % len(scenarios)
+				if got := runDoc(t, scenarios[i], 1); !bytes.Equal(got, want[i]) {
+					t.Fatalf("round %d, %d ranks: a warm run diverges from a cold one:\n%s\nvs\n%s", round, shapes[i].Ranks, got, want[i])
+				}
+			}
+		}
+	}()
+
+	sw := &Sweep{Name: "reuse", Base: *scenarios[0], Axes: SweepAxes{
+		Machines:   shapes,
+		Strategies: [][]StrategySpec{{kinds[0], kinds[3]}, {kinds[1], kinds[2]}, {kinds[3]}},
+		Mixes:      []MixSpec{{Transient: 0.05, NodeLoss: []float64{0.9}}, {Transient: 0.5, NodeLoss: []float64{0.5, 0.2}}},
+	}}
+	cells, err := sw.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCells := make([][]byte, len(cells))
+	for i, cell := range cells {
+		wantCells[i] = coldDoc(t, cell)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		report, err := NewPipeline(WithWorkers(workers)).RunSweep(context.Background(), sw, SweepOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, cell := range report.Cells {
+			if cell.Err != nil {
+				t.Fatalf("workers=%d: cell %d: %v", workers, i, cell.Err)
+			}
+			if !bytes.Equal(cell.Doc, wantCells[i]) {
+				t.Errorf("workers=%d: cell %d (%s) diverges from a cold run:\n%s\nvs\n%s", workers, i, cell.Scenario, cell.Doc, wantCells[i])
+			}
+		}
+	}
+}
+
+// TestWarmRunAllocatesNoClustering: once the pools have served the shape, a
+// Run of a 16,384-rank hierarchical scenario allocates under 8 bytes a rank.
+// The clustering alone is 8 a rank plus 24 a group header, so a Run that
+// lost its release, and built each clustering fresh, fails here. It counts
+// with ReadMemStats at one P (one pool shard) with the collector off, which
+// would otherwise empty the pools between Runs.
+func TestWarmRunAllocatesNoClustering(t *testing.T) {
+	if racedetect.Enabled {
+		t.Skip("race detector: sync.Pool drops buffers at random")
+	}
+	const ranks = 16384
+	sc := &Scenario{
+		Name:       "warm",
+		Machine:    MachineSpec{Nodes: ranks / 4},
+		Placement:  PlacementSpec{Ranks: ranks, ProcsPerNode: 4},
+		Trace:      TraceSpec{Source: "synthetic", Pattern: "stencil2d"},
+		Strategies: []StrategySpec{{Kind: "hierarchical", Hier: &HierSpec{Multilevel: true}}},
+	}
+	pl := NewPipeline(WithWorkers(1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var res *Result
+	var err error
+	for i := 0; i < 2; i++ { // size the arena and the buffer, then settle the arena's slabs
+		if res, err = pl.Run(context.Background(), sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := pl.Run(context.Background(), sc); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got, limit := after.TotalAlloc-before.TotalAlloc, uint64(8*ranks)
+	t.Logf("warm Run: %d B, limit %d (8/rank); a fresh clustering is %d B (8/rank + 24/group)",
+		got, limit, 8*ranks+24*res.Evaluations[0].Groups)
+	if got >= limit {
+		t.Errorf("warm Run allocates %d B, at or over %d: the pipeline built its clustering in fresh memory", got, limit)
+	}
+}

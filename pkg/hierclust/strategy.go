@@ -139,16 +139,28 @@ func StrategyKinds() []string {
 // The four built-in strategies of the paper. The flat three ignore the
 // communication matrix by construction; the hierarchical one partitions it.
 
+// builtinStrategy is a built-in strategy: it builds into a pooled buffer,
+// whose clustering the pipeline hands back once it has scored it. A
+// registered third-party strategy may keep what it returns, so the pipeline
+// never recycles its clustering.
+type builtinStrategy interface {
+	buildIn(ctx context.Context, m Comm, p *Placement, buf *core.ClusteringBuf) (*Clustering, error)
+}
+
 type flatStrategy struct {
 	kind  string
 	size  int
-	build func(nranks, size int) (*Clustering, error)
+	build func(buf *core.ClusteringBuf, nranks, size int) (*Clustering, error)
 }
 
 func (s *flatStrategy) Name() string { return fmt.Sprintf("%s-%d", s.kind, s.size) }
 
 func (s *flatStrategy) Build(m Comm, p *Placement) (*Clustering, error) {
-	return s.build(p.NumRanks(), s.size)
+	return s.buildIn(context.Background(), m, p, nil)
+}
+
+func (s *flatStrategy) buildIn(_ context.Context, _ Comm, p *Placement, buf *core.ClusteringBuf) (*Clustering, error) {
+	return s.build(buf, p.NumRanks(), s.size)
 }
 
 // flatKinds are the built-ins whose clustering reads the rank count alone.
@@ -171,11 +183,15 @@ func (s *hierStrategy) Build(m Comm, p *Placement) (*Clustering, error) {
 // partition. The clustering of an uncancelled build is identical to
 // Build's.
 func (s *hierStrategy) BuildCtx(ctx context.Context, m Comm, p *Placement) (*Clustering, error) {
+	return s.buildIn(ctx, m, p, nil)
+}
+
+func (s *hierStrategy) buildIn(ctx context.Context, m Comm, p *Placement, buf *core.ClusteringBuf) (*Clustering, error) {
 	opts := s.opts
 	if ctx.Done() != nil {
 		opts.Cancel = func() bool { return ctx.Err() != nil }
 	}
-	c, err := core.Hierarchical(m, p, opts)
+	c, err := buf.Hierarchical(m, p, opts)
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, cerr
@@ -189,7 +205,7 @@ func (s *hierStrategy) BuildCtx(ctx context.Context, m Comm, p *Placement) (*Clu
 // flatFactory builds a factory for one flat strategy kind with its paper
 // default size (naive 32, size-guided 8, distributed 16 — the Table II
 // configuration).
-func flatFactory(kind string, defaultSize int, build func(int, int) (*Clustering, error)) StrategyFactory {
+func flatFactory(kind string, defaultSize int, build func(*core.ClusteringBuf, int, int) (*Clustering, error)) StrategyFactory {
 	return func(spec StrategySpec) (Strategy, error) {
 		if spec.Hier != nil {
 			return nil, fmt.Errorf("hierclust: strategy %q does not accept hier options", kind)
@@ -206,9 +222,9 @@ func flatFactory(kind string, defaultSize int, build func(int, int) (*Clustering
 }
 
 func init() {
-	MustRegisterStrategy("naive", flatFactory("naive", 32, core.Naive))
-	MustRegisterStrategy("size-guided", flatFactory("size-guided", 8, core.SizeGuided))
-	MustRegisterStrategy("distributed", flatFactory("distributed", 16, core.Distributed))
+	MustRegisterStrategy("naive", flatFactory("naive", 32, (*core.ClusteringBuf).Naive))
+	MustRegisterStrategy("size-guided", flatFactory("size-guided", 8, (*core.ClusteringBuf).SizeGuided))
+	MustRegisterStrategy("distributed", flatFactory("distributed", 16, (*core.ClusteringBuf).Distributed))
 	MustRegisterStrategy("hierarchical", func(spec StrategySpec) (Strategy, error) {
 		if spec.Size != 0 {
 			return nil, fmt.Errorf("hierclust: strategy \"hierarchical\" takes hier options, not size (got %d)", spec.Size)

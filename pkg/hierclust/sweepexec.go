@@ -138,7 +138,9 @@ type sweepRun struct {
 }
 
 // The shared intermediates but the logged fraction. A clustering carries
-// its score profile: the cells sharing it differ in trace and weighing.
+// its score profile: the cells sharing it differ in trace and weighing, and
+// the buffer a built-in strategy built it in (nil for any other), released
+// when the node is dropped.
 type (
 	placed struct {
 		mach      *Machine
@@ -151,6 +153,7 @@ type (
 	scored struct {
 		c    *Clustering
 		prof *core.Profile
+		buf  *core.ClusteringBuf
 	}
 )
 
@@ -174,13 +177,14 @@ func (n *sweepNode[T]) get(builds *atomic.Int64, build func() (T, error)) (T, er
 	return n.val, n.err
 }
 
-// consume adjusts the consumer count and drops the value with the last
-// consumer, whose decrement follows every other's: no reader is left to race.
-func (n *sweepNode[T]) consume(delta int32) {
+// consume adjusts the consumer count. The last consumer, whose decrement
+// follows every other's, drops the value and gets it back: no reader is
+// left to race with whatever it does with it.
+func (n *sweepNode[T]) consume(delta int32) (dropped T) {
 	if n.consumers.Add(delta) == 0 {
-		var zero T
-		n.val = zero
+		dropped, n.val = n.val, dropped
 	}
+	return dropped
 }
 
 // buildCtx is the context of a trace or clustering node build: the sweep's,
@@ -221,7 +225,7 @@ func (run *sweepRun) consume(cell *PlannedCell, delta int32) {
 	}
 	for j, id := range cell.PartNodes {
 		if id >= 0 {
-			run.parts[id].consume(delta)
+			run.parts[id].consume(delta).buf.Release()
 		}
 		if id := cell.loggedNodes[j]; id >= 0 {
 			run.logged[id].consume(delta)
