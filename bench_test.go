@@ -685,12 +685,12 @@ func BenchmarkHybridRecovery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := trace.NewMatrix(ranks)
+	rec := trace.NewRecorder(ranks)
 	for r := 0; r+1 < ranks; r++ {
-		_ = m.Add(r, r+1, 1000)
-		_ = m.Add(r+1, r, 1000)
+		rec.Record(r, r+1, 1000)
+		rec.Record(r+1, r, 1000)
 	}
-	cl, err := core.Hierarchical(m, placement, core.HierOptions{})
+	cl, err := core.Hierarchical(rec.Freeze(), placement, core.HierOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func main() {
 	fmt.Printf("traced %d ranks on %d nodes: %d messages, %d bytes\n",
 		*ranks, nodes, m.TotalMsgs(), m.TotalBytes())
 	if *heatmap {
-		fmt.Println(m.ToDense().ASCIIHeatmap(64))
+		fmt.Println(m.ASCIIHeatmap(64))
 	}
 
 	var evals []*hierclust.Evaluation

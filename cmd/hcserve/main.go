@@ -81,7 +81,6 @@ func main() {
 	}
 
 	opts := []hierclust.PipelineOption{hierclust.WithWorkers(*workers)}
-	var cacheStats serve.TraceCacheStatser
 	switch {
 	case *traceDir != "":
 		dc, err := hierclust.NewDiskTraceCache(*traceDir, int64(*traceDiskMB)<<20)
@@ -89,11 +88,8 @@ func main() {
 			fail(err)
 		}
 		opts = append(opts, hierclust.WithTraceCache(dc))
-		cacheStats = dc
 	case *traceCache > 0:
-		mc := hierclust.NewMemoryTraceCache(*traceCache)
-		opts = append(opts, hierclust.WithTraceCache(mc))
-		cacheStats = mc
+		opts = append(opts, hierclust.WithTraceCache(hierclust.NewMemoryTraceCache(*traceCache)))
 	}
 
 	// Assign through a typed local only when a tier exists: a nil
@@ -116,7 +112,6 @@ func main() {
 		RetryAfter:        *retryAfter,
 		MaxBatchScenarios: *maxBatch,
 		EvalTimeout:       *evalTimeout,
-		TraceCache:        cacheStats,
 		ResultCache:       resultTier,
 
 		ClientSlotCap:       *clientCap,

@@ -313,8 +313,8 @@ func (o *HierOptions) normalize() {
 }
 
 // Hierarchical builds the paper's two-level clustering from a traced
-// communication matrix (sparse *trace.CSR, implicit *trace.Stencil or dense
-// *trace.Matrix — any trace.Comm):
+// communication matrix (sparse *trace.CSR or implicit *trace.Stencil — any
+// trace.Comm):
 //
 //  1. Aggregate the rank matrix into a node-based graph (so all processes
 //     of a node share a cluster and one node failure touches one cluster).

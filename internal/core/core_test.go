@@ -14,19 +14,24 @@ import (
 // paperRig reproduces the paper's evaluation platform: 1024 ranks on 64
 // nodes (16 per node, block placement) running a 1-D neighbor-exchange
 // tsunami stencil (the ±1 double diagonal of Fig. 5b).
-func paperRig(t *testing.T) (*trace.Matrix, *topology.Placement) {
+func paperRig(t *testing.T) (*trace.CSR, *topology.Placement) {
 	t.Helper()
 	mach := &topology.Machine{Name: "t", Nodes: 64}
 	p, err := topology.Block(mach, 1024, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := trace.NewMatrix(1024)
-	for r := 0; r+1 < 1024; r++ {
-		_ = m.Add(r, r+1, 1_000_000)
-		_ = m.Add(r+1, r, 1_000_000)
+	return ring(1024, 1_000_000), p
+}
+
+// ring records the ±1 neighbour exchange of n ranks, bytes each way.
+func ring(n, bytes int) *trace.CSR {
+	rec := trace.NewRecorder(n)
+	for r := 0; r+1 < n; r++ {
+		rec.Record(r, r+1, bytes)
+		rec.Record(r+1, r, bytes)
 	}
-	return m, p
+	return rec.Freeze()
 }
 
 func TestNaiveClusteringShape(t *testing.T) {
@@ -124,13 +129,13 @@ func TestHierarchicalConstruction(t *testing.T) {
 
 func TestHierarchicalValidation(t *testing.T) {
 	m, p := paperRig(t)
-	short := trace.NewMatrix(10)
+	short := trace.NewRecorder(10).Freeze()
 	if _, err := Hierarchical(short, p, HierOptions{}); err == nil {
 		t.Error("accepted mismatched matrix")
 	}
 	tiny := &topology.Machine{Name: "t", Nodes: 2}
 	tp, _ := topology.Block(tiny, 4, 2)
-	tm := trace.NewMatrix(4)
+	tm := trace.NewRecorder(4).Freeze()
 	if _, err := Hierarchical(tm, tp, HierOptions{MinNodesPerL1: 4}); err == nil {
 		t.Error("accepted fewer nodes than MinNodesPerL1")
 	}

@@ -10,19 +10,14 @@ import (
 
 // pairRig builds a power-paired machine: 32 nodes (16 pairs), 8 ranks per
 // node, 256 ranks, stencil traffic.
-func pairRig(t *testing.T) (*trace.Matrix, *topology.Placement) {
+func pairRig(t *testing.T) (*trace.CSR, *topology.Placement) {
 	t.Helper()
 	mach := &topology.Machine{Name: "t", Nodes: 32, PowerPairs: true}
 	p, err := topology.Block(mach, 256, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := trace.NewMatrix(256)
-	for r := 0; r+1 < 256; r++ {
-		_ = m.Add(r, r+1, 1000)
-		_ = m.Add(r+1, r, 1000)
-	}
-	return m, p
+	return ring(256, 1000), p
 }
 
 func TestAlignPowerPairsKeepsPairsTogether(t *testing.T) {
@@ -50,10 +45,11 @@ func TestAlignPowerPairsNoOpWithoutPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := trace.NewMatrix(256)
+	rec := trace.NewRecorder(256)
 	for r := 0; r+1 < 256; r++ {
-		_ = m.Add(r, r+1, 1000)
+		rec.Record(r, r+1, 1000)
 	}
+	m := rec.Freeze()
 	aligned, err := Hierarchical(m, p, HierOptions{AlignPowerPairs: true})
 	if err != nil {
 		t.Fatal(err)
@@ -108,12 +104,7 @@ func TestPairCorrelationRaisesNaiveCatastropheRisk(t *testing.T) {
 
 	// Hierarchical groups of 4 across 4 nodes tolerate 2 losses: an
 	// aligned pair failure removes exactly 2 members — survivable.
-	m := trace.NewMatrix(1024)
-	for r := 0; r+1 < 1024; r++ {
-		_ = m.Add(r, r+1, 1000)
-		_ = m.Add(r+1, r, 1000)
-	}
-	hier, err := Hierarchical(m, p, HierOptions{AlignPowerPairs: true})
+	hier, err := Hierarchical(ring(1024, 1000), p, HierOptions{AlignPowerPairs: true})
 	if err != nil {
 		t.Fatal(err)
 	}

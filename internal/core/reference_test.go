@@ -170,15 +170,14 @@ func randomPlacement(t *testing.T, rng *rand.Rand) *topology.Placement {
 
 // randomTrace draws an asymmetric sparse trace with some zero-byte cells.
 func randomTrace(rng *rand.Rand, n int) *trace.CSR {
-	b := trace.NewSparseBuilder(n)
+	rec := trace.NewRecorder(n)
 	for r := 0; r < n; r++ {
 		for k := rng.Intn(4); k > 0; k-- {
 			d := (r + 1 + rng.Intn(8)) % n
-			bytes := int64(rng.Intn(5)) * 1000 // 0 one time in five
-			_ = b.Add(r, d, bytes)
+			rec.Record(r, d, rng.Intn(5)*1000) // 0 one time in five
 		}
 	}
-	return b.Freeze()
+	return rec.Freeze()
 }
 
 func TestHierarchicalGroupsMatchReference(t *testing.T) {
@@ -203,15 +202,6 @@ func TestHierarchicalGroupsMatchReference(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		checkCarved(t, "hierarchical", c.Groups, refHierGroups(c.L1, p, opts.SubgroupNodes))
-
-		// The dense matrix of the same trace clusters identically.
-		cd, err := Hierarchical(m.ToDense(), p, opts)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if !reflect.DeepEqual(c, cd) {
-			t.Fatalf("seed %d: dense and sparse traces cluster differently", seed)
-		}
 	}
 }
 
@@ -264,7 +254,7 @@ func TestValidateRejectsSparseClusterID(t *testing.T) {
 	if _, err := RecoveryFraction(c, p); err == nil {
 		t.Fatal("RecoveryFraction accepted L1 id 1<<30")
 	}
-	if _, err := Evaluate(c, trace.NewMatrix(4), p, reliability.DefaultMix()); err == nil {
+	if _, err := Evaluate(c, trace.NewRecorder(4).Freeze(), p, reliability.DefaultMix()); err == nil {
 		t.Fatal("Evaluate accepted L1 id 1<<30")
 	}
 }

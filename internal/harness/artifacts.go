@@ -42,7 +42,7 @@ func WriteArtifacts(dir string, table *Table, cfg Config, id string) error {
 		}
 	}
 	// The dense-grid CSV is the plotting input: ranks² cells, written once.
-	if err := os.WriteFile(filepath.Join(dir, id+"_matrix.csv"), []byte(m.ToDense().CSV()), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, id+"_matrix.csv"), []byte(m.GridCSV()), 0o644); err != nil {
 		return err
 	}
 	return os.WriteFile(filepath.Join(dir, id+".pgm"), []byte(m.PGM(m.Ranks())), 0o644)

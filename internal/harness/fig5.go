@@ -47,20 +47,20 @@ func Fig5a(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := c.ToDense() // the figure reads cells: world² of them
-	world := m.N
+	world := c.Ranks()
 	t := &Table{
 		ID:      "fig5a",
 		Title:   fmt.Sprintf("communication heatmap, %d world ranks (%d app + %d encoders)", world, cfg.Ranks, world-cfg.Ranks),
 		Columns: []string{"metric", "value"},
 	}
 	t.AddRow("world ranks", world)
-	t.AddRow("total bytes", m.TotalBytes())
-	t.AddRow("total messages", m.TotalMsgs())
+	t.AddRow("total bytes", c.TotalBytes())
+	t.AddRow("total messages", c.TotalMsgs())
 	stride := cfg.ProcsPerNode + 1
 	var diag, encoder int64
-	for s := 0; s < m.N; s++ {
-		for d, b := range m.Bytes[s] {
+	for s := 0; s < world; s++ {
+		for d := 0; d < world; d++ {
+			b, _ := c.At(s, d)
 			if b == 0 {
 				continue
 			}
@@ -73,11 +73,11 @@ func Fig5a(cfg Config) (*Table, error) {
 	}
 	t.AddRow("double-diagonal bytes (ghost exchange)", diag)
 	t.AddRow("encoder-related bytes", encoder)
-	t.AddRow("diagonal share %", 100*float64(diag)/float64(m.TotalBytes()))
+	t.AddRow("diagonal share %", 100*float64(diag)/float64(c.TotalBytes()))
 	for _, p := range c.TopPairs(3) {
 		t.AddRow(fmt.Sprintf("top pair %d->%d", p.Src, p.Dst), p.Bytes)
 	}
-	t.Notes = append(t.Notes, "heatmap (log scale, downsampled):\n"+m.ASCIIHeatmap(64))
+	t.Notes = append(t.Notes, "heatmap (log scale, downsampled):\n"+c.ASCIIHeatmap(64))
 	return t, nil
 }
 
@@ -94,11 +94,14 @@ func Fig5b(cfg Config) (*Table, error) {
 	}
 	stride := cfg.ProcsPerNode + 1
 	zoomN := min(4*stride, c.Ranks())
-	sub, err := c.Submatrix(0, zoomN)
+	zoom, err := c.Submatrix(0, zoomN)
 	if err != nil {
 		return nil, err
 	}
-	zoom := sub.ToDense() // the feature checks read cells: zoomN² of them
+	bytesAt := func(s, d int) int64 {
+		b, _ := zoom.At(s, d)
+		return b
+	}
 	t := &Table{
 		ID:      "fig5b",
 		Title:   fmt.Sprintf("zoom on first %d world ranks (4 nodes)", zoomN),
@@ -110,10 +113,10 @@ func Fig5b(cfg Config) (*Table, error) {
 	diagOK, interruptedOK := true, true
 	for s := 0; s+1 < zoomN; s++ {
 		encoderPair := s%stride == 0 || (s+1)%stride == 0
-		heavy := zoom.Bytes[s][s+1] > 0 && zoom.Bytes[s+1][s] > 0
+		heavy := bytesAt(s, s+1) > 0 && bytesAt(s+1, s) > 0
 		if encoderPair {
 			ghost := int64(3 * tsunamiParams(cfg.Ranks).NX * 8)
-			if zoom.Bytes[s][s+1] >= ghost*int64(cfg.Iterations) {
+			if bytesAt(s, s+1) >= ghost*int64(cfg.Iterations) {
 				interruptedOK = false // encoder should not carry ghost rows
 			}
 		} else if !heavy {
@@ -129,7 +132,7 @@ func Fig5b(cfg Config) (*Table, error) {
 	for node := 0; node < 4; node++ {
 		enc := node * stride
 		for k := 1; k <= cfg.ProcsPerNode; k++ {
-			if enc+k < zoomN && zoom.Bytes[enc+k][enc] == 0 {
+			if enc+k < zoomN && bytesAt(enc+k, enc) == 0 {
 				encRows = false
 			}
 		}
@@ -137,14 +140,14 @@ func Fig5b(cfg Config) (*Table, error) {
 	t.AddRow("app→encoder checkpoint rows", yes(encRows), "each rank posts checkpoints to its node encoder")
 
 	// Feature 3: encoder↔encoder parity points.
-	encPts := zoom.Bytes[0][stride] > 0 && zoom.Bytes[stride][0] > 0
+	encPts := bytesAt(0, stride) > 0 && bytesAt(stride, 0) > 0
 	t.AddRow("encoder↔encoder parity points", yes(encPts), "4-node Reed-Solomon groups exchange parity")
 
 	// Feature 4: power-of-two allgather diagonals (recursive doubling).
 	pow2 := false
 	for s := 0; s < zoomN; s++ {
 		for _, d := range []int{s ^ 1, s ^ 2, s ^ 4, s ^ 8} {
-			if d < zoomN && d != s+1 && d != s-1 && zoom.Bytes[s][d] > 0 {
+			if d < zoomN && d != s+1 && d != s-1 && bytesAt(s, d) > 0 {
 				pow2 = true
 			}
 		}

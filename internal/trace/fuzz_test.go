@@ -3,14 +3,17 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 )
 
 // ReadCSR is the one reader of the HCTR format: trace files named by a
 // scenario and every file of the disk trace cache go through it. The fuzz
-// target pins that no input crashes it and that anything it accepts is a
-// fixed point of WriteTo → ReadCSR: same NNZ, totals and cells.
+// target pins that no input crashes it, that anything it accepts has
+// non-negative cells whose sums are its totals, and that it is a fixed
+// point of WriteTo → ReadCSR: same NNZ, totals and cells.
 
 // hostileNNZ is a v2 document over four ranks whose header claims 2^40
 // pairs and whose body carries one.
@@ -21,20 +24,22 @@ func hostileNNZ() []byte {
 }
 
 func FuzzReadCSR(f *testing.F) {
-	m := stencilMatrix(16, 1234)
-	_ = m.Add(3, 9, 0) // a zero-byte cell
+	rec := stencilRecorder(16, 1234)
+	rec.Record(3, 9, 0) // a zero-byte cell
 	var v1 bytes.Buffer
-	if _, err := m.WriteTo(&v1); err != nil {
+	if _, err := rec.Freeze().WriteTo(&v1); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(v1.Bytes())
 	f.Add(v1.Bytes()[:v1.Len()-5])
 	f.Add(writeV2(6, [][4]int64{{0, 1, 1000, 3}, {4, 5, 42, 1}, {5, 0, 7, 7}}))
-	f.Add(writeV2(4, [][4]int64{{0, 1, 10, 1}, {0, 1, -3, 2}})) // a repeated pair
+	f.Add(writeV2(4, [][4]int64{{0, 1, 10, 1}, {0, 1, -3, 2}})) // a repeated pair, then a negative cell
 	f.Add(writeV2(4, [][4]int64{{0, 9, 10, 1}}))
 	f.Add(hostileNNZ())
 	f.Add([]byte("HCTR\x09\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00"))
 	f.Add([]byte("not a trace file at all"))
+	f.Add(writeV2(4, [][4]int64{{0, 1, math.MaxInt64, 1}, {1, 0, 1, 1}})) // totals past int64
+	f.Add(writeV2(4, [][4]int64{{0, 1, 10, 1}, {0, 1, 7, 2}}))            // a repeated pair, overwritten
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The rank bound is the caller's allocation budget (O(MaxRanks) per
@@ -46,6 +51,17 @@ func FuzzReadCSR(f *testing.F) {
 		}
 		if int64(c.NNZ()) > int64(len(data))/24 {
 			t.Fatalf("%d pairs decoded from %d bytes", c.NNZ(), len(data))
+		}
+		var bytesSum, msgsSum int64
+		for i := range c.col {
+			if c.bytes[i] < 0 || c.msgs[i] < 0 {
+				t.Fatalf("accepted a negative cell: %d bytes, %d msgs", c.bytes[i], c.msgs[i])
+			}
+			bytesSum += c.bytes[i]
+			msgsSum += c.msgs[i]
+		}
+		if bytesSum != c.TotalBytes() || msgsSum != c.TotalMsgs() {
+			t.Fatalf("totals %d/%d, cells sum to %d/%d", c.TotalBytes(), c.TotalMsgs(), bytesSum, msgsSum)
 		}
 		var buf bytes.Buffer
 		if _, err := c.WriteTo(&buf); err != nil {
@@ -77,6 +93,43 @@ func TestReadCSRAllocationFollowsInput(t *testing.T) {
 			t.Errorf("%s: reading a %d-byte document allocated %d bytes", name, len(doc), got)
 		}
 	}
+}
+
+// The CSR's renderers against the dense oracle's, on whatever sparse trace
+// and pixel bound the fuzzer draws: zero-byte and negative cells included,
+// and rank counts on both sides of the bound, so the full-resolution and
+// the pooled paths both run (a bound of 0 picks each renderer's default).
+func FuzzCSRRendersMatchDense(f *testing.F) {
+	f.Add(int64(1), uint8(40), uint8(120), uint8(40))
+	f.Add(int64(2), uint8(200), uint8(255), uint8(7))
+	f.Add(int64(3), uint8(0), uint8(3), uint8(0))
+	f.Add(int64(4), uint8(99), uint8(0), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, pairs, maxDim uint8) {
+		n := 1 + int(nRaw)
+		rng := rand.New(rand.NewSource(seed))
+		b := newSparseBuilder(n)
+		for i := 0; i < int(pairs); i++ {
+			bytes := int64(rng.Intn(1_000_000))
+			switch rng.Intn(6) {
+			case 0:
+				bytes = 0
+			case 1:
+				bytes = -bytes
+			}
+			_ = b.add(rng.Intn(n), rng.Intn(n), bytes)
+		}
+		c := b.freeze()
+		m, dim := denseOf(c), int(maxDim)
+		if got, want := c.ASCIIHeatmap(dim), m.asciiHeatmap(dim); got != want {
+			t.Fatalf("ASCIIHeatmap(%d):\n%s\ndense:\n%s", dim, got, want)
+		}
+		if got, want := c.PGM(dim), m.pgm(dim); got != want {
+			t.Fatalf("PGM(%d):\n%s\ndense:\n%s", dim, got, want)
+		}
+		if got, want := c.GridCSV(), m.gridCSV(); got != want {
+			t.Fatalf("GridCSV:\n%s\ndense:\n%s", got, want)
+		}
+	})
 }
 
 // The symmetric fold against the general one, on whatever stencil, volume

@@ -15,8 +15,8 @@ import (
 )
 
 // refNodeCSR is the map-based node aggregation the dense-accumulator fold
-// replaced: a node→index map and a SparseBuilder (hash row per node,
-// sort.Slice per row at Freeze), messages included. With refToGraph it is
+// replaced: a node→index map and a sparseBuilder (hash row per node,
+// sort.Slice per row at freeze), messages included. With refToGraph it is
 // the retired NodeCSR → symmetrize → ToGraph composition the differential
 // tests pin nodeGraph to (the internal/graph/reference_test.go idiom).
 func refNodeCSR(c *CSR, p *topology.Placement) *CSR {
@@ -25,7 +25,7 @@ func refNodeCSR(c *CSR, p *topology.Placement) *CSR {
 	for i, n := range used {
 		idx[n] = i
 	}
-	b := NewSparseBuilder(len(used))
+	b := newSparseBuilder(len(used))
 	for s := 0; s < c.n; s++ {
 		ns := idx[p.NodeOf(topology.Rank(s))]
 		for i := c.rowPtr[s]; i < c.rowPtr[s+1]; i++ {
@@ -36,15 +36,15 @@ func refNodeCSR(c *CSR, p *topology.Placement) *CSR {
 			b.addCell(ns, nd, c.bytes[i], c.msgs[i])
 		}
 	}
-	return b.Freeze()
+	return b.freeze()
 }
 
 // refSymmetrize is the retired (*CSR).Symmetrize, the undirected view
-// through a SparseBuilder's hash rows: entry (u,v) holds the summed traffic,
+// through a sparseBuilder's hash rows: entry (u,v) holds the summed traffic,
 // bytes and messages, of both directions (diagonal kept once), and the
 // totals sum every stored cell.
 func refSymmetrize(c *CSR) *CSR {
-	b := NewSparseBuilder(c.n)
+	b := newSparseBuilder(c.n)
 	for s := 0; s < c.n; s++ {
 		for i := c.rowPtr[s]; i < c.rowPtr[s+1]; i++ {
 			d := int(c.col[i])
@@ -54,7 +54,7 @@ func refSymmetrize(c *CSR) *CSR {
 			}
 		}
 	}
-	return b.Freeze()
+	return b.freeze()
 }
 
 // refToGraph is the symmetrize-then-filter ToGraph that symGraph replaced:
@@ -163,7 +163,7 @@ func TestNodeFoldMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(120)
-		b := NewSparseBuilder(n)
+		b := newSparseBuilder(n)
 		for adds := rng.Intn(6 * n); adds > 0; adds-- {
 			// One cell in six byte-less, and a few negative cells so a node
 			// cell can sum to zero.
@@ -171,9 +171,9 @@ func TestNodeFoldMatchesReference(t *testing.T) {
 			if rng.Intn(20) == 0 {
 				bytes = -512
 			}
-			_ = b.Add(rng.Intn(n), rng.Intn(n), bytes)
+			_ = b.add(rng.Intn(n), rng.Intn(n), bytes)
 		}
-		c := b.Freeze()
+		c := b.freeze()
 		sameGraph(t, fmt.Sprintf("seed %d ToGraph", seed), c.ToGraph(), refToGraph(t, c))
 		p := testPlacement(t, rng, n)
 		got, err := c.NodeGraph(p)
@@ -443,9 +443,9 @@ func TestRanksPastInt32Rejected(t *testing.T) {
 	if _, err := Synthetic(n, SyntheticOptions{Pattern: Stencil2D}); err == nil || err.Error() != want {
 		t.Errorf("Synthetic: %v", err)
 	}
-	b := &SparseBuilder{n: n} // not NewSparseBuilder: that sizes n row headers
-	if err := b.Add(0, n-1, 8); err == nil || err.Error() != want {
-		t.Errorf("SparseBuilder.Add: %v", err)
+	b := &sparseBuilder{n: n} // not newSparseBuilder: that sizes n row headers
+	if err := b.add(0, n-1, 8); err == nil || err.Error() != want {
+		t.Errorf("sparseBuilder.add: %v", err)
 	}
 	if s, err := NewStencil(math.MaxInt32, SyntheticOptions{}); err != nil || s.NNZ() != 2*(math.MaxInt32-1) {
 		t.Errorf("NewStencil at the int32 limit: %v", err)

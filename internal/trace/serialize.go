@@ -145,12 +145,6 @@ func checkRanks(n int, opts []ReadOptions) error {
 	return nil
 }
 
-// WriteTo serializes the matrix's cells that carry bytes or messages,
-// through the CSR writer.
-func (m *Matrix) WriteTo(w io.Writer) (int64, error) {
-	return m.ToCSR().WriteTo(w)
-}
-
 // WriteTo serializes the CSR matrix in sparse binary form: the header, then
 // every row's cells.
 func (c *CSR) WriteTo(w io.Writer) (int64, error) {
@@ -179,6 +173,9 @@ func (c *CSR) WriteTo(w io.Writer) (int64, error) {
 // ReadCSR deserializes a matrix written by WriteTo (either header version).
 // Memory follows the rank count and the records actually present, never the
 // header's pair count. An optional ReadOptions raises the rank-count bound.
+// A record with a negative byte or message count, or records whose counts
+// sum past int64, make the document an error: the logged fraction of what
+// is accepted stays within [0, 1].
 func ReadCSR(r io.Reader, opts ...ReadOptions) (*CSR, error) {
 	br := bufio.NewReader(r)
 	n, nnz, err := readTraceHeader(br, opts)
@@ -188,7 +185,7 @@ func ReadCSR(r io.Reader, opts ...ReadOptions) (*CSR, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := NewSparseBuilder(n)
+	b := newSparseBuilder(n)
 	rec := make([]byte, 24)
 	for i := int64(0); i < nnz; i++ {
 		if _, err := io.ReadFull(br, rec); err != nil {
@@ -199,9 +196,14 @@ func ReadCSR(r io.Reader, opts ...ReadOptions) (*CSR, error) {
 		if s < 0 || s >= n || d < 0 || d >= n {
 			return nil, fmt.Errorf("trace: record %d has pair (%d,%d) outside %d ranks", i, s, d, n)
 		}
-		b.set(s, d,
-			int64(binary.LittleEndian.Uint64(rec[8:])),
-			int64(binary.LittleEndian.Uint64(rec[16:])))
+		bytes := int64(binary.LittleEndian.Uint64(rec[8:]))
+		msgs := int64(binary.LittleEndian.Uint64(rec[16:]))
+		if bytes < 0 || msgs < 0 {
+			return nil, fmt.Errorf("trace: record %d has a negative cell (%d bytes, %d msgs)", i, bytes, msgs)
+		}
+		if !b.set(s, d, bytes, msgs) {
+			return nil, fmt.Errorf("trace: record %d takes the trace's totals past int64", i)
+		}
 	}
-	return b.Freeze(), nil
+	return b.freeze(), nil
 }

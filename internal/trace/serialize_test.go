@@ -13,8 +13,9 @@ import (
 )
 
 func TestSerializeRoundTrip(t *testing.T) {
-	m := stencilMatrix(16, 1234)
-	_ = m.Add(3, 9, 42)
+	rec := stencilRecorder(16, 1234)
+	rec.Record(3, 9, 42)
+	m := rec.Freeze()
 	var buf bytes.Buffer
 	if _, err := m.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -23,20 +24,20 @@ func TestSerializeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.ToDense(), m) {
+	if !reflect.DeepEqual(got, m) {
 		t.Fatal("cells or totals changed across the round trip")
 	}
 }
 
 // A cell with messages but no bytes survives a write/read: a hand-built
-// matrix keeps its TotalMsgs (the dense writer used to skip such cells).
+// trace keeps its TotalMsgs (the dense writer used to skip such cells).
 func TestSerializeKeepsZeroByteCells(t *testing.T) {
-	m := NewMatrix(4)
-	_ = m.Add(1, 2, 0)
-	_ = m.Add(1, 2, 0)
-	_ = m.Add(3, 0, 9)
+	rec := NewRecorder(4)
+	rec.Record(1, 2, 0)
+	rec.Record(1, 2, 0)
+	rec.Record(3, 0, 9)
 	var buf bytes.Buffer
-	if _, err := m.WriteTo(&buf); err != nil {
+	if _, err := rec.Freeze().WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadCSR(&buf)
@@ -52,9 +53,8 @@ func TestSerializeKeepsZeroByteCells(t *testing.T) {
 }
 
 func TestSerializeEmpty(t *testing.T) {
-	m := NewMatrix(4)
 	var buf bytes.Buffer
-	if _, err := m.WriteTo(&buf); err != nil {
+	if _, err := NewRecorder(4).Freeze().WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() != 16 { // header only
@@ -79,9 +79,8 @@ func TestReadCSRRejectsGarbage(t *testing.T) {
 		t.Error("accepted unknown version")
 	}
 	// truncated records
-	m := stencilMatrix(4, 10)
 	var buf bytes.Buffer
-	_, _ = m.WriteTo(&buf)
+	_, _ = stencilTrace(4, 10).WriteTo(&buf)
 	cut := buf.Bytes()[:buf.Len()-5]
 	if _, err := ReadCSR(bytes.NewReader(cut)); err == nil {
 		t.Error("accepted truncated body")
@@ -99,9 +98,8 @@ func TestReadCSRRejectsGarbage(t *testing.T) {
 func TestSerializeSparseIsCompact(t *testing.T) {
 	// A 512-rank stencil has ~1022 nonzero cells: the sparse file must be
 	// a small fraction of the dense 512×512 representation.
-	m := stencilMatrix(512, 100)
 	var buf bytes.Buffer
-	if _, err := m.WriteTo(&buf); err != nil {
+	if _, err := stencilTrace(512, 100).WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	dense := 512 * 512 * 16
@@ -115,16 +113,17 @@ func TestSerializeRoundTripProperty(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw%32) + 1
 		rng := rand.New(rand.NewSource(seed))
-		m := NewMatrix(n)
+		rec := NewRecorder(n)
 		for i := 0; i < 2*n; i++ {
-			_ = m.Add(rng.Intn(n), rng.Intn(n), int64(rng.Intn(1_000_000)+1))
+			rec.Record(rng.Intn(n), rng.Intn(n), rng.Intn(1_000_000)+1)
 		}
+		m := rec.Freeze()
 		var buf bytes.Buffer
 		if _, err := m.WriteTo(&buf); err != nil {
 			return false
 		}
 		got, err := ReadCSR(&buf)
-		return err == nil && reflect.DeepEqual(got.ToDense(), m)
+		return err == nil && reflect.DeepEqual(got, m)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -200,22 +199,37 @@ func TestTraceVersionSelection(t *testing.T) {
 // Every trace this repository can materialize has nnz far below uint32, so
 // written files must stay byte-identical to the historical v1 encoding.
 func TestWriteToStaysV1(t *testing.T) {
-	m := stencilMatrix(8, 100)
-	var dense, sparse bytes.Buffer
-	if _, err := m.WriteTo(&dense); err != nil {
+	var buf bytes.Buffer
+	if _, err := stencilTrace(8, 100).WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.ToCSR().WriteTo(&sparse); err != nil {
-		t.Fatal(err)
+	hdr := buf.Bytes()
+	if len(hdr) < 16 {
+		t.Fatal("short output")
 	}
-	for name, buf := range map[string]*bytes.Buffer{"dense": &dense, "sparse": &sparse} {
-		hdr := buf.Bytes()
-		if len(hdr) < 16 {
-			t.Fatalf("%s: short output", name)
+	if v := binary.LittleEndian.Uint32(hdr[4:]); v != 1 {
+		t.Errorf("writer used version %d for a small trace, want 1", v)
+	}
+}
+
+// A record's counts are outside input: a negative cell, or cells summing
+// past int64, would give a logged fraction outside [0, 1] (which the 20 %
+// baseline would then accept) or totals that wrap, so the document is an
+// error. A cell at MaxInt64 alone is a legal trace.
+func TestReadCSRRejectsNonsenseCells(t *testing.T) {
+	for name, doc := range map[string][]byte{
+		"negative bytes":   writeV2(4, [][4]int64{{0, 1, 100, 1}, {1, 2, -10, 1}}),
+		"negative msgs":    writeV2(4, [][4]int64{{0, 1, 100, -1}}),
+		"bytes past int64": writeV2(4, [][4]int64{{0, 1, math.MaxInt64, 1}, {1, 0, 1, 1}}),
+		"msgs past int64":  writeV2(4, [][4]int64{{0, 1, 1, math.MaxInt64}, {2, 3, 1, 1}}),
+	} {
+		if c, err := ReadCSR(bytes.NewReader(doc)); err == nil {
+			t.Errorf("%s: accepted, totals %d bytes / %d msgs", name, c.TotalBytes(), c.TotalMsgs())
 		}
-		if v := binary.LittleEndian.Uint32(hdr[4:]); v != 1 {
-			t.Errorf("%s writer used version %d for a small trace, want 1", name, v)
-		}
+	}
+	c, err := ReadCSR(bytes.NewReader(writeV2(4, [][4]int64{{0, 1, math.MaxInt64, 1}})))
+	if err != nil || c.TotalBytes() != math.MaxInt64 {
+		t.Errorf("a MaxInt64 cell alone: %v", err)
 	}
 }
 

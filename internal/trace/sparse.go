@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -12,11 +13,12 @@ import (
 // The stored form of a trace. Real communication matrices are extremely
 // sparse — a stencil application on n ranks touches O(n) pairs, not O(n²) —
 // so a dense n×n array would be the scaling wall of the whole pipeline (100k
-// ranks ≈ 160 GB). A SparseBuilder accumulates per-rank hash rows while
-// recording and freezes into an immutable CSR whose memory is O(ranks +
-// distinct pairs). Every downstream consumer the clustering pipeline needs
-// (totals, cut volume, node aggregation, graph conversion) operates directly
-// on the frozen CSR.
+// ranks ≈ 160 GB). The one accumulator, sparseBuilder, keeps per-rank hash
+// rows while recording (behind Recorder, ReadCSR and the Matrix shim) and
+// freezes into an immutable CSR whose memory is O(ranks + distinct pairs).
+// Every downstream consumer the clustering pipeline needs (totals, cut
+// volume, node aggregation, graph conversion, figures) operates directly on
+// the frozen CSR.
 
 // sparseCell is one accumulating (bytes, msgs) pair.
 type sparseCell struct {
@@ -24,28 +26,25 @@ type sparseCell struct {
 	msgs  int64
 }
 
-// SparseBuilder accumulates a communication matrix into per-rank hash rows.
-// It is not concurrency-safe; wrap it in a Recorder for tracing.
-type SparseBuilder struct {
+// sparseBuilder accumulates a communication matrix into per-rank hash rows.
+// It is not concurrency-safe; Recorder wraps it for tracing.
+type sparseBuilder struct {
 	n          int
 	rows       []map[int32]sparseCell
 	totalBytes int64
 	totalMsgs  int64
 }
 
-// NewSparseBuilder returns an empty builder for n ranks.
-func NewSparseBuilder(n int) *SparseBuilder {
+// newSparseBuilder returns an empty builder for n ranks.
+func newSparseBuilder(n int) *sparseBuilder {
 	if n < 0 {
 		n = 0
 	}
-	return &SparseBuilder{n: n, rows: make([]map[int32]sparseCell, n)}
+	return &sparseBuilder{n: n, rows: make([]map[int32]sparseCell, n)}
 }
 
-// Ranks returns the number of ranks the builder covers.
-func (b *SparseBuilder) Ranks() int { return b.n }
-
-// Add accumulates one message of the given size.
-func (b *SparseBuilder) Add(src, dst int, bytes int64) error {
+// add accumulates one message of the given size.
+func (b *sparseBuilder) add(src, dst int, bytes int64) error {
 	if src < 0 || src >= b.n || dst < 0 || dst >= b.n {
 		return fmt.Errorf("trace: message %d->%d outside %d-rank matrix", src, dst, b.n)
 	}
@@ -59,7 +58,7 @@ func (b *SparseBuilder) Add(src, dst int, bytes int64) error {
 // addCell accumulates into one cell, keeping the running totals consistent
 // — the single place the accumulation invariant lives. Bounds are the
 // caller's responsibility.
-func (b *SparseBuilder) addCell(src, dst int, bytes, msgs int64) {
+func (b *sparseBuilder) addCell(src, dst int, bytes, msgs int64) {
 	if b.rows[src] == nil {
 		b.rows[src] = make(map[int32]sparseCell)
 	}
@@ -71,20 +70,26 @@ func (b *SparseBuilder) addCell(src, dst int, bytes, msgs int64) {
 	b.totalMsgs += msgs
 }
 
-// set overwrites one cell (deserialization helper; totals stay consistent).
-func (b *SparseBuilder) set(src, dst int, bytes, msgs int64) {
+// set overwrites one cell with non-negative counts (the deserialization
+// helper), keeping the totals the sums of the cells. It reports false and
+// changes nothing when a total would pass MaxInt64.
+func (b *sparseBuilder) set(src, dst int, bytes, msgs int64) bool {
+	old := b.rows[src][int32(dst)]
+	restBytes, restMsgs := b.totalBytes-old.bytes, b.totalMsgs-old.msgs
+	if bytes > math.MaxInt64-restBytes || msgs > math.MaxInt64-restMsgs {
+		return false
+	}
 	if b.rows[src] == nil {
 		b.rows[src] = make(map[int32]sparseCell)
 	}
-	old := b.rows[src][int32(dst)]
-	b.totalBytes += bytes - old.bytes
-	b.totalMsgs += msgs - old.msgs
 	b.rows[src][int32(dst)] = sparseCell{bytes: bytes, msgs: msgs}
+	b.totalBytes, b.totalMsgs = restBytes+bytes, restMsgs+msgs
+	return true
 }
 
-// Freeze compacts the builder into an immutable CSR. The builder remains
-// usable; Freeze may be called again after further Adds.
-func (b *SparseBuilder) Freeze() *CSR {
+// freeze compacts the builder into an immutable CSR. The builder remains
+// usable; freeze may be called again after further adds.
+func (b *sparseBuilder) freeze() *CSR {
 	c := &CSR{
 		n:          b.n,
 		rowPtr:     make([]int64, b.n+1),
@@ -116,23 +121,23 @@ func (b *SparseBuilder) Freeze() *CSR {
 	return c
 }
 
-// Recorder is a concurrency-safe simmpi.Tracer accumulating into a
-// SparseBuilder: memory follows the distinct pairs seen, not ranks².
+// Recorder is a concurrency-safe simmpi.Tracer accumulating into per-rank
+// hash rows: memory follows the distinct pairs seen, not ranks².
 type Recorder struct {
 	mu sync.Mutex
-	b  *SparseBuilder
+	b  *sparseBuilder
 }
 
 // NewRecorder returns a recorder for n ranks.
 func NewRecorder(n int) *Recorder {
-	return &Recorder{b: NewSparseBuilder(n)}
+	return &Recorder{b: newSparseBuilder(n)}
 }
 
 // Record implements simmpi.Tracer. Out-of-range ranks are ignored rather
 // than failing mid-run; the matrix dimension is fixed at creation.
 func (r *Recorder) Record(src, dst, bytes int) {
 	r.mu.Lock()
-	_ = r.b.Add(src, dst, int64(bytes))
+	_ = r.b.add(src, dst, int64(bytes))
 	r.mu.Unlock()
 }
 
@@ -141,7 +146,7 @@ func (r *Recorder) Record(src, dst, bytes int) {
 func (r *Recorder) Freeze() *CSR {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.b.Freeze()
+	return r.b.freeze()
 }
 
 // CSR is an immutable communication matrix in compressed-sparse-row form:
@@ -244,49 +249,4 @@ func (c *CSR) TopPairs(k int) []Pair {
 		pairs = pairs[:k]
 	}
 	return pairs
-}
-
-// ToDense expands to a dense Matrix — for figures, tests and small matrices
-// only; this is exactly the O(n²) allocation the CSR path exists to avoid.
-func (c *CSR) ToDense() *Matrix {
-	m := NewMatrix(c.n)
-	for s := 0; s < c.n; s++ {
-		for i := c.rowPtr[s]; i < c.rowPtr[s+1]; i++ {
-			m.Bytes[s][c.col[i]], m.Msgs[s][c.col[i]] = c.bytes[i], c.msgs[i]
-		}
-	}
-	m.totalBytes, m.totalMsgs = c.totalBytes, c.totalMsgs
-	return m
-}
-
-// ToCSR compacts the dense matrix into CSR form.
-func (m *Matrix) ToCSR() *CSR {
-	c := &CSR{
-		n:          m.N,
-		rowPtr:     make([]int64, m.N+1),
-		totalBytes: m.totalBytes,
-		totalMsgs:  m.totalMsgs,
-	}
-	nnz := 0
-	for s := 0; s < m.N; s++ {
-		for d := range m.Bytes[s] {
-			if m.Bytes[s][d] != 0 || m.Msgs[s][d] != 0 {
-				nnz++
-			}
-		}
-	}
-	c.col = make([]int32, 0, nnz)
-	c.bytes = make([]int64, 0, nnz)
-	c.msgs = make([]int64, 0, nnz)
-	for s := 0; s < m.N; s++ {
-		for d := range m.Bytes[s] {
-			if m.Bytes[s][d] != 0 || m.Msgs[s][d] != 0 {
-				c.col = append(c.col, int32(d))
-				c.bytes = append(c.bytes, m.Bytes[s][d])
-				c.msgs = append(c.msgs, m.Msgs[s][d])
-			}
-		}
-		c.rowPtr[s+1] = int64(len(c.col))
-	}
-	return c
 }

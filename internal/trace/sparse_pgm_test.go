@@ -4,50 +4,52 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"strings"
 	"testing"
 )
 
-func randomSparse(seed int64, n, pairs int) *Matrix {
+func randomSparse(seed int64, n, pairs int) *CSR {
 	rng := rand.New(rand.NewSource(seed))
-	m := NewMatrix(n)
+	rec := NewRecorder(n)
 	for i := 0; i < pairs; i++ {
-		_ = m.Add(rng.Intn(n), rng.Intn(n), int64(rng.Intn(1_000_000)+1))
+		rec.Record(rng.Intn(n), rng.Intn(n), rng.Intn(1_000_000)+1)
 	}
-	return m
+	return rec.Freeze()
 }
 
 // At full resolution (no downsampling) every pixel is its cell's log-scaled
 // byte count — row = receiver, column = sender, any traffic at least 1 —
-// and Matrix.PGM is that rendering.
+// and PGM's default bound is that rendering.
 func TestCSRPGMMatchesDenseAtFullResolution(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		m := randomSparse(seed, 40, 120)
+		c := randomSparse(seed, 40, 120)
+		m := denseOf(c)
 		var peak int64
-		for _, row := range m.Bytes {
-			peak = max(peak, slices.Max(row))
+		for _, row := range m.bytes {
+			for _, b := range row {
+				peak = max(peak, b)
+			}
 		}
 		var want strings.Builder
 		want.WriteString("P2\n40 40\n255\n")
 		for r := 0; r < 40; r++ {
-			for c := 0; c < 40; c++ {
+			for col := 0; col < 40; col++ {
 				v := 0
-				if b := m.Bytes[c][r]; b > 0 {
+				if b := m.bytes[col][r]; b > 0 {
 					v = max(1, int(math.Log1p(float64(b))/math.Log1p(float64(peak))*255))
 				}
-				if c > 0 {
+				if col > 0 {
 					want.WriteByte(' ')
 				}
 				fmt.Fprint(&want, v)
 			}
 			want.WriteByte('\n')
 		}
-		if got := m.ToCSR().PGM(40); got != want.String() {
+		if got := c.PGM(40); got != want.String() {
 			t.Fatalf("seed %d: PGM diverges from the cells:\ncells:\n%.200s\nPGM:\n%.200s", seed, want.String(), got)
 		}
-		if m.PGM() != want.String() {
-			t.Fatalf("seed %d: Matrix.PGM is not the full-resolution rendering", seed)
+		if c.PGM(0) != want.String() {
+			t.Fatalf("seed %d: PGM(0) is not the full-resolution rendering", seed)
 		}
 	}
 }
@@ -85,8 +87,8 @@ func TestCSRPGMDownsample(t *testing.T) {
 // Submatrix must agree with the zoomed window of the dense cells, cell for
 // cell.
 func TestCSRSubmatrixMatchesDense(t *testing.T) {
-	m := randomSparse(9, 60, 200)
-	c := m.ToCSR()
+	c := randomSparse(9, 60, 200)
+	m := denseOf(c)
 	zoom, err := c.Submatrix(8, 40)
 	if err != nil {
 		t.Fatal(err)
@@ -97,8 +99,8 @@ func TestCSRSubmatrixMatchesDense(t *testing.T) {
 	for s := 0; s < 32; s++ {
 		for d := 0; d < 32; d++ {
 			b, ms := zoom.At(s, d)
-			if b != m.Bytes[s+8][d+8] || ms != m.Msgs[s+8][d+8] {
-				t.Fatalf("zoom cell (%d,%d) = %d/%d, want %d/%d", s, d, b, ms, m.Bytes[s+8][d+8], m.Msgs[s+8][d+8])
+			if b != m.bytes[s+8][d+8] || ms != m.msgs[s+8][d+8] {
+				t.Fatalf("zoom cell (%d,%d) = %d/%d, want %d/%d", s, d, b, ms, m.bytes[s+8][d+8], m.msgs[s+8][d+8])
 			}
 		}
 	}
@@ -112,11 +114,11 @@ func TestCSRSubmatrixMatchesDense(t *testing.T) {
 
 // The sparse CSV lists exactly the stored pairs with a header line.
 func TestCSRCSV(t *testing.T) {
-	m := NewMatrix(4)
-	_ = m.Add(0, 1, 100)
-	_ = m.Add(2, 3, 50)
-	_ = m.Add(2, 3, 25)
-	got := m.ToCSR().CSV()
+	rec := NewRecorder(4)
+	rec.Record(0, 1, 100)
+	rec.Record(2, 3, 50)
+	rec.Record(2, 3, 25)
+	got := rec.Freeze().CSV()
 	want := "src,dst,bytes,msgs\n0,1,100,1\n2,3,75,2\n"
 	if got != want {
 		t.Fatalf("CSV = %q, want %q", got, want)

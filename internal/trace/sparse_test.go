@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -11,24 +10,20 @@ import (
 	"hierclust/internal/topology"
 )
 
-// randomMatrices builds the same random traffic into a dense Matrix and a
-// SparseBuilder, returning the cells and the frozen CSR.
-func randomMatrices(t *testing.T, seed int64, n, adds int) (*Matrix, *CSR) {
+// randomMatrices records the same random traffic into the dense oracle and
+// a Recorder, returning the cells and the frozen CSR.
+func randomMatrices(t *testing.T, seed int64, n, adds int) (*denseRef, *CSR) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	dense := NewMatrix(n)
-	sparse := NewSparseBuilder(n)
+	dense := newDenseRef(n)
+	rec := NewRecorder(n)
 	for i := 0; i < adds; i++ {
 		s, d := rng.Intn(n), rng.Intn(n)
-		b := int64(rng.Intn(10_000) + 1)
-		if err := dense.Add(s, d, b); err != nil {
-			t.Fatal(err)
-		}
-		if err := sparse.Add(s, d, b); err != nil {
-			t.Fatal(err)
-		}
+		b := rng.Intn(10_000) + 1
+		dense.add(s, d, int64(b))
+		rec.Record(s, d, b)
 	}
-	return dense, sparse.Freeze()
+	return dense, rec.Freeze()
 }
 
 func randomPart(rng *rand.Rand, n, parts int) []int32 {
@@ -47,15 +42,16 @@ func TestCSRDenseEquivalenceProperty(t *testing.T) {
 		n := int(nRaw%30) + 2
 		adds := int(addsRaw) + 1
 		dense, csr := randomMatrices(t, seed, n, adds)
-		if dense.TotalBytes() != csr.TotalBytes() || dense.TotalMsgs() != csr.TotalMsgs() {
-			t.Logf("totals: dense %d/%d, csr %d/%d", dense.TotalBytes(), dense.TotalMsgs(), csr.TotalBytes(), csr.TotalMsgs())
+		db, dm := dense.totals()
+		if db != csr.TotalBytes() || dm != csr.TotalMsgs() {
+			t.Logf("totals: dense %d/%d, csr %d/%d", db, dm, csr.TotalBytes(), csr.TotalMsgs())
 			return false
 		}
 		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
 		part := randomPart(rng, n, 3)
 		var dc int64
 		for s := 0; s < n; s++ {
-			for d, b := range dense.Bytes[s] {
+			for d, b := range dense.bytes[s] {
 				if part[s] != part[d] {
 					dc += b
 				}
@@ -67,16 +63,16 @@ func TestCSRDenseEquivalenceProperty(t *testing.T) {
 			return false
 		}
 		sl, _ := csr.LoggedFraction(part)
-		if dl := float64(dc) / float64(dense.TotalBytes()); dl != sl {
+		if dl := float64(dc) / float64(db); dl != sl {
 			t.Logf("logged: cells %g csr %g", dl, sl)
 			return false
 		}
 		sg := csr.ToGraph()
 		for u := 0; u < n; u++ {
 			for v := u; v < n; v++ {
-				w := float64(dense.Bytes[u][v])
+				w := float64(dense.bytes[u][v])
 				if v != u {
-					w += float64(dense.Bytes[v][u])
+					w += float64(dense.bytes[v][u])
 				}
 				if sg.Weight(u, v) != w {
 					t.Logf("graph weight (%d,%d): cells %g csr %g", u, v, w, sg.Weight(u, v))
@@ -91,69 +87,19 @@ func TestCSRDenseEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// Property: round-tripping through the conversions preserves every cell.
+// Property: the recorded CSR holds every cell the dense oracle accumulated,
+// read back through At and through the oracle's expansion.
 func TestCSRConversionRoundTrip(t *testing.T) {
 	dense, csr := randomMatrices(t, 42, 17, 300)
-	back := csr.ToDense()
-	for s := 0; s < dense.N; s++ {
-		for d := 0; d < dense.N; d++ {
-			if back.Bytes[s][d] != dense.Bytes[s][d] || back.Msgs[s][d] != dense.Msgs[s][d] {
-				t.Fatalf("cell (%d,%d) mismatch after round trip", s, d)
-			}
+	if back := denseOf(csr); !reflect.DeepEqual(back, dense) {
+		t.Fatal("cells differ after expanding the CSR")
+	}
+	for s := 0; s < dense.n; s++ {
+		for d := 0; d < dense.n; d++ {
 			cb, cm := csr.At(s, d)
-			if cb != dense.Bytes[s][d] || cm != dense.Msgs[s][d] {
-				t.Fatalf("At(%d,%d) = %d/%d, want %d/%d", s, d, cb, cm, dense.Bytes[s][d], dense.Msgs[s][d])
+			if cb != dense.bytes[s][d] || cm != dense.msgs[s][d] {
+				t.Fatalf("At(%d,%d) = %d/%d, want %d/%d", s, d, cb, cm, dense.bytes[s][d], dense.msgs[s][d])
 			}
-		}
-	}
-	viaDense := dense.ToCSR()
-	if viaDense.NNZ() != csr.NNZ() || viaDense.TotalBytes() != csr.TotalBytes() {
-		t.Fatalf("ToCSR: nnz %d/%d bytes %d/%d", viaDense.NNZ(), csr.NNZ(), viaDense.TotalBytes(), csr.TotalBytes())
-	}
-}
-
-// A hand-built Matrix is a Comm by conversion: its answers and its WriteTo
-// bytes are its ToCSR()'s, and ToCSR().ToDense() gives back every cell and
-// both totals — zero-byte messages included.
-func TestMatrixIsCommByConversion(t *testing.T) {
-	for seed := int64(1); seed <= 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(40)
-		m := NewMatrix(n)
-		for adds := rng.Intn(5 * n); adds > 0; adds-- {
-			_ = m.Add(rng.Intn(n), rng.Intn(n), int64(rng.Intn(4))*int64(rng.Intn(10_000)))
-		}
-		c := m.ToCSR()
-		if m.Ranks() != c.Ranks() || m.TotalBytes() != c.TotalBytes() || m.TotalMsgs() != c.TotalMsgs() {
-			t.Fatalf("seed %d: ranks/totals %d/%d/%d, ToCSR %d/%d/%d", seed,
-				m.Ranks(), m.TotalBytes(), m.TotalMsgs(), c.Ranks(), c.TotalBytes(), c.TotalMsgs())
-		}
-		part := randomPart(rng, n, 4)
-		ml, err1 := m.LoggedFraction(part)
-		cl, err2 := c.LoggedFraction(part)
-		if err1 != nil || err2 != nil || ml != cl {
-			t.Fatalf("seed %d: LoggedFraction %g (%v), ToCSR %g (%v)", seed, ml, err1, cl, err2)
-		}
-		p := testPlacement(t, rng, n)
-		mg, err1 := m.NodeGraph(p)
-		cg, err2 := c.NodeGraph(p)
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
-		}
-		sameGraph(t, fmt.Sprintf("seed %d NodeGraph", seed), mg, cg)
-		var mb, cb bytes.Buffer
-		if _, err := m.WriteTo(&mb); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.WriteTo(&cb); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(mb.Bytes(), cb.Bytes()) {
-			t.Fatalf("seed %d: WriteTo bytes differ from ToCSR().WriteTo", seed)
-		}
-		back := c.ToDense()
-		if !reflect.DeepEqual(back, m) {
-			t.Fatalf("seed %d: ToCSR().ToDense() is not the identity on cells and totals", seed)
 		}
 	}
 }
@@ -171,7 +117,7 @@ func TestCSRNodeGraphMatchesDense(t *testing.T) {
 	dense, csr := randomMatrices(t, 7, ranks, 400)
 	var sums [ranks / ppn][ranks / ppn]int64
 	for s := 0; s < ranks; s++ {
-		for d, b := range dense.Bytes[s] {
+		for d, b := range dense.bytes[s] {
 			sums[s/ppn][d/ppn] += b
 		}
 	}
@@ -197,12 +143,12 @@ func TestCSRNodeGraphMatchesDense(t *testing.T) {
 
 // Hand values for the oracle the graph differentials lean on (refToGraph).
 func TestCSRSymmetrize(t *testing.T) {
-	b := NewSparseBuilder(4)
-	_ = b.Add(0, 1, 10)
-	_ = b.Add(1, 0, 5)
-	_ = b.Add(2, 3, 7)
-	_ = b.Add(1, 1, 3) // self-loop
-	sym := refSymmetrize(b.Freeze())
+	rec := NewRecorder(4)
+	rec.Record(0, 1, 10)
+	rec.Record(1, 0, 5)
+	rec.Record(2, 3, 7)
+	rec.Record(1, 1, 3) // self-loop
+	sym := refSymmetrize(rec.Freeze())
 	check := func(s, d int, want int64) {
 		t.Helper()
 		got, _ := sym.At(s, d)
@@ -229,26 +175,29 @@ func TestCSRSymmetrize(t *testing.T) {
 	}
 }
 
-// Zero-byte messages (empty-payload syncs): a hand-built Matrix and a
-// recording keep the cell and its message count, and the graph and node
+// Zero-byte messages (empty-payload syncs): a recording and its file round
+// trip keep the cell and its message count, and the graph and node
 // conversions drop it (only positive-weight edges exist).
 func TestZeroByteMessageEquivalence(t *testing.T) {
-	dense := NewMatrix(6)
 	rec := NewRecorder(6)
 	for _, m := range [][2]int{{0, 1}, {2, 3}, {2, 3}} {
-		if err := dense.Add(m[0], m[1], 0); err != nil {
-			t.Fatal(err)
-		}
 		rec.Record(m[0], m[1], 0)
 	}
-	_ = dense.Add(4, 5, 100)
 	rec.Record(4, 5, 100)
 	mach := &topology.Machine{Name: "t", Nodes: 3}
 	p, err := topology.Block(mach, 6, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, csr := range map[string]*CSR{"ToCSR": dense.ToCSR(), "Recorder": rec.Freeze()} {
+	var buf bytes.Buffer
+	if _, err := rec.Freeze().WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	read, err := ReadCSR(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, csr := range map[string]*CSR{"Recorder": rec.Freeze(), "ReadCSR": read} {
 		if csr.NNZ() != 3 || csr.TotalMsgs() != 4 || csr.TotalBytes() != 100 {
 			t.Errorf("%s: nnz %d, %d msgs, %d bytes; want 3, 4, 100", name, csr.NNZ(), csr.TotalMsgs(), csr.TotalBytes())
 		}
@@ -268,34 +217,24 @@ func TestZeroByteMessageEquivalence(t *testing.T) {
 	}
 }
 
-// A Matrix and the CSR recorded from the same traffic write the same bytes,
-// and ReadCSR reproduces every cell.
+// A recorded CSR written and read back reproduces every dense cell.
 func TestCSRSerializeRoundTrip(t *testing.T) {
 	dense, csr := randomMatrices(t, 11, 13, 150)
-	var denseBuf, csrBuf bytes.Buffer
-	if _, err := dense.WriteTo(&denseBuf); err != nil {
+	var buf bytes.Buffer
+	if _, err := csr.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := csr.WriteTo(&csrBuf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(denseBuf.Bytes(), csrBuf.Bytes()) {
-		t.Fatal("Matrix.WriteTo and CSR.WriteTo bytes differ for the same traffic")
-	}
-	back, err := ReadCSR(&csrBuf)
+	back, err := ReadCSR(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.TotalBytes() != dense.TotalBytes() || back.TotalMsgs() != dense.TotalMsgs() || back.NNZ() != csr.NNZ() {
+	db, dm := dense.totals()
+	if back.TotalBytes() != db || back.TotalMsgs() != dm || back.NNZ() != csr.NNZ() {
 		t.Fatalf("read back %d bytes / %d msgs / %d pairs, want %d / %d / %d",
-			back.TotalBytes(), back.TotalMsgs(), back.NNZ(), dense.TotalBytes(), dense.TotalMsgs(), csr.NNZ())
+			back.TotalBytes(), back.TotalMsgs(), back.NNZ(), db, dm, csr.NNZ())
 	}
-	for s := 0; s < dense.N; s++ {
-		for d := 0; d < dense.N; d++ {
-			if b, m := back.At(s, d); b != dense.Bytes[s][d] || m != dense.Msgs[s][d] {
-				t.Fatalf("cell (%d,%d) mismatch after round trip", s, d)
-			}
-		}
+	if !reflect.DeepEqual(denseOf(back), dense) {
+		t.Fatal("cells differ after the round trip")
 	}
 }
 
@@ -370,41 +309,30 @@ func TestSyntheticErrors(t *testing.T) {
 	}
 }
 
-// Running totals must survive every in-package mutation path.
+// Running totals must survive every in-package construction path: the
+// recording, the zoom and the file reader.
 func TestRunningTotalsConsistency(t *testing.T) {
-	dense, _ := randomMatrices(t, 99, 10, 100)
-	recount := func(m *Matrix) (int64, int64) {
-		var b, ms int64
-		for s := 0; s < m.N; s++ {
-			for d := 0; d < m.N; d++ {
-				b += m.Bytes[s][d]
-				ms += m.Msgs[s][d]
-			}
-		}
-		return b, ms
-	}
-	check := func(label string, m *Matrix) {
+	_, csr := randomMatrices(t, 99, 10, 100)
+	check := func(label string, c *CSR) {
 		t.Helper()
-		b, ms := recount(m)
-		if m.TotalBytes() != b || m.TotalMsgs() != ms {
-			t.Errorf("%s: running totals %d/%d, recount %d/%d", label, m.TotalBytes(), m.TotalMsgs(), b, ms)
+		b, ms := denseOf(c).totals()
+		if c.TotalBytes() != b || c.TotalMsgs() != ms {
+			t.Errorf("%s: running totals %d/%d, recount %d/%d", label, c.TotalBytes(), c.TotalMsgs(), b, ms)
 		}
 	}
-	check("add", dense)
-	csr := dense.ToCSR()
-	check("todense", csr.ToDense())
+	check("record", csr)
 	sub, err := csr.Submatrix(2, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("submatrix", sub.ToDense())
+	check("submatrix", sub)
 	var buf bytes.Buffer
-	if _, err := dense.WriteTo(&buf); err != nil {
+	if _, err := csr.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadCSR(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("serialize", back.ToDense())
+	check("serialize", back)
 }

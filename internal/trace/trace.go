@@ -6,22 +6,20 @@
 //
 // Two forms are what the pipeline stores and folds: the sparse CSR (O(n +
 // nnz) memory — every recorded, cached and file trace) and the implicit
-// Stencil (a synthetic trace in closed form, O(1) memory). Both serialize to
-// the HCTR binary format via WriteTo, and ReadCSR is its one reader. Both
-// are immutable by type: every consumer (partitioning, evaluation, caching)
-// only reads, so one trace may back any number of concurrent evaluations.
-// This immutability is a pinned repository invariant; the trace cache in
-// pkg/hierclust depends on it.
+// Stencil (a synthetic trace in closed form, O(1) memory). A CSR serializes
+// to the HCTR binary format via WriteTo, and ReadCSR is its one reader. Both
+// forms are immutable by type: every consumer (partitioning, evaluation,
+// caching) only reads, so one trace may back any number of concurrent
+// evaluations. This immutability is a pinned repository invariant; the trace
+// cache in pkg/hierclust depends on it.
 //
-// Matrix is the dense n×n cell grid for figures (heatmaps, the grid CSV)
-// and hand-built input. It answers the Comm questions by converting
-// (ToCSR), so there is one fold per question, not one per layout.
+// One accumulator, per-rank hash rows, builds every CSR: behind Recorder
+// (a traced or hand-built run) and behind ReadCSR. The figures read the CSR
+// too — ASCIIHeatmap, PGM and GridCSV — so there is no dense cell grid.
+// Matrix is a deprecated shim over the same accumulator.
 package trace
 
 import (
-	"fmt"
-	"strings"
-
 	"hierclust/internal/graph"
 	"hierclust/internal/topology"
 )
@@ -30,8 +28,8 @@ import (
 // clustering pipeline reads (totals, the logged fraction, the node-graph
 // fold) without committing callers to a storage layout. The sparse CSR and
 // the implicit Stencil implement it over one set of folds (rows.go); the
-// dense Matrix is a Comm by conversion to CSR. CutBytes and ToGraph stay
-// methods of CSR.
+// deprecated Matrix shim answers from a freeze to CSR. CutBytes and ToGraph
+// stay methods of CSR.
 type Comm interface {
 	// Ranks returns the number of ranks the matrix covers.
 	Ranks() int
@@ -49,93 +47,56 @@ type Comm interface {
 
 // NodeGraphInto is m.NodeGraph with the graph and the fold's scratch carved
 // from ar, so the graph lives until ar's Release and the fold allocates
-// nothing of its own (a Matrix still converts to CSR on the heap). A Comm
-// from outside this package builds its graph with its own NodeGraph.
+// nothing of its own. Any other Comm (the Matrix shim, or one from outside
+// this package) builds its graph with its own NodeGraph.
 func NodeGraphInto(m Comm, p *topology.Placement, ar *graph.Arena) (*graph.Graph, error) {
 	switch m := m.(type) {
 	case *CSR:
 		return nodeGraph(m.view(), p, ar)
 	case *Stencil:
 		return nodeGraph(m.view(new([4]int32)), p, ar)
-	case *Matrix:
-		return nodeGraph(m.ToCSR().view(), p, ar)
 	}
 	return m.NodeGraph(p)
 }
 
-// Matrix is a dense communication matrix: Bytes[s][d] counts payload bytes
-// sent from rank s to rank d, Msgs[s][d] counts messages. Matrices are
-// directed; ToCSR().ToGraph() is the undirected view.
+// Matrix is a hand-built trace: Add accumulates into the per-rank hash rows
+// a Recorder keeps, and the Comm questions are answered from a freeze to
+// CSR. It has no cells of its own; memory follows ranks and distinct pairs.
 //
-// Mutate cells through Add, not by writing the exported slices directly:
-// TotalBytes/TotalMsgs are maintained as running totals rather than
-// rescanning the n×n array per call.
+// Deprecated: use NewRecorder, Record and Freeze. Matrix exists only because
+// the gate benchmark (benchmarks/hcbench) builds its hybrid-recovery ring
+// with NewMatrix; it goes when hcbench moves to NewRecorder.
 type Matrix struct {
-	N     int
-	Bytes [][]int64
-	Msgs  [][]int64
-
-	totalBytes int64
-	totalMsgs  int64
+	b *sparseBuilder
 }
 
 var _ Comm = (*Matrix)(nil)
 
-// NewMatrix returns an all-zero n×n matrix.
-func NewMatrix(n int) *Matrix {
-	m := &Matrix{N: n, Bytes: make([][]int64, n), Msgs: make([][]int64, n)}
-	for i := 0; i < n; i++ {
-		m.Bytes[i] = make([]int64, n)
-		m.Msgs[i] = make([]int64, n)
-	}
-	return m
-}
+// NewMatrix returns an empty matrix for n ranks.
+//
+// Deprecated: use NewRecorder.
+func NewMatrix(n int) *Matrix { return &Matrix{b: newSparseBuilder(n)} }
 
 // Ranks returns the number of ranks the matrix covers.
-func (m *Matrix) Ranks() int { return m.N }
+func (m *Matrix) Ranks() int { return m.b.n }
 
 // Add accumulates one message of the given size.
-func (m *Matrix) Add(src, dst int, bytes int64) error {
-	if src < 0 || src >= m.N || dst < 0 || dst >= m.N {
-		return fmt.Errorf("trace: message %d->%d outside %d-rank matrix", src, dst, m.N)
-	}
-	m.Bytes[src][dst] += bytes
-	m.Msgs[src][dst]++
-	m.totalBytes += bytes
-	m.totalMsgs++
-	return nil
-}
+func (m *Matrix) Add(src, dst int, bytes int64) error { return m.b.add(src, dst, bytes) }
 
 // TotalBytes returns the total traffic volume.
-func (m *Matrix) TotalBytes() int64 { return m.totalBytes }
+func (m *Matrix) TotalBytes() int64 { return m.b.totalBytes }
 
 // TotalMsgs returns the total message count.
-func (m *Matrix) TotalMsgs() int64 { return m.totalMsgs }
+func (m *Matrix) TotalMsgs() int64 { return m.b.totalMsgs }
 
-// LoggedFraction returns the share of TotalBytes crossing cluster boundaries
-// under part, through the CSR fold.
+// LoggedFraction returns the share of TotalBytes crossing cluster
+// boundaries under part, from a freeze.
 func (m *Matrix) LoggedFraction(part []int32) (float64, error) {
-	return m.ToCSR().LoggedFraction(part)
+	return m.b.freeze().LoggedFraction(part)
 }
 
-// NodeGraph aggregates the rank matrix under the placement and returns the
-// undirected node graph, through the CSR fold.
+// NodeGraph aggregates under the placement into the undirected node graph,
+// from a freeze.
 func (m *Matrix) NodeGraph(p *topology.Placement) (*graph.Graph, error) {
-	return m.ToCSR().NodeGraph(p)
-}
-
-// CSV renders the byte matrix as comma-separated values (one row per
-// sender), suitable for external plotting of Figs. 5a/5b.
-func (m *Matrix) CSV() string {
-	var sb strings.Builder
-	for s := 0; s < m.N; s++ {
-		for d := 0; d < m.N; d++ {
-			if d > 0 {
-				sb.WriteByte(',')
-			}
-			fmt.Fprintf(&sb, "%d", m.Bytes[s][d])
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
+	return m.b.freeze().NodeGraph(p)
 }

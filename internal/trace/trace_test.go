@@ -1,7 +1,10 @@
 package trace
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -11,16 +14,20 @@ import (
 	"hierclust/internal/topology"
 )
 
-func stencilMatrix(n int, perMsg int64) *Matrix {
-	// rank±1 neighbor exchange, the tsunami pattern.
-	m := NewMatrix(n)
+// stencilRecorder records the rank±1 neighbor exchange, the tsunami pattern.
+func stencilRecorder(n, perMsg int) *Recorder {
+	rec := NewRecorder(n)
 	for r := 0; r+1 < n; r++ {
-		_ = m.Add(r, r+1, perMsg)
-		_ = m.Add(r+1, r, perMsg)
+		rec.Record(r, r+1, perMsg)
+		rec.Record(r+1, r, perMsg)
 	}
-	return m
+	return rec
 }
 
+func stencilTrace(n, perMsg int) *CSR { return stencilRecorder(n, perMsg).Freeze() }
+
+// The deprecated Matrix shim accumulates as a Recorder does — totals, cells
+// read from its freeze, range errors — without a rank-squared grid.
 func TestAddAndTotals(t *testing.T) {
 	m := NewMatrix(3)
 	if err := m.Add(0, 1, 10); err != nil {
@@ -38,8 +45,8 @@ func TestAddAndTotals(t *testing.T) {
 	if m.TotalMsgs() != 3 {
 		t.Errorf("TotalMsgs = %d, want 3", m.TotalMsgs())
 	}
-	if m.Bytes[0][1] != 15 || m.Msgs[0][1] != 2 {
-		t.Errorf("cell (0,1) = %d bytes / %d msgs", m.Bytes[0][1], m.Msgs[0][1])
+	if b, ms := m.b.freeze().At(0, 1); b != 15 || ms != 2 {
+		t.Errorf("cell (0,1) = %d bytes / %d msgs", b, ms)
 	}
 	if err := m.Add(3, 0, 1); err == nil {
 		t.Error("Add accepted out-of-range src")
@@ -47,13 +54,54 @@ func TestAddAndTotals(t *testing.T) {
 	if err := m.Add(0, -1, 1); err == nil {
 		t.Error("Add accepted negative dst")
 	}
+	// 8,192 ranks: one row header each, not the 1 GB cell grid.
+	if got := allocated(func() { NewMatrix(8192) }); got > 1<<20 {
+		t.Errorf("NewMatrix(8192) allocated %d bytes, want under 1 MB", got)
+	}
+}
+
+// The shim is a Comm by freezing: a Recorder fed the same messages answers
+// every question alike, zero-byte messages included, and freezes to the
+// same CSR.
+func TestMatrixIsCommByConversion(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(40)
+		m, rec := NewMatrix(n), NewRecorder(n)
+		for adds := rng.Intn(5 * n); adds > 0; adds-- {
+			s, d, b := rng.Intn(n), rng.Intn(n), rng.Intn(4)*rng.Intn(10_000)
+			_ = m.Add(s, d, int64(b))
+			rec.Record(s, d, b)
+		}
+		c := rec.Freeze()
+		if m.Ranks() != c.Ranks() || m.TotalBytes() != c.TotalBytes() || m.TotalMsgs() != c.TotalMsgs() {
+			t.Fatalf("seed %d: ranks/totals %d/%d/%d, recording %d/%d/%d", seed,
+				m.Ranks(), m.TotalBytes(), m.TotalMsgs(), c.Ranks(), c.TotalBytes(), c.TotalMsgs())
+		}
+		part := randomPart(rng, n, 4)
+		ml, err1 := m.LoggedFraction(part)
+		cl, err2 := c.LoggedFraction(part)
+		if err1 != nil || err2 != nil || ml != cl {
+			t.Fatalf("seed %d: LoggedFraction %g (%v), recording %g (%v)", seed, ml, err1, cl, err2)
+		}
+		p := testPlacement(t, rng, n)
+		mg, err1 := m.NodeGraph(p)
+		cg, err2 := c.NodeGraph(p)
+		if err1 != nil || err2 != nil {
+			t.Fatal(err1, err2)
+		}
+		sameGraph(t, fmt.Sprintf("seed %d NodeGraph", seed), mg, cg)
+		if !reflect.DeepEqual(m.b.freeze(), c) {
+			t.Fatalf("seed %d: the shim's freeze differs from the recording", seed)
+		}
+	}
 }
 
 func TestCutBytesAndLoggedFraction(t *testing.T) {
 	// 8-rank stencil, clusters of 4: one crossing pair (3<->4) of 7 total.
-	m := stencilMatrix(8, 100)
+	m := stencilTrace(8, 100)
 	part := []int32{0, 0, 0, 0, 1, 1, 1, 1}
-	cut, err := m.ToCSR().CutBytes(part)
+	cut, err := m.CutBytes(part)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +116,7 @@ func TestCutBytesAndLoggedFraction(t *testing.T) {
 	if math.Abs(frac-want) > 1e-12 {
 		t.Errorf("logged fraction = %g, want %g", frac, want)
 	}
-	if _, err := m.ToCSR().CutBytes([]int32{0}); err == nil {
+	if _, err := m.CutBytes([]int32{0}); err == nil {
 		t.Error("CutBytes accepted short assignment")
 	}
 }
@@ -76,7 +124,7 @@ func TestCutBytesAndLoggedFraction(t *testing.T) {
 func TestLoggedFractionMatchesPaperSweetSpot(t *testing.T) {
 	// The paper's Fig. 3a sweet spot: 1024 ranks, clusters of 32
 	// => 31 crossing pairs of 1023 ≈ 3.0% of stencil traffic logged.
-	m := stencilMatrix(1024, 1000)
+	m := stencilTrace(1024, 1000)
 	part := make([]int32, 1024)
 	for r := range part {
 		part[r] = int32(r / 32)
@@ -92,7 +140,7 @@ func TestLoggedFractionMatchesPaperSweetSpot(t *testing.T) {
 }
 
 func TestEmptyMatrixLoggedFraction(t *testing.T) {
-	m := NewMatrix(4)
+	m := NewRecorder(4).Freeze()
 	frac, err := m.LoggedFraction([]int32{0, 1, 2, 3})
 	if err != nil || frac != 0 {
 		t.Errorf("empty matrix logged = %g, %v; want 0, nil", frac, err)
@@ -100,11 +148,11 @@ func TestEmptyMatrixLoggedFraction(t *testing.T) {
 }
 
 func TestToGraphSymmetric(t *testing.T) {
-	m := NewMatrix(3)
-	_ = m.Add(0, 1, 10)
-	_ = m.Add(1, 0, 4)
-	_ = m.Add(2, 2, 5) // self traffic
-	g := m.ToCSR().ToGraph()
+	rec := NewRecorder(3)
+	rec.Record(0, 1, 10)
+	rec.Record(1, 0, 4)
+	rec.Record(2, 2, 5) // self traffic
+	g := rec.Freeze().ToGraph()
 	if g.Weight(0, 1) != 14 {
 		t.Errorf("graph weight(0,1) = %g, want 14", g.Weight(0, 1))
 	}
@@ -119,7 +167,7 @@ func TestNodeGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := stencilMatrix(4, 10) // ranks 0,1 on node 0; 2,3 on node 1
+	m := stencilTrace(4, 10) // ranks 0,1 on node 0; 2,3 on node 1
 	g, err := m.NodeGraph(p)
 	if err != nil {
 		t.Fatal(err)
@@ -196,22 +244,23 @@ func TestRecorderAllocationFollowsPairs(t *testing.T) {
 	}
 }
 
+// The grid CSV writes every cell, 0 where nothing is stored.
 func TestCSV(t *testing.T) {
-	m := NewMatrix(2)
-	_ = m.Add(0, 1, 3)
-	got := m.CSV()
+	rec := NewRecorder(2)
+	rec.Record(0, 1, 3)
+	got := rec.Freeze().GridCSV()
 	want := "0,3\n0,0\n"
 	if got != want {
-		t.Errorf("CSV = %q, want %q", got, want)
+		t.Errorf("GridCSV = %q, want %q", got, want)
 	}
 }
 
 func TestTopPairs(t *testing.T) {
-	m := NewMatrix(4)
-	_ = m.Add(0, 1, 100)
-	_ = m.Add(2, 3, 300)
-	_ = m.Add(1, 0, 200)
-	c := m.ToCSR()
+	rec := NewRecorder(4)
+	rec.Record(0, 1, 100)
+	rec.Record(2, 3, 300)
+	rec.Record(1, 0, 200)
+	c := rec.Freeze()
 	top := c.TopPairs(2)
 	if len(top) != 2 || top[0].Bytes != 300 || top[1].Bytes != 200 {
 		t.Errorf("TopPairs = %+v", top)
@@ -223,7 +272,7 @@ func TestTopPairs(t *testing.T) {
 }
 
 func TestASCIIHeatmap(t *testing.T) {
-	m := stencilMatrix(8, 1000)
+	m := stencilTrace(8, 1000)
 	art := m.ASCIIHeatmap(8)
 	lines := strings.Split(strings.TrimRight(art, "\n"), "\n")
 	if len(lines) != 9 { // header + 8 rows
@@ -242,21 +291,21 @@ func TestASCIIHeatmap(t *testing.T) {
 }
 
 func TestASCIIHeatmapDownsamples(t *testing.T) {
-	m := stencilMatrix(256, 10)
+	m := stencilTrace(256, 10)
 	art := m.ASCIIHeatmap(64)
 	lines := strings.Split(strings.TrimRight(art, "\n"), "\n")
 	if len(lines) != 65 {
 		t.Errorf("downsampled heatmap has %d lines, want 65", len(lines))
 	}
-	empty := NewMatrix(4)
+	empty := NewRecorder(4).Freeze()
 	if got := empty.ASCIIHeatmap(0); !strings.Contains(got, "4 x 4") {
 		t.Errorf("empty heatmap header missing: %q", got)
 	}
 }
 
 func TestPGM(t *testing.T) {
-	m := stencilMatrix(4, 100)
-	pgm := m.PGM()
+	m := stencilTrace(4, 100)
+	pgm := m.PGM(0)
 	if !strings.HasPrefix(pgm, "P2\n4 4\n255\n") {
 		t.Errorf("PGM header wrong: %q", pgm[:20])
 	}
@@ -267,7 +316,7 @@ func TestPGM(t *testing.T) {
 }
 
 func TestSubmatrix(t *testing.T) {
-	c := stencilMatrix(10, 5).ToCSR()
+	c := stencilTrace(10, 5)
 	sub, err := c.Submatrix(2, 6)
 	if err != nil {
 		t.Fatal(err)
@@ -294,7 +343,7 @@ func TestSubmatrix(t *testing.T) {
 func TestLoggedFractionMergeProperty(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw%30) + 4
-		m := NewMatrix(n)
+		rec := NewRecorder(n)
 		rng := seed
 		next := func() int64 {
 			rng = rng*6364136223846793005 + 1442695040888963407
@@ -307,8 +356,9 @@ func TestLoggedFractionMergeProperty(t *testing.T) {
 		for i := 0; i < 3*n; i++ {
 			s := int(next()) % n
 			d := int(next()) % n
-			_ = m.Add(s, d, next()%1000+1)
+			rec.Record(s, d, int(next()%1000+1))
 		}
+		m := rec.Freeze()
 		part := make([]int32, n)
 		for i := range part {
 			part[i] = int32(next() % 4)

@@ -259,16 +259,16 @@ func TestRunTracedProducesDoubleDiagonal(t *testing.T) {
 	if len(masses) != 8 {
 		t.Fatalf("masses = %v", masses)
 	}
-	m := rec.Freeze().ToDense()
+	m := bytesOf(rec.Freeze())
 	// Ghost traffic dominates: for every adjacent pair both directions
 	// must carry the boundary rows; beyond ±1 only the Allgather init.
 	ghostBytes := int64(3 * p.NX * 8 * 10)
 	for r := 0; r+1 < 8; r++ {
-		if m.Bytes[r][r+1] < ghostBytes {
-			t.Errorf("traffic %d->%d = %d, want >= %d", r, r+1, m.Bytes[r][r+1], ghostBytes)
+		if m(r, r+1) < ghostBytes {
+			t.Errorf("traffic %d->%d = %d, want >= %d", r, r+1, m(r, r+1), ghostBytes)
 		}
-		if m.Bytes[r+1][r] < ghostBytes {
-			t.Errorf("traffic %d->%d = %d, want >= %d", r+1, r, m.Bytes[r+1][r], ghostBytes)
+		if m(r+1, r) < ghostBytes {
+			t.Errorf("traffic %d->%d = %d, want >= %d", r+1, r, m(r+1, r), ghostBytes)
 		}
 	}
 	// distance >1 pairs must carry only tiny init traffic
@@ -277,10 +277,18 @@ func TestRunTracedProducesDoubleDiagonal(t *testing.T) {
 			if s == d || s == d+1 || s == d-1 {
 				continue
 			}
-			if m.Bytes[s][d] > 1000 {
-				t.Errorf("unexpected heavy traffic %d->%d: %d bytes", s, d, m.Bytes[s][d])
+			if m(s, d) > 1000 {
+				t.Errorf("unexpected heavy traffic %d->%d: %d bytes", s, d, m(s, d))
 			}
 		}
+	}
+}
+
+// bytesOf reads a trace's byte cells.
+func bytesOf(c *trace.CSR) func(src, dst int) int64 {
+	return func(src, dst int) int64 {
+		b, _ := c.At(src, dst)
+		return b
 	}
 }
 
@@ -318,19 +326,19 @@ func TestRunTracedWithEncoders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := rec.Freeze().ToDense()
+	m := bytesOf(rec.Freeze())
 	// Encoder world ranks are 0, 3, 6, 9 (stride ProcsPerNode+1).
 	// Application ranks must have sent checkpoints to their encoder.
-	if m.Bytes[1][0] < 2*4096 { // app world-rank 1 -> encoder 0, 2 rounds
-		t.Errorf("app->encoder traffic = %d, want >= %d", m.Bytes[1][0], 2*4096)
+	if m(1, 0) < 2*4096 { // app world-rank 1 -> encoder 0, 2 rounds
+		t.Errorf("app->encoder traffic = %d, want >= %d", m(1, 0), 2*4096)
 	}
 	// Encoders exchange parity among themselves (4-node group 0..3).
-	if m.Bytes[0][3] < 2*4096 {
-		t.Errorf("encoder->encoder traffic = %d, want >= %d", m.Bytes[0][3], 2*4096)
+	if m(0, 3) < 2*4096 {
+		t.Errorf("encoder->encoder traffic = %d, want >= %d", m(0, 3), 2*4096)
 	}
 	// The app double diagonal sits at world ranks skipping encoders:
 	// app 0 (world 1) ↔ app 1 (world 2).
-	if m.Bytes[1][2] == 0 || m.Bytes[2][1] == 0 {
+	if m(1, 2) == 0 || m(2, 1) == 0 {
 		t.Error("application diagonal missing in encoder layout")
 	}
 }

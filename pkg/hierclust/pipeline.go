@@ -84,6 +84,11 @@ func WithTraceCache(tc TraceCache) PipelineOption {
 	return func(p *Pipeline) { p.traceCache = tc }
 }
 
+// TraceCache returns the cache the pipeline was built with (WithTraceCache),
+// nil when it has none — how hcserve finds the trace tier whose health it
+// reports.
+func (pl *Pipeline) TraceCache() TraceCache { return pl.traceCache }
+
 // NewPipeline builds a pipeline with the given options.
 func NewPipeline(opts ...PipelineOption) *Pipeline {
 	p := &Pipeline{flight: map[string]*traceFlight{}}

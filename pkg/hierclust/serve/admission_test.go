@@ -282,6 +282,8 @@ func TestTraceCacheHitObservableInMetrics(t *testing.T) {
 	metricLine(t, text, `hcserve_cache_hits_total{cache="trace"} 1`)
 	metricLine(t, text, `hcserve_cache_misses_total{cache="trace"} 1`)
 	metricLine(t, text, `hcserve_cache_misses_total{cache="result"} 2`)
+	// The trace tier's health comes from the pipeline's own cache.
+	metricLine(t, text, `hcserve_trace_cache_entries 1`)
 	if !strings.Contains(text, `hcserve_evaluate_seconds_count{source="tsunami"} 2`) {
 		t.Fatalf("latency histogram missing tsunami count in:\n%s", text)
 	}

@@ -153,8 +153,7 @@ func TestFaultEndpointsAgree(t *testing.T) {
 		}
 		wantLabels := []string{"miss", "hit", "trace-hit", "miss"}
 		newServer := func() *Server {
-			tc := hierclust.NewMemoryTraceCache(4)
-			return New(Options{Pipeline: hierclust.NewPipeline(hierclust.WithTraceCache(tc)), TraceCache: tc})
+			return New(Options{Pipeline: hierclust.NewPipeline(hierclust.WithTraceCache(hierclust.NewMemoryTraceCache(4)))})
 		}
 		var wantDocs [][]byte
 		var wantCounters map[string]string

@@ -84,9 +84,8 @@ func TestServeDegradedTraceCacheBitIdentical(t *testing.T) {
 	// Result caching off: every request must reach the pipeline so the
 	// trace-cache path is exercised, not the result LRU.
 	s := New(Options{
-		Pipeline:   hierclust.NewPipeline(hierclust.WithWorkers(2), hierclust.WithTraceCache(dc)),
-		CacheSize:  -1,
-		TraceCache: dc,
+		Pipeline:  hierclust.NewPipeline(hierclust.WithWorkers(2), hierclust.WithTraceCache(dc)),
+		CacheSize: -1,
 	})
 	ts := httptest.NewServer(s)
 	defer ts.Close()

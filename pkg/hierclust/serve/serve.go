@@ -51,9 +51,10 @@
 // anywhere in request handling are recovered at isolation boundaries
 // (handler, pipeline worker, evaluation cell), answered 500 with a random
 // incident id whose stack trace is logged server-side, and counted on
-// hcserve_panics_total; the server keeps serving. When Options.TraceCache
-// is wired, disk-cache health (IO error counters, quarantined corrupt
-// files, memory-only degraded mode) is surfaced on /metrics and /healthz.
+// hcserve_panics_total; the server keeps serving. When the pipeline has a
+// trace cache, its health (entries, and for the disk cache IO error
+// counters, quarantined corrupt files and memory-only degraded mode) is
+// surfaced on /metrics and /healthz.
 //
 // # Metrics
 //
@@ -91,7 +92,9 @@ import (
 // Options configures the handler.
 type Options struct {
 	// Pipeline runs the scenarios; nil builds a default pipeline. Wire
-	// hierclust.WithTraceCache here to enable the trace-level cache.
+	// hierclust.WithTraceCache here to enable the trace-level cache; the
+	// server reports that cache's health on /metrics and /healthz when it
+	// implements TraceCacheStatser (both built-in trace caches do).
 	Pipeline *hierclust.Pipeline
 	// CacheSize bounds the scenario-result LRU (entries); 0 picks
 	// DefaultCacheSize and negative disables caching.
@@ -141,11 +144,6 @@ type Options struct {
 	// cells share, from its start. An evaluation that exceeds the deadline
 	// is cancelled and answered 504. 0 disables the deadline.
 	EvalTimeout time.Duration
-	// TraceCache, when non-nil, is polled for disk-cache health: its error
-	// counters, quarantine count, and degraded flag are exposed on
-	// /metrics and /healthz. Wire the same cache here and into the
-	// pipeline (hierclust.WithTraceCache).
-	TraceCache TraceCacheStatser
 	// ResultCache, when non-nil, is mounted as a durable write-through
 	// tier beneath the result LRU: every rendered result document is
 	// stored in both, and an LRU miss consults the tier (promoting hits
@@ -158,8 +156,9 @@ type Options struct {
 	ResultCache ResultCacheTier
 }
 
-// TraceCacheStatser is the observability surface Options.TraceCache needs;
-// both built-in trace caches implement it.
+// TraceCacheStatser is the observability surface of a cache tier: the
+// server reads it from the pipeline's trace cache and from
+// Options.ResultCache. Every built-in cache implements it.
 type TraceCacheStatser interface {
 	Stats() hierclust.TraceCacheStats
 }
@@ -304,6 +303,8 @@ func New(opts Options) *Server {
 		reg = metrics.NewRegistry()
 	}
 
+	// A nil or stats-less trace cache asserts to a nil interface: no tier.
+	traceCache, _ := pl.TraceCache().(TraceCacheStatser)
 	sweepCtx, sweepCancel := context.WithCancelCause(context.Background())
 	s := &Server{
 		mux:           http.NewServeMux(),
@@ -321,7 +322,7 @@ func New(opts Options) *Server {
 		sweepCancel:   sweepCancel,
 		retryAfter:    strconv.Itoa(retrySec),
 		evalTimeout:   opts.EvalTimeout,
-		traceCache:    opts.TraceCache,
+		traceCache:    traceCache,
 		resultTier:    opts.ResultCache,
 		reg:           reg,
 	}

@@ -27,13 +27,11 @@ type (
 type (
 	// Comm is the read-side view of a communication matrix, implemented
 	// by the sparse CSR and the implicit stencil a synthetic scenario
-	// evaluates, and by the dense Matrix through its conversion to CSR.
+	// evaluates.
 	Comm = trace.Comm
-	// Matrix is a dense grid of communication cells: the heatmap/grid-CSV
-	// view of a small trace (CSR.ToDense).
-	Matrix = trace.Matrix
 	// CSR is a frozen sparse communication matrix — the form every
-	// recorded, cached and file trace is stored and folded in.
+	// recorded, cached and file trace is stored and folded in, and the one
+	// the heatmaps draw (ASCIIHeatmap, PGM, GridCSV).
 	CSR = trace.CSR
 	// TraceRecorder accumulates a message-passing run's traffic; Freeze
 	// returns it as a CSR.
