@@ -330,6 +330,45 @@ func BenchmarkHierarchical128k(b *testing.B) {
 	}
 }
 
+// BenchmarkScore128k measures scoring one clustering at the eval-128k shape,
+// as the pipeline does it: the hierarchical clustering's Profile.Init
+// (validation, recovery fraction, the reliability model's product form)
+// plus one weighing with DefaultMix, in the ClusteringBuf the clustering
+// was built in. One score outside the timer sizes the buffer's profile, so
+// B/op is what a warm score allocates.
+func BenchmarkScore128k(b *testing.B) {
+	const ranks, ppn = 131072, 4
+	placement, err := topology.Block(&topology.Machine{Name: "bench", Nodes: ranks / ppn}, ranks, ppn)
+	if err != nil {
+		b.Fatal(err)
+	}
+	stencil, err := trace.NewStencil(ranks, trace.SyntheticOptions{Pattern: trace.Stencil2D, Width: ppn})
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := core.GetClusteringBuf()
+	defer buf.Release()
+	c, err := buf.Hierarchical(stencil, placement, core.HierOptions{Multilevel: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	prof, mix, ctx := buf.Profile(), reliability.DefaultMix(), context.Background()
+	score := func() {
+		if err := prof.Init(ctx, c, placement); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := prof.Evaluate(ctx, mix, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	score()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		score()
+	}
+}
+
 // BenchmarkRSReconstruct measures decode after losing half the group.
 func BenchmarkRSReconstruct(b *testing.B) {
 	const shard = 1 << 20

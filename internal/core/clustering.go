@@ -54,9 +54,11 @@ func (c *Clustering) NumClusters() int {
 }
 
 // clusterSizes returns the size of every L1 cluster (one rank count fits
-// the id width).
-func (c *Clustering) clusterSizes() []int32 {
-	sizes := make([]int32, c.NumClusters())
+// the id width) in buf's memory, regrown when it is short.
+func (c *Clustering) clusterSizes(buf []int32) []int32 {
+	k := c.NumClusters()
+	sizes := slices.Grow(buf[:0], k)[:k]
+	clear(sizes)
 	for _, id := range c.L1 {
 		sizes[id]++
 	}
@@ -68,6 +70,13 @@ func (c *Clustering) clusterSizes() []int32 {
 // encoding groups that are disjoint, within range, and — the coupling
 // requirement — each fully contained in a single L1 cluster.
 func (c *Clustering) Validate(nranks int) error {
+	var seen []uint64
+	return c.validate(nranks, &seen)
+}
+
+// validate is Validate with its rank bitset in *seen's memory, regrown there
+// when it is short.
+func (c *Clustering) validate(nranks int, seen *[]uint64) error {
 	if len(c.L1) != nranks {
 		return fmt.Errorf("core: clustering %q covers %d ranks, want %d", c.Name, len(c.L1), nranks)
 	}
@@ -80,7 +89,10 @@ func (c *Clustering) Validate(nranks int) error {
 				c.Name, r, id, nranks)
 		}
 	}
-	seen := make([]uint64, (nranks+63)/64) // bitset over ranks
+	words := (nranks + 63) / 64
+	*seen = slices.Grow((*seen)[:0], words)[:words]
+	bits := *seen // over ranks
+	clear(bits)
 	for gi, g := range c.Groups {
 		if len(g) == 0 {
 			return fmt.Errorf("core: clustering %q: empty group %d", c.Name, gi)
@@ -90,10 +102,10 @@ func (c *Clustering) Validate(nranks int) error {
 			if int(r) < 0 || int(r) >= nranks {
 				return fmt.Errorf("core: clustering %q: group %d rank %d out of range", c.Name, gi, r)
 			}
-			if seen[r>>6]&(1<<(uint(r)&63)) != 0 {
+			if bits[r>>6]&(1<<(uint(r)&63)) != 0 {
 				return fmt.Errorf("core: clustering %q: rank %d in multiple groups", c.Name, r)
 			}
-			seen[r>>6] |= 1 << (uint(r) & 63)
+			bits[r>>6] |= 1 << (uint(r) & 63)
 			if owner == -1 {
 				owner = c.L1[r]
 			} else if c.L1[r] != owner {
@@ -117,19 +129,21 @@ func (c *Clustering) MaxGroupSize() int {
 	return max
 }
 
-// ClusteringBuf is the memory of one clustering: the struct, its L1 array,
-// the slab its encoding groups are windows into and the group headers. A
-// builder method carves them at the shape it builds and regrows only what
-// the shape outgrows, so a buffer that has served a shape builds it again
-// without allocating. What a method returns lives in the buffer until its
-// next build or its Release. A nil *ClusteringBuf allocates: the package's
-// builder functions are its methods on nil, and their clusterings are the
-// caller's.
+// ClusteringBuf is the memory of one scored clustering: the struct, its L1
+// array, the slab its encoding groups are windows into, the group headers,
+// and the score Profile. A builder method carves them at the shape it builds
+// and regrows only what the shape outgrows, so a buffer that has served a
+// shape builds and scores it again without allocating. What a method
+// returns lives in the buffer until its next build or its Release, and the
+// profile until its next Init or the Release. A nil *ClusteringBuf
+// allocates: the package's builder functions are its methods on nil, and
+// their clusterings are the caller's.
 type ClusteringBuf struct {
 	c      Clustering
 	l1     []int32
 	slab   []topology.Rank
 	groups [][]topology.Rank
+	prof   Profile
 }
 
 var bufPool sync.Pool
@@ -143,13 +157,17 @@ func GetClusteringBuf() *ClusteringBuf {
 	return new(ClusteringBuf)
 }
 
-// Release returns b to the pool; the clustering built in it is dead from
-// here on. Releasing a nil buffer does nothing.
+// Release returns b to the pool; the clustering built in it and its
+// profile are dead from here on. Releasing a nil buffer does nothing.
 func (b *ClusteringBuf) Release() {
 	if b != nil {
 		bufPool.Put(b)
 	}
 }
+
+// Profile returns the buffer's score profile; b must not be nil. It may
+// score a clustering built anywhere: Init keeps none of it.
+func (b *ClusteringBuf) Profile() *Profile { return &b.prof }
 
 // ranks carves the L1 array and the group slab of an nranks clustering.
 // The contents are undefined: every builder writes every entry of both.

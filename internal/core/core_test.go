@@ -101,7 +101,7 @@ func TestHierarchicalConstruction(t *testing.T) {
 	if c.NumClusters() != 16 {
 		t.Errorf("NumClusters = %d, want 16", c.NumClusters())
 	}
-	for _, size := range c.clusterSizes() {
+	for _, size := range c.clusterSizes(nil) {
 		if size != 64 {
 			t.Fatalf("L1 cluster size %d, want 64", size)
 		}

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"hierclust/internal/erasure"
@@ -95,9 +96,21 @@ func EvaluateOpts(c *Clustering, m trace.Comm, p *topology.Placement, mix reliab
 // only as weights over conditionals the reliability profile remembers — so
 // a sweep scores each clustering once and weighs it per mix. The zero value
 // needs Init; after Init it is safe for concurrent use and must not be copied.
+// Init may run again once no reader remains: it scores the new clustering
+// in the memory the last Init left, so a profile that has scored a shape
+// scores it again without allocating (ClusteringBuf carries one).
 type Profile struct {
 	scores Evaluation // LoggedFraction and CatastropheProb unset
 	rel    reliability.Profile
+	setup  scratch
+}
+
+// scratch is the set-up memory a Profile keeps for its next Init:
+// Validate's rank bitset, the cluster sizes and recovery's stamp. A zero
+// scratch allocates what it needs.
+type scratch struct {
+	seen         []uint64
+	sizes, stamp []int32
 }
 
 // Init validates c against p, scores it and reads its encoding groups'
@@ -106,10 +119,10 @@ type Profile struct {
 // owner per node and one constraint per distinct span; for a layout the
 // reduction rejects, 8 bytes per member plus per-node indexes.
 func (pr *Profile) Init(ctx context.Context, c *Clustering, p *topology.Placement) error {
-	if err := c.Validate(p.NumRanks()); err != nil {
+	if err := c.validate(p.NumRanks(), &pr.setup.seen); err != nil {
 		return err
 	}
-	rec := recoveryFraction(c, p, nodeUnit) // c is validated above
+	rec := recoveryFraction(c, p, nodeUnit, &pr.setup) // c is validated above
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -141,7 +154,7 @@ func RecoveryFractionProcess(c *Clustering) (float64, error) {
 	if len(c.L1) == 0 {
 		return 0, nil
 	}
-	sizes := c.clusterSizes()
+	sizes := c.clusterSizes(nil)
 	var total float64
 	for _, s := range sizes {
 		// a failure of any of the s members restarts s ranks
@@ -164,7 +177,7 @@ func RecoveryFraction(c *Clustering, p *topology.Placement) (float64, error) {
 	if err := c.Validate(p.NumRanks()); err != nil {
 		return 0, err
 	}
-	return recoveryFraction(c, p, nodeUnit), nil
+	return recoveryFraction(c, p, nodeUnit, new(scratch)), nil
 }
 
 // The failure units recoveryFraction averages over, as node-id masks: one
@@ -173,16 +186,19 @@ const nodeUnit, pairUnit = ^topology.NodeID(0), ^topology.NodeID(1)
 
 // recoveryFraction is RecoveryFraction for a clustering the caller has
 // already validated against p (Profile.Init validates once for all four
-// scores), over failure units of the given mask. Used nodes ascend, so a
-// unit's nodes are adjacent and units are visited in ascending order: the
-// accumulated expectation is deterministic.
-func recoveryFraction(c *Clustering, p *topology.Placement, unit topology.NodeID) float64 {
-	sizes := c.clusterSizes()
+// scores), over failure units of the given mask, with its cluster sizes and
+// stamp in sc's memory. Used nodes ascend, so a unit's nodes are adjacent
+// and units are visited in ascending order: the accumulated expectation is
+// deterministic.
+func recoveryFraction(c *Clustering, p *topology.Placement, unit topology.NodeID, sc *scratch) float64 {
+	sizes := c.clusterSizes(sc.sizes)
 	nused := p.NumUsed()
 	if nused == 0 || p.NumRanks() == 0 {
 		return 0
 	}
-	stamp := make([]int32, len(sizes))
+	stamp := slices.Grow(sc.stamp[:0], len(sizes))[:len(sizes)]
+	clear(stamp)
+	sc.sizes, sc.stamp = sizes, stamp
 	epoch := int32(0)
 	var total float64
 	units := 0
@@ -211,7 +227,7 @@ func RecoveryFractionPair(c *Clustering, p *topology.Placement) (float64, error)
 	if err := c.Validate(p.NumRanks()); err != nil {
 		return 0, err
 	}
-	return recoveryFraction(c, p, pairUnit), nil
+	return recoveryFraction(c, p, pairUnit, new(scratch)), nil
 }
 
 // Meets reports whether the evaluation satisfies every baseline bound, and

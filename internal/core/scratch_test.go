@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 
 	"hierclust/internal/graph"
 	"hierclust/internal/racedetect"
+	"hierclust/internal/reliability"
 	"hierclust/internal/topology"
 	"hierclust/internal/trace"
 )
@@ -209,5 +211,61 @@ func TestCancelledBuildReleasesArena(t *testing.T) {
 	t.Logf("build after a cancelled one: %d B, limit %d (8/rank + 24/group + 16 KiB)", got, limit)
 	if got > limit {
 		t.Errorf("build after a cancelled one allocates %d B, over %d: the cancelled build kept its arena", got, limit)
+	}
+}
+
+// TestWarmScoreAllocatesNothing: a ClusteringBuf's profile that has scored
+// its clustering at 16,384 ranks scores it again — Init (validation,
+// recovery, the reliability model's product form) plus a DefaultMix
+// weighing — without allocating, for every built-in kind, and to the
+// scores of a fresh profile. Scoring the hierarchical clustering in a fresh
+// profile, as every score did before the buffer carried one, allocates 26
+// objects and 33.7 KB: the profile, the flat form's owner, spans and read
+// buffer, the rank bitset, the cluster sizes, the recovery stamp and two
+// polynomials per failure count.
+func TestWarmScoreAllocatesNothing(t *testing.T) {
+	const ranks = 16384
+	p, err := topology.Block(&topology.Machine{Name: "t", Nodes: ranks / 4}, ranks, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := trace.NewStencil(ranks, trace.SyntheticOptions{Pattern: trace.Stencil2D, Width: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, mix := context.Background(), reliability.DefaultMix()
+	builds := map[string]func(b *ClusteringBuf) (*Clustering, error){
+		"hierarchical": func(b *ClusteringBuf) (*Clustering, error) {
+			return b.Hierarchical(m, p, HierOptions{Multilevel: true})
+		},
+		"naive":       func(b *ClusteringBuf) (*Clustering, error) { return b.Naive(ranks, 32) },
+		"size-guided": func(b *ClusteringBuf) (*Clustering, error) { return b.SizeGuided(ranks, 8) },
+		"distributed": func(b *ClusteringBuf) (*Clustering, error) { return b.Distributed(ranks, 16) },
+	}
+	for kind, build := range builds {
+		b := new(ClusteringBuf)
+		c, err := build(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		score := func(pr *Profile) Evaluation {
+			if err := pr.Init(ctx, c, p); err != nil {
+				t.Fatal(err)
+			}
+			e, err := pr.Evaluate(ctx, mix, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e
+		}
+		fresh := score(new(Profile))
+		score(b.Profile())
+		var warm Evaluation
+		if allocs := testing.AllocsPerRun(5, func() { warm = score(b.Profile()) }); allocs != 0 {
+			t.Errorf("%s: a warm score allocates %v objects, want 0", kind, allocs)
+		}
+		if warm != fresh {
+			t.Errorf("%s: a warm score %+v, a fresh profile %+v", kind, warm, fresh)
+		}
 	}
 }

@@ -153,7 +153,7 @@ func TestDisjointConditionalMatchesExact(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		n := 14
 		groups := disjointGroups(seed, n)
-		fg, scan := reduceOrFlatten(groupSpans{groups, n}), flatten(groupSpans{groups, n})
+		fg, scan := reduceOrFlatten(groupSpans{groups, n}, nil), flatten(groupSpans{groups, n})
 		if !fg.dpOK {
 			t.Fatalf("seed %d: disjoint layout rejected by reduction", seed)
 		}
@@ -174,13 +174,13 @@ func TestDisjointReductionRejectsIrregular(t *testing.T) {
 		groupOf(map[topology.NodeID]int{0: 1, 1: 1, 2: 1}, 1),
 		groupOf(map[topology.NodeID]int{2: 1, 3: 1}, 0),
 	}
-	if reduceOrFlatten(groupSpans{overlap, 6}).dpOK {
+	if reduceOrFlatten(groupSpans{overlap, 6}, nil).dpOK {
 		t.Error("partial span overlap accepted")
 	}
 	nonUniform := []Group{
 		groupOf(map[topology.NodeID]int{0: 2, 1: 1}, 1),
 	}
-	if reduceOrFlatten(groupSpans{nonUniform, 4}).dpOK {
+	if reduceOrFlatten(groupSpans{nonUniform, 4}, nil).dpOK {
 		t.Error("non-uniform counts accepted")
 	}
 	// Identical spans with uniform counts stay reducible.
@@ -188,7 +188,7 @@ func TestDisjointReductionRejectsIrregular(t *testing.T) {
 		groupOf(map[topology.NodeID]int{0: 1, 1: 1}, 1),
 		groupOf(map[topology.NodeID]int{0: 2, 1: 2}, 1),
 	}
-	fg := reduceOrFlatten(groupSpans{identical, 4})
+	fg := reduceOrFlatten(groupSpans{identical, 4}, nil)
 	if !fg.dpOK {
 		t.Error("identical spans rejected")
 	}

@@ -3,6 +3,7 @@ package reliability
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -175,5 +176,123 @@ func TestProfileCancelLeavesNoMemo(t *testing.T) {
 	}
 	if math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("after a cancelled weighing the profile returns %v, a fresh model %v", got, want)
+	}
+}
+
+// reuseShape is one layout TestProfileReuseInvisible re-inits a profile to:
+// nodes*4 ranks placed four to a node, in groups of size members, each
+// member on its own node when spread, consecutive ranks otherwise.
+type reuseShape struct {
+	label        string
+	nodes, size  int
+	spread, dpOK bool
+}
+
+func (sh reuseShape) layout() (*topology.Placement, [][]topology.Rank) {
+	const ppn = 4
+	_, p := machine(sh.nodes, ppn)
+	var members [][]topology.Rank
+	if sh.size == 0 {
+		return p, nil
+	}
+	if sh.spread {
+		for base := 0; base+sh.size <= sh.nodes; base += sh.size {
+			for i := 0; i < ppn; i++ {
+				m := make([]topology.Rank, sh.size)
+				for j := range m {
+					m[j] = topology.Rank((base+j)*ppn + i)
+				}
+				members = append(members, m)
+			}
+		}
+		return p, members
+	}
+	for base := 0; base < sh.nodes*ppn; base += sh.size {
+		m := make([]topology.Rank, 0, sh.size)
+		for r := base; r < min(base+sh.size, sh.nodes*ppn); r++ {
+			m = append(m, topology.Rank(r))
+		}
+		members = append(members, m)
+	}
+	return p, members
+}
+
+// TestProfileReuseInvisible: one profile re-initialised through a 16k-rank
+// product form, a layout the reduction rejects, a smaller product form, a
+// larger one and a layout with no groups at all, through InitRanks and Init
+// in turn, holds at every step what a fresh profile holds: the reference
+// slab pass's reduction (dpSpans and owner, nil and empty told apart) and
+// CatastropheProb's bits with and without pair correlation. Every rotation
+// of the shapes runs on its own profile, so each shape is also a first
+// Init. Before every Init a weighing is cancelled: Init forgets every
+// conditional, and the cancelled one was never remembered.
+func TestProfileReuseInvisible(t *testing.T) {
+	const exactLimit, samples = 2000, 5000
+	shapes := []reuseShape{
+		{"product form, 16k ranks", 4096, 4, true, true},
+		{"rejected", 64, 3, false, false},
+		{"smaller product form", 256, 4, false, true},
+		{"larger product form", 8192, 8, false, true},
+		{"no groups", 16, 0, false, true},
+	}
+	mixes := []Mix{DefaultMix(), {Transient: 0.05, NodeLoss: []float64{0.6, 0.25, 0.1}, PairCorrelation: 0.5}}
+	long := Mix{NodeLoss: make([]float64, memoF)}
+	for i := range long.NodeLoss {
+		long.NodeLoss[i] = 1
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for round := range shapes { // each shape comes first once, to a fresh profile
+		var p Profile
+		for k := range shapes {
+			sh := shapes[(round+k)%len(shapes)]
+			pl, members := sh.layout()
+			groups := groupsFromRanks(pl, members)
+			for _, entry := range []string{"InitRanks", "Init"} {
+				label := fmt.Sprintf("round %d, %s, %s", round, sh.label, entry)
+				if _, err := p.CatastropheProb(cancelled, long, 1); !errors.Is(err, context.Canceled) {
+					t.Fatalf("%s: a cancelled weighing returned %v", label, err)
+				}
+				var fresh Profile
+				var stage func() *flatGroups
+				if entry == "InitRanks" {
+					if err := p.InitRanks(pl, members, exactLimit, samples); err != nil {
+						t.Fatal(err)
+					}
+					if err := fresh.InitRanks(pl, members, exactLimit, samples); err != nil {
+						t.Fatal(err)
+					}
+					stage = func() *flatGroups { return flatten(rankSpans{pl, members}) }
+				} else {
+					if err := p.Init(groups, pl.NumUsed(), exactLimit, samples); err != nil {
+						t.Fatal(err)
+					}
+					if err := fresh.Init(groups, pl.NumUsed(), exactLimit, samples); err != nil {
+						t.Fatal(err)
+					}
+					stage = func() *flatGroups { return flatten(groupSpans{groups, pl.NumUsed()}) }
+				}
+				if p.have != 0 {
+					t.Fatalf("%s: re-init kept memo bits %b", label, p.have)
+				}
+				if p.fg.dpOK != sh.dpOK {
+					t.Fatalf("%s: dpOK %v, want %v", label, p.fg.dpOK, sh.dpOK)
+				}
+				checkReduction(t, label, &p, stage)
+				for _, mix := range mixes {
+					got, err := p.CatastropheProb(context.Background(), mix, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := fresh.CatastropheProb(context.Background(), mix, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("%s: re-initialised profile %v, fresh %v (pair correlation %v)", label, got, want, mix.PairCorrelation)
+					}
+				}
+			}
+		}
 	}
 }

@@ -212,7 +212,7 @@ func checkAgainstReference(t *testing.T, label string, mdl *Model, ref []mapGrou
 		groups[i] = g.span()
 	}
 	got := flatten(groupSpans{groups, mdl.Nodes}).indexed()
-	red := reduceOrFlatten(groupSpans{groups, mdl.Nodes})
+	red := reduceOrFlatten(groupSpans{groups, mdl.Nodes}, nil)
 	got.dpOK, got.dpSpans, got.owner = red.dpOK, red.dpSpans, red.owner
 	want := refFlatten(ref, mdl.Nodes).pack(mdl.Nodes)
 	if len(got.dpSpans) == 0 && len(want.dpSpans) == 0 {
@@ -606,11 +606,11 @@ func TestFlattenAllocsIndependentOfScale(t *testing.T) {
 	measure := func(nodes int) (a allocs) {
 		p, members := build(nodes)
 		groups := groupsFromRanks(p, members)
-		if !reduceOrFlatten(rankSpans{p, members}).dpOK {
+		if !reduceOrFlatten(rankSpans{p, members}, nil).dpOK {
 			t.Fatal("hierarchical layout rejected by the reduction")
 		}
-		a.reduceRanks = testing.AllocsPerRun(5, func() { reduceOrFlatten(rankSpans{p, members}) })
-		a.reduceGroups = testing.AllocsPerRun(5, func() { reduceOrFlatten(groupSpans{groups, nodes}) })
+		a.reduceRanks = testing.AllocsPerRun(5, func() { reduceOrFlatten(rankSpans{p, members}, nil) })
+		a.reduceGroups = testing.AllocsPerRun(5, func() { reduceOrFlatten(groupSpans{groups, nodes}, nil) })
 		a.flattenRanks = testing.AllocsPerRun(5, func() { flatten(rankSpans{p, members}) })
 		a.flattenGroups = testing.AllocsPerRun(5, func() { flatten(groupSpans{groups, nodes}) })
 		return

@@ -256,9 +256,13 @@ const memoF = 16
 // it) and the conditionals computed so far, so weighing it with a second mix
 // costs a multiply-add per failure count. The zero value needs Init or
 // InitRanks; after that it is safe for concurrent use and must not be copied.
+// Init or InitRanks may run again once no reader remains: the new groups
+// replace the old and every remembered conditional, and the reduction reads
+// into the memory the last one left.
 type Profile struct {
 	nodes, exactLimit, samples int
 	fg                         *flatGroups
+	red                        flatGroups // the reduction's memory; fg is &red while it holds
 
 	// cond[f-1] is the conditional for f failed nodes, cond[memoF] the
 	// aligned-pair term; bit i of have marks cond[i] valid. Entries fill on
@@ -278,7 +282,7 @@ func (p *Profile) Init(groups []Group, nodes, exactLimit, samples int) error {
 	if err := validateGroups(groups); err != nil {
 		return err
 	}
-	p.init(reduceOrFlatten(groupSpans{groups, nodes}), exactLimit, samples)
+	p.init(reduceOrFlatten(groupSpans{groups, nodes}, &p.red), exactLimit, samples)
 	return nil
 }
 
@@ -288,13 +292,14 @@ func (p *Profile) InitRanks(pl *topology.Placement, members [][]topology.Rank, e
 	if nodes := pl.NumUsed(); nodes <= 0 {
 		return fmt.Errorf("reliability: model has %d nodes", nodes)
 	}
-	p.init(reduceOrFlatten(rankSpans{pl, members}), exactLimit, samples)
+	p.init(reduceOrFlatten(rankSpans{pl, members}, &p.red), exactLimit, samples)
 	return nil
 }
 
 func (p *Profile) init(fg *flatGroups, exactLimit, samples int) {
 	p.fg, p.nodes = fg, fg.n
 	p.exactLimit, p.samples = cmp.Or(exactLimit, 100_000), cmp.Or(samples, 200_000)
+	p.have = 0
 }
 
 // memo returns the remembered cond[i], if any.
@@ -474,10 +479,12 @@ type flatGroups struct {
 	// per distinct span in the order groups claimed them, threshold = failed
 	// span nodes that destroy it; owner[node] is the node's dpSpans index, -1
 	// for a node no destroyable group touches (both nil unless dpOK, and
-	// the span slabs nil when it is).
+	// the span slabs nil when it is). buf is the buffer the reduction reads
+	// each group's span into.
 	dpOK    bool
 	dpSpans []dpSpan
 	owner   []int32
+	buf     []int32
 }
 
 // dpSpan is one disjoint-span constraint: a span of `size` nodes whose
@@ -540,16 +547,22 @@ type spanSource interface {
 	read(gi int, nodes, counts []int32) (k int, tol int32)
 }
 
-// reduceOrFlatten reads the groups into the disjoint-span reduction, in
-// group order, through one scratch buffer. A first pass counts the distinct
-// spans (under the reduction, the distinct least nodes of destroyable
-// groups), so the reduction allocates the struct, owner, an exact dpSpans
-// and the buffer, whatever the group and node counts, and keeps nothing
-// else. At the first group addDPSpan rejects, the groups are flattened
-// instead.
-func reduceOrFlatten[S spanSource](s S) *flatGroups {
+// reduceOrFlatten reads the groups into the disjoint-span reduction in fg,
+// in group order, through one scratch buffer. A first pass counts the
+// distinct spans (under the reduction, the distinct least nodes of
+// destroyable groups), so the reduction needs owner, dpSpans and the buffer,
+// whatever the group and node counts, and keeps nothing else. Each reuses
+// fg's where it fits, so an fg that has read this shape before reads it
+// again without allocating; a nil fg allocates all three and the struct. At
+// the first group addDPSpan rejects, the groups are flattened into fresh
+// slabs instead, and fg is left to the next reduction.
+func reduceOrFlatten[S spanSource](s S, fg *flatGroups) *flatGroups {
 	n, groups, _, longest := s.dims()
-	fg := &flatGroups{n: n, dpOK: true, owner: make([]int32, n)}
+	if fg == nil {
+		fg = new(flatGroups)
+	}
+	*fg = flatGroups{n: n, dpOK: true, owner: regrow(fg.owner, n), dpSpans: fg.dpSpans, buf: regrow(fg.buf, 2*longest)}
+	clear(fg.owner)
 	spans := 0
 	for gi := range groups {
 		if node := s.least(gi); node >= 0 && fg.owner[node] == 0 {
@@ -560,9 +573,8 @@ func reduceOrFlatten[S spanSource](s S) *flatGroups {
 	for i := range fg.owner {
 		fg.owner[i] = -1
 	}
-	fg.dpSpans = make([]dpSpan, 0, spans)
-	buf := make([]int32, 2*longest)
-	nodes, counts := buf[:longest], buf[longest:]
+	fg.dpSpans = regrow(fg.dpSpans, spans)[:0]
+	nodes, counts := fg.buf[:longest], fg.buf[longest:]
 	for gi := range groups {
 		k, tol := s.read(gi, nodes, counts)
 		if uniform, destroyable := spanShape(counts[:k], tol); destroyable {
@@ -572,6 +584,15 @@ func reduceOrFlatten[S spanSource](s S) *flatGroups {
 		}
 	}
 	return fg
+}
+
+// regrow returns s at length n, in s's memory when it fits and in fresh
+// memory otherwise, never nil; the contents are undefined.
+func regrow[T any](s []T, n int) []T {
+	if s == nil || cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // flatten is the span stage: every group's in-range span copied into the
@@ -818,8 +839,13 @@ func (fg *flatGroups) addDPSpan(nodes []int32, uniform, tol int32) {
 // an integer far below 2^53, and the result is (total-safe)/total: the
 // hits/sets exactConditional would return, to the bit.
 func (fg *flatGroups) disjointConditional(n, f, exactLimit int) float64 {
-	poly := make([]float64, f+1)
-	next := make([]float64, f+1)
+	var polyBuf, nextBuf [memoF + 1]float64 // a remembered f needs no heap
+	var poly, next []float64
+	if f <= memoF {
+		poly, next = polyBuf[:f+1], nextBuf[:f+1]
+	} else {
+		poly, next = make([]float64, f+1), make([]float64, f+1)
+	}
 	poly[0] = 1
 	constrained := 0
 	for _, sp := range fg.dpSpans {

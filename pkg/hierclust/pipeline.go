@@ -303,23 +303,22 @@ func (pl *Pipeline) evalStrategy(ctx context.Context, run *sweepRun, spec Strate
 		sd, err = run.parts[node].get(&run.partBuilds, func() (scored, error) {
 			ctx, cancel := run.buildCtx()
 			defer cancel()
-			return buildScored(ctx, spec, comm, placement, new(core.Profile))
+			return buildScored(ctx, spec, comm, placement)
 		})
 	} else {
 		if run != nil {
 			run.partBuilds.Add(1)
 		}
-		var own core.Profile // a private profile never leaves this frame
-		sd, err = buildScored(ctx, spec, comm, placement, &own)
-		// Nor does a private clustering: once the row below is rendered,
-		// its memory goes back to the pool.
+		sd, err = buildScored(ctx, spec, comm, placement)
+		// A private clustering and its profile never leave this frame: once
+		// the row below is rendered, their memory goes back to the pool.
 		defer sd.buf.Release()
 	}
 	if err != nil {
 		return err
 	}
 	c := sd.c
-	e, err := sd.prof.Evaluate(ctx, mix, workers)
+	e, err := sd.buf.Profile().Evaluate(ctx, mix, workers)
 	if err != nil {
 		return err
 	}
@@ -350,20 +349,22 @@ func (pl *Pipeline) evalStrategy(ctx context.Context, run *sweepRun, spec Strate
 	return nil
 }
 
-// buildScored instantiates spec, builds its clustering and fills prof with
-// the clustering's scores — the unit the sweep executor shares across cells
-// by partitionKey. The clustering is immutable downstream (scoring only
-// reads it), so one build may be scored concurrently by many cells. A
-// built-in strategy builds into a pooled buffer, sd.buf, which the caller
-// releases once nothing reads sd.c; on error there is nothing to release.
-func buildScored(ctx context.Context, spec StrategySpec, comm Comm, placement *Placement, prof *core.Profile) (sd scored, err error) {
+// buildScored instantiates spec, builds its clustering and scores it into
+// the profile of a pooled buffer, sd.buf — the unit the sweep executor
+// shares across cells by partitionKey. The clustering and the profile are
+// immutable downstream (weighing only reads them), so one build may be
+// weighed concurrently by many cells. A built-in strategy builds into the
+// buffer too; a third-party one builds where it likes, and only its score
+// lives there. The caller releases sd.buf once nothing reads sd.c or the
+// profile; on error there is nothing to release.
+func buildScored(ctx context.Context, spec StrategySpec, comm Comm, placement *Placement) (sd scored, err error) {
 	st, err := NewStrategy(spec)
 	if err != nil {
 		return sd, err
 	}
+	sd.buf = core.GetClusteringBuf()
 	switch st := st.(type) {
 	case builtinStrategy:
-		sd.buf = core.GetClusteringBuf()
 		sd.c, err = st.buildIn(ctx, comm, placement, sd.buf)
 	case CtxStrategy:
 		sd.c, err = st.BuildCtx(ctx, comm, placement)
@@ -374,8 +375,7 @@ func buildScored(ctx context.Context, spec StrategySpec, comm Comm, placement *P
 		sd.buf.Release()
 		return scored{}, cmp.Or(ctx.Err(), err)
 	}
-	sd.prof = prof
-	if err := prof.Init(ctx, sd.c, placement); err != nil {
+	if err := sd.buf.Profile().Init(ctx, sd.c, placement); err != nil {
 		sd.buf.Release()
 		return scored{}, err
 	}

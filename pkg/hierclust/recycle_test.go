@@ -17,12 +17,13 @@ import (
 	"hierclust/internal/trace"
 )
 
-// A built-in strategy's clustering is scratch inside the pipeline: its
-// memory goes back to a pool once the row that scores it is rendered (a
-// private cell) or once its last consumer finishes (a sweep's shared node).
-// These tests pin that the recycling changes no byte, never reaches a
-// clustering a third-party strategy keeps, and keeps a warm Run from
-// allocating a clustering.
+// A built-in strategy's clustering and every strategy's score profile are
+// scratch inside the pipeline: their memory goes back to a pool once the
+// row that scores them is rendered (a private cell) or once their last
+// consumer finishes (a sweep's shared node). These tests pin that the
+// recycling changes no byte, never reaches a clustering a third-party
+// strategy keeps, and keeps a warm Run from allocating a clustering or a
+// profile.
 
 // cachedStrategy is a third-party strategy that keeps what it returns: one
 // clustering, built once, handed out by every Build.
@@ -32,28 +33,29 @@ func (s cachedStrategy) Name() string                                { return s.
 func (s cachedStrategy) Build(Comm, *Placement) (*Clustering, error) { return s.c, nil }
 
 var cached struct {
-	once sync.Once
-	c    *Clustering
+	once      sync.Once
+	c         *Clustering
+	placement *Placement
 }
 
 // registerCached registers the "cached-hierarchical" kind: the hierarchical
-// clustering of syntheticScenario's rig, the same object on every call.
-func registerCached(t *testing.T) *Clustering {
+// clustering of syntheticScenario's rig, the same object on every call. It
+// returns the clustering and the rig's placement.
+func registerCached(t *testing.T) (*Clustering, *Placement) {
 	t.Helper()
 	cached.once.Do(func() {
 		mach, err := topology.Tsubame2().Subset(32)
 		if err != nil {
 			t.Fatal(err)
 		}
-		placement, err := topology.Block(mach, 256, 8)
-		if err != nil {
+		if cached.placement, err = topology.Block(mach, 256, 8); err != nil {
 			t.Fatal(err)
 		}
 		m, err := trace.NewStencil(256, trace.SyntheticOptions{Pattern: trace.Stencil2D, Width: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cached.c, err = core.Hierarchical(m, placement, core.HierOptions{}); err != nil {
+		if cached.c, err = core.Hierarchical(m, cached.placement, core.HierOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		cached.c.Name = "cached-hierarchical"
@@ -61,7 +63,7 @@ func registerCached(t *testing.T) *Clustering {
 			return cachedStrategy{cached.c}, nil
 		})
 	})
-	return cached.c
+	return cached.c, cached.placement
 }
 
 // cloneClustering copies a clustering into fresh memory.
@@ -89,38 +91,55 @@ func runDoc(t *testing.T, sc *Scenario, workers int) []byte {
 
 // TestThirdPartyClusteringNeverRecycled: a registered strategy that returns
 // one cached clustering on every call runs next to the built-ins, which
-// rebuild at its rank count right after it, through Run, RunCell and a
-// 4-cell sweep. Its clustering keeps its L1 and groups, and every document
-// equals a run before any of it. Recycling its memory would hand it to the
-// next built-in build, so after every route the test builds in every
-// buffer the pool holds.
+// rebuild at its rank count right after it, through Run, RunCell and two
+// 4-cell sweeps: one over two traces and two mixes, and one whose every
+// clustering node is shared by four mixes, weighed concurrently at 4
+// workers before its last consumer releases it. Its clustering keeps its L1
+// and groups, and every document equals a run before any of it. Its score
+// profile lives in a pooled buffer, which is recycled; recycling the
+// clustering would hand it to the next built-in build. So after every route
+// the test builds and scores in every buffer the pool holds. Run it under
+// -race.
 func TestThirdPartyClusteringNeverRecycled(t *testing.T) {
-	c := registerCached(t)
+	c, placement := registerCached(t)
 	orig := cloneClustering(c)
 	sc := syntheticScenario()
 	sc.Strategies = append([]StrategySpec{{Kind: "cached-hierarchical"}}, sc.Strategies...)
-	sw := &Sweep{Name: "cached", Base: *sc, Axes: SweepAxes{
-		Mixes:  []MixSpec{{Transient: 0.05, NodeLoss: []float64{0.9}}, {Transient: 0.5, NodeLoss: []float64{0.5}}},
-		Traces: []TracePoint{{Iterations: 10}, {Iterations: 20}},
-	}}
-	cells, err := sw.Cells()
-	if err != nil {
-		t.Fatal(err)
+	sweeps := []*Sweep{
+		{Name: "cached", Base: *sc, Axes: SweepAxes{
+			Mixes:  []MixSpec{{Transient: 0.05, NodeLoss: []float64{0.9}}, {Transient: 0.5, NodeLoss: []float64{0.5}}},
+			Traces: []TracePoint{{Iterations: 10}, {Iterations: 20}},
+		}},
+		{Name: "cached-shared", Base: *sc, Axes: SweepAxes{
+			Mixes: []MixSpec{{Transient: 0.05, NodeLoss: []float64{0.9}}, {Transient: 0.5, NodeLoss: []float64{0.5}},
+				{Transient: 0.05, NodeLoss: []float64{0.6, 0.3}, PairCorrelation: 0.5}, {Transient: 0.2, NodeLoss: []float64{0.5, 0.2, 0.1}}},
+		}},
 	}
 	wantRun := [][]byte{runDoc(t, sc, 1)}
-	wantCells := make([][]byte, len(cells))
-	for i, cell := range cells {
-		wantCells[i] = runDoc(t, cell, 1)
+	wantSweeps := make([][][]byte, len(sweeps))
+	for k, sw := range sweeps {
+		cells, err := sw.Cells()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cell := range cells {
+			wantSweeps[k] = append(wantSweeps[k], runDoc(t, cell, 1))
+		}
 	}
 
 	check := func(route string, got, want [][]byte) {
 		t.Helper()
-		// Draw every buffer the pool holds and build in it at the cached
-		// clustering's rank count: any of its memory in there is overwritten.
+		// Draw every buffer the pool holds, and build and score in it at the
+		// cached clustering's rank count: any of its memory in there is
+		// overwritten.
 		bufs := make([]*core.ClusteringBuf, 16)
 		for i := range bufs {
 			bufs[i] = core.GetClusteringBuf()
-			if _, err := bufs[i].Naive(len(c.L1), 4); err != nil {
+			naive, err := bufs[i].Naive(len(c.L1), 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := bufs[i].Profile().Init(context.Background(), naive, placement); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -145,18 +164,23 @@ func TestThirdPartyClusteringNeverRecycled(t *testing.T) {
 				t.Fatal(cell.Err)
 			}
 			check(fmt.Sprintf("RunCell, workers=%d", workers), [][]byte{cell.Doc}, wantRun)
-			report, err := pl.RunSweep(context.Background(), sw, SweepOptions{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			docs := make([][]byte, len(report.Cells))
-			for i, cell := range report.Cells {
-				if cell.Err != nil {
-					t.Fatal(cell.Err)
+			for k, sw := range sweeps {
+				report, err := pl.RunSweep(context.Background(), sw, SweepOptions{Workers: workers})
+				if err != nil {
+					t.Fatal(err)
 				}
-				docs[i] = cell.Doc
+				docs := make([][]byte, len(report.Cells))
+				for i, cell := range report.Cells {
+					if cell.Err != nil {
+						t.Fatal(cell.Err)
+					}
+					docs[i] = cell.Doc
+				}
+				if k == 1 && report.PartitionBuilds != int64(len(sc.Strategies)) {
+					t.Fatalf("sweep %q built %d clusterings for %d strategies: its cells do not share them", sw.Name, report.PartitionBuilds, len(sc.Strategies))
+				}
+				check(fmt.Sprintf("sweep %q, workers=%d", sw.Name, workers), docs, wantSweeps[k])
 			}
-			check(fmt.Sprintf("sweep, workers=%d", workers), docs, wantCells)
 		}
 	}
 }
@@ -231,9 +255,11 @@ func TestClusteringReuseInvisible(t *testing.T) {
 }
 
 // TestWarmRunAllocatesNoClustering: once the pools have served the shape, a
-// Run of a 16,384-rank hierarchical scenario allocates under 8 bytes a rank.
-// The clustering alone is 8 a rank plus 24 a group header, so a Run that
-// lost its release, and built each clustering fresh, fails here. It counts
+// Run of a 16,384-rank hierarchical scenario allocates under 1 byte a rank:
+// 1,936 B. The clustering alone is 8 a rank plus 24 a group header, and its
+// score profile about 2 a rank, so a Run that lost its release, and built
+// each clustering fresh, fails here, and so does one that scores in a fresh
+// profile (35,632 B, when the buffer carried only the clustering). It counts
 // with ReadMemStats at one P (one pool shard) with the collector off, which
 // would otherwise empty the pools between Runs.
 func TestWarmRunAllocatesNoClustering(t *testing.T) {
@@ -264,10 +290,10 @@ func TestWarmRunAllocatesNoClustering(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	got, limit := after.TotalAlloc-before.TotalAlloc, uint64(8*ranks)
-	t.Logf("warm Run: %d B, limit %d (8/rank); a fresh clustering is %d B (8/rank + 24/group)",
+	got, limit := after.TotalAlloc-before.TotalAlloc, uint64(ranks)
+	t.Logf("warm Run: %d B, limit %d (1/rank); a fresh clustering is %d B (8/rank + 24/group)",
 		got, limit, 8*ranks+24*res.Evaluations[0].Groups)
 	if got >= limit {
-		t.Errorf("warm Run allocates %d B, at or over %d: the pipeline built its clustering in fresh memory", got, limit)
+		t.Errorf("warm Run allocates %d B, at or over %d: the pipeline built or scored its clustering in fresh memory", got, limit)
 	}
 }

@@ -137,10 +137,10 @@ type sweepRun struct {
 	placeBuilds, traceBuilds, partBuilds, loggedBuilds atomic.Int64
 }
 
-// The shared intermediates but the logged fraction. A clustering carries
-// its score profile: the cells sharing it differ in trace and weighing, and
-// the buffer a built-in strategy built it in (nil for any other), released
-// when the node is dropped.
+// The shared intermediates but the logged fraction. A clustering travels
+// with the pooled buffer that holds its score profile (the cells sharing it
+// differ in trace and weighing) and, for a built-in strategy, the
+// clustering itself; the buffer is released when the node is dropped.
 type (
 	placed struct {
 		mach      *Machine
@@ -151,9 +151,8 @@ type (
 		outcome string // resolveTrace's
 	}
 	scored struct {
-		c    *Clustering
-		prof *core.Profile
-		buf  *core.ClusteringBuf
+		c   *Clustering
+		buf *core.ClusteringBuf
 	}
 )
 
