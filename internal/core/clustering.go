@@ -23,7 +23,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"hierclust/internal/graph"
 	"hierclust/internal/topology"
@@ -134,35 +133,16 @@ func (c *Clustering) MaxGroupSize() int {
 // and the score Profile. A builder method carves them at the shape it builds
 // and regrows only what the shape outgrows, so a buffer that has served a
 // shape builds and scores it again without allocating. What a method
-// returns lives in the buffer until its next build or its Release, and the
-// profile until its next Init or the Release. A nil *ClusteringBuf
-// allocates: the package's builder functions are its methods on nil, and
-// their clusterings are the caller's.
+// returns lives in the buffer until its next build, and the profile until
+// its next Init. The zero value is an empty buffer, for one goroutine at a
+// time. A nil *ClusteringBuf allocates: the package's builder functions are
+// its methods on nil, and their clusterings are the caller's.
 type ClusteringBuf struct {
 	c      Clustering
 	l1     []int32
 	slab   []topology.Rank
 	groups [][]topology.Rank
 	prof   Profile
-}
-
-var bufPool sync.Pool
-
-// GetClusteringBuf lends a buffer from the pool. Hand it back with Release
-// once nothing reads the clustering built in it.
-func GetClusteringBuf() *ClusteringBuf {
-	if b, ok := bufPool.Get().(*ClusteringBuf); ok {
-		return b
-	}
-	return new(ClusteringBuf)
-}
-
-// Release returns b to the pool; the clustering built in it and its
-// profile are dead from here on. Releasing a nil buffer does nothing.
-func (b *ClusteringBuf) Release() {
-	if b != nil {
-		bufPool.Put(b)
-	}
 }
 
 // Profile returns the buffer's score profile; b must not be nil. It may
@@ -344,16 +324,16 @@ func (o *HierOptions) normalize() {
 //     sub-group.
 //
 // The node graph, its partition and the node bucketing are scratch: they
-// live in one pooled graph.Arena for the whole call, so a build allocates
-// the clustering it returns and, once the pool has served the shape, little
-// else. Nothing returned aliases the arena.
+// live in a fresh graph.Arena for the whole call, so a build allocates its
+// scratch and the clustering it returns. Nothing returned aliases the arena.
 func Hierarchical(m trace.Comm, p *topology.Placement, opts HierOptions) (*Clustering, error) {
-	return (*ClusteringBuf)(nil).Hierarchical(m, p, opts)
+	return (*ClusteringBuf)(nil).Hierarchical(nil, m, p, opts)
 }
 
-// Hierarchical is the package's Hierarchical, built in b: a buffer that has
-// served the shape makes the build allocate next to nothing.
-func (b *ClusteringBuf) Hierarchical(m trace.Comm, p *topology.Placement, opts HierOptions) (*Clustering, error) {
+// Hierarchical is the package's Hierarchical, built in b with its scratch in
+// ar (reset first; nil is a fresh one), which is dead once it returns. A
+// buffer and arena that have served the shape allocate next to nothing.
+func (b *ClusteringBuf) Hierarchical(ar *graph.Arena, m trace.Comm, p *topology.Placement, opts HierOptions) (*Clustering, error) {
 	opts.normalize()
 	if m.Ranks() != p.NumRanks() {
 		return nil, fmt.Errorf("core: matrix covers %d ranks, placement %d", m.Ranks(), p.NumRanks())
@@ -362,8 +342,10 @@ func (b *ClusteringBuf) Hierarchical(m trace.Comm, p *topology.Placement, opts H
 	if nused < opts.MinNodesPerL1 {
 		return nil, fmt.Errorf("core: %d used nodes < MinNodesPerL1 %d", nused, opts.MinNodesPerL1)
 	}
-	ar := graph.GetArena(nused)
-	defer ar.Release()
+	if ar == nil {
+		ar = new(graph.Arena)
+	}
+	ar.Reset()
 	nodeGraph, err := trace.NodeGraphInto(m, p, ar)
 	if err != nil {
 		return nil, err

@@ -2,7 +2,6 @@ package core
 
 import (
 	"flag"
-	"runtime"
 	"testing"
 
 	"hierclust/internal/graph"
@@ -12,22 +11,11 @@ import (
 )
 
 // bytesPerOp is what one call of build allocates, read the way the
-// benchmarks read it. The build arena is recycled through a sync.Pool,
-// which a collection empties in two steps; with coldPool, two collections
-// outside the timer before every call make each call pay for a fresh arena,
-// so the count repeats. Without it, the benchmark's own first call warms
-// the pool. The caller fixes the call count (-test.benchtime), which keeps
-// the collections from stretching the default one-second run.
-func bytesPerOp(coldPool bool, build func()) int64 {
+// benchmarks read it. The caller fixes the call count (-test.benchtime).
+func bytesPerOp(build func()) int64 {
 	return testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if coldPool {
-				b.StopTimer()
-				runtime.GC()
-				runtime.GC()
-				b.StartTimer()
-			}
 			build()
 		}
 	}).AllocedBytesPerOp()
@@ -48,23 +36,21 @@ func stencilRig(t testing.TB, ranks, ppn int) (*trace.Stencil, *topology.Placeme
 
 // TestClusteringFootprint holds every strategy to the bytes of what it
 // returns: 4 per rank for L1 and 4 for the group slab, 24 per group header,
-// and under 1 KiB for the struct and its name. Hierarchical meets the same
-// bound once the arena pool has served its shape: the node graph, the
-// partition and the node bucketing live in the pooled arena. A pool miss
-// costs a fresh arena, and that build stays within what the caller-owned
-// node graph and partition cost plus 8 per rank, 8 per node and the group
-// headers. A rank- or node-indexed []int in any build breaks its bound.
+// and under 1 KiB for the struct and its name. Hierarchical builds in a
+// fresh arena, and stays within what the caller-owned node graph and
+// partition cost plus 8 per rank, 8 per node and the group headers. In a
+// held buffer and arena, the ones a pipeline lends, it meets the first
+// bound once they have served its shape: the node graph, the partition and
+// the node bucketing live in the arena. A rank- or node-indexed []int in
+// any build breaks its bound.
 func TestClusteringFootprint(t *testing.T) {
 	const ranks, ppn, nodes = 16384, 4, 16384 / 4
 	benchtime := flag.Lookup("test.benchtime").Value // 64 calls per reading
 	defer benchtime.Set(benchtime.String())
 	benchtime.Set("64x")
-	// One P: the pool keeps an arena per P, and a build that changed P
-	// would miss the warm one.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, build := range []func(int, int) (*Clustering, error){Naive, SizeGuided, Distributed} {
 		var c *Clustering
-		got := bytesPerOp(false, func() { c, _ = build(ranks, 8) })
+		got := bytesPerOp(func() { c, _ = build(ranks, 8) })
 		limit := int64(8*ranks + 24*len(c.Groups) + 1024)
 		t.Logf("%s: %d B/op, limit %d (8/rank + 24/group + 1 KiB)", c.Name, got, limit)
 		if got > limit {
@@ -77,27 +63,28 @@ func TestClusteringFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fold := bytesPerOp(false, func() { s.NodeGraph(p) })
+	fold := bytesPerOp(func() { s.NodeGraph(p) })
 	// core.Hierarchical's defaults: a 4-node minimum and target.
-	part := bytesPerOp(true, func() { graph.Partition(g, graph.PartitionOptions{MinSize: 4, TargetSize: 4}) })
+	part := bytesPerOp(func() { graph.Partition(g, graph.PartitionOptions{MinSize: 4, TargetSize: 4}) })
 	var c *Clustering
-	cold := bytesPerOp(true, func() { c, _ = Hierarchical(s, p, HierOptions{}) })
+	cold := bytesPerOp(func() { c, _ = Hierarchical(s, p, HierOptions{}) })
 	limit := fold + part + int64(8*ranks+8*nodes+24*len(c.Groups)+1024)
-	t.Logf("hierarchical, cold pool: %d B/op, limit %d (node graph %d + partition %d + 8/rank + 8/node + 24/group + 1 KiB)",
+	t.Logf("hierarchical, fresh arena: %d B/op, limit %d (node graph %d + partition %d + 8/rank + 8/node + 24/group + 1 KiB)",
 		cold, limit, fold, part)
 	if cold > limit {
-		t.Errorf("hierarchical, cold pool: %d B/op over its limit %d", cold, limit)
+		t.Errorf("hierarchical, fresh arena: %d B/op over its limit %d", cold, limit)
 	}
 
 	if racedetect.Enabled {
-		t.Log("race detector: sync.Pool drops arenas at random, warm bound not checked")
+		t.Log("race detector: it changes allocation counts, warm bound not checked")
 		return
 	}
-	warm := bytesPerOp(false, func() { c, _ = Hierarchical(s, p, HierOptions{}) })
+	b, ar := new(ClusteringBuf), new(graph.Arena)
+	warm := bytesPerOp(func() { c, _ = b.Hierarchical(ar, s, p, HierOptions{}) })
 	limit = int64(8*ranks + 24*len(c.Groups) + 1024)
-	t.Logf("hierarchical, warm pool: %d B/op, limit %d (8/rank + 24/group + 1 KiB)", warm, limit)
+	t.Logf("hierarchical, held buffer and arena: %d B/op, limit %d (8/rank + 24/group + 1 KiB)", warm, limit)
 	if warm > limit {
-		t.Errorf("hierarchical, warm pool: %d B/op over its limit %d", warm, limit)
+		t.Errorf("hierarchical, held buffer and arena: %d B/op over its limit %d", warm, limit)
 	}
 }
 

@@ -25,41 +25,50 @@ func cloneClustering(c *Clustering) *Clustering {
 	return out
 }
 
-// A clustering owns its memory: the builds after it reuse the pooled arena
-// its own build carved the node graph and the partition from — on its own
-// shape with other options, so every carving lands where its own did with
-// other contents, and on shapes smaller and larger, from both trace forms
-// and both partitioner paths — and leave its L1 and groups as they were.
+// A clustering owns its memory, and reuse is invisible: builds in one held
+// buffer and arena — on the first clustering's shape with other options, so
+// every carving lands where an earlier one did with other contents, and on
+// shapes smaller and larger, from both trace forms and both partitioner
+// paths — each give what a build in fresh memory gives, and leave the
+// caller-owned clustering as it was. Fresh memory is zeroed, so an entry
+// read before it is written shows only here.
 func TestClusteringOutlivesArena(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P, one pooled arena
 	s, p := stencilRig(t, 16384, 4)
 	c, err := Hierarchical(s, p, HierOptions{Multilevel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := cloneClustering(c)
+	b, ar := new(ClusteringBuf), new(graph.Arena)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 20; i++ {
-		if i%4 == 0 {
-			if _, err := Hierarchical(s, p, HierOptions{Multilevel: true, MinNodesPerL1: 8}); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		ppn := 2 + 2*rng.Intn(3)
-		s, p := stencilRig(t, ppn*(256<<rng.Intn(6)), ppn)
 		var m trace.Comm = s
-		if i%3 == 0 {
-			if m, err = trace.Synthetic(s.Ranks(), trace.SyntheticOptions{Pattern: trace.Stencil2D, Width: ppn}); err != nil {
-				t.Fatal(err)
+		p, opts := p, HierOptions{Multilevel: true, MinNodesPerL1: 8}
+		if i%4 != 0 {
+			ppn := 2 + 2*rng.Intn(3)
+			var st *trace.Stencil
+			st, p = stencilRig(t, ppn*(256<<rng.Intn(6)), ppn)
+			if m = st; i%3 == 0 {
+				if m, err = trace.Synthetic(st.Ranks(), trace.SyntheticOptions{Pattern: trace.Stencil2D, Width: ppn}); err != nil {
+					t.Fatal(err)
+				}
 			}
+			opts = HierOptions{Multilevel: i%2 == 0}
 		}
-		if _, err := Hierarchical(m, p, HierOptions{Multilevel: i%2 == 0}); err != nil {
+		fresh, err := Hierarchical(m, p, opts)
+		if err != nil {
 			t.Fatal(err)
+		}
+		got, err := b.Hierarchical(ar, m, p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, fresh) {
+			t.Fatalf("build %d: the held buffer and arena's clustering differs from a fresh build's", i)
 		}
 	}
 	if !reflect.DeepEqual(c, want) {
-		t.Fatal("a clustering changed after later builds reused the arena")
+		t.Fatal("a clustering changed after later builds")
 	}
 }
 
@@ -175,9 +184,10 @@ func TestConcurrentBuildsMatchSerial(t *testing.T) {
 	}
 }
 
-// A build cancelled mid-partition returns graph.ErrCancelled and hands its
-// arena back: the next build of the shape finds it warm in the pool and
-// allocates the clustering alone, where a lost arena would cost a fresh one.
+// A build cancelled mid-partition returns graph.ErrCancelled and leaves its
+// arena reusable: the next build of the shape in it allocates next to
+// nothing, where an arena the cancellation left unusable would cost a fresh
+// one.
 func TestCancelledBuildReleasesArena(t *testing.T) {
 	s, p := stencilRig(t, 65536, 4)
 	polls := 0
@@ -186,22 +196,23 @@ func TestCancelledBuildReleasesArena(t *testing.T) {
 		t.Fatalf("cancelled build: %v, want graph.ErrCancelled", err)
 	}
 	if racedetect.Enabled {
-		t.Skip("race detector: sync.Pool drops arenas at random")
+		t.Skip("the race detector changes allocation counts")
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P, one pooled arena
+	// The buffer and arena a pipeline would lend, held across every build.
+	b, ar := new(ClusteringBuf), new(graph.Arena)
 	opts := HierOptions{Multilevel: true}
-	for i := 0; i < 2; i++ { // size the arena, then settle its slabs
-		if _, err := Hierarchical(s, p, opts); err != nil {
+	for i := 0; i < 2; i++ { // size them, then settle the arena's slabs
+		if _, err := b.Hierarchical(ar, s, p, opts); err != nil {
 			t.Fatal(err)
 		}
 	}
 	polls = 0
-	if _, err := Hierarchical(s, p, cancel); !errors.Is(err, graph.ErrCancelled) {
+	if _, err := b.Hierarchical(ar, s, p, cancel); !errors.Is(err, graph.ErrCancelled) {
 		t.Fatalf("cancelled build: %v, want graph.ErrCancelled", err)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	c, err := Hierarchical(s, p, opts)
+	c, err := b.Hierarchical(ar, s, p, opts)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +221,7 @@ func TestCancelledBuildReleasesArena(t *testing.T) {
 	limit := uint64(8*p.NumRanks() + 24*len(c.Groups) + 16<<10)
 	t.Logf("build after a cancelled one: %d B, limit %d (8/rank + 24/group + 16 KiB)", got, limit)
 	if got > limit {
-		t.Errorf("build after a cancelled one allocates %d B, over %d: the cancelled build kept its arena", got, limit)
+		t.Errorf("build after a cancelled one allocates %d B, over %d: the cancelled build left its arena unusable", got, limit)
 	}
 }
 
@@ -236,7 +247,7 @@ func TestWarmScoreAllocatesNothing(t *testing.T) {
 	ctx, mix := context.Background(), reliability.DefaultMix()
 	builds := map[string]func(b *ClusteringBuf) (*Clustering, error){
 		"hierarchical": func(b *ClusteringBuf) (*Clustering, error) {
-			return b.Hierarchical(m, p, HierOptions{Multilevel: true})
+			return b.Hierarchical(nil, m, p, HierOptions{Multilevel: true})
 		},
 		"naive":       func(b *ClusteringBuf) (*Clustering, error) { return b.Naive(ranks, 32) },
 		"size-guided": func(b *ClusteringBuf) (*Clustering, error) { return b.SizeGuided(ranks, 8) },

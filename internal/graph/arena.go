@@ -1,23 +1,22 @@
 package graph
 
-import "sync"
-
 // The build arena: every buffer one hierarchical build needs between the
 // trace and the clustering it returns — the finest-level node graph a trace
 // fold carves into it, the partitioner's scratch, the coarse levels of the
 // multilevel ladder, and the compacted assignment — none of them fresh
-// arrays per build or per level. Arenas are recycled through a sync.Pool
-// (the pipeline builds node graphs of one shape over and over), so a build
-// of a shape the pooled arena has served allocates nothing here; what the
-// caller keeps it copies out. Scratch buffers are carved from a handful of
-// typed allocations; a few share backing memory across phases that never
-// overlap in time, spelled out at the field definitions.
+// arrays per build or per level. An arena is reused by whoever holds it
+// (the pipeline builds node graphs of one shape over and over, each in an
+// arena it lends for the build), so a build of a shape the arena has served
+// allocates nothing here; what the caller keeps it copies out. Scratch
+// buffers are carved from a handful of typed allocations; a few share
+// backing memory across phases that never overlap in time, spelled out at
+// the field definitions.
 
-// Arena holds the memory of one build, for one goroutine at a time: GetArena
-// lends one from the pool and Release hands it back, after which nothing
-// carved from it may be read. A nil *Arena is the heap: its methods allocate
-// memory the caller owns, so one fold and one partitioner serve both the
-// pooled build and the caller-owned wrappers (Comm.NodeGraph, Partition).
+// Arena holds the memory of one build, for one goroutine at a time. The zero
+// value is an empty arena; Reset rewinds it for the next build, after which
+// nothing carved from it earlier may be read. A nil *Arena is the heap: its
+// carving methods allocate memory the caller owns, so one fold serves both
+// an arena's build and the caller-owned wrapper Comm.NodeGraph.
 type Arena struct {
 	n0   int   // per-vertex scratch capacity
 	nnz0 int64 // per-edge scratch capacity
@@ -133,31 +132,12 @@ func (s *slab[T]) reset() {
 	s.cur, s.off, s.used = 0, 0, 0
 }
 
-var arenaPool sync.Pool
-
-// GetArena lends an arena with per-vertex room for n vertices, from the pool
-// when it holds one. Hand it back with Release.
-func GetArena(n int) *Arena {
-	ar, _ := arenaPool.Get().(*Arena)
-	if ar == nil {
-		ar = new(Arena)
-	}
-	ar.fit(n, 0)
-	return ar
-}
-
-// Release rewinds the arena and returns it to the pool. Every graph,
-// assignment and slice carved from it is dead from here on.
-func (ar *Arena) Release() {
-	ar.reset()
-	arenaPool.Put(ar)
-}
-
-// reset prepares the arena for its next build. Epoch-stamped buffers need no
+// Reset prepares the arena for its next build: every graph, assignment and
+// slice carved from it is dead from here on. Epoch-stamped buffers need no
 // clearing — epochs increase monotonically across builds, so stale stamps
 // can never collide — until an epoch counter nears overflow, when the
 // stamps are wiped and the counter rewinds.
-func (ar *Arena) reset() {
+func (ar *Arena) Reset() {
 	ar.ints.reset()
 	ar.i64s.reset()
 	ar.i32s.reset()
@@ -178,7 +158,7 @@ func (ar *Arena) reset() {
 }
 
 // fit grows the scratch to serve a graph of n vertices and nnz entries.
-// Growth only ever widens, so a pooled arena converges on the largest shape
+// Growth only ever widens, so a reused arena converges on the largest shape
 // it serves. Scratch is dead between phases, so a regrown buffer starts
 // empty; fresh stamp arrays are zero, below every epoch already issued.
 func (ar *Arena) fit(n int, nnz int64) {

@@ -29,7 +29,7 @@ import (
 //
 // A Graph is immutable: it is built once (FromCSR, Quotient, the
 // multilevel contraction) and no method changes it, so concurrent reads
-// are safe. A graph built in an Arena lives until that arena's Release.
+// are safe. A graph built in an Arena lives until that arena's next Reset.
 type Graph struct {
 	n int
 

@@ -21,7 +21,7 @@ func benchOpts() PartitionOptions {
 func BenchmarkPhaseMatching(b *testing.B) {
 	g := benchGraph()
 	opts := benchOpts()
-	ar := newPartArena(g)
+	ar := newPartArena(new(Arena), g)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -32,12 +32,12 @@ func BenchmarkPhaseMatching(b *testing.B) {
 func BenchmarkPhaseContract(b *testing.B) {
 	g := benchGraph()
 	opts := benchOpts()
-	ar := newPartArena(g)
+	ar := newPartArena(new(Arena), g)
 	match, matched := heavyEdgeMatching(g, nil, opts, ar)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ar.reset()
+		ar.Reset()
 		if _, _, _, err := contract(g, nil, match, matched, opts, ar); err != nil {
 			b.Fatal(err)
 		}
@@ -47,7 +47,7 @@ func BenchmarkPhaseContract(b *testing.B) {
 func BenchmarkPhaseRefineFinest(b *testing.B) {
 	g := benchGraph()
 	opts := benchOpts()
-	ar := newPartArena(g)
+	ar := newPartArena(new(Arena), g)
 	part, err := Partition(g, PartitionOptions{MinSize: 4, TargetSize: 4, Multilevel: true})
 	if err != nil {
 		b.Fatal(err)
@@ -68,7 +68,7 @@ func BenchmarkPhaseGrowCoarsest(b *testing.B) {
 	// Approximate the coarsest graph by contracting twice.
 	g := benchGraph()
 	opts := benchOpts()
-	ar := newPartArena(g)
+	ar := newPartArena(new(Arena), g)
 	var vw []int
 	for level := 0; level < 2; level++ {
 		match, matched := heavyEdgeMatching(g, vw, opts, ar)

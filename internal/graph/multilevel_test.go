@@ -9,10 +9,12 @@ import (
 	"hierclust/internal/racedetect"
 )
 
-// newPartArena lends a pooled arena fitted to g, the way Partition fits
-// its own; buildArena sizes a fresh one.
-func newPartArena(g *Graph) *Arena {
-	ar := GetArena(g.N())
+// newPartArena rewinds ar and fits it to g, the way Partition fits its own.
+// A loop that passes the one arena it holds runs every case on the scratch
+// and slabs the cases before it left dirty, as the pipeline's builds do;
+// buildArena sizes a fresh one.
+func newPartArena(ar *Arena, g *Graph) *Arena {
+	ar.Reset()
 	ar.fit(g.N(), g.rowptr[g.N()])
 	return ar
 }
@@ -160,14 +162,13 @@ func TestMultilevelWorkerInvariance(t *testing.T) {
 	if err := opts.normalize(g.N()); err != nil {
 		t.Fatal(err)
 	}
-	ar := newPartArena(g)
-	defer ar.Release()
+	ar := newPartArena(new(Arena), g)
 	ref, err := multilevelPartition(g, opts, ar)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref = append([]int(nil), ref...) // the next run writes the same buffer
-	ar.reset()
+	ar.Reset()
 	again, err := multilevelPartition(g, opts, ar)
 	if err != nil {
 		t.Fatal(err)
@@ -181,9 +182,9 @@ func TestMultilevelWorkerInvariance(t *testing.T) {
 
 // Partition runs on its caller's goroutine: with two P's available it
 // starts no goroutine and builds no escaping closure, so a multilevel
-// partition on a warm arena allocates the returned assignment, the coarse
-// levels' headers and little else — a constant, not a count that grows with the
-// P's or the graph's chunks. testing.AllocsPerRun cannot measure this: it
+// partition on a warm arena allocates the coarse levels' headers and little
+// else — a constant, not a count that grows with the P's or the graph's
+// chunks. testing.AllocsPerRun cannot measure this: it
 // pins GOMAXPROCS to 1 while it counts.
 func TestPartitionAllocsBounded(t *testing.T) {
 	if racedetect.Enabled {
@@ -192,12 +193,15 @@ func TestPartitionAllocsBounded(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	g := stencil2D(16384, 128)
 	opts := PartitionOptions{MinSize: 4, TargetSize: 4, Multilevel: true}
+	// The arena a pipeline build would hold, across every call.
+	ar := new(Arena)
 	partition := func() {
-		if _, err := Partition(g, opts); err != nil {
+		ar.Reset()
+		if _, err := ar.Partition(g, opts); err != nil {
 			t.Fatal(err)
 		}
 	}
-	partition() // warm the arena pool
+	partition() // size the arena
 	const runs = 20
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -206,8 +210,8 @@ func TestPartitionAllocsBounded(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	got := float64(after.Mallocs-before.Mallocs) / runs
-	// 6 on a warm arena; the slack covers a pooled arena missed when the
-	// goroutine changes P (a build on a fresh arena is 23 objects).
+	// 5 on a warm arena (the multilevel ladder's level headers); the slack
+	// is what the runtime adds at two P's (a fresh arena is 23 objects).
 	const bound = 16
 	t.Logf("multilevel Partition at GOMAXPROCS 2: %.2f allocs/op (bound %d)", got, bound)
 	if got > bound {
@@ -223,7 +227,7 @@ func TestHeavyEdgeMatchingInvariants(t *testing.T) {
 	if err := opts.normalize(g.N()); err != nil {
 		t.Fatal(err)
 	}
-	ar := newPartArena(g)
+	ar := newPartArena(new(Arena), g)
 	match, matched := heavyEdgeMatching(g, nil, opts, ar)
 	count := 0
 	for u, m := range match {
@@ -343,7 +347,7 @@ func TestContractPreservesTotalWeight(t *testing.T) {
 	if err := opts.normalize(g.N()); err != nil {
 		t.Fatal(err)
 	}
-	ar := newPartArena(g)
+	ar := newPartArena(new(Arena), g)
 	match, matched := heavyEdgeMatching(g, nil, opts, ar)
 	coarse, _, _, err := contract(g, nil, match, matched, opts, ar)
 	if err != nil {

@@ -106,12 +106,10 @@ func vweight(vw []int, v int) int {
 // growth runs on a heavy-edge-coarsened graph instead and the refinement
 // repeats at every level on the way back up — the same contract, better
 // cuts on large graphs. Partition runs on the caller's goroutine, in a
-// pooled arena. It returns part[v] = cluster id, with ids dense in 0..K-1,
+// fresh arena. It returns part[v] = cluster id, with ids dense in 0..K-1,
 // in a slice the caller owns.
 func Partition(g *Graph, opts PartitionOptions) ([]int, error) {
-	ar := GetArena(g.N())
-	defer ar.Release()
-	part, err := ar.Partition(g, opts)
+	part, err := new(Arena).Partition(g, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -123,7 +121,7 @@ func Partition(g *Graph, opts PartitionOptions) ([]int, error) {
 }
 
 // Partition is graph.Partition with the assignment left in the arena, valid
-// until Release. g may itself live in the arena: the partitioner only
+// until Reset. g may itself live in the arena: the partitioner only
 // carves after the graph, never over it.
 func (ar *Arena) Partition(g *Graph, opts PartitionOptions) ([]int32, error) {
 	n := g.N()
@@ -336,7 +334,7 @@ func grow(g *Graph, opts PartitionOptions, vw []int, ar *Arena) ([]int, []int) {
 
 // refineState is the refinement's working state: the gain cache and move
 // stamps carved from the arena, and the size bounds. refine keeps it on its
-// own stack, so a pooled arena never pins a finished graph.
+// own stack, so a reused arena never pins a finished graph.
 type refineState struct {
 	g     *Graph
 	part  []int

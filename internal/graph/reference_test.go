@@ -396,6 +396,7 @@ func randomWeightedGraph(seed int64, n int) *Graph {
 // reference on random weighted graphs — unit weights and multilevel-style
 // vertex weights, with and without MaxSize.
 func TestGrowMatchesHashMapReference(t *testing.T) {
+	var held Arena // one arena across every case
 	for seed := int64(1); seed <= 12; seed++ {
 		n := 200 + int(seed)*97
 		g := randomWeightedGraph(seed, n)
@@ -414,7 +415,7 @@ func TestGrowMatchesHashMapReference(t *testing.T) {
 			if err := opts.normalize(n); err != nil {
 				t.Fatal(err)
 			}
-			ar := newPartArena(g)
+			ar := newPartArena(&held, g)
 			gotPart, gotSizes := grow(g, opts, vw, ar)
 			wantPart, wantSizes := growReference(g, opts, vw)
 			for v := range wantPart {
@@ -431,7 +432,6 @@ func TestGrowMatchesHashMapReference(t *testing.T) {
 					t.Fatalf("seed %d: cluster %d size %d, reference %d", seed, id, gotSizes[id], wantSizes[id])
 				}
 			}
-			ar.Release()
 		}
 	}
 }
@@ -440,13 +440,14 @@ func TestGrowMatchesHashMapReference(t *testing.T) {
 // byte-identical (rowptr, columns, weights, vertex map, vertex weights) to
 // the retained two-pass implementation, on every partition test graph.
 func TestContractFusedMatchesTwoPass(t *testing.T) {
+	var held Arena // one arena across every case
 	for _, tc := range goldenGraphs() {
 		g := tc.g
 		opts := tc.opts
 		if err := opts.normalize(g.N()); err != nil {
 			t.Fatal(err)
 		}
-		ar := newPartArena(g)
+		ar := newPartArena(&held, g)
 		var vw []int
 		for level := 0; level < 3; level++ {
 			match, matched := heavyEdgeMatching(g, vw, opts, ar)
@@ -487,13 +488,13 @@ func TestContractFusedMatchesTwoPass(t *testing.T) {
 			}
 			g, vw = ref, refCvw // descend on the reference graph
 		}
-		ar.Release()
 	}
 }
 
 // Property: the epoch-stamped flat-array weighted merge matches the
 // retained map-based merge exactly, starting from real weighted growths.
 func TestMergeSmallWeightedMatchesReference(t *testing.T) {
+	var held Arena // one arena across every case
 	for seed := int64(1); seed <= 8; seed++ {
 		n := 300 + int(seed)*61
 		g := randomWeightedGraph(seed, n)
@@ -506,7 +507,7 @@ func TestMergeSmallWeightedMatchesReference(t *testing.T) {
 		if err := opts.normalize(n); err != nil {
 			t.Fatal(err)
 		}
-		ar := newPartArena(g)
+		ar := newPartArena(&held, g)
 		part, sizes := grow(g, opts, vw, ar)
 		refPart := append([]int(nil), part...)
 		refSizes := append([]int(nil), sizes...)
@@ -522,7 +523,6 @@ func TestMergeSmallWeightedMatchesReference(t *testing.T) {
 				t.Fatalf("seed %d: cluster %d size %d, reference %d", seed, id, gotSizes[id], wantSizes[id])
 			}
 		}
-		ar.Release()
 	}
 }
 
@@ -532,6 +532,7 @@ func TestMergeSmallWeightedMatchesReference(t *testing.T) {
 // so the fallback-grown last cluster exercises all three target rules
 // (fitting neighbor, MaxSize relaxed, smallest cluster overall).
 func TestMergeSmallWeightedMatchesUnitMerge(t *testing.T) {
+	var held Arena // one arena across every case
 	const cases = 3200
 	needMerge := 0
 	for seed := int64(0); seed < cases; seed++ {
@@ -558,7 +559,7 @@ func TestMergeSmallWeightedMatchesUnitMerge(t *testing.T) {
 		if err := opts.normalize(n); err != nil {
 			t.Fatal(err)
 		}
-		ar := newPartArena(g)
+		ar := newPartArena(&held, g)
 		part, sizes := grow(g, opts, nil, ar)
 		for _, s := range sizes {
 			if s < opts.MinSize {
@@ -575,7 +576,6 @@ func TestMergeSmallWeightedMatchesUnitMerge(t *testing.T) {
 				t.Fatalf("seed %d opts %+v: vertex %d in cluster %d, unit merge %d", seed, opts, v, got[v], want[v])
 			}
 		}
-		ar.Release()
 	}
 	if needMerge < cases/4 {
 		t.Fatalf("only %d of %d growths left a cluster to merge; the test proves little", needMerge, cases)

@@ -46,7 +46,7 @@ type Comm interface {
 }
 
 // NodeGraphInto is m.NodeGraph with the graph and the fold's scratch carved
-// from ar, so the graph lives until ar's Release and the fold allocates
+// from ar, so the graph lives until ar's next Reset and the fold allocates
 // nothing of its own. Any other Comm (the Matrix shim, or one from outside
 // this package) builds its graph with its own NodeGraph.
 func NodeGraphInto(m Comm, p *topology.Placement, ar *graph.Arena) (*graph.Graph, error) {

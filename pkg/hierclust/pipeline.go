@@ -12,6 +12,7 @@ import (
 
 	"hierclust/internal/core"
 	"hierclust/internal/faultinject"
+	"hierclust/internal/graph"
 	"hierclust/internal/pool"
 	"hierclust/internal/trace"
 	"hierclust/internal/tsunami"
@@ -54,6 +55,42 @@ type Pipeline struct {
 	// the first build instead of launching a second application run.
 	flightMu sync.Mutex
 	flight   map[string]*traceFlight
+
+	// Free build memory, kept at its peak (docs/OPERATIONS.md, Build memory):
+	// a buffer per clustering live at once (1.95 MB at 131,072 ranks), an
+	// arena per hierarchical build running at once (14.0 MB there).
+	bufs   freeList[core.ClusteringBuf]
+	arenas freeList[graph.Arena]
+}
+
+// freeList lends a pipeline's build memory, last returned first (its shape is
+// likeliest the next build's). It has no capacity and frees nothing: it holds
+// as many items as were ever lent at once, each at the largest shape it served.
+type freeList[T any] struct {
+	mu   sync.Mutex
+	free []*T
+}
+
+// lend takes the item returned last, or a new one when none is free.
+func (l *freeList[T]) lend() *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.free); n > 0 {
+		x := l.free[n-1]
+		l.free[n-1], l.free = nil, l.free[:n-1]
+		return x
+	}
+	return new(T)
+}
+
+// give hands x back, and what was built in it is dead; nil is a no-op.
+func (l *freeList[T]) give(x *T) {
+	if x == nil {
+		return
+	}
+	l.mu.Lock()
+	l.free = append(l.free, x)
+	l.mu.Unlock()
 }
 
 // traceFlight is one in-progress trace build; waiters block on done.
@@ -303,16 +340,15 @@ func (pl *Pipeline) evalStrategy(ctx context.Context, run *sweepRun, spec Strate
 		sd, err = run.parts[node].get(&run.partBuilds, func() (scored, error) {
 			ctx, cancel := run.buildCtx()
 			defer cancel()
-			return buildScored(ctx, spec, comm, placement)
+			return pl.buildScored(ctx, spec, comm, placement)
 		})
 	} else {
 		if run != nil {
 			run.partBuilds.Add(1)
 		}
-		sd, err = buildScored(ctx, spec, comm, placement)
-		// A private clustering and its profile never leave this frame: once
-		// the row below is rendered, their memory goes back to the pool.
-		defer sd.buf.Release()
+		sd, err = pl.buildScored(ctx, spec, comm, placement)
+		// A private build's buffer goes back once the row below is rendered.
+		defer pl.bufs.give(sd.buf)
 	}
 	if err != nil {
 		return err
@@ -350,33 +386,33 @@ func (pl *Pipeline) evalStrategy(ctx context.Context, run *sweepRun, spec Strate
 }
 
 // buildScored instantiates spec, builds its clustering and scores it into
-// the profile of a pooled buffer, sd.buf — the unit the sweep executor
-// shares across cells by partitionKey. The clustering and the profile are
-// immutable downstream (weighing only reads them), so one build may be
-// weighed concurrently by many cells. A built-in strategy builds into the
-// buffer too; a third-party one builds where it likes, and only its score
-// lives there. The caller releases sd.buf once nothing reads sd.c or the
-// profile; on error there is nothing to release.
-func buildScored(ctx context.Context, spec StrategySpec, comm Comm, placement *Placement) (sd scored, err error) {
+// the profile of a lent buffer, sd.buf — the unit the sweep executor shares
+// across cells by partitionKey; weighing only reads it, so many cells may
+// weigh one build concurrently. A built-in strategy builds into the buffer
+// (and a lent arena) too; a third-party one builds where it likes. The
+// caller gives sd.buf back once nothing reads it; on error there is none.
+func (pl *Pipeline) buildScored(ctx context.Context, spec StrategySpec, comm Comm, placement *Placement) (sd scored, err error) {
 	st, err := NewStrategy(spec)
 	if err != nil {
 		return sd, err
 	}
-	sd.buf = core.GetClusteringBuf()
+	sd.buf = pl.bufs.lend()
 	switch st := st.(type) {
 	case builtinStrategy:
-		sd.c, err = st.buildIn(ctx, comm, placement, sd.buf)
+		ar := pl.arenas.lend()
+		sd.c, err = st.buildIn(ctx, comm, placement, sd.buf, ar)
+		pl.arenas.give(ar)
 	case CtxStrategy:
 		sd.c, err = st.BuildCtx(ctx, comm, placement)
 	default:
 		sd.c, err = st.Build(comm, placement)
 	}
 	if err != nil {
-		sd.buf.Release()
+		pl.bufs.give(sd.buf)
 		return scored{}, cmp.Or(ctx.Err(), err)
 	}
 	if err := sd.buf.Profile().Init(ctx, sd.c, placement); err != nil {
-		sd.buf.Release()
+		pl.bufs.give(sd.buf)
 		return scored{}, err
 	}
 	return sd, nil

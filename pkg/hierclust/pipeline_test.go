@@ -111,9 +111,9 @@ func TestPipelineWorkerInvariance(t *testing.T) {
 // compute, the partitioner included, so a Run allocates the same objects at
 // GOMAXPROCS 2 as at 1 — a stage that forked onto idle P's would add its
 // goroutines and closures at 2. The multilevel partition runs on 16,384
-// nodes, well past any chunk a parallel phase could split. Two collections
-// before each Run empty the partitioner's arena pool, so every Run builds a
-// fresh arena whichever P it lands on and the count repeats. The runtime
+// nodes, well past any chunk a parallel phase could split. The pipeline
+// lends every Run the one buffer a warm-up Run sized, so the count repeats
+// whichever P a Run lands on. The runtime
 // adds objects of its own to a Run now and then: a collection that starts
 // mid-Run can have its mark worker, on a P whose sudog cache is empty,
 // allocate one, and a type assertion may rebuild its call site's cache.
@@ -133,13 +133,14 @@ func TestPipelineOneWorkerIsTheBudget(t *testing.T) {
 		Strategies: []StrategySpec{{Kind: "hierarchical", Hier: &HierSpec{Multilevel: true}}},
 	}
 	pl := NewPipeline(WithWorkers(1))
+	if _, err := pl.Run(context.Background(), sc); err != nil {
+		t.Fatal(err)
+	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocsAt := func(procs int) uint64 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		var allocs [5]uint64
 		for i := range allocs {
-			runtime.GC()
-			runtime.GC()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			if _, err := pl.Run(context.Background(), sc); err != nil {

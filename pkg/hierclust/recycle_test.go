@@ -7,23 +7,23 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"testing"
 
 	"hierclust/internal/core"
-	"hierclust/internal/racedetect"
+	"hierclust/internal/graph"
 	"hierclust/internal/topology"
 	"hierclust/internal/trace"
 )
 
 // A built-in strategy's clustering and every strategy's score profile are
-// scratch inside the pipeline: their memory goes back to a pool once the
-// row that scores them is rendered (a private cell) or once their last
-// consumer finishes (a sweep's shared node). These tests pin that the
-// recycling changes no byte, never reaches a clustering a third-party
-// strategy keeps, and keeps a warm Run from allocating a clustering or a
-// profile.
+// scratch inside the pipeline: their buffer goes back to the pipeline's free
+// list once the row that scores them is rendered (a private cell) or once
+// their last consumer finishes (a sweep's shared node). These tests pin that
+// the recycling changes no byte, never reaches a clustering a third-party
+// strategy keeps, keeps a warm Run from allocating a clustering or a profile
+// whatever the collector does, and holds no more buffers than were lent at
+// once.
 
 // cachedStrategy is a third-party strategy that keeps what it returns: one
 // clustering, built once, handed out by every Build.
@@ -75,10 +75,17 @@ func cloneClustering(c *Clustering) *Clustering {
 	return out
 }
 
-// runDoc is Run's document for sc on a fresh pipeline.
+// runDoc is Run's document for sc on a fresh pipeline, which builds every
+// clustering in fresh memory.
 func runDoc(t *testing.T, sc *Scenario, workers int) []byte {
 	t.Helper()
-	res, err := NewPipeline(WithWorkers(workers)).Run(context.Background(), sc)
+	return runDocOn(t, NewPipeline(WithWorkers(workers)), sc)
+}
+
+// runDocOn is Run's document for sc on pl.
+func runDocOn(t *testing.T, pl *Pipeline, sc *Scenario) []byte {
+	t.Helper()
+	res, err := pl.Run(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,12 +101,12 @@ func runDoc(t *testing.T, sc *Scenario, workers int) []byte {
 // rebuild at its rank count right after it, through Run, RunCell and two
 // 4-cell sweeps: one over two traces and two mixes, and one whose every
 // clustering node is shared by four mixes, weighed concurrently at 4
-// workers before its last consumer releases it. Its clustering keeps its L1
+// workers before its last consumer returns it. Its clustering keeps its L1
 // and groups, and every document equals a run before any of it. Its score
-// profile lives in a pooled buffer, which is recycled; recycling the
+// profile lives in a lent buffer, which is recycled; recycling the
 // clustering would hand it to the next built-in build. So after every route
-// the test builds and scores in every buffer the pool holds. Run it under
-// -race.
+// the test builds and scores in every buffer the pipeline's free list
+// holds. Run it under -race.
 func TestThirdPartyClusteringNeverRecycled(t *testing.T) {
 	c, placement := registerCached(t)
 	orig := cloneClustering(c)
@@ -127,14 +134,17 @@ func TestThirdPartyClusteringNeverRecycled(t *testing.T) {
 		}
 	}
 
-	check := func(route string, got, want [][]byte) {
+	check := func(route string, pl *Pipeline, got, want [][]byte) {
 		t.Helper()
-		// Draw every buffer the pool holds, and build and score in it at the
+		// Draw every buffer pl holds, and build and score in it at the
 		// cached clustering's rank count: any of its memory in there is
 		// overwritten.
-		bufs := make([]*core.ClusteringBuf, 16)
+		bufs := make([]*core.ClusteringBuf, freeBufs(pl))
+		if len(bufs) == 0 {
+			t.Fatalf("%s: the pipeline holds no buffer", route)
+		}
 		for i := range bufs {
-			bufs[i] = core.GetClusteringBuf()
+			bufs[i] = pl.bufs.lend()
 			naive, err := bufs[i].Naive(len(c.L1), 4)
 			if err != nil {
 				t.Fatal(err)
@@ -144,7 +154,7 @@ func TestThirdPartyClusteringNeverRecycled(t *testing.T) {
 			}
 		}
 		for _, b := range bufs {
-			b.Release()
+			pl.bufs.give(b)
 		}
 		if !reflect.DeepEqual(c, orig) {
 			t.Fatalf("%s: the third-party clustering changed: the pipeline recycled it", route)
@@ -158,12 +168,12 @@ func TestThirdPartyClusteringNeverRecycled(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		for _, workers := range []int{1, 4} {
 			pl := NewPipeline(WithWorkers(workers))
-			check(fmt.Sprintf("Run, workers=%d", workers), [][]byte{runDoc(t, sc, workers)}, wantRun)
+			check(fmt.Sprintf("Run, workers=%d", workers), pl, [][]byte{runDocOn(t, pl, sc)}, wantRun)
 			cell := pl.RunCell(context.Background(), sc, SweepOptions{})
 			if cell.Err != nil {
 				t.Fatal(cell.Err)
 			}
-			check(fmt.Sprintf("RunCell, workers=%d", workers), [][]byte{cell.Doc}, wantRun)
+			check(fmt.Sprintf("RunCell, workers=%d", workers), pl, [][]byte{cell.Doc}, wantRun)
 			for k, sw := range sweeps {
 				report, err := pl.RunSweep(context.Background(), sw, SweepOptions{Workers: workers})
 				if err != nil {
@@ -179,27 +189,18 @@ func TestThirdPartyClusteringNeverRecycled(t *testing.T) {
 				if k == 1 && report.PartitionBuilds != int64(len(sc.Strategies)) {
 					t.Fatalf("sweep %q built %d clusterings for %d strategies: its cells do not share them", sw.Name, report.PartitionBuilds, len(sc.Strategies))
 				}
-				check(fmt.Sprintf("sweep %q, workers=%d", sw.Name, workers), docs, wantSweeps[k])
+				check(fmt.Sprintf("sweep %q, workers=%d", sw.Name, workers), pl, docs, wantSweeps[k])
 			}
 		}
 	}
 }
 
-// coldDoc is runDoc on a cold pool: two collections first empty it, so the
-// run builds every clustering in fresh memory.
-func coldDoc(t *testing.T, sc *Scenario) []byte {
-	t.Helper()
-	runtime.GC()
-	runtime.GC()
-	return runDoc(t, sc, 1)
-}
-
-// TestClusteringReuseInvisible: at one P, where every build after the first
-// reuses a buffer an earlier build of another shape or kind filled, Runs
-// interleaved over three shapes (the last with a short node) and all four
-// built-in kinds give the documents of runs on a cold pool. So does a mixed
-// flat and hierarchical sweep over those shapes at 1, 2 and 8 workers.
-// Run it under -race.
+// TestClusteringReuseInvisible: on one one-worker pipeline, where every
+// build after the first reuses a buffer an earlier build of another shape or
+// kind filled, Runs interleaved over three shapes (the last with a short
+// node) and all four built-in kinds give the documents of runs on fresh
+// pipelines. So does a mixed flat and hierarchical sweep over those shapes
+// at 1, 2 and 8 workers. Run it under -race.
 func TestClusteringReuseInvisible(t *testing.T) {
 	shapes := []MachinePoint{{Nodes: 24, Ranks: 96, ProcsPerNode: 4}, {Nodes: 64, Ranks: 512, ProcsPerNode: 8}, {Nodes: 32, Ranks: 250, ProcsPerNode: 8}}
 	kinds := []StrategySpec{{Kind: "naive", Size: 16}, {Kind: "size-guided", Size: 8}, {Kind: "distributed", Size: 8}, {Kind: "hierarchical"}}
@@ -211,19 +212,17 @@ func TestClusteringReuseInvisible(t *testing.T) {
 		// A short loss tail: the short node makes the layout irregular, and
 		// the default tail would sample it by Monte Carlo.
 		sc.Strategies, sc.Mix = kinds, &MixSpec{Transient: 0.05, NodeLoss: []float64{0.5, 0.1}}
-		scenarios[i], want[i] = sc, coldDoc(t, sc)
+		scenarios[i], want[i] = sc, runDoc(t, sc, 1)
 	}
-	func() {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P, one pool shard
-		for round := 0; round < 3; round++ {
-			for k := range scenarios {
-				i := (k + round) % len(scenarios)
-				if got := runDoc(t, scenarios[i], 1); !bytes.Equal(got, want[i]) {
-					t.Fatalf("round %d, %d ranks: a warm run diverges from a cold one:\n%s\nvs\n%s", round, shapes[i].Ranks, got, want[i])
-				}
+	warm := NewPipeline(WithWorkers(1))
+	for round := 0; round < 3; round++ {
+		for k := range scenarios {
+			i := (k + round) % len(scenarios)
+			if got := runDocOn(t, warm, scenarios[i]); !bytes.Equal(got, want[i]) {
+				t.Fatalf("round %d, %d ranks: a warm run diverges from a cold one:\n%s\nvs\n%s", round, shapes[i].Ranks, got, want[i])
 			}
 		}
-	}()
+	}
 
 	sw := &Sweep{Name: "reuse", Base: *scenarios[0], Axes: SweepAxes{
 		Machines:   shapes,
@@ -236,7 +235,7 @@ func TestClusteringReuseInvisible(t *testing.T) {
 	}
 	wantCells := make([][]byte, len(cells))
 	for i, cell := range cells {
-		wantCells[i] = coldDoc(t, cell)
+		wantCells[i] = runDoc(t, cell, 1)
 	}
 	for _, workers := range []int{1, 2, 8} {
 		report, err := NewPipeline(WithWorkers(workers)).RunSweep(context.Background(), sw, SweepOptions{Workers: workers})
@@ -254,18 +253,16 @@ func TestClusteringReuseInvisible(t *testing.T) {
 	}
 }
 
-// TestWarmRunAllocatesNoClustering: once the pools have served the shape, a
-// Run of a 16,384-rank hierarchical scenario allocates under 1 byte a rank:
-// 1,936 B. The clustering alone is 8 a rank plus 24 a group header, and its
-// score profile about 2 a rank, so a Run that lost its release, and built
-// each clustering fresh, fails here, and so does one that scores in a fresh
-// profile (35,632 B, when the buffer carried only the clustering). It counts
-// with ReadMemStats at one P (one pool shard) with the collector off, which
-// would otherwise empty the pools between Runs.
+// TestWarmRunAllocatesNoClustering: once its pipeline has served the
+// shape, a Run of a 16,384-rank hierarchical scenario allocates under 1 byte
+// a rank: 1,936 B, or ≈2.4 KB right after two collections (what they drop
+// lies outside the pipeline). The clustering alone is 8 a rank plus 24 a group header,
+// and its score profile about 2 a rank, so a Run that lost its buffer, and
+// built each clustering fresh, fails here, and so does one that scores in a
+// fresh profile (35,632 B, when the buffer carried only the clustering). Two
+// collections just before the measured Run leave the pipeline's buffers
+// where they are.
 func TestWarmRunAllocatesNoClustering(t *testing.T) {
-	if racedetect.Enabled {
-		t.Skip("race detector: sync.Pool drops buffers at random")
-	}
 	const ranks = 16384
 	sc := &Scenario{
 		Name:       "warm",
@@ -275,15 +272,15 @@ func TestWarmRunAllocatesNoClustering(t *testing.T) {
 		Strategies: []StrategySpec{{Kind: "hierarchical", Hier: &HierSpec{Multilevel: true}}},
 	}
 	pl := NewPipeline(WithWorkers(1))
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var res *Result
 	var err error
-	for i := 0; i < 2; i++ { // size the arena and the buffer, then settle the arena's slabs
+	for i := 0; i < 2; i++ { // size the buffer, then settle its arena's slabs
 		if res, err = pl.Run(context.Background(), sc); err != nil {
 			t.Fatal(err)
 		}
 	}
+	runtime.GC()
+	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	if _, err := pl.Run(context.Background(), sc); err != nil {
@@ -295,5 +292,92 @@ func TestWarmRunAllocatesNoClustering(t *testing.T) {
 		got, limit, 8*ranks+24*res.Evaluations[0].Groups)
 	if got >= limit {
 		t.Errorf("warm Run allocates %d B, at or over %d: the pipeline built or scored its clustering in fresh memory", got, limit)
+	}
+}
+
+// freeBufs is the number of buffers pl's free list holds.
+func freeBufs(pl *Pipeline) int { return pl.bufs.len() }
+
+// len is the number of items l holds.
+func (l *freeList[T]) len() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.free)
+}
+
+// TestFreeListHoldsPeakLent: the free lists keep a buffer for each
+// clustering that was live at once and an arena for each build that ran at
+// once, and no more. A one-worker sweep shaped like the gate benchmark's
+// sweep-grid (4 one-strategy sets × 3 mixes × 2 trace points) holds its two
+// trace points' hierarchical clusterings at the same time but builds them
+// one after the other, so it leaves 2 buffers and 1 arena, and a repeat
+// lends those again and no new one. A 4,096-rank Run then a 65,536-rank Run
+// on a one-worker pipeline leave 1 of each: the small ones grow to the large
+// shape. Run it under -race.
+func TestFreeListHoldsPeakLent(t *testing.T) {
+	loss := []float64{0.9429, 6.3e-3, 6.6e-4, 6.6e-5}
+	sw := &Sweep{
+		Name: "grid",
+		Base: Scenario{
+			Name:      "grid",
+			Machine:   MachineSpec{Model: "tsubame2", Nodes: 256},
+			Placement: PlacementSpec{Policy: "block", Ranks: 1024, ProcsPerNode: 4},
+			Trace:     TraceSpec{Source: "synthetic", Pattern: "stencil2d"},
+		},
+		Axes: SweepAxes{
+			Strategies: [][]StrategySpec{
+				{{Kind: "naive", Size: 32}},
+				{{Kind: "size-guided", Size: 8}},
+				{{Kind: "distributed", Size: 16}},
+				{{Kind: "hierarchical", Hier: &HierSpec{Multilevel: true}}},
+			},
+			Mixes: []MixSpec{
+				{Transient: 0.05, NodeLoss: loss},
+				{Transient: 0.20, NodeLoss: loss},
+				{Transient: 0.05, NodeLoss: loss, PairCorrelation: 0.5},
+			},
+			Traces: []TracePoint{{Iterations: 60, BytesPerMsg: 1500}, {Iterations: 90, BytesPerMsg: 3000}},
+		},
+	}
+	pl := NewPipeline(WithWorkers(1))
+	lent, arena := map[*core.ClusteringBuf]bool{}, (*graph.Arena)(nil)
+	for round := 0; round < 2; round++ {
+		report, err := pl.RunSweep(context.Background(), sw, SweepOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report.CellsCompleted != 24 {
+			t.Fatalf("round %d: %d of 24 cells completed", round, report.CellsCompleted)
+		}
+		if n, a := freeBufs(pl), pl.arenas.len(); n != 2 || a != 1 {
+			t.Fatalf("round %d: the sweep leaves %d buffers and %d arenas, want 2 and 1", round, n, a)
+		}
+		for _, b := range pl.bufs.free {
+			if round > 0 && !lent[b] {
+				t.Fatal("a repeat of the sweep lent a new buffer")
+			}
+			lent[b] = true
+		}
+		if round > 0 && pl.arenas.free[0] != arena {
+			t.Fatal("a repeat of the sweep lent a new arena")
+		}
+		arena = pl.arenas.free[0]
+	}
+
+	pl = NewPipeline(WithWorkers(1))
+	for _, ranks := range []int{4096, 65536} {
+		sc := &Scenario{
+			Name:       "grow",
+			Machine:    MachineSpec{Nodes: ranks / 4},
+			Placement:  PlacementSpec{Ranks: ranks, ProcsPerNode: 4},
+			Trace:      TraceSpec{Source: "synthetic", Pattern: "stencil2d"},
+			Strategies: []StrategySpec{{Kind: "naive", Size: 32}, {Kind: "hierarchical"}},
+		}
+		if _, err := pl.Run(context.Background(), sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, a := freeBufs(pl), pl.arenas.len(); n != 1 || a != 1 {
+		t.Errorf("a 4,096-rank then a 65,536-rank Run leave %d buffers and %d arenas, want 1 and 1", n, a)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"hierclust/internal/core"
+	"hierclust/internal/graph"
 )
 
 // Strategy is a clustering strategy: given a communication matrix and a
@@ -139,12 +140,12 @@ func StrategyKinds() []string {
 // The four built-in strategies of the paper. The flat three ignore the
 // communication matrix by construction; the hierarchical one partitions it.
 
-// builtinStrategy is a built-in strategy: it builds into a pooled buffer,
-// whose clustering the pipeline hands back once it has scored it. A
-// registered third-party strategy may keep what it returns, so the pipeline
-// never recycles its clustering.
+// builtinStrategy is a built-in strategy: it builds into a lent buffer, its
+// scratch in a lent arena, and the pipeline hands the clustering back once
+// it has scored it. A registered third-party strategy may keep what it
+// returns, so the pipeline never recycles its clustering.
 type builtinStrategy interface {
-	buildIn(ctx context.Context, m Comm, p *Placement, buf *core.ClusteringBuf) (*Clustering, error)
+	buildIn(ctx context.Context, m Comm, p *Placement, buf *core.ClusteringBuf, ar *graph.Arena) (*Clustering, error)
 }
 
 type flatStrategy struct {
@@ -156,10 +157,10 @@ type flatStrategy struct {
 func (s *flatStrategy) Name() string { return fmt.Sprintf("%s-%d", s.kind, s.size) }
 
 func (s *flatStrategy) Build(m Comm, p *Placement) (*Clustering, error) {
-	return s.buildIn(context.Background(), m, p, nil)
+	return s.buildIn(context.Background(), m, p, nil, nil)
 }
 
-func (s *flatStrategy) buildIn(_ context.Context, _ Comm, p *Placement, buf *core.ClusteringBuf) (*Clustering, error) {
+func (s *flatStrategy) buildIn(_ context.Context, _ Comm, p *Placement, buf *core.ClusteringBuf, _ *graph.Arena) (*Clustering, error) {
 	return s.build(buf, p.NumRanks(), s.size)
 }
 
@@ -183,15 +184,15 @@ func (s *hierStrategy) Build(m Comm, p *Placement) (*Clustering, error) {
 // partition. The clustering of an uncancelled build is identical to
 // Build's.
 func (s *hierStrategy) BuildCtx(ctx context.Context, m Comm, p *Placement) (*Clustering, error) {
-	return s.buildIn(ctx, m, p, nil)
+	return s.buildIn(ctx, m, p, nil, nil)
 }
 
-func (s *hierStrategy) buildIn(ctx context.Context, m Comm, p *Placement, buf *core.ClusteringBuf) (*Clustering, error) {
+func (s *hierStrategy) buildIn(ctx context.Context, m Comm, p *Placement, buf *core.ClusteringBuf, ar *graph.Arena) (*Clustering, error) {
 	opts := s.opts
 	if ctx.Done() != nil {
 		opts.Cancel = func() bool { return ctx.Err() != nil }
 	}
-	c, err := buf.Hierarchical(m, p, opts)
+	c, err := buf.Hierarchical(ar, m, p, opts)
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, cerr

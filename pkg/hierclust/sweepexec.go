@@ -124,6 +124,7 @@ type SweepReport struct {
 // sweepRun is the state one RunPlannedSweep call shares across its cells:
 // the shared-node tables and the build counters.
 type sweepRun struct {
+	pl *Pipeline // lends the clustering nodes' buffers and takes them back
 	// ctx is the sweep's context. Shared node builds run under it (bounded by
 	// timeout from their start), not under the demanding cell's deadline, so
 	// one slow cell cannot poison an intermediate its siblings still need.
@@ -138,9 +139,9 @@ type sweepRun struct {
 }
 
 // The shared intermediates but the logged fraction. A clustering travels
-// with the pooled buffer that holds its score profile (the cells sharing it
+// with the lent buffer that holds its score profile (the cells sharing it
 // differ in trace and weighing) and, for a built-in strategy, the
-// clustering itself; the buffer is released when the node is dropped.
+// clustering itself; the buffer goes back when the node is dropped.
 type (
 	placed struct {
 		mach      *Machine
@@ -196,8 +197,9 @@ func (run *sweepRun) buildCtx() (context.Context, context.CancelFunc) {
 }
 
 // newSweepRun sizes the node tables and counts every node's consumers.
-func newSweepRun(ctx context.Context, plan *SweepPlan) *sweepRun {
+func (pl *Pipeline) newSweepRun(ctx context.Context, plan *SweepPlan) *sweepRun {
 	run := &sweepRun{
+		pl:     pl,
 		ctx:    ctx,
 		places: make([]sweepNode[placed], plan.nodes[0]),
 		traces: make([]sweepNode[traced], plan.nodes[1]),
@@ -224,7 +226,7 @@ func (run *sweepRun) consume(cell *PlannedCell, delta int32) {
 	}
 	for j, id := range cell.PartNodes {
 		if id >= 0 {
-			run.parts[id].consume(delta).buf.Release()
+			run.pl.bufs.give(run.parts[id].consume(delta).buf)
 		}
 		if id := cell.loggedNodes[j]; id >= 0 {
 			run.logged[id].consume(delta)
@@ -249,7 +251,7 @@ func (pl *Pipeline) RunSweep(ctx context.Context, sw *Sweep, opts SweepOptions) 
 // RunPlannedSweep executes an already compiled plan (hcserve plans at
 // submission time to bound cell counts before accepting the job).
 func (pl *Pipeline) RunPlannedSweep(ctx context.Context, plan *SweepPlan, opts SweepOptions) (*SweepReport, error) {
-	return pl.runSweep(newSweepRun(ctx, plan), plan, opts)
+	return pl.runSweep(pl.newSweepRun(ctx, plan), plan, opts)
 }
 
 // runSweep executes plan over run's node tables.

@@ -137,9 +137,10 @@ func TestRunSweepSharedProfilesByteIdentical(t *testing.T) {
 		t.Fatalf("plan has %d partition nodes and %d (clustering, trace) pairs, want 5 and 8", plan.PartitionBuilds, len(pairs))
 	}
 	for _, workers := range []int{1, 2, 8} {
-		run := newSweepRun(context.Background(), plan)
+		pl := NewPipeline(WithWorkers(workers))
+		run := pl.newSweepRun(context.Background(), plan)
 		logged := spyOnTraces(t, plan, run, false)
-		report, err := NewPipeline(WithWorkers(workers)).runSweep(run, plan, SweepOptions{Workers: workers})
+		report, err := pl.runSweep(run, plan, SweepOptions{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -185,7 +186,8 @@ func TestRunSweepReleasesNodesOnLastConsumer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := newSweepRun(context.Background(), plan)
+	pl := NewPipeline()
+	run := pl.newSweepRun(context.Background(), plan)
 	if len(run.places) != 3 || len(run.traces) != 3 || len(run.parts) != 3 {
 		t.Fatalf("node tables %d/%d/%d, want 3/3/3", len(run.places), len(run.traces), len(run.parts))
 	}
@@ -201,7 +203,7 @@ func TestRunSweepReleasesNodesOnLastConsumer(t *testing.T) {
 	// After cell i: the first cell of a machine leaves its nodes held for
 	// the second, which releases them.
 	wantHeld := []string{"0", "", "1", "", "2", ""}
-	_, err = NewPipeline().runSweep(run, plan, SweepOptions{Workers: 1, OnCell: func(res SweepCellResult) {
+	_, err = pl.runSweep(run, plan, SweepOptions{Workers: 1, OnCell: func(res SweepCellResult) {
 		if res.Err != nil {
 			t.Errorf("cell %d: %v", res.Index, res.Err)
 		}
@@ -229,8 +231,8 @@ func TestRunSweepReleasesNodesOnLastConsumer(t *testing.T) {
 			Acquire: func(context.Context) (func(), error) { return nil, context.DeadlineExceeded }}},
 		{"never claimed", cancelled, SweepOptions{Workers: 1}},
 	} {
-		run := newSweepRun(route.ctx, plan)
-		if _, err := NewPipeline().runSweep(run, plan, route.opts); err != route.ctx.Err() {
+		run := pl.newSweepRun(route.ctx, plan)
+		if _, err := pl.runSweep(run, plan, route.opts); err != route.ctx.Err() {
 			t.Fatalf("%s: %v", route.name, err)
 		}
 		for m := range run.parts {
@@ -367,11 +369,12 @@ func TestRunSweepProfileBuildPanicReachesEverySharer(t *testing.T) {
 	}
 	cells := plan.Cells
 	for _, workers := range []int{1, 3} {
-		run := newSweepRun(context.Background(), plan)
+		pl := NewPipeline()
+		run := pl.newSweepRun(context.Background(), plan)
 		logged := spyOnTraces(t, plan, run, true)
 		done := make(chan *SweepReport, 1)
 		go func() {
-			report, err := NewPipeline().runSweep(run, plan, SweepOptions{Workers: workers})
+			report, err := pl.runSweep(run, plan, SweepOptions{Workers: workers})
 			if err != nil {
 				t.Errorf("workers=%d: %v", workers, err)
 			}
@@ -638,8 +641,9 @@ func TestRunSweepFileTraceSharesFlatClusterings(t *testing.T) {
 		t.Fatalf("plan has %d trace and %d partition builds, want 4 and 4", plan.TraceBuilds, plan.PartitionBuilds)
 	}
 	for _, workers := range []int{1, 2} {
-		run := newSweepRun(context.Background(), plan)
-		report, err := NewPipeline(WithWorkers(workers)).runSweep(run, plan, SweepOptions{Workers: workers})
+		pl := NewPipeline(WithWorkers(workers))
+		run := pl.newSweepRun(context.Background(), plan)
+		report, err := pl.runSweep(run, plan, SweepOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
