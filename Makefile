@@ -135,7 +135,7 @@ loc:
 # loc-check fails when `make loc` exceeds LOC_CEILING, so ROADMAP aim 2's
 # tracked number only goes up when a PR raises the ceiling on purpose; a PR
 # that shrinks the tree lowers it to its own result.
-LOC_CEILING = 19315
+LOC_CEILING = 19314
 loc-check:
 	@n=$$($(MAKE) -s loc); if [ "$$n" -gt $(LOC_CEILING) ]; then \
 		echo "loc $$n exceeds LOC_CEILING $(LOC_CEILING)"; exit 1; fi; \
@@ -149,4 +149,4 @@ loc-check:
 reach-check:
 	$(GO) test -tags reach -run TestInternalReachable .
 
-ci: fmt vet build build-arm64 race test-purego bench-smoke serve-smoke doccheck hcbench-check loc-check reach-check
+ci: fmt vet build build-arm64 test race test-purego bench-smoke serve-smoke doccheck hcbench-check loc-check reach-check

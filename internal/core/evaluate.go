@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 
 	"hierclust/internal/erasure"
@@ -231,26 +232,46 @@ func RecoveryFractionPair(c *Clustering, p *topology.Placement) (float64, error)
 }
 
 // Meets reports whether the evaluation satisfies every baseline bound, and
-// the list of violated dimensions.
+// the list of violated dimensions (nil when none is).
 func (e *Evaluation) Meets(b Baseline) (bool, []string) {
-	var violations []string
-	if e.LoggedFraction > b.MaxLoggedFraction {
-		violations = append(violations, fmt.Sprintf("message logging %.1f%% > %.0f%%",
-			e.LoggedFraction*100, b.MaxLoggedFraction*100))
+	var found [4]string
+	n := 0
+	for k, d := range [4][2]float64{{e.LoggedFraction, b.MaxLoggedFraction}, {e.RecoveryFraction, b.MaxRecoveryFraction},
+		{e.EncodeSecondsPerGB, b.MaxEncodeSecPerGB}, {e.CatastropheProb, b.MaxCatastropheProb}} {
+		if d[0] > d[1] {
+			found[n], n = violation(k, d[0], d[1]), n+1
+		}
 	}
-	if e.RecoveryFraction > b.MaxRecoveryFraction {
-		violations = append(violations, fmt.Sprintf("recovery cost %.1f%% > %.0f%%",
-			e.RecoveryFraction*100, b.MaxRecoveryFraction*100))
+	if n == 0 {
+		return true, nil
 	}
-	if e.EncodeSecondsPerGB > b.MaxEncodeSecPerGB {
-		violations = append(violations, fmt.Sprintf("encoding %.0fs/GB > %.0fs/GB",
-			e.EncodeSecondsPerGB, b.MaxEncodeSecPerGB))
-	}
-	if e.CatastropheProb > b.MaxCatastropheProb {
-		violations = append(violations, fmt.Sprintf("P(catastrophic) %.2g > %.2g",
-			e.CatastropheProb, b.MaxCatastropheProb))
-	}
-	return len(violations) == 0, violations
+	return false, slices.Clone(found[:n])
+}
+
+// violationForms word each dimension's violation, in Figure 5c order:
+// "message logging %.1f%% > %.0f%%", "recovery cost %.1f%% > %.0f%%",
+// "encoding %.0fs/GB > %.0fs/GB" and "P(catastrophic) %.2g > %.2g", the
+// value and the bound scaled, then printed as strconv's fmt at their prec.
+var violationForms = [4]struct {
+	label, unit     string
+	scale           float64
+	fmt             byte
+	prec, boundPrec int
+}{
+	{"message logging ", "%", 100, 'f', 1, 0},
+	{"recovery cost ", "%", 100, 'f', 1, 0},
+	{"encoding ", "s/GB", 1, 'f', 0, 0},
+	{"P(catastrophic) ", "", 1, 'g', 2, 2},
+}
+
+// violation words dimension k's value v over its bound in one allocation,
+// the string.
+func violation(k int, v, bound float64) string {
+	f := &violationForms[k]
+	var buf [64]byte
+	b := append(strconv.AppendFloat(append(buf[:0], f.label...), v*f.scale, f.fmt, f.prec, 64), f.unit...)
+	b = append(strconv.AppendFloat(append(b, " > "...), bound*f.scale, f.fmt, f.boundPrec, 64), f.unit...)
+	return string(b)
 }
 
 // Normalized returns the four dimensions scaled by the baseline maxima

@@ -27,7 +27,7 @@ func Run(cfg Config, exps []Experiment, workers int) []RunResult {
 		workers = DefaultWorkers()
 	}
 	results := make([]RunResult, len(exps))
-	pool.Run(len(exps), workers, nil, func(i, _ int) { results[i] = RunOne(cfg, exps[i]) })
+	pool.Run(len(exps), workers, exps, nil, func(exps []Experiment, i, _ int) { results[i] = RunOne(cfg, exps[i]) })
 	return results
 }
 

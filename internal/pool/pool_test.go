@@ -21,7 +21,7 @@ func TestRunEveryIndexExactlyOnce(t *testing.T) {
 	const n = 37
 	for _, workers := range []int{-1, 0, 1, 2, 8, n + 5} {
 		counts := make([]atomic.Int32, n)
-		claimed := Run(n, workers, nil, func(i, _ int) { counts[i].Add(1) })
+		claimed := Run(n, workers, counts, nil, func(counts []atomic.Int32, i, _ int) { counts[i].Add(1) })
 		if claimed != n {
 			t.Errorf("workers=%d: claimed %d, want %d", workers, claimed, n)
 		}
@@ -35,7 +35,7 @@ func TestRunEveryIndexExactlyOnce(t *testing.T) {
 
 func TestRunZeroItemsIsNoOp(t *testing.T) {
 	for _, workers := range []int{0, 1, 8} {
-		if claimed := Run(0, workers, nil, func(int, int) { t.Error("fn called for n == 0") }); claimed != 0 {
+		if claimed := Run(0, workers, t, nil, func(t *testing.T, _, _ int) { t.Error("fn called for n == 0") }); claimed != 0 {
 			t.Errorf("workers=%d: claimed %d, want 0", workers, claimed)
 		}
 	}
@@ -44,17 +44,17 @@ func TestRunZeroItemsIsNoOp(t *testing.T) {
 func TestRunInlineUsesCallerGoroutine(t *testing.T) {
 	caller := goid()
 	var order []int
-	check := func(i, worker int) {
+	check := func(order *[]int, i, worker int) {
 		if g := goid(); g != caller {
 			t.Errorf("index %d ran on goroutine %s, caller is %s", i, g, caller)
 		}
 		if worker != 0 {
 			t.Errorf("inline worker id = %d, want 0", worker)
 		}
-		order = append(order, i)
+		*order = append(*order, i)
 	}
-	Run(5, 1, nil, check) // one worker
-	Run(1, 8, nil, check) // one item, many workers
+	Run(5, 1, &order, nil, check) // one worker
+	Run(1, 8, &order, nil, check) // one item, many workers
 	want := []int{0, 1, 2, 3, 4, 0}
 	if len(order) != len(want) {
 		t.Fatalf("ran %v, want %v", order, want)
@@ -66,14 +66,19 @@ func TestRunInlineUsesCallerGoroutine(t *testing.T) {
 	}
 }
 
+// summer is loop state handed to Run as its argument, with method
+// expressions for fn and stop: the form that allocates no closure.
+type summer struct{ sum int }
+
+func (s *summer) add(i, _ int) { s.sum += i }
+func (s *summer) full() bool   { return s.sum > 1<<20 }
+
 func TestRunInlineDoesNotAllocate(t *testing.T) {
-	var sum int
-	fn := func(i, _ int) { sum += i }
-	stop := func() bool { return false }
-	if a := testing.AllocsPerRun(100, func() { Run(64, 1, stop, fn) }); a != 0 {
+	s := new(summer)
+	if a := testing.AllocsPerRun(100, func() { Run(64, 1, s, (*summer).full, (*summer).add) }); a != 0 {
 		t.Errorf("single-worker Run allocates %v per call, want 0", a)
 	}
-	if a := testing.AllocsPerRun(100, func() { Run(1, 8, nil, fn) }); a != 0 {
+	if a := testing.AllocsPerRun(100, func() { Run(1, 8, s, nil, (*summer).add) }); a != 0 {
 		t.Errorf("single-item Run allocates %v per call, want 0", a)
 	}
 }
@@ -83,7 +88,7 @@ func TestRunStopLeavesContiguousUnclaimedSuffix(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		var stopped atomic.Bool
 		ran := make([]atomic.Bool, n)
-		claimed := Run(n, workers, stopped.Load, func(i, _ int) {
+		claimed := Run(n, workers, &stopped, (*atomic.Bool).Load, func(stopped *atomic.Bool, i, _ int) {
 			ran[i].Store(true)
 			if i == 20 {
 				stopped.Store(true)
@@ -102,7 +107,7 @@ func TestRunStopLeavesContiguousUnclaimedSuffix(t *testing.T) {
 		}
 	}
 	// A predicate that is already true claims nothing.
-	if claimed := Run(n, 4, func() bool { return true }, func(int, int) { t.Error("fn called after stop") }); claimed != 0 {
+	if claimed := Run(n, 4, t, func(*testing.T) bool { return true }, func(t *testing.T, _, _ int) { t.Error("fn called after stop") }); claimed != 0 {
 		t.Errorf("pre-stopped: claimed %d, want 0", claimed)
 	}
 }
@@ -111,7 +116,7 @@ func TestRunWorkerIDsBoundedAndStable(t *testing.T) {
 	const n, workers = 500, 4
 	var mu sync.Mutex
 	owner := map[int]string{} // worker id -> goroutine
-	Run(n, workers, nil, func(_, w int) {
+	Run(n, workers, owner, nil, func(owner map[int]string, _, w int) {
 		if w < 0 || w >= workers {
 			t.Errorf("worker id %d out of [0,%d)", w, workers)
 			return

@@ -951,15 +951,10 @@ func resolveWorkers(workers, nchunks int) int {
 	return max(min(workers, nchunks), 1)
 }
 
-// stopFunc adapts the cancel flag (nil when the context can never be
-// cancelled) to the pool's stop predicate: once set, unclaimed chunks are
+// stopped is the pool's stop predicate over the cancel flag (nil when the
+// context can never be cancelled): once set, unclaimed chunks are
 // abandoned — the caller is cancelling and will discard the partial result.
-func stopFunc(stop *atomic.Bool) func() bool {
-	if stop == nil {
-		return nil
-	}
-	return stop.Load
-}
+func stopped(stop *atomic.Bool) bool { return stop != nil && stop.Load() }
 
 // exactConditional enumerates every f-subset of nodes and returns the
 // fraction that destroys at least one group. The enumeration is chunked by
@@ -984,7 +979,7 @@ func exactConditional(fg *flatGroups, n, f, workers int, stop *atomic.Bool) floa
 		scratch []uint64
 	}
 	states := make([]*exactState, resolveWorkers(workers, nchunks))
-	pool.Run(nchunks, len(states), stopFunc(stop), func(v, worker int) {
+	pool.Run(nchunks, len(states), stop, stopped, func(stop *atomic.Bool, v, worker int) {
 		st := states[worker]
 		if st == nil {
 			st = &exactState{idx: make([]int, f), scratch: fg.newScratch()}
@@ -1156,7 +1151,7 @@ func monteCarloConditional(fg *flatGroups, n, f, samples int, seed int64, worker
 		scratch []uint64
 	}
 	states := make([]*mcState, resolveWorkers(workers, nchunks))
-	pool.Run(nchunks, len(states), stopFunc(stop), func(c, worker int) {
+	pool.Run(nchunks, len(states), stop, stopped, func(stop *atomic.Bool, c, worker int) {
 		st := states[worker]
 		if st == nil {
 			st = &mcState{perm: make([]int, n), failed: make([]int, f), scratch: fg.newScratch()}

@@ -209,15 +209,8 @@ func (pl *Pipeline) Run(ctx context.Context, sc *Scenario) (res *Result, err err
 // worker-invariant), so a wide machine is not serialized on the slowest
 // item. The split never changes a bit of output.
 func (pl *Pipeline) splitBudget(want, n int) (workers, evalWorkers int) {
-	budget := pl.workers
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
-	}
-	workers = want
-	if workers <= 0 {
-		workers = budget
-	}
-	workers = max(min(workers, n), 1)
+	budget := cmp.Or(max(pl.workers, 0), runtime.GOMAXPROCS(0))
+	workers = max(min(cmp.Or(max(want, 0), budget), n), 1)
 	return workers, max(budget/workers, 1)
 }
 
@@ -231,7 +224,7 @@ func (pl *Pipeline) splitBudget(want, n int) (workers, evalWorkers int) {
 // regardless of completion order. cache labels how the trace was satisfied:
 // "miss" (this cell performed the build) or "trace-hit" (shared node or
 // trace cache).
-func (pl *Pipeline) evalCell(ctx context.Context, run *sweepRun, cell *PlannedCell, strategyWorkers, evalWorkers int) (res *Result, cache string, err error) {
+func (pl *Pipeline) evalCell(ctx context.Context, run *sweepRun, cell *PlannedCell, strategyWorkers, evalWorkers int) (_ *Result, cache string, err error) {
 	sc := cell.Scenario
 	var at placed
 	if run != nil && cell.PlacementNode >= 0 {
@@ -279,97 +272,124 @@ func (pl *Pipeline) evalCell(ctx context.Context, run *sweepRun, cell *PlannedCe
 		return nil, "", err
 	}
 
-	mix := sc.Mix.Mix()
-	res = &Result{
-		Scenario:    sc.Name,
-		Machine:     mach.Name,
-		Ranks:       placement.NumRanks(),
-		Nodes:       placement.NumUsed(),
-		TotalBytes:  comm.TotalBytes(),
-		TotalMsgs:   comm.TotalMsgs(),
-		Baseline:    BaselineSpec(sc.Baseline.Baseline()), // same fields; the conversion keeps them in step
-		Evaluations: make([]StrategyResult, len(sc.Strategies)),
+	ce := &cellEval{
+		Result: Result{
+			Scenario:    sc.Name,
+			Machine:     mach.Name,
+			Ranks:       placement.NumRanks(),
+			Nodes:       placement.NumUsed(),
+			TotalBytes:  comm.TotalBytes(),
+			TotalMsgs:   comm.TotalMsgs(),
+			Baseline:    BaselineSpec(sc.Baseline.Baseline()), // same fields; the conversion keeps them in step
+			Evaluations: make([]StrategyResult, len(sc.Strategies)),
+		},
+		// The loop takes the node slices, not the cell, so RunCell's cell
+		// stays on its stack.
+		pl: pl, ctx: ctx, run: run, sc: sc, parts: cell.PartNodes, logged: cell.loggedNodes,
+		comm: comm, placement: placement, mix: sc.Mix.Mix(), evalWorkers: evalWorkers,
 	}
-	// Strategies are independent. The first failure stops further claims;
-	// the lowest-index error is reported, which — indices being claimed in
-	// ascending order — is the same error at any worker count.
-	errs := make([]error, len(sc.Strategies))
-	var failed atomic.Bool
-	// The workers capture the node slices, not the cell, so RunCell's cell
-	// stays on its stack, and re-derive the baseline from sc.
-	parts, logged := cell.PartNodes, cell.loggedNodes
-	pool.Run(len(sc.Strategies), strategyWorkers,
-		func() bool { return failed.Load() || ctx.Err() != nil },
-		func(j, _ int) {
-			node, loggedNode := -1, -1
-			if run != nil {
-				node, loggedNode = parts[j], logged[j]
-			}
-			if errs[j] = pl.evalStrategy(ctx, run, sc.Strategies[j], node, loggedNode, comm, placement, mix, sc.Baseline.Baseline(), evalWorkers, &res.Evaluations[j]); errs[j] != nil {
-				failed.Store(true)
-			}
-		})
+	// The first failure, or ctx done, stops further claims.
+	pool.Run(len(sc.Strategies), strategyWorkers, ce,
+		func(ce *cellEval) bool { return ce.failed.Load() || ce.ctx.Err() != nil }, (*cellEval).runStrategy)
 	if err := ctx.Err(); err != nil {
 		return nil, "", err
 	}
-	for j, err := range errs {
-		if err != nil {
-			return nil, "", fmt.Errorf("hierclust: scenario %q: strategy %q: %w", sc.Name, sc.Strategies[j].Kind, err)
-		}
+	if ce.err != nil {
+		return nil, "", fmt.Errorf("hierclust: scenario %q: strategy %q: %w", sc.Name, sc.Strategies[ce.errAt].Kind, ce.err)
 	}
-	return res, cache, nil
+	ce.ctx, ce.run, ce.comm, ce.placement = nil, nil, nil, nil // the Result pins no trace or node table
+	return &ce.Result, cache, nil
 }
 
-// evalStrategy takes spec's clustering and score profile, and their logged
-// fraction over comm — each the run's shared node (node, loggedNode >= 0)
-// or its own, built under ctx — and does the per-cell part: weigh the
+// cellEval is a cell's Result and what the loop that fills its rows reads:
+// evalCell allocates the two as one, the Result it returns, and pool.Run
+// hands it to every strategy, so the loop allocates nothing of its own.
+type cellEval struct {
+	Result
+	pl            *Pipeline
+	ctx           context.Context
+	run           *sweepRun // nil for a private cell
+	sc            *Scenario
+	parts, logged []int // the cell's partition and logged-fraction node ids
+	comm          Comm
+	placement     *Placement
+	mix           Mix
+	evalWorkers   int
+	failed        atomic.Bool // a strategy failed
+	mu            sync.Mutex
+	errAt         int // the failed strategy's index, once err is set
+	err           error
+}
+
+// runStrategy evaluates strategy j into its row. The first failure stops
+// further claims, and the lowest failing index is the one kept — indices
+// being claimed in ascending order, the same error at any worker count.
+func (ce *cellEval) runStrategy(j, _ int) {
+	if err := ce.evalStrategy(j); err != nil {
+		ce.mu.Lock()
+		if ce.err == nil || j < ce.errAt {
+			ce.errAt, ce.err = j, err
+		}
+		ce.mu.Unlock()
+		ce.failed.Store(true)
+	}
+}
+
+// evalStrategy takes strategy j's clustering and score profile, and their
+// logged fraction over the cell's trace — each the run's shared node or the
+// cell's own, built under ctx — and does the per-cell part: weigh the
 // profile with the cell's mix, judge it against the baseline and render the
-// row into out. It is the per-strategy panic boundary: a panicking strategy
-// (or the "pipeline.worker" chaos point) fails its own evaluation as a
-// *PanicError without taking down the sibling workers or the process.
-func (pl *Pipeline) evalStrategy(ctx context.Context, run *sweepRun, spec StrategySpec, node, loggedNode int, comm Comm, placement *Placement, mix Mix, baseline Baseline, workers int, out *StrategyResult) (err error) {
+// row. It is the per-strategy panic boundary: a panicking strategy (or the
+// "pipeline.worker" chaos point) fails its own evaluation as a *PanicError
+// without taking down the sibling workers or the process.
+func (ce *cellEval) evalStrategy(j int) (err error) {
 	defer recoverAsError(&err)
 	if err := faultinject.Hit("pipeline.worker"); err != nil {
 		return err
 	}
+	ctx, run, spec := ce.ctx, ce.run, ce.sc.Strategies[j]
 	if err := ctx.Err(); err != nil {
 		return err
+	}
+	node, loggedNode := -1, -1
+	if run != nil {
+		node, loggedNode = ce.parts[j], ce.logged[j]
 	}
 	var sd scored
 	if node >= 0 {
 		sd, err = run.parts[node].get(&run.partBuilds, func() (scored, error) {
 			ctx, cancel := run.buildCtx()
 			defer cancel()
-			return pl.buildScored(ctx, spec, comm, placement)
+			return ce.pl.buildScored(ctx, spec, ce.comm, ce.placement)
 		})
 	} else {
 		if run != nil {
 			run.partBuilds.Add(1)
 		}
-		sd, err = pl.buildScored(ctx, spec, comm, placement)
+		sd, err = ce.pl.buildScored(ctx, spec, ce.comm, ce.placement)
 		// A private build's buffer goes back once the row below is rendered.
-		defer pl.bufs.give(sd.buf)
+		defer ce.pl.bufs.give(sd.buf)
 	}
 	if err != nil {
 		return err
 	}
 	c := sd.c
-	e, err := sd.buf.Profile().Evaluate(ctx, mix, workers)
+	e, err := sd.buf.Profile().Evaluate(ctx, ce.mix, ce.evalWorkers)
 	if err != nil {
 		return err
 	}
 	if loggedNode >= 0 {
 		e.LoggedFraction, err = run.logged[loggedNode].get(&run.loggedBuilds, func() (float64, error) {
-			return comm.LoggedFraction(c.L1)
+			return ce.comm.LoggedFraction(c.L1)
 		})
 	} else {
-		e.LoggedFraction, err = comm.LoggedFraction(c.L1)
+		e.LoggedFraction, err = ce.comm.LoggedFraction(c.L1)
 	}
 	if err != nil {
 		return err
 	}
-	ok, violations := e.Meets(baseline)
-	*out = StrategyResult{
+	ok, violations := e.Meets(ce.sc.Baseline.Baseline())
+	ce.Evaluations[j] = StrategyResult{
 		Strategy:           c.Name,
 		Kind:               spec.Kind,
 		L1Clusters:         c.NumClusters(),

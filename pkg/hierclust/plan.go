@@ -1,9 +1,6 @@
 package hierclust
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "fmt"
 
 // PlanSweep compiles a sweep into its deduplicated evaluation DAG. The
 // plan is pure data — which cells exist, in what order, and which of their
@@ -157,11 +154,9 @@ func PlanScenarios(cells []*Scenario) (*SweepPlan, error) {
 			}
 			var ok bool
 			if pk.spec, ok = specJSON[spec]; !ok {
-				b, err := json.Marshal(spec)
-				if err != nil {
+				if pk.spec, err = marshalString(spec); err != nil {
 					return nil, fmt.Errorf("hierclust: scenario %q: %w", sc.Name, err)
 				}
-				pk.spec = string(b)
 				specJSON[spec] = pk.spec
 			}
 			cell.PartNodes[j], _ = nodeID(partIDs, pk)

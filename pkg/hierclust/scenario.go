@@ -5,6 +5,9 @@ import (
 	"cmp"
 	"encoding/json"
 	"fmt"
+	"strconv"
+	"strings"
+	"unsafe"
 
 	"hierclust/internal/reliability"
 	"hierclust/internal/topology"
@@ -135,11 +138,14 @@ type MixSpec struct {
 }
 
 // Mix converts the spec to the model's Mix (normalized).
-func (s *MixSpec) Mix() Mix {
+func (s *MixSpec) Mix() Mix { return s.mixInto(nil) }
+
+// mixInto is Mix with the normalized node-loss tail appended to loss.
+func (s *MixSpec) mixInto(loss []float64) Mix {
 	if s == nil {
 		return reliability.DefaultMix()
 	}
-	m := Mix{Transient: s.Transient, NodeLoss: append([]float64(nil), s.NodeLoss...), PairCorrelation: s.PairCorrelation}
+	m := Mix{Transient: s.Transient, NodeLoss: append(loss, s.NodeLoss...), PairCorrelation: s.PairCorrelation}
 	m.Normalize()
 	return m
 }
@@ -162,7 +168,12 @@ func (s *BaselineSpec) Baseline() Baseline {
 
 // Validate checks everything that can be checked without building the
 // machine: names, source kinds, strategy kinds, and arithmetic constraints.
-func (s *Scenario) Validate() error {
+func (s *Scenario) Validate() error { return s.validate(true) }
+
+// validate is Validate, which instantiates the strategies only when
+// strategies is set: Sweep.Cells checks a strategy set once, at the first
+// cell that uses it, as a factory's verdict reads the spec alone.
+func (s *Scenario) validate(strategies bool) error {
 	if s == nil {
 		return fmt.Errorf("hierclust: nil scenario")
 	}
@@ -194,32 +205,33 @@ func (s *Scenario) Validate() error {
 	// Fields that don't apply to the chosen source are rejected, not
 	// ignored: a user who sets them believes they tuned the trace, and the
 	// dead fields would also split the result cache on meaningless keys.
-	switch s.Trace.Source {
-	case "tsunami":
-		if err := s.rejectTraceFields("tsunami", "pattern", s.Trace.Pattern != "",
-			"width", s.Trace.Width != 0, "bytes_per_msg", s.Trace.BytesPerMsg != 0,
-			"path", s.Trace.Path != "", "max_ranks", s.Trace.MaxRanks != 0); err != nil {
-			return err
-		}
-	case "synthetic":
-		if err := s.rejectTraceFields("synthetic",
-			"path", s.Trace.Path != "", "max_ranks", s.Trace.MaxRanks != 0); err != nil {
-			return err
-		}
-		if s.Trace.Pattern != "stencil2d" && s.Trace.Width != 0 {
-			return fmt.Errorf("hierclust: scenario %q: trace field width applies only to pattern \"stencil2d\"", s.Name)
-		}
+	t := s.Trace
+	switch t.Source {
+	case "tsunami", "synthetic":
 	case "file":
-		if s.Trace.Path == "" {
+		if t.Path == "" {
 			return fmt.Errorf("hierclust: scenario %q: trace source \"file\" needs a path", s.Name)
 		}
-		if err := s.rejectTraceFields("file", "iterations", s.Trace.Iterations != 0,
-			"pattern", s.Trace.Pattern != "", "width", s.Trace.Width != 0,
-			"bytes_per_msg", s.Trace.BytesPerMsg != 0); err != nil {
-			return err
-		}
 	default:
-		return fmt.Errorf("hierclust: scenario %q: unknown trace source %q (want tsunami, synthetic, or file)", s.Name, s.Trace.Source)
+		return fmt.Errorf("hierclust: scenario %q: unknown trace source %q (want tsunami, synthetic, or file)", s.Name, t.Source)
+	}
+	for _, f := range [...]struct {
+		name, sources string
+		set           bool
+	}{
+		{"iterations", "tsunami synthetic", t.Iterations != 0},
+		{"pattern", "synthetic", t.Pattern != ""},
+		{"width", "synthetic", t.Width != 0},
+		{"bytes_per_msg", "synthetic", t.BytesPerMsg != 0},
+		{"path", "file", t.Path != ""},
+		{"max_ranks", "file", t.MaxRanks != 0},
+	} {
+		if f.set && !strings.Contains(f.sources, t.Source) {
+			return fmt.Errorf("hierclust: scenario %q: trace field %s does not apply to source %q", s.Name, f.name, t.Source)
+		}
+	}
+	if t.Pattern != "stencil2d" && t.Width != 0 { // only synthetic gets here with a width
+		return fmt.Errorf("hierclust: scenario %q: trace field width applies only to pattern \"stencil2d\"", s.Name)
 	}
 	// The trace reader's bound (a file source's own, or the default), capped
 	// at the id range; ranks and nodes are allocated per id before any build.
@@ -238,27 +250,16 @@ func (s *Scenario) Validate() error {
 	if len(s.Strategies) == 0 {
 		return fmt.Errorf("hierclust: scenario %q: needs at least one strategy", s.Name)
 	}
-	for i, spec := range s.Strategies {
-		if _, err := NewStrategy(spec); err != nil {
+	for i := 0; strategies && i < len(s.Strategies); i++ {
+		if _, err := NewStrategy(s.Strategies[i]); err != nil {
 			return fmt.Errorf("hierclust: scenario %q: strategy %d: %w", s.Name, i, err)
 		}
 	}
 	if s.Mix != nil {
-		m := s.Mix.Mix()
+		var loss [16]float64 // the normalized copy of a tail this long stays on the stack
+		m := s.Mix.mixInto(loss[:0])
 		if err := m.Validate(); err != nil {
 			return fmt.Errorf("hierclust: scenario %q: %w", s.Name, err)
-		}
-	}
-	return nil
-}
-
-// rejectTraceFields errors on the first (name, set) pair whose field is set
-// but meaningless for the given trace source.
-func (s *Scenario) rejectTraceFields(source string, pairs ...interface{}) error {
-	for i := 0; i+1 < len(pairs); i += 2 {
-		if pairs[i+1].(bool) {
-			return fmt.Errorf("hierclust: scenario %q: trace field %s does not apply to source %q",
-				s.Name, pairs[i].(string), source)
 		}
 	}
 	return nil
@@ -271,7 +272,8 @@ func (s *Scenario) resolvePlacement() (placed, error) {
 	if nodes := s.Machine.Nodes; nodes > mach.Nodes {
 		grown := *mach
 		grown.Nodes = nodes
-		grown.Name = fmt.Sprintf("%s-scaled[%d]", mach.Name, nodes)
+		var name [64]byte // "<model>-scaled[<nodes>]", rendered in the one string
+		grown.Name = string(append(strconv.AppendInt(append(append(name[:0], mach.Name...), "-scaled["...), int64(nodes), 10), ']'))
 		mach = &grown
 	} else if nodes != 0 && nodes < mach.Nodes {
 		var err error
@@ -352,9 +354,12 @@ func (s *Scenario) cacheKey() (string, error) {
 		v.Version = ScenarioVersion
 		s = &v
 	}
-	b, err := json.Marshal(s)
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
+	return marshalString(s)
+}
+
+// marshalString is json.Marshal's encoding of v as a string that shares the
+// marshalled bytes, which nothing else holds or writes.
+func marshalString(v any) (string, error) {
+	b, err := json.Marshal(v)
+	return unsafe.String(unsafe.SliceData(b), len(b)), err
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -295,5 +296,22 @@ func TestHierSpecMultilevelKnobsRequireMultilevel(t *testing.T) {
 	}
 	if _, err := NewStrategy(StrategySpec{Kind: "hierarchical", Hier: &HierSpec{Multilevel: true, CoarsenThreshold: 64, MatchingRounds: 2}}); err != nil {
 		t.Fatalf("rejected valid multilevel spec: %v", err)
+	}
+}
+
+// TestGrownMachineName: a machine grown past the base model is named
+// "<model>-scaled[<nodes>]", byte for byte the fmt form the scaling
+// experiment's rigs use, whatever the node count's digits.
+func TestGrownMachineName(t *testing.T) {
+	base := Tsubame2()
+	for _, nodes := range []int{base.Nodes + 1, 8192, 65536, 1 << 20} {
+		sc := &Scenario{Machine: MachineSpec{Nodes: nodes}, Placement: PlacementSpec{Ranks: nodes, ProcsPerNode: 1}}
+		at, err := sc.resolvePlacement()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("%s-scaled[%d]", base.Name, nodes); at.mach.Name != want {
+			t.Errorf("%d nodes: machine %q, want %q", nodes, at.mach.Name, want)
+		}
 	}
 }

@@ -67,6 +67,7 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -251,53 +252,19 @@ func New(opts Options) *Server {
 	if pl == nil {
 		pl = hierclust.NewPipeline()
 	}
-	size := opts.CacheSize
-	if size == 0 {
-		size = DefaultCacheSize
-	}
-	maxBody := opts.MaxBodyBytes
-	if maxBody <= 0 {
-		maxBody = 1 << 20
-	}
-	maxBatchBody := opts.MaxBatchBodyBytes
-	if maxBatchBody <= 0 {
-		maxBatchBody = 16 << 20
-	}
-	maxBatch := opts.MaxBatchScenarios
-	if maxBatch <= 0 {
-		maxBatch = DefaultMaxBatch
-	}
-	maxConc := opts.MaxConcurrent
-	if maxConc <= 0 {
-		maxConc = DefaultMaxConcurrent
-	}
-	queue := opts.QueueDepth
-	switch {
-	case queue == 0:
-		queue = 2 * maxConc
-	case queue < 0:
-		queue = 0
-	}
-	maxSweepCells := opts.MaxSweepCells
-	if maxSweepCells <= 0 {
-		maxSweepCells = DefaultMaxSweepCells
-	}
-	maxSweeps := opts.MaxConcurrentSweeps
-	if maxSweeps <= 0 {
-		maxSweeps = DefaultMaxConcurrentSweeps
-	}
-	maxSweepJobs := opts.MaxSweepJobs
-	if maxSweepJobs <= 0 {
-		maxSweepJobs = DefaultMaxSweepJobs
-	}
-	retry := opts.RetryAfter
-	if retry <= 0 {
-		retry = time.Second
-	}
-	retrySec := int(retry.Round(time.Second) / time.Second)
-	if retrySec < 1 {
-		retrySec = 1
-	}
+	// An unset (or, but for CacheSize and QueueDepth, negative) bound takes
+	// its default.
+	size := cmp.Or(opts.CacheSize, DefaultCacheSize)
+	maxBody := cmp.Or(max(opts.MaxBodyBytes, 0), 1<<20)
+	maxBatchBody := cmp.Or(max(opts.MaxBatchBodyBytes, 0), 16<<20)
+	maxBatch := cmp.Or(max(opts.MaxBatchScenarios, 0), DefaultMaxBatch)
+	maxConc := cmp.Or(max(opts.MaxConcurrent, 0), DefaultMaxConcurrent)
+	queue := max(cmp.Or(opts.QueueDepth, 2*maxConc), 0) // negative: no queue
+	maxSweepCells := cmp.Or(max(opts.MaxSweepCells, 0), DefaultMaxSweepCells)
+	maxSweeps := cmp.Or(max(opts.MaxConcurrentSweeps, 0), DefaultMaxConcurrentSweeps)
+	maxSweepJobs := cmp.Or(max(opts.MaxSweepJobs, 0), DefaultMaxSweepJobs)
+	retry := cmp.Or(max(opts.RetryAfter, 0), time.Second)
+	retrySec := max(int(retry.Round(time.Second)/time.Second), 1)
 	reg := opts.Metrics
 	if reg == nil {
 		reg = metrics.NewRegistry()

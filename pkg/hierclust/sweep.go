@@ -2,6 +2,7 @@ package hierclust
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"strconv"
@@ -150,21 +151,30 @@ func (sw *Sweep) Cells() ([]*Scenario, error) {
 			return nil, fmt.Errorf("hierclust: sweep %q: machines[%d]: negative ranks or procs_per_node", sw.Name, i)
 		}
 	}
+	nspecs, nlosses := 0, 0 // summed over the axis values
 	for i, set := range sw.Axes.Strategies {
 		if len(set) == 0 {
 			return nil, fmt.Errorf("hierclust: sweep %q: strategies[%d]: empty strategy set", sw.Name, i)
 		}
+		nspecs += len(set)
 	}
-	if sw.CellCount() > SweepMaxCells {
+	for _, mix := range sw.Axes.Mixes {
+		nlosses += len(mix.NodeLoss)
+	}
+	n := sw.CellCount()
+	if n > SweepMaxCells {
 		return nil, fmt.Errorf("hierclust: sweep %q: axes multiply out past the %d-cell bound", sw.Name, SweepMaxCells)
 	}
 
 	machines, placements, strategies := orInherit(sw.Axes.Machines), orInherit(sw.Axes.Placements), orInherit(sw.Axes.Strategies)
 	mixes, traces, lens := orInherit(sw.Axes.Mixes), orInherit(sw.Axes.Traces), sw.axisLens()
 
-	// Each cell owns disjoint windows of these slabs, shared with no one.
-	out, scs := make([]*Scenario, 0, sw.CellCount()), make([]Scenario, 0, sw.CellCount())
-	specs, mixSpecs, losses := []StrategySpec(nil), []MixSpec(nil), []float64(nil)
+	// Each cell owns disjoint windows of these slabs, shared with no one. A
+	// value of an axis k long recurs in n/k cells, so each slab is made once,
+	// at its exact size.
+	out, scs := make([]*Scenario, 0, n), make([]Scenario, 0, n)
+	specs := make([]StrategySpec, 0, n/max(lens[2], 1)*nspecs)
+	mixSpecs, losses := make([]MixSpec, 0, min(lens[3], 1)*n), make([]float64, 0, n/max(lens[3], 1)*nlosses)
 	for mi, m := range machines {
 		for pi, pol := range placements {
 			for si, set := range strategies {
@@ -173,18 +183,12 @@ func (sw *Sweep) Cells() ([]*Scenario, error) {
 						sc := sw.Base // value copy; slices replaced below, never mutated
 						sc.Version = ScenarioVersion
 						sc.Name = cellName(sw.Base.Name, lens, [5]int{mi, pi, si, xi, ti})
-						if m.Nodes > 0 {
-							sc.Machine.Nodes = m.Nodes
-							if m.Ranks > 0 {
-								sc.Placement.Ranks = m.Ranks
-							}
-							if m.ProcsPerNode > 0 {
-								sc.Placement.ProcsPerNode = m.ProcsPerNode
-							}
-						}
-						if pol != "" {
-							sc.Placement.Policy = pol
-						}
+						// An axis point's zero field (a trace point's negative
+						// one too) keeps the base's value.
+						sc.Machine.Nodes = cmp.Or(m.Nodes, sc.Machine.Nodes)
+						sc.Placement.Ranks = cmp.Or(m.Ranks, sc.Placement.Ranks)
+						sc.Placement.ProcsPerNode = cmp.Or(m.ProcsPerNode, sc.Placement.ProcsPerNode)
+						sc.Placement.Policy = cmp.Or(pol, sc.Placement.Policy)
 						if set != nil {
 							sc.Strategies = window(&specs, set...)
 						}
@@ -193,19 +197,12 @@ func (sw *Sweep) Cells() ([]*Scenario, error) {
 							own.NodeLoss = window(&losses, mix.NodeLoss...)
 							sc.Mix = &window(&mixSpecs, own)[0]
 						}
-						if tp.Iterations > 0 {
-							sc.Trace.Iterations = tp.Iterations
-						}
-						if tp.Pattern != "" {
-							sc.Trace.Pattern = tp.Pattern
-						}
-						if tp.Width > 0 {
-							sc.Trace.Width = tp.Width
-						}
-						if tp.BytesPerMsg > 0 {
-							sc.Trace.BytesPerMsg = tp.BytesPerMsg
-						}
-						if err := sc.Validate(); err != nil {
+						sc.Trace.Iterations = cmp.Or(max(tp.Iterations, 0), sc.Trace.Iterations)
+						sc.Trace.Pattern = cmp.Or(tp.Pattern, sc.Trace.Pattern)
+						sc.Trace.Width = cmp.Or(max(tp.Width, 0), sc.Trace.Width)
+						sc.Trace.BytesPerMsg = cmp.Or(max(tp.BytesPerMsg, 0), sc.Trace.BytesPerMsg)
+						// A set's first cell is (0, 0, si, 0, 0), and every other follows it.
+						if err := sc.validate(mi == 0 && pi == 0 && xi == 0 && ti == 0); err != nil {
 							return nil, fmt.Errorf("hierclust: sweep %q: cell %q: %w", sw.Name, sc.Name, err)
 						}
 						out = append(out, &window(&scs, sc)[0])
@@ -304,9 +301,5 @@ func (sw *Sweep) SweepKey() (string, error) {
 	versioned := *sw
 	versioned.Version = SweepVersion
 	versioned.Base.Version = ScenarioVersion
-	b, err := json.Marshal(&versioned)
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
+	return marshalString(&versioned)
 }

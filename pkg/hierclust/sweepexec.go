@@ -263,7 +263,7 @@ func (pl *Pipeline) runSweep(run *sweepRun, plan *SweepPlan, opts SweepOptions) 
 	// Concurrent cells split the evaluation worker budget like Run's
 	// concurrent strategies; within a cell the strategies run serially.
 	workers, evalWorkers := pl.splitBudget(opts.Workers, len(plan.Cells))
-	claimed := pool.Run(len(plan.Cells), workers, func() bool { return ctx.Err() != nil }, func(i, _ int) {
+	claimed := pool.Run(len(plan.Cells), workers, ctx, func(ctx context.Context) bool { return ctx.Err() != nil }, func(ctx context.Context, i, _ int) {
 		report.Cells[i] = pl.runSweepCell(ctx, run, &plan.Cells[i], &opts, 1, evalWorkers)
 		if opts.OnCell != nil {
 			opts.OnCell(report.Cells[i])

@@ -499,8 +499,9 @@ func gridSweep() *Sweep {
 }
 
 // TestPlanSweepAllocsBounded: planning allocates a fixed number of objects
-// per cell (its scenario and name, validation, cache key) plus a few per
-// distinct node and spec — no key is rendered per cell × strategy.
+// per cell (its name and cache key) plus a few per distinct node and spec —
+// no key is rendered per cell × strategy, and no strategy instantiated or
+// mix copied per cell.
 func TestPlanSweepAllocsBounded(t *testing.T) {
 	if racedetect.Enabled {
 		t.Skip("the race detector changes allocation counts")
@@ -519,16 +520,54 @@ func TestPlanSweepAllocsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Per cell: its name, cache key (bytes and string) and validation
-	// (strategy instances, the normalized mix), with room. Per distinct
-	// node: map growth, and a spec's JSON for a partition node.
-	const perCell, perNode = 6, 4
+	// Per cell: its name and cache key; a strategy set is instantiated at
+	// its first cell only, and the mix is checked on the stack. Per distinct
+	// node: map growth, and a spec's JSON for a partition node; the slabs
+	// and the strategy sets' instances fit in that room.
+	const perCell, perNode = 2, 4
 	nodes := plan.nodes[0] + plan.nodes[1] + plan.nodes[2] + plan.nodes[3]
 	bound := float64(perCell*len(plan.Cells) + perNode*nodes)
 	t.Logf("PlanSweep allocates %v objects for %d cells and %d nodes (bound %v)", got, len(plan.Cells), nodes, bound)
 	if got > bound {
 		t.Errorf("PlanSweep allocates %v objects, over %d per cell and %d per node (%v): is a key rendered per cell again?",
 			got, perCell, perNode, bound)
+	}
+}
+
+// TestRunPlannedSweepAllocsBounded: a warm one-worker run of a plan
+// allocates per cell what the cell returns — its Result and Evaluations, its
+// violation strings and its rendered document — and its normalized mix, and
+// per build what the build needs: no closure, error slice or copy per cell
+// or strategy.
+func TestRunPlannedSweepAllocsBounded(t *testing.T) {
+	if racedetect.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	plan, err := PlanSweep(gridSweep())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := NewPipeline(WithWorkers(1))
+	run := func() {
+		report, err := pl.RunPlannedSweep(context.Background(), plan, SweepOptions{Workers: 1})
+		if err != nil || report.CellsCompleted != len(plan.Cells) {
+			t.Fatalf("%d of %d cells completed: %v", report.CellsCompleted, len(plan.Cells), err)
+		}
+	}
+	run() // the pipeline's buffers and arena reach their shapes
+	got := testing.AllocsPerRun(20, run)
+	// Per cell: the Result with its loop, Evaluations, the mix, the document
+	// and the violations with their slice (1.75 a cell here). Per trace or
+	// clustering build: the stencil, a strategy instance, a clustering's
+	// headers and a hierarchical build's levels; the run's report and node
+	// tables fit in that room.
+	const perCell, perBuild = 6, 6
+	builds := plan.TraceBuilds + plan.PartitionBuilds
+	bound := float64(perCell*len(plan.Cells) + perBuild*builds)
+	t.Logf("RunPlannedSweep allocates %v objects for %d cells and %d builds (bound %v)", got, len(plan.Cells), builds, bound)
+	if got > bound {
+		t.Errorf("RunPlannedSweep allocates %v objects, over %d per cell and %d per build (%v): is a closure or copy made per cell again?",
+			got, perCell, perBuild, bound)
 	}
 }
 
