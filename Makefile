@@ -135,16 +135,16 @@ loc:
 # loc-check fails when `make loc` exceeds LOC_CEILING, so ROADMAP aim 2's
 # tracked number only goes up when a PR raises the ceiling on purpose; a PR
 # that shrinks the tree lowers it to its own result.
-LOC_CEILING = 19314
+LOC_CEILING = 19007
 loc-check:
 	@n=$$($(MAKE) -s loc); if [ "$$n" -gt $(LOC_CEILING) ]; then \
 		echo "loc $$n exceeds LOC_CEILING $(LOC_CEILING)"; exit 1; fi; \
 		echo "loc $$n (ceiling $(LOC_CEILING))"
 
-# reach-check fails for every declaration under internal/ (and every
-# unexported one under pkg/) that no binary, example, benchmark workload or
-# public API call reaches, unless reach_test.go's allowlist names the test
-# that needs it as an instrument. It type-checks the tree and the standard
+# reach-check fails for every declaration under internal/ and pkg/ that no
+# binary, example (main or Example function), benchmark workload or
+# pkg/hierclust/serve export reaches, unless reach_test.go's allowlist names
+# the test that needs it as an instrument. It type-checks the tree and the standard
 # library from source, so it sits behind a build tag, outside tier-1.
 reach-check:
 	$(GO) test -tags reach -run TestInternalReachable .

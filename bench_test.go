@@ -210,6 +210,50 @@ func BenchmarkHarnessRun(b *testing.B) {
 	}
 }
 
+// syntheticRig builds the large-scale evaluation input the way the pipeline
+// does for a synthetic scenario: an implicit 2-D stencil trace (grid width =
+// procsPerNode, so horizontal ghost exchange stays intra-node under block
+// placement and vertical exchange crosses node boundaries, mirroring a
+// blocked 2-D domain decomposition) plus a block placement on a
+// TSUBAME2-like machine grown to the required node count.
+func syntheticRig(ranks, procsPerNode int) (trace.Comm, *topology.Placement, error) {
+	nodes := (ranks + procsPerNode - 1) / procsPerNode
+	mach := topology.Tsubame2()
+	if nodes > mach.Nodes {
+		scaled := *mach
+		scaled.Nodes = nodes
+		scaled.Name = fmt.Sprintf("%s-scaled[%d]", mach.Name, nodes)
+		mach = &scaled
+	}
+	placement, err := topology.Block(mach, ranks, procsPerNode)
+	if err != nil {
+		return nil, nil, err
+	}
+	m, err := trace.NewStencil(ranks, trace.SyntheticOptions{
+		Pattern: trace.Stencil2D,
+		Width:   procsPerNode,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return m, placement, nil
+}
+
+// Rank counts that do not divide evenly must still get a machine large
+// enough for the straggler node.
+func TestSyntheticRigNonMultipleRanks(t *testing.T) {
+	m, placement, err := syntheticRig(23000, 16) // 1438 nodes > Tsubame2's 1408
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Ranks() != 23000 || placement.NumRanks() != 23000 {
+		t.Fatalf("rig covers %d/%d ranks, want 23000", m.Ranks(), placement.NumRanks())
+	}
+	if got := len(placement.UsedNodes()); got != 1438 {
+		t.Errorf("used nodes = %d, want 1438", got)
+	}
+}
+
 // BenchmarkScaling64k measures the full sparse evaluation pipeline at
 // 65,536 ranks on 4096 nodes: synthetic 2-D stencil trace generation (CSR),
 // hierarchical clustering (node aggregation, partitioning, L2 groups), and
@@ -220,7 +264,7 @@ func BenchmarkScaling64k(b *testing.B) {
 	const ranks, ppn = 65536, 16
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m, placement, err := harness.SyntheticRig(ranks, ppn)
+		m, placement, err := syntheticRig(ranks, ppn)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -248,7 +292,7 @@ func BenchmarkScaling256k(b *testing.B) {
 	const ranks, ppn = 262144, 16
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m, placement, err := harness.SyntheticRig(ranks, ppn)
+		m, placement, err := syntheticRig(ranks, ppn)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -564,7 +608,7 @@ func BenchmarkScaling1M(b *testing.B) {
 	const ranks, ppn = 4 << 20, 4
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m, placement, err := harness.SyntheticRig(ranks, ppn)
+		m, placement, err := syntheticRig(ranks, ppn)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -633,7 +677,7 @@ func BenchmarkCatastropheModel(b *testing.B) {
 // one on the next) is rejected and falls back to the span slabs, O(members).
 func BenchmarkProfileInit16k(b *testing.B) {
 	const ranks, ppn = 16384, 4
-	m, placement, err := harness.SyntheticRig(ranks, ppn)
+	m, placement, err := syntheticRig(ranks, ppn)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"hierclust/pkg/hierclust"
+	"hierclust/internal/harness"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/all_quick.golden from the current output")
@@ -20,9 +20,9 @@ func TestAllQuickGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("traced experiment suite is slow under -short")
 	}
-	cfg := hierclust.ExperimentConfig{Quick: true}
+	cfg := harness.Config{Quick: true}
 	var sb strings.Builder
-	for _, r := range hierclust.RunExperiments(cfg, hierclust.Experiments(), hierclust.DefaultExperimentWorkers()) {
+	for _, r := range harness.Run(cfg, harness.All(), 0) {
 		if r.Err != nil {
 			t.Fatalf("%s: %v", r.Experiment.ID, r.Err)
 		}

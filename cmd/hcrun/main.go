@@ -1,11 +1,13 @@
-// Command hcrun regenerates the paper's tables and figures. It is a thin
-// client of pkg/hierclust's experiment surface.
+// Command hcrun regenerates the paper's tables and figures: it prints the
+// experiments of internal/harness, whose four-dimension tables (table2,
+// fig5c, scaling) are scenarios run by pkg/hierclust's Pipeline, the engine
+// behind hcserve.
 //
 // Usage:
 //
 //	hcrun -exp table2              # one experiment at paper scale
 //	hcrun -exp all -quick          # every experiment, laptop scale
-//	hcrun -exp all -quick -parallel  # pooled runner, identical output
+//	hcrun -exp all -quick -workers 0  # pooled runner, identical output
 //	hcrun -exp all -quick -json    # machine-readable results
 //	hcrun -exp fig5a -out results  # also write PGM/CSV artifacts
 //	hcrun -exp scaling -maxranks 65536  # synthetic-trace scaling to 64k ranks
@@ -15,9 +17,10 @@
 //	hcrun -sweep grid.json -server http://localhost:8080  # sweep client:
 //	                               # submit, poll, stream result NDJSON
 //
-// -parallel runs the experiments on a GOMAXPROCS-wide worker pool
-// (override with -workers); results still print in experiment order, so
-// the output is byte-identical to a serial run.
+// -workers N runs the experiments on an N-wide worker pool (0 means
+// GOMAXPROCS; the default 1 runs them serially, streaming each table as it
+// completes); results still print in experiment order, so the output is
+// byte-identical to a serial run.
 //
 // -cpuprofile/-memprofile write pprof profiles covering the experiment
 // runs (the heap profile is captured after everything finishes), so
@@ -41,6 +44,7 @@ import (
 	"runtime/pprof"
 	"time"
 
+	"hierclust/internal/harness"
 	"hierclust/pkg/hierclust"
 )
 
@@ -57,8 +61,7 @@ func main() {
 		list       = flag.Bool("list", false, "list experiments and exit")
 		csvFlag    = flag.Bool("csv", false, "print CSV instead of ASCII tables")
 		jsonFlag   = flag.Bool("json", false, "print one JSON document of all results")
-		parallel   = flag.Bool("parallel", false, "run experiments concurrently on a worker pool")
-		workers    = flag.Int("workers", 0, "worker pool size (implies -parallel; 0 with -parallel = GOMAXPROCS)")
+		workers    = flag.Int("workers", 1, "experiments run at once (1 = serial, streaming; 0 = GOMAXPROCS)")
 		timings    = flag.Bool("timings", false, "include wall-clock measurement columns (non-deterministic)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile (after all experiments) to this file")
@@ -76,7 +79,7 @@ func main() {
 	}
 
 	if *list {
-		for _, e := range hierclust.Experiments() {
+		for _, e := range harness.All() {
 			fmt.Printf("%-10s %s\n", e.ID, e.Title)
 		}
 		return
@@ -122,28 +125,20 @@ func main() {
 	}
 	defer runFlushProfiles()
 
-	cfg := hierclust.ExperimentConfig{Ranks: *ranks, ProcsPerNode: *ppn, Iterations: *iters, Quick: *quick, Timings: *timings, MaxRanks: *maxRanks, Multilevel: *multilevel}
+	cfg := harness.Config{Ranks: *ranks, ProcsPerNode: *ppn, Iterations: *iters, Quick: *quick, Timings: *timings, MaxRanks: *maxRanks, Multilevel: *multilevel}
 
-	var exps []hierclust.Experiment
+	var exps []harness.Experiment
 	if *exp == "all" {
-		exps = hierclust.Experiments()
+		exps = harness.All()
 	} else {
-		e, err := hierclust.ExperimentByID(*exp)
+		e, err := harness.ByID(*exp)
 		if err != nil {
 			fail(err)
 		}
-		exps = []hierclust.Experiment{e}
+		exps = []harness.Experiment{e}
 	}
 
-	nworkers := 1
-	if *parallel || *workers > 0 { // a nonzero -workers implies -parallel
-		nworkers = *workers
-		if nworkers <= 0 {
-			nworkers = hierclust.DefaultExperimentWorkers()
-		}
-	}
-
-	emit := func(r hierclust.ExperimentResult) {
+	emit := func(r harness.RunResult) {
 		if r.Err != nil {
 			fail(fmt.Errorf("%s: %w", r.Experiment.ID, r.Err))
 		}
@@ -153,7 +148,7 @@ func main() {
 			fmt.Println(r.Table.ASCII())
 		}
 		if *out != "" {
-			if err := hierclust.WriteExperimentArtifacts(*out, r.Table, cfg, r.Experiment.ID); err != nil {
+			if err := harness.WriteArtifacts(*out, r.Table, cfg, r.Experiment.ID); err != nil {
 				fail(err)
 			}
 		}
@@ -162,15 +157,15 @@ func main() {
 	// Serial non-JSON runs stream each table as it completes and abort at
 	// the first failure; pooled and JSON runs batch (JSON is one document,
 	// and pooled results must print in experiment order).
-	if nworkers <= 1 && !*jsonFlag {
+	if *workers == 1 && !*jsonFlag {
 		for _, e := range exps {
-			emit(hierclust.RunExperiment(cfg, e))
+			emit(harness.RunOne(cfg, e))
 		}
 		return
 	}
-	results := hierclust.RunExperiments(cfg, exps, nworkers)
+	results := harness.Run(cfg, exps, *workers)
 	if *jsonFlag {
-		doc, err := hierclust.ExperimentResultsJSON(results)
+		doc, err := harness.ResultsJSON(results)
 		if err != nil {
 			fail(err)
 		}
@@ -183,7 +178,7 @@ func main() {
 				continue
 			}
 			if *out != "" {
-				if err := hierclust.WriteExperimentArtifacts(*out, r.Table, cfg, r.Experiment.ID); err != nil {
+				if err := harness.WriteArtifacts(*out, r.Table, cfg, r.Experiment.ID); err != nil {
 					fail(err)
 				}
 			}

@@ -180,14 +180,6 @@ func (m *Manager) Groups() [][]topology.Rank {
 	return out
 }
 
-// GroupOf returns the encoding-group index of rank r, or -1.
-func (m *Manager) GroupOf(r topology.Rank) int {
-	if mb, ok := m.memberOf[r]; ok {
-		return mb.group
-	}
-	return -1
-}
-
 // codecFor returns the cached RS(k, k) (the FTI layout) and XOR codecs for
 // groups of k members; the RS codec both encodes and decodes.
 func (m *Manager) codecFor(k int) (*groupCodec, error) {

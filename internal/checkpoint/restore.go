@@ -6,8 +6,6 @@ import (
 	"hash/crc32"
 	"time"
 
-	"hierclust/internal/erasure"
-	"hierclust/internal/storage"
 	"hierclust/internal/topology"
 )
 
@@ -279,29 +277,3 @@ func (m *Manager) Versions() []int {
 
 // Unrecoverable reports whether err indicates a catastrophic loss.
 func Unrecoverable(err error) bool { return errors.Is(err, ErrUnrecoverable) }
-
-// SimRestartTime estimates the simulated time to restore the given ranks
-// from a level: local and partner reads stream from SSDs, group decode
-// reads survivors and reconstructs, PFS reads contend.
-func (m *Manager) SimRestartTime(level Level, bytesPerRank int64, ranks int) time.Duration {
-	mach := m.placement.Machine()
-	ssd := &storage.Device{Name: "ssd", ReadBps: mach.SSDReadBps, WriteBps: mach.SSDWriteBps}
-	pfs := &storage.Device{Name: "pfs", ReadBps: mach.PFSReadBps, WriteBps: mach.PFSWriteBps}
-	net := &storage.Device{Name: "net", ReadBps: mach.NetBps, WriteBps: mach.NetBps}
-	perNode := int64(m.placement.MaxProcsPerNode())
-	switch level {
-	case L1Local:
-		return ssd.ReadTime(bytesPerRank*perNode, 1)
-	case L2Partner:
-		return ssd.ReadTime(bytesPerRank*perNode, 1) + net.ReadTime(bytesPerRank*perNode, 1)
-	case L3Encoded:
-		k := 4
-		if len(m.groups) > 0 {
-			k = len(m.groups[0])
-		}
-		dec := time.Duration(erasure.ModelEncodeSeconds(k, bytesPerRank) * float64(time.Second))
-		return ssd.ReadTime(bytesPerRank*perNode, 1) + dec
-	default:
-		return pfs.ReadTime(bytesPerRank*int64(ranks), ranks)
-	}
-}

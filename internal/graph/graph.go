@@ -293,36 +293,6 @@ func (g *Graph) Quotient(part []int, parts int) (*Graph, error) {
 	return fromEdges(parts, eu, ev, ew), nil
 }
 
-// Components returns the connected components as sorted vertex lists,
-// ordered by smallest contained vertex.
-func (g *Graph) Components() [][]int {
-	seen := make([]bool, g.n)
-	var comps [][]int
-	for s := 0; s < g.n; s++ {
-		if seen[s] {
-			continue
-		}
-		var comp []int
-		stack := []int{s}
-		seen[s] = true
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			comp = append(comp, u)
-			cols, _ := g.row(u)
-			for _, c := range cols {
-				if !seen[c] {
-					seen[c] = true
-					stack = append(stack, int(c))
-				}
-			}
-		}
-		sort.Ints(comp)
-		comps = append(comps, comp)
-	}
-	return comps
-}
-
 // CutWeight returns the total weight of edges whose endpoints lie in
 // different parts under the given assignment. Self-loops never contribute.
 // This is exactly the volume of communication that a failure-containment

@@ -190,24 +190,6 @@ func TestQuotient(t *testing.T) {
 	}
 }
 
-func TestComponents(t *testing.T) {
-	e := newEdges(6)
-	e.add(0, 1, 1)
-	e.add(1, 2, 1)
-	e.add(4, 5, 1)
-	g := e.graph()
-	comps := g.Components()
-	if len(comps) != 3 {
-		t.Fatalf("Components = %v, want 3 components", comps)
-	}
-	if len(comps[0]) != 3 || comps[0][0] != 0 {
-		t.Errorf("first component = %v, want [0 1 2]", comps[0])
-	}
-	if len(comps[1]) != 1 || comps[1][0] != 3 {
-		t.Errorf("second component = %v, want [3]", comps[1])
-	}
-}
-
 func TestCutWeight(t *testing.T) {
 	g := path(8, 1)
 	cut, err := g.CutWeight([]int{0, 0, 0, 0, 1, 1, 1, 1})

@@ -54,7 +54,7 @@ func WriteArtifacts(dir string, table *Table, cfg Config, id string) error {
 // rows. fig5b keeps its meaning as the zoom on the first four nodes.
 func writeSyntheticHeatmap(dir string, cfg Config, id string) error {
 	cfg.normalize()
-	// The rig's stencil (SyntheticRig), materialized: a heatmap needs cells.
+	// A 2-D stencil one node wide, materialized: a heatmap needs cells.
 	m, err := trace.Synthetic(cfg.MaxRanks, trace.SyntheticOptions{Pattern: trace.Stencil2D, Width: cfg.ProcsPerNode})
 	if err != nil {
 		return err

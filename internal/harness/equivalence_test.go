@@ -7,19 +7,19 @@ import (
 	"hierclust/internal/reliability"
 )
 
-// TestTable2PaperScaleMultilevelEquivalence is the prerequisite the ROADMAP
-// names for flipping the single-scale experiments (table2, fig5c) from the
-// hard-coded single-level partitioner to the multilevel one: it pins, at
-// the paper's full 1024-rank/64-node configuration, how the four Table II
-// dimensions behave when the hierarchical strategy runs multilevel.
+// TestTable2PaperScaleMultilevelEquivalence pins, at the paper's full
+// 1024-rank/64-node configuration, how the four Table II dimensions behave
+// when the hierarchical strategy runs multilevel.
 //
 // Two regimes are covered:
 //
 //  1. Default options. The paper-scale node graph (64 nodes) sits below the
 //     default CoarsenThreshold (128), where Partition guarantees the
 //     multilevel flag is inert — so every metric must be EXACTLY equal.
-//     This is the fact that makes the future flip safe: at paper scale the
-//     golden tables cannot change.
+//     table2 and fig5c score the built-in table2 scenario, whose
+//     hierarchical strategy takes the default (single-level) partitioner;
+//     this regime is why their cells at 64 nodes or fewer are the same
+//     with multilevel forced on or not.
 //
 //  2. Forced coarsening (CoarsenThreshold 16), the regime the flag exists
 //     for. The clustering may legitimately differ; the documented tolerance
@@ -28,9 +28,6 @@ import (
 //     logged fraction and recovery fraction within 1.3×, catastrophe
 //     probability within 2×, encode seconds within 2× (coarse clusters can
 //     shift the L2 group-size distribution, which quantizes encode time).
-//
-// The golden files are NOT flipped in this PR; this test is the gate that
-// makes the flip a deliberate, reviewable step.
 func TestTable2PaperScaleMultilevelEquivalence(t *testing.T) {
 	cfg := Config{} // zero value = the paper's full 1024-rank configuration
 	cfg.normalize()

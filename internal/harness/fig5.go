@@ -1,12 +1,13 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 
 	"hierclust/internal/core"
-	"hierclust/internal/reliability"
 	"hierclust/internal/trace"
 	"hierclust/internal/tsunami"
+	"hierclust/pkg/hierclust"
 )
 
 // encodedRig traces the full FTI-style execution of Figures 5a/5b: one
@@ -18,10 +19,11 @@ func encodedRig(cfg Config) (*trace.CSR, error) {
 	if cfg.Quick {
 		ckptBytes = 4 << 10
 	}
-	r, err := cachedRig(rigKey{cfg.Ranks, cfg.ProcsPerNode, cfg.Iterations, ckptBytes}, func() (*rig, error) {
+	key := fmt.Sprintf("encoded|ranks=%d|ppn=%d|iters=%d|ckpt=%d", cfg.Ranks, cfg.ProcsPerNode, cfg.Iterations, ckptBytes)
+	return traces.trace(key, func() (*trace.CSR, error) {
 		rec := trace.NewRecorder(cfg.Ranks + cfg.Ranks/cfg.ProcsPerNode)
 		_, err := tsunami.RunTraced(tsunami.TracedOptions{
-			Params:          tsunamiParams(cfg.Ranks),
+			Params:          tsunami.TraceParams(cfg.Ranks),
 			Iterations:      cfg.Iterations,
 			ProcsPerNode:    cfg.ProcsPerNode,
 			EncoderRanks:    true,
@@ -29,12 +31,8 @@ func encodedRig(cfg Config) (*trace.CSR, error) {
 			CheckpointBytes: ckptBytes,
 			Tracer:          rec,
 		})
-		return &rig{matrix: rec.Freeze()}, err
+		return rec.Freeze(), err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return r.matrix, nil
 }
 
 // Fig5a reproduces Figure 5a: the communication matrix of the full traced
@@ -115,7 +113,7 @@ func Fig5b(cfg Config) (*Table, error) {
 		encoderPair := s%stride == 0 || (s+1)%stride == 0
 		heavy := bytesAt(s, s+1) > 0 && bytesAt(s+1, s) > 0
 		if encoderPair {
-			ghost := int64(3 * tsunamiParams(cfg.Ranks).NX * 8)
+			ghost := int64(3 * tsunami.TraceParams(cfg.Ranks).NX * 8)
 			if bytesAt(s, s+1) >= ghost*int64(cfg.Iterations) {
 				interruptedOK = false // encoder should not carry ghost rows
 			}
@@ -165,68 +163,43 @@ func yes(b bool) string {
 	return "NO"
 }
 
-// strategies builds the four Table-II clusterings against the traced rig.
-func strategies(cfg Config, r *rig) (map[string]*core.Clustering, []string, error) {
+// table2Run scores the built-in Table II scenario (table2-quick under
+// Quick) at cfg's ranks, density and iterations on the harness's pipeline.
+func table2Run(cfg Config) (*hierclust.Result, error) {
 	cfg.normalize()
-	naiveSize, sgSize, distSize := 32, 8, 16
+	name := "table2"
 	if cfg.Quick {
-		naiveSize, sgSize, distSize = 16, 8, 8
+		name = "table2-quick"
 	}
-	naive, err := core.Naive(cfg.Ranks, naiveSize)
+	builtin, err := hierclust.BuiltinScenario(name)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	sg, err := core.SizeGuided(cfg.Ranks, sgSize)
+	sc, err := cfg.scenario(builtin.Name, builtin.Strategies...)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	dist, err := core.Distributed(cfg.Ranks, distSize)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Multilevel is the production configuration for the hierarchical
-	// strategy. At the paper's 64-node scale the graph sits below the
-	// default CoarsenThreshold, where the flag is provably inert
-	// (TestTable2PaperScaleMultilevelEquivalence pins exact equality), so
-	// the golden tables are unchanged by construction — but table2/fig5c
-	// now exercise the same code path the large-scale experiments use.
-	hier, err := core.Hierarchical(r.matrix, r.placement, core.HierOptions{Multilevel: true})
-	if err != nil {
-		return nil, nil, err
-	}
-	order := []string{naive.Name, sg.Name, dist.Name, hier.Name}
-	return map[string]*core.Clustering{
-		naive.Name: naive, sg.Name: sg, dist.Name: dist, hier.Name: hier,
-	}, order, nil
+	return pipeline.Run(context.TODO(), sc)
 }
 
 // Fig5c reproduces Figure 5c: each strategy's four dimensions normalized by
 // the baseline requirement (1.0 = at the limit; anything above 1 fails).
 func Fig5c(cfg Config) (*Table, error) {
-	cfg.normalize()
-	r, err := tracedRig(cfg)
+	res, err := table2Run(cfg)
 	if err != nil {
 		return nil, err
 	}
-	clusterings, order, err := strategies(cfg, r)
-	if err != nil {
-		return nil, err
-	}
-	b := core.DefaultBaseline()
+	b := res.Baseline.Baseline()
 	names := core.DimensionNames()
 	t := &Table{
 		ID:      "fig5c",
 		Title:   "normalized 4-dimension comparison (1.0 = baseline limit)",
 		Columns: []string{"clustering", names[0], names[1], names[2], names[3], "within baseline"},
 	}
-	for _, name := range order {
-		e, err := core.Evaluate(clusterings[name], r.matrix, r.placement, reliability.DefaultMix())
-		if err != nil {
-			return nil, err
-		}
-		norm := e.Normalized(b)
-		ok, _ := e.Meets(b)
-		t.AddRow(name, norm[0], norm[1], norm[2], norm[3], yes(ok))
+	for _, e := range res.Evaluations {
+		norm := (&core.Evaluation{LoggedFraction: e.LoggedFraction, RecoveryFraction: e.RecoveryFraction,
+			EncodeSecondsPerGB: e.EncodeSecondsPerGB, CatastropheProb: e.CatastropheProb}).Normalized(b)
+		t.AddRow(e.Strategy, norm[0], norm[1], norm[2], norm[3], yes(e.WithinBaseline))
 	}
 	t.Notes = append(t.Notes, "paper Fig. 5c: only the hierarchical clustering stays inside the baseline on all four axes")
 	return t, nil
@@ -235,31 +208,22 @@ func Fig5c(cfg Config) (*Table, error) {
 // Table2 reproduces the paper's Table II: the four strategies scored on all
 // four dimensions, with the paper's reported values alongside.
 func Table2(cfg Config) (*Table, error) {
-	cfg.normalize()
-	r, err := tracedRig(cfg)
-	if err != nil {
-		return nil, err
-	}
-	clusterings, order, err := strategies(cfg, r)
+	res, err := table2Run(cfg)
 	if err != nil {
 		return nil, err
 	}
 	t := &Table{
 		ID:    "table2",
-		Title: fmt.Sprintf("clustering comparison, %d ranks on %d nodes", cfg.Ranks, r.placement.NumUsed()),
+		Title: fmt.Sprintf("clustering comparison, %d ranks on %d nodes", res.Ranks, res.Nodes),
 		Columns: []string{"clustering", "logged %", "recovery %", "encode s/GB", "P(cat)",
 			"paper logged %", "paper recovery %", "paper encode s", "paper P(cat)"},
 	}
-	for _, name := range order {
-		e, err := core.Evaluate(clusterings[name], r.matrix, r.placement, reliability.DefaultMix())
-		if err != nil {
-			return nil, err
-		}
-		exp, hasExp := PaperTable2[name]
+	for _, e := range res.Evaluations {
+		exp, hasExp := PaperTable2[e.Strategy]
 		if !hasExp {
 			exp = PaperRow{Logged: -1, Recovery: -1, EncodeSec: -1, PCat: -1}
 		}
-		t.AddRow(name,
+		t.AddRow(e.Strategy,
 			e.LoggedFraction*100, e.RecoveryFraction*100, e.EncodeSecondsPerGB, e.CatastropheProb,
 			paperCell(exp.Logged*100, hasExp), paperCell(exp.Recovery*100, hasExp),
 			paperCell(exp.EncodeSec, hasExp), paperCellG(exp.PCat, hasExp))

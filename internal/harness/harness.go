@@ -8,6 +8,7 @@ import (
 	"hierclust/internal/topology"
 	"hierclust/internal/trace"
 	"hierclust/internal/tsunami"
+	"hierclust/pkg/hierclust"
 )
 
 // Config scales the experiments. The zero value is upgraded to the paper's
@@ -109,65 +110,110 @@ func ByID(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("harness: unknown experiment %q (have %v)", id, known)
 }
 
-// tracedRig is the shared backbone: the tsunami communication matrix traced
-// on the simmpi runtime, plus the matching placement. Cached per (ranks,
-// procsPerNode, iterations) because several experiments reuse it; ckptBytes
-// keys the encoder-rank run of Figures 5a/5b (encodedRig) in the same cache.
-// The lock only guards the map; each entry builds under its own sync.Once,
-// so the parallel runner can construct rigs with different keys concurrently
-// while same-key experiments still share one build.
-type rigKey struct {
-	ranks, ppn, iters int
-	ckptBytes         int // 0: application ranks only
+// traces is the process's one store of traced runs: the pipeline reads and
+// fills it as its trace cache, keyed by Scenario.TraceKey, and the
+// experiments that read a raw trace (tracedRig, and encodedRig under a key
+// of its own) take theirs from it, so each run is traced once per process,
+// whichever experiment asks first.
+var traces = &traceStore{m: map[string]*traceEntry{}}
+
+// pipeline scores the four-dimension tables (table2, fig5c, scaling): the
+// engine behind hcserve and sweeps, on the harness's traces.
+var pipeline = hierclust.NewPipeline(hierclust.WithTraceCache(traces))
+
+// traceStore is a TraceCache whose entries may be in flight: trace builds a
+// missing key once, and Get waits out a build trace has started, so
+// concurrent experiments share one run. A build the pipeline starts shows
+// only once it Puts, so a trace call racing it on one key runs its own. A
+// failed build keeps its error.
+type traceStore struct {
+	mu sync.Mutex
+	m  map[string]*traceEntry
 }
 
-var (
-	rigMu    sync.Mutex
-	rigCache = map[rigKey]*rigEntry{}
-)
-
-type rigEntry struct {
-	once sync.Once
-	rig  *rig
+type traceEntry struct {
+	done chan struct{} // closed once csr and err are set
+	csr  *trace.CSR
 	err  error
 }
 
-// rig is one traced run: the frozen matrix and, for the application-only
-// run, the block placement of its ranks.
+// claim returns key's entry, adding an open one (found false) when there
+// is none; its claimant sets it and closes done.
+func (s *traceStore) claim(key string) (e *traceEntry, found bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e, found = s.m[key]; !found {
+		e = &traceEntry{done: make(chan struct{})}
+		s.m[key] = e
+	}
+	return e, found
+}
+
+// trace returns the run stored under key, building it on the first call.
+func (s *traceStore) trace(key string, build func() (*trace.CSR, error)) (*trace.CSR, error) {
+	e, found := s.claim(key)
+	if !found {
+		e.csr, e.err = build()
+		close(e.done)
+	}
+	<-e.done
+	return e.csr, e.err
+}
+
+// Get implements hierclust.TraceCache.
+func (s *traceStore) Get(key string) (hierclust.Comm, bool) {
+	s.mu.Lock()
+	e := s.m[key]
+	s.mu.Unlock()
+	if e == nil {
+		return nil, false
+	}
+	<-e.done
+	return e.csr, e.err == nil
+}
+
+// Put implements hierclust.TraceCache; what the pipeline stores is a
+// recorded run, a *trace.CSR.
+func (s *traceStore) Put(key string, c hierclust.Comm) {
+	if e, found := s.claim(key); !found {
+		e.csr = c.(*trace.CSR)
+		close(e.done)
+	}
+}
+
+// scenario is the traced application run cfg describes, as a Pipeline
+// scenario scoring strategies: cfg.Ranks block-placed cfg.ProcsPerNode per
+// node on as many TSUBAME2 nodes, tracing cfg.Iterations tsunami steps.
+func (c Config) scenario(name string, strategies ...hierclust.StrategySpec) (*hierclust.Scenario, error) {
+	if c.Ranks%c.ProcsPerNode != 0 {
+		return nil, fmt.Errorf("harness: %d ranks not divisible by %d per node", c.Ranks, c.ProcsPerNode)
+	}
+	return &hierclust.Scenario{
+		Name:       name,
+		Machine:    hierclust.MachineSpec{Model: "tsubame2", Nodes: c.Ranks / c.ProcsPerNode},
+		Placement:  hierclust.PlacementSpec{Policy: "block", Ranks: c.Ranks, ProcsPerNode: c.ProcsPerNode},
+		Trace:      hierclust.TraceSpec{Source: "tsunami", Iterations: c.Iterations},
+		Strategies: strategies,
+	}, nil
+}
+
+// rig is one application-only traced run: the frozen matrix and the block
+// placement of its ranks.
 type rig struct {
 	matrix    *trace.CSR
 	placement *topology.Placement
 }
 
-// tsunamiParams picks the tracing grid; the choice lives in the tsunami
-// package (TraceParams) so the public pipeline traces identically.
-func tsunamiParams(ranks int) tsunami.Params {
-	return tsunami.TraceParams(ranks)
-}
-
+// tracedRig is the raw application-only run of cfg's scenario, for the
+// experiments that read a trace rather than score strategies: the same
+// stored run the pipeline evaluates, with its placement.
 func tracedRig(cfg Config) (*rig, error) {
 	cfg.normalize()
-	return cachedRig(rigKey{cfg.Ranks, cfg.ProcsPerNode, cfg.Iterations, 0}, func() (*rig, error) { return buildRig(cfg) })
-}
-
-func cachedRig(key rigKey, build func() (*rig, error)) (*rig, error) {
-	rigMu.Lock()
-	e, ok := rigCache[key]
-	if !ok {
-		e = &rigEntry{}
-		rigCache[key] = e
+	sc, err := cfg.scenario("rig")
+	if err != nil {
+		return nil, err
 	}
-	rigMu.Unlock()
-	e.once.Do(func() { e.rig, e.err = build() })
-	return e.rig, e.err
-}
-
-func buildRig(cfg Config) (*rig, error) {
-	if cfg.Ranks%cfg.ProcsPerNode != 0 {
-		return nil, fmt.Errorf("harness: %d ranks not divisible by %d per node", cfg.Ranks, cfg.ProcsPerNode)
-	}
-	nodes := cfg.Ranks / cfg.ProcsPerNode
-	mach, err := topology.Tsubame2().Subset(nodes)
+	mach, err := topology.Tsubame2().Subset(sc.Machine.Nodes)
 	if err != nil {
 		return nil, err
 	}
@@ -175,15 +221,20 @@ func buildRig(cfg Config) (*rig, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec := trace.NewRecorder(cfg.Ranks)
-	if _, err := tsunami.RunTraced(tsunami.TracedOptions{
-		Params:     tsunamiParams(cfg.Ranks),
-		Iterations: cfg.Iterations,
-		Tracer:     rec,
-	}); err != nil {
+	key, _ := sc.TraceKey()
+	m, err := traces.trace(key, func() (*trace.CSR, error) {
+		rec := trace.NewRecorder(cfg.Ranks)
+		_, err := tsunami.RunTraced(tsunami.TracedOptions{
+			Params:     tsunami.TraceParams(cfg.Ranks),
+			Iterations: cfg.Iterations,
+			Tracer:     rec,
+		})
+		return rec.Freeze(), err
+	})
+	if err != nil {
 		return nil, err
 	}
-	return &rig{matrix: rec.Freeze(), placement: placement}, nil
+	return &rig{matrix: m, placement: placement}, nil
 }
 
 // Table1 renders the TSUBAME2 constants used by the models (paper Table I).

@@ -1,14 +1,19 @@
 package harness
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hierclust/internal/erasure"
+	"hierclust/internal/trace"
+	"hierclust/pkg/hierclust"
 )
 
 var quick = Config{Quick: true}
@@ -214,6 +219,77 @@ func TestEncodedRigBuiltOnce(t *testing.T) {
 	}
 	if full == a || full.TotalBytes() == a.TotalBytes() {
 		t.Error("quick and full checkpoint sizes share one cached trace")
+	}
+}
+
+// A traced run is recorded once whichever side asks first: the pipeline
+// finds a run tracedRig recorded, and tracedRig reads the one the pipeline
+// stored.
+func TestTracedRunsShared(t *testing.T) {
+	naive := hierclust.StrategySpec{Kind: "naive", Size: 8}
+	for _, rigFirst := range []bool{true, false} {
+		cfg := Config{Ranks: 64, ProcsPerNode: 8, Iterations: 3}
+		if rigFirst {
+			cfg.Iterations = 4 // a key no other test records
+		}
+		sc, err := cfg.scenario("shared", naive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var r *rig
+		if rigFirst {
+			if r, err = tracedRig(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := pipeline.Run(context.Background(), sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rigFirst {
+			if r, err = tracedRig(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		key, _ := sc.TraceKey()
+		if c, ok := traces.Get(key); !ok || c != hierclust.Comm(r.matrix) || res.TotalBytes != r.matrix.TotalBytes() {
+			t.Errorf("rig first %v: the pipeline and tracedRig hold different runs of %s", rigFirst, key)
+		}
+	}
+}
+
+// Concurrent trace calls on one key build once and all read that build;
+// a Get during the build waits for it.
+func TestTraceStoreBuildsOnce(t *testing.T) {
+	s := &traceStore{m: map[string]*traceEntry{}}
+	want, err := trace.Synthetic(16, trace.SyntheticOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var builds atomic.Int32
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			got, err := s.trace("k", func() (*trace.CSR, error) {
+				builds.Add(1)
+				return want, nil
+			})
+			if err != nil || got != want {
+				t.Errorf("trace = %p, %v; want the one build %p", got, err, want)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			if c, ok := s.Get("k"); ok && c != hierclust.Comm(want) {
+				t.Errorf("Get = %v, want the one build", c)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := builds.Load(); n != 1 {
+		t.Errorf("%d builds of one key, want 1", n)
 	}
 }
 

@@ -42,7 +42,7 @@ func Protocol(cfg Config) (*Table, error) {
 	}
 
 	// Reference field, failure-free.
-	params := tsunamiParams(ranks)
+	params := tsunami.TraceParams(ranks)
 	ref, err := tsunami.NewFTApp(params)
 	if err != nil {
 		return nil, err

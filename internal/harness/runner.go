@@ -19,23 +19,20 @@ type RunResult struct {
 // Run executes the experiments on a pool of workers and returns results in
 // input order, so output is byte-identical regardless of worker count or
 // completion order. workers == 1 runs serially on the caller's goroutine;
-// workers <= 0 picks DefaultWorkers(). Every experiment is independent (the
-// traced-rig cache is the only shared state and is mutex-guarded), which is
-// what makes the pool safe.
+// workers <= 0 means GOMAXPROCS. Every experiment is independent (the
+// shared state, the trace store and the pipeline, is safe for concurrent
+// use), which is what makes the pool safe.
 func Run(cfg Config, exps []Experiment, workers int) []RunResult {
 	if workers <= 0 {
-		workers = DefaultWorkers()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	results := make([]RunResult, len(exps))
 	pool.Run(len(exps), workers, exps, nil, func(exps []Experiment, i, _ int) { results[i] = RunOne(cfg, exps[i]) })
 	return results
 }
 
-// DefaultWorkers is the pool size used when the caller passes 0.
-func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
 // RunOne executes and times a single experiment. Serial callers (hcrun
-// without -parallel) use it to stream each table as it completes and stop
+// -workers 1) use it to stream each table as it completes and stop
 // at the first failure instead of batching through Run.
 func RunOne(cfg Config, e Experiment) RunResult {
 	start := time.Now()

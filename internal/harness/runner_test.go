@@ -34,7 +34,7 @@ func renderAll(t *testing.T, results []RunResult) string {
 }
 
 // TestRunParallelMatchesSerial is the acceptance property behind
-// `hcrun -exp all -quick -parallel`: pooled execution must produce
+// `hcrun -exp all -quick -workers 0`: pooled execution must produce
 // byte-identical tables in the same order as a serial run.
 func TestRunParallelMatchesSerial(t *testing.T) {
 	exps := runnerSubset(t)
@@ -47,7 +47,7 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 
 func TestRunPreservesOrderAndElapsed(t *testing.T) {
 	exps := runnerSubset(t)
-	results := Run(quick, exps, 0) // 0 = DefaultWorkers
+	results := Run(quick, exps, 0) // 0 = GOMAXPROCS
 	if len(results) != len(exps) {
 		t.Fatalf("got %d results, want %d", len(results), len(exps))
 	}

@@ -1,12 +1,10 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 
-	"hierclust/internal/core"
-	"hierclust/internal/reliability"
-	"hierclust/internal/topology"
-	"hierclust/internal/trace"
+	"hierclust/pkg/hierclust"
 )
 
 // Scaling evaluates the hierarchical clustering from 64 to 1024 ranks —
@@ -36,28 +34,42 @@ func Scaling(cfg Config) (*Table, error) {
 	if cfg.Quick {
 		sizes = []int{64, 128, 256}
 	}
-	b := core.DefaultBaseline()
+	hier := hierclust.StrategySpec{Kind: "hierarchical", Hier: &hierclust.HierSpec{Multilevel: cfg.Multilevel}}
+	var rungs []*hierclust.Scenario
 	for _, ranks := range sizes {
 		ppn := 16
 		if ranks <= 256 {
 			ppn = 8 // keep enough nodes that 4-node L1 clusters stay small
 		}
-		r, err := tracedRig(Config{Ranks: ranks, ProcsPerNode: ppn, Iterations: cfg.Iterations, Quick: cfg.Quick})
+		sc, err := Config{Ranks: ranks, ProcsPerNode: ppn, Iterations: cfg.Iterations}.scenario("scaling", hier)
 		if err != nil {
 			return nil, err
 		}
-		if err := scalingRow(t, b, r.matrix, r.placement, cfg.Multilevel); err != nil {
-			return nil, err
-		}
+		rungs = append(rungs, sc)
 	}
 	for ranks := 4096; ranks <= cfg.MaxRanks; ranks *= 2 {
-		m, placement, err := SyntheticRig(ranks, 16)
+		// A 2-D stencil 16 ranks wide: horizontal ghost exchange stays
+		// intra-node under block placement, vertical exchange crosses node
+		// boundaries, as in a blocked 2-D domain decomposition.
+		sc, err := Config{Ranks: ranks, ProcsPerNode: 16}.scenario("scaling", hier)
 		if err != nil {
 			return nil, err
 		}
-		if err := scalingRow(t, b, m, placement, cfg.Multilevel); err != nil {
+		sc.Trace = hierclust.TraceSpec{Source: "synthetic", Pattern: "stencil2d"}
+		rungs = append(rungs, sc)
+	}
+	for _, sc := range rungs {
+		res, err := pipeline.Run(context.TODO(), sc)
+		if err != nil {
 			return nil, err
 		}
+		e := res.Evaluations[0]
+		verdict := "yes"
+		if !e.WithinBaseline {
+			verdict = fmt.Sprintf("NO (scale too small for 4-node L1: %d nodes)", res.Nodes)
+		}
+		t.AddRow(res.Ranks, res.Nodes, e.L1Clusters,
+			e.LoggedFraction*100, e.RecoveryFraction*100, e.EncodeSecondsPerGB, e.CatastropheProb, verdict)
 	}
 	t.Notes = append(t.Notes,
 		"restart % falls as 4-node L1 clusters shrink relative to the machine; logging falls with boundary count over volume")
@@ -70,54 +82,4 @@ func Scaling(cfg Config) (*Table, error) {
 			"hierarchical rows use the multilevel (coarsen/partition/uncoarsen) node partitioner")
 	}
 	return t, nil
-}
-
-// scalingRow evaluates one machine scale and appends its table row.
-func scalingRow(t *Table, b core.Baseline, m trace.Comm, placement *topology.Placement, multilevel bool) error {
-	hier, err := core.Hierarchical(m, placement, core.HierOptions{Multilevel: multilevel})
-	if err != nil {
-		return err
-	}
-	e, err := core.Evaluate(hier, m, placement, reliability.DefaultMix())
-	if err != nil {
-		return err
-	}
-	ok, _ := e.Meets(b)
-	verdict := "yes"
-	if !ok {
-		verdict = fmt.Sprintf("NO (scale too small for 4-node L1: %d nodes)", placement.NumUsed())
-	}
-	t.AddRow(m.Ranks(), placement.NumUsed(), hier.NumClusters(),
-		e.LoggedFraction*100, e.RecoveryFraction*100, e.EncodeSecondsPerGB, e.CatastropheProb, verdict)
-	return nil
-}
-
-// SyntheticRig builds the large-scale evaluation input the way the pipeline
-// does for a synthetic scenario: an implicit 2-D stencil trace (grid width =
-// procsPerNode, so horizontal ghost exchange stays intra-node under block
-// placement and vertical exchange crosses node boundaries, mirroring a
-// blocked 2-D domain decomposition) plus a block placement on a
-// TSUBAME2-like machine grown to the required node count. Exported for
-// reuse by the benchmark suite.
-func SyntheticRig(ranks, procsPerNode int) (trace.Comm, *topology.Placement, error) {
-	nodes := (ranks + procsPerNode - 1) / procsPerNode
-	mach := topology.Tsubame2()
-	if nodes > mach.Nodes {
-		scaled := *mach
-		scaled.Nodes = nodes
-		scaled.Name = fmt.Sprintf("%s-scaled[%d]", mach.Name, nodes)
-		mach = &scaled
-	}
-	placement, err := topology.Block(mach, ranks, procsPerNode)
-	if err != nil {
-		return nil, nil, err
-	}
-	m, err := trace.NewStencil(ranks, trace.SyntheticOptions{
-		Pattern: trace.Stencil2D,
-		Width:   procsPerNode,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return m, placement, nil
 }

@@ -1,12 +1,16 @@
 package harness
 
 import (
+	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
 	"hierclust/internal/core"
 	"hierclust/internal/reliability"
+	"hierclust/internal/topology"
+	"hierclust/internal/trace"
 )
 
 // The synthetic axis must extend the scaling table with rows that stay
@@ -58,28 +62,82 @@ func TestScalingDefaultUnchangedByMaxRanks(t *testing.T) {
 	}
 }
 
-// Rank counts that do not divide evenly must still get a machine large
-// enough for the straggler node.
-func TestSyntheticRigNonMultipleRanks(t *testing.T) {
-	m, placement, err := SyntheticRig(23000, 16) // 1438 nodes > Tsubame2's 1408
+// referenceRig is a synthetic rung as the scaling experiment composed it
+// before it ran its rungs on the Pipeline: an implicit 2-D stencil ppn ranks
+// wide and a block placement on TSUBAME2, grown to the rung's node count.
+func referenceRig(ranks, ppn int) (trace.Comm, *topology.Placement, error) {
+	mach := topology.Tsubame2()
+	if nodes := ranks / ppn; nodes > mach.Nodes {
+		grown := *mach
+		grown.Nodes = nodes
+		mach = &grown
+	}
+	placement, err := topology.Block(mach, ranks, ppn)
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
-	if m.Ranks() != 23000 || placement.NumRanks() != 23000 {
-		t.Fatalf("rig covers %d/%d ranks, want 23000", m.Ranks(), placement.NumRanks())
-	}
-	if got := len(placement.UsedNodes()); got != 1438 {
-		t.Errorf("used nodes = %d, want 1438", got)
+	m, err := trace.NewStencil(ranks, trace.SyntheticOptions{Pattern: trace.Stencil2D, Width: ppn})
+	return m, placement, err
+}
+
+// TestScalingMatchesReference holds every cell of the scaling table, traced
+// and synthetic rows, with the multilevel partitioner off and on, to the
+// composition the experiment used before its rungs became Pipeline
+// scenarios: the rung's trace and block placement, core.Hierarchical and
+// core.Evaluate, rendered as that code rendered a row.
+func TestScalingMatchesReference(t *testing.T) {
+	for _, multilevel := range []bool{false, true} {
+		cfg := Config{Quick: true, MaxRanks: 8192, Multilevel: multilevel}
+		got, err := Scaling(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.normalize()
+		want := &Table{}
+		row := func(m trace.Comm, placement *topology.Placement) {
+			t.Helper()
+			hier, err := core.Hierarchical(m, placement, core.HierOptions{Multilevel: multilevel})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := core.Evaluate(hier, m, placement, reliability.DefaultMix())
+			if err != nil {
+				t.Fatal(err)
+			}
+			verdict := "yes"
+			if ok, _ := e.Meets(core.DefaultBaseline()); !ok {
+				verdict = fmt.Sprintf("NO (scale too small for 4-node L1: %d nodes)", placement.NumUsed())
+			}
+			want.AddRow(m.Ranks(), placement.NumUsed(), hier.NumClusters(),
+				e.LoggedFraction*100, e.RecoveryFraction*100, e.EncodeSecondsPerGB, e.CatastropheProb, verdict)
+		}
+		for _, ranks := range []int{64, 128, 256} {
+			r, err := tracedRig(Config{Ranks: ranks, ProcsPerNode: 8, Iterations: cfg.Iterations})
+			if err != nil {
+				t.Fatal(err)
+			}
+			row(r.matrix, r.placement)
+		}
+		for _, ranks := range []int{4096, 8192} {
+			m, placement, err := referenceRig(ranks, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row(m, placement)
+		}
+		if !reflect.DeepEqual(got.Rows, want.Rows) {
+			t.Errorf("multilevel=%v: scaling rows differ from the reference composition\n got %v\nwant %v", multilevel, got.Rows, want.Rows)
+		}
 	}
 }
 
-// The synthetic rig end to end at a 16k-rank scale: hierarchical
+// A synthetic rung end to end at a 16k-rank scale: hierarchical
 // clustering plus full evaluation against the default baseline, all sparse.
 func TestSyntheticRigPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("16k-rank pipeline in -short mode")
 	}
-	m, placement, err := SyntheticRig(16384, 16)
+	m, placement, err := referenceRig(16384, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +174,7 @@ func TestSynthetic256kWorkerInvariance(t *testing.T) {
 		t.Skip("262k-rank pipeline in -short mode")
 	}
 	const ranks = 262144
-	m, placement, err := SyntheticRig(ranks, 16)
+	m, placement, err := referenceRig(ranks, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

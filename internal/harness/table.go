@@ -1,9 +1,11 @@
 // Package harness regenerates every table and figure of the paper's
 // evaluation section from the substrates in this repository: the traced
 // tsunami communication matrix, the clustering strategies, the reliability
-// model, and the hybrid protocol. Each experiment returns a Table that
-// prints as aligned ASCII (and CSV), with paper-expected values recorded in
-// expect.go for side-by-side comparison in EXPERIMENTS.md.
+// model, and the hybrid protocol. The four-dimension tables (table2, fig5c,
+// scaling) are scenarios run by pkg/hierclust's Pipeline; the rest read
+// the raw traced runs the pipeline shares. Each experiment returns a Table
+// that prints as aligned ASCII (and CSV), with paper-expected values
+// recorded in expect.go for side-by-side comparison in EXPERIMENTS.md.
 package harness
 
 import (

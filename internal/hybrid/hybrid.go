@@ -163,13 +163,6 @@ func NewRunner(cfg Config, app App) (*Runner, error) {
 	return run, nil
 }
 
-// Manager exposes the checkpoint manager (for inspection in tests and
-// experiments).
-func (ru *Runner) Manager() *checkpoint.Manager { return ru.mgr }
-
-// Storage exposes the backing storage cluster (for failure injection).
-func (ru *Runner) Storage() *storage.Cluster { return ru.store }
-
 // interCluster reports whether a message crosses L1 boundaries.
 func (ru *Runner) interCluster(src, dest int) bool {
 	return ru.cfg.Clusters[src] != ru.cfg.Clusters[dest]

@@ -403,9 +403,6 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := good.Run(-1, nil); err == nil {
 		t.Error("accepted negative iterations")
 	}
-	if good.Manager() == nil || good.Storage() == nil {
-		t.Error("accessors returned nil")
-	}
 }
 
 func TestAppErrorsPropagate(t *testing.T) {

@@ -173,13 +173,6 @@ func (s *LocalStore) Repair() {
 	s.mu.Unlock()
 }
 
-// Failed reports whether the store is down.
-func (s *LocalStore) Failed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.failed
-}
-
 // PFS is the shared parallel file system: reliable, but all writers share
 // its aggregate bandwidth, which is what makes PFS-only checkpointing
 // uncompetitive at scale (§II-A of the paper).
@@ -273,15 +266,4 @@ func (c *Cluster) RepairNode(n topology.NodeID) error {
 	}
 	s.Repair()
 	return nil
-}
-
-// FailedNodes lists the currently failed nodes.
-func (c *Cluster) FailedNodes() []topology.NodeID {
-	var out []topology.NodeID
-	for _, s := range c.local {
-		if s.Failed() {
-			out = append(out, s.Node())
-		}
-	}
-	return out
 }

@@ -121,9 +121,6 @@ func TestLocalStoreFailRepair(t *testing.T) {
 	s := NewLocalStore(1, &Device{Name: "ssd", ReadBps: 1e9, WriteBps: 1e9})
 	_, _ = s.Put("ckpt", make([]byte, 10))
 	s.Fail()
-	if !s.Failed() {
-		t.Error("Failed() = false after Fail")
-	}
 	var fe *FailedError
 	if _, err := s.Put("x", nil); !errors.As(err, &fe) || fe.Node != 1 {
 		t.Errorf("Put on failed store err = %v", err)
@@ -135,8 +132,8 @@ func TestLocalStoreFailRepair(t *testing.T) {
 		t.Errorf("Delete on failed store err = %v", err)
 	}
 	s.Repair()
-	if s.Failed() {
-		t.Error("Failed() = true after Repair")
+	if _, err := s.Put("y", nil); err != nil {
+		t.Errorf("Put after Repair err = %v", err)
 	}
 	// data was lost
 	if _, _, err := s.Get("ckpt"); err == nil {
@@ -192,8 +189,8 @@ func TestCluster(t *testing.T) {
 	if err := c.FailNode(2); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.FailedNodes(); len(got) != 1 || got[0] != 2 {
-		t.Errorf("FailedNodes = %v", got)
+	if _, err := s.Put("y", nil); err == nil {
+		t.Error("Put succeeded on a failed node's store")
 	}
 	if err := c.FailNode(9); err == nil {
 		t.Error("FailNode accepted out-of-range node")
@@ -201,8 +198,8 @@ func TestCluster(t *testing.T) {
 	if err := c.RepairNode(2); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.FailedNodes(); got != nil {
-		t.Errorf("FailedNodes after repair = %v", got)
+	if _, err := s.Put("y", nil); err != nil {
+		t.Errorf("Put after RepairNode err = %v", err)
 	}
 	if err := c.RepairNode(-1); err == nil {
 		t.Error("RepairNode accepted out-of-range node")

@@ -16,10 +16,9 @@ func samePlacement(t *testing.T, label string, got, want *Placement) {
 			want.NumRanks(), want.NumUsed(), want.MaxProcsPerNode())
 	}
 	for r := Rank(0); int(r) < want.NumRanks(); r++ {
-		if got.NodeOf(r) != want.NodeOf(r) || got.LocalIndex(r) != want.LocalIndex(r) || got.RankAt(int(r)) != want.RankAt(int(r)) ||
-			got.SameNode(r, 0) != want.SameNode(r, 0) {
-			t.Fatalf("%s: rank %d: node %d local %d at %d, want %d %d %d", label, r, got.NodeOf(r), got.LocalIndex(r), got.RankAt(int(r)),
-				want.NodeOf(r), want.LocalIndex(r), want.RankAt(int(r)))
+		if got.NodeOf(r) != want.NodeOf(r) || got.RankAt(int(r)) != want.RankAt(int(r)) {
+			t.Fatalf("%s: rank %d: node %d at %d, want %d %d", label, r, got.NodeOf(r), got.RankAt(int(r)),
+				want.NodeOf(r), want.RankAt(int(r)))
 		}
 	}
 	for i := 0; i < want.NumUsed(); i++ {

@@ -3,9 +3,6 @@ package topology
 import (
 	"cmp"
 	"fmt"
-	"maps"
-	"slices"
-	"sort"
 	"sync"
 )
 
@@ -240,36 +237,4 @@ func (p *Placement) MaxProcsPerNode() int {
 		most = max(most, int(p.rankPtr[n+1]-p.rankPtr[n]))
 	}
 	return most
-}
-
-// SameNode reports whether two ranks are hosted on the same node.
-func (p *Placement) SameNode(a, b Rank) bool { return p.NodeOf(a) == p.NodeOf(b) }
-
-// LocalIndex returns the position of rank r among the ranks of its node
-// (0-based). With block placement and k procs per node this is r mod k.
-// The hierarchical L2 clustering groups the i-th process of each node.
-// Spans are ascending, so the lookup is a binary search.
-func (p *Placement) LocalIndex(r Rank) int {
-	lo, hi := p.Span(p.NodeOf(r))
-	i := lo + sort.Search(hi-lo, func(i int) bool { return p.RankAt(lo+i) >= r })
-	if i < hi && p.RankAt(i) == r {
-		return i - lo
-	}
-	return -1 // unreachable for ranks built through NewPlacement
-}
-
-// CorrelatedNodes returns every node whose failure is correlated with node
-// n's: the power-supply partner and, when racks are modeled with
-// includeRack, the rest of n's rack.
-func (p *Placement) CorrelatedNodes(n NodeID, includeRack bool) []NodeID {
-	set := map[NodeID]bool{}
-	for _, g := range p.machine.PowerGroup(n) {
-		set[g] = true
-	}
-	if includeRack && p.machine.NodesPerRack > 0 {
-		for _, g := range p.machine.RackNodes(p.machine.Rack(n)) {
-			set[g] = true
-		}
-	}
-	return slices.Sorted(maps.Keys(set))
 }

@@ -79,53 +79,6 @@ func (m *Machine) Validate() error {
 	return CheckCount("nodes", m.Nodes)
 }
 
-// PowerGroup returns the set of nodes sharing node n's power supply,
-// including n itself. Without power pairing the group is {n}.
-func (m *Machine) PowerGroup(n NodeID) []NodeID {
-	if !m.PowerPairs {
-		return []NodeID{n}
-	}
-	base := n &^ 1
-	group := []NodeID{base}
-	if int(base)+1 < m.Nodes {
-		group = append(group, base+1)
-	}
-	return group
-}
-
-// Rack returns the rack index of node n, or 0 if racks are disabled.
-func (m *Machine) Rack(n NodeID) int {
-	if m.NodesPerRack <= 0 {
-		return 0
-	}
-	return int(n) / m.NodesPerRack
-}
-
-// RackNodes returns all nodes in rack r. With racks disabled it returns all
-// nodes of the machine.
-func (m *Machine) RackNodes(r int) []NodeID {
-	if m.NodesPerRack <= 0 {
-		all := make([]NodeID, m.Nodes)
-		for i := range all {
-			all[i] = NodeID(i)
-		}
-		return all
-	}
-	lo := r * m.NodesPerRack
-	hi := lo + m.NodesPerRack
-	if hi > m.Nodes {
-		hi = m.Nodes
-	}
-	if lo >= hi {
-		return nil
-	}
-	nodes := make([]NodeID, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		nodes = append(nodes, NodeID(i))
-	}
-	return nodes
-}
-
 // Tsubame2 returns the TSUBAME2 machine model using the constants of the
 // paper's Table I: 1408 high-bandwidth compute nodes, 12 cores (24 hardware
 // threads), 120 GB node-local SSD writing at 360 MB/s (RAID0), dual-rail QDR

@@ -41,55 +41,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestPowerGroup(t *testing.T) {
-	m := &Machine{Name: "t", Nodes: 5, PowerPairs: true}
-	cases := []struct {
-		n    NodeID
-		want []NodeID
-	}{
-		{0, []NodeID{0, 1}},
-		{1, []NodeID{0, 1}},
-		{2, []NodeID{2, 3}},
-		{3, []NodeID{2, 3}},
-		{4, []NodeID{4}}, // odd tail: no partner
-	}
-	for _, c := range cases {
-		got := m.PowerGroup(c.n)
-		if len(got) != len(c.want) {
-			t.Errorf("PowerGroup(%d) = %v, want %v", c.n, got, c.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("PowerGroup(%d) = %v, want %v", c.n, got, c.want)
-			}
-		}
-	}
-
-	solo := &Machine{Name: "solo", Nodes: 4, PowerPairs: false}
-	if g := solo.PowerGroup(2); len(g) != 1 || g[0] != 2 {
-		t.Errorf("without PowerPairs, PowerGroup(2) = %v, want [2]", g)
-	}
-}
-
-func TestRacks(t *testing.T) {
-	m := &Machine{Name: "t", Nodes: 10, NodesPerRack: 4}
-	if m.Rack(0) != 0 || m.Rack(3) != 0 || m.Rack(4) != 1 || m.Rack(9) != 2 {
-		t.Errorf("rack assignment wrong: %d %d %d %d", m.Rack(0), m.Rack(3), m.Rack(4), m.Rack(9))
-	}
-	last := m.RackNodes(2)
-	if len(last) != 2 || last[0] != 8 || last[1] != 9 {
-		t.Errorf("RackNodes(2) = %v, want [8 9]", last)
-	}
-	if got := m.RackNodes(3); got != nil {
-		t.Errorf("RackNodes(3) = %v, want nil", got)
-	}
-	flat := &Machine{Name: "flat", Nodes: 3}
-	if got := flat.RackNodes(0); len(got) != 3 {
-		t.Errorf("rackless RackNodes = %v, want all 3 nodes", got)
-	}
-}
-
 func TestBlockPlacement(t *testing.T) {
 	m := &Machine{Name: "t", Nodes: 64}
 	p, err := Block(m, 1024, 16)
@@ -108,12 +59,6 @@ func TestBlockPlacement(t *testing.T) {
 	}
 	if p.MaxProcsPerNode() != 16 {
 		t.Errorf("MaxProcsPerNode = %d, want 16", p.MaxProcsPerNode())
-	}
-	if !p.SameNode(0, 15) || p.SameNode(15, 16) {
-		t.Error("SameNode wrong for block placement")
-	}
-	if p.LocalIndex(17) != 1 {
-		t.Errorf("LocalIndex(17) = %d, want 1", p.LocalIndex(17))
 	}
 }
 
@@ -220,22 +165,6 @@ func TestUsedNodes(t *testing.T) {
 	}
 }
 
-func TestCorrelatedNodes(t *testing.T) {
-	m := &Machine{Name: "t", Nodes: 8, PowerPairs: true, NodesPerRack: 4}
-	p, err := Block(m, 8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := p.CorrelatedNodes(2, false)
-	if len(got) != 2 || got[0] != 2 || got[1] != 3 {
-		t.Errorf("CorrelatedNodes(2, no rack) = %v, want [2 3]", got)
-	}
-	got = p.CorrelatedNodes(2, true)
-	if len(got) != 4 || got[0] != 0 || got[3] != 3 {
-		t.Errorf("CorrelatedNodes(2, rack) = %v, want [0 1 2 3]", got)
-	}
-}
-
 func TestSubset(t *testing.T) {
 	m := Tsubame2()
 	sub, err := m.Subset(64)
@@ -253,8 +182,8 @@ func TestSubset(t *testing.T) {
 	}
 }
 
-// Property: for any block placement, LocalIndex(r) == r mod procsPerNode and
-// every node's rank list is consecutive.
+// Property: for any block placement, rank r lives on node r / procsPerNode,
+// so every node's rank list is consecutive.
 func TestBlockPlacementProperty(t *testing.T) {
 	f := func(nodesRaw, ppnRaw uint8) bool {
 		nodes := int(nodesRaw%32) + 1
@@ -266,9 +195,6 @@ func TestBlockPlacementProperty(t *testing.T) {
 			return false
 		}
 		for r := 0; r < nranks; r++ {
-			if p.LocalIndex(Rank(r)) != r%ppn {
-				return false
-			}
 			if p.NodeOf(Rank(r)) != NodeID(r/ppn) {
 				return false
 			}
@@ -407,17 +333,6 @@ func TestPlacementSparseEquivalence(t *testing.T) {
 		}
 		for r := 0; r < nranks; r++ {
 			if p.NodeOf(Rank(r)) != ref.node[r] {
-				return false
-			}
-			// Reference LocalIndex: linear scan of the node's slice.
-			want := -1
-			for i, rr := range ref.ranks[ref.node[r]] {
-				if rr == Rank(r) {
-					want = i
-					break
-				}
-			}
-			if p.LocalIndex(Rank(r)) != want {
 				return false
 			}
 		}

@@ -193,15 +193,10 @@ func (c *CSR) At(src, dst int) (int64, int64) {
 	return 0, 0
 }
 
-// CutBytes returns the bytes crossing cluster boundaries under part
-// (part[r] = cluster of rank r), in O(nnz) — exactly the volume a hybrid
-// protocol with those clusters must log.
-func (c *CSR) CutBytes(part []int32) (int64, error) {
-	return cutBytes(c.view(), part)
-}
-
-// LoggedFraction returns CutBytes/TotalBytes, the paper's message-logging
-// overhead metric. An empty trace logs nothing (0).
+// LoggedFraction returns the share of bytes crossing cluster boundaries
+// under part (part[r] = cluster of rank r), in O(nnz): the paper's
+// message-logging overhead metric, what a hybrid protocol with those
+// clusters must log. An empty trace logs nothing (0).
 func (c *CSR) LoggedFraction(part []int32) (float64, error) {
 	return loggedFraction(c.view(), c.totalBytes, part)
 }

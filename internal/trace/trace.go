@@ -28,8 +28,8 @@ import (
 // clustering pipeline reads (totals, the logged fraction, the node-graph
 // fold) without committing callers to a storage layout. The sparse CSR and
 // the implicit Stencil implement it over one set of folds (rows.go); the
-// deprecated Matrix shim answers from a freeze to CSR. CutBytes and ToGraph
-// stay methods of CSR.
+// deprecated Matrix shim answers from a freeze to CSR. ToGraph stays a
+// method of CSR.
 type Comm interface {
 	// Ranks returns the number of ranks the matrix covers.
 	Ranks() int

@@ -101,23 +101,16 @@ func TestCutBytesAndLoggedFraction(t *testing.T) {
 	// 8-rank stencil, clusters of 4: one crossing pair (3<->4) of 7 total.
 	m := stencilTrace(8, 100)
 	part := []int32{0, 0, 0, 0, 1, 1, 1, 1}
-	cut, err := m.CutBytes(part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cut != 200 { // both directions
-		t.Errorf("cut = %d, want 200", cut)
-	}
 	frac, err := m.LoggedFraction(part)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 200.0 / 1400.0
+	want := 200.0 / 1400.0 // the crossing pair, both directions
 	if math.Abs(frac-want) > 1e-12 {
 		t.Errorf("logged fraction = %g, want %g", frac, want)
 	}
-	if _, err := m.CutBytes([]int32{0}); err == nil {
-		t.Error("CutBytes accepted short assignment")
+	if _, err := m.LoggedFraction([]int32{0}); err == nil {
+		t.Error("LoggedFraction accepted short assignment")
 	}
 }
 

@@ -16,20 +16,12 @@ type (
 	CheckpointLevel = checkpoint.Level
 	// CheckpointManager orchestrates multi-level checkpoints.
 	CheckpointManager = checkpoint.Manager
-	// CheckpointResult reports the simulated and measured cost of one
-	// checkpoint operation.
-	CheckpointResult = checkpoint.Result
-	// RestoredCheckpoint is one rank's recovered state and its source
-	// level.
-	RestoredCheckpoint = checkpoint.Restored
 	// ClusterStore simulates the machine's storage hierarchy (node-local
 	// SSDs plus the parallel file system) with failure injection.
 	ClusterStore = storage.Cluster
 	// HybridApp is the send-deterministic iterative application contract
 	// the hybrid protocol drives.
 	HybridApp = hybrid.App
-	// HybridMessage is one application message within an iteration.
-	HybridMessage = hybrid.Message
 	// HybridConfig assembles a protocol instance from a placement and a
 	// clustering decision.
 	HybridConfig = hybrid.Config
@@ -37,8 +29,6 @@ type (
 	HybridRunner = hybrid.Runner
 	// HybridReport summarizes a protected run.
 	HybridReport = hybrid.Report
-	// FailureEvent describes one handled failure.
-	FailureEvent = hybrid.FailureEvent
 	// TsunamiParams configures the shallow-water stencil application.
 	TsunamiParams = tsunami.Params
 	// TsunamiSource is the initial Gaussian displacement.
@@ -51,14 +41,8 @@ type (
 	TracedTsunamiOptions = tsunami.TracedOptions
 )
 
-// Checkpoint protection levels, cheapest first.
-const (
-	L1Local   = checkpoint.L1Local
-	L2Partner = checkpoint.L2Partner
-	L3Encoded = checkpoint.L3Encoded
-	L3XOR     = checkpoint.L3XOR
-	L4PFS     = checkpoint.L4PFS
-)
+// L3Encoded is the Reed–Solomon group-encoded checkpoint level.
+const L3Encoded = checkpoint.L3Encoded
 
 // NewClusterStore builds the simulated storage hierarchy for a machine.
 func NewClusterStore(m *Machine) *ClusterStore { return storage.NewCluster(m) }

@@ -26,8 +26,8 @@
 // The cmd/hcserve binary wraps a Pipeline in an HTTP service
 // (POST /v1/evaluate and /v1/evaluate-batch) with a scenario-result LRU
 // and an optional trace-level cache beneath it (TraceCache, keyed by
-// Scenario.TraceKey); cmd/hcrun drives the paper's table and figure
-// reproductions through the same package.
+// Scenario.TraceKey); cmd/hcrun's four-dimension tables (Table II,
+// Fig. 5c, the scaling ladder) are scenarios run by a Pipeline too.
 //
 // Lower-level building blocks — machines and placements, communication
 // matrices, the multi-level checkpoint store, and the hybrid

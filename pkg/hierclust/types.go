@@ -38,22 +38,11 @@ type (
 	TraceRecorder = trace.Recorder
 	// SyntheticOptions tunes generated stencil traces.
 	SyntheticOptions = trace.SyntheticOptions
-	// SyntheticPattern selects the generated communication structure.
-	SyntheticPattern = trace.SyntheticPattern
-	// Graph is the undirected weighted communication graph consumed by
-	// the partitioner and the brain-network measures (modularity, degree
-	// distribution). A trace's NodeGraph or ToGraph builds it once; it is
-	// immutable after, so concurrent reads are safe.
-	Graph = graph.Graph
 )
 
-// Synthetic trace patterns.
-const (
-	// Stencil1D is a 1-D slab decomposition: rank r exchanges with r±1.
-	Stencil1D = trace.Stencil1D
-	// Stencil2D is a 2-D block decomposition on a Width-wide grid.
-	Stencil2D = trace.Stencil2D
-)
+// Stencil1D is the synthetic 1-D slab decomposition: rank r exchanges with
+// r±1.
+const Stencil1D = trace.Stencil1D
 
 // The clustering/evaluation layer: the paper's contribution.
 type (
@@ -76,20 +65,10 @@ type (
 // Tsubame2 returns the paper's TSUBAME2 machine model (Table I constants).
 func Tsubame2() *Machine { return topology.Tsubame2() }
 
-// NewPlacement builds a placement from an explicit rank→node assignment.
-func NewPlacement(m *Machine, nodeOf []NodeID) (*Placement, error) {
-	return topology.NewPlacement(m, nodeOf)
-}
-
 // Block places ranks in consecutive blocks of procsPerNode per node — the
 // topology-aware placement of the paper's runs.
 func Block(m *Machine, nranks, procsPerNode int) (*Placement, error) {
 	return topology.Block(m, nranks, procsPerNode)
-}
-
-// RoundRobin places consecutive ranks on consecutive nodes, wrapping.
-func RoundRobin(m *Machine, nranks, usedNodes int) (*Placement, error) {
-	return topology.RoundRobin(m, nranks, usedNodes)
 }
 
 // NewTraceRecorder returns a concurrency-safe recorder for n ranks,
@@ -139,12 +118,6 @@ func RecoveryFraction(c *Clustering, p *Placement) (float64, error) {
 	return core.RecoveryFraction(c, p)
 }
 
-// RecoveryFractionProcess computes the expected restart fraction after a
-// uniformly random single-process failure.
-func RecoveryFractionProcess(c *Clustering) (float64, error) {
-	return core.RecoveryFractionProcess(c)
-}
-
 // ModelEncodeSeconds returns the modeled Reed–Solomon encode time for one
 // group member's bytes at the given group size (the paper-calibrated
 // linear-in-k law).
@@ -154,9 +127,6 @@ func ModelEncodeSeconds(groupSize int, bytes int64) float64 {
 
 // CompareTable renders evaluations as an aligned Table-II style comparison.
 func CompareTable(evals []*Evaluation, b Baseline) string { return core.CompareTable(evals, b) }
-
-// DimensionNames labels the four evaluation axes in Figure 5c order.
-func DimensionNames() [4]string { return core.DimensionNames() }
 
 // SetPartitionPhaseLabels toggles runtime/pprof goroutine labels on the
 // multilevel partitioner's pipeline phases (match, contract, grow, refine,

@@ -17,25 +17,36 @@ import (
 	"testing"
 )
 
-// reachAllow lists the declarations in internal/ that no binary, example,
-// benchmark or public API call reaches and that stay anyway, because a test
-// of reachable code uses them to build an input or read a result. Each
-// entry names that test. An entry that becomes reachable, or whose
-// declaration is gone, fails the check, so the list cannot outlive its use.
+// reachAllow lists the declarations in internal/ and pkg/ that nothing a
+// user runs reaches and that stay anyway, because a test of reachable code
+// uses them to build an input or read a result. Each entry names that
+// test. An entry that becomes reachable, or whose declaration is gone,
+// fails the check, so the list cannot outlive its use.
 var reachAllow = map[string]string{
-	"faultinject.Seed":          "pkg/hierclust TestRunSweepChaosFaultResume: a repeatable fault schedule",
-	"faultinject.Disarm":        "internal/faultinject TestConcurrentArmAndHit: disarms under a live Hit",
-	"faultinject.DisarmAll":     "internal/diskstore TestStoreReadFaultKeepsIndex and every chaos suite: cleanup between drills",
-	"faultinject.Triggered":     "internal/faultinject TestProbability: how often the live Hit fired",
-	"leakcheck.Main":            "TestMain of pkg/hierclust and pkg/hierclust/serve: no goroutine outlives the suite",
-	"racedetect.Enabled":        "internal/reliability TestCatastropheProbCtxCancelMidMonteCarlo: widens its latency bound under -race",
-	"erasure.gfDiv":             "internal/erasure TestGFDivMulRoundTrip: division inverts the live gfMul",
-	"erasure.RS.Verify":         "internal/erasure TestRSEncodeDecodeAllErasurePatterns: re-checks the parity the live encoder wrote",
-	"storage.LocalStore.Keys":   "internal/checkpoint TestGC: what GC left on the node stores",
-	"core.RecoveryFractionPair": "internal/core TestRecoveryFractionPairAlignment: observes AlignPowerPairs",
-	"metrics.Histogram.Count":   "internal/metrics TestHistogramBuckets",
-	"metrics.Histogram.Sum":     "internal/metrics TestHistogramBuckets",
-	"trace.Stencil.NNZ":         "internal/trace TestStencilMatchesSynthetic: the closed form against the built CSR",
+	"faultinject.Seed":            "pkg/hierclust TestRunSweepChaosFaultResume: a repeatable fault schedule",
+	"faultinject.Disarm":          "internal/faultinject TestConcurrentArmAndHit: disarms under a live Hit",
+	"faultinject.DisarmAll":       "internal/diskstore TestStoreReadFaultKeepsIndex and every chaos suite: cleanup between drills",
+	"faultinject.Triggered":       "internal/faultinject TestProbability: how often the live Hit fired",
+	"leakcheck.Main":              "TestMain of pkg/hierclust and pkg/hierclust/serve: no goroutine outlives the suite",
+	"racedetect.Enabled":          "internal/reliability TestCatastropheProbCtxCancelMidMonteCarlo: widens its latency bound under -race",
+	"erasure.gfDiv":               "internal/erasure TestGFDivMulRoundTrip: division inverts the live gfMul",
+	"erasure.RS.Verify":           "internal/erasure TestRSEncodeDecodeAllErasurePatterns: re-checks the parity the live encoder wrote",
+	"storage.LocalStore.Keys":     "internal/checkpoint TestGC: what GC left on the node stores",
+	"core.RecoveryFractionPair":   "internal/core TestRecoveryFractionPairAlignment: observes AlignPowerPairs",
+	"metrics.Histogram.Count":     "internal/metrics TestHistogramBuckets",
+	"metrics.Histogram.Sum":       "internal/metrics TestHistogramBuckets",
+	"trace.Stencil.NNZ":           "internal/trace TestStencilMatchesSynthetic: the closed form against the built CSR",
+	"checkpoint.Manager.Groups":   "internal/checkpoint TestL3CycleAllocationBound: a fresh manager per cycle over the first one's groups",
+	"checkpoint.Manager.Versions": "internal/checkpoint TestGC: which versions GC kept",
+	"graph.Graph.Weight":          "internal/trace TestToGraphSymmetric and the fold references (foldsAlike): a built graph's edge weights",
+	"graph.Graph.Neighbors":       "internal/trace foldsAlike and internal/core TestCallerOwnedGraphAndPartition: a built graph's adjacency",
+	"graph.Graph.Strength":        "internal/core TestCallerOwnedGraphAndPartition: a built graph's vertex strengths",
+	"graph.Graph.TotalWeight":     "internal/graph TestContractPreservesTotalWeight: contraction keeps the total",
+	"graph.Graph.EdgeCount":       "internal/trace TestZeroByteMessageEquivalence: zero-byte cells add no edge",
+	"topology.NewPlacement":       "internal/trace TestNodeFoldMatchesReference and internal/reliability TestFlattenMatchesReferencePlacements: irregular placements",
+	"hierclust.EncodeSweep":       "pkg/hierclust FuzzDecodeSweep and TestSweepEncodeDecodeRoundTrip: the decode→encode round trip",
+	"hierclust.WithDegradeAfter":  "pkg/hierclust chaos suites (TestDiskResultCacheReadFaultFallsBackWithoutIndexLoss): degrade on the drill's schedule",
+	"hierclust.WithDegradedProbe": "pkg/hierclust chaos suites (TestDiskTraceCacheDegradesOnWriteFaults): probe on the drill's schedule",
 }
 
 // reachIfaceNames are the method names through which the standard library
@@ -70,40 +81,68 @@ func (l *reachLoader) ImportFrom(path, _ string, _ types.ImportMode) (*types.Pac
 }
 
 // load type-checks the package at an import path of this module (the
-// nested benchmarks module maps onto its directory the same way). With
-// tests set, the package's in-package test files are checked with it, under
-// a key of their own so importers still see the plain package.
+// nested benchmarks module maps onto its directory the same way), with its
+// in-package test files when tests is set or when one of them declares an
+// Example function — one copy, which importers see too (an in-package test
+// cannot import an importer of its package). A path ending in "_test" is the
+// directory's external test package.
 func (l *reachLoader) load(path string, tests bool) (*types.Package, error) {
-	key := path
-	if tests {
-		key += " [tests]"
-	}
-	if p, ok := l.pkgs[key]; ok {
+	if p, ok := l.pkgs[path]; ok {
 		return p, nil
 	}
-	dir := filepath.Join(l.root, filepath.FromSlash(strings.TrimPrefix(strings.TrimPrefix(path, "hierclust"), "/")))
+	dirPath, xtest := strings.CutSuffix(path, "_test")
+	dir := filepath.Join(l.root, filepath.FromSlash(strings.TrimPrefix(strings.TrimPrefix(dirPath, "hierclust"), "/")))
 	bp, err := build.ImportDir(dir, 0)
 	if err != nil {
 		return nil, err
 	}
-	names := append([]string(nil), bp.GoFiles...)
-	if tests {
-		names = append(names, bp.TestGoFiles...)
+	parse := func(names []string) ([]*ast.File, error) {
+		var files []*ast.File
+		for _, name := range names {
+			f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
+			if err != nil {
+				return nil, err
+			}
+			files = append(files, f)
+		}
+		return files, nil
 	}
-	var files []*ast.File
-	for _, name := range names {
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
+	names := bp.GoFiles
+	if xtest {
+		names = bp.XTestGoFiles
+	}
+	files, err := parse(names)
+	if err != nil {
+		return nil, err
+	}
+	if !xtest {
+		tfiles, err := parse(bp.TestGoFiles)
 		if err != nil {
 			return nil, err
 		}
-		files = append(files, f)
+		if tests || len(reachExamples(tfiles)) > 0 {
+			files = append(files, tfiles...)
+		}
 	}
 	p, err := (&types.Config{Importer: l}).Check(path, l.fset, files, l.info)
 	if err != nil {
 		return nil, err
 	}
-	l.pkgs[key], l.files[key] = p, files
+	l.pkgs[path], l.files[path] = p, files
 	return p, nil
+}
+
+// reachExamples returns the Example functions the files declare.
+func reachExamples(files []*ast.File) []*ast.Ident {
+	var names []*ast.Ident
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Example") {
+				names = append(names, fn.Name)
+			}
+		}
+	}
+	return names
 }
 
 // reachDecl is one package-level declaration or method: where it is
@@ -116,15 +155,18 @@ type reachDecl struct {
 	uses  []types.Object
 }
 
-// TestInternalReachable fails for every declaration under internal/ that
-// nothing a user can run reaches. Roots: the main packages under cmd/ and
-// examples/, the benchmarks module with its tests, the exported names of
-// pkg/hierclust and pkg/hierclust/serve (with the exported methods of the
-// types they export or alias), and every init. A declaration is reached
-// when a reached declaration's text uses it; a method is also reached when
-// its receiver type is and its name is in reachIfaceNames or in an
-// interface the repository declares. What only a package's own tests (or
-// nothing) reach is deleted or, for a test instrument, named in reachAllow.
+// TestInternalReachable fails for every declaration under internal/ and
+// pkg/ that nothing a user can run reaches. Roots are what users run: the
+// main packages under cmd/ and examples/, the benchmarks module with its
+// tests, the exported names of pkg/hierclust/serve (with the exported
+// methods of the types it exports or aliases), the Example functions (their
+// test files are loaded with their packages), and every init outside a
+// test file. An export of pkg/hierclust is not a root: it is reported when
+// none of these uses it. A declaration is reached when a reached
+// declaration's text uses it; a method is also reached when its receiver
+// type is and its name is in reachIfaceNames or in an interface the
+// repository declares. What only a package's own tests (or nothing) reach
+// is deleted or, for a test instrument, named in reachAllow.
 func TestInternalReachable(t *testing.T) {
 	root, err := filepath.Abs(".")
 	if err != nil {
@@ -145,7 +187,7 @@ func TestInternalReachable(t *testing.T) {
 
 	// Load every package directory of the repository; roots with tests are
 	// loaded with them.
-	var mains, public, benches []string
+	var mains, public []string
 	err = filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
@@ -168,13 +210,18 @@ func TestInternalReachable(t *testing.T) {
 		}
 		switch {
 		case strings.HasPrefix(rel, "benchmarks/"):
-			benches = append(benches, path+" [tests]")
+			mains = append(mains, path)
 			_, err = l.load(path, true)
 			return err
 		case bp.Name == "main":
 			mains = append(mains, path)
-		case rel == "pkg/hierclust" || rel == "pkg/hierclust/serve":
+		case rel == "pkg/hierclust/serve":
 			public = append(public, path)
+		}
+		if len(bp.XTestGoFiles) > 0 {
+			if _, err := l.load(path+"_test", false); err != nil {
+				return err
+			}
 		}
 		_, err = l.load(path, false)
 		return err
@@ -219,11 +266,14 @@ func TestInternalReachable(t *testing.T) {
 			return true
 		})
 		decls[obj] = d
-		if id.Name == "_" || id.Name == "init" {
+		if (id.Name == "_" || id.Name == "init") && !strings.HasSuffix(d.file, "_test.go") {
 			roots = append(roots, obj)
 		}
 	}
 	for _, files := range l.files {
+		for _, id := range reachExamples(files) {
+			roots = append(roots, l.info.Defs[id])
+		}
 		for _, f := range files {
 			for _, decl := range f.Decls {
 				switch decl := decl.(type) {
@@ -261,7 +311,7 @@ func TestInternalReachable(t *testing.T) {
 	}
 
 	// Roots.
-	for _, path := range append(mains, benches...) {
+	for _, path := range mains {
 		scope := l.pkgs[path].Scope()
 		for _, name := range scope.Names() {
 			roots = append(roots, scope.Lookup(name))
@@ -348,7 +398,7 @@ func TestInternalReachable(t *testing.T) {
 	}
 	drain()
 
-	// Report what internal/ (and the unexported half of pkg/) holds unreached.
+	// Report what internal/ and pkg/ hold unreached.
 	var dead []string
 	total := 0
 	for name, obj := range byName {
@@ -360,7 +410,7 @@ func TestInternalReachable(t *testing.T) {
 	}
 	if len(dead) > 0 {
 		sort.Strings(dead)
-		t.Errorf("%d declarations (%d lines) that no binary, example, benchmark or public API call reaches — delete each, or name the test that needs it in reachAllow:\n%s",
+		t.Errorf("%d declarations (%d lines) that nothing a user runs reaches — delete each, or name the test that needs it in reachAllow:\n%s",
 			len(dead), total, strings.Join(dead, "\n"))
 	}
 }
