@@ -68,8 +68,9 @@ bench:
 # RSEncode and CkptCycle deltas print for inspection: the last two run the
 # GFNI kernel or the table kernel depending on the host's CPU, 4–13x apart
 # on identical code, so no threshold on their time means anything across
-# hosts — TestL3CycleAllocationBound keeps CkptCycle's bytes). Benchmarks present
-# on only one side of the comparison are informational, so snapshots
+# hosts — TestL3CycleAllocationBound keeps CkptCycle's bytes and
+# TestL3CycleAllocationCount its object count, per node and per group).
+# Benchmarks present on only one side of the comparison are informational, so snapshots
 # recorded before the 1M benchmarks existed still gate cleanly, and
 # Score128k gates once a snapshot records it. The same
 # 300% bounds allocs/op, which repeats where ns/op does not: both sides run
@@ -135,7 +136,7 @@ loc:
 # loc-check fails when `make loc` exceeds LOC_CEILING, so ROADMAP aim 2's
 # tracked number only goes up when a PR raises the ceiling on purpose; a PR
 # that shrinks the tree lowers it to its own result.
-LOC_CEILING = 19007
+LOC_CEILING = 19032
 loc-check:
 	@n=$$($(MAKE) -s loc); if [ "$$n" -gt $(LOC_CEILING) ]; then \
 		echo "loc $$n exceeds LOC_CEILING $(LOC_CEILING)"; exit 1; fi; \

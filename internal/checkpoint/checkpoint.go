@@ -18,10 +18,12 @@
 package checkpoint
 
 import (
+	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"strconv"
+	"slices"
 	"time"
 
 	"hierclust/internal/erasure"
@@ -145,11 +147,12 @@ type groupCodec struct {
 // of the hierarchical scheme) partitioning a subset of ranks; ranks outside
 // any group simply cannot use L3. Every group needs at least 2 members.
 func New(cluster *storage.Cluster, placement *topology.Placement, groups [][]topology.Rank) (*Manager, error) {
+	members := slices.Concat(groups...) // every group's copy, carved below
 	m := &Manager{
 		cluster:   cluster,
 		placement: placement,
 		groups:    make([][]topology.Rank, len(groups)),
-		memberOf:  map[topology.Rank]member{},
+		memberOf:  make(map[topology.Rank]member, len(members)),
 		meta:      map[int]*versionMeta{},
 		codecs:    map[int]*groupCodec{},
 	}
@@ -157,7 +160,7 @@ func New(cluster *storage.Cluster, placement *topology.Placement, groups [][]top
 		if len(g) < 2 {
 			return nil, fmt.Errorf("checkpoint: encoding group %d has %d members; need at least 2", gi, len(g))
 		}
-		m.groups[gi] = append([]topology.Rank(nil), g...)
+		m.groups[gi], members = members[:len(g):len(g)], members[len(g):]
 		for i, r := range g {
 			if int(r) < 0 || int(r) >= placement.NumRanks() {
 				return nil, fmt.Errorf("checkpoint: group %d member rank %d out of range", gi, r)
@@ -247,39 +250,37 @@ func (m *Manager) DrainDecodeTime() time.Duration {
 	return d
 }
 
-// key renders prefix/a/b[/c] with one allocation, the string. fmt.Sprintf
-// boxes each operand, and boxing an int above 255 allocates, so a cycle's
-// allocation count used to depend on its version number.
-func key(prefix string, ids ...int) string {
-	b := append(make([]byte, 0, 32), prefix...)
-	for _, id := range ids {
-		b = strconv.AppendInt(append(b, '/'), int64(id), 10)
-	}
-	return string(b)
-}
-
-func keyL1(r topology.Rank, v int) string  { return key("l1", int(r), v) }
-func keyL2(r topology.Rank, v int) string  { return key("l2p", int(r), v) }
-func keyL3(g, i, v int) string             { return key("l3p", g, i, v) }
-func keyXOR(g, v int) string               { return key("l3x", g, v) }
-func keyPFS(r topology.Rank, v int) string { return key("l4", int(r), v) }
+// The store keys: the last id is always the version.
+func keyL1(r topology.Rank, v int) storage.Key  { return storage.NewKey("l1", int(r), v) }
+func keyL2(r topology.Rank, v int) storage.Key  { return storage.NewKey("l2p", int(r), v) }
+func keyL3(g, i, v int) storage.Key             { return storage.NewKey("l3p", g, i, v) }
+func keyXOR(g, v int) storage.Key               { return storage.NewKey("l3x", g, v) }
+func keyPFS(r topology.Rank, v int) storage.Key { return storage.NewKey("l4", int(r), v) }
 
 // Checkpoint saves data (rank → blob) at the given version and level.
 // Lower levels are implied: L3 also writes L1; L2 also writes L1. The blobs
-// are only read and never kept: every level stores its own copy.
+// are only read and never kept: every level stores its own copy. A rank
+// outside the placement is an error, returned before anything is written.
 func (m *Manager) Checkpoint(version int, level Level, data map[topology.Rank][]byte) (*Result, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("checkpoint: no data for version %d", version)
 	}
+	ranks := make([]topology.Rank, 0, len(data))
+	for r := range data {
+		if int(r) < 0 || int(r) >= m.placement.NumRanks() {
+			return nil, fmt.Errorf("checkpoint: version %d rank %d out of range 0..%d", version, r, m.placement.NumRanks()-1)
+		}
+		ranks = append(ranks, r)
+	}
 	res := &Result{Level: level}
 	vm := m.meta[version]
 	if vm == nil {
-		vm = &versionMeta{ranks: map[topology.Rank]Meta{}, parity: map[int]parityMeta{}}
+		vm = &versionMeta{ranks: make(map[topology.Rank]Meta, len(data)), parity: make(map[int]parityMeta, len(m.groups))}
 		m.meta[version] = vm
 	}
 
 	if level != L4PFS {
-		if err := m.writeLocal(version, data, vm.ranks, level, res); err != nil {
+		if err := m.writeLocal(version, ranks, data, vm.ranks, level, res); err != nil {
 			return nil, err
 		}
 	}
@@ -342,24 +343,41 @@ func (m *Manager) xorGroups(version int, data map[topology.Rank][]byte, res *Res
 	return nil
 }
 
-func (m *Manager) writeLocal(version int, data map[topology.Rank][]byte, metas map[topology.Rank]Meta, level Level, res *Result) error {
-	perNode := map[topology.NodeID]time.Duration{}
-	for r, blob := range data {
-		st, err := m.cluster.Local(m.placement.NodeOf(r))
+// writeLocal copies each node's blobs into one exact-size slab and stores
+// a cap-clipped part of it per rank, so a node's L1 copies are one
+// allocation, dropped together when the node fails. It sorts ranks by node.
+func (m *Manager) writeLocal(version int, ranks []topology.Rank, data map[topology.Rank][]byte, metas map[topology.Rank]Meta, level Level, res *Result) error {
+	p := m.placement
+	slices.SortFunc(ranks, func(a, b topology.Rank) int { return cmp.Or(cmp.Compare(p.NodeOf(a), p.NodeOf(b)), cmp.Compare(a, b)) })
+	var parts [][]byte
+	for len(ranks) > 0 {
+		node := p.NodeOf(ranks[0])
+		parts = parts[:0]
+		for _, r := range ranks {
+			if p.NodeOf(r) != node {
+				break
+			}
+			parts = append(parts, data[r])
+		}
+		st, err := m.cluster.Local(node)
 		if err != nil {
 			return err
 		}
-		d, err := st.Put(keyL1(r, version), blob)
-		if err != nil {
-			return fmt.Errorf("checkpoint: L1 write rank %d: %w", r, err)
+		slab := bytes.Join(parts, nil) // no zeroing pass before the copy
+		var d time.Duration
+		for i, r := range ranks[:len(parts)] {
+			n := len(parts[i])
+			blob := slab[:n:n]
+			slab = slab[n:]
+			dr, err := st.PutOwned(keyL1(r, version), blob)
+			if err != nil {
+				return fmt.Errorf("checkpoint: L1 write rank %d: %w", r, err)
+			}
+			d += dr
+			metas[r] = Meta{Rank: r, Version: version, Level: level, Size: int64(n), Checksum: crc32.ChecksumIEEE(blob)}
 		}
-		perNode[st.Node()] += d
-		metas[r] = Meta{Rank: r, Version: version, Level: level, Size: int64(len(blob)), Checksum: crc32.ChecksumIEEE(blob)}
-	}
-	for _, d := range perNode {
-		if d > res.LocalWriteTime {
-			res.LocalWriteTime = d
-		}
+		res.LocalWriteTime = max(res.LocalWriteTime, d)
+		ranks = ranks[len(parts):]
 	}
 	return nil
 }
@@ -394,17 +412,19 @@ func (m *Manager) writePartner(version int, data map[topology.Rank][]byte, res *
 		perNode[partner] += d + net.WriteTime(int64(len(blob)), 1)
 	}
 	for _, d := range perNode {
-		if d > res.PartnerTime {
-			res.PartnerTime = d
-		}
+		res.PartnerTime = max(res.PartnerTime, d)
 	}
 	return nil
 }
 
-// encodeGroups writes each group's k parity shards: the blobs are encoded
-// in place into freshly allocated parity buffers, whose ownership then
-// passes to the members' node stores; each shard's CRC32 goes into vm.
+// encodeGroups writes each group's k parity shards. The blobs are encoded
+// in place into one slab per group, whose k cap-clipped parts pass to the
+// members' node stores: the slab stays allocated until the group's last
+// parity shard is dropped. Each shard's CRC32 goes into vm, carved from one
+// slab per round; the parity header is reused group to group.
 func (m *Manager) encodeGroups(version int, data map[topology.Rank][]byte, vm *versionMeta, res *Result) error {
+	var parity [][]byte
+	crcs := make([]uint32, len(m.memberOf))
 	for gi, group := range m.groups {
 		shards, size, skip, err := groupShards(gi, group, version, data)
 		if err != nil {
@@ -418,9 +438,10 @@ func (m *Manager) encodeGroups(version int, data map[topology.Rank][]byte, vm *v
 		if err != nil {
 			return fmt.Errorf("checkpoint: group %d encoder: %w", gi, err)
 		}
-		parity := make([][]byte, k)
-		for i := range parity {
-			parity[i] = make([]byte, size)
+		slab := make([]byte, k*size)
+		parity = slices.Grow(parity[:0], k)
+		for i := range k {
+			parity = append(parity, slab[i*size:(i+1)*size:(i+1)*size])
 		}
 		gres, err := codec.rs.EncodeInto(shards, parity)
 		if err != nil {
@@ -428,7 +449,8 @@ func (m *Manager) encodeGroups(version int, data map[topology.Rank][]byte, vm *v
 		}
 		res.EncodeWallTime = max(res.EncodeWallTime, gres.Elapsed)
 		res.EncodeModelTime = max(res.EncodeModelTime, gres.ModelTime)
-		pm := parityMeta{size: size, crc: make([]uint32, k)}
+		pm := parityMeta{size: size, crc: crcs[:k:k]}
+		crcs = crcs[k:]
 		for i, r := range group {
 			st, err := m.cluster.Local(m.placement.NodeOf(r))
 			if err != nil {
@@ -451,9 +473,7 @@ func (m *Manager) writePFS(version int, data map[topology.Rank][]byte, metas map
 		if err != nil {
 			return err
 		}
-		if d > res.PFSTime {
-			res.PFSTime = d
-		}
+		res.PFSTime = max(res.PFSTime, d)
 		metas[r] = Meta{Rank: r, Version: version, Level: L4PFS, Size: int64(len(blob)), Checksum: crc32.ChecksumIEEE(blob)}
 	}
 	return nil

@@ -2,8 +2,8 @@ package checkpoint
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hierclust/internal/storage"
@@ -275,9 +275,22 @@ func TestCheckpointValidation(t *testing.T) {
 	// L3 requires whole groups.
 	p2, _, mgr2 := rig(t, 4, 1, 4)
 	partial := map[topology.Rank][]byte{0: {1}}
-	_ = p2
 	if _, err := mgr2.Checkpoint(0, L3Encoded, partial); err == nil {
 		t.Error("accepted partial group for L3")
+	}
+	// A rank outside the placement is refused at every level before
+	// anything is written, so no version appears.
+	for _, level := range []Level{L1Local, L2Partner, L3Encoded, L3XOR, L4PFS} {
+		for _, bad := range []topology.Rank{-1, topology.Rank(p2.NumRanks())} {
+			data := blobs(p2, 12, 16)
+			data[bad] = []byte{1}
+			if _, err := mgr2.Checkpoint(5, level, data); err == nil {
+				t.Errorf("%v accepted rank %d of %d", level, bad, p2.NumRanks())
+			}
+			if slices.Contains(mgr2.Versions(), 5) {
+				t.Fatalf("%v with rank %d recorded version 5", level, bad)
+			}
+		}
 	}
 }
 
@@ -299,11 +312,10 @@ func TestGC(t *testing.T) {
 	for n := 0; n < 4; n++ {
 		st, _ := cl.Local(topology.NodeID(n))
 		for _, k := range st.Keys() {
-			var a, b, c int
-			if _, err := fmt.Sscanf(k, "l1/%d/%d", &a, &b); err == nil && b < 2 {
+			if k.Tag == "l1" && k.ID[1] < 2 {
 				t.Errorf("stale L1 key %q", k)
 			}
-			if _, err := fmt.Sscanf(k, "l3p/%d/%d/%d", &a, &b, &c); err == nil && c < 2 {
+			if k.Tag == "l3p" && k.ID[2] < 2 {
 				t.Errorf("stale parity key %q", k)
 			}
 		}
@@ -325,7 +337,7 @@ func TestChecksumDetectsTamperedLocal(t *testing.T) {
 	st, _ := cl.Local(p.NodeOf(1))
 	bad := append([]byte(nil), data[1]...)
 	bad[0] ^= 0xff
-	if _, err := st.Put("l1/1/0", bad); err != nil {
+	if _, err := st.Put(keyL1(1, 0), bad); err != nil {
 		t.Fatal(err)
 	}
 	restored, err := mgr.Restore(0, []topology.Rank{1})

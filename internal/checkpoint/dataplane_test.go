@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"hierclust/internal/racedetect"
 	"hierclust/internal/storage"
 	"hierclust/internal/topology"
 )
@@ -110,39 +111,67 @@ func TestL3RoundTripProperty(t *testing.T) {
 
 // TestNoAliasingWithStores mutates checkpointed inputs and restored outputs
 // after the calls that saw them; later restores must not notice, on the
-// local, RS and XOR paths alike.
+// local, RS and XOR paths alike. Stored blobs are cap-clipped parts of
+// per-node and per-group slabs: no view reaches past its own bytes, and
+// replacing one member's L1 copy or failing its node leaves its slab
+// neighbours' restores intact.
 func TestNoAliasingWithStores(t *testing.T) {
+	cases := []struct {
+		name  string
+		put   bool // also overwrite rank 0's L1 copy, which shares node 0's slab with rank 1
+		ranks []topology.Rank
+	}{
+		{"fail", false, []topology.Rank{4, 0, 5, 1}}, // ranks 4,5 decode; ranks 0,1 stay local
+		{"fail+put", true, []topology.Rank{5, 1}},    // rank 0's group {0,2,4,6} is now short two
+	}
 	for _, level := range []Level{L3Encoded, L3XOR} {
 		t.Run(level.String(), func(t *testing.T) {
-			p, cl, mgr := rig(t, 4, 2, 4)
-			data := blobs(p, 42, 400)
-			want := map[topology.Rank][]byte{}
-			for r, b := range data {
-				want[r] = append([]byte(nil), b...)
-			}
-			if _, err := mgr.Checkpoint(0, level, data); err != nil {
-				t.Fatal(err)
-			}
-			for _, b := range data {
-				for i := range b {
-					b[i] ^= 0xa5
-				}
-			}
-			failAndRepair(t, cl, 2) // ranks 4,5 decode; ranks 0,1 stay local
-			ranks := []topology.Rank{4, 0, 5, 1}
-			for round := 0; round < 2; round++ {
-				restored, err := mgr.Restore(0, ranks)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, re := range restored {
-					if !bytes.Equal(re.Data, want[re.Rank]) {
-						t.Fatalf("round %d: rank %d (%v) data mismatch", round, re.Rank, re.Level)
+			for _, tc := range cases {
+				t.Run(tc.name, func(t *testing.T) {
+					p, cl, mgr := rig(t, 4, 2, 4)
+					data := blobs(p, 42, 400)
+					want := map[topology.Rank][]byte{}
+					for r, b := range data {
+						want[r] = append([]byte(nil), b...)
 					}
-					for i := range re.Data {
-						re.Data[i] = 0xff
+					if _, err := mgr.Checkpoint(0, level, data); err != nil {
+						t.Fatal(err)
 					}
-				}
+					for n := range 4 {
+						st, _ := cl.Local(topology.NodeID(n))
+						for _, key := range st.Keys() {
+							if v, _, err := st.View(key); err != nil || cap(v) != len(v) {
+								t.Errorf("node %d %v: view len %d cap %d, %v", n, key, len(v), cap(v), err)
+							}
+						}
+					}
+					for _, b := range data {
+						for i := range b {
+							b[i] ^= 0xa5
+						}
+					}
+					if tc.put {
+						st, _ := cl.Local(p.NodeOf(0))
+						if _, err := st.Put(keyL1(0, 0), bytes.Repeat([]byte{0x5a}, 2*len(want[0]))); err != nil {
+							t.Fatal(err)
+						}
+					}
+					failAndRepair(t, cl, 2)
+					for round := 0; round < 2; round++ {
+						restored, err := mgr.Restore(0, tc.ranks)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, re := range restored {
+							if !bytes.Equal(re.Data, want[re.Rank]) {
+								t.Fatalf("round %d: rank %d (%v) data mismatch", round, re.Rank, re.Level)
+							}
+							for i := range re.Data {
+								re.Data[i] = 0xff
+							}
+						}
+					}
+				})
 			}
 		})
 	}
@@ -188,22 +217,62 @@ func TestL3CycleAllocationBound(t *testing.T) {
 	}
 }
 
-// TestKeysAllocateOnceAtAnyVersion pins what keeps a cycle's allocation
-// count independent of its version number: a store key costs one
-// allocation — its string — whether its numbers are small or past the 255
-// above which boxing an int for fmt allocates, and it still reads as the
-// fmt rendering did.
-func TestKeysAllocateOnceAtAnyVersion(t *testing.T) {
-	var sink string
+// TestL3CycleAllocationCount holds the same cycle to an object count that
+// grows with nodes and groups, not with ranks or store keys. Per node: its
+// store's map and first map group, and its L1 slab. Per group: its parity
+// slab, its shard header and its encode result. The rest — the cluster and
+// manager, the RS codec for k = 8, the round's metadata maps and CRC slab,
+// and the decode of the one damaged group — is about 80 objects.
+func TestL3CycleAllocationCount(t *testing.T) {
+	if racedetect.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const nodes, ppn, k, blob = 16, 2, 8, 4 << 10
+	p, _, first := rig(t, nodes, ppn, k)
+	groups := first.Groups()
+	data := map[topology.Rank][]byte{}
+	for r := 0; r < p.NumRanks(); r++ {
+		data[topology.Rank(r)] = bytes.Repeat([]byte{byte(r)}, blob) // equal: no zero-extended shard
+	}
+	lost := p.RanksOn(5)
+	got := testing.AllocsPerRun(20, func() {
+		cl := storage.NewCluster(p.Machine())
+		mgr, err := New(cl, p, groups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mgr.Checkpoint(1, L3Encoded, data); err != nil {
+			t.Fatal(err)
+		}
+		failAndRepair(t, cl, 5)
+		if restored, err := mgr.Restore(1, lost); err != nil || restored[0].Level != L3Encoded {
+			t.Fatalf("restore: %v", err)
+		}
+	})
+	const perNode, perGroup, fixed = 3, 3, 100
+	bound := float64(perNode*nodes + perGroup*len(groups) + fixed)
+	t.Logf("cycle allocates %v objects for %d nodes and %d groups (bound %v)", got, nodes, len(groups), bound)
+	if got > bound {
+		t.Errorf("cycle allocates %v objects, bound %v", got, bound)
+	}
+}
+
+// TestKeysAllocateNothingAtAnyVersion pins what keeps a cycle's allocation
+// count independent of its version number and of its key count: a store
+// key is a value, built without allocating whether its numbers are small
+// or past the 255 above which boxing an int for fmt allocates, and it
+// still renders as the fmt form did.
+func TestKeysAllocateNothingAtAnyVersion(t *testing.T) {
+	var sink storage.Key
 	for _, v := range []int{1, 255, 256, 70_000} {
-		if got, want := keyL3(7, 300, v), fmt.Sprintf("l3p/%d/%d/%d", 7, 300, v); got != want {
+		if got, want := keyL3(7, 300, v).String(), fmt.Sprintf("l3p/%d/%d/%d", 7, 300, v); got != want {
 			t.Errorf("keyL3(7, 300, %d) = %q, want %q", v, got, want)
 		}
-		if got, want := keyL1(300, v), fmt.Sprintf("l1/%d/%d", 300, v); got != want {
+		if got, want := keyL1(300, v).String(), fmt.Sprintf("l1/%d/%d", 300, v); got != want {
 			t.Errorf("keyL1(300, %d) = %q, want %q", v, got, want)
 		}
-		if n := testing.AllocsPerRun(100, func() { sink = keyL3(7, 300, v) }); n != 1 {
-			t.Errorf("keyL3 at version %d: %v allocations, want 1", v, n)
+		if n := testing.AllocsPerRun(100, func() { sink = keyL3(7, 300, v) }); n != 0 {
+			t.Errorf("keyL3 at version %d: %v allocations, want 0", v, n)
 		}
 	}
 	_ = sink

@@ -3,9 +3,9 @@ package checkpoint
 import (
 	"bytes"
 	"errors"
-	"slices"
 	"testing"
 
+	"hierclust/internal/storage"
 	"hierclust/internal/topology"
 )
 
@@ -48,7 +48,7 @@ func FuzzRestoreCorrupted(f *testing.F) {
 
 		type stored struct {
 			node topology.NodeID
-			key  string
+			key  storage.Key
 		}
 		var shards []stored
 		for n := range nodes {
@@ -56,9 +56,7 @@ func FuzzRestoreCorrupted(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			keys := st.Keys()
-			slices.Sort(keys)
-			for _, key := range keys {
+			for _, key := range st.Keys() {
 				shards = append(shards, stored{topology.NodeID(n), key})
 			}
 		}

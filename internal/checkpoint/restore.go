@@ -4,8 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
+	"slices"
 	"time"
 
+	"hierclust/internal/storage"
 	"hierclust/internal/topology"
 )
 
@@ -255,25 +258,14 @@ func (m *Manager) GC(keep int) {
 	}
 }
 
-func (m *Manager) deleteLocal(n topology.NodeID, key string) {
+func (m *Manager) deleteLocal(n topology.NodeID, key storage.Key) {
 	if st, err := m.cluster.Local(n); err == nil {
 		_ = st.Delete(key) // fails only on a failed store, which holds nothing
 	}
 }
 
 // Versions lists the versions with metadata, ascending.
-func (m *Manager) Versions() []int {
-	var out []int
-	for v := range m.meta {
-		out = append(out, v)
-	}
-	for i := 1; i < len(out); i++ { // insertion sort, tiny n
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
+func (m *Manager) Versions() []int { return slices.Sorted(maps.Keys(m.meta)) }
 
 // Unrecoverable reports whether err indicates a catastrophic loss.
 func Unrecoverable(err error) bool { return errors.Is(err, ErrUnrecoverable) }

@@ -2,8 +2,6 @@ package checkpoint
 
 import (
 	"bytes"
-	"fmt"
-	"strings"
 	"testing"
 
 	"hierclust/internal/storage"
@@ -96,14 +94,14 @@ func TestL3XORFasterThanRS(t *testing.T) {
 	if _, err := mgrRS.Checkpoint(0, L3Encoded, data); err != nil {
 		t.Fatal(err)
 	}
-	parityBytes := func(cl *storage.Cluster, prefix string) (n int) {
+	parityBytes := func(cl *storage.Cluster, tag string) (n int) {
 		for node := 0; node < nodes; node++ {
 			st, err := cl.Local(topology.NodeID(node))
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, key := range st.Keys() {
-				if strings.HasPrefix(key, prefix) {
+				if key.Tag == tag {
 					val, _, err := st.View(key)
 					if err != nil {
 						t.Fatal(err)
@@ -114,7 +112,7 @@ func TestL3XORFasterThanRS(t *testing.T) {
 		}
 		return n
 	}
-	xor, rs := parityBytes(clXOR, "l3x/"), parityBytes(clRS, "l3p/")
+	xor, rs := parityBytes(clXOR, "l3x"), parityBytes(clRS, "l3p")
 	if xor == 0 || rs != k*xor {
 		t.Errorf("XOR stored %d parity bytes, RS %d; want RS = %d x XOR", xor, rs, k)
 	}
@@ -130,8 +128,7 @@ func TestL3XORGC(t *testing.T) {
 	mgr.GC(1)
 	st, _ := cl.Local(0)
 	for _, k := range st.Keys() {
-		var g, vv int
-		if _, err := fmt.Sscanf(k, "l3x/%d/%d", &g, &vv); err == nil && vv < 1 {
+		if k.Tag == "l3x" && k.ID[1] < 1 {
 			t.Errorf("stale xor parity key %q", k)
 		}
 	}

@@ -9,7 +9,9 @@ package storage
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -30,25 +32,19 @@ type Device struct {
 // concurrent writers contending for the device (sharing <= 1 means
 // exclusive access).
 func (d *Device) WriteTime(n int64, sharing int) time.Duration {
-	if sharing < 1 {
-		sharing = 1
-	}
-	if d.WriteBps <= 0 {
-		return d.Latency
-	}
-	sec := float64(n) * float64(sharing) / d.WriteBps
-	return d.Latency + time.Duration(sec*float64(time.Second))
+	return d.transfer(n, sharing, d.WriteBps)
 }
 
 // ReadTime returns the simulated time to read n bytes with contention.
 func (d *Device) ReadTime(n int64, sharing int) time.Duration {
-	if sharing < 1 {
-		sharing = 1
-	}
-	if d.ReadBps <= 0 {
+	return d.transfer(n, sharing, d.ReadBps)
+}
+
+func (d *Device) transfer(n int64, sharing int, bps float64) time.Duration {
+	if bps <= 0 {
 		return d.Latency
 	}
-	sec := float64(n) * float64(sharing) / d.ReadBps
+	sec := float64(n) * float64(max(sharing, 1)) / bps
 	return d.Latency + time.Duration(sec*float64(time.Second))
 }
 
@@ -62,42 +58,65 @@ func (e *FailedError) Error() string {
 	return fmt.Sprintf("storage: node %d storage failed", e.Node)
 }
 
-// NotFoundError is returned when a key is absent.
+// Key names a stored blob: a constant tag saying what the blob is, and up
+// to three integer ids. It is a comparable value, so building a key and
+// looking one up allocate nothing; String renders "tag/id/id[/id]".
+type Key struct {
+	Tag string
+	ID  [3]int
+	n   uint8 // ids in use
+}
+
+// NewKey returns the key tag/ids[0]/…; ids past the third are dropped.
+func NewKey(tag string, ids ...int) Key {
+	k := Key{Tag: tag}
+	k.n = uint8(copy(k.ID[:], ids))
+	return k
+}
+
+func (k Key) String() string {
+	b := []byte(k.Tag)
+	for _, id := range k.ID[:k.n] {
+		b = strconv.AppendInt(append(b, '/'), int64(id), 10)
+	}
+	return string(b)
+}
+
+// NotFoundError is returned when a key is absent from node Node's SSD, or,
+// when Node is -1, from the parallel file system. It is formatted only
+// when Error is called.
 type NotFoundError struct {
-	Store string
-	Key   string
+	Node topology.NodeID
+	Key  Key
 }
 
 func (e *NotFoundError) Error() string {
-	return fmt.Sprintf("storage: %s: key %q not found", e.Store, e.Key)
+	if e.Node < 0 {
+		return fmt.Sprintf("storage: pfs: key %q not found", e.Key)
+	}
+	return fmt.Sprintf("storage: node %d SSD: key %q not found", e.Node, e.Key)
 }
 
-// LocalStore is one node's local SSD: byte blobs keyed by string. A failed
+// LocalStore is one node's local SSD: byte blobs keyed by Key. A failed
 // store loses all contents and rejects every operation until Repair.
 type LocalStore struct {
 	node   topology.NodeID
 	dev    *Device
 	mu     sync.Mutex
-	data   map[string][]byte
+	data   map[Key][]byte
 	failed bool
 }
 
-// NewLocalStore creates the store for one node backed by dev.
-func NewLocalStore(node topology.NodeID, dev *Device) *LocalStore {
-	return &LocalStore{node: node, dev: dev, data: map[string][]byte{}}
-}
-
-// Node returns the owning node.
-func (s *LocalStore) Node() topology.NodeID { return s.node }
-
 // Put stores a copy of val under key and returns the simulated write time.
-func (s *LocalStore) Put(key string, val []byte) (time.Duration, error) {
+func (s *LocalStore) Put(key Key, val []byte) (time.Duration, error) {
 	return s.PutOwned(key, append([]byte(nil), val...))
 }
 
 // PutOwned stores val itself under key, without copying: the caller hands
-// the buffer over and must neither write nor keep it afterwards.
-func (s *LocalStore) PutOwned(key string, val []byte) (time.Duration, error) {
+// the buffer over and must neither write nor keep it afterwards. val may be
+// a cap-clipped part of a larger buffer (a slab); the whole buffer then
+// stays allocated until no store holds any part of it.
+func (s *LocalStore) PutOwned(key Key, val []byte) (time.Duration, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.failed {
@@ -108,7 +127,7 @@ func (s *LocalStore) PutOwned(key string, val []byte) (time.Duration, error) {
 }
 
 // Get returns a copy of the blob under key and the simulated read time.
-func (s *LocalStore) Get(key string) ([]byte, time.Duration, error) {
+func (s *LocalStore) Get(key Key) ([]byte, time.Duration, error) {
 	v, d, err := s.View(key)
 	if err != nil {
 		return nil, 0, err
@@ -121,7 +140,7 @@ func (s *LocalStore) Get(key string) ([]byte, time.Duration, error) {
 // past the operation that took it, or return it to its own callers. Stored
 // blobs are replaced, never modified in place, so a view stays intact even
 // if its key is overwritten or its node fails meanwhile.
-func (s *LocalStore) View(key string) ([]byte, time.Duration, error) {
+func (s *LocalStore) View(key Key) ([]byte, time.Duration, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.failed {
@@ -129,13 +148,13 @@ func (s *LocalStore) View(key string) ([]byte, time.Duration, error) {
 	}
 	v, ok := s.data[key]
 	if !ok {
-		return nil, 0, &NotFoundError{Store: fmt.Sprintf("node %d SSD", s.node), Key: key}
+		return nil, 0, &NotFoundError{Node: s.node, Key: key}
 	}
 	return v, s.dev.ReadTime(int64(len(v)), 1), nil
 }
 
 // Delete removes a key; deleting an absent key is a no-op.
-func (s *LocalStore) Delete(key string) error {
+func (s *LocalStore) Delete(key Key) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.failed {
@@ -145,15 +164,15 @@ func (s *LocalStore) Delete(key string) error {
 	return nil
 }
 
-// Keys returns the stored keys in sorted order.
-func (s *LocalStore) Keys() []string {
+// Keys returns the stored keys, ordered by their rendered form.
+func (s *LocalStore) Keys() []Key {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.data))
+	out := make([]Key, 0, len(s.data))
 	for k := range s.data {
 		out = append(out, k)
 	}
-	sort.Strings(out)
+	slices.SortFunc(out, func(a, b Key) int { return strings.Compare(a.String(), b.String()) })
 	return out
 }
 
@@ -162,7 +181,7 @@ func (s *LocalStore) Keys() []string {
 func (s *LocalStore) Fail() {
 	s.mu.Lock()
 	s.failed = true
-	s.data = map[string][]byte{}
+	s.data = map[Key][]byte{}
 	s.mu.Unlock()
 }
 
@@ -179,17 +198,12 @@ func (s *LocalStore) Repair() {
 type PFS struct {
 	dev  *Device
 	mu   sync.Mutex
-	data map[string][]byte
-}
-
-// NewPFS creates a parallel file system backed by dev's aggregate bandwidth.
-func NewPFS(dev *Device) *PFS {
-	return &PFS{dev: dev, data: map[string][]byte{}}
+	data map[Key][]byte
 }
 
 // Put stores val under key; sharing is the number of concurrent writers
 // contending for the aggregate bandwidth (e.g. all checkpointing nodes).
-func (p *PFS) Put(key string, val []byte, sharing int) (time.Duration, error) {
+func (p *PFS) Put(key Key, val []byte, sharing int) (time.Duration, error) {
 	p.mu.Lock()
 	p.data[key] = append([]byte(nil), val...)
 	p.mu.Unlock()
@@ -197,7 +211,7 @@ func (p *PFS) Put(key string, val []byte, sharing int) (time.Duration, error) {
 }
 
 // Get returns a copy of the blob under key.
-func (p *PFS) Get(key string, sharing int) ([]byte, time.Duration, error) {
+func (p *PFS) Get(key Key, sharing int) ([]byte, time.Duration, error) {
 	p.mu.Lock()
 	v, ok := p.data[key]
 	if ok {
@@ -205,13 +219,13 @@ func (p *PFS) Get(key string, sharing int) ([]byte, time.Duration, error) {
 	}
 	p.mu.Unlock()
 	if !ok {
-		return nil, 0, &NotFoundError{Store: "pfs", Key: key}
+		return nil, 0, &NotFoundError{Node: -1, Key: key}
 	}
 	return v, p.dev.ReadTime(int64(len(v)), sharing), nil
 }
 
 // Delete removes a key; absent keys are a no-op.
-func (p *PFS) Delete(key string) {
+func (p *PFS) Delete(key Key) {
 	p.mu.Lock()
 	delete(p.data, key)
 	p.mu.Unlock()
@@ -220,9 +234,8 @@ func (p *PFS) Delete(key string) {
 // Cluster bundles the per-node local stores and the shared PFS for a
 // machine, with failure injection by node.
 type Cluster struct {
-	machine *topology.Machine
-	local   []*LocalStore
-	pfs     *PFS
+	local []LocalStore
+	pfs   *PFS
 }
 
 // NewCluster builds stores for every node of m using its Table-I bandwidth
@@ -230,9 +243,9 @@ type Cluster struct {
 func NewCluster(m *topology.Machine) *Cluster {
 	ssd := &Device{Name: "ssd", ReadBps: m.SSDReadBps, WriteBps: m.SSDWriteBps}
 	pfsDev := &Device{Name: "pfs", ReadBps: m.PFSReadBps, WriteBps: m.PFSWriteBps}
-	c := &Cluster{machine: m, local: make([]*LocalStore, m.Nodes), pfs: NewPFS(pfsDev)}
+	c := &Cluster{local: make([]LocalStore, m.Nodes), pfs: &PFS{dev: pfsDev, data: map[Key][]byte{}}}
 	for n := range c.local {
-		c.local[n] = NewLocalStore(topology.NodeID(n), ssd)
+		c.local[n] = LocalStore{node: topology.NodeID(n), dev: ssd, data: map[Key][]byte{}}
 	}
 	return c
 }
@@ -242,7 +255,7 @@ func (c *Cluster) Local(n topology.NodeID) (*LocalStore, error) {
 	if int(n) < 0 || int(n) >= len(c.local) {
 		return nil, fmt.Errorf("storage: node %d out of range 0..%d", n, len(c.local)-1)
 	}
-	return c.local[n], nil
+	return &c.local[n], nil
 }
 
 // PFS returns the shared file system.

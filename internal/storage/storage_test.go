@@ -9,6 +9,11 @@ import (
 	"hierclust/internal/topology"
 )
 
+// newLocalStore builds one node's store outside a Cluster.
+func newLocalStore(node topology.NodeID, dev *Device) *LocalStore {
+	return &LocalStore{node: node, dev: dev, data: map[Key][]byte{}}
+}
+
 func TestDeviceTimes(t *testing.T) {
 	d := &Device{Name: "ssd", ReadBps: 500e6, WriteBps: 360e6, Latency: time.Millisecond}
 	// 360 MB at 360 MB/s = 1 s + latency
@@ -36,44 +41,41 @@ func TestDeviceTimes(t *testing.T) {
 }
 
 func TestLocalStorePutGetDelete(t *testing.T) {
-	s := NewLocalStore(3, &Device{Name: "ssd", ReadBps: 1e9, WriteBps: 1e9})
-	if s.Node() != 3 {
-		t.Errorf("Node = %d", s.Node())
-	}
-	if _, err := s.Put("a", []byte{1, 2}); err != nil {
+	s := newLocalStore(3, &Device{Name: "ssd", ReadBps: 1e9, WriteBps: 1e9})
+	if _, err := s.Put(NewKey("a"), []byte{1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	v, _, err := s.Get("a")
+	v, _, err := s.Get(NewKey("a"))
 	if err != nil || len(v) != 2 {
 		t.Fatalf("Get = %v, %v", v, err)
 	}
 	// stored value is a copy
 	v[0] = 99
-	v2, _, _ := s.Get("a")
+	v2, _, _ := s.Get(NewKey("a"))
 	if v2[0] != 1 {
 		t.Error("Get returned aliased storage")
 	}
 	var nf *NotFoundError
-	if _, _, err := s.Get("missing"); !errors.As(err, &nf) {
+	if _, _, err := s.Get(NewKey("missing", 1, 2)); !errors.As(err, &nf) || err.Error() != `storage: node 3 SSD: key "missing/1/2" not found` {
 		t.Errorf("Get(missing) err = %v, want NotFoundError", err)
 	}
-	if err := s.Delete("a"); err != nil {
+	if err := s.Delete(NewKey("a")); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Get("a"); err == nil {
+	if _, _, err := s.Get(NewKey("a")); err == nil {
 		t.Error("Get after Delete succeeded")
 	}
-	if err := s.Delete("never-existed"); err != nil {
+	if err := s.Delete(NewKey("never-existed")); err != nil {
 		t.Errorf("Delete of absent key: %v", err)
 	}
 }
 
 func TestLocalStorePutCopies(t *testing.T) {
-	s := NewLocalStore(0, &Device{Name: "ssd", ReadBps: 1, WriteBps: 1})
+	s := newLocalStore(0, &Device{Name: "ssd", ReadBps: 1, WriteBps: 1})
 	buf := []byte{7}
-	_, _ = s.Put("k", buf)
+	_, _ = s.Put(NewKey("k"), buf)
 	buf[0] = 8
-	v, _, _ := s.Get("k")
+	v, _, _ := s.Get(NewKey("k"))
 	if v[0] != 7 {
 		t.Error("Put aliased the caller's buffer")
 	}
@@ -83,78 +85,78 @@ func TestLocalStorePutCopies(t *testing.T) {
 // caller's buffer, View hands out the stored one, and a view outlives an
 // overwrite or a node failure because stored blobs are never written.
 func TestLocalStoreOwnedAndView(t *testing.T) {
-	s := NewLocalStore(3, &Device{Name: "ssd", ReadBps: 1e6, WriteBps: 1e6})
+	s := newLocalStore(3, &Device{Name: "ssd", ReadBps: 1e6, WriteBps: 1e6})
 	buf := []byte{1, 2, 3}
-	if d, err := s.PutOwned("k", buf); err != nil || d <= 0 {
+	if d, err := s.PutOwned(NewKey("k"), buf); err != nil || d <= 0 {
 		t.Fatalf("PutOwned = %v, %v", d, err)
 	}
-	v, d, err := s.View("k")
+	v, d, err := s.View(NewKey("k"))
 	if err != nil || d <= 0 {
 		t.Fatalf("View = %v, %v", d, err)
 	}
 	if &v[0] != &buf[0] {
 		t.Error("PutOwned or View copied the buffer")
 	}
-	if g, _, _ := s.Get("k"); &g[0] == &buf[0] {
+	if g, _, _ := s.Get(NewKey("k")); &g[0] == &buf[0] {
 		t.Error("Get returned the stored buffer")
 	}
-	_, _ = s.Put("k", []byte{9, 9, 9})
+	_, _ = s.Put(NewKey("k"), []byte{9, 9, 9})
 	s.Fail()
 	if !bytes.Equal(v, []byte{1, 2, 3}) {
 		t.Errorf("view changed under overwrite and failure: %v", v)
 	}
 	var fe *FailedError
-	if _, _, err := s.View("k"); !errors.As(err, &fe) {
+	if _, _, err := s.View(NewKey("k")); !errors.As(err, &fe) {
 		t.Errorf("View on failed store err = %v", err)
 	}
-	if _, err := s.PutOwned("k", buf); !errors.As(err, &fe) {
+	if _, err := s.PutOwned(NewKey("k"), buf); !errors.As(err, &fe) {
 		t.Errorf("PutOwned on failed store err = %v", err)
 	}
 	s.Repair()
 	var nf *NotFoundError
-	if _, _, err := s.View("k"); !errors.As(err, &nf) {
+	if _, _, err := s.View(NewKey("k")); !errors.As(err, &nf) {
 		t.Errorf("View(missing) err = %v, want NotFoundError", err)
 	}
 }
 
 func TestLocalStoreFailRepair(t *testing.T) {
-	s := NewLocalStore(1, &Device{Name: "ssd", ReadBps: 1e9, WriteBps: 1e9})
-	_, _ = s.Put("ckpt", make([]byte, 10))
+	s := newLocalStore(1, &Device{Name: "ssd", ReadBps: 1e9, WriteBps: 1e9})
+	_, _ = s.Put(NewKey("ckpt"), make([]byte, 10))
 	s.Fail()
 	var fe *FailedError
-	if _, err := s.Put("x", nil); !errors.As(err, &fe) || fe.Node != 1 {
+	if _, err := s.Put(NewKey("x"), nil); !errors.As(err, &fe) || fe.Node != 1 {
 		t.Errorf("Put on failed store err = %v", err)
 	}
-	if _, _, err := s.Get("ckpt"); !errors.As(err, &fe) {
+	if _, _, err := s.Get(NewKey("ckpt")); !errors.As(err, &fe) {
 		t.Errorf("Get on failed store err = %v", err)
 	}
-	if err := s.Delete("ckpt"); !errors.As(err, &fe) {
+	if err := s.Delete(NewKey("ckpt")); !errors.As(err, &fe) {
 		t.Errorf("Delete on failed store err = %v", err)
 	}
 	s.Repair()
-	if _, err := s.Put("y", nil); err != nil {
+	if _, err := s.Put(NewKey("y"), nil); err != nil {
 		t.Errorf("Put after Repair err = %v", err)
 	}
 	// data was lost
-	if _, _, err := s.Get("ckpt"); err == nil {
+	if _, _, err := s.Get(NewKey("ckpt")); err == nil {
 		t.Error("data survived Fail/Repair")
 	}
 }
 
 func TestKeysSorted(t *testing.T) {
-	s := NewLocalStore(0, &Device{Name: "ssd", ReadBps: 1, WriteBps: 1})
-	_, _ = s.Put("b", nil)
-	_, _ = s.Put("a", nil)
-	_, _ = s.Put("c", nil)
+	s := newLocalStore(0, &Device{Name: "ssd", ReadBps: 1, WriteBps: 1})
+	_, _ = s.Put(NewKey("b"), nil)
+	_, _ = s.Put(NewKey("a"), nil)
+	_, _ = s.Put(NewKey("c"), nil)
 	k := s.Keys()
-	if len(k) != 3 || k[0] != "a" || k[2] != "c" {
+	if len(k) != 3 || k[0].Tag != "a" || k[2].Tag != "c" {
 		t.Errorf("Keys = %v", k)
 	}
 }
 
 func TestPFS(t *testing.T) {
-	p := NewPFS(&Device{Name: "lustre", ReadBps: 10e3, WriteBps: 10e3})
-	dur, err := p.Put("k", make([]byte, 1e3), 10)
+	p := &PFS{dev: &Device{Name: "lustre", ReadBps: 10e3, WriteBps: 10e3}, data: map[Key][]byte{}}
+	dur, err := p.Put(NewKey("k"), make([]byte, 1e3), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,15 +164,16 @@ func TestPFS(t *testing.T) {
 	if dur != time.Second {
 		t.Errorf("contended PFS write = %v, want 1s", dur)
 	}
-	v, _, err := p.Get("k", 1)
+	v, _, err := p.Get(NewKey("k"), 1)
 	if err != nil || len(v) != 1e3 {
 		t.Fatalf("Get: %d bytes, %v", len(v), err)
 	}
-	if _, _, err := p.Get("nope", 1); err == nil {
-		t.Error("Get of absent key succeeded")
+	var nf *NotFoundError
+	if _, _, err := p.Get(NewKey("nope"), 1); !errors.As(err, &nf) || err.Error() != `storage: pfs: key "nope" not found` {
+		t.Errorf("Get of absent key err = %v", err)
 	}
-	p.Delete("k")
-	if _, _, err := p.Get("k", 1); err == nil {
+	p.Delete(NewKey("k"))
+	if _, _, err := p.Get(NewKey("k"), 1); err == nil {
 		t.Error("Get after Delete succeeded")
 	}
 }
@@ -182,14 +185,14 @@ func TestCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _ = s.Put("x", []byte{1})
+	_, _ = s.Put(NewKey("x"), []byte{1})
 	if _, err := c.Local(9); err == nil {
 		t.Error("Local accepted out-of-range node")
 	}
 	if err := c.FailNode(2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Put("y", nil); err == nil {
+	if _, err := s.Put(NewKey("y"), nil); err == nil {
 		t.Error("Put succeeded on a failed node's store")
 	}
 	if err := c.FailNode(9); err == nil {
@@ -198,7 +201,7 @@ func TestCluster(t *testing.T) {
 	if err := c.RepairNode(2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Put("y", nil); err != nil {
+	if _, err := s.Put(NewKey("y"), nil); err != nil {
 		t.Errorf("Put after RepairNode err = %v", err)
 	}
 	if err := c.RepairNode(-1); err == nil {
