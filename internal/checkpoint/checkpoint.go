@@ -214,31 +214,41 @@ func asShard(blob []byte, size int) []byte {
 }
 
 // groupShards gathers one encoding group's blobs from a checkpoint round as
-// equal-size shards (see asShard; size is the longest blob). skip reports
-// that no member of the group checkpointed this round; a partially present
-// group is an error.
-func groupShards(gi int, group []topology.Rank, version int, data map[topology.Rank][]byte) (shards [][]byte, size int, skip bool, err error) {
-	shards = make([][]byte, 0, len(group))
-	missing := topology.Rank(-1)
-	for _, r := range group {
-		blob, ok := data[r]
-		if !ok {
-			missing = r
-			continue
-		}
-		shards = append(shards, blob)
-		size = max(size, len(blob))
+// equal-size shards (see asShard; size is the longest blob), or nil when no
+// member of the group checkpointed this round: Checkpoint has refused a
+// partly present group (wholeGroups).
+func groupShards(group []topology.Rank, data map[topology.Rank][]byte) (shards [][]byte, size int) {
+	if _, ok := data[group[0]]; !ok {
+		return nil, 0
 	}
-	if len(shards) == 0 {
-		return nil, 0, true, nil
-	}
-	if missing >= 0 {
-		return nil, 0, false, fmt.Errorf("checkpoint: group %d member %d missing from version %d data", gi, missing, version)
+	shards = make([][]byte, len(group))
+	for i, r := range group {
+		shards[i] = data[r]
+		size = max(size, len(shards[i]))
 	}
 	for i, blob := range shards {
 		shards[i] = asShard(blob, size)
 	}
-	return shards, size, false, nil
+	return shards, size
+}
+
+// wholeGroups checks that each encoding group checkpoints all of its
+// members this round or none of them.
+func (m *Manager) wholeGroups(version int, data map[topology.Rank][]byte) error {
+	for gi, group := range m.groups {
+		missing, present := topology.Rank(-1), false
+		for _, r := range group {
+			if _, ok := data[r]; ok {
+				present = true
+			} else {
+				missing = r
+			}
+		}
+		if present && missing >= 0 {
+			return fmt.Errorf("checkpoint: group %d member %d missing from version %d data", gi, missing, version)
+		}
+	}
+	return nil
 }
 
 // DrainDecodeTime returns the erasure (RS or XOR) reconstruction wall time
@@ -260,7 +270,9 @@ func keyPFS(r topology.Rank, v int) storage.Key { return storage.NewKey("l4", in
 // Checkpoint saves data (rank → blob) at the given version and level.
 // Lower levels are implied: L3 also writes L1; L2 also writes L1. The blobs
 // are only read and never kept: every level stores its own copy. A rank
-// outside the placement is an error, returned before anything is written.
+// outside the placement, an unknown level, L2 on a single node and L3 or
+// L3-XOR on a partly present group are errors, returned before anything is
+// written or the version is recorded.
 func (m *Manager) Checkpoint(version int, level Level, data map[topology.Rank][]byte) (*Result, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("checkpoint: no data for version %d", version)
@@ -271,6 +283,19 @@ func (m *Manager) Checkpoint(version int, level Level, data map[topology.Rank][]
 			return nil, fmt.Errorf("checkpoint: version %d rank %d out of range 0..%d", version, r, m.placement.NumRanks()-1)
 		}
 		ranks = append(ranks, r)
+	}
+	switch level {
+	case L1Local, L4PFS:
+	case L2Partner:
+		if n := m.placement.NumUsed(); n < 2 {
+			return nil, fmt.Errorf("checkpoint: partner copies need at least 2 nodes, have %d", n)
+		}
+	case L3Encoded, L3XOR:
+		if err := m.wholeGroups(version, data); err != nil {
+			return nil, err
+		}
+	default:
+		return nil, fmt.Errorf("checkpoint: unknown level %d", int(level))
 	}
 	res := &Result{Level: level}
 	vm := m.meta[version]
@@ -285,8 +310,6 @@ func (m *Manager) Checkpoint(version int, level Level, data map[topology.Rank][]
 		}
 	}
 	switch level {
-	case L1Local:
-		// done
 	case L2Partner:
 		if err := m.writePartner(version, data, res); err != nil {
 			return nil, err
@@ -303,8 +326,6 @@ func (m *Manager) Checkpoint(version int, level Level, data map[topology.Rank][]
 		if err := m.writePFS(version, data, vm.ranks, res); err != nil {
 			return nil, err
 		}
-	default:
-		return nil, fmt.Errorf("checkpoint: unknown level %d", int(level))
 	}
 	return res, nil
 }
@@ -315,11 +336,8 @@ func (m *Manager) Checkpoint(version int, level Level, data map[topology.Rank][]
 // *other* node entirely).
 func (m *Manager) xorGroups(version int, data map[topology.Rank][]byte, res *Result) error {
 	for gi, group := range m.groups {
-		shards, size, skip, err := groupShards(gi, group, version, data)
-		if err != nil {
-			return err
-		}
-		if skip {
+		shards, size := groupShards(group, data)
+		if shards == nil {
 			continue
 		}
 		codec, err := m.codecFor(len(group))
@@ -394,9 +412,6 @@ func (m *Manager) partnerOf(home topology.NodeID) (partner topology.NodeID, ok b
 }
 
 func (m *Manager) writePartner(version int, data map[topology.Rank][]byte, res *Result) error {
-	if n := m.placement.NumUsed(); n < 2 {
-		return fmt.Errorf("checkpoint: partner copies need at least 2 nodes, have %d", n)
-	}
 	net := &storage.Device{Name: "net", ReadBps: m.placement.Machine().NetBps, WriteBps: m.placement.Machine().NetBps}
 	perNode := map[topology.NodeID]time.Duration{}
 	for r, blob := range data {
@@ -426,11 +441,8 @@ func (m *Manager) encodeGroups(version int, data map[topology.Rank][]byte, vm *v
 	var parity [][]byte
 	crcs := make([]uint32, len(m.memberOf))
 	for gi, group := range m.groups {
-		shards, size, skip, err := groupShards(gi, group, version, data)
-		if err != nil {
-			return err
-		}
-		if skip {
+		shards, size := groupShards(group, data)
+		if shards == nil {
 			continue
 		}
 		k := len(group)

@@ -265,31 +265,46 @@ func TestRestoreUnknownVersion(t *testing.T) {
 }
 
 func TestCheckpointValidation(t *testing.T) {
-	_, _, mgr := rig(t, 2, 1, 0)
+	_, cl, mgr := rig(t, 2, 1, 0)
 	if _, err := mgr.Checkpoint(0, L1Local, nil); err == nil {
 		t.Error("accepted empty data")
 	}
-	if _, err := mgr.Checkpoint(0, Level(9), map[topology.Rank][]byte{0: {1}}); err == nil {
-		t.Error("accepted unknown level")
+	// A refused checkpoint is refused before anything is written: it
+	// records no version and leaves no key on any node store (every
+	// checkpoint below is refused, so the stores stay empty).
+	refused := func(cl *storage.Cluster, mgr *Manager, nodes, version int, level Level, data map[topology.Rank][]byte, what string) {
+		t.Helper()
+		if _, err := mgr.Checkpoint(version, level, data); err == nil {
+			t.Errorf("%v accepted %s", level, what)
+		}
+		if slices.Contains(mgr.Versions(), version) {
+			t.Errorf("%v with %s recorded version %d", level, what, version)
+		}
+		for n := range nodes {
+			st, err := cl.Local(topology.NodeID(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if keys := st.Keys(); len(keys) > 0 {
+				t.Errorf("%v with %s left %v on node %d", level, what, keys, n)
+			}
+		}
 	}
-	// L3 requires whole groups.
-	p2, _, mgr2 := rig(t, 4, 1, 4)
+	refused(cl, mgr, 2, 1, Level(9), map[topology.Rank][]byte{0: {1}}, "an unknown level")
+	// L2 needs a second node for the partner copies.
+	_, cl1, mgr1 := rig(t, 1, 2, 0)
+	refused(cl1, mgr1, 1, 2, L2Partner, map[topology.Rank][]byte{0: {1}, 1: {2}}, "one node")
+	// L3 and L3-XOR require whole groups.
+	p2, cl2, mgr2 := rig(t, 4, 1, 4)
 	partial := map[topology.Rank][]byte{0: {1}}
-	if _, err := mgr2.Checkpoint(0, L3Encoded, partial); err == nil {
-		t.Error("accepted partial group for L3")
-	}
-	// A rank outside the placement is refused at every level before
-	// anything is written, so no version appears.
+	refused(cl2, mgr2, 4, 3, L3Encoded, partial, "a partial group")
+	refused(cl2, mgr2, 4, 4, L3XOR, partial, "a partial group")
+	// A rank outside the placement is refused at every level.
 	for _, level := range []Level{L1Local, L2Partner, L3Encoded, L3XOR, L4PFS} {
 		for _, bad := range []topology.Rank{-1, topology.Rank(p2.NumRanks())} {
 			data := blobs(p2, 12, 16)
 			data[bad] = []byte{1}
-			if _, err := mgr2.Checkpoint(5, level, data); err == nil {
-				t.Errorf("%v accepted rank %d of %d", level, bad, p2.NumRanks())
-			}
-			if slices.Contains(mgr2.Versions(), 5) {
-				t.Fatalf("%v with rank %d recorded version 5", level, bad)
-			}
+			refused(cl2, mgr2, 4, 5, level, data, "an out-of-range rank")
 		}
 	}
 }

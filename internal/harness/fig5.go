@@ -3,12 +3,17 @@ package harness
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"hierclust/internal/core"
 	"hierclust/internal/trace"
 	"hierclust/internal/tsunami"
 	"hierclust/pkg/hierclust"
 )
+
+// encoded holds the encoder-rank runs, one build per key: no trace source
+// describes them, so they are the one traced run the pipeline does not own.
+var encoded sync.Map // key → func() (*trace.CSR, error), a sync.OnceValues
 
 // encodedRig traces the full FTI-style execution of Figures 5a/5b: one
 // encoder process per node (world ranks ≡ 0 mod ppn+1), checkpoint rounds,
@@ -20,7 +25,7 @@ func encodedRig(cfg Config) (*trace.CSR, error) {
 		ckptBytes = 4 << 10
 	}
 	key := fmt.Sprintf("encoded|ranks=%d|ppn=%d|iters=%d|ckpt=%d", cfg.Ranks, cfg.ProcsPerNode, cfg.Iterations, ckptBytes)
-	return traces.trace(key, func() (*trace.CSR, error) {
+	build, _ := encoded.LoadOrStore(key, sync.OnceValues(func() (*trace.CSR, error) {
 		rec := trace.NewRecorder(cfg.Ranks + cfg.Ranks/cfg.ProcsPerNode)
 		_, err := tsunami.RunTraced(tsunami.TracedOptions{
 			Params:          tsunami.TraceParams(cfg.Ranks),
@@ -32,7 +37,8 @@ func encodedRig(cfg Config) (*trace.CSR, error) {
 			Tracer:          rec,
 		})
 		return rec.Freeze(), err
-	})
+	}))
+	return build.(func() (*trace.CSR, error))()
 }
 
 // Fig5a reproduces Figure 5a: the communication matrix of the full traced

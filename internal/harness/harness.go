@@ -1,13 +1,12 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"hierclust/internal/topology"
 	"hierclust/internal/trace"
-	"hierclust/internal/tsunami"
 	"hierclust/pkg/hierclust"
 )
 
@@ -110,76 +109,13 @@ func ByID(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("harness: unknown experiment %q (have %v)", id, known)
 }
 
-// traces is the process's one store of traced runs: the pipeline reads and
-// fills it as its trace cache, keyed by Scenario.TraceKey, and the
-// experiments that read a raw trace (tracedRig, and encodedRig under a key
-// of its own) take theirs from it, so each run is traced once per process,
-// whichever experiment asks first.
-var traces = &traceStore{m: map[string]*traceEntry{}}
-
-// pipeline scores the four-dimension tables (table2, fig5c, scaling): the
-// engine behind hcserve and sweeps, on the harness's traces.
-var pipeline = hierclust.NewPipeline(hierclust.WithTraceCache(traces))
-
-// traceStore is a TraceCache whose entries may be in flight: trace builds a
-// missing key once, and Get waits out a build trace has started, so
-// concurrent experiments share one run. A build the pipeline starts shows
-// only once it Puts, so a trace call racing it on one key runs its own. A
-// failed build keeps its error.
-type traceStore struct {
-	mu sync.Mutex
-	m  map[string]*traceEntry
-}
-
-type traceEntry struct {
-	done chan struct{} // closed once csr and err are set
-	csr  *trace.CSR
-	err  error
-}
-
-// claim returns key's entry, adding an open one (found false) when there
-// is none; its claimant sets it and closes done.
-func (s *traceStore) claim(key string) (e *traceEntry, found bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, found = s.m[key]; !found {
-		e = &traceEntry{done: make(chan struct{})}
-		s.m[key] = e
-	}
-	return e, found
-}
-
-// trace returns the run stored under key, building it on the first call.
-func (s *traceStore) trace(key string, build func() (*trace.CSR, error)) (*trace.CSR, error) {
-	e, found := s.claim(key)
-	if !found {
-		e.csr, e.err = build()
-		close(e.done)
-	}
-	<-e.done
-	return e.csr, e.err
-}
-
-// Get implements hierclust.TraceCache.
-func (s *traceStore) Get(key string) (hierclust.Comm, bool) {
-	s.mu.Lock()
-	e := s.m[key]
-	s.mu.Unlock()
-	if e == nil {
-		return nil, false
-	}
-	<-e.done
-	return e.csr, e.err == nil
-}
-
-// Put implements hierclust.TraceCache; what the pipeline stores is a
-// recorded run, a *trace.CSR.
-func (s *traceStore) Put(key string, c hierclust.Comm) {
-	if e, found := s.claim(key); !found {
-		e.csr = c.(*trace.CSR)
-		close(e.done)
-	}
-}
+// pipeline is the process's one owner of traced runs: it scores the
+// four-dimension tables (table2, fig5c, scaling) — the engine behind hcserve
+// and sweeps — and the experiments that read a raw trace take theirs from it
+// (tracedRig), so each run is traced once per process, whichever experiment
+// asks first. Its cache holds 7 runs: the most one hcrun process traces is
+// cfg's run, the protocol rig's, and the five tsunami rungs of scaling.
+var pipeline = hierclust.NewPipeline(hierclust.WithTraceCache(hierclust.NewMemoryTraceCache(7)))
 
 // scenario is the traced application run cfg describes, as a Pipeline
 // scenario scoring strategies: cfg.Ranks block-placed cfg.ProcsPerNode per
@@ -205,36 +141,19 @@ type rig struct {
 }
 
 // tracedRig is the raw application-only run of cfg's scenario, for the
-// experiments that read a trace rather than score strategies: the same
-// stored run the pipeline evaluates, with its placement.
+// experiments that read a trace rather than score strategies: the run the
+// pipeline evaluates, with its placement.
 func tracedRig(cfg Config) (*rig, error) {
 	cfg.normalize()
 	sc, err := cfg.scenario("rig")
 	if err != nil {
 		return nil, err
 	}
-	mach, err := topology.Tsubame2().Subset(sc.Machine.Nodes)
+	comm, placement, err := pipeline.Trace(context.TODO(), sc)
 	if err != nil {
 		return nil, err
 	}
-	placement, err := topology.Block(mach, cfg.Ranks, cfg.ProcsPerNode)
-	if err != nil {
-		return nil, err
-	}
-	key, _ := sc.TraceKey()
-	m, err := traces.trace(key, func() (*trace.CSR, error) {
-		rec := trace.NewRecorder(cfg.Ranks)
-		_, err := tsunami.RunTraced(tsunami.TracedOptions{
-			Params:     tsunami.TraceParams(cfg.Ranks),
-			Iterations: cfg.Iterations,
-			Tracer:     rec,
-		})
-		return rec.Freeze(), err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &rig{matrix: m, placement: placement}, nil
+	return &rig{matrix: comm.(*trace.CSR), placement: placement}, nil // a recorded run is a CSR
 }
 
 // Table1 renders the TSUBAME2 constants used by the models (paper Table I).

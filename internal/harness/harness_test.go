@@ -7,12 +7,11 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
+	"time"
 
 	"hierclust/internal/erasure"
-	"hierclust/internal/trace"
+	"hierclust/internal/faultinject"
 	"hierclust/pkg/hierclust"
 )
 
@@ -251,45 +250,46 @@ func TestTracedRunsShared(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		key, _ := sc.TraceKey()
-		if c, ok := traces.Get(key); !ok || c != hierclust.Comm(r.matrix) || res.TotalBytes != r.matrix.TotalBytes() {
-			t.Errorf("rig first %v: the pipeline and tracedRig hold different runs of %s", rigFirst, key)
+		c, _, err := pipeline.Trace(context.Background(), sc)
+		if err != nil || c != hierclust.Comm(r.matrix) || res.TotalBytes != r.matrix.TotalBytes() {
+			t.Errorf("rig first %v: the pipeline and tracedRig hold different runs (%v)", rigFirst, err)
 		}
 	}
 }
 
-// Concurrent trace calls on one key build once and all read that build;
-// a Get during the build waits for it.
-func TestTraceStoreBuildsOnce(t *testing.T) {
-	s := &traceStore{m: map[string]*traceEntry{}}
-	want, err := trace.Synthetic(16, trace.SyntheticOptions{})
+// A tracedRig call that starts while pipeline.Run builds the same fresh key
+// joins that build instead of tracing the run again: the build passes its
+// fault point once, and the run it cached is the one tracedRig returned.
+func TestTracedRigJoinsPipelineBuild(t *testing.T) {
+	// Hold the pipeline's build open so tracedRig arrives while it is in flight.
+	faultinject.Arm("pipeline.trace.build", faultinject.Fault{Kind: faultinject.KindLatency, Delay: 100 * time.Millisecond})
+	defer faultinject.DisarmAll()
+	// A fresh pipeline: the key is fresh at every -count.
+	defer func(shared *hierclust.Pipeline) { pipeline = shared }(pipeline)
+	pipeline = hierclust.NewPipeline(hierclust.WithTraceCache(hierclust.NewMemoryTraceCache(1)))
+	cfg := Config{Ranks: 64, ProcsPerNode: 8, Iterations: 6}
+	sc, err := cfg.scenario("race", hierclust.StrategySpec{Kind: "naive", Size: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var builds atomic.Int32
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			got, err := s.trace("k", func() (*trace.CSR, error) {
-				builds.Add(1)
-				return want, nil
-			})
-			if err != nil || got != want {
-				t.Errorf("trace = %p, %v; want the one build %p", got, err, want)
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			if c, ok := s.Get("k"); ok && c != hierclust.Comm(want) {
-				t.Errorf("Get = %v, want the one build", c)
-			}
-		}()
+	ran := make(chan error, 1)
+	go func() {
+		_, err := pipeline.Run(context.Background(), sc)
+		ran <- err
+	}()
+	time.Sleep(5 * time.Millisecond)
+	r, err := tracedRig(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	if n := builds.Load(); n != 1 {
-		t.Errorf("%d builds of one key, want 1", n)
+	if err := <-ran; err != nil {
+		t.Fatal(err)
+	}
+	if n := faultinject.Triggered("pipeline.trace.build"); n != 1 {
+		t.Errorf("%d traced runs of one key, want 1", n)
+	}
+	if c, _, err := pipeline.Trace(context.Background(), sc); err != nil || c != hierclust.Comm(r.matrix) {
+		t.Errorf("tracedRig returned a run other than the one the pipeline cached (%v)", err)
 	}
 }
 

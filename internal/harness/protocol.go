@@ -32,11 +32,9 @@ func Protocol(cfg Config) (*Table, error) {
 	failAt := 13
 	failNode := topology.NodeID(nodes / 2)
 
-	mach, err := topology.Tsubame2().Subset(nodes)
-	if err != nil {
-		return nil, err
-	}
-	placement, err := topology.Block(mach, ranks, ppn)
+	// The traced run of this scale: its placement hosts the protocol, and
+	// the hierarchical clustering is built from its matrix.
+	r, err := tracedRig(Config{Ranks: ranks, ProcsPerNode: ppn, Iterations: 10, Quick: true})
 	if err != nil {
 		return nil, err
 	}
@@ -66,11 +64,6 @@ func Protocol(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Hierarchical from the synthetic stencil matrix of this scale.
-	r, err := tracedRig(Config{Ranks: ranks, ProcsPerNode: ppn, Iterations: 10, Quick: true})
-	if err != nil {
-		return nil, err
-	}
 	hier, err := core.Hierarchical(r.matrix, r.placement, core.HierOptions{})
 	if err != nil {
 		return nil, err
@@ -83,7 +76,7 @@ func Protocol(cfg Config) (*Table, error) {
 			"suppressed dups", "restore levels", "logged %", "state == reference"},
 	}
 	for _, c := range []*core.Clustering{naive, sg, dist, hier} {
-		row, err := runProtocolOnce(c, params, placement, iters, ckptEvery, failAt, failNode, ref)
+		row, err := runProtocolOnce(c, params, r.placement, iters, ckptEvery, failAt, failNode, ref)
 		if err != nil {
 			return nil, err
 		}

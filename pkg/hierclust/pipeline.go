@@ -214,32 +214,43 @@ func (pl *Pipeline) splitBudget(want, n int) (workers, evalWorkers int) {
 	return workers, max(budget/workers, 1)
 }
 
-// evalCell is the one cell sequence — machine → placement → trace →
-// rank-count check → result shell → per-strategy build and score — behind
-// Run and runSweepCell, for a private cell (run == nil) or a sweep's.
-// Intermediates the run shares (the cell's placement, trace, partition
-// and logged-fraction nodes) come from its node tables; everything else is
-// built privately under ctx. Strategies evaluate on up to strategyWorkers
-// goroutines, each scoring with evalWorkers; results land in scenario order
-// regardless of completion order. cache labels how the trace was satisfied:
-// "miss" (this cell performed the build) or "trace-hit" (shared node or
-// trace cache).
-func (pl *Pipeline) evalCell(ctx context.Context, run *sweepRun, cell *PlannedCell, strategyWorkers, evalWorkers int) (_ *Result, cache string, err error) {
+// Trace resolves a scenario's placement and communication trace the way Run
+// does — a traced run comes from the trace cache, joins a build of the same
+// key already in flight, or is built once and cached — and scores nothing:
+// the strategy list is not validated and may be empty. It is how a caller
+// that reads the raw trace (hcrun's figure experiments, clusterview's
+// heatmap) shares the one traced run with the evaluations of the same
+// pipeline. Cancellation and panics are handled as in Run.
+func (pl *Pipeline) Trace(ctx context.Context, sc *Scenario) (comm Comm, placement *Placement, err error) {
+	defer recoverAsError(&err)
+	if err := sc.validate(false); err != nil {
+		return nil, nil, err
+	}
+	at, tr, err := pl.resolveCell(ctx, nil, &PlannedCell{Scenario: sc, PlacementNode: -1, TraceNode: -1})
+	if err != nil {
+		return nil, nil, err
+	}
+	return tr.comm, at.placement, nil
+}
+
+// resolveCell is the first half of the cell sequence — machine → placement
+// → trace → rank-count check — behind evalCell and Trace. A sweep cell
+// (run != nil) takes the placement and trace its plan shares from the run's
+// node tables; everything else is resolved privately under ctx.
+func (pl *Pipeline) resolveCell(ctx context.Context, run *sweepRun, cell *PlannedCell) (at placed, tr traced, err error) {
 	sc := cell.Scenario
-	var at placed
 	if run != nil && cell.PlacementNode >= 0 {
 		at, err = run.places[cell.PlacementNode].get(&run.placeBuilds, sc.resolvePlacement)
 	} else {
 		at, err = sc.resolvePlacement()
 	}
 	if err != nil {
-		return nil, "", err
+		return at, tr, err
 	}
-	mach, placement := at.mach, at.placement
 	if err := ctx.Err(); err != nil {
-		return nil, "", err
+		return at, tr, err
 	}
-	var tr traced
+	placement := at.placement
 	if run != nil && cell.TraceNode >= 0 {
 		tr, err = run.traces[cell.TraceNode].get(&run.traceBuilds, func() (tr traced, err error) {
 			ctx, cancel := run.buildCtx()
@@ -254,22 +265,38 @@ func (pl *Pipeline) evalCell(ctx context.Context, run *sweepRun, cell *PlannedCe
 		tr.comm, tr.outcome, err = pl.resolveTrace(ctx, sc, placement)
 	}
 	if err != nil {
+		return at, tr, err
+	}
+	if tr.comm.Ranks() != placement.NumRanks() {
+		return at, tr, fmt.Errorf("hierclust: scenario %q: trace covers %d ranks, placement %d",
+			sc.Name, tr.comm.Ranks(), placement.NumRanks())
+	}
+	return at, tr, ctx.Err()
+}
+
+// evalCell is the one cell sequence — machine → placement → trace →
+// rank-count check (resolveCell) → result shell → per-strategy build and
+// score — behind Run and runSweepCell, for a private cell (run == nil) or a
+// sweep's. Intermediates the run shares (the cell's placement, trace,
+// partition and logged-fraction nodes) come from its node tables;
+// everything else is built privately under ctx. Strategies evaluate on up
+// to strategyWorkers goroutines, each scoring with evalWorkers; results
+// land in scenario order regardless of completion order. cache labels how
+// the trace was satisfied: "miss" (this cell performed the build) or
+// "trace-hit" (shared node or trace cache).
+func (pl *Pipeline) evalCell(ctx context.Context, run *sweepRun, cell *PlannedCell, strategyWorkers, evalWorkers int) (_ *Result, cache string, err error) {
+	sc := cell.Scenario
+	at, tr, err := pl.resolveCell(ctx, run, cell)
+	if err != nil {
 		return nil, "", err
 	}
-	comm, outcome := tr.comm, tr.outcome
+	mach, placement, comm := at.mach, at.placement, tr.comm
 	// Deterministic label: the plan-designated builder reports the
 	// underlying build outcome; every sharer reports "trace-hit",
 	// regardless of which worker actually reached the node first.
 	cache = "trace-hit"
-	if cell.TraceBuilder && outcome != "hit" {
+	if cell.TraceBuilder && tr.outcome != "hit" {
 		cache = "miss"
-	}
-	if comm.Ranks() != placement.NumRanks() {
-		return nil, "", fmt.Errorf("hierclust: scenario %q: trace covers %d ranks, placement %d",
-			sc.Name, comm.Ranks(), placement.NumRanks())
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, "", err
 	}
 
 	ce := &cellEval{

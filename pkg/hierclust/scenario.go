@@ -170,9 +170,10 @@ func (s *BaselineSpec) Baseline() Baseline {
 // machine: names, source kinds, strategy kinds, and arithmetic constraints.
 func (s *Scenario) Validate() error { return s.validate(true) }
 
-// validate is Validate, which instantiates the strategies only when
+// validate is Validate, which checks the strategy list only when
 // strategies is set: Sweep.Cells checks a strategy set once, at the first
-// cell that uses it, as a factory's verdict reads the spec alone.
+// cell that uses it, as a factory's verdict reads the spec alone, and
+// Pipeline.Trace scores no strategy.
 func (s *Scenario) validate(strategies bool) error {
 	if s == nil {
 		return fmt.Errorf("hierclust: nil scenario")
@@ -247,7 +248,7 @@ func (s *Scenario) validate(strategies bool) error {
 	default:
 		return fmt.Errorf("hierclust: scenario %q: unknown synthetic pattern %q", s.Name, s.Trace.Pattern)
 	}
-	if len(s.Strategies) == 0 {
+	if strategies && len(s.Strategies) == 0 {
 		return fmt.Errorf("hierclust: scenario %q: needs at least one strategy", s.Name)
 	}
 	for i := 0; strategies && i < len(s.Strategies); i++ {

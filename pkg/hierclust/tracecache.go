@@ -329,7 +329,7 @@ func (c *DiskTraceCache) Get(key string) (Comm, bool) {
 	return csr, true
 }
 
-// Put implements TraceCache, serializing via the trace\'s WriteTo and
+// Put implements TraceCache, serializing via the trace's WriteTo and
 // handing the bytes to the store (temp file + rename, LRU eviction to the
 // byte budget, retry/degrade on failure — a Put that cannot reach the disk
 // keeps the bytes in the memory fallback so the build is not lost).

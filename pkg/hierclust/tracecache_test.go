@@ -290,9 +290,10 @@ func TestTsunamiTraceIsCSROnMissAndHits(t *testing.T) {
 }
 
 // Only a traced application run enters the trace cache: 64 distinct
-// synthetic scenarios through a 64-entry memory cache neither look it up nor
-// evict the tsunami trace built before them, so the next tsunami request is
-// a trace-hit; and a synthetic scenario writes nothing to a disk cache.
+// synthetic scenarios through a 64-entry memory cache (and a Trace of one)
+// neither look it up nor evict the tsunami trace built before them, so the
+// next tsunami request is a trace-hit; and a synthetic scenario writes
+// nothing to a disk cache.
 func TestSyntheticTracesBypassTraceCache(t *testing.T) {
 	ctx := context.Background()
 	mem := NewMemoryTraceCache(64)
@@ -313,6 +314,19 @@ func TestSyntheticTracesBypassTraceCache(t *testing.T) {
 		cell(synthetic(i), "miss")
 	}
 	cell(traceScenario("tsunami/1", "hierarchical"), "trace-hit")
+	// Trace, which scores nothing, needs no strategy and builds a synthetic
+	// source inline too; a placement the machine cannot hold is an error.
+	sc := synthetic(0)
+	sc.Strategies = nil
+	if c, p, err := pl.Trace(ctx, sc); err != nil || p.NumRanks() != 64 {
+		t.Fatalf("Trace of a synthetic source: %v", err)
+	} else if _, ok := c.(*trace.Stencil); !ok {
+		t.Fatalf("Trace of a synthetic source = %T, want the implicit stencil", c)
+	}
+	sc.Machine.Nodes = 2
+	if _, _, err := pl.Trace(ctx, sc); err == nil {
+		t.Fatal("Trace placed 64 ranks at 4 per node on 2 nodes")
+	}
 	if st := mem.Stats(); st.Entries != 1 || st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("memory cache = %+v, want the tsunami trace alone, 1 hit / 1 miss", st)
 	}
@@ -330,9 +344,9 @@ func TestSyntheticTracesBypassTraceCache(t *testing.T) {
 	}
 }
 
-// TestPipelineJoinsInflightBuild pins the singleflight contract: a Run that
-// misses the cache while the same trace is mid-build waits for that build
-// and reports a hit, never starting a second application run.
+// TestPipelineJoinsInflightBuild pins the singleflight contract: a Run (or a
+// Trace) that misses the cache while the same trace is mid-build waits for
+// that build and reports a hit, never starting a second application run.
 func TestPipelineJoinsInflightBuild(t *testing.T) {
 	cache := NewMemoryTraceCache(4)
 	pl := NewPipeline(WithWorkers(1), WithTraceCache(cache))
@@ -354,10 +368,20 @@ func TestPipelineJoinsInflightBuild(t *testing.T) {
 
 	got := make(chan SweepCellResult, 1)
 	go func() { got <- pl.RunCell(context.Background(), sc, SweepOptions{}) }()
+	traced := make(chan Comm, 1)
+	go func() {
+		c, p, err := pl.Trace(context.Background(), sc)
+		if err != nil || p.NumRanks() != 64 {
+			t.Errorf("Trace joining the in-flight build: %v", err)
+		}
+		traced <- c
+	}()
 
 	select {
 	case o := <-got:
 		t.Fatalf("RunCell completed without waiting for the in-flight build: %+v", o)
+	case <-traced:
+		t.Fatal("Trace completed without waiting for the in-flight build")
 	case <-time.After(50 * time.Millisecond):
 	}
 
@@ -378,6 +402,9 @@ func TestPipelineJoinsInflightBuild(t *testing.T) {
 	if err := json.Unmarshal(o.Doc, &res); err != nil || res.TotalBytes != comm.TotalBytes() {
 		t.Fatalf("joined cell did not use the in-flight build's trace (%v)", err)
 	}
+	if c := <-traced; c != Comm(comm) {
+		t.Fatal("joined Trace did not return the in-flight build's trace")
+	}
 
 	// Cancellation releases a waiter blocked on an in-flight build.
 	f2 := &traceFlight{done: make(chan struct{})}
@@ -385,32 +412,44 @@ func TestPipelineJoinsInflightBuild(t *testing.T) {
 	pl.flight[key] = f2
 	pl.flightMu.Unlock()
 	ctx, cancel := context.WithCancel(context.Background())
-	errCh := make(chan error, 1)
+	errCh := make(chan error, 2)
 	go func() {
 		_, err := pl.Run(ctx, sc)
 		errCh <- err
 	}()
+	go func() {
+		_, _, err := pl.Trace(ctx, sc)
+		errCh <- err
+	}()
 	time.Sleep(20 * time.Millisecond)
 	cancel()
-	if err := <-errCh; err != context.Canceled {
-		t.Fatalf("cancelled waiter returned %v, want context.Canceled", err)
+	for range 2 {
+		if err := <-errCh; err != context.Canceled {
+			t.Fatalf("cancelled waiter returned %v, want context.Canceled", err)
+		}
 	}
 }
 
 // TestPipelineConcurrentSharedTrace stresses the cache + singleflight path
-// under real concurrency; every run must succeed and agree on the trace.
+// under real concurrency, Run and Trace callers mixed; every call must
+// succeed and agree on the trace, and the Trace callers get the one build.
 func TestPipelineConcurrentSharedTrace(t *testing.T) {
 	cache := NewMemoryTraceCache(4)
 	pl := NewPipeline(WithWorkers(1), WithTraceCache(cache))
 	const n = 6
 	results := make([]*Result, n)
+	comms := make([]Comm, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = pl.Run(context.Background(), traceScenario("conc", "hierarchical"))
+			if sc := traceScenario("conc", "hierarchical"); i%2 == 0 {
+				results[i], errs[i] = pl.Run(context.Background(), sc)
+			} else {
+				comms[i], _, errs[i] = pl.Trace(context.Background(), sc)
+			}
 		}(i)
 	}
 	wg.Wait()
@@ -418,8 +457,18 @@ func TestPipelineConcurrentSharedTrace(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
-		if results[i].TotalBytes != results[0].TotalBytes {
+		if i%2 == 0 && results[i].TotalBytes != results[0].TotalBytes {
 			t.Fatal("concurrent runs disagree on the shared trace")
+		}
+	}
+	key, _ := traceScenario("conc", "hierarchical").TraceKey()
+	c, _ := cache.Get(key)
+	if _, ok := c.(*CSR); !ok || results[0].TotalBytes != c.TotalBytes() {
+		t.Fatalf("cached trace %T does not back the runs", c)
+	}
+	for i := 1; i < n; i += 2 {
+		if comms[i] != c {
+			t.Fatalf("Trace caller %d got a trace other than the one cached", i)
 		}
 	}
 	if st := cache.Stats(); st.Entries != 1 {

@@ -86,13 +86,6 @@ func SyntheticTrace(n int, opts SyntheticOptions) (*CSR, error) {
 // the logging/recovery sweet spot, reused as encoding groups.
 func Naive(nranks, size int) (*Clustering, error) { return core.Naive(nranks, size) }
 
-// SizeGuided builds consecutive-rank clusters at the encoding sweet spot.
-func SizeGuided(nranks, size int) (*Clustering, error) { return core.SizeGuided(nranks, size) }
-
-// Distributed builds striped clusters whose members all live on different
-// nodes under block placement.
-func Distributed(nranks, size int) (*Clustering, error) { return core.Distributed(nranks, size) }
-
 // Hierarchical builds the paper's two-level clustering from a communication
 // matrix: graph-partitioned L1 containment clusters over the node graph,
 // transversal L2 encoding groups inside each.

@@ -26,12 +26,12 @@ var reachAllow = map[string]string{
 	"faultinject.Seed":            "pkg/hierclust TestRunSweepChaosFaultResume: a repeatable fault schedule",
 	"faultinject.Disarm":          "internal/faultinject TestConcurrentArmAndHit: disarms under a live Hit",
 	"faultinject.DisarmAll":       "internal/diskstore TestStoreReadFaultKeepsIndex and every chaos suite: cleanup between drills",
-	"faultinject.Triggered":       "internal/faultinject TestProbability: how often the live Hit fired",
+	"faultinject.Triggered":       "internal/faultinject TestProbability and internal/harness TestTracedRigJoinsPipelineBuild: how often the live Hit fired",
 	"leakcheck.Main":              "TestMain of pkg/hierclust and pkg/hierclust/serve: no goroutine outlives the suite",
 	"racedetect.Enabled":          "internal/reliability TestCatastropheProbCtxCancelMidMonteCarlo: widens its latency bound under -race",
 	"erasure.gfDiv":               "internal/erasure TestGFDivMulRoundTrip: division inverts the live gfMul",
 	"erasure.RS.Verify":           "internal/erasure TestRSEncodeDecodeAllErasurePatterns: re-checks the parity the live encoder wrote",
-	"storage.LocalStore.Keys":     "internal/checkpoint TestGC: what GC left on the node stores",
+	"storage.LocalStore.Keys":     "internal/checkpoint TestGC and TestCheckpointValidation: what GC left, and that a refused checkpoint wrote nothing, on the node stores",
 	"core.RecoveryFractionPair":   "internal/core TestRecoveryFractionPairAlignment: observes AlignPowerPairs",
 	"metrics.Histogram.Count":     "internal/metrics TestHistogramBuckets",
 	"metrics.Histogram.Sum":       "internal/metrics TestHistogramBuckets",

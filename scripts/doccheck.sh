@@ -6,7 +6,8 @@
 # 2. Every repo-relative markdown link in README.md, ROADMAP.md, CHANGES.md,
 #    and docs/*.md must point at an existing file. External links
 #    (http/https/mailto), in-page anchors, and GitHub-web-relative paths
-#    (../../..., e.g. the Actions badge) are skipped.
+#    (../../..., e.g. the Actions badge) are skipped, and so is text inside
+#    inline code spans (`f[T any](x)` is code, not a link).
 set -eu
 cd "$(dirname "$0")/.."
 status=0
@@ -21,8 +22,9 @@ fi
 for f in README.md ROADMAP.md CHANGES.md docs/*.md; do
     [ -f "$f" ] || continue
     dir="$(dirname "$f")"
-    # Extract the (target) halves of [text](target) links, one per line.
-    targets="$(grep -oE '\]\([^)]+\)' "$f" | sed -e 's/^](//' -e 's/)$//')" || continue
+    # Extract the (target) halves of [text](target) links, one per line,
+    # once inline code spans are stripped.
+    targets="$(sed -e 's/`[^`]*`//g' "$f" | grep -oE '\]\([^)]+\)' | sed -e 's/^](//' -e 's/)$//')" || continue
     for t in $targets; do
         case "$t" in
         http://* | https://* | mailto:* | '#'* | ../../*) continue ;;
