@@ -1,7 +1,7 @@
 // Command hcrun regenerates the paper's tables and figures: it prints the
 // experiments of internal/harness, whose four-dimension tables (table2,
-// fig5c, scaling) are scenarios run by pkg/hierclust's Pipeline, the engine
-// behind hcserve.
+// fig5c, scaling) and size studies (fig3a, fig3b, fig4a–fig4c) are
+// scenarios run by pkg/hierclust's Pipeline, the engine behind hcserve.
 //
 // Usage:
 //

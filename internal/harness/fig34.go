@@ -1,13 +1,13 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"hierclust/internal/core"
 	"hierclust/internal/erasure"
-	"hierclust/internal/reliability"
-	"hierclust/internal/topology"
+	"hierclust/pkg/hierclust"
 )
 
 // sweepSizes returns the cluster-size axis, bounded by the rank count.
@@ -19,12 +19,45 @@ func sweepSizes(max int, from int) []int {
 	return out
 }
 
+// sizeSpecs lists, size by size, one strategy of each kind.
+func sizeSpecs(sizes []int, kinds ...string) []hierclust.StrategySpec {
+	var specs []hierclust.StrategySpec
+	for _, size := range sizes {
+		for _, kind := range kinds {
+			specs = append(specs, hierclust.StrategySpec{Kind: kind, Size: size})
+		}
+	}
+	return specs
+}
+
+// sizeRun scores each kind at each size on the traced run of cfg
+// (normalized) in one Pipeline.Run, returning the evaluations in sizeSpecs
+// order. A size axis that is empty at cfg's scale scores nothing, so its
+// figure prints a header-only table.
+func sizeRun(cfg Config, name string, sizes []int, kinds ...string) ([]hierclust.StrategyResult, error) {
+	sc, err := cfg.scenario(name, sizeSpecs(sizes, kinds...)...)
+	if err != nil || len(sizes) == 0 {
+		return nil, err
+	}
+	res, err := pipeline.Run(context.TODO(), sc)
+	if err != nil {
+		return nil, err
+	}
+	return res.Evaluations, nil
+}
+
+// naiveRun scores the naive clustering at every fig3a size, 1 up to half
+// the ranks; fig3b reads its sizes out of the same run.
+func naiveRun(cfg Config) ([]hierclust.StrategyResult, error) {
+	return sizeRun(cfg, "fig3", sweepSizes(cfg.Ranks/2, 1), "naive")
+}
+
 // Fig3a reproduces Figure 3a: message-logging overhead (left axis) versus
 // restart cost (right axis) as the naive cluster size grows. The paper's
 // sweet spot is 32 processes: <4% logged, ~3% restarted.
 func Fig3a(cfg Config) (*Table, error) {
 	cfg.normalize()
-	r, err := tracedRig(cfg)
+	evs, err := naiveRun(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -34,16 +67,10 @@ func Fig3a(cfg Config) (*Table, error) {
 		Columns: []string{"cluster size", "logged %", "restart % (node failure)", "restart % (proc failure)"},
 	}
 	bestSize, bestScore := 0, 1e18
-	for _, size := range sweepSizes(cfg.Ranks/2, 1) {
+	for i, size := range sweepSizes(cfg.Ranks/2, 1) {
+		// The process-failure column is the harness's own: no scenario
+		// scores a process failure.
 		c, err := core.Naive(cfg.Ranks, size)
-		if err != nil {
-			return nil, err
-		}
-		logged, err := r.matrix.LoggedFraction(c.L1)
-		if err != nil {
-			return nil, err
-		}
-		recNode, err := core.RecoveryFraction(c, r.placement)
 		if err != nil {
 			return nil, err
 		}
@@ -51,8 +78,9 @@ func Fig3a(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(size, logged*100, recNode*100, recProc*100)
-		if score := logged + recNode; score < bestScore {
+		e := evs[i]
+		t.AddRow(size, e.LoggedFraction*100, e.RecoveryFraction*100, recProc*100)
+		if score := e.LoggedFraction + e.RecoveryFraction; score < bestScore {
 			bestScore, bestSize = score, size
 		}
 	}
@@ -68,7 +96,7 @@ func Fig3a(cfg Config) (*Table, error) {
 // and reports its wall time: linear in k per member, so quadratic per group.
 func Fig3b(cfg Config) (*Table, error) {
 	cfg.normalize()
-	r, err := tracedRig(cfg)
+	evs, err := naiveRun(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -83,18 +111,13 @@ func Fig3b(cfg Config) (*Table, error) {
 		Title:   fmt.Sprintf("encoding time vs. logging overhead, %d ranks", cfg.Ranks),
 		Columns: []string{"cluster size", "logged %", "encode s/GB (model)", "encode ms (measured, " + shardName + " shards)"},
 	}
-	// RS(k,k) over GF(256) caps the group size at 128 (k+k <= 256); the
-	// paper's sweep also stops well below that.
-	for _, size := range sweepSizes(min(cfg.Ranks/2, 128), 4) {
-		c, err := core.Naive(cfg.Ranks, size)
-		if err != nil {
-			return nil, err
+	for i, size := range sweepSizes(cfg.Ranks/2, 1) {
+		// RS(k,k) over GF(256) caps the group size at 128 (k+k <= 256);
+		// the paper's sweep also stops well below that.
+		if size < 4 || size > 128 {
+			continue
 		}
-		logged, err := r.matrix.LoggedFraction(c.L1)
-		if err != nil {
-			return nil, err
-		}
-		model := erasure.ModelEncodeSeconds(size, 1e9)
+		logged, model := evs[i].LoggedFraction, erasure.ModelEncodeSeconds(size, 1e9)
 		if cfg.Timings {
 			measured, err := measureEncode(size, shard)
 			if err != nil {
@@ -139,67 +162,33 @@ func measureEncode(k, shardBytes int) (time.Duration, error) {
 	return res.Elapsed, nil
 }
 
-// fig4Machine is the Fig. 4a platform: 128 nodes × 8 processes.
-func fig4Machine(cfg Config) (*topology.Placement, error) {
+// Fig4a reproduces Figure 4a: probability of catastrophic failure for
+// distributed versus non-distributed encoding groups of 4, 8 and 16
+// processes on 128 nodes × 8 processes. Distributed grouping wins by orders
+// of magnitude. P(cat) reads the groups alone, so the scenario's trace is
+// a synthetic stencil rather than a traced run.
+func Fig4a(cfg Config) (*Table, error) {
 	nodes, ppn := 128, 8
 	if cfg.Quick {
 		nodes, ppn = 32, 4
 	}
-	mach, err := topology.Tsubame2().Subset(nodes)
+	sizes := []int{4, 8, 16}
+	sc, err := Config{Ranks: nodes * ppn, ProcsPerNode: ppn}.scenario("fig4a", sizeSpecs(sizes, "naive", "distributed")...)
 	if err != nil {
 		return nil, err
 	}
-	return topology.Block(mach, nodes*ppn, ppn)
-}
-
-// fig4Groups builds non-distributed (consecutive ranks) and distributed
-// (striped) encoding groups of the given size.
-func fig4Groups(p *topology.Placement, size int) (nonDist, dist []reliability.Group) {
-	n := p.NumRanks()
-	for base := 0; base+size <= n; base += size {
-		var mem []topology.Rank
-		for r := base; r < base+size; r++ {
-			mem = append(mem, topology.Rank(r))
-		}
-		nonDist = append(nonDist, reliability.GroupFromRanks(p, mem))
-	}
-	k := n / size
-	for g := 0; g < k; g++ {
-		var mem []topology.Rank
-		for j := 0; j < size; j++ {
-			mem = append(mem, topology.Rank(g+j*k))
-		}
-		dist = append(dist, reliability.GroupFromRanks(p, mem))
-	}
-	return nonDist, dist
-}
-
-// Fig4a reproduces Figure 4a: probability of catastrophic failure for
-// distributed versus non-distributed encoding groups of 4, 8 and 16
-// processes on 128 nodes × 8 processes. Distributed grouping wins by orders
-// of magnitude.
-func Fig4a(cfg Config) (*Table, error) {
-	cfg.normalize()
-	p, err := fig4Machine(cfg)
+	sc.Trace = hierclust.TraceSpec{Source: "synthetic"}
+	res, err := pipeline.Run(context.TODO(), sc)
 	if err != nil {
 		return nil, err
 	}
-	mdl := &reliability.Model{Nodes: p.NumUsed(), Mix: reliability.DefaultMix()}
 	t := &Table{
 		ID:      "fig4a",
-		Title:   fmt.Sprintf("reliability, %d nodes x %d procs", p.NumUsed(), p.MaxProcsPerNode()),
+		Title:   fmt.Sprintf("reliability, %d nodes x %d procs", res.Nodes, ppn),
 		Columns: []string{"group size", "P(cat) non-distributed", "P(cat) distributed", "improvement (x)"},
 	}
-	for _, size := range []int{4, 8, 16} {
-		nonDist, dist := fig4Groups(p, size)
-		pn, err := mdl.CatastropheProb(nonDist)
-		if err != nil {
-			return nil, err
-		}
-		pd, err := mdl.CatastropheProb(dist)
-		if err != nil {
-			return nil, err
-		}
+	for i, size := range sizes {
+		pn, pd := res.Evaluations[2*i].CatastropheProb, res.Evaluations[2*i+1].CatastropheProb
 		improvement := "inf"
 		if pd > 0 {
 			improvement = fmt.Sprintf("%.2g", pn/pd)
@@ -210,12 +199,21 @@ func Fig4a(cfg Config) (*Table, error) {
 	return t, nil
 }
 
+// distributionRun scores naive-k and distributed-k at every fig4b/fig4c
+// size, 2 up to min(ranks/2, 64), on cfg's traced run, returning the sizes
+// and the evaluations in pairs.
+func distributionRun(cfg Config) ([]int, []hierclust.StrategyResult, error) {
+	sizes := sweepSizes(min(cfg.Ranks/2, 64), 2)
+	evs, err := sizeRun(cfg, "fig4", sizes, "naive", "distributed")
+	return sizes, evs, err
+}
+
 // Fig4b reproduces Figure 4b: message-logging overhead of distributed
 // versus non-distributed clusterings by size. Striped clusters log nearly
 // everything regardless of size.
 func Fig4b(cfg Config) (*Table, error) {
 	cfg.normalize()
-	r, err := tracedRig(cfg)
+	sizes, evs, err := distributionRun(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -224,24 +222,8 @@ func Fig4b(cfg Config) (*Table, error) {
 		Title:   fmt.Sprintf("logging overhead vs. distribution, %d ranks", cfg.Ranks),
 		Columns: []string{"cluster size", "logged % non-distributed", "logged % distributed"},
 	}
-	for _, size := range sweepSizes(min(cfg.Ranks/2, 64), 2) {
-		nonDist, err := core.Naive(cfg.Ranks, size)
-		if err != nil {
-			return nil, err
-		}
-		dist, err := core.Distributed(cfg.Ranks, size)
-		if err != nil {
-			return nil, err
-		}
-		ln, err := r.matrix.LoggedFraction(nonDist.L1)
-		if err != nil {
-			return nil, err
-		}
-		ld, err := r.matrix.LoggedFraction(dist.L1)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(size, ln*100, ld*100)
+	for i, size := range sizes {
+		t.AddRow(size, evs[2*i].LoggedFraction*100, evs[2*i+1].LoggedFraction*100)
 	}
 	t.Notes = append(t.Notes, "paper: distribution + topology-aware placement logs ~100% at every size")
 	return t, nil
@@ -252,7 +234,7 @@ func Fig4b(cfg Config) (*Table, error) {
 // processes. At size 32 the paper reports 3% vs 50%.
 func Fig4c(cfg Config) (*Table, error) {
 	cfg.normalize()
-	r, err := tracedRig(cfg)
+	sizes, evs, err := distributionRun(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -261,24 +243,8 @@ func Fig4c(cfg Config) (*Table, error) {
 		Title:   fmt.Sprintf("restart cost vs. distribution, %d ranks", cfg.Ranks),
 		Columns: []string{"cluster size", "restart % non-distributed", "restart % distributed"},
 	}
-	for _, size := range sweepSizes(min(cfg.Ranks/2, 64), 2) {
-		nonDist, err := core.Naive(cfg.Ranks, size)
-		if err != nil {
-			return nil, err
-		}
-		dist, err := core.Distributed(cfg.Ranks, size)
-		if err != nil {
-			return nil, err
-		}
-		rn, err := core.RecoveryFraction(nonDist, r.placement)
-		if err != nil {
-			return nil, err
-		}
-		rd, err := core.RecoveryFraction(dist, r.placement)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(size, rn*100, rd*100)
+	for i, size := range sizes {
+		t.AddRow(size, evs[2*i].RecoveryFraction*100, evs[2*i+1].RecoveryFraction*100)
 	}
 	t.Notes = append(t.Notes, "paper: at size 32, 3% non-distributed vs 50% distributed")
 	return t, nil

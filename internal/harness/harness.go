@@ -110,11 +110,13 @@ func ByID(id string) (Experiment, error) {
 }
 
 // pipeline is the process's one owner of traced runs: it scores the
-// four-dimension tables (table2, fig5c, scaling) — the engine behind hcserve
-// and sweeps — and the experiments that read a raw trace take theirs from it
-// (tracedRig), so each run is traced once per process, whichever experiment
-// asks first. Its cache holds 7 runs: the most one hcrun process traces is
-// cfg's run, the protocol rig's, and the five tsunami rungs of scaling.
+// four-dimension tables (table2, fig5c, scaling) and the size studies
+// (fig3a, fig3b, fig4a–fig4c) — the engine behind hcserve and sweeps — and
+// the experiments that read a raw trace take theirs from it (tracedRig), so
+// each run is traced once per process, whichever experiment asks first. Its
+// cache holds 7 runs: the most one hcrun process traces is cfg's run, the
+// protocol rig's, and the five tsunami rungs of scaling. fig4a's synthetic
+// trace needs no entry: the cache keeps only traced (tsunami) runs.
 var pipeline = hierclust.NewPipeline(hierclust.WithTraceCache(hierclust.NewMemoryTraceCache(7)))
 
 // scenario is the traced application run cfg describes, as a Pipeline

@@ -8,6 +8,7 @@ import (
 	"hierclust/internal/hybrid"
 	"hierclust/internal/topology"
 	"hierclust/internal/tsunami"
+	"hierclust/pkg/hierclust"
 )
 
 // Protocol runs the full stack end-to-end — tsunami application, hybrid
@@ -49,24 +50,12 @@ func Protocol(cfg Config) (*Table, error) {
 		return nil, err
 	}
 
-	// Clusterings scaled to this rig. The size-guided size equals the
-	// node width so each group is co-located — the paper's reliability
-	// pathology.
-	naive, err := core.Naive(ranks, 2*ppn)
-	if err != nil {
-		return nil, err
-	}
-	sg, err := core.SizeGuided(ranks, ppn)
-	if err != nil {
-		return nil, err
-	}
-	dist, err := core.Distributed(ranks, 2*ppn)
-	if err != nil {
-		return nil, err
-	}
-	hier, err := core.Hierarchical(r.matrix, r.placement, core.HierOptions{})
-	if err != nil {
-		return nil, err
+	// Clusterings scaled to this rig, built by the strategies a scenario
+	// names. The size-guided size equals the node width so each group is
+	// co-located — the paper's reliability pathology.
+	specs := []hierclust.StrategySpec{
+		{Kind: "naive", Size: 2 * ppn}, {Kind: "size-guided", Size: ppn},
+		{Kind: "distributed", Size: 2 * ppn}, {Kind: "hierarchical"},
 	}
 
 	t := &Table{
@@ -75,7 +64,15 @@ func Protocol(cfg Config) (*Table, error) {
 		Columns: []string{"clustering", "restarted ranks", "restart %", "replayed msgs",
 			"suppressed dups", "restore levels", "logged %", "state == reference"},
 	}
-	for _, c := range []*core.Clustering{naive, sg, dist, hier} {
+	for _, spec := range specs {
+		st, err := hierclust.NewStrategy(spec)
+		if err != nil {
+			return nil, err
+		}
+		c, err := st.Build(r.matrix, r.placement)
+		if err != nil {
+			return nil, err
+		}
 		row, err := runProtocolOnce(c, params, r.placement, iters, ckptEvery, failAt, failNode, ref)
 		if err != nil {
 			return nil, err

@@ -20,8 +20,8 @@ type RunResult struct {
 // input order, so output is byte-identical regardless of worker count or
 // completion order. workers == 1 runs serially on the caller's goroutine;
 // workers <= 0 means GOMAXPROCS. Every experiment is independent (the
-// shared state, the trace store and the pipeline, is safe for concurrent
-// use), which is what makes the pool safe.
+// shared state, the pipeline and its trace cache and fig5a/b's encoder-rank
+// runs, is safe for concurrent use), which is what makes the pool safe.
 func Run(cfg Config, exps []Experiment, workers int) []RunResult {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

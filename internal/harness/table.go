@@ -2,8 +2,9 @@
 // evaluation section from the substrates in this repository: the traced
 // tsunami communication matrix, the clustering strategies, the reliability
 // model, and the hybrid protocol. The four-dimension tables (table2, fig5c,
-// scaling) are scenarios run by pkg/hierclust's Pipeline; the rest read
-// the raw traced runs the pipeline shares. Each experiment returns a Table
+// scaling) and the size studies (fig3a, fig3b, fig4a–fig4c) are scenarios
+// run by pkg/hierclust's Pipeline; fig5a/fig5b, protocol and ablation read
+// raw traced runs, the pipeline's or their own. Each experiment returns a Table
 // that prints as aligned ASCII (and CSV), with paper-expected values
 // recorded in expect.go for side-by-side comparison in EXPERIMENTS.md.
 package harness

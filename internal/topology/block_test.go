@@ -11,9 +11,9 @@ import (
 func samePlacement(t *testing.T, label string, got, want *Placement) {
 	t.Helper()
 	nodes := got.Machine().Nodes
-	if got.NumRanks() != want.NumRanks() || got.NumUsed() != want.NumUsed() || got.MaxProcsPerNode() != want.MaxProcsPerNode() {
-		t.Fatalf("%s: ranks %d used %d max %d, want %d %d %d", label, got.NumRanks(), got.NumUsed(), got.MaxProcsPerNode(),
-			want.NumRanks(), want.NumUsed(), want.MaxProcsPerNode())
+	if got.NumRanks() != want.NumRanks() || got.NumUsed() != want.NumUsed() {
+		t.Fatalf("%s: ranks %d used %d, want %d %d", label, got.NumRanks(), got.NumUsed(),
+			want.NumRanks(), want.NumUsed())
 	}
 	for r := Rank(0); int(r) < want.NumRanks(); r++ {
 		if got.NodeOf(r) != want.NodeOf(r) || got.RankAt(int(r)) != want.RankAt(int(r)) {

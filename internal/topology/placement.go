@@ -226,15 +226,3 @@ func (p *Placement) UsedNodes() []NodeID {
 	}
 	return p.used
 }
-
-// MaxProcsPerNode returns the largest number of ranks on any node.
-func (p *Placement) MaxProcsPerNode() int {
-	if p.ppn > 0 {
-		return min(p.ppn, p.ranks)
-	}
-	most := 0
-	for n := 0; n+1 < len(p.rankPtr); n++ {
-		most = max(most, int(p.rankPtr[n+1]-p.rankPtr[n]))
-	}
-	return most
-}

@@ -57,9 +57,6 @@ func TestBlockPlacement(t *testing.T) {
 	if got := p.RanksOn(1); len(got) != 16 || got[0] != 16 || got[15] != 31 {
 		t.Errorf("RanksOn(1) = %v", got)
 	}
-	if p.MaxProcsPerNode() != 16 {
-		t.Errorf("MaxProcsPerNode = %d, want 16", p.MaxProcsPerNode())
-	}
 }
 
 func TestBlockPlacementErrors(t *testing.T) {
@@ -297,7 +294,6 @@ func TestPlacementSparseEquivalence(t *testing.T) {
 			return false
 		}
 		ref := newReferencePlacement(nodes, nodeOf)
-		maxProcs := 0
 		var wantUsed []NodeID
 		for n := 0; n < nodes; n++ {
 			got, want := p.RanksOn(NodeID(n)), ref.ranks[n]
@@ -312,15 +308,9 @@ func TestPlacementSparseEquivalence(t *testing.T) {
 			if p.CountOn(NodeID(n)) != len(want) {
 				return false
 			}
-			if len(want) > maxProcs {
-				maxProcs = len(want)
-			}
 			if len(want) > 0 {
 				wantUsed = append(wantUsed, NodeID(n))
 			}
-		}
-		if p.MaxProcsPerNode() != maxProcs {
-			return false
 		}
 		used := p.UsedNodes()
 		if len(used) != len(wantUsed) {

@@ -203,9 +203,10 @@ func (s *Scenario) validate(strategies bool) error {
 	if s.Placement.ProcsPerNode <= 0 {
 		return fmt.Errorf("hierclust: scenario %q: placement needs positive procs_per_node", s.Name)
 	}
-	// Fields that don't apply to the chosen source are rejected, not
-	// ignored: a user who sets them believes they tuned the trace, and the
-	// dead fields would also split the result cache on meaningless keys.
+	// Fields that don't apply to the chosen source, or hold a negative
+	// count, are rejected, not ignored: a user who sets them believes they
+	// tuned the trace, and the dead fields would also split the result
+	// cache on meaningless keys.
 	t := s.Trace
 	switch t.Source {
 	case "tsunami", "synthetic":
@@ -218,17 +219,20 @@ func (s *Scenario) validate(strategies bool) error {
 	}
 	for _, f := range [...]struct {
 		name, sources string
-		set           bool
+		set, negative bool
 	}{
-		{"iterations", "tsunami synthetic", t.Iterations != 0},
-		{"pattern", "synthetic", t.Pattern != ""},
-		{"width", "synthetic", t.Width != 0},
-		{"bytes_per_msg", "synthetic", t.BytesPerMsg != 0},
-		{"path", "file", t.Path != ""},
-		{"max_ranks", "file", t.MaxRanks != 0},
+		{"iterations", "tsunami synthetic", t.Iterations != 0, t.Iterations < 0},
+		{"pattern", "synthetic", t.Pattern != "", false},
+		{"width", "synthetic", t.Width != 0, t.Width < 0},
+		{"bytes_per_msg", "synthetic", t.BytesPerMsg != 0, t.BytesPerMsg < 0},
+		{"path", "file", t.Path != "", false},
+		{"max_ranks", "file", t.MaxRanks != 0, t.MaxRanks < 0},
 	} {
 		if f.set && !strings.Contains(f.sources, t.Source) {
 			return fmt.Errorf("hierclust: scenario %q: trace field %s does not apply to source %q", s.Name, f.name, t.Source)
+		}
+		if f.negative {
+			return fmt.Errorf("hierclust: scenario %q: trace field %s is negative", s.Name, f.name)
 		}
 	}
 	if t.Pattern != "stencil2d" && t.Width != 0 { // only synthetic gets here with a width
@@ -236,7 +240,7 @@ func (s *Scenario) validate(strategies bool) error {
 	}
 	// The trace reader's bound (a file source's own, or the default), capped
 	// at the id range; ranks and nodes are allocated per id before any build.
-	bound := min(cmp.Or(max(s.Trace.MaxRanks, 0), trace.DefaultMaxRanks), topology.MaxIDs)
+	bound := min(cmp.Or(s.Trace.MaxRanks, trace.DefaultMaxRanks), topology.MaxIDs)
 	if s.Placement.Ranks > bound {
 		return &SizeError{s.Name, "placement.ranks", s.Placement.Ranks, bound}
 	}

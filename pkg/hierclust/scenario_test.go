@@ -135,6 +135,14 @@ func TestScenarioValidate(t *testing.T) {
 		}},
 		{"unknown strategy kind", func(s *Scenario) { s.Strategies = []StrategySpec{{Kind: "magic"}} }},
 		{"negative mix", func(s *Scenario) { s.Mix = &MixSpec{Transient: -1} }},
+		{"negative iterations", func(s *Scenario) { s.Trace.Iterations = -3 }},
+		{"negative width", func(s *Scenario) {
+			s.Trace = TraceSpec{Source: "synthetic", Pattern: "stencil2d", Width: -4}
+		}},
+		{"negative bytes_per_msg", func(s *Scenario) { s.Trace.BytesPerMsg = -7 }},
+		{"negative max_ranks", func(s *Scenario) {
+			s.Trace = TraceSpec{Source: "file", Path: "/tmp/t.hctr", MaxRanks: -1}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -151,6 +151,11 @@ func (sw *Sweep) Cells() ([]*Scenario, error) {
 			return nil, fmt.Errorf("hierclust: sweep %q: machines[%d]: negative ranks or procs_per_node", sw.Name, i)
 		}
 	}
+	for i, tp := range sw.Axes.Traces {
+		if tp.Iterations < 0 || tp.Width < 0 || tp.BytesPerMsg < 0 {
+			return nil, fmt.Errorf("hierclust: sweep %q: traces[%d]: negative iterations, width or bytes_per_msg", sw.Name, i)
+		}
+	}
 	nspecs, nlosses := 0, 0 // summed over the axis values
 	for i, set := range sw.Axes.Strategies {
 		if len(set) == 0 {
@@ -183,8 +188,7 @@ func (sw *Sweep) Cells() ([]*Scenario, error) {
 						sc := sw.Base // value copy; slices replaced below, never mutated
 						sc.Version = ScenarioVersion
 						sc.Name = cellName(sw.Base.Name, lens, [5]int{mi, pi, si, xi, ti})
-						// An axis point's zero field (a trace point's negative
-						// one too) keeps the base's value.
+						// An axis point's zero field keeps the base's value.
 						sc.Machine.Nodes = cmp.Or(m.Nodes, sc.Machine.Nodes)
 						sc.Placement.Ranks = cmp.Or(m.Ranks, sc.Placement.Ranks)
 						sc.Placement.ProcsPerNode = cmp.Or(m.ProcsPerNode, sc.Placement.ProcsPerNode)
@@ -197,10 +201,10 @@ func (sw *Sweep) Cells() ([]*Scenario, error) {
 							own.NodeLoss = window(&losses, mix.NodeLoss...)
 							sc.Mix = &window(&mixSpecs, own)[0]
 						}
-						sc.Trace.Iterations = cmp.Or(max(tp.Iterations, 0), sc.Trace.Iterations)
+						sc.Trace.Iterations = cmp.Or(tp.Iterations, sc.Trace.Iterations)
 						sc.Trace.Pattern = cmp.Or(tp.Pattern, sc.Trace.Pattern)
-						sc.Trace.Width = cmp.Or(max(tp.Width, 0), sc.Trace.Width)
-						sc.Trace.BytesPerMsg = cmp.Or(max(tp.BytesPerMsg, 0), sc.Trace.BytesPerMsg)
+						sc.Trace.Width = cmp.Or(tp.Width, sc.Trace.Width)
+						sc.Trace.BytesPerMsg = cmp.Or(tp.BytesPerMsg, sc.Trace.BytesPerMsg)
 						// A set's first cell is (0, 0, si, 0, 0), and every other follows it.
 						if err := sc.validate(mi == 0 && pi == 0 && xi == 0 && ti == 0); err != nil {
 							return nil, fmt.Errorf("hierclust: sweep %q: cell %q: %w", sw.Name, sc.Name, err)

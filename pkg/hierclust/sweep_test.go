@@ -138,6 +138,7 @@ func TestSweepValidateRejects(t *testing.T) {
 		{"empty strategy set", func(sw *Sweep) { sw.Axes.Strategies = [][]StrategySpec{{}} }},
 		{"bad policy", func(sw *Sweep) { sw.Axes.Placements = []string{"scatter"} }},
 		{"bad cell", func(sw *Sweep) { sw.Axes.Traces = []TracePoint{{Pattern: "torus"}} }},
+		{"negative trace point", func(sw *Sweep) { sw.Axes.Traces = []TracePoint{{Iterations: -3}} }},
 		{"cell bound", func(sw *Sweep) {
 			pts := make([]MachinePoint, 300)
 			mixes := make([]MixSpec, 300)

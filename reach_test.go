@@ -23,30 +23,33 @@ import (
 // test. An entry that becomes reachable, or whose declaration is gone,
 // fails the check, so the list cannot outlive its use.
 var reachAllow = map[string]string{
-	"faultinject.Seed":            "pkg/hierclust TestRunSweepChaosFaultResume: a repeatable fault schedule",
-	"faultinject.Disarm":          "internal/faultinject TestConcurrentArmAndHit: disarms under a live Hit",
-	"faultinject.DisarmAll":       "internal/diskstore TestStoreReadFaultKeepsIndex and every chaos suite: cleanup between drills",
-	"faultinject.Triggered":       "internal/faultinject TestProbability and internal/harness TestTracedRigJoinsPipelineBuild: how often the live Hit fired",
-	"leakcheck.Main":              "TestMain of pkg/hierclust and pkg/hierclust/serve: no goroutine outlives the suite",
-	"racedetect.Enabled":          "internal/reliability TestCatastropheProbCtxCancelMidMonteCarlo: widens its latency bound under -race",
-	"erasure.gfDiv":               "internal/erasure TestGFDivMulRoundTrip: division inverts the live gfMul",
-	"erasure.RS.Verify":           "internal/erasure TestRSEncodeDecodeAllErasurePatterns: re-checks the parity the live encoder wrote",
-	"storage.LocalStore.Keys":     "internal/checkpoint TestGC and TestCheckpointValidation: what GC left, and that a refused checkpoint wrote nothing, on the node stores",
-	"core.RecoveryFractionPair":   "internal/core TestRecoveryFractionPairAlignment: observes AlignPowerPairs",
-	"metrics.Histogram.Count":     "internal/metrics TestHistogramBuckets",
-	"metrics.Histogram.Sum":       "internal/metrics TestHistogramBuckets",
-	"trace.Stencil.NNZ":           "internal/trace TestStencilMatchesSynthetic: the closed form against the built CSR",
-	"checkpoint.Manager.Groups":   "internal/checkpoint TestL3CycleAllocationBound: a fresh manager per cycle over the first one's groups",
-	"checkpoint.Manager.Versions": "internal/checkpoint TestGC: which versions GC kept",
-	"graph.Graph.Weight":          "internal/trace TestToGraphSymmetric and the fold references (foldsAlike): a built graph's edge weights",
-	"graph.Graph.Neighbors":       "internal/trace foldsAlike and internal/core TestCallerOwnedGraphAndPartition: a built graph's adjacency",
-	"graph.Graph.Strength":        "internal/core TestCallerOwnedGraphAndPartition: a built graph's vertex strengths",
-	"graph.Graph.TotalWeight":     "internal/graph TestContractPreservesTotalWeight: contraction keeps the total",
-	"graph.Graph.EdgeCount":       "internal/trace TestZeroByteMessageEquivalence: zero-byte cells add no edge",
-	"topology.NewPlacement":       "internal/trace TestNodeFoldMatchesReference and internal/reliability TestFlattenMatchesReferencePlacements: irregular placements",
-	"hierclust.EncodeSweep":       "pkg/hierclust FuzzDecodeSweep and TestSweepEncodeDecodeRoundTrip: the decode→encode round trip",
-	"hierclust.WithDegradeAfter":  "pkg/hierclust chaos suites (TestDiskResultCacheReadFaultFallsBackWithoutIndexLoss): degrade on the drill's schedule",
-	"hierclust.WithDegradedProbe": "pkg/hierclust chaos suites (TestDiskTraceCacheDegradesOnWriteFaults): probe on the drill's schedule",
+	"faultinject.Seed":                  "pkg/hierclust TestRunSweepChaosFaultResume: a repeatable fault schedule",
+	"faultinject.Disarm":                "internal/faultinject TestConcurrentArmAndHit: disarms under a live Hit",
+	"faultinject.DisarmAll":             "internal/diskstore TestStoreReadFaultKeepsIndex and every chaos suite: cleanup between drills",
+	"faultinject.Triggered":             "internal/faultinject TestProbability and internal/harness TestTracedRigJoinsPipelineBuild: how often the live Hit fired",
+	"leakcheck.Main":                    "TestMain of pkg/hierclust and pkg/hierclust/serve: no goroutine outlives the suite",
+	"racedetect.Enabled":                "internal/reliability TestCatastropheProbCtxCancelMidMonteCarlo: widens its latency bound under -race",
+	"erasure.gfDiv":                     "internal/erasure TestGFDivMulRoundTrip: division inverts the live gfMul",
+	"erasure.RS.Verify":                 "internal/erasure TestRSEncodeDecodeAllErasurePatterns: re-checks the parity the live encoder wrote",
+	"storage.LocalStore.Keys":           "internal/checkpoint TestGC and TestCheckpointValidation: what GC left, and that a refused checkpoint wrote nothing, on the node stores",
+	"core.RecoveryFractionPair":         "internal/core TestRecoveryFractionPairAlignment: observes AlignPowerPairs",
+	"core.SizeGuided":                   "pkg/hierclust TestPipelineMatchesCore: the clustering the size-guided strategy must build",
+	"core.Distributed":                  "pkg/hierclust TestPipelineMatchesCore and internal/harness TestFigs34MatchReference: the striped clustering the distributed strategy must build",
+	"reliability.Model.CatastropheProb": "internal/reliability TestFlattenMatchesReferenceRandom/TestFlattenMatchesReferencePlacements (checkAgainstReference) and internal/harness TestFigs34MatchReference: the model weighed on caller-built groups",
+	"metrics.Histogram.Count":           "internal/metrics TestHistogramBuckets",
+	"metrics.Histogram.Sum":             "internal/metrics TestHistogramBuckets",
+	"trace.Stencil.NNZ":                 "internal/trace TestStencilMatchesSynthetic: the closed form against the built CSR",
+	"checkpoint.Manager.Groups":         "internal/checkpoint TestL3CycleAllocationBound: a fresh manager per cycle over the first one's groups",
+	"checkpoint.Manager.Versions":       "internal/checkpoint TestGC: which versions GC kept",
+	"graph.Graph.Weight":                "internal/trace TestToGraphSymmetric and the fold references (foldsAlike): a built graph's edge weights",
+	"graph.Graph.Neighbors":             "internal/trace foldsAlike and internal/core TestCallerOwnedGraphAndPartition: a built graph's adjacency",
+	"graph.Graph.Strength":              "internal/core TestCallerOwnedGraphAndPartition: a built graph's vertex strengths",
+	"graph.Graph.TotalWeight":           "internal/graph TestContractPreservesTotalWeight: contraction keeps the total",
+	"graph.Graph.EdgeCount":             "internal/trace TestZeroByteMessageEquivalence: zero-byte cells add no edge",
+	"topology.NewPlacement":             "internal/trace TestNodeFoldMatchesReference and internal/reliability TestFlattenMatchesReferencePlacements: irregular placements",
+	"hierclust.EncodeSweep":             "pkg/hierclust FuzzDecodeSweep and TestSweepEncodeDecodeRoundTrip: the decode→encode round trip",
+	"hierclust.WithDegradeAfter":        "pkg/hierclust chaos suites (TestDiskResultCacheReadFaultFallsBackWithoutIndexLoss): degrade on the drill's schedule",
+	"hierclust.WithDegradedProbe":       "pkg/hierclust chaos suites (TestDiskTraceCacheDegradesOnWriteFaults): probe on the drill's schedule",
 }
 
 // reachIfaceNames are the method names through which the standard library
