@@ -136,7 +136,7 @@ loc:
 # loc-check fails when `make loc` exceeds LOC_CEILING, so ROADMAP aim 2's
 # tracked number only goes up when a PR raises the ceiling on purpose; a PR
 # that shrinks the tree lowers it to its own result.
-LOC_CEILING = 18950
+LOC_CEILING = 18816
 loc-check:
 	@n=$$($(MAKE) -s loc); if [ "$$n" -gt $(LOC_CEILING) ]; then \
 		echo "loc $$n exceeds LOC_CEILING $(LOC_CEILING)"; exit 1; fi; \
@@ -150,4 +150,6 @@ loc-check:
 reach-check:
 	$(GO) test -tags reach -run TestInternalReachable .
 
-ci: fmt vet build build-arm64 test race test-purego bench-smoke serve-smoke doccheck hcbench-check loc-check reach-check
+# ci mirrors .github/workflows/ci.yml locally: every target its test, chaos
+# and examples jobs run.
+ci: fmt vet build build-arm64 test race test-purego fuzz chaos bench-smoke serve-smoke doccheck hcbench-check loc-check reach-check

@@ -159,13 +159,6 @@ func renderField(app *hierclust.TsunamiApp, params hierclust.TsunamiParams) stri
 	return sb.String()
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "tsunami:", err)
 	os.Exit(1)

@@ -230,7 +230,7 @@ func TestFlatStrategyGroupsMatchReference(t *testing.T) {
 	}
 }
 
-// A third-party strategy's sparse cluster id must fail validation instead
+// A hand-built clustering's sparse cluster id must fail validation instead
 // of sizing the cluster-size array (and every stamp array) by the id.
 func TestValidateRejectsSparseClusterID(t *testing.T) {
 	c := &Clustering{Name: "sparse", L1: []int32{0, 1 << 30, 0, 0}, Groups: [][]topology.Rank{{0, 2, 3}}}

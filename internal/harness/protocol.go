@@ -65,11 +65,7 @@ func Protocol(cfg Config) (*Table, error) {
 			"suppressed dups", "restore levels", "logged %", "state == reference"},
 	}
 	for _, spec := range specs {
-		st, err := hierclust.NewStrategy(spec)
-		if err != nil {
-			return nil, err
-		}
-		c, err := st.Build(r.matrix, r.placement)
+		c, err := spec.Build(r.matrix, r.placement)
 		if err != nil {
 			return nil, err
 		}

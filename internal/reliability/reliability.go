@@ -19,11 +19,15 @@
 //
 // P(catastrophic) = Σ_f P(f) · P(some group destroyed | f random nodes fail).
 // The conditional term has an exact closed form when the groups sit on
-// pairwise-disjoint or identical uniform node spans — FTI's layouts and every
-// strategy here — and that form is tried first. Other layouts are enumerated
-// exactly for small f and bounded by a per-group hypergeometric union bound
-// (tight for rare events) for the tail, falling back to seeded Monte Carlo
-// when the union bound is too loose to be meaningful.
+// pairwise-disjoint or identical uniform node spans — FTI's layouts, and
+// every layout hcrun's experiments score — and that form is tried first.
+// Other layouts are enumerated exactly for small f and bounded by a
+// per-group hypergeometric union bound (tight for rare events) for the
+// tail, falling back to seeded Monte Carlo when the union bound is too loose
+// to be meaningful. A paper strategy can land there: naive size 3 on a
+// round-robin placement of 4,096 ranks over 2,048 nodes has groups whose
+// spans overlap partially once the ranks wrap the machine, and with a
+// 48-entry node-loss mix it is still sampling after 3 s.
 //
 // Only the weights P(f) read the failure mix, so the work is split there: a
 // Profile reads the groups once and remembers each conditional it computes;
@@ -468,10 +472,11 @@ type flatGroups struct {
 	byNodePtr []int32
 	byNode    []int32
 
-	// Disjoint-span reduction. Erasure-code layouts in practice (FTI's and
-	// every strategy in this repository) place groups on node spans that
-	// are pairwise disjoint or exactly identical, with the same member
-	// count on every span node. Destruction then depends only on *how
+	// Disjoint-span reduction. Erasure-code layouts in practice (FTI's, and
+	// every layout hcrun's experiments score, but not every strategy on
+	// every placement: see the package doc) place groups on node spans that
+	// are pairwise disjoint or exactly identical, with the same member count
+	// on every span node. Destruction then depends only on *how
 	// many* nodes of each span fail, so the conditional catastrophe
 	// probability has an exact product-form count (disjointConditional)
 	// and neither enumeration nor Monte Carlo is needed. dpOK reports whether

@@ -7,10 +7,9 @@
 //
 // The package exposes three composable layers:
 //
-//   - Strategy: a clustering strategy behind a named registry. The paper's
-//     four strategies (naive, size-guided, distributed, hierarchical) are
-//     built in; third-party strategies register with RegisterStrategy and
-//     then participate in scenarios like any built-in.
+//   - StrategySpec: one of the paper's four clustering strategies (naive,
+//     size-guided, distributed, hierarchical) and its parameters. The set
+//     is closed; a spec validates and builds itself (StrategySpec.Build).
 //
 //   - Scenario: a declarative description of one evaluation — machine
 //     model, placement policy, trace source (traced application, synthetic

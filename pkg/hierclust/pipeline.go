@@ -160,7 +160,7 @@ type Result struct {
 type StrategyResult struct {
 	// Strategy is the instantiated strategy name (e.g. "naive-32").
 	Strategy string `json:"strategy"`
-	// Kind is the registry kind that produced it.
+	// Kind is the StrategySpec kind that produced it.
 	Kind string `json:"kind"`
 	// L1Clusters, Groups and MaxGroupSize describe the clustering.
 	L1Clusters   int `json:"l1_clusters"`
@@ -432,28 +432,20 @@ func (ce *cellEval) evalStrategy(j int) (err error) {
 	return nil
 }
 
-// buildScored instantiates spec, builds its clustering and scores it into
-// the profile of a lent buffer, sd.buf — the unit the sweep executor shares
-// across cells by partitionKey; weighing only reads it, so many cells may
-// weigh one build concurrently. A built-in strategy builds into the buffer
-// (and a lent arena) too; a third-party one builds where it likes. The
-// caller gives sd.buf back once nothing reads it; on error there is none.
+// buildScored builds spec's clustering into a lent buffer, sd.buf, its
+// scratch in an arena lent for the build alone, and scores it into the
+// buffer's profile — the unit the sweep executor shares across cells by
+// partitionKey; weighing only reads it, so many cells may weigh one build
+// concurrently. The caller gives sd.buf back once nothing reads it; on
+// error there is none.
 func (pl *Pipeline) buildScored(ctx context.Context, spec StrategySpec, comm Comm, placement *Placement) (sd scored, err error) {
-	st, err := NewStrategy(spec)
-	if err != nil {
+	if err := faultinject.Hit("pipeline.build"); err != nil {
 		return sd, err
 	}
 	sd.buf = pl.bufs.lend()
-	switch st := st.(type) {
-	case builtinStrategy:
-		ar := pl.arenas.lend()
-		sd.c, err = st.buildIn(ctx, comm, placement, sd.buf, ar)
-		pl.arenas.give(ar)
-	case CtxStrategy:
-		sd.c, err = st.BuildCtx(ctx, comm, placement)
-	default:
-		sd.c, err = st.Build(comm, placement)
-	}
+	ar := pl.arenas.lend()
+	sd.c, err = spec.build(ctx, comm, placement, sd.buf, ar)
+	pl.arenas.give(ar)
 	if err != nil {
 		pl.bufs.give(sd.buf)
 		return scored{}, cmp.Or(ctx.Err(), err)

@@ -20,43 +20,16 @@ func cancelLatencyBound() time.Duration {
 	return 100 * time.Millisecond
 }
 
-// chaosMCStrategy is a test-only strategy whose group layout forces the
+// chaosMCScenario runs a paper strategy on a placement that forces the
 // reliability model onto its slowest path — Monte Carlo sampling — so
-// cancellation tests reliably catch Run mid-sampling:
-//
-//   - 150 single-node groups ({2i, 2i+1} under block ppn=2 placement, so
-//     both members share node i; tolerance 1) are each destroyed whenever
-//     their node fails, making the union bound ≈ 151·f/nodes > 0.1 for
-//     every f ≥ 2 on a 2048-node machine.
-//   - One "breaker" group {300, 301, 302} spans nodes 150 and 151 with
-//     unequal member counts, which invalidates the disjoint-span closed
-//     form for the whole model.
-//
-// With enumeration over C(2048, f≥2) too large, the closed form broken,
-// and the union bound too loose, every multi-node failure count samples.
-type chaosMCStrategy struct{}
-
-func (chaosMCStrategy) Name() string { return "chaos-mc" }
-
-func (chaosMCStrategy) Build(m Comm, p *Placement) (*Clustering, error) {
-	n := p.NumRanks()
-	c := &Clustering{Name: "chaos-mc", L1: make([]int32, n)}
-	for i := 0; i < 150; i++ {
-		c.Groups = append(c.Groups, []Rank{Rank(2 * i), Rank(2*i + 1)})
-	}
-	c.Groups = append(c.Groups, []Rank{300, 301, 302})
-	return c, nil
-}
-
-func init() {
-	MustRegisterStrategy("chaos-mc", func(spec StrategySpec) (Strategy, error) {
-		return chaosMCStrategy{}, nil
-	})
-}
-
-// chaosMCScenario needs Monte Carlo rounds for every node-loss count in
-// the mix, totalling seconds of sampling — far past any cancel point the
-// tests pick.
+// cancellation tests reliably catch Run mid-sampling. Round-robin puts rank
+// r on node r mod 2048, so naive's 3-rank groups sit on three consecutive
+// nodes, and once the ranks wrap past the last node the groups' node spans
+// overlap the first half's partially ({2046, 2047, 2048} spans nodes 2046,
+// 2047 and 0; {2049, 2050, 2051} spans nodes 1 to 3). That rules out the
+// disjoint-span closed form, enumeration over C(2048, f ≥ 2) is too large,
+// and the union bound is too loose, so the 48-entry mix's multi-node counts
+// sample: seconds of work, far past any cancel point the tests pick.
 func chaosMCScenario() *Scenario {
 	loss := make([]float64, 48)
 	for i := range loss {
@@ -65,9 +38,9 @@ func chaosMCScenario() *Scenario {
 	return &Scenario{
 		Name:       "cancel-mc",
 		Machine:    MachineSpec{Nodes: 2048},
-		Placement:  PlacementSpec{Policy: "block", Ranks: 4096, ProcsPerNode: 2},
+		Placement:  PlacementSpec{Policy: "round-robin", Ranks: 4096, ProcsPerNode: 2},
 		Trace:      TraceSpec{Source: "synthetic", Iterations: 2},
-		Strategies: []StrategySpec{{Kind: "chaos-mc"}},
+		Strategies: []StrategySpec{{Kind: "naive", Size: 3}},
 		Mix:        &MixSpec{NodeLoss: loss},
 	}
 }
@@ -97,8 +70,8 @@ func runCancelled(t *testing.T, sc *Scenario, warmup time.Duration) (error, time
 }
 
 // TestPipelineRunCancelMidMonteCarlo pins the cancellation-latency
-// contract on the reliability model's sampling loops: the chaos-mc layout
-// forces ~47 Monte Carlo rounds of 200k samples (seconds of work), the
+// contract on the reliability model's sampling loops: chaosMCScenario
+// forces Monte Carlo rounds of 200k samples (seconds of work), the
 // test cancels 100ms in — long past trace generation, inside sampling —
 // and Run must return context.Canceled within the latency bound.
 func TestPipelineRunCancelMidMonteCarlo(t *testing.T) {

@@ -71,8 +71,8 @@ type traceKey struct {
 
 // partitionKey identifies the clustering a strategy spec (as compact JSON)
 // builds in a cell: equal keys build bit-identical clusterings. trace is
-// the cell's trace node, as a clustering may read the matrix, or -1 for a
-// built-in flat kind, which cannot (RegisterStrategy cannot shadow one).
+// the cell's trace node, as a hierarchical clustering reads the matrix, or
+// -1 for a flat kind, which reads only the rank count.
 type partitionKey struct {
 	place, trace int
 	spec         string
@@ -146,7 +146,7 @@ func PlanScenarios(cells []*Scenario) (*SweepPlan, error) {
 		for j, spec := range sc.Strategies {
 			cell.PartNodes[j], cell.loggedNodes[j] = -1, -1
 			pk := partitionKey{place: cell.PlacementNode, trace: cell.TraceNode}
-			if flatKinds[spec.Kind] {
+			if spec.Kind != "hierarchical" {
 				pk.trace = -1
 			} else if pk.trace < 0 {
 				plan.PartitionBuilds++ // private build over a private trace

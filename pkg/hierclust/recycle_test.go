@@ -4,76 +4,20 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
-	"reflect"
 	"runtime"
-	"sync"
 	"testing"
 
 	"hierclust/internal/core"
 	"hierclust/internal/graph"
-	"hierclust/internal/topology"
-	"hierclust/internal/trace"
 )
 
-// A built-in strategy's clustering and every strategy's score profile are
-// scratch inside the pipeline: their buffer goes back to the pipeline's free
-// list once the row that scores them is rendered (a private cell) or once
-// their last consumer finishes (a sweep's shared node). These tests pin that
-// the recycling changes no byte, never reaches a clustering a third-party
-// strategy keeps, keeps a warm Run from allocating a clustering or a profile
-// whatever the collector does, and holds no more buffers than were lent at
-// once.
-
-// cachedStrategy is a third-party strategy that keeps what it returns: one
-// clustering, built once, handed out by every Build.
-type cachedStrategy struct{ c *Clustering }
-
-func (s cachedStrategy) Name() string                                { return s.c.Name }
-func (s cachedStrategy) Build(Comm, *Placement) (*Clustering, error) { return s.c, nil }
-
-var cached struct {
-	once      sync.Once
-	c         *Clustering
-	placement *Placement
-}
-
-// registerCached registers the "cached-hierarchical" kind: the hierarchical
-// clustering of syntheticScenario's rig, the same object on every call. It
-// returns the clustering and the rig's placement.
-func registerCached(t *testing.T) (*Clustering, *Placement) {
-	t.Helper()
-	cached.once.Do(func() {
-		mach, err := topology.Tsubame2().Subset(32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cached.placement, err = topology.Block(mach, 256, 8); err != nil {
-			t.Fatal(err)
-		}
-		m, err := trace.NewStencil(256, trace.SyntheticOptions{Pattern: trace.Stencil2D, Width: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cached.c, err = core.Hierarchical(m, cached.placement, core.HierOptions{}); err != nil {
-			t.Fatal(err)
-		}
-		cached.c.Name = "cached-hierarchical"
-		MustRegisterStrategy("cached-hierarchical", func(StrategySpec) (Strategy, error) {
-			return cachedStrategy{cached.c}, nil
-		})
-	})
-	return cached.c, cached.placement
-}
-
-// cloneClustering copies a clustering into fresh memory.
-func cloneClustering(c *Clustering) *Clustering {
-	out := &Clustering{Name: c.Name, L1: append([]int32(nil), c.L1...)}
-	for _, g := range c.Groups {
-		out.Groups = append(out.Groups, append([]Rank(nil), g...))
-	}
-	return out
-}
+// Every strategy's clustering and score profile are scratch inside the
+// pipeline: their buffer goes back to the pipeline's free list once the row
+// that scores them is rendered (a private cell) or once their last consumer
+// finishes (a sweep's shared node). These tests pin that the recycling
+// changes no byte, keeps a warm Run from allocating a clustering or a
+// profile whatever the collector does, and holds no more buffers than were
+// lent at once.
 
 // runDoc is Run's document for sc on a fresh pipeline, which builds every
 // clustering in fresh memory.
@@ -96,111 +40,14 @@ func runDocOn(t *testing.T, pl *Pipeline, sc *Scenario) []byte {
 	return doc
 }
 
-// TestThirdPartyClusteringNeverRecycled: a registered strategy that returns
-// one cached clustering on every call runs next to the built-ins, which
-// rebuild at its rank count right after it, through Run, RunCell and two
-// 4-cell sweeps: one over two traces and two mixes, and one whose every
-// clustering node is shared by four mixes, weighed concurrently at 4
-// workers before its last consumer returns it. Its clustering keeps its L1
-// and groups, and every document equals a run before any of it. Its score
-// profile lives in a lent buffer, which is recycled; recycling the
-// clustering would hand it to the next built-in build. So after every route
-// the test builds and scores in every buffer the pipeline's free list
-// holds. Run it under -race.
-func TestThirdPartyClusteringNeverRecycled(t *testing.T) {
-	c, placement := registerCached(t)
-	orig := cloneClustering(c)
-	sc := syntheticScenario()
-	sc.Strategies = append([]StrategySpec{{Kind: "cached-hierarchical"}}, sc.Strategies...)
-	sweeps := []*Sweep{
-		{Name: "cached", Base: *sc, Axes: SweepAxes{
-			Mixes:  []MixSpec{{Transient: 0.05, NodeLoss: []float64{0.9}}, {Transient: 0.5, NodeLoss: []float64{0.5}}},
-			Traces: []TracePoint{{Iterations: 10}, {Iterations: 20}},
-		}},
-		{Name: "cached-shared", Base: *sc, Axes: SweepAxes{
-			Mixes: []MixSpec{{Transient: 0.05, NodeLoss: []float64{0.9}}, {Transient: 0.5, NodeLoss: []float64{0.5}},
-				{Transient: 0.05, NodeLoss: []float64{0.6, 0.3}, PairCorrelation: 0.5}, {Transient: 0.2, NodeLoss: []float64{0.5, 0.2, 0.1}}},
-		}},
-	}
-	wantRun := [][]byte{runDoc(t, sc, 1)}
-	wantSweeps := make([][][]byte, len(sweeps))
-	for k, sw := range sweeps {
-		cells, err := sw.Cells()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, cell := range cells {
-			wantSweeps[k] = append(wantSweeps[k], runDoc(t, cell, 1))
-		}
-	}
-
-	check := func(route string, pl *Pipeline, got, want [][]byte) {
-		t.Helper()
-		// Draw every buffer pl holds, and build and score in it at the
-		// cached clustering's rank count: any of its memory in there is
-		// overwritten.
-		bufs := make([]*core.ClusteringBuf, freeBufs(pl))
-		if len(bufs) == 0 {
-			t.Fatalf("%s: the pipeline holds no buffer", route)
-		}
-		for i := range bufs {
-			bufs[i] = pl.bufs.lend()
-			naive, err := bufs[i].Naive(len(c.L1), 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := bufs[i].Profile().Init(context.Background(), naive, placement); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, b := range bufs {
-			pl.bufs.give(b)
-		}
-		if !reflect.DeepEqual(c, orig) {
-			t.Fatalf("%s: the third-party clustering changed: the pipeline recycled it", route)
-		}
-		for i := range got {
-			if !bytes.Equal(got[i], want[i]) {
-				t.Fatalf("%s: document %d diverges from a run before it:\n%s\nvs\n%s", route, i, got[i], want[i])
-			}
-		}
-	}
-	for round := 0; round < 3; round++ {
-		for _, workers := range []int{1, 4} {
-			pl := NewPipeline(WithWorkers(workers))
-			check(fmt.Sprintf("Run, workers=%d", workers), pl, [][]byte{runDocOn(t, pl, sc)}, wantRun)
-			cell := pl.RunCell(context.Background(), sc, SweepOptions{})
-			if cell.Err != nil {
-				t.Fatal(cell.Err)
-			}
-			check(fmt.Sprintf("RunCell, workers=%d", workers), pl, [][]byte{cell.Doc}, wantRun)
-			for k, sw := range sweeps {
-				report, err := pl.RunSweep(context.Background(), sw, SweepOptions{Workers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				docs := make([][]byte, len(report.Cells))
-				for i, cell := range report.Cells {
-					if cell.Err != nil {
-						t.Fatal(cell.Err)
-					}
-					docs[i] = cell.Doc
-				}
-				if k == 1 && report.PartitionBuilds != int64(len(sc.Strategies)) {
-					t.Fatalf("sweep %q built %d clusterings for %d strategies: its cells do not share them", sw.Name, report.PartitionBuilds, len(sc.Strategies))
-				}
-				check(fmt.Sprintf("sweep %q, workers=%d", sw.Name, workers), pl, docs, wantSweeps[k])
-			}
-		}
-	}
-}
-
 // TestClusteringReuseInvisible: on one one-worker pipeline, where every
 // build after the first reuses a buffer an earlier build of another shape or
-// kind filled, Runs interleaved over three shapes (the last with a short
-// node) and all four built-in kinds give the documents of runs on fresh
+// kind filled, Runs and RunCells interleaved over three shapes (the last
+// with a short node) and all four kinds give the documents of runs on fresh
 // pipelines. So does a mixed flat and hierarchical sweep over those shapes
-// at 1, 2 and 8 workers. Run it under -race.
+// at 1, 2 and 8 workers, whose every clustering node four mixes weigh
+// concurrently before its last consumer gives the buffer back. Run it
+// under -race.
 func TestClusteringReuseInvisible(t *testing.T) {
 	shapes := []MachinePoint{{Nodes: 24, Ranks: 96, ProcsPerNode: 4}, {Nodes: 64, Ranks: 512, ProcsPerNode: 8}, {Nodes: 32, Ranks: 250, ProcsPerNode: 8}}
 	kinds := []StrategySpec{{Kind: "naive", Size: 16}, {Kind: "size-guided", Size: 8}, {Kind: "distributed", Size: 8}, {Kind: "hierarchical"}}
@@ -221,13 +68,17 @@ func TestClusteringReuseInvisible(t *testing.T) {
 			if got := runDocOn(t, warm, scenarios[i]); !bytes.Equal(got, want[i]) {
 				t.Fatalf("round %d, %d ranks: a warm run diverges from a cold one:\n%s\nvs\n%s", round, shapes[i].Ranks, got, want[i])
 			}
+			if cell := warm.RunCell(context.Background(), scenarios[i], SweepOptions{}); cell.Err != nil || !bytes.Equal(cell.Doc, want[i]) {
+				t.Fatalf("round %d, %d ranks: a warm RunCell diverges from a cold run (%v):\n%s\nvs\n%s", round, shapes[i].Ranks, cell.Err, cell.Doc, want[i])
+			}
 		}
 	}
 
 	sw := &Sweep{Name: "reuse", Base: *scenarios[0], Axes: SweepAxes{
 		Machines:   shapes,
 		Strategies: [][]StrategySpec{{kinds[0], kinds[3]}, {kinds[1], kinds[2]}, {kinds[3]}},
-		Mixes:      []MixSpec{{Transient: 0.05, NodeLoss: []float64{0.9}}, {Transient: 0.5, NodeLoss: []float64{0.5, 0.2}}},
+		Mixes: []MixSpec{{Transient: 0.05, NodeLoss: []float64{0.9}}, {Transient: 0.5, NodeLoss: []float64{0.5, 0.2}},
+			{Transient: 0.05, NodeLoss: []float64{0.6, 0.3}, PairCorrelation: 0.5}, {Transient: 0.2, NodeLoss: []float64{0.5, 0.2, 0.1}}},
 	}}
 	cells, err := sw.Cells()
 	if err != nil {

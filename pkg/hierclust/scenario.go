@@ -171,9 +171,7 @@ func (s *BaselineSpec) Baseline() Baseline {
 func (s *Scenario) Validate() error { return s.validate(true) }
 
 // validate is Validate, which checks the strategy list only when
-// strategies is set: Sweep.Cells checks a strategy set once, at the first
-// cell that uses it, as a factory's verdict reads the spec alone, and
-// Pipeline.Trace scores no strategy.
+// strategies is set: Pipeline.Trace scores no strategy.
 func (s *Scenario) validate(strategies bool) error {
 	if s == nil {
 		return fmt.Errorf("hierclust: nil scenario")
@@ -256,7 +254,7 @@ func (s *Scenario) validate(strategies bool) error {
 		return fmt.Errorf("hierclust: scenario %q: needs at least one strategy", s.Name)
 	}
 	for i := 0; strategies && i < len(s.Strategies); i++ {
-		if _, err := NewStrategy(s.Strategies[i]); err != nil {
+		if err := s.Strategies[i].check(); err != nil {
 			return fmt.Errorf("hierclust: scenario %q: strategy %d: %w", s.Name, i, err)
 		}
 	}

@@ -298,11 +298,10 @@ func TestScenarioVersionUnsupported(t *testing.T) {
 // Multilevel tuning knobs without multilevel itself must be rejected — dead
 // fields would split the result cache on meaningless keys.
 func TestHierSpecMultilevelKnobsRequireMultilevel(t *testing.T) {
-	_, err := NewStrategy(StrategySpec{Kind: "hierarchical", Hier: &HierSpec{CoarsenThreshold: 64}})
-	if err == nil {
+	if err := (StrategySpec{Kind: "hierarchical", Hier: &HierSpec{CoarsenThreshold: 64}}).check(); err == nil {
 		t.Fatal("accepted coarsen_threshold without multilevel")
 	}
-	if _, err := NewStrategy(StrategySpec{Kind: "hierarchical", Hier: &HierSpec{Multilevel: true, CoarsenThreshold: 64, MatchingRounds: 2}}); err != nil {
+	if err := (StrategySpec{Kind: "hierarchical", Hier: &HierSpec{Multilevel: true, CoarsenThreshold: 64, MatchingRounds: 2}}).check(); err != nil {
 		t.Fatalf("rejected valid multilevel spec: %v", err)
 	}
 }

@@ -10,10 +10,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"hierclust/internal/faultinject"
 	"hierclust/pkg/hierclust"
 )
 
@@ -143,26 +143,9 @@ func TestBatchSharesResultCache(t *testing.T) {
 	}
 }
 
-// countingStrategy is naive-8 that counts its builds.
-type countingStrategy struct{ builds *atomic.Int64 }
-
-var countingBuilds atomic.Int64
-
-func init() {
-	hierclust.MustRegisterStrategy("serve-counting", func(hierclust.StrategySpec) (hierclust.Strategy, error) {
-		return countingStrategy{&countingBuilds}, nil
-	})
-}
-
-func (countingStrategy) Name() string { return "serve-counting" }
-
-func (c countingStrategy) Build(_ hierclust.Comm, p *hierclust.Placement) (*hierclust.Clustering, error) {
-	c.builds.Add(1)
-	return hierclust.Naive(p.NumRanks(), 8)
-}
-
 // TestBatchSharesBuilds: a batch is planned like a sweep, so eight
-// scenarios that differ only in failure mix build their clustering once.
+// scenarios that differ only in failure mix build their clustering once
+// (counted at the pipeline.build fault point, armed with a zero delay).
 // Each line is byte-identical to /v1/evaluate of its document, and the
 // labels follow the plan: the first element built the trace.
 func TestBatchSharesBuilds(t *testing.T) {
@@ -171,13 +154,16 @@ func TestBatchSharesBuilds(t *testing.T) {
 		docs[k] = fmt.Sprintf(`{"name": "mix", "machine": {"nodes": 16},
 			"placement": {"ranks": 64, "procs_per_node": 4},
 			"trace": {"source": "synthetic", "iterations": 10},
-			"strategies": [{"kind": "serve-counting"}],
+			"strategies": [{"kind": "naive", "size": 8}],
 			"mix": {"transient": %g, "node_loss": [0.9, 0.05]}}`, 0.05*float64(k+1))
 	}
 	_, ts := newTestServer(t)
-	before := countingBuilds.Load()
+	defer faultinject.DisarmAll()
+	faultinject.Arm("pipeline.build", faultinject.Fault{Kind: faultinject.KindLatency})
 	_, lines := postBatch(t, ts.URL, "["+strings.Join(docs, ",")+"]")
-	if builds := countingBuilds.Load() - before; builds != 1 {
+	builds := faultinject.Triggered("pipeline.build")
+	faultinject.DisarmAll()
+	if builds != 1 {
 		t.Errorf("a batch of %d mixes built the clustering %d times, want 1", len(docs), builds)
 	}
 	if len(lines) != len(docs) {

@@ -103,6 +103,18 @@ func TestEvaluateRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestEvaluateUnknownKindBody: a strategy kind outside the four answers 400
+// with the message that lists them, byte for byte.
+func TestEvaluateUnknownKindBody(t *testing.T) {
+	_, ts := newTestServer(t)
+	resp, body := postEvaluate(t, ts.URL, `{"name":"x","machine":{"nodes":4},"placement":{"ranks":16,"procs_per_node":4},
+		"trace":{"source":"synthetic"},"strategies":[{"kind":"hierarchical"},{"kind":"magic"}]}`)
+	const want = `{"error":"hierclust: scenario \"x\": strategy 1: hierclust: unknown strategy kind \"magic\" (have [distributed hierarchical naive size-guided])"}`
+	if resp.StatusCode != http.StatusBadRequest || strings.TrimSpace(string(body)) != want {
+		t.Fatalf("unknown kind: %d %s, want 400 %s", resp.StatusCode, body, want)
+	}
+}
+
 // TestOversizedScenario422 is the live repro of a rank count the pipeline
 // cannot allocate: 2^30 ranks once passed validation, and the 8 GiB L1 array
 // it asked for was a runtime fatal no recover boundary catches. Evaluate, a

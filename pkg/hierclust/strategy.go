@@ -1,44 +1,22 @@
 package hierclust
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
-	"sync"
 
 	"hierclust/internal/core"
 	"hierclust/internal/graph"
 )
 
-// Strategy is a clustering strategy: given a communication matrix and a
-// placement, it produces a complete clustering decision (L1 containment
-// clusters plus L2 encoding groups). Implementations must be deterministic
-// — the pipeline caches and compares results byte-for-byte — and safe for
-// concurrent Build calls.
-type Strategy interface {
-	// Name labels the strategy in results and reports.
-	Name() string
-	// Build constructs the clustering for the given trace and placement.
-	Build(m Comm, p *Placement) (*Clustering, error)
-}
-
-// CtxStrategy is an optional extension of Strategy for builds long enough
-// to need cancellation: when a strategy implements it, the pipeline calls
-// BuildCtx instead of Build, and a cancelled context must make the build
-// return promptly (the built-in hierarchical strategy polls it between
-// partitioner phases). A build that ignores the context is merely slower
-// to cancel, never incorrect.
-type CtxStrategy interface {
-	Strategy
-	BuildCtx(ctx context.Context, m Comm, p *Placement) (*Clustering, error)
-}
-
-// StrategySpec declaratively selects and parameterizes a strategy inside a
-// Scenario. Kind names a registered factory; the remaining fields are that
-// factory's parameters (unused fields stay zero and are omitted from JSON).
+// StrategySpec declaratively selects and parameterizes one of the paper's
+// four clustering strategies inside a Scenario. Kind names the strategy;
+// the remaining fields are its parameters (unused fields stay zero and are
+// omitted from JSON). The set is closed: a spec builds itself (Build), and
+// every strategy is deterministic, so the pipeline caches and compares
+// results byte for byte.
 type StrategySpec struct {
-	// Kind is the registry key: "naive", "size-guided", "distributed",
-	// "hierarchical", or any third-party registration.
+	// Kind is "naive", "size-guided", "distributed" or "hierarchical".
 	Kind string `json:"kind"`
 	// Size is the cluster size for the flat strategies (naive,
 	// size-guided, distributed). 0 picks the kind's paper default.
@@ -80,164 +58,70 @@ func (h *HierSpec) Options() HierOptions {
 	}
 }
 
-// StrategyFactory instantiates a Strategy from its declarative spec,
-// validating parameters that do not depend on the machine (machine-dependent
-// validation belongs in Build).
-type StrategyFactory func(spec StrategySpec) (Strategy, error)
-
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]StrategyFactory{}
-)
-
-// RegisterStrategy adds a strategy factory under kind. Registering an
-// already-registered kind is an error: built-ins cannot be silently
-// shadowed, and double registration is almost always an init-order bug.
-func RegisterStrategy(kind string, f StrategyFactory) error {
-	if kind == "" || f == nil {
-		return fmt.Errorf("hierclust: RegisterStrategy needs a kind and a factory")
+// check validates spec's parameters that do not depend on the machine
+// (machine-dependent validation happens in the build). It allocates nothing
+// for a valid spec, so Scenario.Validate checks every cell of a sweep.
+func (s StrategySpec) check() error {
+	switch s.Kind {
+	case "naive", "size-guided", "distributed":
+		if s.Hier != nil {
+			return fmt.Errorf("hierclust: strategy %q does not accept hier options", s.Kind)
+		}
+		if s.Size < 0 {
+			return fmt.Errorf("hierclust: strategy %q size %d must be positive", s.Kind, s.Size)
+		}
+	case "hierarchical":
+		if s.Size != 0 {
+			return fmt.Errorf("hierclust: strategy \"hierarchical\" takes hier options, not size (got %d)", s.Size)
+		}
+		// Multilevel tuning without multilevel is a mistake, not a no-op:
+		// the user believes they tuned the partitioner, and the dead fields
+		// would split the result cache on meaningless keys.
+		if h := s.Hier; h != nil && !h.Multilevel && (h.CoarsenThreshold != 0 || h.MatchingRounds != 0) {
+			return fmt.Errorf("hierclust: hier options coarsen_threshold/matching_rounds apply only with multilevel")
+		}
+	default:
+		return fmt.Errorf("hierclust: unknown strategy kind %q (have [distributed hierarchical naive size-guided])", s.Kind)
 	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[kind]; dup {
-		return fmt.Errorf("hierclust: strategy kind %q already registered", kind)
-	}
-	registry[kind] = f
 	return nil
 }
 
-// MustRegisterStrategy is RegisterStrategy that panics on error, for use in
-// package init functions.
-func MustRegisterStrategy(kind string, f StrategyFactory) {
-	if err := RegisterStrategy(kind, f); err != nil {
-		panic(err)
+// Build constructs spec's clustering (L1 containment clusters plus L2
+// encoding groups) for the given trace and placement, in fresh memory.
+// The flat strategies read only the rank count; hierarchical partitions
+// the matrix.
+func (s StrategySpec) Build(m Comm, p *Placement) (*Clustering, error) {
+	return s.build(context.Background(), m, p, nil, nil)
+}
+
+// build is Build into buf, a hierarchical build's scratch in ar (nil for
+// either means fresh memory). The partitioner polls ctx between coarsening
+// levels and refinement passes, so cancelling a large build returns within
+// one phase (with the partitioner's error; the caller reports ctx's). An
+// uncancelled build's clustering is Build's.
+func (s StrategySpec) build(ctx context.Context, m Comm, p *Placement, buf *core.ClusteringBuf, ar *graph.Arena) (*Clustering, error) {
+	if err := s.check(); err != nil {
+		return nil, err
 	}
-}
-
-// NewStrategy resolves a spec against the registry.
-func NewStrategy(spec StrategySpec) (Strategy, error) {
-	registryMu.RLock()
-	f, ok := registry[spec.Kind]
-	registryMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("hierclust: unknown strategy kind %q (have %v)", spec.Kind, StrategyKinds())
+	// The flat defaults are the Table II configuration.
+	switch s.Kind {
+	case "naive":
+		return buf.Naive(p.NumRanks(), cmp.Or(s.Size, 32))
+	case "size-guided":
+		return buf.SizeGuided(p.NumRanks(), cmp.Or(s.Size, 8))
+	case "distributed":
+		return buf.Distributed(p.NumRanks(), cmp.Or(s.Size, 16))
 	}
-	return f(spec)
-}
-
-// StrategyKinds lists the registered kinds, sorted.
-func StrategyKinds() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	kinds := make([]string, 0, len(registry))
-	for k := range registry {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	return kinds
-}
-
-// The four built-in strategies of the paper. The flat three ignore the
-// communication matrix by construction; the hierarchical one partitions it.
-
-// builtinStrategy is a built-in strategy: it builds into a lent buffer, its
-// scratch in a lent arena, and the pipeline hands the clustering back once
-// it has scored it. A registered third-party strategy may keep what it
-// returns, so the pipeline never recycles its clustering.
-type builtinStrategy interface {
-	buildIn(ctx context.Context, m Comm, p *Placement, buf *core.ClusteringBuf, ar *graph.Arena) (*Clustering, error)
-}
-
-type flatStrategy struct {
-	kind  string
-	size  int
-	build func(buf *core.ClusteringBuf, nranks, size int) (*Clustering, error)
-}
-
-func (s *flatStrategy) Name() string { return fmt.Sprintf("%s-%d", s.kind, s.size) }
-
-func (s *flatStrategy) Build(m Comm, p *Placement) (*Clustering, error) {
-	return s.buildIn(context.Background(), m, p, nil, nil)
-}
-
-func (s *flatStrategy) buildIn(_ context.Context, _ Comm, p *Placement, buf *core.ClusteringBuf, _ *graph.Arena) (*Clustering, error) {
-	return s.build(buf, p.NumRanks(), s.size)
-}
-
-// flatKinds are the built-ins whose clustering reads the rank count alone.
-var flatKinds = map[string]bool{"naive": true, "size-guided": true, "distributed": true}
-
-type hierStrategy struct {
-	name string
-	opts HierOptions
-}
-
-func (s *hierStrategy) Name() string { return s.name }
-
-func (s *hierStrategy) Build(m Comm, p *Placement) (*Clustering, error) {
-	return s.BuildCtx(context.Background(), m, p)
-}
-
-// BuildCtx implements CtxStrategy: the partitioner polls the context
-// between coarsening levels and refinement passes, so cancelling mid-build
-// on a large machine returns within one phase instead of after the full
-// partition. The clustering of an uncancelled build is identical to
-// Build's.
-func (s *hierStrategy) BuildCtx(ctx context.Context, m Comm, p *Placement) (*Clustering, error) {
-	return s.buildIn(ctx, m, p, nil, nil)
-}
-
-func (s *hierStrategy) buildIn(ctx context.Context, m Comm, p *Placement, buf *core.ClusteringBuf, ar *graph.Arena) (*Clustering, error) {
-	opts := s.opts
+	opts := s.Hier.Options()
 	if ctx.Done() != nil {
 		opts.Cancel = func() bool { return ctx.Err() != nil }
 	}
 	c, err := buf.Hierarchical(ar, m, p, opts)
 	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
 		return nil, err
 	}
-	c.Name = s.name // distinguish non-default variants in results
+	c.Name = hierName(s.Hier) // distinguish non-default variants in results
 	return c, nil
-}
-
-// flatFactory builds a factory for one flat strategy kind with its paper
-// default size (naive 32, size-guided 8, distributed 16 — the Table II
-// configuration).
-func flatFactory(kind string, defaultSize int, build func(*core.ClusteringBuf, int, int) (*Clustering, error)) StrategyFactory {
-	return func(spec StrategySpec) (Strategy, error) {
-		if spec.Hier != nil {
-			return nil, fmt.Errorf("hierclust: strategy %q does not accept hier options", kind)
-		}
-		size := spec.Size
-		if size == 0 {
-			size = defaultSize
-		}
-		if size < 0 {
-			return nil, fmt.Errorf("hierclust: strategy %q size %d must be positive", kind, size)
-		}
-		return &flatStrategy{kind: kind, size: size, build: build}, nil
-	}
-}
-
-func init() {
-	MustRegisterStrategy("naive", flatFactory("naive", 32, (*core.ClusteringBuf).Naive))
-	MustRegisterStrategy("size-guided", flatFactory("size-guided", 8, (*core.ClusteringBuf).SizeGuided))
-	MustRegisterStrategy("distributed", flatFactory("distributed", 16, (*core.ClusteringBuf).Distributed))
-	MustRegisterStrategy("hierarchical", func(spec StrategySpec) (Strategy, error) {
-		if spec.Size != 0 {
-			return nil, fmt.Errorf("hierclust: strategy \"hierarchical\" takes hier options, not size (got %d)", spec.Size)
-		}
-		// Multilevel tuning without multilevel is a mistake, not a no-op:
-		// the user believes they tuned the partitioner, and the dead fields
-		// would split the result cache on meaningless keys.
-		if h := spec.Hier; h != nil && !h.Multilevel && (h.CoarsenThreshold != 0 || h.MatchingRounds != 0) {
-			return nil, fmt.Errorf("hierclust: hier options coarsen_threshold/matching_rounds apply only with multilevel")
-		}
-		return &hierStrategy{name: hierName(spec.Hier), opts: spec.Hier.Options()}, nil
-	})
 }
 
 // hierName distinguishes non-default hierarchical variants in results, the

@@ -1,145 +1,81 @@
 package hierclust
 
 import (
-	"context"
-	"fmt"
-	"strings"
 	"testing"
 )
 
+// TestStrategyKindsIncludeBuiltins: the four kinds are the whole set. Each
+// validates with its zero parameters, and any other kind is rejected with
+// the message that lists them, through StrategySpec and through a decoded
+// scenario alike.
 func TestStrategyKindsIncludeBuiltins(t *testing.T) {
-	kinds := strings.Join(StrategyKinds(), ",")
-	for _, want := range []string{"naive", "size-guided", "distributed", "hierarchical"} {
-		if !strings.Contains(kinds, want) {
-			t.Errorf("built-in kind %q missing from registry (%s)", want, kinds)
+	for _, kind := range []string{"naive", "size-guided", "distributed", "hierarchical"} {
+		if err := (StrategySpec{Kind: kind}).check(); err != nil {
+			t.Errorf("built-in kind %q rejected: %v", kind, err)
 		}
 	}
-}
-
-func TestRegisterStrategyRejectsDuplicates(t *testing.T) {
-	if err := RegisterStrategy("naive", func(StrategySpec) (Strategy, error) { return nil, nil }); err == nil {
-		t.Fatal("shadowing a built-in kind did not error")
+	const want = `hierclust: unknown strategy kind "nope" (have [distributed hierarchical naive size-guided])`
+	if err := (StrategySpec{Kind: "nope"}).check(); err == nil || err.Error() != want {
+		t.Fatalf("unknown kind: %v, want %s", err, want)
 	}
-	if err := RegisterStrategy("", nil); err == nil {
-		t.Fatal("empty registration did not error")
+	if _, err := (StrategySpec{Kind: "nope"}).Build(nil, nil); err == nil || err.Error() != want {
+		t.Fatalf("Build of an unknown kind: %v, want %s", err, want)
+	}
+	_, err := DecodeScenario([]byte(`{"name": "x", "machine": {"nodes": 4},
+		"placement": {"ranks": 16, "procs_per_node": 4}, "trace": {"source": "synthetic"},
+		"strategies": [{"kind": "hierarchical"}, {"kind": "nope"}]}`))
+	if wantDoc := `hierclust: scenario "x": strategy 1: ` + want; err == nil || err.Error() != wantDoc {
+		t.Fatalf("DecodeScenario: %v, want %s", err, wantDoc)
 	}
 }
 
 func TestFlatStrategyDefaultsAndValidation(t *testing.T) {
-	st, err := NewStrategy(StrategySpec{Kind: "naive"})
+	mach, err := Tsubame2().Subset(16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Name() != "naive-32" {
-		t.Fatalf("naive default = %q, want naive-32 (the paper's sweet spot)", st.Name())
+	placement, err := Block(mach, 64, 4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewStrategy(StrategySpec{Kind: "naive", Hier: &HierSpec{}}); err == nil {
-		t.Fatal("flat strategy accepted hier options")
+	// The paper's Table II configuration.
+	for kind, want := range map[string]string{"naive": "naive-32", "size-guided": "size-guided-8", "distributed": "distributed-16"} {
+		c, err := StrategySpec{Kind: kind}.Build(nil, placement)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Name != want {
+			t.Errorf("%s default = %q, want %s", kind, c.Name, want)
+		}
 	}
-	if _, err := NewStrategy(StrategySpec{Kind: "hierarchical", Size: 8}); err == nil {
-		t.Fatal("hierarchical strategy accepted a flat size")
-	}
-	if _, err := NewStrategy(StrategySpec{Kind: "nope"}); err == nil {
-		t.Fatal("unknown kind resolved")
+	for _, bad := range []StrategySpec{
+		{Kind: "naive", Hier: &HierSpec{}},
+		{Kind: "distributed", Size: -1},
+		{Kind: "hierarchical", Size: 8},
+	} {
+		if err := bad.check(); err == nil {
+			t.Errorf("%+v accepted", bad)
+		}
+		if _, err := bad.Build(nil, placement); err == nil {
+			t.Errorf("%+v built", bad)
+		}
 	}
 }
 
 // TestHierarchicalVariantNames: hierarchical variants must be
 // distinguishable in results, like the flat strategies' "naive-32".
 func TestHierarchicalVariantNames(t *testing.T) {
-	plain, err := NewStrategy(StrategySpec{Kind: "hierarchical"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Name() != "hierarchical" {
-		t.Fatalf("default name = %q, want hierarchical", plain.Name())
-	}
-	variant, err := NewStrategy(StrategySpec{Kind: "hierarchical", Hier: &HierSpec{
-		MinNodesPerL1: 8, SubgroupNodes: 4, AlignPowerPairs: true,
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if variant.Name() != "hierarchical-min8-sub4-pairs" {
-		t.Fatalf("variant name = %q, want hierarchical-min8-sub4-pairs", variant.Name())
-	}
-}
-
-// everyOther is a deliberately simple third-party strategy: two striped
-// containment clusters, paired encoding groups inside each.
-type everyOther struct{}
-
-func (everyOther) Name() string { return "every-other" }
-
-func (everyOther) Build(m Comm, p *Placement) (*Clustering, error) {
-	n := p.NumRanks()
-	c := &Clustering{Name: "every-other", L1: make([]int32, n)}
-	for r := 0; r < n; r++ {
-		c.L1[r] = int32(r % 2)
-	}
-	for base := 0; base+3 < n; base += 4 {
-		c.Groups = append(c.Groups,
-			[]Rank{Rank(base), Rank(base + 2)},
-			[]Rank{Rank(base + 1), Rank(base + 3)})
-	}
-	return c, nil
-}
-
-// TestThirdPartyStrategy registers an out-of-repo strategy and runs it
-// through the full scenario pipeline next to a built-in — the registry's
-// reason to exist.
-func TestThirdPartyStrategy(t *testing.T) {
-	if err := RegisterStrategy("every-other", func(spec StrategySpec) (Strategy, error) {
-		return everyOther{}, nil
-	}); err != nil {
-		// Another test in this process may have registered it already.
-		if !strings.Contains(err.Error(), "already registered") {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		hier *HierSpec
+		want string
+	}{
+		{nil, "hierarchical"},
+		{&HierSpec{}, "hierarchical"},
+		{&HierSpec{MinNodesPerL1: 8, SubgroupNodes: 4, AlignPowerPairs: true}, "hierarchical-min8-sub4-pairs"},
+		{&HierSpec{Multilevel: true, CoarsenThreshold: 64}, "hierarchical-ml-ct64"},
+	} {
+		if got := hierName(tc.hier); got != tc.want {
+			t.Errorf("hierName(%+v) = %q, want %s", tc.hier, got, tc.want)
 		}
 	}
-	sc := &Scenario{
-		Name:      "third-party",
-		Machine:   MachineSpec{Nodes: 16},
-		Placement: PlacementSpec{Ranks: 64, ProcsPerNode: 4},
-		Trace:     TraceSpec{Source: "synthetic", Iterations: 10},
-		Strategies: []StrategySpec{
-			{Kind: "every-other"},
-			{Kind: "hierarchical"},
-		},
-	}
-	res, err := NewPipeline().Run(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Evaluations) != 2 {
-		t.Fatalf("got %d evaluations, want 2", len(res.Evaluations))
-	}
-	if res.Evaluations[0].Strategy != "every-other" {
-		t.Fatalf("first evaluation is %q, want every-other", res.Evaluations[0].Strategy)
-	}
-	// Striped clusters cut every stencil edge: logging must be ~100%.
-	if lf := res.Evaluations[0].LoggedFraction; lf < 0.9 {
-		t.Errorf("every-other logged fraction = %v, want ~1 (striped clusters log everything)", lf)
-	}
-	if res.Evaluations[1].Strategy != "hierarchical" {
-		t.Fatalf("second evaluation is %q, want hierarchical", res.Evaluations[1].Strategy)
-	}
-}
-
-func ExampleRegisterStrategy() {
-	// Third-party strategies join the registry and then participate in
-	// scenarios exactly like the built-ins.
-	_ = RegisterStrategy("example-naive-4", func(spec StrategySpec) (Strategy, error) {
-		return exampleNaive4{}, nil
-	})
-	st, _ := NewStrategy(StrategySpec{Kind: "example-naive-4"})
-	fmt.Println(st.Name())
-	// Output: example-naive-4
-}
-
-type exampleNaive4 struct{}
-
-func (exampleNaive4) Name() string { return "example-naive-4" }
-func (exampleNaive4) Build(m Comm, p *Placement) (*Clustering, error) {
-	return Naive(p.NumRanks(), 4)
 }

@@ -205,8 +205,7 @@ func (sw *Sweep) Cells() ([]*Scenario, error) {
 						sc.Trace.Pattern = cmp.Or(tp.Pattern, sc.Trace.Pattern)
 						sc.Trace.Width = cmp.Or(tp.Width, sc.Trace.Width)
 						sc.Trace.BytesPerMsg = cmp.Or(tp.BytesPerMsg, sc.Trace.BytesPerMsg)
-						// A set's first cell is (0, 0, si, 0, 0), and every other follows it.
-						if err := sc.validate(mi == 0 && pi == 0 && xi == 0 && ti == 0); err != nil {
+						if err := sc.Validate(); err != nil {
 							return nil, fmt.Errorf("hierclust: sweep %q: cell %q: %w", sw.Name, sc.Name, err)
 						}
 						out = append(out, &window(&scs, sc)[0])

@@ -7,10 +7,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"os"
 	"path/filepath"
-	"strings"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -295,51 +294,57 @@ func TestRunSweepCellTimeoutSparesSharedProfile(t *testing.T) {
 	}
 }
 
-// blockingStrategy's build waits for its context to end, giving up on its
-// own only after blockingGiveUp: a partition that would run to completion.
-type blockingStrategy struct{}
-
-const blockingGiveUp = 3 * time.Second
-
-func (blockingStrategy) Name() string { return "blocking" }
-
-func (blockingStrategy) Build(m Comm, p *Placement) (*Clustering, error) {
-	return blockingStrategy{}.BuildCtx(context.Background(), m, p)
-}
-
-func (blockingStrategy) BuildCtx(ctx context.Context, _ Comm, _ *Placement) (*Clustering, error) {
-	select {
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-time.After(blockingGiveUp):
-		return nil, errors.New("blocking: gave up")
-	}
-}
-
 // TestSweepSharedBuildTimeout: a shared partition build is bounded by the
 // cell timeout like a private one, so a sweep cell — alone, or sharing the
 // build with a sibling — fails with context.DeadlineExceeded soon after the
-// deadline instead of waiting for the build to finish by itself.
+// deadline instead of waiting for the build to finish by itself. The build
+// is the multilevel partition of 131,072 nodes, which polls the context
+// between coarsening levels and refinement passes; the timeout is a tenth
+// of the sweep's uncancelled run and the bound half of it, so the test
+// scales with the host.
 func TestSweepSharedBuildTimeout(t *testing.T) {
-	if err := RegisterStrategy("blocking", func(StrategySpec) (Strategy, error) { return blockingStrategy{}, nil }); err != nil &&
-		!strings.Contains(err.Error(), "already registered") { // -count > 1
-		t.Fatal(err)
+	if testing.Short() {
+		t.Skip("512k-rank partition in -short mode")
 	}
 	base := sweepBase()
-	base.Strategies = []StrategySpec{{Kind: "blocking"}}
-	for _, mixes := range [][]MixSpec{
-		nil, // one cell
-		{{Transient: 0.05, NodeLoss: []float64{0.9}}, {Transient: 0.5, NodeLoss: []float64{0.5}}},
-	} {
+	base.Machine = MachineSpec{Nodes: 131072}
+	base.Placement = PlacementSpec{Ranks: 524288, ProcsPerNode: 4}
+	base.Trace = TraceSpec{Source: "synthetic", Iterations: 2}
+	base.Strategies = []StrategySpec{{Kind: "hierarchical", Hier: &HierSpec{Multilevel: true}}}
+	shared := []MixSpec{{Transient: 0.05, NodeLoss: []float64{0.9}}, {Transient: 0.5, NodeLoss: []float64{0.5}}}
+	// One pipeline serves every sweep, so its build memory is warm and the
+	// timed sweeps measure the build, not page faults of a fresh arena.
+	pl := NewPipeline(WithWorkers(2))
+	sweep := func(mixes []MixSpec, timeout time.Duration) (*SweepReport, time.Duration) {
 		sw := &Sweep{Name: "build-timeout", Base: base, Axes: SweepAxes{Mixes: mixes}}
 		start := time.Now()
-		report, err := NewPipeline(WithWorkers(2)).RunSweep(context.Background(), sw,
-			SweepOptions{Workers: 2, CellTimeout: 50 * time.Millisecond})
+		report, err := pl.RunSweep(context.Background(), sw, SweepOptions{Workers: 2, CellTimeout: timeout})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if took := time.Since(start); took > time.Second {
-			t.Errorf("%d-cell sweep took %v, want well under 1s", len(report.Cells), took)
+		return report, time.Since(start)
+	}
+	var full time.Duration
+	for range 2 {
+		var report *SweepReport
+		report, full = sweep(shared, 0)
+		for i, cell := range report.Cells {
+			if cell.Err != nil {
+				t.Fatalf("uncancelled sweep: cell %d: %v", i, cell.Err)
+			}
+		}
+	}
+	timeout, bound := full/10, full/2
+	if racedetect.Enabled {
+		// The detector slows the unpolled stages (the node fold, the
+		// scoring) more than the polled partition: ≈0.4 of a run here.
+		bound = full * 3 / 4
+	}
+	for _, mixes := range [][]MixSpec{nil, shared} { // one cell, then two sharing the build
+		report, took := sweep(mixes, timeout)
+		t.Logf("%d-cell sweep with a %v cell timeout took %v (uncancelled %v)", len(report.Cells), timeout, took, full)
+		if took > bound {
+			t.Errorf("%d-cell sweep took %v, want under %v (the uncancelled run is %v)", len(report.Cells), took, bound, full)
 		}
 		for i, cell := range report.Cells {
 			if !errors.Is(cell.Err, context.DeadlineExceeded) {
@@ -520,10 +525,9 @@ func TestPlanSweepAllocsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Per cell: its name and cache key; a strategy set is instantiated at
-	// its first cell only, and the mix is checked on the stack. Per distinct
-	// node: map growth, and a spec's JSON for a partition node; the slabs
-	// and the strategy sets' instances fit in that room.
+	// Per cell: its name and cache key; its strategy specs and its mix are
+	// checked without allocating. Per distinct node: map growth, and a
+	// spec's JSON for a partition node; the slabs fit in that room.
 	const perCell, perNode = 2, 4
 	nodes := plan.nodes[0] + plan.nodes[1] + plan.nodes[2] + plan.nodes[3]
 	bound := float64(perCell*len(plan.Cells) + perNode*nodes)
@@ -558,9 +562,9 @@ func TestRunPlannedSweepAllocsBounded(t *testing.T) {
 	got := testing.AllocsPerRun(20, run)
 	// Per cell: the Result with its loop, Evaluations, the mix, the document
 	// and the violations with their slice (1.75 a cell here). Per trace or
-	// clustering build: the stencil, a strategy instance, a clustering's
-	// headers and a hierarchical build's levels; the run's report and node
-	// tables fit in that room.
+	// clustering build: the stencil, a clustering's headers and a
+	// hierarchical build's levels; the run's report and node tables
+	// fit in that room.
 	const perCell, perBuild = 6, 6
 	builds := plan.TraceBuilds + plan.PartitionBuilds
 	bound := float64(perCell*len(plan.Cells) + perBuild*builds)
@@ -571,42 +575,30 @@ func TestRunPlannedSweepAllocsBounded(t *testing.T) {
 	}
 }
 
-// traceSized is a third-party strategy whose clustering reads the matrix:
-// its cluster size follows the magnitude of the trace's message count.
-type traceSized struct{}
-
-func (traceSized) Name() string { return "trace-sized" }
-
-func (traceSized) Build(m Comm, p *Placement) (*Clustering, error) {
-	return Naive(p.NumRanks(), 2<<(bits.Len64(uint64(m.TotalMsgs()))%3))
-}
-
-// TestRunSweepThirdPartyStrategyPerTrace: only the built-in flat kinds drop
-// the trace from their partition key. A registered strategy that reads the
-// matrix gets one partition node per trace point while naive shares one
-// across both, and every cell's document is Pipeline.Run's byte for byte.
-func TestRunSweepThirdPartyStrategyPerTrace(t *testing.T) {
-	if err := RegisterStrategy("trace-sized", func(StrategySpec) (Strategy, error) { return traceSized{}, nil }); err != nil &&
-		!strings.Contains(err.Error(), "already registered") { // -count > 1
-		t.Fatal(err)
-	}
+// TestRunSweepHierarchicalPerTrace: only the flat kinds drop the trace
+// from their partition key. Hierarchical, which partitions the matrix, gets
+// one partition node per trace point while naive shares one across both,
+// and every cell's document is Pipeline.Run's byte for byte. The two trace
+// points' stencil widths partition the nodes differently, so a wrong share
+// would show.
+func TestRunSweepHierarchicalPerTrace(t *testing.T) {
 	base := sweepBase()
-	base.Strategies = []StrategySpec{{Kind: "trace-sized"}, {Kind: "naive", Size: 8}}
-	sw := &Sweep{Name: "third-party", Base: base, Axes: SweepAxes{
+	base.Strategies = []StrategySpec{{Kind: "hierarchical"}, {Kind: "naive", Size: 8}}
+	sw := &Sweep{Name: "per-trace", Base: base, Axes: SweepAxes{
 		Mixes: []MixSpec{
 			{Transient: 0.05, NodeLoss: []float64{0.9, 0.05}},
 			{Transient: 0.5, NodeLoss: []float64{0.5}},
 		},
-		Traces: []TracePoint{{Iterations: 10}, {Iterations: 20}},
+		Traces: []TracePoint{{Width: 4}, {Width: 16}},
 	}}
 	plan, err := PlanSweep(sw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	perTrace := map[int]int{} // trace node → trace-sized partition node
+	perTrace := map[int]int{} // trace node → hierarchical partition node
 	for _, cell := range plan.Cells {
 		if id, ok := perTrace[cell.TraceNode]; ok && id != cell.PartNodes[0] {
-			t.Errorf("cell %d: trace-sized partition node %d, its trace point's is %d", cell.Index, cell.PartNodes[0], id)
+			t.Errorf("cell %d: hierarchical partition node %d, its trace point's is %d", cell.Index, cell.PartNodes[0], id)
 		}
 		perTrace[cell.TraceNode] = cell.PartNodes[0]
 		if cell.PartNodes[1] != plan.Cells[0].PartNodes[1] {
@@ -614,7 +606,7 @@ func TestRunSweepThirdPartyStrategyPerTrace(t *testing.T) {
 		}
 	}
 	if len(perTrace) != 2 || perTrace[0] == perTrace[1] {
-		t.Errorf("trace-sized partition nodes by trace node %v, want one per trace point", perTrace)
+		t.Errorf("hierarchical partition nodes by trace node %v, want one per trace point", perTrace)
 	}
 	report, err := NewPipeline(WithWorkers(2)).RunPlannedSweep(context.Background(), plan, SweepOptions{Workers: 2})
 	if err != nil {
@@ -623,9 +615,10 @@ func TestRunSweepThirdPartyStrategyPerTrace(t *testing.T) {
 	if report.PartitionBuilds != 3 {
 		t.Errorf("%d partition builds, want 3", report.PartitionBuilds)
 	}
-	clusters := map[int]bool{}
+	var l1 [][]int32
 	for i, cell := range report.Cells {
-		res, err := NewPipeline(WithWorkers(1)).Run(context.Background(), plan.Cells[i].Scenario)
+		sc := plan.Cells[i].Scenario
+		res, err := NewPipeline(WithWorkers(1)).Run(context.Background(), sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -636,10 +629,18 @@ func TestRunSweepThirdPartyStrategyPerTrace(t *testing.T) {
 		if cell.Err != nil || !bytes.Equal(cell.Doc, want) {
 			t.Errorf("cell %d (%s) diverges from Pipeline.Run (%v):\n%s\nvs\n%s", i, cell.Scenario, cell.Err, cell.Doc, want)
 		}
-		clusters[res.Evaluations[0].L1Clusters] = true
+		comm, placement, err := NewPipeline().Trace(context.Background(), sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := sc.Strategies[0].Build(comm, placement)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l1 = append(l1, c.L1)
 	}
-	if len(clusters) != 2 {
-		t.Fatalf("trace-sized built %d distinct clusterings over two trace points, want 2: the test cannot tell a wrong share", len(clusters))
+	if slices.Equal(l1[0], l1[1]) {
+		t.Fatal("hierarchical built one clustering over two trace points: the test cannot tell a wrong share")
 	}
 }
 
