@@ -155,8 +155,9 @@ func BenchmarkCkptCycle(b *testing.B) {
 	}
 }
 
-// BenchmarkXOREncode measures the single-parity XOR codec (the L3-xor
-// cheap alternative), now word-wide.
+// BenchmarkXOREncode measures the single-parity XOR codec, word-wide: the
+// per-parity bound an RS(k, k) encode is read against (no checkpoint level
+// uses XOR).
 func BenchmarkXOREncode(b *testing.B) {
 	const shard = 1 << 20
 	for _, k := range []int{8, 32} {
@@ -363,13 +364,13 @@ func BenchmarkHierarchical128k(b *testing.B) {
 		b.Fatal(err)
 	}
 	opts, buf, ar := core.HierOptions{Multilevel: true}, new(core.ClusteringBuf), new(graph.Arena)
-	if _, err := buf.Hierarchical(ar, stencil, placement, opts); err != nil {
+	if _, err := buf.Hierarchical(ar, stencil, placement, opts, nil); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := buf.Hierarchical(ar, stencil, placement, opts); err != nil {
+		if _, err := buf.Hierarchical(ar, stencil, placement, opts, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -392,7 +393,7 @@ func BenchmarkScore128k(b *testing.B) {
 		b.Fatal(err)
 	}
 	buf := new(core.ClusteringBuf)
-	c, err := buf.Hierarchical(nil, stencil, placement, core.HierOptions{Multilevel: true})
+	c, err := buf.Hierarchical(nil, stencil, placement, core.HierOptions{Multilevel: true}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

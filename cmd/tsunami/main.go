@@ -78,7 +78,7 @@ func main() {
 		if nodes < 4 {
 			minNodes = nodes
 		}
-		cl, err := hierclust.Hierarchical(m, placement, hierclust.HierOptions{
+		cl, err := hierclust.Hierarchical(m, placement, hierclust.HierSpec{
 			MinNodesPerL1: minNodes, SubgroupNodes: minNodes,
 		})
 		if err != nil {

@@ -60,7 +60,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	hier, err := hierclust.Hierarchical(m, placement, hierclust.HierOptions{})
+	hier, err := hierclust.Hierarchical(m, placement, hierclust.HierSpec{})
 	if err != nil {
 		log.Fatal(err)
 	}

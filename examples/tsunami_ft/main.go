@@ -45,7 +45,7 @@ func main() {
 	}); err != nil {
 		log.Fatal(err)
 	}
-	clustering, err := hierclust.Hierarchical(rec.Freeze(), placement, hierclust.HierOptions{})
+	clustering, err := hierclust.Hierarchical(rec.Freeze(), placement, hierclust.HierSpec{})
 	if err != nil {
 		log.Fatal(err)
 	}

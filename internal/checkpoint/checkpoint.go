@@ -43,11 +43,6 @@ const (
 	L3Encoded Level = 3
 	// L4PFS is a checkpoint on the parallel file system.
 	L4PFS Level = 4
-	// L3XOR adds single-parity XOR across the encoding group: k times
-	// cheaper to encode than RS(k,k) but tolerating only one lost member
-	// per group — the cheap codec the paper cites alongside Reed–Solomon
-	// (§II-B.1, references [7][20]).
-	L3XOR Level = 5
 )
 
 // String names the level as FTI does.
@@ -59,8 +54,6 @@ func (l Level) String() string {
 		return "L2-partner"
 	case L3Encoded:
 		return "L3-encoded"
-	case L3XOR:
-		return "L3-xor"
 	case L4PFS:
 		return "L4-pfs"
 	}
@@ -108,8 +101,8 @@ type Result struct {
 	// PartnerTime is the simulated network+write time of partner copies.
 	PartnerTime time.Duration
 	// EncodeWallTime is the measured wall-clock time of the slowest real
-	// group encode (RS for L3Encoded, XOR for L3XOR). Groups are encoded
-	// one after another; this is the longest of them, not their sum.
+	// Reed–Solomon group encode. Groups are encoded one after another;
+	// this is the longest of them, not their sum.
 	EncodeWallTime time.Duration
 	// EncodeModelTime is the modeled paper-scale encode time for the same
 	// group size, per erasure.ModelEncodeSeconds.
@@ -127,20 +120,13 @@ type Manager struct {
 	memberOf  map[topology.Rank]member
 	meta      map[int]*versionMeta
 
-	// codecs caches the RS(k, k) and XOR codecs by group size: building an
-	// RS codec inverts a k×k matrix and compiles the coefficient tables, so
-	// it is paid once per group shape, not once per checkpoint round.
-	codecs map[int]*groupCodec
+	// codecs caches the RS(k, k) codec by group size: building one inverts
+	// a k×k matrix and compiles the coefficient tables, so it is paid once
+	// per group shape, not once per checkpoint round.
+	codecs map[int]*erasure.GroupEncoder
 	// decodeWall accumulates measured erasure reconstruction wall time
-	// (RS and XOR group decodes); hybrid recovery drains it per failure
-	// event.
+	// (RS group decodes); hybrid recovery drains it per failure event.
 	decodeWall time.Duration
-}
-
-// groupCodec holds the codecs of one group size.
-type groupCodec struct {
-	rs  *erasure.GroupEncoder
-	xor *erasure.XOR
 }
 
 // New creates a manager. groups lists the encoding groups (the L2 clusters
@@ -154,7 +140,7 @@ func New(cluster *storage.Cluster, placement *topology.Placement, groups [][]top
 		groups:    make([][]topology.Rank, len(groups)),
 		memberOf:  make(map[topology.Rank]member, len(members)),
 		meta:      map[int]*versionMeta{},
-		codecs:    map[int]*groupCodec{},
+		codecs:    map[int]*erasure.GroupEncoder{},
 	}
 	for gi, g := range groups {
 		if len(g) < 2 {
@@ -183,21 +169,16 @@ func (m *Manager) Groups() [][]topology.Rank {
 	return out
 }
 
-// codecFor returns the cached RS(k, k) (the FTI layout) and XOR codecs for
-// groups of k members; the RS codec both encodes and decodes.
-func (m *Manager) codecFor(k int) (*groupCodec, error) {
+// codecFor returns the cached RS(k, k) codec (the FTI layout) for groups of
+// k members; it both encodes and decodes.
+func (m *Manager) codecFor(k int) (*erasure.GroupEncoder, error) {
 	if c, ok := m.codecs[k]; ok {
 		return c, nil
 	}
-	rs, err := erasure.NewGroupEncoder(k, k, 0, 0)
+	c, err := erasure.NewGroupEncoder(k, k, 0, 0)
 	if err != nil {
 		return nil, err
 	}
-	xor, err := erasure.NewXOR(k)
-	if err != nil {
-		return nil, err
-	}
-	c := &groupCodec{rs: rs, xor: xor}
 	m.codecs[k] = c
 	return c, nil
 }
@@ -251,7 +232,7 @@ func (m *Manager) wholeGroups(version int, data map[topology.Rank][]byte) error 
 	return nil
 }
 
-// DrainDecodeTime returns the erasure (RS or XOR) reconstruction wall time
+// DrainDecodeTime returns the Reed–Solomon reconstruction wall time
 // accumulated since the last drain (hybrid recovery reports it per failure
 // event).
 func (m *Manager) DrainDecodeTime() time.Duration {
@@ -264,15 +245,14 @@ func (m *Manager) DrainDecodeTime() time.Duration {
 func keyL1(r topology.Rank, v int) storage.Key  { return storage.NewKey("l1", int(r), v) }
 func keyL2(r topology.Rank, v int) storage.Key  { return storage.NewKey("l2p", int(r), v) }
 func keyL3(g, i, v int) storage.Key             { return storage.NewKey("l3p", g, i, v) }
-func keyXOR(g, v int) storage.Key               { return storage.NewKey("l3x", g, v) }
 func keyPFS(r topology.Rank, v int) storage.Key { return storage.NewKey("l4", int(r), v) }
 
 // Checkpoint saves data (rank → blob) at the given version and level.
 // Lower levels are implied: L3 also writes L1; L2 also writes L1. The blobs
 // are only read and never kept: every level stores its own copy. A rank
-// outside the placement, an unknown level, L2 on a single node and L3 or
-// L3-XOR on a partly present group are errors, returned before anything is
-// written or the version is recorded.
+// outside the placement, an unknown level, L2 on a single node and L3 on a
+// partly present group are errors, returned before anything is written or
+// the version is recorded.
 func (m *Manager) Checkpoint(version int, level Level, data map[topology.Rank][]byte) (*Result, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("checkpoint: no data for version %d", version)
@@ -290,7 +270,7 @@ func (m *Manager) Checkpoint(version int, level Level, data map[topology.Rank][]
 		if n := m.placement.NumUsed(); n < 2 {
 			return nil, fmt.Errorf("checkpoint: partner copies need at least 2 nodes, have %d", n)
 		}
-	case L3Encoded, L3XOR:
+	case L3Encoded:
 		if err := m.wholeGroups(version, data); err != nil {
 			return nil, err
 		}
@@ -318,47 +298,12 @@ func (m *Manager) Checkpoint(version int, level Level, data map[topology.Rank][]
 		if err := m.encodeGroups(version, data, vm, res); err != nil {
 			return nil, err
 		}
-	case L3XOR:
-		if err := m.xorGroups(version, data, res); err != nil {
-			return nil, err
-		}
 	case L4PFS:
 		if err := m.writePFS(version, data, vm.ranks, res); err != nil {
 			return nil, err
 		}
 	}
 	return res, nil
-}
-
-// xorGroups computes one XOR parity shard per group and stores it on the
-// node of the group's first member. A group survives any single member
-// loss (and, because the parity lives on a member's node, the loss of any
-// *other* node entirely).
-func (m *Manager) xorGroups(version int, data map[topology.Rank][]byte, res *Result) error {
-	for gi, group := range m.groups {
-		shards, size := groupShards(group, data)
-		if shards == nil {
-			continue
-		}
-		codec, err := m.codecFor(len(group))
-		if err != nil {
-			return err
-		}
-		parity := make([]byte, size) // handed to the store below
-		start := time.Now()
-		if err := codec.xor.Encode(shards, parity); err != nil {
-			return fmt.Errorf("checkpoint: group %d xor encode: %w", gi, err)
-		}
-		res.EncodeWallTime = max(res.EncodeWallTime, time.Since(start))
-		st, err := m.cluster.Local(m.placement.NodeOf(group[0]))
-		if err != nil {
-			return err
-		}
-		if _, err := st.PutOwned(keyXOR(gi, version), parity); err != nil {
-			return fmt.Errorf("checkpoint: group %d xor parity: %w", gi, err)
-		}
-	}
-	return nil
 }
 
 // writeLocal copies each node's blobs into one exact-size slab and stores
@@ -455,7 +400,7 @@ func (m *Manager) encodeGroups(version int, data map[topology.Rank][]byte, vm *v
 		for i := range k {
 			parity = append(parity, slab[i*size:(i+1)*size:(i+1)*size])
 		}
-		gres, err := codec.rs.EncodeInto(shards, parity)
+		gres, err := codec.EncodeInto(shards, parity)
 		if err != nil {
 			return fmt.Errorf("checkpoint: group %d encode: %w", gi, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"hierclust/internal/storage"
@@ -272,9 +273,10 @@ func TestCheckpointValidation(t *testing.T) {
 	// A refused checkpoint is refused before anything is written: it
 	// records no version and leaves no key on any node store (every
 	// checkpoint below is refused, so the stores stay empty).
-	refused := func(cl *storage.Cluster, mgr *Manager, nodes, version int, level Level, data map[topology.Rank][]byte, what string) {
+	refused := func(cl *storage.Cluster, mgr *Manager, nodes, version int, level Level, data map[topology.Rank][]byte, what string) error {
 		t.Helper()
-		if _, err := mgr.Checkpoint(version, level, data); err == nil {
+		_, err := mgr.Checkpoint(version, level, data)
+		if err == nil {
 			t.Errorf("%v accepted %s", level, what)
 		}
 		if slices.Contains(mgr.Versions(), version) {
@@ -289,18 +291,23 @@ func TestCheckpointValidation(t *testing.T) {
 				t.Errorf("%v with %s left %v on node %d", level, what, keys, n)
 			}
 		}
+		return err
 	}
-	refused(cl, mgr, 2, 1, Level(9), map[topology.Rank][]byte{0: {1}}, "an unknown level")
+	// 5 is the first value past the four levels.
+	for _, level := range []Level{5, 9} {
+		if err := refused(cl, mgr, 2, 1, level, map[topology.Rank][]byte{0: {1}}, "an unknown level"); err != nil && !strings.Contains(err.Error(), "unknown level") {
+			t.Errorf("%v refused for another reason: %v", level, err)
+		}
+	}
 	// L2 needs a second node for the partner copies.
 	_, cl1, mgr1 := rig(t, 1, 2, 0)
 	refused(cl1, mgr1, 1, 2, L2Partner, map[topology.Rank][]byte{0: {1}, 1: {2}}, "one node")
-	// L3 and L3-XOR require whole groups.
+	// L3 requires whole groups.
 	p2, cl2, mgr2 := rig(t, 4, 1, 4)
 	partial := map[topology.Rank][]byte{0: {1}}
 	refused(cl2, mgr2, 4, 3, L3Encoded, partial, "a partial group")
-	refused(cl2, mgr2, 4, 4, L3XOR, partial, "a partial group")
 	// A rank outside the placement is refused at every level.
-	for _, level := range []Level{L1Local, L2Partner, L3Encoded, L3XOR, L4PFS} {
+	for _, level := range []Level{L1Local, L2Partner, L3Encoded, L4PFS} {
 		for _, bad := range []topology.Rank{-1, topology.Rank(p2.NumRanks())} {
 			data := blobs(p2, 12, 16)
 			data[bad] = []byte{1}

@@ -111,7 +111,7 @@ func TestL3RoundTripProperty(t *testing.T) {
 
 // TestNoAliasingWithStores mutates checkpointed inputs and restored outputs
 // after the calls that saw them; later restores must not notice, on the
-// local, RS and XOR paths alike. Stored blobs are cap-clipped parts of
+// local and RS paths alike. Stored blobs are cap-clipped parts of
 // per-node and per-group slabs: no view reaches past its own bytes, and
 // replacing one member's L1 copy or failing its node leaves its slab
 // neighbours' restores intact.
@@ -124,7 +124,7 @@ func TestNoAliasingWithStores(t *testing.T) {
 		{"fail", false, []topology.Rank{4, 0, 5, 1}}, // ranks 4,5 decode; ranks 0,1 stay local
 		{"fail+put", true, []topology.Rank{5, 1}},    // rank 0's group {0,2,4,6} is now short two
 	}
-	for _, level := range []Level{L3Encoded, L3XOR} {
+	for _, level := range []Level{L3Encoded} {
 		t.Run(level.String(), func(t *testing.T) {
 			for _, tc := range cases {
 				t.Run(tc.name, func(t *testing.T) {

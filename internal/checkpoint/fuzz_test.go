@@ -10,24 +10,24 @@ import (
 )
 
 // FuzzRestoreCorrupted stores one version at every level but the PFS — the
-// local blobs, partner copies, Reed–Solomon parity and XOR parity of two
-// 4-member groups on 4 nodes — then lets the fuzzer choose which of those
+// local blobs, partner copies and Reed–Solomon parity of two 4-member
+// groups on 4 nodes — then lets the fuzzer choose which of those
 // levels are written, which nodes fail, and which stored shards get a byte
 // flipped or are cut short. Restoring every rank, alone and all together,
 // must give back exactly the bytes checkpointed or an error wrapping
 // ErrUnrecoverable: a damaged shard may cost a level, never a wrong byte.
 //
-// The input reads: levels (bit 0 partner, bit 1 RS, bit 2 XOR), failed
+// The input reads: levels (bit 0 partner, bit 1 RS), failed
 // nodes (bits 0–3), then 3-byte edits (stored key, byte offset, mask): a
 // zero mask truncates the shard at the offset, any other XORs it into the
 // byte there.
 func FuzzRestoreCorrupted(f *testing.F) {
 	// Every level intact, then damaged shards beside one and two lost nodes.
-	f.Add([]byte{0b111, 0b0000})
-	f.Add([]byte{0b010, 0b0010, 0, 17, 0x01})
-	f.Add([]byte{0b100, 0b0001, 5, 3, 0x80})
-	f.Add([]byte{0b011, 0b0011, 2, 0, 0, 9, 40, 0xff})
-	f.Add([]byte{0b111, 0b0101, 1, 2, 3, 4, 5, 6, 7, 8, 0})
+	f.Add([]byte{0b11, 0b0000})
+	f.Add([]byte{0b10, 0b0010, 0, 17, 0x01})
+	f.Add([]byte{0b00, 0b0001, 5, 3, 0x80})
+	f.Add([]byte{0b11, 0b0011, 2, 0, 0, 9, 40, 0xff})
+	f.Add([]byte{0b11, 0b0101, 1, 2, 3, 4, 5, 6, 7, 8, 0})
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) < 2 || len(in) > 2+3*32 {
 			return
@@ -38,7 +38,7 @@ func FuzzRestoreCorrupted(f *testing.F) {
 		if _, err := mgr.Checkpoint(0, L1Local, data); err != nil {
 			t.Fatal(err)
 		}
-		for bit, level := range []Level{L2Partner, L3Encoded, L3XOR} {
+		for bit, level := range []Level{L2Partner, L3Encoded} {
 			if in[0]&(1<<bit) != 0 {
 				if _, err := mgr.Checkpoint(0, level, data); err != nil {
 					t.Fatal(err)

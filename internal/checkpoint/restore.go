@@ -21,10 +21,10 @@ type Restored struct {
 
 // Restore recovers the checkpoints of the given ranks at version, picking
 // per rank the cheapest level that survived: local SSD, partner copy,
-// Reed–Solomon group reconstruction, XOR reconstruction, then PFS. It
-// returns one Restored per requested rank, in request order, or
-// ErrUnrecoverable (wrapped) if any rank cannot be recovered. Every
-// Restored.Data is a fresh buffer the caller owns.
+// Reed–Solomon group reconstruction, then PFS. It returns one Restored per
+// requested rank, in request order, or ErrUnrecoverable (wrapped) if any
+// rank cannot be recovered. Every Restored.Data is a fresh buffer the
+// caller owns.
 func (m *Manager) Restore(version int, ranks []topology.Rank) ([]Restored, error) {
 	vm := m.meta[version]
 	if vm == nil {
@@ -55,7 +55,6 @@ func (m *Manager) Restore(version int, ranks []topology.Rank) ([]Restored, error
 	}
 	for _, i := range pending {
 		r := ranks[i]
-		meta := vm.ranks[r]
 		if mb, ok := m.memberOf[r]; ok && byGroup[mb.group] != nil {
 			m.decodeGroup(version, vm, mb.group, byGroup[mb.group], out)
 			delete(byGroup, mb.group)
@@ -63,13 +62,12 @@ func (m *Manager) Restore(version int, ranks []topology.Rank) ([]Restored, error
 		if out[i].Level != 0 {
 			continue // the group decode supplied it
 		}
-		if blob, ok := m.tryXORDecode(version, vm, r, &meta); ok {
-			out[i].Level, out[i].Data = L3XOR, blob
-		} else if blob, ok := m.tryPFS(version, r, &meta); ok {
-			out[i].Level, out[i].Data = L4PFS, blob
-		} else {
+		meta := vm.ranks[r]
+		blob, ok := m.tryPFS(version, r, &meta)
+		if !ok {
 			return nil, fmt.Errorf("checkpoint: rank %d version %d lost at all levels: %w", r, version, ErrUnrecoverable)
 		}
+		out[i].Level, out[i].Data = L4PFS, blob
 	}
 	return out, nil
 }
@@ -171,7 +169,7 @@ func (m *Manager) decodeGroup(version int, vm *versionMeta, gi int, idxs []int, 
 		bufs[j] = make([]byte, vm.ranks[out[i].Rank].Size)
 	}
 	start := time.Now()
-	err = codec.rs.Decode(rows, survivors, want, bufs)
+	err = codec.Decode(rows, survivors, want, bufs)
 	m.decodeWall += time.Since(start)
 	if err != nil {
 		return
@@ -181,55 +179,6 @@ func (m *Manager) decodeGroup(version int, vm *versionMeta, gi int, idxs []int, 
 			out[i].Level, out[i].Data = L3Encoded, bufs[j]
 		}
 	}
-}
-
-// tryXORDecode rebuilds r's checkpoint from the group's single XOR parity
-// shard, which requires every *other* member's local checkpoint to survive.
-// The missing shard is the XOR of those k survivors — exactly what
-// XOR.Encode computes — taken over borrowed views, r's length only.
-func (m *Manager) tryXORDecode(version int, vm *versionMeta, r topology.Rank, meta *Meta) ([]byte, bool) {
-	mb, ok := m.memberOf[r]
-	if !ok {
-		return nil, false
-	}
-	group := m.groups[mb.group]
-	codec, err := m.codecFor(len(group))
-	if err != nil {
-		return nil, false
-	}
-	// The parity lives on the first member's node.
-	st, err := m.cluster.Local(m.placement.NodeOf(group[0]))
-	if err != nil {
-		return nil, false
-	}
-	parity, _, err := st.View(keyXOR(mb.group, version))
-	if err != nil || int64(len(parity)) < meta.Size {
-		return nil, false
-	}
-	n := int(meta.Size)
-	survivors := append(make([][]byte, 0, len(group)), parity[:n])
-	for _, other := range group {
-		if other == r {
-			continue // the shard we are rebuilding
-		}
-		ometa, ok := vm.ranks[other]
-		if !ok {
-			return nil, false
-		}
-		blob, ok := m.viewLocal(version, other, &ometa)
-		if !ok {
-			return nil, false
-		}
-		survivors = append(survivors, asShard(blob, n))
-	}
-	blob := make([]byte, n)
-	start := time.Now()
-	err = codec.xor.Encode(survivors, blob)
-	m.decodeWall += time.Since(start)
-	if err != nil || !m.verify(meta, blob) {
-		return nil, false
-	}
-	return blob, true
 }
 
 // GC removes all checkpoint artifacts of versions strictly below keep. The
@@ -249,7 +198,6 @@ func (m *Manager) GC(keep int) {
 			m.cluster.PFS().Delete(keyPFS(r, v))
 		}
 		for gi, group := range m.groups {
-			m.deleteLocal(m.placement.NodeOf(group[0]), keyXOR(gi, v))
 			for i, r := range group {
 				m.deleteLocal(m.placement.NodeOf(r), keyL3(gi, i, v))
 			}

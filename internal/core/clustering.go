@@ -259,43 +259,33 @@ func (b *ClusteringBuf) Distributed(nranks, size int) (*Clustering, error) {
 	return b.clustering(fmt.Sprintf("distributed-%d", size), l1, groups), nil
 }
 
-// HierOptions tunes the hierarchical construction.
+// HierOptions tunes the hierarchical construction. It is also the
+// declarative (JSON) form a scenario's hierarchical strategy carries, so
+// the tags are part of the scenario schema and of its cache key: a zero
+// field is omitted and picks the paper default.
 type HierOptions struct {
 	// MinNodesPerL1 is the minimum nodes per L1 cluster (paper: 4), which
 	// guarantees room to distribute L2 groups inside each L1 cluster.
-	MinNodesPerL1 int
+	MinNodesPerL1 int `json:"min_nodes_per_l1,omitempty"`
 	// TargetNodesPerL1 is the partitioner growth target; 0 means
 	// MinNodesPerL1.
-	TargetNodesPerL1 int
+	TargetNodesPerL1 int `json:"target_nodes_per_l1,omitempty"`
 	// MaxNodesPerL1 caps L1 clusters (0 = unbounded); restart cost grows
 	// with it.
-	MaxNodesPerL1 int
+	MaxNodesPerL1 int `json:"max_nodes_per_l1,omitempty"`
 	// SubgroupNodes is the node count of each L2 transversal sub-group
 	// (paper: 4).
-	SubgroupNodes int
+	SubgroupNodes int `json:"subgroup_nodes,omitempty"`
 	// AlignPowerPairs forces both nodes of every power-supply pair into
 	// the same L1 cluster (the paper's §II-C2: correlated failures should
 	// be contained in one cluster). It partitions the pair-quotient graph
 	// instead of the node graph; it has no effect on machines without
 	// power pairing.
-	AlignPowerPairs bool
+	AlignPowerPairs bool `json:"align_power_pairs,omitempty"`
 	// Multilevel enables the graph package's coarsen/partition/uncoarsen
 	// partitioner — the scalable path for 10k+-node machines. Off (the
 	// default) reproduces the single-level greedy partitioner exactly.
-	Multilevel bool
-	// CoarsenThreshold is the vertex count where multilevel coarsening
-	// stops (0 = the partitioner default).
-	CoarsenThreshold int
-	// MatchingRounds bounds each coarsening level's heavy-edge matching
-	// rounds (0 = the partitioner default).
-	MatchingRounds int
-	// Cancel, when non-nil, is polled by the partitioner between
-	// coarsening levels and refinement passes; once it returns true,
-	// Hierarchical abandons the build and returns graph.ErrCancelled.
-	// It is never consulted for results — an uncancelled build is
-	// bit-identical with or without it. Not part of the scenario surface;
-	// the pipeline wires a context check here.
-	Cancel func() bool
+	Multilevel bool `json:"multilevel,omitempty"`
 }
 
 func (o *HierOptions) normalize() {
@@ -327,13 +317,18 @@ func (o *HierOptions) normalize() {
 // live in a fresh graph.Arena for the whole call, so a build allocates its
 // scratch and the clustering it returns. Nothing returned aliases the arena.
 func Hierarchical(m trace.Comm, p *topology.Placement, opts HierOptions) (*Clustering, error) {
-	return (*ClusteringBuf)(nil).Hierarchical(nil, m, p, opts)
+	return (*ClusteringBuf)(nil).Hierarchical(nil, m, p, opts, nil)
 }
 
 // Hierarchical is the package's Hierarchical, built in b with its scratch in
 // ar (reset first; nil is a fresh one), which is dead once it returns. A
 // buffer and arena that have served the shape allocate next to nothing.
-func (b *ClusteringBuf) Hierarchical(ar *graph.Arena, m trace.Comm, p *topology.Placement, opts HierOptions) (*Clustering, error) {
+//
+// cancel, when non-nil, is polled by the partitioner between coarsening
+// levels and refinement passes; once it returns true, the build is
+// abandoned with graph.ErrCancelled. It is never consulted for results: an
+// uncancelled build is bit-identical with or without it.
+func (b *ClusteringBuf) Hierarchical(ar *graph.Arena, m trace.Comm, p *topology.Placement, opts HierOptions, cancel func() bool) (*Clustering, error) {
 	opts.normalize()
 	if m.Ranks() != p.NumRanks() {
 		return nil, fmt.Errorf("core: matrix covers %d ranks, placement %d", m.Ranks(), p.NumRanks())
@@ -350,7 +345,7 @@ func (b *ClusteringBuf) Hierarchical(ar *graph.Arena, m trace.Comm, p *topology.
 	if err != nil {
 		return nil, err
 	}
-	nodePart, err := partitionNodes(nodeGraph, p, opts, ar)
+	nodePart, err := partitionNodes(nodeGraph, p, opts, cancel, ar)
 	if err != nil {
 		return nil, err
 	}
@@ -438,16 +433,14 @@ func (b *ClusteringBuf) Hierarchical(ar *graph.Arena, m trace.Comm, p *topology.
 // partitionNodes runs the size-constrained partitioner over the node graph,
 // or — with AlignPowerPairs — over its power-pair quotient, so that both
 // nodes of each pair always share an L1 cluster. The assignment lives in ar.
-func partitionNodes(nodeGraph *graph.Graph, p *topology.Placement, opts HierOptions, ar *graph.Arena) ([]int32, error) {
+func partitionNodes(nodeGraph *graph.Graph, p *topology.Placement, opts HierOptions, cancel func() bool, ar *graph.Arena) ([]int32, error) {
 	partOpts := func(minSize, targetSize, maxSize int) graph.PartitionOptions {
 		return graph.PartitionOptions{
-			MinSize:          minSize,
-			TargetSize:       targetSize,
-			MaxSize:          maxSize,
-			Multilevel:       opts.Multilevel,
-			CoarsenThreshold: opts.CoarsenThreshold,
-			MatchingRounds:   opts.MatchingRounds,
-			Cancel:           opts.Cancel,
+			MinSize:    minSize,
+			TargetSize: targetSize,
+			MaxSize:    maxSize,
+			Multilevel: opts.Multilevel,
+			Cancel:     cancel,
 		}
 	}
 	if !opts.AlignPowerPairs || !p.Machine().PowerPairs {

@@ -80,7 +80,7 @@ func TestClusteringFootprint(t *testing.T) {
 		return
 	}
 	b, ar := new(ClusteringBuf), new(graph.Arena)
-	warm := bytesPerOp(func() { c, _ = b.Hierarchical(ar, s, p, HierOptions{}) })
+	warm := bytesPerOp(func() { c, _ = b.Hierarchical(ar, s, p, HierOptions{}, nil) })
 	limit = int64(8*ranks + 24*len(c.Groups) + 1024)
 	t.Logf("hierarchical, held buffer and arena: %d B/op, limit %d (8/rank + 24/group + 1 KiB)", warm, limit)
 	if warm > limit {

@@ -59,7 +59,7 @@ func TestClusteringOutlivesArena(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := b.Hierarchical(ar, m, p, opts)
+		got, err := b.Hierarchical(ar, m, p, opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,8 +191,8 @@ func TestConcurrentBuildsMatchSerial(t *testing.T) {
 func TestCancelledBuildReleasesArena(t *testing.T) {
 	s, p := stencilRig(t, 65536, 4)
 	polls := 0
-	cancel := HierOptions{Multilevel: true, Cancel: func() bool { polls++; return polls > 2 }}
-	if _, err := Hierarchical(s, p, cancel); !errors.Is(err, graph.ErrCancelled) {
+	opts, cancel := HierOptions{Multilevel: true}, func() bool { polls++; return polls > 2 }
+	if _, err := (*ClusteringBuf)(nil).Hierarchical(nil, s, p, opts, cancel); !errors.Is(err, graph.ErrCancelled) {
 		t.Fatalf("cancelled build: %v, want graph.ErrCancelled", err)
 	}
 	if racedetect.Enabled {
@@ -200,19 +200,18 @@ func TestCancelledBuildReleasesArena(t *testing.T) {
 	}
 	// The buffer and arena a pipeline would lend, held across every build.
 	b, ar := new(ClusteringBuf), new(graph.Arena)
-	opts := HierOptions{Multilevel: true}
 	for i := 0; i < 2; i++ { // size them, then settle the arena's slabs
-		if _, err := b.Hierarchical(ar, s, p, opts); err != nil {
+		if _, err := b.Hierarchical(ar, s, p, opts, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	polls = 0
-	if _, err := b.Hierarchical(ar, s, p, cancel); !errors.Is(err, graph.ErrCancelled) {
+	if _, err := b.Hierarchical(ar, s, p, opts, cancel); !errors.Is(err, graph.ErrCancelled) {
 		t.Fatalf("cancelled build: %v, want graph.ErrCancelled", err)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	c, err := b.Hierarchical(ar, s, p, opts)
+	c, err := b.Hierarchical(ar, s, p, opts, nil)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -247,7 +246,7 @@ func TestWarmScoreAllocatesNothing(t *testing.T) {
 	ctx, mix := context.Background(), reliability.DefaultMix()
 	builds := map[string]func(b *ClusteringBuf) (*Clustering, error){
 		"hierarchical": func(b *ClusteringBuf) (*Clustering, error) {
-			return b.Hierarchical(nil, m, p, HierOptions{Multilevel: true})
+			return b.Hierarchical(nil, m, p, HierOptions{Multilevel: true}, nil)
 		},
 		"naive":       func(b *ClusteringBuf) (*Clustering, error) { return b.Naive(ranks, 32) },
 		"size-guided": func(b *ClusteringBuf) (*Clustering, error) { return b.SizeGuided(ranks, 8) },

@@ -5,7 +5,8 @@ import "fmt"
 // XOR is the single-parity bit-wise XOR code the paper cites as the cheap
 // alternative to Reed–Solomon: one parity shard, tolerating exactly one
 // erasure per group. Encoding is a plain XOR reduction, roughly an order of
-// magnitude cheaper per byte than RS with large m.
+// magnitude cheaper per byte than RS with large m. No checkpoint level
+// uses it; it is the benchmarks' per-parity reference for RS encode.
 type XOR struct {
 	k int
 }

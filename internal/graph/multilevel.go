@@ -37,13 +37,13 @@ type mlLevel struct {
 // multilevelPartition runs the coarsen/partition/uncoarsen pipeline and
 // returns the finest level's assignment in an arena buffer, ids not yet
 // compacted. The caller has normalized opts, fitted the arena to g and
-// checked n > CoarsenThreshold.
+// checked n > coarsenThreshold.
 func multilevelPartition(g *Graph, opts PartitionOptions, ar *Arena) ([]int, error) {
 	levels := make([]*mlLevel, 1, 24)
 	levels[0] = &mlLevel{g: g}
 	for {
 		cur := levels[len(levels)-1]
-		if cur.g.N() <= opts.CoarsenThreshold {
+		if cur.g.N() <= opts.coarsenThreshold {
 			break
 		}
 		if opts.cancelled() {
@@ -124,8 +124,8 @@ func multilevelPartition(g *Graph, opts PartitionOptions, ar *Arena) ([]int, err
 		}
 		part = fine
 		lvlOpts := opts
-		if li > 0 && lvlOpts.RefinePasses > 2 {
-			lvlOpts.RefinePasses = 2
+		if li > 0 && lvlOpts.refinePasses > 2 {
+			lvlOpts.refinePasses = 2
 		}
 		setPhase("refine", li)
 		refine(l.g, part, sizes, lvlOpts, l.vw, ar)
@@ -349,7 +349,7 @@ func heavyEdgeMatching(g *Graph, vw []int, opts PartitionOptions, ar *Arena) (ma
 			na++
 		}
 	}
-	for round := 0; round < opts.MatchingRounds && np+na > 0; round++ {
+	for round := 0; round < matchingRounds && np+na > 0; round++ {
 		ar.matchRound++
 		stamp := ar.matchRound
 		// Pass 1: proposers pick and challenge.
@@ -479,7 +479,7 @@ func heavyEdgeMatching(g *Graph, vw []int, opts PartitionOptions, ar *Arena) (ma
 // staging rows live in the arena and the resulting graph skips FromCSR's
 // validation scan, which is redundant for rows sorted by construction.
 //
-// When the coarse graph lands at or under CoarsenThreshold it is the
+// When the coarse graph lands at or under coarsenThreshold it is the
 // ladder's final level and the only one whose aggregates (strengths for the
 // greedy growth's seed order, total/edge count) are ever read; contraction
 // then emits them directly, fused into the compaction pass while the rows
@@ -568,7 +568,7 @@ func contract(g *Graph, vw []int, match []int32, matched int, opts PartitionOpti
 	fbuf := ar.f64s.take(int(m) + nc)
 	fw := fbuf[:m]
 	strength := fbuf[m:]
-	if nc <= opts.CoarsenThreshold {
+	if nc <= opts.coarsenThreshold {
 		// Final level: fuse the aggregate pass into the compaction while
 		// the rows are hot. The loop shape — per-row ascending strength
 		// sums, one global running total over col >= row entries in

@@ -132,8 +132,9 @@ func TestMultilevelCutNoWorseThanSingleLevel(t *testing.T) {
 	}
 }
 
-// Below CoarsenThreshold the multilevel flag is inert: the assignment must
-// be identical to single-level, not merely no worse.
+// Below the coarsening threshold (128 vertices) the multilevel flag is
+// inert: the assignment must be identical to single-level, not merely no
+// worse.
 func TestMultilevelIdenticalBelowThreshold(t *testing.T) {
 	g := randomIntGraph(3, 100) // 100 <= default threshold 128
 	single, err := Partition(g, PartitionOptions{MinSize: 4, TargetSize: 4})
@@ -359,7 +360,7 @@ func TestContractPreservesTotalWeight(t *testing.T) {
 }
 
 // Property: multilevel keeps the Partition invariants on random graphs even
-// with a tiny CoarsenThreshold forcing real coarsening at small sizes.
+// with a tiny coarsenThreshold forcing real coarsening at small sizes.
 func TestMultilevelInvariantsProperty(t *testing.T) {
 	f := func(seed int64, nRaw, minRaw uint8) bool {
 		n := int(nRaw%60) + 16
@@ -374,7 +375,7 @@ func TestMultilevelInvariantsProperty(t *testing.T) {
 		}
 		g := e.graph()
 		part, err := Partition(g, PartitionOptions{
-			MinSize: min, TargetSize: min, Multilevel: true, CoarsenThreshold: 8,
+			MinSize: min, TargetSize: min, Multilevel: true, coarsenThreshold: 8,
 		})
 		if err != nil {
 			return false

@@ -21,24 +21,14 @@ type PartitionOptions struct {
 	// to MinSize (grow just enough, letting refinement enlarge clusters
 	// only when it reduces the cut).
 	TargetSize int
-	// RefinePasses bounds the Kernighan–Lin style refinement sweeps;
-	// if 0 a default of 8 is used.
-	RefinePasses int
-
 	// Multilevel enables the coarsen/partition/uncoarsen pipeline:
 	// heavy-edge matching collapses the graph level by level until it has
-	// at most CoarsenThreshold vertices, the coarsest graph is partitioned
-	// with the greedy growth, and the assignment is projected back up with
-	// the incremental-gain refinement run at every level. Off, or on a
-	// graph with at most CoarsenThreshold vertices, Partition produces
-	// exactly the single-level result.
+	// at most 128 vertices, the coarsest graph is partitioned with the
+	// greedy growth, and the assignment is projected back up with the
+	// incremental-gain refinement run at every level. Off, or on a graph
+	// with at most 128 vertices, Partition produces exactly the
+	// single-level result.
 	Multilevel bool
-	// CoarsenThreshold stops coarsening once the graph has at most this
-	// many vertices; 0 means 128.
-	CoarsenThreshold int
-	// MatchingRounds bounds the handshake rounds of each heavy-edge
-	// matching; 0 means 4.
-	MatchingRounds int
 	// Workers is ignored: Partition runs every phase on the caller's
 	// goroutine and starts none of its own, so a caller bounds partition
 	// compute by how many partitions it runs at once.
@@ -51,7 +41,17 @@ type PartitionOptions struct {
 	// ctx.Err()) and is never consulted for results — an uncancelled run
 	// is bit-identical with or without it.
 	Cancel func() bool
+
+	// The partitioner's tuning, fixed outside the package's tests (which
+	// set it to count refinement sweeps or force deep ladders); 0 picks
+	// the default. refinePasses bounds the Kernighan–Lin style refinement
+	// sweeps (8); coarsenThreshold stops coarsening once the graph has at
+	// most this many vertices (128).
+	refinePasses, coarsenThreshold int
 }
+
+// matchingRounds bounds the handshake rounds of each heavy-edge matching.
+const matchingRounds = 4
 
 // ErrCancelled is returned by Partition when PartitionOptions.Cancel
 // reported an abort; match with errors.Is.
@@ -76,14 +76,11 @@ func (o *PartitionOptions) normalize(n int) error {
 	if o.MinSize > n && n > 0 {
 		return fmt.Errorf("graph: MinSize %d exceeds vertex count %d", o.MinSize, n)
 	}
-	if o.RefinePasses == 0 {
-		o.RefinePasses = 8
+	if o.refinePasses == 0 {
+		o.refinePasses = 8
 	}
-	if o.CoarsenThreshold <= 0 {
-		o.CoarsenThreshold = 128
-	}
-	if o.MatchingRounds <= 0 {
-		o.MatchingRounds = 4
+	if o.coarsenThreshold <= 0 {
+		o.coarsenThreshold = 128
 	}
 	return nil
 }
@@ -102,7 +99,7 @@ func vweight(vw []int, v int) int {
 // strategy of the paper's reference [24]: greedy region growing seeded at
 // high-traffic vertices, followed by boundary refinement that moves vertices
 // between clusters whenever that lowers the cut without violating the size
-// bounds. With Multilevel set (and a graph above CoarsenThreshold) the
+// bounds. With Multilevel set (and a graph above 128 vertices) the
 // growth runs on a heavy-edge-coarsened graph instead and the refinement
 // repeats at every level on the way back up — the same contract, better
 // cuts on large graphs. Partition runs on the caller's goroutine, in a
@@ -131,7 +128,7 @@ func (ar *Arena) Partition(g *Graph, opts PartitionOptions) ([]int32, error) {
 	nnz := g.rowptr[n]
 	ar.fit(n, nnz)
 	var part []int
-	if opts.Multilevel && n > opts.CoarsenThreshold {
+	if opts.Multilevel && n > opts.coarsenThreshold {
 		// The coarse levels below a stencil carve ≈0.9 of the finest
 		// level's vertex arrays and ≈1.2 of its columns and weights in all;
 		// budgets a little above that let a fresh arena carve the whole
@@ -567,7 +564,7 @@ func refine(g *Graph, part []int, sizes []int, opts PartitionOptions, vw []int, 
 		rs.lastEval[i] = -1
 	}
 	rs.build()
-	for pass := 0; pass < opts.RefinePasses; pass++ {
+	for pass := 0; pass < opts.refinePasses; pass++ {
 		if opts.cancelled() {
 			// Abandon mid-refinement: the caller observes Cancel itself and
 			// discards the partition, so the half-refined state never leaks.

@@ -81,7 +81,7 @@ func goldenGraphs() []struct {
 		name string
 		g    *Graph
 		opts PartitionOptions
-	}{"random2048-deep", randomIntGraph(9, 2048), PartitionOptions{MinSize: 4, TargetSize: 4, CoarsenThreshold: 16}})
+	}{"random2048-deep", randomIntGraph(9, 2048), PartitionOptions{MinSize: 4, TargetSize: 4, coarsenThreshold: 16}})
 	return cases
 }
 

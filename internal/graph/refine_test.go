@@ -25,7 +25,7 @@ func randomIntGraph(seed int64, n int) *Graph {
 }
 
 // The refinement invariant: every additional refinement pass can only keep
-// or lower the cut weight, never raise it. Partition with RefinePasses = p
+// or lower the cut weight, never raise it. Partition with refinePasses = p
 // runs exactly p sweeps over the same greedy seed assignment, so sweeping
 // p+1 times must produce a cut no worse than p times.
 func TestRefineNeverIncreasesCut(t *testing.T) {
@@ -33,7 +33,7 @@ func TestRefineNeverIncreasesCut(t *testing.T) {
 		g := randomIntGraph(seed, 48)
 		prev := -1.0
 		for passes := 1; passes <= 6; passes++ {
-			part, err := Partition(g, PartitionOptions{MinSize: 4, TargetSize: 4, RefinePasses: passes})
+			part, err := Partition(g, PartitionOptions{MinSize: 4, TargetSize: 4, refinePasses: passes})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,7 +57,7 @@ func TestRefineNeverIncreasesCut(t *testing.T) {
 func TestRefineReachesFixedPoint(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		g := randomIntGraph(seed, 40)
-		opts := PartitionOptions{MinSize: 4, TargetSize: 4, RefinePasses: 64}
+		opts := PartitionOptions{MinSize: 4, TargetSize: 4, refinePasses: 64}
 		part, err := Partition(g, opts)
 		if err != nil {
 			t.Fatal(err)

@@ -7,35 +7,31 @@ import (
 	"hierclust/internal/reliability"
 )
 
-// TestTable2PaperScaleMultilevelEquivalence pins, at the paper's full
-// 1024-rank/64-node configuration, how the four Table II dimensions behave
-// when the hierarchical strategy runs multilevel.
+// TestTable2PaperScaleMultilevelEquivalence pins how the four Table II
+// dimensions behave when the hierarchical strategy runs multilevel.
 //
 // Two regimes are covered:
 //
-//  1. Default options. The paper-scale node graph (64 nodes) sits below the
-//     default CoarsenThreshold (128), where Partition guarantees the
-//     multilevel flag is inert — so every metric must be EXACTLY equal.
+//  1. The paper's full 1024-rank/64-node configuration. Its node graph (64
+//     nodes) sits below the partitioner's coarsening threshold (128), where
+//     Partition guarantees the multilevel flag is inert — so every metric
+//     must be EXACTLY equal.
 //     table2 and fig5c score the built-in table2 scenario, whose
 //     hierarchical strategy takes the default (single-level) partitioner;
 //     this regime is why their cells at 64 nodes or fewer are the same
 //     with multilevel forced on or not.
 //
-//  2. Forced coarsening (CoarsenThreshold 16), the regime the flag exists
-//     for. The clustering may legitimately differ; the documented tolerance
-//     is that the multilevel evaluation stays within the paper's baseline
-//     on all four dimensions and within bounded drift of single-level:
-//     logged fraction and recovery fraction within 1.3×, catastrophe
-//     probability within 2×, encode seconds within 2× (coarse clusters can
-//     shift the L2 group-size distribution, which quantizes encode time).
+//  2. A traced run on 256 nodes (2048 ranks, 8 per node, 20 iterations),
+//     above the threshold, so multilevel coarsens: the regime the flag
+//     exists for. The clustering may legitimately differ; the documented
+//     tolerance is that the multilevel evaluation stays within the paper's
+//     baseline on all four dimensions and within bounded drift of
+//     single-level: logged fraction and recovery fraction within 1.3×,
+//     catastrophe probability within 2×, encode seconds within 2× (coarse
+//     clusters can shift the L2 group-size distribution, which quantizes
+//     encode time).
 func TestTable2PaperScaleMultilevelEquivalence(t *testing.T) {
-	cfg := Config{} // zero value = the paper's full 1024-rank configuration
-	cfg.normalize()
-	r, err := tracedRig(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evaluate := func(opts core.HierOptions) *core.Evaluation {
+	evaluate := func(r *rig, opts core.HierOptions) *core.Evaluation {
 		t.Helper()
 		h, err := core.Hierarchical(r.matrix, r.placement, opts)
 		if err != nil {
@@ -47,10 +43,14 @@ func TestTable2PaperScaleMultilevelEquivalence(t *testing.T) {
 		}
 		return e
 	}
-	base := evaluate(core.HierOptions{})
+	paper, err := tracedRig(Config{}) // zero value = the paper's full configuration
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := evaluate(paper, core.HierOptions{})
 
 	// Regime 1: inert below the threshold — exact equality, bit for bit.
-	ml := evaluate(core.HierOptions{Multilevel: true})
+	ml := evaluate(paper, core.HierOptions{Multilevel: true})
 	if ml.LoggedFraction != base.LoggedFraction ||
 		ml.RecoveryFraction != base.RecoveryFraction ||
 		ml.EncodeSecondsPerGB != base.EncodeSecondsPerGB ||
@@ -59,8 +59,18 @@ func TestTable2PaperScaleMultilevelEquivalence(t *testing.T) {
 			metricRow(base), metricRow(ml))
 	}
 
-	// Regime 2: forced coarsening — within baseline, bounded drift.
-	deep := evaluate(core.HierOptions{Multilevel: true, CoarsenThreshold: 16})
+	// Regime 2: coarsening at the default threshold — within baseline,
+	// bounded drift.
+	large, err := tracedRig(Config{Ranks: 2048, ProcsPerNode: 8, Iterations: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := large.placement.NumUsed(); n <= 128 {
+		t.Fatalf("regime 2 rig has %d nodes; multilevel coarsens only above 128", n)
+	}
+	base = evaluate(large, core.HierOptions{})
+	deep := evaluate(large, core.HierOptions{Multilevel: true})
+	t.Logf("256 nodes: single-level %v, multilevel %v", metricRow(base), metricRow(deep))
 	if ok, viol := deep.Meets(core.DefaultBaseline()); !ok {
 		t.Fatalf("forced-coarsening multilevel leaves the paper baseline: %v", viol)
 	}

@@ -88,9 +88,9 @@ type FailureEvent struct {
 	SuppressedDuplicates int
 	// ReExecutedIters is how many iterations the cluster re-ran.
 	ReExecutedIters int
-	// DecodeWallTime is the measured erasure reconstruction time (RS or
-	// XOR group decode) spent restoring this failure's ranks; zero when
-	// every rank restored from an intact copy.
+	// DecodeWallTime is the measured Reed–Solomon reconstruction time
+	// spent restoring this failure's ranks; zero when every rank restored
+	// from an intact copy.
 	DecodeWallTime time.Duration
 }
 

@@ -28,8 +28,7 @@ func TestScenarioRoundTrip(t *testing.T) {
 			{Kind: "naive", Size: 16},
 			{Kind: "hierarchical", Hier: &HierSpec{
 				MinNodesPerL1: 8, TargetNodesPerL1: 8, MaxNodesPerL1: 64,
-				SubgroupNodes: 4, AlignPowerPairs: true,
-				Multilevel: true, CoarsenThreshold: 64, MatchingRounds: 2,
+				SubgroupNodes: 4, AlignPowerPairs: true, Multilevel: true,
 			}},
 		},
 		Mix:      &MixSpec{Transient: 0.05, NodeLoss: []float64{0.9, 0.05}, PairCorrelation: 0.5},
@@ -67,20 +66,53 @@ func TestScenarioRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHierSpecEncoding pins the "hier" object's bytes, which are part of
+// every scenario document and CacheKey that carries one: the field names,
+// their order, and omitempty on each.
+func TestHierSpecEncoding(t *testing.T) {
+	for _, tc := range []struct {
+		h    HierSpec
+		want string
+	}{
+		{HierSpec{}, `{}`},
+		{HierSpec{MinNodesPerL1: 8, TargetNodesPerL1: 8, MaxNodesPerL1: 64, SubgroupNodes: 4, AlignPowerPairs: true, Multilevel: true},
+			`{"min_nodes_per_l1":8,"target_nodes_per_l1":8,"max_nodes_per_l1":64,"subgroup_nodes":4,"align_power_pairs":true,"multilevel":true}`},
+	} {
+		got, err := json.Marshal(tc.h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != tc.want {
+			t.Errorf("%+v encodes as %s, want %s", tc.h, got, tc.want)
+		}
+	}
+}
+
 // TestDecodeScenarioRejectsUnknownFields: a typo'd option must fail loudly
 // instead of silently evaluating the default.
+// The partitioner's tuning knobs are not part of the schema either.
 func TestDecodeScenarioRejectsUnknownFields(t *testing.T) {
-	doc := `{
-		"name": "typo",
-		"machine": {"nodes": 32},
-		"placement": {"ranks": 256, "procs_per_node": 8},
-		"trace": {"source": "synthetic", "iterattions": 50},
-		"strategies": [{"kind": "hierarchical"}]
-	}`
-	if _, err := DecodeScenario([]byte(doc)); err == nil {
-		t.Fatal("decoded a scenario with an unknown field")
-	} else if !strings.Contains(err.Error(), "iterattions") {
-		t.Fatalf("error does not name the unknown field: %v", err)
+	for field, doc := range map[string]string{
+		"iterattions": `{
+			"name": "typo",
+			"machine": {"nodes": 32},
+			"placement": {"ranks": 256, "procs_per_node": 8},
+			"trace": {"source": "synthetic", "iterattions": 50},
+			"strategies": [{"kind": "hierarchical"}]
+		}`,
+		"coarsen_threshold": `{
+			"name": "knob",
+			"machine": {"nodes": 32},
+			"placement": {"ranks": 256, "procs_per_node": 8},
+			"trace": {"source": "synthetic"},
+			"strategies": [{"kind": "hierarchical", "hier": {"multilevel": true, "coarsen_threshold": 64}}]
+		}`,
+	} {
+		if _, err := DecodeScenario([]byte(doc)); err == nil {
+			t.Errorf("decoded a scenario with the unknown field %s", field)
+		} else if !strings.Contains(err.Error(), field) {
+			t.Errorf("error does not name the unknown field %s: %v", field, err)
+		}
 	}
 }
 
@@ -143,6 +175,16 @@ func TestScenarioValidate(t *testing.T) {
 		{"negative max_ranks", func(s *Scenario) {
 			s.Trace = TraceSpec{Source: "file", Path: "/tmp/t.hctr", MaxRanks: -1}
 		}},
+		// A negative hier field would build the default clustering under
+		// another name and cache key; a max below the resolved min or
+		// target would fail only in the build.
+		{"negative min_nodes_per_l1", func(s *Scenario) { s.Strategies[0].Hier = &HierSpec{MinNodesPerL1: -3} }},
+		{"negative target_nodes_per_l1", func(s *Scenario) { s.Strategies[0].Hier = &HierSpec{TargetNodesPerL1: -1} }},
+		{"negative max_nodes_per_l1", func(s *Scenario) { s.Strategies[0].Hier = &HierSpec{MaxNodesPerL1: -1} }},
+		{"negative subgroup_nodes", func(s *Scenario) { s.Strategies[0].Hier = &HierSpec{SubgroupNodes: -2} }},
+		{"max below the default min", func(s *Scenario) { s.Strategies[0].Hier = &HierSpec{MaxNodesPerL1: 3} }},
+		{"max below min", func(s *Scenario) { s.Strategies[0].Hier = &HierSpec{MinNodesPerL1: 8, MaxNodesPerL1: 6} }},
+		{"max below target", func(s *Scenario) { s.Strategies[0].Hier = &HierSpec{TargetNodesPerL1: 8, MaxNodesPerL1: 6} }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -292,17 +334,6 @@ func TestScenarioVersionUnsupported(t *testing.T) {
 	}
 	if ve.Version != 99 || ve.Supported != ScenarioVersion {
 		t.Fatalf("SchemaVersionError = %+v, want Version 99 Supported %d", ve, ScenarioVersion)
-	}
-}
-
-// Multilevel tuning knobs without multilevel itself must be rejected — dead
-// fields would split the result cache on meaningless keys.
-func TestHierSpecMultilevelKnobsRequireMultilevel(t *testing.T) {
-	if err := (StrategySpec{Kind: "hierarchical", Hier: &HierSpec{CoarsenThreshold: 64}}).check(); err == nil {
-		t.Fatal("accepted coarsen_threshold without multilevel")
-	}
-	if err := (StrategySpec{Kind: "hierarchical", Hier: &HierSpec{Multilevel: true, CoarsenThreshold: 64, MatchingRounds: 2}}).check(); err != nil {
-		t.Fatalf("rejected valid multilevel spec: %v", err)
 	}
 }
 

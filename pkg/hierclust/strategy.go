@@ -26,38 +26,6 @@ type StrategySpec struct {
 	Hier *HierSpec `json:"hier,omitempty"`
 }
 
-// HierSpec is the declarative (JSON) form of HierOptions.
-type HierSpec struct {
-	MinNodesPerL1    int  `json:"min_nodes_per_l1,omitempty"`
-	TargetNodesPerL1 int  `json:"target_nodes_per_l1,omitempty"`
-	MaxNodesPerL1    int  `json:"max_nodes_per_l1,omitempty"`
-	SubgroupNodes    int  `json:"subgroup_nodes,omitempty"`
-	AlignPowerPairs  bool `json:"align_power_pairs,omitempty"`
-	// Multilevel selects the coarsen/partition/uncoarsen node partitioner,
-	// the scalable path for 10k+-node machines. The two tuning knobs below
-	// apply only when it is set (0 picks the partitioner defaults).
-	Multilevel       bool `json:"multilevel,omitempty"`
-	CoarsenThreshold int  `json:"coarsen_threshold,omitempty"`
-	MatchingRounds   int  `json:"matching_rounds,omitempty"`
-}
-
-// Options converts the spec to the constructor's option struct.
-func (h *HierSpec) Options() HierOptions {
-	if h == nil {
-		return HierOptions{}
-	}
-	return HierOptions{
-		MinNodesPerL1:    h.MinNodesPerL1,
-		TargetNodesPerL1: h.TargetNodesPerL1,
-		MaxNodesPerL1:    h.MaxNodesPerL1,
-		SubgroupNodes:    h.SubgroupNodes,
-		AlignPowerPairs:  h.AlignPowerPairs,
-		Multilevel:       h.Multilevel,
-		CoarsenThreshold: h.CoarsenThreshold,
-		MatchingRounds:   h.MatchingRounds,
-	}
-}
-
 // check validates spec's parameters that do not depend on the machine
 // (machine-dependent validation happens in the build). It allocates nothing
 // for a valid spec, so Scenario.Validate checks every cell of a sweep.
@@ -74,14 +42,37 @@ func (s StrategySpec) check() error {
 		if s.Size != 0 {
 			return fmt.Errorf("hierclust: strategy \"hierarchical\" takes hier options, not size (got %d)", s.Size)
 		}
-		// Multilevel tuning without multilevel is a mistake, not a no-op:
-		// the user believes they tuned the partitioner, and the dead fields
-		// would split the result cache on meaningless keys.
-		if h := s.Hier; h != nil && !h.Multilevel && (h.CoarsenThreshold != 0 || h.MatchingRounds != 0) {
-			return fmt.Errorf("hierclust: hier options coarsen_threshold/matching_rounds apply only with multilevel")
+		if s.Hier != nil {
+			return checkHier(s.Hier)
 		}
 	default:
 		return fmt.Errorf("hierclust: unknown strategy kind %q (have [distributed hierarchical naive size-guided])", s.Kind)
+	}
+	return nil
+}
+
+// checkHier rejects hier sizes that would evaluate the default clustering
+// under another name and cache key, or that only the build would refuse: a
+// negative field (the build reads a negative min, target or sub-group size
+// as the default, and refuses a negative max), and a max below the resolved
+// min or target.
+func checkHier(h *HierSpec) error {
+	for _, f := range [...]struct {
+		name string
+		v    int
+	}{
+		{"min_nodes_per_l1", h.MinNodesPerL1},
+		{"target_nodes_per_l1", h.TargetNodesPerL1},
+		{"max_nodes_per_l1", h.MaxNodesPerL1},
+		{"subgroup_nodes", h.SubgroupNodes},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("hierclust: hier field %s is negative (%d)", f.name, f.v)
+		}
+	}
+	minN := cmp.Or(h.MinNodesPerL1, 4)
+	if tgt := cmp.Or(h.TargetNodesPerL1, minN); h.MaxNodesPerL1 > 0 && h.MaxNodesPerL1 < max(minN, tgt) {
+		return fmt.Errorf("hierclust: hier max_nodes_per_l1 %d is below the L1 minimum %d or target %d", h.MaxNodesPerL1, minN, tgt)
 	}
 	return nil
 }
@@ -112,11 +103,15 @@ func (s StrategySpec) build(ctx context.Context, m Comm, p *Placement, buf *core
 	case "distributed":
 		return buf.Distributed(p.NumRanks(), cmp.Or(s.Size, 16))
 	}
-	opts := s.Hier.Options()
-	if ctx.Done() != nil {
-		opts.Cancel = func() bool { return ctx.Err() != nil }
+	var opts HierSpec
+	if s.Hier != nil {
+		opts = *s.Hier
 	}
-	c, err := buf.Hierarchical(ar, m, p, opts)
+	var cancel func() bool
+	if ctx.Done() != nil {
+		cancel = func() bool { return ctx.Err() != nil }
+	}
+	c, err := buf.Hierarchical(ar, m, p, opts, cancel)
 	if err != nil {
 		return nil, err
 	}
@@ -150,12 +145,6 @@ func hierName(h *HierSpec) string {
 	}
 	if h.Multilevel {
 		name += "-ml"
-		if h.CoarsenThreshold != 0 {
-			name += fmt.Sprintf("-ct%d", h.CoarsenThreshold)
-		}
-		if h.MatchingRounds != 0 {
-			name += fmt.Sprintf("-mr%d", h.MatchingRounds)
-		}
 	}
 	return name
 }

@@ -72,7 +72,7 @@ func TestHierarchicalVariantNames(t *testing.T) {
 		{nil, "hierarchical"},
 		{&HierSpec{}, "hierarchical"},
 		{&HierSpec{MinNodesPerL1: 8, SubgroupNodes: 4, AlignPowerPairs: true}, "hierarchical-min8-sub4-pairs"},
-		{&HierSpec{Multilevel: true, CoarsenThreshold: 64}, "hierarchical-ml-ct64"},
+		{&HierSpec{TargetNodesPerL1: 6, MaxNodesPerL1: 16, Multilevel: true}, "hierarchical-tgt6-max16-ml"},
 	} {
 		if got := hierName(tc.hier); got != tc.want {
 			t.Errorf("hierName(%+v) = %q, want %s", tc.hier, got, tc.want)

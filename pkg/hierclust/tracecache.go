@@ -249,10 +249,6 @@ type diskCacheConfig = diskstore.Options
 // NewDiskResultCache).
 type DiskCacheOption func(*diskCacheConfig)
 
-// DiskTraceCacheOption is the historical name of DiskCacheOption, kept so
-// existing NewDiskTraceCache call sites read unchanged.
-type DiskTraceCacheOption = DiskCacheOption
-
 // WithDegradeAfter sets how many consecutive failed disk-operation
 // attempts flip the cache into memory-only degraded mode; n <= 0 keeps
 // the default (one fully retried-out operation).
@@ -278,7 +274,7 @@ func WithDegradedProbe(d time.Duration) DiskCacheOption {
 // at dir, bounded to maxBytes of stored traces (<= 0 means 256 MiB).
 // Existing cache files are indexed oldest-first by modification time;
 // quarantined .bad files are ignored.
-func NewDiskTraceCache(dir string, maxBytes int64, opts ...DiskTraceCacheOption) (*DiskTraceCache, error) {
+func NewDiskTraceCache(dir string, maxBytes int64, opts ...DiskCacheOption) (*DiskTraceCache, error) {
 	if maxBytes <= 0 {
 		maxBytes = 256 << 20
 	}

@@ -49,8 +49,9 @@ type (
 	// Clustering is a complete clustering decision: L1 containment
 	// clusters plus L2 erasure-encoding groups.
 	Clustering = core.Clustering
-	// HierOptions tunes the hierarchical two-level construction.
-	HierOptions = core.HierOptions
+	// HierSpec tunes the hierarchical two-level construction; its JSON
+	// form is a scenario strategy's "hier" object.
+	HierSpec = core.HierOptions
 	// Evaluation scores a clustering on the paper's four dimensions.
 	Evaluation = core.Evaluation
 	// Baseline is the paper's requirement envelope (§III).
@@ -89,7 +90,7 @@ func Naive(nranks, size int) (*Clustering, error) { return core.Naive(nranks, si
 // Hierarchical builds the paper's two-level clustering from a communication
 // matrix: graph-partitioned L1 containment clusters over the node graph,
 // transversal L2 encoding groups inside each.
-func Hierarchical(m Comm, p *Placement, opts HierOptions) (*Clustering, error) {
+func Hierarchical(m Comm, p *Placement, opts HierSpec) (*Clustering, error) {
 	return core.Hierarchical(m, p, opts)
 }
 
