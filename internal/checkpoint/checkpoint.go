@@ -120,10 +120,6 @@ type Manager struct {
 	memberOf  map[topology.Rank]member
 	meta      map[int]*versionMeta
 
-	// codecs caches the RS(k, k) codec by group size: building one inverts
-	// a k×k matrix and compiles the coefficient tables, so it is paid once
-	// per group shape, not once per checkpoint round.
-	codecs map[int]*erasure.GroupEncoder
 	// decodeWall accumulates measured erasure reconstruction wall time
 	// (RS group decodes); hybrid recovery drains it per failure event.
 	decodeWall time.Duration
@@ -140,7 +136,6 @@ func New(cluster *storage.Cluster, placement *topology.Placement, groups [][]top
 		groups:    make([][]topology.Rank, len(groups)),
 		memberOf:  make(map[topology.Rank]member, len(members)),
 		meta:      map[int]*versionMeta{},
-		codecs:    map[int]*erasure.GroupEncoder{},
 	}
 	for gi, g := range groups {
 		if len(g) < 2 {
@@ -169,20 +164,6 @@ func (m *Manager) Groups() [][]topology.Rank {
 	return out
 }
 
-// codecFor returns the cached RS(k, k) codec (the FTI layout) for groups of
-// k members; it both encodes and decodes.
-func (m *Manager) codecFor(k int) (*erasure.GroupEncoder, error) {
-	if c, ok := m.codecs[k]; ok {
-		return c, nil
-	}
-	c, err := erasure.NewGroupEncoder(k, k, 0, 0)
-	if err != nil {
-		return nil, err
-	}
-	m.codecs[k] = c
-	return c, nil
-}
-
 // asShard returns blob as a shard of exactly size bytes, read-only: the
 // blob's own prefix when it is long enough, a zero-extended copy otherwise.
 func asShard(blob []byte, size int) []byte {
@@ -195,17 +176,17 @@ func asShard(blob []byte, size int) []byte {
 }
 
 // groupShards gathers one encoding group's blobs from a checkpoint round as
-// equal-size shards (see asShard; size is the longest blob), or nil when no
-// member of the group checkpointed this round: Checkpoint has refused a
-// partly present group (wholeGroups).
-func groupShards(group []topology.Rank, data map[topology.Rank][]byte) (shards [][]byte, size int) {
+// equal-size shards (see asShard; size is the longest blob) into dst's
+// backing array, or returns none when no member of the group checkpointed
+// this round: Checkpoint has refused a partly present group (wholeGroups).
+func groupShards(dst [][]byte, group []topology.Rank, data map[topology.Rank][]byte) (shards [][]byte, size int) {
 	if _, ok := data[group[0]]; !ok {
-		return nil, 0
+		return dst[:0], 0
 	}
-	shards = make([][]byte, len(group))
-	for i, r := range group {
-		shards[i] = data[r]
-		size = max(size, len(shards[i]))
+	shards = slices.Grow(dst[:0], len(group))
+	for _, r := range group {
+		shards = append(shards, data[r])
+		size = max(size, len(data[r]))
 	}
 	for i, blob := range shards {
 		shards[i] = asShard(blob, size)
@@ -381,17 +362,18 @@ func (m *Manager) writePartner(version int, data map[topology.Rank][]byte, res *
 // in place into one slab per group, whose k cap-clipped parts pass to the
 // members' node stores: the slab stays allocated until the group's last
 // parity shard is dropped. Each shard's CRC32 goes into vm, carved from one
-// slab per round; the parity header is reused group to group.
+// slab per round; the shard and parity headers are reused group to group,
+// and the codec is the process's shared RS(k, k).
 func (m *Manager) encodeGroups(version int, data map[topology.Rank][]byte, vm *versionMeta, res *Result) error {
-	var parity [][]byte
+	var shards, parity [][]byte
 	crcs := make([]uint32, len(m.memberOf))
 	for gi, group := range m.groups {
-		shards, size := groupShards(group, data)
-		if shards == nil {
+		var size int
+		if shards, size = groupShards(shards, group, data); len(shards) == 0 {
 			continue
 		}
 		k := len(group)
-		codec, err := m.codecFor(k)
+		codec, err := erasure.NewGroupEncoder(k, k, 0, 0)
 		if err != nil {
 			return fmt.Errorf("checkpoint: group %d encoder: %w", gi, err)
 		}

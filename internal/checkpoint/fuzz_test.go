@@ -66,10 +66,11 @@ func FuzzRestoreCorrupted(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			blob, _, err := st.Get(sh.key)
-			if err != nil {
-				t.Fatal(err)
+			stored, ok := st.View(sh.key)
+			if !ok {
+				t.Fatalf("node %d lost %v", sh.node, sh.key)
 			}
+			blob := append([]byte(nil), stored...)
 			if len(blob) == 0 {
 				continue
 			}

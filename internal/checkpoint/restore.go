@@ -8,6 +8,7 @@ import (
 	"slices"
 	"time"
 
+	"hierclust/internal/erasure"
 	"hierclust/internal/storage"
 	"hierclust/internal/topology"
 )
@@ -24,43 +25,51 @@ type Restored struct {
 // Reed–Solomon group reconstruction, then PFS. It returns one Restored per
 // requested rank, in request order, or ErrUnrecoverable (wrapped) if any
 // rank cannot be recovered. Every Restored.Data is a fresh buffer the
-// caller owns.
+// caller owns; besides those, a call allocates its list of lost group
+// members, one decode scratch and one decode matrix per damaged group.
 func (m *Manager) Restore(version int, ranks []topology.Rank) ([]Restored, error) {
 	vm := m.meta[version]
 	if vm == nil {
 		vm = &versionMeta{} // unknown version: every lookup below misses
 	}
 	out := make([]Restored, len(ranks))
-	// Ranks that neither their SSD nor their partner can supply queue up by
-	// encoding group, so that each damaged group is decoded once, for
-	// exactly the members asked for.
-	var pending []int // indices into ranks
-	byGroup := map[int][]int{}
+	var lost []int // indices into ranks of group members neither SSD nor partner supplies
 	for i, r := range ranks {
 		meta, ok := vm.ranks[r]
 		if !ok {
 			return nil, fmt.Errorf("checkpoint: rank %d has no version-%d checkpoint: %w", r, version, ErrUnrecoverable)
 		}
 		out[i].Rank = r
-		if blob, ok := m.viewLocal(version, r, &meta); ok {
+		home := m.placement.NodeOf(r)
+		partner, _ := m.partnerOf(home) // none on one node, where no L2 copy is written
+		if blob, ok := m.view(home, keyL1(r, version), &meta); ok {
 			out[i].Level, out[i].Data = L1Local, append([]byte(nil), blob...)
-		} else if blob, ok := m.tryPartner(version, r, &meta); ok {
-			out[i].Level, out[i].Data = L2Partner, blob
-		} else {
-			pending = append(pending, i)
-			if mb, ok := m.memberOf[r]; ok {
-				byGroup[mb.group] = append(byGroup[mb.group], i)
+		} else if blob, ok := m.view(partner, keyL2(r, version), &meta); ok {
+			out[i].Level, out[i].Data = L2Partner, append([]byte(nil), blob...)
+		} else if _, ok := m.memberOf[r]; ok {
+			if lost == nil {
+				lost = make([]int, 0, len(ranks)-i)
 			}
+			lost = append(lost, i)
 		}
 	}
-	for _, i := range pending {
-		r := ranks[i]
-		if mb, ok := m.memberOf[r]; ok && byGroup[mb.group] != nil {
-			m.decodeGroup(version, vm, mb.group, byGroup[mb.group], out)
-			delete(byGroup, mb.group)
+	// Each damaged group is decoded once, for exactly the members asked
+	// for: the lost members of lost[0]'s group move to the front of lost.
+	var sc decodeScratch
+	for len(lost) > 0 {
+		g, n := m.memberOf[ranks[lost[0]]].group, 1
+		for j := 1; j < len(lost); j++ {
+			if m.memberOf[ranks[lost[j]]].group == g {
+				lost[n], lost[j] = lost[j], lost[n]
+				n++
+			}
 		}
+		m.decodeGroup(version, vm, g, lost[:n], out, &sc)
+		lost = lost[n:]
+	}
+	for i, r := range ranks {
 		if out[i].Level != 0 {
-			continue // the group decode supplied it
+			continue
 		}
 		meta := vm.ranks[r]
 		blob, ok := m.tryPFS(version, r, &meta)
@@ -76,33 +85,17 @@ func (m *Manager) verify(meta *Meta, blob []byte) bool {
 	return int64(len(blob)) == meta.Size && crc32.ChecksumIEEE(blob) == meta.Checksum
 }
 
-// viewLocal returns a borrowed view (see storage.LocalStore.View) of r's L1
-// checkpoint if it survives and passes its integrity check. A blob that
-// fails the check is as lost as an erased one: feeding it to a decoder
-// would silently corrupt the group.
-func (m *Manager) viewLocal(version int, r topology.Rank, meta *Meta) ([]byte, bool) {
-	st, err := m.cluster.Local(m.placement.NodeOf(r))
+// view returns a borrowed view (see storage.LocalStore.View) of the blob
+// under key on node n if it survives and passes meta's integrity check. A
+// blob that fails the check is as lost as an erased one: feeding it to a
+// decoder would silently corrupt the group.
+func (m *Manager) view(n topology.NodeID, key storage.Key, meta *Meta) ([]byte, bool) {
+	st, err := m.cluster.Local(n)
 	if err != nil {
 		return nil, false
 	}
-	blob, _, err := st.View(keyL1(r, version))
-	if err != nil || !m.verify(meta, blob) {
-		return nil, false
-	}
-	return blob, true
-}
-
-func (m *Manager) tryPartner(version int, r topology.Rank, meta *Meta) ([]byte, bool) {
-	partner, ok := m.partnerOf(m.placement.NodeOf(r))
-	if !ok {
-		return nil, false
-	}
-	st, err := m.cluster.Local(partner)
-	if err != nil {
-		return nil, false
-	}
-	blob, _, err := st.Get(keyL2(r, version))
-	if err != nil || !m.verify(meta, blob) {
+	blob, ok := st.View(key)
+	if !ok || !m.verify(meta, blob) {
 		return nil, false
 	}
 	return blob, true
@@ -116,36 +109,47 @@ func (m *Manager) tryPFS(version int, r topology.Rank, meta *Meta) ([]byte, bool
 	return blob, true
 }
 
+// decodeScratch is one Restore's decode state, reused group to group: the
+// survivors' shard rows and borrowed views, the wanted members and the
+// headers of their output buffers.
+type decodeScratch struct {
+	rows      []int
+	survivors [][]byte
+	want      []int
+	bufs      [][]byte
+}
+
 // decodeGroup rebuilds, with one Reed–Solomon decode, the checkpoints of the
-// members of group gi listed in idxs (indices into out) and fills in those
-// that pass their integrity check. The decode reads borrowed views of
-// exactly k verified survivors, data shards first, and writes only the
-// requested members' blobs, into fresh buffers.
-func (m *Manager) decodeGroup(version int, vm *versionMeta, gi int, idxs []int, out []Restored) {
+// members of group gi listed in idxs (indices into out), which Restore found
+// lost, and fills in those that pass their integrity check. The decode
+// reads borrowed views of exactly k verified survivors, data shards first,
+// and writes only the requested members' blobs, into fresh buffers.
+func (m *Manager) decodeGroup(version int, vm *versionMeta, gi int, idxs []int, out []Restored, sc *decodeScratch) {
 	pm, ok := vm.parity[gi]
 	if !ok {
 		return // this version holds no RS parity for the group
 	}
 	group := m.groups[gi]
 	k := len(group)
-	codec, err := m.codecFor(k)
+	codec, err := erasure.NewGroupEncoder(k, k, 0, 0)
 	if err != nil {
 		return
 	}
-	rows := make([]int, 0, k)
-	survivors := make([][]byte, 0, k)
+	sc.want = slices.Grow(sc.want[:0], len(idxs))
+	for _, i := range idxs {
+		sc.want = append(sc.want, m.memberOf[out[i].Rank].index)
+	}
+	sc.rows, sc.survivors = slices.Grow(sc.rows[:0], k), slices.Grow(sc.survivors[:0], k)
 	for i, r := range group {
-		meta, ok := vm.ranks[r]
-		if !ok {
-			continue
-		}
-		if blob, ok := m.viewLocal(version, r, &meta); ok {
-			rows = append(rows, i)
-			survivors = append(survivors, asShard(blob, pm.size))
+		if meta, ok := vm.ranks[r]; ok && !slices.Contains(sc.want, i) {
+			if blob, ok := m.view(m.placement.NodeOf(r), keyL1(r, version), &meta); ok {
+				sc.rows = append(sc.rows, i)
+				sc.survivors = append(sc.survivors, asShard(blob, pm.size))
+			}
 		}
 	}
 	for i, r := range group {
-		if len(rows) == k {
+		if len(sc.rows) == k {
 			break
 		}
 		st, err := m.cluster.Local(m.placement.NodeOf(r))
@@ -153,30 +157,27 @@ func (m *Manager) decodeGroup(version int, vm *versionMeta, gi int, idxs []int, 
 			continue
 		}
 		// A parity shard that fails its CRC is erased, like a data shard.
-		p, _, err := st.View(keyL3(gi, i, version))
-		if err == nil && len(p) == pm.size && crc32.ChecksumIEEE(p) == pm.crc[i] {
-			rows = append(rows, k+i)
-			survivors = append(survivors, p)
+		if p, ok := st.View(keyL3(gi, i, version)); ok && len(p) == pm.size && crc32.ChecksumIEEE(p) == pm.crc[i] {
+			sc.rows = append(sc.rows, k+i)
+			sc.survivors = append(sc.survivors, p)
 		}
 	}
-	if len(rows) < k {
+	if len(sc.rows) < k {
 		return
 	}
-	want := make([]int, len(idxs))
-	bufs := make([][]byte, len(idxs))
-	for j, i := range idxs {
-		want[j] = m.memberOf[out[i].Rank].index
-		bufs[j] = make([]byte, vm.ranks[out[i].Rank].Size)
+	sc.bufs = slices.Grow(sc.bufs[:0], len(idxs))
+	for _, i := range idxs {
+		sc.bufs = append(sc.bufs, make([]byte, vm.ranks[out[i].Rank].Size))
 	}
 	start := time.Now()
-	err = codec.Decode(rows, survivors, want, bufs)
+	err = codec.Decode(sc.rows, sc.survivors, sc.want, sc.bufs)
 	m.decodeWall += time.Since(start)
 	if err != nil {
 		return
 	}
 	for j, i := range idxs {
-		if meta := vm.ranks[out[i].Rank]; m.verify(&meta, bufs[j]) {
-			out[i].Level, out[i].Data = L3Encoded, bufs[j]
+		if meta := vm.ranks[out[i].Rank]; m.verify(&meta, sc.bufs[j]) {
+			out[i].Level, out[i].Data = L3Encoded, sc.bufs[j]
 		}
 	}
 }

@@ -45,7 +45,9 @@ func runCodec(t *testing.T, seed int64, k, m, size int) codecRun {
 	data := unaligned(rng, k, size, true)
 	var run codecRun
 
-	rs, err := NewRS(k, m)
+	// A codec of its own, not the shared one: its parity plans are those
+	// of the kernel this run multiplies with.
+	rs, err := newRS(k, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,10 +55,7 @@ func runCodec(t *testing.T, seed int64, k, m, size int) codecRun {
 	if err := rs.Encode(data, run.encode); err != nil {
 		t.Fatal(err)
 	}
-	ge, err := NewGroupEncoder(k, m, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ge := (*GroupEncoder)(rs)
 	run.into = unaligned(rng, m, size, false)
 	if _, err := ge.EncodeInto(data, run.into); err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package erasure
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -109,6 +110,30 @@ func TestGFPanics(t *testing.T) {
 }
 
 // ---------- matrix algebra ----------
+
+// invert returns the inverse of m, which it leaves as it was, or an error
+// if m is singular or non-square.
+func (m *matrix) invert() (*matrix, error) {
+	if m.rows != m.cols {
+		return nil, fmt.Errorf("cannot invert %dx%d matrix", m.rows, m.cols)
+	}
+	work := newMatrix(m.rows, m.cols)
+	copy(work.data, m.data)
+	inv := newMatrix(m.rows, m.cols)
+	if err := work.invertInto(inv); err != nil {
+		return nil, err
+	}
+	return inv, nil
+}
+
+// identity returns the n×n identity matrix.
+func identity(n int) *matrix {
+	m := newMatrix(n, n)
+	for i := 0; i < n; i++ {
+		m.set(i, i, 1)
+	}
+	return m
+}
 
 func TestMatrixInvertIdentity(t *testing.T) {
 	id := identity(5)
@@ -425,7 +450,7 @@ func TestGroupEncoderReconstruct(t *testing.T) {
 		t.Fatal(err)
 	}
 	shards := [][]byte{data[0], nil, data[2], data[3], res.Parity[0]}
-	if err := ge.rs.Reconstruct(shards); err != nil {
+	if err := (*RS)(ge).Reconstruct(shards); err != nil {
 		t.Fatal(err)
 	}
 	if len(shards[1]) != 10_000 {

@@ -29,31 +29,29 @@ type GroupResult struct {
 }
 
 // GroupEncoder erasure-codes the checkpoint blocks of one encoding group
-// (an L2 cluster) using Reed–Solomon, on its caller's goroutine.
-type GroupEncoder struct {
-	rs *RS
-}
+// (an L2 cluster) using Reed–Solomon, on its caller's goroutine. It is the
+// shared RS codec of its shape (see NewRS) under a group-level method set:
+// read-only, safe for concurrent use.
+type GroupEncoder RS
 
-// NewGroupEncoder builds an encoder for groups of k data shards and m
-// parity shards. chunkSize and workers are deprecated and ignored: an
-// encode runs whole on its caller's goroutine, so a caller bounds encode
-// compute by how many groups it encodes at once. They will be removed.
+// NewGroupEncoder returns the encoder for groups of k data shards and m
+// parity shards: the process's one RS(k, m). chunkSize and workers are
+// deprecated and ignored: an encode runs whole on its caller's goroutine,
+// so a caller bounds encode compute by how many groups it encodes at once.
+// They will be removed.
 func NewGroupEncoder(k, m, chunkSize, workers int) (*GroupEncoder, error) {
 	rs, err := NewRS(k, m)
-	if err != nil {
-		return nil, err
-	}
-	return &GroupEncoder{rs: rs}, nil
+	return (*GroupEncoder)(rs), err
 }
 
 // Encode produces parity for the group's data shards. All shards must have
 // equal length. The returned GroupResult owns freshly allocated parity.
-func (ge *GroupEncoder) Encode(data [][]byte) (*GroupResult, error) {
+func (ge *GroupEncoder) Encode(data [][]byte) (GroupResult, error) {
 	size, err := ge.checkData(data)
 	if err != nil {
-		return nil, err
+		return GroupResult{}, err
 	}
-	parity := make([][]byte, ge.rs.m)
+	parity := make([][]byte, ge.m)
 	for i := range parity {
 		parity[i] = make([]byte, size)
 	}
@@ -63,25 +61,25 @@ func (ge *GroupEncoder) Encode(data [][]byte) (*GroupResult, error) {
 // EncodeInto encodes into caller-provided parity buffers, allocating
 // nothing: each parity slice must match the data shard length and is
 // overwritten. The data shards are only read.
-func (ge *GroupEncoder) EncodeInto(data, parity [][]byte) (*GroupResult, error) {
+func (ge *GroupEncoder) EncodeInto(data, parity [][]byte) (GroupResult, error) {
 	size, err := ge.checkData(data)
 	if err != nil {
-		return nil, err
+		return GroupResult{}, err
 	}
-	if len(parity) != ge.rs.m {
-		return nil, fmt.Errorf("erasure: got %d parity buffers, encoder built for %d", len(parity), ge.rs.m)
+	if len(parity) != ge.m {
+		return GroupResult{}, fmt.Errorf("erasure: got %d parity buffers, encoder built for %d", len(parity), ge.m)
 	}
 	for i, p := range parity {
 		if len(p) != size {
-			return nil, fmt.Errorf("erasure: parity buffer %d size %d != shard size %d", i, len(p), size)
+			return GroupResult{}, fmt.Errorf("erasure: parity buffer %d size %d != shard size %d", i, len(p), size)
 		}
 	}
 	return ge.encodeTimed(data, parity, size)
 }
 
 func (ge *GroupEncoder) checkData(data [][]byte) (int, error) {
-	if len(data) != ge.rs.k {
-		return 0, fmt.Errorf("erasure: group has %d shards, encoder built for %d", len(data), ge.rs.k)
+	if len(data) != ge.k {
+		return 0, fmt.Errorf("erasure: group has %d shards, encoder built for %d", len(data), ge.k)
 	}
 	size := 0
 	if len(data) > 0 {
@@ -95,21 +93,20 @@ func (ge *GroupEncoder) checkData(data [][]byte) (int, error) {
 	return size, nil
 }
 
-func (ge *GroupEncoder) encodeTimed(data, parity [][]byte, size int) (*GroupResult, error) {
+func (ge *GroupEncoder) encodeTimed(data, parity [][]byte, size int) (GroupResult, error) {
 	start := time.Now()
-	if err := ge.rs.Encode(data, parity); err != nil {
-		return nil, err
+	if err := (*RS)(ge).Encode(data, parity); err != nil {
+		return GroupResult{}, err
 	}
-	elapsed := time.Since(start)
-	return &GroupResult{
+	return GroupResult{
 		Parity:    parity,
-		Elapsed:   elapsed,
-		ModelTime: time.Duration(ModelEncodeSeconds(ge.rs.k, int64(size)) * float64(time.Second)),
+		Elapsed:   time.Since(start),
+		ModelTime: time.Duration(ModelEncodeSeconds(ge.k, int64(size)) * float64(time.Second)),
 	}, nil
 }
 
 // Decode rebuilds only the wanted data shards from exactly k survivors; see
 // RS.Decode.
 func (ge *GroupEncoder) Decode(rows []int, survivors [][]byte, want []int, out [][]byte) error {
-	return ge.rs.Decode(rows, survivors, want, out)
+	return (*RS)(ge).Decode(rows, survivors, want, out)
 }

@@ -22,15 +22,6 @@ func (m *matrix) swapRows(a, b int) {
 	}
 }
 
-// identity returns the n×n identity matrix.
-func identity(n int) *matrix {
-	m := newMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.set(i, i, 1)
-	}
-	return m
-}
-
 // vandermonde returns the rows×cols matrix with entry (r,c) = r^c, whose
 // square submatrices built from distinct evaluation points are invertible —
 // the classical Reed–Solomon construction.
@@ -69,51 +60,49 @@ func (m *matrix) mul(other *matrix) (*matrix, error) {
 	return out, nil
 }
 
-// invert returns the inverse via Gauss–Jordan elimination, or an error if m
-// is singular or non-square.
-func (m *matrix) invert() (*matrix, error) {
-	if m.rows != m.cols {
-		return nil, fmt.Errorf("erasure: cannot invert %dx%d matrix", m.rows, m.cols)
-	}
+// invertInto overwrites inv with the inverse of m, both n×n, by Gauss–Jordan
+// elimination, or fails if m is singular. It reduces m itself to the
+// identity on the way.
+func (m *matrix) invertInto(inv *matrix) error {
 	n := m.rows
-	work := newMatrix(n, n)
-	copy(work.data, m.data)
-	inv := identity(n)
-
+	clear(inv.data)
+	for i := 0; i < n; i++ {
+		inv.set(i, i, 1)
+	}
 	for col := 0; col < n; col++ {
 		pivot := -1
 		for r := col; r < n; r++ {
-			if work.at(r, col) != 0 {
+			if m.at(r, col) != 0 {
 				pivot = r
 				break
 			}
 		}
 		if pivot == -1 {
-			return nil, fmt.Errorf("erasure: singular matrix at column %d", col)
+			return fmt.Errorf("erasure: singular matrix at column %d", col)
 		}
 		if pivot != col {
-			work.swapRows(pivot, col)
+			m.swapRows(pivot, col)
 			inv.swapRows(pivot, col)
 		}
-		p := work.at(col, col)
+		p := m.at(col, col)
 		if p != 1 {
 			pi := gfInv(p)
-			scaleRow(work.row(col), pi)
+			scaleRow(m.row(col), pi)
 			scaleRow(inv.row(col), pi)
 		}
 		for r := 0; r < n; r++ {
 			if r == col {
 				continue
 			}
-			f := work.at(r, col)
+			f := m.at(r, col)
 			if f == 0 {
 				continue
 			}
-			addScaledRow(work.row(col), work.row(r), f)
+			addScaledRow(m.row(col), m.row(r), f)
 			addScaledRow(inv.row(col), inv.row(r), f)
 		}
 	}
-	return inv, nil
+	return nil
 }
 
 func scaleRow(row []byte, c byte) {

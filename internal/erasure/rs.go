@@ -3,6 +3,7 @@ package erasure
 import (
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // ErrTooManyErasures is returned when fewer than k shards of a (k,m)
@@ -11,7 +12,9 @@ import (
 var ErrTooManyErasures = errors.New("erasure: too many erasures to reconstruct")
 
 // RS is a systematic Reed–Solomon codec with k data shards and m parity
-// shards over GF(2^8). Any k of the k+m shards reconstruct all data.
+// shards over GF(2^8). Any k of the k+m shards reconstruct all data. A codec
+// is immutable once built and every method only reads it, so one codec
+// serves any number of goroutines at once.
 type RS struct {
 	k, m int
 	// enc is the (k+m)×k encoding matrix whose top k×k block is identity.
@@ -22,9 +25,21 @@ type RS struct {
 	parityPlans [][]rowPlan
 }
 
-// NewRS builds a codec for k data and m parity shards. k+m must not exceed
-// 256 (field size) and both must be positive (m may be 0 for a degenerate
-// no-parity group, used by baselines).
+// codecs holds the codecs this process has built, one per (k, m). Building
+// one inverts a k×k matrix and compiles its parity plans, so that is paid
+// once per shape per process, not once per caller. The map has no size
+// bound to set: k+m ≤ 256 bounds the shapes, and no hcserve request reaches
+// it (no server path builds a codec). It holds immutable codecs, never
+// buffers.
+var (
+	codecsMu sync.Mutex
+	codecs   = map[[2]int]*RS{}
+)
+
+// NewRS returns the codec for k data and m parity shards, built on first
+// use and shared by every later caller. k+m must not exceed 256 (field
+// size) and both must be positive (m may be 0 for a degenerate no-parity
+// group, used by baselines).
 func NewRS(k, m int) (*RS, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("erasure: k = %d must be positive", k)
@@ -35,10 +50,23 @@ func NewRS(k, m int) (*RS, error) {
 	if k+m > 256 {
 		return nil, fmt.Errorf("erasure: k+m = %d exceeds GF(256) limit", k+m)
 	}
+	codecsMu.Lock()
+	defer codecsMu.Unlock()
+	if r := codecs[[2]int{k, m}]; r != nil {
+		return r, nil
+	}
+	r, err := newRS(k, m)
+	if err == nil {
+		codecs[[2]int{k, m}] = r
+	}
+	return r, err
+}
+
+// newRS builds an RS(k, m) codec that no one else holds.
+func newRS(k, m int) (*RS, error) {
 	v := vandermonde(k+m, k)
-	top := v.subMatrix(seq(0, k))
-	topInv, err := top.invert()
-	if err != nil {
+	topInv := newMatrix(k, k)
+	if err := v.subMatrix(seq(0, k)).invertInto(topInv); err != nil {
 		return nil, fmt.Errorf("erasure: building systematic matrix: %w", err)
 	}
 	enc, err := v.mul(topInv)
@@ -199,9 +227,15 @@ func (r *RS) Decode(rows []int, survivors [][]byte, want []int, out [][]byte) er
 		return nil
 	}
 	// decode = (the survivors' rows of the encoding matrix)^-1, so
-	// data[d] = dec.row(d) · survivors.
-	dec, err := r.enc.subMatrix(rows).invert()
-	if err != nil {
+	// data[d] = dec.row(d) · survivors. The rows, reduced in place, and
+	// their inverse share one buffer.
+	buf := make([]byte, 2*r.k*r.k)
+	rowsM := &matrix{rows: r.k, cols: r.k, data: buf[:r.k*r.k]}
+	dec := &matrix{rows: r.k, cols: r.k, data: buf[r.k*r.k:]}
+	for i, row := range rows {
+		copy(rowsM.row(i), r.enc.row(row))
+	}
+	if err := rowsM.invertInto(dec); err != nil {
 		return fmt.Errorf("erasure: decode matrix singular: %w", err)
 	}
 	var prefix [][]byte // survivors cut to a short output's length
@@ -214,9 +248,14 @@ func (r *RS) Decode(rows []int, survivors [][]byte, want []int, out [][]byte) er
 			}
 			src = prefix
 		}
-		// 8-bit plans: decode coefficients are data-dependent one-shots,
+		// 8-bit tables: decode coefficients are data-dependent one-shots,
 		// not worth building (and permanently caching) 16-bit tables for.
-		encodeRow(makePlan8(dec.row(d)), src, out[i])
+		// A row of an invertible matrix is never zero, so every byte of
+		// out[i] is assigned.
+		first := true
+		for j, c := range dec.row(d) {
+			first = mulTerm(&rowPlan{c: c, tbl: mulRow(c)}, src[j], out[i], first)
+		}
 	}
 	return nil
 }

@@ -81,9 +81,9 @@ func mulRow16(c byte) *[65536]uint16 {
 }
 
 // rowPlan is one precompiled term of a matrix-row · shards product: the
-// coefficient plus its multiplication tables. Plans are built once per
-// codec (NewRS) or once per decode matrix, so the hot loop never touches
-// gfLog or the table-build lock.
+// coefficient plus its multiplication tables. Parity plans are built once
+// per codec (NewRS) and a decode plans each term as it goes, so the hot
+// loop never touches gfLog or the table-build lock.
 type rowPlan struct {
 	c     byte
 	tbl   *[256]byte
@@ -131,28 +131,30 @@ func makePlan8(coeffs []byte) []rowPlan {
 // 16-bit table kernel.
 func encodeRow(plan []rowPlan, shards [][]byte, out []byte) {
 	first := true
-	for d, p := range plan {
-		if p.c == 0 {
-			continue
-		}
-		src := shards[d]
-		switch {
-		case first && p.c == 1:
-			copy(out, src)
-		case first:
-			mulTabAssign(&p, src, out)
-		case p.c == 1:
-			xorWords(src, out)
-		default:
-			mulTabXor(&p, src, out)
-		}
-		first = false
+	for d := range plan {
+		first = mulTerm(&plan[d], shards[d], out, first)
 	}
 	if first {
-		for i := range out {
-			out[i] = 0
-		}
+		clear(out)
 	}
+}
+
+// mulTerm adds the term p.c · src of a row product into out, assigning it
+// when first is set, and reports whether out is still unwritten.
+func mulTerm(p *rowPlan, src, out []byte, first bool) bool {
+	switch {
+	case p.c == 0:
+		return first
+	case first && p.c == 1:
+		copy(out, src)
+	case first:
+		mulTabAssign(p, src, out)
+	case p.c == 1:
+		xorWords(src, out)
+	default:
+		mulTabXor(p, src, out)
+	}
+	return false
 }
 
 // mulTab16 computes one 64-bit word of table products: byte j of the result

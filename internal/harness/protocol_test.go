@@ -1,13 +1,20 @@
 package harness
 
 import (
+	"bytes"
+	"iter"
+	"maps"
 	"math"
+	"slices"
 	"testing"
 
 	"hierclust/internal/checkpoint"
 	"hierclust/internal/core"
 	"hierclust/internal/hybrid"
+	"hierclust/internal/reliability"
+	"hierclust/internal/storage"
 	"hierclust/internal/topology"
+	"hierclust/internal/trace"
 	"hierclust/internal/tsunami"
 	"hierclust/pkg/hierclust"
 )
@@ -81,5 +88,112 @@ func TestProtocolRecoveryOracle(t *testing.T) {
 			t.Errorf("%s: %d ranks restarted over %d single-node failures, RecoveryFraction %v predicts %d",
 				c.Name, restarted, len(used), rf, want)
 		}
+	}
+}
+
+// TestDataPlaneCatastropheOracle holds the reliability model's P(cat) to
+// what checkpoint.Restore does with the same groups. On 16 nodes at 4 ranks
+// per node (block placement) it enumerates every failure set of f = 1, 2
+// and 3 nodes (16, 120 and 560 sets); for each it takes an L3 checkpoint of
+// every rank through a fresh manager, fails the set's nodes and restores
+// every rank. The sets that end in ErrUnrecoverable must number exactly
+// CatastropheProb × sets, with NodeLoss one-hot at f; every other set must
+// give back the bytes checkpointed. Distributed-5 adds odd groups, the only
+// ones on which a ⌊k/2⌋ and a ⌈k/2⌉ tolerance differ.
+func TestDataPlaneCatastropheOracle(t *testing.T) {
+	const nodes, ppn, blob = 16, 4, 48
+	mach, err := topology.Tsubame2().Subset(nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := topology.Block(mach, nodes*ppn, ppn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comm, err := trace.NewStencil(nodes*ppn, trace.SyntheticOptions{Pattern: trace.Stencil2D, Width: ppn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := map[topology.Rank][]byte{}
+	for r := range topology.Rank(nodes * ppn) {
+		data[r] = bytes.Repeat([]byte{byte(r), byte(r >> 8), 0x5a}, blob/3)
+	}
+	all := slices.Sorted(maps.Keys(data))
+	for _, spec := range []hierclust.StrategySpec{
+		{Kind: "naive", Size: 8}, {Kind: "size-guided", Size: 4},
+		{Kind: "distributed", Size: 8}, {Kind: "hierarchical"},
+		{Kind: "distributed", Size: 5},
+	} {
+		c, err := spec.Build(comm, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var groups []reliability.Group
+		for _, g := range c.Groups {
+			groups = append(groups, reliability.GroupFromRanks(p, g))
+		}
+		for f := 1; f <= 3; f++ {
+			mdl := reliability.Model{Nodes: nodes, Mix: reliability.Mix{NodeLoss: make([]float64, f)}}
+			mdl.Mix.NodeLoss[f-1] = 1
+			pcat, err := mdl.CatastropheProb(groups)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sets, lost := 0, 0
+			for set := range failureSets(nodes, f) {
+				sets++
+				cl := storage.NewCluster(mach)
+				mgr, err := checkpoint.New(cl, p, c.Groups)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := mgr.Checkpoint(1, checkpoint.L3Encoded, data); err != nil {
+					t.Fatal(err)
+				}
+				for _, n := range set {
+					if err := cl.FailNode(topology.NodeID(n)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				restored, err := mgr.Restore(1, all)
+				if checkpoint.Unrecoverable(err) {
+					lost++
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s, nodes %v fail: %v", c.Name, set, err)
+				}
+				for _, re := range restored {
+					if !bytes.Equal(re.Data, data[re.Rank]) {
+						t.Fatalf("%s, nodes %v fail: rank %d restored from %v with wrong bytes", c.Name, set, re.Rank, re.Level)
+					}
+				}
+			}
+			t.Logf("%s, f = %d: %d of %d failure sets unrecoverable, P(cat) %v", c.Name, f, lost, sets, pcat)
+			if want := int(math.Round(pcat * float64(sets))); lost != want {
+				t.Errorf("%s, f = %d: %d of %d failure sets unrecoverable, P(cat) %v predicts %d", c.Name, f, lost, sets, pcat, want)
+			}
+		}
+	}
+}
+
+// failureSets yields every set of f distinct nodes out of n, ascending.
+func failureSets(n, f int) iter.Seq[[]int] {
+	return func(yield func([]int) bool) {
+		set := make([]int, f)
+		var rec func(i, from int) bool
+		rec = func(i, from int) bool {
+			if i == f {
+				return yield(set)
+			}
+			for v := from; v < n; v++ {
+				set[i] = v
+				if !rec(i+1, v+1) {
+					return false
+				}
+			}
+			return true
+		}
+		rec(0, 0)
 	}
 }

@@ -82,19 +82,14 @@ func (k Key) String() string {
 	return string(b)
 }
 
-// NotFoundError is returned when a key is absent from node Node's SSD, or,
-// when Node is -1, from the parallel file system. It is formatted only
-// when Error is called.
+// NotFoundError is returned when a key is absent from the parallel file
+// system. It is formatted only when Error is called.
 type NotFoundError struct {
-	Node topology.NodeID
-	Key  Key
+	Key Key
 }
 
 func (e *NotFoundError) Error() string {
-	if e.Node < 0 {
-		return fmt.Sprintf("storage: pfs: key %q not found", e.Key)
-	}
-	return fmt.Sprintf("storage: node %d SSD: key %q not found", e.Node, e.Key)
+	return fmt.Sprintf("storage: pfs: key %q not found", e.Key)
 }
 
 // LocalStore is one node's local SSD: byte blobs keyed by Key. A failed
@@ -126,31 +121,17 @@ func (s *LocalStore) PutOwned(key Key, val []byte) (time.Duration, error) {
 	return s.dev.WriteTime(int64(len(val)), 1), nil
 }
 
-// Get returns a copy of the blob under key and the simulated read time.
-func (s *LocalStore) Get(key Key) ([]byte, time.Duration, error) {
-	v, d, err := s.View(key)
-	if err != nil {
-		return nil, 0, err
-	}
-	return append([]byte(nil), v...), d, nil
-}
-
-// View returns the stored blob itself, without copying, and the simulated
-// read time. The view is borrowed: the caller must never write it, keep it
-// past the operation that took it, or return it to its own callers. Stored
-// blobs are replaced, never modified in place, so a view stays intact even
-// if its key is overwritten or its node fails meanwhile.
-func (s *LocalStore) View(key Key) ([]byte, time.Duration, error) {
+// View returns the stored blob itself, without copying, or false when the
+// store holds no such key (a failed store holds none). The view is borrowed: the caller must
+// never write it, keep it past the operation that took it, or return it to
+// its own callers. Stored blobs are replaced, never modified in place, so a
+// view stays intact even if its key is overwritten or its node fails
+// meanwhile.
+func (s *LocalStore) View(key Key) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.failed {
-		return nil, 0, &FailedError{s.node}
-	}
 	v, ok := s.data[key]
-	if !ok {
-		return nil, 0, &NotFoundError{Node: s.node, Key: key}
-	}
-	return v, s.dev.ReadTime(int64(len(v)), 1), nil
+	return v, ok
 }
 
 // Delete removes a key; deleting an absent key is a no-op.
@@ -219,7 +200,7 @@ func (p *PFS) Get(key Key, sharing int) ([]byte, time.Duration, error) {
 	}
 	p.mu.Unlock()
 	if !ok {
-		return nil, 0, &NotFoundError{Node: -1, Key: key}
+		return nil, 0, &NotFoundError{Key: key}
 	}
 	return v, p.dev.ReadTime(int64(len(v)), sharing), nil
 }

@@ -45,25 +45,17 @@ func TestLocalStorePutGetDelete(t *testing.T) {
 	if _, err := s.Put(NewKey("a"), []byte{1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	v, _, err := s.Get(NewKey("a"))
-	if err != nil || len(v) != 2 {
-		t.Fatalf("Get = %v, %v", v, err)
+	if v, ok := s.View(NewKey("a")); !ok || !bytes.Equal(v, []byte{1, 2}) {
+		t.Fatalf("View = %v, %v", v, ok)
 	}
-	// stored value is a copy
-	v[0] = 99
-	v2, _, _ := s.Get(NewKey("a"))
-	if v2[0] != 1 {
-		t.Error("Get returned aliased storage")
-	}
-	var nf *NotFoundError
-	if _, _, err := s.Get(NewKey("missing", 1, 2)); !errors.As(err, &nf) || err.Error() != `storage: node 3 SSD: key "missing/1/2" not found` {
-		t.Errorf("Get(missing) err = %v, want NotFoundError", err)
+	if v, ok := s.View(NewKey("missing", 1, 2)); ok || v != nil {
+		t.Errorf("View(missing) = %v, %v, want a miss", v, ok)
 	}
 	if err := s.Delete(NewKey("a")); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Get(NewKey("a")); err == nil {
-		t.Error("Get after Delete succeeded")
+	if _, ok := s.View(NewKey("a")); ok {
+		t.Error("View after Delete succeeded")
 	}
 	if err := s.Delete(NewKey("never-existed")); err != nil {
 		t.Errorf("Delete of absent key: %v", err)
@@ -75,7 +67,7 @@ func TestLocalStorePutCopies(t *testing.T) {
 	buf := []byte{7}
 	_, _ = s.Put(NewKey("k"), buf)
 	buf[0] = 8
-	v, _, _ := s.Get(NewKey("k"))
+	v, _ := s.View(NewKey("k"))
 	if v[0] != 7 {
 		t.Error("Put aliased the caller's buffer")
 	}
@@ -83,39 +75,42 @@ func TestLocalStorePutCopies(t *testing.T) {
 
 // TestLocalStoreOwnedAndView pins the zero-copy pair: PutOwned keeps the
 // caller's buffer, View hands out the stored one, and a view outlives an
-// overwrite or a node failure because stored blobs are never written.
+// overwrite or a node failure because stored blobs are never written. A
+// failed or repaired store's View misses, and a miss allocates nothing.
 func TestLocalStoreOwnedAndView(t *testing.T) {
 	s := newLocalStore(3, &Device{Name: "ssd", ReadBps: 1e6, WriteBps: 1e6})
 	buf := []byte{1, 2, 3}
 	if d, err := s.PutOwned(NewKey("k"), buf); err != nil || d <= 0 {
 		t.Fatalf("PutOwned = %v, %v", d, err)
 	}
-	v, d, err := s.View(NewKey("k"))
-	if err != nil || d <= 0 {
-		t.Fatalf("View = %v, %v", d, err)
+	v, ok := s.View(NewKey("k"))
+	if !ok {
+		t.Fatal("View missed a stored key")
 	}
 	if &v[0] != &buf[0] {
 		t.Error("PutOwned or View copied the buffer")
-	}
-	if g, _, _ := s.Get(NewKey("k")); &g[0] == &buf[0] {
-		t.Error("Get returned the stored buffer")
 	}
 	_, _ = s.Put(NewKey("k"), []byte{9, 9, 9})
 	s.Fail()
 	if !bytes.Equal(v, []byte{1, 2, 3}) {
 		t.Errorf("view changed under overwrite and failure: %v", v)
 	}
-	var fe *FailedError
-	if _, _, err := s.View(NewKey("k")); !errors.As(err, &fe) {
-		t.Errorf("View on failed store err = %v", err)
+	if _, ok := s.View(NewKey("k")); ok {
+		t.Error("View on a failed store found a blob")
 	}
+	var fe *FailedError
 	if _, err := s.PutOwned(NewKey("k"), buf); !errors.As(err, &fe) {
 		t.Errorf("PutOwned on failed store err = %v", err)
 	}
+	if n := testing.AllocsPerRun(10, func() { s.View(NewKey("k")) }); n != 0 {
+		t.Errorf("View on a failed store allocates %v objects", n)
+	}
 	s.Repair()
-	var nf *NotFoundError
-	if _, _, err := s.View(NewKey("k")); !errors.As(err, &nf) {
-		t.Errorf("View(missing) err = %v, want NotFoundError", err)
+	if _, ok := s.View(NewKey("k")); ok {
+		t.Error("View on a repaired store found a blob")
+	}
+	if n := testing.AllocsPerRun(10, func() { s.View(NewKey("k")) }); n != 0 {
+		t.Errorf("View of a missing key allocates %v objects", n)
 	}
 }
 
@@ -127,8 +122,8 @@ func TestLocalStoreFailRepair(t *testing.T) {
 	if _, err := s.Put(NewKey("x"), nil); !errors.As(err, &fe) || fe.Node != 1 {
 		t.Errorf("Put on failed store err = %v", err)
 	}
-	if _, _, err := s.Get(NewKey("ckpt")); !errors.As(err, &fe) {
-		t.Errorf("Get on failed store err = %v", err)
+	if _, ok := s.View(NewKey("ckpt")); ok {
+		t.Error("View on failed store succeeded")
 	}
 	if err := s.Delete(NewKey("ckpt")); !errors.As(err, &fe) {
 		t.Errorf("Delete on failed store err = %v", err)
@@ -138,7 +133,7 @@ func TestLocalStoreFailRepair(t *testing.T) {
 		t.Errorf("Put after Repair err = %v", err)
 	}
 	// data was lost
-	if _, _, err := s.Get(NewKey("ckpt")); err == nil {
+	if _, ok := s.View(NewKey("ckpt")); ok {
 		t.Error("data survived Fail/Repair")
 	}
 }

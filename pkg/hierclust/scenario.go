@@ -253,8 +253,9 @@ func (s *Scenario) validate(strategies bool) error {
 	if strategies && len(s.Strategies) == 0 {
 		return fmt.Errorf("hierclust: scenario %q: needs at least one strategy", s.Name)
 	}
+	pairs := topology.Tsubame2().PowerPairs // the one machine model
 	for i := 0; strategies && i < len(s.Strategies); i++ {
-		if err := s.Strategies[i].check(); err != nil {
+		if err := s.Strategies[i].check(pairs); err != nil {
 			return fmt.Errorf("hierclust: scenario %q: strategy %d: %w", s.Name, i, err)
 		}
 	}

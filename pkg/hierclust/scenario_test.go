@@ -185,6 +185,16 @@ func TestScenarioValidate(t *testing.T) {
 		{"max below the default min", func(s *Scenario) { s.Strategies[0].Hier = &HierSpec{MaxNodesPerL1: 3} }},
 		{"max below min", func(s *Scenario) { s.Strategies[0].Hier = &HierSpec{MinNodesPerL1: 8, MaxNodesPerL1: 6} }},
 		{"max below target", func(s *Scenario) { s.Strategies[0].Hier = &HierSpec{TargetNodesPerL1: 8, MaxNodesPerL1: 6} }},
+		// Aligned to power pairs, the build halves min and target up and
+		// the max down: an odd max equal to the min falls below it (the
+		// build failed with "MaxSize 2 below TargetSize 3"), and a max of 1
+		// halves to 0, which the partitioner reads as no cap.
+		{"paired max below paired min", func(s *Scenario) {
+			s.Strategies[0].Hier = &HierSpec{AlignPowerPairs: true, MinNodesPerL1: 5, MaxNodesPerL1: 5}
+		}},
+		{"paired max halves to zero", func(s *Scenario) {
+			s.Strategies[0].Hier = &HierSpec{AlignPowerPairs: true, MinNodesPerL1: 1, TargetNodesPerL1: 1, MaxNodesPerL1: 1}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

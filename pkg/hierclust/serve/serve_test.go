@@ -79,6 +79,7 @@ func TestEvaluateRejectsBadInput(t *testing.T) {
 		// The partitioner's tuning knobs are not part of the schema.
 		{"multilevel tuning knob", `{"name":"x","machine":{"nodes":4},"placement":{"ranks":16,"procs_per_node":4},"trace":{"source":"synthetic"},"strategies":[{"kind":"hierarchical","hier":{"multilevel":true,"coarsen_threshold":64}}]}`, http.StatusBadRequest},
 		{"negative hier field", `{"name":"x","machine":{"nodes":4},"placement":{"ranks":16,"procs_per_node":4},"trace":{"source":"synthetic"},"strategies":[{"kind":"hierarchical","hier":{"min_nodes_per_l1":-3}}]}`, http.StatusBadRequest},
+		{"paired max below paired min", `{"name":"x","machine":{"nodes":16},"placement":{"ranks":64,"procs_per_node":4},"trace":{"source":"synthetic"},"strategies":[{"kind":"hierarchical","hier":{"align_power_pairs":true,"min_nodes_per_l1":5,"max_nodes_per_l1":5}}]}`, http.StatusBadRequest},
 		{"file source over HTTP", `{"name":"x","machine":{"nodes":4},"placement":{"ranks":16,"procs_per_node":4},"trace":{"source":"file","path":"/etc/passwd"},"strategies":[{"kind":"hierarchical"}]}`, http.StatusBadRequest},
 		// Validates but cannot build: 1024 ranks at 4/node exceed 4 nodes.
 		{"unbuildable placement", `{"name":"x","machine":{"model":"tsubame2"},"placement":{"ranks":99999,"procs_per_node":4},"trace":{"source":"synthetic"},"strategies":[{"kind":"hierarchical"}]}`, http.StatusUnprocessableEntity},

@@ -26,10 +26,11 @@ type StrategySpec struct {
 	Hier *HierSpec `json:"hier,omitempty"`
 }
 
-// check validates spec's parameters that do not depend on the machine
-// (machine-dependent validation happens in the build). It allocates nothing
-// for a valid spec, so Scenario.Validate checks every cell of a sweep.
-func (s StrategySpec) check() error {
+// check validates spec's parameters against the one machine property they
+// depend on, whether it has power pairs (the rest of the machine-dependent
+// validation happens in the build). It allocates nothing for a valid spec,
+// so Scenario.Validate checks every cell of a sweep.
+func (s StrategySpec) check(pairs bool) error {
 	switch s.Kind {
 	case "naive", "size-guided", "distributed":
 		if s.Hier != nil {
@@ -43,7 +44,7 @@ func (s StrategySpec) check() error {
 			return fmt.Errorf("hierclust: strategy \"hierarchical\" takes hier options, not size (got %d)", s.Size)
 		}
 		if s.Hier != nil {
-			return checkHier(s.Hier)
+			return checkHier(s.Hier, pairs)
 		}
 	default:
 		return fmt.Errorf("hierclust: unknown strategy kind %q (have [distributed hierarchical naive size-guided])", s.Kind)
@@ -55,8 +56,11 @@ func (s StrategySpec) check() error {
 // under another name and cache key, or that only the build would refuse: a
 // negative field (the build reads a negative min, target or sub-group size
 // as the default, and refuses a negative max), and a max below the resolved
-// min or target.
-func checkHier(h *HierSpec) error {
+// min or target. With power pairs aligned on a paired machine the build
+// counts clusters in pairs, halving min and target up and the max down, so
+// the halved max must reach them too (a max that halves to 0 would lift
+// the cap).
+func checkHier(h *HierSpec, pairs bool) error {
 	for _, f := range [...]struct {
 		name string
 		v    int
@@ -71,8 +75,12 @@ func checkHier(h *HierSpec) error {
 		}
 	}
 	minN := cmp.Or(h.MinNodesPerL1, 4)
-	if tgt := cmp.Or(h.TargetNodesPerL1, minN); h.MaxNodesPerL1 > 0 && h.MaxNodesPerL1 < max(minN, tgt) {
+	tgt := cmp.Or(h.TargetNodesPerL1, minN)
+	if h.MaxNodesPerL1 > 0 && h.MaxNodesPerL1 < max(minN, tgt) {
 		return fmt.Errorf("hierclust: hier max_nodes_per_l1 %d is below the L1 minimum %d or target %d", h.MaxNodesPerL1, minN, tgt)
+	}
+	if pairs && h.AlignPowerPairs && h.MaxNodesPerL1 > 0 && h.MaxNodesPerL1/2 < (max(minN, tgt)+1)/2 {
+		return fmt.Errorf("hierclust: hier max_nodes_per_l1 %d holds %d power pairs, fewer than the L1 minimum %d or target %d need", h.MaxNodesPerL1, h.MaxNodesPerL1/2, minN, tgt)
 	}
 	return nil
 }
@@ -91,7 +99,7 @@ func (s StrategySpec) Build(m Comm, p *Placement) (*Clustering, error) {
 // one phase (with the partitioner's error; the caller reports ctx's). An
 // uncancelled build's clustering is Build's.
 func (s StrategySpec) build(ctx context.Context, m Comm, p *Placement, buf *core.ClusteringBuf, ar *graph.Arena) (*Clustering, error) {
-	if err := s.check(); err != nil {
+	if err := s.check(p != nil && p.Machine().PowerPairs); err != nil {
 		return nil, err
 	}
 	// The flat defaults are the Table II configuration.

@@ -10,12 +10,12 @@ import (
 // scenario alike.
 func TestStrategyKindsIncludeBuiltins(t *testing.T) {
 	for _, kind := range []string{"naive", "size-guided", "distributed", "hierarchical"} {
-		if err := (StrategySpec{Kind: kind}).check(); err != nil {
+		if err := (StrategySpec{Kind: kind}).check(true); err != nil {
 			t.Errorf("built-in kind %q rejected: %v", kind, err)
 		}
 	}
 	const want = `hierclust: unknown strategy kind "nope" (have [distributed hierarchical naive size-guided])`
-	if err := (StrategySpec{Kind: "nope"}).check(); err == nil || err.Error() != want {
+	if err := (StrategySpec{Kind: "nope"}).check(true); err == nil || err.Error() != want {
 		t.Fatalf("unknown kind: %v, want %s", err, want)
 	}
 	if _, err := (StrategySpec{Kind: "nope"}).Build(nil, nil); err == nil || err.Error() != want {
@@ -53,7 +53,7 @@ func TestFlatStrategyDefaultsAndValidation(t *testing.T) {
 		{Kind: "distributed", Size: -1},
 		{Kind: "hierarchical", Size: 8},
 	} {
-		if err := bad.check(); err == nil {
+		if err := bad.check(true); err == nil {
 			t.Errorf("%+v accepted", bad)
 		}
 		if _, err := bad.Build(nil, placement); err == nil {
