@@ -27,7 +27,7 @@ build-arm64:
 
 # fuzz gives each parser of outside bytes ten seconds of coverage-guided
 # input: the two hcserve request decoders, the one trace-file reader,
-# diskstore's journal replay and checksum frames, and checkpoint restore
+# diskstore's record-directory read and checksum frames, and checkpoint restore
 # over stores with flipped or truncated shards (go test -fuzz takes one
 # target and one package per run) — and the same to four closed forms
 # against their oracles: the stencil's symmetric node fold against the
@@ -39,7 +39,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeScenario$$' -fuzztime 10s ./pkg/hierclust/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSweep$$' -fuzztime 10s ./pkg/hierclust/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSR$$' -fuzztime 10s ./internal/trace/
-	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 10s ./internal/diskstore/
+	$(GO) test -run '^$$' -fuzz '^FuzzRecordDir$$' -fuzztime 10s ./internal/diskstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzUnframe$$' -fuzztime 10s ./internal/diskstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreCorrupted$$' -fuzztime 10s ./internal/checkpoint/
 	$(GO) test -run '^$$' -fuzz '^FuzzStencilFoldMatchesCSR$$' -fuzztime 10s ./internal/trace/
@@ -136,7 +136,7 @@ loc:
 # loc-check fails when `make loc` exceeds LOC_CEILING, so ROADMAP aim 2's
 # tracked number only goes up when a PR raises the ceiling on purpose; a PR
 # that shrinks the tree lowers it to its own result.
-LOC_CEILING = 18686
+LOC_CEILING = 18532
 loc-check:
 	@n=$$($(MAKE) -s loc); if [ "$$n" -gt $(LOC_CEILING) ]; then \
 		echo "loc $$n exceeds LOC_CEILING $(LOC_CEILING)"; exit 1; fi; \

@@ -13,7 +13,7 @@
 //	hcserve -addr :9090 -cache 512     # custom port and result-cache size
 //	hcserve -workers 4                 # bound per-request parallelism
 //	hcserve -trace-cache-dir /var/hc   # persistent disk trace cache
-//	hcserve -result-cache-dir /var/hc/results -sweep-journal /var/hc/sweeps.journal
+//	hcserve -result-cache-dir /var/hc/results -sweep-journal /var/hc/sweeps
 //	                                   # restart-survivable results and sweeps
 //	hcserve -max-concurrent 8 -queue-depth 32 -retry-after 2s
 //	hcserve -eval-timeout 30s          # server-side deadline per evaluation
@@ -66,7 +66,7 @@ func main() {
 
 		resultDir    = flag.String("result-cache-dir", "", "directory for a persistent disk result cache beneath the LRU (empty = in-memory only)")
 		resultDiskMB = flag.Int("result-cache-mb", 512, "disk result cache size bound in MiB (with -result-cache-dir)")
-		sweepJournal = flag.String("sweep-journal", "", "path of the crash-safe sweep journal; accepted sweeps resume across restarts (empty = none)")
+		sweepJournal = flag.String("sweep-journal", "", "directory of the crash-safe sweep journal, one record per unfinished sweep; accepted sweeps resume across restarts (empty = none)")
 
 		clientCap     = flag.Int("client-slot-cap", 0, "max evaluation slots one client (X-Hierclust-Client) may hold at once (0 = max-concurrent-1)")
 		maxSweepCells = flag.Int("max-sweep-cells", serve.DefaultMaxSweepCells, "max cells per /v1/sweeps submission")
@@ -120,12 +120,10 @@ func main() {
 		MaxSweepJobs:        *maxSweepJobs,
 	})
 	if *sweepJournal != "" {
-		resumed, err := handler.OpenSweepJournal(*sweepJournal)
-		if err != nil {
+		// Logs how many jobs it resumed; fails on an older server's
+		// single-file journal rather than drop its jobs.
+		if _, err := handler.OpenSweepJournal(*sweepJournal); err != nil {
 			fail(err)
-		}
-		if resumed > 0 {
-			log.Printf("hcserve: resuming %d journaled sweep job(s)", resumed)
 		}
 	}
 	srv := &http.Server{

@@ -19,9 +19,10 @@
 //     HCTR trace serialization) can opt out and report corruption back
 //     via Quarantine.
 //
-// The Journal in this package shares the same philosophy for append-only
-// record logs: checksummed records, single-write appends, and a corrupt
-// tail that is quarantined and truncated instead of poisoning recovery.
+// Record files (records.go) reuse the checksum frame and the quarantine
+// extension for a directory of one durably written file per record — what
+// the hcserve sweep journal keeps per unfinished job — without the Store's
+// byte budget, retries or memory fallback.
 package diskstore
 
 import (
@@ -91,9 +92,6 @@ type Options struct {
 	// ProbeEvery is the degraded-mode disk probe interval; <= 0 picks
 	// DefaultProbeEvery.
 	ProbeEvery time.Duration
-	// MemFallback bounds the degraded-mode memory LRU in entries; <= 0
-	// picks DefaultMemFallback.
-	MemFallback int
 }
 
 // Stats is the store's observability surface.
@@ -165,6 +163,7 @@ func Open(o Options) (*Store, error) {
 		checksum:     o.Checksum,
 		degradeAfter: o.DegradeAfter,
 		probeEvery:   o.ProbeEvery,
+		mem:          lru.New[[]byte](DefaultMemFallback),
 	}
 	if s.degradeAfter <= 0 {
 		s.degradeAfter = OpAttempts
@@ -172,11 +171,6 @@ func Open(o Options) (*Store, error) {
 	if s.probeEvery <= 0 {
 		s.probeEvery = DefaultProbeEvery
 	}
-	memCap := o.MemFallback
-	if memCap <= 0 {
-		memCap = DefaultMemFallback
-	}
-	s.mem = lru.New[[]byte](memCap)
 	if p := o.FaultPrefix; p != "" {
 		s.faultRead, s.faultWrite, s.faultRename = p+".read", p+".write", p+".rename"
 	}
@@ -350,6 +344,19 @@ func (s *Store) frame(data []byte) []byte {
 	if !s.checksum {
 		return data
 	}
+	return frameBlob(data)
+}
+
+// unframe validates and strips the checksum header.
+func (s *Store) unframe(raw []byte) ([]byte, bool) {
+	if !s.checksum {
+		return raw, true
+	}
+	return unframeBlob(raw)
+}
+
+// frameBlob wraps data in the HCDS1 checksum header.
+func frameBlob(data []byte) []byte {
 	out := make([]byte, blobHeaderLen+len(data))
 	copy(out, blobMagic[:])
 	binary.BigEndian.PutUint32(out[len(blobMagic):], crc32.ChecksumIEEE(data))
@@ -358,11 +365,8 @@ func (s *Store) frame(data []byte) []byte {
 	return out
 }
 
-// unframe validates and strips the checksum header.
-func (s *Store) unframe(raw []byte) ([]byte, bool) {
-	if !s.checksum {
-		return raw, true
-	}
+// unframeBlob validates and strips the HCDS1 checksum header.
+func unframeBlob(raw []byte) ([]byte, bool) {
 	if len(raw) < blobHeaderLen || string(raw[:len(blobMagic)]) != string(blobMagic[:]) {
 		return nil, false
 	}

@@ -212,133 +212,125 @@ func TestStoreRenameFaultCleansTemp(t *testing.T) {
 	}
 }
 
-func TestJournalAppendReplay(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal")
-	j, recs, err := OpenJournal(path)
+// readRecords reads a record directory, keeping every intact record, and
+// returns them as name=payload in the order ReadRecords handed them over.
+func readRecords(t *testing.T, dir string) (recs []string, bad int) {
+	t.Helper()
+	bad, err := ReadRecords(dir, ".rec", func(name string, data []byte) error {
+		recs = append(recs, name+"="+string(data))
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 0 {
-		t.Fatalf("fresh journal replayed %d records", len(recs))
+	return recs, bad
+}
+
+func TestRecordsWriteReadRemove(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "records")
+	if recs, bad := readRecords(t, dir); len(recs) != 0 || bad != 0 {
+		t.Fatalf("fresh directory = %v, %d bad", recs, bad)
 	}
-	for i := 0; i < 5; i++ {
-		if err := j.Append(byte(i%2+1), []byte(fmt.Sprintf("payload-%d", i))); err != nil {
+	for i := 4; i >= 0; i-- { // written out of name order
+		if err := WriteRecord(dir, fmt.Sprintf("%02d.rec", i), []byte(fmt.Sprintf("payload-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := j.Close(); err != nil {
+	if err := WriteRecord(dir, "02.rec", []byte("replaced")); err != nil {
 		t.Fatal(err)
 	}
+	if err := RemoveRecord(dir, "03.rec"); err != nil {
+		t.Fatal(err)
+	}
+	if err := RemoveRecord(dir, "03.rec"); err != nil {
+		t.Fatalf("removing a removed record: %v", err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "foreign.txt"), []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recs, bad := readRecords(t, dir)
+	want := []string{"00.rec=payload-0", "01.rec=payload-1", "02.rec=replaced", "04.rec=payload-4"}
+	if bad != 0 || fmt.Sprint(recs) != fmt.Sprint(want) {
+		t.Fatalf("records = %v, %d bad; want %v", recs, bad, want)
+	}
+}
 
-	_, recs, err = OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 5 {
-		t.Fatalf("replayed %d records; want 5", len(recs))
-	}
-	for i, r := range recs {
-		if r.Kind != byte(i%2+1) || string(r.Payload) != fmt.Sprintf("payload-%d", i) {
-			t.Fatalf("record %d = kind %d payload %q", i, r.Kind, r.Payload)
+// A truncated or bit-flipped record, and one whose payload the reader
+// rejects, are quarantined to .bad with their bytes intact and counted;
+// their siblings still read back, and the next read no longer sees them.
+func TestRecordsCorruptQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"a.rec", "b.rec", "c.rec", "d.rec", "e.rec"} {
+		if err := WriteRecord(dir, name, []byte(name)); err != nil {
+			t.Fatal(err)
 		}
 	}
-}
-
-func TestJournalCorruptTailQuarantinedAndTruncated(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal")
-	j, _, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Append(1, []byte("first"))
-	j.Append(1, []byte("second"))
-	j.Close()
-
-	intact, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a torn final append: a header promising more bytes than
-	// the file holds.
-	torn := append(append([]byte(nil), intact...), encodeRecord(1, []byte("third incomplete"))[:journalHeaderLen+4]...)
-	if err := os.WriteFile(path, torn, 0o644); err != nil {
-		t.Fatal(err)
+	quarantined := map[string][]byte{}
+	for name, edit := range map[string]func([]byte) []byte{
+		"b.rec": func(b []byte) []byte { return b[:len(b)-3] },
+		"c.rec": func(b []byte) []byte { b[len(b)-1] ^= 0xFF; return b },
+		"e.rec": func(b []byte) []byte { return b },
+	} {
+		raw, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		quarantined[name] = edit(raw)
+		if err := os.WriteFile(filepath.Join(dir, name), quarantined[name], 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	_, recs, err := OpenJournal(path)
+	var kept []string
+	bad, err := ReadRecords(dir, ".rec", func(name string, data []byte) error {
+		if string(data) == "e.rec" {
+			return fmt.Errorf("reader rejects %s", name)
+		}
+		kept = append(kept, name)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 || string(recs[0].Payload) != "first" || string(recs[1].Payload) != "second" {
-		t.Fatalf("replay after torn tail = %d records", len(recs))
+	if bad != 3 || fmt.Sprint(kept) != "[a.rec d.rec]" {
+		t.Fatalf("ReadRecords kept %v, %d bad; want [a.rec d.rec], 3 bad", kept, bad)
 	}
-	bad, err := os.ReadFile(path + QuarantineExt)
-	if err != nil {
-		t.Fatalf("quarantined tail: %v", err)
+	for name, raw := range quarantined {
+		got, err := os.ReadFile(filepath.Join(dir, name+QuarantineExt))
+		if err != nil || !bytes.Equal(got, raw) {
+			t.Fatalf("%s quarantine holds %q (err %v); want its bytes", name, got, err)
+		}
 	}
-	if !bytes.Equal(bad, torn[len(intact):]) {
-		t.Fatal("quarantined tail does not preserve the torn bytes")
-	}
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(after, intact) {
-		t.Fatal("journal not truncated back to the last intact record")
+	if recs, bad := readRecords(t, dir); bad != 0 || len(recs) != 2 {
+		t.Fatalf("second read = %v, %d bad; want 2 records, 0 bad", recs, bad)
 	}
 }
 
-func TestJournalCorruptCRCTruncatesFromBadRecord(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal")
-	j, _, err := OpenJournal(path)
-	if err != nil {
+// A temp file a crash left mid-write is removed, never read as a record.
+func TestRecordsInterruptedWriteRemoved(t *testing.T) {
+	dir := t.TempDir()
+	if err := WriteRecord(dir, "kept.rec", []byte("kept")); err != nil {
 		t.Fatal(err)
 	}
-	j.Append(1, []byte("keep me"))
-	j.Close()
-	intact, _ := os.ReadFile(path)
-
-	bad := encodeRecord(2, []byte("bitrot victim"))
-	bad[len(bad)-1] ^= 0xFF // flip a payload bit; CRC now fails
-	tail := append(bad, encodeRecord(1, []byte("after the corruption"))...)
-	if err := os.WriteFile(path, append(append([]byte(nil), intact...), tail...), 0o644); err != nil {
+	tmp := filepath.Join(dir, recordTempPrefix+"123")
+	if err := os.WriteFile(tmp, frameBlob([]byte("half written")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	// Everything from the first bad record onward is dropped, even intact
-	// records after it — order is the journal's semantic content.
-	_, recs, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
+	if recs, bad := readRecords(t, dir); bad != 0 || fmt.Sprint(recs) != "[kept.rec=kept]" {
+		t.Fatalf("ReadRecords = %v, %d bad", recs, bad)
 	}
-	if len(recs) != 1 || string(recs[0].Payload) != "keep me" {
-		t.Fatalf("replay = %d records; want just the pre-corruption one", len(recs))
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("temp file survived the read (stat err %v)", err)
 	}
 }
 
-func TestJournalRewriteCompacts(t *testing.T) {
+// A path that is a regular file is not a record directory.
+func TestRecordsRefuseFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal")
-	j, _, err := OpenJournal(path)
-	if err != nil {
+	if err := os.WriteFile(path, []byte("HCJL"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
-		j.Append(1, []byte(fmt.Sprintf("r%d", i)))
-	}
-	if err := j.Rewrite([]Record{{Kind: 1, Payload: []byte("survivor")}}); err != nil {
-		t.Fatal(err)
-	}
-	// The append handle must follow the rewrite onto the new inode.
-	if err := j.Append(2, []byte("post-compact")); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-
-	_, recs, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 || string(recs[0].Payload) != "survivor" || string(recs[1].Payload) != "post-compact" {
-		t.Fatalf("replay after rewrite = %+v", recs)
+	if _, err := ReadRecords(path, ".rec", func(string, []byte) error { return nil }); err == nil {
+		t.Fatal("ReadRecords read a regular file as a directory")
 	}
 }

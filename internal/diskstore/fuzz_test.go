@@ -7,56 +7,59 @@ import (
 	"testing"
 )
 
-// The two byte formats this package reads back from disk: HCJL journal
-// records (OpenJournal's replay) and HCDS1 checksum frames (Get's unframe).
-// Neither may crash on any input, and each must keep exactly the bytes it
-// can vouch for.
+// The byte format this package reads back from disk is the HCDS1 checksum
+// frame, of Store blobs (Get's unframe) and of record files (ReadRecords).
+// Neither reader may crash on any input, and each must keep exactly the
+// bytes it can vouch for.
 
-// OpenJournal over arbitrary file contents: the records it returns re-encode
-// to a prefix of the file, the file is truncated to that prefix, and the
-// rest — only when there is a rest — is preserved in <path>.bad.
-func FuzzJournalReplay(f *testing.F) {
-	good := append(encodeRecord(1, []byte("first")), encodeRecord(2, nil)...)
-	crcFlip := append(append([]byte(nil), good...), encodeRecord(1, []byte("bitrot"))...)
-	crcFlip[len(crcFlip)-1] ^= 0xFF
+// ReadRecords over a directory holding one record file of arbitrary bytes
+// and the temp file of an interrupted write: an intact frame comes back as
+// the one record, byte-identical; anything else is moved to <name>.bad
+// unchanged; the temp file is gone either way.
+func FuzzRecordDir(f *testing.F) {
+	good := frameBlob([]byte(`{"id":"0123456789abcdef"}`))
+	flipped := append([]byte(nil), good...)
+	flipped[len(flipped)-1] ^= 0xFF
 	f.Add([]byte{})
 	f.Add(good)
-	f.Add(append(append([]byte(nil), good...), encodeRecord(1, []byte("torn"))[:journalHeaderLen+2]...))
-	f.Add(crcFlip)
-	f.Add([]byte("HCJL\x01\xff\xff\xff\xff\x00\x00\x00\x00")) // a length past maxJournalPayload
-	f.Add([]byte("not a journal"))
+	f.Add(frameBlob(nil))
+	f.Add(good[:len(good)-2])
+	f.Add(flipped)
+	f.Add([]byte("HCJL\x01\x00\x00\x00\x05\x00\x00\x00\x00hello")) // an older journal's record
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		path := filepath.Join(t.TempDir(), "journal")
+		dir := t.TempDir()
+		path := filepath.Join(dir, "0000000000000001-job.rec")
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		j, recs, err := OpenJournal(path)
+		if err := os.WriteFile(filepath.Join(dir, recordTempPrefix+"1"), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var recs [][]byte
+		bad, err := ReadRecords(dir, ".rec", func(_ string, data []byte) error {
+			recs = append(recs, data)
+			return nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := j.Close(); err != nil {
-			t.Fatal(err)
+		if payload, ok := unframeBlob(raw); ok {
+			if bad != 0 || len(recs) != 1 || !bytes.Equal(recs[0], payload) {
+				t.Fatalf("intact record read back as %d records, %d bad", len(recs), bad)
+			}
+			if _, err := os.Stat(path + QuarantineExt); !os.IsNotExist(err) {
+				t.Fatalf("intact record quarantined (stat err %v)", err)
+			}
+		} else {
+			if bad != 1 || len(recs) != 0 {
+				t.Fatalf("corrupt record read back as %d records, %d bad", len(recs), bad)
+			}
+			if kept, err := os.ReadFile(path + QuarantineExt); err != nil || !bytes.Equal(kept, raw) {
+				t.Fatalf("quarantine holds %d bytes (err %v), want the %d-byte record", len(kept), err, len(raw))
+			}
 		}
-		var kept []byte
-		for _, r := range recs {
-			kept = append(kept, encodeRecord(r.Kind, r.Payload)...)
-		}
-		if !bytes.HasPrefix(raw, kept) {
-			t.Fatalf("%d replayed records re-encode to bytes that are not a prefix of the file", len(recs))
-		}
-		after, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(after, kept) {
-			t.Fatalf("journal holds %d bytes after replay, want the %d-byte kept prefix", len(after), len(kept))
-		}
-		bad, err := os.ReadFile(path + QuarantineExt)
-		switch rest := raw[len(kept):]; {
-		case len(rest) == 0 && !os.IsNotExist(err):
-			t.Fatalf("intact journal quarantined a tail (err %v)", err)
-		case len(rest) > 0 && (err != nil || !bytes.Equal(bad, rest)):
-			t.Fatalf("quarantine holds %d bytes (err %v), want the %d-byte tail", len(bad), err, len(rest))
+		if temps, _ := filepath.Glob(filepath.Join(dir, recordTempPrefix+"*")); len(temps) != 0 {
+			t.Fatalf("temp files survived: %v", temps)
 		}
 	})
 }

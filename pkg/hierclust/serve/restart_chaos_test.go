@@ -150,9 +150,6 @@ func TestJournalDrainRestartResume(t *testing.T) {
 	})
 	srv1.Drain()
 	ts1.Close()
-	if err := srv1.CloseSweepJournal(); err != nil {
-		t.Fatal(err)
-	}
 	faultinject.DisarmAll()
 
 	// The interrupted job must not have finished cleanly — that is the
@@ -220,9 +217,6 @@ func TestJournalCompletedAndForgottenJobsStayDone(t *testing.T) {
 		t.Fatal("sweep goroutines did not exit")
 	}
 	ts1.Close()
-	if err := srv1.CloseSweepJournal(); err != nil {
-		t.Fatal(err)
-	}
 
 	srv2 := New(Options{CacheSize: 16})
 	resumed, err := srv2.OpenSweepJournal(journalPath)
@@ -231,9 +225,6 @@ func TestJournalCompletedAndForgottenJobsStayDone(t *testing.T) {
 	}
 	if resumed != 0 {
 		t.Fatalf("resumed %d jobs; want 0 (both reached terminal records)", resumed)
-	}
-	if err := srv2.CloseSweepJournal(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -82,6 +82,7 @@ type sweepJob struct {
 	client string
 	plan   *hierclust.SweepPlan
 	cancel context.CancelFunc
+	record string // its sweep-journal record file; "" when it has none
 
 	mu       sync.Mutex
 	state    string
@@ -221,12 +222,12 @@ func (s *Server) storeSweepJob(j *sweepJob) error {
 			return fmt.Errorf("hierclust: sweep job store full (%d jobs, all running); retry after %ss",
 				len(s.sweepJobs), s.retryAfter)
 		}
-		// Evicted jobs are gone from the store, so they must be closed out
-		// in the journal too or a restart would resurrect them.
+		// Evicted jobs are gone from the store, so their journal records
+		// must go too or a restart would resurrect them.
 		// (journalDone never takes sweepMu.)
-		id := s.sweepOrder[i]
-		s.forgetSweepJobLocked(id)
-		s.journalDone(id, "forgotten")
+		old := s.sweepJobs[s.sweepOrder[i]]
+		s.forgetSweepJobLocked(old.id)
+		s.journalDone(old)
 	}
 	s.sweepJobs[j.id] = j
 	s.sweepOrder = append(s.sweepOrder, j.id)
@@ -303,7 +304,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 
 	// Journal the accepted sweep before the 202 leaves the server: once
 	// the client sees the job id, the job survives kill -9.
-	s.journalSubmitted(id, job.client, body)
+	s.journalSubmitted(job, body)
 
 	// The 202 body is the job as accepted, snapshotted before it can run.
 	doc := job.statusDoc()
@@ -357,18 +358,18 @@ func (s *Server) runSweepJob(ctx context.Context, job *sweepJob) {
 	switch {
 	case err == nil:
 		job.finish("completed", 0, "") // no unfilled lines remain
-		s.journalDone(job.id, "completed")
+		s.journalDone(job)
 	case errors.Is(context.Cause(ctx), errDraining):
 		job.finish("cancelled", http.StatusServiceUnavailable, errDrainingRetry.Error())
-		// Deliberately NOT journaled as done: a drain is a restart from
-		// the journal's point of view, so the next process resumes this
-		// job where the result cache left off.
+		// Deliberately keeps its journal record: a drain is a restart
+		// from the journal's point of view, so the next process resumes
+		// this job where the result cache left off.
 	case errors.Is(ctx.Err(), context.Canceled):
 		job.finish("cancelled", statusClientClosed, errCancelled.Error())
-		s.journalDone(job.id, "cancelled")
+		s.journalDone(job)
 	default:
 		job.finish("failed", http.StatusInternalServerError, err.Error())
-		s.journalDone(job.id, "failed")
+		s.journalDone(job)
 	}
 }
 
@@ -419,6 +420,6 @@ func (s *Server) handleSweepDelete(w http.ResponseWriter, r *http.Request) {
 	s.sweepMu.Lock()
 	s.forgetSweepJobLocked(id)
 	s.sweepMu.Unlock()
-	s.journalDone(id, "forgotten")
+	s.journalDone(job)
 	w.WriteHeader(http.StatusNoContent)
 }
