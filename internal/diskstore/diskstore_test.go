@@ -255,22 +255,37 @@ func TestRecordsWriteReadRemove(t *testing.T) {
 	}
 }
 
-// A truncated or bit-flipped record, and one whose payload the reader
-// rejects, are quarantined to .bad with their bytes intact and counted;
-// their siblings still read back, and the next read no longer sees them.
-func TestRecordsCorruptQuarantined(t *testing.T) {
+// A truncated record is quarantined whole to .bad with its bytes intact and
+// counted; its siblings still read back, and the next read no longer sees it.
+func TestRecordsTruncatedQuarantined(t *testing.T) {
+	checkQuarantined(t, map[string]func([]byte) []byte{
+		"b.rec": func(b []byte) []byte { return b[:len(b)-3] },
+	}, "", "[a.rec c.rec]")
+}
+
+// A bit-flipped record, and one whose payload the reader rejects, are
+// quarantined to .bad with their bytes intact and counted; their siblings
+// still read back, and the next read no longer sees them.
+func TestRecordsBitFlipQuarantined(t *testing.T) {
+	checkQuarantined(t, map[string]func([]byte) []byte{
+		"a.rec": func(b []byte) []byte { b[len(b)-1] ^= 0xFF; return b },
+		"c.rec": func(b []byte) []byte { return b },
+	}, "c.rec", "[b.rec]")
+}
+
+// checkQuarantined writes a.rec, b.rec and c.rec, applies edits to their
+// bytes on disk, reads them back with a reader that rejects the payload
+// reject, and checks that exactly the edited records were quarantined.
+func checkQuarantined(t *testing.T, edits map[string]func([]byte) []byte, reject, wantKept string) {
+	t.Helper()
 	dir := t.TempDir()
-	for _, name := range []string{"a.rec", "b.rec", "c.rec", "d.rec", "e.rec"} {
+	for _, name := range []string{"a.rec", "b.rec", "c.rec"} {
 		if err := WriteRecord(dir, name, []byte(name)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	quarantined := map[string][]byte{}
-	for name, edit := range map[string]func([]byte) []byte{
-		"b.rec": func(b []byte) []byte { return b[:len(b)-3] },
-		"c.rec": func(b []byte) []byte { b[len(b)-1] ^= 0xFF; return b },
-		"e.rec": func(b []byte) []byte { return b },
-	} {
+	for name, edit := range edits {
 		raw, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)
@@ -283,7 +298,7 @@ func TestRecordsCorruptQuarantined(t *testing.T) {
 
 	var kept []string
 	bad, err := ReadRecords(dir, ".rec", func(name string, data []byte) error {
-		if string(data) == "e.rec" {
+		if string(data) == reject {
 			return fmt.Errorf("reader rejects %s", name)
 		}
 		kept = append(kept, name)
@@ -292,8 +307,8 @@ func TestRecordsCorruptQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bad != 3 || fmt.Sprint(kept) != "[a.rec d.rec]" {
-		t.Fatalf("ReadRecords kept %v, %d bad; want [a.rec d.rec], 3 bad", kept, bad)
+	if bad != len(edits) || fmt.Sprint(kept) != wantKept {
+		t.Fatalf("ReadRecords kept %v, %d bad; want %s, %d bad", kept, bad, wantKept, len(edits))
 	}
 	for name, raw := range quarantined {
 		got, err := os.ReadFile(filepath.Join(dir, name+QuarantineExt))
@@ -301,8 +316,8 @@ func TestRecordsCorruptQuarantined(t *testing.T) {
 			t.Fatalf("%s quarantine holds %q (err %v); want its bytes", name, got, err)
 		}
 	}
-	if recs, bad := readRecords(t, dir); bad != 0 || len(recs) != 2 {
-		t.Fatalf("second read = %v, %d bad; want 2 records, 0 bad", recs, bad)
+	if recs, bad := readRecords(t, dir); bad != 0 || len(recs) != 3-len(edits) {
+		t.Fatalf("second read = %v, %d bad; want %d records, 0 bad", recs, bad, 3-len(edits))
 	}
 }
 
