@@ -827,9 +827,10 @@ func BenchmarkHybridRecovery(b *testing.B) {
 
 // BenchmarkEvaluateSharedTrace measures the pipeline's trace-level cache:
 // two scenarios that share one tsunami trace key but differ in strategy.
-// "cold" rebuilds the trace — running the traced application — on every
-// evaluation; "trace-cached" pre-warms a MemoryTraceCache with the first
-// scenario, so every evaluation of the second skips the application run
+// "cold" rebuilds the trace — recording the traced application's message
+// schedule — on every evaluation; "trace-cached" pre-warms a
+// MemoryTraceCache with the first scenario, so every evaluation of the
+// second skips that recording
 // (the per-iteration cache stats assert it). The delta between the two is
 // exactly the cost hcserve's trace cache removes for scenarios sharing
 // a trace.

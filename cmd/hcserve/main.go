@@ -1,23 +1,23 @@
 // Command hcserve serves clustering-scenario evaluations over HTTP: POST a
 // scenario JSON document (or an array of them), get the four-dimension
 // evaluation of every strategy in it. Two cache levels absorb repeated
-// work — a scenario-result LRU and a trace cache beneath it that spares
-// the traced tsunami application from re-running for scenarios that share
-// a trace — a concurrency limiter with a bounded wait queue sheds overload
-// with 429 + Retry-After, and GET /metrics exposes the registry in
-// Prometheus text format. See docs/OPERATIONS.md for the full runbook.
+// work — a scenario-result LRU and a trace cache beneath it that records a
+// tsunami trace once for every scenario that shares it — a concurrency
+// limiter with a bounded wait queue sheds overload with 429 + Retry-After,
+// and GET /metrics exposes the registry in Prometheus text format. See
+// docs/OPERATIONS.md for the full runbook.
 //
 // Usage:
 //
 //	hcserve                            # listen on :8080
 //	hcserve -addr :9090 -cache 512     # custom port and result-cache size
 //	hcserve -workers 4                 # bound per-request parallelism
-//	hcserve -trace-cache-dir /var/hc   # persistent disk trace cache
 //	hcserve -result-cache-dir /var/hc/results -sweep-journal /var/hc/sweeps
 //	                                   # restart-survivable results and sweeps
 //	hcserve -max-concurrent 8 -queue-depth 32 -retry-after 2s
 //	hcserve -eval-timeout 30s          # server-side deadline per evaluation
-//	hcserve -fault 'tracecache.disk.write=error:1.0'   # chaos drills
+//	hcserve -result-cache-dir /tmp/r -fault 'resultcache.disk.write=error:1.0'
+//	                                   # chaos drill
 //	hcserve -max-sweeps 4 -max-sweep-cells 4096 -client-slot-cap 2
 //
 // Try it:
@@ -54,9 +54,7 @@ func main() {
 		cache   = flag.Int("cache", serve.DefaultCacheSize, "scenario-result LRU capacity (0 = default, negative disables)")
 		workers = flag.Int("workers", 0, "per-request evaluation workers (0 = GOMAXPROCS)")
 
-		traceCache   = flag.Int("trace-cache", 64, "in-memory trace cache capacity in traces (negative disables; ignored with -trace-cache-dir)")
-		traceDir     = flag.String("trace-cache-dir", "", "directory for a persistent disk trace cache (empty = in-memory)")
-		traceDiskMB  = flag.Int("trace-cache-mb", 256, "disk trace cache size bound in MiB (with -trace-cache-dir)")
+		traceCache   = flag.Int("trace-cache", 64, "in-memory trace cache capacity in tsunami traces (0 or negative disables)")
 		maxConc      = flag.Int("max-concurrent", serve.DefaultMaxConcurrent, "evaluations executing at once")
 		queueDepth   = flag.Int("queue-depth", 0, "evaluations waiting for a slot before 429 shedding (0 = 2x max-concurrent, negative = no queue)")
 		retryAfter   = flag.Duration("retry-after", time.Second, "advisory Retry-After on 429/503 responses")
@@ -73,7 +71,7 @@ func main() {
 		maxSweeps     = flag.Int("max-sweeps", serve.DefaultMaxConcurrentSweeps, "sweep jobs executing at once")
 		maxSweepJobs  = flag.Int("max-sweep-jobs", serve.DefaultMaxSweepJobs, "finished sweep jobs retained for polling before eviction")
 	)
-	flag.Func("fault", "arm fault injection points, e.g. 'tracecache.disk.write=error:1.0,pipeline.worker=panic:0.01' (repeatable; chaos drills only)",
+	flag.Func("fault", "arm fault injection points, e.g. 'resultcache.disk.write=error:1.0,pipeline.worker=panic:0.01' (repeatable; chaos drills only)",
 		faultinject.ArmSpec)
 	flag.Parse()
 	if armed := faultinject.Armed(); len(armed) > 0 {
@@ -81,14 +79,7 @@ func main() {
 	}
 
 	opts := []hierclust.PipelineOption{hierclust.WithWorkers(*workers)}
-	switch {
-	case *traceDir != "":
-		dc, err := hierclust.NewDiskTraceCache(*traceDir, int64(*traceDiskMB)<<20)
-		if err != nil {
-			fail(err)
-		}
-		opts = append(opts, hierclust.WithTraceCache(dc))
-	case *traceCache > 0:
+	if *traceCache > 0 {
 		opts = append(opts, hierclust.WithTraceCache(hierclust.NewMemoryTraceCache(*traceCache)))
 	}
 

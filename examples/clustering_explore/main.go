@@ -26,7 +26,7 @@ func main() {
 	}
 
 	rec := hierclust.NewTraceRecorder(ranks)
-	if _, err := hierclust.RunTracedTsunami(hierclust.TracedTsunamiOptions{
+	if err := hierclust.TraceTsunami(hierclust.TracedTsunamiOptions{
 		Params: hierclust.TsunamiTraceParams(ranks), Iterations: 30, Tracer: rec,
 	}); err != nil {
 		log.Fatal(err)

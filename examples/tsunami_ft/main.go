@@ -40,7 +40,7 @@ func main() {
 
 	// Hierarchical clustering from a short communication trace.
 	rec := hierclust.NewTraceRecorder(ranks)
-	if _, err := hierclust.RunTracedTsunami(hierclust.TracedTsunamiOptions{
+	if err := hierclust.TraceTsunami(hierclust.TracedTsunamiOptions{
 		Params: params, Iterations: 5, Tracer: rec,
 	}); err != nil {
 		log.Fatal(err)

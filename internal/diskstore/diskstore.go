@@ -1,7 +1,6 @@
 // Package diskstore is the shared hardened disk persistence layer behind
-// hierclust's durable caches and the hcserve sweep journal. It extracts
-// the degrade-don't-fail discipline the disk trace cache pioneered so
-// every on-disk subsystem inherits the same guarantees:
+// hierclust's durable result cache and the hcserve sweep journal, so
+// every on-disk subsystem keeps the same degrade-don't-fail guarantees:
 //
 //   - Atomic writes: every file lands via temp file + rename, so a crash
 //     mid-write never leaves a half-written blob under its real name.
@@ -13,11 +12,9 @@
 //   - Degraded mode: after enough consecutive failed attempts the store
 //     goes memory-only (a bounded fallback LRU keeps serving the hottest
 //     entries) and probes the disk periodically until a write succeeds.
-//   - Optional checksum framing: Options.Checksum wraps payloads in a
-//     magic + CRC32 header so corruption is detected at read time without
-//     the caller having to parse anything. Self-validating formats (the
-//     HCTR trace serialization) can opt out and report corruption back
-//     via Quarantine.
+//   - Checksum framing: payloads are wrapped in a magic + CRC32 header so
+//     corruption is detected at read time without the caller having to
+//     parse anything.
 //
 // Record files (records.go) reuse the checksum frame and the quarantine
 // extension for a directory of one durably written file per record — what
@@ -43,7 +40,7 @@ import (
 
 const (
 	// QuarantineExt is appended to a corrupt file's full name, preserving
-	// the original extension (cache.hctr -> cache.hctr.bad).
+	// the original extension (doc.hcres -> doc.hcres.bad).
 	QuarantineExt = ".bad"
 
 	// OpAttempts is how many times a transiently failing disk operation is
@@ -72,16 +69,11 @@ type Options struct {
 	// Dir is the store's directory, created if needed.
 	Dir string
 	// Ext is the filename extension of stored blobs, dot included
-	// (".hctr"). Files without it are ignored by the restart re-index.
+	// (".hcres"). Files without it are ignored by the restart re-index.
 	Ext string
 	// MaxBytes bounds the stored size; least-recently-used blobs are
 	// evicted past it. Must be positive.
 	MaxBytes int64
-	// Checksum wraps payloads in a magic+CRC32 header so Get detects
-	// corruption itself (quarantining the file and reporting a miss).
-	// Leave false for self-validating payload formats, whose callers
-	// signal corruption via Quarantine instead.
-	Checksum bool
 	// FaultPrefix, when non-empty, names the store's fault-injection
 	// points: <prefix>.read, <prefix>.write, and <prefix>.rename fire at
 	// the top of each read attempt, write attempt, and rename.
@@ -122,7 +114,6 @@ type Store struct {
 	ll     *list.List // front = most recently used
 	byStem map[string]*list.Element
 
-	checksum    bool
 	faultRead   string
 	faultWrite  string
 	faultRename string
@@ -160,7 +151,6 @@ func Open(o Options) (*Store, error) {
 		max:          o.MaxBytes,
 		ll:           list.New(),
 		byStem:       map[string]*list.Element{},
-		checksum:     o.Checksum,
 		degradeAfter: o.DegradeAfter,
 		probeEvery:   o.ProbeEvery,
 		mem:          lru.New[[]byte](DefaultMemFallback),
@@ -285,8 +275,8 @@ func (s *Store) shouldProbe() bool {
 }
 
 // Get returns the blob stored under stem. Transient read failures are
-// retried with backoff and fall back to the degraded-mode memory LRU; with
-// Checksum on, a corrupt file is quarantined and reported as a miss; in
+// retried with backoff and fall back to the degraded-mode memory LRU; a
+// file whose checksum frame fails is quarantined and reported as a miss; in
 // degraded mode the disk is not touched at all. The returned slice is the
 // caller's to keep — it never aliases store-internal memory.
 func (s *Store) Get(stem string) ([]byte, bool) {
@@ -319,11 +309,11 @@ func (s *Store) Get(stem string) ([]byte, bool) {
 	switch {
 	case err == nil:
 		s.noteSuccess()
-		payload, ok := s.unframe(raw)
+		payload, ok := unframeBlob(raw)
 		if !ok {
 			// Framing says the bytes are corrupt: a content problem, not a
 			// disk-health problem.
-			s.Quarantine(stem)
+			s.quarantine(stem)
 			return s.memGet(stem)
 		}
 		return payload, true
@@ -336,23 +326,6 @@ func (s *Store) Get(stem string) ([]byte, bool) {
 		// the index entry — the bytes are probably fine, the IO was not.
 	}
 	return s.memGet(stem)
-}
-
-// frame wraps data in the checksum header (or returns it as-is when the
-// store was opened without Checksum).
-func (s *Store) frame(data []byte) []byte {
-	if !s.checksum {
-		return data
-	}
-	return frameBlob(data)
-}
-
-// unframe validates and strips the checksum header.
-func (s *Store) unframe(raw []byte) ([]byte, bool) {
-	if !s.checksum {
-		return raw, true
-	}
-	return unframeBlob(raw)
 }
 
 // frameBlob wraps data in the HCDS1 checksum header.
@@ -398,7 +371,7 @@ func (s *Store) Put(stem string, data []byte) {
 		return
 	}
 
-	blob := s.frame(data)
+	blob := frameBlob(data)
 	err := s.retry(&s.writeErrs, func() error {
 		return s.writeAttempt(stem, blob)
 	})
@@ -461,11 +434,10 @@ func (s *Store) dropIndex(stem string) {
 	}
 }
 
-// Quarantine moves a corrupt blob aside as <stem><ext>.bad instead of
+// quarantine moves a corrupt blob aside as <stem><ext>.bad instead of
 // deleting it — destroying the only evidence of how data got corrupted is
-// how storage bugs stay unfixed. Callers of non-checksummed stores invoke
-// it when their own decode fails; checksummed stores invoke it themselves.
-func (s *Store) Quarantine(stem string) {
+// how storage bugs stay unfixed.
+func (s *Store) quarantine(stem string) {
 	s.dropIndex(stem)
 	if err := os.Rename(s.path(stem), s.path(stem)+QuarantineExt); err != nil {
 		// Cannot preserve it; remove so the stem is rebuildable.

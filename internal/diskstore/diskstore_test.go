@@ -17,7 +17,6 @@ func openTest(t *testing.T, dir string, max int64, o func(*Options)) *Store {
 		Dir:         dir,
 		Ext:         ".blob",
 		MaxBytes:    max,
-		Checksum:    true,
 		FaultPrefix: "diskstoretest",
 		ProbeEvery:  time.Hour, // tests opt in to probing explicitly
 	}

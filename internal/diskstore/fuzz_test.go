@@ -64,19 +64,18 @@ func FuzzRecordDir(f *testing.F) {
 	})
 }
 
-// frame and unframe of a checksummed store: any payload round-trips, and any
-// raw blob unframe accepts is exactly the frame of what it returned.
+// frameBlob and unframeBlob: any payload round-trips, and any raw blob
+// unframeBlob accepts is exactly the frame of what it returned.
 func FuzzUnframe(f *testing.F) {
-	s := &Store{checksum: true}
 	f.Add([]byte("payload bytes"))
-	f.Add(s.frame([]byte("payload bytes")))
-	f.Add(s.frame(nil))
+	f.Add(frameBlob([]byte("payload bytes")))
+	f.Add(frameBlob(nil))
 	f.Add([]byte("HCDS1 corrupted beyond the header"))
 	f.Fuzz(func(t *testing.T, x []byte) {
-		if got, ok := s.unframe(s.frame(x)); !ok || !bytes.Equal(got, x) {
+		if got, ok := unframeBlob(frameBlob(x)); !ok || !bytes.Equal(got, x) {
 			t.Fatalf("unframe(frame(%d bytes)) = %d bytes, ok %v", len(x), len(got), ok)
 		}
-		if payload, ok := s.unframe(x); ok && !bytes.Equal(s.frame(payload), x) {
+		if payload, ok := unframeBlob(x); ok && !bytes.Equal(frameBlob(payload), x) {
 			t.Fatalf("accepted %d-byte blob does not re-frame to itself", len(x))
 		}
 	})

@@ -1,7 +1,7 @@
 // Package faultinject is a dependency-free registry of named fault points
 // for chaos testing. Code on a failure-path seam places a single call —
 //
-//	if err := faultinject.Hit("tracecache.disk.write"); err != nil { ... }
+//	if err := faultinject.Hit("resultcache.disk.write"); err != nil { ... }
 //
 // — and the point does nothing until a test (Arm) or an operator
 // (`hcserve -fault`, via ArmSpec) arms it with an action: return an error,
@@ -208,7 +208,7 @@ func Armed() []string {
 //	point=panic[:p]        Hit panics
 //	point=latency:dur[:p]  Hit sleeps dur (time.ParseDuration syntax)
 //
-// e.g. "tracecache.disk.write=error:1.0,pipeline.worker=latency:50ms:0.3".
+// e.g. "resultcache.disk.write=error:1.0,pipeline.worker=latency:50ms:0.3".
 func ArmSpec(spec string) error {
 	for _, one := range strings.Split(spec, ",") {
 		one = strings.TrimSpace(one)

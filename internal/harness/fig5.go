@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"hierclust/internal/core"
 	"hierclust/internal/trace"
@@ -11,34 +10,31 @@ import (
 	"hierclust/pkg/hierclust"
 )
 
-// encoded holds the encoder-rank runs, one build per key: no trace source
-// describes them, so they are the one traced run the pipeline does not own.
-var encoded sync.Map // key → func() (*trace.CSR, error), a sync.OnceValues
-
-// encodedRig traces the full FTI-style execution of Figures 5a/5b: one
+// encodedRig records the full FTI-style execution of Figures 5a/5b: one
 // encoder process per node (world ranks ≡ 0 mod ppn+1), checkpoint rounds,
-// and the application stencil. Both figures read the one cached run.
+// and the application stencil. No trace source describes it, so it is the
+// one tsunami trace the pipeline does not build; its schedule costs
+// milliseconds, so each figure records its own.
 func encodedRig(cfg Config) (*trace.CSR, error) {
 	cfg.normalize()
 	ckptBytes := 64 << 10
 	if cfg.Quick {
 		ckptBytes = 4 << 10
 	}
-	key := fmt.Sprintf("encoded|ranks=%d|ppn=%d|iters=%d|ckpt=%d", cfg.Ranks, cfg.ProcsPerNode, cfg.Iterations, ckptBytes)
-	build, _ := encoded.LoadOrStore(key, sync.OnceValues(func() (*trace.CSR, error) {
-		rec := trace.NewRecorder(cfg.Ranks + cfg.Ranks/cfg.ProcsPerNode)
-		_, err := tsunami.RunTraced(tsunami.TracedOptions{
-			Params:          tsunami.TraceParams(cfg.Ranks),
-			Iterations:      cfg.Iterations,
-			ProcsPerNode:    cfg.ProcsPerNode,
-			EncoderRanks:    true,
-			CheckpointEvery: cfg.Iterations / 4,
-			CheckpointBytes: ckptBytes,
-			Tracer:          rec,
-		})
-		return rec.Freeze(), err
-	}))
-	return build.(func() (*trace.CSR, error))()
+	rec := trace.NewRecorder(cfg.Ranks + cfg.Ranks/cfg.ProcsPerNode)
+	err := tsunami.Schedule(tsunami.TracedOptions{
+		Params:          tsunami.TraceParams(cfg.Ranks),
+		Iterations:      cfg.Iterations,
+		ProcsPerNode:    cfg.ProcsPerNode,
+		EncoderRanks:    true,
+		CheckpointEvery: cfg.Iterations / 4,
+		CheckpointBytes: ckptBytes,
+		Tracer:          rec,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rec.Freeze(), nil
 }
 
 // Fig5a reproduces Figure 5a: the communication matrix of the full traced

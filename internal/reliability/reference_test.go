@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
@@ -240,8 +241,9 @@ func checkAgainstReference(t *testing.T, label string, mdl *Model, ref []mapGrou
 	}
 }
 
-// Hand-built groups: overlapping spans, non-uniform counts, nodes outside
-// [0, Nodes) on both sides, groups no failure can destroy.
+// Hand-built groups: overlapping spans, non-uniform counts, nodes at both
+// ends of [0, Nodes), groups no failure can destroy; and each layout with
+// one more member on a node past either end, which the model refuses.
 func TestFlattenMatchesReferenceRandom(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -256,7 +258,7 @@ func TestFlattenMatchesReferenceRandom(t *testing.T) {
 				if !uniform {
 					c = 1 + rng.Intn(4)
 				}
-				g.MembersOn[topology.NodeID(rng.Intn(n+6)-3)] += c
+				g.MembersOn[topology.NodeID((rng.Intn(n+6)-3+n)%n)] += c
 				members += c
 			}
 			g.Tolerance = rng.Intn(members + 2)
@@ -264,6 +266,22 @@ func TestFlattenMatchesReferenceRandom(t *testing.T) {
 		}
 		mdl := &Model{Nodes: n, Mix: DefaultMix(), ExactLimit: 2000, MonteCarloSamples: 20_000, Workers: 1}
 		checkAgainstReference(t, "random", mdl, ref)
+
+		off := topology.NodeID(n + rng.Intn(3))
+		if rng.Intn(2) == 0 {
+			off = topology.NodeID(-1 - rng.Intn(3))
+		}
+		groups, extra := make([]Group, len(ref)), rng.Intn(len(ref))
+		for i, g := range ref {
+			if i == extra {
+				g.MembersOn = maps.Clone(g.MembersOn)
+				g.MembersOn[off]++
+			}
+			groups[i] = g.span()
+		}
+		if _, err := mdl.CatastropheProb(groups); err == nil {
+			t.Errorf("seed %d: a member on node %d of a %d-node machine accepted", seed, off, n)
+		}
 	}
 }
 
@@ -576,6 +594,31 @@ func TestCatastropheProbRejectsUnsortedSpan(t *testing.T) {
 	} {
 		if _, err := mdl.CatastropheProb([]Group{g}); err == nil {
 			t.Errorf("group %+v accepted", g)
+		}
+	}
+}
+
+// A span node outside the machine is rejected, not scored as a node that
+// never fails: on 4 nodes under two-node failures, {2, 9} and {0, 1} at
+// tolerance 1 would read as P(cat) 1/6 — only {0, 1} can be lost whole.
+func TestCatastropheProbRejectsNodeOutsideMachine(t *testing.T) {
+	mdl := &Model{Nodes: 4, Mix: Mix{NodeLoss: []float64{0, 1}}}
+	inside := Group{Span: []NodeCount{{Node: 0, Count: 1}, {Node: 1, Count: 1}}, Tolerance: 1}
+	if _, err := mdl.CatastropheProb([]Group{inside}); err != nil {
+		t.Fatalf("a layout inside the machine: %v", err)
+	}
+	for _, g := range []Group{
+		{Span: []NodeCount{{Node: 2, Count: 1}, {Node: 9, Count: 1}}, Tolerance: 1},
+		{Span: []NodeCount{{Node: 2, Count: 1}, {Node: 4, Count: 1}}, Tolerance: 1},
+		{Span: []NodeCount{{Node: -1, Count: 1}, {Node: 1, Count: 1}}, Tolerance: 1},
+	} {
+		groups := []Group{g, inside}
+		if pc, err := mdl.CatastropheProb(groups); err == nil {
+			t.Errorf("Model.CatastropheProb accepted %+v on %d nodes: P(cat) %g", g, mdl.Nodes, pc)
+		}
+		var p Profile
+		if err := p.Init(groups, mdl.Nodes, 0, 0); err == nil {
+			t.Errorf("Profile.Init accepted %+v on %d nodes", g, mdl.Nodes)
 		}
 	}
 }

@@ -176,16 +176,20 @@ func GroupFromRanks(p *topology.Placement, members []topology.Rank) Group {
 
 // validateGroups rejects a caller-built group whose span is not strictly
 // ascending by node (the reduction, flatten and index read spans in order and
-// never sort), whose span lists a node hosting no member, or whose tolerance
-// is negative: the closed form and the enumeration would score those
-// differently.
-func validateGroups(groups []Group) error {
+// never sort), whose span lists a node hosting no member or a node outside
+// the machine's [0, nodes), or whose tolerance is negative: the closed form
+// and the enumeration would score those differently, and a node no failure
+// draws from would count as one that never fails.
+func validateGroups(groups []Group, nodes int) error {
 	for gi := range groups {
 		g := &groups[gi]
 		if g.Tolerance < 0 {
 			return fmt.Errorf("reliability: group %d has negative tolerance %d", gi, g.Tolerance)
 		}
 		for i, e := range g.Span {
+			if e.Node < 0 || int(e.Node) >= nodes {
+				return fmt.Errorf("reliability: group %d spans node %d outside the machine's %d nodes", gi, e.Node, nodes)
+			}
 			if e.Count < 1 {
 				return fmt.Errorf("reliability: group %d span lists %d members on node %d", gi, e.Count, e.Node)
 			}
@@ -283,7 +287,7 @@ func (p *Profile) Init(groups []Group, nodes, exactLimit, samples int) error {
 	if nodes <= 0 {
 		return fmt.Errorf("reliability: model has %d nodes", nodes)
 	}
-	if err := validateGroups(groups); err != nil {
+	if err := validateGroups(groups, nodes); err != nil {
 		return err
 	}
 	p.init(reduceOrFlatten(groupSpans{groups, nodes}, &p.red), exactLimit, samples)

@@ -121,6 +121,30 @@ func (c *Comm) Allgather(data []byte) ([][]byte, error) {
 	return blocks, nil
 }
 
+// AllgatherSchedule feeds t the messages an Allgather of payload bytes per
+// rank sends over n ranks, without running it: the partner exchanges of
+// recursive doubling at a power of two (round k carries 2^k packed
+// blocks), otherwise the gather to rank 0 and the binomial broadcast of
+// the packed block set from it.
+func AllgatherSchedule(n, payload int, t Tracer) {
+	block := 8 + payload // packBlocks' header per block
+	if n&(n-1) == 0 {
+		for dist := 1; dist < n; dist *= 2 {
+			for r := 0; r < n; r++ {
+				t.Record(r, r^dist, 4+dist*block)
+			}
+		}
+		return
+	}
+	for r := 1; r < n; r++ {
+		t.Record(r, 0, payload)
+	}
+	// Rank r's parent in the broadcast tree is r without its lowest set bit.
+	for r := 1; r < n; r++ {
+		t.Record(r&(r-1), r, 4+n*block)
+	}
+}
+
 func (c *Comm) allgatherFallback(data []byte) ([][]byte, error) {
 	got, err := c.Gather(0, data)
 	if err != nil {

@@ -13,15 +13,6 @@ type Comm struct {
 // size returns the number of ranks the communicator spans.
 func (c *Comm) size() int { return c.proc.world.size }
 
-// WorldRank translates a communicator rank to a world rank: the communicator
-// spans the world in order, so this is a range check.
-func (c *Comm) WorldRank(r int) (int, error) {
-	if n := c.size(); r < 0 || r >= n {
-		return 0, fmt.Errorf("simmpi: rank %d out of communicator range 0..%d", r, n-1)
-	}
-	return r, nil
-}
-
 // userTag checks a user tag and keeps its low 32 bits.
 func (c *Comm) userTag(tag Tag) (Tag, error) {
 	if tag < 0 {
@@ -39,30 +30,23 @@ func (c *Comm) itag(seq int64, round int) Tag {
 
 // Send delivers data to communicator rank dst with a non-negative tag.
 // Sends are eager: the payload is copied and the call returns immediately.
+// The communicator spans the world in order, so dst is a world rank.
 func (c *Comm) Send(dst int, tag Tag, data []byte) error {
-	wdst, err := c.WorldRank(dst)
-	if err != nil {
-		return err
-	}
 	t, err := c.userTag(tag)
 	if err != nil {
 		return err
 	}
-	return c.proc.send(wdst, t, data)
+	return c.proc.send(dst, t, data)
 }
 
 // Recv blocks until a message from communicator rank src with the given tag
 // arrives and returns its payload.
 func (c *Comm) Recv(src int, tag Tag) ([]byte, error) {
-	wsrc, err := c.WorldRank(src)
-	if err != nil {
-		return nil, err
-	}
 	t, err := c.userTag(tag)
 	if err != nil {
 		return nil, err
 	}
-	return c.proc.recv(wsrc, t)
+	return c.proc.recv(src, t)
 }
 
 // Request represents a pending nonblocking operation.

@@ -343,6 +343,46 @@ func TestAllgatherRecursiveDoublingPattern(t *testing.T) {
 	}
 }
 
+// messageTracer counts every (src, dst, bytes) message it sees.
+type messageTracer struct {
+	mu   sync.Mutex
+	msgs map[[3]int]int
+}
+
+func (t *messageTracer) Record(src, dst, n int) {
+	t.mu.Lock()
+	t.msgs[[3]int{src, dst, n}]++
+	t.mu.Unlock()
+}
+
+// AllgatherSchedule is the message multiset a traced Allgather sends, at
+// every size from 1 to 40 (powers of two and the gather+broadcast
+// fallback) and at two payload sizes.
+func TestAllgatherScheduleMatchesTracedAllgather(t *testing.T) {
+	for n := 1; n <= 40; n++ {
+		for _, payload := range []int{1, 5} {
+			ran := &messageTracer{msgs: map[[3]int]int{}}
+			err := Run(n, Options{Tracer: ran}, func(p *Proc) error {
+				_, err := p.Comm().Allgather(make([]byte, payload))
+				return err
+			})
+			if err != nil {
+				t.Fatalf("n=%d: %v", n, err)
+			}
+			sched := &messageTracer{msgs: map[[3]int]int{}}
+			AllgatherSchedule(n, payload, sched)
+			if len(sched.msgs) != len(ran.msgs) {
+				t.Errorf("n=%d payload=%d: schedule has %d distinct messages, the run %d", n, payload, len(sched.msgs), len(ran.msgs))
+			}
+			for m, k := range ran.msgs {
+				if sched.msgs[m] != k {
+					t.Errorf("n=%d payload=%d: message %d->%d of %d bytes sent %d times, scheduled %d", n, payload, m[0], m[1], m[2], k, sched.msgs[m])
+				}
+			}
+		}
+	}
+}
+
 func TestTracerSeesPayloadBytes(t *testing.T) {
 	tr := newCountingTracer()
 	err := Run(2, Options{Tracer: tr}, func(p *Proc) error {

@@ -10,7 +10,8 @@
 // and the linear gather and binomial-tree broadcast it falls back to when
 // the size is not a power of two. They decompose into point-to-point
 // traffic, so a Tracer observing sends reproduces exactly the patterns of
-// the paper's Figure 5b, including the power-of-two allgather diagonals.
+// the paper's Figure 5b, including the power-of-two allgather diagonals;
+// AllgatherSchedule feeds a Tracer the same messages without running it.
 package simmpi
 
 import (

@@ -9,8 +9,8 @@ import (
 	"testing"
 )
 
-// ReadCSR is the one reader of the HCTR format: trace files named by a
-// scenario and every file of the disk trace cache go through it. The fuzz
+// ReadCSR is the one reader of the HCTR format: every trace file named by
+// a scenario goes through it. The fuzz
 // target pins that no input crashes it, that anything it accepts has
 // non-negative cells whose sums are its totals, and that it is a fixed
 // point of WriteTo → ReadCSR: same NNZ, totals and cells.

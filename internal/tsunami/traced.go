@@ -6,9 +6,10 @@ import (
 	"hierclust/internal/simmpi"
 )
 
-// TracedOptions configures a concurrent traced run of the tsunami
-// simulation on the simmpi runtime, reproducing the execution the paper
-// traced for Figures 5a/5b.
+// TracedOptions configures the traced execution of the tsunami
+// simulation the paper recorded for Figures 5a/5b: its world layout, its
+// iteration and checkpoint schedule, and the Tracer that sees its
+// messages.
 type TracedOptions struct {
 	// Params configures the solver; Params.Ranks application ranks run.
 	Params Params
@@ -69,176 +70,60 @@ func worldLayout(o *TracedOptions) (worldSize int, appOf []int, encOf []int, err
 	return worldSize, appOf, encOf, nil
 }
 
-// RunTraced executes the tsunami simulation concurrently on simmpi with
-// every rank a goroutine, reproducing the paper's traced execution: an
-// MPI_Allgather during initialization (FTI init), the ±1 boundary
-// exchanges of the stencil, and — when encoders are enabled — the
-// application→encoder checkpoint traffic plus encoder↔encoder parity
-// exchanges. Returns the per-rank final mass for verification.
-func RunTraced(o TracedOptions) ([]float64, error) {
+// Schedule feeds o.Tracer every message of the traced execution the paper
+// recorded, without running it: the FTI-init MPI_Allgather over the whole
+// world, the ±1 ghost rows of the stencil (open ends), and — when
+// encoders are enabled — the application→encoder checkpoints, the
+// encoder↔encoder parity exchanges within 4-node groups and the zero-byte
+// acks. Who sends how many bytes to whom does not depend on the solver's
+// values, so this is the whole trace; the package's tests check it byte
+// for byte against a concurrent run of the solver on simmpi.
+func Schedule(o TracedOptions) error {
 	if err := o.Params.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if o.Iterations <= 0 {
-		return nil, fmt.Errorf("tsunami: %d iterations", o.Iterations)
+		return fmt.Errorf("tsunami: %d iterations", o.Iterations)
 	}
 	worldSize, appOf, encOf, err := worldLayout(&o)
 	if err != nil {
-		return nil, err
-	}
-	// Reverse map world rank -> app rank (-1 for encoders).
-	appRank := make([]int, worldSize)
-	for i := range appRank {
-		appRank[i] = -1
-	}
-	for a, w := range appOf {
-		appRank[w] = a
-	}
-
-	// Tag conventions: ghost rows use tagOf(iteration, direction);
-	// checkpoint posts use 200, acks 202, encoder parity 300+round.
-	masses := make([]float64, o.Params.Ranks)
-	err = simmpi.Run(worldSize, simmpi.Options{Tracer: o.Tracer}, func(p *simmpi.Proc) error {
-		comm := p.Comm()
-		// FTI initialization: every process joins an Allgather (the
-		// power-of-two diagonals of Fig. 5b).
-		if _, err := comm.Allgather([]byte{byte(p.Rank())}); err != nil {
-			return err
-		}
-		a := appRank[p.Rank()]
-		if a == -1 {
-			return runEncoder(comm, p.Rank(), &o, encOf, appOf)
-		}
-		return runAppRank(comm, a, &o, appOf, encOf, masses)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return masses, nil
-}
-
-func runAppRank(comm *simmpi.Comm, a int, o *TracedOptions, appOf, encOf []int, masses []float64) error {
-	s, err := NewSolver(o.Params, a)
-	if err != nil {
 		return err
 	}
-	n := o.Params.Ranks
-	for it := 0; it < o.Iterations; it++ {
-		var upReq, downReq *simmpi.Request
-		if a > 0 {
-			if err := comm.Send(appOf[a-1], tagOf(it, true), s.TopRows()); err != nil {
-				return err
-			}
-			upReq = comm.Irecv(appOf[a-1], tagOf(it, false))
+	rounds := 0
+	if o.EncoderRanks && o.CheckpointEvery > 0 {
+		if o.CheckpointBytes < 0 {
+			return fmt.Errorf("tsunami: %d checkpoint bytes", o.CheckpointBytes)
 		}
-		if a < n-1 {
-			if err := comm.Send(appOf[a+1], tagOf(it, false), s.BottomRows()); err != nil {
-				return err
-			}
-			downReq = comm.Irecv(appOf[a+1], tagOf(it, true))
-		}
-		if upReq != nil {
-			b, err := upReq.Wait()
-			if err != nil {
-				return err
-			}
-			if err := s.SetTopGhost(b); err != nil {
-				return err
-			}
-		}
-		if downReq != nil {
-			b, err := downReq.Wait()
-			if err != nil {
-				return err
-			}
-			if err := s.SetBottomGhost(b); err != nil {
-				return err
-			}
-		}
-		s.Step()
-
-		if o.EncoderRanks && o.CheckpointEvery > 0 && (it+1)%o.CheckpointEvery == 0 {
-			// Send the checkpoint to this node's encoder and wait for the
-			// ack (FTI's local post + encode handshake).
-			node := a / o.ProcsPerNode
-			enc := encOf[node]
-			if err := comm.Send(enc, 200, make([]byte, o.CheckpointBytes)); err != nil {
-				return err
-			}
-			if _, err := comm.Recv(enc, 202); err != nil {
-				return err
-			}
-		}
+		rounds = o.Iterations / o.CheckpointEvery
 	}
-	masses[a] = s.Mass()
-	return nil
-}
-
-// tagOf disambiguates ghost messages by iteration and direction.
-func tagOf(it int, up bool) simmpi.Tag {
-	t := simmpi.Tag(1000 + 2*it)
-	if up {
-		t++
-	}
-	return t
-}
-
-func runEncoder(comm *simmpi.Comm, worldRank int, o *TracedOptions, encOf, appOf []int) error {
-	if o.CheckpointEvery <= 0 {
+	t := o.Tracer
+	if t == nil {
 		return nil
 	}
-	// Which node is this encoder's? encOf is ascending.
-	node := -1
-	for nd, w := range encOf {
-		if w == worldRank {
-			node = nd
-			break
+	// Every process's one-byte rank id.
+	simmpi.AllgatherSchedule(worldSize, 1, t)
+	// One packed row of (η, u, v) per neighbour per iteration.
+	ghost := 3 * o.Params.NX * 8
+	for a := 0; a+1 < len(appOf); a++ {
+		for range o.Iterations {
+			t.Record(appOf[a], appOf[a+1], ghost)
+			t.Record(appOf[a+1], appOf[a], ghost)
 		}
 	}
-	if node == -1 {
-		return fmt.Errorf("tsunami: world rank %d not an encoder", worldRank)
-	}
-	nodes := len(encOf)
-	group4 := node / 4 // encoders cooperate in 4-node groups
-	lo := group4 * 4
-	hi := lo + 4
-	if hi > nodes {
-		hi = nodes
-	}
-	rounds := o.Iterations / o.CheckpointEvery
-	for round := 0; round < rounds; round++ {
-		// Collect checkpoints from this node's application ranks.
-		for k := 0; k < o.ProcsPerNode; k++ {
-			a := node*o.ProcsPerNode + k
-			if _, err := comm.Recv(appOf[a], 200); err != nil {
-				return err
+	for range rounds {
+		for a, w := range appOf {
+			t.Record(w, encOf[a/o.ProcsPerNode], o.CheckpointBytes)
+		}
+		for node, enc := range encOf {
+			lo := node / 4 * 4
+			for other := lo; other < min(lo+4, len(encOf)); other++ {
+				if other != node {
+					t.Record(enc, encOf[other], o.CheckpointBytes)
+				}
 			}
 		}
-		// Exchange parity-sized blocks with the other encoders of the
-		// group (the isolated points at encoder intersections in Fig. 5b).
-		parity := make([]byte, o.CheckpointBytes)
-		for other := lo; other < hi; other++ {
-			if other == node {
-				continue
-			}
-			if err := comm.Send(encOf[other], simmpi.Tag(300+round), parity); err != nil {
-				return err
-			}
-		}
-		for other := lo; other < hi; other++ {
-			if other == node {
-				continue
-			}
-			if _, err := comm.Recv(encOf[other], simmpi.Tag(300+round)); err != nil {
-				return err
-			}
-		}
-		// Ack the application ranks.
-		for k := 0; k < o.ProcsPerNode; k++ {
-			a := node*o.ProcsPerNode + k
-			if err := comm.Send(appOf[a], 202, nil); err != nil {
-				return err
-			}
+		for a, w := range appOf {
+			t.Record(encOf[a/o.ProcsPerNode], w, 0)
 		}
 	}
 	return nil

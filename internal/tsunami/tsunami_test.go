@@ -1,6 +1,8 @@
 package tsunami
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
@@ -372,6 +374,80 @@ func TestTracedDeterminism(t *testing.T) {
 		if a[r] != b[r] {
 			t.Fatalf("nondeterministic mass at rank %d: %g != %g", r, a[r], b[r])
 		}
+	}
+}
+
+// hctr records a traced execution into a world-sized matrix and returns
+// its HCTR serialization.
+func hctr(t *testing.T, o TracedOptions, world int, run func(TracedOptions) error) []byte {
+	t.Helper()
+	rec := trace.NewRecorder(world)
+	o.Tracer = rec
+	if err := run(o); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := rec.Freeze().WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// Schedule records the trace a concurrent run of the solver on simmpi
+// records, byte for byte: with and without encoders, at 2 and 3 ranks, at
+// power-of-two and other world sizes (both Allgather algorithms), with
+// encoder groups of 4 nodes and a trailing short group, with rounds that
+// do not divide the iterations, and with encoders but no checkpoints.
+func TestScheduleMatchesTracedRun(t *testing.T) {
+	ckpt := func(ranks, ppn, every int) TracedOptions {
+		return TracedOptions{Params: TraceParams(ranks), Iterations: 10, ProcsPerNode: ppn,
+			EncoderRanks: true, CheckpointEvery: every, CheckpointBytes: 4096}
+	}
+	shapes := []struct {
+		world int
+		o     TracedOptions
+	}{
+		{2, TracedOptions{Params: TraceParams(2), Iterations: 5}},
+		{3, TracedOptions{Params: TraceParams(3), Iterations: 5}},
+		{64, TracedOptions{Params: TraceParams(64), Iterations: 7}},
+		{100, TracedOptions{Params: TraceParams(100), Iterations: 4}},
+		{30, ckpt(24, 4, 3)},    // 6 nodes: a group of 4 and one of 2
+		{136, ckpt(128, 16, 5)}, // 8 nodes: the paper's 16 per node
+		{8, ckpt(6, 3, 2)},      // encoders in a power-of-two world
+		{20, ckpt(16, 4, 0)},    // encoders that only join the Allgather
+	}
+	for _, sh := range shapes {
+		name := fmt.Sprintf("ranks=%d/world=%d/ppn=%d/every=%d", sh.o.Params.Ranks, sh.world, sh.o.ProcsPerNode, sh.o.CheckpointEvery)
+		t.Run(name, func(t *testing.T) {
+			ran := hctr(t, sh.o, sh.world, func(o TracedOptions) error { _, err := RunTraced(o); return err })
+			sched := hctr(t, sh.o, sh.world, Schedule)
+			if !bytes.Equal(sched, ran) {
+				t.Errorf("Schedule's HCTR (%d bytes) differs from RunTraced's (%d bytes)", len(sched), len(ran))
+			}
+		})
+	}
+}
+
+// Schedule refuses what RunTraced refuses, and a negative checkpoint
+// payload, which RunTraced cannot even allocate; a nil Tracer records
+// nothing and is not an error.
+func TestScheduleValidation(t *testing.T) {
+	p := smallParams(4)
+	bad := p
+	bad.Ranks = 7
+	for name, o := range map[string]TracedOptions{
+		"invalid params":       {Params: bad, Iterations: 5},
+		"zero iterations":      {Params: p, Iterations: 0},
+		"encoders without ppn": {Params: p, Iterations: 5, EncoderRanks: true},
+		"indivisible ppn":      {Params: p, Iterations: 5, EncoderRanks: true, ProcsPerNode: 3},
+		"negative checkpoint":  {Params: p, Iterations: 5, EncoderRanks: true, ProcsPerNode: 2, CheckpointEvery: 1, CheckpointBytes: -1},
+	} {
+		if err := Schedule(o); err == nil {
+			t.Errorf("%s: Schedule accepted %+v", name, o)
+		}
+	}
+	if err := Schedule(TracedOptions{Params: p, Iterations: 5}); err != nil {
+		t.Errorf("nil Tracer: %v", err)
 	}
 }
 

@@ -36,8 +36,8 @@ type (
 	// TsunamiApp is the stencil application wired for the hybrid
 	// protocol (snapshot/restore per rank).
 	TsunamiApp = tsunami.FTApp
-	// TracedTsunamiOptions configures a traced run on the simulated MPI
-	// runtime.
+	// TracedTsunamiOptions configures a traced execution of the stencil:
+	// its world layout, iterations, checkpoint rounds and Tracer.
 	TracedTsunamiOptions = tsunami.TracedOptions
 )
 
@@ -74,6 +74,7 @@ func TsunamiTraceParams(ranks int) TsunamiParams { return tsunami.TraceParams(ra
 // NewTsunamiApp builds the stencil application for a protected run.
 func NewTsunamiApp(p TsunamiParams) (*TsunamiApp, error) { return tsunami.NewFTApp(p) }
 
-// RunTracedTsunami executes the stencil on the simulated MPI runtime,
-// feeding every message through the options' Tracer.
-func RunTracedTsunami(o TracedTsunamiOptions) ([]float64, error) { return tsunami.RunTraced(o) }
+// TraceTsunami feeds the options' Tracer every message of the traced
+// stencil execution — its message schedule, which does not depend on the
+// solver's values, so the solver does not run.
+func TraceTsunami(o TracedTsunamiOptions) error { return tsunami.Schedule(o) }

@@ -52,7 +52,7 @@ type Pipeline struct {
 
 	// flight deduplicates concurrent builds of the same trace: when two
 	// requests miss the trace cache on the same key, the second waits for
-	// the first build instead of launching a second application run.
+	// the first build instead of recording the trace a second time.
 	flightMu sync.Mutex
 	flight   map[string]*traceFlight
 
@@ -111,10 +111,10 @@ func WithWorkers(n int) PipelineOption {
 	return func(p *Pipeline) { p.workers = n }
 }
 
-// WithTraceCache caches traced application runs ("tsunami" sources) by
+// WithTraceCache caches recorded traces ("tsunami" sources) by
 // Scenario.TraceKey, so scenarios that share a trace — same ranks and
-// iterations, any strategies/mix/baseline — never re-run the traced
-// application. Concurrent misses on the same key coalesce into one build.
+// iterations, any strategies/mix/baseline — never record it again.
+// Concurrent misses on the same key coalesce into one build.
 // Synthetic and file sources are built inline and never enter the cache.
 // nil (the default) disables caching.
 func WithTraceCache(tc TraceCache) PipelineOption {
@@ -458,7 +458,7 @@ func (pl *Pipeline) buildScored(ctx context.Context, spec StrategySpec, comm Com
 }
 
 // resolveTrace returns the scenario's communication matrix. Only a traced
-// application run ("tsunami") is worth keeping, so only it consults the
+// application's trace ("tsunami") is worth keeping, so only it consults the
 // trace cache (and the in-flight build table) before building; a stencil is
 // an O(1) build and a file is read where it lies. outcome reports how: "hit"
 // (served from the trace cache, or joined an in-flight build of the same
@@ -477,7 +477,7 @@ func (pl *Pipeline) resolveTrace(ctx context.Context, sc *Scenario, placement *P
 	if f, ok := pl.flight[key]; ok {
 		pl.flightMu.Unlock()
 		// Another request is building this exact trace; share its result.
-		// That counts as a hit: no new application run was started.
+		// That counts as a hit: no new trace was recorded.
 		select {
 		case <-f.done:
 		case <-ctx.Done():
@@ -513,13 +513,14 @@ func (pl *Pipeline) resolveTrace(ctx context.Context, sc *Scenario, placement *P
 }
 
 // buildTrace resolves the scenario's trace source into a communication
-// matrix: a real traced run, a generated stencil, or a serialized file.
+// matrix: a traced run's message schedule, a generated stencil, or a
+// serialized file.
 func (pl *Pipeline) buildTrace(sc *Scenario, placement *Placement) (Comm, error) {
 	ranks, t := placement.NumRanks(), sc.resolvedTrace()
 	switch t.Source {
 	case "tsunami":
 		rec := trace.NewRecorder(ranks)
-		if _, err := tsunami.RunTraced(tsunami.TracedOptions{
+		if err := tsunami.Schedule(tsunami.TracedOptions{
 			Params:     tsunami.TraceParams(ranks),
 			Iterations: t.Iterations,
 			Tracer:     rec,

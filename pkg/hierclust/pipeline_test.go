@@ -223,13 +223,13 @@ func TestPipelineTsunamiMatchesTracedRun(t *testing.T) {
 	}
 	// Same trace by hand.
 	rec := NewTraceRecorder(64)
-	if _, err := RunTracedTsunami(TracedTsunamiOptions{
+	if err := TraceTsunami(TracedTsunamiOptions{
 		Params: TsunamiTraceParams(64), Iterations: 5, Tracer: rec,
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if rec.Freeze().TotalBytes() != res.TotalBytes {
-		t.Fatalf("pipeline traced %d bytes, direct run %d", res.TotalBytes, rec.Freeze().TotalBytes())
+		t.Fatalf("pipeline traced %d bytes, direct TraceTsunami %d", res.TotalBytes, rec.Freeze().TotalBytes())
 	}
 }
 

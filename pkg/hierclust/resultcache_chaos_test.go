@@ -46,7 +46,7 @@ func TestDiskResultCacheRestartServesBitIdentical(t *testing.T) {
 }
 
 // TestDiskResultCacheDegradesOnWriteFaults drives the result cache
-// through the same degrade-don't-fail path the trace cache pins: a
+// through the degrade-don't-fail path of internal/diskstore: a
 // retried-out write flips memory-only mode, the fallback keeps serving
 // the document bit-identically, and a probe write clears the mode.
 func TestDiskResultCacheDegradesOnWriteFaults(t *testing.T) {

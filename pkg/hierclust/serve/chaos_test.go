@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -68,73 +69,79 @@ func getMetrics(t *testing.T, url string) string {
 	return string(b)
 }
 
-// TestServeDegradedTraceCacheBitIdentical is the acceptance drill of the
-// issue: with every trace-cache disk write failing, hcserve must keep
-// serving — results bit-identical to a server with no trace cache at all —
-// fall back to memory-only degraded mode (a second tsunami scenario sharing
-// the trace key is a trace-hit from the fallback), and surface the mode on
-// /healthz and /metrics.
-func TestServeDegradedTraceCacheBitIdentical(t *testing.T) {
+// TestServeDegradedResultCacheBitIdentical is the degraded-tier drill:
+// with every disk write of the result cache failing, hcserve must keep
+// serving — results bit-identical to a server with no disk tier at all —
+// fall back to memory-only degraded mode (with the result LRU off, a
+// repeated document is a hit from the tier's memory fallback), and
+// surface the mode on /healthz and /metrics.
+func TestServeDegradedResultCacheBitIdentical(t *testing.T) {
 	defer faultinject.DisarmAll()
 	dir := t.TempDir()
-	dc, err := hierclust.NewDiskTraceCache(dir, 1<<20)
+	rc, err := hierclust.NewDiskResultCache(dir, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Result caching off: every request must reach the pipeline so the
-	// trace-cache path is exercised, not the result LRU.
-	s := New(Options{
-		Pipeline:  hierclust.NewPipeline(hierclust.WithWorkers(2), hierclust.WithTraceCache(dc)),
-		CacheSize: -1,
-	})
-	ts := httptest.NewServer(s)
+	// Result LRU off: every lookup reaches the disk tier. The memory trace
+	// cache is what hcserve mounts by default; it reports no health.
+	pl := hierclust.NewPipeline(hierclust.WithTraceCache(hierclust.NewMemoryTraceCache(4)))
+	ts := httptest.NewServer(New(Options{Pipeline: pl, CacheSize: -1, ResultCache: rc}))
 	defer ts.Close()
-	refTS := httptest.NewServer(New(Options{CacheSize: -1})) // no trace cache → no disk writes
+	refTS := httptest.NewServer(New(Options{CacheSize: -1})) // no disk tier → no disk writes
 	defer refTS.Close()
 
-	faultinject.Arm("tracecache.disk.write", faultinject.Fault{Kind: faultinject.KindError})
+	faultinject.Arm("resultcache.disk.write", faultinject.Fault{Kind: faultinject.KindError})
 
-	resp, body := postEvaluate(t, ts.URL, tsunamiScenario("chaos-a", "hierarchical"))
+	doc := tsunamiScenario("chaos-a", "hierarchical")
+	resp, body := postEvaluate(t, ts.URL, doc)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status under write faults = %d, want 200 (body %s)", resp.StatusCode, body)
 	}
-	_, refBody := postEvaluate(t, refTS.URL, tsunamiScenario("chaos-a", "hierarchical"))
+	_, refBody := postEvaluate(t, refTS.URL, doc)
 	if !bytes.Equal(body, refBody) {
-		t.Fatalf("degraded-mode result differs from trace-cache-free server:\n%s\nvs\n%s", body, refBody)
+		t.Fatalf("degraded-mode result differs from a server without a disk tier:\n%s\nvs\n%s", body, refBody)
 	}
 
-	// Same trace key, different document: the trace survives in the memory
-	// fallback, so this is a trace-hit — no second application run.
-	resp2, _ := postEvaluate(t, ts.URL, tsunamiScenario("chaos-b", "hierarchical"))
-	if got := resp2.Header.Get("X-Hierclust-Cache"); got != "trace-hit" {
-		t.Fatalf("second scenario cache header = %q, want trace-hit from the memory fallback", got)
+	// The document survives in the memory fallback, so the same scenario
+	// again is a result hit: no second evaluation.
+	resp2, body2 := postEvaluate(t, ts.URL, doc)
+	if got := resp2.Header.Get("X-Hierclust-Cache"); got != "hit" || !bytes.Equal(body2, refBody) {
+		t.Fatalf("repeated scenario cache header = %q (same bytes %v), want a bit-identical hit from the memory fallback",
+			got, bytes.Equal(body2, refBody))
 	}
 
 	var health struct {
-		Status     string `json:"status"`
-		TraceCache *struct {
+		Status      string `json:"status"`
+		ResultCache *struct {
 			Degraded    bool  `json:"degraded"`
 			MemEntries  int   `json:"mem_entries"`
 			WriteErrors int64 `json:"write_errors"`
-		} `json:"trace_cache"`
+		} `json:"result_cache"`
+		TraceCache any `json:"trace_cache"`
 	}
 	getJSON(t, ts.URL+"/healthz", &health)
 	if health.Status != "degraded" {
 		t.Fatalf("healthz status = %q, want degraded", health.Status)
 	}
-	if health.TraceCache == nil || !health.TraceCache.Degraded {
-		t.Fatalf("healthz trace_cache = %+v, want degraded=true", health.TraceCache)
+	if health.ResultCache == nil || !health.ResultCache.Degraded {
+		t.Fatalf("healthz result_cache = %+v, want degraded=true", health.ResultCache)
 	}
-	if health.TraceCache.WriteErrors < 3 || health.TraceCache.MemEntries < 1 {
-		t.Fatalf("healthz trace_cache = %+v, want >=3 write errors and a fallback entry", health.TraceCache)
+	if health.ResultCache.WriteErrors < 3 || health.ResultCache.MemEntries < 1 {
+		t.Fatalf("healthz result_cache = %+v, want >=3 write errors and a fallback entry", health.ResultCache)
+	}
+	if health.TraceCache != nil {
+		t.Fatalf("healthz carries a trace_cache object %v; the trace tier has no disk health", health.TraceCache)
 	}
 
 	mtext := getMetrics(t, ts.URL)
-	if !strings.Contains(mtext, "hcserve_trace_cache_degraded 1") {
-		t.Fatal("metrics missing hcserve_trace_cache_degraded 1")
+	if !strings.Contains(mtext, "\nhcserve_result_cache_degraded 1\n") {
+		t.Fatal("metrics missing hcserve_result_cache_degraded 1")
 	}
-	if !strings.Contains(mtext, "hcserve_trace_cache_write_errors_total") {
-		t.Fatal("metrics missing hcserve_trace_cache_write_errors_total")
+	if !strings.Contains(mtext, "\nhcserve_result_cache_disk_write_errors_total ") {
+		t.Fatal("metrics missing hcserve_result_cache_disk_write_errors_total")
+	}
+	if files, err := os.ReadDir(dir); err != nil || len(files) != 0 {
+		t.Fatalf("failed writes left %d files in the result cache (%v), want none", len(files), err)
 	}
 }
 

@@ -27,9 +27,9 @@
 // are cached in a result LRU keyed by the scenario's canonical encoding,
 // so hot scenarios (dashboards, CI gates re-POSTing the same document)
 // cost one pipeline run. Beneath it, when the pipeline is built with
-// hierclust.WithTraceCache, traced application runs ("tsunami" sources)
-// are cached by Scenario.TraceKey, so scenarios that differ only in
-// strategies, mix, or baseline share one run; synthetic stencils are
+// hierclust.WithTraceCache, recorded traces ("tsunami" sources) are
+// cached by Scenario.TraceKey, so scenarios that differ only in
+// strategies, mix, or baseline share one trace; synthetic stencils are
 // cheaper to rebuild than to look up and never enter it. The
 // X-Hierclust-Cache response header reports which level served the
 // request: "hit" (result LRU, no pipeline run), "trace-hit" (pipeline ran,
@@ -51,17 +51,17 @@
 // anywhere in request handling are recovered at isolation boundaries
 // (handler, pipeline worker, evaluation cell), answered 500 with a random
 // incident id whose stack trace is logged server-side, and counted on
-// hcserve_panics_total; the server keeps serving. When the pipeline has a
-// trace cache, its health (entries, and for the disk cache IO error
-// counters, quarantined corrupt files and memory-only degraded mode) is
-// surfaced on /metrics and /healthz.
+// hcserve_panics_total; the server keeps serving. When a disk result
+// cache is mounted, its health (entries, bytes, IO error counters,
+// quarantined corrupt files and memory-only degraded mode) is surfaced on
+// /metrics and /healthz.
 //
 // # Metrics
 //
 // Every interesting internal — request totals by endpoint and status,
 // result- and trace-cache hits/misses, per-trace-source latency
 // histograms, in-flight and queued evaluation counts, shed totals,
-// recovered panics, deadline 504s, trace-cache disk health — is
+// recovered panics, deadline 504s, result-cache disk health — is
 // registered in an internal/metrics Registry and exposed on GET /metrics.
 package serve
 
@@ -94,8 +94,8 @@ import (
 type Options struct {
 	// Pipeline runs the scenarios; nil builds a default pipeline. Wire
 	// hierclust.WithTraceCache here to enable the trace-level cache; the
-	// server reports that cache's health on /metrics and /healthz when it
-	// implements TraceCacheStatser (both built-in trace caches do).
+	// server reports its entry count on /metrics when it implements
+	// TraceCacheStatser (hierclust.MemoryTraceCache does).
 	Pipeline *hierclust.Pipeline
 	// CacheSize bounds the scenario-result LRU (entries); 0 picks
 	// DefaultCacheSize and negative disables caching.
@@ -158,8 +158,8 @@ type Options struct {
 }
 
 // TraceCacheStatser is the observability surface of a cache tier: the
-// server reads it from the pipeline's trace cache and from
-// Options.ResultCache. Every built-in cache implements it.
+// server reads the entry count of the pipeline's trace cache and the full
+// stats of Options.ResultCache. Every built-in cache implements it.
 type TraceCacheStatser interface {
 	Stats() hierclust.TraceCacheStats
 }
@@ -209,7 +209,6 @@ type Server struct {
 	maxBatch     int
 	retryAfter   string // whole seconds, pre-rendered for the header
 	evalTimeout  time.Duration
-	traceCache   TraceCacheStatser
 	resultTier   ResultCacheTier
 	journal      *sweepJournal
 	draining     atomic.Bool
@@ -270,8 +269,6 @@ func New(opts Options) *Server {
 		reg = metrics.NewRegistry()
 	}
 
-	// A nil or stats-less trace cache asserts to a nil interface: no tier.
-	traceCache, _ := pl.TraceCache().(TraceCacheStatser)
 	sweepCtx, sweepCancel := context.WithCancelCause(context.Background())
 	s := &Server{
 		mux:           http.NewServeMux(),
@@ -289,7 +286,6 @@ func New(opts Options) *Server {
 		sweepCancel:   sweepCancel,
 		retryAfter:    strconv.Itoa(retrySec),
 		evalTimeout:   opts.EvalTimeout,
-		traceCache:    traceCache,
 		resultTier:    opts.ResultCache,
 		reg:           reg,
 	}
@@ -333,7 +329,7 @@ func New(opts Options) *Server {
 		"Entries evicted from the scenario-result LRU by capacity pressure.",
 		func() float64 { return float64(s.evictions.Load()) })
 	if s.resultTier != nil {
-		registerTierMetrics(reg, s.resultTier, resultTierMetrics)
+		registerTierMetrics(reg, s.resultTier)
 	}
 	s.panicsTotal = reg.Counter("hcserve_panics_total",
 		"Panics recovered at an isolation boundary (request handler, pipeline worker, evaluation cell).")
@@ -356,8 +352,10 @@ func New(opts Options) *Server {
 		func() float64 { return float64(s.runningSweeps()) })
 	s.timeoutsTotal = reg.Counter("hcserve_eval_timeouts_total",
 		"Evaluations cut off by the server-side deadline and answered 504.")
-	if s.traceCache != nil {
-		registerTierMetrics(reg, s.traceCache, traceTierMetrics)
+	// A nil or stats-less trace cache asserts to a nil interface: no gauge.
+	if tc, ok := pl.TraceCache().(TraceCacheStatser); ok {
+		reg.GaugeFunc("hcserve_trace_cache_entries", "Entries resident in the trace cache.",
+			func() float64 { return float64(tc.Stats().Entries) })
 	}
 
 	s.mux.HandleFunc("POST /v1/evaluate", s.instrument("evaluate", s.handleEvaluate))
@@ -458,9 +456,7 @@ func (s *Server) countCache(level int, hit bool) {
 	}
 }
 
-// tierMetric is one row of a disk-backed cache tier's /metrics surface.
-// Both tiers project the same stats type; the names and help strings are
-// per tier because dashboards pin them.
+// tierMetric is one row of the disk result cache's /metrics surface.
 type tierMetric struct {
 	name, help string
 	counter    bool // false = gauge
@@ -479,14 +475,6 @@ func statDegraded(st hierclust.TraceCacheStats) float64 {
 	return 0
 }
 
-var traceTierMetrics = []tierMetric{
-	{"hcserve_trace_cache_read_errors_total", "Failed trace-cache disk read attempts (each retry counts).", true, statReadErrors},
-	{"hcserve_trace_cache_write_errors_total", "Failed trace-cache disk write attempts (each retry counts).", true, statWriteErrors},
-	{"hcserve_trace_cache_quarantined_total", "Corrupt trace-cache files quarantined to .bad for post-mortem.", true, statQuarantined},
-	{"hcserve_trace_cache_degraded", "1 while the trace cache serves memory-only after repeated disk failures.", false, statDegraded},
-	{"hcserve_trace_cache_entries", "Entries resident in the trace cache.", false, statEntries},
-}
-
 var resultTierMetrics = []tierMetric{
 	{"hcserve_result_cache_disk_read_errors_total", "Failed result-cache disk read attempts (each retry counts).", true, statReadErrors},
 	{"hcserve_result_cache_disk_write_errors_total", "Failed result-cache disk write attempts (each retry counts).", true, statWriteErrors},
@@ -496,9 +484,10 @@ var resultTierMetrics = []tierMetric{
 	{"hcserve_result_cache_disk_bytes", "Bytes stored by the disk result-cache tier.", false, statBytes},
 }
 
-// registerTierMetrics exposes cache c's disk health as the given rows.
-func registerTierMetrics(reg *metrics.Registry, c TraceCacheStatser, rows []tierMetric) {
-	for _, m := range rows {
+// registerTierMetrics exposes the disk result cache's stats as the
+// resultTierMetrics rows.
+func registerTierMetrics(reg *metrics.Registry, c TraceCacheStatser) {
+	for _, m := range resultTierMetrics {
 		fn := func() float64 { return m.value(c.Stats()) }
 		if m.counter {
 			reg.CounterFunc(m.name, m.help, fn)
@@ -814,43 +803,40 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // healthDoc is the GET /healthz body. Status is "ok", "degraded" (the
-// trace cache or the disk result cache fell back to memory-only; results
-// are still correct and bit-identical, the disk needs attention), or
-// "draining" (shutdown in progress; stop routing here).
+// disk result cache fell back to memory-only; results are still correct
+// and bit-identical, the disk needs attention), or "draining" (shutdown
+// in progress; stop routing here).
 type healthDoc struct {
 	Status       string          `json:"status"`
 	CacheEntries int             `json:"cache_entries"`
 	CacheHits    int64           `json:"cache_hits"`
 	CacheMisses  int64           `json:"cache_misses"`
-	TraceCache   *cacheHealthDoc `json:"trace_cache,omitempty"`
 	ResultCache  *cacheHealthDoc `json:"result_cache,omitempty"`
 }
 
-// cacheHealthDoc is the /healthz view of one disk-backed cache tier.
+// cacheHealthDoc is the /healthz view of the disk result cache.
 type cacheHealthDoc struct {
-	Degraded    bool   `json:"degraded"`
-	Entries     int    `json:"entries"`
-	Bytes       *int64 `json:"bytes,omitempty"` // durable result tier only
-	MemEntries  int    `json:"mem_entries"`
-	ReadErrors  int64  `json:"read_errors"`
-	WriteErrors int64  `json:"write_errors"`
-	Quarantined int64  `json:"quarantined"`
+	Degraded    bool  `json:"degraded"`
+	Entries     int   `json:"entries"`
+	Bytes       int64 `json:"bytes"`
+	MemEntries  int   `json:"mem_entries"`
+	ReadErrors  int64 `json:"read_errors"`
+	WriteErrors int64 `json:"write_errors"`
+	Quarantined int64 `json:"quarantined"`
 }
 
-// tierHealth renders one tier's stats and downgrades the overall status
+// tierHealth renders the tier's stats and downgrades the overall status
 // when the tier is serving memory-only.
-func tierHealth(c TraceCacheStatser, withBytes bool, status *string) *cacheHealthDoc {
+func tierHealth(c TraceCacheStatser, status *string) *cacheHealthDoc {
 	st := c.Stats()
 	doc := &cacheHealthDoc{
 		Degraded:    st.Degraded,
 		Entries:     st.Entries,
+		Bytes:       st.Bytes,
 		MemEntries:  st.MemEntries,
 		ReadErrors:  st.ReadErrors,
 		WriteErrors: st.WriteErrors,
 		Quarantined: st.Quarantined,
-	}
-	if withBytes {
-		doc.Bytes = &st.Bytes
 	}
 	if st.Degraded {
 		*status = "degraded"
@@ -861,11 +847,8 @@ func tierHealth(c TraceCacheStatser, withBytes bool, status *string) *cacheHealt
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	hits, misses, size := s.CacheStats()
 	doc := healthDoc{Status: "ok", CacheEntries: size, CacheHits: hits, CacheMisses: misses}
-	if tc := s.traceCache; tc != nil {
-		doc.TraceCache = tierHealth(tc, false, &doc.Status)
-	}
 	if rc := s.resultTier; rc != nil {
-		doc.ResultCache = tierHealth(rc, true, &doc.Status)
+		doc.ResultCache = tierHealth(rc, &doc.Status)
 	}
 	if s.draining.Load() {
 		doc.Status = "draining"

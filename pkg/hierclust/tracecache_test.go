@@ -5,8 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -121,97 +119,6 @@ func TestMemoryTraceCacheLRU(t *testing.T) {
 	}
 }
 
-func TestDiskTraceCacheRoundTripAndRestart(t *testing.T) {
-	dir := t.TempDir()
-	c, err := NewDiskTraceCache(dir, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig, _ := trace.Synthetic(64, SyntheticOptions{Iterations: 7})
-	c.Put("key-1", orig)
-
-	got, ok := c.Get("key-1")
-	if !ok {
-		t.Fatal("disk cache missed a stored trace")
-	}
-	var a, b bytes.Buffer
-	if _, err := orig.WriteTo(&a); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := got.(*trace.CSR).WriteTo(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("round-tripped trace differs from the original")
-	}
-
-	// A fresh instance over the same dir re-indexes the stored trace.
-	c2, err := NewDiskTraceCache(dir, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c2.Get("key-1"); !ok {
-		t.Fatal("restarted cache lost the stored trace")
-	}
-	if st := c2.Stats(); st.Entries != 1 || st.Bytes == 0 {
-		t.Fatalf("restart stats = %+v", st)
-	}
-}
-
-func TestDiskTraceCacheEvictsToBudget(t *testing.T) {
-	dir := t.TempDir()
-	one, _ := trace.Synthetic(64, SyntheticOptions{})
-	var sz bytes.Buffer
-	_, _ = one.WriteTo(&sz)
-	// Budget for two traces of this size, not three.
-	c, err := NewDiskTraceCache(dir, int64(sz.Len()*2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Put("a", one)
-	c.Put("b", one)
-	c.Put("c", one)
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("oldest entry survived over-budget insertion")
-	}
-	if _, ok := c.Get("c"); !ok {
-		t.Fatal("newest entry evicted")
-	}
-	st := c.Stats()
-	if st.Entries != 2 || st.Bytes > int64(sz.Len()*2) {
-		t.Fatalf("stats after eviction = %+v", st)
-	}
-
-	files, _ := filepath.Glob(filepath.Join(dir, "*"+diskTraceExt))
-	if len(files) != 2 {
-		t.Fatalf("%d files on disk, want 2", len(files))
-	}
-}
-
-func TestDiskTraceCacheCorruptFileIsMiss(t *testing.T) {
-	dir := t.TempDir()
-	c, err := NewDiskTraceCache(dir, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	one, _ := trace.Synthetic(64, SyntheticOptions{})
-	c.Put("a", one)
-	// Truncate the stored file behind the cache's back.
-	files, _ := filepath.Glob(filepath.Join(dir, "*"+diskTraceExt))
-	if len(files) != 1 {
-		t.Fatalf("%d files, want 1", len(files))
-	}
-	if err := os.WriteFile(files[0], []byte("HCTRgarbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("corrupt file reported as hit")
-	}
-	if st := c.Stats(); st.Entries != 0 {
-		t.Fatalf("corrupt entry not dropped: %+v", st)
-	}
-}
-
 // TestPipelineTraceCacheHit runs two scenarios sharing one tsunami trace:
 // the second must be served from the cache (its cell label is trace-hit)
 // and render the bytes an uncached evaluation renders.
@@ -251,13 +158,11 @@ func TestPipelineTraceCacheHit(t *testing.T) {
 }
 
 // A recorded trace is one Go type and one fold wherever it comes from: the
-// tsunami scenario's Comm is a *trace.CSR when built, when the memory cache
-// hands it back and when the disk cache decodes it, and the rendered result
-// is byte-identical on all three.
+// tsunami scenario's Comm is a *trace.CSR when built and when the memory
+// cache hands it back, and the rendered result is byte-identical on both.
 func TestTsunamiTraceIsCSROnMissAndHits(t *testing.T) {
 	sc := traceScenario("tsunami", "hierarchical")
 	key, _ := sc.TraceKey()
-	dir := t.TempDir()
 	run := func(cache TraceCache, want string) []byte {
 		t.Helper()
 		res := NewPipeline(WithWorkers(1), WithTraceCache(cache)).RunCell(context.Background(), sc, SweepOptions{})
@@ -278,22 +183,12 @@ func TestTsunamiTraceIsCSROnMissAndHits(t *testing.T) {
 	if hit := run(mem, "trace-hit"); !bytes.Equal(hit, miss) {
 		t.Errorf("memory hit renders differently from the miss:\n%s\n%s", hit, miss)
 	}
-	for _, want := range []string{"miss", "trace-hit"} {
-		disk, err := NewDiskTraceCache(dir, 1<<20) // a fresh instance: the hit decodes the file
-		if err != nil {
-			t.Fatal(err)
-		}
-		if doc := run(disk, want); !bytes.Equal(doc, miss) {
-			t.Errorf("disk %s renders differently from the memory miss:\n%s\n%s", want, doc, miss)
-		}
-	}
 }
 
 // Only a traced application run enters the trace cache: 64 distinct
 // synthetic scenarios through a 64-entry memory cache (and a Trace of one)
 // neither look it up nor evict the tsunami trace built before them, so the
-// next tsunami request is a trace-hit; and a synthetic scenario writes
-// nothing to a disk cache.
+// next tsunami request is a trace-hit.
 func TestSyntheticTracesBypassTraceCache(t *testing.T) {
 	ctx := context.Background()
 	mem := NewMemoryTraceCache(64)
@@ -329,18 +224,6 @@ func TestSyntheticTracesBypassTraceCache(t *testing.T) {
 	}
 	if st := mem.Stats(); st.Entries != 1 || st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("memory cache = %+v, want the tsunami trace alone, 1 hit / 1 miss", st)
-	}
-
-	dir := t.TempDir()
-	disk, err := NewDiskTraceCache(dir, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := NewPipeline(WithWorkers(1), WithTraceCache(disk)).RunCell(ctx, synthetic(0), SweepOptions{}); res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if files, err := os.ReadDir(dir); err != nil || len(files) != 0 {
-		t.Fatalf("a synthetic scenario left %d files in the disk trace cache (%v), want none", len(files), err)
 	}
 }
 

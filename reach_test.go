@@ -47,9 +47,16 @@ var reachAllow = map[string]string{
 	"graph.Graph.TotalWeight":           "internal/graph TestContractPreservesTotalWeight: contraction keeps the total",
 	"graph.Graph.EdgeCount":             "internal/trace TestZeroByteMessageEquivalence: zero-byte cells add no edge",
 	"topology.NewPlacement":             "internal/trace TestNodeFoldMatchesReference and internal/reliability TestFlattenMatchesReferencePlacements: irregular placements",
+	"simmpi.Comm.Send":                  "internal/tsunami TestScheduleMatchesTracedRun and the TestRunTraced* tests: the oracle RunTraced's ghost rows, checkpoints and parity",
+	"simmpi.Comm.Recv":                  "internal/tsunami TestScheduleMatchesTracedRun and the TestRunTraced* tests: the oracle RunTraced's checkpoint, parity and ack receives",
+	"simmpi.Comm.userTag":               "internal/tsunami TestScheduleMatchesTracedRun: checks the oracle RunTraced's tags (through Send and Recv)",
+	"simmpi.Comm.Irecv":                 "internal/tsunami TestScheduleMatchesTracedRun and the TestRunTraced* tests: the oracle RunTraced's ghost-row receives",
+	"simmpi.Request":                    "internal/tsunami TestScheduleMatchesTracedRun and the TestRunTraced* tests: the oracle RunTraced's pending ghost-row receives",
+	"simmpi.Request.Wait":               "internal/tsunami TestScheduleMatchesTracedRun and the TestRunTraced* tests: the oracle RunTraced's ghost-row receives",
+	"simmpi.Proc.Rank":                  "internal/tsunami TestScheduleMatchesTracedRun and the TestRunTraced* tests: the oracle RunTraced's role of each world rank",
 	"hierclust.EncodeSweep":             "pkg/hierclust FuzzDecodeSweep and TestSweepEncodeDecodeRoundTrip: the decode→encode round trip",
 	"hierclust.WithDegradeAfter":        "pkg/hierclust chaos suites (TestDiskResultCacheReadFaultFallsBackWithoutIndexLoss): degrade on the drill's schedule",
-	"hierclust.WithDegradedProbe":       "pkg/hierclust chaos suites (TestDiskTraceCacheDegradesOnWriteFaults): probe on the drill's schedule",
+	"hierclust.WithDegradedProbe":       "pkg/hierclust TestDiskResultCacheDegradesOnWriteFaults: probe on the drill's schedule",
 }
 
 // reachIfaceNames are the method names through which the standard library

@@ -3,10 +3,10 @@
 # and assert a 200 response carrying non-empty evaluations; then exercise
 # POST /v1/evaluate-batch (NDJSON lines in input order, trace-hits for two
 # scenarios sharing the quickstart trace) and the GET /metrics
-# scrape. Finally, a chaos drill: restart the server with every trace-cache
-# disk write failing (-fault tracecache.disk.write=error:1.0) and assert it
-# degrades to memory-only — bit-identical evaluations, trace-hit from the
-# fallback, degraded /healthz, error counters on /metrics.
+# scrape. Finally, a chaos drill: restart the server with every disk write
+# of its result cache failing (-fault resultcache.disk.write=error:1.0) and
+# assert it degrades to memory-only — bit-identical evaluations, a result
+# hit from the fallback, degraded /healthz, error counters on /metrics.
 # Used by CI and runnable locally: sh scripts/hcserve_smoke.sh
 set -eu
 
@@ -55,7 +55,7 @@ jq -r '.evaluations[] | "  \(.strategy): within_baseline=\(.within_baseline)"' /
 
 # Batch: the quickstart scenario again (result-cache hit after the POST
 # above), a renamed copy — different result key, same trace key, so it must
-# evaluate without re-running the traced application ("trace-hit") — and a
+# evaluate without recording the trace again ("trace-hit") — and a
 # copy of that with another failure mix, which shares its clustering too.
 BATCH="$(printf '%s' "$SCENARIO" | jq -c '[., . * {"name": "quickstart-batch"},
     . * {"name": "quickstart-mix", "mix": {"transient": 0.2, "node_loss": [0.9, 0.01]}}]')"
@@ -146,13 +146,14 @@ if [ "$(jq -s -c 'map(.cache)' /tmp/hcserve_smoke_sweep2.ndjson)" != '["hit","hi
 fi
 echo "hcserve_smoke: sweep rerun ok (all 4 cells from cache via hcrun -sweep)"
 
-# Chaos drill: a fresh server with a disk trace cache whose every write
-# fails must keep serving, bit-identically, from its memory fallback.
+# Chaos drill: a fresh server with a disk result cache whose every write
+# fails must keep serving, bit-identically, from its memory fallback. The
+# result LRU is off (-cache -1), so every lookup reaches the disk tier.
 kill "$PID" 2>/dev/null || true
 wait "$PID" 2>/dev/null || true
 CHAOS_DIR="$(mktemp -d)"
-"$BIN" -addr "$ADDR" -trace-cache-dir "$CHAOS_DIR" \
-    -fault 'tracecache.disk.write=error:1.0' &
+"$BIN" -addr "$ADDR" -cache -1 -result-cache-dir "$CHAOS_DIR" \
+    -fault 'resultcache.disk.write=error:1.0' &
 PID=$!
 i=0
 until curl -sf "http://$ADDR/healthz" >/dev/null 2>&1; do
@@ -177,33 +178,37 @@ if [ "$(jq -S '.evaluations' /tmp/hcserve_smoke_chaos.json)" != \
     exit 1
 fi
 
-# A renamed copy shares the trace key: it must be served from the memory
-# fallback without a second application run.
-CACHE_HDR="$(printf '%s' "$SCENARIO" | jq -c '. * {"name": "quickstart-chaos"}' | \
-    curl -s -o /dev/null -D - -X POST -d @- "http://$ADDR/v1/evaluate" | \
+# The same scenario again must be served from the memory fallback as a
+# result hit, byte-identical, without a second evaluation.
+CACHE_HDR="$(printf '%s' "$SCENARIO" | \
+    curl -s -o /tmp/hcserve_smoke_chaos2.json -D - -X POST -d @- "http://$ADDR/v1/evaluate" | \
     tr -d '\r' | awk -F': ' 'tolower($1) == "x-hierclust-cache" {print $2}')"
-if [ "$CACHE_HDR" != "trace-hit" ]; then
-    echo "hcserve_smoke: chaos cache header '$CACHE_HDR', want trace-hit" >&2
+if [ "$CACHE_HDR" != "hit" ]; then
+    echo "hcserve_smoke: chaos cache header '$CACHE_HDR', want hit" >&2
+    exit 1
+fi
+if ! cmp -s /tmp/hcserve_smoke_chaos.json /tmp/hcserve_smoke_chaos2.json; then
+    echo "hcserve_smoke: the fallback's hit differs from the evaluated result" >&2
     exit 1
 fi
 
 HEALTH="$(curl -sf "http://$ADDR/healthz")"
 if [ "$(printf '%s' "$HEALTH" | jq -r '.status')" != "degraded" ] || \
-   [ "$(printf '%s' "$HEALTH" | jq -r '.trace_cache.degraded')" != "true" ]; then
+   [ "$(printf '%s' "$HEALTH" | jq -r '.result_cache.degraded')" != "true" ]; then
     echo "hcserve_smoke: healthz does not report degraded: $HEALTH" >&2
     exit 1
 fi
-if [ "$(printf '%s' "$HEALTH" | jq -r '.trace_cache.write_errors >= 3')" != "true" ]; then
+if [ "$(printf '%s' "$HEALTH" | jq -r '.result_cache.write_errors >= 3')" != "true" ]; then
     echo "hcserve_smoke: healthz write_errors not counted: $HEALTH" >&2
     exit 1
 fi
 curl -sf "http://$ADDR/metrics" > /tmp/hcserve_smoke_chaos_metrics.txt
-if ! grep -qxF 'hcserve_trace_cache_degraded 1' /tmp/hcserve_smoke_chaos_metrics.txt; then
-    echo "hcserve_smoke: /metrics missing hcserve_trace_cache_degraded 1" >&2
+if ! grep -qxF 'hcserve_result_cache_degraded 1' /tmp/hcserve_smoke_chaos_metrics.txt; then
+    echo "hcserve_smoke: /metrics missing hcserve_result_cache_degraded 1" >&2
     exit 1
 fi
-if ! grep -q '^hcserve_trace_cache_write_errors_total [1-9]' /tmp/hcserve_smoke_chaos_metrics.txt; then
-    echo "hcserve_smoke: /metrics missing trace-cache write errors" >&2
+if ! grep -q '^hcserve_result_cache_disk_write_errors_total [1-9]' /tmp/hcserve_smoke_chaos_metrics.txt; then
+    echo "hcserve_smoke: /metrics missing result-cache write errors" >&2
     exit 1
 fi
 if [ -n "$(ls "$CHAOS_DIR" 2>/dev/null)" ]; then
