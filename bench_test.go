@@ -285,10 +285,9 @@ func BenchmarkScaling64k(b *testing.B) {
 
 // BenchmarkScaling256k measures the full sparse evaluation pipeline at
 // 262,144 ranks on 16,384 nodes — four times the node count of the 64k
-// benchmark, the regime the multilevel partitioner and the flat-span
-// placement exist for. Synthetic 2-D stencil trace (CSR), hierarchical
-// clustering through the multilevel node partitioner, and the complete
-// four-dimension evaluation.
+// benchmark, the regime the flat-span placement exists for. Synthetic 2-D
+// stencil trace (CSR), hierarchical clustering at the paper's defaults, and
+// the complete four-dimension evaluation.
 func BenchmarkScaling256k(b *testing.B) {
 	const ranks, ppn = 262144, 16
 	b.ReportAllocs()
@@ -297,7 +296,7 @@ func BenchmarkScaling256k(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		hier, err := core.Hierarchical(m, placement, core.HierOptions{Multilevel: true})
+		hier, err := core.Hierarchical(m, placement, core.HierOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -348,8 +347,9 @@ func BenchmarkNodeGraph128k(b *testing.B) {
 }
 
 // BenchmarkHierarchical128k measures one hierarchical build at the hcbench
-// eval-128k shape (131,072 ranks, 4 per node, 2-D stencil of width 4,
-// multilevel partitioner): the node-graph fold, the partition and the L2
+// eval-128k shape (131,072 ranks, 4 per node, 2-D stencil of width 4, L1
+// growth target 5, which hcbench's multilevel alias resolves to): the
+// node-graph fold, the partition and the L2
 // groups, in one held ClusteringBuf and graph.Arena, the way the pipeline
 // builds in the buffer and arena it lends. One build outside the timer sizes
 // them, so B/op is what a warm build allocates.
@@ -363,7 +363,7 @@ func BenchmarkHierarchical128k(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts, buf, ar := core.HierOptions{Multilevel: true}, new(core.ClusteringBuf), new(graph.Arena)
+	opts, buf, ar := core.HierOptions{TargetNodesPerL1: 5}, new(core.ClusteringBuf), new(graph.Arena)
 	if _, err := buf.Hierarchical(ar, stencil, placement, opts, nil); err != nil {
 		b.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func BenchmarkScore128k(b *testing.B) {
 		b.Fatal(err)
 	}
 	buf := new(core.ClusteringBuf)
-	c, err := buf.Hierarchical(nil, stencil, placement, core.HierOptions{Multilevel: true}, nil)
+	c, err := buf.Hierarchical(nil, stencil, placement, core.HierOptions{TargetNodesPerL1: 5}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -516,48 +516,27 @@ func grid2D(n, width int) *graph.Graph {
 		func(i int) bool { return i+width < n })
 }
 
-// BenchmarkPartition100k measures the multilevel partitioner on a
-// 131,072-node 2-D stencil graph — the node-graph shape of a 2M-rank
-// machine at 16 ranks per node — against the single-level greedy growth on
-// the same graph, each in one held arena as a pipeline build partitions.
-// MinSize/TargetSize 4 is the paper's L1 configuration. multilevel-wrapper
-// calls graph.Partition, as the harness and hcbench's replay do, so it pays
-// for a fresh arena every partition.
+// BenchmarkPartition100k measures the node partitioner on a 131,072-node
+// 2-D stencil graph — the node-graph shape of a 2M-rank machine at 16
+// ranks per node — in one held arena, as a pipeline build partitions.
+// MinSize/TargetSize 4 is the paper's L1 configuration.
 func BenchmarkPartition100k(b *testing.B) {
 	g := grid2D(131072, 256)
-	for _, tc := range []struct {
-		name string
-		opts graph.PartitionOptions
-		held bool
-	}{
-		{"multilevel", graph.PartitionOptions{MinSize: 4, TargetSize: 4, Multilevel: true}, true},
-		{"single-level", graph.PartitionOptions{MinSize: 4, TargetSize: 4}, true},
-		{"multilevel-wrapper", graph.PartitionOptions{MinSize: 4, TargetSize: 4, Multilevel: true}, false},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			var ar *graph.Arena // nil: graph.Partition's fresh arena
-			if tc.held {
-				ar = new(graph.Arena)
-				if _, err := ar.Partition(g, tc.opts); err != nil { // size the arena
-					b.Fatal(err)
-				}
+	opts := graph.PartitionOptions{MinSize: 4, TargetSize: 4}
+	b.Run("single-level", func(b *testing.B) {
+		ar := new(graph.Arena)
+		if _, err := ar.Partition(g, opts); err != nil { // size the arena
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ar.Reset()
+			if _, err := ar.Partition(g, opts); err != nil {
+				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var err error
-				if ar == nil {
-					_, err = graph.Partition(g, tc.opts)
-				} else {
-					ar.Reset()
-					_, err = ar.Partition(g, tc.opts)
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // stencil1M builds a 1,048,576-node 2-D stencil node graph — the node graph
@@ -566,9 +545,9 @@ func BenchmarkPartition100k(b *testing.B) {
 // vertex count.
 func stencil1M() *graph.Graph { return grid2D(1<<20, 1024) }
 
-// BenchmarkPartition1M measures the multilevel partitioner on the
-// million-node stencil: the same ladder as Partition100k at eight times the
-// vertex count, so a phase that stops scaling linearly shows here first,
+// BenchmarkPartition1M measures the node partitioner on the million-node
+// stencil: Partition100k at eight times the vertex count, so a phase that
+// stops scaling linearly shows here first,
 // in one held arena, the way a pipeline build partitions in the arena it
 // lends. Target envelope: under one second per partition. Skipped under
 // -short (and therefore absent from `make bench-smoke`-adjacent quick runs
@@ -579,7 +558,7 @@ func BenchmarkPartition1M(b *testing.B) {
 		b.Skip("million-node graph build: skipped under -short")
 	}
 	g := stencil1M()
-	opts := graph.PartitionOptions{MinSize: 4, TargetSize: 4, Multilevel: true}
+	opts := graph.PartitionOptions{MinSize: 4, TargetSize: 4}
 	// One partition outside the timer sizes the arena: without it a
 	// -benchtime 1x run charges the million-node arena to its single
 	// iteration.
@@ -599,9 +578,9 @@ func BenchmarkPartition1M(b *testing.B) {
 
 // BenchmarkScaling1M measures the full sparse evaluation pipeline at
 // 4,194,304 ranks on 1,048,576 nodes — the million-node regime. Synthetic
-// 2-D stencil trace (CSR), hierarchical clustering through the multilevel
-// node partitioner, and the complete four-dimension evaluation. Skipped
-// under -short.
+// 2-D stencil trace (CSR), hierarchical clustering at the paper's
+// defaults, and the complete four-dimension evaluation. Skipped under
+// -short.
 func BenchmarkScaling1M(b *testing.B) {
 	if testing.Short() {
 		b.Skip("4M-rank rig: skipped under -short")
@@ -613,7 +592,7 @@ func BenchmarkScaling1M(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		hier, err := core.Hierarchical(m, placement, core.HierOptions{Multilevel: true})
+		hier, err := core.Hierarchical(m, placement, core.HierOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -682,7 +661,7 @@ func BenchmarkProfileInit16k(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	hier, err := core.Hierarchical(m, placement, core.HierOptions{Multilevel: true})
+	hier, err := core.Hierarchical(m, placement, core.HierOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

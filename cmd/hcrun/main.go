@@ -11,8 +11,7 @@
 //	hcrun -exp all -quick -json    # machine-readable results
 //	hcrun -exp fig5a -out results  # also write PGM/CSV artifacts
 //	hcrun -exp scaling -maxranks 65536  # synthetic-trace scaling to 64k ranks
-//	hcrun -exp scaling -maxranks 262144 -multilevel  # 256k ranks / 16k nodes,
-//	                               # multilevel node partitioner
+//	hcrun -exp scaling -maxranks 262144  # 256k ranks / 16k nodes
 //	hcrun -list                    # list experiment ids
 //	hcrun -sweep grid.json -server http://localhost:8080  # sweep client:
 //	                               # submit, poll, stream result NDJSON
@@ -26,10 +25,9 @@
 // runs (the heap profile is captured after everything finishes), so
 // partition/evaluation profiling needs no ad-hoc harness edits. CPU
 // profiles carry goroutine labels for the partitioner's phases
-// (phase=match/contract/grow/refine, level=N), so pprof can split time
-// by pipeline stage:
+// (phase=grow/refine), so pprof can split time by pipeline stage:
 //
-//	hcrun -exp scaling -maxranks 262144 -multilevel -cpuprofile cpu.prof -memprofile mem.prof
+//	hcrun -exp scaling -maxranks 262144 -cpuprofile cpu.prof -memprofile mem.prof
 //	go tool pprof -tagfocus phase=refine cpu.prof
 //
 // Experiments: table1, fig3a, fig3b, fig4a, fig4b, fig4c, fig5a, fig5b,
@@ -53,7 +51,6 @@ func main() {
 		exp        = flag.String("exp", "all", "experiment id or 'all'")
 		quick      = flag.Bool("quick", false, "shrink to laptop scale")
 		maxRanks   = flag.Int("maxranks", 0, "extend the scaling experiment with synthetic traces up to this rank count (doubling from 4096)")
-		multilevel = flag.Bool("multilevel", false, "partition node graphs with the multilevel (coarsen/uncoarsen) partitioner in the scaling experiment")
 		ranks      = flag.Int("ranks", 0, "override application rank count")
 		ppn        = flag.Int("ppn", 0, "override processes per node")
 		iters      = flag.Int("iters", 0, "override traced iterations")
@@ -125,7 +122,7 @@ func main() {
 	}
 	defer runFlushProfiles()
 
-	cfg := harness.Config{Ranks: *ranks, ProcsPerNode: *ppn, Iterations: *iters, Quick: *quick, Timings: *timings, MaxRanks: *maxRanks, Multilevel: *multilevel}
+	cfg := harness.Config{Ranks: *ranks, ProcsPerNode: *ppn, Iterations: *iters, Quick: *quick, Timings: *timings, MaxRanks: *maxRanks}
 
 	var exps []harness.Experiment
 	if *exp == "all" {

@@ -268,7 +268,7 @@ type HierOptions struct {
 	// guarantees room to distribute L2 groups inside each L1 cluster.
 	MinNodesPerL1 int `json:"min_nodes_per_l1,omitempty"`
 	// TargetNodesPerL1 is the partitioner growth target; 0 means
-	// MinNodesPerL1.
+	// MinNodesPerL1 (or, with Multilevel, ⌈1.25 × MinNodesPerL1⌉).
 	TargetNodesPerL1 int `json:"target_nodes_per_l1,omitempty"`
 	// MaxNodesPerL1 caps L1 clusters (0 = unbounded); restart cost grows
 	// with it.
@@ -282,9 +282,13 @@ type HierOptions struct {
 	// instead of the node graph; it has no effect on machines without
 	// power pairing.
 	AlignPowerPairs bool `json:"align_power_pairs,omitempty"`
-	// Multilevel enables the graph package's coarsen/partition/uncoarsen
-	// partitioner — the scalable path for 10k+-node machines. Off (the
-	// default) reproduces the single-level greedy partitioner exactly.
+	// Multilevel is an alias for a growth target. With TargetNodesPerL1
+	// unset, the target is ⌈1.25 × MinNodesPerL1⌉ (5 at the paper's
+	// minimum of 4), the part size a coarsening partitioner was measured to
+	// produce, lowered to the L1 maximum if one is set (to an even one with
+	// AlignPowerPairs, so the pairs still fit). An explicit target wins.
+	//
+	// Deprecated: set TargetNodesPerL1 instead.
 	Multilevel bool `json:"multilevel,omitempty"`
 }
 
@@ -294,6 +298,15 @@ func (o *HierOptions) normalize() {
 	}
 	if o.TargetNodesPerL1 <= 0 {
 		o.TargetNodesPerL1 = o.MinNodesPerL1
+		if o.Multilevel {
+			o.TargetNodesPerL1 = (5*o.MinNodesPerL1 + 3) / 4
+			if maxN := o.MaxNodesPerL1; maxN > 0 {
+				if o.AlignPowerPairs {
+					maxN &^= 1
+				}
+				o.TargetNodesPerL1 = max(o.MinNodesPerL1, min(o.TargetNodesPerL1, maxN))
+			}
+		}
 	}
 	if o.SubgroupNodes <= 0 {
 		o.SubgroupNodes = 4
@@ -324,9 +337,10 @@ func Hierarchical(m trace.Comm, p *topology.Placement, opts HierOptions) (*Clust
 // ar (reset first; nil is a fresh one), which is dead once it returns. A
 // buffer and arena that have served the shape allocate next to nothing.
 //
-// cancel, when non-nil, is polled by the partitioner between coarsening
-// levels and refinement passes; once it returns true, the build is
-// abandoned with graph.ErrCancelled. It is never consulted for results: an
+// cancel, when non-nil, is polled by the node fold every 4,096 nodes, by the
+// partitioner's growth every 1,024 clusters and between its refinement
+// passes; once it returns true, the build is abandoned with
+// graph.ErrCancelled. It is never consulted for results: an
 // uncancelled build is bit-identical with or without it.
 func (b *ClusteringBuf) Hierarchical(ar *graph.Arena, m trace.Comm, p *topology.Placement, opts HierOptions, cancel func() bool) (*Clustering, error) {
 	opts.normalize()
@@ -341,7 +355,7 @@ func (b *ClusteringBuf) Hierarchical(ar *graph.Arena, m trace.Comm, p *topology.
 		ar = new(graph.Arena)
 	}
 	ar.Reset()
-	nodeGraph, err := trace.NodeGraphInto(m, p, ar)
+	nodeGraph, err := trace.NodeGraphInto(m, p, ar, cancel)
 	if err != nil {
 		return nil, err
 	}
@@ -439,7 +453,6 @@ func partitionNodes(nodeGraph *graph.Graph, p *topology.Placement, opts HierOpti
 			MinSize:    minSize,
 			TargetSize: targetSize,
 			MaxSize:    maxSize,
-			Multilevel: opts.Multilevel,
 			Cancel:     cancel,
 		}
 	}

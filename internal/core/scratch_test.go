@@ -28,8 +28,8 @@ func cloneClustering(c *Clustering) *Clustering {
 // A clustering owns its memory, and reuse is invisible: builds in one held
 // buffer and arena — on the first clustering's shape with other options, so
 // every carving lands where an earlier one did with other contents, and on
-// shapes smaller and larger, from both trace forms and both partitioner
-// paths — each give what a build in fresh memory gives, and leave the
+// shapes smaller and larger, from both trace forms and at two growth
+// targets — each give what a build in fresh memory gives, and leave the
 // caller-owned clustering as it was. Fresh memory is zeroed, so an entry
 // read before it is written shows only here.
 func TestClusteringOutlivesArena(t *testing.T) {
@@ -103,7 +103,7 @@ func TestCallerOwnedGraphAndPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := graph.PartitionOptions{MinSize: 4, TargetSize: 4, Multilevel: true}
+	opts := graph.PartitionOptions{MinSize: 4, TargetSize: 5}
 	var graphs []*graph.Graph
 	var parts [][]int
 	for _, m := range []trace.Comm{s, csr} {
@@ -184,14 +184,19 @@ func TestConcurrentBuildsMatchSerial(t *testing.T) {
 	}
 }
 
+// foldPolls is how often a build's node fold polls its cancel function
+// before the partitioner first does: once every 4,096 node rows in each of
+// its two passes.
+func foldPolls(nodes int) int { return 2 * ((nodes + 4095) / 4096) }
+
 // A build cancelled mid-partition returns graph.ErrCancelled and leaves its
 // arena reusable: the next build of the shape in it allocates next to
 // nothing, where an arena the cancellation left unusable would cost a fresh
 // one.
 func TestCancelledBuildReleasesArena(t *testing.T) {
 	s, p := stencilRig(t, 65536, 4)
-	polls := 0
-	opts, cancel := HierOptions{Multilevel: true}, func() bool { polls++; return polls > 2 }
+	polls, trip := 0, foldPolls(p.NumUsed())+2 // the growth's second poll
+	opts, cancel := HierOptions{Multilevel: true}, func() bool { polls++; return polls > trip }
 	if _, err := (*ClusteringBuf)(nil).Hierarchical(nil, s, p, opts, cancel); !errors.Is(err, graph.ErrCancelled) {
 		t.Fatalf("cancelled build: %v, want graph.ErrCancelled", err)
 	}
@@ -221,6 +226,93 @@ func TestCancelledBuildReleasesArena(t *testing.T) {
 	t.Logf("build after a cancelled one: %d B, limit %d (8/rank + 24/group + 16 KiB)", got, limit)
 	if got > limit {
 		t.Errorf("build after a cancelled one allocates %d B, over %d: the cancelled build left its arena unusable", got, limit)
+	}
+}
+
+// A build cancelled during the node fold stops there: on a 131,072-node
+// stencil the fold is most of a build, and it polls before the partitioner
+// does. Counting calls, an uncancelled build polls the partitioner's polls
+// of the same node graph plus the fold's. A cancel function that trips on
+// the fold's last poll must get graph.ErrCancelled back without being
+// called again, so the trip was inside the fold. A fold that ignores
+// cancellation polls nothing, and fails here.
+func TestCancelledBuildStopsInFold(t *testing.T) {
+	s, p := stencilRig(t, 131072, 1)
+	opts := HierOptions{}
+	g, err := s.NodeGraph(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	count := func() bool { calls++; return false }
+	if _, err := graph.Partition(g, graph.PartitionOptions{MinSize: 4, TargetSize: 4, Cancel: count}); err != nil {
+		t.Fatal(err)
+	}
+	partition := calls
+	calls = 0
+	if _, err := new(ClusteringBuf).Hierarchical(nil, s, p, opts, count); err != nil {
+		t.Fatal(err)
+	}
+	fold := calls - partition
+	t.Logf("an uncancelled build polls %d times: %d in the fold, %d in the partitioner", calls, fold, partition)
+	if fold < 1 {
+		t.Fatalf("the fold never polls its cancel function (%d calls, the partitioner's %d)", calls, partition)
+	}
+	calls = 0
+	_, err = new(ClusteringBuf).Hierarchical(nil, s, p, opts, func() bool { calls++; return calls >= fold })
+	if !errors.Is(err, graph.ErrCancelled) {
+		t.Fatalf("build cancelled on poll %d returned %v, want graph.ErrCancelled", fold, err)
+	}
+	if calls != fold {
+		t.Fatalf("cancel called %d times, want %d: the build went on polling after the trip", calls, fold)
+	}
+}
+
+// Multilevel is an alias of the target it produced: on a plain and on a
+// power-paired machine, with and without an L1 maximum, it builds exactly
+// the clustering of TargetNodesPerL1 ⌈1.25 × MinNodesPerL1⌉ (lowered to the
+// maximum, to an even one under AlignPowerPairs), and an explicit target
+// overrides it.
+func TestMultilevelIsTargetAlias(t *testing.T) {
+	const ranks = 4096
+	s, err := trace.NewStencil(ranks, trace.SyntheticOptions{Pattern: trace.Stencil2D, Width: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pairs := range []bool{false, true} {
+		p, err := topology.Block(&topology.Machine{Name: "t", Nodes: ranks / 4, PowerPairs: pairs}, ranks, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		build := func(opts HierOptions) *Clustering {
+			t.Helper()
+			opts.AlignPowerPairs = pairs
+			c, err := Hierarchical(s, p, opts)
+			if err != nil {
+				t.Fatalf("pairs=%v %+v: %v", pairs, opts, err)
+			}
+			return c
+		}
+		same := func(a, b *Clustering) bool {
+			return reflect.DeepEqual(a.L1, b.L1) && reflect.DeepEqual(a.Groups, b.Groups)
+		}
+		evenMax := 5 // under AlignPowerPairs the alias lowers a max of 5 to 4
+		if pairs {
+			evenMax = 4
+		}
+		for _, tc := range []struct{ alias, want HierOptions }{
+			{HierOptions{Multilevel: true}, HierOptions{TargetNodesPerL1: 5}},
+			{HierOptions{Multilevel: true, MinNodesPerL1: 8}, HierOptions{MinNodesPerL1: 8, TargetNodesPerL1: 10}},
+			{HierOptions{Multilevel: true, MaxNodesPerL1: 5}, HierOptions{TargetNodesPerL1: evenMax, MaxNodesPerL1: 5}},
+			{HierOptions{Multilevel: true, TargetNodesPerL1: 8}, HierOptions{TargetNodesPerL1: 8}},
+		} {
+			if !same(build(tc.alias), build(tc.want)) {
+				t.Errorf("pairs=%v: %+v builds another clustering than %+v", pairs, tc.alias, tc.want)
+			}
+		}
+		if same(build(HierOptions{Multilevel: true}), build(HierOptions{})) {
+			t.Errorf("pairs=%v: the alias builds the default clustering; the test cannot tell targets apart", pairs)
+		}
 	}
 }
 

@@ -27,9 +27,9 @@ import (
 // permitted (they count toward vertex strength but can never be cut). Edge
 // weights are float64 so they can carry byte counts of arbitrary magnitude.
 //
-// A Graph is immutable: it is built once (FromCSR, Quotient, the
-// multilevel contraction) and no method changes it, so concurrent reads
-// are safe. A graph built in an Arena lives until that arena's next Reset.
+// A Graph is immutable: it is built once (FromCSR, Quotient) and no
+// method changes it, so concurrent reads are safe. A graph built in an
+// Arena lives until that arena's next Reset.
 type Graph struct {
 	n int
 
@@ -41,12 +41,6 @@ type Graph struct {
 	strength []float64
 	total    float64
 	nedges   int
-	// agg records whether fillAggregates has computed the cached
-	// aggregates. Graphs built by newFrozenCSR defer it: intermediate
-	// multilevel coarse graphs never ask for strengths or totals, and the
-	// coarsest one asks exactly once (via ensureAggregates, single-goroutine
-	// use only — see newFrozenCSR).
-	agg bool
 }
 
 // FromCSR builds a graph directly from CSR adjacency — the zero-copy entry
@@ -129,41 +123,58 @@ func fromEdges(n int, eu, ev []int32, ew []float64) *Graph {
 	return g
 }
 
-// newFrozenCSR is FromCSR for rows that are sorted, in-range, and symmetric
-// by construction (the multilevel contraction): it skips the validation
-// scan, which costs a full pass over every entry per coarsening level, and
-// defers the aggregate pass (strengths, totals) until something asks —
-// intermediate coarse levels never do. Strengths are then computed into the
-// caller's buffer so a level adds no hidden allocation. The caller must
-// guarantee the CSR invariants FromCSR checks, and, unlike FromCSR graphs,
-// must not share the graph across goroutines before the first aggregate
-// read (the lazy fill is unsynchronized).
-func newFrozenCSR(n int, rowptr []int64, col []int32, w []float64, strength []float64) *Graph {
-	return &Graph{n: n, rowptr: rowptr, col: col, w: w, strength: strength[:n]}
-}
-
-// adoptAggregates installs caller-computed aggregates (total weight, edge
-// count) on a newFrozenCSR graph whose strength buffer the caller has
-// already filled, marking the aggregate pass done so ensureAggregates never
-// rescans. The multilevel contraction emits these for each coarse graph
-// while its rows are still cache-hot, with the exact summation order of
-// fillAggregates, so the values are bit-identical to the deferred pass.
-func (g *Graph) adoptAggregates(total float64, nedges int) {
-	g.total, g.nedges = total, nedges
-	g.agg = true
-}
-
-// ensureAggregates runs the aggregate pass a newFrozenCSR graph deferred.
-func (g *Graph) ensureAggregates() {
-	if !g.agg {
-		g.fillAggregates()
+// coalesceRow stably sorts one row's (col, w) pairs by column and sums the
+// weights of equal columns in place, returning the coalesced length. Stable
+// order keeps same-column weights summing in fill order, so the sums are
+// deterministic.
+func coalesceRow(col []int32, w []float64) int64 {
+	sortPairsStable(col, w)
+	write := int64(0)
+	for i := range col {
+		if write > 0 && col[write-1] == col[i] {
+			w[write-1] += w[i]
+		} else {
+			col[write], w[write] = col[i], w[i]
+			write++
+		}
 	}
+	return write
+}
+
+// sortPairsStable stably sorts the parallel (col, w) arrays by column:
+// insertion sort for short rows, library stable sort beyond that.
+func sortPairsStable(col []int32, w []float64) {
+	n := len(col)
+	if n <= 48 {
+		for i := 1; i < n; i++ {
+			c, wt := col[i], w[i]
+			j := i - 1
+			for j >= 0 && col[j] > c {
+				col[j+1], w[j+1] = col[j], w[j]
+				j--
+			}
+			col[j+1], w[j+1] = c, wt
+		}
+		return
+	}
+	sort.Stable(&pairSorter{col: col, w: w})
+}
+
+type pairSorter struct {
+	col []int32
+	w   []float64
+}
+
+func (p *pairSorter) Len() int           { return len(p.col) }
+func (p *pairSorter) Less(i, j int) bool { return p.col[i] < p.col[j] }
+func (p *pairSorter) Swap(i, j int) {
+	p.col[i], p.col[j] = p.col[j], p.col[i]
+	p.w[i], p.w[j] = p.w[j], p.w[i]
 }
 
 // fillAggregates computes the cached aggregates (strength, total weight,
 // edge count) from the CSR arrays.
 func (g *Graph) fillAggregates() {
-	g.agg = true
 	if g.strength == nil {
 		g.strength = make([]float64, g.n)
 	}
@@ -238,21 +249,18 @@ func (g *Graph) Strength(u int) float64 {
 	if u < 0 || u >= g.n {
 		return 0
 	}
-	g.ensureAggregates()
 	return g.strength[u]
 }
 
 // TotalWeight returns the sum of all edge weights (each undirected edge
 // counted once; self-loops counted once).
 func (g *Graph) TotalWeight() float64 {
-	g.ensureAggregates()
 	return g.total
 }
 
 // EdgeCount returns the number of distinct undirected edges, self-loops
 // included.
 func (g *Graph) EdgeCount() int {
-	g.ensureAggregates()
 	return g.nedges
 }
 

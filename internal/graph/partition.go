@@ -21,13 +21,10 @@ type PartitionOptions struct {
 	// to MinSize (grow just enough, letting refinement enlarge clusters
 	// only when it reduces the cut).
 	TargetSize int
-	// Multilevel enables the coarsen/partition/uncoarsen pipeline:
-	// heavy-edge matching collapses the graph level by level until it has
-	// at most 128 vertices, the coarsest graph is partitioned with the
-	// greedy growth, and the assignment is projected back up with the
-	// incremental-gain refinement run at every level. Off, or on a graph
-	// with at most 128 vertices, Partition produces exactly the
-	// single-level result.
+	// Multilevel is ignored: Partition has one path, growth → merge →
+	// refinement on the graph as given.
+	//
+	// Deprecated: the field has no effect and will be removed.
 	Multilevel bool
 	// Workers is ignored: Partition runs every phase on the caller's
 	// goroutine and starts none of its own, so a caller bounds partition
@@ -35,26 +32,21 @@ type PartitionOptions struct {
 	//
 	// Deprecated: the field has no effect and will be removed.
 	Workers int
-	// Cancel, when non-nil, is polled between coarsening levels and
-	// refinement passes; once it returns true, Partition abandons the work
-	// and returns ErrCancelled. It must be cheap (an atomic load or
-	// ctx.Err()) and is never consulted for results — an uncancelled run
-	// is bit-identical with or without it.
+	// Cancel, when non-nil, is polled every 1,024 clusters the growth
+	// starts and between refinement passes; once it returns true,
+	// Partition abandons the work and returns ErrCancelled. It must be
+	// cheap (an atomic load or ctx.Err()) and is never consulted for
+	// results — an uncancelled run is bit-identical with or without it.
 	Cancel func() bool
 
-	// The partitioner's tuning, fixed outside the package's tests (which
-	// set it to count refinement sweeps or force deep ladders); 0 picks
-	// the default. refinePasses bounds the Kernighan–Lin style refinement
-	// sweeps (8); coarsenThreshold stops coarsening once the graph has at
-	// most this many vertices (128).
-	refinePasses, coarsenThreshold int
+	// refinePasses bounds the Kernighan–Lin style refinement sweeps; 0
+	// picks 8. Only the package's tests set it (to count sweeps).
+	refinePasses int
 }
 
-// matchingRounds bounds the handshake rounds of each heavy-edge matching.
-const matchingRounds = 4
-
 // ErrCancelled is returned by Partition when PartitionOptions.Cancel
-// reported an abort; match with errors.Is.
+// reported an abort, and by the builds that poll a cancel function before
+// they partition (the trace package's node fold); match with errors.Is.
 var ErrCancelled = errors.New("graph: partition cancelled")
 
 // cancelled reports a caller-requested abort.
@@ -79,32 +71,18 @@ func (o *PartitionOptions) normalize(n int) error {
 	if o.refinePasses == 0 {
 		o.refinePasses = 8
 	}
-	if o.coarsenThreshold <= 0 {
-		o.coarsenThreshold = 128
-	}
 	return nil
-}
-
-// vweight returns the weight of vertex v under vw; nil means unit weights
-// (the single-level path and the finest multilevel level).
-func vweight(vw []int, v int) int {
-	if vw == nil {
-		return 1
-	}
-	return vw[v]
 }
 
 // Partition splits g into clusters of bounded size while minimizing the
 // weight of cut edges (the message-logging volume). It implements the
 // strategy of the paper's reference [24]: greedy region growing seeded at
-// high-traffic vertices, followed by boundary refinement that moves vertices
+// high-traffic vertices, a merge of any cluster left below MinSize into its
+// most-connected neighbor, and boundary refinement that moves vertices
 // between clusters whenever that lowers the cut without violating the size
-// bounds. With Multilevel set (and a graph above 128 vertices) the
-// growth runs on a heavy-edge-coarsened graph instead and the refinement
-// repeats at every level on the way back up — the same contract, better
-// cuts on large graphs. Partition runs on the caller's goroutine, in a
-// fresh arena. It returns part[v] = cluster id, with ids dense in 0..K-1,
-// in a slice the caller owns.
+// bounds. Partition runs on the caller's goroutine, in a fresh arena. It
+// returns part[v] = cluster id, with ids dense in 0..K-1, in a slice the
+// caller owns.
 func Partition(g *Graph, opts PartitionOptions) ([]int, error) {
 	part, err := new(Arena).Partition(g, opts)
 	if err != nil {
@@ -125,45 +103,21 @@ func (ar *Arena) Partition(g *Graph, opts PartitionOptions) ([]int32, error) {
 	if err := opts.normalize(n); err != nil {
 		return nil, err
 	}
-	nnz := g.rowptr[n]
-	ar.fit(n, nnz)
-	var part []int
-	if opts.Multilevel && n > opts.coarsenThreshold {
-		// The coarse levels below a stencil carve ≈0.9 of the finest
-		// level's vertex arrays and ≈1.2 of its columns and weights in all;
-		// budgets a little above that let a fresh arena carve the whole
-		// ladder and the assignment from one buffer per slab.
-		ar.ints.reserve(2 * n)
-		ar.i64s.reserve(2 * n)
-		ar.i32s.reserve(3*n + 3*int(nnz)/2)
-		ar.f64s.reserve(3 * (int(nnz) + n) / 2)
-		var err error
-		if part, err = multilevelPartition(g, opts, ar); err != nil {
-			return nil, err
-		}
-	} else {
-		part = singleLevel(g, opts, nil, ar, 0)
+	ar.fit(n, g.rowptr[n])
+	setPhase("grow")
+	part, sizes, err := grow(g, opts, ar)
+	if err != nil {
+		clearPhase()
+		return nil, err
 	}
+	mergeSmall(g, part, sizes, opts, ar)
+	setPhase("refine")
+	refine(g, part, sizes, opts, ar)
+	clearPhase()
 	if opts.cancelled() {
 		return nil, ErrCancelled
 	}
-	return compact(part, ar.cand, ar.i32s.take(n)), nil
-}
-
-// singleLevel is the growth → merge → refine pipeline on one graph, with
-// cluster sizes measured in vertex weight (vw nil = unit weights, the
-// original single-level behavior; multilevel coarse graphs pass the number
-// of original vertices inside each coarse vertex). level tags the pprof
-// phase labels. It returns the raw assignment in ar.growPart, ids not yet
-// compacted.
-func singleLevel(g *Graph, opts PartitionOptions, vw []int, ar *Arena, level int) []int {
-	setPhase("grow", level)
-	part, sizes := grow(g, opts, vw, ar)
-	part, sizes = mergeSmallWeighted(g, part, sizes, opts, ar)
-	setPhase("refine", level)
-	refine(g, part, sizes, opts, vw, ar)
-	clearPhase()
-	return part
+	return compact(part, ar.remap, ar.i32s.take(n)), nil
 }
 
 // sortSeedsByStrength orders all vertices by strength descending, index
@@ -212,9 +166,10 @@ func sortSeedsByStrength(strength []float64, order, orderB []int, keys, keysB []
 }
 
 // grow performs greedy region growing seeded at high-strength vertices,
-// returning the raw (non-compacted) assignment and per-id sizes in weight
-// units. Both returned slices are arena-backed; callers own them until the
-// next grow on the same arena.
+// returning the raw (non-compacted) assignment and per-id sizes in
+// vertices. Both returned slices are arena-backed; callers own them until
+// the next grow on the same arena. It polls opts.Cancel once every 1,024
+// clusters it starts and returns ErrCancelled when that reports an abort.
 //
 // The frontier is flat: connection weights accumulate in an epoch-stamped
 // per-vertex array (one epoch per seed, so resets are free) and the
@@ -224,8 +179,7 @@ func sortSeedsByStrength(strength []float64, order, orderB []int, keys, keysB []
 // identical; only the hashing, per-seed allocation, and tombstone deletes
 // are gone. Assigned members are skipped in place, exactly like the map's
 // deleted keys.
-func grow(g *Graph, opts PartitionOptions, vw []int, ar *Arena) ([]int, []int) {
-	g.ensureAggregates() // seed ordering reads strengths
+func grow(g *Graph, opts PartitionOptions, ar *Arena) ([]int, []int, error) {
 	n := g.N()
 	part := ar.growPart[:n]
 	for i := range part {
@@ -268,19 +222,18 @@ func grow(g *Graph, opts PartitionOptions, vw []int, ar *Arena) ([]int, []int) {
 			continue
 		}
 		id := next
+		if id%1024 == 0 && opts.cancelled() {
+			return nil, nil, ErrCancelled
+		}
 		next++
 		part[seed] = id
-		size := vweight(vw, seed)
-		if size >= opts.TargetSize {
-			// Already at target (a saturated multilevel coarse vertex):
-			// skip the frontier bookkeeping entirely.
-			sizes = append(sizes, size)
-			continue
-		}
+		size := 1
 		ar.growEpoch++
 		epoch := ar.growEpoch
 		list = list[:0]
 		addNeighbors(seed, epoch)
+		// normalize keeps TargetSize ≤ MaxSize, so no pick below the
+		// target can burst the cap.
 		for size < opts.TargetSize {
 			best, bestW := -1, -1.0
 			for _, v32 := range list {
@@ -288,23 +241,11 @@ func grow(g *Graph, opts PartitionOptions, vw []int, ar *Arena) ([]int, []int) {
 				if part[v] != -1 {
 					continue // already inside some cluster
 				}
-				if opts.MaxSize != 0 && size+vweight(vw, v) > opts.MaxSize {
-					continue // would burst the hard cap
-				}
 				if w := connW[v]; w > bestW || (w == bestW && (best == -1 || v < best)) {
 					best, bestW = v, w
 				}
 			}
 			if best == -1 {
-				if vw != nil {
-					// Weighted (multilevel) growth: no unassigned neighbor
-					// is available or fits. Pulling a distant vertex here
-					// would fabricate a non-contiguous cluster; stopping
-					// leaves any undersized cluster to the merge, which
-					// folds it into its most-connected — adjacent —
-					// neighbor instead.
-					break
-				}
 				// Disconnected from every unassigned vertex: pull in the
 				// strongest remaining vertex so every cluster reaches the
 				// target (reliability requires the minimum size even for
@@ -321,12 +262,63 @@ func grow(g *Graph, opts PartitionOptions, vw []int, ar *Arena) ([]int, []int) {
 				}
 			}
 			part[best] = id
-			size += vweight(vw, best)
+			size++
 			addNeighbors(best, epoch)
 		}
 		sizes = append(sizes, size)
 	}
-	return part, sizes
+	return part, sizes, nil
+}
+
+// mergeSmall folds a cluster grown below MinSize into the neighboring
+// cluster it communicates with most (ties to the lower id), or into
+// cluster 0 when it has no neighbor. Growth leaves at most one such
+// cluster, the last it started: it pulls in any unassigned vertex before a
+// cluster stops short of TargetSize (≥ MinSize), so only a cluster that
+// ran out of vertices can. Every other cluster holds exactly TargetSize
+// vertices, so MaxSize cannot tell the candidates apart: the merge fits
+// for all or for none, and then exceeds it — the paper treats MinSize
+// (reliability) as the hard bound and MaxSize (restart cost) as the soft
+// one. It relabels part and moves the size.
+func mergeSmall(g *Graph, part []int, sizes []int, opts PartitionOptions, ar *Arena) {
+	small := len(sizes) - 1
+	if small < 1 || sizes[small] >= opts.MinSize {
+		return // nothing undersized, or nothing to merge with
+	}
+	// conn[id] is the small cluster's connection weight to cluster id;
+	// -Inf marks a cluster it has no edge to.
+	conn := ar.growW[:small]
+	for id := range conn {
+		conn[id] = math.Inf(-1)
+	}
+	for v, id := range part {
+		if id != small {
+			continue
+		}
+		cols, ws := g.row(v)
+		for i, c := range cols {
+			if to := part[c]; to != small {
+				if conn[to] == math.Inf(-1) {
+					conn[to] = ws[i]
+				} else {
+					conn[to] += ws[i]
+				}
+			}
+		}
+	}
+	target := 0
+	for id, w := range conn {
+		if w > conn[target] {
+			target = id
+		}
+	}
+	for v, id := range part {
+		if id == small {
+			part[v] = target
+		}
+	}
+	sizes[target] += sizes[small]
+	sizes[small] = 0
 }
 
 // refineState is the refinement's working state: the gain cache and move
@@ -336,7 +328,6 @@ type refineState struct {
 	g     *Graph
 	part  []int
 	sizes []int
-	vw    []int
 
 	// connID/connW/connCnt[rowptr[v]:rowptr[v]+connLen[v]] = (cluster,
 	// weight, contributing neighbors) entries of v, unordered; lookups scan
@@ -414,8 +405,7 @@ func (rs *refineState) sub(v, id int, w float64) {
 // below the own weight lose the final strict comparison either way.
 func (rs *refineState) decide(v int) int {
 	from := rs.part[v]
-	wv := vweight(rs.vw, v)
-	if rs.sizes[from]-wv < rs.minSize {
+	if rs.sizes[from]-1 < rs.minSize {
 		return -1 // removing v would break the reliability bound
 	}
 	var own float64
@@ -427,7 +417,7 @@ func (rs *refineState) decide(v int) int {
 			own = w
 			continue
 		}
-		if rs.maxSize != 0 && rs.sizes[id]+wv > rs.maxSize {
+		if rs.maxSize != 0 && rs.sizes[id]+1 > rs.maxSize {
 			continue
 		}
 		if w > bestW || (w == bestW && id < bestTo) {
@@ -467,10 +457,9 @@ func (rs *refineState) stillNoMove(v int, since int32) bool {
 // `to`; the stamps record what the move invalidated.
 func (rs *refineState) commit(v, to int) {
 	from := rs.part[v]
-	wv := vweight(rs.vw, v)
 	rs.part[v] = to
-	rs.sizes[from] -= wv
-	rs.sizes[to] += wv
+	rs.sizes[from]--
+	rs.sizes[to]++
 	rs.moveCount++
 	rs.clusterTouch[from] = rs.moveCount
 	rs.clusterTouch[to] = rs.moveCount
@@ -488,8 +477,7 @@ func (rs *refineState) commit(v, to int) {
 
 // build fills the gain cache from the current assignment: vertex v's span
 // gets one entry per cluster among its neighbors. The body is the add()
-// path hand-inlined over int offsets: this loop is the hottest in the
-// multilevel profile (it reruns at every level of the ladder).
+// path hand-inlined over int offsets: it visits every edge once per build.
 func (rs *refineState) build() {
 	connID, connW, connCnt, connLen := rs.connID, rs.connW, rs.connCnt, rs.connLen
 	for v := range connLen {
@@ -533,18 +521,13 @@ func (rs *refineState) build() {
 // The cache lives in flat arrays spanned by the CSR row pointers — a vertex
 // touches at most deg(v) distinct clusters, so its row span always has room
 // — because one map per vertex (the previous layout) cost more to build
-// than the moves it served on 100k-vertex graphs, and the multilevel path
-// rebuilds the cache at every level. The arrays come from the arena, so
-// those per-level rebuilds reuse one finest-level allocation.
-//
-// Sizes are in weight units: moving v shifts vweight(vw, v), and the size
-// bounds hold in the same units (unit weights reproduce the historical
-// vertex-count behavior exactly).
-func refine(g *Graph, part []int, sizes []int, opts PartitionOptions, vw []int, ar *Arena) {
+// than the moves it served on 100k-vertex graphs. The arrays come from the
+// arena, so a held arena refines without allocating. Sizes count vertices.
+func refine(g *Graph, part []int, sizes []int, opts PartitionOptions, ar *Arena) {
 	n := g.N()
 	nnz := g.rowptr[n]
 	rs := refineState{
-		g: g, part: part, sizes: sizes, vw: vw,
+		g: g, part: part, sizes: sizes,
 		rowptr:  g.rowptr,
 		connID:  ar.connID[:nnz],
 		connW:   ar.connW[:nnz],

@@ -17,9 +17,9 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/partition_golden
 // goldenGraphs enumerates every partition test graph the package exercises,
 // including float-weighted random graphs whose refinement gains are only
 // bit-identical when every floating-point accumulation happens in the exact
-// historical order. The golden file pins the assignment of each one, for
-// both the single-level and the multilevel path, so performance work on the
-// partitioner can never silently change an output bit.
+// historical order. The golden file pins the assignment of each one, so
+// performance work on the partitioner can never silently change an output
+// bit.
 func goldenGraphs() []struct {
 	name string
 	g    *Graph
@@ -76,12 +76,13 @@ func goldenGraphs() []struct {
 			opts PartitionOptions
 		}{fmt.Sprintf("randfloat1500-s%d", seed), fg, PartitionOptions{MinSize: 4, TargetSize: 4}})
 	}
-	// A tiny coarsen threshold forces a deep ladder even at modest size.
+	// Named for the coarsening depth it once forced on a removed partitioner;
+	// the name is kept so its golden entry stays the one recorded.
 	cases = append(cases, struct {
 		name string
 		g    *Graph
 		opts PartitionOptions
-	}{"random2048-deep", randomIntGraph(9, 2048), PartitionOptions{MinSize: 4, TargetSize: 4, coarsenThreshold: 16}})
+	}{"random2048-deep", randomIntGraph(9, 2048), PartitionOptions{MinSize: 4, TargetSize: 4}})
 	return cases
 }
 
@@ -99,12 +100,10 @@ func hashAssignment(part []int) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// TestPartitionGolden pins the exact assignment of both partitioner paths on
-// every test graph. Any change to a recorded hash means an output bit
-// changed — which this repository treats as a breaking change for the
-// partitioner, since evaluations are compared byte-for-byte. The golden file
-// still carries one multilevel entry per former worker count (w1, w2, w8);
-// the one multilevel assignment must match all three.
+// TestPartitionGolden pins the exact assignment of the partitioner on every
+// test graph. Any change to a recorded hash means an output bit changed —
+// which this repository treats as a breaking change for the partitioner,
+// since evaluations are compared byte-for-byte.
 // Regenerate deliberately with: go test ./internal/graph -run Golden -update
 func TestPartitionGolden(t *testing.T) {
 	goldenPath := filepath.Join("testdata", "partition_golden.json")
@@ -115,16 +114,6 @@ func TestPartitionGolden(t *testing.T) {
 			t.Fatalf("%s: single-level: %v", tc.name, err)
 		}
 		got[tc.name+"/single"] = hashAssignment(single)
-		mlOpts := tc.opts
-		mlOpts.Multilevel = true
-		multi, err := Partition(tc.g, mlOpts)
-		if err != nil {
-			t.Fatalf("%s: multilevel: %v", tc.name, err)
-		}
-		h := hashAssignment(multi)
-		for _, w := range []string{"w1", "w2", "w8"} {
-			got[tc.name+"/multilevel/"+w] = h
-		}
 	}
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {

@@ -8,17 +8,16 @@ import (
 )
 
 // This file retains the pre-optimization reference implementations of the
-// partitioner's hot phases — hash-map frontier growth, two-pass contraction,
-// map-based small-cluster merging (weighted and unit-weight) — exactly as
-// they ran before the arena / flat-frontier rewrite. The property tests
+// partitioner's hot phases — hash-map frontier growth and the full-scan
+// small-cluster merge — and of the graph builders, exactly as they ran
+// before the arena / flat-frontier rewrite. The property tests
 // below pin the optimized paths bit-identical to them: the partitioner sits
 // inside evaluations whose outputs are compared byte-for-byte, so "faster"
 // is only acceptable when it is also "identical".
 
 // growReference is the historical grow: a fresh hash-map frontier per seed,
 // scanned linearly for the heaviest (then lowest-index) candidate.
-func growReference(g *Graph, opts PartitionOptions, vw []int) ([]int, []int) {
-	g.ensureAggregates()
+func growReference(g *Graph, opts PartitionOptions) ([]int, []int) {
 	n := g.N()
 	part := make([]int, n)
 	for i := range part {
@@ -45,11 +44,7 @@ func growReference(g *Graph, opts PartitionOptions, vw []int) ([]int, []int) {
 		id := next
 		next++
 		part[seed] = id
-		size := vweight(vw, seed)
-		if size >= opts.TargetSize {
-			sizes = append(sizes, size)
-			continue
-		}
+		size := 1
 		conn := map[int]float64{}
 		seedCols, seedWs := g.row(seed)
 		for i, c := range seedCols {
@@ -60,7 +55,7 @@ func growReference(g *Graph, opts PartitionOptions, vw []int) ([]int, []int) {
 		for size < opts.TargetSize {
 			best, bestW := -1, -1.0
 			for v, w := range conn {
-				if opts.MaxSize != 0 && size+vweight(vw, v) > opts.MaxSize {
+				if opts.MaxSize != 0 && size+1 > opts.MaxSize {
 					continue
 				}
 				if w > bestW || (w == bestW && (best == -1 || v < best)) {
@@ -68,9 +63,6 @@ func growReference(g *Graph, opts PartitionOptions, vw []int) ([]int, []int) {
 				}
 			}
 			if best == -1 {
-				if vw != nil {
-					break
-				}
 				for fallbackCursor < n {
 					if part[order[fallbackCursor]] == -1 {
 						best = order[fallbackCursor]
@@ -84,7 +76,7 @@ func growReference(g *Graph, opts PartitionOptions, vw []int) ([]int, []int) {
 			}
 			part[best] = id
 			delete(conn, best)
-			size += vweight(vw, best)
+			size++
 			cols, ws := g.row(best)
 			for i, c := range cols {
 				if part[c] == -1 {
@@ -97,210 +89,11 @@ func growReference(g *Graph, opts PartitionOptions, vw []int) ([]int, []int) {
 	return part, sizes
 }
 
-// contractReference is the historical two-pass contraction: one pass to
-// number coarse vertices, one to collect constituents and weights, one to
-// size the capacity rows, then the gather — each its own traversal, with
-// per-level allocations, finishing through the validating FromCSR.
-func contractReference(g *Graph, vw []int, match []int32) (*Graph, []int32, []int, error) {
-	n := g.N()
-	cmap := make([]int32, n)
-	nc := 0
-	for u := 0; u < n; u++ {
-		m := int(match[u])
-		if m == -1 || u < m {
-			cmap[u] = int32(nc)
-			nc++
-		} else {
-			cmap[u] = cmap[m]
-		}
-	}
-	cvw := make([]int, nc)
-	mem1 := make([]int32, nc)
-	mem2 := make([]int32, nc)
-	for c := range mem1 {
-		mem1[c], mem2[c] = -1, -1
-	}
-	for u := 0; u < n; u++ {
-		c := cmap[u]
-		if mem1[c] == -1 {
-			mem1[c] = int32(u)
-		} else {
-			mem2[c] = int32(u)
-		}
-		cvw[c] += vweight(vw, u)
-	}
-	capPtr := make([]int64, nc+1)
-	for c := 0; c < nc; c++ {
-		d := g.rowptr[mem1[c]+1] - g.rowptr[mem1[c]]
-		if m := mem2[c]; m != -1 {
-			d += g.rowptr[m+1] - g.rowptr[m]
-		}
-		capPtr[c+1] = capPtr[c] + d
-	}
-	col := make([]int32, capPtr[nc])
-	w := make([]float64, capPtr[nc])
-	cnt := make([]int32, nc)
-	for c := 0; c < nc; c++ {
-		base := capPtr[c]
-		k := int64(0)
-		gather := func(u int32) {
-			cols, ws := g.row(int(u))
-			for i, cc := range cols {
-				tc := cmap[cc]
-				if int(tc) == c && cc < u {
-					continue
-				}
-				col[base+k], w[base+k] = tc, ws[i]
-				k++
-			}
-		}
-		gather(mem1[c])
-		if mem2[c] != -1 {
-			gather(mem2[c])
-		}
-		span := col[base : base+k]
-		spanW := w[base : base+k]
-		sortPairsStable(span, spanW)
-		write := int64(0)
-		for i := int64(0); i < k; i++ {
-			if write > 0 && span[write-1] == span[i] {
-				spanW[write-1] += spanW[i]
-			} else {
-				span[write], spanW[write] = span[i], spanW[i]
-				write++
-			}
-		}
-		cnt[c] = int32(write)
-	}
-	rowptr := make([]int64, nc+1)
-	for c := 0; c < nc; c++ {
-		rowptr[c+1] = rowptr[c] + int64(cnt[c])
-	}
-	fcol := make([]int32, rowptr[nc])
-	fw := make([]float64, rowptr[nc])
-	for c := 0; c < nc; c++ {
-		copy(fcol[rowptr[c]:rowptr[c+1]], col[capPtr[c]:capPtr[c]+int64(cnt[c])])
-		copy(fw[rowptr[c]:rowptr[c+1]], w[capPtr[c]:capPtr[c]+int64(cnt[c])])
-	}
-	coarse, err := (*Arena)(nil).FromCSR(nc, rowptr, fcol, fw)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return coarse, cmap, cvw, nil
-}
-
-// mergeSmallWeightedReference is the historical map-based weighted merge.
-func mergeSmallWeightedReference(g *Graph, part []int, sizes []int, opts PartitionOptions) ([]int, []int) {
-	n := g.N()
-	k := len(sizes)
-	head := make([]int32, k)
-	tail := make([]int32, k)
-	for i := range head {
-		head[i], tail[i] = -1, -1
-	}
-	next := make([]int32, n)
-	for v := n - 1; v >= 0; v-- {
-		id := part[v]
-		next[v] = head[id]
-		head[id] = int32(v)
-		if tail[id] == -1 {
-			tail[id] = int32(v)
-		}
-	}
-	parent := make([]int32, k)
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	var find func(int32) int32
-	find = func(id int32) int32 {
-		for parent[id] != id {
-			parent[id] = parent[parent[id]]
-			id = parent[id]
-		}
-		return id
-	}
-	active := 0
-	var queue []int32
-	for id := 0; id < k; id++ {
-		if sizes[id] > 0 {
-			active++
-			if sizes[id] < opts.MinSize {
-				queue = append(queue, int32(id))
-			}
-		}
-	}
-	conn := map[int32]float64{}
-	for qi := 0; qi < len(queue); qi++ {
-		small := find(queue[qi])
-		if sizes[small] == 0 || sizes[small] >= opts.MinSize {
-			continue
-		}
-		if active <= 1 {
-			break
-		}
-		clear(conn)
-		for v := head[small]; v != -1; v = next[v] {
-			cols, ws := g.row(int(v))
-			for i, c := range cols {
-				if root := find(int32(part[c])); root != small {
-					conn[root] += ws[i]
-				}
-			}
-		}
-		target := int32(-1)
-		bestW := -1.0
-		for id, w := range conn {
-			fits := opts.MaxSize == 0 || sizes[id]+sizes[small] <= opts.MaxSize
-			if fits && (w > bestW || (w == bestW && (target == -1 || id < target))) {
-				target, bestW = id, w
-			}
-		}
-		if target == -1 {
-			for id, w := range conn {
-				if w > bestW || (w == bestW && (target == -1 || id < target)) {
-					target, bestW = id, w
-				}
-			}
-		}
-		if target == -1 {
-			for id := 0; id < k; id++ {
-				root := int32(id)
-				if parent[root] != root || root == small || sizes[root] == 0 {
-					continue
-				}
-				if target == -1 || sizes[root] < sizes[target] {
-					target = root
-				}
-			}
-		}
-		if target == -1 {
-			break
-		}
-		parent[small] = target
-		sizes[target] += sizes[small]
-		sizes[small] = 0
-		if head[target] == -1 {
-			head[target], tail[target] = head[small], tail[small]
-		} else {
-			next[tail[target]] = head[small]
-			tail[target] = tail[small]
-		}
-		active--
-		if sizes[target] < opts.MinSize {
-			queue = append(queue, target)
-		}
-	}
-	for v := range part {
-		part[v] = int(find(int32(part[v])))
-	}
-	return part, sizes
-}
-
-// mergeSmall is the historical unit-weight merge the single-level path ran
-// before it shared mergeSmallWeighted: a full-graph scan and a fresh map per
-// merge. Same policy — fold every cluster below MinSize into the neighbor it
-// communicates with most, relaxing MaxSize when nothing fits.
-func mergeSmall(g *Graph, part []int, sizes []int, opts PartitionOptions) ([]int, []int) {
+// mergeSmallFullScan is the historical merge the partitioner ran before
+// the indexed one: a full-graph scan and a fresh map per merge. Same policy
+// — fold every cluster below MinSize into the neighbor it communicates with
+// most, relaxing MaxSize when nothing fits.
+func mergeSmallFullScan(g *Graph, part []int, sizes []int, opts PartitionOptions) ([]int, []int) {
 	for {
 		small := -1
 		for id, s := range sizes {
@@ -393,21 +186,12 @@ func randomWeightedGraph(seed int64, n int) *Graph {
 
 // Property: flat-frontier growth (epoch-stamped weights + frontier list)
 // produces identical seeds, assignments, and sizes to the retained hash-map
-// reference on random weighted graphs — unit weights and multilevel-style
-// vertex weights, with and without MaxSize.
+// reference on random weighted graphs, with and without MaxSize.
 func TestGrowMatchesHashMapReference(t *testing.T) {
 	var held Arena // one arena across every case
 	for seed := int64(1); seed <= 12; seed++ {
 		n := 200 + int(seed)*97
 		g := randomWeightedGraph(seed, n)
-		var vw []int
-		if seed%2 == 0 { // alternate: weighted path with capped weights
-			rng := rand.New(rand.NewSource(seed * 13))
-			vw = make([]int, n)
-			for i := range vw {
-				vw[i] = 1 + rng.Intn(4)
-			}
-		}
 		for _, opts := range []PartitionOptions{
 			{MinSize: 4, TargetSize: 4},
 			{MinSize: 2, TargetSize: 6, MaxSize: 8},
@@ -416,8 +200,11 @@ func TestGrowMatchesHashMapReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			ar := newPartArena(&held, g)
-			gotPart, gotSizes := grow(g, opts, vw, ar)
-			wantPart, wantSizes := growReference(g, opts, vw)
+			gotPart, gotSizes, err := grow(g, opts, ar)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantPart, wantSizes := growReference(g, opts)
 			for v := range wantPart {
 				if gotPart[v] != wantPart[v] {
 					t.Fatalf("seed %d opts %+v: vertex %d assigned %d, reference %d",
@@ -436,102 +223,12 @@ func TestGrowMatchesHashMapReference(t *testing.T) {
 	}
 }
 
-// Property: the fused single-traversal contraction produces a coarse graph
-// byte-identical (rowptr, columns, weights, vertex map, vertex weights) to
-// the retained two-pass implementation, on every partition test graph.
-func TestContractFusedMatchesTwoPass(t *testing.T) {
-	var held Arena // one arena across every case
-	for _, tc := range goldenGraphs() {
-		g := tc.g
-		opts := tc.opts
-		if err := opts.normalize(g.N()); err != nil {
-			t.Fatal(err)
-		}
-		ar := newPartArena(&held, g)
-		var vw []int
-		for level := 0; level < 3; level++ {
-			match, matched := heavyEdgeMatching(g, vw, opts, ar)
-			if matched == 0 {
-				break
-			}
-			fused, cmap, cvw, err := contract(g, vw, match, matched, opts, ar)
-			if err != nil {
-				t.Fatalf("%s L%d: fused: %v", tc.name, level, err)
-			}
-			ref, refCmap, refCvw, err := contractReference(g, vw, match)
-			if err != nil {
-				t.Fatalf("%s L%d: reference: %v", tc.name, level, err)
-			}
-			if fused.N() != ref.N() {
-				t.Fatalf("%s L%d: fused %d coarse vertices, reference %d", tc.name, level, fused.N(), ref.N())
-			}
-			for v := range refCmap {
-				if cmap[v] != refCmap[v] {
-					t.Fatalf("%s L%d: cmap[%d] = %d, reference %d", tc.name, level, v, cmap[v], refCmap[v])
-				}
-			}
-			for c := range refCvw {
-				if cvw[c] != refCvw[c] {
-					t.Fatalf("%s L%d: cvw[%d] = %d, reference %d", tc.name, level, c, cvw[c], refCvw[c])
-				}
-			}
-			for u := 0; u <= ref.N(); u++ {
-				if fused.rowptr[u] != ref.rowptr[u] {
-					t.Fatalf("%s L%d: rowptr[%d] = %d, reference %d", tc.name, level, u, fused.rowptr[u], ref.rowptr[u])
-				}
-			}
-			for i := range ref.col {
-				if fused.col[i] != ref.col[i] || fused.w[i] != ref.w[i] {
-					t.Fatalf("%s L%d: entry %d = (%d, %v), reference (%d, %v)",
-						tc.name, level, i, fused.col[i], fused.w[i], ref.col[i], ref.w[i])
-				}
-			}
-			g, vw = ref, refCvw // descend on the reference graph
-		}
-	}
-}
-
-// Property: the epoch-stamped flat-array weighted merge matches the
-// retained map-based merge exactly, starting from real weighted growths.
-func TestMergeSmallWeightedMatchesReference(t *testing.T) {
-	var held Arena // one arena across every case
-	for seed := int64(1); seed <= 8; seed++ {
-		n := 300 + int(seed)*61
-		g := randomWeightedGraph(seed, n)
-		rng := rand.New(rand.NewSource(seed * 7))
-		vw := make([]int, n)
-		for i := range vw {
-			vw[i] = 1 + rng.Intn(4)
-		}
-		opts := PartitionOptions{MinSize: 6, TargetSize: 6}
-		if err := opts.normalize(n); err != nil {
-			t.Fatal(err)
-		}
-		ar := newPartArena(&held, g)
-		part, sizes := grow(g, opts, vw, ar)
-		refPart := append([]int(nil), part...)
-		refSizes := append([]int(nil), sizes...)
-		gotPart, gotSizes := mergeSmallWeighted(g, part, sizes, opts, ar)
-		wantPart, wantSizes := mergeSmallWeightedReference(g, refPart, refSizes, opts)
-		for v := range wantPart {
-			if gotPart[v] != wantPart[v] {
-				t.Fatalf("seed %d: vertex %d in cluster %d, reference %d", seed, v, gotPart[v], wantPart[v])
-			}
-		}
-		for id := range wantSizes {
-			if gotSizes[id] != wantSizes[id] {
-				t.Fatalf("seed %d: cluster %d size %d, reference %d", seed, id, gotSizes[id], wantSizes[id])
-			}
-		}
-	}
-}
-
-// Property: on unit-weight growths — the only input the single-level path
-// ever handed mergeSmall — the indexed merge and the retained full-scan merge
-// choose the same target. The graphs are sparse enough to be disconnected,
-// so the fallback-grown last cluster exercises all three target rules
-// (fitting neighbor, MaxSize relaxed, smallest cluster overall).
-func TestMergeSmallWeightedMatchesUnitMerge(t *testing.T) {
+// Property: on real growths the single merge and the retained full-scan
+// merge — which loops until no cluster is undersized and prefers a
+// neighbor that fits MaxSize — leave the same assignment and sizes. The
+// graphs are sparse enough to be disconnected, so the fallback-grown last
+// cluster also meets the case with no neighbor at all.
+func TestMergeSmallMatchesFullScan(t *testing.T) {
 	var held Arena // one arena across every case
 	const cases = 3200
 	needMerge := 0
@@ -560,20 +257,28 @@ func TestMergeSmallWeightedMatchesUnitMerge(t *testing.T) {
 			t.Fatal(err)
 		}
 		ar := newPartArena(&held, g)
-		part, sizes := grow(g, opts, nil, ar)
+		part, sizes, err := grow(g, opts, ar)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, s := range sizes {
 			if s < opts.MinSize {
 				needMerge++
 				break
 			}
 		}
-		wantPart, _ := mergeSmall(g, append([]int(nil), part...), append([]int(nil), sizes...), opts)
-		gotPart, _ := mergeSmallWeighted(g, part, sizes, opts, ar)
+		wantPart, wantSizes := mergeSmallFullScan(g, append([]int(nil), part...), append([]int(nil), sizes...), opts)
+		mergeSmall(g, part, sizes, opts, ar)
 		want := compact(wantPart, make([]int32, n), make([]int, n))
-		got := compact(gotPart, make([]int32, n), make([]int, n))
+		got := compact(part, make([]int32, n), make([]int, n))
 		for v := range want {
 			if got[v] != want[v] {
-				t.Fatalf("seed %d opts %+v: vertex %d in cluster %d, unit merge %d", seed, opts, v, got[v], want[v])
+				t.Fatalf("seed %d opts %+v: vertex %d in cluster %d, full-scan merge %d", seed, opts, v, got[v], want[v])
+			}
+		}
+		for id := range wantSizes {
+			if sizes[id] != wantSizes[id] {
+				t.Fatalf("seed %d opts %+v: cluster %d size %d, full-scan merge %d", seed, opts, id, sizes[id], wantSizes[id])
 			}
 		}
 	}

@@ -29,12 +29,6 @@ type Config struct {
 	// synthetic rows exercise the sparse (CSR) pipeline end to end: no
 	// dense matrix and no simmpi run is involved at any size.
 	MaxRanks int
-	// Multilevel runs every hierarchical clustering of the scaling
-	// experiment through the multilevel node partitioner (hcrun
-	// -multilevel) — the scalable path for the 100k+-node synthetic rows.
-	// Off (the default) keeps the single-level partitioner and the
-	// historical table bytes.
-	Multilevel bool
 	// Timings enables wall-clock measurement columns (fig3b's measured
 	// encode times). Off by default so experiment tables are deterministic
 	// and byte-comparable across runs and worker counts; turn on (hcrun

@@ -34,7 +34,7 @@ func Scaling(cfg Config) (*Table, error) {
 	if cfg.Quick {
 		sizes = []int{64, 128, 256}
 	}
-	hier := hierclust.StrategySpec{Kind: "hierarchical", Hier: &hierclust.HierSpec{Multilevel: cfg.Multilevel}}
+	hier := hierclust.StrategySpec{Kind: "hierarchical"}
 	var rungs []*hierclust.Scenario
 	for _, ranks := range sizes {
 		ppn := 16
@@ -76,10 +76,6 @@ func Scaling(cfg Config) (*Table, error) {
 	if cfg.MaxRanks >= 4096 {
 		t.Notes = append(t.Notes,
 			"rows from 4096 ranks up use synthetic 2-D stencil traces on the sparse (CSR) pipeline — no dense matrix, no traced run")
-	}
-	if cfg.Multilevel {
-		t.Notes = append(t.Notes,
-			"hierarchical rows use the multilevel (coarsen/partition/uncoarsen) node partitioner")
 	}
 	return t, nil
 }

@@ -81,53 +81,50 @@ func referenceRig(ranks, ppn int) (trace.Comm, *topology.Placement, error) {
 }
 
 // TestScalingMatchesReference holds every cell of the scaling table, traced
-// and synthetic rows, with the multilevel partitioner off and on, to the
-// composition the experiment used before its rungs became Pipeline
-// scenarios: the rung's trace and block placement, core.Hierarchical and
-// core.Evaluate, rendered as that code rendered a row.
+// and synthetic rows, to the composition the experiment used before its
+// rungs became Pipeline scenarios: the rung's trace and block placement,
+// core.Hierarchical and core.Evaluate, rendered as that code rendered a row.
 func TestScalingMatchesReference(t *testing.T) {
-	for _, multilevel := range []bool{false, true} {
-		cfg := Config{Quick: true, MaxRanks: 8192, Multilevel: multilevel}
-		got, err := Scaling(cfg)
+	cfg := Config{Quick: true, MaxRanks: 8192}
+	got, err := Scaling(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.normalize()
+	want := &Table{}
+	row := func(m trace.Comm, placement *topology.Placement) {
+		t.Helper()
+		hier, err := core.Hierarchical(m, placement, core.HierOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.normalize()
-		want := &Table{}
-		row := func(m trace.Comm, placement *topology.Placement) {
-			t.Helper()
-			hier, err := core.Hierarchical(m, placement, core.HierOptions{Multilevel: multilevel})
-			if err != nil {
-				t.Fatal(err)
-			}
-			e, err := core.Evaluate(hier, m, placement, reliability.DefaultMix())
-			if err != nil {
-				t.Fatal(err)
-			}
-			verdict := "yes"
-			if ok, _ := e.Meets(core.DefaultBaseline()); !ok {
-				verdict = fmt.Sprintf("NO (scale too small for 4-node L1: %d nodes)", placement.NumUsed())
-			}
-			want.AddRow(m.Ranks(), placement.NumUsed(), hier.NumClusters(),
-				e.LoggedFraction*100, e.RecoveryFraction*100, e.EncodeSecondsPerGB, e.CatastropheProb, verdict)
+		e, err := core.Evaluate(hier, m, placement, reliability.DefaultMix())
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, ranks := range []int{64, 128, 256} {
-			r, err := tracedRig(Config{Ranks: ranks, ProcsPerNode: 8, Iterations: cfg.Iterations})
-			if err != nil {
-				t.Fatal(err)
-			}
-			row(r.matrix, r.placement)
+		verdict := "yes"
+		if ok, _ := e.Meets(core.DefaultBaseline()); !ok {
+			verdict = fmt.Sprintf("NO (scale too small for 4-node L1: %d nodes)", placement.NumUsed())
 		}
-		for _, ranks := range []int{4096, 8192} {
-			m, placement, err := referenceRig(ranks, 16)
-			if err != nil {
-				t.Fatal(err)
-			}
-			row(m, placement)
+		want.AddRow(m.Ranks(), placement.NumUsed(), hier.NumClusters(),
+			e.LoggedFraction*100, e.RecoveryFraction*100, e.EncodeSecondsPerGB, e.CatastropheProb, verdict)
+	}
+	for _, ranks := range []int{64, 128, 256} {
+		r, err := tracedRig(Config{Ranks: ranks, ProcsPerNode: 8, Iterations: cfg.Iterations})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got.Rows, want.Rows) {
-			t.Errorf("multilevel=%v: scaling rows differ from the reference composition\n got %v\nwant %v", multilevel, got.Rows, want.Rows)
+		row(r.matrix, r.placement)
+	}
+	for _, ranks := range []int{4096, 8192} {
+		m, placement, err := referenceRig(ranks, 16)
+		if err != nil {
+			t.Fatal(err)
 		}
+		row(m, placement)
+	}
+	if !reflect.DeepEqual(got.Rows, want.Rows) {
+		t.Errorf("scaling rows differ from the reference composition\n got %v\nwant %v", got.Rows, want.Rows)
 	}
 }
 
@@ -166,7 +163,7 @@ func TestSyntheticRigPipeline(t *testing.T) {
 }
 
 // The 262,144-rank / 16,384-node acceptance scenario: the full clustering →
-// reliability pipeline through the multilevel partitioner and the flat-span
+// reliability pipeline through the node partitioner and the flat-span
 // placement, end to end, with every number — the L1 assignment and all four
 // evaluation dimensions — bit-identical at any worker count.
 func TestSynthetic256kWorkerInvariance(t *testing.T) {

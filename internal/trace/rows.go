@@ -75,6 +75,10 @@ func loggedFraction(v rows, total int64, part []int32) (float64, error) {
 	return float64(cut) / float64(total), nil
 }
 
+// foldPoll is how many node rows each pass of nodeGraph folds between two
+// polls of its cancel function.
+const foldPoll = 4096
+
 // nodeGraph aggregates the rank rows under a placement into the undirected
 // node graph the L1 partitioner consumes: vertex a is p.UsedNode(a), edge
 // {a,b} carries the bytes of both directions between the two nodes' ranks, a
@@ -92,8 +96,10 @@ func loggedFraction(v rows, total int64, part []int32) (float64, error) {
 // int64 mergeRow forms from a row and its equal transpose row, ≤ the total).
 //
 // Every array, scratch included, is carved from ar; a nil arena allocates
-// them, and the graph is then the caller's.
-func nodeGraph(v rows, p *topology.Placement, ar *graph.Arena) (*graph.Graph, error) {
+// them, and the graph is then the caller's. Each pass polls cancel (when
+// non-nil) every foldPoll node rows and returns graph.ErrCancelled once it
+// reports an abort.
+func nodeGraph(v rows, p *topology.Placement, ar *graph.Arena, cancel func() bool) (*graph.Graph, error) {
 	if p.NumRanks() != v.n {
 		return nil, fmt.Errorf("trace: placement has %d ranks, matrix %d", p.NumRanks(), v.n)
 	}
@@ -106,6 +112,9 @@ func nodeGraph(v rows, p *topology.Placement, ar *graph.Arena) (*graph.Graph, er
 	epoch := int32(0)
 	nodeOf := func(d int32) int32 { return int32(p.UsedIndex(p.NodeOf(topology.Rank(d)))) }
 	for a := 0; a < nused; a++ {
+		if a%foldPoll == 0 && cancel != nil && cancel() {
+			return nil, graph.ErrCancelled
+		}
 		epoch++
 		count := int64(0)
 		for pos, end := p.Span(p.UsedNode(a)); pos < end; pos++ {
@@ -133,6 +142,9 @@ func nodeGraph(v rows, p *topology.Placement, ar *graph.Arena) (*graph.Graph, er
 	clear(stamp)
 	epoch = 0
 	for a := 0; a < nused; a++ {
+		if a%foldPoll == 0 && cancel != nil && cancel() {
+			return nil, graph.ErrCancelled
+		}
 		epoch++
 		row := col[ptr[a]:ptr[a]:ptr[a+1]]
 		for pos, end := p.Span(p.UsedNode(a)); pos < end; pos++ {

@@ -156,7 +156,7 @@ func (s *Stencil) LoggedFraction(part []int32) (float64, error) {
 // NodeGraph folds the stencil under the placement into the undirected node
 // graph, without materializing a rank matrix.
 func (s *Stencil) NodeGraph(p *topology.Placement) (*graph.Graph, error) {
-	return nodeGraph(s.view(new([4]int32)), p, nil)
+	return nodeGraph(s.view(new([4]int32)), p, nil, nil)
 }
 
 // Synthetic generates a deterministic communication matrix for n ranks

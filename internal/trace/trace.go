@@ -47,14 +47,16 @@ type Comm interface {
 
 // NodeGraphInto is m.NodeGraph with the graph and the fold's scratch carved
 // from ar, so the graph lives until ar's next Reset and the fold allocates
-// nothing of its own. Any other Comm (the Matrix shim, or one from outside
-// this package) builds its graph with its own NodeGraph.
-func NodeGraphInto(m Comm, p *topology.Placement, ar *graph.Arena) (*graph.Graph, error) {
+// nothing of its own. cancel, when non-nil, is polled every 4,096 node rows
+// of the fold; once it returns true, NodeGraphInto returns
+// graph.ErrCancelled. Any other Comm (the Matrix shim, or one from outside
+// this package) builds its graph with its own NodeGraph, unpolled.
+func NodeGraphInto(m Comm, p *topology.Placement, ar *graph.Arena, cancel func() bool) (*graph.Graph, error) {
 	switch m := m.(type) {
 	case *CSR:
-		return nodeGraph(m.view(), p, ar)
+		return nodeGraph(m.view(), p, ar, cancel)
 	case *Stencil:
-		return nodeGraph(m.view(new([4]int32)), p, ar)
+		return nodeGraph(m.view(new([4]int32)), p, ar, cancel)
 	}
 	return m.NodeGraph(p)
 }

@@ -67,8 +67,9 @@ func BuiltinScenarios() []*Scenario {
 		},
 		{
 			// The 262,144-rank / 16,384-node scale: the full clustering →
-			// reliability pipeline through the multilevel partitioner and
-			// the sparse placement, still bit-identical at any worker
+			// reliability pipeline through the node partitioner (at the
+			// growth target 5 that the deprecated multilevel alias picks)
+			// and the sparse placement, still bit-identical at any worker
 			// count.
 			Name:      "synthetic-256k",
 			Machine:   MachineSpec{Model: "tsubame2", Nodes: 16384},

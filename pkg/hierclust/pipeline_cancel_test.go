@@ -83,20 +83,21 @@ func TestPipelineRunCancelMidMonteCarlo(t *testing.T) {
 	}
 }
 
-// TestPipelineRunCancelMidMultilevelPartition pins the same contract on
-// the other long-running stage: the multilevel partitioner on a 131,072-node
-// machine (most of the Run's time, several times the stages before it).
-// Cancelling a tenth of an uncancelled Run in lands mid-partition; the
-// partitioner polls between levels and refinement passes, so the Run must
-// return within the latency bound and within half of its own uncancelled
-// time, rather than running the partition to completion. The relative bound
-// scales with the host, as TestSweepSharedBuildTimeout's does.
-func TestPipelineRunCancelMidMultilevelPartition(t *testing.T) {
+// TestPipelineRunCancelMidPartition pins the same contract on the other
+// long-running stage: the hierarchical build on a 131,072-node machine (the
+// node fold and the partition, most of the Run's time). Cancelling a tenth
+// of an uncancelled Run in lands mid-build; the fold and growth poll (every
+// 4,096 nodes and 1,024 clusters), as does refinement between passes, so
+// the Run must return within the latency bound and within half of its own
+// uncancelled time, rather than running the build to completion. The
+// relative bound scales with the host, as TestSweepSharedBuildTimeout's
+// does.
+func TestPipelineRunCancelMidPartition(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256k-rank partition in -short mode")
 	}
 	sc := &Scenario{
-		Name:      "cancel-ml",
+		Name:      "cancel-partition",
 		Machine:   MachineSpec{Nodes: 131072},
 		Placement: PlacementSpec{Policy: "block", Ranks: 262144, ProcsPerNode: 2},
 		Trace:     TraceSpec{Source: "synthetic", Iterations: 2},
@@ -117,8 +118,8 @@ func TestPipelineRunCancelMidMultilevelPartition(t *testing.T) {
 	}
 	warmup, bound := full/10, full/2
 	if racedetect.Enabled {
-		// The detector slows the unpolled stages (the node fold, the
-		// scoring) more than the polled partition.
+		// The detector slows the unpolled stage (the scoring) more than
+		// the polled build.
 		bound = full * 3 / 4
 	}
 	err, lat := runCancelled(t, pl, sc, warmup)

@@ -110,8 +110,8 @@ func TestPipelineWorkerInvariance(t *testing.T) {
 // TestPipelineOneWorkerIsTheBudget: WithWorkers(1) bounds all of a Run's
 // compute, the partitioner included, so a Run allocates the same objects at
 // GOMAXPROCS 2 as at 1 — a stage that forked onto idle P's would add its
-// goroutines and closures at 2. The multilevel partition runs on 16,384
-// nodes, well past any chunk a parallel phase could split. The pipeline
+// goroutines and closures at 2. The partition runs on 16,384 nodes, well
+// past any chunk a parallel phase could split. The pipeline
 // lends every Run the one buffer a warm-up Run sized, so the count repeats
 // whichever P a Run lands on. The runtime
 // adds objects of its own to a Run now and then: a collection that starts

@@ -86,9 +86,16 @@ func NewDiskResultCache(dir string, maxBytes int64, opts ...DiskCacheOption) (*D
 	return &DiskResultCache{store: store}, nil
 }
 
+// resultStemSalt prefixes every key before it is hashed to a filename.
+// It changes when a code path's numbers change under an unchanged
+// CacheKey, so that a document an older binary stored is a miss, not a
+// stale hit: "2" came with the removal of the coarsening partitioner, after
+// which every multilevel scenario scores at growth target 5.
+const resultStemSalt = "hcres-2\x00"
+
 // hashStem maps a cache key to its filename stem.
 func hashStem(key string) string {
-	sum := sha256.Sum256([]byte(key))
+	sum := sha256.Sum256([]byte(resultStemSalt + key))
 	return hex.EncodeToString(sum[:])
 }
 

@@ -2,6 +2,8 @@ package hierclust
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"testing"
@@ -42,6 +44,37 @@ func TestDiskResultCacheRestartServesBitIdentical(t *testing.T) {
 	again, ok := c2.Get("key-a")
 	if !ok || !bytes.Equal(again, doc) {
 		t.Fatal("cached document corrupted by caller mutation")
+	}
+}
+
+// TestDiskResultCacheIgnoresUnsaltedStems: a document stored under the
+// plain SHA-256 of its key — the filename an older binary wrote, before
+// the stem carried a salt — is not served from the same directory, and a
+// fresh Put of the key round-trips.
+func TestDiskResultCacheIgnoresUnsaltedStems(t *testing.T) {
+	dir := t.TempDir()
+	old, err := diskstore.Open(diskstore.Options{Dir: dir, Ext: diskResultExt, MaxBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key = "key-a"
+	sum := sha256.Sum256([]byte(key))
+	old.Put(hex.EncodeToString(sum[:]), []byte(`{"results":"stale"}`))
+
+	c, err := NewDiskResultCache(dir, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Entries != 1 {
+		t.Fatalf("the older entry is not in the directory: %+v", st)
+	}
+	if got, ok := c.Get(key); ok {
+		t.Fatalf("Get served %q, an entry stored under the unsalted stem", got)
+	}
+	doc := []byte(`{"results":"fresh"}`)
+	c.Put(key, doc)
+	if got, ok := c.Get(key); !ok || !bytes.Equal(got, doc) {
+		t.Fatalf("Get after Put = %q, %v; want the fresh document", got, ok)
 	}
 }
 

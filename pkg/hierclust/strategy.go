@@ -94,10 +94,11 @@ func (s StrategySpec) Build(m Comm, p *Placement) (*Clustering, error) {
 }
 
 // build is Build into buf, a hierarchical build's scratch in ar (nil for
-// either means fresh memory). The partitioner polls ctx between coarsening
-// levels and refinement passes, so cancelling a large build returns within
-// one phase (with the partitioner's error; the caller reports ctx's). An
-// uncancelled build's clustering is Build's.
+// either means fresh memory). The node fold polls ctx every 4,096 nodes and
+// the partitioner's growth every 1,024 clusters and between refinement
+// passes, so cancelling a large build returns within a few milliseconds
+// (with graph.ErrCancelled; the caller reports ctx's). An uncancelled
+// build's clustering is Build's.
 func (s StrategySpec) build(ctx context.Context, m Comm, p *Placement, buf *core.ClusteringBuf, ar *graph.Arena) (*Clustering, error) {
 	if err := s.check(p != nil && p.Machine().PowerPairs); err != nil {
 		return nil, err

@@ -298,10 +298,10 @@ func TestRunSweepCellTimeoutSparesSharedProfile(t *testing.T) {
 // cell timeout like a private one, so a sweep cell — alone, or sharing the
 // build with a sibling — fails with context.DeadlineExceeded soon after the
 // deadline instead of waiting for the build to finish by itself. The build
-// is the multilevel partition of 131,072 nodes, which polls the context
-// between coarsening levels and refinement passes; the timeout is a tenth
-// of the sweep's uncancelled run and the bound half of it, so the test
-// scales with the host.
+// is the node fold and partition of 131,072 nodes; the fold and growth poll
+// the context (every 4,096 nodes and 1,024 clusters), as does refinement
+// between passes. The timeout is a tenth of the sweep's uncancelled run and
+// the bound half of it, so the test scales with the host.
 func TestSweepSharedBuildTimeout(t *testing.T) {
 	if testing.Short() {
 		t.Skip("512k-rank partition in -short mode")
@@ -336,8 +336,8 @@ func TestSweepSharedBuildTimeout(t *testing.T) {
 	}
 	timeout, bound := full/10, full/2
 	if racedetect.Enabled {
-		// The detector slows the unpolled stages (the node fold, the
-		// scoring) more than the polled partition: ≈0.4 of a run here.
+		// The detector slows the unpolled stage (the scoring) more than
+		// the polled build.
 		bound = full * 3 / 4
 	}
 	for _, mixes := range [][]MixSpec{nil, shared} { // one cell, then two sharing the build

@@ -123,9 +123,8 @@ func ModelEncodeSeconds(groupSize int, bytes int64) float64 {
 func CompareTable(evals []*Evaluation, b Baseline) string { return core.CompareTable(evals, b) }
 
 // SetPartitionPhaseLabels toggles runtime/pprof goroutine labels on the
-// multilevel partitioner's pipeline phases (match, contract, grow, refine,
-// tagged with the coarsening level), so a CPU profile attributes time to
-// phases instead of bare symbols. Enable it together with CPU profiling,
+// node partitioner's two phases (grow, refine), so a CPU profile
+// attributes time to phases instead of bare symbols. Enable it together with CPU profiling,
 // before any evaluation starts (the setting is read without
 // synchronization), and leave it off otherwise: each phase transition
 // allocates while labels are on, and the partitioner's hot path is
