@@ -62,7 +62,7 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "shutdown grace period for in-flight evaluations")
 		evalTimeout  = flag.Duration("eval-timeout", 0, "server-side deadline per evaluation / batch element, measured after admission (0 = none); exceeded = 504")
 
-		resultDir    = flag.String("result-cache-dir", "", "directory for a persistent disk result cache beneath the LRU (empty = in-memory only)")
+		resultDir    = flag.String("result-cache-dir", "", "directory for a persistent disk result cache beneath the result LRU (empty = none); after repeated disk failures it skips the disk, probed every 30s, and the LRU answers")
 		resultDiskMB = flag.Int("result-cache-mb", 512, "disk result cache size bound in MiB (with -result-cache-dir)")
 		sweepJournal = flag.String("sweep-journal", "", "directory of the crash-safe sweep journal, one record per unfinished sweep; accepted sweeps resume across restarts (empty = none)")
 
@@ -83,16 +83,12 @@ func main() {
 		opts = append(opts, hierclust.WithTraceCache(hierclust.NewMemoryTraceCache(*traceCache)))
 	}
 
-	// Assign through a typed local only when a tier exists: a nil
-	// *DiskResultCache stored in the interface field would not compare
-	// equal to nil inside the server.
-	var resultTier serve.ResultCacheTier
+	var resultCache *hierclust.DiskResultCache
 	if *resultDir != "" {
-		rc, err := hierclust.NewDiskResultCache(*resultDir, int64(*resultDiskMB)<<20)
-		if err != nil {
+		var err error
+		if resultCache, err = hierclust.NewDiskResultCache(*resultDir, int64(*resultDiskMB)<<20); err != nil {
 			fail(err)
 		}
-		resultTier = rc
 	}
 
 	handler := serve.New(serve.Options{
@@ -103,7 +99,7 @@ func main() {
 		RetryAfter:        *retryAfter,
 		MaxBatchScenarios: *maxBatch,
 		EvalTimeout:       *evalTimeout,
-		ResultCache:       resultTier,
+		ResultCache:       resultCache,
 
 		ClientSlotCap:       *clientCap,
 		MaxSweepCells:       *maxSweepCells,

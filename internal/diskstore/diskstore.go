@@ -9,28 +9,31 @@
 //     WriteErrors) so metrics move before users notice.
 //   - Quarantine, not delete: corrupt files are renamed to <name>.bad —
 //     the bytes are the only evidence of how they got corrupted.
-//   - Degraded mode: after enough consecutive failed attempts the store
-//     goes memory-only (a bounded fallback LRU keeps serving the hottest
-//     entries) and probes the disk periodically until a write succeeds.
+//   - Degraded mode: after OpAttempts consecutive failed attempts (one
+//     retried-out operation) the store stops touching the disk — every Get
+//     misses and every Put is dropped, so the cache above it or a
+//     recompute answers — and lets one write through per ProbeEvery until
+//     one succeeds.
 //   - Checksum framing: payloads are wrapped in a magic + CRC32 header so
 //     corruption is detected at read time without the caller having to
 //     parse anything.
 //
+// The index is one lru.Cache weighted by blob size, whose eviction hook
+// deletes the evicted file.
+//
 // Record files (records.go) reuse the checksum frame and the quarantine
 // extension for a directory of one durably written file per record — what
 // the hcserve sweep journal keeps per unfinished job — without the Store's
-// byte budget, retries or memory fallback.
+// byte budget, retries or degraded mode.
 package diskstore
 
 import (
-	"container/list"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -50,12 +53,9 @@ const (
 	retryBackoff    = 2 * time.Millisecond
 	retryBackoffMax = 8 * time.Millisecond
 
-	// DefaultProbeEvery is how often a degraded store lets one write
-	// through to test whether the disk recovered.
-	DefaultProbeEvery = 30 * time.Second
-
-	// DefaultMemFallback bounds the degraded-mode memory LRU, in entries.
-	DefaultMemFallback = 32
+	// ProbeEvery is how often a degraded store lets one write through to
+	// test whether the disk recovered.
+	ProbeEvery = 30 * time.Second
 )
 
 // blobMagic opens every checksum-framed blob: "HCDS" + format version 1.
@@ -72,18 +72,12 @@ type Options struct {
 	// (".hcres"). Files without it are ignored by the restart re-index.
 	Ext string
 	// MaxBytes bounds the stored size; least-recently-used blobs are
-	// evicted past it. Must be positive.
+	// evicted past it, except the newest. Must be positive.
 	MaxBytes int64
 	// FaultPrefix, when non-empty, names the store's fault-injection
 	// points: <prefix>.read, <prefix>.write, and <prefix>.rename fire at
 	// the top of each read attempt, write attempt, and rename.
 	FaultPrefix string
-	// DegradeAfter is how many consecutive failed attempts flip the store
-	// to memory-only; <= 0 picks OpAttempts (one retried-out operation).
-	DegradeAfter int
-	// ProbeEvery is the degraded-mode disk probe interval; <= 0 picks
-	// DefaultProbeEvery.
-	ProbeEvery time.Duration
 }
 
 // Stats is the store's observability surface.
@@ -96,28 +90,24 @@ type Stats struct {
 	ReadErrors, WriteErrors int64
 	// Quarantined counts corrupt files renamed to .bad.
 	Quarantined int64
-	// Degraded reports memory-only fallback mode.
+	// Degraded reports that the store is skipping the disk.
 	Degraded bool
-	// MemEntries is the degraded-mode fallback's entry count.
-	MemEntries int
 }
 
 // Store is a size-bounded directory of blobs keyed by filename stem, with
 // the retry/quarantine/degrade hardening described in the package comment.
 // All methods are safe for concurrent use.
 type Store struct {
-	mu     sync.Mutex
-	dir    string
-	ext    string
-	max    int64
-	total  int64
-	ll     *list.List // front = most recently used
-	byStem map[string]*list.Element
+	dir   string
+	ext   string
+	index *lru.Cache[struct{}] // stem -> blob, weighted by file size
 
 	faultRead   string
 	faultWrite  string
 	faultRename string
 
+	// degradeAfter (OpAttempts) and probeEvery (ProbeEvery) are fields
+	// only so this package's tests can shorten the drill.
 	degradeAfter int
 	probeEvery   time.Duration
 	consecFails  atomic.Int32
@@ -126,12 +116,6 @@ type Store struct {
 	readErrs     atomic.Int64
 	writeErrs    atomic.Int64
 	quarantined  atomic.Int64
-	mem          *lru.Cache[[]byte]
-}
-
-type storeEntry struct {
-	stem string
-	size int64
 }
 
 // Open opens (creating if needed) a store rooted at o.Dir. Existing blobs
@@ -145,22 +129,8 @@ func Open(o Options) (*Store, error) {
 	if err := os.MkdirAll(o.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("diskstore: %w", err)
 	}
-	s := &Store{
-		dir:          o.Dir,
-		ext:          o.Ext,
-		max:          o.MaxBytes,
-		ll:           list.New(),
-		byStem:       map[string]*list.Element{},
-		degradeAfter: o.DegradeAfter,
-		probeEvery:   o.ProbeEvery,
-		mem:          lru.New[[]byte](DefaultMemFallback),
-	}
-	if s.degradeAfter <= 0 {
-		s.degradeAfter = OpAttempts
-	}
-	if s.probeEvery <= 0 {
-		s.probeEvery = DefaultProbeEvery
-	}
+	s := &Store{dir: o.Dir, ext: o.Ext, degradeAfter: OpAttempts, probeEvery: ProbeEvery}
+	s.index = lru.New(o.MaxBytes, func(stem string, _ struct{}) { _ = os.Remove(s.path(stem)) })
 	if p := o.FaultPrefix; p != "" {
 		s.faultRead, s.faultWrite, s.faultRename = p+".read", p+".write", p+".rename"
 	}
@@ -188,10 +158,8 @@ func Open(o Options) (*Store, error) {
 	}
 	sort.Slice(olds, func(i, j int) bool { return olds[i].mtime < olds[j].mtime })
 	for _, f := range olds {
-		s.byStem[f.stem] = s.ll.PushFront(&storeEntry{stem: f.stem, size: f.size})
-		s.total += f.size
+		s.index.Put(f.stem, struct{}{}, f.size)
 	}
-	s.evictLocked()
 	return s, nil
 }
 
@@ -248,7 +216,7 @@ func (s *Store) retry(errs *atomic.Int64, op func() error) error {
 }
 
 // noteFailure records one failed disk attempt; degradeAfter of them in a
-// row (no intervening success) flip the store to memory-only.
+// row (no intervening success) flip the store to degraded mode.
 func (s *Store) noteFailure() {
 	if int(s.consecFails.Add(1)) >= s.degradeAfter && !s.degraded.Swap(true) {
 		s.degradedAt.Store(time.Now().UnixNano())
@@ -275,24 +243,17 @@ func (s *Store) shouldProbe() bool {
 }
 
 // Get returns the blob stored under stem. Transient read failures are
-// retried with backoff and fall back to the degraded-mode memory LRU; a
-// file whose checksum frame fails is quarantined and reported as a miss; in
-// degraded mode the disk is not touched at all. The returned slice is the
-// caller's to keep — it never aliases store-internal memory.
+// retried with backoff and then reported as a miss; a file whose checksum
+// frame fails is quarantined and reported as a miss; in degraded mode the
+// disk is not touched at all and every Get misses. The returned slice is
+// the caller's to keep — it never aliases store-internal memory.
 func (s *Store) Get(stem string) ([]byte, bool) {
 	if s.degraded.Load() {
-		return s.memGet(stem)
+		return nil, false
 	}
-	s.mu.Lock()
-	el, ok := s.byStem[stem]
-	if !ok {
-		s.mu.Unlock()
-		// Not on disk — but a Put during an earlier failure window may
-		// have landed the blob in the memory fallback.
-		return s.memGet(stem)
+	if _, ok := s.index.Get(stem); !ok {
+		return nil, false
 	}
-	s.ll.MoveToFront(el)
-	s.mu.Unlock()
 
 	var raw []byte
 	err := s.retry(&s.readErrs, func() error {
@@ -314,18 +275,18 @@ func (s *Store) Get(stem string) ([]byte, bool) {
 			// Framing says the bytes are corrupt: a content problem, not a
 			// disk-health problem.
 			s.quarantine(stem)
-			return s.memGet(stem)
+			return nil, false
 		}
 		return payload, true
 	case os.IsNotExist(err):
 		// Vanished behind our back (concurrent cleanup): index drift, not
 		// a disk fault.
-		s.dropIndex(stem)
+		s.index.Remove(stem)
 	default:
 		// Transient IO that survived every retry (already counted). Keep
 		// the index entry — the bytes are probably fine, the IO was not.
 	}
-	return s.memGet(stem)
+	return nil, false
 }
 
 // frameBlob wraps data in the HCDS1 checksum header.
@@ -354,41 +315,28 @@ func unframeBlob(raw []byte) ([]byte, bool) {
 
 // Put stores data under stem: framed, written to a temp file, renamed into
 // place, then LRU-evicted down to the byte budget. Transient write
-// failures are retried with backoff; a Put that still fails keeps the blob
-// in the memory fallback so the work behind it is not lost. In degraded
-// mode the disk is skipped entirely except for one recovery probe per
-// probe interval. Stored blobs are deterministic per stem: a stem already
-// present is left untouched.
+// failures are retried with backoff; a Put that still fails stores
+// nothing. In degraded mode the disk is skipped entirely except for one
+// recovery probe per probe interval. Stored blobs are deterministic per
+// stem: a stem already present is left untouched (and marked most
+// recently used).
 func (s *Store) Put(stem string, data []byte) {
 	if s.degraded.Load() && !s.shouldProbe() {
-		s.memPut(stem, data)
 		return
 	}
-	s.mu.Lock()
-	_, exists := s.byStem[stem]
-	s.mu.Unlock()
-	if exists {
+	if _, exists := s.index.Get(stem); exists {
 		return
 	}
-
 	blob := frameBlob(data)
-	err := s.retry(&s.writeErrs, func() error {
+	if err := s.retry(&s.writeErrs, func() error {
 		return s.writeAttempt(stem, blob)
-	})
-	if err != nil {
-		s.memPut(stem, data)
+	}); err != nil {
 		return
 	}
 	s.noteSuccess()
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.byStem[stem]; dup {
-		return // concurrent Put of the same stem; file contents identical
-	}
-	s.byStem[stem] = s.ll.PushFront(&storeEntry{stem: stem, size: int64(len(blob))})
-	s.total += int64(len(blob))
-	s.evictLocked()
+	// A concurrent Put of the same stem wrote identical contents; the
+	// index keeps whichever entry landed first.
+	s.index.Put(stem, struct{}{}, int64(len(blob)))
 }
 
 // writeAttempt is one try at writing a blob: temp file, write, close,
@@ -422,23 +370,11 @@ func (s *Store) writeAttempt(stem string, blob []byte) error {
 	return nil
 }
 
-// dropIndex removes a stem from the index only; the caller decides what
-// happens to the file.
-func (s *Store) dropIndex(stem string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.byStem[stem]; ok {
-		s.total -= el.Value.(*storeEntry).size
-		s.ll.Remove(el)
-		delete(s.byStem, stem)
-	}
-}
-
 // quarantine moves a corrupt blob aside as <stem><ext>.bad instead of
 // deleting it — destroying the only evidence of how data got corrupted is
 // how storage bugs stay unfixed.
 func (s *Store) quarantine(stem string) {
-	s.dropIndex(stem)
+	s.index.Remove(stem)
 	if err := os.Rename(s.path(stem), s.path(stem)+QuarantineExt); err != nil {
 		// Cannot preserve it; remove so the stem is rebuildable.
 		_ = os.Remove(s.path(stem))
@@ -446,46 +382,14 @@ func (s *Store) quarantine(stem string) {
 	s.quarantined.Add(1)
 }
 
-// evictLocked removes least-recently-used blobs until total <= max, always
-// keeping at least the most recent entry (a single blob larger than the
-// budget still stores — evicting it would defeat the point).
-func (s *Store) evictLocked() {
-	for s.total > s.max && s.ll.Len() > 1 {
-		oldest := s.ll.Back()
-		e := oldest.Value.(*storeEntry)
-		s.ll.Remove(oldest)
-		delete(s.byStem, e.stem)
-		s.total -= e.size
-		_ = os.Remove(s.path(e.stem))
-	}
-}
-
 // Stats returns the index size and the disk-health counters.
 func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	n, b := s.ll.Len(), s.total
-	s.mu.Unlock()
 	return Stats{
-		Entries:     n,
-		Bytes:       b,
+		Entries:     s.index.Len(),
+		Bytes:       s.index.Weight(),
 		ReadErrors:  s.readErrs.Load(),
 		WriteErrors: s.writeErrs.Load(),
 		Quarantined: s.quarantined.Load(),
 		Degraded:    s.degraded.Load(),
-		MemEntries:  s.mem.Len(),
 	}
-}
-
-// memGet and memPut front the degraded-mode fallback LRU. Both copy, so
-// fallback contents never alias caller memory.
-func (s *Store) memGet(stem string) ([]byte, bool) {
-	data, ok := s.mem.Get(stem)
-	if !ok {
-		return nil, false
-	}
-	return append([]byte(nil), data...), true
-}
-
-func (s *Store) memPut(stem string, data []byte) {
-	s.mem.Put(stem, append([]byte(nil), data...))
 }

@@ -3,35 +3,31 @@ package diskstore
 import (
 	"bytes"
 	"fmt"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"hierclust/internal/faultinject"
 )
 
-func openTest(t *testing.T, dir string, max int64, o func(*Options)) *Store {
+// openTest opens a store whose degraded mode never probes unless the test
+// shortens probeEvery itself.
+func openTest(t *testing.T, dir string, max int64) *Store {
 	t.Helper()
-	opts := Options{
-		Dir:         dir,
-		Ext:         ".blob",
-		MaxBytes:    max,
-		FaultPrefix: "diskstoretest",
-		ProbeEvery:  time.Hour, // tests opt in to probing explicitly
-	}
-	if o != nil {
-		o(&opts)
-	}
-	s, err := Open(opts)
+	s, err := Open(Options{Dir: dir, Ext: ".blob", MaxBytes: max, FaultPrefix: "diskstoretest"})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
+	s.probeEvery = time.Hour
 	return s
 }
 
 func TestStoreRoundTrip(t *testing.T) {
-	s := openTest(t, t.TempDir(), 1<<20, nil)
+	s := openTest(t, t.TempDir(), 1<<20)
 	want := []byte("payload bytes")
 	s.Put("a", want)
 	got, ok := s.Get("a")
@@ -51,12 +47,12 @@ func TestStoreRoundTrip(t *testing.T) {
 
 func TestStoreRestartReindex(t *testing.T) {
 	dir := t.TempDir()
-	s1 := openTest(t, dir, 1<<20, nil)
+	s1 := openTest(t, dir, 1<<20)
 	s1.Put("a", []byte("alpha"))
 	s1.Put("b", []byte("beta"))
 
 	// A fresh Store over the same directory sees both blobs.
-	s2 := openTest(t, dir, 1<<20, nil)
+	s2 := openTest(t, dir, 1<<20)
 	if st := s2.Stats(); st.Entries != 2 {
 		t.Fatalf("Entries after reopen = %d; want 2", st.Entries)
 	}
@@ -72,7 +68,7 @@ func TestStoreEvictsToBudget(t *testing.T) {
 	dir := t.TempDir()
 	payload := bytes.Repeat([]byte("x"), 100)
 	sz := int64(blobHeaderLen + len(payload))
-	s := openTest(t, dir, 2*sz, nil)
+	s := openTest(t, dir, 2*sz)
 	s.Put("a", payload)
 	s.Put("b", payload)
 	s.Put("c", payload) // evicts a (least recently used)
@@ -90,7 +86,7 @@ func TestStoreEvictsToBudget(t *testing.T) {
 
 func TestStoreQuarantinesCorruptChecksum(t *testing.T) {
 	dir := t.TempDir()
-	s := openTest(t, dir, 1<<20, nil)
+	s := openTest(t, dir, 1<<20)
 	s.Put("a", []byte("good bytes"))
 
 	garbage := []byte("HCDS1 corrupted beyond the header")
@@ -127,10 +123,15 @@ func TestStoreQuarantinesCorruptChecksum(t *testing.T) {
 	}
 }
 
+// A retried-out write degrades the store: from then on it touches the disk
+// for nothing but one probe write per probe interval — every Get misses,
+// even of a blob on disk, and every other Put is dropped uncharged — until
+// a probe succeeds and the disk serves again.
 func TestStoreDegradesOnWriteFaultsAndRecoversViaProbe(t *testing.T) {
 	defer faultinject.DisarmAll()
 	dir := t.TempDir()
-	s := openTest(t, dir, 1<<20, func(o *Options) { o.ProbeEvery = 5 * time.Millisecond })
+	s := openTest(t, dir, 1<<20)
+	s.Put("kept", []byte("on disk before the fault"))
 
 	faultinject.Arm("diskstoretest.write", faultinject.Fault{Kind: faultinject.KindError})
 	s.Put("a", []byte("alpha"))
@@ -141,35 +142,43 @@ func TestStoreDegradesOnWriteFaultsAndRecoversViaProbe(t *testing.T) {
 	if !st.Degraded {
 		t.Fatal("store not degraded after a retried-out write")
 	}
-	if st.MemEntries != 1 {
-		t.Fatalf("MemEntries = %d; want 1 (fallback holds the blob)", st.MemEntries)
+	for _, stem := range []string{"a", "kept"} {
+		if got, ok := s.Get(stem); ok {
+			t.Fatalf("degraded Get(%q) = %q; want a miss (the disk is skipped)", stem, got)
+		}
 	}
-	if got, ok := s.Get("a"); !ok || string(got) != "alpha" {
-		t.Fatalf("degraded Get = %q, %v; want alpha via fallback", got, ok)
+	s.Put("c", []byte("gamma")) // inside the probe interval: dropped
+	st = s.Stats()
+	if st.WriteErrors != OpAttempts || st.ReadErrors != 0 || st.Entries != 1 {
+		t.Fatalf("Stats = %+v; the degraded store touched the disk", st)
 	}
-	if files, _ := filepath.Glob(filepath.Join(dir, "*")); len(files) != 0 {
-		t.Fatalf("degraded store left files on disk: %v", files)
+	if files, _ := filepath.Glob(filepath.Join(dir, "*")); len(files) != 1 {
+		t.Fatalf("disk holds %v; want the one blob stored before the fault", files)
 	}
 
 	faultinject.DisarmAll()
+	s.probeEvery = 5 * time.Millisecond
 	time.Sleep(10 * time.Millisecond)
 	s.Put("b", []byte("beta")) // probe: disk healthy again
 	st = s.Stats()
 	if st.Degraded {
 		t.Fatal("store still degraded after a successful probe write")
 	}
-	if st.Entries != 1 {
-		t.Fatalf("Entries = %d; want 1 (the probe blob)", st.Entries)
+	if st.Entries != 2 {
+		t.Fatalf("Entries = %d; want 2 (the blob before the fault and the probe)", st.Entries)
 	}
-	if got, ok := s.Get("b"); !ok || string(got) != "beta" {
-		t.Fatalf("post-recovery Get = %q, %v", got, ok)
+	for stem, want := range map[string]string{"b": "beta", "kept": "on disk before the fault"} {
+		if got, ok := s.Get(stem); !ok || string(got) != want {
+			t.Fatalf("post-recovery Get(%q) = %q, %v; want %q", stem, got, ok, want)
+		}
 	}
 }
 
 func TestStoreReadFaultKeepsIndex(t *testing.T) {
 	defer faultinject.DisarmAll()
 	dir := t.TempDir()
-	s := openTest(t, dir, 1<<20, func(o *Options) { o.DegradeAfter = 100 })
+	s := openTest(t, dir, 1<<20)
+	s.degradeAfter = 100
 	s.Put("a", []byte("alpha"))
 
 	faultinject.Arm("diskstoretest.read", faultinject.Fault{Kind: faultinject.KindError})
@@ -184,7 +193,7 @@ func TestStoreReadFaultKeepsIndex(t *testing.T) {
 		t.Fatalf("Entries = %d; transient read failure must keep the index", st.Entries)
 	}
 	if st.Degraded {
-		t.Fatal("degraded despite DegradeAfter=100")
+		t.Fatal("degraded despite degradeAfter=100")
 	}
 	faultinject.DisarmAll()
 	if got, ok := s.Get("a"); !ok || string(got) != "alpha" {
@@ -195,7 +204,8 @@ func TestStoreReadFaultKeepsIndex(t *testing.T) {
 func TestStoreRenameFaultCleansTemp(t *testing.T) {
 	defer faultinject.DisarmAll()
 	dir := t.TempDir()
-	s := openTest(t, dir, 1<<20, func(o *Options) { o.DegradeAfter = 100 })
+	s := openTest(t, dir, 1<<20)
+	s.degradeAfter = 100
 
 	faultinject.Arm("diskstoretest.rename", faultinject.Fault{Kind: faultinject.KindError})
 	s.Put("a", []byte("alpha"))
@@ -205,9 +215,111 @@ func TestStoreRenameFaultCleansTemp(t *testing.T) {
 	if temps, _ := filepath.Glob(filepath.Join(dir, "put-*")); len(temps) != 0 {
 		t.Fatalf("failed writes left temp files: %v", temps)
 	}
-	// The blob still serves from the fallback, bit-identical.
+	// Nothing was stored: the blob misses, and stores once the rename works.
+	if got, ok := s.Get("a"); ok {
+		t.Fatalf("Get after a failed write = %q; want a miss", got)
+	}
+	faultinject.DisarmAll()
+	s.Put("a", []byte("alpha"))
 	if got, ok := s.Get("a"); !ok || string(got) != "alpha" {
-		t.Fatalf("fallback Get = %q, %v", got, ok)
+		t.Fatalf("Get after the fault cleared = %q, %v", got, ok)
+	}
+}
+
+// TestStoreIndexMatchesDirectory runs seeded random sequences of Put, Get,
+// in-place corruption and reopen against a budget of about three blobs and
+// checks after every step that the index is the directory: its stems are
+// the *.blob files, Stats.Bytes is their summed size, and no put-* temp
+// file is left. A Get that hits returns the stem's bytes exactly.
+func TestStoreIndexMatchesDirectory(t *testing.T) {
+	const stems = 8
+	payload := func(i int) []byte { return bytes.Repeat([]byte{byte('a' + i)}, 20+13*i) }
+	budget := int64(3 * (blobHeaderLen + 20 + 13*stems/2))
+	for seed := uint64(1); seed <= 20; seed++ {
+		dir := t.TempDir()
+		rng := rand.New(rand.NewPCG(seed, 0))
+		s := openTest(t, dir, budget)
+		// touched orders the invariant check's index lookups by the
+		// sequence's own last use, so checking leaves the recency order as
+		// the sequence made it.
+		touched, tick := map[string]int{}, 0
+		touch := func(stem string) { tick++; touched[stem] = tick }
+		for step := 0; step < 200; step++ {
+			i := rng.IntN(stems)
+			stem := fmt.Sprintf("s%d", i)
+			var op string
+			switch r := rng.IntN(20); {
+			case r < 9:
+				op = "put " + stem
+				s.Put(stem, payload(i))
+				touch(stem)
+			case r < 17:
+				op = "get " + stem
+				if got, ok := s.Get(stem); ok && !bytes.Equal(got, payload(i)) {
+					t.Fatalf("seed %d step %d: Get(%s) = %q", seed, step, stem, got)
+				}
+				touch(stem)
+			case r < 19:
+				op = "corrupt " + stem
+				path := filepath.Join(dir, stem+".blob")
+				if raw, err := os.ReadFile(path); err == nil {
+					raw[blobHeaderLen+rng.IntN(len(raw)-blobHeaderLen)] ^= 0x20
+					if err := os.WriteFile(path, raw, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+			default:
+				op = "reopen"
+				s = openTest(t, dir, budget)
+				clear(touched)
+			}
+			checkIndexIsDirectory(t, s, dir, touched, fmt.Sprintf("seed %d step %d (%s)", seed, step, op))
+		}
+	}
+}
+
+// checkIndexIsDirectory fails unless s's index holds exactly the *.blob
+// files in dir, with their summed size, and no temp file is left. It looks
+// stems up least recently touched first (stems a reopen indexed, which
+// touched does not know, oldest file first before them), so the lookups
+// leave the index's recency order as it was.
+func checkIndexIsDirectory(t *testing.T, s *Store, dir string, touched map[string]int, at string) {
+	t.Helper()
+	if temps, _ := filepath.Glob(filepath.Join(dir, "put-*")); len(temps) != 0 {
+		t.Fatalf("%s: temp files left: %v", at, temps)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.blob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type file struct {
+		stem  string
+		mtime int64
+	}
+	var onDisk []file
+	var size int64
+	for _, f := range files {
+		info, err := os.Stat(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size += info.Size()
+		onDisk = append(onDisk, file{strings.TrimSuffix(filepath.Base(f), ".blob"), info.ModTime().UnixNano()})
+	}
+	sort.Slice(onDisk, func(i, j int) bool {
+		if ti, tj := touched[onDisk[i].stem], touched[onDisk[j].stem]; ti != tj {
+			return ti < tj
+		}
+		return onDisk[i].mtime < onDisk[j].mtime
+	})
+	for _, f := range onDisk {
+		if _, ok := s.index.Get(f.stem); !ok {
+			t.Fatalf("%s: %s.blob is on disk but not in the index", at, f.stem)
+		}
+	}
+	if st := s.Stats(); st.Entries != len(onDisk) || st.Bytes != size {
+		t.Fatalf("%s: index holds %d entries, %d bytes; the directory %d files, %d bytes",
+			at, st.Entries, st.Bytes, len(onDisk), size)
 	}
 }
 

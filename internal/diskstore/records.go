@@ -12,7 +12,7 @@ import (
 // directory. A crash leaves every record absent or intact, plus at most a
 // temp file that ReadRecords removes, so there is no torn tail to repair.
 // Records share the Store's frame and QuarantineExt but none of its byte
-// budget, retries or memory fallback: a write lands or reports its error.
+// budget, retries or degraded mode: a write lands or reports its error.
 
 // recordTempPrefix names WriteRecord's temp files.
 const recordTempPrefix = "record-tmp-"

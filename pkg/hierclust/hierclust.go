@@ -24,7 +24,7 @@
 //
 // The cmd/hcserve binary wraps a Pipeline in an HTTP service
 // (POST /v1/evaluate and /v1/evaluate-batch) with a scenario-result LRU
-// and an optional trace-level cache beneath it (TraceCache, keyed by
+// and an optional trace-level cache beneath it (MemoryTraceCache, keyed by
 // Scenario.TraceKey); cmd/hcrun's four-dimension tables (Table II,
 // Fig. 5c, the scaling ladder) are scenarios run by a Pipeline too.
 //

@@ -48,7 +48,7 @@ func recoverAsError(errp *error) {
 // for concurrent Run calls — hcserve shares one across requests.
 type Pipeline struct {
 	workers    int
-	traceCache TraceCache
+	traceCache *MemoryTraceCache
 
 	// flight deduplicates concurrent builds of the same trace: when two
 	// requests miss the trace cache on the same key, the second waits for
@@ -117,14 +117,14 @@ func WithWorkers(n int) PipelineOption {
 // Concurrent misses on the same key coalesce into one build.
 // Synthetic and file sources are built inline and never enter the cache.
 // nil (the default) disables caching.
-func WithTraceCache(tc TraceCache) PipelineOption {
+func WithTraceCache(tc *MemoryTraceCache) PipelineOption {
 	return func(p *Pipeline) { p.traceCache = tc }
 }
 
 // TraceCache returns the cache the pipeline was built with (WithTraceCache),
-// nil when it has none — how hcserve finds the trace tier whose health it
-// reports.
-func (pl *Pipeline) TraceCache() TraceCache { return pl.traceCache }
+// nil when it has none — how hcserve finds the trace cache whose entry
+// count it reports.
+func (pl *Pipeline) TraceCache() *MemoryTraceCache { return pl.traceCache }
 
 // NewPipeline builds a pipeline with the given options.
 func NewPipeline(opts ...PipelineOption) *Pipeline {

@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"hierclust/internal/diskstore"
 )
@@ -25,8 +24,9 @@ import (
 // inherits internal/diskstore's full hardening — atomic temp+rename
 // writes, capped-backoff retry with per-attempt error counters, corrupt
 // files quarantined to .bad (the checksum frame catches corruption at
-// read time), and consecutive-failure degradation to a bounded memory
-// fallback with probe-based recovery — under the fault points
+// read time), and degraded mode after a retried-out operation, in which
+// the disk is skipped (every Get misses, every Put is dropped) until a
+// probe write succeeds — under the fault points
 // resultcache.disk.{read,write,rename}.
 type DiskResultCache struct {
 	store  *diskstore.Store
@@ -38,48 +38,20 @@ type DiskResultCache struct {
 // result document wrapped in the diskstore checksum frame.
 const diskResultExt = ".hcres"
 
-// DiskCacheOption tunes a disk result cache (NewDiskResultCache).
-type DiskCacheOption func(*diskstore.Options)
-
-// WithDegradeAfter sets how many consecutive failed disk-operation
-// attempts flip the cache into memory-only degraded mode; n <= 0 keeps
-// the default (one fully retried-out operation).
-func WithDegradeAfter(n int) DiskCacheOption {
-	return func(c *diskstore.Options) {
-		if n > 0 {
-			c.DegradeAfter = n
-		}
-	}
-}
-
-// WithDegradedProbe sets how often a degraded cache lets one Put through
-// to the disk to test for recovery; d <= 0 keeps the default (30s).
-func WithDegradedProbe(d time.Duration) DiskCacheOption {
-	return func(c *diskstore.Options) {
-		if d > 0 {
-			c.ProbeEvery = d
-		}
-	}
-}
-
 // NewDiskResultCache opens (creating if needed) a disk result cache
 // rooted at dir, bounded to maxBytes of stored documents (<= 0 means
 // 512 MiB). Existing files are indexed oldest-first by modification time
 // — the restart-survival path; quarantined .bad files are ignored.
-func NewDiskResultCache(dir string, maxBytes int64, opts ...DiskCacheOption) (*DiskResultCache, error) {
+func NewDiskResultCache(dir string, maxBytes int64) (*DiskResultCache, error) {
 	if maxBytes <= 0 {
 		maxBytes = 512 << 20
 	}
-	o := diskstore.Options{
+	store, err := diskstore.Open(diskstore.Options{
 		Dir:         dir,
 		Ext:         diskResultExt,
 		MaxBytes:    maxBytes,
 		FaultPrefix: "resultcache.disk",
-	}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	store, err := diskstore.Open(o)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("hierclust: result cache: %w", err)
 	}
@@ -117,11 +89,31 @@ func (c *DiskResultCache) Put(key string, doc []byte) {
 	c.store.Put(hashStem(key), doc)
 }
 
+// ResultCacheStats is the observability surface of a DiskResultCache, what
+// hcserve projects onto /metrics and /healthz.
+type ResultCacheStats struct {
+	// Hits and Misses count Get outcomes since construction.
+	Hits, Misses int64
+	// Entries and Bytes describe the documents on disk.
+	Entries int
+	Bytes   int64
+	// ReadErrors and WriteErrors count failed disk operation *attempts*
+	// (each retry of a transiently failing op counts), the counters
+	// hcserve exposes on /metrics for alerting.
+	ReadErrors, WriteErrors int64
+	// Quarantined counts corrupt cache files renamed to .bad instead of
+	// deleted, preserved for post-mortem inspection.
+	Quarantined int64
+	// Degraded reports that the disk failed repeatedly and the cache is
+	// skipping it — every lookup misses — until a probe write succeeds.
+	Degraded bool
+}
+
 // Stats returns lifetime counters, the entry count, the stored bytes, and
 // the disk-health fields (error counts, quarantines, degraded mode).
-func (c *DiskResultCache) Stats() TraceCacheStats {
+func (c *DiskResultCache) Stats() ResultCacheStats {
 	st := c.store.Stats()
-	return TraceCacheStats{
+	return ResultCacheStats{
 		Hits:        c.hits.Load(),
 		Misses:      c.misses.Load(),
 		Entries:     st.Entries,
@@ -130,6 +122,5 @@ func (c *DiskResultCache) Stats() TraceCacheStats {
 		WriteErrors: st.WriteErrors,
 		Quarantined: st.Quarantined,
 		Degraded:    st.Degraded,
-		MemEntries:  st.MemEntries,
 	}
 }

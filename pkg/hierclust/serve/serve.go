@@ -53,7 +53,8 @@
 // incident id whose stack trace is logged server-side, and counted on
 // hcserve_panics_total; the server keeps serving. When a disk result
 // cache is mounted, its health (entries, bytes, IO error counters,
-// quarantined corrupt files and memory-only degraded mode) is surfaced on
+// quarantined corrupt files and degraded mode, in which the disk is
+// skipped and the result LRU or a recompute answers) is surfaced on
 // /metrics and /healthz.
 //
 // # Metrics
@@ -94,8 +95,7 @@ import (
 type Options struct {
 	// Pipeline runs the scenarios; nil builds a default pipeline. Wire
 	// hierclust.WithTraceCache here to enable the trace-level cache; the
-	// server reports its entry count on /metrics when it implements
-	// TraceCacheStatser (hierclust.MemoryTraceCache does).
+	// server reports its entry count on /metrics.
 	Pipeline *hierclust.Pipeline
 	// CacheSize bounds the scenario-result LRU (entries); 0 picks
 	// DefaultCacheSize and negative disables caching.
@@ -154,23 +154,7 @@ type Options struct {
 	// come back warm after a restart and lets journaled sweeps resume
 	// recomputing only missing cells. Its health (error counters,
 	// quarantines, degraded mode) is exposed on /metrics and /healthz.
-	ResultCache ResultCacheTier
-}
-
-// TraceCacheStatser is the observability surface of a cache tier: the
-// server reads the entry count of the pipeline's trace cache and the full
-// stats of Options.ResultCache. Every built-in cache implements it.
-type TraceCacheStatser interface {
-	Stats() hierclust.TraceCacheStats
-}
-
-// ResultCacheTier is the durable result-cache surface Options.ResultCache
-// needs: the sweep executor's Get/Put contract plus the same stats surface
-// as the trace cache for /metrics and /healthz. hierclust.DiskResultCache
-// implements it.
-type ResultCacheTier interface {
-	hierclust.SweepResultCache
-	TraceCacheStatser
+	ResultCache *hierclust.DiskResultCache
 }
 
 // DefaultCacheSize is the scenario-result LRU capacity when Options leaves
@@ -209,7 +193,7 @@ type Server struct {
 	maxBatch     int
 	retryAfter   string // whole seconds, pre-rendered for the header
 	evalTimeout  time.Duration
-	resultTier   ResultCacheTier
+	resultTier   *hierclust.DiskResultCache
 	journal      *sweepJournal
 	draining     atomic.Bool
 
@@ -273,7 +257,7 @@ func New(opts Options) *Server {
 	s := &Server{
 		mux:           http.NewServeMux(),
 		pipeline:      pl,
-		cache:         lru.New[[]byte](size),
+		cache:         lru.New[[]byte](int64(size), nil),
 		lim:           newLimiter(maxConc, queue, opts.ClientSlotCap),
 		maxBody:       maxBody,
 		maxBatchBody:  maxBatchBody,
@@ -352,8 +336,7 @@ func New(opts Options) *Server {
 		func() float64 { return float64(s.runningSweeps()) })
 	s.timeoutsTotal = reg.Counter("hcserve_eval_timeouts_total",
 		"Evaluations cut off by the server-side deadline and answered 504.")
-	// A nil or stats-less trace cache asserts to a nil interface: no gauge.
-	if tc, ok := pl.TraceCache().(TraceCacheStatser); ok {
+	if tc := pl.TraceCache(); tc != nil {
 		reg.GaugeFunc("hcserve_trace_cache_entries", "Entries resident in the trace cache.",
 			func() float64 { return float64(tc.Stats().Entries) })
 	}
@@ -435,7 +418,7 @@ func (c serverResultCache) Put(key string, doc []byte) {
 // outright, so a caller reusing or mutating its slice afterwards cannot
 // corrupt what later requests are served — and counts the evictions.
 func (s *Server) lruPut(key string, doc []byte) {
-	s.evictions.Add(int64(s.cache.Put(key, append([]byte(nil), doc...))))
+	s.evictions.Add(int64(s.cache.Put(key, append([]byte(nil), doc...), 1)))
 }
 
 // The levels of hcserve_cache_{hits,misses}_total. A result outcome is one
@@ -460,15 +443,15 @@ func (s *Server) countCache(level int, hit bool) {
 type tierMetric struct {
 	name, help string
 	counter    bool // false = gauge
-	value      func(hierclust.TraceCacheStats) float64
+	value      func(hierclust.ResultCacheStats) float64
 }
 
-func statReadErrors(st hierclust.TraceCacheStats) float64  { return float64(st.ReadErrors) }
-func statWriteErrors(st hierclust.TraceCacheStats) float64 { return float64(st.WriteErrors) }
-func statQuarantined(st hierclust.TraceCacheStats) float64 { return float64(st.Quarantined) }
-func statEntries(st hierclust.TraceCacheStats) float64     { return float64(st.Entries) }
-func statBytes(st hierclust.TraceCacheStats) float64       { return float64(st.Bytes) }
-func statDegraded(st hierclust.TraceCacheStats) float64 {
+func statReadErrors(st hierclust.ResultCacheStats) float64  { return float64(st.ReadErrors) }
+func statWriteErrors(st hierclust.ResultCacheStats) float64 { return float64(st.WriteErrors) }
+func statQuarantined(st hierclust.ResultCacheStats) float64 { return float64(st.Quarantined) }
+func statEntries(st hierclust.ResultCacheStats) float64     { return float64(st.Entries) }
+func statBytes(st hierclust.ResultCacheStats) float64       { return float64(st.Bytes) }
+func statDegraded(st hierclust.ResultCacheStats) float64 {
 	if st.Degraded {
 		return 1
 	}
@@ -479,14 +462,14 @@ var resultTierMetrics = []tierMetric{
 	{"hcserve_result_cache_disk_read_errors_total", "Failed result-cache disk read attempts (each retry counts).", true, statReadErrors},
 	{"hcserve_result_cache_disk_write_errors_total", "Failed result-cache disk write attempts (each retry counts).", true, statWriteErrors},
 	{"hcserve_result_cache_quarantined_total", "Corrupt result-cache files quarantined to .bad for post-mortem.", true, statQuarantined},
-	{"hcserve_result_cache_degraded", "1 while the disk result cache serves memory-only after repeated disk failures.", false, statDegraded},
+	{"hcserve_result_cache_degraded", "1 while the disk result cache skips the disk after repeated disk failures (lookups miss to the result LRU or a recompute).", false, statDegraded},
 	{"hcserve_result_cache_disk_entries", "Result documents resident in the disk result-cache tier.", false, statEntries},
 	{"hcserve_result_cache_disk_bytes", "Bytes stored by the disk result-cache tier.", false, statBytes},
 }
 
 // registerTierMetrics exposes the disk result cache's stats as the
 // resultTierMetrics rows.
-func registerTierMetrics(reg *metrics.Registry, c TraceCacheStatser) {
+func registerTierMetrics(reg *metrics.Registry, c *hierclust.DiskResultCache) {
 	for _, m := range resultTierMetrics {
 		fn := func() float64 { return m.value(c.Stats()) }
 		if m.counter {
@@ -803,9 +786,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // healthDoc is the GET /healthz body. Status is "ok", "degraded" (the
-// disk result cache fell back to memory-only; results are still correct
-// and bit-identical, the disk needs attention), or "draining" (shutdown
-// in progress; stop routing here).
+// disk result cache is skipping the disk; results are still correct and
+// bit-identical, the disk needs attention), or "draining" (shutdown in
+// progress; stop routing here).
 type healthDoc struct {
 	Status       string          `json:"status"`
 	CacheEntries int             `json:"cache_entries"`
@@ -819,21 +802,19 @@ type cacheHealthDoc struct {
 	Degraded    bool  `json:"degraded"`
 	Entries     int   `json:"entries"`
 	Bytes       int64 `json:"bytes"`
-	MemEntries  int   `json:"mem_entries"`
 	ReadErrors  int64 `json:"read_errors"`
 	WriteErrors int64 `json:"write_errors"`
 	Quarantined int64 `json:"quarantined"`
 }
 
 // tierHealth renders the tier's stats and downgrades the overall status
-// when the tier is serving memory-only.
-func tierHealth(c TraceCacheStatser, status *string) *cacheHealthDoc {
+// when the tier is degraded.
+func tierHealth(c *hierclust.DiskResultCache, status *string) *cacheHealthDoc {
 	st := c.Stats()
 	doc := &cacheHealthDoc{
 		Degraded:    st.Degraded,
 		Entries:     st.Entries,
 		Bytes:       st.Bytes,
-		MemEntries:  st.MemEntries,
 		ReadErrors:  st.ReadErrors,
 		WriteErrors: st.WriteErrors,
 		Quarantined: st.Quarantined,

@@ -198,3 +198,32 @@ func TestScenariosAndHealthz(t *testing.T) {
 		t.Fatalf("healthz body: %v (%v)", h, err)
 	}
 }
+
+// A nil *DiskResultCache in Options.ResultCache is no tier: requests and
+// /healthz answer 200, and /healthz carries no result_cache object.
+func TestNilResultCacheMountsNoTier(t *testing.T) {
+	ts := httptest.NewServer(New(Options{ResultCache: (*hierclust.DiskResultCache)(nil)}))
+	defer ts.Close()
+	for i := 0; i < 2; i++ { // a miss, then a hit
+		resp, err := http.Post(ts.URL+"/v1/evaluate", "application/json", strings.NewReader(testScenario))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST /v1/evaluate #%d = %d, want 200", i+1, resp.StatusCode)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var health map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /healthz = %d (decode err %v), want 200", resp.StatusCode, err)
+	}
+	if rc, ok := health["result_cache"]; ok {
+		t.Fatalf("healthz carries result_cache %s with no tier mounted", rc)
+	}
+}

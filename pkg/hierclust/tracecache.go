@@ -73,54 +73,23 @@ func (s *Scenario) resolvedTrace() TraceSpec {
 	return t
 }
 
-// TraceCache caches recorded traces ("tsunami" sources) by
-// TraceKey, beneath the scenario-result cache. Implementations must be safe
-// for concurrent use and must treat stored traces as immutable — the
-// pipeline hands out the same Comm to concurrent evaluations, which is
-// sound because a frozen CSR has no mutating method (the frozen-CSR
-// immutability invariant the trace and graph packages pin).
-type TraceCache interface {
-	// Get returns the cached trace for key, if present.
-	Get(key string) (Comm, bool)
-	// Put stores a freshly built trace. Implementations may drop entries
-	// (bounded capacity) or decline silently.
-	Put(key string, c Comm)
-}
-
-// TraceCacheStats is the observability surface of every built-in cache —
-// MemoryTraceCache and DiskResultCache — and what hcserve projects onto
-// /metrics and /healthz.
+// TraceCacheStats is MemoryTraceCache's observability surface; hcserve
+// exposes its entry count on /metrics.
 type TraceCacheStats struct {
 	// Hits and Misses count Get outcomes since construction.
 	Hits, Misses int64
 	// Entries is the current entry count.
 	Entries int
-	// Bytes is the stored size where the backend tracks one (disk);
-	// 0 for the in-memory cache.
-	Bytes int64
-
-	// The remaining fields describe disk-cache health; they stay zero
-	// for the in-memory cache.
-
-	// ReadErrors and WriteErrors count failed disk operation *attempts*
-	// (each retry of a transiently failing op counts), the counters
-	// hcserve exposes on /metrics for alerting.
-	ReadErrors, WriteErrors int64
-	// Quarantined counts corrupt cache files renamed to .bad instead of
-	// deleted, preserved for post-mortem inspection.
-	Quarantined int64
-	// Degraded reports memory-only fallback mode: the disk failed
-	// repeatedly and the cache serves from its bounded memory LRU until a
-	// probe write succeeds.
-	Degraded bool
-	// MemEntries is the entry count of the degraded-mode memory fallback.
-	MemEntries int
 }
 
-// MemoryTraceCache is a fixed-capacity in-memory LRU TraceCache. Traces
-// are shared by reference (no copy), so hits cost nothing beyond a map
-// lookup; capacity bounds entry count, not bytes — size it against the
-// O(ranks + distinct pairs) CSR footprint of the machines you serve.
+// MemoryTraceCache caches recorded traces ("tsunami" sources) by TraceKey,
+// beneath the scenario-result cache: a fixed-capacity in-memory LRU, safe
+// for concurrent use. Traces are shared by reference (no copy), so hits
+// cost nothing beyond a map lookup — sound because a frozen CSR has no
+// mutating method (the frozen-CSR immutability invariant the trace and
+// graph packages pin). Capacity bounds entry count, not bytes — size it
+// against the O(ranks + distinct pairs) CSR footprint of the machines you
+// serve.
 type MemoryTraceCache struct {
 	lru  *lru.Cache[Comm]
 	hits atomic.Int64
@@ -130,10 +99,10 @@ type MemoryTraceCache struct {
 // NewMemoryTraceCache returns an LRU trace cache holding up to capacity
 // traces; capacity <= 0 disables caching (every Get misses).
 func NewMemoryTraceCache(capacity int) *MemoryTraceCache {
-	return &MemoryTraceCache{lru: lru.New[Comm](capacity)}
+	return &MemoryTraceCache{lru: lru.New[Comm](int64(capacity), nil)}
 }
 
-// Get implements TraceCache.
+// Get returns the cached trace for key, if present.
 func (c *MemoryTraceCache) Get(key string) (Comm, bool) {
 	comm, ok := c.lru.Get(key)
 	if !ok {
@@ -144,9 +113,9 @@ func (c *MemoryTraceCache) Get(key string) (Comm, bool) {
 	return comm, true
 }
 
-// Put implements TraceCache. Traces are deterministic per key, so a key
-// already resident keeps its trace.
-func (c *MemoryTraceCache) Put(key string, comm Comm) { c.lru.Put(key, comm) }
+// Put stores a freshly built trace. Traces are deterministic per key, so a
+// key already resident keeps its trace.
+func (c *MemoryTraceCache) Put(key string, comm Comm) { c.lru.Put(key, comm, 1) }
 
 // Stats returns lifetime counters and the current entry count.
 func (c *MemoryTraceCache) Stats() TraceCacheStats {

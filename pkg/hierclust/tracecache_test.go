@@ -163,7 +163,7 @@ func TestPipelineTraceCacheHit(t *testing.T) {
 func TestTsunamiTraceIsCSROnMissAndHits(t *testing.T) {
 	sc := traceScenario("tsunami", "hierarchical")
 	key, _ := sc.TraceKey()
-	run := func(cache TraceCache, want string) []byte {
+	run := func(cache *MemoryTraceCache, want string) []byte {
 		t.Helper()
 		res := NewPipeline(WithWorkers(1), WithTraceCache(cache)).RunCell(context.Background(), sc, SweepOptions{})
 		if res.Err != nil {

@@ -55,8 +55,6 @@ var reachAllow = map[string]string{
 	"simmpi.Request.Wait":               "internal/tsunami TestScheduleMatchesTracedRun and the TestRunTraced* tests: the oracle RunTraced's ghost-row receives",
 	"simmpi.Proc.Rank":                  "internal/tsunami TestScheduleMatchesTracedRun and the TestRunTraced* tests: the oracle RunTraced's role of each world rank",
 	"hierclust.EncodeSweep":             "pkg/hierclust FuzzDecodeSweep and TestSweepEncodeDecodeRoundTrip: the decode→encode round trip",
-	"hierclust.WithDegradeAfter":        "pkg/hierclust chaos suites (TestDiskResultCacheReadFaultFallsBackWithoutIndexLoss): degrade on the drill's schedule",
-	"hierclust.WithDegradedProbe":       "pkg/hierclust TestDiskResultCacheDegradesOnWriteFaults: probe on the drill's schedule",
 }
 
 // reachIfaceNames are the method names through which the standard library

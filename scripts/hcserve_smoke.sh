@@ -5,8 +5,9 @@
 # scenarios sharing the quickstart trace) and the GET /metrics
 # scrape. Finally, a chaos drill: restart the server with every disk write
 # of its result cache failing (-fault resultcache.disk.write=error:1.0) and
-# assert it degrades to memory-only — bit-identical evaluations, a result
-# hit from the fallback, degraded /healthz, error counters on /metrics.
+# assert it degrades — bit-identical evaluations, a result hit from the
+# result LRU above the skipped disk, degraded /healthz, error counters on
+# /metrics, an empty cache directory.
 # Used by CI and runnable locally: sh scripts/hcserve_smoke.sh
 set -eu
 
@@ -147,12 +148,13 @@ fi
 echo "hcserve_smoke: sweep rerun ok (all 4 cells from cache via hcrun -sweep)"
 
 # Chaos drill: a fresh server with a disk result cache whose every write
-# fails must keep serving, bit-identically, from its memory fallback. The
-# result LRU is off (-cache -1), so every lookup reaches the disk tier.
+# fails must keep serving, bit-identically: the tier degrades (its disk is
+# skipped, every lookup in it misses) and the result LRU above it answers
+# repeats.
 kill "$PID" 2>/dev/null || true
 wait "$PID" 2>/dev/null || true
 CHAOS_DIR="$(mktemp -d)"
-"$BIN" -addr "$ADDR" -cache -1 -result-cache-dir "$CHAOS_DIR" \
+"$BIN" -addr "$ADDR" -result-cache-dir "$CHAOS_DIR" \
     -fault 'resultcache.disk.write=error:1.0' &
 PID=$!
 i=0
@@ -178,8 +180,8 @@ if [ "$(jq -S '.evaluations' /tmp/hcserve_smoke_chaos.json)" != \
     exit 1
 fi
 
-# The same scenario again must be served from the memory fallback as a
-# result hit, byte-identical, without a second evaluation.
+# The same scenario again must be served from the result LRU as a result
+# hit, byte-identical, without a second evaluation.
 CACHE_HDR="$(printf '%s' "$SCENARIO" | \
     curl -s -o /tmp/hcserve_smoke_chaos2.json -D - -X POST -d @- "http://$ADDR/v1/evaluate" | \
     tr -d '\r' | awk -F': ' 'tolower($1) == "x-hierclust-cache" {print $2}')"
@@ -188,7 +190,7 @@ if [ "$CACHE_HDR" != "hit" ]; then
     exit 1
 fi
 if ! cmp -s /tmp/hcserve_smoke_chaos.json /tmp/hcserve_smoke_chaos2.json; then
-    echo "hcserve_smoke: the fallback's hit differs from the evaluated result" >&2
+    echo "hcserve_smoke: the result LRU's hit differs from the evaluated result" >&2
     exit 1
 fi
 
@@ -215,7 +217,7 @@ if [ -n "$(ls "$CHAOS_DIR" 2>/dev/null)" ]; then
     echo "hcserve_smoke: failed writes left files behind: $(ls "$CHAOS_DIR")" >&2
     exit 1
 fi
-echo "hcserve_smoke: chaos drill ok (degraded, bit-identical, memory-only)"
+echo "hcserve_smoke: chaos drill ok (degraded, bit-identical, LRU hit, empty tier)"
 
 # Restart drill: a server with a durable result cache is killed with
 # SIGKILL (no drain, no flush window) and restarted over the same
