@@ -45,8 +45,24 @@ func (c *Cache[V]) Get(key string) (v V, ok bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
-	if !ok {
+	return c.touch(c.byKey[key])
+}
+
+// GetBytes is Get for a key held in a byte slice. It neither allocates nor
+// keeps key, so the caller may reuse the slice once it returns.
+func (c *Cache[V]) GetBytes(key []byte) (v V, ok bool) {
+	if c.cap <= 0 {
+		return v, false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.touch(c.byKey[string(key)])
+}
+
+// touch marks a looked-up element most recently used and returns its value;
+// a nil element is a miss.
+func (c *Cache[V]) touch(el *list.Element) (v V, ok bool) {
+	if el == nil {
 		return v, false
 	}
 	c.ll.MoveToFront(el)

@@ -67,6 +67,30 @@ func TestLRUGetDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// GetBytes finds a key held in a byte slice without allocating, and does not
+// keep the slice: overwriting it afterwards leaves the entry findable under
+// its own key and no other.
+func TestLRUGetBytesDoesNotAllocateOrKeepKey(t *testing.T) {
+	c := New[[]byte](4, nil)
+	c.Put("k", []byte("doc"), 1)
+	key, absent := []byte("k"), []byte("absent")
+	if a := testing.AllocsPerRun(100, func() {
+		if _, ok := c.GetBytes(key); !ok {
+			t.Fatal("miss")
+		}
+		c.GetBytes(absent)
+	}); a != 0 {
+		t.Fatalf("GetBytes allocates %v per call, want 0", a)
+	}
+	key[0] = 'x'
+	if _, ok := c.GetBytes([]byte("k")); !ok {
+		t.Fatal("the entry was lost when the looked-up slice changed")
+	}
+	if _, ok := c.Get("x"); ok || c.Len() != 1 {
+		t.Fatalf("the looked-up slice became a key: %d entries", c.Len())
+	}
+}
+
 // A weighted cache evicts least recently used entries until the summed
 // weight fits, calling the hook for each, and keeps the newest entry even
 // when it alone outweighs the capacity.

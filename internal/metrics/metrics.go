@@ -273,55 +273,52 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 }
 
 // with resolves (creating if needed) the series for the given label values.
+// The label block, which is the series map key, is rendered into a stack
+// buffer, so finding an existing series allocates nothing; the key string
+// is made only when the series is created.
 func (f *family) with(values []string, mk func() metric) metric {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("metrics: %q wants %d label values, got %d", f.name, len(f.labels), len(values)))
 	}
-	key := labelBlock(f.labels, values)
+	var stack [128]byte
+	key := appendLabelBlock(stack[:0], f.labels, values)
 	f.mu.RLock()
-	m, ok := f.series[key]
+	m, ok := f.series[string(key)]
 	f.mu.RUnlock()
 	if ok {
 		return m
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if m, ok := f.series[key]; ok {
+	if m, ok := f.series[string(key)]; ok {
 		return m
 	}
 	m = mk()
-	f.series[key] = m
+	f.series[string(key)] = m
 	return m
 }
 
-// labelBlock renders `{a="x",b="y"}` with escaped values; it doubles as
-// the series map key, so equal label sets share a series.
-func labelBlock(labels, values []string) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteByte('{')
+// appendLabelBlock appends `{a="x",b="y"}` with the exposition-format
+// label escapes applied to the values; it doubles as the series map key, so
+// equal label sets share a series.
+func appendLabelBlock(b []byte, labels, values []string) []byte {
+	sep := byte('{')
 	for i, l := range labels {
-		if i > 0 {
-			b.WriteByte(',')
+		b = append(append(append(b, sep), l...), `="`...)
+		sep = ','
+		for _, c := range []byte(values[i]) {
+			switch c {
+			case '\\', '"':
+				b = append(b, '\\', c)
+			case '\n':
+				b = append(b, `\n`...)
+			default:
+				b = append(b, c)
+			}
 		}
-		b.WriteString(l)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(values[i]))
-		b.WriteByte('"')
+		b = append(b, '"')
 	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-// escapeLabel applies the exposition-format label escapes.
-func escapeLabel(s string) string {
-	if !strings.ContainsAny(s, "\\\"\n") {
-		return s
-	}
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(s)
+	return append(b, '}')
 }
 
 // formatFloat renders a float the way Prometheus expects (shortest

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"hierclust/internal/racedetect"
 )
 
 func TestCounterGaugeExposition(t *testing.T) {
@@ -84,6 +86,33 @@ func TestLabelEscaping(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), `esc_total{path="a\"b\\c\nd"} 1`) {
 		t.Errorf("bad escaping:\n%s", b.String())
+	}
+}
+
+// TestWithExistingSeriesAllocatesNothing: With renders its label block on
+// the stack, so a series that exists is found without allocating; the
+// escaped label keeps the same series.
+func TestWithExistingSeriesAllocatesNothing(t *testing.T) {
+	if racedetect.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	r := NewRegistry()
+	cv := r.CounterVec("with_total", "", "endpoint", "status")
+	hv := r.HistogramVec("with_seconds", "", nil, "source")
+	cv.With("evaluate", "200").Inc()
+	hv.With("a\"b").Observe(1)
+	status := "200"
+	if got := testing.AllocsPerRun(100, func() {
+		cv.With("evaluate", status).Inc()
+		hv.With("a\"b").Observe(1)
+	}); got != 0 {
+		t.Errorf("With on existing series allocates %v objects, want 0", got)
+	}
+	if c := cv.With("evaluate", "200").Value(); c != 102 {
+		t.Errorf("counter = %d, want 102 (the runs share one series)", c)
+	}
+	if n := hv.With("a\"b").Count(); n != 102 {
+		t.Errorf("histogram count = %d, want 102", n)
 	}
 }
 

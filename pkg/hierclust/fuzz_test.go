@@ -10,7 +10,9 @@ import (
 // no input crashes the decoder, and anything the decoder accepts
 // round-trips — it re-encodes, re-decodes, and produces a stable
 // canonical cache key (the key the result cache and sweep journal both
-// trust for identity).
+// trust for identity). A key is itself a document: it decodes, and its
+// scenario's key is the key again, which is what lets hcserve answer a body
+// that compacts to a resident key without decoding it.
 
 func FuzzDecodeScenario(f *testing.F) {
 	for _, s := range BuiltinScenarios() {
@@ -33,6 +35,13 @@ func FuzzDecodeScenario(f *testing.F) {
 		key, err := s.CacheKey()
 		if err != nil || key == "" {
 			t.Fatalf("accepted scenario has no cache key: %v", err)
+		}
+		keyed, err := DecodeScenario([]byte(key))
+		if err != nil {
+			t.Fatalf("cache key %q does not decode: %v", key, err)
+		}
+		if again, err := keyed.CacheKey(); err != nil || again != key {
+			t.Fatalf("decoded cache key re-keys as %q, want %q (%v)", again, key, err)
 		}
 		doc, err := EncodeScenario(s)
 		if err != nil {

@@ -72,8 +72,12 @@ func hashStem(key string) string {
 }
 
 // Get implements SweepResultCache. The returned slice never aliases
-// cache-internal memory; callers own it.
+// cache-internal memory; callers own it. A nil cache misses, so a typed nil
+// in SweepOptions.ResultCache is no cache.
 func (c *DiskResultCache) Get(key string) ([]byte, bool) {
+	if c == nil {
+		return nil, false
+	}
 	doc, ok := c.store.Get(hashStem(key))
 	if ok {
 		c.hits.Add(1)
@@ -84,8 +88,11 @@ func (c *DiskResultCache) Get(key string) ([]byte, bool) {
 }
 
 // Put implements SweepResultCache. Documents are deterministic per key,
-// so an existing entry is left untouched.
+// so an existing entry is left untouched. A nil cache stores nothing.
 func (c *DiskResultCache) Put(key string, doc []byte) {
+	if c == nil {
+		return
+	}
 	c.store.Put(hashStem(key), doc)
 }
 

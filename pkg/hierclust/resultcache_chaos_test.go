@@ -2,6 +2,7 @@ package hierclust
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"os"
@@ -181,5 +182,24 @@ func TestDiskResultCacheReadFaultFallsBackWithoutIndexLoss(t *testing.T) {
 	st := c.Stats()
 	if st.ReadErrors != diskstore.OpAttempts || st.Entries != 1 || !st.Degraded {
 		t.Fatalf("Stats = %+v; want %d read errors, index kept, degraded", st, diskstore.OpAttempts)
+	}
+}
+
+// TestNilDiskResultCacheIsNoCache: a typed-nil *DiskResultCache in
+// SweepOptions.ResultCache passes the interface's nil check, so its Get and
+// Put are called; they miss and store nothing, and the cell returns the
+// document a run with no cache returns.
+func TestNilDiskResultCacheIsNoCache(t *testing.T) {
+	pl := NewPipeline()
+	sc := syntheticScenario()
+	want := pl.RunCell(context.Background(), sc, SweepOptions{})
+	if want.Err != nil {
+		t.Fatal(want.Err)
+	}
+	for i := range 2 {
+		got := pl.RunCell(context.Background(), sc, SweepOptions{ResultCache: (*DiskResultCache)(nil)})
+		if got.Err != nil || got.Cache == "hit" || !bytes.Equal(got.Doc, want.Doc) {
+			t.Fatalf("run %d with a nil cache: %q, err %v; want the uncached document", i+1, got.Cache, got.Err)
+		}
 	}
 }

@@ -279,6 +279,29 @@ func TestBuiltinScenarioLookup(t *testing.T) {
 	}
 }
 
+// TestEncodedScenarioCompactsToCacheKey: the compact form of an
+// EncodeScenario document is its scenario's CacheKey, so a body made by
+// EncodeScenario is found in hcserve's result LRU without being decoded.
+func TestEncodedScenarioCompactsToCacheKey(t *testing.T) {
+	for _, sc := range append(BuiltinScenarios(), syntheticScenario()) {
+		doc, err := EncodeScenario(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, doc); err != nil {
+			t.Fatal(err)
+		}
+		key, err := sc.CacheKey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if compact.String() != key {
+			t.Errorf("%s: compact document\n%s\nis not the cache key\n%s", sc.Name, compact.Bytes(), key)
+		}
+	}
+}
+
 // TestScenarioVersionMigration pins the schema versioning contract:
 // documents without a version field are implicit v1 and upgrade on decode,
 // encoded documents always carry the explicit version, and both forms share

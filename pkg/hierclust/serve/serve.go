@@ -26,11 +26,13 @@
 // Two cache levels sit in front of the pipeline. Successful evaluations
 // are cached in a result LRU keyed by the scenario's canonical encoding,
 // so hot scenarios (dashboards, CI gates re-POSTing the same document)
-// cost one pipeline run. Beneath it, when the pipeline is built with
-// hierclust.WithTraceCache, recorded traces ("tsunami" sources) are
-// cached by Scenario.TraceKey, so scenarios that differ only in
-// strategies, mix, or baseline share one trace; synthetic stencils are
-// cheaper to rebuild than to look up and never enter it. The
+// cost one pipeline run; a /v1/evaluate body that compacts to a resident
+// key is answered from its bytes, with no scenario decode. Beneath it,
+// when the pipeline is built with hierclust.WithTraceCache, recorded
+// traces ("tsunami" sources) are cached by Scenario.TraceKey, so
+// scenarios that differ only in strategies, mix, or baseline share one
+// trace; synthetic stencils are cheaper to rebuild than to look up and
+// never enter it. The
 // X-Hierclust-Cache response header reports which level served the
 // request: "hit" (result LRU, no pipeline run), "trace-hit" (pipeline ran,
 // built no trace), or "miss" (pipeline ran and built the trace).
@@ -525,7 +527,8 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 			if status == 0 {
 				status = http.StatusOK
 			}
-			s.reqTotal.With(endpoint, strconv.Itoa(status)).Inc()
+			var code [8]byte // the status label, rendered on the stack
+			s.reqTotal.With(endpoint, string(strconv.AppendInt(code[:0], int64(status), 10))).Inc()
 		}()
 		h(sw, r)
 	}
@@ -677,11 +680,25 @@ func (s *Server) cellStatus(ctx context.Context, res hierclust.SweepCellResult) 
 	return http.StatusUnprocessableEntity, err
 }
 
-// readBody reads a request body of at most limit bytes. On failure it
-// answers the request itself — 413 over the limit, otherwise 400 (e.g. the
-// client disconnected mid-upload) — and reports false.
+// maxSizedBody is the largest declared Content-Length readBody allocates
+// up front. A larger body grows as its bytes arrive, so a client that
+// declares megabytes and then stalls holds no more than it sent.
+const maxSizedBody = 64 << 10
+
+// readBody reads a request body of at most limit bytes, into a slice of
+// exactly Content-Length bytes when the client declared at most
+// maxSizedBody. On failure it answers the request itself — 413 over the
+// limit, otherwise 400 (e.g. the client disconnected mid-upload) — and
+// reports false.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	var body []byte
+	var err error
+	if n := r.ContentLength; n > 0 && n <= min(limit, maxSizedBody) {
+		body = make([]byte, n)
+		_, err = io.ReadFull(r.Body, body)
+	} else {
+		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	}
 	if err != nil {
 		status := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
@@ -715,7 +732,17 @@ func streamNDJSON(w http.ResponseWriter, r *http.Request, done []chan struct{}, 
 	}
 }
 
-// handleEvaluate runs a lone cell (RunCell): a result-cache hit plans nothing.
+// docBufs lends each POST /v1/evaluate the buffer it compacts its body into
+// and indents its answer into.
+var docBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledDoc bounds the buffers docBufs keeps, so one large document does
+// not stay pinned.
+const maxPooledDoc = 64 << 10
+
+// handleEvaluate answers a resident result from the body's compact form, and
+// runs anything else as a lone cell (RunCell): a result-cache hit plans
+// nothing.
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	if err := faultinject.Hit("serve.evaluate"); err != nil {
 		s.writeError(w, http.StatusInternalServerError, err)
@@ -724,6 +751,26 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	body, ok := s.readBody(w, r, s.maxBody)
 	if !ok {
 		return
+	}
+	buf := docBufs.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledDoc {
+			docBufs.Put(buf)
+		}
+	}()
+	// Every result-LRU key is the CacheKey of a scenario that passed
+	// decodeScenario, and decoding a key gives back a scenario with that
+	// key. Decoding ignores whitespace, so a body that compacts to a
+	// resident key would decode to that key's scenario: its document is the
+	// answer, found without decoding. A failed probe counts nothing; the
+	// decode path's lookup is the counted one.
+	buf.Reset()
+	if json.Compact(buf, body) == nil {
+		if doc, ok := s.cache.GetBytes(buf.Bytes()); ok {
+			s.countCache(levelResult, true)
+			s.writeDoc(w, buf, "hit", doc)
+			return
+		}
 	}
 	sc, status, err := decodeScenario(body)
 	if err != nil {
@@ -747,27 +794,22 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	if res.Cache != "hit" {
 		s.evalSeconds.With(sc.Trace.Source).Observe(res.Elapsed.Seconds())
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Hierclust-Cache", res.Cache)
-	// Responses stay human-readable (the documented curl workflow); the
-	// cache stores the compact form shared with the batch endpoint.
-	var pretty []byte
-	if pretty, err = prettyJSON(res.Doc); err != nil {
+	s.writeDoc(w, buf, res.Cache, res.Doc)
+}
+
+// writeDoc answers 200 with a result document indented into buf: responses
+// stay human-readable (the documented curl workflow), while the cache holds
+// the compact form shared with the batch endpoint.
+func (s *Server) writeDoc(w http.ResponseWriter, buf *bytes.Buffer, cache string, doc []byte) {
+	buf.Reset()
+	if err := json.Indent(buf, doc, "", "  "); err != nil {
 		s.writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	_, _ = w.Write(pretty)
-}
-
-// prettyJSON re-indents a compact document for the single-scenario
-// endpoint.
-func prettyJSON(doc []byte) ([]byte, error) {
-	var b bytes.Buffer
-	if err := json.Indent(&b, doc, "", "  "); err != nil {
-		return nil, err
-	}
-	b.WriteByte('\n')
-	return b.Bytes(), nil
+	buf.WriteByte('\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("X-Hierclust-Cache", cache)
+	_, _ = w.Write(buf.Bytes())
 }
 
 func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {

@@ -1,12 +1,21 @@
 package serve
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"runtime/debug"
+	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 
+	"hierclust/internal/racedetect"
 	"hierclust/pkg/hierclust"
 )
 
@@ -225,5 +234,173 @@ func TestNilResultCacheMountsNoTier(t *testing.T) {
 	}
 	if rc, ok := health["result_cache"]; ok {
 		t.Fatalf("healthz carries result_cache %s with no tier mounted", rc)
+	}
+}
+
+// TestEvaluateFastPath pins that answering a resident result from the
+// body's compact form changes no response and no count: every form of one
+// scenario gets the same bytes, each request moves the result-cache
+// counters by exactly one, and a body that is not resident, or that fails
+// to decode, is answered as the decode path answers it.
+func TestEvaluateFastPath(t *testing.T) {
+	s := New(Options{CacheSize: 2})
+	sc, err := hierclust.DecodeScenario([]byte(testScenario))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pretty, err := hierclust.EncodeScenario(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, pretty); err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]any
+	if err := json.Unmarshal(pretty, &fields); err != nil {
+		t.Fatal(err)
+	}
+	reordered, err := json.Marshal(fields) // keys sorted: not the struct's order
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := func() (hits, misses string) {
+		c := cacheCounters(t, s)
+		return c["hcserve_result_cache_hits_total"], c["hcserve_result_cache_misses_total"]
+	}
+	post := func(body, wantCache, wantHits, wantMisses string) []byte {
+		t.Helper()
+		rec := serveRecorded(s, context.Background(), http.MethodPost, "/v1/evaluate", body)
+		if rec.Code != http.StatusOK || rec.Header().Get("X-Hierclust-Cache") != wantCache {
+			t.Fatalf("%.40s…: %d %q, want 200 %q: %s", body, rec.Code, rec.Header().Get("X-Hierclust-Cache"), wantCache, rec.Body)
+		}
+		if hits, misses := counts(); hits != wantHits || misses != wantMisses {
+			t.Fatalf("%.40s…: result hits/misses %s/%s, want %s/%s", body, hits, misses, wantHits, wantMisses)
+		}
+		return rec.Body.Bytes()
+	}
+
+	// (a) A document the decode path refuses is refused every time.
+	file := `{"name":"x","machine":{"nodes":4},"placement":{"ranks":16,"procs_per_node":4},"trace":{"source":"file","path":"/etc/passwd"},"strategies":[{"kind":"hierarchical"}]}`
+	for i := range 2 {
+		if rec := serveRecorded(s, context.Background(), http.MethodPost, "/v1/evaluate", file); rec.Code != http.StatusBadRequest {
+			t.Fatalf("file source, request %d: %d, want 400", i+1, rec.Code)
+		}
+	}
+	if hits, misses := counts(); hits != "0" || misses != "0" {
+		t.Fatalf("refused documents counted result hits/misses %s/%s, want 0/0", hits, misses)
+	}
+
+	// (b) The pretty, compact and reordered forms share one entry and one
+	// answer; (d) so does the version-less original, through the decode path.
+	want := post(string(pretty), "miss", "0", "1")
+	for i, body := range []string{compact.String(), string(reordered), testScenario, string(pretty)} {
+		if got := post(body, "hit", strconv.Itoa(i+1), "1"); !bytes.Equal(got, want) {
+			t.Fatalf("form %d answers\n%s\nwant\n%s", i, got, want)
+		}
+	}
+
+	// (c) Evicted, the compact form is evaluated once and resident again.
+	for _, name := range []string{"evict-a", "evict-b"} {
+		if rec := serveRecorded(s, context.Background(), http.MethodPost, "/v1/evaluate", chaosScenario(name)); rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d", name, rec.Code)
+		}
+	}
+	if got := post(compact.String(), "miss", "4", "4"); !bytes.Equal(got, want) {
+		t.Fatalf("re-evaluated document differs:\n%s\nwant\n%s", got, want)
+	}
+	post(compact.String(), "hit", "5", "4")
+}
+
+// TestEvaluateHitAllocationCount pins the objects one POST /v1/evaluate
+// answered from the result LRU allocates inside ServeHTTP, measured over a
+// batch of prebuilt requests as hcbench's serve.hit_allocs is. The body is
+// found by its compact form, so no scenario is decoded and no key rendered.
+// What remains is net/http's and the wrapper's:
+//   - the body slice readBody fills (1);
+//   - the statusWriter that instrument wraps the response in (1);
+//   - the two header values Header().Set stores and the header map's first
+//     group (3);
+//   - on Write, the recorder's copy of the headers (3) and the growth of its
+//     body buffer (1); a live connection writes into its bufio.Writer.
+//
+// Decoding the scenario would add about thirty.
+func TestEvaluateHitAllocationCount(t *testing.T) {
+	if racedetect.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	s := New(Options{CacheSize: 4})
+	sc, err := hierclust.DecodeScenario([]byte(testScenario))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := hierclust.EncodeScenario(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The fewest objects over a few batches: a goroutine an earlier test
+	// left behind may allocate during one.
+	const batch, rounds = 100, 5
+	recs := make([]*httptest.ResponseRecorder, batch*rounds+1)
+	reqs := make([]*http.Request, len(recs))
+	for i := range reqs {
+		recs[i] = httptest.NewRecorder()
+		reqs[i] = httptest.NewRequest(http.MethodPost, "/v1/evaluate", bytes.NewReader(body))
+	}
+	// One P and no collection, set before the warm-up: a collection or a
+	// new P count would empty the buffer pool.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	s.ServeHTTP(recs[len(recs)-1], reqs[len(reqs)-1]) // the miss that makes it resident
+	got := math.Inf(1)
+	for r := range rounds {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := r * batch; i < (r+1)*batch; i++ {
+			s.ServeHTTP(recs[i], reqs[i])
+		}
+		runtime.ReadMemStats(&m1)
+		got = min(got, float64(m1.Mallocs-m0.Mallocs)/batch)
+	}
+	for i := range batch * rounds {
+		if recs[i].Code != http.StatusOK || recs[i].Header().Get("X-Hierclust-Cache") != "hit" {
+			t.Fatalf("request %d: %d %q, want a 200 hit", i, recs[i].Code, recs[i].Header().Get("X-Hierclust-Cache"))
+		}
+	}
+	const bound = 9
+	t.Logf("a resident hit allocates %.2f objects (bound %d)", got, bound)
+	if got > bound {
+		t.Errorf("a resident hit allocates %.2f objects, bound %d", got, bound)
+	}
+}
+
+// TestReadBodyGrowsLargeDeclaredBodies pins that a body is allocated at its
+// declared Content-Length only up to maxSizedBody: a client that declares
+// an endpoint's whole limit and drops after one byte costs the server about
+// what it sent, not what it declared.
+func TestReadBodyGrowsLargeDeclaredBodies(t *testing.T) {
+	s := New(Options{})
+	for _, c := range []struct {
+		path     string
+		declared int64
+	}{
+		{"/v1/evaluate", s.maxBody},
+		{"/v1/evaluate-batch", s.maxBatchBody},
+		{"/v1/sweeps", s.maxBatchBody},
+	} {
+		body := io.MultiReader(strings.NewReader("{"), iotest.ErrReader(io.ErrUnexpectedEOF))
+		r := httptest.NewRequest(http.MethodPost, c.path, body)
+		r.ContentLength = c.declared
+		rec := httptest.NewRecorder()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		s.ServeHTTP(rec, r)
+		runtime.ReadMemStats(&m1)
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s: %d, want 400 for a body cut short: %s", c.path, rec.Code, rec.Body)
+		}
+		if got := m1.TotalAlloc - m0.TotalAlloc; got > 4*maxSizedBody {
+			t.Errorf("%s: %d bytes allocated for a 1-byte body declaring %d", c.path, got, c.declared)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 #!/bin/sh
 # hcserve_smoke.sh — build hcserve, start it, POST the quickstart scenario,
-# and assert a 200 response carrying non-empty evaluations; then exercise
+# and assert a 200 response carrying non-empty evaluations, and that its
+# compacted re-POST is a byte-identical result hit; then exercise
 # POST /v1/evaluate-batch (NDJSON lines in input order, trace-hits for two
 # scenarios sharing the quickstart trace) and the GET /metrics
 # scrape. Finally, a chaos drill: restart the server with every disk write
@@ -53,6 +54,22 @@ if [ "$COUNT" -lt 1 ]; then
 fi
 echo "hcserve_smoke: ok ($COUNT evaluations)"
 jq -r '.evaluations[] | "  \(.strategy): within_baseline=\(.within_baseline)"' /tmp/hcserve_smoke_response.json
+
+# The same scenario compacted (jq -c gives its cache key byte for byte) is
+# answered from the result LRU by the body's compact form: a hit, with the
+# first response's bytes.
+printf '%s' "$SCENARIO" | jq -c . | curl -sf -D /tmp/hcserve_smoke_hit.headers \
+    -o /tmp/hcserve_smoke_hit.json -X POST -d @- "http://$ADDR/v1/evaluate"
+if ! grep -qi '^X-Hierclust-Cache: hit' /tmp/hcserve_smoke_hit.headers; then
+    echo "hcserve_smoke: compacted re-POST was not a result hit" >&2
+    cat /tmp/hcserve_smoke_hit.headers >&2
+    exit 1
+fi
+if ! cmp -s /tmp/hcserve_smoke_response.json /tmp/hcserve_smoke_hit.json; then
+    echo "hcserve_smoke: compacted re-POST answered different bytes" >&2
+    exit 1
+fi
+echo "hcserve_smoke: compact re-POST ok (hit, identical body)"
 
 # Batch: the quickstart scenario again (result-cache hit after the POST
 # above), a renamed copy — different result key, same trace key, so it must
