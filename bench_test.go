@@ -187,7 +187,8 @@ func BenchmarkXOREncode(b *testing.B) {
 }
 
 // BenchmarkHarnessRun measures the pooled experiment runner end to end on a
-// small deterministic subset (worker counts 1 and 4 share the rig cache).
+// small deterministic subset; its pool is GOMAXPROCS wide, so -cpu 1,4 sets
+// the widths (they share the rig cache).
 func BenchmarkHarnessRun(b *testing.B) {
 	var exps []harness.Experiment
 	for _, id := range []string{"table1", "fig4a"} {
@@ -197,17 +198,13 @@ func BenchmarkHarnessRun(b *testing.B) {
 		}
 		exps = append(exps, e)
 	}
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for _, r := range harness.Run(harness.Config{Quick: true}, exps, workers) {
-					if r.Err != nil {
-						b.Fatal(r.Err)
-					}
-				}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, r := range harness.Run(harness.Config{Quick: true}, exps) {
+			if r.Err != nil {
+				b.Fatal(r.Err)
 			}
-		})
+		}
 	}
 }
 

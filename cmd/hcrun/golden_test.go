@@ -22,7 +22,7 @@ func TestAllQuickGolden(t *testing.T) {
 	}
 	cfg := harness.Config{Quick: true}
 	var sb strings.Builder
-	for _, r := range harness.Run(cfg, harness.All(), 0) {
+	for _, r := range harness.Run(cfg, harness.All()) {
 		if r.Err != nil {
 			t.Fatalf("%s: %v", r.Experiment.ID, r.Err)
 		}

@@ -7,7 +7,6 @@
 //
 //	hcrun -exp table2              # one experiment at paper scale
 //	hcrun -exp all -quick          # every experiment, laptop scale
-//	hcrun -exp all -quick -workers 0  # pooled runner, identical output
 //	hcrun -exp all -quick -json    # machine-readable results
 //	hcrun -exp fig5a -out results  # also write PGM/CSV artifacts
 //	hcrun -exp scaling -maxranks 65536  # synthetic-trace scaling to 64k ranks
@@ -16,10 +15,10 @@
 //	hcrun -sweep grid.json -server http://localhost:8080  # sweep client:
 //	                               # submit, poll, stream result NDJSON
 //
-// -workers N runs the experiments on an N-wide worker pool (0 means
-// GOMAXPROCS; the default 1 runs them serially, streaming each table as it
-// completes); results still print in experiment order, so the output is
-// byte-identical to a serial run.
+// The experiments run at once on a GOMAXPROCS-wide worker pool, and their
+// tables print in experiment order once all have finished, so the output
+// does not depend on the host's cores. A failed experiment's error is
+// printed after the tables before it, and hcrun exits 1.
 //
 // -cpuprofile/-memprofile write pprof profiles covering the experiment
 // runs (the heap profile is captured after everything finishes), so
@@ -58,7 +57,6 @@ func main() {
 		list       = flag.Bool("list", false, "list experiments and exit")
 		csvFlag    = flag.Bool("csv", false, "print CSV instead of ASCII tables")
 		jsonFlag   = flag.Bool("json", false, "print one JSON document of all results")
-		workers    = flag.Int("workers", 1, "experiments run at once (1 = serial, streaming; 0 = GOMAXPROCS)")
 		timings    = flag.Bool("timings", false, "include wall-clock measurement columns (non-deterministic)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile (after all experiments) to this file")
@@ -91,9 +89,8 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		// Label partition phases (match/contract/grow/refine, per level)
-		// in the profile; the labels allocate, so they are tied to
-		// -cpuprofile rather than always on.
+		// Label partition phases (grow/refine) in the profile; the labels
+		// allocate, so they are tied to -cpuprofile rather than always on.
 		hierclust.SetPartitionPhaseLabels(true)
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fail(err)
@@ -135,32 +132,7 @@ func main() {
 		exps = []harness.Experiment{e}
 	}
 
-	emit := func(r harness.RunResult) {
-		if r.Err != nil {
-			fail(fmt.Errorf("%s: %w", r.Experiment.ID, r.Err))
-		}
-		if *csvFlag {
-			fmt.Printf("# %s: %s\n%s\n", r.Table.ID, r.Table.Title, r.Table.CSV())
-		} else {
-			fmt.Println(r.Table.ASCII())
-		}
-		if *out != "" {
-			if err := harness.WriteArtifacts(*out, r.Table, cfg, r.Experiment.ID); err != nil {
-				fail(err)
-			}
-		}
-	}
-
-	// Serial non-JSON runs stream each table as it completes and abort at
-	// the first failure; pooled and JSON runs batch (JSON is one document,
-	// and pooled results must print in experiment order).
-	if *workers == 1 && !*jsonFlag {
-		for _, e := range exps {
-			emit(harness.RunOne(cfg, e))
-		}
-		return
-	}
-	results := harness.Run(cfg, exps, *workers)
+	results := harness.Run(cfg, exps)
 	if *jsonFlag {
 		doc, err := harness.ResultsJSON(results)
 		if err != nil {
@@ -187,7 +159,19 @@ func main() {
 		return
 	}
 	for _, r := range results {
-		emit(r)
+		if r.Err != nil {
+			fail(fmt.Errorf("%s: %w", r.Experiment.ID, r.Err))
+		}
+		if *csvFlag {
+			fmt.Printf("# %s: %s\n%s\n", r.Table.ID, r.Table.Title, r.Table.CSV())
+		} else {
+			fmt.Println(r.Table.ASCII())
+		}
+		if *out != "" {
+			if err := harness.WriteArtifacts(*out, r.Table, cfg, r.Experiment.ID); err != nil {
+				fail(err)
+			}
+		}
 	}
 }
 

@@ -129,7 +129,7 @@ func (pr *Profile) Init(ctx context.Context, c *Clustering, p *topology.Placemen
 	}
 	pr.scores = Evaluation{Name: c.Name, RecoveryFraction: rec,
 		EncodeSecondsPerGB: erasure.ModelEncodeSeconds(c.MaxGroupSize(), 1e9)}
-	return pr.rel.InitRanks(p, c.Groups, 0, 0)
+	return pr.rel.InitRanks(p, c.Groups)
 }
 
 // Evaluate weighs the profile with a failure mix, the reliability model's

@@ -56,6 +56,16 @@ const (
 	// ProbeEvery is how often a degraded store lets one write through to
 	// test whether the disk recovered.
 	ProbeEvery = 30 * time.Second
+
+	// Ext is the filename extension of stored blobs; files without it are
+	// ignored by the restart re-index.
+	Ext = ".hcres"
+
+	// The store's fault-injection points fire at the top of each read
+	// attempt, write attempt and rename.
+	faultRead   = "resultcache.disk.read"
+	faultWrite  = "resultcache.disk.write"
+	faultRename = "resultcache.disk.rename"
 )
 
 // blobMagic opens every checksum-framed blob: "HCDS" + format version 1.
@@ -63,22 +73,6 @@ var blobMagic = [5]byte{'H', 'C', 'D', 'S', '1'}
 
 // blobHeaderLen is magic (5) + crc32 (4) + payload length (4).
 const blobHeaderLen = len(blobMagic) + 8
-
-// Options configures Open.
-type Options struct {
-	// Dir is the store's directory, created if needed.
-	Dir string
-	// Ext is the filename extension of stored blobs, dot included
-	// (".hcres"). Files without it are ignored by the restart re-index.
-	Ext string
-	// MaxBytes bounds the stored size; least-recently-used blobs are
-	// evicted past it, except the newest. Must be positive.
-	MaxBytes int64
-	// FaultPrefix, when non-empty, names the store's fault-injection
-	// points: <prefix>.read, <prefix>.write, and <prefix>.rename fire at
-	// the top of each read attempt, write attempt, and rename.
-	FaultPrefix string
-}
 
 // Stats is the store's observability surface.
 type Stats struct {
@@ -99,12 +93,7 @@ type Stats struct {
 // All methods are safe for concurrent use.
 type Store struct {
 	dir   string
-	ext   string
 	index *lru.Cache[struct{}] // stem -> blob, weighted by file size
-
-	faultRead   string
-	faultWrite  string
-	faultRename string
 
 	// degradeAfter (OpAttempts) and probeEvery (ProbeEvery) are fields
 	// only so this package's tests can shorten the drill.
@@ -118,24 +107,22 @@ type Store struct {
 	quarantined  atomic.Int64
 }
 
-// Open opens (creating if needed) a store rooted at o.Dir. Existing blobs
-// are re-indexed oldest-first by modification time — the restart-survival
-// path — and evicted down to the byte budget; quarantined .bad files and
-// foreign extensions are ignored.
-func Open(o Options) (*Store, error) {
-	if o.MaxBytes <= 0 {
-		return nil, fmt.Errorf("diskstore: MaxBytes must be positive")
+// Open opens (creating if needed) a store rooted at dir, bounded to maxBytes
+// of stored blobs: least-recently-used blobs are evicted past it, except the
+// newest. Existing blobs are re-indexed oldest-first by modification time —
+// the restart-survival path — and evicted down to the byte budget;
+// quarantined .bad files and foreign extensions are ignored.
+func Open(dir string, maxBytes int64) (*Store, error) {
+	if maxBytes <= 0 {
+		return nil, fmt.Errorf("diskstore: maxBytes must be positive")
 	}
-	if err := os.MkdirAll(o.Dir, 0o755); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("diskstore: %w", err)
 	}
-	s := &Store{dir: o.Dir, ext: o.Ext, degradeAfter: OpAttempts, probeEvery: ProbeEvery}
-	s.index = lru.New(o.MaxBytes, func(stem string, _ struct{}) { _ = os.Remove(s.path(stem)) })
-	if p := o.FaultPrefix; p != "" {
-		s.faultRead, s.faultWrite, s.faultRename = p+".read", p+".write", p+".rename"
-	}
+	s := &Store{dir: dir, degradeAfter: OpAttempts, probeEvery: ProbeEvery}
+	s.index = lru.New(maxBytes, func(stem string, _ struct{}) { _ = os.Remove(s.path(stem)) })
 
-	entries, err := os.ReadDir(o.Dir)
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("diskstore: %w", err)
 	}
@@ -147,14 +134,14 @@ func Open(o Options) (*Store, error) {
 	var olds []found
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || filepath.Ext(name) != s.ext {
+		if e.IsDir() || filepath.Ext(name) != Ext {
 			continue
 		}
 		info, err := e.Info()
 		if err != nil {
 			continue
 		}
-		olds = append(olds, found{stem: name[:len(name)-len(s.ext)], size: info.Size(), mtime: info.ModTime().UnixNano()})
+		olds = append(olds, found{stem: name[:len(name)-len(Ext)], size: info.Size(), mtime: info.ModTime().UnixNano()})
 	}
 	sort.Slice(olds, func(i, j int) bool { return olds[i].mtime < olds[j].mtime })
 	for _, f := range olds {
@@ -164,16 +151,7 @@ func Open(o Options) (*Store, error) {
 }
 
 func (s *Store) path(stem string) string {
-	return filepath.Join(s.dir, stem+s.ext)
-}
-
-// hitFault fires a named fault point, or nothing when the store was opened
-// without a FaultPrefix.
-func hitFault(name string) error {
-	if name == "" {
-		return nil
-	}
-	return faultinject.Hit(name)
+	return filepath.Join(s.dir, stem+Ext)
 }
 
 // permanentErr marks a failure retrying cannot fix — the bytes are wrong,
@@ -257,7 +235,7 @@ func (s *Store) Get(stem string) ([]byte, bool) {
 
 	var raw []byte
 	err := s.retry(&s.readErrs, func() error {
-		if err := hitFault(s.faultRead); err != nil {
+		if err := faultinject.Hit(faultRead); err != nil {
 			return err
 		}
 		b, err := os.ReadFile(s.path(stem))
@@ -344,7 +322,7 @@ func (s *Store) Put(stem string, data []byte) {
 // separate fault points, and the temp file is removed on every failure
 // path so failed writes leave nothing behind.
 func (s *Store) writeAttempt(stem string, blob []byte) error {
-	if err := hitFault(s.faultWrite); err != nil {
+	if err := faultinject.Hit(faultWrite); err != nil {
 		return err
 	}
 	tmp, err := os.CreateTemp(s.dir, "put-*")
@@ -359,7 +337,7 @@ func (s *Store) writeAttempt(stem string, blob []byte) error {
 		_ = os.Remove(tmp.Name())
 		return fmt.Errorf("write: %w", err)
 	}
-	if err := hitFault(s.faultRename); err != nil {
+	if err := faultinject.Hit(faultRename); err != nil {
 		_ = os.Remove(tmp.Name())
 		return fmt.Errorf("rename: %w", err)
 	}

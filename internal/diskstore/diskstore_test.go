@@ -18,7 +18,7 @@ import (
 // shortens probeEvery itself.
 func openTest(t *testing.T, dir string, max int64) *Store {
 	t.Helper()
-	s, err := Open(Options{Dir: dir, Ext: ".blob", MaxBytes: max, FaultPrefix: "diskstoretest"})
+	s, err := Open(dir, max)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -78,7 +78,7 @@ func TestStoreEvictsToBudget(t *testing.T) {
 	if _, ok := s.Get("a"); ok {
 		t.Fatal("evicted blob still served")
 	}
-	files, _ := filepath.Glob(filepath.Join(dir, "*.blob"))
+	files, _ := filepath.Glob(filepath.Join(dir, "*"+Ext))
 	if len(files) != 2 {
 		t.Fatalf("disk has %d blobs; want 2", len(files))
 	}
@@ -90,7 +90,7 @@ func TestStoreQuarantinesCorruptChecksum(t *testing.T) {
 	s.Put("a", []byte("good bytes"))
 
 	garbage := []byte("HCDS1 corrupted beyond the header")
-	if err := os.WriteFile(filepath.Join(dir, "a.blob"), garbage, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "a"+Ext), garbage, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.Get("a"); ok {
@@ -106,14 +106,14 @@ func TestStoreQuarantinesCorruptChecksum(t *testing.T) {
 	if st.Degraded {
 		t.Fatal("corruption degraded the store; only IO failures should")
 	}
-	bad, err := os.ReadFile(filepath.Join(dir, "a.blob"+QuarantineExt))
+	bad, err := os.ReadFile(filepath.Join(dir, "a"+Ext+QuarantineExt))
 	if err != nil {
 		t.Fatalf("quarantine file: %v", err)
 	}
 	if !bytes.Equal(bad, garbage) {
 		t.Fatal("quarantine file does not preserve the corrupt bytes")
 	}
-	if _, err := os.Stat(filepath.Join(dir, "a.blob")); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, "a"+Ext)); !os.IsNotExist(err) {
 		t.Fatal("corrupt blob still present under its real name")
 	}
 	// The stem is rebuildable.
@@ -133,7 +133,7 @@ func TestStoreDegradesOnWriteFaultsAndRecoversViaProbe(t *testing.T) {
 	s := openTest(t, dir, 1<<20)
 	s.Put("kept", []byte("on disk before the fault"))
 
-	faultinject.Arm("diskstoretest.write", faultinject.Fault{Kind: faultinject.KindError})
+	faultinject.Arm(faultWrite, faultinject.Fault{Kind: faultinject.KindError})
 	s.Put("a", []byte("alpha"))
 	st := s.Stats()
 	if st.WriteErrors != OpAttempts {
@@ -181,7 +181,7 @@ func TestStoreReadFaultKeepsIndex(t *testing.T) {
 	s.degradeAfter = 100
 	s.Put("a", []byte("alpha"))
 
-	faultinject.Arm("diskstoretest.read", faultinject.Fault{Kind: faultinject.KindError})
+	faultinject.Arm(faultRead, faultinject.Fault{Kind: faultinject.KindError})
 	if _, ok := s.Get("a"); ok {
 		t.Fatal("Get served a hit through an injected read fault")
 	}
@@ -207,7 +207,7 @@ func TestStoreRenameFaultCleansTemp(t *testing.T) {
 	s := openTest(t, dir, 1<<20)
 	s.degradeAfter = 100
 
-	faultinject.Arm("diskstoretest.rename", faultinject.Fault{Kind: faultinject.KindError})
+	faultinject.Arm(faultRename, faultinject.Fault{Kind: faultinject.KindError})
 	s.Put("a", []byte("alpha"))
 	if st := s.Stats(); st.WriteErrors != OpAttempts || st.Entries != 0 {
 		t.Fatalf("Stats = %+v; want %d write errors, 0 entries", s.Stats(), OpAttempts)
@@ -229,7 +229,7 @@ func TestStoreRenameFaultCleansTemp(t *testing.T) {
 // TestStoreIndexMatchesDirectory runs seeded random sequences of Put, Get,
 // in-place corruption and reopen against a budget of about three blobs and
 // checks after every step that the index is the directory: its stems are
-// the *.blob files, Stats.Bytes is their summed size, and no put-* temp
+// the *.hcres files, Stats.Bytes is their summed size, and no put-* temp
 // file is left. A Get that hits returns the stem's bytes exactly.
 func TestStoreIndexMatchesDirectory(t *testing.T) {
 	const stems = 8
@@ -261,7 +261,7 @@ func TestStoreIndexMatchesDirectory(t *testing.T) {
 				touch(stem)
 			case r < 19:
 				op = "corrupt " + stem
-				path := filepath.Join(dir, stem+".blob")
+				path := filepath.Join(dir, stem+Ext)
 				if raw, err := os.ReadFile(path); err == nil {
 					raw[blobHeaderLen+rng.IntN(len(raw)-blobHeaderLen)] ^= 0x20
 					if err := os.WriteFile(path, raw, 0o644); err != nil {
@@ -278,7 +278,7 @@ func TestStoreIndexMatchesDirectory(t *testing.T) {
 	}
 }
 
-// checkIndexIsDirectory fails unless s's index holds exactly the *.blob
+// checkIndexIsDirectory fails unless s's index holds exactly the *.hcres
 // files in dir, with their summed size, and no temp file is left. It looks
 // stems up least recently touched first (stems a reopen indexed, which
 // touched does not know, oldest file first before them), so the lookups
@@ -288,7 +288,7 @@ func checkIndexIsDirectory(t *testing.T, s *Store, dir string, touched map[strin
 	if temps, _ := filepath.Glob(filepath.Join(dir, "put-*")); len(temps) != 0 {
 		t.Fatalf("%s: temp files left: %v", at, temps)
 	}
-	files, err := filepath.Glob(filepath.Join(dir, "*.blob"))
+	files, err := filepath.Glob(filepath.Join(dir, "*"+Ext))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func checkIndexIsDirectory(t *testing.T, s *Store, dir string, touched map[strin
 			t.Fatal(err)
 		}
 		size += info.Size()
-		onDisk = append(onDisk, file{strings.TrimSuffix(filepath.Base(f), ".blob"), info.ModTime().UnixNano()})
+		onDisk = append(onDisk, file{strings.TrimSuffix(filepath.Base(f), Ext), info.ModTime().UnixNano()})
 	}
 	sort.Slice(onDisk, func(i, j int) bool {
 		if ti, tj := touched[onDisk[i].stem], touched[onDisk[j].stem]; ti != tj {
@@ -314,7 +314,7 @@ func checkIndexIsDirectory(t *testing.T, s *Store, dir string, touched map[strin
 	})
 	for _, f := range onDisk {
 		if _, ok := s.index.Get(f.stem); !ok {
-			t.Fatalf("%s: %s.blob is on disk but not in the index", at, f.stem)
+			t.Fatalf("%s: %s.hcres is on disk but not in the index", at, f.stem)
 		}
 	}
 	if st := s.Stats(); st.Entries != len(onDisk) || st.Bytes != size {

@@ -16,28 +16,25 @@ type RunResult struct {
 	Elapsed    time.Duration
 }
 
-// Run executes the experiments on a pool of workers and returns results in
-// input order, so output is byte-identical regardless of worker count or
-// completion order. workers == 1 runs serially on the caller's goroutine;
-// workers <= 0 means GOMAXPROCS. Every experiment is independent (the
-// shared state, the pipeline and its trace cache and fig5a/b's encoder-rank
-// runs, is safe for concurrent use), which is what makes the pool safe.
-func Run(cfg Config, exps []Experiment, workers int) []RunResult {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	results := make([]RunResult, len(exps))
-	pool.Run(len(exps), workers, exps, nil, func(exps []Experiment, i, _ int) { results[i] = RunOne(cfg, exps[i]) })
-	return results
+// Run executes the experiments on a GOMAXPROCS-wide worker pool and returns
+// results in input order, so output is byte-identical regardless of
+// completion order. Every experiment is independent (the shared state, the
+// pipeline and its trace cache and fig5a/b's encoder-rank runs, is safe for
+// concurrent use), which is what makes the pool safe.
+func Run(cfg Config, exps []Experiment) []RunResult {
+	return run(cfg, exps, runtime.GOMAXPROCS(0))
 }
 
-// RunOne executes and times a single experiment. Serial callers (hcrun
-// -workers 1) use it to stream each table as it completes and stop
-// at the first failure instead of batching through Run.
-func RunOne(cfg Config, e Experiment) RunResult {
-	start := time.Now()
-	table, err := e.Run(cfg)
-	return RunResult{Experiment: e, Table: table, Err: err, Elapsed: time.Since(start)}
+// run is Run on a pool of the given width; one runs the experiments
+// serially on the caller's goroutine.
+func run(cfg Config, exps []Experiment, workers int) []RunResult {
+	results := make([]RunResult, len(exps))
+	pool.Run(len(exps), workers, exps, nil, func(exps []Experiment, i, _ int) {
+		start := time.Now()
+		table, err := exps[i].Run(cfg)
+		results[i] = RunResult{Experiment: exps[i], Table: table, Err: err, Elapsed: time.Since(start)}
+	})
+	return results
 }
 
 // jsonResult is the machine-readable form of one experiment result.

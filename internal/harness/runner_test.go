@@ -33,13 +33,13 @@ func renderAll(t *testing.T, results []RunResult) string {
 	return sb.String()
 }
 
-// TestRunParallelMatchesSerial is the acceptance property behind
-// `hcrun -exp all -quick -workers 0`: pooled execution must produce
-// byte-identical tables in the same order as a serial run.
+// TestRunParallelMatchesSerial is the acceptance property behind hcrun's
+// pool: pooled execution must produce byte-identical tables in the same
+// order as a serial run, whatever the host's cores.
 func TestRunParallelMatchesSerial(t *testing.T) {
 	exps := runnerSubset(t)
-	serial := renderAll(t, Run(quick, exps, 1))
-	parallel := renderAll(t, Run(quick, exps, 4))
+	serial := renderAll(t, run(quick, exps, 1))
+	parallel := renderAll(t, run(quick, exps, 4))
 	if serial != parallel {
 		t.Errorf("parallel output differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
 	}
@@ -47,7 +47,7 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 
 func TestRunPreservesOrderAndElapsed(t *testing.T) {
 	exps := runnerSubset(t)
-	results := Run(quick, exps, 0) // 0 = GOMAXPROCS
+	results := Run(quick, exps)
 	if len(results) != len(exps) {
 		t.Fatalf("got %d results, want %d", len(results), len(exps))
 	}
@@ -63,7 +63,7 @@ func TestRunPreservesOrderAndElapsed(t *testing.T) {
 
 func TestResultsJSON(t *testing.T) {
 	exps := runnerSubset(t)[:1]
-	doc, err := ResultsJSON(Run(quick, exps, 1))
+	doc, err := ResultsJSON(Run(quick, exps))
 	if err != nil {
 		t.Fatal(err)
 	}

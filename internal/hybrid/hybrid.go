@@ -64,9 +64,6 @@ type Config struct {
 	CheckpointEvery int
 	// Level is the checkpoint protection level.
 	Level checkpoint.Level
-	// Storage is the backing cluster; if nil a new one is built from the
-	// placement's machine.
-	Storage *storage.Cluster
 }
 
 // FailureEvent describes one handled failure.
@@ -123,7 +120,8 @@ type Runner struct {
 	dedupSnap []map[int]uint64
 }
 
-// NewRunner validates the configuration and builds a runner.
+// NewRunner validates the configuration and builds a runner on a fresh
+// storage cluster of the placement's machine.
 func NewRunner(cfg Config, app App) (*Runner, error) {
 	if cfg.Placement == nil {
 		return nil, fmt.Errorf("hybrid: nil placement")
@@ -140,10 +138,7 @@ func NewRunner(cfg Config, app App) (*Runner, error) {
 			return nil, fmt.Errorf("hybrid: rank %d has negative cluster id", r)
 		}
 	}
-	st := cfg.Storage
-	if st == nil {
-		st = storage.NewCluster(cfg.Placement.Machine())
-	}
+	st := storage.NewCluster(cfg.Placement.Machine())
 	mgr, err := checkpoint.New(st, cfg.Placement, cfg.Groups)
 	if err != nil {
 		return nil, err

@@ -72,7 +72,7 @@ func TestCatastropheProbWorkerInvariance(t *testing.T) {
 	groups := randomGroups(9, 64, 20)
 	want := -1.0
 	for _, workers := range []int{1, 2, 7} {
-		mdl := &Model{Nodes: 64, Mix: DefaultMix(), Workers: workers, ExactLimit: 5000}
+		mdl := &Model{Nodes: 64, Mix: DefaultMix(), Workers: workers, exactLimit: 5000}
 		p, err := mdl.CatastropheProb(groups)
 		if err != nil {
 			t.Fatal(err)
@@ -202,11 +202,11 @@ func TestDisjointReductionRejectsIrregular(t *testing.T) {
 	}
 }
 
-// A model whose groups pass the reduction never enumerates, whatever
-// ExactLimit says, and still returns the enumeration's answer: bit for bit
-// the hand-weighed sum of exactConditional and the bitset pair scan while
-// C(n,f) is within the budget, and within rounding of it when the budget is
-// 1 and every f takes the 1 - safe/total form.
+// A model whose groups pass the reduction never enumerates, whatever exact
+// budget it has, and still returns the enumeration's answer: bit for bit the
+// hand-weighed sum of exactConditional and the bitset pair scan while C(n,f)
+// is within the budget, and within rounding of it when the budget is 1 and
+// every f takes the 1 - safe/total form.
 func TestModelClosedFormAgreesWithEnumeration(t *testing.T) {
 	const n = 12
 	groups := disjointGroups(4, n)
@@ -222,8 +222,8 @@ func TestModelClosedFormAgreesWithEnumeration(t *testing.T) {
 		brute += pf * pcat
 	}
 	for _, limit := range []int{0, 1} {
-		var p Profile
-		if err := p.Init(groups, n, limit, 0); err != nil {
+		p := Profile{exactLimit: limit}
+		if err := p.Init(groups, n); err != nil {
 			t.Fatal(err)
 		}
 		got, err := p.CatastropheProb(context.Background(), mix, 1)
@@ -231,10 +231,10 @@ func TestModelClosedFormAgreesWithEnumeration(t *testing.T) {
 			t.Fatal(err)
 		}
 		if limit == 0 && got != brute || math.Abs(got-brute) > 1e-12 {
-			t.Errorf("ExactLimit %d: closed form %v vs enumeration %v", limit, got, brute)
+			t.Errorf("exact budget %d: closed form %v vs enumeration %v", limit, got, brute)
 		}
 		if p.fg.uniform != nil {
-			t.Errorf("ExactLimit %d: a product-form layout built the enumeration index", limit)
+			t.Errorf("exact budget %d: a product-form layout built the enumeration index", limit)
 		}
 	}
 }

@@ -54,7 +54,7 @@ func productLayout(data []byte) (groups []Group, n int) {
 func checkProductForm(t *testing.T, groups []Group, n int) int {
 	t.Helper()
 	var p Profile
-	if err := p.Init(groups, n, 0, 0); err != nil {
+	if err := p.Init(groups, n); err != nil {
 		t.Fatal(err)
 	}
 	checkReduction(t, "product layout", &p, func() *flatGroups { return flatten(groupSpans{groups, n}) })
@@ -103,7 +103,7 @@ func TestEnumerationIndexOnDemand(t *testing.T) {
 	pairMix := Mix{Transient: 0.05, NodeLoss: []float64{0.9, 0.05}, PairCorrelation: 0.5}
 	for _, strategy := range []string{"hierarchical-64-4", "naive-32", "size-guided-8", "distributed-16"} {
 		var p Profile
-		if err := p.Init(tableIIGroups(strategy), 64, 0, 0); err != nil {
+		if err := p.Init(tableIIGroups(strategy), 64); err != nil {
 			t.Fatal(err)
 		}
 		for _, mix := range []Mix{DefaultMix(), pairMix} {
@@ -117,7 +117,7 @@ func TestEnumerationIndexOnDemand(t *testing.T) {
 	}
 
 	var p Profile
-	if err := p.Init(randomGroups(5, 24, 12), 24, 0, 0); err != nil {
+	if err := p.Init(randomGroups(5, 24, 12), 24); err != nil {
 		t.Fatal(err)
 	}
 	if p.fg.dpOK || p.fg.uniform != nil {

@@ -96,15 +96,15 @@ func TestProfileMemoOrderIndependent(t *testing.T) {
 
 		want := make([]float64, len(mixes))
 		for i, mix := range mixes {
-			mdl := &Model{Nodes: n, Mix: mix, ExactLimit: exactLimit, MonteCarloSamples: samples, Workers: 1}
+			mdl := &Model{Nodes: n, Mix: mix, exactLimit: exactLimit, samples: samples, Workers: 1}
 			var err error
 			if want[i], err = mdl.CatastropheProb(groups); err != nil {
 				t.Fatalf("seed %d mix %d: %v", seed, i, err)
 			}
 		}
 
-		var p Profile
-		if err := p.Init(groups, n, exactLimit, samples); err != nil {
+		p := Profile{exactLimit: exactLimit, samples: samples}
+		if err := p.Init(groups, n); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		order := rng.Perm(2 * len(mixes))
@@ -141,8 +141,8 @@ func TestProfileCancelLeavesNoMemo(t *testing.T) {
 	mix := Mix{NodeLoss: make([]float64, slowF)}
 	mix.NodeLoss[0], mix.NodeLoss[slowF-1] = 0.5, 0.5
 
-	var p Profile
-	if err := p.Init(groups, n, 1<<30, 0); err != nil {
+	p := Profile{exactLimit: 1 << 30}
+	if err := p.Init(groups, n); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -170,7 +170,7 @@ func TestProfileCancelLeavesNoMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := (&Model{Nodes: n, Mix: mix, ExactLimit: 1 << 30, Workers: 1}).CatastropheProb(groups)
+	want, err := (&Model{Nodes: n, Mix: mix, exactLimit: 1 << 30, Workers: 1}).CatastropheProb(groups)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestProfileReuseInvisible(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	for round := range shapes { // each shape comes first once, to a fresh profile
-		var p Profile
+		p := Profile{exactLimit: exactLimit, samples: samples}
 		for k := range shapes {
 			sh := shapes[(round+k)%len(shapes)]
 			pl, members := sh.layout()
@@ -253,21 +253,21 @@ func TestProfileReuseInvisible(t *testing.T) {
 				if _, err := p.CatastropheProb(cancelled, long, 1); !errors.Is(err, context.Canceled) {
 					t.Fatalf("%s: a cancelled weighing returned %v", label, err)
 				}
-				var fresh Profile
+				fresh := Profile{exactLimit: exactLimit, samples: samples}
 				var stage func() *flatGroups
 				if entry == "InitRanks" {
-					if err := p.InitRanks(pl, members, exactLimit, samples); err != nil {
+					if err := p.InitRanks(pl, members); err != nil {
 						t.Fatal(err)
 					}
-					if err := fresh.InitRanks(pl, members, exactLimit, samples); err != nil {
+					if err := fresh.InitRanks(pl, members); err != nil {
 						t.Fatal(err)
 					}
 					stage = func() *flatGroups { return flatten(rankSpans{pl, members}) }
 				} else {
-					if err := p.Init(groups, pl.NumUsed(), exactLimit, samples); err != nil {
+					if err := p.Init(groups, pl.NumUsed()); err != nil {
 						t.Fatal(err)
 					}
-					if err := fresh.Init(groups, pl.NumUsed(), exactLimit, samples); err != nil {
+					if err := fresh.Init(groups, pl.NumUsed()); err != nil {
 						t.Fatal(err)
 					}
 					stage = func() *flatGroups { return flatten(groupSpans{groups, pl.NumUsed()}) }

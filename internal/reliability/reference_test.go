@@ -227,8 +227,8 @@ func checkAgainstReference(t *testing.T, label string, mdl *Model, ref []mapGrou
 		t.Fatalf("%s: %v", label, err)
 	}
 	// The same weighing over the reference's flat form.
-	var refProfile Profile
-	if err := refProfile.Init(groups, mdl.Nodes, mdl.ExactLimit, mdl.MonteCarloSamples); err != nil {
+	refProfile := Profile{exactLimit: mdl.exactLimit, samples: mdl.samples}
+	if err := refProfile.Init(groups, mdl.Nodes); err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
 	refProfile.fg = want
@@ -264,7 +264,7 @@ func TestFlattenMatchesReferenceRandom(t *testing.T) {
 			g.Tolerance = rng.Intn(members + 2)
 			ref[i] = g
 		}
-		mdl := &Model{Nodes: n, Mix: DefaultMix(), ExactLimit: 2000, MonteCarloSamples: 20_000, Workers: 1}
+		mdl := &Model{Nodes: n, Mix: DefaultMix(), exactLimit: 2000, samples: 20_000, Workers: 1}
 		checkAgainstReference(t, "random", mdl, ref)
 
 		off := topology.NodeID(n + rng.Intn(3))
@@ -375,7 +375,7 @@ func TestFlattenMatchesReferencePlacements(t *testing.T) {
 				t.Fatalf("seed %d group %d: %+v, reference %+v", seed, i, groups[i], want)
 			}
 		}
-		mdl := &Model{Nodes: p.NumUsed(), Mix: DefaultMix(), ExactLimit: 2000, MonteCarloSamples: 20_000, Workers: 1}
+		mdl := &Model{Nodes: p.NumUsed(), Mix: DefaultMix(), exactLimit: 2000, samples: 20_000, Workers: 1}
 		checkAgainstReference(t, "placement", mdl, ref)
 
 		// reflect.DeepEqual compares lengths, not capacities: the slabs
@@ -385,8 +385,8 @@ func TestFlattenMatchesReferencePlacements(t *testing.T) {
 		}
 		// The exact budget is small enough that the tail goes through the
 		// closed form, the union bound or Monte Carlo, as the layout selects.
-		var fromRanks Profile
-		if err := fromRanks.InitRanks(p, members, mdl.ExactLimit, mdl.MonteCarloSamples); err != nil {
+		fromRanks := Profile{exactLimit: mdl.exactLimit, samples: mdl.samples}
+		if err := fromRanks.InitRanks(p, members); err != nil {
 			t.Fatal(err)
 		}
 		got, err := fromRanks.CatastropheProb(context.Background(), mdl.Mix, 1)
@@ -461,8 +461,8 @@ func checkReduction(t *testing.T, label string, p *Profile, stage func() *flatGr
 	} else if !reflect.DeepEqual(got, want) { // want is the stage's slabs, dpOK false
 		t.Fatalf("%s: rejected layout's slabs differ from the span stage\n got %+v\nwant %+v", label, got, want)
 	}
-	var ref Profile
-	ref.init(want, p.exactLimit, p.samples)
+	ref := Profile{exactLimit: p.exactLimit, samples: p.samples}
+	ref.init(want)
 	for _, mix := range []Mix{DefaultMix(), {Transient: 0.05, NodeLoss: []float64{0.6, 0.25, 0.1}, PairCorrelation: 0.5}} {
 		pg, err := p.CatastropheProb(context.Background(), mix, 1)
 		if err != nil {
@@ -484,13 +484,14 @@ func checkReduction(t *testing.T, label string, p *Profile, stage func() *flatGr
 func checkEntryPoints(t *testing.T, label string, p *topology.Placement, members [][]topology.Rank) bool {
 	t.Helper()
 	const exactLimit, samples = 2000, 5000
-	var fromRanks, fromGroups Profile
-	if err := fromRanks.InitRanks(p, members, exactLimit, samples); err != nil {
+	fromRanks := Profile{exactLimit: exactLimit, samples: samples}
+	fromGroups := Profile{exactLimit: exactLimit, samples: samples}
+	if err := fromRanks.InitRanks(p, members); err != nil {
 		t.Fatal(err)
 	}
 	checkReduction(t, label+" InitRanks", &fromRanks, func() *flatGroups { return flatten(rankSpans{p, members}) })
 	groups := groupsFromRanks(p, members)
-	if err := fromGroups.Init(groups, p.NumUsed(), exactLimit, samples); err != nil {
+	if err := fromGroups.Init(groups, p.NumUsed()); err != nil {
 		t.Fatal(err)
 	}
 	checkReduction(t, label+" Init", &fromGroups, func() *flatGroups { return flatten(groupSpans{groups, p.NumUsed()}) })
@@ -617,7 +618,7 @@ func TestCatastropheProbRejectsNodeOutsideMachine(t *testing.T) {
 			t.Errorf("Model.CatastropheProb accepted %+v on %d nodes: P(cat) %g", g, mdl.Nodes, pc)
 		}
 		var p Profile
-		if err := p.Init(groups, mdl.Nodes, 0, 0); err == nil {
+		if err := p.Init(groups, mdl.Nodes); err == nil {
 			t.Errorf("Profile.Init accepted %+v on %d nodes", g, mdl.Nodes)
 		}
 	}

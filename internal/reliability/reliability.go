@@ -208,18 +208,24 @@ type Model struct {
 	Nodes int
 	// Mix is the failure-type distribution.
 	Mix Mix
-	// ExactLimit caps the number of failure-set enumerations per f before
-	// switching to bounds/sampling; 0 means 100,000. It governs only layouts
-	// outside the product form (overlapping or non-uniform spans).
-	ExactLimit int
-	// MonteCarloSamples is used when neither enumeration nor the union
-	// bound is adequate; 0 means 200,000. Sampling is seeded, sharded in
-	// fixed deterministic chunks, and bit-identical at any worker count.
-	MonteCarloSamples int
 	// Workers bounds the worker pool for exact enumeration and Monte
 	// Carlo sharding; 0 means GOMAXPROCS. Results do not depend on it.
 	Workers int
+
+	// exactLimit and samples are the Profile budgets; zero means the
+	// defaults, which only this package's tests lower.
+	exactLimit, samples int
 }
+
+// The budgets of a layout outside the product form (overlapping or
+// non-uniform spans): up to defaultExactLimit failure sets per f are
+// enumerated, past that the union bound answers when it is at most 0.1 and
+// defaultSamples seeded Monte Carlo draws otherwise. Sampling is sharded in
+// fixed deterministic chunks, so it is bit-identical at any worker count.
+const (
+	defaultExactLimit = 100_000
+	defaultSamples    = 200_000
+)
 
 // CatastropheProb returns P(catastrophic | a failure occurs) for the groups.
 func (mdl *Model) CatastropheProb(groups []Group) (float64, error) {
@@ -245,8 +251,8 @@ func cancelWatch(ctx context.Context) (*atomic.Bool, func() bool) {
 // ctx.Err(). An uncancelled call is bit-identical to CatastropheProb —
 // the stop flag is polled, never consulted for results.
 func (mdl *Model) CatastropheProbCtx(ctx context.Context, groups []Group) (float64, error) {
-	var p Profile
-	if err := p.Init(groups, mdl.Nodes, mdl.ExactLimit, mdl.MonteCarloSamples); err != nil {
+	p := Profile{exactLimit: mdl.exactLimit, samples: mdl.samples}
+	if err := p.Init(groups, mdl.Nodes); err != nil {
 		return 0, err
 	}
 	return p.CatastropheProb(ctx, mdl.Mix, mdl.Workers)
@@ -268,9 +274,13 @@ const memoF = 16
 // replace the old and every remembered conditional, and the reduction reads
 // into the memory the last one left.
 type Profile struct {
-	nodes, exactLimit, samples int
-	fg                         *flatGroups
-	red                        flatGroups // the reduction's memory; fg is &red while it holds
+	nodes int
+	fg    *flatGroups
+	red   flatGroups // the reduction's memory; fg is &red while it holds
+
+	// exactLimit and samples are the budgets: Init replaces a zero with its
+	// default, and only this package's tests set them lower.
+	exactLimit, samples int
 
 	// cond[f-1] is the conditional for f failed nodes, cond[memoF] the
 	// aligned-pair term; bit i of have marks cond[i] valid. Entries fill on
@@ -281,32 +291,31 @@ type Profile struct {
 	cond [memoF + 1]float64
 }
 
-// Init reads caller-built groups (not retained) for a machine of nodes nodes;
-// exactLimit and samples default like Model's fields of those names.
-func (p *Profile) Init(groups []Group, nodes, exactLimit, samples int) error {
+// Init reads caller-built groups (not retained) for a machine of nodes nodes.
+func (p *Profile) Init(groups []Group, nodes int) error {
 	if nodes <= 0 {
 		return fmt.Errorf("reliability: model has %d nodes", nodes)
 	}
 	if err := validateGroups(groups, nodes); err != nil {
 		return err
 	}
-	p.init(reduceOrFlatten(groupSpans{groups, nodes}, &p.red), exactLimit, samples)
+	p.init(reduceOrFlatten(groupSpans{groups, nodes}, &p.red))
 	return nil
 }
 
 // InitRanks is Init of GroupFromRanks of every member list on the placement's
 // used nodes, without the Group values in between.
-func (p *Profile) InitRanks(pl *topology.Placement, members [][]topology.Rank, exactLimit, samples int) error {
+func (p *Profile) InitRanks(pl *topology.Placement, members [][]topology.Rank) error {
 	if nodes := pl.NumUsed(); nodes <= 0 {
 		return fmt.Errorf("reliability: model has %d nodes", nodes)
 	}
-	p.init(reduceOrFlatten(rankSpans{pl, members}, &p.red), exactLimit, samples)
+	p.init(reduceOrFlatten(rankSpans{pl, members}, &p.red))
 	return nil
 }
 
-func (p *Profile) init(fg *flatGroups, exactLimit, samples int) {
+func (p *Profile) init(fg *flatGroups) {
 	p.fg, p.nodes = fg, fg.n
-	p.exactLimit, p.samples = cmp.Or(exactLimit, 100_000), cmp.Or(samples, 200_000)
+	p.exactLimit, p.samples = cmp.Or(p.exactLimit, defaultExactLimit), cmp.Or(p.samples, defaultSamples)
 	p.have = 0
 }
 

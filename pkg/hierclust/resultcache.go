@@ -19,8 +19,8 @@ import (
 // after kill -9 recomputing only the cells that never reached disk.
 
 // DiskResultCache is a size-bounded on-disk SweepResultCache: each result
-// document is one checksummed file named by the SHA-256 of its canonical
-// scenario key, evicted least-recently-used past the byte budget. It
+// document is one checksummed .hcres file named by the SHA-256 of its
+// canonical scenario key, evicted least-recently-used past the byte budget. It
 // inherits internal/diskstore's full hardening — atomic temp+rename
 // writes, capped-backoff retry with per-attempt error counters, corrupt
 // files quarantined to .bad (the checksum frame catches corruption at
@@ -34,10 +34,6 @@ type DiskResultCache struct {
 	misses atomic.Int64
 }
 
-// diskResultExt names result-cache files; the payload is the rendered
-// result document wrapped in the diskstore checksum frame.
-const diskResultExt = ".hcres"
-
 // NewDiskResultCache opens (creating if needed) a disk result cache
 // rooted at dir, bounded to maxBytes of stored documents (<= 0 means
 // 512 MiB). Existing files are indexed oldest-first by modification time
@@ -46,12 +42,7 @@ func NewDiskResultCache(dir string, maxBytes int64) (*DiskResultCache, error) {
 	if maxBytes <= 0 {
 		maxBytes = 512 << 20
 	}
-	store, err := diskstore.Open(diskstore.Options{
-		Dir:         dir,
-		Ext:         diskResultExt,
-		MaxBytes:    maxBytes,
-		FaultPrefix: "resultcache.disk",
-	})
+	store, err := diskstore.Open(dir, maxBytes)
 	if err != nil {
 		return nil, fmt.Errorf("hierclust: result cache: %w", err)
 	}

@@ -53,7 +53,7 @@ func TestDiskResultCacheRestartServesBitIdentical(t *testing.T) {
 // fresh Put of the key round-trips.
 func TestDiskResultCacheIgnoresUnsaltedStems(t *testing.T) {
 	dir := t.TempDir()
-	old, err := diskstore.Open(diskstore.Options{Dir: dir, Ext: diskResultExt, MaxBytes: 1 << 20})
+	old, err := diskstore.Open(dir, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestDiskResultCacheQuarantinesCorruptFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Put("key-a", []byte(`{"results":[1,2,3]}`))
-	files, _ := filepath.Glob(filepath.Join(dir, "*"+diskResultExt))
+	files, _ := filepath.Glob(filepath.Join(dir, "*"+diskstore.Ext))
 	if len(files) != 1 {
 		t.Fatalf("expected one cache file, got %v", files)
 	}

@@ -43,7 +43,7 @@ func (s *Server) handleEvaluateBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	body, ok := s.readBody(w, r, s.maxBatchBody)
+	body, ok := s.readBody(w, r, maxBatchBody)
 	if !ok {
 		return
 	}

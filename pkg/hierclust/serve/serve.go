@@ -3,12 +3,26 @@
 //
 // Endpoints:
 //
-//	POST /v1/evaluate        scenario JSON in → evaluation JSON out
-//	POST /v1/evaluate-batch  JSON array of scenarios in → NDJSON results
-//	                         out, streamed in input order as each completes
-//	GET  /v1/scenarios       list the built-in scenarios (full documents)
-//	GET  /metrics            Prometheus text exposition of the registry
-//	GET  /healthz            liveness probe
+//	POST   /v1/evaluate              scenario JSON in → evaluation JSON out
+//	POST   /v1/evaluate-batch        JSON array of scenarios in → NDJSON
+//	                                 results out, streamed in input order as
+//	                                 each completes
+//	POST   /v1/sweeps                sweep JSON in → 202 and a job id; the
+//	                                 cells run in the background
+//	GET    /v1/sweeps/{id}           the job's status and progress
+//	GET    /v1/sweeps/{id}/results   the cells' results as NDJSON, streamed
+//	                                 in plan order as each lands
+//	DELETE /v1/sweeps/{id}           cancel a running job (202), or drop a
+//	                                 finished one (204)
+//	GET    /v1/scenarios             list the built-in scenarios (full
+//	                                 documents)
+//	GET    /metrics                  Prometheus text exposition of the
+//	                                 registry
+//	GET    /healthz                  liveness probe
+//
+// A /v1/evaluate body is at most 1 MiB, a batch or sweep body at most
+// 16 MiB (413 past either), and each arrives within 60 s of its headers
+// (400 after).
 //
 // # One cell sequence
 //
@@ -102,11 +116,6 @@ type Options struct {
 	// CacheSize bounds the scenario-result LRU (entries); 0 picks
 	// DefaultCacheSize and negative disables caching.
 	CacheSize int
-	// MaxBodyBytes bounds accepted /v1/evaluate bodies; 0 picks 1 MiB.
-	MaxBodyBytes int64
-	// MaxBatchBodyBytes bounds accepted /v1/evaluate-batch bodies;
-	// 0 picks 16 MiB.
-	MaxBatchBodyBytes int64
 	// MaxBatchScenarios bounds the element count of one batch; 0 picks
 	// DefaultMaxBatch.
 	MaxBatchScenarios int
@@ -139,9 +148,6 @@ type Options struct {
 	// responses; 0 picks 1s. Sub-second values round up to 1s (the
 	// Retry-After header carries whole seconds).
 	RetryAfter time.Duration
-	// Metrics receives the server's instrumentation; nil builds a fresh
-	// registry (exposed either way on GET /metrics).
-	Metrics *metrics.Registry
 	// EvalTimeout bounds one evaluation (a batch element, a sweep cell),
 	// measured after admission — queue wait does not count — and each build
 	// cells share, from its start. An evaluation that exceeds the deadline
@@ -183,21 +189,27 @@ const DefaultMaxConcurrentSweeps = 2
 // MaxSweepJobs zero.
 const DefaultMaxSweepJobs = 64
 
+// The body limits: a POST /v1/evaluate body holds one scenario, and a
+// /v1/evaluate-batch or /v1/sweeps body an array of them or a sweep. A
+// larger body is answered 413.
+const (
+	maxEvaluateBody = 1 << 20
+	maxBatchBody    = 16 << 20
+)
+
 // Server is the HTTP evaluation service. It is an http.Handler; mount it
 // directly or under a prefix.
 type Server struct {
-	mux          *http.ServeMux
-	pipeline     *hierclust.Pipeline
-	cache        *lru.Cache[[]byte]
-	lim          *limiter
-	maxBody      int64
-	maxBatchBody int64
-	maxBatch     int
-	retryAfter   string // whole seconds, pre-rendered for the header
-	evalTimeout  time.Duration
-	resultTier   *hierclust.DiskResultCache
-	journal      *sweepJournal
-	draining     atomic.Bool
+	mux         *http.ServeMux
+	pipeline    *hierclust.Pipeline
+	cache       *lru.Cache[[]byte]
+	lim         *limiter
+	maxBatch    int
+	retryAfter  string // whole seconds, pre-rendered for the header
+	evalTimeout time.Duration
+	resultTier  *hierclust.DiskResultCache
+	journal     *sweepJournal
+	draining    atomic.Bool
 
 	maxSweepCells int
 	maxSweeps     int
@@ -240,8 +252,6 @@ func New(opts Options) *Server {
 	// An unset (or, but for CacheSize and QueueDepth, negative) bound takes
 	// its default.
 	size := cmp.Or(opts.CacheSize, DefaultCacheSize)
-	maxBody := cmp.Or(max(opts.MaxBodyBytes, 0), 1<<20)
-	maxBatchBody := cmp.Or(max(opts.MaxBatchBodyBytes, 0), 16<<20)
 	maxBatch := cmp.Or(max(opts.MaxBatchScenarios, 0), DefaultMaxBatch)
 	maxConc := cmp.Or(max(opts.MaxConcurrent, 0), DefaultMaxConcurrent)
 	queue := max(cmp.Or(opts.QueueDepth, 2*maxConc), 0) // negative: no queue
@@ -250,10 +260,7 @@ func New(opts Options) *Server {
 	maxSweepJobs := cmp.Or(max(opts.MaxSweepJobs, 0), DefaultMaxSweepJobs)
 	retry := cmp.Or(max(opts.RetryAfter, 0), time.Second)
 	retrySec := max(int(retry.Round(time.Second)/time.Second), 1)
-	reg := opts.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
+	reg := metrics.NewRegistry()
 
 	sweepCtx, sweepCancel := context.WithCancelCause(context.Background())
 	s := &Server{
@@ -261,8 +268,6 @@ func New(opts Options) *Server {
 		pipeline:      pl,
 		cache:         lru.New[[]byte](int64(size), nil),
 		lim:           newLimiter(maxConc, queue, opts.ClientSlotCap),
-		maxBody:       maxBody,
-		maxBatchBody:  maxBatchBody,
 		maxBatch:      maxBatch,
 		maxSweepCells: maxSweepCells,
 		maxSweeps:     maxSweeps,
@@ -509,6 +514,9 @@ func (w *statusWriter) Flush() {
 	}
 }
 
+// Unwrap lets an http.ResponseController reach the connection beneath.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
 // instrument wraps a handler with the per-endpoint request counter and the
 // outermost panic isolation boundary: a handler panic is answered 500 with
 // an incident id (when the response has not started) instead of killing
@@ -685,12 +693,26 @@ func (s *Server) cellStatus(ctx context.Context, res hierclust.SweepCellResult) 
 // declares megabytes and then stalls holds no more than it sent.
 const maxSizedBody = 64 << 10
 
+// bodyTimeout bounds how long readBody waits for a body's bytes. It is a
+// variable only so this package's tests can shorten it.
+var bodyTimeout = 60 * time.Second
+
 // readBody reads a request body of at most limit bytes, into a slice of
 // exactly Content-Length bytes when the client declared at most
 // maxSizedBody. On failure it answers the request itself — 413 over the
-// limit, otherwise 400 (e.g. the client disconnected mid-upload) — and
-// reports false.
+// limit, otherwise 400 (e.g. the client disconnected mid-upload or stalled
+// past bodyTimeout) — and reports false.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
+	// Only a request a server read from a connection has a deadline to
+	// set; for any other writer the controller's ErrNotSupported would cost
+	// two objects a request.
+	var rc *http.ResponseController
+	if r.Context().Value(http.ServerContextKey) != nil {
+		rc = http.NewResponseController(w)
+		if rc.SetReadDeadline(time.Now().Add(bodyTimeout)) != nil {
+			rc = nil
+		}
+	}
 	var body []byte
 	var err error
 	if n := r.ContentLength; n > 0 && n <= min(limit, maxSizedBody) {
@@ -700,6 +722,8 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, limit int64) (
 		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	}
 	if err != nil {
+		// The deadline stays: net/http reads what is left of a short body
+		// before it answers, and that read must not wait either.
 		status := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -707,6 +731,14 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, limit int64) (
 		}
 		s.writeError(w, status, fmt.Errorf("reading body: %w", err))
 		return nil, false
+	}
+	// Cleared once the body is in: net/http's background read of the
+	// connection would otherwise hit it during a long evaluation and cancel
+	// r.Context(). (net/http clears it too when that read starts at the
+	// body's EOF, but does not document it. A server ReadTimeout would also
+	// cut off the sweep result streams.)
+	if rc != nil {
+		rc.SetReadDeadline(time.Time{})
 	}
 	return body, true
 }
@@ -748,7 +780,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	body, ok := s.readBody(w, r, s.maxBody)
+	body, ok := s.readBody(w, r, maxEvaluateBody)
 	if !ok {
 		return
 	}

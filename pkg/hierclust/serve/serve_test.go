@@ -384,9 +384,9 @@ func TestReadBodyGrowsLargeDeclaredBodies(t *testing.T) {
 		path     string
 		declared int64
 	}{
-		{"/v1/evaluate", s.maxBody},
-		{"/v1/evaluate-batch", s.maxBatchBody},
-		{"/v1/sweeps", s.maxBatchBody},
+		{"/v1/evaluate", maxEvaluateBody},
+		{"/v1/evaluate-batch", maxBatchBody},
+		{"/v1/sweeps", maxBatchBody},
 	} {
 		body := io.MultiReader(strings.NewReader("{"), iotest.ErrReader(io.ErrUnexpectedEOF))
 		r := httptest.NewRequest(http.MethodPost, c.path, body)

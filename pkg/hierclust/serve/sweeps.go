@@ -259,7 +259,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusServiceUnavailable, errDrainingRetry)
 		return
 	}
-	body, ok := s.readBody(w, r, s.maxBatchBody)
+	body, ok := s.readBody(w, r, maxBatchBody)
 	if !ok {
 		return
 	}

@@ -12,6 +12,7 @@ import (
 	"go/types"
 	"io/fs"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -20,8 +21,10 @@ import (
 // reachAllow lists the declarations in internal/ and pkg/ that nothing a
 // user runs reaches and that stay anyway, because a test of reachable code
 // uses them to build an input or read a result. Each entry names that
-// test. An entry that becomes reachable, or whose declaration is gone,
-// fails the check, so the list cannot outlive its use.
+// test. An entry that becomes reachable, whose declaration is gone, or
+// whose reason names a Test… or Fuzz… function that no _test.go file
+// declares (a trailing * names a prefix), fails the check, so the list
+// cannot outlive its use.
 var reachAllow = map[string]string{
 	"faultinject.Seed":                  "pkg/hierclust TestRunSweepChaosFaultResume: a repeatable fault schedule",
 	"faultinject.Disarm":                "internal/faultinject TestConcurrentArmAndHit: disarms under a live Hit",
@@ -44,7 +47,7 @@ var reachAllow = map[string]string{
 	"graph.Graph.Weight":                "internal/trace TestToGraphSymmetric and the fold references (foldsAlike): a built graph's edge weights",
 	"graph.Graph.Neighbors":             "internal/trace foldsAlike and internal/core TestCallerOwnedGraphAndPartition: a built graph's adjacency",
 	"graph.Graph.Strength":              "internal/core TestCallerOwnedGraphAndPartition: a built graph's vertex strengths",
-	"graph.Graph.TotalWeight":           "internal/graph TestContractPreservesTotalWeight: contraction keeps the total",
+	"graph.Graph.TotalWeight":           "internal/graph TestDegreeStrengthTotals and TestQuotientWeightProperty: the total a built graph and its quotient keep",
 	"graph.Graph.EdgeCount":             "internal/trace TestZeroByteMessageEquivalence: zero-byte cells add no edge",
 	"topology.NewPlacement":             "internal/trace TestNodeFoldMatchesReference and internal/reliability TestFlattenMatchesReferencePlacements: irregular placements",
 	"simmpi.Comm.Send":                  "internal/tsunami TestScheduleMatchesTracedRun and the TestRunTraced* tests: the oracle RunTraced's ghost rows, checkpoints and parity",
@@ -194,11 +197,19 @@ func TestInternalReachable(t *testing.T) {
 	}
 
 	// Load every package directory of the repository; roots with tests are
-	// loaded with them.
+	// loaded with them. Every test file's function names are kept for the
+	// reasons' test names.
 	var mains, public []string
+	testFuncs := map[string]bool{}
 	err = filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
+		if err != nil {
 			return err
+		}
+		if !d.IsDir() {
+			if strings.HasSuffix(dir, "_test.go") {
+				return reachTestFuncs(dir, testFuncs)
+			}
+			return nil
 		}
 		if name := d.Name(); dir != root && (name[0] == '.' || name == "testdata") {
 			return filepath.SkipDir
@@ -391,12 +402,23 @@ func TestInternalReachable(t *testing.T) {
 			byName[reachName(obj)] = obj
 		}
 	}
-	for name := range reachAllow {
+	for name, reason := range reachAllow {
 		switch obj := byName[name]; {
 		case obj == nil:
 			t.Errorf("reachAllow[%q]: no such declaration; drop the entry", name)
 		case reached[obj]:
 			t.Errorf("reachAllow[%q]: the declaration is reachable; drop the entry", name)
+		}
+		for _, test := range reachTestName.FindAllString(reason, -1) {
+			declared := testFuncs[test]
+			if prefix, ok := strings.CutSuffix(test, "*"); ok {
+				for fn := range testFuncs {
+					declared = declared || strings.HasPrefix(fn, prefix)
+				}
+			}
+			if !declared {
+				t.Errorf("reachAllow[%q]: the reason names %s, which no _test.go file declares", name, test)
+			}
 		}
 	}
 	for name := range reachAllow {
@@ -421,6 +443,24 @@ func TestInternalReachable(t *testing.T) {
 		t.Errorf("%d declarations (%d lines) that nothing a user runs reaches — delete each, or name the test that needs it in reachAllow:\n%s",
 			len(dead), total, strings.Join(dead, "\n"))
 	}
+}
+
+// reachTestName matches a Test… or Fuzz… function name in a reachAllow
+// reason, with the trailing * of a prefix.
+var reachTestName = regexp.MustCompile(`\b(Test|Fuzz)[A-Z]\w*\*?`)
+
+// reachTestFuncs adds the functions a test file declares to names.
+func reachTestFuncs(path string, names map[string]bool) error {
+	f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+	if err != nil {
+		return err
+	}
+	for _, decl := range f.Decls {
+		if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+			names[fn.Name.Name] = true
+		}
+	}
+	return nil
 }
 
 // reachNamed is the named type behind a receiver type.
