@@ -30,11 +30,12 @@ build-arm64:
 # diskstore's record-directory read and checksum frames, and checkpoint restore
 # over stores with flipped or truncated shards (go test -fuzz takes one
 # target and one package per run) — and the same to four closed forms
-# against their oracles: the stencil's symmetric node fold against the
-# general fold of its CSR, the CSR's heatmap and grid-CSV renderers against
-# the dense cell grid, the reliability product form against the
-# enumeration, and the streaming disjoint-span reducer against the slab pass
-# it replaced.
+# against their oracles: the stencil's node graph (arithmetic on a block
+# placement, the symmetric read-back on a strided one) and logged fraction
+# against the general folds of its CSR, the CSR's heatmap and grid-CSV
+# renderers against the dense cell grid, the reliability product form
+# against the enumeration, and the streaming disjoint-span reducer against
+# the slab pass it replaced.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeScenario$$' -fuzztime 10s ./pkg/hierclust/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSweep$$' -fuzztime 10s ./pkg/hierclust/
@@ -136,7 +137,7 @@ loc:
 # loc-check fails when `make loc` exceeds LOC_CEILING, so ROADMAP aim 2's
 # tracked number only goes up when a PR raises the ceiling on purpose; a PR
 # that shrinks the tree lowers it to its own result.
-LOC_CEILING = 17449
+LOC_CEILING = 17602
 loc-check:
 	@n=$$($(MAKE) -s loc); if [ "$$n" -gt $(LOC_CEILING) ]; then \
 		echo "loc $$n exceeds LOC_CEILING $(LOC_CEILING)"; exit 1; fi; \

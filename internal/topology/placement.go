@@ -154,6 +154,10 @@ func (p *Placement) NodeOf(r Rank) NodeID {
 	return p.node[r]
 }
 
+// BlockPPN returns the ranks per node of the block form — node a hosts
+// ranks [a·ppn, min((a+1)·ppn, NumRanks())) — and 0 for the explicit form.
+func (p *Placement) BlockPPN() int { return p.ppn }
+
 // NumUsed returns the number of nodes hosting at least one rank.
 func (p *Placement) NumUsed() int { return p.nused }
 

@@ -132,11 +132,13 @@ func FuzzCSRRendersMatchDense(f *testing.F) {
 	})
 }
 
-// The symmetric fold against the general one, on whatever stencil, volume
-// and placement the fuzzer draws: a block placement of ppn ranks a node and a
-// strided one (stridedPlacement) over the same node count. Width 0 is the 1-D
+// The stencil's folds against the CSR's, on whatever stencil, volume and
+// placement the fuzzer draws: a block placement of ppn ranks a node (the
+// closed-form node graph) and a strided one (stridedPlacement, the symmetric
+// read-back of the general fold) over the same node count, and the closed-form
+// logged fraction under a random part of 1 to 5 clusters. Width 0 is the 1-D
 // rule; options NewStencil rejects (a width past n, a volume past int64) are
-// skipped, so the volumes that reach the fold run right up to the bound.
+// skipped, so the volumes that reach the folds run right up to the bound.
 func FuzzStencilFoldMatchesCSR(f *testing.F) {
 	f.Add(uint16(64), uint16(4), uint8(4), uint8(3), int64(100), int64(1536))
 	f.Add(uint16(1), uint16(0), uint8(9), uint8(1), int64(1), int64(1))
@@ -160,7 +162,17 @@ func FuzzStencilFoldMatchesCSR(f *testing.F) {
 			t.Fatal(err)
 		}
 		per := 1 + int(ppn)
-		foldsAlike(t, "block", s, c, mustBlock(t, ranks, per))
-		foldsAlike(t, "strided", s, c, stridedPlacement(t, ranks, (ranks+per-1)/per, 1+int(stride), 2))
+		block, strided := mustBlock(t, ranks, per), stridedPlacement(t, ranks, (ranks+per-1)/per, 1+int(stride), 2)
+		if block.BlockPPN() == 0 || strided.BlockPPN() != 0 {
+			t.Fatal("the block placement must take the closed form and the strided one the general fold")
+		}
+		foldsAlike(t, "block", s, c, block)
+		foldsAlike(t, "strided", s, c, strided)
+		part := randomPart(rand.New(rand.NewSource(iterations^bytesPerMsg)), ranks, 1+int(stride)%5)
+		got, err1 := s.LoggedFraction(part)
+		want, err2 := c.LoggedFraction(part)
+		if err1 != nil || err2 != nil || got != want {
+			t.Fatalf("logged fraction %v (%v), CSR %v (%v)", got, err1, want, err2)
+		}
 	})
 }

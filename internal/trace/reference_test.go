@@ -390,6 +390,58 @@ func TestSymmetricFoldMatchesGeneral(t *testing.T) {
 	}
 }
 
+// The stencil's closed forms against their oracles on every shape up to 70
+// ranks: each width 0..n (0 is the 1-D rule) and 1 to 9 ranks a node, at the
+// default pair volume and at the largest one whose total fits int64. The
+// node graph on a block placement must equal the general fold over the
+// stencil's rows and the fold of Synthetic's CSR; the logged fraction must
+// be == to cutBytes over the rows, for random parts of 1 to 5 clusters.
+func TestStencilClosedFormsMatchFolds(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for n := 1; n <= 70; n++ {
+		for width := 0; width <= n; width++ {
+			opts := SyntheticOptions{Width: width}
+			if width > 0 {
+				opts.Pattern = Stencil2D
+			}
+			s, err := NewStencil(n, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			big := opts
+			big.Iterations, big.BytesPerMsg = 1, math.MaxInt64/int64(max(s.nnz, 1))
+			for _, opts := range []SyntheticOptions{opts, big} {
+				s, err1 := NewStencil(n, opts)
+				c, err2 := Synthetic(n, opts)
+				if err1 != nil || err2 != nil {
+					t.Fatal(err1, err2)
+				}
+				view := s.view(new([4]int32))
+				for parts := 1; parts <= 5; parts++ {
+					part := randomPart(rng, n, parts)
+					got, err1 := s.LoggedFraction(part)
+					want, err2 := loggedFraction(view, s.TotalBytes(), part)
+					if err1 != nil || err2 != nil || got != want {
+						t.Fatalf("n=%d %+v: logged fraction %v (%v), rows %v (%v)", n, opts, got, err1, want, err2)
+					}
+				}
+				for ppn := 1; ppn <= 9; ppn++ {
+					what := fmt.Sprintf("n=%d %+v ppn=%d", n, opts, ppn)
+					p := mustBlock(t, n, ppn)
+					got, err1 := s.NodeGraph(p)
+					rows, err2 := nodeGraph(view, p, nil, nil)
+					csr, err3 := c.NodeGraph(p)
+					if err1 != nil || err2 != nil || err3 != nil {
+						t.Fatal(what, err1, err2, err3)
+					}
+					sameGraph(t, what+" vs the stencil's rows", got, rows)
+					sameGraph(t, what+" vs the CSR", got, csr)
+				}
+			}
+		}
+	}
+}
+
 // A pair volume or a total past int64 is an error, not a trace whose
 // TotalBytes wraps to 0 (and whose LoggedFraction then reads 0): the bound is
 // also what keeps every sum of the symmetric fold positive.
@@ -489,11 +541,13 @@ func TestSyntheticSizedExactly(t *testing.T) {
 
 // NodeGraph's allocation counts at any size. A CSR: five arrays for the
 // directed node CSR and its scratch, three for the transpose, three for the
-// merged adjacency, the Graph and its strengths. A Stencil: the graph's three
-// arrays filled in place, stamp and acc, the Graph and its strengths.
+// merged adjacency, the Graph and its strengths. A Stencil on a block
+// placement: the graph's three arrays, the Graph and its strengths; on any
+// other (the symmetric read-back) stamp and acc besides.
 const (
 	csrFoldAllocs     = 13
-	stencilFoldAllocs = 7
+	stencilFoldAllocs = 5
+	symFoldAllocs     = 7
 )
 
 // A reintroduced per-rank or per-node allocation adds at least 768 objects
@@ -514,14 +568,22 @@ func TestTraceAllocsIndependentOfRanks(t *testing.T) {
 		if synth > 10 {
 			t.Errorf("%d ranks: Synthetic %v allocs, want <= 10", ranks, synth)
 		}
-		for m, want := range map[Comm]float64{c: csrFoldAllocs, mustStencil(t, ranks): stencilFoldAllocs} {
+		rr, err := topology.RoundRobin(&topology.Machine{Name: "t", Nodes: ranks / 4}, ranks, ranks/4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fold := range []struct {
+			m    Comm
+			p    *topology.Placement
+			want float64
+		}{{c, p, csrFoldAllocs}, {mustStencil(t, ranks), p, stencilFoldAllocs}, {mustStencil(t, ranks), rr, symFoldAllocs}} {
 			got := testing.AllocsPerRun(3, func() {
-				if _, err := m.NodeGraph(p); err != nil {
+				if _, err := fold.m.NodeGraph(fold.p); err != nil {
 					t.Fatal(err)
 				}
 			})
-			if got != want {
-				t.Errorf("%d ranks: %T.NodeGraph %v allocs, want %v", ranks, m, got, want)
+			if got != fold.want {
+				t.Errorf("%d ranks: %T.NodeGraph (block ppn %d) %v allocs, want %v", ranks, fold.m, fold.p.BlockPPN(), got, fold.want)
 			}
 		}
 	}
@@ -529,9 +591,9 @@ func TestTraceAllocsIndependentOfRanks(t *testing.T) {
 
 // The implicit source costs one small object however many ranks it covers,
 // its logged fraction allocates nothing, and its node fold at the hcbench
-// eval-128k shape allocates the same objects as at 1,024 ranks and under 1.3
-// times the arrays the returned graph keeps: those arrays themselves plus the
-// stamp and accumulator scratch, 12 bytes a node. The general path, folding
+// eval-128k shape allocates the same objects as at 1,024 ranks and under 1.05
+// times the arrays the returned graph keeps: the closed form carves those
+// arrays and no scratch. The general path, folding
 // the CSR of the same rows, stays under three times (the directed node CSR
 // and its transpose are each as large as the merged adjacency).
 func TestStencilAllocationBound(t *testing.T) {
@@ -569,7 +631,7 @@ func TestStencilAllocationBound(t *testing.T) {
 		m      Comm
 		allocs int64
 		limit  float64
-	}{{s, stencilFoldAllocs, 1.3}, {c, csrFoldAllocs, 3.0}} {
+	}{{s, stencilFoldAllocs, 1.05}, {c, csrFoldAllocs, 3.0}} {
 		res := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -47,8 +47,8 @@ func (v *rows) span(r int) (lo, hi int64) {
 // cutBytes returns the bytes crossing cluster boundaries under part
 // (part[r] = cluster of rank r), in O(nnz).
 func cutBytes(v rows, part []int32) (int64, error) {
-	if len(part) != v.n {
-		return 0, fmt.Errorf("trace: assignment has %d entries for %d ranks", len(part), v.n)
+	if err := checkPart(part, v.n); err != nil {
+		return 0, err
 	}
 	var cut int64
 	for s := 0; s < v.n; s++ {
@@ -60,6 +60,14 @@ func cutBytes(v rows, part []int32) (int64, error) {
 		}
 	}
 	return cut, nil
+}
+
+// checkPart reports an assignment that does not cover exactly n ranks.
+func checkPart(part []int32, n int) error {
+	if len(part) != n {
+		return fmt.Errorf("trace: assignment has %d entries for %d ranks", len(part), n)
+	}
+	return nil
 }
 
 // loggedFraction returns cutBytes/total, the paper's message-logging

@@ -148,15 +148,152 @@ func (s *Stencil) row(r int, buf *[4]int32) int {
 	return k
 }
 
-// LoggedFraction returns the cut share of the traffic under part.
+// LoggedFraction returns the cut share of the traffic under part, in closed
+// form: each neighbour pair is visited once, forward (r+1 inside a grid row,
+// then r+w), and a pair whose ranks' clusters differ logs both directions'
+// bytes. loggedFraction over view is its oracle.
 func (s *Stencil) LoggedFraction(part []int32) (float64, error) {
-	return loggedFraction(s.view(new([4]int32)), s.TotalBytes(), part)
+	total := s.TotalBytes()
+	if total == 0 {
+		return 0, nil
+	}
+	if err := checkPart(part, s.n); err != nil {
+		return 0, err
+	}
+	row := s.width
+	if row == 0 {
+		row = s.n // the 1-D rule: one grid row of all the ranks
+	}
+	var cut int64
+	for lo := 0; lo < s.n; lo += row {
+		g := part[lo:min(lo+row, s.n)]
+		for i := 1; i < len(g); i++ {
+			if g[i] != g[i-1] {
+				cut++
+			}
+		}
+	}
+	if w := s.width; w > 0 {
+		below := part[w:]
+		for r, c := range part[:len(below)] {
+			if c != below[r] {
+				cut++
+			}
+		}
+	}
+	return float64(2*cut*s.bytes[0]) / float64(total), nil
 }
 
 // NodeGraph folds the stencil under the placement into the undirected node
 // graph, without materializing a rank matrix.
 func (s *Stencil) NodeGraph(p *topology.Placement) (*graph.Graph, error) {
-	return nodeGraph(s.view(new([4]int32)), p, nil, nil)
+	return s.nodeGraph(p, nil, nil)
+}
+
+// nodeGraph is the node fold of NodeGraph and NodeGraphInto. On a block
+// placement every node row is arithmetic on the node's rank window
+// (nodeRow); on any other, and for a placement of another rank count, the
+// general fold reads the stencil's rows (and is the closed form's oracle).
+// The closed form carves only the graph's arrays from ar — a count pass
+// sizes col and w exactly, a fill pass writes them — and polls cancel every
+// foldPoll node rows of each pass, as the general fold does.
+func (s *Stencil) nodeGraph(p *topology.Placement, ar *graph.Arena, cancel func() bool) (*graph.Graph, error) {
+	ppn := p.BlockPPN()
+	if ppn == 0 || p.NumRanks() != s.n {
+		return nodeGraph(s.view(new([4]int32)), p, ar, cancel)
+	}
+	nused, q := p.NumUsed(), s.width/ppn
+	ptr := ar.Int64s(nused + 1)
+	ptr[0] = 0
+	var row [7]nodeCell
+	for a := 0; a < nused; a++ {
+		if a%foldPoll == 0 && cancel != nil && cancel() {
+			return nil, graph.ErrCancelled
+		}
+		ptr[a+1] = ptr[a] + int64(s.nodeRow(a, ppn, q, &row))
+	}
+	nnz := int(ptr[nused])
+	col, w := ar.Int32s(nnz), ar.Float64s(nnz)
+	for a := 0; a < nused; a++ {
+		if a%foldPoll == 0 && cancel != nil && cancel() {
+			return nil, graph.ErrCancelled
+		}
+		for i, e := range row[:s.nodeRow(a, ppn, q, &row)] {
+			// The symmetric read-back's weights: the pairs' bytes, doubled
+			// off the diagonal for the transpose row they equal.
+			b := e.pairs * s.bytes[0]
+			if int(e.node) != a {
+				b += b
+			}
+			col[ptr[a]+int64(i)], w[ptr[a]+int64(i)] = e.node, float64(b)
+		}
+	}
+	return ar.FromCSR(nused, ptr, col, w)
+}
+
+// nodeCell is one entry of a node row: a destination node and the number of
+// directed rank pairs that lead to it.
+type nodeCell struct {
+	node  int32
+	pairs int64
+}
+
+// nodeRow writes node a's row of the fold on a block placement of ppn ranks
+// a node into row, nodes ascending, and returns its length; q is w/ppn. Node
+// a hosts the rank window [lo, hi). Its pairs are the window shifted by −w
+// and +w, which begin rem = w−q·ppn ranks before node a−q and rem ranks
+// into node a+q (two nodes each at most); the r∓1 across the window's two
+// edges; and the r±1 inside it, both directions of each: hi−lo−1 adjacent
+// pairs, less the grid-row edges among them. Seven entries at most.
+func (s *Stencil) nodeRow(a, ppn, q int, row *[7]nodeCell) int {
+	k := 0
+	add := func(b, pairs int) { // b never below the last node added
+		if pairs <= 0 {
+			return
+		}
+		if k > 0 && int(row[k-1].node) == b {
+			row[k-1].pairs += int64(pairs)
+			return
+		}
+		row[k] = nodeCell{int32(b), int64(pairs)}
+		k++
+	}
+	n, w := s.n, s.width
+	lo, hi := a*ppn, min((a+1)*ppn, n)
+	inner, left, right := hi-lo-1, lo > 0, hi < n
+	var up1, up2, down1, down2 int // pairs into nodes a−q−1, a−q, a+q and a+q+1
+	if w > 0 {
+		up, down := (a-q)*ppn, (a+q+1)*ppn // the first ranks of nodes a−q and a+q+1
+		up1, up2 = min(hi-w, up)-max(lo-w, 0), hi-w-max(up, 0)
+		down1, down2 = min(hi+w, down, n)-(lo+w), min(hi+w, n)-down
+		// m is lo's column; t is hi−1's, counted from the start of lo's grid
+		// row. n fits int32; the 32-bit divides are the cheaper ones.
+		m := int(uint32(lo) % uint32(w))
+		t, edges := m+hi-lo-1, 0
+		if t >= w {
+			edges = int(uint32(t) / uint32(w))
+		}
+		inner -= edges
+		left = left && m != 0
+		right = right && t+1 != (edges+1)*w
+	}
+	self := 2 * inner
+	if q == 0 { // a−q = a+q = a
+		self += max(up2, 0) + max(down1, 0)
+		up2, down1 = 0, 0
+	}
+	add(a-q-1, up1)
+	add(a-q, up2)
+	if left {
+		add(a-1, 1)
+	}
+	add(a, self)
+	if right {
+		add(a+1, 1)
+	}
+	add(a+q, down1)
+	add(a+q+1, down2)
+	return k
 }
 
 // Synthetic generates a deterministic communication matrix for n ranks

@@ -56,7 +56,7 @@ func NodeGraphInto(m Comm, p *topology.Placement, ar *graph.Arena, cancel func()
 	case *CSR:
 		return nodeGraph(m.view(), p, ar, cancel)
 	case *Stencil:
-		return nodeGraph(m.view(new([4]int32)), p, ar, cancel)
+		return m.nodeGraph(p, ar, cancel)
 	}
 	return m.NodeGraph(p)
 }

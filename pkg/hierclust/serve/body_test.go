@@ -56,6 +56,37 @@ func TestStalledBodyTimeout(t *testing.T) {
 	t.Logf("stalled body answered %q (err %v) after %s", strings.TrimSpace(status), err, elapsed)
 }
 
+// TestDeclaredOversizeBodyRefused: a Content-Length over the endpoint's
+// limit is a 413 on the headers alone. The client sends no body byte, so a
+// server that reads before it refuses waits out the body deadline and
+// answers 400.
+func TestDeclaredOversizeBodyRefused(t *testing.T) {
+	shortBodyTimeout(t, 2*time.Second)
+	ts := httptest.NewServer(New(Options{CacheSize: 4}))
+	defer ts.Close()
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := fmt.Fprintf(conn, "POST /v1/evaluate-batch HTTP/1.1\r\nHost: hcserve\r\n"+
+		"Content-Type: application/x-ndjson\r\nContent-Length: %d\r\n\r\n", 16<<20+1); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	status, err := bufio.NewReader(conn).ReadString('\n')
+	elapsed := time.Since(start)
+	if err != nil || !strings.Contains(status, " 413 ") {
+		t.Fatalf("status line %q (err %v) after %s, want 413", status, err, elapsed)
+	}
+	t.Logf("answered %q after %s", strings.TrimSpace(status), elapsed)
+	if elapsed > bodyTimeout/2 {
+		t.Fatalf("413 after %s: the server waited for the body (deadline %s)", elapsed, bodyTimeout)
+	}
+}
+
 // TestSlowBatchOutlastsBodyTimeout: the body deadline ends with the body,
 // so an evaluation that runs past it streams its lines. A deadline left on
 // the connection would fail net/http's background read, which cancels the

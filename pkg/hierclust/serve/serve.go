@@ -700,8 +700,9 @@ var bodyTimeout = 60 * time.Second
 // readBody reads a request body of at most limit bytes, into a slice of
 // exactly Content-Length bytes when the client declared at most
 // maxSizedBody. On failure it answers the request itself — 413 over the
-// limit, otherwise 400 (e.g. the client disconnected mid-upload or stalled
-// past bodyTimeout) — and reports false.
+// limit, on a declared Content-Length before any byte is read, otherwise 400
+// (e.g. the client disconnected mid-upload or stalled past bodyTimeout) — and
+// reports false.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
 	// Only a request a server read from a connection has a deadline to
 	// set; for any other writer the controller's ErrNotSupported would cost
@@ -715,10 +716,13 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, limit int64) (
 	}
 	var body []byte
 	var err error
-	if n := r.ContentLength; n > 0 && n <= min(limit, maxSizedBody) {
+	switch n := r.ContentLength; {
+	case n > limit:
+		err = &http.MaxBytesError{Limit: limit}
+	case n > 0 && n <= maxSizedBody:
 		body = make([]byte, n)
 		_, err = io.ReadFull(r.Body, body)
-	} else {
+	default: // chunked (-1), empty, or sized past maxSizedBody
 		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	}
 	if err != nil {
