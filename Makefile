@@ -74,9 +74,10 @@ bench:
 # Benchmarks present on only one side of the comparison are informational, so snapshots
 # recorded before the 1M benchmarks existed still gate cleanly, and
 # Score128k gates once a snapshot records it. The same
-# 300% bounds allocs/op, which repeats where ns/op does not: both sides run
-# on one P (-cpu 1, as scripts/bench.sh records), so the count does not
-# depend on the host's cores.
+# 300% bounds B/op and allocs/op, which repeat where ns/op does not (an
+# increase under 64 KiB or 64 objects never fails: one iteration may build a
+# one-time table): both sides run on one P (-cpu 1, as scripts/bench.sh
+# records), so neither figure depends on the host's cores.
 bench-smoke:
 	$(GO) test -run '^$$' -cpu 1 -bench 'RSEncode|CkptCycle|Fig|Partition100k|Partition1M|Scaling256k|Scaling1M|Hierarchical128k|Score128k' -benchmem -benchtime 1x . > smoke.txt
 	$(GO) run ./cmd/benchjson < smoke.txt > smoke.json
@@ -137,7 +138,7 @@ loc:
 # loc-check fails when `make loc` exceeds LOC_CEILING, so ROADMAP aim 2's
 # tracked number only goes up when a PR raises the ceiling on purpose; a PR
 # that shrinks the tree lowers it to its own result.
-LOC_CEILING = 17602
+LOC_CEILING = 17617
 loc-check:
 	@n=$$($(MAKE) -s loc); if [ "$$n" -gt $(LOC_CEILING) ]; then \
 		echo "loc $$n exceeds LOC_CEILING $(LOC_CEILING)"; exit 1; fi; \

@@ -121,6 +121,35 @@ func TestCompareAllocRegressionFails(t *testing.T) {
 	}
 }
 
+// The threshold gates B/op the same way: a guarded benchmark that holds its
+// time and object count but allocates per element again (one large slab
+// per call) fails; a move under byteNoiseFloor, an unguarded row and a
+// baseline recorded without -benchmem do not.
+func TestCompareByteRegressionFails(t *testing.T) {
+	dir := t.TempDir()
+	old := writeSnap(t, dir, "old.json", []Benchmark{
+		{Name: "BenchmarkHierarchical128k", Iterations: 184, NsPerOp: 9e6, BytesPerOp: 128, AllocsPerOp: 1},
+		{Name: "BenchmarkScaling256k", Iterations: 67, NsPerOp: 1.5e7, BytesPerOp: 7_043_402, AllocsPerOp: 47},
+		{Name: "BenchmarkFig5a", Iterations: 15, NsPerOp: 7e7, BytesPerOp: 1000, AllocsPerOp: 10},
+		{Name: "BenchmarkPartition1M", Iterations: 12, NsPerOp: 9.5e7},
+	})
+	same := []Benchmark{
+		{Name: "BenchmarkHierarchical128k", Iterations: 1, NsPerOp: 9e6, BytesPerOp: 60_000, AllocsPerOp: 1},
+		{Name: "BenchmarkScaling256k", Iterations: 1, NsPerOp: 1.5e7, BytesPerOp: 7_141_720, AllocsPerOp: 48},
+		{Name: "BenchmarkFig5a", Iterations: 1, NsPerOp: 7e7, BytesPerOp: 5e7, AllocsPerOp: 10},
+		{Name: "BenchmarkPartition1M", Iterations: 1, NsPerOp: 9.5e7, BytesPerOp: 4 << 20, AllocsPerOp: 1},
+	}
+	const filter = "Hierarchical128k|Scaling256k|Partition1M"
+	if rc := compareSnapshots(old, writeSnap(t, dir, "same.json", same), 300, filter); rc != 0 {
+		t.Fatalf("compare exited %d, want 0 (under the byte floor, +1.4%%, unguarded and ungateable rows only)", rc)
+	}
+	leak := append([]Benchmark(nil), same...)
+	leak[0].BytesPerOp = 128 + 131_072*4 // an int32 per rank is back, in one allocation
+	if rc := compareSnapshots(old, writeSnap(t, dir, "leak.json", leak), 300, filter); rc != 1 {
+		t.Fatalf("compare exited %d, want 1 (B/op 128 -> %d on a guarded benchmark)", rc, leak[0].BytesPerOp)
+	}
+}
+
 // Losing every guarded benchmark means the gate compared nothing: loud exit.
 func TestCompareAllGuardedGoneFails(t *testing.T) {
 	dir := t.TempDir()

@@ -52,10 +52,9 @@ func (c *Clustering) NumClusters() int {
 	return int(slices.Max(c.L1)) + 1
 }
 
-// clusterSizes returns the size of every L1 cluster (one rank count fits
-// the id width) in buf's memory, regrown when it is short.
-func (c *Clustering) clusterSizes(buf []int32) []int32 {
-	k := c.NumClusters()
+// clusterSizes returns the size of each of c's k L1 clusters (one rank
+// count fits the id width) in buf's memory, regrown when it is short.
+func (c *Clustering) clusterSizes(buf []int32, k int) []int32 {
 	sizes := slices.Grow(buf[:0], k)[:k]
 	clear(sizes)
 	for _, id := range c.L1 {
@@ -70,23 +69,27 @@ func (c *Clustering) clusterSizes(buf []int32) []int32 {
 // requirement — each fully contained in a single L1 cluster.
 func (c *Clustering) Validate(nranks int) error {
 	var seen []uint64
-	return c.validate(nranks, &seen)
+	_, err := c.validate(nranks, &seen)
+	return err
 }
 
 // validate is Validate with its rank bitset in *seen's memory, regrown there
-// when it is short.
-func (c *Clustering) validate(nranks int, seen *[]uint64) error {
+// when it is short. It returns the number of L1 clusters, NumClusters, read
+// on the same walk over the ids.
+func (c *Clustering) validate(nranks int, seen *[]uint64) (clusters int, err error) {
 	if len(c.L1) != nranks {
-		return fmt.Errorf("core: clustering %q covers %d ranks, want %d", c.Name, len(c.L1), nranks)
+		return 0, fmt.Errorf("core: clustering %q covers %d ranks, want %d", c.Name, len(c.L1), nranks)
 	}
+	var top int32 = -1
 	for r, id := range c.L1 {
 		if id < 0 {
-			return fmt.Errorf("core: clustering %q: rank %d has negative cluster", c.Name, r)
+			return 0, fmt.Errorf("core: clustering %q: rank %d has negative cluster", c.Name, r)
 		}
 		if int(id) >= nranks {
-			return fmt.Errorf("core: clustering %q: rank %d has cluster id %d; dense ids stay below %d ranks",
+			return 0, fmt.Errorf("core: clustering %q: rank %d has cluster id %d; dense ids stay below %d ranks",
 				c.Name, r, id, nranks)
 		}
+		top = max(top, id)
 	}
 	words := (nranks + 63) / 64
 	*seen = slices.Grow((*seen)[:0], words)[:words]
@@ -94,26 +97,26 @@ func (c *Clustering) validate(nranks int, seen *[]uint64) error {
 	clear(bits)
 	for gi, g := range c.Groups {
 		if len(g) == 0 {
-			return fmt.Errorf("core: clustering %q: empty group %d", c.Name, gi)
+			return 0, fmt.Errorf("core: clustering %q: empty group %d", c.Name, gi)
 		}
 		owner := int32(-1)
 		for _, r := range g {
 			if int(r) < 0 || int(r) >= nranks {
-				return fmt.Errorf("core: clustering %q: group %d rank %d out of range", c.Name, gi, r)
+				return 0, fmt.Errorf("core: clustering %q: group %d rank %d out of range", c.Name, gi, r)
 			}
 			if bits[r>>6]&(1<<(uint(r)&63)) != 0 {
-				return fmt.Errorf("core: clustering %q: rank %d in multiple groups", c.Name, r)
+				return 0, fmt.Errorf("core: clustering %q: rank %d in multiple groups", c.Name, r)
 			}
 			bits[r>>6] |= 1 << (uint(r) & 63)
 			if owner == -1 {
 				owner = c.L1[r]
 			} else if c.L1[r] != owner {
-				return fmt.Errorf("core: clustering %q: group %d spans L1 clusters %d and %d",
+				return 0, fmt.Errorf("core: clustering %q: group %d spans L1 clusters %d and %d",
 					c.Name, gi, owner, c.L1[r])
 			}
 		}
 	}
-	return nil
+	return int(top) + 1, nil
 }
 
 // MaxGroupSize returns the largest encoding-group size (the encode-time
@@ -429,10 +432,12 @@ func (b *ClusteringBuf) Hierarchical(ar *graph.Arena, m trace.Comm, p *topology.
 			off += size
 		}
 		for i := 0; i < w; i++ {
-			for _, n := range sub {
+			g := groups[first+i][:len(sub)] // every node has an i-th process
+			for k, n := range sub {
 				lo, _ := p.Span(topology.NodeID(n))
-				groups[first+i] = append(groups[first+i], p.RankAt(lo+i))
+				g[k] = p.RankAt(lo + i)
 			}
+			groups[first+i] = g
 		}
 		for _, n := range sub {
 			lo, hi := p.Span(topology.NodeID(n))

@@ -101,9 +101,10 @@ func EvaluateOpts(c *Clustering, m trace.Comm, p *topology.Placement, mix reliab
 // in the memory the last Init left, so a profile that has scored a shape
 // scores it again without allocating (ClusteringBuf carries one).
 type Profile struct {
-	scores Evaluation // LoggedFraction and CatastropheProb unset
-	rel    reliability.Profile
-	setup  scratch
+	scores   Evaluation // LoggedFraction and CatastropheProb unset
+	clusters int
+	rel      reliability.Profile
+	setup    scratch
 }
 
 // scratch is the set-up memory a Profile keeps for its next Init:
@@ -120,17 +121,23 @@ type scratch struct {
 // owner per node and one constraint per distinct span; for a layout the
 // reduction rejects, 8 bytes per member plus per-node indexes.
 func (pr *Profile) Init(ctx context.Context, c *Clustering, p *topology.Placement) error {
-	if err := c.validate(p.NumRanks(), &pr.setup.seen); err != nil {
+	k, err := c.validate(p.NumRanks(), &pr.setup.seen)
+	if err != nil {
 		return err
 	}
-	rec := recoveryFraction(c, p, nodeUnit, &pr.setup) // c is validated above
+	rec := recoveryFraction(c, p, nodeUnit, k, &pr.setup) // c is validated above
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	pr.scores = Evaluation{Name: c.Name, RecoveryFraction: rec,
 		EncodeSecondsPerGB: erasure.ModelEncodeSeconds(c.MaxGroupSize(), 1e9)}
+	pr.clusters = k
 	return pr.rel.InitRanks(p, c.Groups)
 }
+
+// NumClusters returns the scored clustering's L1 cluster count, which Init
+// reads while it validates the ids.
+func (pr *Profile) NumClusters() int { return pr.clusters }
 
 // Evaluate weighs the profile with a failure mix, the reliability model's
 // loops observing ctx on up to workers goroutines (0 = GOMAXPROCS); scores
@@ -155,7 +162,7 @@ func RecoveryFractionProcess(c *Clustering) (float64, error) {
 	if len(c.L1) == 0 {
 		return 0, nil
 	}
-	sizes := c.clusterSizes(nil)
+	sizes := c.clusterSizes(nil, c.NumClusters())
 	var total float64
 	for _, s := range sizes {
 		// a failure of any of the s members restarts s ranks
@@ -175,10 +182,12 @@ func RecoveryFractionProcess(c *Clustering) (float64, error) {
 // over the placement's rank spans — no per-node map allocations, which
 // dominated evaluation time on 10k+-node machines.
 func RecoveryFraction(c *Clustering, p *topology.Placement) (float64, error) {
-	if err := c.Validate(p.NumRanks()); err != nil {
+	sc := new(scratch)
+	k, err := c.validate(p.NumRanks(), &sc.seen)
+	if err != nil {
 		return 0, err
 	}
-	return recoveryFraction(c, p, nodeUnit, new(scratch)), nil
+	return recoveryFraction(c, p, nodeUnit, k, sc), nil
 }
 
 // The failure units recoveryFraction averages over, as node-id masks: one
@@ -186,13 +195,13 @@ func RecoveryFraction(c *Clustering, p *topology.Placement) (float64, error) {
 const nodeUnit, pairUnit = ^topology.NodeID(0), ^topology.NodeID(1)
 
 // recoveryFraction is RecoveryFraction for a clustering the caller has
-// already validated against p (Profile.Init validates once for all four
-// scores), over failure units of the given mask, with its cluster sizes and
-// stamp in sc's memory. Used nodes ascend, so a unit's nodes are adjacent
-// and units are visited in ascending order: the accumulated expectation is
-// deterministic.
-func recoveryFraction(c *Clustering, p *topology.Placement, unit topology.NodeID, sc *scratch) float64 {
-	sizes := c.clusterSizes(sc.sizes)
+// already validated against p, which found its k L1 clusters (Profile.Init
+// validates once for all four scores), over failure units of the given mask,
+// with its cluster sizes and stamp in sc's memory. Used nodes ascend, so a
+// unit's nodes are adjacent and units are visited in ascending order: the
+// accumulated expectation is deterministic.
+func recoveryFraction(c *Clustering, p *topology.Placement, unit topology.NodeID, k int, sc *scratch) float64 {
+	sizes := c.clusterSizes(sc.sizes, k)
 	nused := p.NumUsed()
 	if nused == 0 || p.NumRanks() == 0 {
 		return 0
@@ -225,10 +234,12 @@ func recoveryFraction(c *Clustering, p *topology.Placement, unit topology.NodeID
 // aligned L1 clusters contain such failures in one cluster; straddling
 // clusterings pay for two.
 func RecoveryFractionPair(c *Clustering, p *topology.Placement) (float64, error) {
-	if err := c.Validate(p.NumRanks()); err != nil {
+	sc := new(scratch)
+	k, err := c.validate(p.NumRanks(), &sc.seen)
+	if err != nil {
 		return 0, err
 	}
-	return recoveryFraction(c, p, pairUnit, new(scratch)), nil
+	return recoveryFraction(c, p, pairUnit, k, sc), nil
 }
 
 // Meets reports whether the evaluation satisfies every baseline bound, and

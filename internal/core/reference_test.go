@@ -284,6 +284,33 @@ func TestEvaluateRecoveryMatchesExported(t *testing.T) {
 	}
 }
 
+// Init reads the cluster count on its validation walk; it is the count the
+// ids' maximum gives, for every strategy.
+func TestProfileCountsClusters(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := randomPlacement(t, rng)
+		m := randomTrace(rng, p.NumRanks())
+		hier, err := Hierarchical(m, p, HierOptions{MinNodesPerL1: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		size := 1 + rng.Intn(p.NumRanks())
+		naive, _ := Naive(p.NumRanks(), size)
+		guided, _ := SizeGuided(p.NumRanks(), size)
+		dist, _ := Distributed(p.NumRanks(), size)
+		for _, c := range []*Clustering{hier, naive, guided, dist} {
+			var pr Profile
+			if err := pr.Init(context.Background(), c, p); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := pr.NumClusters(), c.NumClusters(); got != want {
+				t.Errorf("seed %d %s: profile counts %d clusters, the ids' maximum %d", seed, c.Name, got, want)
+			}
+		}
+	}
+}
+
 // One profile weighed with several mixes, in either order, returns for each
 // the Evaluation a fresh EvaluateOpts returns; a warm profile allocates
 // nothing a cold one does not.

@@ -59,21 +59,10 @@ func (ar *Arena) FromCSR(n int, rowptr []int64, col []int32, w []float64) (*Grap
 		return nil, fmt.Errorf("graph: inconsistent CSR shape (n=%d, rowptr=%d, col=%d, w=%d)",
 			n, len(rowptr), len(col), len(w))
 	}
-	for u := 0; u < n; u++ {
-		if rowptr[u+1] < rowptr[u] {
-			return nil, fmt.Errorf("graph: rowptr decreases at vertex %d", u)
-		}
-		for i := rowptr[u]; i < rowptr[u+1]; i++ {
-			if col[i] < 0 || int(col[i]) >= n {
-				return nil, fmt.Errorf("graph: vertex %d has out-of-range neighbor %d", u, col[i])
-			}
-			if i > rowptr[u] && col[i] <= col[i-1] {
-				return nil, fmt.Errorf("graph: vertex %d has unsorted or duplicate neighbors", u)
-			}
-		}
-	}
 	g := &Graph{n: n, rowptr: rowptr, col: col, w: w, strength: ar.Float64s(n)}
-	g.fillAggregates()
+	if err := g.fillAggregates(); err != nil {
+		return nil, err
+	}
 	return g, nil
 }
 
@@ -119,7 +108,7 @@ func fromEdges(n int, eu, ev []int32, ew []float64) *Graph {
 	}
 	rowptr[n] = write
 	g := &Graph{n: n, rowptr: rowptr, col: col[:write], w: w[:write]}
-	g.fillAggregates()
+	_ = g.fillAggregates() // the rows are in range and ascending by construction
 	return g
 }
 
@@ -172,25 +161,39 @@ func (p *pairSorter) Swap(i, j int) {
 	p.w[i], p.w[j] = p.w[j], p.w[i]
 }
 
-// fillAggregates computes the cached aggregates (strength, total weight,
-// edge count) from the CSR arrays.
-func (g *Graph) fillAggregates() {
+// fillAggregates computes the strengths, the total weight and the edge count
+// in one pass over the rows, and checks on the same pass that rowptr never
+// decreases and that every row's columns are in range and strictly
+// ascending; it stops at the first row that fails.
+func (g *Graph) fillAggregates() error {
 	if g.strength == nil {
 		g.strength = make([]float64, g.n)
 	}
 	g.total = 0
 	g.nedges = 0
 	for u := 0; u < g.n; u++ {
+		lo, hi := g.rowptr[u], g.rowptr[u+1]
+		if hi < lo {
+			return fmt.Errorf("graph: rowptr decreases at vertex %d", u)
+		}
 		var s float64
-		for i := g.rowptr[u]; i < g.rowptr[u+1]; i++ {
+		for i := lo; i < hi; i++ {
+			c := g.col[i]
+			if c < 0 || int(c) >= g.n {
+				return fmt.Errorf("graph: vertex %d has out-of-range neighbor %d", u, c)
+			}
+			if i > lo && c <= g.col[i-1] {
+				return fmt.Errorf("graph: vertex %d has unsorted or duplicate neighbors", u)
+			}
 			s += g.w[i]
-			if int(g.col[i]) >= u {
+			if int(c) >= u {
 				g.total += g.w[i]
 				g.nedges++
 			}
 		}
 		g.strength[u] = s
 	}
+	return nil
 }
 
 // N returns the number of vertices.

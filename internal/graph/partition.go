@@ -126,36 +126,42 @@ func (ar *Arena) Partition(g *Graph, opts PartitionOptions) ([]int32, error) {
 // exactly like their values, and stability turns "index ascending" into a
 // free tie-break. The result is the identical total order the comparison
 // sort produced, without its half-million comparator calls on 100k-vertex
-// graphs. Byte positions that are constant across all keys (most of the
-// exponent bytes in practice) skip their scatter pass. Returns the sorted
-// slice, which is one of the two ping-pong buffers.
+// graphs. One AND/OR pass over the keys finds the byte positions that are
+// constant across all of them (most of the exponent bytes in practice), and
+// one more pass counts the histograms of all the others at once: a constant
+// byte gets neither a histogram nor a scatter pass. Returns the sorted slice,
+// which is one of the two ping-pong buffers.
 func sortSeedsByStrength(strength []float64, order, orderB []int, keys, keysB []uint64) []int {
 	n := len(strength)
+	every, some := ^uint64(0), uint64(0) // bits set in every key, in some key
 	for i := 0; i < n; i++ {
 		order[i] = i
 		keys[i] = ^math.Float64bits(strength[i])
+		every &= keys[i]
+		some |= keys[i]
 	}
-	var count [256]int
-	for shift := 0; shift < 64; shift += 8 {
-		for i := range count {
-			count[i] = 0
+	shifts := make([]uint, 0, 8) // the varying byte positions, least significant first
+	for shift := uint(0); shift < 64; shift += 8 {
+		if byte((some&^every)>>shift) != 0 {
+			shifts = append(shifts, shift)
 		}
-		for i := 0; i < n; i++ {
-			count[byte(keys[i]>>shift)]++
+	}
+	var count [8][256]int
+	for i := 0; i < n; i++ {
+		for d, shift := range shifts {
+			count[d][byte(keys[i]>>shift)]++
 		}
-		if n > 0 && count[byte(keys[0]>>shift)] == n {
-			continue // constant byte: the pass would be the identity
-		}
+	}
+	for d, shift := range shifts {
 		pos := 0
-		for b := 0; b < 256; b++ {
-			c := count[b]
-			count[b] = pos
+		for b, c := range count[d] {
+			count[d][b] = pos
 			pos += c
 		}
 		for i := 0; i < n; i++ {
 			b := byte(keys[i] >> shift)
-			j := count[b]
-			count[b]++
+			j := count[d][b]
+			count[d][b]++
 			keysB[j] = keys[i]
 			orderB[j] = order[i]
 		}

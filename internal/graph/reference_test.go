@@ -1,8 +1,11 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -469,5 +472,64 @@ func TestQuotientMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameGraph(t, fmt.Sprintf("seed %d (n=%d, %d parts)", seed, n, parts), q, quotientReference(g, part, parts))
+	}
+}
+
+// The radix seed sort is the comparison sort's order (strength descending,
+// index ascending) however many key bytes vary: none, exactly one (each
+// position in turn), several, or all eight, with ties throughout, and for
+// zero and one vertex.
+func TestSortSeedsMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	base := math.Float64bits(1.5)
+	withBytes := func(n int, shifts ...int) []float64 {
+		s := make([]float64, n)
+		for i := range s {
+			bitsOf := base
+			for _, shift := range shifts {
+				bitsOf = bitsOf&^(0xff<<shift) | uint64(rng.Intn(4)*60)<<shift
+			}
+			s[i] = math.Float64frombits(bitsOf)
+		}
+		return s
+	}
+	cases := map[string][]float64{
+		"empty":         {},
+		"one":           {2.5},
+		"all equal":     withBytes(300),
+		"several bytes": withBytes(300, 0, 16, 40),
+		"eight bytes":   nil,
+	}
+	for shift := 0; shift < 56; shift += 8 { // byte 7 holds the sign bit: a negative strength never occurs
+		cases[fmt.Sprintf("byte %d", shift/8)] = withBytes(300, shift)
+	}
+	spread := make([]float64, 400)
+	for i := range spread {
+		spread[i] = [4]float64{0, 1e-300, 1e300, 3}[rng.Intn(4)] * float64(rng.Intn(3))
+		if i%5 == 0 {
+			spread[i] = rng.ExpFloat64() * math.Pow(10, float64(rng.Intn(600)-300))
+		}
+	}
+	cases["eight bytes"] = spread
+	for name, strength := range cases {
+		n := len(strength)
+		want := make([]int, n)
+		for i := range want {
+			want[i] = i
+		}
+		slices.SortStableFunc(want, func(a, b int) int { return cmp.Compare(strength[b], strength[a]) })
+		got := sortSeedsByStrength(strength, make([]int, n), make([]int, n), make([]uint64, n), make([]uint64, n))
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: radix order %v, stable sort %v", name, got, want)
+		}
+	}
+	var changed uint64
+	for _, s := range spread {
+		changed |= math.Float64bits(s) ^ math.Float64bits(spread[0])
+	}
+	for shift := 0; shift < 64; shift += 8 {
+		if byte(changed>>shift) == 0 {
+			t.Errorf("the eight-byte case leaves byte %d constant", shift/8)
+		}
 	}
 }

@@ -62,10 +62,15 @@ func checkProductForm(t *testing.T, groups []Group, n int) int {
 	if !fg.dpOK {
 		t.Fatalf("layout rejected by the reduction: %+v on %d nodes", groups, n)
 	}
+	closed := make([]float64, n)
+	fg.productConditionals(n, 100_000, closed)
 	for f := 1; f <= n; f++ {
 		exact := exactConditional(slabs, n, f, 1, nil)
-		if closed := fg.disjointConditional(n, f, 100_000); closed != exact {
-			t.Errorf("f=%d of %d nodes: closed form %v, enumeration %v (%+v)", f, n, closed, exact, groups)
+		if closed[f-1] != exact {
+			t.Errorf("f=%d of %d nodes: closed form %v, enumeration %v (%+v)", f, n, closed[f-1], exact, groups)
+		}
+		if perF := fg.disjointConditional(n, f, 100_000); perF != exact {
+			t.Errorf("f=%d of %d nodes: per-f closed form %v, enumeration %v (%+v)", f, n, perF, exact, groups)
 		}
 	}
 	if closed, scan := alignedPairConditional(fg, n), alignedPairConditional(slabs, n); closed != scan {

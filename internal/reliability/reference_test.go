@@ -670,3 +670,146 @@ func TestFlattenAllocsIndependentOfScale(t *testing.T) {
 		t.Errorf("span stage allocs %+v (want <= 5: the struct and four slabs)", small)
 	}
 }
+
+// disjointConditional is the per-f closed form productConditionals replaced,
+// verbatim: a convolution truncated at degree f for each failure count f,
+// with C(size, j) computed per span, j and f. It is the oracle the one
+// convolution is held to with ==.
+func (fg *flatGroups) disjointConditional(n, f, exactLimit int) float64 {
+	var polyBuf, nextBuf [memoF + 1]float64 // a remembered f needs no heap
+	var poly, next []float64
+	if f <= memoF {
+		poly, next = polyBuf[:f+1], nextBuf[:f+1]
+	} else {
+		poly, next = make([]float64, f+1), make([]float64, f+1)
+	}
+	poly[0] = 1
+	constrained := 0
+	for _, sp := range fg.dpSpans {
+		size := int(sp.size)
+		constrained += size
+		maxJ := min(int(sp.thresh)-1, size, f)
+		for d := range next {
+			next[d] = 0
+		}
+		for j := 0; j <= maxJ; j++ {
+			ways := combinations(size, j)
+			for d := j; d <= f; d++ {
+				next[d] += poly[d-j] * ways
+			}
+		}
+		poly, next = next, poly
+	}
+	free := n - constrained
+	var safe float64
+	for d := 0; d <= f; d++ {
+		safe += poly[d] * combinations(free, f-d)
+	}
+	total := combinations(n, f)
+	if total == 0 {
+		return 0
+	}
+	if total <= float64(exactLimit) {
+		return (total - safe) / total
+	}
+	p := 1 - safe/total
+	if p < 0 {
+		p = 0
+	}
+	if p > 1 {
+		p = 1
+	}
+	return p
+}
+
+// productSpans draws a reduction of count spans — one repeated size, two
+// alternating sizes or a fresh size per span, 1-12 nodes each, thresholds
+// 1..size+1 (the top one never reached) — beside free unconstrained nodes.
+func productSpans(rng *rand.Rand, sizing, count, free int) *flatGroups {
+	a := int32(1 + rng.Intn(12))
+	b := a%12 + 1 // differs from a
+	fg := &flatGroups{n: free, dpOK: true}
+	for i := range count {
+		size := a
+		switch sizing {
+		case 1:
+			size = [2]int32{a, b}[i%2]
+		case 2:
+			size = int32(1 + rng.Intn(12))
+		}
+		fg.dpSpans = append(fg.dpSpans, dpSpan{size: size, thresh: 1 + rng.Int31n(size+1)})
+		fg.n += int(size)
+	}
+	return fg
+}
+
+// One convolution answers every failure count with the bits of the per-f
+// closed form: at the remembered degree min(memoF, n) and at a degree past
+// memoF, under budgets below, at and above every C(n, f), on machines of a
+// handful to ≈40k nodes.
+func TestProductConditionalsMatchPerF(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	var below, above, past int
+	for i := range 120 {
+		free := [4]int{0, rng.Intn(8), rng.Intn(400), 20_000 + rng.Intn(20_000)}[i/3%4]
+		fg := productSpans(rng, i%3, 1+rng.Intn(24), free)
+		n := fg.n
+		degrees := []int{min(memoF, n)}
+		if n > memoF {
+			degrees = append(degrees, memoF+1+rng.Intn(min(8, n-memoF)))
+			past++
+		}
+		for _, limit := range []int{0, defaultExactLimit, math.MaxInt} {
+			for _, top := range degrees {
+				out := make([]float64, top)
+				fg.productConditionals(n, limit, out)
+				for f := 1; f <= top; f++ {
+					want := fg.disjointConditional(n, f, limit)
+					if math.Float64bits(out[f-1]) != math.Float64bits(want) {
+						t.Fatalf("%d nodes, spans %v, limit %d, degree %d: f=%d reads %v, per-f form %v",
+							n, fg.dpSpans, limit, top, f, out[f-1], want)
+					}
+					if limit == defaultExactLimit && combinations(n, f) <= float64(limit) {
+						below++
+					} else if limit == defaultExactLimit {
+						above++
+					}
+				}
+			}
+		}
+	}
+	if below == 0 || above == 0 || past == 0 {
+		t.Errorf("%d (f, layout) pairs within the default budget, %d past it, %d layouts past memoF: every side must be reached", below, above, past)
+	}
+}
+
+// One weighing of a product-form profile with a one-entry mix remembers the
+// conditional of every f up to min(memoF, nodes), each the per-f form's bits,
+// and leaves the aligned-pair term alone.
+func TestProductFormRemembersEveryF(t *testing.T) {
+	for _, nodes := range []int{6, 64} {
+		groups := tableIIGroups("hierarchical-64-4")
+		if nodes < 64 {
+			groups = []Group{groupOf(map[topology.NodeID]int{1: 1, 2: 1, 3: 1}, 1)}
+		}
+		var p Profile
+		if err := p.Init(groups, nodes); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.CatastropheProb(context.Background(), Mix{NodeLoss: []float64{1}}, 1); err != nil {
+			t.Fatal(err)
+		}
+		top := min(memoF, nodes)
+		if want := uint32(1)<<top - 1; p.have != want {
+			t.Errorf("%d nodes: have %#x after an f=1 weighing, want %#x", nodes, p.have, want)
+		}
+		if p.cond[memoF] != 0 {
+			t.Errorf("%d nodes: aligned-pair term written: %v", nodes, p.cond[memoF])
+		}
+		for f := 1; f <= top; f++ {
+			if want := p.fg.disjointConditional(nodes, f, p.exactLimit); math.Float64bits(p.cond[f-1]) != math.Float64bits(want) {
+				t.Errorf("%d nodes: remembered f=%d %v, per-f form %v", nodes, f, p.cond[f-1], want)
+			}
+		}
+	}
+}

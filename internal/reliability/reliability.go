@@ -326,11 +326,13 @@ func (p *Profile) memo(i int) (float64, bool) {
 	return p.cond[i], p.have&(1<<i) != 0
 }
 
-// remember stores a completed cond[i].
-func (p *Profile) remember(i int, v float64) {
+// remember stores completed conditionals cond[i:i+len(v)].
+func (p *Profile) remember(i int, v ...float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.cond[i], p.have = v, p.have|1<<i
+	for k, x := range v {
+		p.cond[i+k], p.have = x, p.have|1<<(i+k)
+	}
 }
 
 // conditional returns P(some group destroyed | f uniform random distinct
@@ -345,10 +347,20 @@ func (p *Profile) conditional(ctx context.Context, f, workers int, stop *atomic.
 	if ctx.Err() != nil {
 		return 0, false
 	}
+	if p.fg.dpOK {
+		// Disjoint uniform spans: exact closed form, nothing enumerated and
+		// nothing polled. One convolution answers every f up to min(memoF,
+		// nodes), and all of them are remembered.
+		var memo [memoF]float64
+		out := memo[:min(memoF, p.nodes)]
+		if f > memoF {
+			out = make([]float64, f)
+		}
+		p.fg.productConditionals(p.nodes, p.exactLimit, out)
+		p.remember(0, out[:min(len(out), memoF)]...)
+		return out[f-1], true
+	}
 	switch {
-	case p.fg.dpOK:
-		// Disjoint uniform spans: exact closed form, nothing enumerated.
-		pcat = p.fg.disjointConditional(p.nodes, f, p.exactLimit)
 	case combinations(p.nodes, f) <= float64(p.exactLimit):
 		pcat = exactConditional(p.fg, p.nodes, f, workers, stop)
 	default:
@@ -491,7 +503,7 @@ type flatGroups struct {
 	// are pairwise disjoint or exactly identical, with the same member count
 	// on every span node. Destruction then depends only on *how
 	// many* nodes of each span fail, so the conditional catastrophe
-	// probability has an exact product-form count (disjointConditional)
+	// probability has an exact product-form count (productConditionals)
 	// and neither enumeration nor Monte Carlo is needed. dpOK reports whether
 	// the reduction applies; dpSpans holds one (size, threshold) constraint
 	// per distinct span in the order groups claimed them, threshold = failed
@@ -557,41 +569,29 @@ type spanSource interface {
 	// dims returns the model's node count, the group count and the room
 	// read needs, over all groups and for the largest.
 	dims() (nodes, groups, total, longest int)
-	// least returns group gi's least in-range node, or -1 when no failure
-	// can destroy the group.
-	least(gi int) int32
 	// read writes group gi's in-range span into nodes and counts, strictly
 	// ascending by node, and returns its length and the group's tolerance.
 	read(gi int, nodes, counts []int32) (k int, tol int32)
 }
 
 // reduceOrFlatten reads the groups into the disjoint-span reduction in fg,
-// in group order, through one scratch buffer. A first pass counts the
-// distinct spans (under the reduction, the distinct least nodes of
-// destroyable groups), so the reduction needs owner, dpSpans and the buffer,
-// whatever the group and node counts, and keeps nothing else. Each reuses
-// fg's where it fits, so an fg that has read this shape before reads it
-// again without allocating; a nil fg allocates all three and the struct. At
-// the first group addDPSpan rejects, the groups are flattened into fresh
-// slabs instead, and fg is left to the next reduction.
+// in group order, through one scratch buffer, reading each group once. The
+// reduction needs owner, dpSpans and the buffer, whatever the group and node
+// counts, and keeps nothing else; dpSpans is sized for min(groups, nodes)
+// spans, which is enough because the reduction's spans are disjoint and none
+// is empty. Each reuses fg's where it fits, so an fg that has read this shape
+// before reads it again without allocating; a nil fg allocates all three and
+// the struct. At the first group addDPSpan rejects, the groups are flattened
+// into fresh slabs instead, and fg is left to the next reduction.
 func reduceOrFlatten[S spanSource](s S, fg *flatGroups) *flatGroups {
 	n, groups, _, longest := s.dims()
 	if fg == nil {
 		fg = new(flatGroups)
 	}
-	*fg = flatGroups{n: n, dpOK: true, owner: regrow(fg.owner, n), dpSpans: fg.dpSpans, buf: regrow(fg.buf, 2*longest)}
-	clear(fg.owner)
-	spans := 0
-	for gi := range groups {
-		if node := s.least(gi); node >= 0 && fg.owner[node] == 0 {
-			fg.owner[node] = 1
-			spans++
-		}
-	}
+	*fg = flatGroups{n: n, dpOK: true, owner: regrow(fg.owner, n), dpSpans: regrow(fg.dpSpans, min(groups, n))[:0], buf: regrow(fg.buf, 2*longest)}
 	for i := range fg.owner {
 		fg.owner[i] = -1
 	}
-	fg.dpSpans = regrow(fg.dpSpans, spans)[:0]
 	nodes, counts := fg.buf[:longest], fg.buf[longest:]
 	for gi := range groups {
 		k, tol := s.read(gi, nodes, counts)
@@ -649,23 +649,6 @@ func (s groupSpans) dims() (nodes, groups, total, longest int) {
 	return s.n, len(s.groups), total, longest
 }
 
-func (s groupSpans) least(gi int) int32 {
-	g := &s.groups[gi]
-	lo, worst := int32(-1), int64(0)
-	for _, e := range g.Span {
-		if e.Node >= 0 && int(e.Node) < s.n {
-			if lo < 0 {
-				lo = int32(e.Node)
-			}
-			worst += int64(e.Count)
-		}
-	}
-	if worst <= int64(g.Tolerance) {
-		return -1
-	}
-	return lo
-}
-
 func (s groupSpans) read(gi int, nodes, counts []int32) (k int, tol int32) {
 	for _, e := range s.groups[gi].Span {
 		if e.Node >= 0 && int(e.Node) < s.n {
@@ -689,16 +672,6 @@ func (s rankSpans) dims() (nodes, groups, total, longest int) {
 		longest = max(longest, len(m))
 	}
 	return s.p.NumUsed(), len(s.members), total, longest
-}
-
-func (s rankSpans) least(gi int) int32 {
-	lo := int32(-1)
-	for _, r := range s.members[gi] {
-		if node := int32(s.p.UsedIndex(s.p.NodeOf(r))); lo < 0 || node < lo {
-			lo = node
-		}
-	}
-	return lo
 }
 
 // read needs room for one entry per member: the members' node ids go into
@@ -845,62 +818,67 @@ func (fg *flatGroups) addDPSpan(nodes []int32, uniform, tol int32) {
 	}
 }
 
-// disjointConditional returns the exact P(some group destroyed | f uniform
-// random distinct node failures) for group sets that pass the disjoint-span
-// reduction. It counts the safe failure sets with a generating-function
-// convolution: each span of size s and threshold t contributes the
+// productConditionals fills out[f-1] with the exact P(some group destroyed
+// | f uniform random distinct node failures) for every f in 1..len(out) ≤ n,
+// for group sets that pass the disjoint-span reduction. It counts the safe
+// failure sets with one generating-function convolution, truncated at degree
+// F = len(out): each span of size s and threshold t contributes the
 // polynomial Σ_{j<t} C(s,j)·x^j (ways to lose j of its nodes safely), the
 // n-Σs unconstrained nodes contribute binomially at the end, and the
-// coefficient sum at degree f over C(n,f) is the survival probability. Runs
-// in O(spans·f·min(span,f)) — microseconds where enumeration needs hours
-// and Monte Carlo needs megasamples. Where C(n,f) <= exactLimit every count is
-// an integer far below 2^53, and the result is (total-safe)/total: the
-// hits/sets exactConditional would return, to the bit.
-func (fg *flatGroups) disjointConditional(n, f, exactLimit int) float64 {
-	var polyBuf, nextBuf [memoF + 1]float64 // a remembered f needs no heap
-	var poly, next []float64
-	if f <= memoF {
-		poly, next = polyBuf[:f+1], nextBuf[:f+1]
-	} else {
-		poly, next = make([]float64, f+1), make([]float64, f+1)
+// coefficient sum at degree f over C(n,f) is the survival probability.
+// Coefficient d takes the same additions in the same order at any truncation
+// ≥ d, so each f reads the bits a convolution to degree f alone would give.
+// The row C(s, j) is recomputed only where the span size changes. Runs in
+// O(spans·F·min(t,F)) once per profile — microseconds where enumeration
+// needs hours and Monte Carlo needs megasamples. Where C(n,f) <= exactLimit
+// every count is an integer far below 2^53, and the result is
+// (total-safe)/total: the hits/sets exactConditional would return, to the
+// bit.
+func (fg *flatGroups) productConditionals(n, exactLimit int, out []float64) {
+	var polyBuf, nextBuf, waysBuf [memoF + 1]float64 // a remembered f needs no heap
+	top := len(out)
+	poly, next, ways := polyBuf[:], nextBuf[:], waysBuf[:]
+	if top > memoF {
+		poly, next, ways = make([]float64, top+1), make([]float64, top+1), make([]float64, top+1)
 	}
+	poly, next, ways = poly[:top+1], next[:top+1], ways[:top+1]
 	poly[0] = 1
-	constrained := 0
+	constrained, waysOf := 0, -1 // ways[j] = C(waysOf, j)
 	for _, sp := range fg.dpSpans {
 		size := int(sp.size)
 		constrained += size
-		maxJ := min(int(sp.thresh)-1, size, f)
-		for d := range next {
-			next[d] = 0
+		maxJ := min(int(sp.thresh)-1, size, top)
+		if size != waysOf {
+			for j := range min(size, top) + 1 {
+				ways[j] = combinations(size, j)
+			}
+			waysOf = size
 		}
-		for j := 0; j <= maxJ; j++ {
-			ways := combinations(size, j)
-			for d := j; d <= f; d++ {
-				next[d] += poly[d-j] * ways
+		copy(next, poly) // the j = 0 term, C(size, 0)·poly[d], opens each sum
+		for j := 1; j <= maxJ; j++ {
+			src, wj := poly[:top+1-j], ways[j]
+			dst := next[j:][:len(src)]
+			for d, x := range src { // dst[d] is next[d+j]
+				dst[d] += x * wj
 			}
 		}
 		poly, next = next, poly
 	}
 	free := n - constrained
-	var safe float64
-	for d := 0; d <= f; d++ {
-		safe += poly[d] * combinations(free, f-d)
+	for k := range ways {
+		ways[k] = combinations(free, k)
 	}
-	total := combinations(n, f)
-	if total == 0 {
-		return 0
+	for f := 1; f <= top; f++ {
+		var safe float64
+		for d := 0; d <= f; d++ {
+			safe += poly[d] * ways[f-d]
+		}
+		if total := combinations(n, f); total <= float64(exactLimit) {
+			out[f-1] = (total - safe) / total
+		} else {
+			out[f-1] = min(max(1-safe/total, 0), 1)
+		}
 	}
-	if total <= float64(exactLimit) {
-		return (total - safe) / total
-	}
-	p := 1 - safe/total
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	return p
 }
 
 // newScratch returns a zeroed failed-node bitset sized for the machine.

@@ -400,8 +400,8 @@ func (ce *cellEval) evalStrategy(j int) (err error) {
 	if err != nil {
 		return err
 	}
-	c := sd.c
-	e, err := sd.buf.Profile().Evaluate(ctx, ce.mix, ce.evalWorkers)
+	c, prof := sd.c, sd.buf.Profile()
+	e, err := prof.Evaluate(ctx, ce.mix, ce.evalWorkers)
 	if err != nil {
 		return err
 	}
@@ -419,7 +419,7 @@ func (ce *cellEval) evalStrategy(j int) (err error) {
 	ce.Evaluations[j] = StrategyResult{
 		Strategy:           c.Name,
 		Kind:               spec.Kind,
-		L1Clusters:         c.NumClusters(),
+		L1Clusters:         prof.NumClusters(),
 		Groups:             len(c.Groups),
 		MaxGroupSize:       c.MaxGroupSize(),
 		LoggedFraction:     e.LoggedFraction,
