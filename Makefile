@@ -101,13 +101,15 @@ serve-smoke:
 
 # chaos runs the fault-injection and cancellation suites under the race
 # detector: degraded disk caches, panic isolation, server deadlines,
-# cancellation latency, goroutine-leak assertions, and the kill -9
-# restart/journal-resume drills (the CI chaos job).
+# cancellation latency and poll counts (the node fold and partitioner in
+# internal/core and internal/graph, the reliability model), goroutine-leak
+# assertions, and the kill -9 restart/journal-resume drills (the CI chaos
+# job).
 chaos:
 	$(GO) test -race -count=1 \
 		-run 'Chaos|Cancel|Panic|Degrad|Quarantine|Fault|Timeout|Drain|Restart|Journal' \
-		./internal/diskstore/ ./internal/faultinject/ ./internal/reliability/ \
-		./pkg/hierclust/ ./pkg/hierclust/serve/
+		./internal/core/ ./internal/diskstore/ ./internal/faultinject/ ./internal/graph/ \
+		./internal/reliability/ ./pkg/hierclust/ ./pkg/hierclust/serve/
 
 # doccheck fails if any Go package lacks a package doc comment or a
 # repo-relative markdown link in README/ROADMAP/CHANGES/docs dangles.
@@ -138,7 +140,7 @@ loc:
 # loc-check fails when `make loc` exceeds LOC_CEILING, so ROADMAP aim 2's
 # tracked number only goes up when a PR raises the ceiling on purpose; a PR
 # that shrinks the tree lowers it to its own result.
-LOC_CEILING = 17617
+LOC_CEILING = 17589
 loc-check:
 	@n=$$($(MAKE) -s loc); if [ "$$n" -gt $(LOC_CEILING) ]; then \
 		echo "loc $$n exceeds LOC_CEILING $(LOC_CEILING)"; exit 1; fi; \

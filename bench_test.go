@@ -252,12 +252,13 @@ func TestSyntheticRigNonMultipleRanks(t *testing.T) {
 	}
 }
 
-// BenchmarkScaling64k measures the full sparse evaluation pipeline at
-// 65,536 ranks on 4096 nodes: synthetic 2-D stencil trace generation (CSR),
-// hierarchical clustering (node aggregation, partitioning, L2 groups), and
-// the four-dimension evaluation including the reliability model. The
-// dense-matrix path would need ~34 GB for the trace alone; allocs/op and
-// B/op document the sub-O(n²) footprint of the CSR pipeline.
+// BenchmarkScaling64k measures the full evaluation pipeline at 65,536 ranks
+// on 4096 nodes: the implicit 2-D stencil trace (syntheticRig's
+// trace.Stencil, no rank matrix), hierarchical clustering (node
+// aggregation, partitioning, L2 groups), and the four-dimension evaluation
+// including the reliability model. The dense-matrix path would need ~34 GB
+// for the trace alone; allocs/op and B/op document the sub-O(n²) footprint
+// of the pipeline.
 func BenchmarkScaling64k(b *testing.B) {
 	const ranks, ppn = 65536, 16
 	b.ReportAllocs()
@@ -282,9 +283,9 @@ func BenchmarkScaling64k(b *testing.B) {
 
 // BenchmarkScaling256k measures the full sparse evaluation pipeline at
 // 262,144 ranks on 16,384 nodes — four times the node count of the 64k
-// benchmark, the regime the flat-span placement exists for. Synthetic 2-D
-// stencil trace (CSR), hierarchical clustering at the paper's defaults, and
-// the complete four-dimension evaluation.
+// benchmark, the regime the flat-span placement exists for. Implicit 2-D
+// stencil trace (trace.Stencil), hierarchical clustering at the paper's
+// defaults, and the complete four-dimension evaluation.
 func BenchmarkScaling256k(b *testing.B) {
 	const ranks, ppn = 262144, 16
 	b.ReportAllocs()
@@ -310,9 +311,10 @@ func BenchmarkScaling256k(b *testing.B) {
 // BenchmarkNodeGraph128k measures step 1 of the hierarchical clustering, the
 // fold of the rank rows into the node graph, at the hcbench eval-128k shape
 // (131,072 ranks, 4 per node, 2-D stencil of width 4) from both sources:
-// "stencil" reads the sums back as the graph's weights (the symmetric path),
-// "csr" folds the materialized rows of the same trace through the directed
-// node CSR, its transpose and the merge (the general path).
+// "stencil" is the implicit trace, whose fold on this block placement is
+// nodeRow's closed form (arithmetic on each node's rank window, no rank
+// rows read); "csr" folds the materialized rows of the same trace through
+// the directed node CSR, its transpose and the merge (the general path).
 func BenchmarkNodeGraph128k(b *testing.B) {
 	const ranks, ppn = 131072, 4
 	opts := trace.SyntheticOptions{Pattern: trace.Stencil2D, Width: ppn}
@@ -361,13 +363,13 @@ func BenchmarkHierarchical128k(b *testing.B) {
 		b.Fatal(err)
 	}
 	opts, buf, ar := core.HierOptions{TargetNodesPerL1: 5}, new(core.ClusteringBuf), new(graph.Arena)
-	if _, err := buf.Hierarchical(ar, stencil, placement, opts, nil); err != nil {
+	if _, err := buf.Hierarchical(context.Background(), ar, stencil, placement, opts); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := buf.Hierarchical(ar, stencil, placement, opts, nil); err != nil {
+		if _, err := buf.Hierarchical(context.Background(), ar, stencil, placement, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -390,7 +392,7 @@ func BenchmarkScore128k(b *testing.B) {
 		b.Fatal(err)
 	}
 	buf := new(core.ClusteringBuf)
-	c, err := buf.Hierarchical(nil, stencil, placement, core.HierOptions{TargetNodesPerL1: 5}, nil)
+	c, err := buf.Hierarchical(context.Background(), nil, stencil, placement, core.HierOptions{TargetNodesPerL1: 5})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -522,14 +524,14 @@ func BenchmarkPartition100k(b *testing.B) {
 	opts := graph.PartitionOptions{MinSize: 4, TargetSize: 4}
 	b.Run("single-level", func(b *testing.B) {
 		ar := new(graph.Arena)
-		if _, err := ar.Partition(g, opts); err != nil { // size the arena
+		if _, err := ar.Partition(context.Background(), g, opts); err != nil { // size the arena
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			ar.Reset()
-			if _, err := ar.Partition(g, opts); err != nil {
+			if _, err := ar.Partition(context.Background(), g, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -560,24 +562,23 @@ func BenchmarkPartition1M(b *testing.B) {
 	// -benchtime 1x run charges the million-node arena to its single
 	// iteration.
 	ar := new(graph.Arena)
-	if _, err := ar.Partition(g, opts); err != nil {
+	if _, err := ar.Partition(context.Background(), g, opts); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ar.Reset()
-		if _, err := ar.Partition(g, opts); err != nil {
+		if _, err := ar.Partition(context.Background(), g, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkScaling1M measures the full sparse evaluation pipeline at
-// 4,194,304 ranks on 1,048,576 nodes — the million-node regime. Synthetic
-// 2-D stencil trace (CSR), hierarchical clustering at the paper's
-// defaults, and the complete four-dimension evaluation. Skipped under
-// -short.
+// BenchmarkScaling1M measures the full evaluation pipeline at 4,194,304
+// ranks on 1,048,576 nodes — the million-node regime. Implicit 2-D stencil
+// trace (trace.Stencil), hierarchical clustering at the paper's defaults,
+// and the complete four-dimension evaluation. Skipped under -short.
 func BenchmarkScaling1M(b *testing.B) {
 	if testing.Short() {
 		b.Skip("4M-rank rig: skipped under -short")

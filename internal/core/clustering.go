@@ -21,6 +21,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"slices"
 
@@ -333,19 +334,18 @@ func (o *HierOptions) normalize() {
 // live in a fresh graph.Arena for the whole call, so a build allocates its
 // scratch and the clustering it returns. Nothing returned aliases the arena.
 func Hierarchical(m trace.Comm, p *topology.Placement, opts HierOptions) (*Clustering, error) {
-	return (*ClusteringBuf)(nil).Hierarchical(nil, m, p, opts, nil)
+	return (*ClusteringBuf)(nil).Hierarchical(context.Background(), nil, m, p, opts)
 }
 
 // Hierarchical is the package's Hierarchical, built in b with its scratch in
 // ar (reset first; nil is a fresh one), which is dead once it returns. A
 // buffer and arena that have served the shape allocate next to nothing.
 //
-// cancel, when non-nil, is polled by the node fold every 4,096 nodes, by the
-// partitioner's growth every 1,024 clusters and between its refinement
-// passes; once it returns true, the build is abandoned with
-// graph.ErrCancelled. It is never consulted for results: an
-// uncancelled build is bit-identical with or without it.
-func (b *ClusteringBuf) Hierarchical(ar *graph.Arena, m trace.Comm, p *topology.Placement, opts HierOptions, cancel func() bool) (*Clustering, error) {
+// The node fold polls ctx.Err() every 4,096 nodes, the partitioner's growth
+// every 1,024 clusters and its refinement between passes; once it is
+// non-nil, the build is abandoned and returns it. An uncancelled build is
+// bit-identical under any context.
+func (b *ClusteringBuf) Hierarchical(ctx context.Context, ar *graph.Arena, m trace.Comm, p *topology.Placement, opts HierOptions) (*Clustering, error) {
 	opts.normalize()
 	if m.Ranks() != p.NumRanks() {
 		return nil, fmt.Errorf("core: matrix covers %d ranks, placement %d", m.Ranks(), p.NumRanks())
@@ -358,11 +358,11 @@ func (b *ClusteringBuf) Hierarchical(ar *graph.Arena, m trace.Comm, p *topology.
 		ar = new(graph.Arena)
 	}
 	ar.Reset()
-	nodeGraph, err := trace.NodeGraphInto(m, p, ar, cancel)
+	nodeGraph, err := trace.NodeGraphInto(ctx, m, p, ar)
 	if err != nil {
 		return nil, err
 	}
-	nodePart, err := partitionNodes(nodeGraph, p, opts, cancel, ar)
+	nodePart, err := partitionNodes(ctx, nodeGraph, p, opts, ar)
 	if err != nil {
 		return nil, err
 	}
@@ -451,18 +451,12 @@ func (b *ClusteringBuf) Hierarchical(ar *graph.Arena, m trace.Comm, p *topology.
 
 // partitionNodes runs the size-constrained partitioner over the node graph,
 // or — with AlignPowerPairs — over its power-pair quotient, so that both
-// nodes of each pair always share an L1 cluster. The assignment lives in ar.
-func partitionNodes(nodeGraph *graph.Graph, p *topology.Placement, opts HierOptions, cancel func() bool, ar *graph.Arena) ([]int32, error) {
-	partOpts := func(minSize, targetSize, maxSize int) graph.PartitionOptions {
-		return graph.PartitionOptions{
-			MinSize:    minSize,
-			TargetSize: targetSize,
-			MaxSize:    maxSize,
-			Cancel:     cancel,
-		}
-	}
+// nodes of each pair always share an L1 cluster. The assignment lives in ar;
+// the partitioner polls ctx.
+func partitionNodes(ctx context.Context, nodeGraph *graph.Graph, p *topology.Placement, opts HierOptions, ar *graph.Arena) ([]int32, error) {
 	if !opts.AlignPowerPairs || !p.Machine().PowerPairs {
-		return ar.Partition(nodeGraph, partOpts(opts.MinNodesPerL1, opts.TargetNodesPerL1, opts.MaxNodesPerL1))
+		return ar.Partition(ctx, nodeGraph, graph.PartitionOptions{
+			MinSize: opts.MinNodesPerL1, TargetSize: opts.TargetNodesPerL1, MaxSize: opts.MaxNodesPerL1})
 	}
 	// Quotient the node graph by power pair (node/2) and partition pairs.
 	// Used nodes ascend, so the two nodes of a pair are adjacent.
@@ -484,8 +478,8 @@ func partitionNodes(nodeGraph *graph.Graph, p *topology.Placement, opts HierOpti
 		}
 		return (v + 1) / 2
 	}
-	pairPart, err := ar.Partition(pairGraph, partOpts(
-		halve(opts.MinNodesPerL1), halve(opts.TargetNodesPerL1), opts.MaxNodesPerL1/2))
+	pairPart, err := ar.Partition(ctx, pairGraph, graph.PartitionOptions{
+		MinSize: halve(opts.MinNodesPerL1), TargetSize: halve(opts.TargetNodesPerL1), MaxSize: opts.MaxNodesPerL1 / 2})
 	if err != nil {
 		return nil, err
 	}

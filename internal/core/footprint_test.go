@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"flag"
 	"testing"
 
@@ -80,7 +81,7 @@ func TestClusteringFootprint(t *testing.T) {
 		return
 	}
 	b, ar := new(ClusteringBuf), new(graph.Arena)
-	warm := bytesPerOp(func() { c, _ = b.Hierarchical(ar, s, p, HierOptions{}, nil) })
+	warm := bytesPerOp(func() { c, _ = b.Hierarchical(context.Background(), ar, s, p, HierOptions{}) })
 	limit = int64(8*ranks + 24*len(c.Groups) + 1024)
 	t.Logf("hierarchical, held buffer and arena: %d B/op, limit %d (8/rank + 24/group + 1 KiB)", warm, limit)
 	if warm > limit {

@@ -59,7 +59,7 @@ func TestClusteringOutlivesArena(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := b.Hierarchical(ar, m, p, opts, nil)
+		got, err := b.Hierarchical(context.Background(), ar, m, p, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,21 +184,40 @@ func TestConcurrentBuildsMatchSerial(t *testing.T) {
 	}
 }
 
-// foldPolls is how often a build's node fold polls its cancel function
-// before the partitioner first does: once every 4,096 node rows in each of
-// its two passes.
+// foldPolls is how often a build's node fold polls its context before the
+// partitioner first does: once every 4,096 node rows in each of its two
+// passes.
 func foldPolls(nodes int) int { return 2 * ((nodes + 4095) / 4096) }
 
-// A build cancelled mid-partition returns graph.ErrCancelled and leaves its
+// pollCtx is a context whose Err counts its calls and returns
+// context.Canceled from call trip on (never while trip is 0). Counting Err
+// counts a build's polls only because every poll is a ctx.Err() call: none
+// selects on Done, which this context never closes.
+type pollCtx struct {
+	context.Context
+	calls, trip int
+}
+
+func newPollCtx(trip int) *pollCtx { return &pollCtx{Context: context.Background(), trip: trip} }
+
+func (c *pollCtx) Err() error {
+	c.calls++
+	if c.trip > 0 && c.calls >= c.trip {
+		return context.Canceled
+	}
+	return nil
+}
+
+// A build cancelled mid-partition returns context.Canceled and leaves its
 // arena reusable: the next build of the shape in it allocates next to
 // nothing, where an arena the cancellation left unusable would cost a fresh
 // one.
 func TestCancelledBuildReleasesArena(t *testing.T) {
 	s, p := stencilRig(t, 65536, 4)
-	polls, trip := 0, foldPolls(p.NumUsed())+2 // the growth's second poll
-	opts, cancel := HierOptions{Multilevel: true}, func() bool { polls++; return polls > trip }
-	if _, err := (*ClusteringBuf)(nil).Hierarchical(nil, s, p, opts, cancel); !errors.Is(err, graph.ErrCancelled) {
-		t.Fatalf("cancelled build: %v, want graph.ErrCancelled", err)
+	trip := foldPolls(p.NumUsed()) + 3 // the growth's third poll
+	opts := HierOptions{Multilevel: true}
+	if _, err := (*ClusteringBuf)(nil).Hierarchical(newPollCtx(trip), nil, s, p, opts); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled build: %v, want context.Canceled", err)
 	}
 	if racedetect.Enabled {
 		t.Skip("the race detector changes allocation counts")
@@ -206,17 +225,16 @@ func TestCancelledBuildReleasesArena(t *testing.T) {
 	// The buffer and arena a pipeline would lend, held across every build.
 	b, ar := new(ClusteringBuf), new(graph.Arena)
 	for i := 0; i < 2; i++ { // size them, then settle the arena's slabs
-		if _, err := b.Hierarchical(ar, s, p, opts, nil); err != nil {
+		if _, err := b.Hierarchical(context.Background(), ar, s, p, opts); err != nil {
 			t.Fatal(err)
 		}
 	}
-	polls = 0
-	if _, err := b.Hierarchical(ar, s, p, opts, cancel); !errors.Is(err, graph.ErrCancelled) {
-		t.Fatalf("cancelled build: %v, want graph.ErrCancelled", err)
+	if _, err := b.Hierarchical(newPollCtx(trip), ar, s, p, opts); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled build: %v, want context.Canceled", err)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	c, err := b.Hierarchical(ar, s, p, opts, nil)
+	c, err := b.Hierarchical(context.Background(), ar, s, p, opts)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -231,11 +249,11 @@ func TestCancelledBuildReleasesArena(t *testing.T) {
 
 // A build cancelled during the node fold stops there: on a 131,072-node
 // stencil the fold is most of a build, and it polls before the partitioner
-// does. Counting calls, an uncancelled build polls the partitioner's polls
-// of the same node graph plus the fold's. A cancel function that trips on
-// the fold's last poll must get graph.ErrCancelled back without being
-// called again, so the trip was inside the fold. A fold that ignores
-// cancellation polls nothing, and fails here.
+// does. Counting polls, an uncancelled build polls the partitioner's polls
+// of the same node graph plus the fold's. A context that trips on the
+// fold's last poll must get context.Canceled back without being polled
+// again, so the trip was inside the fold. A fold that ignores cancellation
+// polls nothing, and fails here.
 func TestCancelledBuildStopsInFold(t *testing.T) {
 	s, p := stencilRig(t, 131072, 1)
 	opts := HierOptions{}
@@ -243,28 +261,27 @@ func TestCancelledBuildStopsInFold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	calls := 0
-	count := func() bool { calls++; return false }
-	if _, err := graph.Partition(g, graph.PartitionOptions{MinSize: 4, TargetSize: 4, Cancel: count}); err != nil {
+	ctx := newPollCtx(0)
+	if _, err := new(graph.Arena).Partition(ctx, g, graph.PartitionOptions{MinSize: 4, TargetSize: 4}); err != nil {
 		t.Fatal(err)
 	}
-	partition := calls
-	calls = 0
-	if _, err := new(ClusteringBuf).Hierarchical(nil, s, p, opts, count); err != nil {
+	partition := ctx.calls
+	ctx = newPollCtx(0)
+	if _, err := new(ClusteringBuf).Hierarchical(ctx, nil, s, p, opts); err != nil {
 		t.Fatal(err)
 	}
-	fold := calls - partition
-	t.Logf("an uncancelled build polls %d times: %d in the fold, %d in the partitioner", calls, fold, partition)
+	fold := ctx.calls - partition
+	t.Logf("an uncancelled build polls %d times: %d in the fold, %d in the partitioner", ctx.calls, fold, partition)
 	if fold < 1 {
-		t.Fatalf("the fold never polls its cancel function (%d calls, the partitioner's %d)", calls, partition)
+		t.Fatalf("the fold never polls its context (%d polls, the partitioner's %d)", ctx.calls, partition)
 	}
-	calls = 0
-	_, err = new(ClusteringBuf).Hierarchical(nil, s, p, opts, func() bool { calls++; return calls >= fold })
-	if !errors.Is(err, graph.ErrCancelled) {
-		t.Fatalf("build cancelled on poll %d returned %v, want graph.ErrCancelled", fold, err)
+	ctx = newPollCtx(fold)
+	_, err = new(ClusteringBuf).Hierarchical(ctx, nil, s, p, opts)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("build cancelled on poll %d returned %v, want context.Canceled", fold, err)
 	}
-	if calls != fold {
-		t.Fatalf("cancel called %d times, want %d: the build went on polling after the trip", calls, fold)
+	if ctx.calls != fold {
+		t.Fatalf("ctx polled %d times, want %d: the build went on polling after the trip", ctx.calls, fold)
 	}
 }
 
@@ -338,7 +355,7 @@ func TestWarmScoreAllocatesNothing(t *testing.T) {
 	ctx, mix := context.Background(), reliability.DefaultMix()
 	builds := map[string]func(b *ClusteringBuf) (*Clustering, error){
 		"hierarchical": func(b *ClusteringBuf) (*Clustering, error) {
-			return b.Hierarchical(nil, m, p, HierOptions{Multilevel: true}, nil)
+			return b.Hierarchical(context.Background(), nil, m, p, HierOptions{Multilevel: true})
 		},
 		"naive":       func(b *ClusteringBuf) (*Clustering, error) { return b.Naive(ranks, 32) },
 		"size-guided": func(b *ClusteringBuf) (*Clustering, error) { return b.SizeGuided(ranks, 8) },

@@ -1,7 +1,7 @@
 package graph
 
 import (
-	"errors"
+	"context"
 	"fmt"
 	"math"
 )
@@ -32,25 +32,11 @@ type PartitionOptions struct {
 	//
 	// Deprecated: the field has no effect and will be removed.
 	Workers int
-	// Cancel, when non-nil, is polled every 1,024 clusters the growth
-	// starts and between refinement passes; once it returns true,
-	// Partition abandons the work and returns ErrCancelled. It must be
-	// cheap (an atomic load or ctx.Err()) and is never consulted for
-	// results — an uncancelled run is bit-identical with or without it.
-	Cancel func() bool
 
 	// refinePasses bounds the Kernighan–Lin style refinement sweeps; 0
 	// picks 8. Only the package's tests set it (to count sweeps).
 	refinePasses int
 }
-
-// ErrCancelled is returned by Partition when PartitionOptions.Cancel
-// reported an abort, and by the builds that poll a cancel function before
-// they partition (the trace package's node fold); match with errors.Is.
-var ErrCancelled = errors.New("graph: partition cancelled")
-
-// cancelled reports a caller-requested abort.
-func (o *PartitionOptions) cancelled() bool { return o.Cancel != nil && o.Cancel() }
 
 func (o *PartitionOptions) normalize(n int) error {
 	if o.MinSize <= 0 {
@@ -84,7 +70,7 @@ func (o *PartitionOptions) normalize(n int) error {
 // returns part[v] = cluster id, with ids dense in 0..K-1, in a slice the
 // caller owns.
 func Partition(g *Graph, opts PartitionOptions) ([]int, error) {
-	part, err := new(Arena).Partition(g, opts)
+	part, err := new(Arena).Partition(context.Background(), g, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -97,25 +83,27 @@ func Partition(g *Graph, opts PartitionOptions) ([]int, error) {
 
 // Partition is graph.Partition with the assignment left in the arena, valid
 // until Reset. g may itself live in the arena: the partitioner only
-// carves after the graph, never over it.
-func (ar *Arena) Partition(g *Graph, opts PartitionOptions) ([]int32, error) {
+// carves after the graph, never over it. It polls ctx every 1,024 clusters
+// the growth starts and between refinement passes, and returns ctx.Err()
+// once that is non-nil; an uncancelled run is bit-identical under any ctx.
+func (ar *Arena) Partition(ctx context.Context, g *Graph, opts PartitionOptions) ([]int32, error) {
 	n := g.N()
 	if err := opts.normalize(n); err != nil {
 		return nil, err
 	}
 	ar.fit(n, g.rowptr[n])
 	setPhase("grow")
-	part, sizes, err := grow(g, opts, ar)
+	part, sizes, err := grow(ctx, g, opts, ar)
 	if err != nil {
 		clearPhase()
 		return nil, err
 	}
 	mergeSmall(g, part, sizes, opts, ar)
 	setPhase("refine")
-	refine(g, part, sizes, opts, ar)
+	refine(ctx, g, part, sizes, opts, ar)
 	clearPhase()
-	if opts.cancelled() {
-		return nil, ErrCancelled
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	return compact(part, ar.remap, ar.i32s.take(n)), nil
 }
@@ -174,8 +162,8 @@ func sortSeedsByStrength(strength []float64, order, orderB []int, keys, keysB []
 // grow performs greedy region growing seeded at high-strength vertices,
 // returning the raw (non-compacted) assignment and per-id sizes in
 // vertices. Both returned slices are arena-backed; callers own them until
-// the next grow on the same arena. It polls opts.Cancel once every 1,024
-// clusters it starts and returns ErrCancelled when that reports an abort.
+// the next grow on the same arena. It polls ctx once every 1,024 clusters
+// it starts and returns ctx.Err() once that is non-nil.
 //
 // The frontier is flat: connection weights accumulate in an epoch-stamped
 // per-vertex array (one epoch per seed, so resets are free) and the
@@ -185,7 +173,7 @@ func sortSeedsByStrength(strength []float64, order, orderB []int, keys, keysB []
 // identical; only the hashing, per-seed allocation, and tombstone deletes
 // are gone. Assigned members are skipped in place, exactly like the map's
 // deleted keys.
-func grow(g *Graph, opts PartitionOptions, ar *Arena) ([]int, []int, error) {
+func grow(ctx context.Context, g *Graph, opts PartitionOptions, ar *Arena) ([]int, []int, error) {
 	n := g.N()
 	part := ar.growPart[:n]
 	for i := range part {
@@ -228,8 +216,10 @@ func grow(g *Graph, opts PartitionOptions, ar *Arena) ([]int, []int, error) {
 			continue
 		}
 		id := next
-		if id%1024 == 0 && opts.cancelled() {
-			return nil, nil, ErrCancelled
+		if id%1024 == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, nil, err
+			}
 		}
 		next++
 		part[seed] = id
@@ -529,7 +519,7 @@ func (rs *refineState) build() {
 // — because one map per vertex (the previous layout) cost more to build
 // than the moves it served on 100k-vertex graphs. The arrays come from the
 // arena, so a held arena refines without allocating. Sizes count vertices.
-func refine(g *Graph, part []int, sizes []int, opts PartitionOptions, ar *Arena) {
+func refine(ctx context.Context, g *Graph, part []int, sizes []int, opts PartitionOptions, ar *Arena) {
 	n := g.N()
 	nnz := g.rowptr[n]
 	rs := refineState{
@@ -554,8 +544,8 @@ func refine(g *Graph, part []int, sizes []int, opts PartitionOptions, ar *Arena)
 	}
 	rs.build()
 	for pass := 0; pass < opts.refinePasses; pass++ {
-		if opts.cancelled() {
-			// Abandon mid-refinement: the caller observes Cancel itself and
+		if ctx.Err() != nil {
+			// Abandon mid-refinement: the caller polls ctx itself and
 			// discards the partition, so the half-refined state never leaks.
 			return
 		}

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"testing"
@@ -48,7 +49,7 @@ func TestPartitionAllocsBounded(t *testing.T) {
 	ar := new(Arena)
 	partition := func() {
 		ar.Reset()
-		if _, err := ar.Partition(g, opts); err != nil {
+		if _, err := ar.Partition(context.Background(), g, opts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -69,29 +70,46 @@ func TestPartitionAllocsBounded(t *testing.T) {
 	}
 }
 
-// The growth polls Cancel as it starts clusters: an uncancelled partition
-// of 16,384 vertices into 4,096 clusters calls it at least once per 1,024
-// of them, where refinement alone polls once a pass. A cancel that trips
-// on its second call — the growth's second poll — ends the partition
-// there: ErrCancelled, and no further call from refinement or the final
-// check.
+// pollCtx is a context whose Err counts its calls and returns
+// context.Canceled from call trip on (never while trip is 0). Counting Err
+// counts the partitioner's polls only because every poll is a ctx.Err()
+// call: none selects on Done, which this context never closes.
+type pollCtx struct {
+	context.Context
+	calls, trip int
+}
+
+func newPollCtx(trip int) *pollCtx { return &pollCtx{Context: context.Background(), trip: trip} }
+
+func (c *pollCtx) Err() error {
+	c.calls++
+	if c.trip > 0 && c.calls >= c.trip {
+		return context.Canceled
+	}
+	return nil
+}
+
+// The growth polls ctx as it starts clusters: an uncancelled partition of
+// 16,384 vertices into 4,096 clusters polls at least once per 1,024 of
+// them, where refinement alone polls once a pass. A context that trips on
+// its second poll — the growth's second — ends the partition there:
+// context.Canceled, and no further poll from refinement or the final check.
 func TestPartitionCancelStopsGrowth(t *testing.T) {
 	g := stencil2D(16384, 128)
-	calls := 0
-	opts := PartitionOptions{MinSize: 4, TargetSize: 4, Cancel: func() bool { calls++; return false }}
-	if _, err := Partition(g, opts); err != nil {
+	opts := PartitionOptions{MinSize: 4, TargetSize: 4}
+	ctx := newPollCtx(0)
+	if _, err := new(Arena).Partition(ctx, g, opts); err != nil {
 		t.Fatal(err)
 	}
-	if calls < 4096/1024 {
-		t.Fatalf("an uncancelled partition polls %d times, fewer than its growth's %d", calls, 4096/1024)
+	if ctx.calls < 4096/1024 {
+		t.Fatalf("an uncancelled partition polls %d times, fewer than its growth's %d", ctx.calls, 4096/1024)
 	}
-	calls = 0
-	opts.Cancel = func() bool { calls++; return calls >= 2 }
-	if _, err := Partition(g, opts); !errors.Is(err, ErrCancelled) {
-		t.Fatalf("cancelled partition returned %v, want ErrCancelled", err)
+	ctx = newPollCtx(2)
+	if _, err := new(Arena).Partition(ctx, g, opts); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled partition returned %v, want context.Canceled", err)
 	}
-	if calls != 2 {
-		t.Fatalf("Cancel called %d times, want 2: the partition went on after the trip", calls)
+	if ctx.calls != 2 {
+		t.Fatalf("ctx polled %d times, want 2: the partition went on after the trip", ctx.calls)
 	}
 }
 

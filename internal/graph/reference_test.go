@@ -2,6 +2,7 @@ package graph
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -203,7 +204,7 @@ func TestGrowMatchesHashMapReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			ar := newPartArena(&held, g)
-			gotPart, gotSizes, err := grow(g, opts, ar)
+			gotPart, gotSizes, err := grow(context.Background(), g, opts, ar)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -260,7 +261,7 @@ func TestMergeSmallMatchesFullScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		ar := newPartArena(&held, g)
-		part, sizes, err := grow(g, opts, ar)
+		part, sizes, err := grow(context.Background(), g, opts, ar)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,8 +26,9 @@ type Config struct {
 	// synthetically generated stencil traces, doubling from 4096 ranks up
 	// to this bound (hcrun -maxranks). 0 disables the synthetic axis, and
 	// the scaling table is then byte-identical to previous releases. The
-	// synthetic rows exercise the sparse (CSR) pipeline end to end: no
-	// dense matrix and no simmpi run is involved at any size.
+	// synthetic rows run the pipeline end to end on the implicit stencil
+	// trace (trace.Stencil): no rank matrix, dense or sparse, and no simmpi
+	// run is involved at any size.
 	MaxRanks int
 	// Timings enables wall-clock measurement columns (fig3b's measured
 	// encode times). Off by default so experiment tables are deterministic

@@ -195,7 +195,6 @@ func TestDataPlaneCatastropheOracle(t *testing.T) {
 	for r := range topology.Rank(nodes * ppn) {
 		data[r] = bytes.Repeat([]byte{byte(r), byte(r >> 8), 0x5a}, blob/3)
 	}
-	all := slices.Sorted(maps.Keys(data))
 	for _, layout := range []struct {
 		p     *topology.Placement
 		specs []hierclust.StrategySpec
@@ -233,31 +232,8 @@ func TestDataPlaneCatastropheOracle(t *testing.T) {
 				sets, lost := 0, 0
 				for set := range failureSets(nodes, f) {
 					sets++
-					cl := storage.NewCluster(p.Machine())
-					mgr, err := checkpoint.New(cl, p, c.Groups)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if _, err := mgr.Checkpoint(1, checkpoint.L3Encoded, data); err != nil {
-						t.Fatal(err)
-					}
-					for _, i := range set {
-						if err := cl.FailNode(used[i]); err != nil {
-							t.Fatal(err)
-						}
-					}
-					restored, err := mgr.Restore(1, all)
-					if checkpoint.Unrecoverable(err) {
+					if restoreLost(t, p, c, data, set) {
 						lost++
-						continue
-					}
-					if err != nil {
-						t.Fatalf("%s, nodes %v fail: %v", c.Name, set, err)
-					}
-					for _, re := range restored {
-						if !bytes.Equal(re.Data, data[re.Rank]) {
-							t.Fatalf("%s, nodes %v fail: rank %d restored from %v with wrong bytes", c.Name, set, re.Rank, re.Level)
-						}
 					}
 				}
 				t.Logf("%s, f = %d: %d of %d failure sets unrecoverable, P(cat) %v", c.Name, f, lost, sets, pcat)
@@ -266,6 +242,113 @@ func TestDataPlaneCatastropheOracle(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// restoreLost takes an L3 checkpoint of data (every rank's blob) with c's
+// groups through a fresh manager, fails the placement's used nodes at the
+// indices in set and restores every rank. It reports whether the restore
+// ended in ErrUnrecoverable; any other restore must give back the bytes
+// checkpointed.
+func restoreLost(t *testing.T, p *topology.Placement, c *hierclust.Clustering, data map[topology.Rank][]byte, set []int) bool {
+	t.Helper()
+	cl := storage.NewCluster(p.Machine())
+	mgr, err := checkpoint.New(cl, p, c.Groups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mgr.Checkpoint(1, checkpoint.L3Encoded, data); err != nil {
+		t.Fatal(err)
+	}
+	used := p.UsedNodes()
+	for _, i := range set {
+		if err := cl.FailNode(used[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	restored, err := mgr.Restore(1, slices.Sorted(maps.Keys(data)))
+	if checkpoint.Unrecoverable(err) {
+		return true
+	}
+	if err != nil {
+		t.Fatalf("%s, nodes %v fail: %v", c.Name, set, err)
+	}
+	for _, re := range restored {
+		if !bytes.Equal(re.Data, data[re.Rank]) {
+			t.Fatalf("%s, nodes %v fail: rank %d restored from %v with wrong bytes", c.Name, set, re.Rank, re.Level)
+		}
+	}
+	return false
+}
+
+// TestDataPlaneSampledTail holds the model's tail — the union bound and
+// Monte Carlo it uses once C(nodes, f) passes the enumeration budget — to
+// what checkpoint.Restore does. Round-robin puts 96 ranks on 64 nodes, rank
+// r on node r mod 64, so naive-3's groups wrap past the last node and their
+// spans overlap partially ({63, 64, 65} sits on nodes 63, 0 and 1): no
+// closed form, and C(64, 4) and C(64, 5) exceed 100,000 sets. naive-3 then
+// samples (its union bound is past 0.1), and naive-8, whose groups need five
+// of their eight nodes lost, takes the union bound. For each f, 2,000
+// failure sets drawn with a fixed seed go through restoreLost. Against a
+// Monte Carlo answer (any P(cat) above 0.1) the unrecoverable share must lie
+// within 4σ of it, σ the binomial deviation of both samples; against the
+// union bound it must not exceed it by more than 4σ.
+func TestDataPlaneSampledTail(t *testing.T) {
+	const nodes, ranks, blob, draws = 64, 96, 48, 2000
+	mach, err := topology.Tsubame2().Subset(nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := topology.RoundRobin(mach, ranks, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comm, err := trace.NewStencil(ranks, trace.SyntheticOptions{Pattern: trace.Stencil2D, Width: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := map[topology.Rank][]byte{}
+	for r := range topology.Rank(ranks) {
+		data[r] = bytes.Repeat([]byte{byte(r), byte(r >> 8), 0xa5}, blob/3)
+	}
+	rng := rand.New(rand.NewPCG(2012, 55))
+	sampled := false
+	for _, spec := range []hierclust.StrategySpec{{Kind: "naive", Size: 3}, {Kind: "naive", Size: 8}} {
+		c, err := spec.Build(comm, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var groups []reliability.Group
+		for _, g := range c.Groups {
+			groups = append(groups, reliability.GroupFromRanks(p, g))
+		}
+		for f := 4; f <= 5; f++ {
+			mdl := reliability.Model{Nodes: nodes, Mix: reliability.Mix{NodeLoss: make([]float64, f)}}
+			mdl.Mix.NodeLoss[f-1] = 1
+			pcat, err := mdl.CatastropheProb(groups)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lost := 0
+			for range draws {
+				if restoreLost(t, p, c, data, rng.Perm(nodes)[:f]) {
+					lost++
+				}
+			}
+			rate := float64(lost) / draws
+			monteCarlo := pcat > 0.1 // the union bound answers only up to 0.1
+			sampled = sampled || monteCarlo
+			sigma := math.Sqrt(pcat * (1 - pcat) * (1.0/draws + 1.0/200_000))
+			t.Logf("%s, f = %d: %d of %d sampled failure sets unrecoverable (%.4f), P(cat) %.4f (Monte Carlo %v), 4σ %.4f",
+				c.Name, f, lost, draws, rate, pcat, monteCarlo, 4*sigma)
+			if rate > pcat+4*sigma || monteCarlo && rate < pcat-4*sigma {
+				t.Errorf("%s, f = %d: %d of %d sampled failure sets unrecoverable (%.4f), outside P(cat) %.4f ± 4σ (%.4f)",
+					c.Name, f, lost, draws, rate, pcat, 4*sigma)
+			}
+		}
+	}
+	if !sampled {
+		t.Error("no P(cat) came from Monte Carlo: the layout no longer reaches the sampled tail")
 	}
 }
 

@@ -16,8 +16,9 @@ import (
 // With cfg.MaxRanks set, the table continues past the traced sizes on
 // synthetically generated 2-D stencil traces (4096 ranks doubling up to
 // MaxRanks), running the whole clustering→reliability pipeline on the
-// sparse CSR path — the regime where a dense matrix would need O(n²)
-// memory and a traced run would need hours of simulated MPI.
+// implicit stencil trace, with no rank matrix — the regime where a dense
+// matrix would need O(n²) memory and a traced run would need hours of
+// simulated MPI.
 //
 // The experiment defines its own rank/ppn ladder (8 per node up to 256
 // ranks, 16 above, for both traced and synthetic rows); cfg.Ranks and

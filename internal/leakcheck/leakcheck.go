@@ -1,6 +1,6 @@
 // Package leakcheck asserts, at TestMain exit, that a test suite did not
-// leak goroutines. The serve and pipeline packages spawn worker pools,
-// singleflight builders, and cancellation watchers on every request; a
+// leak goroutines. The serve and pipeline packages spawn worker pools and
+// singleflight builders on every request; a
 // boundary that forgets to join one of them under an injected fault shows
 // up here as a hard test failure with a full stack dump, instead of as a
 // slow memory leak in a long-lived hcserve process.

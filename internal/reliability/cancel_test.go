@@ -104,3 +104,36 @@ func TestCatastropheProbCtxUncancelledIdentical(t *testing.T) {
 		t.Fatalf("context-threaded result %g != context-free result %g", got, ref)
 	}
 }
+
+// A warm product-form weighing polls nothing and allocates nothing, under a
+// context that can be cancelled as under Background: the loops that poll
+// read ctx.Err() themselves, so no per-call watcher turns the context into
+// something else.
+func TestCatastropheProbCancelableCtxAllocatesNothing(t *testing.T) {
+	var groups []Group
+	for g := 0; g < 16; g++ { // disjoint uniform spans of 4 nodes
+		groups = append(groups, groupOf(map[topology.NodeID]int{
+			topology.NodeID(4 * g): 1, topology.NodeID(4*g + 1): 1, topology.NodeID(4*g + 2): 1, topology.NodeID(4*g + 3): 1}, 1))
+	}
+	var p Profile
+	if err := p.Init(groups, 64); err != nil {
+		t.Fatal(err)
+	}
+	if !p.fg.dpOK {
+		t.Fatal("the fixture left the product form")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	mix := DefaultMix()
+	want, err := p.CatastropheProb(context.Background(), mix, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got float64
+	if allocs := testing.AllocsPerRun(5, func() { got, err = p.CatastropheProb(ctx, mix, 1) }); allocs != 0 {
+		t.Errorf("a warm weighing under a cancelable context allocates %v objects, want 0", allocs)
+	}
+	if err != nil || got != want {
+		t.Errorf("under a cancelable context: %v, %v; under Background: %v", got, err, want)
+	}
+}

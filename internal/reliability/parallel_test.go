@@ -38,9 +38,9 @@ func TestExactConditionalWorkerInvariance(t *testing.T) {
 		groups := randomGroups(seed, 12, 6)
 		fg := flatten(groupSpans{groups, 12})
 		for f := 1; f <= 5; f++ {
-			serial := exactConditional(fg, 12, f, 1, nil)
+			serial := exactConditional(context.Background(), fg, 12, f, 1)
 			for _, workers := range []int{2, 3, 8} {
-				if got := exactConditional(fg, 12, f, workers, nil); got != serial {
+				if got := exactConditional(context.Background(), fg, 12, f, workers); got != serial {
 					t.Errorf("seed %d f %d: workers=%d gave %v, serial %v", seed, f, workers, got, serial)
 				}
 			}
@@ -54,15 +54,15 @@ func TestExactConditionalWorkerInvariance(t *testing.T) {
 func TestMonteCarloWorkerInvariance(t *testing.T) {
 	groups := randomGroups(3, 40, 10)
 	fg := flatten(groupSpans{groups, 40})
-	serial := monteCarloConditional(fg, 40, 4, 50_000, 17, 1, nil)
+	serial := monteCarloConditional(context.Background(), fg, 40, 4, 50_000, 17, 1)
 	for _, workers := range []int{2, 5, 16} {
-		if got := monteCarloConditional(fg, 40, 4, 50_000, 17, workers, nil); got != serial {
+		if got := monteCarloConditional(context.Background(), fg, 40, 4, 50_000, 17, workers); got != serial {
 			t.Errorf("workers=%d gave %v, serial %v", workers, got, serial)
 		}
 	}
 	old := runtime.GOMAXPROCS(2)
 	defer runtime.GOMAXPROCS(old)
-	if got := monteCarloConditional(fg, 40, 4, 50_000, 17, 0, nil); got != serial {
+	if got := monteCarloConditional(context.Background(), fg, 40, 4, 50_000, 17, 0); got != serial {
 		t.Errorf("GOMAXPROCS=2 workers=0 gave %v, serial %v", got, serial)
 	}
 }
@@ -158,7 +158,7 @@ func TestDisjointConditionalMatchesExact(t *testing.T) {
 			t.Fatalf("seed %d: disjoint layout rejected by reduction", seed)
 		}
 		for f := 1; f <= 6; f++ {
-			exact := exactConditional(scan, n, f, 1, nil)
+			exact := exactConditional(context.Background(), scan, n, f, 1)
 			closed := fg.disjointConditional(n, f, 100_000)
 			if exact != closed {
 				t.Errorf("seed %d f %d: exact %v, closed form %v", seed, f, exact, closed)
@@ -215,7 +215,7 @@ func TestModelClosedFormAgreesWithEnumeration(t *testing.T) {
 	scan := flatten(groupSpans{groups, n})
 	var brute float64
 	for i, pf := range mix.NodeLoss {
-		pcat := exactConditional(scan, n, i+1, 1, nil)
+		pcat := exactConditional(context.Background(), scan, n, i+1, 1)
 		if i+1 == 2 {
 			pcat = mix.PairCorrelation*alignedPairConditional(scan, n) + (1-mix.PairCorrelation)*pcat
 		}

@@ -65,7 +65,7 @@ func checkProductForm(t *testing.T, groups []Group, n int) int {
 	closed := make([]float64, n)
 	fg.productConditionals(n, 100_000, closed)
 	for f := 1; f <= n; f++ {
-		exact := exactConditional(slabs, n, f, 1, nil)
+		exact := exactConditional(context.Background(), slabs, n, f, 1)
 		if closed[f-1] != exact {
 			t.Errorf("f=%d of %d nodes: closed form %v, enumeration %v (%+v)", f, n, closed[f-1], exact, groups)
 		}

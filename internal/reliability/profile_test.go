@@ -73,7 +73,7 @@ func conditionalBranch(p *Profile, f int) int {
 		return 1
 	case combinations(p.nodes, f) <= float64(p.exactLimit):
 		return 0
-	case unionBoundConditional(p.fg, p.nodes, f, 1, nil) <= 0.1:
+	case unionBoundConditional(context.Background(), p.fg, p.nodes, f, 1) <= 0.1:
 		return 2
 	}
 	return 3

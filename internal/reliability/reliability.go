@@ -53,7 +53,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"hierclust/internal/pool"
 	"hierclust/internal/topology"
@@ -232,24 +231,11 @@ func (mdl *Model) CatastropheProb(groups []Group) (float64, error) {
 	return mdl.CatastropheProbCtx(context.Background(), groups)
 }
 
-// cancelWatch converts a context into a flag the enumeration and sampling
-// inner loops can poll for a few nanoseconds instead of a channel select
-// per iteration. The returned stop is nil when the context can never be
-// cancelled (no polling overhead at all); the returned func releases the
-// watcher.
-func cancelWatch(ctx context.Context) (*atomic.Bool, func() bool) {
-	if ctx == nil || ctx.Done() == nil {
-		return nil, func() bool { return false }
-	}
-	stop := &atomic.Bool{}
-	return stop, context.AfterFunc(ctx, func() { stop.Store(true) })
-}
-
 // CatastropheProbCtx is CatastropheProb with cancellation: a cancelled
 // context makes the exact-enumeration and Monte Carlo worker loops bail
 // out within a bounded number of inner iterations and the call return
 // ctx.Err(). An uncancelled call is bit-identical to CatastropheProb —
-// the stop flag is polled, never consulted for results.
+// ctx is polled, never consulted for results.
 func (mdl *Model) CatastropheProbCtx(ctx context.Context, groups []Group) (float64, error) {
 	p := Profile{exactLimit: mdl.exactLimit, samples: mdl.samples}
 	if err := p.Init(groups, mdl.Nodes); err != nil {
@@ -338,7 +324,7 @@ func (p *Profile) remember(i int, v ...float64) {
 // conditional returns P(some group destroyed | f uniform random distinct
 // nodes fail); ok is false when cancellation cut it short, and the partial
 // sum is not remembered.
-func (p *Profile) conditional(ctx context.Context, f, workers int, stop *atomic.Bool) (pcat float64, ok bool) {
+func (p *Profile) conditional(ctx context.Context, f, workers int) (pcat float64, ok bool) {
 	if f <= memoF {
 		if v, hit := p.memo(f - 1); hit {
 			return v, true
@@ -362,17 +348,17 @@ func (p *Profile) conditional(ctx context.Context, f, workers int, stop *atomic.
 	}
 	switch {
 	case combinations(p.nodes, f) <= float64(p.exactLimit):
-		pcat = exactConditional(p.fg, p.nodes, f, workers, stop)
+		pcat = exactConditional(ctx, p.fg, p.nodes, f, workers)
 	default:
-		ub := unionBoundConditional(p.fg, p.nodes, f, workers, stop)
+		ub := unionBoundConditional(ctx, p.fg, p.nodes, f, workers)
 		if ub <= 0.1 {
 			pcat = ub
 		} else {
-			pcat = monteCarloConditional(p.fg, p.nodes, f, p.samples, int64(f)*7919, workers, stop)
+			pcat = monteCarloConditional(ctx, p.fg, p.nodes, f, p.samples, int64(f)*7919, workers)
 		}
 	}
-	// The watcher sets stop only after ctx.Err() turns non-nil, so a nil
-	// error here means no loop above was cut short.
+	// A loop above stops early only once ctx.Err() is non-nil, which it
+	// then stays, so a nil error here means none was cut short.
 	if ctx.Err() != nil {
 		return 0, false
 	}
@@ -393,15 +379,13 @@ func (p *Profile) CatastropheProb(ctx context.Context, mix Mix, workers int) (fl
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	stop, watchDone := cancelWatch(ctx)
-	defer watchDone()
 	var total float64
 	for i, pf := range mix.NodeLoss {
 		f := i + 1
 		if pf == 0 || f > p.nodes {
 			continue
 		}
-		pcat, ok := p.conditional(ctx, f, workers, stop)
+		pcat, ok := p.conditional(ctx, f, workers)
 		if !ok {
 			break // the partial sum is discarded below
 		}
@@ -947,20 +931,15 @@ func resolveWorkers(workers, nchunks int) int {
 	return max(min(workers, nchunks), 1)
 }
 
-// stopped is the pool's stop predicate over the cancel flag (nil when the
-// context can never be cancelled): once set, unclaimed chunks are
-// abandoned — the caller is cancelling and will discard the partial result.
-func stopped(stop *atomic.Bool) bool { return stop != nil && stop.Load() }
-
 // exactConditional enumerates every f-subset of nodes and returns the
 // fraction that destroys at least one group. The enumeration is chunked by
 // the lexicographically first failed node: chunk v covers all subsets
 // {v, ...} with the remaining f-1 nodes drawn from v+1..n-1, so chunks are
 // disjoint, cover everything, and carry integer hit counts that sum to the
 // same total in any order — the parallel result is bit-identical to serial.
-// A set stop flag makes in-progress chunks break within 1024 subsets; the
-// caller discards the partial result and reports cancellation.
-func exactConditional(fg *flatGroups, n, f, workers int, stop *atomic.Bool) float64 {
+// Once ctx.Err() is non-nil, chunks stop within 1024 subsets and no more
+// are claimed; the caller discards the partial result and reports it.
+func exactConditional(ctx context.Context, fg *flatGroups, n, f, workers int) float64 {
 	if f <= 0 || f > n {
 		return 0
 	}
@@ -975,7 +954,7 @@ func exactConditional(fg *flatGroups, n, f, workers int, stop *atomic.Bool) floa
 		scratch []uint64
 	}
 	states := make([]*exactState, resolveWorkers(workers, nchunks))
-	pool.Run(nchunks, len(states), stop, stopped, func(stop *atomic.Bool, v, worker int) {
+	pool.Run(nchunks, len(states), ctx, func(ctx context.Context) bool { return ctx.Err() != nil }, func(ctx context.Context, v, worker int) {
 		st := states[worker]
 		if st == nil {
 			st = &exactState{idx: make([]int, f), scratch: fg.newScratch()}
@@ -989,7 +968,7 @@ func exactConditional(fg *flatGroups, n, f, workers int, stop *atomic.Bool) floa
 		scratch := st.scratch
 		var h, s int64
 		for {
-			if stop != nil && s&1023 == 1023 && stop.Load() {
+			if s&1023 == 1023 && ctx.Err() != nil {
 				break
 			}
 			s++
@@ -1021,13 +1000,13 @@ func exactConditional(fg *flatGroups, n, f, workers int, stop *atomic.Bool) floa
 
 // unionBoundConditional sums the exact per-group destruction probability
 // over groups (an upper bound on the union, tight when events are rare).
-func unionBoundConditional(fg *flatGroups, n, f, workers int, stop *atomic.Bool) float64 {
+func unionBoundConditional(ctx context.Context, fg *flatGroups, n, f, workers int) float64 {
 	var sum float64
 	for gi := range fg.tolerance {
-		if stop != nil && stop.Load() {
+		if ctx.Err() != nil {
 			break
 		}
-		sum += fg.groupConditional(int32(gi), n, f, workers, stop)
+		sum += fg.groupConditional(ctx, int32(gi), n, f, workers)
 	}
 	if sum > 1 {
 		sum = 1
@@ -1038,7 +1017,7 @@ func unionBoundConditional(fg *flatGroups, n, f, workers int, stop *atomic.Bool)
 // groupConditional computes P(group gi destroyed | f uniform random distinct
 // node failures) exactly, enumerating subsets of the group's node span when
 // small and sampling otherwise.
-func (fg *flatGroups) groupConditional(gi int32, n, f, workers int, stop *atomic.Bool) float64 {
+func (fg *flatGroups) groupConditional(ctx context.Context, gi int32, n, f, workers int) float64 {
 	nodes, spanCounts := fg.span(gi)
 	tolerance := int(fg.tolerance[gi])
 	counts := make([]int, len(spanCounts))
@@ -1075,7 +1054,7 @@ func (fg *flatGroups) groupConditional(gi int32, n, f, workers int, stop *atomic
 	}
 	if work > 2e6 {
 		one := &flatGroups{n: n, spanPtr: []int32{0, int32(len(nodes))}, spanNodes: nodes, spanCounts: spanCounts, tolerance: []int32{fg.tolerance[gi]}}
-		return monteCarloConditional(one, n, f, 100_000, int64(n)*31+int64(f), workers, stop)
+		return monteCarloConditional(ctx, one, n, f, 100_000, int64(n)*31+int64(f), workers)
 	}
 	idx := make([]int, maxJ)
 	var steps int64
@@ -1090,7 +1069,7 @@ func (fg *flatGroups) groupConditional(gi int32, n, f, workers int, stop *atomic
 		sub := idx[:j]
 		for {
 			steps++
-			if stop != nil && steps&4095 == 0 && stop.Load() {
+			if steps&4095 == 0 && ctx.Err() != nil {
 				return 0 // cancelled; the caller discards the result
 			}
 			lost := 0
@@ -1129,9 +1108,9 @@ const mcChunkSamples = 8192
 
 // monteCarloConditional estimates the union probability by sampling
 // f-subsets, sharded into fixed deterministic chunks with independent
-// splitmix-seeded generators. A set stop flag makes in-progress chunks
-// break within 512 samples (the caller discards the partial estimate).
-func monteCarloConditional(fg *flatGroups, n, f, samples int, seed int64, workers int, stop *atomic.Bool) float64 {
+// splitmix-seeded generators. Once ctx.Err() is non-nil, chunks stop within
+// 512 samples and no more are claimed; the caller discards the estimate.
+func monteCarloConditional(ctx context.Context, fg *flatGroups, n, f, samples int, seed int64, workers int) float64 {
 	if samples <= 0 {
 		return 0
 	}
@@ -1147,7 +1126,7 @@ func monteCarloConditional(fg *flatGroups, n, f, samples int, seed int64, worker
 		scratch []uint64
 	}
 	states := make([]*mcState, resolveWorkers(workers, nchunks))
-	pool.Run(nchunks, len(states), stop, stopped, func(stop *atomic.Bool, c, worker int) {
+	pool.Run(nchunks, len(states), ctx, func(ctx context.Context) bool { return ctx.Err() != nil }, func(ctx context.Context, c, worker int) {
 		st := states[worker]
 		if st == nil {
 			st = &mcState{perm: make([]int, n), failed: make([]int, f), scratch: fg.newScratch()}
@@ -1166,7 +1145,7 @@ func monteCarloConditional(fg *flatGroups, n, f, samples int, seed int64, worker
 		scratch := st.scratch
 		var h int64
 		for s := 0; s < count; s++ {
-			if stop != nil && s&511 == 511 && stop.Load() {
+			if s&511 == 511 && ctx.Err() != nil {
 				break
 			}
 			// partial Fisher–Yates for the first f positions

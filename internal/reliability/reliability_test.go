@@ -1,6 +1,7 @@
 package reliability
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -90,10 +91,10 @@ func TestExactConditionalHandComputed(t *testing.T) {
 	// One group: 1 member on node 0, tolerance 0. With 1 failure among 4
 	// nodes, P = 1/4; with 2 failures, P = C(3,1)/C(4,2) = 3/6 = 1/2.
 	groups := []Group{groupOf(map[topology.NodeID]int{0: 1}, 0)}
-	if got := exactConditional(flatten(groupSpans{groups, 4}), 4, 1, 1, nil); math.Abs(got-0.25) > 1e-12 {
+	if got := exactConditional(context.Background(), flatten(groupSpans{groups, 4}), 4, 1, 1); math.Abs(got-0.25) > 1e-12 {
 		t.Errorf("f=1: %g, want 0.25", got)
 	}
-	if got := exactConditional(flatten(groupSpans{groups, 4}), 4, 2, 1, nil); math.Abs(got-0.5) > 1e-12 {
+	if got := exactConditional(context.Background(), flatten(groupSpans{groups, 4}), 4, 2, 1); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("f=2: %g, want 0.5", got)
 	}
 }
@@ -103,8 +104,8 @@ func TestGroupConditionalMatchesExact(t *testing.T) {
 	groups := []Group{groupOf(map[topology.NodeID]int{0: 2, 3: 1, 5: 1}, 2)}
 	for f := 1; f <= 4; f++ {
 		fg := flatten(groupSpans{groups, 8})
-		exact := exactConditional(fg, 8, f, 1, nil)
-		closed := fg.groupConditional(0, 8, f, 1, nil)
+		exact := exactConditional(context.Background(), fg, 8, f, 1)
+		closed := fg.groupConditional(context.Background(), 0, 8, f, 1)
 		if math.Abs(exact-closed) > 1e-12 {
 			t.Errorf("f=%d: exact %g != closed-form %g", f, exact, closed)
 		}
@@ -117,7 +118,7 @@ func TestUnionBoundOverlapsCap(t *testing.T) {
 	groups := []Group{g, g}
 	// Any failure including node 0 destroys both; with n=2,f=1: each group
 	// P=1/2, sum = 1.0 (capped).
-	if got := unionBoundConditional(flatten(groupSpans{groups, 2}), 2, 1, 1, nil); got != 1 {
+	if got := unionBoundConditional(context.Background(), flatten(groupSpans{groups, 2}), 2, 1, 1); got != 1 {
 		t.Errorf("union bound = %g, want capped 1", got)
 	}
 }
@@ -127,8 +128,8 @@ func TestMonteCarloAgreesWithExact(t *testing.T) {
 		groupOf(map[topology.NodeID]int{0: 1, 1: 1, 2: 1}, 1),
 		groupOf(map[topology.NodeID]int{3: 1, 4: 1, 5: 1}, 1),
 	}
-	exact := exactConditional(flatten(groupSpans{groups, 10}), 10, 3, 1, nil)
-	mc := monteCarloConditional(flatten(groupSpans{groups, 10}), 10, 3, 400_000, 1, 1, nil)
+	exact := exactConditional(context.Background(), flatten(groupSpans{groups, 10}), 10, 3, 1)
+	mc := monteCarloConditional(context.Background(), flatten(groupSpans{groups, 10}), 10, 3, 400_000, 1, 1)
 	if math.Abs(exact-mc) > 0.01 {
 		t.Errorf("monte carlo %g vs exact %g", mc, exact)
 	}

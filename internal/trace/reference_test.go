@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -429,7 +430,7 @@ func TestStencilClosedFormsMatchFolds(t *testing.T) {
 					what := fmt.Sprintf("n=%d %+v ppn=%d", n, opts, ppn)
 					p := mustBlock(t, n, ppn)
 					got, err1 := s.NodeGraph(p)
-					rows, err2 := nodeGraph(view, p, nil, nil)
+					rows, err2 := nodeGraph(context.Background(), view, p, nil)
 					csr, err3 := c.NodeGraph(p)
 					if err1 != nil || err2 != nil || err3 != nil {
 						t.Fatal(what, err1, err2, err3)

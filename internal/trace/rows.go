@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"fmt"
 	"slices"
 
@@ -84,7 +85,7 @@ func loggedFraction(v rows, total int64, part []int32) (float64, error) {
 }
 
 // foldPoll is how many node rows each pass of nodeGraph folds between two
-// polls of its cancel function.
+// polls of its context.
 const foldPoll = 4096
 
 // nodeGraph aggregates the rank rows under a placement into the undirected
@@ -104,10 +105,9 @@ const foldPoll = 4096
 // int64 mergeRow forms from a row and its equal transpose row, ≤ the total).
 //
 // Every array, scratch included, is carved from ar; a nil arena allocates
-// them, and the graph is then the caller's. Each pass polls cancel (when
-// non-nil) every foldPoll node rows and returns graph.ErrCancelled once it
-// reports an abort.
-func nodeGraph(v rows, p *topology.Placement, ar *graph.Arena, cancel func() bool) (*graph.Graph, error) {
+// them, and the graph is then the caller's. Each pass polls ctx.Err() every
+// foldPoll node rows and returns it once it is non-nil.
+func nodeGraph(ctx context.Context, v rows, p *topology.Placement, ar *graph.Arena) (*graph.Graph, error) {
 	if p.NumRanks() != v.n {
 		return nil, fmt.Errorf("trace: placement has %d ranks, matrix %d", p.NumRanks(), v.n)
 	}
@@ -120,8 +120,10 @@ func nodeGraph(v rows, p *topology.Placement, ar *graph.Arena, cancel func() boo
 	epoch := int32(0)
 	nodeOf := func(d int32) int32 { return int32(p.UsedIndex(p.NodeOf(topology.Rank(d)))) }
 	for a := 0; a < nused; a++ {
-		if a%foldPoll == 0 && cancel != nil && cancel() {
-			return nil, graph.ErrCancelled
+		if a%foldPoll == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 		}
 		epoch++
 		count := int64(0)
@@ -150,8 +152,10 @@ func nodeGraph(v rows, p *topology.Placement, ar *graph.Arena, cancel func() boo
 	clear(stamp)
 	epoch = 0
 	for a := 0; a < nused; a++ {
-		if a%foldPoll == 0 && cancel != nil && cancel() {
-			return nil, graph.ErrCancelled
+		if a%foldPoll == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 		}
 		epoch++
 		row := col[ptr[a]:ptr[a]:ptr[a+1]]

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -210,7 +211,7 @@ func (c *CSR) ToGraph() *graph.Graph { return symGraph(c.n, c.rowPtr, c.col, c.b
 // node graph in one sparse fold (Comm interface; vertex indices follow
 // p.UsedNodes() order).
 func (c *CSR) NodeGraph(p *topology.Placement) (*graph.Graph, error) {
-	return nodeGraph(c.view(), p, nil, nil)
+	return nodeGraph(context.Background(), c.view(), p, nil)
 }
 
 // Pair is one directed rank pair and its byte volume.

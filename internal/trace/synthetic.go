@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -187,7 +188,7 @@ func (s *Stencil) LoggedFraction(part []int32) (float64, error) {
 // NodeGraph folds the stencil under the placement into the undirected node
 // graph, without materializing a rank matrix.
 func (s *Stencil) NodeGraph(p *topology.Placement) (*graph.Graph, error) {
-	return s.nodeGraph(p, nil, nil)
+	return s.nodeGraph(context.Background(), p, nil)
 }
 
 // nodeGraph is the node fold of NodeGraph and NodeGraphInto. On a block
@@ -195,28 +196,32 @@ func (s *Stencil) NodeGraph(p *topology.Placement) (*graph.Graph, error) {
 // (nodeRow); on any other, and for a placement of another rank count, the
 // general fold reads the stencil's rows (and is the closed form's oracle).
 // The closed form carves only the graph's arrays from ar — a count pass
-// sizes col and w exactly, a fill pass writes them — and polls cancel every
+// sizes col and w exactly, a fill pass writes them — and polls ctx every
 // foldPoll node rows of each pass, as the general fold does.
-func (s *Stencil) nodeGraph(p *topology.Placement, ar *graph.Arena, cancel func() bool) (*graph.Graph, error) {
+func (s *Stencil) nodeGraph(ctx context.Context, p *topology.Placement, ar *graph.Arena) (*graph.Graph, error) {
 	ppn := p.BlockPPN()
 	if ppn == 0 || p.NumRanks() != s.n {
-		return nodeGraph(s.view(new([4]int32)), p, ar, cancel)
+		return nodeGraph(ctx, s.view(new([4]int32)), p, ar)
 	}
 	nused, q := p.NumUsed(), s.width/ppn
 	ptr := ar.Int64s(nused + 1)
 	ptr[0] = 0
 	var row [7]nodeCell
 	for a := 0; a < nused; a++ {
-		if a%foldPoll == 0 && cancel != nil && cancel() {
-			return nil, graph.ErrCancelled
+		if a%foldPoll == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 		}
 		ptr[a+1] = ptr[a] + int64(s.nodeRow(a, ppn, q, &row))
 	}
 	nnz := int(ptr[nused])
 	col, w := ar.Int32s(nnz), ar.Float64s(nnz)
 	for a := 0; a < nused; a++ {
-		if a%foldPoll == 0 && cancel != nil && cancel() {
-			return nil, graph.ErrCancelled
+		if a%foldPoll == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 		}
 		for i, e := range row[:s.nodeRow(a, ppn, q, &row)] {
 			// The symmetric read-back's weights: the pairs' bytes, doubled

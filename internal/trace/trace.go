@@ -20,6 +20,8 @@
 package trace
 
 import (
+	"context"
+
 	"hierclust/internal/graph"
 	"hierclust/internal/topology"
 )
@@ -47,16 +49,16 @@ type Comm interface {
 
 // NodeGraphInto is m.NodeGraph with the graph and the fold's scratch carved
 // from ar, so the graph lives until ar's next Reset and the fold allocates
-// nothing of its own. cancel, when non-nil, is polled every 4,096 node rows
-// of the fold; once it returns true, NodeGraphInto returns
-// graph.ErrCancelled. Any other Comm (the Matrix shim, or one from outside
-// this package) builds its graph with its own NodeGraph, unpolled.
-func NodeGraphInto(m Comm, p *topology.Placement, ar *graph.Arena, cancel func() bool) (*graph.Graph, error) {
+// nothing of its own. ctx.Err() is polled every 4,096 node rows of the fold;
+// once it is non-nil, NodeGraphInto returns it. Any other Comm (the Matrix
+// shim, or one from outside this package) builds its graph with its own
+// NodeGraph, unpolled.
+func NodeGraphInto(ctx context.Context, m Comm, p *topology.Placement, ar *graph.Arena) (*graph.Graph, error) {
 	switch m := m.(type) {
 	case *CSR:
-		return nodeGraph(m.view(), p, ar, cancel)
+		return nodeGraph(ctx, m.view(), p, ar)
 	case *Stencil:
-		return m.nodeGraph(p, ar, cancel)
+		return m.nodeGraph(ctx, p, ar)
 	}
 	return m.NodeGraph(p)
 }

@@ -7,6 +7,6 @@ import (
 )
 
 // TestMain asserts the suite — including cancelled Runs, injected panics,
-// and degraded-cache chaos — leaks no goroutines (cancellation watchers,
-// singleflight builders, worker pools all joined).
+// and degraded-cache chaos — leaks no goroutines (singleflight builders and
+// worker pools all joined).
 func TestMain(m *testing.M) { leakcheck.Main(m) }

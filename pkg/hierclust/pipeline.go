@@ -448,7 +448,7 @@ func (pl *Pipeline) buildScored(ctx context.Context, spec StrategySpec, comm Com
 	pl.arenas.give(ar)
 	if err != nil {
 		pl.bufs.give(sd.buf)
-		return scored{}, cmp.Or(ctx.Err(), err)
+		return scored{}, err
 	}
 	if err := sd.buf.Profile().Init(ctx, sd.c, placement); err != nil {
 		pl.bufs.give(sd.buf)

@@ -190,3 +190,36 @@ func TestPipelineTraceBuildPanicIsolated(t *testing.T) {
 		t.Fatalf("Run after recovered trace-build panic failed: %v", err)
 	}
 }
+
+// A Run under a context that can be cancelled allocates what a Run under
+// Background does: the build and the weighing poll ctx.Err() themselves, so
+// no strategy turns the context into a closure or a watcher first.
+func TestPipelineRunCancelableCtxAllocatesNothingMore(t *testing.T) {
+	if racedetect.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	sc := &Scenario{
+		Name:       "cancelable-allocs",
+		Machine:    MachineSpec{Nodes: 128},
+		Placement:  PlacementSpec{Ranks: 1024, ProcsPerNode: 8},
+		Trace:      TraceSpec{Source: "synthetic", Pattern: "stencil2d"},
+		Strategies: []StrategySpec{{Kind: "naive", Size: 32}, {Kind: "hierarchical"}},
+	}
+	pl := NewPipeline(WithWorkers(1))
+	allocs := func(ctx context.Context) float64 {
+		run := func() {
+			if _, err := pl.Run(ctx, sc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // the pipeline's buffers and arena reach their shapes
+		return testing.AllocsPerRun(10, run)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	background, cancelable := allocs(context.Background()), allocs(ctx)
+	t.Logf("a warm Run allocates %v objects under Background, %v under WithCancel", background, cancelable)
+	if cancelable != background {
+		t.Errorf("a warm Run allocates %v objects under a cancelable context, %v under Background", cancelable, background)
+	}
+}

@@ -96,9 +96,8 @@ func (s StrategySpec) Build(m Comm, p *Placement) (*Clustering, error) {
 // build is Build into buf, a hierarchical build's scratch in ar (nil for
 // either means fresh memory). The node fold polls ctx every 4,096 nodes and
 // the partitioner's growth every 1,024 clusters and between refinement
-// passes, so cancelling a large build returns within a few milliseconds
-// (with graph.ErrCancelled; the caller reports ctx's). An uncancelled
-// build's clustering is Build's.
+// passes, so cancelling a large build returns ctx.Err() within a few
+// milliseconds. An uncancelled build's clustering is Build's.
 func (s StrategySpec) build(ctx context.Context, m Comm, p *Placement, buf *core.ClusteringBuf, ar *graph.Arena) (*Clustering, error) {
 	if err := s.check(p != nil && p.Machine().PowerPairs); err != nil {
 		return nil, err
@@ -116,11 +115,7 @@ func (s StrategySpec) build(ctx context.Context, m Comm, p *Placement, buf *core
 	if s.Hier != nil {
 		opts = *s.Hier
 	}
-	var cancel func() bool
-	if ctx.Done() != nil {
-		cancel = func() bool { return ctx.Err() != nil }
-	}
-	c, err := buf.Hierarchical(ar, m, p, opts, cancel)
+	c, err := buf.Hierarchical(ctx, ar, m, p, opts)
 	if err != nil {
 		return nil, err
 	}
