@@ -22,12 +22,14 @@
 //
 // -cpuprofile/-memprofile write pprof profiles covering the experiment
 // runs (the heap profile is captured after everything finishes), so
-// partition/evaluation profiling needs no ad-hoc harness edits. CPU
-// profiles carry goroutine labels for the partitioner's phases
-// (phase=grow/refine), so pprof can split time by pipeline stage:
+// partition/evaluation profiling needs no ad-hoc harness edits. Every
+// evaluation stage runs under a goroutine label, so pprof splits time by
+// stage, and the partitioner's grow and refine are symbols of their own:
 //
 //	hcrun -exp scaling -maxranks 262144 -cpuprofile cpu.prof -memprofile mem.prof
-//	go tool pprof -tagfocus phase=refine cpu.prof
+//	go tool pprof -tagfocus stage=partition -focus 'graph\.refine' cpu.prof
+//
+// -timings also prints the pipeline's stage table to stderr.
 //
 // Experiments: table1, fig3a, fig3b, fig4a, fig4b, fig4c, fig5a, fig5b,
 // fig5c, table2, protocol, ablation, scaling.
@@ -42,7 +44,6 @@ import (
 	"time"
 
 	"hierclust/internal/harness"
-	"hierclust/pkg/hierclust"
 )
 
 func main() {
@@ -89,9 +90,6 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		// Label partition phases (grow/refine) in the profile; the labels
-		// allocate, so they are tied to -cpuprofile rather than always on.
-		hierclust.SetPartitionPhaseLabels(true)
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fail(err)
 		}
@@ -133,6 +131,9 @@ func main() {
 	}
 
 	results := harness.Run(cfg, exps)
+	if *timings {
+		harness.Stages().WriteTo(os.Stderr)
+	}
 	if *jsonFlag {
 		doc, err := harness.ResultsJSON(results)
 		if err != nil {

@@ -36,7 +36,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
@@ -75,7 +75,7 @@ func main() {
 		faultinject.ArmSpec)
 	flag.Parse()
 	if armed := faultinject.Armed(); len(armed) > 0 {
-		log.Printf("hcserve: WARNING: fault injection armed (chaos drill, not for production traffic): %v", armed)
+		slog.Warn("hcserve: fault injection armed (chaos drill, not for production traffic)", "points", armed)
 	}
 
 	opts := []hierclust.PipelineOption{hierclust.WithWorkers(*workers)}
@@ -123,7 +123,7 @@ func main() {
 	defer stop()
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
-	log.Printf("hcserve: listening on %s", *addr)
+	slog.Info("hcserve: listening", "addr", *addr)
 
 	select {
 	case err := <-errCh:
@@ -134,14 +134,14 @@ func main() {
 		// Graceful drain: stop admitting new evaluations (queued waiters
 		// get 503 immediately), then let the already-running ones finish
 		// within the grace period.
-		log.Printf("hcserve: draining (grace %s)", *drainTimeout)
+		slog.Info("hcserve: draining", "grace", *drainTimeout)
 		handler.Drain()
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 		defer cancel()
 		if err := srv.Shutdown(shutdownCtx); err != nil {
 			fail(err)
 		}
-		log.Printf("hcserve: drained")
+		slog.Info("hcserve: drained")
 	}
 }
 

@@ -24,8 +24,10 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"time"
 
 	"hierclust/internal/graph"
+	"hierclust/internal/stage"
 	"hierclust/internal/topology"
 	"hierclust/internal/trace"
 )
@@ -147,6 +149,12 @@ type ClusteringBuf struct {
 	slab   []topology.Rank
 	groups [][]topology.Rank
 	prof   Profile
+	built  [3]time.Duration // the last Hierarchical build's stage times
+}
+
+// BuildTimes returns the last Hierarchical build's fold, partition and fill.
+func (b *ClusteringBuf) BuildTimes() (fold, partition, fill time.Duration) {
+	return b.built[0], b.built[1], b.built[2]
 }
 
 // Profile returns the buffer's score profile; b must not be nil. It may
@@ -344,7 +352,8 @@ func Hierarchical(m trace.Comm, p *topology.Placement, opts HierOptions) (*Clust
 // The node fold polls ctx.Err() every 4,096 nodes, the partitioner's growth
 // every 1,024 clusters and its refinement between passes; once it is
 // non-nil, the build is abandoned and returns it. An uncancelled build is
-// bit-identical under any context.
+// bit-identical under any context. The fold, partition and fill each run
+// labelled as their stage, and leave their durations in b (BuildTimes).
 func (b *ClusteringBuf) Hierarchical(ctx context.Context, ar *graph.Arena, m trace.Comm, p *topology.Placement, opts HierOptions) (*Clustering, error) {
 	opts.normalize()
 	if m.Ranks() != p.NumRanks() {
@@ -358,14 +367,18 @@ func (b *ClusteringBuf) Hierarchical(ctx context.Context, ar *graph.Arena, m tra
 		ar = new(graph.Arena)
 	}
 	ar.Reset()
+	defer stage.Restore(ctx)
+	t0 := stage.Enter(stage.Fold)
 	nodeGraph, err := trace.NodeGraphInto(ctx, m, p, ar)
 	if err != nil {
 		return nil, err
 	}
+	t1 := stage.Enter(stage.Partition)
 	nodePart, err := partitionNodes(ctx, nodeGraph, p, opts, ar)
 	if err != nil {
 		return nil, err
 	}
+	t2 := stage.Enter(stage.Fill)
 
 	l1, slab := b.ranks(p.NumRanks())
 	nparts := 0
@@ -445,6 +458,9 @@ func (b *ClusteringBuf) Hierarchical(ctx context.Context, ar *graph.Arena, m tra
 				groups[first+i%w] = append(groups[first+i%w], p.RankAt(lo+i))
 			}
 		}
+	}
+	if b != nil {
+		b.built = [3]time.Duration{t1.Sub(t0), t2.Sub(t1), time.Since(t2)}
 	}
 	return b.clustering("hierarchical", l1, groups), nil
 }

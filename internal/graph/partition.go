@@ -92,16 +92,12 @@ func (ar *Arena) Partition(ctx context.Context, g *Graph, opts PartitionOptions)
 		return nil, err
 	}
 	ar.fit(n, g.rowptr[n])
-	setPhase("grow")
 	part, sizes, err := grow(ctx, g, opts, ar)
 	if err != nil {
-		clearPhase()
 		return nil, err
 	}
 	mergeSmall(g, part, sizes, opts, ar)
-	setPhase("refine")
 	refine(ctx, g, part, sizes, opts, ar)
-	clearPhase()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

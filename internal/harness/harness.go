@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"hierclust/internal/stage"
 	"hierclust/internal/topology"
 	"hierclust/internal/trace"
 	"hierclust/pkg/hierclust"
@@ -113,6 +114,9 @@ func ByID(id string) (Experiment, error) {
 // protocol rig's, and the five tsunami rungs of scaling. fig4a's synthetic
 // trace needs no entry: the cache keeps only traced (tsunami) runs.
 var pipeline = hierclust.NewPipeline(hierclust.WithTraceCache(hierclust.NewMemoryTraceCache(7)))
+
+// Stages is the stage table of the pipeline the experiments evaluate on.
+func Stages() *stage.Table { return pipeline.Stages() }
 
 // scenario is the traced application run cfg describes, as a Pipeline
 // scenario scoring strategies: cfg.Ranks block-placed cfg.ProcsPerNode per

@@ -76,7 +76,7 @@ func Scaling(cfg Config) (*Table, error) {
 		"restart % falls as 4-node L1 clusters shrink relative to the machine; logging falls with boundary count over volume")
 	if cfg.MaxRanks >= 4096 {
 		t.Notes = append(t.Notes,
-			"rows from 4096 ranks up use synthetic 2-D stencil traces on the sparse (CSR) pipeline — no dense matrix, no traced run")
+			"rows from 4096 ranks up use synthetic 2-D stencil traces, generated implicitly (trace.Stencil) — no rank matrix, no traced run")
 	}
 	return t, nil
 }

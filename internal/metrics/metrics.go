@@ -1,7 +1,7 @@
 // Package metrics is a small, dependency-free instrumentation registry
 // for the hcserve evaluation service: the five metric kinds it registers —
-// Counter, CounterVec, HistogramVec (fixed buckets), and the GaugeFunc and
-// CounterFunc bridges to values tracked elsewhere — exposed in the
+// Counter, CounterVec, and the GaugeFunc, CounterFunc and HistogramSeries
+// (fixed buckets) bridges to values tracked elsewhere — exposed in the
 // Prometheus text format (version 0.0.4) by Registry.WritePrometheus.
 //
 // The package deliberately implements the minimal subset of the Prometheus
@@ -31,11 +31,6 @@ import (
 	"sync/atomic"
 )
 
-// DefBuckets are the default latency histogram bounds, in seconds. They
-// span sub-millisecond cache hits through multi-second traced tsunami
-// runs at paper scale.
-var DefBuckets = []float64{.001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
-
 // Registry holds a named set of metric families and renders them in the
 // Prometheus text exposition format. The zero value is not usable;
 // construct with NewRegistry. All methods are safe for concurrent use.
@@ -52,10 +47,9 @@ type family struct {
 	typ    string // "counter", "gauge", or "histogram"
 	labels []string
 
-	mu      sync.RWMutex
-	series  map[string]metric // key = joined, escaped label values
-	fn      func() float64    // GaugeFunc families only
-	buckets []float64         // histogram families only
+	mu     sync.RWMutex
+	series map[string]metric // key = joined, escaped label values
+	fn     func() float64    // GaugeFunc families only
 }
 
 // metric is the value side of one labeled series.
@@ -138,26 +132,14 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	r.register(&family{name: name, help: help, typ: "counter", fn: fn})
 }
 
-// HistogramVec registers a histogram family with label dimensions; series
-// materialize on first With. buckets nil means DefBuckets.
-func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
-	if len(labels) == 0 {
-		panic(fmt.Sprintf("metrics: HistogramVec %q needs at least one label", name))
+// HistogramSeries registers a histogram family of one label whose series
+// are hs, hs[i] under values[i]: histograms observed by code that holds no
+// registry (a pipeline's stage table), rendered here.
+func (r *Registry) HistogramSeries(name, help, label string, values []string, hs []*Histogram) {
+	f := r.register(&family{name: name, help: help, typ: "histogram", labels: []string{label}})
+	for i, h := range hs {
+		f.series[string(appendLabelBlock(nil, f.labels, values[i:i+1]))] = h
 	}
-	b := checkBuckets(name, buckets)
-	return &HistogramVec{f: r.register(&family{name: name, help: help, typ: "histogram", labels: labels, buckets: b})}
-}
-
-func checkBuckets(name string, buckets []float64) []float64 {
-	if len(buckets) == 0 {
-		buckets = DefBuckets
-	}
-	for i := 1; i < len(buckets); i++ {
-		if buckets[i] <= buckets[i-1] {
-			panic(fmt.Sprintf("metrics: histogram %q buckets not strictly ascending", name))
-		}
-	}
-	return append([]float64(nil), buckets...)
 }
 
 // Counter is a monotonically increasing integer counter.
@@ -187,7 +169,9 @@ type Histogram struct {
 	count  atomic.Uint64
 }
 
-func newHistogram(upper []float64) *Histogram {
+// NewHistogram returns a histogram over upper, its buckets' strictly
+// ascending upper bounds (+Inf is implicit), for HistogramSeries.
+func NewHistogram(upper []float64) *Histogram {
 	return &Histogram{upper: upper, counts: make([]atomic.Uint64, len(upper)+1)}
 }
 
@@ -256,27 +240,12 @@ func (f *atomicFloat) load() float64 { return math.Float64frombits(f.bits.Load()
 type CounterVec struct{ f *family }
 
 // With returns the counter for the given label values (one per registered
-// label, in registration order), creating it on first use.
+// label, in registration order), creating it on first use. The label block,
+// which is the series map key, is rendered into a stack buffer, so finding
+// an existing series allocates nothing; the key string is made only when
+// the series is created.
 func (v *CounterVec) With(values ...string) *Counter {
-	m := v.f.with(values, func() metric { return &Counter{} })
-	return m.(*Counter)
-}
-
-// HistogramVec is a labeled histogram family.
-type HistogramVec struct{ f *family }
-
-// With returns the histogram for the given label values, creating it on
-// first use.
-func (v *HistogramVec) With(values ...string) *Histogram {
-	m := v.f.with(values, func() metric { return newHistogram(v.f.buckets) })
-	return m.(*Histogram)
-}
-
-// with resolves (creating if needed) the series for the given label values.
-// The label block, which is the series map key, is rendered into a stack
-// buffer, so finding an existing series allocates nothing; the key string
-// is made only when the series is created.
-func (f *family) with(values []string, mk func() metric) metric {
+	f := v.f
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("metrics: %q wants %d label values, got %d", f.name, len(f.labels), len(values)))
 	}
@@ -286,16 +255,16 @@ func (f *family) with(values []string, mk func() metric) metric {
 	m, ok := f.series[string(key)]
 	f.mu.RUnlock()
 	if ok {
-		return m
+		return m.(*Counter)
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if m, ok := f.series[string(key)]; ok {
-		return m
+		return m.(*Counter)
 	}
-	m = mk()
-	f.series[string(key)] = m
-	return m
+	c := &Counter{}
+	f.series[string(key)] = c
+	return c
 }
 
 // appendLabelBlock appends `{a="x",b="y"}` with the exposition-format

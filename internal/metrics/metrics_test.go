@@ -98,27 +98,22 @@ func TestWithExistingSeriesAllocatesNothing(t *testing.T) {
 	}
 	r := NewRegistry()
 	cv := r.CounterVec("with_total", "", "endpoint", "status")
-	hv := r.HistogramVec("with_seconds", "", nil, "source")
-	cv.With("evaluate", "200").Inc()
-	hv.With("a\"b").Observe(1)
-	status := "200"
+	cv.With("evaluate", "a\"b").Inc()
+	status := "a\"b"
 	if got := testing.AllocsPerRun(100, func() {
 		cv.With("evaluate", status).Inc()
-		hv.With("a\"b").Observe(1)
 	}); got != 0 {
 		t.Errorf("With on existing series allocates %v objects, want 0", got)
 	}
-	if c := cv.With("evaluate", "200").Value(); c != 102 {
+	if c := cv.With("evaluate", "a\"b").Value(); c != 102 {
 		t.Errorf("counter = %d, want 102 (the runs share one series)", c)
-	}
-	if n := hv.With("a\"b").Count(); n != 102 {
-		t.Errorf("histogram count = %d, want 102", n)
 	}
 }
 
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
-	h := r.HistogramVec("lat_seconds", "latency", []float64{0.1, 1, 10}, "op").With("get")
+	h := NewHistogram([]float64{0.1, 1, 10})
+	r.HistogramSeries("lat_seconds", "latency", "op", []string{"get"}, []*Histogram{h})
 	for _, v := range []float64{0.05, 0.1, 0.5, 5, 50} {
 		h.Observe(v)
 	}
@@ -150,8 +145,9 @@ func TestHistogramBuckets(t *testing.T) {
 
 func TestHistogramVecMergesLeLabel(t *testing.T) {
 	r := NewRegistry()
-	v := r.HistogramVec("eval_seconds", "", []float64{1}, "source")
-	v.With("tsunami").Observe(0.5)
+	h := NewHistogram([]float64{1})
+	r.HistogramSeries("eval_seconds", "", "source", []string{"tsunami"}, []*Histogram{h})
+	h.Observe(0.5)
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -205,10 +201,14 @@ func TestConcurrentUse(t *testing.T) {
 	c := r.Counter("conc_total", "")
 	var g atomic.Int64
 	cv := r.CounterVec("conc_vec_total", "", "worker")
-	hv := r.HistogramVec("conc_seconds", "", []float64{0.5, 1}, "worker")
+	const workers = 8
+	hs, labels := make([]*Histogram, workers), make([]string, workers)
+	for w := range hs {
+		hs[w], labels[w] = NewHistogram([]float64{0.5, 1}), string(rune('a'+w))
+	}
+	r.HistogramSeries("conc_seconds", "", "worker", labels, hs)
 	r.GaugeFunc("conc_fn", "", func() float64 { return float64(g.Load()) })
 
-	const workers = 8
 	const iters = 500
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -220,7 +220,7 @@ func TestConcurrentUse(t *testing.T) {
 				c.Inc()
 				g.Add(1)
 				cv.With(label).Inc()
-				hv.With(label).Observe(float64(i) / iters)
+				hs[w].Observe(float64(i) / iters)
 				g.Add(-1)
 			}
 		}(w)
@@ -249,7 +249,7 @@ func TestConcurrentUse(t *testing.T) {
 		if got := cv.With(label).Value(); got != iters {
 			t.Fatalf("vec counter %q = %d, want %d", label, got, iters)
 		}
-		if got := hv.With(label).Count(); got != iters {
+		if got := hs[w].Count(); got != iters {
 			t.Fatalf("histogram %q count = %d, want %d", label, got, iters)
 		}
 	}

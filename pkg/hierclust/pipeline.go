@@ -9,11 +9,13 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"hierclust/internal/core"
 	"hierclust/internal/faultinject"
 	"hierclust/internal/graph"
 	"hierclust/internal/pool"
+	"hierclust/internal/stage"
 	"hierclust/internal/trace"
 	"hierclust/internal/tsunami"
 )
@@ -61,6 +63,7 @@ type Pipeline struct {
 	// arena per hierarchical build running at once (14.0 MB there).
 	bufs   freeList[core.ClusteringBuf]
 	arenas freeList[graph.Arena]
+	stages *stage.Table
 }
 
 // freeList lends a pipeline's build memory, last returned first (its shape is
@@ -126,9 +129,12 @@ func WithTraceCache(tc *MemoryTraceCache) PipelineOption {
 // count it reports.
 func (pl *Pipeline) TraceCache() *MemoryTraceCache { return pl.traceCache }
 
+// Stages returns the stage table the pipeline's runs and cells observe into.
+func (pl *Pipeline) Stages() *stage.Table { return pl.stages }
+
 // NewPipeline builds a pipeline with the given options.
 func NewPipeline(opts ...PipelineOption) *Pipeline {
-	p := &Pipeline{flight: map[string]*traceFlight{}}
+	p := &Pipeline{flight: map[string]*traceFlight{}, stages: stage.NewTable()}
 	for _, o := range opts {
 		o(p)
 	}
@@ -401,16 +407,18 @@ func (ce *cellEval) evalStrategy(j int) (err error) {
 		return err
 	}
 	c, prof := sd.c, sd.buf.Profile()
+	t := stage.Enter(stage.Weigh)
 	e, err := prof.Evaluate(ctx, ce.mix, ce.evalWorkers)
+	ce.pl.stages.Leave(ctx, stage.Weigh, t)
 	if err != nil {
 		return err
 	}
 	if loggedNode >= 0 {
 		e.LoggedFraction, err = run.logged[loggedNode].get(&run.loggedBuilds, func() (float64, error) {
-			return ce.comm.LoggedFraction(c.L1)
+			return ce.loggedFraction(c.L1)
 		})
 	} else {
-		e.LoggedFraction, err = ce.comm.LoggedFraction(c.L1)
+		e.LoggedFraction, err = ce.loggedFraction(c.L1)
 	}
 	if err != nil {
 		return err
@@ -432,6 +440,12 @@ func (ce *cellEval) evalStrategy(j int) (err error) {
 	return nil
 }
 
+// loggedFraction is the logged fraction of l1 over the cell's trace.
+func (ce *cellEval) loggedFraction(l1 []int32) (float64, error) {
+	defer ce.pl.stages.Leave(ce.ctx, stage.Logged, stage.Enter(stage.Logged))
+	return ce.comm.LoggedFraction(l1)
+}
+
 // buildScored builds spec's clustering into a lent buffer, sd.buf, its
 // scratch in an arena lent for the build alone, and scores it into the
 // buffer's profile — the unit the sweep executor shares across cells by
@@ -444,13 +458,27 @@ func (pl *Pipeline) buildScored(ctx context.Context, spec StrategySpec, comm Com
 	}
 	sd.buf = pl.bufs.lend()
 	ar := pl.arenas.lend()
+	// A flat build is all fill; a hierarchical one times its own stages.
+	t := stage.Enter(stage.Fill)
 	sd.c, err = spec.build(ctx, comm, placement, sd.buf, ar)
+	stage.Restore(ctx)
+	fill := time.Since(t)
 	pl.arenas.give(ar)
 	if err != nil {
 		pl.bufs.give(sd.buf)
 		return scored{}, err
 	}
-	if err := sd.buf.Profile().Init(ctx, sd.c, placement); err != nil {
+	if spec.Kind == "hierarchical" {
+		var fold, partition time.Duration
+		fold, partition, fill = sd.buf.BuildTimes()
+		pl.stages.Observe(stage.Fold, fold)
+		pl.stages.Observe(stage.Partition, partition)
+	}
+	pl.stages.Observe(stage.Fill, fill)
+	t = stage.Enter(stage.Profile)
+	err = sd.buf.Profile().Init(ctx, sd.c, placement)
+	pl.stages.Leave(ctx, stage.Profile, t)
+	if err != nil {
 		pl.bufs.give(sd.buf)
 		return scored{}, err
 	}
@@ -464,6 +492,7 @@ func (pl *Pipeline) buildScored(ctx context.Context, spec StrategySpec, comm Com
 // (served from the trace cache, or joined an in-flight build of the same
 // trace), "miss" (this call built it into the cache), or "" (built inline).
 func (pl *Pipeline) resolveTrace(ctx context.Context, sc *Scenario, placement *Placement) (comm Comm, outcome string, err error) {
+	defer pl.stages.Leave(ctx, stage.Trace, stage.Enter(stage.Trace))
 	if pl.traceCache == nil || sc.Trace.Source != "tsunami" {
 		comm, err = pl.buildTrace(sc, placement)
 		return comm, "", err

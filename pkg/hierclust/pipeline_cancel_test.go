@@ -3,6 +3,8 @@ package hierclust
 import (
 	"context"
 	"errors"
+	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -221,5 +223,54 @@ func TestPipelineRunCancelableCtxAllocatesNothingMore(t *testing.T) {
 	t.Logf("a warm Run allocates %v objects under Background, %v under WithCancel", background, cancelable)
 	if cancelable != background {
 		t.Errorf("a warm Run allocates %v objects under a cancelable context, %v under Background", cancelable, background)
+	}
+}
+
+// TestPipelineRunWarmBytes pins the bytes of a warm Run, not only its
+// objects: 1,368 B under Background and under WithCancel alike, so a field
+// added to a per-Run object (cellEval is exactly its size class) fails here.
+// TotalAlloc counts every goroutine's allocations, so the least of three
+// 100-Run samples is the Run's own.
+func TestPipelineRunWarmBytes(t *testing.T) {
+	if racedetect.Enabled {
+		t.Skip("the race detector changes allocation sizes")
+	}
+	const want = 1368
+	sc := &Scenario{
+		Name:       "warm-bytes",
+		Machine:    MachineSpec{Nodes: 128},
+		Placement:  PlacementSpec{Ranks: 1024, ProcsPerNode: 8},
+		Trace:      TraceSpec{Source: "synthetic", Pattern: "stencil2d"},
+		Strategies: []StrategySpec{{Kind: "naive", Size: 32}, {Kind: "hierarchical"}},
+	}
+	pl := NewPipeline(WithWorkers(1))
+	bytesPerRun := func(ctx context.Context) uint64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range 100 {
+				if _, err := pl.Run(ctx, sc); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, (after.TotalAlloc-before.TotalAlloc)/100)
+		}
+		return least
+	}
+	if _, err := pl.Run(context.Background(), sc); err != nil { // buffers and arena reach their shapes
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, c := range []struct {
+		name string
+		ctx  context.Context
+	}{{"Background", context.Background()}, {"WithCancel", ctx}} {
+		if got := bytesPerRun(c.ctx); got != want {
+			t.Errorf("a warm Run under %s allocates %d B, want %d", c.name, got, want)
+		}
 	}
 }

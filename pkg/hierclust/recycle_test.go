@@ -68,7 +68,7 @@ func TestClusteringReuseInvisible(t *testing.T) {
 			if got := runDocOn(t, warm, scenarios[i]); !bytes.Equal(got, want[i]) {
 				t.Fatalf("round %d, %d ranks: a warm run diverges from a cold one:\n%s\nvs\n%s", round, shapes[i].Ranks, got, want[i])
 			}
-			if cell := warm.RunCell(context.Background(), scenarios[i], SweepOptions{}); cell.Err != nil || !bytes.Equal(cell.Doc, want[i]) {
+			if cell, _ := warm.RunCell(context.Background(), scenarios[i], SweepOptions{}); cell.Err != nil || !bytes.Equal(cell.Doc, want[i]) {
 				t.Fatalf("round %d, %d ranks: a warm RunCell diverges from a cold run (%v):\n%s\nvs\n%s", round, shapes[i].Ranks, cell.Err, cell.Doc, want[i])
 			}
 		}

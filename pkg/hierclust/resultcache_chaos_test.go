@@ -192,12 +192,12 @@ func TestDiskResultCacheReadFaultFallsBackWithoutIndexLoss(t *testing.T) {
 func TestNilDiskResultCacheIsNoCache(t *testing.T) {
 	pl := NewPipeline()
 	sc := syntheticScenario()
-	want := pl.RunCell(context.Background(), sc, SweepOptions{})
+	want, _ := pl.RunCell(context.Background(), sc, SweepOptions{})
 	if want.Err != nil {
 		t.Fatal(want.Err)
 	}
 	for i := range 2 {
-		got := pl.RunCell(context.Background(), sc, SweepOptions{ResultCache: (*DiskResultCache)(nil)})
+		got, _ := pl.RunCell(context.Background(), sc, SweepOptions{ResultCache: (*DiskResultCache)(nil)})
 		if got.Err != nil || got.Cache == "hit" || !bytes.Equal(got.Doc, want.Doc) {
 			t.Fatalf("run %d with a nil cache: %q, err %v; want the uncached document", i+1, got.Cache, got.Err)
 		}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -284,7 +285,35 @@ func TestTraceCacheHitObservableInMetrics(t *testing.T) {
 	metricLine(t, text, `hcserve_cache_misses_total{cache="result"} 2`)
 	// The trace tier's health comes from the pipeline's own cache.
 	metricLine(t, text, `hcserve_trace_cache_entries 1`)
-	if !strings.Contains(text, `hcserve_evaluate_seconds_count{source="tsunami"} 2`) {
-		t.Fatalf("latency histogram missing tsunami count in:\n%s", text)
+	// Both evaluations were computed: each passed through the eval stage once.
+	metricLine(t, text, `hcserve_stage_seconds_count{stage="eval"} 2`)
+}
+
+// TestServerTimingOnComputedEvaluations: a computed /v1/evaluate (miss or
+// trace-hit) answers with its decode, lookup, queue, eval and render times
+// in a Server-Timing header; a result-cache hit computed nothing and
+// answers without one.
+func TestServerTimingOnComputedEvaluations(t *testing.T) {
+	s := New(Options{CacheSize: 8, Pipeline: hierclust.NewPipeline(hierclust.WithTraceCache(hierclust.NewMemoryTraceCache(4)))})
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+	timing := regexp.MustCompile(`^decode;dur=\d+\.\d{3}, lookup;dur=\d+\.\d{3}, queue;dur=\d+\.\d{3}, eval;dur=\d+\.\d{3}, render;dur=\d+\.\d{3}$`)
+	for _, c := range []struct{ body, cache string }{
+		{tsunamiScenario("timing-a", "hierarchical"), "miss"},
+		{tsunamiScenario("timing-b", "naive"), "trace-hit"},
+		{tsunamiScenario("timing-a", "hierarchical"), "hit"},
+	} {
+		resp, body := postEvaluate(t, ts.URL, c.body)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Hierclust-Cache") != c.cache {
+			t.Fatalf("status %d, cache %q, want 200 %s: %s", resp.StatusCode, resp.Header.Get("X-Hierclust-Cache"), c.cache, body)
+		}
+		got := resp.Header.Get("Server-Timing")
+		if c.cache == "hit" {
+			if got != "" {
+				t.Errorf("a result hit answers Server-Timing %q, want none", got)
+			}
+		} else if !timing.MatchString(got) {
+			t.Errorf("%s: Server-Timing %q, want the five request stages", c.cache, got)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 
 	"hierclust/internal/faultinject"
+	"hierclust/internal/stage"
 	"hierclust/pkg/hierclust"
 )
 
@@ -82,7 +83,9 @@ func (s *Server) runBatch(r *http.Request, raws []json.RawMessage) ([]BatchLine,
 	var elems []int // plan cell → element index
 	for i, raw := range raws {
 		done[i] = make(chan struct{})
+		t := stage.Enter(stage.Decode)
 		sc, status, err := decodeScenario(raw)
+		s.pipeline.Stages().Leave(r.Context(), stage.Decode, t)
 		if err != nil {
 			lines[i] = BatchLine{Index: i, Status: status, Error: err.Error()}
 			close(done[i])
@@ -100,9 +103,6 @@ func (s *Server) runBatch(r *http.Request, raws []json.RawMessage) ([]BatchLine,
 			line.Error = err.Error()
 		} else {
 			line.Cache, line.Result = res.Cache, res.Doc
-			if res.Cache != "hit" {
-				s.evalSeconds.With(scs[res.Index].Trace.Source).Observe(res.Elapsed.Seconds())
-			}
 		}
 		lines[i] = line
 		close(done[i])

@@ -189,23 +189,23 @@ func TestBatchSharesBuilds(t *testing.T) {
 	}
 }
 
-// TestBatchObservesEvaluateSeconds: every computed batch element lands in
-// hcserve_evaluate_seconds, as a /v1/evaluate would; a result-cache hit and
-// a malformed element do not.
+// TestBatchObservesEvaluateSeconds: every computed batch element passes
+// through the eval stage of hcserve_stage_seconds once, as a /v1/evaluate
+// would; a result-cache hit and a malformed element do not.
 func TestBatchObservesEvaluateSeconds(t *testing.T) {
 	_, ts := newTestServer(t)
 	cached := batchScenario("observed-0", "naive", 8)
 	if resp, body := postEvaluate(t, ts.URL, cached); resp.StatusCode != http.StatusOK {
 		t.Fatalf("/v1/evaluate: %d %s", resp.StatusCode, body)
 	}
-	metricLine(t, scrapeMetrics(t, ts.URL), `hcserve_evaluate_seconds_count{source="synthetic"} 1`)
+	metricLine(t, scrapeMetrics(t, ts.URL), `hcserve_stage_seconds_count{stage="eval"} 1`)
 	_, lines := postBatch(t, ts.URL, "["+strings.Join([]string{
 		cached, `{"nope": true}`, batchScenario("observed-1", "naive", 8), batchScenario("observed-2", "hierarchical", 0),
 	}, ",")+"]")
 	if got := fmt.Sprintf("%s %d %d %d", lines[0].Cache, lines[1].Status, lines[2].Status, lines[3].Status); got != "hit 400 200 200" {
 		t.Fatalf("batch lines %+v", lines)
 	}
-	metricLine(t, scrapeMetrics(t, ts.URL), `hcserve_evaluate_seconds_count{source="synthetic"} 3`)
+	metricLine(t, scrapeMetrics(t, ts.URL), `hcserve_stage_seconds_count{stage="eval"} 3`)
 }
 
 func TestBatchRejectsBadBodies(t *testing.T) {

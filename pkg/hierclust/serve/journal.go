@@ -6,7 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -66,7 +66,7 @@ func (s *Server) journalSubmitted(job *sweepJob, sweepDoc []byte) {
 		}
 	}
 	sj.errs.Add(1)
-	log.Printf("hcserve: sweep journal: job %s: %v", job.id, err)
+	slog.Error("hcserve: sweep journal: record not written", "job", job.id, "err", err)
 }
 
 // journalDone deletes a job's record, when it has one. Never call it for
@@ -82,7 +82,7 @@ func (s *Server) journalDone(job *sweepJob) {
 func (sj *sweepJournal) remove(name string) {
 	if err := diskstore.RemoveRecord(sj.dir, name); err != nil {
 		sj.errs.Add(1)
-		log.Printf("hcserve: sweep journal: %v", err)
+		slog.Error("hcserve: sweep journal: record not removed", "err", err)
 	}
 }
 
@@ -121,7 +121,7 @@ func (s *Server) OpenSweepJournal(dir string) (resumed int, err error) {
 			plan, err = hierclust.PlanSweep(sw)
 		}
 		if err != nil {
-			log.Printf("hcserve: sweep journal: job %s no longer plans (%v); dropping", rec.ID, err)
+			slog.Warn("hcserve: sweep journal: job no longer plans; dropped", "job", rec.ID, "err", err)
 			sj.remove(name)
 			return nil
 		}
@@ -132,7 +132,7 @@ func (s *Server) OpenSweepJournal(dir string) (resumed int, err error) {
 			// Store full of running jobs (or draining): keep the record so
 			// the next restart tries again.
 			jobCancel()
-			log.Printf("hcserve: sweep journal: job %s not resumed: %v", rec.ID, err)
+			slog.Warn("hcserve: sweep journal: job not resumed", "job", rec.ID, "err", err)
 			return nil
 		}
 		go s.runSweepJob(jobCtx, job)
@@ -143,7 +143,7 @@ func (s *Server) OpenSweepJournal(dir string) (resumed int, err error) {
 		return resumed, err
 	}
 	if bad > 0 {
-		log.Printf("hcserve: sweep journal: quarantined %d corrupt record(s) in %s", bad, dir)
+		slog.Warn("hcserve: sweep journal: quarantined corrupt records", "count", bad, "dir", dir)
 	}
 	sj.errs.Add(int64(bad))
 	s.reg.CounterFunc("hcserve_sweep_journal_errors_total",
@@ -156,7 +156,7 @@ func (s *Server) OpenSweepJournal(dir string) (resumed int, err error) {
 			return float64(len(names))
 		})
 	if resumed > 0 {
-		log.Printf("hcserve: sweep journal: resumed %d interrupted job(s) from %s", resumed, dir)
+		slog.Info("hcserve: sweep journal: resumed interrupted jobs", "count", resumed, "dir", dir)
 	}
 	return resumed, nil
 }

@@ -76,10 +76,12 @@
 // # Metrics
 //
 // Every interesting internal — request totals by endpoint and status,
-// result- and trace-cache hits/misses, per-trace-source latency
-// histograms, in-flight and queued evaluation counts, shed totals,
-// recovered panics, deadline 504s, result-cache disk health — is
-// registered in an internal/metrics Registry and exposed on GET /metrics.
+// result- and trace-cache hits/misses, the pipeline's per-stage latency
+// histograms (hcserve_stage_seconds), in-flight and queued evaluation
+// counts, shed totals, recovered panics, deadline 504s, result-cache disk
+// health — is registered in an internal/metrics Registry and exposed on
+// GET /metrics. A computed /v1/evaluate also answers its own decode,
+// lookup, queue, eval and render times in a Server-Timing header.
 package serve
 
 import (
@@ -92,7 +94,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
+	"log/slog"
 	"net"
 	"net/http"
 	"runtime/debug"
@@ -104,6 +106,7 @@ import (
 	"hierclust/internal/faultinject"
 	"hierclust/internal/lru"
 	"hierclust/internal/metrics"
+	"hierclust/internal/stage"
 	"hierclust/pkg/hierclust"
 )
 
@@ -225,7 +228,6 @@ type Server struct {
 
 	reg             *metrics.Registry
 	reqTotal        *metrics.CounterVec
-	evalSeconds     *metrics.HistogramVec
 	shedTotal       *metrics.Counter
 	batchTotal      *metrics.Counter
 	panicsTotal     *metrics.Counter
@@ -289,8 +291,8 @@ func New(opts Options) *Server {
 	for level, name := range [...]string{levelResult: "result", levelTrace: "trace"} {
 		s.cacheHits[level], s.cacheMisses[level] = hits.With(name), misses.With(name)
 	}
-	s.evalSeconds = reg.HistogramVec("hcserve_evaluate_seconds",
-		"Pipeline evaluation latency by trace source (cache hits excluded).", nil, "source")
+	pl.Stages().Register(reg, "hcserve_stage_seconds",
+		"Time spent in each stage of the pipeline's evaluations and of the requests that ran them.")
 	s.shedTotal = reg.Counter("hcserve_shed_total",
 		"Evaluations rejected with 429 because the wait queue was full.")
 	s.batchTotal = reg.Counter("hcserve_batch_scenarios_total",
@@ -548,7 +550,7 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 func (s *Server) reportPanic(v any, stack []byte) string {
 	id := incidentID()
 	s.panicsTotal.Inc()
-	log.Printf("hcserve: panic incident %s: %v\n%s", id, v, stack)
+	slog.Error("hcserve: recovered panic", "incident", id, "err", v, "stack", string(stack))
 	return id
 }
 
@@ -808,12 +810,14 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	t := stage.Enter(stage.Decode)
 	sc, status, err := decodeScenario(body)
+	decoded := s.pipeline.Stages().Leave(r.Context(), stage.Decode, t)
 	if err != nil {
 		s.writeError(w, status, err)
 		return
 	}
-	res := s.pipeline.RunCell(r.Context(), sc, hierclust.SweepOptions{
+	res, tm := s.pipeline.RunCell(r.Context(), sc, hierclust.SweepOptions{
 		ResultCache: serverResultCache{s},
 		CellTimeout: s.evalTimeout,
 		Acquire: func(ctx context.Context) (func(), error) {
@@ -828,9 +832,22 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if res.Cache != "hit" {
-		s.evalSeconds.With(sc.Trace.Source).Observe(res.Elapsed.Seconds())
+		w.Header().Set("Server-Timing", serverTiming(decoded, &tm))
 	}
 	s.writeDoc(w, buf, res.Cache, res.Doc)
+}
+
+// serverTiming renders a computed evaluation's request stages, its cell's
+// times after its decode, as a Server-Timing value in ms: "decode;dur=0.031, ...".
+func serverTiming(decoded time.Duration, tm *stage.Times) string {
+	tm[stage.Decode] = decoded
+	var b [160]byte
+	out := b[:0]
+	for _, st := range [...]stage.Stage{stage.Decode, stage.Lookup, stage.Queue, stage.Eval, stage.Render} {
+		out = append(append(out, st.String()...), ";dur="...)
+		out = append(strconv.AppendFloat(out, float64(tm[st])/float64(time.Millisecond), 'f', 3, 64), ", "...)
+	}
+	return string(out[:len(out)-2])
 }
 
 // writeDoc answers 200 with a result document indented into buf: responses

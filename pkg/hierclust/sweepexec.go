@@ -11,6 +11,7 @@ import (
 	"hierclust/internal/core"
 	"hierclust/internal/faultinject"
 	"hierclust/internal/pool"
+	"hierclust/internal/stage"
 )
 
 // The sweep executor runs a compiled SweepPlan on a bounded worker pool.
@@ -95,9 +96,6 @@ type SweepCellResult struct {
 	Doc []byte
 	// Err is the cell's failure, if any.
 	Err error
-	// Elapsed runs from the cell's admission to the end of its evaluation;
-	// 0 when no evaluation ran (a result-cache hit, a refused admission).
-	Elapsed time.Duration
 }
 
 // SweepReport is the outcome of a RunSweep call.
@@ -264,7 +262,7 @@ func (pl *Pipeline) runSweep(run *sweepRun, plan *SweepPlan, opts SweepOptions) 
 	// concurrent strategies; within a cell the strategies run serially.
 	workers, evalWorkers := pl.splitBudget(opts.Workers, len(plan.Cells))
 	claimed := pool.Run(len(plan.Cells), workers, ctx, func(ctx context.Context) bool { return ctx.Err() != nil }, func(ctx context.Context, i, _ int) {
-		report.Cells[i] = pl.runSweepCell(ctx, run, &plan.Cells[i], &opts, 1, evalWorkers)
+		report.Cells[i], _ = pl.runSweepCell(ctx, run, &plan.Cells[i], &opts, 1, evalWorkers)
 		if opts.OnCell != nil {
 			opts.OnCell(report.Cells[i])
 		}
@@ -299,11 +297,12 @@ func (pl *Pipeline) runSweep(run *sweepRun, plan *SweepPlan, opts SweepOptions) 
 // CellTimeout apply as they do to a sweep cell; OnCell is not called, and
 // the "sweep.cell" fault point does not fire. hcserve answers POST
 // /v1/evaluate through it. The returned Doc is byte-identical to
-// marshalling Run's Result for the same scenario.
-func (pl *Pipeline) RunCell(ctx context.Context, sc *Scenario, opts SweepOptions) SweepCellResult {
+// marshalling Run's Result for the same scenario, and the times are what it
+// observed of each stage (lookup, queue, eval, render) in the stage table.
+func (pl *Pipeline) RunCell(ctx context.Context, sc *Scenario, opts SweepOptions) (SweepCellResult, stage.Times) {
 	key, err := sc.CacheKey()
 	if err != nil {
-		return SweepCellResult{Err: err}
+		return SweepCellResult{Err: err}, stage.Times{}
 	}
 	cell := PlannedCell{Scenario: sc, CacheKey: key, PlacementNode: -1, TraceNode: -1, TraceBuilder: true}
 	workers, evalWorkers := pl.splitBudget(opts.Workers, len(sc.Strategies))
@@ -314,8 +313,9 @@ func (pl *Pipeline) RunCell(ctx context.Context, sc *Scenario, opts SweepOptions
 // result cache → admission → fault point → cell deadline → the shared cell
 // sequence (evalCell) → render → cache fill. run is the sweep's, whose nodes
 // the cell releases when it finishes, or nil for RunCell's lone cell, which
-// skips the sweep-only "sweep.cell" fault point.
-func (pl *Pipeline) runSweepCell(ctx context.Context, run *sweepRun, cell *PlannedCell, opts *SweepOptions, strategyWorkers, evalWorkers int) (res SweepCellResult) {
+// skips the sweep-only "sweep.cell" fault point. It observes its stages into
+// the pipeline's table and returns them in tm.
+func (pl *Pipeline) runSweepCell(ctx context.Context, run *sweepRun, cell *PlannedCell, opts *SweepOptions, strategyWorkers, evalWorkers int) (res SweepCellResult, tm stage.Times) {
 	res = SweepCellResult{Index: cell.Index, Scenario: cell.Scenario.Name, CacheKey: cell.CacheKey}
 	if run != nil {
 		defer run.consume(cell, -1)
@@ -323,30 +323,35 @@ func (pl *Pipeline) runSweepCell(ctx context.Context, run *sweepRun, cell *Plann
 	defer recoverAsError(&res.Err)
 
 	if opts.ResultCache != nil {
-		if doc, ok := opts.ResultCache.Get(cell.CacheKey); ok {
+		t := stage.Enter(stage.Lookup)
+		doc, ok := opts.ResultCache.Get(cell.CacheKey)
+		tm[stage.Lookup] = pl.stages.Leave(ctx, stage.Lookup, t)
+		if ok {
 			res.Cache, res.Doc = "hit", doc
-			return res
+			return res, tm
 		}
 	}
 	if err := ctx.Err(); err != nil {
 		res.Err = err
-		return res
+		return res, tm
 	}
 	if opts.Acquire != nil {
+		t := stage.Enter(stage.Queue)
 		release, err := opts.Acquire(ctx)
+		tm[stage.Queue] = pl.stages.Leave(ctx, stage.Queue, t)
 		if err != nil {
 			res.Err = err
-			return res
+			return res, tm
 		}
 		defer release()
 	}
-	admitted := time.Now()
 	if run != nil {
 		if err := faultinject.Hit("sweep.cell"); err != nil {
 			res.Err = fmt.Errorf("hierclust: sweep cell %q: %w", cell.Scenario.Name, err)
-			return res
+			return res, tm
 		}
 	}
+	t := stage.Enter(stage.Eval)
 
 	// The per-cell deadline covers this cell's own evaluation work only.
 	cellCtx := ctx
@@ -357,19 +362,21 @@ func (pl *Pipeline) runSweepCell(ctx context.Context, run *sweepRun, cell *Plann
 	}
 
 	out, cache, err := pl.evalCell(cellCtx, run, cell, strategyWorkers, evalWorkers)
-	res.Elapsed = time.Since(admitted)
+	tm[stage.Eval] = pl.stages.Leave(ctx, stage.Eval, t)
 	if err != nil {
 		res.Err = err
-		return res
+		return res, tm
 	}
+	t = stage.Enter(stage.Render)
 	doc, err := json.Marshal(out)
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	res.Cache, res.Doc = cache, doc
-	if opts.ResultCache != nil {
+	if err == nil && opts.ResultCache != nil {
 		opts.ResultCache.Put(cell.CacheKey, doc)
 	}
-	return res
+	tm[stage.Render] = pl.stages.Leave(ctx, stage.Render, t)
+	if err != nil {
+		res.Err = err
+		return res, tm
+	}
+	res.Cache, res.Doc = cache, doc
+	return res, tm
 }

@@ -126,7 +126,7 @@ func TestPipelineTraceCacheHit(t *testing.T) {
 	cache := NewMemoryTraceCache(4)
 	pl := NewPipeline(WithWorkers(1), WithTraceCache(cache))
 
-	first := pl.RunCell(context.Background(), traceScenario("first", "hierarchical"), SweepOptions{})
+	first, _ := pl.RunCell(context.Background(), traceScenario("first", "hierarchical"), SweepOptions{})
 	if first.Err != nil {
 		t.Fatal(first.Err)
 	}
@@ -136,7 +136,7 @@ func TestPipelineTraceCacheHit(t *testing.T) {
 
 	sc2 := traceScenario("second", "naive")
 	sc2.Strategies[0].Size = 8
-	second := pl.RunCell(context.Background(), sc2, SweepOptions{})
+	second, _ := pl.RunCell(context.Background(), sc2, SweepOptions{})
 	if second.Err != nil {
 		t.Fatal(second.Err)
 	}
@@ -165,7 +165,7 @@ func TestTsunamiTraceIsCSROnMissAndHits(t *testing.T) {
 	key, _ := sc.TraceKey()
 	run := func(cache *MemoryTraceCache, want string) []byte {
 		t.Helper()
-		res := NewPipeline(WithWorkers(1), WithTraceCache(cache)).RunCell(context.Background(), sc, SweepOptions{})
+		res, _ := NewPipeline(WithWorkers(1), WithTraceCache(cache)).RunCell(context.Background(), sc, SweepOptions{})
 		if res.Err != nil {
 			t.Fatal(res.Err)
 		}
@@ -200,7 +200,7 @@ func TestSyntheticTracesBypassTraceCache(t *testing.T) {
 	}
 	cell := func(sc *Scenario, want string) {
 		t.Helper()
-		if res := pl.RunCell(ctx, sc, SweepOptions{}); res.Err != nil || res.Cache != want {
+		if res, _ := pl.RunCell(ctx, sc, SweepOptions{}); res.Err != nil || res.Cache != want {
 			t.Fatalf("%s: label %q (%v), want %q", sc.Name, res.Cache, res.Err, want)
 		}
 	}
@@ -250,7 +250,10 @@ func TestPipelineJoinsInflightBuild(t *testing.T) {
 	pl.flightMu.Unlock()
 
 	got := make(chan SweepCellResult, 1)
-	go func() { got <- pl.RunCell(context.Background(), sc, SweepOptions{}) }()
+	go func() {
+		res, _ := pl.RunCell(context.Background(), sc, SweepOptions{})
+		got <- res
+	}()
 	traced := make(chan Comm, 1)
 	go func() {
 		c, p, err := pl.Trace(context.Background(), sc)

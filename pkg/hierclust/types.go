@@ -3,7 +3,6 @@ package hierclust
 import (
 	"hierclust/internal/core"
 	"hierclust/internal/erasure"
-	"hierclust/internal/graph"
 	"hierclust/internal/reliability"
 	"hierclust/internal/topology"
 	"hierclust/internal/trace"
@@ -121,12 +120,3 @@ func ModelEncodeSeconds(groupSize int, bytes int64) float64 {
 
 // CompareTable renders evaluations as an aligned Table-II style comparison.
 func CompareTable(evals []*Evaluation, b Baseline) string { return core.CompareTable(evals, b) }
-
-// SetPartitionPhaseLabels toggles runtime/pprof goroutine labels on the
-// node partitioner's two phases (grow, refine), so a CPU profile
-// attributes time to phases instead of bare symbols. Enable it together with CPU profiling,
-// before any evaluation starts (the setting is read without
-// synchronization), and leave it off otherwise: each phase transition
-// allocates while labels are on, and the partitioner's hot path is
-// allocation-free without them.
-func SetPartitionPhaseLabels(on bool) { graph.SetPhaseLabels(on) }

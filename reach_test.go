@@ -39,8 +39,6 @@ var reachAllow = map[string]string{
 	"core.SizeGuided":                   "pkg/hierclust TestPipelineMatchesCore: the clustering the size-guided strategy must build",
 	"core.Distributed":                  "pkg/hierclust TestPipelineMatchesCore and internal/harness TestFigs34MatchReference: the striped clustering the distributed strategy must build",
 	"reliability.Model.CatastropheProb": "internal/reliability TestFlattenMatchesReferenceRandom/TestFlattenMatchesReferencePlacements (checkAgainstReference) and internal/harness TestFigs34MatchReference: the model weighed on caller-built groups",
-	"metrics.Histogram.Count":           "internal/metrics TestHistogramBuckets",
-	"metrics.Histogram.Sum":             "internal/metrics TestHistogramBuckets",
 	"trace.Stencil.NNZ":                 "internal/trace TestStencilMatchesSynthetic: the closed form against the built CSR",
 	"checkpoint.Manager.Groups":         "internal/checkpoint TestL3CycleAllocationBound: a fresh manager per cycle over the first one's groups",
 	"checkpoint.Manager.Versions":       "internal/checkpoint TestGC: which versions GC kept",

@@ -4,7 +4,8 @@
 # compacted re-POST is a byte-identical result hit; then exercise
 # POST /v1/evaluate-batch (NDJSON lines in input order, trace-hits for two
 # scenarios sharing the quickstart trace) and the GET /metrics
-# scrape. Finally, a chaos drill: restart the server with every disk write
+# scrape, with the Server-Timing header of a computed evaluation (none on a
+# hit) and the eval stage's count. Finally, a chaos drill: restart the server with every disk write
 # of its result cache failing (-fault resultcache.disk.write=error:1.0) and
 # assert it degrades — bit-identical evaluations, a result hit from the
 # result LRU above the skipped disk, degraded /healthz, error counters on
@@ -40,12 +41,21 @@ if [ -z "$SCENARIO" ]; then
 fi
 
 STATUS="$(printf '%s' "$SCENARIO" | curl -s -o /tmp/hcserve_smoke_response.json \
-    -w '%{http_code}' -X POST -d @- "http://$ADDR/v1/evaluate")"
+    -D /tmp/hcserve_smoke_response.headers -w '%{http_code}' -X POST -d @- "http://$ADDR/v1/evaluate")"
 if [ "$STATUS" != "200" ]; then
     echo "hcserve_smoke: POST /v1/evaluate returned $STATUS" >&2
     cat /tmp/hcserve_smoke_response.json >&2
     exit 1
 fi
+# A computed evaluation reports its request stages.
+TIMING="$(tr -d '\r' < /tmp/hcserve_smoke_response.headers | awk -F': ' 'tolower($1) == "server-timing" {print $2}')"
+case "$TIMING" in
+*queue\;dur=*eval\;dur=*) echo "hcserve_smoke: Server-Timing: $TIMING" ;;
+*)
+    echo "hcserve_smoke: miss carries Server-Timing '$TIMING', want queue and eval" >&2
+    exit 1
+    ;;
+esac
 COUNT="$(jq '.evaluations | length' /tmp/hcserve_smoke_response.json)"
 if [ "$COUNT" -lt 1 ]; then
     echo "hcserve_smoke: empty evaluations" >&2
@@ -67,6 +77,10 @@ if ! grep -qi '^X-Hierclust-Cache: hit' /tmp/hcserve_smoke_hit.headers; then
 fi
 if ! cmp -s /tmp/hcserve_smoke_response.json /tmp/hcserve_smoke_hit.json; then
     echo "hcserve_smoke: compacted re-POST answered different bytes" >&2
+    exit 1
+fi
+if grep -qi '^Server-Timing:' /tmp/hcserve_smoke_hit.headers; then
+    echo "hcserve_smoke: a result hit carries Server-Timing" >&2
     exit 1
 fi
 echo "hcserve_smoke: compact re-POST ok (hit, identical body)"
@@ -93,10 +107,13 @@ if [ "$ORDER" != "$WANT" ]; then
 fi
 echo "hcserve_smoke: batch ok (result hit + 2 trace-hits, in order)"
 
-# Metrics: the scrape must expose the trace hits the batch just made.
+# Metrics: the scrape must expose the trace hits the batch just made, and
+# one pass through the eval stage per computed evaluation: the first POST
+# and the batch's two trace-hits.
 curl -sf "http://$ADDR/metrics" > /tmp/hcserve_smoke_metrics.txt
 for want in \
     'hcserve_cache_hits_total{cache="trace"} 2' \
+    'hcserve_stage_seconds_count{stage="eval"} 3' \
     'hcserve_batch_scenarios_total 3' \
     'hcserve_shed_total 0'; do
     if ! grep -qxF "$want" /tmp/hcserve_smoke_metrics.txt; then
