@@ -82,6 +82,14 @@ func FuzzDecodeSweep(f *testing.F) {
 		if err != nil {
 			return
 		}
+		// DecodeSweep expands no cell; a bad cell is refused when the sweep
+		// is planned, and only a valid sweep has a key and an encoding.
+		if err := sw.Validate(); err != nil {
+			if _, perr := PlanSweep(sw); perr == nil {
+				t.Fatalf("PlanSweep accepted a sweep Validate refuses: %v", err)
+			}
+			return
+		}
 		key, err := sw.SweepKey()
 		if err != nil || key == "" {
 			t.Fatalf("accepted sweep has no sweep key: %v", err)

@@ -48,7 +48,8 @@
 //     builds and caches (trace.CSR and the implicit trace.Stencil a
 //     synthetic source resolves to) have no mutating method, so one
 //     trace may back any number of concurrent evaluations — the property
-//     the trace cache and the singleflight build dedup depend on.
+//     the trace cache, and the waiters on a build in flight in it, depend
+//     on.
 //
 //   - Scenario schema versioning. ScenarioVersion is the schema this
 //     package writes; DecodeScenario accepts documents up to that version

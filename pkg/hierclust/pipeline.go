@@ -21,10 +21,10 @@ import (
 )
 
 // PanicError wraps a panic recovered at one of the pipeline's isolation
-// boundaries — a strategy-evaluation worker goroutine, the singleflight
-// trace build, or Run itself. The boundary converts a bug in one scenario
-// (or an injected chaos panic) into an error on that Run instead of a dead
-// process; hcserve maps it to a 500 with an incident id. Match with
+// boundaries — a strategy-evaluation worker goroutine, a trace build other
+// requests wait on, or Run itself. The boundary converts a bug in one
+// scenario (or an injected chaos panic) into an error on that Run instead of
+// a dead process; hcserve maps it to a 500 with an incident id. Match with
 // errors.As to reach the original value and stack.
 type PanicError struct {
 	// Value is the recovered panic value.
@@ -51,12 +51,6 @@ func recoverAsError(errp *error) {
 type Pipeline struct {
 	workers    int
 	traceCache *MemoryTraceCache
-
-	// flight deduplicates concurrent builds of the same trace: when two
-	// requests miss the trace cache on the same key, the second waits for
-	// the first build instead of recording the trace a second time.
-	flightMu sync.Mutex
-	flight   map[string]*traceFlight
 
 	// Free build memory, kept at its peak (docs/OPERATIONS.md, Build memory):
 	// a buffer per clustering live at once (1.95 MB at 131,072 ranks), an
@@ -96,13 +90,6 @@ func (l *freeList[T]) give(x *T) {
 	l.mu.Unlock()
 }
 
-// traceFlight is one in-progress trace build; waiters block on done.
-type traceFlight struct {
-	done chan struct{}
-	comm Comm
-	err  error
-}
-
 // PipelineOption customizes a Pipeline.
 type PipelineOption func(*Pipeline)
 
@@ -134,7 +121,7 @@ func (pl *Pipeline) Stages() *stage.Table { return pl.stages }
 
 // NewPipeline builds a pipeline with the given options.
 func NewPipeline(opts ...PipelineOption) *Pipeline {
-	p := &Pipeline{flight: map[string]*traceFlight{}, stages: stage.NewTable()}
+	p := &Pipeline{stages: stage.NewTable()}
 	for _, o := range opts {
 		o(p)
 	}
@@ -261,14 +248,14 @@ func (pl *Pipeline) resolveCell(ctx context.Context, run *sweepRun, cell *Planne
 		tr, err = run.traces[cell.TraceNode].get(&run.traceBuilds, func() (tr traced, err error) {
 			ctx, cancel := run.buildCtx()
 			defer cancel()
-			tr.comm, tr.outcome, err = pl.resolveTrace(ctx, sc, placement)
+			tr.comm, tr.hit, err = pl.resolveTrace(ctx, sc, placement)
 			return tr, err
 		})
 	} else {
 		if run != nil {
 			run.traceBuilds.Add(1)
 		}
-		tr.comm, tr.outcome, err = pl.resolveTrace(ctx, sc, placement)
+		tr.comm, tr.hit, err = pl.resolveTrace(ctx, sc, placement)
 	}
 	if err != nil {
 		return at, tr, err
@@ -301,7 +288,7 @@ func (pl *Pipeline) evalCell(ctx context.Context, run *sweepRun, cell *PlannedCe
 	// underlying build outcome; every sharer reports "trace-hit",
 	// regardless of which worker actually reached the node first.
 	cache = "trace-hit"
-	if cell.TraceBuilder && tr.outcome != "hit" {
+	if cell.TraceBuilder && !tr.hit {
 		cache = "miss"
 	}
 
@@ -487,58 +474,44 @@ func (pl *Pipeline) buildScored(ctx context.Context, spec StrategySpec, comm Com
 
 // resolveTrace returns the scenario's communication matrix. Only a traced
 // application's trace ("tsunami") is worth keeping, so only it consults the
-// trace cache (and the in-flight build table) before building; a stencil is
-// an O(1) build and a file is read where it lies. outcome reports how: "hit"
-// (served from the trace cache, or joined an in-flight build of the same
-// trace), "miss" (this call built it into the cache), or "" (built inline).
-func (pl *Pipeline) resolveTrace(ctx context.Context, sc *Scenario, placement *Placement) (comm Comm, outcome string, err error) {
+// trace cache before building; a stencil is an O(1) build and a file is read
+// where it lies. hit reports that the cache's entry answered, built or
+// joined mid-build, so this call recorded no trace.
+func (pl *Pipeline) resolveTrace(ctx context.Context, sc *Scenario, placement *Placement) (comm Comm, hit bool, err error) {
 	defer pl.stages.Leave(ctx, stage.Trace, stage.Enter(stage.Trace))
 	if pl.traceCache == nil || sc.Trace.Source != "tsunami" {
 		comm, err = pl.buildTrace(sc, placement)
-		return comm, "", err
+		return comm, false, err
 	}
 	key, _ := sc.TraceKey()
-	if c, ok := pl.traceCache.Get(key); ok {
-		return c, "hit", nil
-	}
-
-	pl.flightMu.Lock()
-	if f, ok := pl.flight[key]; ok {
-		pl.flightMu.Unlock()
-		// Another request is building this exact trace; share its result.
-		// That counts as a hit: no new trace was recorded.
+	e, build := pl.traceCache.lookup(key)
+	if !build {
+		// Built, or being built by another request. A built entry is read
+		// without asking for ctx.Done(), which makes a request context's
+		// channel.
 		select {
-		case <-f.done:
-		case <-ctx.Done():
-			return nil, "", ctx.Err()
+		case <-e.done:
+		default:
+			select {
+			case <-e.done:
+			case <-ctx.Done():
+				return nil, false, ctx.Err()
+			}
 		}
-		return f.comm, "hit", f.err
+		return e.comm, true, e.err
 	}
-	f := &traceFlight{done: make(chan struct{})}
-	pl.flight[key] = f
-	pl.flightMu.Unlock()
 
 	// The build runs behind its own panic boundary: a panicking trace
-	// builder (or cache Put) must still remove the flight entry and close
-	// done, or every waiter coalesced onto this build would block forever.
+	// builder must still publish the entry, or every waiter on it would
+	// block forever and the key would never build again.
 	func() {
-		defer func() {
-			pl.flightMu.Lock()
-			delete(pl.flight, key)
-			pl.flightMu.Unlock()
-			close(f.done)
-		}()
-		defer recoverAsError(&f.err)
-		if err := faultinject.Hit("pipeline.trace.build"); err != nil {
-			f.err = err
-			return
-		}
-		f.comm, f.err = pl.buildTrace(sc, placement)
-		if f.err == nil {
-			pl.traceCache.Put(key, f.comm)
+		defer pl.traceCache.publish(key, e)
+		defer recoverAsError(&e.err)
+		if e.err = faultinject.Hit("pipeline.trace.build"); e.err == nil {
+			e.comm, e.err = pl.buildTrace(sc, placement)
 		}
 	}()
-	return f.comm, "miss", f.err
+	return e.comm, false, e.err
 }
 
 // buildTrace resolves the scenario's trace source into a communication

@@ -172,12 +172,14 @@ func TestPipelineWorkerPanicIsolated(t *testing.T) {
 	}
 }
 
-// TestPipelineTraceBuildPanicIsolated pins the singleflight boundary: a
+// TestPipelineTraceBuildPanicIsolated pins the shared build's boundary: a
 // panic inside the shared trace build is recovered, reported to the Run
-// that owned the build, and does not poison the pipeline for later Runs.
+// that owned the build, and does not poison the pipeline for later Runs:
+// the build leaves no cache entry, and the next Run builds the trace again.
 func TestPipelineTraceBuildPanicIsolated(t *testing.T) {
 	defer faultinject.DisarmAll()
-	pl := NewPipeline(WithWorkers(1), WithTraceCache(NewMemoryTraceCache(4)))
+	cache := NewMemoryTraceCache(4)
+	pl := NewPipeline(WithWorkers(1), WithTraceCache(cache))
 	sc := traceScenario("trace-panic", "hierarchical")
 
 	faultinject.Arm("pipeline.trace.build", faultinject.Fault{Kind: faultinject.KindPanic})
@@ -186,10 +188,19 @@ func TestPipelineTraceBuildPanicIsolated(t *testing.T) {
 	if !errors.As(err, &pe) {
 		t.Fatalf("Run under injected trace-build panic returned %v, want *PanicError", err)
 	}
+	if n := cache.Len(); n != 0 {
+		t.Fatalf("the panicked build left %d entries in the trace cache, want 0", n)
+	}
 
 	faultinject.DisarmAll()
 	if _, err := pl.Run(context.Background(), sc); err != nil {
 		t.Fatalf("Run after recovered trace-build panic failed: %v", err)
+	}
+	// The retry built the trace itself: it is in the cache now.
+	if key, _ := sc.TraceKey(); cache.Len() != 1 {
+		t.Fatalf("trace cache holds %d entries after the retry, want 1", cache.Len())
+	} else if _, ok := cache.Get(key); !ok {
+		t.Fatal("the retry's trace is not in the cache")
 	}
 }
 

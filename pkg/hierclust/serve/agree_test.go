@@ -52,9 +52,9 @@ var endpoints = []endpoint{
 	// where it is made.
 	{name: "batch element", run: func(t *testing.T, s *Server, ctx context.Context, doc string) (int, string, []byte) {
 		r := httptest.NewRequest(http.MethodPost, "/v1/evaluate-batch", nil).WithContext(ctx)
-		lines, done := s.runBatch(r, []json.RawMessage{json.RawMessage(doc)})
-		<-done[0]
-		return lines[0].Status, lines[0].Cache, lines[0].Result
+		lines := s.runBatch(r, []json.RawMessage{json.RawMessage(doc)})
+		<-lines.final[0]
+		return lines.lines[0].Status, lines.lines[0].Cache, lines.lines[0].Result
 	}},
 	// A sweep's client going away is a DELETE of the job.
 	{name: "one-cell sweep", background: true, run: func(t *testing.T, s *Server, ctx context.Context, doc string) (int, string, []byte) {
@@ -69,7 +69,7 @@ var endpoints = []endpoint{
 			serveRecorded(s, context.Background(), http.MethodDelete, "/v1/sweeps/"+st.ID, "")
 		})()
 		job := s.lookupSweepJob(st.ID)
-		<-job.lineDone[0]
+		<-job.final[0]
 		job.mu.Lock()
 		defer job.mu.Unlock()
 		return job.lines[0].Status, job.lines[0].Cache, job.lines[0].Result
@@ -195,7 +195,7 @@ func TestFaultEndpointsAgree(t *testing.T) {
 			"["+docs[0]+","+docs[2]+","+docs[3]+"]")
 		dec := json.NewDecoder(rec.Body)
 		for k, i := range distinct {
-			var line BatchLine
+			var line CellLine
 			if err := dec.Decode(&line); err != nil {
 				t.Fatalf("batch line %d: %v (%s)", k, err, rec.Body)
 			}

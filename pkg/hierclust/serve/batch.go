@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"sync"
 
 	"hierclust/internal/faultinject"
 	"hierclust/internal/stage"
@@ -21,23 +22,6 @@ import (
 // and cache labels follow the plan. A malformed or failing element produces
 // an error line (with the status the single endpoint would have answered)
 // and the rest of the batch proceeds.
-
-// BatchLine is one NDJSON line of a /v1/evaluate-batch response.
-type BatchLine struct {
-	// Index is the element's position in the request array.
-	Index int `json:"index"`
-	// Status is the HTTP status this element would have received from
-	// POST /v1/evaluate (200, 400, 422, 429, 499, 500 recovered panic,
-	// 503, 504 server deadline exceeded).
-	Status int `json:"status"`
-	// Cache reports which cache level answered a successful element:
-	// "hit", "trace-hit", or "miss" — the X-Hierclust-Cache values.
-	Cache string `json:"cache,omitempty"`
-	// Result is the evaluation document for Status 200.
-	Result json.RawMessage `json:"result,omitempty"`
-	// Error is the failure message for non-200 statuses.
-	Error string `json:"error,omitempty"`
-}
 
 func (s *Server) handleEvaluateBatch(w http.ResponseWriter, r *http.Request) {
 	if err := faultinject.Hit("serve.evaluate"); err != nil {
@@ -68,45 +52,29 @@ func (s *Server) handleEvaluateBatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Hierclust-Batch-Count", fmt.Sprint(len(raws)))
 	w.WriteHeader(http.StatusOK)
-	lines, done := s.runBatch(r, raws)
-	streamNDJSON(w, r, done, func(i int) any { return &lines[i] })
+	s.runBatch(r, raws).stream(w, r)
 }
 
 // runBatch decodes every element, plans the valid ones and runs the plan in
-// the background; line i is final once done[i] is closed, and every channel
-// closes. Cells take interactive-tier slots one by one, so a batch competes
-// with every other request rather than owning the server.
-func (s *Server) runBatch(r *http.Request, raws []json.RawMessage) ([]BatchLine, []chan struct{}) {
-	lines := make([]BatchLine, len(raws))
-	done := make([]chan struct{}, len(raws))
+// the background, answering element i on line i of the returned table.
+// Cells take interactive-tier slots one by one, so a batch competes with
+// every other request rather than owning the server.
+func (s *Server) runBatch(r *http.Request, raws []json.RawMessage) *lineTable {
+	lines := newLineTable(len(raws))
 	var scs []*hierclust.Scenario
 	var elems []int // plan cell → element index
 	for i, raw := range raws {
-		done[i] = make(chan struct{})
 		t := stage.Enter(stage.Decode)
 		sc, status, err := decodeScenario(raw)
 		s.pipeline.Stages().Leave(r.Context(), stage.Decode, t)
 		if err != nil {
-			lines[i] = BatchLine{Index: i, Status: status, Error: err.Error()}
-			close(done[i])
+			lines.set(CellLine{Index: i, Status: status, Error: err.Error()})
 			continue
 		}
 		scs, elems = append(scs, sc), append(elems, i)
 	}
 
 	ctx, client := r.Context(), clientKey(r)
-	setLine := func(res hierclust.SweepCellResult) {
-		i := elems[res.Index]
-		line := BatchLine{Index: i}
-		var err error
-		if line.Status, err = s.cellStatus(ctx, res); err != nil {
-			line.Error = err.Error()
-		} else {
-			line.Cache, line.Result = res.Cache, res.Doc
-		}
-		lines[i] = line
-		close(done[i])
-	}
 	go func() {
 		plan, err := hierclust.PlanScenarios(scs)
 		if err == nil {
@@ -117,18 +85,134 @@ func (s *Server) runBatch(r *http.Request, raws []json.RawMessage) ([]BatchLine,
 				Acquire: func(ctx context.Context) (func(), error) {
 					return s.admit(ctx, client, false)
 				},
-				OnCell: setLine,
+				OnCell: func(res hierclust.SweepCellResult) {
+					line := s.cellLine(ctx, res)
+					line.Index = elems[res.Index]
+					lines.set(line)
+				},
 			})
 		}
-		// Every OnCell call has returned, so an open channel is a cell that
+		// Every OnCell call has returned, so an unset line is a cell that
 		// never ran: the plan failed, or the client went first.
-		for k, i := range elems {
-			select {
-			case <-done[i]:
-			default:
-				setLine(hierclust.SweepCellResult{Index: k, Err: err})
-			}
-		}
+		lines.mu.Lock()
+		defer lines.mu.Unlock()
+		lines.fillLocked(func(i int) CellLine {
+			return s.cellLine(ctx, hierclust.SweepCellResult{Index: i, Err: err})
+		})
 	}()
-	return lines, done
+	return lines
+}
+
+// CellLine is one NDJSON line of a /v1/evaluate-batch or a GET
+// /v1/sweeps/{id}/results response. Result for a 200 line is byte-identical
+// to the compact document POST /v1/evaluate caches for the same scenario.
+type CellLine struct {
+	// Index is the line's position: the element's in the batch array, the
+	// cell's in plan (expansion) order.
+	Index int `json:"index"`
+	// Scenario is the expanded cell scenario's name; sweep lines only.
+	Scenario string `json:"scenario,omitempty"`
+	// Status is the HTTP status this element or cell would have received
+	// from POST /v1/evaluate (200, 400 malformed element, 422, 429, 499
+	// client gone or job cancelled, 500 recovered panic, 503 drained, 504
+	// server deadline exceeded).
+	Status int `json:"status"`
+	// Cache reports which cache level answered a 200 line: "hit",
+	// "trace-hit", or "miss" — the X-Hierclust-Cache values.
+	Cache string `json:"cache,omitempty"`
+	// Result is the evaluation document for Status 200.
+	Result json.RawMessage `json:"result,omitempty"`
+	// Error is the failure message for non-200 statuses.
+	Error string `json:"error,omitempty"`
+}
+
+// cellLine is the NDJSON line of a cell run under ctx (the request's, or
+// the sweep job's), its status ranked by cellStatus.
+func (s *Server) cellLine(ctx context.Context, res hierclust.SweepCellResult) CellLine {
+	line := CellLine{Index: res.Index}
+	var err error
+	if line.Status, err = s.cellStatus(ctx, res); err != nil {
+		line.Error = err.Error()
+	} else {
+		line.Cache, line.Result = res.Cache, res.Doc
+	}
+	return line
+}
+
+// lineTable holds one NDJSON stream's lines, a batch's (by element) or a
+// sweep job's (by plan cell). Line i is final once final[i] is closed: the
+// first write to a line wins, and fillLocked writes every line still unset,
+// so each stream ends.
+type lineTable struct {
+	mu                   sync.Mutex
+	lines                []CellLine
+	final                []chan struct{}
+	done, cached, failed int // final lines; of them, 200 "hit" and non-200
+}
+
+func newLineTable(n int) *lineTable {
+	t := &lineTable{lines: make([]CellLine, n), final: make([]chan struct{}, n)}
+	for i := range t.final {
+		t.final[i] = make(chan struct{})
+	}
+	return t
+}
+
+// set records line at its index unless that line is already final.
+func (t *lineTable) set(line CellLine) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.setLocked(line)
+}
+
+func (t *lineTable) setLocked(line CellLine) {
+	i := line.Index
+	select {
+	case <-t.final[i]:
+		return
+	default:
+	}
+	t.lines[i] = line
+	t.done++
+	switch {
+	case line.Status != http.StatusOK:
+		t.failed++
+	case line.Cache == "hit":
+		t.cached++
+	}
+	close(t.final[i])
+}
+
+// fillLocked sets every line still unset to line(i); line is not asked for
+// a final one.
+func (t *lineTable) fillLocked(line func(i int) CellLine) {
+	for i, final := range t.final {
+		select {
+		case <-final:
+		default:
+			t.setLocked(line(i))
+		}
+	}
+}
+
+// stream writes the lines strictly in index order, waiting for each to be
+// final and flushing per line so clients see progress. A vanished client
+// cancels r.Context(), which stops the writes.
+func (t *lineTable) stream(w http.ResponseWriter, r *http.Request) {
+	enc := json.NewEncoder(w)
+	flusher, _ := w.(http.Flusher)
+	for i, final := range t.final {
+		select {
+		case <-final:
+		case <-r.Context().Done():
+			return
+		}
+		// A final line is never written again, so it is read unlocked.
+		if err := enc.Encode(&t.lines[i]); err != nil {
+			return
+		}
+		if flusher != nil {
+			flusher.Flush()
+		}
+	}
 }

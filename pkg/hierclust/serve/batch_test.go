@@ -33,7 +33,7 @@ func batchScenario(name, kind string, size int) string {
 }
 
 // postBatch posts an NDJSON batch and decodes every line.
-func postBatch(t *testing.T, url, body string) (*http.Response, []BatchLine) {
+func postBatch(t *testing.T, url, body string) (*http.Response, []CellLine) {
 	t.Helper()
 	resp, err := http.Post(url+"/v1/evaluate-batch", "application/json", strings.NewReader(body))
 	if err != nil {
@@ -47,11 +47,11 @@ func postBatch(t *testing.T, url, body string) (*http.Response, []BatchLine) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Fatalf("batch content type = %q", ct)
 	}
-	var lines []BatchLine
+	var lines []CellLine
 	scan := bufio.NewScanner(resp.Body)
 	scan.Buffer(make([]byte, 1<<20), 1<<20)
 	for scan.Scan() {
-		var l BatchLine
+		var l CellLine
 		if err := json.Unmarshal(scan.Bytes(), &l); err != nil {
 			t.Fatalf("bad NDJSON line %q: %v", scan.Text(), err)
 		}
@@ -281,7 +281,7 @@ func TestBatchStreamsBeforeCompletion(t *testing.T) {
 		if lo.err != nil {
 			t.Fatalf("reading first line: %v", lo.err)
 		}
-		var l BatchLine
+		var l CellLine
 		if err := json.Unmarshal([]byte(lo.line), &l); err != nil {
 			t.Fatal(err)
 		}
@@ -298,7 +298,7 @@ func TestBatchStreamsBeforeCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var l BatchLine
+	var l CellLine
 	if err := json.Unmarshal(rest, &l); err != nil {
 		t.Fatalf("second line %q: %v", rest, err)
 	}

@@ -246,9 +246,9 @@ func TestServeEvalTimeout504(t *testing.T) {
 		t.Fatalf("batch status = %d, want 200", bresp.StatusCode)
 	}
 	dec := json.NewDecoder(bresp.Body)
-	var lines []BatchLine
+	var lines []CellLine
 	for {
-		var ln BatchLine
+		var ln CellLine
 		if err := dec.Decode(&ln); err == io.EOF {
 			break
 		} else if err != nil {

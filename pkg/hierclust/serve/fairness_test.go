@@ -40,7 +40,7 @@ func waitCond(t *testing.T, what string, cond func() bool) {
 // — its surplus request queues even while slots sit free, and another
 // client walks straight into the reserved headroom.
 func TestFairnessClientSlotCap(t *testing.T) {
-	lim := newLimiter(4, 8, 0) // clientCap defaults to 3
+	lim := newLimiter(4, 8, 0, nil) // clientCap defaults to 3
 	var releases []func()
 	for i := 0; i < 3; i++ {
 		adm, release := lim.acquire(context.Background(), "hog", false)
@@ -90,7 +90,7 @@ func TestFairnessClientSlotCap(t *testing.T) {
 // waiter that arrived first still yields the freed slot to a later
 // interactive waiter.
 func TestFairnessBackgroundYieldsToInteractive(t *testing.T) {
-	lim := newLimiter(1, 4, 1)
+	lim := newLimiter(1, 4, 1, nil)
 	adm, release := lim.acquire(context.Background(), "holder", false)
 	if adm != admitted {
 		t.Fatal("holder not admitted")
@@ -130,7 +130,7 @@ func TestFairnessBackgroundYieldsToInteractive(t *testing.T) {
 // the interactive queue bound instead of shedding (a sweep's concurrency
 // is bounded upstream; shedding its cells would only force retries).
 func TestFairnessBackgroundExemptFromShed(t *testing.T) {
-	lim := newLimiter(1, 0, 1) // no interactive queue at all
+	lim := newLimiter(1, 0, 1, nil) // no interactive queue at all
 	_, release := lim.acquire(context.Background(), "holder", false)
 
 	if adm, _ := lim.acquire(context.Background(), "human", false); adm != admissionShed {

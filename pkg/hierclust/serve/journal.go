@@ -125,7 +125,7 @@ func (s *Server) OpenSweepJournal(dir string) (resumed int, err error) {
 			sj.remove(name)
 			return nil
 		}
-		jobCtx, jobCancel := context.WithCancel(s.sweepCtx)
+		jobCtx, jobCancel := context.WithCancel(s.ctx)
 		job := newSweepJob(rec.ID, plan, rec.Client, jobCancel)
 		job.record = name
 		if err := s.storeSweepJob(job); err != nil {

@@ -56,8 +56,7 @@ type limiter struct {
 	waiters   []*slotWaiter  // interactive FIFO
 	bgWaiters []*slotWaiter  // background FIFO, granted after interactive
 
-	drainOnce sync.Once
-	draining  chan struct{} // closed once Drain is called
+	draining <-chan struct{} // closed once the server drains
 }
 
 // slotWaiter is one queued acquire. A grant transfers the slot to the
@@ -69,9 +68,12 @@ type slotWaiter struct {
 	granted bool
 }
 
-// newLimiter builds a limiter. clientCap <= 0 picks maxConcurrent-1 (so a
-// single client always leaves one slot for everyone else), floored at 1.
-func newLimiter(maxConcurrent, maxQueue, clientCap int) *limiter {
+// newLimiter builds a limiter that stops admitting once draining is
+// closed: queued waiters are released with admissionDraining, later
+// acquires fail fast, and running evaluations finish normally. clientCap
+// <= 0 picks maxConcurrent-1 (so a single client always leaves one slot for
+// everyone else), floored at 1.
+func newLimiter(maxConcurrent, maxQueue, clientCap int, draining <-chan struct{}) *limiter {
 	if clientCap <= 0 {
 		clientCap = maxConcurrent - 1
 	}
@@ -86,7 +88,7 @@ func newLimiter(maxConcurrent, maxQueue, clientCap int) *limiter {
 		clientCap: clientCap,
 		maxQueue:  maxQueue,
 		held:      map[string]int{},
-		draining:  make(chan struct{}),
+		draining:  draining,
 	}
 }
 
@@ -216,11 +218,3 @@ func (l *limiter) running() int {
 
 // capacity returns the execution-slot count.
 func (l *limiter) capacity() int { return l.maxConc }
-
-// drain stops admitting new work: queued waiters are released with
-// admissionDraining, future acquires fail fast, and already-running
-// evaluations finish normally (http.Server.Shutdown waits for their
-// handlers). Safe to call more than once.
-func (l *limiter) drain() {
-	l.drainOnce.Do(func() { close(l.draining) })
-}

@@ -78,7 +78,7 @@ func pollSweepUntil(t *testing.T, url, id string, ok func(*sweepStatusDoc) bool)
 // cleanSweepReference runs the same sweep on a fresh in-process server
 // with no persistence and returns its result lines — the uninterrupted
 // run every drill compares against.
-func cleanSweepReference(t *testing.T, doc string) []SweepCellLine {
+func cleanSweepReference(t *testing.T, doc string) []CellLine {
 	t.Helper()
 	s := New(Options{CacheSize: 16})
 	ts := httptest.NewServer(s)
@@ -97,7 +97,7 @@ func cleanSweepReference(t *testing.T, doc string) []SweepCellLine {
 
 // assertResumedMatchesReference checks byte-identity of every resumed
 // cell document against the uninterrupted run.
-func assertResumedMatchesReference(t *testing.T, got, want []SweepCellLine) {
+func assertResumedMatchesReference(t *testing.T, got, want []CellLine) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("resumed run streamed %d lines; reference has %d", len(got), len(want))

@@ -212,7 +212,6 @@ type Server struct {
 	evalTimeout time.Duration
 	resultTier  *hierclust.DiskResultCache
 	journal     *sweepJournal
-	draining    atomic.Bool
 
 	maxSweepCells int
 	maxSweeps     int
@@ -220,9 +219,13 @@ type Server struct {
 	sweepMu       sync.Mutex
 	sweepJobs     map[string]*sweepJob
 	sweepOrder    []string // insertion order, for bounded-store eviction
-	sweepCtx      context.Context
-	sweepCancel   context.CancelCauseFunc // Drain's cause is errDraining
 	sweepWG       sync.WaitGroup
+
+	// ctx is the server's lifetime: Drain cancels it, with cause errDraining,
+	// under sweepMu. Sweep jobs run under it and the limiter's waiters leave
+	// on it; a server is draining exactly when ctx.Err() != nil.
+	ctx  context.Context
+	stop context.CancelCauseFunc
 
 	evictions atomic.Int64 // result-LRU entries pushed out by capacity
 
@@ -264,19 +267,19 @@ func New(opts Options) *Server {
 	retrySec := max(int(retry.Round(time.Second)/time.Second), 1)
 	reg := metrics.NewRegistry()
 
-	sweepCtx, sweepCancel := context.WithCancelCause(context.Background())
+	ctx, stop := context.WithCancelCause(context.Background())
 	s := &Server{
 		mux:           http.NewServeMux(),
 		pipeline:      pl,
 		cache:         lru.New[[]byte](int64(size), nil),
-		lim:           newLimiter(maxConc, queue, opts.ClientSlotCap),
+		lim:           newLimiter(maxConc, queue, opts.ClientSlotCap, ctx.Done()),
 		maxBatch:      maxBatch,
 		maxSweepCells: maxSweepCells,
 		maxSweeps:     maxSweeps,
 		maxSweepJobs:  maxSweepJobs,
 		sweepJobs:     map[string]*sweepJob{},
-		sweepCtx:      sweepCtx,
-		sweepCancel:   sweepCancel,
+		ctx:           ctx,
+		stop:          stop,
 		retryAfter:    strconv.Itoa(retrySec),
 		evalTimeout:   opts.EvalTimeout,
 		resultTier:    opts.ResultCache,
@@ -346,8 +349,8 @@ func New(opts Options) *Server {
 	s.timeoutsTotal = reg.Counter("hcserve_eval_timeouts_total",
 		"Evaluations cut off by the server-side deadline and answered 504.")
 	if tc := pl.TraceCache(); tc != nil {
-		reg.GaugeFunc("hcserve_trace_cache_entries", "Entries resident in the trace cache.",
-			func() float64 { return float64(tc.Stats().Entries) })
+		reg.GaugeFunc("hcserve_trace_cache_entries", "Entries resident in the trace cache, builds in flight included.",
+			func() float64 { return float64(tc.Len()) })
 	}
 
 	s.mux.HandleFunc("POST /v1/evaluate", s.instrument("evaluate", s.handleEvaluate))
@@ -375,15 +378,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // evaluations to finish; Drain itself waits for sweep-job goroutines to
 // stop.
 func (s *Server) Drain() {
-	// Flip the flag under sweepMu: storeSweepJob re-checks draining and
-	// registers with sweepWG inside the same critical section, so once
-	// this unlocks no new sweep job can be added and sweepWG.Wait below
-	// observes every job goroutine.
+	// Cancel under sweepMu: storeSweepJob re-checks s.ctx and registers
+	// with sweepWG inside the same critical section, so once this unlocks
+	// no new sweep job can be added and sweepWG.Wait below observes every
+	// job goroutine.
 	s.sweepMu.Lock()
-	s.draining.Store(true)
+	s.stop(errDraining)
 	s.sweepMu.Unlock()
-	s.lim.drain()
-	s.sweepCancel(errDraining)
 	s.sweepWG.Wait()
 }
 
@@ -749,27 +750,6 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, limit int64) (
 	return body, true
 }
 
-// streamNDJSON writes line(i) for each i strictly in index order, waiting
-// for done[i] first and flushing per line so clients see progress. A
-// vanished client cancels r.Context(), which stops the writes.
-func streamNDJSON(w http.ResponseWriter, r *http.Request, done []chan struct{}, line func(i int) any) {
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	for i := range done {
-		select {
-		case <-done[i]:
-		case <-r.Context().Done():
-			return
-		}
-		if err := enc.Encode(line(i)); err != nil {
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-}
-
 // docBufs lends each POST /v1/evaluate the buffer it compacts its body into
 // and indents its answer into.
 var docBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
@@ -926,7 +906,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if rc := s.resultTier; rc != nil {
 		doc.ResultCache = tierHealth(rc, &doc.Status)
 	}
-	if s.draining.Load() {
+	if s.ctx.Err() != nil {
 		doc.Status = "draining"
 	}
 	w.Header().Set("Content-Type", "application/json")

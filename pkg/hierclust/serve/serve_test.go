@@ -162,7 +162,7 @@ func TestOversizedScenario422(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var line BatchLine
+	var line CellLine
 	err = json.NewDecoder(resp.Body).Decode(&line)
 	resp.Body.Close()
 	if err != nil || line.Status != http.StatusUnprocessableEntity {

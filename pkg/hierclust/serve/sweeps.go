@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"slices"
 	"strconv"
-	"sync"
 
 	"hierclust/pkg/hierclust"
 )
@@ -31,27 +30,6 @@ import (
 // (OpenSweepJournal) mounted, resume also survives process death: the
 // journaled job restarts under its original id and its finished cells
 // load back from disk.
-
-// SweepCellLine is one NDJSON line of a GET /v1/sweeps/{id}/results
-// response. The line shape mirrors BatchLine; Result for a 200 cell is
-// byte-identical to the compact document POST /v1/evaluate caches for the
-// same scenario.
-type SweepCellLine struct {
-	// Index is the cell's position in plan (expansion) order.
-	Index int `json:"index"`
-	// Scenario is the expanded cell scenario's name.
-	Scenario string `json:"scenario"`
-	// Status is the HTTP status the cell would have received from
-	// POST /v1/evaluate (200, 422, 499 job cancelled, 500 recovered
-	// panic, 503 drained, 504 deadline).
-	Status int `json:"status"`
-	// Cache is "hit", "trace-hit", or "miss" for a 200 cell.
-	Cache string `json:"cache,omitempty"`
-	// Result is the evaluation document for Status 200.
-	Result json.RawMessage `json:"result,omitempty"`
-	// Error is the failure message for non-200 statuses.
-	Error string `json:"error,omitempty"`
-}
 
 // sweepStatusDoc is the GET /v1/sweeps/{id} (and POST /v1/sweeps) body.
 type sweepStatusDoc struct {
@@ -75,64 +53,28 @@ type sweepStatusDoc struct {
 	ResultsURL string `json:"results_url"`
 }
 
-// sweepJob is one submitted sweep and its execution state.
+// sweepJob is one submitted sweep and its execution state: its lines, one
+// per plan cell, and under their table's mu its state.
 type sweepJob struct {
 	id     string
-	name   string
 	client string
 	plan   *hierclust.SweepPlan
 	cancel context.CancelFunc
 	record string // its sweep-journal record file; "" when it has none
 
-	mu       sync.Mutex
-	state    string
-	lines    []SweepCellLine
-	lineDone []chan struct{}
-	closed   []bool
-	done     int
-	cached   int
-	failed   int
+	*lineTable
+	state string
 }
 
 func newSweepJob(id string, plan *hierclust.SweepPlan, client string, cancel context.CancelFunc) *sweepJob {
-	j := &sweepJob{
-		id:       id,
-		name:     plan.Sweep.Name,
-		client:   client,
-		plan:     plan,
-		cancel:   cancel,
-		state:    "running",
-		lines:    make([]SweepCellLine, len(plan.Cells)),
-		lineDone: make([]chan struct{}, len(plan.Cells)),
-		closed:   make([]bool, len(plan.Cells)),
+	return &sweepJob{
+		id:        id,
+		client:    client,
+		plan:      plan,
+		cancel:    cancel,
+		lineTable: newLineTable(len(plan.Cells)),
+		state:     "running",
 	}
-	for i := range j.lineDone {
-		j.lineDone[i] = make(chan struct{})
-	}
-	return j
-}
-
-// setLine records a finished cell's line and releases its streamers.
-func (j *sweepJob) setLine(i int, line SweepCellLine) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.setLineLocked(i, line)
-}
-
-func (j *sweepJob) setLineLocked(i int, line SweepCellLine) {
-	if j.closed[i] {
-		return
-	}
-	j.lines[i] = line
-	j.closed[i] = true
-	j.done++
-	switch {
-	case line.Status != http.StatusOK:
-		j.failed++
-	case line.Cache == "hit":
-		j.cached++
-	}
-	close(j.lineDone[i])
 }
 
 // finish marks the job's terminal state and fills any cell line the
@@ -142,21 +84,16 @@ func (j *sweepJob) finish(state string, fillStatus int, fillErr string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.state = state
-	for i := range j.lines {
-		j.setLineLocked(i, SweepCellLine{
-			Index:    i,
-			Scenario: j.plan.Cells[i].Scenario.Name,
-			Status:   fillStatus,
-			Error:    fillErr,
-		})
-	}
+	j.fillLocked(func(i int) CellLine {
+		return CellLine{Index: i, Scenario: j.plan.Cells[i].Scenario.Name, Status: fillStatus, Error: fillErr}
+	})
 }
 
 func (j *sweepJob) statusDoc() *sweepStatusDoc {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	doc := &sweepStatusDoc{ID: j.id, Name: j.name, State: j.state}
-	doc.Cells.Total = len(j.lines)
+	doc := &sweepStatusDoc{ID: j.id, Name: j.plan.Sweep.Name, State: j.state}
+	doc.Cells.Total = len(j.plan.Cells)
 	doc.Cells.Done = j.done
 	doc.Cells.Cached = j.cached
 	doc.Cells.Failed = j.failed
@@ -203,13 +140,13 @@ func (s *Server) forgetSweepJobLocked(id string) {
 // store is full. It fails when every retained job is still running, or when
 // the server is draining. On success the job is accounted in sweepWG and
 // the sweep counters; the caller must spawn runSweepJob (which calls sweepWG.Done). Re-checking
-// draining and calling Add under sweepMu — the same lock Drain holds while
-// flipping the flag — guarantees no Add can race sweepWG.Wait, so no job
+// s.ctx and calling Add under sweepMu — the same lock Drain holds while
+// cancelling it — guarantees no Add can race sweepWG.Wait, so no job
 // goroutine outlives Drain.
 func (s *Server) storeSweepJob(j *sweepJob) error {
 	s.sweepMu.Lock()
 	defer s.sweepMu.Unlock()
-	if s.draining.Load() {
+	if s.ctx.Err() != nil {
 		return errDrainingRetry
 	}
 	if running := s.runningSweepsLocked(); running >= s.maxSweeps {
@@ -254,7 +191,7 @@ func sweepJobID() (string, error) {
 }
 
 func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
+	if s.ctx.Err() != nil {
 		w.Header().Set("Retry-After", s.retryAfter)
 		s.writeError(w, http.StatusServiceUnavailable, errDrainingRetry)
 		return
@@ -276,9 +213,9 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("hierclust: sweep of %d cells exceeds the server's %d-cell bound", n, s.maxSweepCells))
 		return
 	}
-	plan, err := hierclust.PlanSweep(sw)
+	plan, err := hierclust.PlanSweep(sw) // expands and validates each cell
 	if err != nil {
-		s.writeError(w, http.StatusUnprocessableEntity, err)
+		s.writeError(w, invalidStatus(err), err)
 		return
 	}
 	id, err := sweepJobID()
@@ -288,8 +225,8 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// The job outlives this request: its context descends from the
-	// server's sweep context (cancelled by Drain), not the request's.
-	jobCtx, jobCancel := context.WithCancel(s.sweepCtx)
+	// server's lifetime (cancelled by Drain), not the request's.
+	jobCtx, jobCancel := context.WithCancel(s.ctx)
 	job := newSweepJob(id, plan, clientKey(r), jobCancel)
 	if err := s.storeSweepJob(job); err != nil {
 		jobCancel()
@@ -336,41 +273,39 @@ func (s *Server) runSweepJob(ctx context.Context, job *sweepJob) {
 			return s.admit(ctx, job.client, true)
 		},
 		OnCell: func(res hierclust.SweepCellResult) {
-			status, err := s.cellStatus(ctx, res)
-			line := SweepCellLine{Index: res.Index, Scenario: res.Scenario, Status: status}
+			line := s.cellLine(ctx, res)
+			line.Scenario = res.Scenario
 			switch {
-			case err != nil:
+			case line.Status != http.StatusOK:
 				s.sweepCellsFail.Inc()
-				line.Error = err.Error()
-			case res.Cache == "hit":
+			case line.Cache == "hit":
 				s.sweepCellHits.Inc()
 			default:
 				s.sweepCellsDone.Inc()
 			}
-			if err == nil {
-				line.Cache, line.Result = res.Cache, res.Doc
-			}
-			job.setLine(res.Index, line)
+			job.set(line)
 		},
 	}
 
 	_, err := s.pipeline.RunPlannedSweep(ctx, job.plan, opts)
 	switch {
-	case err == nil:
-		job.finish("completed", 0, "") // no unfilled lines remain
-		s.journalDone(job)
-	case errors.Is(context.Cause(ctx), errDraining):
+	// A drain closes the server's Done, which the limiter's waiters see,
+	// before it reaches ctx: the run can end on cells the limiter refused
+	// while ctx is still live, so the server's ctx tells a drain apart.
+	case s.ctx.Err() != nil && !errors.Is(context.Cause(ctx), context.Canceled):
 		job.finish("cancelled", http.StatusServiceUnavailable, errDrainingRetry.Error())
 		// Deliberately keeps its journal record: a drain is a restart
 		// from the journal's point of view, so the next process resumes
 		// this job where the result cache left off.
+		return
+	case err == nil:
+		job.finish("completed", 0, "") // no unfilled lines remain
 	case errors.Is(ctx.Err(), context.Canceled):
 		job.finish("cancelled", statusClientClosed, errCancelled.Error())
-		s.journalDone(job)
 	default:
 		job.finish("failed", http.StatusInternalServerError, err.Error())
-		s.journalDone(job)
 	}
+	s.journalDone(job)
 }
 
 func (s *Server) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
@@ -389,18 +324,11 @@ func (s *Server) handleSweepResults(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Hierclust-Sweep-Cells", strconv.Itoa(len(job.lines)))
+	w.Header().Set("X-Hierclust-Sweep-Cells", strconv.Itoa(len(job.plan.Cells)))
 	w.Header().Set("X-Hierclust-Sweep-Dedup", strconv.FormatFloat(job.plan.DedupRatio(), 'f', 4, 64))
 	w.WriteHeader(http.StatusOK)
-
-	// Stream strictly in plan order as cells land; finish() guarantees
-	// every channel eventually closes, so the stream always terminates.
-	streamNDJSON(w, r, job.lineDone, func(i int) any {
-		job.mu.Lock()
-		line := job.lines[i]
-		job.mu.Unlock()
-		return &line
-	})
+	// Plan order, as cells land; finish sets every line, so the stream ends.
+	job.stream(w, r)
 }
 
 func (s *Server) handleSweepDelete(w http.ResponseWriter, r *http.Request) {

@@ -9,11 +9,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"hierclust/internal/faultinject"
+	"hierclust/pkg/hierclust"
 )
 
 // sweepDoc renders a 2×2 machines × strategies sweep over a synthetic
@@ -83,7 +85,7 @@ func pollSweep(t *testing.T, url, id string) *sweepStatusDoc {
 }
 
 // sweepResults streams GET /v1/sweeps/{id}/results to completion.
-func sweepResults(t *testing.T, url, id string) (*http.Response, []SweepCellLine) {
+func sweepResults(t *testing.T, url, id string) (*http.Response, []CellLine) {
 	t.Helper()
 	resp, err := http.Get(url + "/v1/sweeps/" + id + "/results")
 	if err != nil {
@@ -94,11 +96,11 @@ func sweepResults(t *testing.T, url, id string) (*http.Response, []SweepCellLine
 		b, _ := io.ReadAll(resp.Body)
 		t.Fatalf("results status = %d: %s", resp.StatusCode, b)
 	}
-	var lines []SweepCellLine
+	var lines []CellLine
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		var line SweepCellLine
+		var line CellLine
 		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
 			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
 		}
@@ -414,5 +416,73 @@ func TestSweepDrainCancelsJobs(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("submit while draining status = %d, want 503", resp.StatusCode)
+	}
+}
+
+// bigSweep renders a sub-2 KB sweep whose four 16-point axes multiply out to
+// SweepMaxCells (65,536) valid cells.
+func bigSweep() string {
+	var machines, strategies, mixes, traces []string
+	for i := 1; i <= 16; i++ {
+		machines = append(machines, fmt.Sprintf(`{"nodes":%d}`, 16+i))
+		strategies = append(strategies, fmt.Sprintf(`[{"kind":"naive","size":%d}]`, i))
+		mixes = append(mixes, fmt.Sprintf(`{"transient":%d}`, i))
+		traces = append(traces, fmt.Sprintf(`{"iterations":%d}`, i))
+	}
+	return `{"name":"huge","base":{"name":"b","machine":{"nodes":16},"placement":{"ranks":64,"procs_per_node":4},` +
+		`"trace":{"source":"synthetic"}},"axes":{"machines":[` + strings.Join(machines, ",") +
+		`],"strategies":[` + strings.Join(strategies, ",") + `],"mixes":[` + strings.Join(mixes, ",") +
+		`],"traces":[` + strings.Join(traces, ",") + `]}}`
+}
+
+// TestSweepOverBoundRefusedBeforeExpansion: a sweep past the server's cell
+// bound is answered 413 from its axes, before any cell exists — a small body
+// cannot make the server expand and validate 65,536 scenarios to refuse it.
+func TestSweepOverBoundRefusedBeforeExpansion(t *testing.T) {
+	body := bigSweep()
+	if len(body) >= 2<<10 {
+		t.Fatalf("test setup: body is %d bytes, want under 2 KB", len(body))
+	}
+	sw, err := hierclust.DecodeSweep([]byte(body))
+	if err != nil || sw.CellCount() != hierclust.SweepMaxCells {
+		t.Fatalf("test setup: %v, %d cells", err, sw.CellCount())
+	}
+	s := New(Options{})
+	submit := func() (*httptest.ResponseRecorder, uint64) {
+		req := httptest.NewRequest(http.MethodPost, "/v1/sweeps", strings.NewReader(body))
+		rec := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s.ServeHTTP(rec, req)
+		runtime.ReadMemStats(&after)
+		return rec, after.TotalAlloc - before.TotalAlloc
+	}
+	submit() // warm the handler's one-time state
+	rec, bytes := submit()
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d (%s), want 413", rec.Code, rec.Body)
+	}
+	t.Logf("a %d-byte sweep of %d cells refused in %d bytes", len(body), sw.CellCount(), bytes)
+	if bytes > 256<<10 {
+		t.Fatalf("refusing a %d-byte over-bound sweep allocated %d bytes, want under 256 KiB", len(body), bytes)
+	}
+
+	// Cells are validated when the accepted sweep is planned, with the
+	// statuses a decode-time check gave them: a bad cell 400, a cell past a
+	// size bound 422.
+	for _, tc := range []struct {
+		axes string
+		want int
+	}{
+		{`"placements":["block","scatter"]`, http.StatusBadRequest},
+		{`"machines":[{"nodes":16},{"nodes":8,"ranks":5000000}]`, http.StatusUnprocessableEntity},
+	} {
+		doc := `{"name":"cell","base":{"name":"b","machine":{"nodes":16},"placement":{"ranks":64,"procs_per_node":4},` +
+			`"trace":{"source":"synthetic"},"strategies":[{"kind":"naive","size":8}]},"axes":{` + tc.axes + `}}`
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sweeps", strings.NewReader(doc)))
+		if rec.Code != tc.want {
+			t.Errorf("axes %s: status %d (%s), want %d", tc.axes, rec.Code, rec.Body, tc.want)
+		}
 	}
 }

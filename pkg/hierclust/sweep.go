@@ -116,6 +116,41 @@ func (sw *Sweep) Validate() error {
 	return err
 }
 
+// checkAxes checks the sweep's header (version, names), its machine and
+// trace points and the expansion bound. It expands nothing, so it costs the
+// same at any cell count; an empty strategy set is refused by Cells.
+func (sw *Sweep) checkAxes() error {
+	if sw == nil {
+		return fmt.Errorf("hierclust: nil sweep")
+	}
+	if sw.Version < 0 || sw.Version > SweepVersion {
+		return &SchemaVersionError{Version: sw.Version, Supported: SweepVersion}
+	}
+	if sw.Name == "" {
+		return fmt.Errorf("hierclust: sweep needs a name")
+	}
+	if sw.Base.Name == "" {
+		return fmt.Errorf("hierclust: sweep %q: base scenario needs a name", sw.Name)
+	}
+	for i, m := range sw.Axes.Machines {
+		if m.Nodes <= 0 {
+			return fmt.Errorf("hierclust: sweep %q: machines[%d]: nodes must be positive", sw.Name, i)
+		}
+		if m.Ranks < 0 || m.ProcsPerNode < 0 {
+			return fmt.Errorf("hierclust: sweep %q: machines[%d]: negative ranks or procs_per_node", sw.Name, i)
+		}
+	}
+	for i, tp := range sw.Axes.Traces {
+		if tp.Iterations < 0 || tp.Width < 0 || tp.BytesPerMsg < 0 {
+			return fmt.Errorf("hierclust: sweep %q: traces[%d]: negative iterations, width or bytes_per_msg", sw.Name, i)
+		}
+	}
+	if sw.CellCount() > SweepMaxCells {
+		return fmt.Errorf("hierclust: sweep %q: axes multiply out past the %d-cell bound", sw.Name, SweepMaxCells)
+	}
+	return nil
+}
+
 // Cells expands the sweep into its scenarios, in deterministic row-major
 // axis order: Machines outermost, then Placements, Strategies, Mixes, and
 // Traces innermost. Cell names derive from the base name plus one
@@ -125,38 +160,16 @@ func (sw *Sweep) Validate() error {
 // cell and the byte-identical hand-written scenario share one result-cache
 // entry.
 //
-// The sweep is validated on the way: its header first, then every cell as
-// the one expansion produces it, with the cell's name on its error. When the
-// strategies axis is set the base may omit its own strategy list (the axis
-// replaces it in every cell), so the base is validated only through its
-// cells.
+// The sweep is validated on the way: its header and axes first, then every
+// cell as the one expansion produces it, with the cell's name on its error.
+// When the strategies axis is set the base may omit its own strategy list
+// (the axis replaces it in every cell), so the base is validated only
+// through its cells.
 func (sw *Sweep) Cells() ([]*Scenario, error) {
-	if sw == nil {
-		return nil, fmt.Errorf("hierclust: nil sweep")
+	if err := sw.checkAxes(); err != nil {
+		return nil, err
 	}
-	if sw.Version < 0 || sw.Version > SweepVersion {
-		return nil, &SchemaVersionError{Version: sw.Version, Supported: SweepVersion}
-	}
-	if sw.Name == "" {
-		return nil, fmt.Errorf("hierclust: sweep needs a name")
-	}
-	if sw.Base.Name == "" {
-		return nil, fmt.Errorf("hierclust: sweep %q: base scenario needs a name", sw.Name)
-	}
-	for i, m := range sw.Axes.Machines {
-		if m.Nodes <= 0 {
-			return nil, fmt.Errorf("hierclust: sweep %q: machines[%d]: nodes must be positive", sw.Name, i)
-		}
-		if m.Ranks < 0 || m.ProcsPerNode < 0 {
-			return nil, fmt.Errorf("hierclust: sweep %q: machines[%d]: negative ranks or procs_per_node", sw.Name, i)
-		}
-	}
-	for i, tp := range sw.Axes.Traces {
-		if tp.Iterations < 0 || tp.Width < 0 || tp.BytesPerMsg < 0 {
-			return nil, fmt.Errorf("hierclust: sweep %q: traces[%d]: negative iterations, width or bytes_per_msg", sw.Name, i)
-		}
-	}
-	nspecs, nlosses := 0, 0 // summed over the axis values
+	n, nspecs, nlosses := sw.CellCount(), 0, 0 // specs and losses summed over the axis values
 	for i, set := range sw.Axes.Strategies {
 		if len(set) == 0 {
 			return nil, fmt.Errorf("hierclust: sweep %q: strategies[%d]: empty strategy set", sw.Name, i)
@@ -165,10 +178,6 @@ func (sw *Sweep) Cells() ([]*Scenario, error) {
 	}
 	for _, mix := range sw.Axes.Mixes {
 		nlosses += len(mix.NodeLoss)
-	}
-	n := sw.CellCount()
-	if n > SweepMaxCells {
-		return nil, fmt.Errorf("hierclust: sweep %q: axes multiply out past the %d-cell bound", sw.Name, SweepMaxCells)
 	}
 
 	machines, placements, strategies := orInherit(sw.Axes.Machines), orInherit(sw.Axes.Placements), orInherit(sw.Axes.Strategies)
@@ -275,7 +284,10 @@ func EncodeSweep(sw *Sweep) ([]byte, error) {
 
 // DecodeSweep parses sweep JSON, rejecting unknown fields anywhere in the
 // document (a typo'd axis name must fail loudly, not silently sweep
-// nothing). Version-less documents are implicit version 1.
+// nothing). Version-less documents are implicit version 1. It checks the
+// header, machine and trace points and cell bound but expands no cell, so a
+// caller weighs CellCount against its own bound first; PlanSweep (or
+// Validate) validates the cells as it expands them.
 func DecodeSweep(data []byte) (*Sweep, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -286,7 +298,7 @@ func DecodeSweep(data []byte) (*Sweep, error) {
 	if dec.More() {
 		return nil, fmt.Errorf("hierclust: trailing data after sweep JSON")
 	}
-	if err := sw.Validate(); err != nil {
+	if err := sw.checkAxes(); err != nil {
 		return nil, err
 	}
 	sw.Version = SweepVersion

@@ -146,8 +146,8 @@ type (
 		placement *Placement
 	}
 	traced struct {
-		comm    Comm
-		outcome string // resolveTrace's
+		comm Comm
+		hit  bool // resolveTrace's
 	}
 	scored struct {
 		c   *Clustering

@@ -118,8 +118,8 @@ func TestRunSweepSharedTraceBuildsOnce(t *testing.T) {
 	if report.TraceBuilds != 1 {
 		t.Fatalf("executor performed %d trace builds, want 1", report.TraceBuilds)
 	}
-	if st := tc.Stats(); st.Misses != 0 || st.Hits != 0 {
-		t.Fatalf("trace cache hits/misses = %d/%d, want 0/0 (a stencil never enters it)", st.Hits, st.Misses)
+	if n := tc.Len(); n != 0 { // a lookup inserts an entry
+		t.Fatalf("trace cache holds %d entries, want 0 (a stencil never looks it up)", n)
 	}
 	if report.PartitionBuilds != 2 {
 		t.Fatalf("executor performed %d partition builds, want 2 (one per strategy)", report.PartitionBuilds)

@@ -2,7 +2,7 @@ package hierclust
 
 import (
 	"fmt"
-	"sync/atomic"
+	"sync"
 
 	"hierclust/internal/lru"
 	"hierclust/internal/tsunami"
@@ -73,51 +73,76 @@ func (s *Scenario) resolvedTrace() TraceSpec {
 	return t
 }
 
-// TraceCacheStats is MemoryTraceCache's observability surface; hcserve
-// exposes its entry count on /metrics.
-type TraceCacheStats struct {
-	// Hits and Misses count Get outcomes since construction.
-	Hits, Misses int64
-	// Entries is the current entry count.
-	Entries int
-}
-
 // MemoryTraceCache caches recorded traces ("tsunami" sources) by TraceKey,
 // beneath the scenario-result cache: a fixed-capacity in-memory LRU, safe
-// for concurrent use. Traces are shared by reference (no copy), so hits
-// cost nothing beyond a map lookup — sound because a frozen CSR has no
-// mutating method (the frozen-CSR immutability invariant the trace and
-// graph packages pin). Capacity bounds entry count, not bytes — size it
-// against the O(ranks + distinct pairs) CSR footprint of the machines you
-// serve.
+// for concurrent use, that is also the table of builds in flight. The first
+// lookup of an absent key inserts a pending entry, which counts against the
+// capacity, and builds it; later lookups wait on it, so concurrent misses on
+// one key record the trace once. Traces are shared by reference (no copy) —
+// sound because a frozen CSR has no mutating method (the frozen-CSR
+// immutability invariant the trace and graph packages pin). Capacity bounds
+// entry count, not bytes — size it against the O(ranks + distinct pairs)
+// CSR footprint of the machines you serve.
 type MemoryTraceCache struct {
-	lru  *lru.Cache[Comm]
-	hits atomic.Int64
-	miss atomic.Int64
+	// mu makes a lookup's insert of a pending entry, and a failed build's
+	// removal of it, one step against every other lookup.
+	mu  sync.Mutex
+	lru *lru.Cache[*traceEntry]
+}
+
+// traceEntry is one key's trace: final once done is closed. A build that
+// failed leaves the table before done closes, so err reaches only the
+// callers that waited on it.
+type traceEntry struct {
+	done chan struct{}
+	comm Comm
+	err  error
 }
 
 // NewMemoryTraceCache returns an LRU trace cache holding up to capacity
-// traces; capacity <= 0 disables caching (every Get misses).
+// traces; capacity <= 0 disables caching (every Get misses, and every
+// lookup builds its own trace).
 func NewMemoryTraceCache(capacity int) *MemoryTraceCache {
-	return &MemoryTraceCache{lru: lru.New[Comm](int64(capacity), nil)}
+	return &MemoryTraceCache{lru: lru.New[*traceEntry](int64(capacity), nil)}
 }
 
-// Get returns the cached trace for key, if present.
+// Get returns the trace cached under key, if present and built.
 func (c *MemoryTraceCache) Get(key string) (Comm, bool) {
-	comm, ok := c.lru.Get(key)
-	if !ok {
-		c.miss.Add(1)
-		return nil, false
+	if e, ok := c.lru.Get(key); ok {
+		select {
+		case <-e.done:
+			return e.comm, e.err == nil
+		default:
+		}
 	}
-	c.hits.Add(1)
-	return comm, true
+	return nil, false
 }
 
-// Put stores a freshly built trace. Traces are deterministic per key, so a
-// key already resident keeps its trace.
-func (c *MemoryTraceCache) Put(key string, comm Comm) { c.lru.Put(key, comm, 1) }
-
-// Stats returns lifetime counters and the current entry count.
-func (c *MemoryTraceCache) Stats() TraceCacheStats {
-	return TraceCacheStats{Hits: c.hits.Load(), Misses: c.miss.Load(), Entries: c.lru.Len()}
+// lookup returns key's entry, inserting a pending one when key is absent;
+// build reports that the caller inserted it and must publish it.
+func (c *MemoryTraceCache) lookup(key string) (e *traceEntry, build bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.lru.Get(key); ok {
+		return e, false
+	}
+	e = &traceEntry{done: make(chan struct{})}
+	c.lru.Put(key, e, 1)
+	return e, true
 }
+
+// publish ends the build of e, which lookup inserted under key: a failed
+// build leaves the table first, so the next lookup builds again.
+func (c *MemoryTraceCache) publish(key string, e *traceEntry) {
+	if e.err != nil {
+		c.mu.Lock()
+		if cur, ok := c.lru.Get(key); ok && cur == e {
+			c.lru.Remove(key)
+		}
+		c.mu.Unlock()
+	}
+	close(e.done)
+}
+
+// Len returns the entry count, pending builds included.
+func (c *MemoryTraceCache) Len() int { return c.lru.Len() }

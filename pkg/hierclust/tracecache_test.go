@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"hierclust/internal/faultinject"
+	"hierclust/internal/racedetect"
 	"hierclust/internal/trace"
 )
 
@@ -94,15 +97,24 @@ func TestTraceKeyFileNotCacheable(t *testing.T) {
 
 func TestMemoryTraceCacheLRU(t *testing.T) {
 	c := NewMemoryTraceCache(2)
+	put := func(key string, comm Comm) {
+		t.Helper()
+		e, build := c.lookup(key)
+		if !build {
+			t.Fatalf("lookup of absent key %q did not make its caller the builder", key)
+		}
+		e.comm = comm
+		c.publish(key, e)
+	}
 	ta, _ := trace.Synthetic(8, SyntheticOptions{})
 	tb, _ := trace.Synthetic(16, SyntheticOptions{})
 	tc2, _ := trace.Synthetic(32, SyntheticOptions{})
-	c.Put("a", ta)
-	c.Put("b", tb)
+	put("a", ta)
+	put("b", tb)
 	if _, ok := c.Get("a"); !ok { // refresh a; b becomes LRU
 		t.Fatal("a missing")
 	}
-	c.Put("c", tc2)
+	put("c", tc2)
 	if _, ok := c.Get("b"); ok {
 		t.Fatal("b survived eviction")
 	}
@@ -110,12 +122,36 @@ func TestMemoryTraceCacheLRU(t *testing.T) {
 	if !ok || got.Ranks() != 8 {
 		t.Fatalf("a lost or wrong: %v", ok)
 	}
-	st := c.Stats()
-	if st.Entries != 2 {
-		t.Fatalf("entries = %d, want 2", st.Entries)
+	if n := c.Len(); n != 2 {
+		t.Fatalf("entries = %d, want 2", n)
 	}
-	if st.Hits != 2 || st.Misses != 1 {
-		t.Fatalf("stats = %d hits / %d misses, want 2/1", st.Hits, st.Misses)
+	if e, build := c.lookup("a"); build || e.comm != Comm(ta) {
+		t.Fatal("lookup of a resident key did not return its trace")
+	}
+}
+
+// A pending entry is in the table, so it joins lookups, counts in Len and
+// evicts like a finished one, but Get never returns it; a failed build
+// leaves the table, so the next lookup builds again.
+func TestMemoryTraceCachePendingEntry(t *testing.T) {
+	c := NewMemoryTraceCache(2)
+	e, build := c.lookup("k")
+	if !build {
+		t.Fatal("first lookup is not the builder")
+	}
+	if joined, again := c.lookup("k"); again || joined != e {
+		t.Fatal("second lookup did not join the pending entry")
+	}
+	if _, ok := c.Get("k"); ok || c.Len() != 1 {
+		t.Fatalf("Get returned an unfinished trace, or Len = %d != 1", c.Len())
+	}
+	e.err = errors.New("build failed")
+	c.publish("k", e)
+	if _, ok := c.Get("k"); ok || c.Len() != 0 {
+		t.Fatalf("a failed build stayed in the table (Len %d)", c.Len())
+	}
+	if _, build := c.lookup("k"); !build {
+		t.Fatal("the lookup after a failed build did not build again")
 	}
 }
 
@@ -143,8 +179,8 @@ func TestPipelineTraceCacheHit(t *testing.T) {
 	if second.Cache != "trace-hit" {
 		t.Fatalf("second cell label = %q, want trace-hit", second.Cache)
 	}
-	if st := cache.Stats(); st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("cache stats = %+v, want 1 hit / 1 miss", st)
+	if n := cache.Len(); n != 1 {
+		t.Fatalf("cache holds %d traces, want the one both cells used", n)
 	}
 
 	// The cached-trace result matches an uncached evaluation exactly.
@@ -222,15 +258,19 @@ func TestSyntheticTracesBypassTraceCache(t *testing.T) {
 	if _, _, err := pl.Trace(ctx, sc); err == nil {
 		t.Fatal("Trace placed 64 ranks at 4 per node on 2 nodes")
 	}
-	if st := mem.Stats(); st.Entries != 1 || st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("memory cache = %+v, want the tsunami trace alone, 1 hit / 1 miss", st)
+	// The labels above are the one miss and the one hit; a lookup inserts an
+	// entry, so one entry means no synthetic source looked the cache up.
+	if n := mem.Len(); n != 1 {
+		t.Fatalf("memory cache holds %d entries, want the tsunami trace alone", n)
 	}
 }
 
-// TestPipelineJoinsInflightBuild pins the singleflight contract: a Run (or a
-// Trace) that misses the cache while the same trace is mid-build waits for
-// that build and reports a hit, never starting a second application run.
+// TestPipelineJoinsInflightBuild pins the in-flight join: a Run (or a
+// Trace) that finds the same trace mid-build in the cache waits for that
+// build and reports a hit, never starting a second application run, and a
+// waiter whose context ends leaves without waiting for the build.
 func TestPipelineJoinsInflightBuild(t *testing.T) {
+	defer faultinject.DisarmAll()
 	cache := NewMemoryTraceCache(4)
 	pl := NewPipeline(WithWorkers(1), WithTraceCache(cache))
 	sc := traceScenario("join", "hierarchical")
@@ -238,20 +278,34 @@ func TestPipelineJoinsInflightBuild(t *testing.T) {
 	if !ok {
 		t.Fatal("scenario not cacheable")
 	}
-
-	// Install a fake in-flight build for the scenario's key.
-	comm, err := trace.Synthetic(64, SyntheticOptions{})
-	if err != nil {
-		t.Fatal(err)
+	// startBuild runs sc's cell with its trace build held open by the build's
+	// fault point, and returns once the build's pending entry is in the table.
+	startBuild := func(sc *Scenario, hold time.Duration) <-chan SweepCellResult {
+		t.Helper()
+		faultinject.Arm("pipeline.trace.build", faultinject.Fault{Kind: faultinject.KindLatency, Delay: hold})
+		entries := cache.Len()
+		built := make(chan SweepCellResult, 1)
+		go func() {
+			res, _ := pl.RunCell(context.Background(), sc, SweepOptions{})
+			built <- res
+		}()
+		for deadline := time.Now().Add(5 * time.Second); cache.Len() == entries; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the build never entered the cache")
+			}
+		}
+		return built
 	}
-	f := &traceFlight{done: make(chan struct{})}
-	pl.flightMu.Lock()
-	pl.flight[key] = f
-	pl.flightMu.Unlock()
 
+	built := startBuild(sc, 300*time.Millisecond)
+	if _, ok := cache.Get(key); ok {
+		t.Fatal("Get returned a trace still being built")
+	}
+	joinSc := traceScenario("join-2", "naive")
+	joinSc.Strategies[0].Size = 8
 	got := make(chan SweepCellResult, 1)
 	go func() {
-		res, _ := pl.RunCell(context.Background(), sc, SweepOptions{})
+		res, _ := pl.RunCell(context.Background(), joinSc, SweepOptions{})
 		got <- res
 	}()
 	traced := make(chan Comm, 1)
@@ -262,7 +316,6 @@ func TestPipelineJoinsInflightBuild(t *testing.T) {
 		}
 		traced <- c
 	}()
-
 	select {
 	case o := <-got:
 		t.Fatalf("RunCell completed without waiting for the in-flight build: %+v", o)
@@ -271,12 +324,13 @@ func TestPipelineJoinsInflightBuild(t *testing.T) {
 	case <-time.After(50 * time.Millisecond):
 	}
 
-	f.comm = comm
-	pl.flightMu.Lock()
-	delete(pl.flight, key)
-	pl.flightMu.Unlock()
-	close(f.done)
-
+	if b := <-built; b.Err != nil || b.Cache != "miss" {
+		t.Fatalf("builder: label %q (%v), want miss", b.Cache, b.Err)
+	}
+	comm, ok := cache.Get(key)
+	if !ok {
+		t.Fatal("the finished build is not in the cache")
+	}
 	o := <-got
 	if o.Err != nil {
 		t.Fatal(o.Err)
@@ -288,23 +342,25 @@ func TestPipelineJoinsInflightBuild(t *testing.T) {
 	if err := json.Unmarshal(o.Doc, &res); err != nil || res.TotalBytes != comm.TotalBytes() {
 		t.Fatalf("joined cell did not use the in-flight build's trace (%v)", err)
 	}
-	if c := <-traced; c != Comm(comm) {
+	if c := <-traced; c != comm {
 		t.Fatal("joined Trace did not return the in-flight build's trace")
+	}
+	if n := faultinject.Triggered("pipeline.trace.build"); n != 1 {
+		t.Fatalf("%d trace builds of one key, want 1", n)
 	}
 
 	// Cancellation releases a waiter blocked on an in-flight build.
-	f2 := &traceFlight{done: make(chan struct{})}
-	pl.flightMu.Lock()
-	pl.flight[key] = f2
-	pl.flightMu.Unlock()
+	slow := traceScenario("join-slow", "hierarchical")
+	slow.Trace.Iterations = 6 // a key of its own
+	built = startBuild(slow, 500*time.Millisecond)
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 2)
 	go func() {
-		_, err := pl.Run(ctx, sc)
+		_, err := pl.Run(ctx, slow)
 		errCh <- err
 	}()
 	go func() {
-		_, _, err := pl.Trace(ctx, sc)
+		_, _, err := pl.Trace(ctx, slow)
 		errCh <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -314,9 +370,17 @@ func TestPipelineJoinsInflightBuild(t *testing.T) {
 			t.Fatalf("cancelled waiter returned %v, want context.Canceled", err)
 		}
 	}
+	select {
+	case <-built:
+		t.Error("the cancelled waiters returned only once the build had finished")
+	default:
+	}
+	if b := <-built; b.Err != nil {
+		t.Fatal(b.Err)
+	}
 }
 
-// TestPipelineConcurrentSharedTrace stresses the cache + singleflight path
+// TestPipelineConcurrentSharedTrace stresses the cache's in-flight join
 // under real concurrency, Run and Trace callers mixed; every call must
 // succeed and agree on the trace, and the Trace callers get the one build.
 func TestPipelineConcurrentSharedTrace(t *testing.T) {
@@ -357,8 +421,8 @@ func TestPipelineConcurrentSharedTrace(t *testing.T) {
 			t.Fatalf("Trace caller %d got a trace other than the one cached", i)
 		}
 	}
-	if st := cache.Stats(); st.Entries != 1 {
-		t.Fatalf("cache entries = %d, want 1", st.Entries)
+	if n := cache.Len(); n != 1 {
+		t.Fatalf("cache entries = %d, want 1", n)
 	}
 }
 
@@ -425,5 +489,36 @@ func TestTraceKeyMatchesResolvedSpec(t *testing.T) {
 			t.Errorf("%s: %d distinct keys over %d variants, want at most %d (+1 for the scenario's own spec)",
 				base.Name, len(distinct), len(variants), want)
 		}
+	}
+}
+
+// A trace-hit reads its built cache entry without waiting, so it never asks
+// the caller's context for its Done channel, which a request context makes
+// on first call: the hit costs the object it cost before the cache was also
+// the table of builds in flight.
+func TestTraceHitMakesNoDoneChannel(t *testing.T) {
+	if racedetect.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	pl := NewPipeline(WithWorkers(1), WithTraceCache(NewMemoryTraceCache(4)))
+	sc := traceScenario("hit-allocs", "naive")
+	sc.Strategies[0].Size = 8
+	if _, _, err := pl.Trace(context.Background(), sc); err != nil {
+		t.Fatal(err)
+	}
+	hit := func(askDone bool) float64 {
+		return testing.AllocsPerRun(20, func() {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if askDone {
+				ctx.Done()
+			}
+			if res, _ := pl.RunCell(ctx, sc, SweepOptions{}); res.Err != nil || res.Cache != "trace-hit" {
+				t.Fatalf("label %q (%v), want trace-hit", res.Cache, res.Err)
+			}
+		})
+	}
+	if fresh, asked := hit(false), hit(true); fresh != asked-1 {
+		t.Fatalf("a trace-hit allocates %v objects under a fresh context, %v once its Done channel exists; want one fewer", fresh, asked)
 	}
 }

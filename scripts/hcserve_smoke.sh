@@ -3,7 +3,9 @@
 # and assert a 200 response carrying non-empty evaluations, and that its
 # compacted re-POST is a byte-identical result hit; then exercise
 # POST /v1/evaluate-batch (NDJSON lines in input order, trace-hits for two
-# scenarios sharing the quickstart trace) and the GET /metrics
+# scenarios sharing the quickstart trace, no sweep-only key), a sweep job
+# (its lines in plan order, each naming its scenario), the 413 of a
+# 65,536-cell sweep, and the GET /metrics
 # scrape, with the Server-Timing header of a computed evaluation (none on a
 # hit) and the eval stage's count. Finally, a chaos drill: restart the server with every disk write
 # of its result cache failing (-fault resultcache.disk.write=error:1.0) and
@@ -105,6 +107,13 @@ if [ "$ORDER" != "$WANT" ]; then
     echo "hcserve_smoke: batch lines $ORDER, want $WANT" >&2
     exit 1
 fi
+# A batch line has no scenario key: batch and sweep lines are one type whose
+# scenario only sweep cells set.
+if ! jq -s -e 'all(.[]; keys - ["index", "status", "cache", "result", "error"] == [])' \
+    /tmp/hcserve_smoke_batch.ndjson >/dev/null; then
+    echo "hcserve_smoke: batch line keys $(jq -s -c 'map(keys)' /tmp/hcserve_smoke_batch.ndjson)" >&2
+    exit 1
+fi
 echo "hcserve_smoke: batch ok (result hit + 2 trace-hits, in order)"
 
 # Metrics: the scrape must expose the trace hits the batch just made, and
@@ -165,7 +174,28 @@ if [ "$CELLS" != "$WANT" ]; then
     echo "hcserve_smoke:          want $WANT" >&2
     exit 1
 fi
+if ! jq -s -e 'all(.[]; has("scenario"))' /tmp/hcserve_smoke_sweep.ndjson >/dev/null; then
+    echo "hcserve_smoke: a sweep line carries no scenario" >&2
+    exit 1
+fi
 echo "hcserve_smoke: sweep ok (4 cells in order, dedup $(jq -r '.plan.dedup_ratio' /tmp/hcserve_smoke_sweep.json))"
+
+# A sweep of 65,536 cells in a body under 2 KB is past the server's bound
+# (1,024 by default): refused 413 from its axes, before any cell exists.
+STATUS="$(jq -n -c '{name: "smoke-huge",
+    base: {name: "smoke-huge", machine: {nodes: 16}, placement: {ranks: 64, procs_per_node: 4},
+           trace: {source: "synthetic"}},
+    axes: {machines: [range(1; 17) | {nodes: (16 + .)}],
+           strategies: [range(1; 17) | [{kind: "naive", size: .}]],
+           mixes: [range(1; 17) | {transient: .}],
+           traces: [range(1; 17) | {iterations: .}]}}' |
+    curl -s -o /tmp/hcserve_smoke_huge.json -w '%{http_code}' -X POST -d @- "http://$ADDR/v1/sweeps")"
+if [ "$STATUS" != "413" ]; then
+    echo "hcserve_smoke: 65,536-cell sweep answered $STATUS, want 413" >&2
+    cat /tmp/hcserve_smoke_huge.json >&2
+    exit 1
+fi
+echo "hcserve_smoke: over-bound sweep ok (413)"
 
 # Rerun the identical sweep through the hcrun client: every cell must now
 # come straight from the result cache, and the client must exit 0 with the
